@@ -8,7 +8,7 @@
 //! allows it.
 
 use kbt_datamodel::{ChunkedCube, GroupView, ObservationCube};
-use kbt_flume::{par_map_indexed, ShardedExecutor};
+use kbt_flume::{par_chunks_mut, par_map_indexed, ShardedExecutor};
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
@@ -108,34 +108,36 @@ impl AlphaState {
         });
     }
 
-    /// [`Self::update_cols`] for one streamed group frame: compute the
-    /// frame's updated logits into a fresh vector (the caller scatters
-    /// them back via [`Self::write_range`]). `truth` is the full resident
-    /// truth vector, indexed by global group. Same per-group arithmetic →
+    /// [`Self::update_cols`] from a bare `source_offsets` CSR — the form
+    /// the streamed fit uses: groups are source-sorted, so the per-source
+    /// group spans stand in for the `group_source` column and the update
+    /// reads no chunk data at all. Same per-group arithmetic →
     /// bit-identical to the resident update.
-    pub fn frame_logits(
-        view: &GroupView<'_>,
+    pub fn update_offsets(
+        &mut self,
+        source_offsets: &[u32],
         truth: &[f64],
         params: &Params,
         cfg: &ModelConfig,
-    ) -> Vec<f64> {
+    ) {
+        debug_assert_eq!(truth.len(), self.logits.len());
         let n = cfg.n_false_values.max(1) as f64;
         let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        let base = view.groups.start as usize;
-        (0..view.num_groups())
-            .map(|lg| {
-                let a = params.source_accuracy[view.group_source[lg] as usize];
-                let t = truth[base + lg];
-                logit(t * a + (1.0 - t) * (1.0 - a) / spread)
-            })
-            .collect()
-    }
-
-    /// Overwrite the logits of the contiguous group range starting at
-    /// `start` — how a streamed fit scatters per-frame updates
-    /// ([`Self::frame_logits`]) back into the resident prior state.
-    pub fn write_range(&mut self, start: usize, values: &[f64]) {
-        self.logits[start..start + values.len()].copy_from_slice(values);
+        par_chunks_mut(&mut self.logits, |base, chunk| {
+            // The span holding group `base`; later groups only walk forward.
+            let mut w = source_offsets
+                .partition_point(|&o| o as usize <= base)
+                .saturating_sub(1);
+            for (i, l) in chunk.iter_mut().enumerate() {
+                let g = base + i;
+                while source_offsets[w + 1] as usize <= g {
+                    w += 1;
+                }
+                let a = params.source_accuracy[w];
+                let t = truth[g];
+                *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
+            }
+        });
     }
 }
 
@@ -371,6 +373,53 @@ mod tests {
         let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
         for p in estimate_correctness(&cube, &votes, &alpha, &cfg) {
             assert!((0.0..=1.0).contains(&p));
+        }
+    }
+
+    /// The streamed α update reads sources off the group-span CSR instead
+    /// of a `group_source` column; source ids without groups (3, then the
+    /// trailing 6) and any worker split must not shift a span.
+    #[test]
+    fn alpha_update_from_offsets_matches_the_column_update() {
+        let mut b = CubeBuilder::new();
+        for w in [0u32, 1, 2, 4, 5] {
+            for d in 0..(1 + w % 3) {
+                b.push(Observation::certain(
+                    ExtractorId::new(0),
+                    SourceId::new(w),
+                    ItemId::new(d),
+                    ValueId::new(w % 2),
+                ));
+            }
+        }
+        b.reserve_ids(7, 1, 3, 2);
+        let cube = b.build();
+        let cfg = ModelConfig::default();
+        let cc = ChunkedCube::from_cube(&cube, &cfg.chunking());
+        let ng = cube.num_groups();
+        let params = Params {
+            source_accuracy: (0..cube.num_sources())
+                .map(|w| 0.3 + 0.09 * w as f64)
+                .collect(),
+            precision: vec![0.9],
+            recall: vec![0.9],
+            q: vec![0.1],
+        };
+        let truth: Vec<f64> = (0..ng).map(|g| (g as f64 + 0.5) / ng as f64).collect();
+        let mut by_column = AlphaState::uniform(ng, cfg.alpha);
+        by_column.update_cols(&cc, &truth, &params, &cfg, &mut ShardedExecutor::new());
+        for threads in [1, 2, 5] {
+            let mut by_offsets = AlphaState::uniform(ng, cfg.alpha);
+            kbt_flume::with_threads(Some(threads), || {
+                by_offsets.update_offsets(&cc.source_offsets, &truth, &params, &cfg);
+            });
+            for g in 0..ng {
+                assert_eq!(
+                    by_offsets.logit(g).to_bits(),
+                    by_column.logit(g).to_bits(),
+                    "group {g} at {threads} threads"
+                );
+            }
         }
     }
 }

@@ -97,15 +97,15 @@ impl MultiLayerResult {
 }
 
 /// I/O-side diagnostics of a streamed fit
-/// ([`MultiLayerModel::run_streamed`]): chunk-cache hit/miss/eviction
+/// ([`MultiLayerModel::run_streamed`]): chunk-cache hit/load/eviction
 /// counters for the item-chunk and group-frame caches, accumulated over
-/// the whole run.
+/// the whole run (`misses` is the number of frames read and decoded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Item-chunk cache counters (value E-step reads).
     pub item_cache: CacheStats,
-    /// Group-frame cache counters (correctness E-step, extractor
-    /// M-step, and α reads).
+    /// Group-frame cache counters (correctness E-step and extractor
+    /// M-step reads).
     pub group_cache: CacheStats,
 }
 
@@ -467,15 +467,15 @@ impl MultiLayerModel {
     ///
     /// Every stage reproduces the resident columnar engine's exact float
     /// sequence (vote tables from the persisted per-source extractor CSR,
-    /// per-frame correctness/α, chunk-order value merge, offsets-CSR
-    /// source update, serial global-cell-order extractor fold), so the
+    /// per-frame correctness, chunk-order value merge, offsets-CSR
+    /// source and α updates, serial global-cell-order extractor fold), so the
     /// fit is **bit-for-bit identical** to [`ExecMode::Sharded`] on the
     /// resident cube, at any thread count and any cache size ≥ 1 (the
     /// `out_of_core` integration tests assert this). `max_resident_chunks
     /// == 0` means unbounded.
     ///
-    /// I/O failures mid-fit (truncated frames, CRC mismatches, vanished
-    /// files) surface as typed [`io::Error`]s, never panics. Copy
+    /// I/O failures mid-fit (truncated frames, CRC mismatches) surface
+    /// as typed [`io::Error`]s, never panics. Copy
     /// detection needs pairwise co-occurrence statistics over a resident
     /// cube and is rejected up front as [`io::ErrorKind::Unsupported`].
     pub fn run_streamed(
@@ -527,11 +527,11 @@ impl MultiLayerModel {
         // The engine state reused across rounds.
         let mut value_exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
         let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
+        let mut fold_exec: ShardedExecutor<StreamedExtractorAcc> = ShardedExecutor::with_shards(1);
         let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
         let mut votes = VoteCounter::empty();
         let mut correctness: Vec<f64> = vec![0.0; ng];
         let mut src_updates: Vec<Option<f64>> = Vec::new();
-        let mut ext_acc = StreamedExtractorAcc::default();
         let mut ll_buf: Vec<f64> = Vec::new();
         // Keep the prefetcher a couple of chunks ahead of the workers,
         // but never so far ahead that a bounded cache would evict chunks
@@ -617,32 +617,32 @@ impl MultiLayerModel {
             );
             trace.stage_wall.source_update += stage.lap();
             // Serial frame fold in ascending frame order = global cell
-            // order (see `StreamedExtractorAcc`).
-            ext_acc.begin(ne, &meta.source_offsets, &correctness, cfg);
-            for f in 0..nf {
-                let buf = frames.get(f)?;
-                ext_acc.consume(&buf.view(), &correctness, cfg);
-            }
-            ext_acc.finish(&meta.source_item_counts, &correctness, cfg, &mut params);
+            // order (see `StreamedExtractorAcc`): the executor's one
+            // worker folds into its arena, in order, under the same
+            // look-ahead as the parallel passes.
+            fold_exec.scratch_mut()[0].begin(ne, &meta.source_offsets, &correctness, cfg);
+            fold_exec.map_chunks(
+                nf,
+                depth,
+                |i| frames.prefetch(i),
+                |acc, f| {
+                    let buf = frames.get(f)?;
+                    acc.consume(&buf.view(), &correctness, cfg);
+                    Ok::<_, io::Error>(())
+                },
+            )?;
+            fold_exec.scratch_mut()[0].finish(
+                &meta.source_item_counts,
+                &correctness,
+                cfg,
+                &mut params,
+            );
             trace.stage_wall.extractor_update += stage.lap();
+            // The α prior needs each group's source and nothing else of
+            // a frame, and groups are source-sorted: the resident
+            // `source_offsets` CSR serves it without touching the store.
             if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
-                let (truth, params_ref) = (&out.truth_of_group, &params);
-                let per_frame: Vec<(u32, Vec<f64>)> = group_exec.map_chunks(
-                    nf,
-                    depth,
-                    |i| frames.prefetch(i),
-                    |_, i| {
-                        let buf = frames.get(i)?;
-                        let view = buf.view();
-                        Ok::<_, io::Error>((
-                            view.groups.start,
-                            AlphaState::frame_logits(&view, truth, params_ref, cfg),
-                        ))
-                    },
-                )?;
-                for (start, vals) in per_frame {
-                    alpha.write_range(start as usize, &vals);
-                }
+                alpha.update_offsets(&meta.source_offsets, &out.truth_of_group, &params, cfg);
             }
             trace.stage_wall.alpha += stage.lap();
             let delta = params.max_abs_delta(&prev);

@@ -3,6 +3,9 @@
 //! thread count and any cache size ≥ 1 (and unbounded), including after
 //! the cube evolves through `apply_delta`/`retract`; and I/O corruption
 //! mid-fit surfaces as typed errors, never panics.
+//!
+//! Also compiled into the facade's `tests/out_of_core.rs`, so the tier-1
+//! `cargo test -q` at the repository root runs it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -97,8 +100,8 @@ fn check_cube(cube: &ObservationCube, target_cells: usize, tag: &str) {
     FileChunkStore::write(&cc, &path).expect("write chunk store");
     let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
 
-    for max_resident in [1usize, 2, 0] {
-        for threads in [Some(1), Some(3)] {
+    for max_resident in [1usize, 4, 0] {
+        for threads in [Some(1), Some(2), Some(4)] {
             let model = MultiLayerModel::new(ModelConfig {
                 threads,
                 ..cfg.clone()

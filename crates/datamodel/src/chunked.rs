@@ -43,24 +43,26 @@
 //! * **item frames** — one per [`CubeChunk`], the item-major payload the
 //!   value E-step streams (identical payload bytes to the v1 format);
 //! * **group frames** ([`GroupBuf`]) — contiguous group ranges with their
-//!   cell columns in global cell order, which the correctness E-step,
-//!   the alpha update, and a serial extractor M-step pass stream;
+//!   cell columns in global cell order, which the correctness E-step
+//!   and a serial extractor M-step pass stream;
 //! * an **index frame** + trailing 8-byte offset, so [`FileChunkStore::open`]
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
 //!
-//! [`ChunkCache`] adds a bounded LRU of decoded buffers over the store:
-//! workers lease `Arc` handles, so an eviction never invalidates an
-//! in-flight computation — the cache size bounds *residency*, it can
+//! [`ChunkCache`] adds a bounded cache of decoded buffers over the store,
+//! with single-flight loads and an eviction order made for cyclic scans:
+//! workers lease `Arc` handles, so an eviction never invalidates a
+//! computation under way — the cache size bounds *residency*, it can
 //! never change a result.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::cube::ObservationCube;
 use crate::ids::{ItemId, SourceId};
@@ -704,10 +706,10 @@ impl ItemView<'_> {
 }
 
 /// Borrowed group-major frame view — input to the streamed correctness
-/// E-step, the alpha update, and the serial extractor M-step pass. Backed
-/// by resident columns ([`ChunkedCube::group_view`]) or a decoded
-/// [`GroupBuf`] ([`GroupBuf::view`]); `cells` rebases the offsets so the
-/// kernels can't tell the backings apart.
+/// E-step and the serial extractor M-step pass. Backed by resident
+/// columns ([`ChunkedCube::group_view`]) or a decoded [`GroupBuf`]
+/// ([`GroupBuf::view`]); `cells` rebases the offsets so the kernels can't
+/// tell the backings apart.
 #[derive(Debug, Clone)]
 pub struct GroupView<'a> {
     /// Global group-index range the view covers (`groups.start + lg` is
@@ -794,21 +796,49 @@ const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK2";
 /// bounded even for degenerate cell distributions.
 const MAX_FRAME_GROUPS: usize = 1 << 20;
 
-fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
+/// Append a length-prefixed column of `W`-byte little-endian elements in
+/// one sized write instead of one `Vec` growth check per element.
+fn put_column<T: Copy, const W: usize>(buf: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; W]) {
     wire::put_u32(buf, xs.len() as u32);
-    for &x in xs {
-        wire::put_u32(buf, x);
+    let start = buf.len();
+    buf.resize(start + xs.len() * W, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(W).zip(xs) {
+        dst.copy_from_slice(&le(x));
     }
 }
 
-fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> io::Result<()> {
-    let n = r.u32().map_err(corrupt)? as usize;
+fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
+    put_column(buf, xs, u32::to_le_bytes);
+}
+
+/// Consume a length-prefixed column of `W`-byte elements as one byte
+/// slice. The count is checked against the bytes left **before** anything
+/// is sized from it ([`WireReader::count`]), so a frame announcing
+/// `u32::MAX` elements is a typed error, not a 16 GiB reservation.
+fn column_bytes<'a, const W: usize>(r: &mut WireReader<'a>) -> io::Result<&'a [u8]> {
+    let n = r.count(W).map_err(corrupt)?;
+    r.bytes(n * W).map_err(corrupt)
+}
+
+/// Decode a [`put_column`] column into `out` (cleared first, capacity
+/// reused), one pass over one byte slice.
+fn read_column<T, const W: usize>(
+    r: &mut WireReader<'_>,
+    out: &mut Vec<T>,
+    from_le: impl Fn([u8; W]) -> T,
+) -> io::Result<()> {
+    let bytes = column_bytes::<W>(r)?;
     out.clear();
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(r.u32().map_err(corrupt)?);
-    }
+    out.extend(bytes.chunks_exact(W).map(|c| {
+        let mut le = [0u8; W];
+        le.copy_from_slice(c);
+        from_le(le)
+    }));
     Ok(())
+}
+
+fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> io::Result<()> {
+    read_column(r, out, u32::from_le_bytes)
 }
 
 fn corrupt<E: std::fmt::Debug>(e: E) -> io::Error {
@@ -969,7 +999,7 @@ impl ChunkStoreMeta {
         let num_values = r.u32().map_err(corrupt)?;
         let max_item_values = r.u32().map_err(corrupt)?;
         let max_chunk_rows = r.u32().map_err(corrupt)?;
-        let n_chunks = r.u32().map_err(corrupt)? as usize;
+        let n_chunks = r.count(20).map_err(corrupt)?;
         let mut item_chunks = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
             let is = r.u32().map_err(corrupt)?;
@@ -983,7 +1013,7 @@ impl ChunkStoreMeta {
                 cells,
             });
         }
-        let n_frames = r.u32().map_err(corrupt)? as usize;
+        let n_frames = r.count(8).map_err(corrupt)?;
         let mut group_frames = Vec::with_capacity(n_frames);
         for _ in 0..n_frames {
             let fs = r.u32().map_err(corrupt)?;
@@ -1059,38 +1089,51 @@ fn write_frame(
     Ok((payload_off, len))
 }
 
-/// Seek to a frame's `[len]` header at `off` and read + CRC-verify its
-/// payload. `limit` is the end of the frame region (the file length minus
-/// the trailing index pointer).
-fn read_frame_at(file: &mut fs::File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
+/// Read the `len`-byte payload at `payload_off` plus its trailing CRC in
+/// one positioned read, verify the CRC, and return the payload — the one
+/// way bytes leave a chunk file. Positioned reads take `&File`, so
+/// concurrent loads share the store's single handle without a seek race.
+fn read_frame(file: &fs::File, payload_off: u64, len: u32) -> io::Result<Vec<u8>> {
+    let len = len as usize;
+    let mut frame = vec![0u8; len + 4];
+    file.read_exact_at(&mut frame, payload_off)?;
+    let (payload, stored) = frame.split_at(len);
+    if stored != wire::crc32(payload).to_le_bytes() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame CRC mismatch",
+        ));
+    }
+    frame.truncate(len);
+    Ok(frame)
+}
+
+/// [`read_frame`] for a frame known only by the offset of its `[len]`
+/// header (the index and meta frames at open). `limit` is the end of the
+/// frame region (the file length minus the trailing index pointer).
+fn read_frame_at_header(file: &fs::File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
     if off + 4 > limit {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame header out of bounds",
         ));
     }
-    file.seek(SeekFrom::Start(off))?;
     let mut len_bytes = [0u8; 4];
-    file.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as u64;
-    if off + 4 + len + 4 > limit {
+    file.read_exact_at(&mut len_bytes, off)?;
+    let len = u32::from_le_bytes(len_bytes);
+    if off + 4 + len as u64 + 4 > limit {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame extends past end of file",
         ));
     }
-    let mut frame = vec![0u8; len as usize + 4];
-    file.read_exact(&mut frame)?;
-    let (payload, crc_bytes) = frame.split_at(len as usize);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if wire::crc32(payload) != stored {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    frame.truncate(len as usize);
-    Ok(frame)
+    read_frame(file, off + 4, len)
+}
+
+/// Prefix an I/O error with the frame it came from; built on the error
+/// path only.
+fn in_frame(what: &str, idx: usize, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {idx}: {e}"))
 }
 
 /// Disk-backed chunk payloads: the `KBTCHNK2` format described in the
@@ -1104,7 +1147,8 @@ fn read_frame_at(file: &mut fs::File, off: u64, limit: u64) -> io::Result<Vec<u8
 /// O(metadata), never O(corpus).
 #[derive(Debug)]
 pub struct FileChunkStore {
-    path: PathBuf,
+    /// The one handle every load reads through (positioned reads).
+    file: fs::File,
     meta: ChunkStoreMeta,
     /// Byte offset + length of each item frame's payload.
     item_frames: Vec<(u64, u32)>,
@@ -1158,10 +1202,7 @@ impl FileChunkStore {
             rebased.extend(cube.cell_offsets[lo..=hi].iter().map(|&o| o - cell_base));
             put_u32_slice(&mut payload, &rebased);
             put_u32_slice(&mut payload, &cube.cell_extractor[cells.clone()]);
-            wire::put_u32(&mut payload, cells.len() as u32);
-            for &c in &cube.cell_confidence[cells] {
-                wire::put_f64(&mut payload, c);
-            }
+            put_column(&mut payload, &cube.cell_confidence[cells], f64::to_le_bytes);
             group_frame_index.push(write_frame(&mut w, &mut pos, &payload)?);
         }
 
@@ -1186,7 +1227,7 @@ impl FileChunkStore {
     /// follow the trailing offset to the index frame, and decode the meta
     /// frame. Reads O(metadata) bytes regardless of corpus size.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut file = fs::File::open(path)?;
+        let file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < 8 + 8 {
             return Err(io::Error::new(
@@ -1195,7 +1236,7 @@ impl FileChunkStore {
             ));
         }
         let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
+        file.read_exact_at(&mut magic, 0)?;
         if &magic != CHUNK_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1203,9 +1244,8 @@ impl FileChunkStore {
             ));
         }
         let limit = file_len - 8;
-        file.seek(SeekFrom::End(-8))?;
         let mut tail = [0u8; 8];
-        file.read_exact(&mut tail)?;
+        file.read_exact_at(&mut tail, limit)?;
         let index_pos = u64::from_le_bytes(tail);
         if index_pos < 8 || index_pos >= limit {
             return Err(io::Error::new(
@@ -1213,16 +1253,16 @@ impl FileChunkStore {
                 "index offset out of bounds",
             ));
         }
-        let index = read_frame_at(&mut file, index_pos, limit)?;
+        let index = read_frame_at_header(&file, index_pos, limit)?;
         let mut r = WireReader::new(&index);
-        let n_item = r.u32().map_err(corrupt)? as usize;
+        let n_item = r.count(12).map_err(corrupt)?;
         let mut item_frames = Vec::with_capacity(n_item);
         for _ in 0..n_item {
             let off = r.u64().map_err(corrupt)?;
             let len = r.u32().map_err(corrupt)?;
             item_frames.push((off, len));
         }
-        let n_group = r.u32().map_err(corrupt)? as usize;
+        let n_group = r.count(12).map_err(corrupt)?;
         let mut group_frame_index = Vec::with_capacity(n_group);
         for _ in 0..n_group {
             let off = r.u64().map_err(corrupt)?;
@@ -1243,7 +1283,7 @@ impl FileChunkStore {
                 ));
             }
         }
-        let meta_payload = read_frame_at(&mut file, 8, limit)?;
+        let meta_payload = read_frame_at_header(&file, 8, limit)?;
         let meta = ChunkStoreMeta::decode(&meta_payload)?;
         if meta.item_chunks.len() != item_frames.len()
             || meta.group_frames.len() != group_frame_index.len()
@@ -1254,7 +1294,7 @@ impl FileChunkStore {
             ));
         }
         Ok(Self {
-            path: path.to_path_buf(),
+            file,
             meta,
             item_frames,
             group_frame_index,
@@ -1271,28 +1311,12 @@ impl FileChunkStore {
         self.group_frame_index.len()
     }
 
-    fn read_payload(&self, off: u64, len: u32, what: &str) -> io::Result<Vec<u8>> {
-        let mut file = fs::File::open(&self.path)?;
-        file.seek(SeekFrom::Start(off))?;
-        let mut frame = vec![0u8; len as usize + 4];
-        file.read_exact(&mut frame)?;
-        let (payload, crc_bytes) = frame.split_at(len as usize);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if wire::crc32(payload) != stored {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{what}: CRC mismatch"),
-            ));
-        }
-        frame.truncate(len as usize);
-        Ok(frame)
-    }
-
     /// Load group frame `idx` into `buf` (cleared first, capacity
     /// reused), CRC-verifying the frame.
     pub fn load_group_frame(&self, idx: usize, buf: &mut GroupBuf) -> io::Result<()> {
         let (off, len) = self.group_frame_index[idx];
-        let payload = self.read_payload(off, len, &format!("group frame {idx}"))?;
+        let payload =
+            read_frame(&self.file, off, len).map_err(|e| in_frame("group frame", idx, e))?;
         let mut r = WireReader::new(&payload);
         let start = r.u32().map_err(corrupt)?;
         let end = r.u32().map_err(corrupt)?;
@@ -1300,12 +1324,7 @@ impl FileChunkStore {
         read_u32_vec(&mut r, &mut buf.group_source)?;
         read_u32_vec(&mut r, &mut buf.cell_offsets)?;
         read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-        let n = r.u32().map_err(corrupt)? as usize;
-        buf.cell_confidence.clear();
-        buf.cell_confidence.reserve(n);
-        for _ in 0..n {
-            buf.cell_confidence.push(r.f64().map_err(corrupt)?);
-        }
+        read_column(&mut r, &mut buf.cell_confidence, f64::from_le_bytes)?;
         let shape_ok = start <= end
             && buf.group_source.len() == (end - start) as usize
             && buf.cell_offsets.len() == (end - start) as usize + 1
@@ -1330,7 +1349,7 @@ impl ChunkSource for FileChunkStore {
 
     fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
         let (off, len) = self.item_frames[idx];
-        let payload = self.read_payload(off, len, &format!("chunk {idx}"))?;
+        let payload = read_frame(&self.file, off, len).map_err(|e| in_frame("chunk", idx, e))?;
         let mut r = WireReader::new(&payload);
         let start = r.u32().map_err(corrupt)?;
         let end = r.u32().map_err(corrupt)?;
@@ -1341,10 +1360,9 @@ impl ChunkSource for FileChunkStore {
         read_u32_vec(&mut r, &mut buf.ig_group)?;
         read_u32_vec(&mut r, &mut buf.ig_source)?;
         read_u32_vec(&mut r, &mut buf.ig_slot)?;
-        let n = r.u32().map_err(corrupt)? as usize;
         buf.ig_has_cells.clear();
         buf.ig_has_cells
-            .extend_from_slice(r.bytes(n).map_err(corrupt)?);
+            .extend_from_slice(column_bytes::<1>(&mut r)?);
         if !r.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1359,9 +1377,11 @@ impl ChunkSource for FileChunkStore {
 /// [`ChunkCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Lookups served from the cache, including those that waited for a
+    /// load already in flight.
     pub hits: u64,
-    /// Lookups (and prefetches) that went to the loader.
+    /// Loader invocations: loads are single-flight, so a prefetch and the
+    /// lookup racing it count once.
     pub misses: u64,
     /// Decoded buffers dropped to respect the residency cap.
     pub evictions: u64,
@@ -1369,25 +1389,55 @@ pub struct CacheStats {
 
 struct CacheState<B> {
     map: HashMap<usize, Arc<B>>,
-    lru: VecDeque<usize>,
+    /// Resident chunks some [`ChunkCache::get`] has leased, oldest lease
+    /// first.
+    consumed: VecDeque<usize>,
+    /// Resident prefetched chunks no lookup has asked for yet, oldest
+    /// first.
+    unconsumed: VecDeque<usize>,
+    /// Chunks a thread is loading right now.
+    in_flight: Vec<usize>,
 }
 
-/// Bounded LRU cache of decoded chunk buffers over a loader (usually a
-/// [`FileChunkStore`]). Lookups return `Arc` leases: an eviction only
-/// drops the cache's reference, never a worker's, so
-/// **`max_resident_chunks` bounds memory and I/O, and can never change a
-/// result**. Loads happen outside the lock (concurrent misses on
-/// different chunks overlap their I/O); when two threads race to load the
-/// same chunk, the first insert wins and both lease the same buffer.
+impl<B> CacheState<B> {
+    /// Take `idx` off whichever order list holds it. A scan asks for the
+    /// oldest entry of its list, so both searches start at the front.
+    fn unlist(&mut self, idx: usize) {
+        for list in [&mut self.unconsumed, &mut self.consumed] {
+            if let Some(p) = list.iter().position(|&i| i == idx) {
+                list.remove(p);
+                return;
+            }
+        }
+    }
+}
+
+/// Bounded cache of decoded chunk buffers over a loader (usually a
+/// [`FileChunkStore`]), built for the cyclic scans an EM fit makes.
+/// Lookups return `Arc` leases: an eviction only drops the cache's
+/// reference, never a worker's, so **`max_resident_chunks` bounds memory
+/// and I/O, and can never change a result**.
+///
+/// Loads are **single-flight**: they run outside the lock (misses on
+/// different chunks overlap their I/O), but a chunk some thread is
+/// already loading is never loaded twice — [`Self::get`] waits for that
+/// load, [`Self::prefetch`] returns. Eviction is **scan-aware**: a chunk
+/// a lookup has already leased goes first (the most recently leased one,
+/// which a cyclic scan needs last), and a prefetched chunk nobody has
+/// asked for yet goes only when nothing else is left.
 pub struct ChunkCache<B> {
     cap: usize,
     num_chunks: usize,
-    loader: Box<dyn Fn(usize) -> io::Result<B> + Send + Sync>,
+    loader: Loader<B>,
     state: Mutex<CacheState<B>>,
+    loaded: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
+
+/// Reads and decodes chunk `idx`.
+type Loader<B> = Box<dyn Fn(usize) -> io::Result<B> + Send + Sync>;
 
 impl<B> std::fmt::Debug for ChunkCache<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1399,15 +1449,34 @@ impl<B> std::fmt::Debug for ChunkCache<B> {
     }
 }
 
+/// Clears a chunk's in-flight mark and wakes its waiters when the load
+/// ends — by insert, by error, or by a panicking loader — so no index can
+/// stay stuck in flight.
+struct Flight<'a, B> {
+    cache: &'a ChunkCache<B>,
+    idx: usize,
+}
+
+impl<B> Drop for Flight<'_, B> {
+    fn drop(&mut self) {
+        // A poisoned lock means a thread panicked inside the cache; the
+        // lists hold plain indices, valid at every step, so carry on.
+        let mut st = self
+            .cache
+            .state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        st.in_flight.retain(|&i| i != self.idx);
+        drop(st);
+        self.cache.loaded.notify_all();
+    }
+}
+
 impl<B> ChunkCache<B> {
     /// Build a cache over `loader` for `num_chunks` chunks, keeping at
     /// most `max_resident_chunks` decoded buffers resident
     /// (`0` = unbounded).
-    pub fn new(
-        num_chunks: usize,
-        max_resident_chunks: usize,
-        loader: Box<dyn Fn(usize) -> io::Result<B> + Send + Sync>,
-    ) -> Self {
+    pub fn new(num_chunks: usize, max_resident_chunks: usize, loader: Loader<B>) -> Self {
         Self {
             cap: if max_resident_chunks == 0 {
                 usize::MAX
@@ -1418,8 +1487,11 @@ impl<B> ChunkCache<B> {
             loader,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
-                lru: VecDeque::new(),
+                consumed: VecDeque::new(),
+                unconsumed: VecDeque::new(),
+                in_flight: Vec::new(),
             }),
+            loaded: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -1431,61 +1503,6 @@ impl<B> ChunkCache<B> {
         self.num_chunks
     }
 
-    /// Lease chunk `idx`, loading it on a miss. The load runs outside the
-    /// cache lock so concurrent misses overlap their I/O.
-    pub fn get(&self, idx: usize) -> io::Result<Arc<B>> {
-        {
-            let mut st = self.state.lock().unwrap();
-            if let Some(b) = st.map.get(&idx).cloned() {
-                if let Some(p) = st.lru.iter().position(|&i| i == idx) {
-                    st.lru.remove(p);
-                }
-                st.lru.push_back(idx);
-                // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(b);
-            }
-        }
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let b = (self.loader)(idx)?;
-        Ok(self.insert(idx, Arc::new(b)))
-    }
-
-    /// Warm chunk `idx` if absent. Load errors are swallowed — the
-    /// worker's own [`Self::get`] re-surfaces them with context.
-    pub fn prefetch(&self, idx: usize) {
-        if self.state.lock().unwrap().map.contains_key(&idx) {
-            return;
-        }
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Ok(b) = (self.loader)(idx) {
-            self.insert(idx, Arc::new(b));
-        }
-    }
-
-    fn insert(&self, idx: usize, b: Arc<B>) -> Arc<B> {
-        let mut st = self.state.lock().unwrap();
-        if let Some(existing) = st.map.get(&idx).cloned() {
-            return existing;
-        }
-        st.map.insert(idx, b.clone());
-        st.lru.push_back(idx);
-        while st.map.len() > self.cap {
-            // Evict the least-recently-used entry that is not the one we
-            // just inserted (cap 1 must still admit the new chunk).
-            let Some(p) = st.lru.iter().position(|&i| i != idx) else {
-                break;
-            };
-            let victim = st.lru.remove(p).unwrap();
-            st.map.remove(&victim);
-            // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        b
-    }
-
     /// Snapshot the hit/miss/evict counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -1494,6 +1511,80 @@ impl<B> ChunkCache<B> {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
+    }
+
+    /// Lease chunk `idx`: from the cache, from a load already in flight
+    /// (waiting for it), or by loading it. If the awaited load fails, this
+    /// lookup runs the loader itself and returns that error.
+    pub fn get(&self, idx: usize) -> io::Result<Arc<B>> {
+        let mut st = self.state.lock().expect("chunk cache lock poisoned");
+        loop {
+            if let Some(b) = st.map.get(&idx).cloned() {
+                st.unlist(idx);
+                st.consumed.push_back(idx);
+                // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(b);
+            }
+            if !st.in_flight.contains(&idx) {
+                break;
+            }
+            st = self.loaded.wait(st).expect("chunk cache lock poisoned");
+        }
+        self.load(st, idx, true)
+    }
+
+    /// Warm chunk `idx` unless it is resident or already being loaded.
+    /// Load errors are swallowed — the worker's own [`Self::get`]
+    /// re-surfaces them with context.
+    pub fn prefetch(&self, idx: usize) {
+        let st = self.state.lock().expect("chunk cache lock poisoned");
+        if !st.map.contains_key(&idx) && !st.in_flight.contains(&idx) {
+            let _ = self.load(st, idx, false);
+        }
+    }
+
+    /// Run the loader for `idx` outside the lock and insert the result,
+    /// evicting down to the cap.
+    fn load(
+        &self,
+        mut st: MutexGuard<'_, CacheState<B>>,
+        idx: usize,
+        consumed: bool,
+    ) -> io::Result<Arc<B>> {
+        st.in_flight.push(idx);
+        drop(st);
+        let _flight = Flight { cache: self, idx };
+        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let b = Arc::new((self.loader)(idx)?);
+
+        let mut st = self.state.lock().expect("chunk cache lock poisoned");
+        st.map.insert(idx, Arc::clone(&b));
+        if consumed {
+            st.consumed.push_back(idx);
+        } else {
+            st.unconsumed.push_back(idx);
+        }
+        while st.map.len() > self.cap {
+            // The newest entry of the first list that has one besides the
+            // chunk just inserted (cap 1 must still admit that one).
+            let st = &mut *st;
+            let Some(victim) =
+                [&mut st.consumed, &mut st.unconsumed]
+                    .into_iter()
+                    .find_map(|list| {
+                        let p = list.iter().rposition(|&i| i != idx)?;
+                        list.remove(p)
+                    })
+            else {
+                break;
+            };
+            st.map.remove(&victim);
+            // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(b)
     }
 }
 
@@ -1844,7 +1935,92 @@ mod tests {
                     || (0..store.num_group_frames())
                         .any(|idx| store.load_group_frame(idx, &mut gbuf).is_err());
                 assert!(any_err, "corruption must not pass CRC");
+
+                // The same through the caches, a prefetcher racing the
+                // lookups: the swallowed prefetch error must come back
+                // out of `get`, and nobody may hang on the failed load.
+                let store = Arc::new(store);
+                let items = ChunkCache::for_items(Arc::clone(&store), 2);
+                let frames = ChunkCache::for_group_frames(Arc::clone(&store), 2);
+                let any_err = std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        (0..items.num_chunks()).for_each(|i| items.prefetch(i));
+                        (0..frames.num_chunks()).for_each(|i| frames.prefetch(i));
+                    });
+                    let item_err = (0..items.num_chunks())
+                        .filter(|&i| items.get(i).is_err())
+                        .count();
+                    let frame_err = (0..frames.num_chunks())
+                        .filter(|&i| frames.get(i).is_err())
+                        .count();
+                    item_err + frame_err > 0
+                });
+                assert!(any_err, "corruption must not pass CRC through the cache");
             }
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// `KBTCHNK2` did not move: the encoder rewrite must produce the
+    /// bytes the element-at-a-time encoder produced (length and FNV-1a
+    /// recorded from that encoder).
+    #[test]
+    fn file_store_bytes_are_golden() {
+        let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
+        let path = std::env::temp_dir().join("kbt_chunk_store_golden.kbt");
+        FileChunkStore::write(&cc, &path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(bytes.len(), 4154);
+        assert_eq!(fnv, 0x6c4e_5924_1760_49dc);
+        assert_eq!(&bytes[..8], b"KBTCHNK2");
+    }
+
+    /// A frame with a valid CRC whose column announces `u32::MAX`
+    /// elements is a typed error before anything is sized from the count.
+    #[test]
+    fn hostile_column_counts_are_rejected_before_allocating() {
+        let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
+        let path = std::env::temp_dir().join("kbt_chunk_store_hostile.kbt");
+        FileChunkStore::write(&cc, &path).unwrap();
+        let clean = fs::read(&path).unwrap();
+        let store = FileChunkStore::open(&path).unwrap();
+        let (item_off, item_len) = store.item_frames[0];
+        let (group_off, group_len) = store.group_frame_index[0];
+        let ng = store.meta().group_frames[0].len();
+        drop(store);
+
+        // Payload offsets of a count prefix: an item frame's first `u32`
+        // column, a group frame's first `u32` column, and its `f64`
+        // confidence column (after three `u32` columns).
+        let conf_count = {
+            let mut r = WireReader::new(&clean[group_off as usize..][..group_len as usize]);
+            r.bytes(8 + (4 + 4 * ng) + (4 + 4 * (ng + 1))).unwrap();
+            let nc = r.u32().unwrap() as usize;
+            8 + (4 + 4 * ng) + (4 + 4 * (ng + 1)) + (4 + 4 * nc)
+        };
+        for (off, len, at, group) in [
+            (item_off, item_len, 8, false),
+            (group_off, group_len, 8, true),
+            (group_off, group_len, conf_count, true),
+        ] {
+            let (off, len) = (off as usize, len as usize);
+            let mut bytes = clean.clone();
+            bytes[off + at..off + at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let crc = wire::crc32(&bytes[off..off + len]);
+            bytes[off + len..off + len + 4].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let store = FileChunkStore::open(&path).unwrap();
+            let err = if group {
+                store.load_group_frame(0, &mut GroupBuf::default())
+            } else {
+                store.load_chunk(0, &mut ChunkBuf::default())
+            }
+            .expect_err("hostile count must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count at {at}");
         }
         fs::remove_file(&path).unwrap();
     }
@@ -1932,5 +2108,142 @@ mod tests {
             }
         );
         fs::remove_file(&path).unwrap();
+    }
+
+    /// A cache over a counting in-memory loader: chunk `i` decodes to `i`.
+    fn counting_cache(
+        n: usize,
+        cap: usize,
+    ) -> (ChunkCache<usize>, Arc<std::sync::atomic::AtomicUsize>) {
+        let loads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&loads);
+        let cache = ChunkCache::new(
+            n,
+            cap,
+            Box::new(move |idx| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok(idx)
+            }),
+        );
+        (cache, loads)
+    }
+
+    /// The policy on the access pattern it is for: a cyclic scan with a
+    /// prefetcher at most `cap` chunks ahead loads every chunk once per
+    /// pass, serves every lookup from the cache, and never holds more
+    /// than `cap` entries — including across the wrap-around, where LRU
+    /// order would evict the chunks prefetched for the new pass.
+    #[test]
+    fn prefetched_scan_loads_each_chunk_once_per_pass() {
+        let (n, cap) = (30usize, 4usize);
+        let (cache, loads) = counting_cache(n, cap);
+        for pass in 1..=3u64 {
+            for i in 0..n {
+                for ahead in i..(i + cap).min(n) {
+                    cache.prefetch(ahead);
+                    let s = cache.stats();
+                    assert!(s.misses - s.evictions <= cap as u64, "over cap: {s:?}");
+                }
+                assert_eq!(*cache.get(i).unwrap(), i);
+            }
+            let s = cache.stats();
+            assert_eq!(s.misses, pass * n as u64, "loads after pass {pass}");
+            assert_eq!(s.misses, loads.load(Ordering::SeqCst) as u64);
+            assert!(
+                s.hits >= pass * (n - cap) as u64,
+                "hits after pass {pass}: {s:?}"
+            );
+        }
+    }
+
+    /// A demand load landing in a cache full of prefetched, not yet
+    /// consumed chunks must not push out the oldest of them (the next one
+    /// the scan needs).
+    #[test]
+    fn demand_load_spares_the_next_prefetched_chunk() {
+        let (cache, loads) = counting_cache(10, 3);
+        for i in [1, 2, 3] {
+            cache.prefetch(i);
+        }
+        cache.get(0).unwrap(); // over cap: evicts the newest prefetch, 3
+        assert_eq!(loads.load(Ordering::SeqCst), 4);
+        cache.get(1).unwrap();
+        cache.get(2).unwrap();
+        assert_eq!(loads.load(Ordering::SeqCst), 4, "1 and 2 stayed resident");
+    }
+
+    /// Single flight: a lookup arriving while another thread loads the
+    /// same chunk waits for that load instead of repeating it.
+    #[test]
+    fn concurrent_lookups_share_one_load() {
+        use std::sync::mpsc;
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let cache = ChunkCache::new(
+            4,
+            2,
+            Box::new(move |idx| {
+                started_tx.send(idx).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                Ok(idx)
+            }),
+        );
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| cache.get(3).unwrap());
+            assert_eq!(started_rx.recv().unwrap(), 3); // the load is in flight
+            cache.prefetch(3); // returns at once: nothing to do
+            let second = scope.spawn(|| cache.get(3).unwrap());
+            release_tx.send(()).unwrap();
+            let (a, b) = (first.join().unwrap(), second.join().unwrap());
+            assert!(Arc::ptr_eq(&a, &b));
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    /// A load that fails while another lookup waits on it wakes the
+    /// waiter, which runs the loader itself and gets its own typed error;
+    /// the index is not left in flight, so a later lookup can succeed.
+    #[test]
+    fn failed_load_wakes_waiters_with_a_typed_error() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let healthy = Arc::new(AtomicBool::new(false));
+        let healthy_in = Arc::clone(&healthy);
+        let cache = ChunkCache::new(
+            4,
+            2,
+            Box::new(move |idx| {
+                if healthy_in.load(Ordering::SeqCst) {
+                    return Ok(idx);
+                }
+                started_tx.send(idx).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "frame CRC mismatch",
+                ))
+            }),
+        );
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| cache.get(1));
+            assert_eq!(started_rx.recv().unwrap(), 1);
+            let second = scope.spawn(|| cache.get(1));
+            // One release per loader run: the first load, then the
+            // waiter's own retry.
+            release_tx.send(()).unwrap();
+            release_tx.send(()).unwrap();
+            for lookup in [first, second] {
+                let err = lookup.join().unwrap().expect_err("the loader fails");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            }
+        });
+        assert_eq!(cache.stats().misses, 2);
+        healthy.store(true, Ordering::SeqCst);
+        assert_eq!(*cache.get(1).unwrap(), 1, "index 1 was not left in flight");
     }
 }
