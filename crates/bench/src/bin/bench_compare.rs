@@ -27,7 +27,8 @@
 //! regressions (an accidentally quadratic loop, a dead parallel path)
 //! should trip the gate — not scheduler noise. Keys present in the
 //! baseline but missing from the current report fail the gate; a missing
-//! current file fails immediately.
+//! current file fails immediately, and a report (either side) that lists
+//! a key twice is rejected outright.
 
 use std::process::ExitCode;
 
@@ -41,7 +42,8 @@ enum Value {
 
 /// Parse the flat single-level JSON objects `BenchReport` emits. Not a
 /// general JSON parser: no nesting, no arrays — exactly the subset the
-/// reports use (and it rejects anything else loudly).
+/// reports use (and it rejects anything else loudly, a key that appears
+/// twice included: which of its values would be gated is anyone's guess).
 fn parse_flat_json(text: &str, origin: &str) -> Vec<(String, Value)> {
     let body = text
         .trim()
@@ -86,6 +88,10 @@ fn parse_flat_json(text: &str, origin: &str) -> Vec<(String, Value)> {
                     .unwrap_or_else(|_| panic!("{origin}: unparseable value for {key}: {raw}")),
             )
         };
+        assert!(
+            out.iter().all(|(k, _)| k != key),
+            "{origin}: duplicate key {key}"
+        );
         out.push((key.to_string(), value));
     }
     out
@@ -248,5 +254,56 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_the_flat_report_shape() {
+        let parsed = parse_flat_json(
+            "{\n  \"bench\": \"demo\",\n  \"detect_ms_1t\": 1.5,\n  \"ok\": true,\n  \"bad\": null\n}\n",
+            "demo.json",
+        );
+        assert_eq!(
+            parsed,
+            vec![
+                ("bench".to_string(), Value::Str("demo".into())),
+                ("detect_ms_1t".to_string(), Value::Num(1.5)),
+                ("ok".to_string(), Value::Bool(true)),
+                ("bad".to_string(), Value::Null),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate key estep_flat_ms_1t")]
+    fn rejects_a_report_with_duplicate_keys() {
+        parse_flat_json(
+            "{\n  \"estep_flat_ms_1t\": 0.65,\n  \"estep_flat_ms_1t\": 0.66\n}\n",
+            "dup.json",
+        );
+    }
+
+    #[test]
+    fn copydetect_keys_are_classified() {
+        for key in ["detect_claim_pairs_per_s_1t", "web_detect_speedup_2t"] {
+            assert!(is_throughput_key(key) && !is_budget_key(key), "{key}");
+        }
+        for key in ["detect_ms_1t", "web_detect_ms_1t"] {
+            assert!(is_latency_key(key) && !is_throughput_key(key), "{key}");
+        }
+        for key in [
+            "web_accumulator_bytes",
+            "web_claim_pairs",
+            "candidate_pairs",
+        ] {
+            assert!(
+                !is_latency_key(key) && !is_throughput_key(key) && !is_budget_key(key),
+                "{key} is informational"
+            );
+        }
     }
 }

@@ -1,31 +1,32 @@
-//! The copy-detection scenario: sharded vs serial detection throughput on
-//! a copier-heavy corpus, and copy-aware vs copy-blind fusion accuracy.
+//! The copy-detection scenario: detection throughput on a copier-heavy
+//! corpus and on a web-shaped scale point, and copy-aware vs copy-blind
+//! fusion accuracy.
 //!
 //! ```text
 //! cargo run --release -p kbt-bench --bin copydetect [-- --smoke]
 //! ```
 //!
-//! Fixed-seed and deterministic; `--smoke` shrinks the corpus so CI can
-//! run it in seconds. Reports:
+//! Fixed-seed and deterministic; `--smoke` shrinks the copier-heavy
+//! corpus so CI can run it in seconds. Reports:
 //!
-//! 1. sharded (`ExecMode::Sharded`: CoClaimIndex prefilter → keyed
-//!    pair-reduce census → per-shard agreement stats) versus the serial
-//!    reference (`ExecMode::Flat`) at 1 and 8 threads, with an equality
-//!    check on every run. The sharded path trades one combined pass for
-//!    two parallel ones, so its win appears with real cores: on a
-//!    single-core box the 1-thread row shows the two-pass overhead and
-//!    the 8-thread row adds thread-spawn cost; on 8 hardware threads the
-//!    same rows show the parallel speedup,
-//! 2. prefilter effectiveness: candidate pairs surviving `min_overlap`
-//!    versus the total co-claiming pair population,
-//! 3. copy-aware (`ModelConfig::copy_detection`) versus copy-blind
+//! 1. overlap-threshold effectiveness: candidate pairs reaching
+//!    `min_overlap` versus the total co-claiming pair population,
+//! 2. detection wall at 1 thread and the claim pairs it visits per second
+//!    (the pass is one sparse-accumulator sweep over `Σ_d fan-in(d)²/2`
+//!    claim pairs — see `kbt_datamodel::coclaim`),
+//! 3. the web-shaped scale point: 10⁵ sources whose sizes follow the long
+//!    tail `⌊S·u³⌋`, 1M triples — 1-thread wall, accumulator bytes per
+//!    worker, and (on ≥ 2 hardware threads) the 2-thread speedup with an
+//!    equality check. The speedup is taken here and not on the smoke
+//!    corpus, whose whole pass is shorter than a thread spawn,
+//! 4. copy-aware (`ModelConfig::copy_detection`) versus copy-blind
 //!    fusion: truth accuracy and the recovered copier discounts on a
 //!    planted-copier corpus.
 
 use std::time::Instant;
 
 use kbt_core::{
-    detect_copies_from_accuracy, CopyDetectConfig, ExecMode, FusionModel, ModelConfig,
+    detect_copies_from_accuracy, CopyDetectConfig, CopyEvidence, FusionModel, ModelConfig,
     MultiLayerModel, QualityInit,
 };
 use kbt_datamodel::{
@@ -131,43 +132,73 @@ fn copier_heavy_corpus(rng: &mut StdRng, scale: &Scale) -> Corpus {
     (b.build(), truth, accuracy, family)
 }
 
-fn detection_throughput(
+/// The web-shaped scale point (ROADMAP 3a's second corpus): `sources`
+/// sources, the source of each claim drawn as `⌊S·u³⌋` so a head of
+/// large sources co-claims heavily above a long tail of small ones, five
+/// claims from distinct sources per item. Returns the cube and a planted
+/// accuracy per source.
+fn web_shaped_corpus(rng: &mut StdRng, sources: u32, items: u32) -> (ObservationCube, Vec<f64>) {
+    let domain = 13u32;
+    let accuracy: Vec<f64> = (0..sources)
+        .map(|_| 0.3 + 0.65 * rng.gen::<f64>())
+        .collect();
+    let mut b = CubeBuilder::with_capacity(items as usize * 5);
+    b.reserve_ids(sources, 1, items, domain);
+    for d in 0..items {
+        let truth = rng.gen_range(0..domain);
+        let mut claimed: Vec<u32> = Vec::with_capacity(5);
+        while claimed.len() < 5 {
+            let w = (sources as f64 * rng.gen::<f64>().powi(3)) as u32;
+            if claimed.contains(&w) {
+                continue;
+            }
+            claimed.push(w);
+            let v = if rng.gen::<f64>() < accuracy[w as usize] {
+                truth
+            } else {
+                (truth + 1 + rng.gen_range(0..domain - 1)) % domain
+            };
+            b.push(Observation::certain(
+                ExtractorId::new(0),
+                SourceId::new(w),
+                ItemId::new(d),
+                ValueId::new(v),
+            ));
+        }
+    }
+    (b.build(), accuracy)
+}
+
+/// Mean detection wall in ms over `reps` passes at `threads` workers
+/// (after one warm-up pass), and the evidence of the last pass.
+fn detection_ms(
     cube: &ObservationCube,
     accuracy: &[f64],
     threads: usize,
     reps: u32,
-) -> f64 {
-    let serial_cfg = CopyDetectConfig {
-        exec_mode: ExecMode::Flat,
-        ..CopyDetectConfig::default()
-    };
-    let sharded_cfg = CopyDetectConfig::default();
+) -> (f64, Vec<CopyEvidence>) {
+    let cfg = CopyDetectConfig::default();
     kbt_flume::with_threads(Some(threads), || {
-        // Warm both paths once, checking equality while we are at it.
-        let a = detect_copies_from_accuracy(cube, accuracy, &serial_cfg);
-        let b = detect_copies_from_accuracy(cube, accuracy, &sharded_cfg);
-        assert_eq!(a, b, "sharded detection must equal the serial reference");
-
+        let mut evidence = detect_copies_from_accuracy(cube, accuracy, &cfg);
         let t0 = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(detect_copies_from_accuracy(cube, accuracy, &serial_cfg));
+            evidence = std::hint::black_box(detect_copies_from_accuracy(cube, accuracy, &cfg));
         }
-        let serial = t0.elapsed();
-
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(detect_copies_from_accuracy(cube, accuracy, &sharded_cfg));
-        }
-        let sharded = t0.elapsed();
-
-        let sm = serial.as_secs_f64() * 1e3 / reps as f64;
-        let pm = sharded.as_secs_f64() * 1e3 / reps as f64;
-        println!(
-            "  {threads:>2} threads: serial {sm:>8.2} ms/pass   sharded {pm:>8.2} ms/pass   speedup x{:.2}",
-            sm / pm
-        );
-        sm / pm
+        (t0.elapsed().as_secs_f64() * 1e3 / reps as f64, evidence)
     })
+}
+
+/// Claim pairs the detection pass visits: per item, the pairs of claims
+/// by different sources — `((Σc)² − Σc²) / 2` over its `(source, c)` runs.
+fn claim_pairs(cube: &ObservationCube, index: &CoClaimIndex) -> u64 {
+    (0..cube.num_items())
+        .map(|d| {
+            let runs = index.item_sources(ItemId::new(d as u32));
+            let sum: u64 = runs.iter().map(|&(_, c)| u64::from(c)).sum();
+            let squares: u64 = runs.iter().map(|&(_, c)| u64::from(c).pow(2)).sum();
+            (sum * sum - squares) / 2
+        })
+        .sum()
 }
 
 fn main() {
@@ -185,7 +216,7 @@ fn main() {
         cube.num_groups()
     );
 
-    // ---- 1. Prefilter effectiveness. ----
+    // ---- 1. Overlap-threshold effectiveness. ----
     let index = CoClaimIndex::build(&cube);
     let all_pairs = index.pair_overlaps().len();
     let cfg = CopyDetectConfig::default();
@@ -195,17 +226,46 @@ fn main() {
         100.0 * (1.0 - candidates as f64 / all_pairs.max(1) as f64)
     );
 
-    // ---- 2. Serial vs sharded detection throughput. ----
-    println!("\ndetection throughput ({} passes):", scale.reps);
-    let mut speedups = Vec::new();
-    for threads in [1usize, 8] {
-        speedups.push((
-            threads,
-            detection_throughput(&cube, &accuracy, threads, scale.reps),
-        ));
-    }
+    // ---- 2. Detection throughput, one thread. ----
+    let pairs = claim_pairs(&cube, &index);
+    let (detect_ms, _) = detection_ms(&cube, &accuracy, 1, scale.reps);
+    let pairs_per_s = pairs as f64 / (detect_ms / 1e3);
+    println!(
+        "\ndetection ({} passes, 1 thread): {detect_ms:.3} ms/pass, {pairs} claim pairs, {pairs_per_s:.3e} claim pairs/s",
+        scale.reps
+    );
 
-    // ---- 3. Detection quality: genuine dependencies at the top. ----
+    // ---- 3. The web-shaped scale point. ----
+    let (web_sources, web_items) = (100_000u32, 200_000u32);
+    let (web_cube, web_accuracy) = web_shaped_corpus(&mut rng, web_sources, web_items);
+    let web_pairs = claim_pairs(&web_cube, &CoClaimIndex::build(&web_cube));
+    let (web_ms, web_evidence) = detection_ms(&web_cube, &web_accuracy, 1, 3);
+    // One `[overlap, agree, agree_exclusive]` u64 slot per source, per worker.
+    let accumulator_bytes = web_cube.num_sources() * std::mem::size_of::<[u64; 3]>();
+    println!(
+        "\nweb-shaped scale point: {web_sources} sources x {web_items} items, {} triples, {web_pairs} claim pairs",
+        web_cube.num_groups()
+    );
+    println!(
+        "   1 thread : {web_ms:>8.2} ms/pass   {:.3e} claim pairs/s   {} pairs scored   accumulator {accumulator_bytes} B/worker",
+        web_pairs as f64 / (web_ms / 1e3),
+        web_evidence.len()
+    );
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let web_speedup_2t = (hw >= 2).then(|| {
+        let (ms_2t, evidence_2t) = detection_ms(&web_cube, &web_accuracy, 2, 3);
+        assert_eq!(
+            web_evidence, evidence_2t,
+            "detection must be identical at 1 and 2 threads"
+        );
+        println!(
+            "   2 threads: {ms_2t:>8.2} ms/pass   speedup x{:.2} ({hw} hardware threads)",
+            web_ms / ms_2t
+        );
+        web_ms / ms_2t
+    });
+
+    // ---- 4. Detection quality: genuine dependencies at the top. ----
     // A top pair is a hit iff its members share a copy family — the
     // planted (victim, copier) pairs plus copier-copier pairs that share
     // a victim (verbatim copies of each other, legitimately dependent).
@@ -220,7 +280,7 @@ fn main() {
         "\ndetection quality: {hits}/{top} of the top-{top} evidence pairs are genuine copy relationships"
     );
 
-    // ---- 4. Copy-aware vs copy-blind fusion. ----
+    // ---- 5. Copy-aware vs copy-blind fusion. ----
     let fusion_cfg = ModelConfig {
         max_iterations: 20,
         convergence_eps: 1e-5,
@@ -303,8 +363,21 @@ fn main() {
         .metric("fusion_ms_blind", blind_ms)
         .metric("fusion_ms_aware", aware_ms)
         .count("sources_discounted", discounted as u64);
-    for (threads, speedup) in &speedups {
-        report.metric(&format!("detect_speedup_{threads}t"), *speedup);
+    report
+        .metric("detect_ms_1t", detect_ms)
+        .metric("detect_claim_pairs_per_s_1t", pairs_per_s)
+        .count("web_sources", web_sources as u64)
+        .count("web_triples", web_cube.num_groups() as u64)
+        .count("web_claim_pairs", web_pairs)
+        .count("web_pairs_scored", web_evidence.len() as u64)
+        .metric("web_detect_ms_1t", web_ms)
+        .metric(
+            "web_detect_claim_pairs_per_s_1t",
+            web_pairs as f64 / (web_ms / 1e3),
+        )
+        .count("web_accumulator_bytes", accumulator_bytes as u64);
+    if let Some(speedup) = web_speedup_2t {
+        report.metric("web_detect_speedup_2t", speedup);
     }
     report.text("evidence_checksum", &format!("{checksum:#018x}"));
     let path = report.write().expect("write bench report");

@@ -225,7 +225,9 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4);
     let mut estep = Vec::new();
-    for threads in [1usize, hw] {
+    let mut thread_counts = vec![1usize, hw];
+    thread_counts.dedup(); // one hardware thread: report `_1t` once
+    for threads in thread_counts {
         estep.push((
             threads,
             estep_throughput(cube, &cfg, threads, scale.estep_reps),

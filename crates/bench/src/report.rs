@@ -54,33 +54,45 @@ impl BenchReport {
         report
     }
 
+    /// Append one rendered field. A repeated key is a bug in the scenario
+    /// binary (a JSON reader would silently keep one of the two values),
+    /// so it panics instead of writing an ambiguous report.
+    fn push(&mut self, key: &str, rendered: String) -> &mut Self {
+        assert!(
+            self.fields.iter().all(|(k, _)| k != key),
+            "BENCH_{}.json: key {key:?} recorded twice",
+            self.name
+        );
+        self.fields.push((key.into(), rendered));
+        self
+    }
+
     /// Record a floating-point metric (non-finite values become `null`).
+    /// Panics if `key` was already recorded.
     pub fn metric(&mut self, key: &str, value: f64) -> &mut Self {
         let rendered = if value.is_finite() {
             format!("{value}")
         } else {
             "null".into()
         };
-        self.fields.push((key.into(), rendered));
-        self
+        self.push(key, rendered)
     }
 
-    /// Record an integer metric.
+    /// Record an integer metric. Panics if `key` was already recorded.
     pub fn count(&mut self, key: &str, value: u64) -> &mut Self {
-        self.fields.push((key.into(), value.to_string()));
-        self
+        self.push(key, value.to_string())
     }
 
-    /// Record a string field (e.g. a hex checksum).
+    /// Record a string field (e.g. a hex checksum). Panics if `key` was
+    /// already recorded.
     pub fn text(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields.push((key.into(), json_string(value)));
-        self
+        self.push(key, json_string(value))
     }
 
-    /// Record a boolean field (e.g. an assertion outcome).
+    /// Record a boolean field (e.g. an assertion outcome). Panics if
+    /// `key` was already recorded.
     pub fn flag(&mut self, key: &str, value: bool) -> &mut Self {
-        self.fields.push((key.into(), value.to_string()));
-        self
+        self.push(key, value.to_string())
     }
 
     /// The serialized JSON object.
@@ -127,5 +139,12 @@ mod tests {
             json,
             "{\n  \"bench\": \"demo\",\n  \"mode\": \"smoke\",\n  \"qps\": 1234.5,\n  \"em_rounds\": 17,\n  \"checksum\": \"0xdead\\\"beef\",\n  \"ok\": true,\n  \"bad\": null\n}\n"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded twice")]
+    fn refuses_a_repeated_key() {
+        let mut r = BenchReport::new("demo", "smoke");
+        r.metric("estep_ms_1t", 1.0).count("estep_ms_1t", 2);
     }
 }

@@ -10,31 +10,27 @@
 //!
 //! This module implements that signal over the cube in three stages:
 //!
-//! 1. **candidate prefilter** — a [`CoClaimIndex`] census prunes every
-//!    source pair whose overlap is below
-//!    [`CopyDetectConfig::min_overlap`] *before* any agreement scoring,
-//! 2. **sharded pair stats** — agreement and exclusive-agreement counts
-//!    accumulate per shard (items are the sharding key, pairs the reduce
-//!    key — `ShardedExecutor::reduce_keyed` / ordered dense merges) and
-//!    combine in deterministic shard order,
+//! 1. **pair counts** — one pass of `kbt_datamodel::pair_counts` (the
+//!    row-wise sparse-accumulator kernel: `Σ_d fan-in(d)²/2` dense slot
+//!    bumps, `O(sources)` memory per worker, no hashing and no merge)
+//!    yields the exact overlap, agreement and exclusive-agreement counts
+//!    of every pair reaching [`CopyDetectConfig::min_overlap`]. The
+//!    counts depend on the cube alone, so the copy-aware refit loop
+//!    gathers them once,
+//! 2. **scoring** — each pair's counts become a likelihood-ratio score
+//!    under the current accuracy estimates, and the evidence is sorted,
 //! 3. **discount loop** — [`CopyDiscount`] turns the evidence into
 //!    per-source independence factors `I(w)` that down-weight a
 //!    dependent source's votes inside the value-layer E-step (the
 //!    ACCUCOPY-style correction; see `MultiLayerModel`).
 //!
-//! The original serial pass is kept, bit-for-bit, behind
-//! [`ExecMode::Flat`] as the reference implementation; the
-//! `copydetect_engine` integration tests prove the sharded path identical
-//! at 1, 2, and 8 threads. All pair statistics are exact integers, so
-//! shard-order merging makes the parallel path deterministic across *any*
-//! shard count.
+//! The counts are exact integers and the kernel's workers own disjoint
+//! source ranges, so the evidence is identical at any thread count; the
+//! `copydetect_engine` and `coclaim_census` integration tests pin it to a
+//! scalar claim-pair expansion at 1, 2, and 8 threads.
 
-use std::collections::HashMap;
+use kbt_datamodel::{pair_counts, ObservationCube, PairCounts, SourceId};
 
-use kbt_datamodel::{CoClaimIndex, ItemId, ObservationCube, SourceId, ValueId};
-use kbt_flume::ShardedExecutor;
-
-use crate::config::ExecMode;
 use crate::multi_layer::MultiLayerResult;
 
 /// Evidence about one source pair.
@@ -66,9 +62,8 @@ pub struct CopyEvidence {
 /// Configuration for the detector and the copy-aware discount.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyDetectConfig {
-    /// Minimum overlapping claims for a pair to be scored. Pairs below
-    /// this are pruned by the [`CoClaimIndex`] prefilter before any
-    /// agreement statistics are gathered.
+    /// Minimum overlapping claims for a pair to be scored; thinner pairs
+    /// are dropped when the counting pass flushes them.
     pub min_overlap: usize,
     /// Domain size `n` (false alternatives per item) used in the
     /// independence model: two honest sources share a given mistake with
@@ -76,12 +71,6 @@ pub struct CopyDetectConfig {
     /// exclusive shared value is worth `ln(n / √((1−A_a)(1−A_b)))` bits of
     /// copy evidence.
     pub n_false_values: usize,
-    /// Which engine scores the pairs. [`ExecMode::Sharded`] (default)
-    /// runs the prefilter census as a keyed pair-reduce and the agreement
-    /// stats as per-shard accumulators merged in shard order;
-    /// [`ExecMode::Flat`] is the original serial pass, kept as the
-    /// bit-for-bit reference.
-    pub exec_mode: ExecMode,
     /// Evidence score above which a pair is treated as a dependency when
     /// computing [`CopyDiscount`] independence factors. In log-likelihood
     /// units: the default (10) demands the agreement pattern be `e^10`
@@ -120,7 +109,6 @@ impl Default for CopyDetectConfig {
         Self {
             min_overlap: 5,
             n_false_values: 10,
-            exec_mode: ExecMode::Sharded,
             score_threshold: 10.0,
             min_independence: 0.05,
             discount_rounds: 1,
@@ -212,9 +200,9 @@ impl CopyDiscount {
 
 /// Score all source pairs with sufficient overlap.
 ///
-/// Cost is O(Σ_d claims(d)²) — quadratic in per-item fan-in, which is
-/// small in practice; the sharded engine splits that work by item range
-/// (the per-item-pair kernel the paper notes web-scale systems shard).
+/// Cost is `Σ_d fan-in(d)²/2` counter bumps — quadratic in per-item
+/// fan-in, which is small in practice — split over the ambient
+/// `kbt_flume` worker threads by source range.
 pub fn detect_copies(
     cube: &ObservationCube,
     result: &MultiLayerResult,
@@ -227,8 +215,7 @@ pub fn detect_copies(
 ///
 /// Model-agnostic core of [`detect_copies`]: any engine's trust vector
 /// works (this is what `TrustPipeline` feeds from a `FusionReport`).
-/// Dispatches on [`CopyDetectConfig::exec_mode`]; both paths return
-/// bit-for-bit identical evidence at any thread count.
+/// Returns bit-for-bit identical evidence at any thread count.
 pub fn detect_copies_from_accuracy(
     cube: &ObservationCube,
     source_accuracy: &[f64],
@@ -237,56 +224,49 @@ pub fn detect_copies_from_accuracy(
     score_pair_stats(&collect_pair_stats(cube, cfg), source_accuracy, cfg)
 }
 
-/// Accuracy-independent agreement statistics of one candidate pair —
-/// everything the detector counts from the (immutable) cube. Collected
-/// once, then re-scored per accuracy vector: the copy-aware fusion loop
-/// re-detects after every refit, and only the scores change between
-/// rounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PairStats {
-    a: SourceId,
-    b: SourceId,
-    overlap: usize,
-    agree: usize,
-    agree_exclusive: usize,
-}
-
-/// Count the pair statistics for every pair surviving the `min_overlap`
-/// prefilter, sorted by `(a, b)`. Dispatches on
-/// [`CopyDetectConfig::exec_mode`]; the counts are exact integers, so
-/// both paths produce identical tables at any thread count.
-pub(crate) fn collect_pair_stats(cube: &ObservationCube, cfg: &CopyDetectConfig) -> Vec<PairStats> {
-    match cfg.exec_mode {
-        ExecMode::Flat => collect_pair_stats_flat(cube, cfg),
-        ExecMode::Sharded | ExecMode::ShardedRows => collect_pair_stats_sharded(cube, cfg),
-    }
+/// Count the accuracy-independent statistics of every pair reaching
+/// `min_overlap`, sorted by `(a, b)` — everything the detector reads from
+/// the (immutable) cube. Collected once, then re-scored per accuracy
+/// vector: the copy-aware fusion loop re-detects after every refit, and
+/// only the scores change between rounds.
+pub(crate) fn collect_pair_stats(
+    cube: &ObservationCube,
+    cfg: &CopyDetectConfig,
+) -> Vec<PairCounts> {
+    pair_counts(cube, cfg.min_overlap, kbt_flume::num_threads())
 }
 
 /// Score a pair-stats table against an accuracy vector and sort the
-/// evidence — the per-round half of detection, shared by both execution
-/// paths so their floats are identical.
+/// evidence — the per-round half of detection.
 pub(crate) fn score_pair_stats(
-    stats: &[PairStats],
+    stats: &[PairCounts],
     source_accuracy: &[f64],
     cfg: &CopyDetectConfig,
 ) -> Vec<CopyEvidence> {
     let n = cfg.n_false_values.max(1) as f64;
     let mut out: Vec<CopyEvidence> = stats
         .iter()
-        .map(|s| CopyEvidence {
-            a: s.a,
-            b: s.b,
-            overlap: s.overlap,
-            agree: s.agree,
-            agree_exclusive: s.agree_exclusive,
-            score: pair_score(
-                s.overlap,
-                s.agree,
-                s.agree_exclusive,
-                source_accuracy[s.a.index()],
-                source_accuracy[s.b.index()],
-                n,
-            ),
+        .map(|s| {
+            let (overlap, agree, agree_exclusive) = (
+                s.overlap as usize,
+                s.agree as usize,
+                s.agree_exclusive as usize,
+            );
+            CopyEvidence {
+                a: s.a,
+                b: s.b,
+                overlap,
+                agree,
+                agree_exclusive,
+                score: pair_score(
+                    overlap,
+                    agree,
+                    agree_exclusive,
+                    source_accuracy[s.a.index()],
+                    source_accuracy[s.b.index()],
+                    n,
+                ),
+            }
         })
         .collect();
     sort_evidence(&mut out);
@@ -299,8 +279,7 @@ pub(crate) fn score_pair_stats(
 /// paper's `c` in the ACCUCOPY lineage [8].
 const COPY_RATE: f64 = 0.8;
 
-/// The likelihood-ratio score of one pair — shared by both execution
-/// paths so their floats are identical. Two terms:
+/// The likelihood-ratio score of one pair. Two terms:
 ///
 /// * **exclusive agreements** — two sources agree on a false value with
 ///   probability ≈ (1−A)²/n per overlapping item under independence,
@@ -338,7 +317,7 @@ fn pair_score(
 /// `f64::total_cmp`: a NaN score (e.g. from degenerate upstream
 /// accuracies) sorts last instead of panicking the pipeline.
 fn sort_evidence(out: &mut [CopyEvidence]) {
-    out.sort_by(|x, y| {
+    out.sort_unstable_by(|x, y| {
         x.score
             .is_nan()
             .cmp(&y.score.is_nan())
@@ -347,187 +326,11 @@ fn sort_evidence(out: &mut [CopyEvidence]) {
     });
 }
 
-/// The original serial pass — the bit-for-bit reference behind
-/// [`ExecMode::Flat`]: one global pair-stat map over the full
-/// O(items × claims²) expansion, no prefilter.
-fn collect_pair_stats_flat(cube: &ObservationCube, cfg: &CopyDetectConfig) -> Vec<PairStats> {
-    // For each item: the claiming sources, and how many sources back
-    // each value (for the exclusivity test).
-    let mut pair_stats: HashMap<(u32, u32), (usize, usize, usize)> = HashMap::new();
-    for d in 0..cube.num_items() {
-        let d = ItemId::new(d as u32);
-        let claims: Vec<(SourceId, ValueId)> = cube
-            .groups_of_item(d)
-            .map(|g| {
-                let grp = &cube.groups()[g];
-                (grp.source, grp.value)
-            })
-            .collect();
-        let mut backers: HashMap<ValueId, usize> = HashMap::new();
-        for (_, v) in &claims {
-            *backers.entry(*v).or_insert(0) += 1;
-        }
-        for i in 0..claims.len() {
-            for j in i + 1..claims.len() {
-                let (wa, va) = claims[i];
-                let (wb, vb) = claims[j];
-                if wa == wb {
-                    continue;
-                }
-                let key = if wa < wb { (wa.0, wb.0) } else { (wb.0, wa.0) };
-                let e = pair_stats.entry(key).or_insert((0, 0, 0));
-                e.0 += 1;
-                if va == vb {
-                    e.1 += 1;
-                    // Exclusive to the pair. Deliberately NOT filtered by
-                    // the value posterior: a copier's doubled votes can
-                    // convince the model its shared mistakes are true,
-                    // which would launder a posterior-based test.
-                    if backers[&va] == 2 {
-                        e.2 += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut out: Vec<PairStats> = pair_stats
-        .into_iter()
-        .filter(|(_, (overlap, _, _))| *overlap >= cfg.min_overlap)
-        .map(|((a, b), (overlap, agree, agree_exclusive))| PairStats {
-            a: SourceId::new(a),
-            b: SourceId::new(b),
-            overlap,
-            agree,
-            agree_exclusive,
-        })
-        .collect();
-    out.sort_unstable_by_key(|s| (s.a, s.b));
-    out
-}
-
-/// Reusable per-shard scratch for the agreement pass: the per-item claim
-/// buffers plus the shard-local dense stat accumulators (one slot per
-/// candidate pair), merged in shard order after the round.
-#[derive(Debug, Default)]
-struct PairScratch {
-    claims: Vec<(SourceId, ValueId)>,
-    backers: Vec<(ValueId, u32)>, // sorted by value
-    agree: Vec<u64>,
-    agree_exclusive: Vec<u64>,
-}
-
-/// The shard-parallel counting pass behind [`ExecMode::Sharded`]:
-///
-/// 1. a keyed pair-reduce over the [`CoClaimIndex`] produces the exact
-///    overlap census, pruning pairs under `min_overlap` before scoring,
-/// 2. each shard walks its item range accumulating agreement /
-///    exclusive-agreement counts into dense per-candidate slots,
-/// 3. shard accumulators merge in ascending shard order (exact integer
-///    sums — identical across any shard count).
-fn collect_pair_stats_sharded(cube: &ObservationCube, cfg: &CopyDetectConfig) -> Vec<PairStats> {
-    let index = CoClaimIndex::build(cube);
-    let ni = index.num_items();
-
-    // Phase 1: overlap census as a keyed pair-accumulation reduce
-    // (items shard, pairs reduce), then the min_overlap prefilter.
-    let mut census_exec: ShardedExecutor<()> = ShardedExecutor::new();
-    let overlaps: Vec<((SourceId, SourceId), u64)> = census_exec.reduce_keyed(
-        ni,
-        |_, map, d| {
-            index.for_item_pairs(ItemId::new(d as u32), |a, b, w| {
-                *map.entry((a, b)).or_insert(0u64) += w;
-            });
-        },
-        |a, b| *a += b,
-    );
-    let candidates: Vec<(SourceId, SourceId, u64)> = overlaps
-        .into_iter()
-        .filter(|(_, overlap)| *overlap >= cfg.min_overlap as u64)
-        .map(|((a, b), overlap)| (a, b, overlap))
-        .collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-
-    // Phase 2: agreement stats for the surviving pairs only, dense
-    // per-shard accumulators merged in shard order.
-    let mut exec: ShardedExecutor<PairScratch> = ShardedExecutor::new();
-    exec.run_shards(ni, |s, _, items| {
-        s.agree.clear();
-        s.agree.resize(candidates.len(), 0);
-        s.agree_exclusive.clear();
-        s.agree_exclusive.resize(candidates.len(), 0);
-        for d in items {
-            let d = ItemId::new(d as u32);
-            s.claims.clear();
-            s.claims.extend(cube.groups_of_item(d).map(|g| {
-                let grp = &cube.groups()[g];
-                (grp.source, grp.value)
-            }));
-            s.backers.clear();
-            for &(_, v) in &s.claims {
-                match s.backers.binary_search_by_key(&v, |(bv, _)| *bv) {
-                    Ok(i) => s.backers[i].1 += 1,
-                    Err(i) => s.backers.insert(i, (v, 1)),
-                }
-            }
-            for i in 0..s.claims.len() {
-                for j in i + 1..s.claims.len() {
-                    let (wa, va) = s.claims[i];
-                    let (wb, vb) = s.claims[j];
-                    if wa == wb || va != vb {
-                        continue;
-                    }
-                    let key = if wa < wb { (wa, wb) } else { (wb, wa) };
-                    let Ok(ci) = candidates.binary_search_by_key(&key, |&(a, b, _)| (a, b)) else {
-                        continue; // pruned by the prefilter
-                    };
-                    s.agree[ci] += 1;
-                    let exclusive = s
-                        .backers
-                        .binary_search_by_key(&va, |(bv, _)| *bv)
-                        .map(|i| s.backers[i].1 == 2)
-                        .unwrap_or(false);
-                    if exclusive {
-                        s.agree_exclusive[ci] += 1;
-                    }
-                }
-            }
-        }
-    });
-    let mut agree = vec![0u64; candidates.len()];
-    let mut agree_exclusive = vec![0u64; candidates.len()];
-    for s in exec.scratch() {
-        if s.agree.is_empty() {
-            continue; // shard never ran (more shards than items)
-        }
-        for (acc, &x) in agree.iter_mut().zip(&s.agree) {
-            *acc += x;
-        }
-        for (acc, &x) in agree_exclusive.iter_mut().zip(&s.agree_exclusive) {
-            *acc += x;
-        }
-    }
-
-    candidates
-        .iter()
-        .enumerate()
-        .map(|(ci, &(a, b, overlap))| PairStats {
-            a,
-            b,
-            overlap: overlap as usize,
-            agree: agree[ci] as usize,
-            agree_exclusive: agree_exclusive[ci] as usize,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ModelConfig, MultiLayerModel, QualityInit};
-    use kbt_datamodel::{CubeBuilder, ExtractorId, Observation};
+    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -609,41 +412,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_detection_equals_flat_reference() {
-        let cube = corpus_with_copier(21);
-        let acc: Vec<f64> = (0..cube.num_sources())
-            .map(|w| 0.4 + 0.1 * (w % 5) as f64)
-            .collect();
-        let flat = detect_copies_from_accuracy(
-            &cube,
-            &acc,
-            &CopyDetectConfig {
-                exec_mode: ExecMode::Flat,
-                ..CopyDetectConfig::default()
-            },
-        );
-        for threads in [1usize, 2, 8] {
-            let sharded = kbt_flume::with_threads(Some(threads), || {
-                detect_copies_from_accuracy(&cube, &acc, &CopyDetectConfig::default())
-            });
-            assert_eq!(flat, sharded, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn overlap_threshold_filters_thin_pairs() {
         let cube = corpus_with_copier(9);
         let result = MultiLayerModel::new(ModelConfig::default())
             .run_traced(&cube, &QualityInit::Default)
             .0;
-        for exec_mode in [ExecMode::Flat, ExecMode::Sharded] {
-            let cfg = CopyDetectConfig {
-                min_overlap: 1_000_000,
-                exec_mode,
-                ..CopyDetectConfig::default()
-            };
-            assert!(detect_copies(&cube, &result, &cfg).is_empty());
-        }
+        let cfg = CopyDetectConfig {
+            min_overlap: 1_000_000,
+            ..CopyDetectConfig::default()
+        };
+        assert!(detect_copies(&cube, &result, &cfg).is_empty());
     }
 
     #[test]
@@ -664,35 +442,28 @@ mod tests {
     #[test]
     fn degenerate_accuracies_cannot_panic_the_sort() {
         let cube = corpus_with_copier(3);
-        let ns = cube.num_sources();
-        for exec_mode in [ExecMode::Flat, ExecMode::Sharded] {
-            let cfg = CopyDetectConfig {
-                exec_mode,
-                ..CopyDetectConfig::default()
-            };
-            // Hard 0/1 accuracies: clamped, finite scores, sorted.
-            let hard: Vec<f64> = (0..ns)
-                .map(|w| if w % 2 == 0 { 0.0 } else { 1.0 })
-                .collect();
-            let ev = detect_copies_from_accuracy(&cube, &hard, &cfg);
-            assert!(!ev.is_empty());
-            assert!(ev.iter().all(|e| e.score.is_finite()));
-            for w in ev.windows(2) {
-                assert!(w[0].score >= w[1].score);
-            }
-            // NaN accuracy: scores may be NaN, but detection must return
-            // (NaN sorts last under total_cmp) instead of panicking.
-            let mut nan = hard.clone();
-            nan[3] = f64::NAN;
-            let ev = detect_copies_from_accuracy(&cube, &nan, &cfg);
-            assert!(!ev.is_empty());
-            let first_nan = ev.iter().position(|e| e.score.is_nan());
-            if let Some(i) = first_nan {
-                assert!(
-                    ev[i..].iter().all(|e| e.score.is_nan()),
-                    "NaN scores must sort after every real score"
-                );
-            }
+        let cfg = CopyDetectConfig::default();
+        // Hard 0/1 accuracies: clamped, finite scores, sorted.
+        let hard: Vec<f64> = (0..cube.num_sources())
+            .map(|w| if w % 2 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        let ev = detect_copies_from_accuracy(&cube, &hard, &cfg);
+        assert!(!ev.is_empty());
+        assert!(ev.iter().all(|e| e.score.is_finite()));
+        for w in ev.windows(2) {
+            assert!(w[0].score >= w[1].score);
+        }
+        // NaN accuracy: scores may be NaN, but detection must return
+        // (NaN sorts last under total_cmp) instead of panicking.
+        let mut nan = hard.clone();
+        nan[3] = f64::NAN;
+        let ev = detect_copies_from_accuracy(&cube, &nan, &cfg);
+        assert!(!ev.is_empty());
+        if let Some(i) = ev.iter().position(|e| e.score.is_nan()) {
+            assert!(
+                ev[i..].iter().all(|e| e.score.is_nan()),
+                "NaN scores must sort after every real score"
+            );
         }
     }
 
@@ -763,9 +534,9 @@ mod tests {
         assert_eq!(d.factor(SourceId::new(3)), 1.0);
     }
 
-    /// The serial census (`CoClaimIndex::candidate_pairs`, what the bench
+    /// The public census (`CoClaimIndex::candidate_pairs`, what the bench
     /// bin's prefilter statistic uses) and the detector's own pair table
-    /// must never drift apart: same pairs, same overlaps, both modes.
+    /// are two instantiations of one kernel: same pairs, same overlaps.
     #[test]
     fn coclaim_census_matches_detector_pair_stats() {
         let cube = corpus_with_copier(17);
@@ -776,54 +547,15 @@ mod tests {
                 .into_iter()
                 .map(|c| (c.a, c.b, c.overlap))
                 .collect();
-            for exec_mode in [ExecMode::Flat, ExecMode::Sharded] {
-                let cfg = CopyDetectConfig {
-                    min_overlap,
-                    exec_mode,
-                    ..CopyDetectConfig::default()
-                };
-                let stats: Vec<(SourceId, SourceId, u64)> = collect_pair_stats(&cube, &cfg)
-                    .iter()
-                    .map(|s| (s.a, s.b, s.overlap as u64))
-                    .collect();
-                assert_eq!(census, stats, "{exec_mode:?}, min_overlap {min_overlap}");
-            }
-        }
-    }
-
-    /// Random (copier-free) corpora: both paths agree bit-for-bit, and
-    /// the prefilter census matches the flat path's overlap counts.
-    #[test]
-    fn random_corpus_differential() {
-        let mut rng = StdRng::seed_from_u64(998);
-        for _ in 0..5 {
-            let mut b = CubeBuilder::new();
-            for _ in 0..400 {
-                b.push(Observation::certain(
-                    ExtractorId::new(rng.gen_range(0..3)),
-                    SourceId::new(rng.gen_range(0..12)),
-                    ItemId::new(rng.gen_range(0..30)),
-                    ValueId::new(rng.gen_range(0..6)),
-                ));
-            }
-            let cube = b.build();
-            let acc: Vec<f64> = (0..cube.num_sources()).map(|_| rng.gen::<f64>()).collect();
-            for min_overlap in [1usize, 5, 20] {
-                let cfg = CopyDetectConfig {
-                    min_overlap,
-                    ..CopyDetectConfig::default()
-                };
-                let flat = detect_copies_from_accuracy(
-                    &cube,
-                    &acc,
-                    &CopyDetectConfig {
-                        exec_mode: ExecMode::Flat,
-                        ..cfg
-                    },
-                );
-                let sharded = detect_copies_from_accuracy(&cube, &acc, &cfg);
-                assert_eq!(flat, sharded, "min_overlap = {min_overlap}");
-            }
+            let cfg = CopyDetectConfig {
+                min_overlap,
+                ..CopyDetectConfig::default()
+            };
+            let stats: Vec<(SourceId, SourceId, u64)> = collect_pair_stats(&cube, &cfg)
+                .iter()
+                .map(|s| (s.a, s.b, s.overlap))
+                .collect();
+            assert_eq!(census, stats, "min_overlap {min_overlap}");
         }
     }
 }

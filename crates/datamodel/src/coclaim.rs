@@ -1,24 +1,36 @@
-//! Co-claim index: per-item source multiplicities and the candidate-pair
-//! prefilter for copy detection.
+//! Source-pair co-claim statistics: one sparse-accumulator pass over the
+//! cube, shared by copy detection and the overlap census.
 //!
-//! Copy detection (Section 5.4.2) scores *source pairs*, but its raw
-//! expansion — every pair of claims on every item — is quadratic in
-//! per-item fan-in and dominated by pairs far too thin to score: a pair
-//! needs `min_overlap` co-claimed items before its agreement pattern
-//! means anything. [`CoClaimIndex`] collapses the cube to the only thing
-//! pair discovery needs, the per-item list of `(source, claim count)`
-//! entries, and [`CoClaimIndex::candidate_pairs`] turns that into the
-//! exact overlap census so pairs below the threshold are pruned *before*
-//! any value comparison or exclusivity bookkeeping runs.
+//! Copy detection (Section 5.4.2) scores *source pairs* on how their
+//! claims about the same data items relate. What it counts is the sparse
+//! product `A·Aᵀ` of the source × item incidence, computed here row by
+//! row: the claims are laid out **item-major** once (each item's row
+//! sorted by source — the order the cube's item index already has), then
+//! for every source `a`, each of its claims walks the tail of its item's
+//! row — the claims of sources `b > a` — and bumps a dense slot indexed
+//! by `b`. When `a` is done the touched slots are flushed in `b` order
+//! and zeroed. No hashing, no merge:
 //!
-//! Overlap here is **claim-pair counting**: a pair of sources with `c_a`
-//! and `c_b` claims on one item contributes `c_a · c_b` to its overlap —
-//! exactly what the pairwise expansion over claims produces, so a
-//! detector driven by this prefilter stays bit-for-bit identical to one
-//! that expands every claim pair.
+//! * time is `Σ_d fan-in(d)²/2` slot bumps — every claim pair is visited
+//!   exactly once, from its lower-id source;
+//! * memory is one `O(sources)` slot array per worker;
+//! * workers own contiguous source ranges, i.e. disjoint output rows, so
+//!   their outputs concatenate in range order — already sorted by
+//!   `(a, b)`, identical at any thread count, nothing to merge.
+//!
+//! Counts are **claim-pair** counts: two sources with `c_a` and `c_b`
+//! claims on one item add `c_a · c_b` to their overlap, exactly what the
+//! pairwise expansion over claims produces. All counters are `u64`.
+//!
+//! Two instantiations run on the kernel: [`pair_counts`] (overlap,
+//! agreement and exclusive agreement — the copy detector's input) and
+//! [`CoClaimIndex::pair_overlaps`] (overlap only, over the run-length
+//! compressed `(source, claims)` rows of the index).
+
+use std::ops::Range;
 
 use crate::cube::ObservationCube;
-use crate::ids::{ItemId, SourceId};
+use crate::ids::{ItemId, SourceId, ValueId};
 
 /// One candidate source pair surviving the overlap prefilter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,43 +43,268 @@ pub struct CandidatePair {
     pub overlap: u64,
 }
 
+/// Exact co-claim statistics of one source pair (`a < b`), counted over
+/// claim pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairCounts {
+    /// First source of the pair.
+    pub a: SourceId,
+    /// Second source of the pair.
+    pub b: SourceId,
+    /// Claim pairs on a common item.
+    pub overlap: u64,
+    /// …of which both claims carry the same value.
+    pub agree: u64,
+    /// …of which no third claim on the item carries that value.
+    pub agree_exclusive: u64,
+}
+
+/// One entry of an item's row, as seen from a claim by a lower-id source.
+trait RowEntry: Copy + Sync {
+    fn source(&self) -> SourceId;
+    /// Add this entry's `[overlap, agree, agree_exclusive]` contribution
+    /// against a claim of `value`. Must add at least 1 to the overlap —
+    /// a zero overlap is what marks a slot untouched.
+    fn bump(&self, value: ValueId, slot: &mut [u64; 3]);
+}
+
+/// A single claim: the detector's row entry.
+#[derive(Debug, Clone, Copy)]
+struct Claim {
+    source: SourceId,
+    value: ValueId,
+    /// Exactly two claims on the item carry `value` — so a pair agreeing
+    /// on it is alone in doing so. Deliberately a property of the claims,
+    /// not of the value posterior: a copier's doubled votes can convince
+    /// the model its shared mistakes are true, which would launder a
+    /// posterior-based test.
+    exclusive: bool,
+}
+
+impl RowEntry for Claim {
+    fn source(&self) -> SourceId {
+        self.source
+    }
+
+    fn bump(&self, value: ValueId, slot: &mut [u64; 3]) {
+        let agree = self.value == value;
+        slot[0] += 1;
+        slot[1] += u64::from(agree);
+        slot[2] += u64::from(agree & self.exclusive);
+    }
+}
+
+/// A `(source, claims)` run of the index: overlap only.
+impl RowEntry for (SourceId, u32) {
+    fn source(&self) -> SourceId {
+        self.0
+    }
+
+    fn bump(&self, _: ValueId, slot: &mut [u64; 3]) {
+        slot[0] += u64::from(self.1);
+    }
+}
+
+/// Item-major rows: `entries[offsets[d]..offsets[d + 1]]` is item `d`'s
+/// row, sorted by source.
+#[derive(Clone, Copy)]
+struct Rows<'a, E> {
+    offsets: &'a [u32],
+    entries: &'a [E],
+}
+
+impl<E: RowEntry> Rows<'_, E> {
+    fn row(&self, d: ItemId) -> &[E] {
+        &self.entries[self.offsets[d.index()] as usize..self.offsets[d.index() + 1] as usize]
+    }
+
+    /// The kernel, for one contiguous range of first sources: the pairs
+    /// `(a, b)` with `a` in `sources` and overlap ≥ `min_overlap`, sorted
+    /// by `(a, b)`.
+    fn scan(
+        &self,
+        cube: &ObservationCube,
+        sources: Range<usize>,
+        min_overlap: u64,
+    ) -> Vec<PairCounts> {
+        let mut out = Vec::new();
+        let mut slots = vec![[0u64; 3]; cube.num_sources()];
+        let mut touched: Vec<SourceId> = Vec::new();
+        for a in sources {
+            let a = SourceId::new(a as u32);
+            for g in &cube.groups()[cube.source_groups(a)] {
+                // The row is sorted by source: its tail is every claim by
+                // a higher-id source, which also skips `a`'s own other
+                // claims on the item.
+                for e in self.row(g.item).iter().rev() {
+                    let b = e.source();
+                    if b <= a {
+                        break;
+                    }
+                    let slot = &mut slots[b.index()];
+                    if slot[0] == 0 {
+                        touched.push(b);
+                    }
+                    e.bump(g.value, slot);
+                }
+            }
+            touched.sort_unstable();
+            for b in touched.drain(..) {
+                let [overlap, agree, agree_exclusive] = std::mem::take(&mut slots[b.index()]);
+                if overlap >= min_overlap {
+                    out.push(PairCounts {
+                        a,
+                        b,
+                        overlap,
+                        agree,
+                        agree_exclusive,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Per first source, the cost of scanning it: for each of its row
+    /// positions, one row fetch plus the entries behind it (`Σ fan-in`
+    /// for the lowest-id source of every row, less for later ones).
+    fn scan_weights(&self, num_sources: usize) -> Vec<u64> {
+        let mut weights = vec![0u64; num_sources];
+        for w in self.offsets.windows(2) {
+            let row = &self.entries[w[0] as usize..w[1] as usize];
+            for (k, e) in row.iter().enumerate() {
+                weights[e.source().index()] += (row.len() - k) as u64;
+            }
+        }
+        weights
+    }
+
+    /// Run the kernel over all sources on up to `threads` workers, each
+    /// owning one contiguous source range of near-equal scan weight.
+    fn pair_counts(
+        &self,
+        cube: &ObservationCube,
+        min_overlap: u64,
+        threads: usize,
+    ) -> Vec<PairCounts> {
+        let ns = cube.num_sources();
+        if threads <= 1 || ns < 2 {
+            return self.scan(cube, 0..ns, min_overlap);
+        }
+        let ranges = split_by_weight(&self.scan_weights(ns), threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = ranges
+                .into_iter()
+                .map(|r| scope.spawn(move || self.scan(cube, r, min_overlap)))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("co-claim worker panicked"))
+                .collect()
+        })
+    }
+}
+
+/// Cut `0..weights.len()` into at most `parts` contiguous non-empty
+/// ranges, closing range `k` once the running weight reaches
+/// `total · (k + 1) / parts`.
+fn split_by_weight(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let parts = parts.clamp(1, weights.len().max(1)) as u128;
+    let mut ranges = Vec::new();
+    let (mut start, mut acc) = (0usize, 0u128);
+    for (i, &w) in weights.iter().enumerate() {
+        acc += u128::from(w);
+        let k = ranges.len() as u128 + 1;
+        if k < parts && acc * parts >= total * k {
+            ranges.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    if start < weights.len() {
+        ranges.push(start..weights.len());
+    }
+    ranges
+}
+
+/// The co-claim statistics of every source pair whose claim-pair overlap
+/// reaches `min_overlap` (pairs that never co-claim are not listed, so
+/// `0` and `1` select the same pairs), sorted by `(a, b)`; computed on up
+/// to `threads` workers, identical at any thread count.
+pub fn pair_counts(cube: &ObservationCube, min_overlap: usize, threads: usize) -> Vec<PairCounts> {
+    // The claim table is parallel to the cube's item index, so it shares
+    // its offsets. Backer counts per value use one dense counter array,
+    // zeroed again behind each row.
+    let (offsets, item_groups) = cube.item_index();
+    let groups = cube.groups();
+    let mut claims: Vec<Claim> = Vec::with_capacity(item_groups.len());
+    let mut backers = vec![0u32; cube.num_values()];
+    for w in offsets.windows(2) {
+        let row = claims.len();
+        for &g in &item_groups[w[0] as usize..w[1] as usize] {
+            let g = &groups[g as usize];
+            backers[g.value.index()] += 1;
+            claims.push(Claim {
+                source: g.source,
+                value: g.value,
+                exclusive: false,
+            });
+        }
+        for c in &mut claims[row..] {
+            c.exclusive = backers[c.value.index()] == 2;
+        }
+        for c in &claims[row..] {
+            backers[c.value.index()] = 0;
+        }
+    }
+    Rows {
+        offsets,
+        entries: &claims,
+    }
+    .pair_counts(cube, min_overlap as u64, threads)
+}
+
 /// Per-item source-multiplicity index over an [`ObservationCube`].
 ///
 /// For each data item, the sorted list of `(source, claims)` entries,
 /// where `claims` counts the item's triple groups attributed to that
 /// source (a source claiming two values for one item counts twice —
 /// claim-pair semantics). Built in one linear pass over the cube's item
-/// index; `O(cells)` time, `O(Σ_d distinct_sources(d))` space.
+/// index, whose rows are already sorted by source, so each entry is one
+/// run; `O(groups)` time, `O(Σ_d distinct_sources(d))` space.
 #[derive(Debug, Clone)]
-pub struct CoClaimIndex {
+pub struct CoClaimIndex<'a> {
+    cube: &'a ObservationCube,
     /// `offsets[d]..offsets[d + 1]` indexes `entries` for item `d`.
     offsets: Vec<u32>,
     /// `(source, claim count)` per item, sorted by source.
     entries: Vec<(SourceId, u32)>,
 }
 
-impl CoClaimIndex {
+impl<'a> CoClaimIndex<'a> {
     /// Build the index from a cube.
-    pub fn build(cube: &ObservationCube) -> Self {
-        let ni = cube.num_items();
-        let mut offsets = Vec::with_capacity(ni + 1);
+    pub fn build(cube: &'a ObservationCube) -> Self {
+        let (item_offsets, item_groups) = cube.item_index();
+        let groups = cube.groups();
+        let mut offsets = Vec::with_capacity(item_offsets.len());
         offsets.push(0u32);
         let mut entries: Vec<(SourceId, u32)> = Vec::new();
-        let mut per_item: Vec<(SourceId, u32)> = Vec::new();
-        for d in 0..ni {
-            per_item.clear();
-            for g in cube.groups_of_item(ItemId::new(d as u32)) {
-                let w = cube.groups()[g].source;
-                match per_item.iter_mut().find(|(s, _)| *s == w) {
-                    Some((_, c)) => *c += 1,
-                    None => per_item.push((w, 1)),
+        for w in item_offsets.windows(2) {
+            let row = entries.len();
+            for &g in &item_groups[w[0] as usize..w[1] as usize] {
+                let source = groups[g as usize].source;
+                match entries[row..].last_mut() {
+                    Some((s, c)) if *s == source => *c += 1,
+                    _ => entries.push((source, 1)),
                 }
             }
-            per_item.sort_unstable_by_key(|(s, _)| *s);
-            entries.extend_from_slice(&per_item);
             offsets.push(entries.len() as u32);
         }
-        Self { offsets, entries }
+        Self {
+            cube,
+            offsets,
+            entries,
+        }
     }
 
     /// Number of items the index covers.
@@ -82,47 +319,37 @@ impl CoClaimIndex {
         &self.entries[lo..hi]
     }
 
-    /// Visit every ordered source pair co-claiming item `d` with its
-    /// claim-pair weight `c_a · c_b` — **the** census fold, shared by the
-    /// serial [`Self::pair_overlaps`] and the sharded detector's keyed
-    /// reduce so the two can never drift apart.
-    pub fn for_item_pairs(&self, d: ItemId, mut f: impl FnMut(SourceId, SourceId, u64)) {
-        let srcs = self.item_sources(d);
-        for i in 0..srcs.len() {
-            for j in i + 1..srcs.len() {
-                let (a, ca) = srcs[i];
-                let (b, cb) = srcs[j];
-                f(a, b, ca as u64 * cb as u64);
-            }
+    /// The overlap-only instantiation of the kernel, on the machine's
+    /// available parallelism.
+    fn overlaps(&self, min_overlap: usize) -> Vec<PairCounts> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Rows {
+            offsets: &self.offsets,
+            entries: &self.entries,
         }
+        .pair_counts(self.cube, min_overlap as u64, threads)
     }
 
     /// The exact claim-pair overlap of every co-claiming source pair,
-    /// sorted by `(a, b)`. Serial reference census; the sharded detector
-    /// computes the same map with a keyed reduce over
-    /// [`Self::for_item_pairs`].
+    /// sorted by `(a, b)`.
     pub fn pair_overlaps(&self) -> Vec<((SourceId, SourceId), u64)> {
-        let mut map: std::collections::HashMap<(SourceId, SourceId), u64> =
-            std::collections::HashMap::new();
-        for d in 0..self.num_items() {
-            self.for_item_pairs(ItemId::new(d as u32), |a, b, w| {
-                *map.entry((a, b)).or_insert(0) += w;
-            });
-        }
-        let mut out: Vec<_> = map.into_iter().collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
+        self.overlaps(0)
+            .into_iter()
+            .map(|p| ((p.a, p.b), p.overlap))
+            .collect()
     }
 
     /// Candidate pairs for copy detection: every ordered source pair whose
-    /// claim-pair overlap reaches `min_overlap`, sorted by `(a, b)`.
-    /// Everything below the threshold is pruned here, before any
-    /// agreement scoring.
+    /// claim-pair overlap reaches `min_overlap`, sorted by `(a, b)` — the
+    /// `(a, b, overlap)` columns of [`pair_counts`] at the same threshold.
     pub fn candidate_pairs(&self, min_overlap: usize) -> Vec<CandidatePair> {
-        self.pair_overlaps()
+        self.overlaps(min_overlap)
             .into_iter()
-            .filter(|(_, overlap)| *overlap >= min_overlap as u64)
-            .map(|((a, b), overlap)| CandidatePair { a, b, overlap })
+            .map(|p| CandidatePair {
+                a: p.a,
+                b: p.b,
+                overlap: p.overlap,
+            })
             .collect()
     }
 }
@@ -131,7 +358,7 @@ impl CoClaimIndex {
 mod tests {
     use super::*;
     use crate::cube::CubeBuilder;
-    use crate::ids::{ExtractorId, ValueId};
+    use crate::ids::ExtractorId;
     use crate::triple::Observation;
 
     fn obs(e: u32, w: u32, d: u32, v: u32) -> Observation {
@@ -178,6 +405,32 @@ mod tests {
     }
 
     #[test]
+    fn pair_counts_separate_agreement_from_exclusive_agreement() {
+        let mut b = CubeBuilder::new();
+        // Item 0: 0 and 1 agree on value 7, nobody else claims it; source
+        // 2 disagrees. Item 1: all three agree — no pair is exclusive.
+        b.push(obs(0, 0, 0, 7));
+        b.push(obs(0, 1, 0, 7));
+        b.push(obs(0, 2, 0, 3));
+        for w in 0..3 {
+            b.push(obs(0, w, 1, 5));
+        }
+        let cube = b.build();
+        let pc = |a, b, overlap, agree, agree_exclusive| PairCounts {
+            a: SourceId::new(a),
+            b: SourceId::new(b),
+            overlap,
+            agree,
+            agree_exclusive,
+        };
+        let want = vec![pc(0, 1, 2, 2, 1), pc(0, 2, 2, 1, 0), pc(1, 2, 2, 1, 0)];
+        for threads in [1, 2, 8] {
+            assert_eq!(pair_counts(&cube, 0, threads), want, "threads = {threads}");
+        }
+        assert!(pair_counts(&cube, 3, 1).is_empty());
+    }
+
+    #[test]
     fn candidate_pairs_prune_below_min_overlap() {
         let mut b = CubeBuilder::new();
         for d in 0..5u32 {
@@ -208,5 +461,30 @@ mod tests {
         assert_eq!(idx.num_items(), 0);
         assert!(idx.pair_overlaps().is_empty());
         assert!(idx.candidate_pairs(0).is_empty());
+        assert!(pair_counts(&cube, 0, 4).is_empty());
+    }
+
+    #[test]
+    fn split_by_weight_tiles_the_sources_and_isolates_a_heavy_one() {
+        for (weights, parts) in [
+            (vec![1u64; 10], 3usize),
+            (vec![0, 0, 0, 0], 3),
+            (vec![7, 0, 0, 9, 2], 2),
+            (vec![5], 8),
+            (vec![], 4),
+        ] {
+            let ranges = split_by_weight(&weights, parts);
+            assert!(ranges.len() <= parts, "{weights:?} parts={parts}");
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next);
+                assert!(r.end > r.start);
+                next = r.end;
+            }
+            assert_eq!(next, weights.len(), "{weights:?} parts={parts}");
+        }
+        let mut weights = vec![1u64; 63];
+        weights.insert(0, 1_000);
+        assert_eq!(split_by_weight(&weights, 4)[0], 0..1);
     }
 }

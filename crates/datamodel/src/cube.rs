@@ -127,6 +127,13 @@ impl ObservationCube {
         self.item_groups[lo..hi].iter().map(|&g| g as usize)
     }
 
+    /// The item index in CSR form, `(offsets, group indices)`: item `d`'s
+    /// groups are `indices[offsets[d]..offsets[d + 1]]`, ascending — so
+    /// sorted by `(source, value)`.
+    pub(crate) fn item_index(&self) -> (&[u32], &[u32]) {
+        (&self.item_offsets, &self.item_groups)
+    }
+
     /// The contiguous range of group indices belonging to source `w`.
     pub fn source_groups(&self, w: SourceId) -> Range<usize> {
         let r = &self.source_group_ranges[w.index()];

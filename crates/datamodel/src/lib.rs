@@ -34,7 +34,7 @@ pub use chunked::{
     CacheStats, ChunkBuf, ChunkCache, ChunkSource, ChunkStoreMeta, ChunkedCube, ChunkingConfig,
     CubeChunk, FileChunkStore, GroupBuf, GroupView, ItemView,
 };
-pub use coclaim::{CandidatePair, CoClaimIndex};
+pub use coclaim::{pair_counts, CandidatePair, CoClaimIndex, PairCounts};
 pub use cube::{Cell, CubeBuilder, CubeShardStats, ObservationCube, TripleGroup};
 pub use ids::{ExtractorId, ItemId, SourceId, ValueId};
 pub use intern::{Interner, SymbolTable};

@@ -25,8 +25,6 @@
 //! deterministic per shard count, because the per-shard accumulators are
 //! combined in shard order.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::ops::Range;
 
 use crate::num_threads;
@@ -211,87 +209,6 @@ impl<S: Send> ShardedExecutor<S> {
                 });
             }
         });
-    }
-
-    /// Keyed pair-accumulation reduce: fold each shard's key range into a
-    /// **per-worker keyed map**, merge the shard maps **in ascending shard
-    /// order**, and return the entries **sorted by key**.
-    ///
-    /// This is the shape of the paper's Map-Reduce rounds whose reduce key
-    /// is *not* the sharding key (Section 3.4.2) — e.g. accumulating
-    /// per-source-pair statistics while sharding by data item. Each worker
-    /// owns a private `HashMap<K, V>` for its contiguous key range (no
-    /// locking, no cross-shard writes); `fold(scratch, map, k)` may insert
-    /// or update any number of map keys per input key. Afterwards the
-    /// shard maps are combined with `merge(&mut acc, v)`, visiting shards
-    /// in ascending order, so for a fixed shard count even
-    /// non-commutative merges are reproducible — and when `merge` is
-    /// exact (integer counters, max, set union), the result is identical
-    /// across *any* shard count, which is what lets the sharded copy
-    /// detector stay bit-for-bit equal to its serial reference.
-    ///
-    /// The final sort by `K` makes the output order independent of hash
-    /// iteration order.
-    pub fn reduce_keyed<K, V, F, M>(&mut self, len: usize, fold: F, merge: M) -> Vec<(K, V)>
-    where
-        K: Ord + Hash + Copy + Send,
-        V: Send,
-        F: Fn(&mut S, &mut HashMap<K, V>, usize) + Sync,
-        M: Fn(&mut V, V),
-    {
-        let (shards, chunk) = self.plan(len);
-        let mut maps: Vec<HashMap<K, V>> = Vec::with_capacity(shards);
-        if shards <= 1 || len < 2 {
-            let s = &mut self.scratch[0];
-            let mut map = HashMap::new();
-            for k in 0..len {
-                fold(s, &mut map, k);
-            }
-            maps.push(map);
-        } else {
-            std::thread::scope(|scope| {
-                let fold = &fold;
-                let handles: Vec<_> = self
-                    .scratch
-                    .iter_mut()
-                    .enumerate()
-                    .take(shards)
-                    .filter_map(|(i, s)| {
-                        let lo = (i * chunk).min(len);
-                        let hi = ((i + 1) * chunk).min(len);
-                        (lo < hi).then(|| {
-                            scope.spawn(move || {
-                                let mut map = HashMap::new();
-                                for k in lo..hi {
-                                    fold(s, &mut map, k);
-                                }
-                                map
-                            })
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    maps.push(h.join().expect("kbt-flume shard worker panicked"));
-                }
-            });
-        }
-        // Merge in ascending shard order; each key's values arrive in
-        // shard order, so `merge` sees a deterministic sequence.
-        let mut it = maps.into_iter();
-        let mut acc = it.next().unwrap_or_default();
-        for map in it {
-            for (k, v) in map {
-                match acc.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => merge(e.get_mut(), v),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(v);
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(K, V)> = acc.into_iter().collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
     }
 
     /// Deterministic shard-reduce: fold each shard's key range from
@@ -636,58 +553,6 @@ mod tests {
         exec.map_keys(1, &mut out, |_, k| k as u32 + 41);
         assert_eq!(out, vec![41]);
         assert_eq!(exec.reduce(0, || 5u32, |_, a, _| a + 1, |a, b| a + b), 5);
-    }
-
-    #[test]
-    fn reduce_keyed_matches_serial_for_any_shard_count() {
-        // Key k contributes to buckets k%7 and k%11: a reduce key that is
-        // not the sharding key, like per-pair stats sharded by item.
-        let mut serial: Vec<(u64, u64)> = {
-            let mut m = std::collections::HashMap::new();
-            for k in 0..5_000u64 {
-                *m.entry(k % 7).or_insert(0) += k;
-                *m.entry(k % 11).or_insert(0) += k * 3;
-            }
-            m.into_iter().collect()
-        };
-        serial.sort_unstable_by_key(|(k, _)| *k);
-        for shards in [1usize, 2, 3, 8, 31] {
-            let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(shards);
-            let got = exec.reduce_keyed(
-                5_000,
-                |_, map, k| {
-                    let k = k as u64;
-                    *map.entry(k % 7).or_insert(0) += k;
-                    *map.entry(k % 11).or_insert(0) += k * 3;
-                },
-                |a, b| *a += b,
-            );
-            assert_eq!(got, serial, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn reduce_keyed_merges_in_shard_order() {
-        // Non-commutative merge (string concatenation): per key, shard
-        // contributions must arrive in ascending shard order.
-        let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(4);
-        let got = exec.reduce_keyed(
-            8,
-            |_, map, k| {
-                map.entry(0u32)
-                    .or_insert_with(String::new)
-                    .push_str(&k.to_string());
-            },
-            |a, b| a.push_str(&b),
-        );
-        assert_eq!(got, vec![(0u32, "01234567".to_string())]);
-    }
-
-    #[test]
-    fn reduce_keyed_empty_input() {
-        let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(4);
-        let got: Vec<(u32, u32)> = exec.reduce_keyed(0, |_, _, _| {}, |a, b| *a += b);
-        assert!(got.is_empty());
     }
 
     #[test]

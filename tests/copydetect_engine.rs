@@ -1,15 +1,18 @@
-//! Acceptance tests for the sharded copy-detection subsystem and the
-//! copy-aware fusion loop:
+//! Acceptance tests for copy detection and the copy-aware fusion loop:
 //!
-//! 1. differential proof that sharded detection is **bit-for-bit
-//!    identical** to the serial reference (`ExecMode::Flat`) at 1, 2,
-//!    and 8 threads, on a seeded random corpus and on a planted-copier
-//!    corpus,
+//! 1. differential proof that detection is **identical** to the scalar
+//!    oracle (`common::expand_claim_pairs`, the original serial pass) and
+//!    to itself at 1, 2, and 8 threads, on a seeded random corpus and on
+//!    a planted-copier corpus,
 //! 2. the planted verbatim copier pair ranks first in `CopyEvidence`
-//!    order across ≥32 proptest seeds, and
+//!    order across ≥32 proptest seeds,
 //! 3. copy-aware fusion (`ModelConfig::copy_detection`) strictly
 //!    improves truth accuracy over copy-blind fusion on the same
-//!    corpus, per seed.
+//!    corpus, per seed, and
+//! 4. the copy-aware fit's trust and independence factors are pinned to
+//!    the bits it produced before the pair-counting kernel was replaced.
+
+mod common;
 
 use kbt::core::{
     detect_copies_from_accuracy, CopyDetectConfig, ExecMode, FusionModel, MultiLayerModel,
@@ -90,26 +93,35 @@ fn seeded_random_corpus(seed: u64) -> ObservationCube {
     b.build()
 }
 
-fn assert_detection_identical_at_1_2_8_threads(cube: &ObservationCube, acc: &[f64], ctx: &str) {
-    let flat = detect_copies_from_accuracy(
-        cube,
-        acc,
-        &CopyDetectConfig {
-            exec_mode: ExecMode::Flat,
-            ..CopyDetectConfig::default()
-        },
+fn assert_detection_identical_at_1_2_8_threads(
+    cube: &ObservationCube,
+    acc: &[f64],
+    min_overlap: usize,
+    ctx: &str,
+) {
+    let cfg = CopyDetectConfig {
+        min_overlap,
+        ..CopyDetectConfig::default()
+    };
+    let oracle = common::expand_claim_pairs(cube, min_overlap);
+    let serial = kbt::flume::with_threads(Some(1), || detect_copies_from_accuracy(cube, acc, &cfg));
+    assert_eq!(
+        oracle,
+        common::evidence_counts(&serial),
+        "{ctx}: detector counts != scalar oracle"
     );
-    for threads in [1usize, 2, 8] {
-        let sharded = kbt::flume::with_threads(Some(threads), || {
-            detect_copies_from_accuracy(cube, acc, &CopyDetectConfig::default())
+    for threads in [2usize, 8] {
+        let parallel = kbt::flume::with_threads(Some(threads), || {
+            detect_copies_from_accuracy(cube, acc, &cfg)
         });
-        assert_eq!(flat, sharded, "{ctx}: sharded != flat at {threads} threads");
+        assert_eq!(serial, parallel, "{ctx}: {threads} threads != 1 thread");
     }
 }
 
-/// Differential test: the sharded detector is bit-for-bit the serial
-/// reference at 1, 2, and 8 threads, on both corpus families and under
-/// several overlap thresholds and accuracy vectors.
+/// Differential test: the detector's pair counts are the scalar oracle's,
+/// and its evidence (counts, score bits, order) is the same at 1, 2, and
+/// 8 threads, on both corpus families and under several overlap
+/// thresholds and accuracy vectors.
 #[test]
 fn sharded_detection_is_bit_identical_to_serial_reference() {
     for seed in [1u64, 42, 20150831] {
@@ -119,6 +131,7 @@ fn sharded_detection_is_bit_identical_to_serial_reference() {
         assert_detection_identical_at_1_2_8_threads(
             &cube,
             report.source_trust(),
+            CopyDetectConfig::default().min_overlap,
             &format!("planted copier, seed {seed}"),
         );
 
@@ -127,20 +140,13 @@ fn sharded_detection_is_bit_identical_to_serial_reference() {
         let acc: Vec<f64> = (0..cube.num_sources())
             .map(|w| 0.05 + 0.9 * (w as f64 / cube.num_sources() as f64))
             .collect();
-        assert_detection_identical_at_1_2_8_threads(
-            &cube,
-            &acc,
-            &format!("random corpus, seed {seed}"),
-        );
-        for min_overlap in [1usize, 10, 50] {
-            let mk = |exec_mode| CopyDetectConfig {
-                exec_mode,
+        for min_overlap in [1usize, 5, 10, 50] {
+            assert_detection_identical_at_1_2_8_threads(
+                &cube,
+                &acc,
                 min_overlap,
-                ..CopyDetectConfig::default()
-            };
-            let flat = detect_copies_from_accuracy(&cube, &acc, &mk(ExecMode::Flat));
-            let sharded = detect_copies_from_accuracy(&cube, &acc, &mk(ExecMode::Sharded));
-            assert_eq!(flat, sharded, "min_overlap {min_overlap}, seed {seed}");
+                &format!("random corpus, seed {seed}, min_overlap {min_overlap}"),
+            );
         }
     }
 }
@@ -275,7 +281,6 @@ fn copy_aware_fusion_is_bit_identical_across_engines() {
         threads: Some(threads),
         copy_detection: Some(CopyDetectConfig {
             discount: true,
-            exec_mode,
             ..CopyDetectConfig::default()
         }),
         ..fusion_cfg()
@@ -316,6 +321,68 @@ fn copy_aware_fusion_is_bit_identical_across_engines() {
             "independence at {threads} threads"
         );
         assert_eq!(flat.iterations(), sharded.iterations());
+    }
+}
+
+/// The copy-aware fit reproduces, bit for bit, the trust vector and the
+/// independence factors it produced when the detector still counted
+/// pairs with hash maps (recorded from the parent commit): the new
+/// kernel feeds the discount loop exactly the same evidence.
+#[test]
+fn copy_aware_fit_reproduces_its_pre_kernel_bits() {
+    const FLOOR: u64 = 0x3fa999999999999a; // min_independence = 0.05
+    const ONE: u64 = 0x3ff0000000000000;
+    let pinned: [(u64, [u64; 6]); 2] = [
+        (
+            20150831,
+            [
+                0x3fe39bb4cee8d0b9,
+                0x3fe32859a84645c8,
+                0x3fe108ba4259c34d,
+                0x3fe362db4bce4db5,
+                0x3fe40bfa312ce8db,
+                0x3fe40bf907d746de,
+            ],
+        ),
+        (
+            7,
+            [
+                0x3fe0713b269e55ae,
+                0x3fe28de2c66c3ca9,
+                0x3fe3a485c4fcc568,
+                0x3fe2beb073fa4655,
+                0x3fe4ee8eb7d020ee,
+                0x3fe4ee8d6ceb1d81,
+            ],
+        ),
+    ];
+    for (seed, trust_bits) in pinned {
+        let (cube, _) = planted_copier_corpus(seed);
+        let aware_cfg = ModelConfig {
+            copy_detection: Some(CopyDetectConfig {
+                discount: true,
+                ..CopyDetectConfig::default()
+            }),
+            ..fusion_cfg()
+        };
+        let aware = MultiLayerModel::new(aware_cfg).fit(&cube, &QualityInit::Default);
+        let trust: Vec<u64> = aware.source_trust().iter().map(|t| t.to_bits()).collect();
+        assert_eq!(trust, trust_bits, "trust bits, seed {seed}");
+        let indep: Vec<u64> = aware
+            .as_multi_layer()
+            .unwrap()
+            .source_independence
+            .as_ref()
+            .expect("independence factors recorded")
+            .iter()
+            .map(|i| i.to_bits())
+            .collect();
+        assert_eq!(
+            indep,
+            [ONE, ONE, ONE, ONE, ONE, FLOOR],
+            "independence bits, seed {seed}"
+        );
+        assert_eq!(aware.iterations(), 14, "EM rounds, seed {seed}");
     }
 }
 
