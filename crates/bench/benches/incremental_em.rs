@@ -1,16 +1,18 @@
-//! Criterion benchmarks for the sharded EM engine and incremental fusion:
-//! flat vs sharded E-step, full cold fit vs warm-started re-fit.
+//! Criterion benchmarks for the EM engine and incremental fusion: the
+//! value E-step kernel and a full fit next to the scalar reference, full
+//! cold fit vs warm-started re-fit.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kbt_core::{
-    estimate_correctness, estimate_values, estimate_values_with, AlphaState, ExecMode, FusionModel,
-    ModelConfig, MultiLayerModel, Params, QualityInit, ValueScratch, VoteCounter,
+    estimate_values, reference, AlphaState, ColValueScratch, FusionModel, ModelConfig,
+    MultiLayerModel, Params, QualityInit,
 };
+use kbt_datamodel::{ChunkedCube, ResidentChunks};
 use kbt_flume::ShardedExecutor;
 use kbt_pipeline::{FusionSession, Model};
 use kbt_synth::paper::{generate, SyntheticConfig};
 
-fn estep_flat_vs_sharded(c: &mut Criterion) {
+fn estep_kernel_vs_reference(c: &mut Criterion) {
     let data = generate(&SyntheticConfig {
         num_sources: 40,
         triples_per_source: 200,
@@ -20,15 +22,17 @@ fn estep_flat_vs_sharded(c: &mut Criterion) {
     let cube = &data.cube;
     let cfg = ModelConfig::default();
     let params = Params::init(cube, &cfg, &QualityInit::Default);
-    let votes = VoteCounter::new(cube, &params, &cfg);
+    let votes = reference::vote_counter(cube, &params, &cfg);
     let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-    let correctness = estimate_correctness(cube, &votes, &alpha, &cfg);
+    let correctness = reference::estimate_correctness(cube, &votes, &alpha, &cfg);
     let active = vec![true; cube.num_sources()];
+    let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
+    let src = ResidentChunks::new(&chunked);
 
     let mut group = c.benchmark_group("estep");
-    group.bench_function("flat", |b| {
+    group.bench_function("reference", |b| {
         b.iter(|| {
-            black_box(estimate_values(
+            black_box(reference::estimate_values(
                 cube,
                 &correctness,
                 &params,
@@ -38,11 +42,11 @@ fn estep_flat_vs_sharded(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function("sharded", |b| {
-        let mut exec: ShardedExecutor<ValueScratch> = ShardedExecutor::new();
+    group.bench_function("kernel", |b| {
+        let mut exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
         b.iter(|| {
-            black_box(estimate_values_with(
-                cube,
+            black_box(estimate_values(
+                &src,
                 &correctness,
                 &params,
                 &cfg,
@@ -55,28 +59,23 @@ fn estep_flat_vs_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-fn full_fit_by_mode(c: &mut Criterion) {
+fn full_fit(c: &mut Criterion) {
     let data = generate(&SyntheticConfig {
         num_sources: 30,
         triples_per_source: 150,
         seed: 23,
         ..SyntheticConfig::default()
     });
+    let cfg = ModelConfig::default();
     let mut group = c.benchmark_group("full_fit");
-    for mode in [ExecMode::Flat, ExecMode::Sharded] {
-        let cfg = ModelConfig {
-            exec_mode: mode,
-            ..ModelConfig::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("multilayer", format!("{mode:?}")),
-            &cfg,
-            |b, cfg| {
-                let model = MultiLayerModel::new(cfg.clone());
-                b.iter(|| black_box(model.fit(&data.cube, &QualityInit::Default)));
-            },
-        );
-    }
+    group.bench_function("engine", |b| {
+        let model = MultiLayerModel::new(cfg.clone());
+        b.iter(|| black_box(model.fit(&data.cube, &QualityInit::Default)));
+    });
+    group.bench_function("reference", |b| {
+        let init = QualityInit::Default;
+        b.iter(|| black_box(reference::fit(&data.cube, &cfg, &init, None, None)));
+    });
     group.finish();
 }
 
@@ -139,8 +138,8 @@ fn cold_vs_warm_session(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    estep_flat_vs_sharded,
-    full_fit_by_mode,
+    estep_kernel_vs_reference,
+    full_fit,
     cold_vs_warm_session
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
-//! The EM-throughput-at-scale scenario: columnar chunked engine
-//! (`ExecMode::Sharded`) vs the pre-columnar row-major engine
-//! (`ExecMode::ShardedRows`) on a 1M–10M-triple synthetic corpus.
+//! The EM-throughput-at-scale scenario: the chunk-view EM engine on a
+//! 1M–10M-triple synthetic corpus, gated bit for bit against the scalar
+//! oracle (`kbt_core::reference`).
 //!
 //! ```text
 //! cargo run --release -p kbt-bench --bin em_scale [-- --smoke | --full | --triples N]
@@ -8,20 +8,20 @@
 //! ```
 //!
 //! Defaults to `--full` (10M triples); `--smoke` runs 1M so CI finishes in
-//! minutes. Both engines run the same fixed number of EM rounds
-//! (`convergence_eps = 0`) on the same cube and the binary **hard-asserts
-//! bitwise equality** of their source-trust scores and per-group truth
-//! posteriors before reporting:
+//! minutes. The engine and `reference::fit` run the same fixed number of
+//! EM rounds (`convergence_eps = 0`) on the same cube and the binary
+//! **hard-asserts bitwise equality** of their source-trust scores and
+//! per-group truth posteriors before reporting:
 //!
-//! * per-engine wall time and EM-round throughput in triples (cube
+//! * the engine's wall time and EM-round throughput in triples (cube
 //!   groups) per second,
-//! * the columnar/row-major speedup and the columnar engine's per-stage
-//!   wall breakdown (chunking gather, vote rebuild, E-steps, M-steps…),
+//! * its per-stage wall breakdown (chunking gather, vote rebuild,
+//!   E-steps, M-steps…) and the steady-state value E-step kernel alone,
 //! * measured peak RSS (`VmHWM` from `/proc/self/status`).
 //!
 //! With `--streamed` the scenario instead measures the out-of-core
-//! engine: the corpus is chunked to a `KBTCHNK2` store on disk, then two
-//! *child processes* run the same fixed-round fit — one resident
+//! residency: the corpus is chunked to a `KBTCHNK2` store on disk, then
+//! two *child processes* run the same fixed-round fit — one resident
 //! (regenerating the corpus), one streaming from the store through
 //! bounded `ChunkCache`s — so each fit's `VmHWM` is measured in
 //! isolation. The parent hard-asserts bitwise-equal checksums between
@@ -36,11 +36,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kbt_core::{
-    estimate_correctness_with, estimate_values_cols, estimate_values_with, AlphaState,
-    ColValueScratch, ExecMode, FusionModel, FusionReport, ModelConfig, MultiLayerModel, Params,
-    QualityInit, StageWall, ValueScratch, VoteCounter,
+    estimate_correctness, estimate_values, reference, AlphaState, ColValueScratch, FusionModel,
+    FusionReport, ModelConfig, MultiLayerModel, Params, QualityInit, StageWall,
 };
-use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
+use kbt_datamodel::{ChunkedCube, FileChunkStore, ResidentChunks};
 use kbt_flume::ShardedExecutor;
 use kbt_synth::scale::{generate, ScaleConfig};
 
@@ -132,29 +131,14 @@ fn vm_hwm_bytes() -> u64 {
     0
 }
 
-fn fixed_round_cfg(rounds: usize, exec_mode: ExecMode) -> ModelConfig {
-    // Fixed round count, no convergence early-out: every engine does the
+fn fixed_round_cfg(rounds: usize) -> ModelConfig {
+    // Fixed round count, no convergence early-out: every fit does the
     // same arithmetic volume, so wall times are directly comparable.
     ModelConfig {
         max_iterations: rounds,
         convergence_eps: 0.0,
-        exec_mode,
         ..ModelConfig::default()
     }
-}
-
-fn run_engine(cube: &ObservationCube, cfg: &ModelConfig, label: &str) -> (FusionReport, f64) {
-    let model = MultiLayerModel::new(cfg.clone());
-    let t0 = Instant::now();
-    let report = model.fit(cube, &QualityInit::Default);
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "  {label:<10} {} rounds  {:>8.2} s  ({:>12.0} triples/s per round)",
-        report.iterations(),
-        wall,
-        cube.num_groups() as f64 * report.iterations() as f64 / wall
-    );
-    (report, wall)
 }
 
 // ---------------------------------------------------------------------
@@ -168,7 +152,7 @@ fn child_resident(triples: usize, rounds: usize) {
         triples,
         ..ScaleConfig::default()
     });
-    let model = MultiLayerModel::new(fixed_round_cfg(rounds, ExecMode::Sharded));
+    let model = MultiLayerModel::new(fixed_round_cfg(rounds));
     let t0 = Instant::now();
     let report = model.fit(&cube, &QualityInit::Default);
     let wall = t0.elapsed().as_secs_f64();
@@ -185,7 +169,7 @@ fn child_resident(triples: usize, rounds: usize) {
 fn child_streamed(path: &str, rounds: usize, max_resident: usize) {
     let store =
         Arc::new(FileChunkStore::open(std::path::Path::new(path)).expect("open chunk store"));
-    let model = MultiLayerModel::new(fixed_round_cfg(rounds, ExecMode::Sharded));
+    let model = MultiLayerModel::new(fixed_round_cfg(rounds));
     let t0 = Instant::now();
     let (result, trace, stats) = model
         .run_streamed(&store, max_resident, &QualityInit::Default)
@@ -266,7 +250,7 @@ fn run_streamed_scenario(args: &Args) {
     );
 
     // Chunk the corpus to disk once; both children fit the same data.
-    let cols_cfg = fixed_round_cfg(args.rounds, ExecMode::Sharded);
+    let cols_cfg = fixed_round_cfg(args.rounds);
     let t0 = Instant::now();
     let cube = generate(&synth_cfg);
     let chunked = ChunkedCube::from_cube(&cube, &cols_cfg.chunking());
@@ -458,62 +442,65 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let base = fixed_round_cfg(args.rounds, ExecMode::Sharded);
-    let rows_cfg = fixed_round_cfg(args.rounds, ExecMode::ShardedRows);
-    let cols_cfg = base.clone();
+    let cfg = fixed_round_cfg(args.rounds);
+    let init = QualityInit::Default;
 
-    // Untimed warmup fit per engine (1 round): pages the big arenas in
-    // and lets the allocator reach steady state, so the timed fits
-    // compare engine layouts instead of first-touch fault costs.
-    let warm_cfg = |cfg: &ModelConfig| ModelConfig {
+    // Untimed warmup fit (1 round): pages the big arenas in and lets the
+    // allocator reach steady state, so the timed fit measures the engine
+    // instead of first-touch fault costs.
+    let _ = MultiLayerModel::new(ModelConfig {
         max_iterations: 1,
         ..cfg.clone()
-    };
-    let _ = MultiLayerModel::new(warm_cfg(&rows_cfg)).fit(&cube, &QualityInit::Default);
-    let _ = MultiLayerModel::new(warm_cfg(&cols_cfg)).fit(&cube, &QualityInit::Default);
+    })
+    .fit(&cube, &init);
 
-    println!("\nEM fit ({} rounds each):", args.rounds);
-    let (rows_report, rows_wall) = run_engine(&cube, &rows_cfg, "row-major");
-    let (cols_report, cols_wall) = run_engine(&cube, &cols_cfg, "columnar");
-
-    // ---- Bitwise-equality gate: the columnar engine must be a pure ----
-    // ---- layout change, not a numerically different model.         ----
-    let trust_rows = bits_checksum(rows_report.source_trust());
-    let trust_cols = bits_checksum(cols_report.source_trust());
-    let truth_rows = bits_checksum(rows_report.truth_of_group());
-    let truth_cols = bits_checksum(cols_report.truth_of_group());
-    assert_eq!(
-        rows_report.iterations(),
-        cols_report.iterations(),
-        "engines ran different round counts"
-    );
-    assert_eq!(
-        trust_rows, trust_cols,
-        "source trust diverged between row-major and columnar engines"
-    );
-    assert_eq!(
-        truth_rows, truth_cols,
-        "truth posteriors diverged between row-major and columnar engines"
-    );
-    println!(
-        "\nbitwise equality: OK (trust checksum {trust_rows:#018x}, truth checksum {truth_rows:#018x})"
-    );
-
-    let rounds = cols_report.iterations() as f64;
-    let rows_tput = cube.num_groups() as f64 * rounds / rows_wall;
+    println!("\nEM fit ({} rounds):", args.rounds);
+    let model = MultiLayerModel::new(cfg.clone());
+    let t0 = Instant::now();
+    let report = model.fit(&cube, &init);
+    let cols_wall = t0.elapsed().as_secs_f64();
+    let rounds = report.iterations() as f64;
     let cols_tput = cube.num_groups() as f64 * rounds / cols_wall;
-    let speedup = rows_wall / cols_wall;
     println!(
-        "speedup: x{speedup:.2} (columnar {cols_tput:.0} vs row-major {rows_tput:.0} triples/s per round)"
+        "  engine     {rounds} rounds  {cols_wall:>8.2} s  ({cols_tput:>12.0} triples/s per round)"
     );
 
-    // ---- Per-stage wall breakdown of the columnar fit: where the   ----
-    // ---- rounds actually go, so layout regressions are attributable ---
-    // ---- to a stage instead of a single opaque total.               ---
-    let sw: &StageWall = &cols_report.trace.stage_wall;
+    // ---- Bitwise-equality gate: the engine must be the paper's     ----
+    // ---- equations in a faster layout, not a different model.      ----
+    let t0 = Instant::now();
+    let (oracle, _) = reference::fit(&cube, &cfg, &init, None, None);
+    println!(
+        "  reference  {} rounds  {:>8.2} s",
+        oracle.iterations,
+        t0.elapsed().as_secs_f64()
+    );
+    let trust = bits_checksum(report.source_trust());
+    let truth = bits_checksum(report.truth_of_group());
+    assert_eq!(
+        report.iterations(),
+        oracle.iterations,
+        "engine and reference ran different round counts"
+    );
+    assert_eq!(
+        trust,
+        bits_checksum(&oracle.params.source_accuracy),
+        "source trust diverged between the engine and reference::fit"
+    );
+    assert_eq!(
+        truth,
+        bits_checksum(&oracle.truth_of_group),
+        "truth posteriors diverged between the engine and reference::fit"
+    );
+    drop(oracle);
+    println!("\nbitwise equality: OK (trust checksum {trust:#018x}, truth checksum {truth:#018x})");
+
+    // ---- Per-stage wall breakdown of the fit: where the rounds      ----
+    // ---- actually go, so regressions are attributable to a stage    ----
+    // ---- instead of a single opaque total.                          ----
+    let sw: &StageWall = &report.trace.stage_wall;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!(
-        "columnar stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
+        "stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
          values {:.1}, source {:.1}, extractor {:.1}, alpha {:.1}, log-likelihood {:.1}",
         ms(sw.chunking),
         ms(sw.votes),
@@ -525,45 +512,40 @@ fn main() {
         ms(sw.log_likelihood),
     );
 
-    // ---- Value E-step A/B: the stage the columnar layout rewrites. ----
-    // Same inputs (round-1 state), same bits out; the reps time the
-    // steady-state kernels on warm arenas.
-    let chunked = ChunkedCube::from_cube(&cube, &cols_cfg.chunking());
+    // ---- The value E-step kernel alone: round-1 state, warm arenas. ----
+    let chunked = ChunkedCube::from_cube(&cube, &cfg.chunking());
+    let src = ResidentChunks::new(&chunked);
     let estep_reps: u32 = if args.mode == "full" { 3 } else { 5 };
-    let params = Params::init(&cube, &base, &QualityInit::Default);
-    let votes = VoteCounter::new(&cube, &params, &base);
-    let alpha = AlphaState::uniform(cube.num_groups(), base.alpha);
+    let params = Params::init(&cube, &cfg, &init);
+    let votes = reference::vote_counter(&cube, &params, &cfg);
+    let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
     let active = vec![true; cube.num_sources()];
-    let mut gexec: ShardedExecutor<()> = ShardedExecutor::new();
-    let mut corr = Vec::new();
-    estimate_correctness_with(&cube, &votes, &alpha, &base, &mut gexec, &mut corr);
-    let mut vexec: ShardedExecutor<ValueScratch> = ShardedExecutor::new();
+    let mut corr = vec![0.0; cube.num_groups()];
+    estimate_correctness(
+        &src,
+        &votes,
+        &alpha,
+        &cfg,
+        &mut ShardedExecutor::new(),
+        &mut corr,
+    )
+    .expect("resident views");
     let mut cexec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
-    // Warm both kernels once, then time.
-    let _ = estimate_values_with(&cube, &corr, &params, &base, &active, None, &mut vexec);
-    let _ = estimate_values_cols(&chunked, &corr, &params, &base, &active, None, &mut cexec);
+    let mut estep = || {
+        estimate_values(&src, &corr, &params, &cfg, &active, None, &mut cexec)
+            .expect("resident views")
+    };
+    let _ = estep(); // warm the arenas, then time
     let t0 = Instant::now();
     for _ in 0..estep_reps {
-        std::hint::black_box(estimate_values_with(
-            &cube, &corr, &params, &base, &active, None, &mut vexec,
-        ));
-    }
-    let estep_rows_ms = t0.elapsed().as_secs_f64() * 1e3 / estep_reps as f64;
-    let t0 = Instant::now();
-    for _ in 0..estep_reps {
-        std::hint::black_box(estimate_values_cols(
-            &chunked, &corr, &params, &base, &active, None, &mut cexec,
-        ));
+        std::hint::black_box(estep());
     }
     let estep_cols_ms = t0.elapsed().as_secs_f64() * 1e3 / estep_reps as f64;
-    let estep_speedup = estep_rows_ms / estep_cols_ms;
-    println!(
-        "value E-step ({estep_reps} reps): row-major {estep_rows_ms:.1} ms, columnar {estep_cols_ms:.1} ms, speedup x{estep_speedup:.2}"
-    );
+    println!("value E-step ({estep_reps} reps): {estep_cols_ms:.1} ms");
 
     // ---- Peak memory, measured: the kernel's VmHWM high-water mark ----
-    // ---- for this process (both cubes + EM state + bench scaffolding),
-    // ---- replacing the old hand-rolled byte estimate.               ---
+    // ---- for this process (both cubes + EM state + the reference    ----
+    // ---- fit + bench scaffolding).                                  ----
     let cube_bytes = cube.approx_bytes();
     let chunked_bytes = chunked.approx_bytes();
     let hwm = vm_hwm_bytes();
@@ -574,17 +556,14 @@ fn main() {
         chunked_bytes as f64 / (1 << 20) as f64,
     );
 
-    let mut report = kbt_bench::BenchReport::new("em_scale", args.mode);
-    report
+    let mut bench = kbt_bench::BenchReport::new("em_scale", args.mode);
+    bench
         .count("triples", args.triples as u64)
         .count("groups", cube.num_groups() as u64)
         .count("cells", cube.num_cells() as u64)
-        .count("em_rounds", cols_report.iterations() as u64)
-        .metric("rows_wall_s", rows_wall)
+        .count("em_rounds", report.iterations() as u64)
         .metric("cols_wall_s", cols_wall)
-        .metric("rows_triples_per_s", rows_tput)
         .metric("cols_triples_per_s", cols_tput)
-        .metric("speedup", speedup)
         .metric("stage_chunking_ms", ms(sw.chunking))
         .metric("stage_votes_ms", ms(sw.votes))
         .metric("stage_correctness_ms", ms(sw.correctness))
@@ -593,15 +572,13 @@ fn main() {
         .metric("stage_extractor_update_ms", ms(sw.extractor_update))
         .metric("stage_alpha_ms", ms(sw.alpha))
         .metric("stage_log_likelihood_ms", ms(sw.log_likelihood))
-        .metric("estep_rows_ms", estep_rows_ms)
         .metric("estep_cols_ms", estep_cols_ms)
-        .metric("estep_speedup", estep_speedup)
         .count("vm_hwm_bytes", hwm)
         .count("cube_bytes", cube_bytes as u64)
         .count("chunked_bytes", chunked_bytes as u64)
         .flag("bitwise_equal", true)
-        .text("trust_checksum", &format!("{trust_rows:#018x}"))
-        .text("truth_checksum", &format!("{truth_rows:#018x}"));
-    let path = report.write().expect("write bench report");
+        .text("trust_checksum", &format!("{trust:#018x}"))
+        .text("truth_checksum", &format!("{truth:#018x}"));
+    let path = bench.write().expect("write bench report");
     println!("report: {}", path.display());
 }

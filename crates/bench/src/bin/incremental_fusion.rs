@@ -1,5 +1,5 @@
 //! The incremental-fusion scenario: cold vs warm-started convergence and
-//! sharded vs flat E-step throughput.
+//! value E-step kernel throughput.
 //!
 //! ```text
 //! cargo run --release -p kbt-bench --bin incremental_fusion [-- --smoke]
@@ -11,17 +11,20 @@
 //! 1. cold run on the base cube, warm-started runs over a stream of ~5%
 //!    deltas, and a cold rerun on the final merged cube (EM iterations +
 //!    wall time each),
-//! 2. sharded vs flat E-step throughput at 1 and N threads,
+//! 2. value E-step kernel throughput at 1 and N threads,
 //! 3. per-shard load balance of the final cube
 //!    (`ObservationCube::shard_stats`).
 
 use std::time::Instant;
 
 use kbt_core::{
-    estimate_values, estimate_values_with, AlphaState, FusionReport, ModelConfig, Params,
-    QualityInit, ValueScratch, VoteCounter,
+    estimate_values, reference, AlphaState, ColValueScratch, FusionReport, ModelConfig, Params,
+    QualityInit,
 };
-use kbt_datamodel::{ExtractorId, ItemId, Observation, ObservationCube, SourceId, ValueId};
+use kbt_datamodel::{
+    ChunkedCube, ExtractorId, ItemId, Observation, ObservationCube, ResidentChunks, SourceId,
+    ValueId,
+};
 use kbt_flume::ShardedExecutor;
 use kbt_pipeline::{FusionSession, Model};
 use rand::rngs::StdRng;
@@ -102,59 +105,30 @@ fn report_line(label: &str, r: &FusionReport, wall_ms: f64) {
     );
 }
 
-/// Returns `(flat, sharded)` ms/round at `threads` workers.
-fn estep_throughput(
-    cube: &ObservationCube,
-    cfg: &ModelConfig,
-    threads: usize,
-    reps: u32,
-) -> (f64, f64) {
+/// Value E-step kernel ms/round at `threads` workers.
+fn estep_throughput(cube: &ObservationCube, cfg: &ModelConfig, threads: usize, reps: u32) -> f64 {
     let params = Params::init(cube, cfg, &QualityInit::Default);
-    let votes = VoteCounter::new(cube, &params, cfg);
+    let votes = reference::vote_counter(cube, &params, cfg);
     let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-    let correctness = kbt_core::estimate_correctness(cube, &votes, &alpha, cfg);
+    let correctness = reference::estimate_correctness(cube, &votes, &alpha, cfg);
     let active = vec![true; cube.num_sources()];
+    let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
+    let src = ResidentChunks::new(&chunked);
 
     kbt_flume::with_threads(Some(threads), || {
-        // Warm both paths once so allocator state is comparable.
-        let mut exec: ShardedExecutor<ValueScratch> = ShardedExecutor::new();
-        let _ = estimate_values(cube, &correctness, &params, cfg, &active, None);
-        let _ = estimate_values_with(cube, &correctness, &params, cfg, &active, None, &mut exec);
-
+        let mut exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
+        let mut estep = || {
+            estimate_values(&src, &correctness, &params, cfg, &active, None, &mut exec)
+                .expect("resident views")
+        };
+        let _ = estep(); // warm the arenas, then time
         let t0 = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(estimate_values(
-                cube,
-                &correctness,
-                &params,
-                cfg,
-                &active,
-                None,
-            ));
+            std::hint::black_box(estep());
         }
-        let flat = t0.elapsed();
-
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(estimate_values_with(
-                cube,
-                &correctness,
-                &params,
-                cfg,
-                &active,
-                None,
-                &mut exec,
-            ));
-        }
-        let sharded = t0.elapsed();
-
-        let fm = flat.as_secs_f64() * 1e3 / reps as f64;
-        let sm = sharded.as_secs_f64() * 1e3 / reps as f64;
-        println!(
-            "  {threads:>2} threads: flat {fm:>8.2} ms/round   sharded {sm:>8.2} ms/round   speedup x{:.2}",
-            fm / sm
-        );
-        (fm, sm)
+        let ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+        println!("  {threads:>2} threads: {ms:>8.2} ms/round");
+        ms
     })
 }
 
@@ -215,7 +189,7 @@ fn main() {
         cold_merged.iterations()
     );
 
-    // ---- 2. Sharded vs flat E-step throughput. ----
+    // ---- 2. Value E-step kernel throughput. ----
     println!(
         "\nE-step throughput ({} reps, final merged cube):",
         scale.estep_reps
@@ -271,14 +245,11 @@ fn main() {
             "em_rounds_saved_final",
             cold_merged.iterations().saturating_sub(warm_last) as u64,
         );
-    for (threads, (flat_ms, sharded_ms)) in &estep {
-        report
-            .metric(&format!("estep_flat_ms_{threads}t"), *flat_ms)
-            .metric(&format!("estep_sharded_ms_{threads}t"), *sharded_ms)
-            .metric(
-                &format!("estep_rounds_per_s_{threads}t"),
-                1e3 / sharded_ms.max(1e-9),
-            );
+    for (threads, ms) in &estep {
+        report.metric(
+            &format!("estep_rounds_per_s_{threads}t"),
+            1e3 / ms.max(1e-9),
+        );
     }
     if min_cells > 0 {
         report.metric("shard_cell_skew", max_cells as f64 / min_cells as f64);

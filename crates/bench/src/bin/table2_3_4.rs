@@ -5,9 +5,8 @@
 //! correctness posteriors and value distribution of Table 4.
 
 use kbt_bench::table::{f3, TableWriter};
-use kbt_core::{
-    estimate_correctness, estimate_values, AlphaState, ModelConfig, Params, VoteCounter,
-};
+use kbt_core::reference::{estimate_correctness, estimate_values, vote_counter};
+use kbt_core::{AlphaState, ModelConfig, Params};
 use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
 
 const USA: u32 = 0;
@@ -70,7 +69,7 @@ fn main() {
     let cfg = ModelConfig::default();
 
     println!("== Table 3: extractor votes (Pre_e, Abs_e) ==");
-    let votes = VoteCounter::new(&cube, &params, &cfg);
+    let votes = vote_counter(&cube, &params, &cfg);
     let mut t3 = TableWriter::new(&["", "E1", "E2", "E3", "E4", "E5"]);
     t3.row(
         std::iter::once("Pre".to_string())

@@ -19,9 +19,10 @@ use std::time::Duration;
 
 use kbt_bench::harness::kv_multilayer_config;
 use kbt_bench::table::{f3, TableWriter};
-use kbt_core::{
-    estimate_correctness, estimate_values, AlphaState, Params, QualityInit, VoteCounter,
+use kbt_core::reference::{
+    estimate_correctness, estimate_values, update_alpha, update_source_accuracy, vote_counter,
 };
+use kbt_core::{AlphaState, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ExtractorId, Observation, ObservationCube};
 use kbt_flume::PhaseTimer;
 use kbt_granularity::splitmerge::group_rows_into_triples;
@@ -31,7 +32,8 @@ use kbt_synth::WebCorpus;
 
 const ITERS: usize = 5;
 
-/// Instrumented Algorithm 1 with the per-extractor parallel M-step.
+/// Instrumented Algorithm 1 — the reference stages, one timed phase
+/// each — with the per-extractor parallel M-step.
 fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
     let cfg = kv_multilayer_config();
     let index = timer.time("Prep. Extractor", || cube.build_extractor_index());
@@ -41,7 +43,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
         .collect();
     let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
     for t in 1..=ITERS {
-        let votes = VoteCounter::new(cube, &params, &cfg);
+        let votes = vote_counter(cube, &params, &cfg);
         let correctness = timer.time("I. ExtCorr", || {
             estimate_correctness(cube, &votes, &alpha, &cfg)
         });
@@ -49,7 +51,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
             estimate_values(cube, &correctness, &params, &cfg, &active, None)
         });
         timer.time("III. SrcAccu", || {
-            kbt_core::mstep::update_source_accuracy(
+            update_source_accuracy(
                 cube,
                 &correctness,
                 &out.truth_given_provided,
@@ -69,7 +71,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
         });
         if cfg.updates_alpha_at(t + 1) {
             timer.time("I. ExtCorr", || {
-                alpha.update(cube, &out.truth_of_group, &params, &cfg)
+                update_alpha(&mut alpha, cube, &out.truth_of_group, &params, &cfg)
             });
         }
     }

@@ -51,45 +51,20 @@ pub enum AbsencePolicy {
     SourceCandidates,
 }
 
-/// Which execution backend runs the EM hot loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The columnar shard-parallel engine: the cube is re-laid-out once
-    /// per run as a `kbt_datamodel::ChunkedCube` (SoA columns partitioned
-    /// into item-aligned chunks, see [`ModelConfig::chunk_target_cells`])
-    /// and the E-step streams the columns chunk-at-a-time on a
-    /// `kbt_flume::ShardedExecutor` whose per-worker scratch arenas are
-    /// reused across EM rounds. Reduction order is fixed, so results are
-    /// bit-for-bit identical to [`ExecMode::Flat`] at any thread count
-    /// (the `sharded_engine` and `columnar_cube` integration tests pin
-    /// this down).
-    #[default]
-    Sharded,
-    /// The original flat path: one `par_map_slice` per stage with
-    /// per-item scratch allocation. Kept as the reference implementation
-    /// for equivalence tests and the flat-vs-sharded throughput bench.
-    Flat,
-    /// The pre-columnar row-major sharded engine: same key-range
-    /// sharding and scratch reuse as [`ExecMode::Sharded`], but the
-    /// inner loops walk the AoS `ObservationCube` rows directly. Kept
-    /// as the honest baseline for the `em_scale` columnar-speedup bench
-    /// and as a second independent implementation in the equivalence
-    /// tests. Bit-for-bit identical to both other modes.
-    ShardedRows,
-}
-
-/// Where the columnar cube lives during a fit.
+/// Where the chunked cube lives during a fit — which
+/// `kbt_datamodel::ChunkSource` the one EM loop reads its chunk views
+/// from. It changes where bytes come from, never which kernels run.
 ///
 /// [`CubeResidency::Streamed`] drives the EM rounds from a
 /// `kbt_datamodel::FileChunkStore` through bounded
 /// `kbt_datamodel::ChunkCache`s: peak memory is O(groups) float state +
 /// O(chunks in flight) payloads instead of O(corpus), and the fit is
 /// **bit-for-bit identical** to a resident fit at any thread count and
-/// any cache size ≥ 1 (leased `Arc` buffers mean eviction can never
-/// change a value — only I/O volume).
+/// any cache size (leased `Arc` buffers mean eviction can never change a
+/// value — only I/O volume).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CubeResidency {
-    /// Keep the whole columnar cube in memory (the default).
+    /// Keep the whole chunked cube in memory (the default).
     #[default]
     Resident,
     /// Stream chunk payloads from a `KBTCHNK2` chunk store on disk.
@@ -168,27 +143,19 @@ pub struct ModelConfig {
     /// Per-run and race-free, unlike `kbt_flume::set_num_threads` —
     /// installed around inference via `kbt_flume::with_threads`.
     pub threads: Option<usize>,
-    /// Execution backend for the EM hot loops (default:
-    /// [`ExecMode::Sharded`]). Results are bit-identical in every mode;
-    /// the flat path exists as the reference for equivalence tests and
-    /// benchmarks, the row-major sharded path as the pre-columnar
-    /// baseline.
-    pub exec_mode: ExecMode,
-    /// Target number of cells per chunk when the columnar engine
-    /// re-lays-out the cube as a `kbt_datamodel::ChunkedCube`
-    /// ([`ExecMode::Sharded`] only). Chunks are item-aligned, so a
-    /// chunk's scratch covers whole items; smaller chunks balance skew
+    /// Target number of cells per chunk when the engine lays the cube
+    /// out as a `kbt_datamodel::ChunkedCube`. Chunks are item-aligned, so
+    /// a chunk's scratch covers whole items; smaller chunks balance skew
     /// better, larger chunks amortize scheduling. Forwarded to
     /// `kbt_datamodel::ChunkingConfig::target_cells`; the default
     /// (64 Ki cells ≈ a few MiB of columns) keeps a chunk's working set
     /// L2/L3-resident on common hardware. Has no effect on results —
     /// only on scheduling granularity.
     pub chunk_target_cells: usize,
-    /// Where the columnar cube lives during the fit
-    /// ([`ExecMode::Sharded`] only): resident in memory (default) or
-    /// streamed from a chunk store on disk with bounded caches. Streamed
-    /// fits are bit-identical to resident ones — the knob trades I/O for
-    /// peak RSS, never results.
+    /// Where the chunked cube lives during the fit: resident in memory
+    /// (default) or streamed from a chunk store on disk with bounded
+    /// caches. Streamed fits are bit-identical to resident ones — the
+    /// knob trades I/O for peak RSS, never results.
     pub residency: CubeResidency,
     /// Copy detection inside the engine (§5.4.2): when set, the
     /// multi-layer engine follows its EM fit with copy detection and
@@ -225,7 +192,6 @@ impl Default for ModelConfig {
             literal_eq26_alpha: false,
             min_source_support: 1,
             threads: None,
-            exec_mode: ExecMode::Sharded,
             chunk_target_cells: 64 * 1024,
             residency: CubeResidency::Resident,
             copy_detection: None,
@@ -263,8 +229,8 @@ impl ModelConfig {
         matches!(self.alpha_update_from, Some(from) if t >= from)
     }
 
-    /// The chunk partitioning this config asks the columnar engine to
-    /// use — the single construction site for
+    /// The chunk partitioning this config asks the engine to use — the
+    /// single construction site for
     /// `kbt_datamodel::ChunkingConfig`.
     #[inline]
     pub fn chunking(&self) -> ChunkingConfig {

@@ -7,8 +7,10 @@
 //! iteration's value posteriors (Section 3.3.4, Eq. 26) once the schedule
 //! allows it.
 
-use kbt_datamodel::{ChunkedCube, GroupView, ObservationCube};
-use kbt_flume::{par_chunks_mut, par_map_indexed, ShardedExecutor};
+use std::io;
+
+use kbt_datamodel::{ChunkSource, GroupView};
+use kbt_flume::{par_chunks_mut, ShardedExecutor};
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
@@ -35,6 +37,11 @@ impl AlphaState {
         self.logits[g]
     }
 
+    /// The logit buffer, for [`crate::reference::update_alpha`].
+    pub(crate) fn logits_mut(&mut self) -> &mut [f64] {
+        &mut self.logits
+    }
+
     /// Re-estimate every group's prior from the value layer
     /// (Section 3.3.4).
     ///
@@ -45,75 +52,11 @@ impl AlphaState {
     /// false value with probability `(1 − A_w)/n`. Setting
     /// [`ModelConfig::literal_eq26_alpha`] reproduces the paper's printed
     /// Eq. 26 without the `/n` spread (Example 3.3).
+    ///
+    /// Groups are source-sorted, so the per-source group spans of
+    /// `source_offsets` give each group's source and the update reads no
+    /// chunk data at all.
     pub fn update(
-        &mut self,
-        cube: &ObservationCube,
-        truth: &[f64],
-        params: &Params,
-        cfg: &ModelConfig,
-    ) {
-        debug_assert_eq!(truth.len(), cube.num_groups());
-        let n = cfg.n_false_values.max(1) as f64;
-        let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        let logits = par_map_indexed(cube.groups(), |g, grp| {
-            let a = params.source_accuracy[grp.source.index()];
-            let t = truth[g];
-            logit(t * a + (1.0 - t) * (1.0 - a) / spread)
-        });
-        self.logits = logits;
-    }
-
-    /// [`Self::update`] on the sharded executor, rewriting the logit
-    /// buffer in place (no per-round allocation). Bit-identical to the
-    /// flat form at any shard count: the per-group computation is pure.
-    pub fn update_with(
-        &mut self,
-        cube: &ObservationCube,
-        truth: &[f64],
-        params: &Params,
-        cfg: &ModelConfig,
-        exec: &mut ShardedExecutor<()>,
-    ) {
-        debug_assert_eq!(truth.len(), cube.num_groups());
-        let n = cfg.n_false_values.max(1) as f64;
-        let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        let groups = cube.groups();
-        exec.map_keys(groups.len(), &mut self.logits, |_, g| {
-            let grp = &groups[g];
-            let a = params.source_accuracy[grp.source.index()];
-            let t = truth[g];
-            logit(t * a + (1.0 - t) * (1.0 - a) / spread)
-        });
-    }
-
-    /// [`Self::update_with`] on the columnar layout: the per-group source
-    /// id comes from the `group_source` column instead of the AoS group
-    /// structs. Same arithmetic per group → bit-identical.
-    pub fn update_cols(
-        &mut self,
-        cc: &ChunkedCube,
-        truth: &[f64],
-        params: &Params,
-        cfg: &ModelConfig,
-        exec: &mut ShardedExecutor<()>,
-    ) {
-        debug_assert_eq!(truth.len(), cc.num_groups());
-        let n = cfg.n_false_values.max(1) as f64;
-        let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        let sources = &cc.group_source;
-        exec.map_keys(cc.num_groups(), &mut self.logits, |_, g| {
-            let a = params.source_accuracy[sources[g] as usize];
-            let t = truth[g];
-            logit(t * a + (1.0 - t) * (1.0 - a) / spread)
-        });
-    }
-
-    /// [`Self::update_cols`] from a bare `source_offsets` CSR — the form
-    /// the streamed fit uses: groups are source-sorted, so the per-source
-    /// group spans stand in for the `group_source` column and the update
-    /// reads no chunk data at all. Same per-group arithmetic →
-    /// bit-identical to the resident update.
-    pub fn update_offsets(
         &mut self,
         source_offsets: &[u32],
         truth: &[f64],
@@ -124,60 +67,33 @@ impl AlphaState {
         let n = cfg.n_false_values.max(1) as f64;
         let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
         par_chunks_mut(&mut self.logits, |base, chunk| {
-            // The span holding group `base`; later groups only walk forward.
+            // Walk the source spans that overlap `base..end`, starting at
+            // the one holding group `base`.
+            let end = base + chunk.len();
             let mut w = source_offsets
                 .partition_point(|&o| o as usize <= base)
                 .saturating_sub(1);
-            for (i, l) in chunk.iter_mut().enumerate() {
-                let g = base + i;
-                while source_offsets[w + 1] as usize <= g {
-                    w += 1;
-                }
+            let mut g = base;
+            while g < end {
+                let span_end = (source_offsets[w + 1] as usize).min(end);
                 let a = params.source_accuracy[w];
-                let t = truth[g];
-                *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
+                for (l, &t) in chunk[g - base..span_end - base]
+                    .iter_mut()
+                    .zip(&truth[g..span_end])
+                {
+                    *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
+                }
+                g = span_end;
+                w += 1;
             }
         });
     }
 }
 
-/// Estimate `p(C_wdv = 1 | X_wdv)` for every triple group (Eq. 15 with the
-/// confidence-weighted vote count of Eq. 31). Parallel over groups.
-pub fn estimate_correctness(
-    cube: &ObservationCube,
-    votes: &VoteCounter,
-    alpha: &AlphaState,
-    cfg: &ModelConfig,
-) -> Vec<f64> {
-    par_map_indexed(cube.groups(), |g, grp| {
-        let vcc = votes.vote_count(grp.source, cube.cells_of(grp), cfg);
-        sigmoid(vcc + alpha.logit(g))
-    })
-}
-
-/// [`estimate_correctness`] on the sharded executor, writing into a
-/// caller-held buffer that is reused across EM rounds. Bit-identical to
-/// the flat form at any shard count.
-pub fn estimate_correctness_with(
-    cube: &ObservationCube,
-    votes: &VoteCounter,
-    alpha: &AlphaState,
-    cfg: &ModelConfig,
-    exec: &mut ShardedExecutor<()>,
-    out: &mut Vec<f64>,
-) {
-    let groups = cube.groups();
-    exec.map_keys(groups.len(), out, |_, g| {
-        let grp = &groups[g];
-        let vcc = votes.vote_count(grp.source, cube.cells_of(grp), cfg);
-        sigmoid(vcc + alpha.logit(g))
-    });
-}
-
-/// The per-group cell fold `vc += conf·adjust[e]` shared by the resident
-/// and streamed correctness kernels. With the `simd` feature this
-/// dispatches to the AVX2 gather kernel (bit-identical by construction);
-/// otherwise it is the scalar reference loop.
+/// The per-group cell fold `vc += conf·adjust[e]` of the correctness
+/// kernel. With the `simd` feature this dispatches to the AVX2 gather
+/// kernel (bit-identical by construction); otherwise it is the scalar
+/// loop.
 #[inline]
 fn fold_cell_votes(
     start: f64,
@@ -200,45 +116,12 @@ fn fold_cell_votes(
     }
 }
 
-/// [`estimate_correctness_with`] on the columnar layout: the vote count
-/// streams the `cell_extractor`/`cell_confidence` columns with the
-/// precomputed `Pre_e − Abs_e` adjust table, so the inner loop is a
-/// branch-free gather + multiply-accumulate per cell. The per-cell float
-/// sequence (`conf · (Pre_e − Abs_e)` accumulated in cell order onto the
-/// source absence sum) is exactly [`VoteCounter::vote_count`]'s, so the
-/// result is bit-identical to the row-major paths at any shard count.
-pub fn estimate_correctness_cols(
-    cc: &ChunkedCube,
-    votes: &VoteCounter,
-    alpha: &AlphaState,
-    cfg: &ModelConfig,
-    exec: &mut ShardedExecutor<()>,
-    out: &mut Vec<f64>,
-) {
-    let sources = &cc.group_source;
-    let offsets = &cc.cell_offsets;
-    let extractors = &cc.cell_extractor;
-    let confidences = &cc.cell_confidence;
-    exec.map_keys(cc.num_groups(), out, |_, g| {
-        let (lo, hi) = (offsets[g] as usize, offsets[g + 1] as usize);
-        // Slice once so the cell loop carries no per-access bounds checks;
-        // iteration stays in ascending cell order.
-        let vc = fold_cell_votes(
-            votes.source_absence_sum[sources[g] as usize],
-            &extractors[lo..hi],
-            &confidences[lo..hi],
-            votes,
-            cfg,
-        );
-        sigmoid(vc + alpha.logit(g))
-    });
-}
-
-/// [`estimate_correctness_cols`] for one streamed group frame: the same
-/// branch-free cell loop over the frame's columns, returning the frame's
-/// posteriors in local group order (the caller scatters them into the
-/// resident correctness vector). Per-group arithmetic is identical to the
-/// resident kernel, so a streamed fit stays bit-for-bit equal.
+/// `p(C_wdv = 1 | X_wdv)` for one group frame (Eq. 15 with the
+/// confidence-weighted vote count of Eq. 31), in local group order. The
+/// vote count streams the frame's `cell_extractor` / `cell_confidence`
+/// columns against the precomputed `Pre_e − Abs_e` table: per cell,
+/// `conf · (Pre_e − Abs_e)` accumulated in cell order onto the source's
+/// absence sum.
 pub fn estimate_correctness_frame(
     view: &GroupView<'_>,
     votes: &VoteCounter,
@@ -261,11 +144,38 @@ pub fn estimate_correctness_frame(
         .collect()
 }
 
+/// The correctness E-step: [`estimate_correctness_frame`] over every
+/// group frame of `src`, frames in parallel, scattered into
+/// `out[g]` (length `num_groups`). Per-group sigmoids are independent, so
+/// the result does not depend on the frame partition or the thread count.
+pub fn estimate_correctness<S: ChunkSource>(
+    src: &S,
+    votes: &VoteCounter,
+    alpha: &AlphaState,
+    cfg: &ModelConfig,
+    exec: &mut ShardedExecutor<()>,
+    out: &mut [f64],
+) -> io::Result<()> {
+    let frames = exec.map_chunks(
+        src.meta().group_frames.len(),
+        src.prefetch_depth(kbt_flume::num_threads()),
+        |i| src.prefetch_groups(i),
+        |_, i| src.with_groups(i, |v| estimate_correctness_frame(v, votes, alpha, cfg)),
+    )?;
+    for (range, vals) in src.meta().group_frames.iter().zip(frames) {
+        out[range.start as usize..range.end as usize].copy_from_slice(&vals);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
-    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
+    use crate::reference;
+    use kbt_datamodel::{
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
+        SourceId, ValueId,
+    };
 
     /// Two extractors with known quality; a triple extracted by the good
     /// one should be judged provided, one extracted only by the bad one
@@ -296,9 +206,9 @@ mod tests {
             q: vec![0.01, 0.4],
         };
         let cfg = ModelConfig::default();
-        let votes = VoteCounter::new(&cube, &params, &cfg);
+        let votes = reference::vote_counter(&cube, &params, &cfg);
         let alpha = AlphaState::uniform(cube.num_groups(), 0.5);
-        let c = estimate_correctness(&cube, &votes, &alpha, &cfg);
+        let c = reference::estimate_correctness(&cube, &votes, &alpha, &cfg);
         assert!(c[0] > 0.9, "good-extractor triple: {}", c[0]);
         assert!(c[1] < 0.5, "bad-extractor-only triple: {}", c[1]);
     }
@@ -317,14 +227,6 @@ mod tests {
 
     #[test]
     fn alpha_update_uses_truth_and_source_accuracy() {
-        let mut b = CubeBuilder::new();
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(0),
-            ValueId::new(0),
-        ));
-        let cube = b.build();
         let params = Params {
             source_accuracy: vec![0.6],
             precision: vec![0.9],
@@ -339,86 +241,85 @@ mod tests {
             literal_eq26_alpha: true,
             ..ModelConfig::default()
         };
-        alpha.update(&cube, &[0.004], &params, &literal);
+        alpha.update(&[0, 1], &[0.004], &params, &literal);
         let expected = logit(0.004 * 0.6 + 0.996 * 0.4);
         assert!((alpha.logit(0) - expected).abs() < 1e-12);
         // Eq. 5-consistent default spreads the false mass over n values:
         // α = 0.004·0.6 + 0.996·0.4/10 = 0.0423 — a much lower prior for
         // a value the consensus rejects.
         let cfg = ModelConfig::default();
-        alpha.update(&cube, &[0.004], &params, &cfg);
+        alpha.update(&[0, 1], &[0.004], &params, &cfg);
         let expected_spread = logit(0.004 * 0.6 + 0.996 * 0.4 / 10.0);
         assert!((alpha.logit(0) - expected_spread).abs() < 1e-12);
         assert!(alpha.logit(0) < -2.0);
     }
 
+    /// Kernel ≡ reference for the correctness E-step and the α update,
+    /// bit for bit, at several frame sizes and thread counts. The cube
+    /// has source ids without groups (3, then the trailing 6), which any
+    /// worker split of the α update must not let shift a span.
     #[test]
-    fn correctness_is_a_probability_for_all_groups() {
-        let mut b = CubeBuilder::new();
-        for w in 0..4u32 {
-            for e in 0..3u32 {
-                b.push(Observation {
-                    extractor: ExtractorId::new(e),
-                    source: SourceId::new(w),
-                    item: ItemId::new(w),
-                    value: ValueId::new(e),
-                    confidence: 0.5,
-                });
-            }
-        }
-        let cube = b.build();
-        let cfg = ModelConfig::default();
-        let params = Params::init(&cube, &cfg, &crate::params::QualityInit::Default);
-        let votes = VoteCounter::new(&cube, &params, &cfg);
-        let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-        for p in estimate_correctness(&cube, &votes, &alpha, &cfg) {
-            assert!((0.0..=1.0).contains(&p));
-        }
-    }
-
-    /// The streamed α update reads sources off the group-span CSR instead
-    /// of a `group_source` column; source ids without groups (3, then the
-    /// trailing 6) and any worker split must not shift a span.
-    #[test]
-    fn alpha_update_from_offsets_matches_the_column_update() {
+    fn correctness_and_alpha_kernels_match_the_reference_bitwise() {
         let mut b = CubeBuilder::new();
         for w in [0u32, 1, 2, 4, 5] {
             for d in 0..(1 + w % 3) {
-                b.push(Observation::certain(
-                    ExtractorId::new(0),
-                    SourceId::new(w),
-                    ItemId::new(d),
-                    ValueId::new(w % 2),
-                ));
+                for e in 0..(1 + (w + d) % 3) {
+                    b.push(Observation {
+                        extractor: ExtractorId::new(e),
+                        source: SourceId::new(w),
+                        item: ItemId::new(d),
+                        value: ValueId::new(w % 2),
+                        confidence: 0.2 + 0.25 * e as f64,
+                    });
+                }
             }
         }
-        b.reserve_ids(7, 1, 3, 2);
+        b.reserve_ids(7, 3, 3, 2);
         let cube = b.build();
-        let cfg = ModelConfig::default();
-        let cc = ChunkedCube::from_cube(&cube, &cfg.chunking());
         let ng = cube.num_groups();
         let params = Params {
             source_accuracy: (0..cube.num_sources())
                 .map(|w| 0.3 + 0.09 * w as f64)
                 .collect(),
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
+            precision: vec![0.9, 0.7, 0.5],
+            recall: vec![0.9, 0.6, 0.4],
+            q: vec![0.1, 0.2, 0.3],
         };
         let truth: Vec<f64> = (0..ng).map(|g| (g as f64 + 0.5) / ng as f64).collect();
-        let mut by_column = AlphaState::uniform(ng, cfg.alpha);
-        by_column.update_cols(&cc, &truth, &params, &cfg, &mut ShardedExecutor::new());
-        for threads in [1, 2, 5] {
-            let mut by_offsets = AlphaState::uniform(ng, cfg.alpha);
-            kbt_flume::with_threads(Some(threads), || {
-                by_offsets.update_offsets(&cc.source_offsets, &truth, &params, &cfg);
-            });
-            for g in 0..ng {
-                assert_eq!(
-                    by_offsets.logit(g).to_bits(),
-                    by_column.logit(g).to_bits(),
-                    "group {g} at {threads} threads"
-                );
+        for policy in [
+            crate::config::AbsencePolicy::AllExtractors,
+            crate::config::AbsencePolicy::SourceCandidates,
+        ] {
+            let cfg = ModelConfig {
+                absence_policy: policy,
+                ..ModelConfig::default()
+            };
+            let votes = reference::vote_counter(&cube, &params, &cfg);
+            let mut want_alpha = AlphaState::uniform(ng, cfg.alpha);
+            reference::update_alpha(&mut want_alpha, &cube, &truth, &params, &cfg);
+            let want = reference::estimate_correctness(&cube, &votes, &want_alpha, &cfg);
+            for target_cells in [1usize, 5, 1 << 20] {
+                let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
+                let src = ResidentChunks::new(&cc);
+                for threads in [1, 2, 5] {
+                    kbt_flume::with_threads(Some(threads), || {
+                        let mut alpha = AlphaState::uniform(ng, cfg.alpha);
+                        alpha.update(&cc.source_offsets, &truth, &params, &cfg);
+                        let mut got = vec![0.0; ng];
+                        let mut exec = ShardedExecutor::new();
+                        estimate_correctness(&src, &votes, &alpha, &cfg, &mut exec, &mut got)
+                            .unwrap();
+                        for g in 0..ng {
+                            let tag = format!("{policy:?} t={target_cells} g={g} x{threads}");
+                            assert_eq!(
+                                alpha.logit(g).to_bits(),
+                                want_alpha.logit(g).to_bits(),
+                                "alpha {tag}"
+                            );
+                            assert_eq!(got[g].to_bits(), want[g].to_bits(), "{tag}");
+                        }
+                    });
+                }
             }
         }
     }

@@ -60,35 +60,26 @@ pub mod mstep;
 pub mod multi_layer;
 pub mod params;
 pub mod posterior;
+pub mod reference;
 #[cfg(feature = "simd")]
 pub mod simd;
 pub mod single_layer;
 pub mod value;
 pub mod votes;
 
-pub use config::{CorrectnessWeighting, CubeResidency, ExecMode, ModelConfig, ValueModel};
+pub use config::{CorrectnessWeighting, CubeResidency, ModelConfig, ValueModel};
 pub use copydetect::{
     detect_copies, detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CopyEvidence,
 };
-pub use correctness::{
-    estimate_correctness, estimate_correctness_cols, estimate_correctness_frame,
-    estimate_correctness_with, AlphaState,
-};
+pub use correctness::{estimate_correctness, estimate_correctness_frame, AlphaState};
 pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{
     ConvergenceTrace, FusionDetail, FusionModel, FusionReport, IterationTrace, ModelKind, StageWall,
 };
-pub use mstep::{
-    update_extractor_quality_cols, update_extractor_quality_with, update_source_accuracy_cols,
-    update_source_accuracy_offsets, update_source_accuracy_with, ColExtractorScratch,
-    ExtractorScratch, StreamedExtractorAcc,
-};
+pub use mstep::{update_extractor_quality, update_source_accuracy, StreamedExtractorAcc};
 pub use multi_layer::{MultiLayerModel, MultiLayerResult, StreamStats};
 pub use params::{q_from_precision_recall, Params, QualityInit};
 pub use posterior::ItemPosteriors;
 pub use single_layer::{SingleLayerModel, SingleLayerResult};
-pub use value::{
-    estimate_values, estimate_values_cols, estimate_values_streamed, estimate_values_with,
-    ColValueScratch, ValueLayerOutput, ValueScratch,
-};
+pub use value::{estimate_values, ColValueScratch, ValueLayerOutput};
 pub use votes::VoteCounter;

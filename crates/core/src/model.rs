@@ -43,14 +43,12 @@ pub struct IterationTrace {
 }
 
 /// Cumulative wall-clock time per EM stage across all rounds — the
-/// per-stage breakdown the `em_scale` bench reports. Populated by the
-/// columnar ([`crate::ExecMode::Sharded`]) and streamed engines; the
-/// row-major engines leave it zeroed.
+/// per-stage breakdown the `em_scale` bench reports. The single-layer
+/// baseline leaves it zeroed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
-    /// The `ChunkedCube::from_cube` columnar gather (once per fit,
-    /// resident columnar mode only — streamed fits read pre-chunked
-    /// files).
+    /// The `ChunkedCube::from_cube` gather plus its chunk skeleton (once
+    /// per resident fit — streamed fits read pre-chunked files).
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14).
     pub votes: Duration,
@@ -76,8 +74,7 @@ pub struct ConvergenceTrace {
     /// Whether the run stopped because deltas fell below the threshold
     /// (as opposed to exhausting `max_iterations`).
     pub converged: bool,
-    /// Cumulative per-stage wall-clock breakdown (columnar and streamed
-    /// engines only).
+    /// Cumulative per-stage wall-clock breakdown (multi-layer fits only).
     pub stage_wall: StageWall,
 }
 
@@ -310,9 +307,8 @@ impl FusionReport {
 /// A fusion engine: fit the cube, return the unified report.
 ///
 /// Implemented by [`MultiLayerModel`] and [`SingleLayerModel`]; the
-/// numbers in the report are bit-for-bit identical to the engines' legacy
-/// `run` outputs (the `pipeline_equivalence` integration tests assert
-/// this).
+/// report wraps the engines' `run_traced` results unchanged (the
+/// `pipeline_equivalence` integration tests assert this).
 pub trait FusionModel {
     /// Run inference on `cube` starting from `init`.
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport;
@@ -366,8 +362,7 @@ mod tests {
     fn fit_matches_run_for_multilayer() {
         let cube = consensus_cube();
         let model = MultiLayerModel::new(ModelConfig::default());
-        #[allow(deprecated)]
-        let legacy = model.run(&cube, &QualityInit::Default);
+        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default);
         let report = model.fit(&cube, &QualityInit::Default);
         assert_eq!(report.model, ModelKind::MultiLayer);
         assert_eq!(report.source_trust(), legacy.params.source_accuracy);
@@ -385,8 +380,7 @@ mod tests {
     fn fit_matches_run_for_singlelayer() {
         let cube = consensus_cube();
         let model = SingleLayerModel::new(ModelConfig::single_layer_default());
-        #[allow(deprecated)]
-        let legacy = model.run(&cube, &QualityInit::Default);
+        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default);
         let report = model.fit(&cube, &QualityInit::Default);
         assert_eq!(report.model, ModelKind::SingleLayer);
         assert_eq!(report.source_trust(), legacy.source_accuracy);

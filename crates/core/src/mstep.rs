@@ -10,7 +10,9 @@
 //!   looking. `Q_e` is then *derived* via Eq. 7 rather than estimated
 //!   directly (Section 3.4.2).
 
-use kbt_datamodel::{ChunkedCube, GroupView, ObservationCube, SourceId};
+use std::io;
+
+use kbt_datamodel::{ChunkSource, GroupView, ObservationCube, SourceId};
 use kbt_flume::{par_chunks_mut, par_map_indexed, ShardedExecutor};
 
 use crate::config::ModelConfig;
@@ -20,54 +22,16 @@ use crate::params::{q_from_precision_recall, Params};
 /// Eq. 28. Sources below `cfg.min_source_support` keep their current
 /// (default) accuracy; `active` is updated to reflect which sources have
 /// enough data to be trusted.
+///
+/// Eq. 28 needs no chunk data at all: groups are source-sorted, so source
+/// `w` owns `correctness` / `truth` entries
+/// `source_offsets[w]..source_offsets[w+1]`. Sources are updated in
+/// parallel into the caller-held `updates` buffer (reused across rounds);
+/// each source's sums run serially over its span.
+// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
+#[allow(clippy::too_many_arguments)]
 pub fn update_source_accuracy(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    truth: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    active: &mut [bool],
-) {
-    debug_assert_eq!(correctness.len(), cube.num_groups());
-    debug_assert_eq!(truth.len(), cube.num_groups());
-    let updates = par_map_indexed(&vec![(); cube.num_sources()], |w, _| {
-        let range = cube.source_groups(SourceId::new(w as u32));
-        if range.len() < cfg.min_source_support {
-            return None;
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for g in range {
-            num += correctness[g] * truth[g];
-            den += correctness[g];
-        }
-        if den <= 1e-12 {
-            return None;
-        }
-        Some(clamp_quality(num / den))
-    });
-    for (w, u) in updates.into_iter().enumerate() {
-        match u {
-            Some(a) => {
-                params.source_accuracy[w] = a;
-                active[w] = true;
-            }
-            None => {
-                active[w] = false;
-            }
-        }
-    }
-}
-
-/// [`update_source_accuracy`] on the sharded executor: sources are
-/// partitioned into contiguous id-range shards and the per-source update
-/// is written into the caller-held `updates` buffer (reused across EM
-/// rounds). Per-source arithmetic is identical to the flat form, so the
-/// result is bit-identical at any shard count.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn update_source_accuracy_with(
-    cube: &ObservationCube,
+    source_offsets: &[u32],
     correctness: &[f64],
     truth: &[f64],
     cfg: &ModelConfig,
@@ -76,85 +40,10 @@ pub fn update_source_accuracy_with(
     exec: &mut ShardedExecutor<()>,
     updates: &mut Vec<Option<f64>>,
 ) {
-    debug_assert_eq!(correctness.len(), cube.num_groups());
-    debug_assert_eq!(truth.len(), cube.num_groups());
-    exec.map_keys(cube.num_sources(), updates, |_, w| {
-        let range = cube.source_groups(SourceId::new(w as u32));
-        if range.len() < cfg.min_source_support {
-            return None;
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for g in range {
-            num += correctness[g] * truth[g];
-            den += correctness[g];
-        }
-        if den <= 1e-12 {
-            return None;
-        }
-        Some(clamp_quality(num / den))
-    });
-    for (w, u) in updates.iter().enumerate() {
-        match u {
-            Some(a) => {
-                params.source_accuracy[w] = *a;
-                active[w] = true;
-            }
-            None => {
-                active[w] = false;
-            }
-        }
-    }
-}
-
-/// [`update_source_accuracy_with`] on the columnar layout: per-source
-/// group ranges come from the `source_offsets` CSR instead of the cube's
-/// range structs. The per-source accumulation walks the same contiguous
-/// `correctness`/`truth` spans in the same order → bit-identical.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn update_source_accuracy_cols(
-    cc: &ChunkedCube,
-    correctness: &[f64],
-    truth: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    active: &mut [bool],
-    exec: &mut ShardedExecutor<()>,
-    updates: &mut Vec<Option<f64>>,
-) {
-    update_source_accuracy_offsets(
-        &cc.source_offsets,
-        correctness,
-        truth,
-        cfg,
-        params,
-        active,
-        exec,
-        updates,
-    );
-}
-
-/// [`update_source_accuracy_cols`] from a bare `source_offsets` CSR —
-/// the form the streamed fit uses, since Eq. 28 needs no chunk data at
-/// all: every input (correctness, truth, the per-source group spans)
-/// stays resident. Bit-identical to the cube-backed variants.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn update_source_accuracy_offsets(
-    offsets: &[u32],
-    correctness: &[f64],
-    truth: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    active: &mut [bool],
-    exec: &mut ShardedExecutor<()>,
-    updates: &mut Vec<Option<f64>>,
-) {
-    let num_sources = offsets.len() - 1;
+    let num_sources = source_offsets.len() - 1;
     debug_assert_eq!(truth.len(), correctness.len());
     exec.map_keys(num_sources, updates, |_, w| {
-        let (lo, hi) = (offsets[w] as usize, offsets[w + 1] as usize);
+        let (lo, hi) = (source_offsets[w] as usize, source_offsets[w + 1] as usize);
         if hi - lo < cfg.min_source_support {
             return None;
         }
@@ -182,217 +71,20 @@ pub fn update_source_accuracy_offsets(
     }
 }
 
-/// Reusable accumulators for the extractor-quality M-step — held by the
-/// sharded EM engine across rounds so the per-round `num`/`pden`/`rden`
-/// vectors are allocated once per run instead of once per iteration.
-#[derive(Debug, Default)]
-pub struct ExtractorScratch {
-    num: Vec<f64>,
-    pden: Vec<f64>,
-    rden: Vec<f64>,
-}
-
-impl ExtractorScratch {
-    fn reset(&mut self, ne: usize) {
-        for v in [&mut self.num, &mut self.pden, &mut self.rden] {
-            v.clear();
-            v.resize(ne, 0.0);
-        }
-    }
-}
-
-/// [`update_extractor_quality`] with reusable accumulators. The streaming
-/// pass stays serial on purpose: per-extractor sums accumulated across
-/// shard boundaries would be combined in a thread-count-dependent
-/// grouping, breaking the bit-for-bit guarantee the sharded engine makes
-/// (and the pass is a trivial O(cells) walk dominated by the E-step).
-pub fn update_extractor_quality_with(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    scratch: &mut ExtractorScratch,
-) {
-    let ne = cube.num_extractors();
-    scratch.reset(ne);
-    let (num, pden, rden) = (&mut scratch.num, &mut scratch.pden, &mut scratch.rden);
-
-    for (g, _grp, cells) in cube.iter_with_cells() {
-        for c in cells {
-            let conf = cfg.effective_confidence(c.confidence);
-            let e = c.extractor.index();
-            num[e] += conf * correctness[g];
-            pden[e] += conf;
-        }
-    }
-    match cfg.absence_policy {
-        crate::config::AbsencePolicy::AllExtractors => {
-            let total: f64 = correctness.iter().sum();
-            rden.iter_mut().for_each(|x| *x = total);
-        }
-        crate::config::AbsencePolicy::SourceCandidates => {
-            for w in 0..cube.num_sources() {
-                let w = SourceId::new(w as u32);
-                let range = cube.source_groups(w);
-                if range.is_empty() {
-                    continue;
-                }
-                let sum_c: f64 = correctness[range.clone()].iter().sum();
-                for e in cube.extractors_on_source(w) {
-                    rden[e.index()] += sum_c;
-                }
-            }
-        }
-    }
-
-    let gamma = estimate_gamma(cube, correctness, cfg);
-    let (precision, recall, q) = (&mut params.precision, &mut params.recall, &mut params.q);
-    for e in 0..ne {
-        if pden[e] > 1e-12 {
-            precision[e] = clamp_quality(num[e] / pden[e]);
-        }
-        if rden[e] > 1e-12 {
-            recall[e] = clamp_quality(num[e] / rden[e]);
-        }
-    }
-    par_chunks_mut(q, |base, chunk| {
-        for (i, qe) in chunk.iter_mut().enumerate() {
-            let e = base + i;
-            *qe = q_from_precision_recall(precision[e], recall[e], gamma);
-        }
-    });
-}
-
-/// Reusable buffers for [`update_extractor_quality_cols`] — the
-/// per-extractor `(num, pden, rden)` sums and the per-source correctness
-/// mass of the scoped recall denominator.
-#[derive(Debug, Default)]
-pub struct ColExtractorScratch {
-    sums: Vec<(f64, f64, f64)>,
-    sum_c_source: Vec<f64>,
-}
-
-/// [`update_extractor_quality_with`] on the columnar layout, parallel per
-/// extractor. The extractor-major CSR (`ext_offsets`/`ext_group`/
-/// `ext_conf`) stores each extractor's cells as a subsequence of the
-/// global cell stream, so the per-extractor `num`/`pden` sums perform the
-/// exact float-addition sequence of the serial streaming pass; the scoped
-/// recall denominator adds each candidate source's (serially
-/// precomputed) correctness mass in ascending source order, again the
-/// serial pass's sequence. Bit-identical to the row-major updates.
-pub fn update_extractor_quality_cols(
-    cc: &ChunkedCube,
-    correctness: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    exec: &mut ShardedExecutor<()>,
-    scratch: &mut ColExtractorScratch,
-) {
-    let ne = cc.num_extractors();
-    let scoped = cfg.absence_policy == crate::config::AbsencePolicy::SourceCandidates;
-    scratch.sum_c_source.clear();
-    if scoped {
-        scratch.sum_c_source.extend((0..cc.num_sources()).map(|w| {
-            let (lo, hi) = (
-                cc.source_offsets[w] as usize,
-                cc.source_offsets[w + 1] as usize,
-            );
-            correctness[lo..hi].iter().sum::<f64>()
-        }));
-    }
-    let total_mass: f64 = if scoped {
-        0.0
-    } else {
-        correctness.iter().sum()
-    };
-
-    let sum_c_source = &scratch.sum_c_source;
-    let group_source = &cc.group_source;
-    let (ext_offsets, ext_group, ext_conf) = (&cc.ext_offsets, &cc.ext_group, &cc.ext_conf);
-    exec.map_keys(ne, &mut scratch.sums, |_, e| {
-        let mut num = 0.0;
-        let mut pden = 0.0;
-        let mut rden = 0.0;
-        let mut last_source = u32::MAX;
-        for k in ext_offsets[e] as usize..ext_offsets[e + 1] as usize {
-            let g = ext_group[k] as usize;
-            let conf = cfg.effective_confidence(ext_conf[k]);
-            num += conf * correctness[g];
-            pden += conf;
-            if scoped {
-                let w = group_source[g];
-                if w != last_source {
-                    rden += sum_c_source[w as usize];
-                    last_source = w;
-                }
-            }
-        }
-        if !scoped {
-            rden = total_mass;
-        }
-        (num, pden, rden)
-    });
-
-    let gamma = estimate_gamma_cols(cc, correctness, cfg);
-    let (precision, recall, q) = (&mut params.precision, &mut params.recall, &mut params.q);
-    for (e, &(num, pden, rden)) in scratch.sums.iter().enumerate() {
-        if pden > 1e-12 {
-            precision[e] = clamp_quality(num / pden);
-        }
-        if rden > 1e-12 {
-            recall[e] = clamp_quality(num / rden);
-        }
-    }
-    par_chunks_mut(q, |base, chunk| {
-        for (i, qe) in chunk.iter_mut().enumerate() {
-            let e = base + i;
-            *qe = q_from_precision_recall(precision[e], recall[e], gamma);
-        }
-    });
-}
-
-/// [`estimate_gamma`] on the columnar layout: distinct items per source
-/// counted over the `group_item` column spans — pure integer counting and
-/// the same serial correctness sum, so the result is bit-identical.
-fn estimate_gamma_cols(cc: &ChunkedCube, correctness: &[f64], cfg: &ModelConfig) -> f64 {
-    if !cfg.estimate_gamma || correctness.is_empty() {
-        return cfg.gamma;
-    }
-    let mut slots = 0usize;
-    for w in 0..cc.num_sources() {
-        let (lo, hi) = (
-            cc.source_offsets[w] as usize,
-            cc.source_offsets[w + 1] as usize,
-        );
-        if lo == hi {
-            continue;
-        }
-        let mut items = 1usize;
-        for pair in cc.group_item[lo..hi].windows(2) {
-            if pair[0] != pair[1] {
-                items += 1;
-            }
-        }
-        slots += items * (cfg.n_false_values + 1);
-    }
-    let mass: f64 = correctness.iter().sum();
-    crate::math::clamp_quality(mass / (slots.max(1) as f64))
-}
-
-/// Serial accumulator for the streamed extractor-quality M-step.
+/// The extractor-quality M-step (Eqs. 32–33 + Eq. 7) as a
+/// transition/final accumulator over group frames.
 ///
-/// The resident columnar update walks each extractor's cells in global
-/// cell order (the extractor-major CSR stores them as a subsequence of
-/// the global cell stream). A single serial pass over the group-major
-/// frames in frame order visits cells in exactly that global order, so
-/// dispatching each cell to its extractor's accumulator performs the
-/// same per-extractor float-addition sequence — bit-identical to
-/// [`update_extractor_quality_cols`] without ever holding more than one
-/// frame resident.
+/// Per-extractor sums must add up in a thread-count-independent order, so
+/// the fold is one serial pass over the group-major frames in ascending
+/// frame order — global cell order: `num[e] = Σ conf·p(C=1)` and
+/// `pden[e] = Σ conf` over the extractor's cells, and under the scoped
+/// absence policy `rden[e]` collects each visited source's correctness
+/// mass once (`Σ_{g : e ∈ candidates(source(g))} p(C_g = 1)`). No more
+/// than one frame is ever needed at a time.
 ///
 /// Usage: [`Self::begin`] once per round, [`Self::consume`] once per
 /// group frame in ascending frame order, [`Self::finish`] to write the
-/// new parameters.
+/// new parameters ([`update_extractor_quality`] does all three).
 #[derive(Debug, Default)]
 pub struct StreamedExtractorAcc {
     num: Vec<f64>,
@@ -406,9 +98,9 @@ pub struct StreamedExtractorAcc {
 
 impl StreamedExtractorAcc {
     /// Reset the per-extractor sums and precompute the recall
-    /// denominators for this round (per-source correctness mass under
-    /// the scoped policy, total mass otherwise — serially, exactly as
-    /// the resident update does).
+    /// denominators for this round: per-source correctness mass under
+    /// the scoped policy, total mass otherwise (Eq. 30 literally: the
+    /// same denominator for every extractor).
     pub fn begin(
         &mut self,
         num_extractors: usize,
@@ -441,13 +133,13 @@ impl StreamedExtractorAcc {
     /// must arrive in ascending frame order for the global-cell-order
     /// guarantee to hold.
     pub fn consume(&mut self, view: &GroupView<'_>, correctness: &[f64], cfg: &ModelConfig) {
-        let base = view.groups.start as usize;
-        for lg in 0..view.num_groups() {
-            let c_g = correctness[base + lg];
-            let w = view.group_source[lg];
-            for k in view.cells(lg) {
-                let e = view.cell_extractor[k] as usize;
-                let conf = cfg.effective_confidence(view.cell_confidence[k]);
+        let correctness = &correctness[view.groups.start as usize..view.groups.end as usize];
+        for (lg, (&c_g, &w)) in correctness.iter().zip(view.group_source).enumerate() {
+            let cells = view.cells(lg);
+            let extractors = &view.cell_extractor[cells.clone()];
+            for (&e, &raw) in extractors.iter().zip(&view.cell_confidence[cells]) {
+                let e = e as usize;
+                let conf = cfg.effective_confidence(raw);
                 self.num[e] += conf * c_g;
                 self.pden[e] += conf;
                 if self.scoped && self.last_source[e] != w {
@@ -458,10 +150,9 @@ impl StreamedExtractorAcc {
         }
     }
 
-    /// Derive the new precision/recall/Q. `source_item_counts` is the
-    /// per-source distinct-item count the chunk store persists, feeding
-    /// the same γ estimate [`update_extractor_quality_cols`] computes
-    /// from the `group_item` column.
+    /// Derive the new precision/recall and, via Eq. 7, Q.
+    /// `source_item_counts` is the per-source distinct-item count of the
+    /// chunk skeleton, feeding [`estimate_gamma`].
     pub fn finish(
         &mut self,
         source_item_counts: &[u32],
@@ -469,7 +160,7 @@ impl StreamedExtractorAcc {
         cfg: &ModelConfig,
         params: &mut Params,
     ) {
-        let gamma = estimate_gamma_streamed(source_item_counts, correctness, cfg);
+        let gamma = estimate_gamma(source_item_counts, correctness, cfg);
         let (precision, recall, q) = (&mut params.precision, &mut params.recall, &mut params.q);
         for e in 0..precision.len() {
             let rden = if self.scoped {
@@ -493,14 +184,11 @@ impl StreamedExtractorAcc {
     }
 }
 
-/// [`estimate_gamma_cols`] from the persisted per-source distinct-item
-/// counts: the slot total is the same integer sum, the mass the same
-/// serial correctness sum → bit-identical.
-fn estimate_gamma_streamed(
-    source_item_counts: &[u32],
-    correctness: &[f64],
-    cfg: &ModelConfig,
-) -> f64 {
+/// The γ re-estimation of the extractor-quality update (see
+/// [`ModelConfig::estimate_gamma`]): expected provided mass over the slot
+/// universe — each source can provide one of `n + 1` domain values for
+/// each of its `source_item_counts[w]` distinct items.
+pub fn estimate_gamma(source_item_counts: &[u32], correctness: &[f64], cfg: &ModelConfig) -> f64 {
     if !cfg.estimate_gamma || correctness.is_empty() {
         return cfg.gamma;
     }
@@ -509,108 +197,35 @@ fn estimate_gamma_streamed(
         slots += c as usize * (cfg.n_false_values + 1);
     }
     let mass: f64 = correctness.iter().sum();
-    crate::math::clamp_quality(mass / (slots.max(1) as f64))
+    clamp_quality(mass / (slots.max(1) as f64))
 }
 
-/// The γ re-estimation shared by the extractor-quality updates (see
-/// [`ModelConfig::estimate_gamma`]): expected provided mass over the
-/// per-source item-slot universe.
-fn estimate_gamma(cube: &ObservationCube, correctness: &[f64], cfg: &ModelConfig) -> f64 {
-    if !cfg.estimate_gamma || correctness.is_empty() {
-        return cfg.gamma;
-    }
-    let mut slots = 0usize;
-    for w in 0..cube.num_sources() {
-        let range = cube.source_groups(SourceId::new(w as u32));
-        if range.is_empty() {
-            continue;
-        }
-        let groups = &cube.groups()[range];
-        let mut items = 1usize;
-        for pair in groups.windows(2) {
-            if pair[0].item != pair[1].item {
-                items += 1;
-            }
-        }
-        slots += items * (cfg.n_false_values + 1);
-    }
-    let mass: f64 = correctness.iter().sum();
-    crate::math::clamp_quality(mass / (slots.max(1) as f64))
-}
-
-/// Eqs. 32–33 + Eq. 7. One streaming pass over the cube accumulates the
-/// per-extractor sums; the recall denominator distributes each source's
-/// total correctness mass to that source's candidate extractors.
-pub fn update_extractor_quality(
-    cube: &ObservationCube,
+/// The extractor-quality M-step over every group frame of `src`: one
+/// [`StreamedExtractorAcc`] (the arena of `fold`'s single worker) folded
+/// over the frames in ascending order under the source's prefetch
+/// look-ahead.
+pub fn update_extractor_quality<S: ChunkSource>(
+    src: &S,
     correctness: &[f64],
     cfg: &ModelConfig,
     params: &mut Params,
-) {
-    let ne = cube.num_extractors();
-    // num[e]   = Σ_{cells of e} conf · p(C=1)
-    // pden[e]  = Σ_{cells of e} conf
-    // rden[e]  = Σ_{groups g : e ∈ candidates(source(g))} p(C_g = 1)
-    let mut num = vec![0.0f64; ne];
-    let mut pden = vec![0.0f64; ne];
-    let mut rden = vec![0.0f64; ne];
-
-    for (g, _grp, cells) in cube.iter_with_cells() {
-        for c in cells {
-            let conf = cfg.effective_confidence(c.confidence);
-            let e = c.extractor.index();
-            num[e] += conf * correctness[g];
-            pden[e] += conf;
-        }
-    }
-    match cfg.absence_policy {
-        crate::config::AbsencePolicy::AllExtractors => {
-            // Eq. 30 literally: the denominator is the total provided
-            // mass, identical for every extractor.
-            let total: f64 = correctness.iter().sum();
-            rden.iter_mut().for_each(|x| *x = total);
-        }
-        crate::config::AbsencePolicy::SourceCandidates => {
-            for w in 0..cube.num_sources() {
-                let w = SourceId::new(w as u32);
-                let range = cube.source_groups(w);
-                if range.is_empty() {
-                    continue;
-                }
-                let sum_c: f64 = correctness[range.clone()].iter().sum();
-                for e in cube.extractors_on_source(w) {
-                    rden[e.index()] += sum_c;
-                }
-            }
-        }
-    }
-
-    // γ̂ = expected provided mass over the slot universe: each source can
-    // provide one of (n+1) domain values for each item it talks about.
-    // Groups are sorted by (source, item, value), so distinct items per
-    // source are countable in one pass (see [`estimate_gamma`]).
-    let gamma = estimate_gamma(cube, correctness, cfg);
-    let slices: (&mut [f64], &mut [f64], &mut [f64]) =
-        (&mut params.precision, &mut params.recall, &mut params.q);
-    let (precision, recall, q) = slices;
-    // Cheap loop; parallelize only the final derivation for large E.
-    for e in 0..ne {
-        if pden[e] > 1e-12 {
-            precision[e] = clamp_quality(num[e] / pden[e]);
-        }
-        if rden[e] > 1e-12 {
-            recall[e] = clamp_quality(num[e] / rden[e]);
-        }
-    }
-    par_chunks_mut(q, |base, chunk| {
-        for (i, qe) in chunk.iter_mut().enumerate() {
-            let e = base + i;
-            *qe = q_from_precision_recall(precision[e], recall[e], gamma);
-        }
-    });
+    fold: &mut ShardedExecutor<StreamedExtractorAcc>,
+) -> io::Result<()> {
+    debug_assert_eq!(fold.num_shards(), 1, "the fold is serial by contract");
+    let meta = src.meta();
+    let ne = meta.num_extractors as usize;
+    fold.scratch_mut()[0].begin(ne, &meta.source_offsets, correctness, cfg);
+    fold.map_chunks(
+        meta.group_frames.len(),
+        src.prefetch_depth(kbt_flume::num_threads()),
+        |i| src.prefetch_groups(i),
+        |acc, i| src.with_groups(i, |v| acc.consume(v, correctness, cfg)),
+    )?;
+    fold.scratch_mut()[0].finish(&meta.source_item_counts, correctness, cfg, params);
+    Ok(())
 }
 
-/// Per-extractor parallel variant of [`update_extractor_quality`], keyed
+/// Per-extractor parallel variant of the extractor-quality update, keyed
 /// by extractor as the paper's Map-Reduce pipeline is (Section 5.3.4).
 ///
 /// Each extractor's sums are computed from its own cell index, with one
@@ -635,7 +250,7 @@ pub fn update_extractor_quality_indexed(
         .collect();
     let total_mass: f64 = correctness.iter().sum();
 
-    let gamma = estimate_gamma(cube, correctness, cfg);
+    let gamma = crate::reference::estimate_gamma(cube, correctness, cfg);
 
     let scoped = cfg.absence_policy == crate::config::AbsencePolicy::SourceCandidates;
     let results: Vec<(f64, f64, f64)> = par_map_indexed(index, |_, cells| {
@@ -676,147 +291,32 @@ pub fn update_extractor_quality_indexed(
 mod tests {
     use super::*;
     use crate::params::QualityInit;
-    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
+    use crate::reference;
+    use kbt_datamodel::{
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
+        ValueId,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn cube_two_sources() -> ObservationCube {
+    fn random_cube(rng: &mut StdRng, n: usize) -> ObservationCube {
         let mut b = CubeBuilder::new();
-        // W0 provides two triples; W1 provides one.
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(0),
-            ValueId::new(0),
-        ));
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(1),
-            ValueId::new(1),
-        ));
-        b.push(Observation::certain(
-            ExtractorId::new(1),
-            SourceId::new(1),
-            ItemId::new(0),
-            ValueId::new(2),
-        ));
+        for _ in 0..n {
+            b.push(Observation {
+                extractor: ExtractorId::new(rng.gen_range(0..8)),
+                source: SourceId::new(rng.gen_range(0..15)),
+                item: ItemId::new(rng.gen_range(0..25)),
+                value: ValueId::new(rng.gen_range(0..4)),
+                confidence: rng.gen::<f64>(),
+            });
+        }
         b.build()
     }
 
     #[test]
-    fn source_accuracy_is_weighted_average_of_truth() {
-        let cube = cube_two_sources();
-        let cfg = ModelConfig::default();
-        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        let mut active = vec![false; 2];
-        // W0 groups: truth .9 and .5, correctness 1 and .5 →
-        // A = (1·.9 + .5·.5) / (1 + .5) = 1.15/1.5.
-        update_source_accuracy(
-            &cube,
-            &[1.0, 0.5, 1.0],
-            &[0.9, 0.5, 0.2],
-            &cfg,
-            &mut params,
-            &mut active,
-        );
-        assert!((params.source_accuracy[0] - 1.15 / 1.5).abs() < 1e-12);
-        assert!((params.source_accuracy[1] - 0.2).abs() < 1e-12);
-        assert!(active[0] && active[1]);
-    }
-
-    #[test]
-    fn low_support_sources_stay_default_and_inactive() {
-        let cube = cube_two_sources();
-        let cfg = ModelConfig {
-            min_source_support: 2,
-            ..ModelConfig::default()
-        };
-        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        let mut active = vec![true; 2];
-        update_source_accuracy(
-            &cube,
-            &[1.0, 1.0, 1.0],
-            &[0.9, 0.9, 0.1],
-            &cfg,
-            &mut params,
-            &mut active,
-        );
-        assert!(active[0], "W0 has 2 triples");
-        assert!(!active[1], "W1 has 1 triple < support 2");
-        assert_eq!(params.source_accuracy[1], 0.8, "stays at default");
-    }
-
-    #[test]
-    fn extractor_precision_is_mean_correctness_of_its_extractions() {
-        let cube = cube_two_sources();
-        // Scope recall to visited sources so the expectations below follow
-        // from each extractor's own source, and hold γ fixed so Eq. 7 is
-        // directly checkable.
-        let cfg = ModelConfig {
-            absence_policy: crate::config::AbsencePolicy::SourceCandidates,
-            estimate_gamma: false,
-            ..ModelConfig::default()
-        };
-        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        // E0 extracted groups 0,1 (correctness .8, .4) → P = .6.
-        // E1 extracted group 2 (correctness 1.0) → P = 1 → clamped .999.
-        update_extractor_quality(&cube, &[0.8, 0.4, 1.0], &cfg, &mut params);
-        assert!((params.precision[0] - 0.6).abs() < 1e-12);
-        assert!((params.precision[1] - 0.999).abs() < 1e-12);
-        // Recall of E0: num = 1.2; rden = correctness mass of W0 = 1.2 →
-        // R = 1 → clamped.
-        assert!((params.recall[0] - 0.999).abs() < 1e-9);
-        // Q re-derived via Eq. 7.
-        let expect_q0 = q_from_precision_recall(0.6, 0.999, cfg.gamma);
-        assert!((params.q[0] - expect_q0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recall_counts_missed_triples_of_visited_sources() {
-        // Two extractors both active on W0; E1 misses one of the two
-        // provided triples → recall ≈ mass captured / mass provided.
-        let mut b = CubeBuilder::new();
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(0),
-            ValueId::new(0),
-        ));
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(1),
-            ValueId::new(0),
-        ));
-        b.push(Observation::certain(
-            ExtractorId::new(1),
-            SourceId::new(0),
-            ItemId::new(0),
-            ValueId::new(0),
-        ));
-        let cube = b.build();
-        let cfg = ModelConfig::default();
-        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        update_extractor_quality(&cube, &[1.0, 1.0], &cfg, &mut params);
-        // E1 captured group 0 only: R = 1 / (1 + 1) = 0.5.
-        assert!((params.recall[1] - 0.5).abs() < 1e-12);
-        assert!((params.recall[0] - 0.999).abs() < 1e-9);
-    }
-
-    #[test]
     fn indexed_update_matches_streaming_update() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        let mut b = CubeBuilder::new();
-        for _ in 0..500 {
-            b.push(Observation::certain(
-                ExtractorId::new(rng.gen_range(0..7)),
-                SourceId::new(rng.gen_range(0..20)),
-                ItemId::new(rng.gen_range(0..30)),
-                ValueId::new(rng.gen_range(0..5)),
-            ));
-        }
-        let cube = b.build();
+        let cube = random_cube(&mut rng, 500);
         let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
         for policy in [
             crate::config::AbsencePolicy::AllExtractors,
@@ -828,7 +328,7 @@ mod tests {
             };
             let mut a = Params::init(&cube, &cfg, &QualityInit::Default);
             let mut b2 = a.clone();
-            update_extractor_quality(&cube, &correctness, &cfg, &mut a);
+            reference::update_extractor_quality(&cube, &correctness, &cfg, &mut a);
             let index = cube.build_extractor_index();
             update_extractor_quality_indexed(&cube, &correctness, &cfg, &mut b2, &index);
             for e in 0..cube.num_extractors() {
@@ -839,175 +339,13 @@ mod tests {
         }
     }
 
-    /// The `_with` variants (sharded / scratch-reusing) must be bit-for-bit
-    /// the flat updates, at several shard counts and across reuse rounds.
+    /// Kernel ≡ reference for both M-steps, bit for bit: Eq. 28 from the
+    /// offsets CSR and the serial frame fold of Eqs. 32–33, at several
+    /// frame sizes and thread counts and across buffer-reuse rounds.
     #[test]
-    fn with_variants_match_flat_updates_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut b = CubeBuilder::new();
-        for _ in 0..600 {
-            b.push(Observation {
-                extractor: ExtractorId::new(rng.gen_range(0..8)),
-                source: SourceId::new(rng.gen_range(0..15)),
-                item: ItemId::new(rng.gen_range(0..25)),
-                value: ValueId::new(rng.gen_range(0..4)),
-                confidence: rng.gen::<f64>(),
-            });
-        }
-        let cube = b.build();
-        let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        let truth: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        for policy in [
-            crate::config::AbsencePolicy::AllExtractors,
-            crate::config::AbsencePolicy::SourceCandidates,
-        ] {
-            let cfg = ModelConfig {
-                absence_policy: policy,
-                min_source_support: 3,
-                ..ModelConfig::default()
-            };
-            let mut flat = Params::init(&cube, &cfg, &QualityInit::Default);
-            let mut flat_active = vec![true; cube.num_sources()];
-            update_source_accuracy(
-                &cube,
-                &correctness,
-                &truth,
-                &cfg,
-                &mut flat,
-                &mut flat_active,
-            );
-            update_extractor_quality(&cube, &correctness, &cfg, &mut flat);
-            for shards in [1usize, 2, 8] {
-                let mut sharded = Params::init(&cube, &cfg, &QualityInit::Default);
-                let mut active = vec![true; cube.num_sources()];
-                let mut exec = ShardedExecutor::with_shards(shards);
-                let mut updates = Vec::new();
-                let mut scratch = ExtractorScratch::default();
-                // Two rounds: the second exercises buffer reuse.
-                for _ in 0..2 {
-                    update_source_accuracy_with(
-                        &cube,
-                        &correctness,
-                        &truth,
-                        &cfg,
-                        &mut sharded,
-                        &mut active,
-                        &mut exec,
-                        &mut updates,
-                    );
-                    update_extractor_quality_with(
-                        &cube,
-                        &correctness,
-                        &cfg,
-                        &mut sharded,
-                        &mut scratch,
-                    );
-                }
-                assert_eq!(sharded, flat, "policy {policy:?} shards {shards}");
-                assert_eq!(active, flat_active);
-            }
-        }
-    }
-
-    /// The columnar M-steps must be bit-for-bit the flat updates, at
-    /// several shard counts, chunk sizes, and across buffer-reuse rounds.
-    #[test]
-    fn cols_variants_match_flat_updates_bitwise() {
-        use kbt_datamodel::{ChunkedCube, ChunkingConfig};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut b = CubeBuilder::new();
-        for _ in 0..600 {
-            b.push(Observation {
-                extractor: ExtractorId::new(rng.gen_range(0..8)),
-                source: SourceId::new(rng.gen_range(0..15)),
-                item: ItemId::new(rng.gen_range(0..25)),
-                value: ValueId::new(rng.gen_range(0..4)),
-                confidence: rng.gen::<f64>(),
-            });
-        }
-        let cube = b.build();
-        let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        let truth: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        for policy in [
-            crate::config::AbsencePolicy::AllExtractors,
-            crate::config::AbsencePolicy::SourceCandidates,
-        ] {
-            let cfg = ModelConfig {
-                absence_policy: policy,
-                min_source_support: 3,
-                ..ModelConfig::default()
-            };
-            let mut flat = Params::init(&cube, &cfg, &QualityInit::Default);
-            let mut flat_active = vec![true; cube.num_sources()];
-            update_source_accuracy(
-                &cube,
-                &correctness,
-                &truth,
-                &cfg,
-                &mut flat,
-                &mut flat_active,
-            );
-            update_extractor_quality(&cube, &correctness, &cfg, &mut flat);
-            for target_cells in [1usize, 64, 1 << 20] {
-                let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
-                for shards in [1usize, 2, 8] {
-                    let mut cols = Params::init(&cube, &cfg, &QualityInit::Default);
-                    let mut active = vec![true; cube.num_sources()];
-                    let mut exec = ShardedExecutor::with_shards(shards);
-                    let mut updates = Vec::new();
-                    let mut scratch = ColExtractorScratch::default();
-                    // Two rounds: the second exercises buffer reuse.
-                    for _ in 0..2 {
-                        update_source_accuracy_cols(
-                            &cc,
-                            &correctness,
-                            &truth,
-                            &cfg,
-                            &mut cols,
-                            &mut active,
-                            &mut exec,
-                            &mut updates,
-                        );
-                        update_extractor_quality_cols(
-                            &cc,
-                            &correctness,
-                            &cfg,
-                            &mut cols,
-                            &mut exec,
-                            &mut scratch,
-                        );
-                    }
-                    assert_eq!(cols, flat, "{policy:?} t={target_cells} s={shards}");
-                    assert_eq!(active, flat_active);
-                }
-            }
-        }
-    }
-
-    /// The streamed M-steps — source accuracy from a bare offsets CSR and
-    /// extractor quality from a serial group-frame fold — must be
-    /// bit-for-bit the resident columnar updates.
-    #[test]
-    fn streamed_mstep_matches_cols_bitwise() {
-        use kbt_datamodel::{ChunkStoreMeta, ChunkedCube, ChunkingConfig};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    fn mstep_kernels_match_the_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(33);
-        let mut b = CubeBuilder::new();
-        for _ in 0..600 {
-            b.push(Observation {
-                extractor: ExtractorId::new(rng.gen_range(0..8)),
-                source: SourceId::new(rng.gen_range(0..15)),
-                item: ItemId::new(rng.gen_range(0..25)),
-                value: ValueId::new(rng.gen_range(0..4)),
-                confidence: rng.gen::<f64>(),
-            });
-        }
-        let cube = b.build();
+        let cube = random_cube(&mut rng, 600);
         let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
         let truth: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
         for policy in [
@@ -1021,91 +359,47 @@ mod tests {
                     min_source_support: 3,
                     ..ModelConfig::default()
                 };
+                let mut want = Params::init(&cube, &cfg, &QualityInit::Default);
+                let mut want_active = vec![true; cube.num_sources()];
+                reference::update_source_accuracy(
+                    &cube,
+                    &correctness,
+                    &truth,
+                    &cfg,
+                    &mut want,
+                    &mut want_active,
+                );
+                reference::update_extractor_quality(&cube, &correctness, &cfg, &mut want);
                 for target_cells in [1usize, 64, 1 << 20] {
                     let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
-                    let meta = ChunkStoreMeta::from_cube(&cc);
-                    let mut exec = ShardedExecutor::with_shards(4);
-                    let mut updates = Vec::new();
-
-                    let mut cols = Params::init(&cube, &cfg, &QualityInit::Default);
-                    let mut cols_active = vec![true; cube.num_sources()];
-                    let mut col_scratch = ColExtractorScratch::default();
-                    update_source_accuracy_cols(
-                        &cc,
-                        &correctness,
-                        &truth,
-                        &cfg,
-                        &mut cols,
-                        &mut cols_active,
-                        &mut exec,
-                        &mut updates,
-                    );
-                    update_extractor_quality_cols(
-                        &cc,
-                        &correctness,
-                        &cfg,
-                        &mut cols,
-                        &mut exec,
-                        &mut col_scratch,
-                    );
-
-                    let mut st = Params::init(&cube, &cfg, &QualityInit::Default);
-                    let mut st_active = vec![true; cube.num_sources()];
-                    update_source_accuracy_offsets(
-                        &meta.source_offsets,
-                        &correctness,
-                        &truth,
-                        &cfg,
-                        &mut st,
-                        &mut st_active,
-                        &mut exec,
-                        &mut updates,
-                    );
-                    let mut acc = StreamedExtractorAcc::default();
-                    acc.begin(
-                        cube.num_extractors(),
-                        &meta.source_offsets,
-                        &correctness,
-                        &cfg,
-                    );
-                    for frame in &meta.group_frames {
-                        acc.consume(&cc.group_view(frame.clone()), &correctness, &cfg);
+                    let src = ResidentChunks::new(&cc);
+                    for threads in [1usize, 2, 8] {
+                        let mut got = Params::init(&cube, &cfg, &QualityInit::Default);
+                        let mut active = vec![true; cube.num_sources()];
+                        let mut exec = ShardedExecutor::with_shards(threads);
+                        let mut fold = ShardedExecutor::with_shards(1);
+                        let mut updates = Vec::new();
+                        // Two rounds: the second exercises buffer reuse.
+                        for _ in 0..2 {
+                            update_source_accuracy(
+                                &cc.source_offsets,
+                                &correctness,
+                                &truth,
+                                &cfg,
+                                &mut got,
+                                &mut active,
+                                &mut exec,
+                                &mut updates,
+                            );
+                            update_extractor_quality(&src, &correctness, &cfg, &mut got, &mut fold)
+                                .unwrap();
+                        }
+                        let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
+                        assert_eq!(got, want, "{tag} x{threads}");
+                        assert_eq!(active, want_active, "{tag} x{threads}");
                     }
-                    acc.finish(&meta.source_item_counts, &correctness, &cfg, &mut st);
-
-                    assert_eq!(
-                        st, cols,
-                        "{policy:?} gamma={estimate_gamma} t={target_cells}"
-                    );
-                    assert_eq!(st_active, cols_active);
                 }
             }
         }
-    }
-
-    #[test]
-    fn confidence_weighting_discounts_unsure_extractions() {
-        let mut b = CubeBuilder::new();
-        b.push(Observation {
-            extractor: ExtractorId::new(0),
-            source: SourceId::new(0),
-            item: ItemId::new(0),
-            value: ValueId::new(0),
-            confidence: 0.5,
-        });
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            ItemId::new(1),
-            ValueId::new(0),
-        ));
-        let cube = b.build();
-        let cfg = ModelConfig::default();
-        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        // correctness: group0 = 0 (wrong), group1 = 1 (right).
-        update_extractor_quality(&cube, &[0.0, 1.0], &cfg, &mut params);
-        // P = (0.5·0 + 1·1) / (0.5 + 1) = 2/3 — the unsure wrong
-        // extraction costs less than a confident wrong one would.
-        assert!((params.precision[0] - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -16,28 +16,19 @@ use std::io;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    CacheStats, ChunkCache, ChunkedCube, FileChunkStore, ObservationCube, SourceId,
+    CacheStats, ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
+    SourceId, StreamedChunks,
 };
 use kbt_flume::{ShardedExecutor, Stopwatch};
 
-use crate::config::{ExecMode, ModelConfig};
+use crate::config::ModelConfig;
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount, CopyEvidence};
-use crate::correctness::{
-    estimate_correctness, estimate_correctness_cols, estimate_correctness_frame,
-    estimate_correctness_with, AlphaState,
-};
+use crate::correctness::{estimate_correctness, AlphaState};
 use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
-use crate::mstep::{
-    update_extractor_quality, update_extractor_quality_cols, update_extractor_quality_with,
-    update_source_accuracy, update_source_accuracy_cols, update_source_accuracy_offsets,
-    update_source_accuracy_with, ColExtractorScratch, ExtractorScratch, StreamedExtractorAcc,
-};
+use crate::mstep::{update_extractor_quality, update_source_accuracy, StreamedExtractorAcc};
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
-use crate::value::{
-    estimate_values, estimate_values_cols, estimate_values_streamed, estimate_values_with,
-    ColValueScratch, ValueLayerOutput, ValueScratch,
-};
+use crate::value::{estimate_values, ColValueScratch, ValueLayerOutput};
 use crate::votes::VoteCounter;
 
 /// Everything Algorithm 1 returns: the latent-variable estimates `Z` and
@@ -126,19 +117,6 @@ impl MultiLayerModel {
         &self.cfg
     }
 
-    /// Run Algorithm 1 on `cube` with the given parameter initialization.
-    ///
-    /// Legacy entry point; prefer [`crate::FusionModel::fit`], which
-    /// returns the unified [`crate::FusionReport`] with the convergence
-    /// trace. The numbers are bit-for-bit identical.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use FusionModel::fit (or TrustPipeline) and read FusionReport"
-    )]
-    pub fn run(&self, cube: &ObservationCube, init: &QualityInit) -> MultiLayerResult {
-        self.run_traced(cube, init).0
-    }
-
     /// Run Algorithm 1, also recording per-iteration diagnostics.
     ///
     /// Inference runs under the per-run thread configuration of
@@ -213,18 +191,18 @@ impl MultiLayerModel {
             CopyDiscount::from_scales(scales)
         });
         let base_discount = prior_discount.as_ref().filter(|d| !d.is_neutral());
-        // The columnar engine's view of the cube, built once per run: the
-        // copy-aware loop refits the same cube several times, and the
-        // gather is pure so every refit can share it.
-        let mut gather = std::time::Duration::ZERO;
-        let chunked = (self.cfg.exec_mode == ExecMode::Sharded).then(|| {
-            let mut sw = Stopwatch::start();
-            let cc = ChunkedCube::from_cube(cube, &self.cfg.chunking());
-            gather = sw.lap();
-            cc
-        });
-        let chunked = chunked.as_ref();
-        let (mut result, mut trace) = self.run_em(cube, chunked, init, prior_truth, base_discount);
+        // The chunk view of the cube, built once per run: the copy-aware
+        // loop refits the same cube several times, and the gather is pure
+        // so every refit can share it.
+        let mut sw = Stopwatch::start();
+        let chunked = ChunkedCube::from_cube(cube, &self.cfg.chunking());
+        let src = ResidentChunks::new(&chunked);
+        let gather = sw.lap();
+        let fit = |discount: Option<&CopyDiscount>| {
+            run_em(&self.cfg, &src, init, prior_truth, discount)
+                .expect("resident chunk views cannot fail")
+        };
+        let (mut result, mut trace) = fit(base_discount);
         trace.stage_wall.chunking += gather;
         // Record the factors this fit actually ran with even when no
         // detection is configured (e.g. a session carrying prior evidence
@@ -276,8 +254,7 @@ impl MultiLayerModel {
                         break;
                     }
                     discount = next;
-                    let (refit, refit_trace) =
-                        self.run_em(cube, chunked, init, prior_truth, Some(&discount));
+                    let (refit, refit_trace) = fit(Some(&discount));
                     let offset = trace.rounds.len();
                     trace
                         .rounds
@@ -300,602 +277,186 @@ impl MultiLayerModel {
         (result, trace)
     }
 
-    fn run_em(
-        &self,
-        cube: &ObservationCube,
-        chunked: Option<&ChunkedCube>,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        discount: Option<&CopyDiscount>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        match self.cfg.exec_mode {
-            ExecMode::Flat => self.run_flat(cube, init, prior_truth, discount),
-            ExecMode::ShardedRows => self.run_sharded_rows(cube, init, prior_truth, discount),
-            ExecMode::Sharded => match chunked {
-                Some(cc) => self.run_columnar(cube, cc, init, prior_truth, discount),
-                None => {
-                    let cc = ChunkedCube::from_cube(cube, &self.cfg.chunking());
-                    self.run_columnar(cube, &cc, init, prior_truth, discount)
-                }
-            },
-        }
-    }
-
-    /// Algorithm 1 on the columnar chunked engine ([`ExecMode::Sharded`]):
-    /// every stage streams the [`ChunkedCube`]'s columns on a
-    /// [`ShardedExecutor`] whose scratch arenas persist across EM rounds —
-    /// the value E-step schedules whole chunks balanced on cell mass, the
-    /// correctness E-step and both M-steps reduce columns branch-free in
-    /// fixed order. Bit-for-bit identical to [`Self::run_flat`] and
-    /// [`Self::run_sharded_rows`] at any thread count (the
-    /// `sharded_engine` and `columnar_cube` integration tests assert
-    /// this).
-    fn run_columnar(
-        &self,
-        cube: &ObservationCube,
-        cc: &ChunkedCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        discount: Option<&CopyDiscount>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        let cfg = &self.cfg;
-        let mut params = Params::init(cube, cfg, init);
-        let mut active: Vec<bool> = (0..cube.num_sources())
-            .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
-            .collect();
-        let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-        let alpha_matured = alpha_matured_by(init);
-
-        // The engine state reused across rounds.
-        let mut value_exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
-        let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut votes = VoteCounter::empty();
-        let mut correctness: Vec<f64> = Vec::new();
-        let mut src_updates: Vec<Option<f64>> = Vec::new();
-        let mut ext_scratch = ColExtractorScratch::default();
-        let mut ll_buf: Vec<f64> = Vec::new();
-
-        if let Some(t0) = prior_truth {
-            debug_assert_eq!(t0.len(), cube.num_groups());
-            if cfg.alpha_update_from.is_some() {
-                alpha.update_cols(cc, t0, &params, cfg, &mut group_exec);
-            }
-        }
-
-        let mut values: Option<ValueLayerOutput> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut trace = ConvergenceTrace::default();
-        let mut watch = Stopwatch::start();
-        let mut stage = Stopwatch::start();
-
-        for t in 1..=cfg.max_iterations {
-            iterations = t;
-            stage.lap();
-            // Step 1: extraction correctness.
-            votes.rebuild(cube, &params, cfg);
-            trace.stage_wall.votes += stage.lap();
-            estimate_correctness_cols(cc, &votes, &alpha, cfg, &mut group_exec, &mut correctness);
-            trace.stage_wall.correctness += stage.lap();
-            // Step 2: item values (with the CopyDiscount stage, if any).
-            let out = estimate_values_cols(
-                cc,
-                &correctness,
-                &params,
-                cfg,
-                &active,
-                discount,
-                &mut value_exec,
-            );
-            trace.stage_wall.values += stage.lap();
-            // Steps 3–4: parameters.
-            let prev = params.clone();
-            update_source_accuracy_cols(
-                cc,
-                &correctness,
-                &out.truth_given_provided,
-                cfg,
-                &mut params,
-                &mut active,
-                &mut source_exec,
-                &mut src_updates,
-            );
-            trace.stage_wall.source_update += stage.lap();
-            update_extractor_quality_cols(
-                cc,
-                &correctness,
-                cfg,
-                &mut params,
-                &mut source_exec,
-                &mut ext_scratch,
-            );
-            trace.stage_wall.extractor_update += stage.lap();
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
-                alpha.update_cols(cc, &out.truth_of_group, &params, cfg, &mut group_exec);
-            }
-            trace.stage_wall.alpha += stage.lap();
-            let delta = params.max_abs_delta(&prev);
-            // Per-group LL terms in parallel, summed serially in group
-            // order — the same addition sequence as the serial fold.
-            let truth = &out.truth_of_group;
-            let corr = &correctness;
-            group_exec.map_keys(cc.num_groups(), &mut ll_buf, |_, g| {
-                map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])
-            });
-            let log_likelihood = ll_buf.iter().sum();
-            trace.stage_wall.log_likelihood += stage.lap();
-            trace.rounds.push(IterationTrace {
-                iteration: t,
-                delta,
-                log_likelihood,
-                wall: watch.lap(),
-            });
-            values = Some(out);
-            if delta < cfg.convergence_eps {
-                converged = true;
-                break;
-            }
-        }
-        trace.converged = converged;
-
-        let values = values.unwrap_or_else(|| empty_values(cube, cfg));
-        let result = MultiLayerResult {
-            params,
-            correctness,
-            posteriors: values.posteriors,
-            truth_of_group: values.truth_of_group,
-            truth_given_provided: values.truth_given_provided,
-            covered_group: values.covered_group,
-            active_source: active,
-            iterations,
-            converged,
-            copy_evidence: None,
-            source_independence: None,
-        };
-        (result, trace)
-    }
-
     /// Algorithm 1 driven entirely from a [`FileChunkStore`] — the
-    /// out-of-core engine behind
-    /// [`crate::config::CubeResidency::Streamed`]. No [`ObservationCube`]
-    /// (or [`ChunkedCube`]) is ever materialized: only the O(groups)
-    /// posterior vectors, the per-source/per-extractor tables, and at most
-    /// `max_resident_chunks` decoded chunks per cache are resident, while
-    /// a background prefetcher overlaps the next chunk's read + decode
-    /// with the current chunk's compute.
+    /// out-of-core fit behind [`crate::config::CubeResidency::Streamed`].
+    /// No [`ObservationCube`] (or [`ChunkedCube`]) is ever materialized:
+    /// only the O(groups) posterior vectors, the per-source/per-extractor
+    /// tables, and at most `max_resident_chunks` decoded chunks per cache
+    /// (`0` = unbounded) are resident, while a background prefetcher
+    /// overlaps the next chunk's read + decode with the current chunk's
+    /// compute.
     ///
-    /// Every stage reproduces the resident columnar engine's exact float
-    /// sequence (vote tables from the persisted per-source extractor CSR,
-    /// per-frame correctness, chunk-order value merge, offsets-CSR
-    /// source and α updates, serial global-cell-order extractor fold), so the
-    /// fit is **bit-for-bit identical** to [`ExecMode::Sharded`] on the
-    /// resident cube, at any thread count and any cache size ≥ 1 (the
-    /// `out_of_core` integration tests assert this). `max_resident_chunks
-    /// == 0` means unbounded.
+    /// It is the same loop over the same kernels as a resident fit, fed
+    /// from [`StreamedChunks`] instead of [`ResidentChunks`], so the
+    /// result is **bit-for-bit identical** at any thread count and any
+    /// cache size (the `out_of_core` integration tests assert this).
     ///
     /// I/O failures mid-fit (truncated frames, CRC mismatches) surface
-    /// as typed [`io::Error`]s, never panics. Copy
-    /// detection needs pairwise co-occurrence statistics over a resident
-    /// cube and is rejected up front as [`io::ErrorKind::Unsupported`].
+    /// as typed [`io::Error`]s, never panics. Copy detection needs
+    /// pairwise co-occurrence statistics over a resident cube and is
+    /// rejected up front as [`io::ErrorKind::Unsupported`].
     pub fn run_streamed(
         &self,
         store: &Arc<FileChunkStore>,
         max_resident_chunks: usize,
         init: &QualityInit,
     ) -> io::Result<(MultiLayerResult, ConvergenceTrace, StreamStats)> {
-        kbt_flume::with_threads(self.cfg.threads, || {
-            self.run_streamed_inner(store, max_resident_chunks, init)
-        })
-    }
-
-    fn run_streamed_inner(
-        &self,
-        store: &Arc<FileChunkStore>,
-        max_resident_chunks: usize,
-        init: &QualityInit,
-    ) -> io::Result<(MultiLayerResult, ConvergenceTrace, StreamStats)> {
-        let cfg = &self.cfg;
-        if cfg.copy_detection.is_some() {
+        if self.cfg.copy_detection.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "copy detection needs pairwise source statistics over a resident cube; \
                  fit with CubeResidency::Resident to use it",
             ));
         }
-        let meta = store.meta();
-        let ng = meta.num_groups as usize;
-        let nw = meta.num_sources as usize;
-        let ne = meta.num_extractors as usize;
-        let ni = meta.num_items as usize;
-        let nf = store.num_group_frames();
-        let items = ChunkCache::for_items(Arc::clone(store), max_resident_chunks);
-        let frames = ChunkCache::for_group_frames(Arc::clone(store), max_resident_chunks);
-
-        let mut params = Params::init_sized(nw, ne, cfg, init);
-        // Same activity rule as the resident engines: the per-source group
-        // span is `source_size`.
-        let mut active: Vec<bool> = (0..nw)
-            .map(|w| {
-                (meta.source_offsets[w + 1] - meta.source_offsets[w]) as usize
-                    >= cfg.min_source_support
-            })
-            .collect();
-        let mut alpha = AlphaState::uniform(ng, cfg.alpha);
-        let alpha_matured = alpha_matured_by(init);
-
-        // The engine state reused across rounds.
-        let mut value_exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
-        let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut fold_exec: ShardedExecutor<StreamedExtractorAcc> = ShardedExecutor::with_shards(1);
-        let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut votes = VoteCounter::empty();
-        let mut correctness: Vec<f64> = vec![0.0; ng];
-        let mut src_updates: Vec<Option<f64>> = Vec::new();
-        let mut ll_buf: Vec<f64> = Vec::new();
-        // Keep the prefetcher a couple of chunks ahead of the workers,
-        // but never so far ahead that a bounded cache would evict chunks
-        // before they are consumed.
-        let mut depth = group_exec.num_shards().saturating_mul(2).max(2);
-        if max_resident_chunks > 0 {
-            depth = depth.min(max_resident_chunks);
-        }
-
-        let mut values: Option<ValueLayerOutput> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut trace = ConvergenceTrace::default();
-        let mut watch = Stopwatch::start();
-        let mut stage = Stopwatch::start();
-
-        for t in 1..=cfg.max_iterations {
-            iterations = t;
-            stage.lap();
-            votes.rebuild_from_csr(
-                ne,
-                nw,
-                &meta.source_ext_offsets,
-                &meta.source_ext_ids,
-                &params,
-                cfg,
-            );
-            trace.stage_wall.votes += stage.lap();
-            // Step 1: extraction correctness, one group frame at a time.
-            // Per-group sigmoids are independent, so scattering each
-            // frame's output into place reproduces the resident vector.
-            {
-                let (votes_ref, alpha_ref) = (&votes, &alpha);
-                let per_frame: Vec<(u32, Vec<f64>)> = group_exec.map_chunks(
-                    nf,
-                    depth,
-                    |i| frames.prefetch(i),
-                    |_, i| {
-                        let buf = frames.get(i)?;
-                        let view = buf.view();
-                        Ok::<_, io::Error>((
-                            view.groups.start,
-                            estimate_correctness_frame(&view, votes_ref, alpha_ref, cfg),
-                        ))
-                    },
-                )?;
-                for (start, vals) in per_frame {
-                    correctness[start as usize..start as usize + vals.len()].copy_from_slice(&vals);
-                }
-            }
-            trace.stage_wall.correctness += stage.lap();
-            // Step 2: item values from streamed item chunks. The copy
-            // discount is always `None` here (copy detection is rejected
-            // above). The previous round's output is dead from here on
-            // (everything below reads the fresh `out`), so drop it first:
-            // the per-item posterior vectors are the largest fit-state
-            // allocation, and holding two rounds' worth while the new one
-            // is built would dominate the streamed engine's peak RSS.
-            drop(values.take());
-            let out = estimate_values_streamed(
-                &items,
-                meta,
-                &correctness,
-                &params,
-                cfg,
-                &active,
-                None,
-                depth,
-                &mut value_exec,
-            )?;
-            trace.stage_wall.values += stage.lap();
-            // Steps 3–4: parameters. Eq. 28 needs no chunk data at all.
-            let prev = params.clone();
-            update_source_accuracy_offsets(
-                &meta.source_offsets,
-                &correctness,
-                &out.truth_given_provided,
-                cfg,
-                &mut params,
-                &mut active,
-                &mut source_exec,
-                &mut src_updates,
-            );
-            trace.stage_wall.source_update += stage.lap();
-            // Serial frame fold in ascending frame order = global cell
-            // order (see `StreamedExtractorAcc`): the executor's one
-            // worker folds into its arena, in order, under the same
-            // look-ahead as the parallel passes.
-            fold_exec.scratch_mut()[0].begin(ne, &meta.source_offsets, &correctness, cfg);
-            fold_exec.map_chunks(
-                nf,
-                depth,
-                |i| frames.prefetch(i),
-                |acc, f| {
-                    let buf = frames.get(f)?;
-                    acc.consume(&buf.view(), &correctness, cfg);
-                    Ok::<_, io::Error>(())
-                },
-            )?;
-            fold_exec.scratch_mut()[0].finish(
-                &meta.source_item_counts,
-                &correctness,
-                cfg,
-                &mut params,
-            );
-            trace.stage_wall.extractor_update += stage.lap();
-            // The α prior needs each group's source and nothing else of
-            // a frame, and groups are source-sorted: the resident
-            // `source_offsets` CSR serves it without touching the store.
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
-                alpha.update_offsets(&meta.source_offsets, &out.truth_of_group, &params, cfg);
-            }
-            trace.stage_wall.alpha += stage.lap();
-            let delta = params.max_abs_delta(&prev);
-            let truth = &out.truth_of_group;
-            let corr = &correctness;
-            group_exec.map_keys(ng, &mut ll_buf, |_, g| {
-                map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])
-            });
-            let log_likelihood = ll_buf.iter().sum();
-            trace.stage_wall.log_likelihood += stage.lap();
-            trace.rounds.push(IterationTrace {
-                iteration: t,
-                delta,
-                log_likelihood,
-                wall: watch.lap(),
-            });
-            values = Some(out);
-            if delta < cfg.convergence_eps {
-                converged = true;
-                break;
-            }
-        }
-        trace.converged = converged;
-
-        let values = values.unwrap_or_else(|| empty_values_sized(ni, ng, cfg));
+        let src = StreamedChunks::new(Arc::clone(store), max_resident_chunks);
+        let (result, trace) = kbt_flume::with_threads(self.cfg.threads, || {
+            run_em(&self.cfg, &src, init, None, None)
+        })?;
+        let (item_cache, group_cache) = src.cache_stats();
         let stats = StreamStats {
-            item_cache: items.stats(),
-            group_cache: frames.stats(),
-        };
-        let result = MultiLayerResult {
-            params,
-            correctness,
-            posteriors: values.posteriors,
-            truth_of_group: values.truth_of_group,
-            truth_given_provided: values.truth_given_provided,
-            covered_group: values.covered_group,
-            active_source: active,
-            iterations,
-            converged,
-            copy_evidence: None,
-            source_independence: None,
+            item_cache,
+            group_cache,
         };
         Ok((result, trace, stats))
     }
+}
 
-    /// Algorithm 1 on the pre-columnar row-major sharded engine
-    /// ([`ExecMode::ShardedRows`]): every stage runs on a
-    /// [`ShardedExecutor`] whose scratch arenas (E-step buffers, vote
-    /// tables, M-step accumulators) persist across EM rounds, so the
-    /// steady-state loop performs no per-item and almost no per-round
-    /// allocation. Bit-for-bit identical to [`Self::run_flat`] at any
-    /// thread count (the `sharded_engine` integration tests assert this).
-    /// Kept as the honest baseline the `em_scale` bench compares the
-    /// columnar engine against.
-    fn run_sharded_rows(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        discount: Option<&CopyDiscount>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        let cfg = &self.cfg;
-        let mut params = Params::init(cube, cfg, init);
-        let mut active: Vec<bool> = (0..cube.num_sources())
-            .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
-            .collect();
-        let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-        let alpha_matured = alpha_matured_by(init);
+/// Algorithm 1: the one EM loop, over whatever [`ChunkSource`] the
+/// caller's residency picked. Every stage reads the cube through chunk
+/// views — [`estimate_correctness`] and [`update_extractor_quality`] over
+/// group frames, [`estimate_values`] over item chunks — or through the
+/// source's integer skeleton alone (vote tables, Eq. 28, α, γ). Executors
+/// and buffers persist across rounds, so the steady-state loop allocates
+/// only the round's value-layer output.
+fn run_em<S: ChunkSource>(
+    cfg: &ModelConfig,
+    src: &S,
+    init: &QualityInit,
+    prior_truth: Option<&[f64]>,
+    discount: Option<&CopyDiscount>,
+) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+    let meta = src.meta();
+    let ng = meta.num_groups as usize;
+    let nw = meta.num_sources as usize;
+    let ne = meta.num_extractors as usize;
 
-        // The engine state reused across rounds.
-        let mut value_exec: ShardedExecutor<ValueScratch> = ShardedExecutor::new();
-        let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
-        let mut votes = VoteCounter::empty();
-        let mut correctness: Vec<f64> = Vec::new();
-        let mut src_updates: Vec<Option<f64>> = Vec::new();
-        let mut ext_scratch = ExtractorScratch::default();
-
-        if let Some(t0) = prior_truth {
-            debug_assert_eq!(t0.len(), cube.num_groups());
-            if cfg.alpha_update_from.is_some() {
-                alpha.update_with(cube, t0, &params, cfg, &mut group_exec);
-            }
-        }
-
-        let mut values: Option<ValueLayerOutput> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut trace = ConvergenceTrace::default();
-        let mut watch = Stopwatch::start();
-
-        for t in 1..=cfg.max_iterations {
-            iterations = t;
-            // Step 1: extraction correctness.
-            votes.rebuild(cube, &params, cfg);
-            estimate_correctness_with(cube, &votes, &alpha, cfg, &mut group_exec, &mut correctness);
-            // Step 2: item values (with the CopyDiscount stage, if any).
-            let out = estimate_values_with(
-                cube,
-                &correctness,
-                &params,
-                cfg,
-                &active,
-                discount,
-                &mut value_exec,
-            );
-            // Steps 3–4: parameters.
-            let prev = params.clone();
-            update_source_accuracy_with(
-                cube,
-                &correctness,
-                &out.truth_given_provided,
-                cfg,
-                &mut params,
-                &mut active,
-                &mut source_exec,
-                &mut src_updates,
-            );
-            update_extractor_quality_with(cube, &correctness, cfg, &mut params, &mut ext_scratch);
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
-                alpha.update_with(cube, &out.truth_of_group, &params, cfg, &mut group_exec);
-            }
-            let delta = params.max_abs_delta(&prev);
-            let log_likelihood = correctness
-                .iter()
-                .zip(&out.truth_of_group)
-                .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v))
-                .sum();
-            trace.rounds.push(IterationTrace {
-                iteration: t,
-                delta,
-                log_likelihood,
-                wall: watch.lap(),
-            });
-            values = Some(out);
-            if delta < cfg.convergence_eps {
-                converged = true;
-                break;
-            }
-        }
-        trace.converged = converged;
-
-        let values = values.unwrap_or_else(|| empty_values(cube, cfg));
-        let result = MultiLayerResult {
-            params,
-            correctness,
-            posteriors: values.posteriors,
-            truth_of_group: values.truth_of_group,
-            truth_given_provided: values.truth_given_provided,
-            covered_group: values.covered_group,
-            active_source: active,
-            iterations,
-            converged,
-            copy_evidence: None,
-            source_independence: None,
-        };
-        (result, trace)
+    let mut params = Params::init_sized(nw, ne, cfg, init);
+    // A source may vote from the start if it has enough support (its
+    // group span is its size); its accuracy stays at the default until
+    // the first M-step.
+    let mut active: Vec<bool> = meta
+        .source_offsets
+        .windows(2)
+        .map(|w| (w[1] - w[0]) as usize >= cfg.min_source_support)
+        .collect();
+    let mut alpha = AlphaState::uniform(ng, cfg.alpha);
+    let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
+    if let (Some(t0), Some(_)) = (prior_truth, cfg.alpha_update_from) {
+        debug_assert_eq!(t0.len(), ng);
+        alpha.update(&meta.source_offsets, t0, &params, cfg);
     }
 
-    /// Algorithm 1 on the original flat per-stage parallel maps — the
-    /// reference implementation the sharded engine is bit-compared
-    /// against (select with [`ExecMode::Flat`]).
-    fn run_flat(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        discount: Option<&CopyDiscount>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        let cfg = &self.cfg;
-        let mut params = Params::init(cube, cfg, init);
-        // A source may vote from the start if it has enough support; its
-        // accuracy stays at the default until the first M-step.
-        let mut active: Vec<bool> = (0..cube.num_sources())
-            .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
-            .collect();
-        let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-        let alpha_matured = alpha_matured_by(init);
+    let mut value_exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
+    let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
+    let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
+    let mut fold_exec: ShardedExecutor<StreamedExtractorAcc> = ShardedExecutor::with_shards(1);
+    let mut votes = VoteCounter::empty();
+    let mut correctness: Vec<f64> = vec![0.0; ng];
+    let mut src_updates: Vec<Option<f64>> = Vec::new();
+    let mut ll_buf: Vec<f64> = Vec::new();
 
-        if let Some(t0) = prior_truth {
-            debug_assert_eq!(t0.len(), cube.num_groups());
-            if cfg.alpha_update_from.is_some() {
-                alpha.update(cube, t0, &params, cfg);
-            }
+    let mut values: Option<ValueLayerOutput> = None;
+    let mut trace = ConvergenceTrace::default();
+    let mut watch = Stopwatch::start();
+    let mut stage = Stopwatch::start();
+
+    for t in 1..=cfg.max_iterations {
+        stage.lap();
+        // Step 1: extraction correctness.
+        votes.rebuild(
+            ne,
+            nw,
+            &meta.source_ext_offsets,
+            &meta.source_ext_ids,
+            &params,
+            cfg,
+        );
+        trace.stage_wall.votes += stage.lap();
+        estimate_correctness(src, &votes, &alpha, cfg, &mut group_exec, &mut correctness)?;
+        trace.stage_wall.correctness += stage.lap();
+        // Step 2: item values (with the CopyDiscount stage, if any). The
+        // previous round's output is dead from here on, so drop it first:
+        // the per-item posterior vectors are the largest fit-state
+        // allocation, and holding two rounds' worth while the new one is
+        // built would dominate a streamed fit's peak RSS.
+        drop(values.take());
+        let out = estimate_values(
+            src,
+            &correctness,
+            &params,
+            cfg,
+            &active,
+            discount,
+            &mut value_exec,
+        )?;
+        trace.stage_wall.values += stage.lap();
+        // Steps 3–4: parameters.
+        let prev = params.clone();
+        update_source_accuracy(
+            &meta.source_offsets,
+            &correctness,
+            &out.truth_given_provided,
+            cfg,
+            &mut params,
+            &mut active,
+            &mut source_exec,
+            &mut src_updates,
+        );
+        trace.stage_wall.source_update += stage.lap();
+        update_extractor_quality(src, &correctness, cfg, &mut params, &mut fold_exec)?;
+        trace.stage_wall.extractor_update += stage.lap();
+        // Re-estimate the correctness prior for the *next* iteration
+        // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
+        if cfg.updates_alpha_at(t + 1) || alpha_always {
+            alpha.update(&meta.source_offsets, &out.truth_of_group, &params, cfg);
         }
-
-        let mut correctness: Vec<f64> = Vec::new();
-        let mut values: Option<ValueLayerOutput> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut trace = ConvergenceTrace::default();
-        let mut watch = Stopwatch::start();
-
-        for t in 1..=cfg.max_iterations {
-            iterations = t;
-            // Step 1: extraction correctness.
-            let votes = VoteCounter::new(cube, &params, cfg);
-            correctness = estimate_correctness(cube, &votes, &alpha, cfg);
-            // Step 2: item values (with the CopyDiscount stage, if any).
-            let out = estimate_values(cube, &correctness, &params, cfg, &active, discount);
-            // Steps 3–4: parameters.
-            let prev = params.clone();
-            update_source_accuracy(
-                cube,
-                &correctness,
-                &out.truth_given_provided,
-                cfg,
-                &mut params,
-                &mut active,
-            );
-            update_extractor_quality(cube, &correctness, cfg, &mut params);
-            // Re-estimate the correctness prior for the *next* iteration
-            // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
-            if cfg.updates_alpha_at(t + 1) || (alpha_matured && cfg.alpha_update_from.is_some()) {
-                alpha.update(cube, &out.truth_of_group, &params, cfg);
-            }
-            let delta = params.max_abs_delta(&prev);
-            let log_likelihood = correctness
-                .iter()
-                .zip(&out.truth_of_group)
-                .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v))
-                .sum();
-            trace.rounds.push(IterationTrace {
-                iteration: t,
-                delta,
-                log_likelihood,
-                wall: watch.lap(),
-            });
-            values = Some(out);
-            if delta < cfg.convergence_eps {
-                converged = true;
-                break;
-            }
+        trace.stage_wall.alpha += stage.lap();
+        let delta = params.max_abs_delta(&prev);
+        // Per-group LL terms in parallel, summed serially in group order.
+        let (truth, corr) = (&out.truth_of_group, &correctness);
+        group_exec.map_keys(ng, &mut ll_buf, |_, g| {
+            map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])
+        });
+        let log_likelihood = ll_buf.iter().sum();
+        trace.stage_wall.log_likelihood += stage.lap();
+        trace.rounds.push(IterationTrace {
+            iteration: t,
+            delta,
+            log_likelihood,
+            wall: watch.lap(),
+        });
+        values = Some(out);
+        if delta < cfg.convergence_eps {
+            trace.converged = true;
+            break;
         }
-        trace.converged = converged;
-
-        let values = values.unwrap_or_else(|| empty_values(cube, cfg));
-
-        let result = MultiLayerResult {
-            params,
-            correctness,
-            posteriors: values.posteriors,
-            truth_of_group: values.truth_of_group,
-            truth_given_provided: values.truth_given_provided,
-            covered_group: values.covered_group,
-            active_source: active,
-            iterations,
-            converged,
-            copy_evidence: None,
-            source_independence: None,
-        };
-        (result, trace)
     }
+
+    let values = values.unwrap_or_else(|| empty_values(meta.num_items as usize, ng, cfg));
+    let result = MultiLayerResult {
+        params,
+        correctness,
+        posteriors: values.posteriors,
+        truth_of_group: values.truth_of_group,
+        truth_given_provided: values.truth_given_provided,
+        covered_group: values.covered_group,
+        active_source: active,
+        iterations: trace.rounds.len(),
+        converged: trace.converged,
+        copy_evidence: None,
+        source_independence: None,
+    };
+    Ok((result, trace))
 }
 
 /// Whether `init` resumes converged parameters, in which case the α
@@ -903,19 +464,18 @@ impl MultiLayerModel {
 /// it only while the early parameter estimates are unreliable, and a
 /// warm-started run's estimates already are reliable. (A schedule of
 /// `None` still disables re-estimation entirely.)
-fn alpha_matured_by(init: &QualityInit) -> bool {
+pub(crate) fn alpha_matured_by(init: &QualityInit) -> bool {
     matches!(init, QualityInit::Resume(_))
 }
 
 /// The degenerate value-layer output of a zero-iteration run
-/// (`max_iterations == 0`): uniform posteriors, nothing covered.
-fn empty_values(cube: &ObservationCube, cfg: &ModelConfig) -> ValueLayerOutput {
-    empty_values_sized(cube.num_items(), cube.num_groups(), cfg)
-}
-
-/// [`empty_values`] from bare dimension counts (streamed fits have no
-/// resident cube).
-fn empty_values_sized(num_items: usize, num_groups: usize, cfg: &ModelConfig) -> ValueLayerOutput {
+/// (`max_iterations == 0`): uniform posteriors, nothing covered, every
+/// per-group vector dense.
+pub(crate) fn empty_values(
+    num_items: usize,
+    num_groups: usize,
+    cfg: &ModelConfig,
+) -> ValueLayerOutput {
     ValueLayerOutput {
         posteriors: ItemPosteriors::from_parts(
             vec![Vec::new(); num_items],
@@ -929,9 +489,6 @@ fn empty_values_sized(num_items: usize, num_groups: usize, cfg: &ModelConfig) ->
 
 #[cfg(test)]
 mod tests {
-    // The legacy `run` path must keep working; these tests exercise it.
-    #![allow(deprecated)]
-
     use super::*;
     use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
 
@@ -954,7 +511,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         for w in 0..5 {
             assert!(
                 r.kbt(SourceId::new(w)) > 0.9,
@@ -999,7 +556,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         let good: f64 = (0..4).map(|w| r.kbt(SourceId::new(w))).sum::<f64>() / 4.0;
         let bad = r.kbt(SourceId::new(4));
         assert!(
@@ -1037,7 +594,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         // The junk extractor's extractions should be judged incorrect…
         for (g, grp) in cube.groups().iter().enumerate() {
             if grp.value == ValueId::new(1) {
@@ -1070,7 +627,7 @@ mod tests {
         b.reserve_ids(2, 1, 1, 1);
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         assert_eq!(r.params.source_accuracy, vec![0.8, 0.8]);
         assert!(!r.active_source[0]);
         assert_eq!(r.coverage(), 0.0);
@@ -1100,7 +657,7 @@ mod tests {
             ..ModelConfig::default()
         };
         let model = MultiLayerModel::new(cfg);
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         assert!(
             r.converged,
             "did not converge in {} iterations",

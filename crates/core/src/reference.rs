@@ -1,0 +1,629 @@
+//! The scalar reference: Algorithm 1 written straight off the paper's
+//! equations over the row-major [`ObservationCube`] — one plainly serial
+//! function per equation, no chunks, no scratch reuse, no threads.
+//!
+//! This is the **oracle**, not an engine: no configuration value selects
+//! it, and nothing on the fitting or serving path calls it. The tests and
+//! the bench gates compare the chunk-view kernels
+//! ([`crate::MultiLayerModel`], [`crate::SingleLayerModel`]) against
+//! [`fit`] / [`fit_single_layer`] bit for bit, and the paper's worked
+//! examples (Tables 2–4) are reproduced from these functions.
+
+use kbt_datamodel::{ItemId, ObservationCube, SourceId, ValueId};
+use kbt_flume::Stopwatch;
+
+use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel};
+use crate::copydetect::CopyDiscount;
+use crate::correctness::AlphaState;
+use crate::math::{clamp_quality, log_sum_exp_with_zeros, logit, sigmoid};
+use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
+use crate::multi_layer::{alpha_matured_by, empty_values, MultiLayerResult};
+use crate::params::{q_from_precision_recall, Params, QualityInit};
+use crate::posterior::ItemPosteriors;
+use crate::single_layer::{run_with, PairClaims, SingleLayerResult};
+use crate::value::ValueLayerOutput;
+use crate::votes::VoteCounter;
+
+/// Presence/absence vote tables (Eqs. 12–13) for `cube`: the cube's
+/// per-source candidate extractors, laid out as the CSR the one table
+/// builder ([`VoteCounter::rebuild`]) takes.
+pub fn vote_counter(cube: &ObservationCube, params: &Params, cfg: &ModelConfig) -> VoteCounter {
+    let mut offsets = vec![0u32];
+    let mut ids = Vec::new();
+    for w in 0..cube.num_sources() {
+        let on_source = cube.extractors_on_source(SourceId::new(w as u32));
+        ids.extend(on_source.iter().map(|e| e.0));
+        offsets.push(ids.len() as u32);
+    }
+    let mut votes = VoteCounter::empty();
+    votes.rebuild(
+        cube.num_extractors(),
+        cube.num_sources(),
+        &offsets,
+        &ids,
+        params,
+        cfg,
+    );
+    votes
+}
+
+/// `p(C_wdv = 1 | X_wdv)` for every triple group: the sigmoid of its
+/// confidence-weighted vote count plus the prior log-odds (Eq. 15 with
+/// Eq. 31).
+pub fn estimate_correctness(
+    cube: &ObservationCube,
+    votes: &VoteCounter,
+    alpha: &AlphaState,
+    cfg: &ModelConfig,
+) -> Vec<f64> {
+    let groups = cube.groups().iter().enumerate();
+    groups
+        .map(|(g, grp)| {
+            sigmoid(votes.vote_count(grp.source, cube.cells_of(grp), cfg) + alpha.logit(g))
+        })
+        .collect()
+}
+
+/// Re-estimate every group's correctness prior from the value layer
+/// (Section 3.3.4, Eq. 26; see [`AlphaState::update`] for the two forms).
+pub fn update_alpha(
+    alpha: &mut AlphaState,
+    cube: &ObservationCube,
+    truth: &[f64],
+    params: &Params,
+    cfg: &ModelConfig,
+) {
+    let n = cfg.n_false_values.max(1) as f64;
+    let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
+    for ((l, grp), &t) in alpha.logits_mut().iter_mut().zip(cube.groups()).zip(truth) {
+        let a = params.source_accuracy[grp.source.index()];
+        *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
+    }
+}
+
+/// The value layer (Eqs. 23–25), item by item: every claim of item `d`
+/// votes `weight · ln(n·A_w/(1−A_w))` (× the copy-independence factor,
+/// if any) for its value, and the posterior is the softmax over vote
+/// sums with one `exp(0)` term per unobserved domain value.
+pub fn estimate_values(
+    cube: &ObservationCube,
+    correctness: &[f64],
+    params: &Params,
+    cfg: &ModelConfig,
+    active_source: &[bool],
+    discount: Option<&CopyDiscount>,
+) -> ValueLayerOutput {
+    let n = cfg.n_false_values as f64;
+    let domain = cfg.n_false_values + 1;
+    let mut entries_per_item = Vec::with_capacity(cube.num_items());
+    let mut unobserved = Vec::with_capacity(cube.num_items());
+    let mut truth_of_group = vec![0.0; cube.num_groups()];
+    let mut truth_given_provided = vec![0.0; cube.num_groups()];
+    let mut covered_group = vec![false; cube.num_groups()];
+
+    for d in 0..cube.num_items() {
+        let mut values: Vec<(ValueId, f64)> = Vec::new(); // (v, vote sum), first-seen order
+        let mut claims: Vec<(ValueId, f64)> = Vec::new(); // (v, claim weight): POPACCU popularity
+        let mut rows: Vec<(usize, ValueId, f64, f64)> = Vec::new(); // (g, v, weight, full vote)
+        let mut total_claims = 0.0f64;
+        for g in cube.groups_of_item(ItemId::new(d as u32)) {
+            let grp = &cube.groups()[g];
+            if cube.cells_of(grp).is_empty() {
+                // A group with no surviving extraction (emptied by a
+                // retraction) casts no claim and no vote.
+                rows.push((g, grp.value, 0.0, 0.0));
+                continue;
+            }
+            let weight = match cfg.correctness_weighting {
+                CorrectnessWeighting::Weighted => correctness[g],
+                CorrectnessWeighting::Map => f64::from(u8::from(correctness[g] >= 0.5)),
+            };
+            // Popularity counts use every claim, active or not.
+            match claims.iter_mut().find(|(v, _)| *v == grp.value) {
+                Some((_, c)) => *c += weight,
+                None => claims.push((grp.value, weight)),
+            }
+            total_claims += weight;
+            if !active_source[grp.source.index()] {
+                rows.push((g, grp.value, 0.0, 0.0));
+                continue;
+            }
+            let a = clamp_quality(params.source_accuracy[grp.source.index()]);
+            let mut full_vote = (n * a / (1.0 - a)).ln();
+            if let Some(dc) = discount {
+                full_vote *= dc.factor(grp.source);
+            }
+            rows.push((g, grp.value, weight, full_vote));
+            match values.iter_mut().find(|(v, _)| *v == grp.value) {
+                Some((_, sum)) => *sum += weight * full_vote,
+                None => values.push((grp.value, weight * full_vote)),
+            }
+        }
+        // POPACCU: replace the uniform 1/n false-value probability with
+        // smoothed empirical popularity ρ, i.e. add ln(1/n) − ln ρ(d,v)
+        // per unit of claim weight on the value.
+        if cfg.value_model == ValueModel::PopAccu && total_claims > 0.0 {
+            let denom = total_claims + n + 1.0;
+            for (v, sum) in values.iter_mut() {
+                let cnt = claims.iter().find(|(cv, _)| cv == v).map_or(0.0, |c| c.1);
+                *sum += cnt * ((1.0 / n).ln() - ((cnt + 1.0) / denom).ln());
+            }
+        }
+
+        let vcs: Vec<f64> = values.iter().map(|(_, s)| *s).collect();
+        let log_z = log_sum_exp_with_zeros(&vcs, domain.saturating_sub(values.len()));
+        let unobserved_mass = if log_z.is_finite() {
+            (-log_z).exp()
+        } else {
+            1.0 / domain as f64 // no observed values and an empty domain
+        };
+        let vote_sum = |v: ValueId| values.iter().find(|(ev, _)| *ev == v).map(|(_, s)| *s);
+        for (g, v, weight, full_vote) in rows {
+            let p = vote_sum(v).map_or(unobserved_mass, |s| (s - log_z).exp());
+            truth_of_group[g] = p;
+            // p(V_d = v | X, C_g = 1): raise this group's vote from
+            // weight·vote to the full vote and renormalize.
+            truth_given_provided[g] = if log_z.is_finite() && full_vote != 0.0 {
+                let a = vote_sum(v).unwrap_or(0.0) - log_z;
+                let eb = (a + (1.0 - weight) * full_vote).exp();
+                (eb / (1.0 - a.exp() + eb)).clamp(0.0, 1.0)
+            } else {
+                p
+            };
+            covered_group[g] = vote_sum(v).is_some();
+        }
+        entries_per_item.push(
+            values
+                .iter()
+                .map(|(v, s)| (*v, (s - log_z).exp()))
+                .collect(),
+        );
+        unobserved.push(unobserved_mass);
+    }
+
+    ValueLayerOutput {
+        posteriors: ItemPosteriors::from_parts(entries_per_item, unobserved),
+        truth_of_group,
+        truth_given_provided,
+        covered_group,
+    }
+}
+
+/// Eq. 28: a source's accuracy is the correctness-weighted mean truth of
+/// its triples. Sources below `cfg.min_source_support` (or with no
+/// correctness mass) keep their accuracy and turn inactive.
+pub fn update_source_accuracy(
+    cube: &ObservationCube,
+    correctness: &[f64],
+    truth: &[f64],
+    cfg: &ModelConfig,
+    params: &mut Params,
+    active: &mut [bool],
+) {
+    for (w, active) in active.iter_mut().enumerate() {
+        let range = cube.source_groups(SourceId::new(w as u32));
+        let (mut num, mut den) = (0.0, 0.0);
+        for g in range.clone() {
+            num += correctness[g] * truth[g];
+            den += correctness[g];
+        }
+        *active = !(range.len() < cfg.min_source_support || den <= 1e-12);
+        if *active {
+            params.source_accuracy[w] = clamp_quality(num / den);
+        }
+    }
+}
+
+/// γ̂ = expected provided mass over the slot universe: each source can
+/// provide one of `n + 1` domain values for each item it talks about.
+/// Groups are sorted by (source, item, value), so a source's distinct
+/// items are the runs of its group span.
+pub fn estimate_gamma(cube: &ObservationCube, correctness: &[f64], cfg: &ModelConfig) -> f64 {
+    if !cfg.estimate_gamma || correctness.is_empty() {
+        return cfg.gamma;
+    }
+    let mut slots = 0usize;
+    for w in 0..cube.num_sources() {
+        let groups = &cube.groups()[cube.source_groups(SourceId::new(w as u32))];
+        let items = groups.windows(2).filter(|p| p[0].item != p[1].item).count()
+            + usize::from(!groups.is_empty());
+        slots += items * (cfg.n_false_values + 1);
+    }
+    let mass: f64 = correctness.iter().sum();
+    clamp_quality(mass / (slots.max(1) as f64))
+}
+
+/// Eqs. 32–33 + Eq. 7 in one pass over the cube's cells:
+/// `P_e = Σ conf·p(C) / Σ conf` over the extractor's cells,
+/// `R_e = Σ conf·p(C) / Σ_{g : e ∈ candidates(source(g))} p(C_g)`, and
+/// `Q_e` derived from both and γ̂.
+pub fn update_extractor_quality(
+    cube: &ObservationCube,
+    correctness: &[f64],
+    cfg: &ModelConfig,
+    params: &mut Params,
+) {
+    let ne = cube.num_extractors();
+    let mut num = vec![0.0f64; ne];
+    let mut pden = vec![0.0f64; ne];
+    let mut rden = vec![0.0f64; ne];
+    for (g, _grp, cells) in cube.iter_with_cells() {
+        for c in cells {
+            let conf = cfg.effective_confidence(c.confidence);
+            num[c.extractor.index()] += conf * correctness[g];
+            pden[c.extractor.index()] += conf;
+        }
+    }
+    match cfg.absence_policy {
+        // Eq. 30 literally: the total provided mass, for every extractor.
+        AbsencePolicy::AllExtractors => rden.fill(correctness.iter().sum()),
+        AbsencePolicy::SourceCandidates => {
+            for w in 0..cube.num_sources() {
+                let w = SourceId::new(w as u32);
+                let range = cube.source_groups(w);
+                if range.is_empty() {
+                    continue;
+                }
+                let sum_c: f64 = correctness[range].iter().sum();
+                for e in cube.extractors_on_source(w) {
+                    rden[e.index()] += sum_c;
+                }
+            }
+        }
+    }
+    let gamma = estimate_gamma(cube, correctness, cfg);
+    for e in 0..ne {
+        if pden[e] > 1e-12 {
+            params.precision[e] = clamp_quality(num[e] / pden[e]);
+        }
+        if rden[e] > 1e-12 {
+            params.recall[e] = clamp_quality(num[e] / rden[e]);
+        }
+        params.q[e] = q_from_precision_recall(params.precision[e], params.recall[e], gamma);
+    }
+}
+
+/// Algorithm 1, one EM fit: the oracle for the engine's `run_em`, with
+/// the same inputs — the warm per-group `prior_truth` hint and the
+/// per-source copy `discount` included. The copy-aware refit loop is not
+/// part of it; hand it the factors the engine reports it ran with.
+pub fn fit(
+    cube: &ObservationCube,
+    cfg: &ModelConfig,
+    init: &QualityInit,
+    prior_truth: Option<&[f64]>,
+    discount: Option<&CopyDiscount>,
+) -> (MultiLayerResult, ConvergenceTrace) {
+    let ng = cube.num_groups();
+    let mut params = Params::init(cube, cfg, init);
+    let mut active: Vec<bool> = (0..cube.num_sources())
+        .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
+        .collect();
+    let mut alpha = AlphaState::uniform(ng, cfg.alpha);
+    let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
+    if let (Some(t0), Some(_)) = (prior_truth, cfg.alpha_update_from) {
+        update_alpha(&mut alpha, cube, t0, &params, cfg);
+    }
+
+    let mut correctness = vec![0.0; ng];
+    let mut values = empty_values(cube.num_items(), ng, cfg);
+    let mut trace = ConvergenceTrace::default();
+    let mut watch = Stopwatch::start();
+    for t in 1..=cfg.max_iterations {
+        let votes = vote_counter(cube, &params, cfg);
+        correctness = estimate_correctness(cube, &votes, &alpha, cfg);
+        values = estimate_values(cube, &correctness, &params, cfg, &active, discount);
+        let prev = params.clone();
+        let cond = &values.truth_given_provided;
+        update_source_accuracy(cube, &correctness, cond, cfg, &mut params, &mut active);
+        update_extractor_quality(cube, &correctness, cfg, &mut params);
+        if cfg.updates_alpha_at(t + 1) || alpha_always {
+            update_alpha(&mut alpha, cube, &values.truth_of_group, &params, cfg);
+        }
+        let delta = params.max_abs_delta(&prev);
+        trace.rounds.push(IterationTrace {
+            iteration: t,
+            delta,
+            log_likelihood: correctness
+                .iter()
+                .zip(&values.truth_of_group)
+                .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v))
+                .sum(),
+            wall: watch.lap(),
+        });
+        if delta < cfg.convergence_eps {
+            trace.converged = true;
+            break;
+        }
+    }
+    let result = MultiLayerResult {
+        params,
+        correctness,
+        posteriors: values.posteriors,
+        truth_of_group: values.truth_of_group,
+        truth_given_provided: values.truth_given_provided,
+        covered_group: values.covered_group,
+        active_source: active,
+        iterations: trace.rounds.len(),
+        converged: trace.converged,
+        copy_evidence: None,
+        source_independence: None,
+    };
+    (result, trace)
+}
+
+/// The single-layer E-step (Eqs. 2–3), item by item: every claim of an
+/// active pair-source votes `ln(n·A_s/(1−A_s))` for its value.
+pub(crate) fn pair_estep(
+    pc: &PairClaims<'_>,
+    acc: &[f64],
+    cfg: &ModelConfig,
+    truth_of_claim: &mut [f64],
+) -> ItemPosteriors {
+    let n = cfg.n_false_values as f64;
+    let domain = cfg.n_false_values + 1;
+    let ni = pc.offsets.len() - 1;
+    let mut entries_per_item = Vec::with_capacity(ni);
+    let mut unobserved = Vec::with_capacity(ni);
+    for d in 0..ni {
+        let item_claims = &pc.by_item[pc.offsets[d] as usize..pc.offsets[d + 1] as usize];
+        let mut votes: Vec<(ValueId, f64, f64)> = Vec::new(); // (v, vote sum, claim count)
+        for &ci in item_claims {
+            let cl = pc.claims[ci as usize];
+            if !pc.active_pair[cl.pair as usize] {
+                continue;
+            }
+            let a = clamp_quality(acc[cl.pair as usize]);
+            let vote = (n * a / (1.0 - a)).ln();
+            match votes.iter_mut().find(|(v, _, _)| *v == cl.value) {
+                Some((_, s, c)) => {
+                    *s += vote;
+                    *c += 1.0;
+                }
+                None => votes.push((cl.value, vote, 1.0)),
+            }
+        }
+        if cfg.value_model == ValueModel::PopAccu && !votes.is_empty() {
+            let total: f64 = votes.iter().map(|(_, _, c)| c).sum();
+            let denom = total + n + 1.0;
+            for (_, s, c) in votes.iter_mut() {
+                *s += *c * ((1.0 / n).ln() - ((*c + 1.0) / denom).ln());
+            }
+        }
+        let vcs: Vec<f64> = votes.iter().map(|(_, s, _)| *s).collect();
+        let log_z = log_sum_exp_with_zeros(&vcs, domain.saturating_sub(votes.len()));
+        let entries: Vec<(ValueId, f64)> = votes
+            .iter()
+            .map(|(v, s, _)| (*v, (s - log_z).exp()))
+            .collect();
+        let um = if log_z.is_finite() {
+            (-log_z).exp()
+        } else {
+            1.0 / domain as f64
+        };
+        for &ci in item_claims {
+            let v = pc.claims[ci as usize].value;
+            truth_of_claim[ci as usize] =
+                entries.iter().find(|(ev, _)| *ev == v).map_or(um, |e| e.1);
+        }
+        entries_per_item.push(entries);
+        unobserved.push(um);
+    }
+    ItemPosteriors::from_parts(entries_per_item, unobserved)
+}
+
+/// The single-layer baseline with the serial [`pair_estep`] in place of
+/// the sharded one — the oracle for [`crate::SingleLayerModel`].
+pub fn fit_single_layer(
+    cube: &ObservationCube,
+    cfg: &ModelConfig,
+    init: &QualityInit,
+) -> (SingleLayerResult, ConvergenceTrace) {
+    run_with(cfg, cube, init, |pc, acc, truth_of_claim| {
+        pair_estep(pc, acc, cfg, truth_of_claim)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kbt_datamodel::{CubeBuilder, ExtractorId, Observation};
+
+    fn obs(e: u32, w: u32, d: u32, v: u32, confidence: f64) -> Observation {
+        Observation {
+            extractor: ExtractorId::new(e),
+            source: SourceId::new(w),
+            item: ItemId::new(d),
+            value: ValueId::new(v),
+            confidence,
+        }
+    }
+
+    fn cube_of(observations: &[Observation]) -> ObservationCube {
+        let mut b = CubeBuilder::new();
+        for o in observations {
+            b.push(*o);
+        }
+        b.build()
+    }
+
+    fn flat_params(sources: usize, accuracy: f64) -> Params {
+        Params {
+            source_accuracy: vec![accuracy; sources],
+            precision: vec![0.9],
+            recall: vec![0.9],
+            q: vec![0.1],
+        }
+    }
+
+    /// Example 3.2: six sources with A = 0.6, n = 10; USA provided by
+    /// four sources, Kenya by two → p(USA) ≈ 0.995, p(Kenya) ≈ 0.004.
+    #[test]
+    fn example_3_2_posteriors() {
+        let claims: Vec<_> = (0..6)
+            .map(|w| obs(0, w, 0, u32::from(w >= 4), 1.0))
+            .collect();
+        let cube = cube_of(&claims);
+        let (item, usa, kenya) = (ItemId::new(0), ValueId::new(0), ValueId::new(1));
+        let cfg = ModelConfig::default(); // n = 10
+        let out = estimate_values(
+            &cube,
+            &vec![1.0; cube.num_groups()],
+            &flat_params(6, 0.6),
+            &cfg,
+            &[true; 6],
+            None,
+        );
+        let (p_usa, p_kenya) = (
+            out.posteriors.prob(item, usa),
+            out.posteriors.prob(item, kenya),
+        );
+        assert!((p_usa - 0.995).abs() < 2e-3, "p(USA) = {p_usa}");
+        assert!((p_kenya - 0.004).abs() < 2e-3, "p(Kenya) = {p_kenya}");
+        let p_other = out.posteriors.prob(item, ValueId::new(7));
+        assert!(p_other < 1e-3 && p_other > 0.0);
+        let total = out.posteriors.observed_mass(item) + p_other * 9.0;
+        assert!((total - 1.0).abs() < 1e-9, "total = {total}");
+        for (g, grp) in cube.groups().iter().enumerate() {
+            let expect = if grp.value == usa { p_usa } else { p_kenya };
+            assert_eq!(out.truth_of_group[g], expect);
+        }
+    }
+
+    #[test]
+    fn correctness_weights_and_map_thresholding_shape_the_votes() {
+        // v0 claimed by 2 sources with high correctness, v1 by 3 with
+        // near-zero correctness (likely extraction errors).
+        let claims: Vec<_> = (0..5)
+            .map(|w| obs(0, w, 0, u32::from(w >= 2), 1.0))
+            .collect();
+        let cube = cube_of(&claims);
+        let item = ItemId::new(0);
+        let correctness: Vec<f64> = cube
+            .groups()
+            .iter()
+            .map(|g| {
+                if g.value == ValueId::new(0) {
+                    0.95
+                } else {
+                    0.05
+                }
+            })
+            .collect();
+        let params = flat_params(5, 0.7);
+        let weighted = ModelConfig::default();
+        let out = estimate_values(&cube, &correctness, &params, &weighted, &[true; 5], None);
+        let p = |out: &ValueLayerOutput, v| out.posteriors.prob(item, ValueId::new(v));
+        assert!(
+            p(&out, 0) > p(&out, 1),
+            "weighted votes override raw counts"
+        );
+        // MAP weighting: 0.95 → full vote, 0.05 → no vote.
+        let map = ModelConfig {
+            correctness_weighting: CorrectnessWeighting::Map,
+            ..weighted.clone()
+        };
+        let out = estimate_values(&cube, &correctness, &params, &map, &[true; 5], None);
+        assert!(p(&out, 0) > 0.5 && p(&out, 1) < 0.2);
+        // Inactive sources do not vote and leave their groups uncovered.
+        let out = estimate_values(&cube, &correctness, &params, &weighted, &[false; 5], None);
+        assert!(out.covered_group.iter().all(|c| !c));
+        assert!(
+            (p(&out, 0) - 1.0 / 11.0).abs() < 1e-9,
+            "uniform over domain"
+        );
+        // POPACCU stays normalized and keeps the majority value ahead.
+        let pop = ModelConfig {
+            value_model: ValueModel::PopAccu,
+            ..weighted
+        };
+        let out = estimate_values(&cube, &[1.0; 5], &params, &pop, &[true; 5], None);
+        assert!(p(&out, 1) > p(&out, 0), "three claims beat two");
+        let total = out.posteriors.observed_mass(item) + p(&out, 9) * 9.0;
+        assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    /// W0 provides two triples; W1 provides one.
+    fn cube_two_sources() -> ObservationCube {
+        cube_of(&[
+            obs(0, 0, 0, 0, 1.0),
+            obs(0, 0, 1, 1, 1.0),
+            obs(1, 1, 0, 2, 1.0),
+        ])
+    }
+
+    #[test]
+    fn source_accuracy_is_weighted_average_of_truth() {
+        let cube = cube_two_sources();
+        let cfg = ModelConfig::default();
+        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
+        let mut active = vec![false; 2];
+        // W0 groups: truth .9 and .5, correctness 1 and .5 →
+        // A = (1·.9 + .5·.5) / (1 + .5) = 1.15/1.5.
+        let (c, t) = ([1.0, 0.5, 1.0], [0.9, 0.5, 0.2]);
+        update_source_accuracy(&cube, &c, &t, &cfg, &mut params, &mut active);
+        assert!((params.source_accuracy[0] - 1.15 / 1.5).abs() < 1e-12);
+        assert!((params.source_accuracy[1] - 0.2).abs() < 1e-12);
+        assert!(active[0] && active[1]);
+        // Below the support threshold a source stays default and inactive.
+        let cfg = ModelConfig {
+            min_source_support: 2,
+            ..cfg
+        };
+        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
+        update_source_accuracy(
+            &cube,
+            &[1.0; 3],
+            &[0.9, 0.9, 0.1],
+            &cfg,
+            &mut params,
+            &mut active,
+        );
+        assert!(active[0] && !active[1], "W1 has 1 triple < support 2");
+        assert_eq!(params.source_accuracy[1], 0.8, "stays at default");
+    }
+
+    #[test]
+    fn extractor_precision_is_mean_correctness_of_its_extractions() {
+        let cube = cube_two_sources();
+        // Scope recall to visited sources and hold γ fixed so Eq. 7 is
+        // directly checkable.
+        let cfg = ModelConfig {
+            absence_policy: AbsencePolicy::SourceCandidates,
+            estimate_gamma: false,
+            ..ModelConfig::default()
+        };
+        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
+        // E0 extracted groups 0,1 (correctness .8, .4) → P = .6.
+        // E1 extracted group 2 (correctness 1.0) → P = 1 → clamped .999.
+        update_extractor_quality(&cube, &[0.8, 0.4, 1.0], &cfg, &mut params);
+        assert!((params.precision[0] - 0.6).abs() < 1e-12);
+        assert!((params.precision[1] - 0.999).abs() < 1e-12);
+        // Recall of E0: num = 1.2 of W0's mass 1.2 → R = 1 → clamped.
+        assert!((params.recall[0] - 0.999).abs() < 1e-9);
+        let expect_q0 = q_from_precision_recall(0.6, 0.999, cfg.gamma);
+        assert!((params.q[0] - expect_q0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn recall_counts_missed_triples_and_confidence_discounts_unsure_ones() {
+        // E0 and E1 both active on W0; E1 misses one of the two provided
+        // triples → R = 1 / (1 + 1).
+        let cube = cube_of(&[
+            obs(0, 0, 0, 0, 1.0),
+            obs(0, 0, 1, 0, 1.0),
+            obs(1, 0, 0, 0, 1.0),
+        ]);
+        let cfg = ModelConfig::default();
+        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
+        update_extractor_quality(&cube, &[1.0, 1.0], &cfg, &mut params);
+        assert!((params.recall[1] - 0.5).abs() < 1e-12);
+        assert!((params.recall[0] - 0.999).abs() < 1e-9);
+        // P = (0.5·0 + 1·1) / (0.5 + 1) = 2/3 — an unsure wrong
+        // extraction costs less than a confident one would.
+        let cube = cube_of(&[obs(0, 0, 0, 0, 0.5), obs(0, 0, 1, 0, 1.0)]);
+        let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
+        update_extractor_quality(&cube, &[0.0, 1.0], &cfg, &mut params);
+        assert!((params.precision[0] - 2.0 / 3.0).abs() < 1e-12);
+    }
+}

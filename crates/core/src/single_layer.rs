@@ -15,9 +15,9 @@
 use std::collections::HashMap;
 
 use kbt_datamodel::{ExtractorId, ItemId, ObservationCube, SourceId, ValueId};
-use kbt_flume::{par_map_slice, ShardedExecutor, Stopwatch};
+use kbt_flume::{ShardedExecutor, Stopwatch};
 
-use crate::config::{ExecMode, ModelConfig, ValueModel};
+use crate::config::{ModelConfig, ValueModel};
 use crate::math::{clamp_quality, log_sum_exp_with_zeros};
 use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
 use crate::params::QualityInit;
@@ -26,10 +26,21 @@ use crate::posterior::ItemPosteriors;
 /// One claim: pair-source `pair` asserts `(item, value)`; `group` links
 /// back to the originating cube group.
 #[derive(Debug, Clone, Copy)]
-struct Claim {
-    pair: u32,
-    value: ValueId,
-    group: u32,
+pub(crate) struct Claim {
+    pub(crate) pair: u32,
+    pub(crate) value: ValueId,
+    pub(crate) group: u32,
+}
+
+/// The reshaped cube an E-step reads: the claims, indexed by item
+/// (`by_item[offsets[d]..offsets[d+1]]` are item `d`'s claim indices),
+/// and which pair-sources may vote.
+#[derive(Clone, Copy)]
+pub(crate) struct PairClaims<'a> {
+    pub(crate) claims: &'a [Claim],
+    pub(crate) offsets: &'a [u32],
+    pub(crate) by_item: &'a [u32],
+    pub(crate) active_pair: &'a [bool],
 }
 
 /// Result of single-layer fusion.
@@ -89,19 +100,6 @@ impl SingleLayerModel {
         &self.cfg
     }
 
-    /// Run single-layer fusion over `cube`.
-    ///
-    /// Legacy entry point; prefer [`crate::FusionModel::fit`], which
-    /// returns the unified [`crate::FusionReport`] with the convergence
-    /// trace. The numbers are bit-for-bit identical.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use FusionModel::fit (or TrustPipeline) and read FusionReport"
-    )]
-    pub fn run(&self, cube: &ObservationCube, init: &QualityInit) -> SingleLayerResult {
-        self.run_traced(cube, init).0
-    }
-
     /// Run single-layer fusion, also recording per-iteration diagnostics.
     ///
     /// Inference runs under the per-run thread configuration of
@@ -111,266 +109,196 @@ impl SingleLayerModel {
         cube: &ObservationCube,
         init: &QualityInit,
     ) -> (SingleLayerResult, ConvergenceTrace) {
-        kbt_flume::with_threads(self.cfg.threads, || self.run_inner(cube, init))
+        kbt_flume::with_threads(self.cfg.threads, || {
+            let mut exec: ShardedExecutor<PairScratch> = ShardedExecutor::new();
+            run_with(&self.cfg, cube, init, |pc, acc, truth_of_claim| {
+                pair_estep(pc, acc, &self.cfg, &mut exec, truth_of_claim)
+            })
+        })
+    }
+}
+
+/// The single-layer EM loop around a pluggable E-step (Eq. 2–3):
+/// `estep(claims, pair accuracies, truth_of_claim out)` returns the item
+/// posteriors and fills each claim's truthfulness. The model passes the
+/// sharded [`pair_estep`]; [`crate::reference::fit_single_layer`] passes
+/// the flat serial one.
+pub(crate) fn run_with(
+    cfg: &ModelConfig,
+    cube: &ObservationCube,
+    init: &QualityInit,
+    mut estep: impl FnMut(&PairClaims<'_>, &[f64], &mut [f64]) -> ItemPosteriors,
+) -> (SingleLayerResult, ConvergenceTrace) {
+    // ---- Reshape the cube into pair-sources and claims. ----
+    let mut pair_ids: HashMap<(SourceId, ExtractorId), u32> = HashMap::new();
+    let mut pairs: Vec<(SourceId, ExtractorId)> = Vec::new();
+    let mut claims: Vec<Claim> = Vec::new();
+    // Claims grouped by item: counting sort below.
+    let mut item_of_claim: Vec<ItemId> = Vec::new();
+    for (g, grp, cells) in cube.iter_with_cells() {
+        for c in cells {
+            if cfg.effective_confidence(c.confidence) <= 0.0 {
+                continue; // single layer binarizes extractions
+            }
+            let pid = *pair_ids
+                .entry((grp.source, c.extractor))
+                .or_insert_with(|| {
+                    pairs.push((grp.source, c.extractor));
+                    (pairs.len() - 1) as u32
+                });
+            claims.push(Claim {
+                pair: pid,
+                value: grp.value,
+                group: g as u32,
+            });
+            item_of_claim.push(grp.item);
+        }
+    }
+    let np = pairs.len();
+
+    // Index claims by item.
+    let ni = cube.num_items();
+    let mut offsets = vec![0u32; ni + 1];
+    for d in &item_of_claim {
+        offsets[d.index() + 1] += 1;
+    }
+    for k in 0..ni {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut cursor = offsets.clone();
+    let mut by_item: Vec<u32> = vec![0; claims.len()];
+    for (ci, d) in item_of_claim.iter().enumerate() {
+        let slot = &mut cursor[d.index()];
+        by_item[*slot as usize] = ci as u32;
+        *slot += 1;
     }
 
-    fn run_inner(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-    ) -> (SingleLayerResult, ConvergenceTrace) {
-        let cfg = &self.cfg;
+    // Claim counts per pair → activity.
+    let mut pair_claims = vec![0usize; np];
+    for c in &claims {
+        pair_claims[c.pair as usize] += 1;
+    }
+    let active_pair: Vec<bool> = pair_claims
+        .iter()
+        .map(|&n| n >= cfg.min_source_support)
+        .collect();
 
-        // ---- Reshape the cube into pair-sources and claims. ----
-        let mut pair_ids: HashMap<(SourceId, ExtractorId), u32> = HashMap::new();
-        let mut pairs: Vec<(SourceId, ExtractorId)> = Vec::new();
-        let mut claims: Vec<Claim> = Vec::new();
-        // Claims grouped by item: counting sort below.
-        let mut item_of_claim: Vec<ItemId> = Vec::new();
-        for (g, grp, cells) in cube.iter_with_cells() {
-            for c in cells {
-                if cfg.effective_confidence(c.confidence) <= 0.0 {
-                    continue; // single layer binarizes extractions
-                }
-                let pid = *pair_ids
-                    .entry((grp.source, c.extractor))
-                    .or_insert_with(|| {
-                        pairs.push((grp.source, c.extractor));
-                        (pairs.len() - 1) as u32
-                    });
-                claims.push(Claim {
-                    pair: pid,
-                    value: grp.value,
-                    group: g as u32,
-                });
-                item_of_claim.push(grp.item);
-            }
-        }
-        let np = pairs.len();
-
-        // Index claims by item.
-        let ni = cube.num_items();
-        let mut offsets = vec![0u32; ni + 1];
-        for d in &item_of_claim {
-            offsets[d.index() + 1] += 1;
-        }
-        for k in 0..ni {
-            offsets[k + 1] += offsets[k];
-        }
-        let mut cursor = offsets.clone();
-        let mut by_item: Vec<u32> = vec![0; claims.len()];
-        for (ci, d) in item_of_claim.iter().enumerate() {
-            let slot = &mut cursor[d.index()];
-            by_item[*slot as usize] = ci as u32;
-            *slot += 1;
-        }
-
-        // Claim counts per pair → activity.
-        let mut pair_claims = vec![0usize; np];
-        for c in &claims {
-            pair_claims[c.pair as usize] += 1;
-        }
-        let active_pair: Vec<bool> = pair_claims
-            .iter()
-            .map(|&n| n >= cfg.min_source_support)
-            .collect();
-
-        // ---- Initialize accuracies. ----
-        let mut acc = vec![cfg.default_source_accuracy; np];
-        match init {
-            QualityInit::Default => {}
-            QualityInit::FromGold {
-                source_accuracy, ..
-            } => {
-                for (pid, (w, _)) in pairs.iter().enumerate() {
-                    if let Some(Some(a)) = source_accuracy.get(w.index()) {
-                        acc[pid] = clamp_quality(*a);
-                    }
-                }
-            }
-            // Warm start (incremental fusion): seed each pair from its web
-            // source's converged accuracy — the best per-pair prior the
-            // single-layer parameterization can carry forward.
-            QualityInit::Resume(prev) => {
-                for (pid, (w, _)) in pairs.iter().enumerate() {
-                    if let Some(a) = prev.source_accuracy.get(w.index()) {
-                        acc[pid] = clamp_quality(*a);
-                    }
+    // ---- Initialize accuracies. ----
+    let mut acc = vec![cfg.default_source_accuracy; np];
+    match init {
+        QualityInit::Default => {}
+        QualityInit::FromGold {
+            source_accuracy, ..
+        } => {
+            for (pid, (w, _)) in pairs.iter().enumerate() {
+                if let Some(Some(a)) = source_accuracy.get(w.index()) {
+                    acc[pid] = clamp_quality(*a);
                 }
             }
         }
-
-        // ---- Iterate E/M. ----
-        let n = cfg.n_false_values as f64;
-        let domain = cfg.n_false_values + 1;
-        let items: Vec<u32> = (0..ni as u32).collect();
-        let mut exec: ShardedExecutor<PairScratch> = ShardedExecutor::new();
-        let mut truth_of_claim = vec![0.0f64; claims.len()];
-        let mut posteriors = ItemPosteriors::default();
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut trace = ConvergenceTrace::default();
-        let mut watch = Stopwatch::start();
-
-        for t in 1..=cfg.max_iterations {
-            iterations = t;
-            // E-step per item (Eq. 2–3): (observed posteriors,
-            // unobserved mass, per-claim truth).
-            posteriors = if cfg.exec_mode != ExecMode::Flat {
-                pair_estep_sharded(
-                    &claims,
-                    &offsets,
-                    &by_item,
-                    &active_pair,
-                    &acc,
-                    cfg,
-                    ni,
-                    &mut exec,
-                    &mut truth_of_claim,
-                )
-            } else {
-                type ItemOut = (Vec<(ValueId, f64)>, f64, Vec<(u32, f64)>);
-                let per_item: Vec<ItemOut> = par_map_slice(&items, |&d| {
-                    let lo = offsets[d as usize] as usize;
-                    let hi = offsets[d as usize + 1] as usize;
-                    let mut votes: Vec<(ValueId, f64, f64)> = Vec::new(); // (v, vote, claims)
-                    for &ci in &by_item[lo..hi] {
-                        let cl = claims[ci as usize];
-                        if !active_pair[cl.pair as usize] {
-                            continue;
-                        }
-                        let a = clamp_quality(acc[cl.pair as usize]);
-                        let vote = (n * a / (1.0 - a)).ln();
-                        match votes.iter_mut().find(|(v, _, _)| *v == cl.value) {
-                            Some((_, s, c)) => {
-                                *s += vote;
-                                *c += 1.0;
-                            }
-                            None => votes.push((cl.value, vote, 1.0)),
-                        }
-                    }
-                    if cfg.value_model == ValueModel::PopAccu && !votes.is_empty() {
-                        let total: f64 = votes.iter().map(|(_, _, c)| c).sum();
-                        let denom = total + n + 1.0;
-                        for (_, s, c) in votes.iter_mut() {
-                            let rho = (*c + 1.0) / denom;
-                            *s += *c * ((1.0 / n).ln() - rho.ln());
-                        }
-                    }
-                    let unobserved = domain.saturating_sub(votes.len());
-                    let vcs: Vec<f64> = votes.iter().map(|(_, s, _)| *s).collect();
-                    let log_z = log_sum_exp_with_zeros(&vcs, unobserved);
-                    let entries: Vec<(ValueId, f64)> = votes
-                        .iter()
-                        .map(|(v, s, _)| (*v, (s - log_z).exp()))
-                        .collect();
-                    let um = if log_z.is_finite() {
-                        (-log_z).exp()
-                    } else {
-                        1.0 / domain as f64
-                    };
-                    // Truthfulness of each claim of this item.
-                    let tr: Vec<(u32, f64)> = by_item[lo..hi]
-                        .iter()
-                        .map(|&ci| {
-                            let cl = claims[ci as usize];
-                            let p = entries
-                                .iter()
-                                .find(|(v, _)| *v == cl.value)
-                                .map(|(_, p)| *p)
-                                .unwrap_or(um);
-                            (ci, p)
-                        })
-                        .collect();
-                    (entries, um, tr)
-                });
-
-                let mut entries_per_item = Vec::with_capacity(ni);
-                let mut unobserved = Vec::with_capacity(ni);
-                for (entries, um, tr) in per_item {
-                    entries_per_item.push(entries);
-                    unobserved.push(um);
-                    for (ci, p) in tr {
-                        truth_of_claim[ci as usize] = p;
-                    }
+        // Warm start (incremental fusion): seed each pair from its web
+        // source's converged accuracy — the best per-pair prior the
+        // single-layer parameterization can carry forward.
+        QualityInit::Resume(prev) => {
+            for (pid, (w, _)) in pairs.iter().enumerate() {
+                if let Some(a) = prev.source_accuracy.get(w.index()) {
+                    acc[pid] = clamp_quality(*a);
                 }
-                ItemPosteriors::from_parts(entries_per_item, unobserved)
-            };
-
-            // M-step (Eq. 4): pair accuracy = mean truth of its claims.
-            let mut num = vec![0.0f64; np];
-            for (ci, cl) in claims.iter().enumerate() {
-                num[cl.pair as usize] += truth_of_claim[ci];
-            }
-            let mut max_delta = 0.0f64;
-            for p in 0..np {
-                if !active_pair[p] || pair_claims[p] == 0 {
-                    continue;
-                }
-                let new = clamp_quality(num[p] / pair_claims[p] as f64);
-                max_delta = max_delta.max((new - acc[p]).abs());
-                acc[p] = new;
-            }
-            let log_likelihood = truth_of_claim.iter().map(|&p| map_confidence_ll(p)).sum();
-            trace.rounds.push(IterationTrace {
-                iteration: t,
-                delta: max_delta,
-                log_likelihood,
-                wall: watch.lap(),
-            });
-            if max_delta < cfg.convergence_eps {
-                converged = true;
-                break;
             }
         }
-        trace.converged = converged;
+    }
 
-        // ---- Aggregate to per-source accuracy and per-group outputs. ----
-        let mut src_num = vec![0.0f64; cube.num_sources()];
-        let mut src_den = vec![0.0f64; cube.num_sources()];
-        for (pid, (w, _)) in pairs.iter().enumerate() {
-            if !active_pair[pid] {
+    // ---- Iterate E/M. ----
+    let pc = PairClaims {
+        claims: &claims,
+        offsets: &offsets,
+        by_item: &by_item,
+        active_pair: &active_pair,
+    };
+    let mut truth_of_claim = vec![0.0f64; claims.len()];
+    let mut posteriors = ItemPosteriors::default();
+    let mut iterations = 0;
+    let mut converged = false;
+    let mut trace = ConvergenceTrace::default();
+    let mut watch = Stopwatch::start();
+
+    for t in 1..=cfg.max_iterations {
+        iterations = t;
+        posteriors = estep(&pc, &acc, &mut truth_of_claim);
+
+        // M-step (Eq. 4): pair accuracy = mean truth of its claims.
+        let mut num = vec![0.0f64; np];
+        for (ci, cl) in claims.iter().enumerate() {
+            num[cl.pair as usize] += truth_of_claim[ci];
+        }
+        let mut max_delta = 0.0f64;
+        for p in 0..np {
+            if !active_pair[p] || pair_claims[p] == 0 {
                 continue;
             }
-            let weight = pair_claims[pid] as f64;
-            src_num[w.index()] += weight * acc[pid];
-            src_den[w.index()] += weight;
+            let new = clamp_quality(num[p] / pair_claims[p] as f64);
+            max_delta = max_delta.max((new - acc[p]).abs());
+            acc[p] = new;
         }
-        let source_accuracy: Vec<f64> = src_num
-            .iter()
-            .zip(&src_den)
-            .map(|(n_, d_)| {
-                if *d_ > 0.0 {
-                    n_ / d_
-                } else {
-                    cfg.default_source_accuracy
-                }
-            })
-            .collect();
-
-        let mut truth_of_group = vec![0.0f64; cube.num_groups()];
-        let mut covered_group = vec![false; cube.num_groups()];
-        for (ci, cl) in claims.iter().enumerate() {
-            let g = cl.group as usize;
-            truth_of_group[g] = truth_of_claim[ci];
-            if active_pair[cl.pair as usize] {
-                covered_group[g] = true;
-            }
+        let log_likelihood = truth_of_claim.iter().map(|&p| map_confidence_ll(p)).sum();
+        trace.rounds.push(IterationTrace {
+            iteration: t,
+            delta: max_delta,
+            log_likelihood,
+            wall: watch.lap(),
+        });
+        if max_delta < cfg.convergence_eps {
+            converged = true;
+            break;
         }
-
-        let result = SingleLayerResult {
-            pairs,
-            pair_accuracy: acc,
-            source_accuracy,
-            posteriors,
-            truth_of_group,
-            covered_group,
-            active_pair,
-            iterations,
-            converged,
-        };
-        (result, trace)
     }
+    trace.converged = converged;
+
+    // ---- Aggregate to per-source accuracy and per-group outputs. ----
+    let mut src_num = vec![0.0f64; cube.num_sources()];
+    let mut src_den = vec![0.0f64; cube.num_sources()];
+    for (pid, (w, _)) in pairs.iter().enumerate() {
+        if !active_pair[pid] {
+            continue;
+        }
+        let weight = pair_claims[pid] as f64;
+        src_num[w.index()] += weight * acc[pid];
+        src_den[w.index()] += weight;
+    }
+    let source_accuracy: Vec<f64> = src_num
+        .iter()
+        .zip(&src_den)
+        .map(|(n_, d_)| {
+            if *d_ > 0.0 {
+                n_ / d_
+            } else {
+                cfg.default_source_accuracy
+            }
+        })
+        .collect();
+
+    let mut truth_of_group = vec![0.0f64; cube.num_groups()];
+    let mut covered_group = vec![false; cube.num_groups()];
+    for (ci, cl) in claims.iter().enumerate() {
+        let g = cl.group as usize;
+        truth_of_group[g] = truth_of_claim[ci];
+        if active_pair[cl.pair as usize] {
+            covered_group[g] = true;
+        }
+    }
+
+    let result = SingleLayerResult {
+        pairs,
+        pair_accuracy: acc,
+        source_accuracy,
+        posteriors,
+        truth_of_group,
+        covered_group,
+        active_pair,
+        iterations,
+        converged,
+    };
+    (result, trace)
 }
 
 /// Reusable per-shard scratch of the sharded single-layer E-step.
@@ -384,23 +312,24 @@ struct PairScratch {
     truth: Vec<(u32, f64)>, // (claim index, truthfulness)
 }
 
-/// The single-layer E-step (Eq. 2–3) on the shard-parallel engine. The
-/// arithmetic mirrors the flat branch operation-for-operation — the
-/// `sharded_engine` integration tests pin down bit-identity — while the
-/// per-item `Vec` churn is replaced by the shard's reusable scratch.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-fn pair_estep_sharded(
-    claims: &[Claim],
-    offsets: &[u32],
-    by_item: &[u32],
-    active_pair: &[bool],
+/// The single-layer E-step (Eq. 2–3), items sharded over the executor's
+/// workers, each reusing its [`PairScratch`]; shard outputs merge in shard
+/// order. The arithmetic is [`crate::reference::pair_estep`]'s, operation
+/// for operation (the `sharded_engine` integration test pins bit-identity).
+fn pair_estep(
+    pc: &PairClaims<'_>,
     acc: &[f64],
     cfg: &ModelConfig,
-    ni: usize,
     exec: &mut ShardedExecutor<PairScratch>,
     truth_of_claim: &mut [f64],
 ) -> ItemPosteriors {
+    let PairClaims {
+        claims,
+        offsets,
+        by_item,
+        active_pair,
+    } = *pc;
+    let ni = offsets.len() - 1;
     let n = cfg.n_false_values as f64;
     let domain = cfg.n_false_values + 1;
     exec.run_shards(ni, |s, _, item_range| {
@@ -485,9 +414,6 @@ fn pair_estep_sharded(
 
 #[cfg(test)]
 mod tests {
-    // The legacy `run` path must keep working; these tests exercise it.
-    #![allow(deprecated)]
-
     use super::*;
     use kbt_datamodel::{CubeBuilder, Observation};
 
@@ -511,7 +437,7 @@ mod tests {
         }
         let cube = b.build();
         let model = SingleLayerModel::default();
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         assert!(r.posteriors.prob(ItemId::new(0), ValueId::new(0)) > 0.9);
         assert!(r.posteriors.prob(ItemId::new(0), ValueId::new(1)) < 0.1);
         assert_eq!(r.coverage(), 1.0);
@@ -558,7 +484,7 @@ mod tests {
         }
         let cube = b.build();
         let model = SingleLayerModel::default();
-        let r = model.run(&cube, &QualityInit::Default);
+        let r = model.run_traced(&cube, &QualityInit::Default).0;
         let p_usa = r.posteriors.prob(ItemId::new(0), ValueId::new(0));
         let p_kenya = r.posteriors.prob(ItemId::new(0), ValueId::new(1));
         // 12 claims each with identical accuracies → near-equal posteriors.
@@ -580,7 +506,9 @@ mod tests {
             min_source_support: 3,
             ..ModelConfig::single_layer_default()
         };
-        let r = SingleLayerModel::new(cfg).run(&cube, &QualityInit::Default);
+        let r = SingleLayerModel::new(cfg)
+            .run_traced(&cube, &QualityInit::Default)
+            .0;
         assert!(r.coverage() < 1.0);
         let uncovered: Vec<_> = r
             .covered_group
@@ -610,7 +538,7 @@ mod tests {
             extractor_precision: vec![],
             extractor_recall: vec![],
         };
-        let r = SingleLayerModel::default().run(&cube, &init);
+        let r = SingleLayerModel::default().run_traced(&cube, &init).0;
         // Seeded trust should break the symmetry toward W0's values.
         for d in 0..3u32 {
             assert!(
@@ -632,7 +560,9 @@ mod tests {
             value_model: ValueModel::PopAccu,
             ..ModelConfig::single_layer_default()
         };
-        let r = SingleLayerModel::new(cfg).run(&cube, &QualityInit::Default);
+        let r = SingleLayerModel::new(cfg)
+            .run_traced(&cube, &QualityInit::Default)
+            .0;
         let d = ItemId::new(0);
         let total = r.posteriors.observed_mass(d)
             + r.posteriors.prob(d, ValueId::new(99)) * (101 - 2) as f64;

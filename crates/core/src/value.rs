@@ -11,15 +11,14 @@
 
 use std::io;
 
-use kbt_datamodel::{
-    ChunkBuf, ChunkCache, ChunkStoreMeta, ChunkedCube, ItemId, ItemView, ObservationCube, SourceId,
-    ValueId,
-};
-use kbt_flume::{balanced_ranges, par_map_slice, ShardedExecutor};
+use kbt_datamodel::{ChunkSource, ItemView, SourceId, ValueId};
+use kbt_flume::ShardedExecutor;
 
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
-use crate::math::{clamp_quality, log_sum_exp_with_zeros};
+use crate::math::clamp_quality;
+#[cfg(not(feature = "simd"))]
+use crate::math::log_sum_exp_with_zeros;
 use crate::params::Params;
 use crate::posterior::ItemPosteriors;
 
@@ -44,458 +43,38 @@ pub struct ValueLayerOutput {
     pub covered_group: Vec<bool>,
 }
 
-/// Run the value layer. `correctness[g]` is the current
-/// `p(C_wdv = 1 | X)`; `active_source[w]` gates which sources vote;
-/// `discount` (the CopyDiscount stage, if copy-aware fusion is on) scales
-/// each source's vote by its independence factor `I(w)` — `None` leaves
-/// the arithmetic bit-identical to copy-blind fusion.
-pub fn estimate_values(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    params: &Params,
-    cfg: &ModelConfig,
-    active_source: &[bool],
-    discount: Option<&CopyDiscount>,
-) -> ValueLayerOutput {
-    debug_assert_eq!(correctness.len(), cube.num_groups());
-    debug_assert_eq!(active_source.len(), cube.num_sources());
-
-    let items: Vec<u32> = (0..cube.num_items() as u32).collect();
-    let n = cfg.n_false_values as f64;
-
-    // Per-item computation, parallel over items.
-    type PerItem = (
-        Vec<(ValueId, f64)>, // observed-value posteriors
-        f64,                 // unobserved mass
-        Vec<(usize, f64)>,   // (group, unconditional truth)
-        Vec<(usize, f64)>,   // (group, truth given C_g = 1)
-        Vec<(usize, bool)>,  // (group, covered)
-    );
-    let per_item: Vec<PerItem> = par_map_slice(&items, |&d| {
-        let d = ItemId::new(d);
-        // Gather votes per observed value.
-        let mut values: Vec<(ValueId, f64, bool)> = Vec::new(); // (v, vote sum, covered)
-        let mut group_rows: Vec<(usize, ValueId, f64, f64)> = Vec::new(); // (g, v, weight, full vote)
-        let mut total_claims = 0.0f64;
-        let mut claims_per_value: Vec<(ValueId, f64)> = Vec::new();
-        for g in cube.groups_of_item(d) {
-            let grp = &cube.groups()[g];
-            if cube.cells_of(grp).is_empty() {
-                // A group with no surviving extraction (e.g. emptied by a
-                // retraction delta) casts no claim and no vote; it still
-                // gets a truth entry below so per-group arrays stay dense.
-                group_rows.push((g, grp.value, 0.0, 0.0));
-                continue;
-            }
-            let weight = match cfg.correctness_weighting {
-                CorrectnessWeighting::Weighted => correctness[g],
-                CorrectnessWeighting::Map => {
-                    if correctness[g] >= 0.5 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            // POPACCU popularity counts use every claim, active or not.
-            match claims_per_value.iter_mut().find(|(v, _)| *v == grp.value) {
-                Some((_, c)) => *c += weight,
-                None => claims_per_value.push((grp.value, weight)),
-            }
-            total_claims += weight;
-            if !active_source[grp.source.index()] {
-                group_rows.push((g, grp.value, 0.0, 0.0));
-                continue;
-            }
-            let a = clamp_quality(params.source_accuracy[grp.source.index()]);
-            let mut full_vote = (n * a / (1.0 - a)).ln();
-            if let Some(d) = discount {
-                // CopyDiscount: only the independent fraction of the vote
-                // counts (paper-style I(S) factor).
-                full_vote *= d.factor(grp.source);
-            }
-            let vote = weight * full_vote;
-            group_rows.push((g, grp.value, weight, full_vote));
-            match values.iter_mut().find(|(v, _, _)| *v == grp.value) {
-                Some((_, sum, cov)) => {
-                    *sum += vote;
-                    *cov = true;
-                }
-                None => values.push((grp.value, vote, true)),
-            }
-        }
-        // POPACCU adjustment: replace the uniform 1/n false-value
-        // probability with smoothed empirical popularity, i.e. add
-        // ln(1/n) − ln(ρ(d,v)) per unit of vote weight. We apply it at
-        // the value level using the aggregate claim mass.
-        if cfg.value_model == ValueModel::PopAccu && total_claims > 0.0 {
-            let denom = total_claims + n + 1.0;
-            for (v, sum, _) in values.iter_mut() {
-                let cnt = claims_per_value
-                    .iter()
-                    .find(|(cv, _)| cv == v)
-                    .map(|(_, c)| *c)
-                    .unwrap_or(0.0);
-                let rho = (cnt + 1.0) / denom;
-                // Per-vote adjustment ln((1/n)/ρ) scaled by the total
-                // weight already accumulated for this value.
-                let weight_on_v = cnt;
-                *sum += weight_on_v * ((1.0 / n).ln() - rho.ln());
-            }
-        }
-
-        // Softmax with unobserved-value zeros (Eq. 21/25).
-        let domain = cfg.n_false_values + 1;
-        let unobserved_count = domain.saturating_sub(values.len());
-        let vcs: Vec<f64> = values.iter().map(|(_, s, _)| *s).collect();
-        let log_z = log_sum_exp_with_zeros(&vcs, unobserved_count);
-        let entries: Vec<(ValueId, f64)> = values
-            .iter()
-            .map(|(v, s, _)| (*v, (s - log_z).exp()))
-            .collect();
-        let unobserved_mass = if log_z.is_finite() {
-            (-log_z).exp()
-        } else {
-            // No observed values and empty domain: uniform fallback.
-            1.0 / domain as f64
-        };
-
-        // Truth probability, conditional truth, and coverage per group.
-        let mut truth: Vec<(usize, f64)> = Vec::with_capacity(group_rows.len());
-        let mut cond: Vec<(usize, f64)> = Vec::with_capacity(group_rows.len());
-        let mut covered: Vec<(usize, bool)> = Vec::with_capacity(group_rows.len());
-        for (g, v, weight, full_vote) in &group_rows {
-            let p = entries
-                .iter()
-                .find(|(ev, _)| ev == v)
-                .map(|(_, p)| *p)
-                .unwrap_or(unobserved_mass);
-            truth.push((*g, p));
-            // p(V_d = v | X, C_g = 1): raise this group's vote from
-            // weight·vote to the full vote and renormalize. With
-            // a = log p(v|X) and b = a + (1−weight)·vote,
-            // p_cond = e^b / (1 − e^a + e^b).
-            let p_cond = if log_z.is_finite() && *full_vote != 0.0 {
-                let x = values
-                    .iter()
-                    .find(|(ev, _, _)| ev == v)
-                    .map(|(_, s, _)| *s)
-                    .unwrap_or(0.0);
-                let a = x - log_z;
-                let b = a + (1.0 - weight) * full_vote;
-                let ea = a.exp();
-                let eb = b.exp();
-                (eb / (1.0 - ea + eb)).clamp(0.0, 1.0)
-            } else {
-                p
-            };
-            cond.push((*g, p_cond));
-            let c = values
-                .iter()
-                .find(|(ev, _, _)| ev == v)
-                .map(|(_, _, c)| *c)
-                .unwrap_or(false);
-            covered.push((*g, c));
-        }
-        (entries, unobserved_mass, truth, cond, covered)
-    });
-
-    let mut entries_per_item = Vec::with_capacity(per_item.len());
-    let mut unobserved = Vec::with_capacity(per_item.len());
-    let mut truth_of_group = vec![0.0; cube.num_groups()];
-    let mut truth_given_provided = vec![0.0; cube.num_groups()];
-    let mut covered_group = vec![false; cube.num_groups()];
-    for (entries, um, truth, cond, covered) in per_item {
-        entries_per_item.push(entries);
-        unobserved.push(um);
-        for (g, p) in truth {
-            truth_of_group[g] = p;
-        }
-        for (g, p) in cond {
-            truth_given_provided[g] = p;
-        }
-        for (g, c) in covered {
-            covered_group[g] = c;
-        }
-    }
-
-    ValueLayerOutput {
-        posteriors: ItemPosteriors::from_parts(entries_per_item, unobserved),
-        truth_of_group,
-        truth_given_provided,
-        covered_group,
-    }
-}
-
-/// Reusable per-shard scratch arena for [`estimate_values_with`] — the
-/// buffers one worker needs for the per-item E-step, plus the shard-local
-/// output accumulators that are merged (in shard order) after the round.
-/// Held inside a [`ShardedExecutor`] across EM rounds, so the steady-state
-/// E-step performs no per-item and no per-round allocation.
-#[derive(Debug, Default)]
-pub struct ValueScratch {
-    // Per-item working buffers (cleared per item, capacity retained).
-    values: Vec<(ValueId, f64, bool)>, // (v, vote sum, covered)
-    group_rows: Vec<(usize, ValueId, f64, f64)>, // (g, v, weight, full vote)
-    claim_values: Vec<ValueId>,
-    claims: Vec<(ValueId, f64)>, // sorted by value; POPACCU popularity
-    vcs: Vec<f64>,
-    // Shard-level outputs (cleared per round, capacity retained).
-    entries: Vec<(ValueId, f64)>,
-    entry_counts: Vec<u32>,
-    unobserved: Vec<f64>,
-    groups_out: Vec<(u32, f64, f64, bool)>, // (g, truth, cond, covered)
-}
-
-/// The per-item E-step kernel of the sharded path. Arithmetic mirrors the
-/// flat [`estimate_values`] operation-for-operation so the two paths stay
-/// bit-identical (the `sharded_engine` integration tests enforce this);
-/// the only structural changes are allocation-free: scratch buffers
-/// replace per-item `Vec`s, and the POPACCU claim table is seeded from
-/// [`ObservationCube::observed_values_into`] and probed by binary search
-/// instead of a linear scan (per-slot accumulation order is unchanged, so
-/// the sums are the same floats).
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-fn value_item_kernel(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    params: &Params,
-    cfg: &ModelConfig,
-    active_source: &[bool],
-    discount: Option<&CopyDiscount>,
-    n: f64,
-    d: ItemId,
-    s: &mut ValueScratch,
-) {
-    s.values.clear();
-    s.group_rows.clear();
-    cube.observed_values_into(d, &mut s.claim_values);
-    s.claims.clear();
-    s.claims.extend(s.claim_values.iter().map(|&v| (v, 0.0)));
-    let mut total_claims = 0.0f64;
-    for g in cube.groups_of_item(d) {
-        let grp = &cube.groups()[g];
-        if cube.cells_of(grp).is_empty() {
-            // Mirror the flat path: a cell-less group (emptied by a
-            // retraction delta) casts no claim and no vote.
-            s.group_rows.push((g, grp.value, 0.0, 0.0));
-            continue;
-        }
-        let weight = match cfg.correctness_weighting {
-            CorrectnessWeighting::Weighted => correctness[g],
-            CorrectnessWeighting::Map => {
-                if correctness[g] >= 0.5 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        };
-        // POPACCU popularity counts use every claim, active or not. On a
-        // well-formed cube the group's value is always present in the
-        // item's observed-value table; if an upstream delta/retraction
-        // ever leaves them inconsistent, degrade to skipping the group
-        // (it casts no claim and no vote) instead of panicking — serving
-        // refits must never abort the process over one stale group.
-        let Ok(slot) = s.claims.binary_search_by_key(&grp.value, |(v, _)| *v) else {
-            s.group_rows.push((g, grp.value, 0.0, 0.0));
-            continue;
-        };
-        s.claims[slot].1 += weight;
-        total_claims += weight;
-        if !active_source[grp.source.index()] {
-            s.group_rows.push((g, grp.value, 0.0, 0.0));
-            continue;
-        }
-        let a = clamp_quality(params.source_accuracy[grp.source.index()]);
-        let mut full_vote = (n * a / (1.0 - a)).ln();
-        if let Some(d) = discount {
-            // CopyDiscount, mirroring the flat path exactly.
-            full_vote *= d.factor(grp.source);
-        }
-        let vote = weight * full_vote;
-        s.group_rows.push((g, grp.value, weight, full_vote));
-        match s.values.iter_mut().find(|(v, _, _)| *v == grp.value) {
-            Some((_, sum, cov)) => {
-                *sum += vote;
-                *cov = true;
-            }
-            None => s.values.push((grp.value, vote, true)),
-        }
-    }
-    // POPACCU adjustment (see the flat path for the derivation).
-    if cfg.value_model == ValueModel::PopAccu && total_claims > 0.0 {
-        let denom = total_claims + n + 1.0;
-        let claims = &s.claims;
-        for (v, sum, _) in s.values.iter_mut() {
-            let cnt = claims
-                .binary_search_by_key(v, |(cv, _)| *cv)
-                .map(|i| claims[i].1)
-                .unwrap_or(0.0);
-            let rho = (cnt + 1.0) / denom;
-            let weight_on_v = cnt;
-            *sum += weight_on_v * ((1.0 / n).ln() - rho.ln());
-        }
-    }
-
-    // Softmax with unobserved-value zeros (Eq. 21/25).
-    let domain = cfg.n_false_values + 1;
-    let unobserved_count = domain.saturating_sub(s.values.len());
-    s.vcs.clear();
-    s.vcs.extend(s.values.iter().map(|(_, sum, _)| *sum));
-    let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
-    let entry_start = s.entries.len();
-    s.entries
-        .extend(s.values.iter().map(|(v, sum, _)| (*v, (sum - log_z).exp())));
-    s.entries[entry_start..].sort_unstable_by_key(|(v, _)| *v);
-    s.entry_counts.push((s.entries.len() - entry_start) as u32);
-    let unobserved_mass = if log_z.is_finite() {
-        (-log_z).exp()
-    } else {
-        1.0 / domain as f64
-    };
-    s.unobserved.push(unobserved_mass);
-
-    // Truth probability, conditional truth, and coverage per group.
-    for idx in 0..s.group_rows.len() {
-        let (g, v, weight, full_vote) = s.group_rows[idx];
-        let run = &s.entries[entry_start..];
-        let p = match run.binary_search_by_key(&v, |(ev, _)| *ev) {
-            Ok(i) => run[i].1,
-            Err(_) => unobserved_mass,
-        };
-        let p_cond = if log_z.is_finite() && full_vote != 0.0 {
-            let x = s
-                .values
-                .iter()
-                .find(|(ev, _, _)| *ev == v)
-                .map(|(_, sum, _)| *sum)
-                .unwrap_or(0.0);
-            let a = x - log_z;
-            let b = a + (1.0 - weight) * full_vote;
-            let ea = a.exp();
-            let eb = b.exp();
-            (eb / (1.0 - ea + eb)).clamp(0.0, 1.0)
-        } else {
-            p
-        };
-        let cov = s
-            .values
-            .iter()
-            .find(|(ev, _, _)| *ev == v)
-            .map(|(_, _, c)| *c)
-            .unwrap_or(false);
-        s.groups_out.push((g as u32, p, p_cond, cov));
-    }
-}
-
-/// [`estimate_values`] on the shard-parallel engine: items are
-/// partitioned into contiguous key-range shards, each worker reuses its
-/// [`ValueScratch`] arena, and shard outputs are merged in shard order.
-/// Bit-identical to the flat path at any shard count.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_values_with(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    params: &Params,
-    cfg: &ModelConfig,
-    active_source: &[bool],
-    discount: Option<&CopyDiscount>,
-    exec: &mut ShardedExecutor<ValueScratch>,
-) -> ValueLayerOutput {
-    debug_assert_eq!(correctness.len(), cube.num_groups());
-    debug_assert_eq!(active_source.len(), cube.num_sources());
-    let ni = cube.num_items();
-    let n = cfg.n_false_values as f64;
-
-    exec.run_shards(ni, |s, _, items| {
-        s.entries.clear();
-        s.entry_counts.clear();
-        s.unobserved.clear();
-        s.groups_out.clear();
-        for d in items {
-            value_item_kernel(
-                cube,
-                correctness,
-                params,
-                cfg,
-                active_source,
-                discount,
-                n,
-                ItemId::new(d as u32),
-                s,
-            );
-        }
-    });
-
-    // Ordered merge: shard `i` holds the outputs of key range `i`.
-    let total_entries: usize = exec.scratch().iter().map(|s| s.entries.len()).sum();
-    let mut offsets = Vec::with_capacity(ni + 1);
-    offsets.push(0u32);
-    let mut entries = Vec::with_capacity(total_entries);
-    let mut unobserved = Vec::with_capacity(ni);
-    let mut truth_of_group = vec![0.0; cube.num_groups()];
-    let mut truth_given_provided = vec![0.0; cube.num_groups()];
-    let mut covered_group = vec![false; cube.num_groups()];
-    let ranges = exec.shard_ranges(ni);
-    for (s, range) in exec.scratch().iter().zip(&ranges) {
-        debug_assert_eq!(s.entry_counts.len(), range.len());
-        for &c in &s.entry_counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        entries.extend_from_slice(&s.entries);
-        unobserved.extend_from_slice(&s.unobserved);
-        for &(g, t, cond, cov) in &s.groups_out {
-            truth_of_group[g as usize] = t;
-            truth_given_provided[g as usize] = cond;
-            covered_group[g as usize] = cov;
-        }
-    }
-
-    ValueLayerOutput {
-        posteriors: ItemPosteriors::from_flat_parts(offsets, entries, unobserved),
-        truth_of_group,
-        truth_given_provided,
-        covered_group,
-    }
-}
-
-/// Reusable per-shard scratch for [`estimate_values_cols`]: slot-indexed
+/// Reusable per-worker scratch of the value E-step: slot-indexed
 /// accumulators sized once to the cube's `max_item_values` (so the
-/// per-item inner loops index dense arrays instead of searching), plus
-/// the shard-local output accumulators merged after the round.
+/// per-item inner loops index dense arrays instead of searching). Used
+/// slots are reset after each item; capacity is retained across rounds.
 #[derive(Debug, Default)]
 pub struct ColValueScratch {
-    // Slot-indexed per-item accumulators (used slots reset after each
-    // item, capacity retained).
     vote_sum: Vec<f64>,
     voted: Vec<bool>,
     claim: Vec<f64>,
     prob: Vec<f64>,
-    order: Vec<u32>, // first-seen voted slots — the flat path's `values` order
+    order: Vec<u32>,                 // first-seen voted slots
     rows: Vec<(u32, u32, f64, f64)>, // (g, slot, weight, full vote)
     vcs: Vec<f64>,
-    // Shard-level outputs (cleared per round, capacity retained).
+}
+
+/// One item chunk's value-layer output, merged in chunk order.
+struct ValueChunkOut {
     entries: Vec<(ValueId, f64)>,
     entry_counts: Vec<u32>,
     unobserved: Vec<f64>,
-    groups_out: Vec<(u32, f64, f64, bool)>, // (g, truth, cond, covered)
+    groups: Vec<(u32, f64, f64, bool)>, // (g, truth, cond, covered)
 }
 
-/// The per-item E-step kernel of the columnar path. Streams the item's
+/// The per-item value E-step kernel (Eqs. 23–25). Streams the item's
 /// `ig_*` rows with pre-resolved value slots, so the hot loop is loads,
 /// one weight select, and a slot-indexed accumulate — no searching, no
-/// per-item allocation. The float sequence per slot (votes accumulated
-/// in row order, POPACCU adjustment in first-seen value order, softmax
-/// per slot) is exactly the row-major [`value_item_kernel`]'s, so the
-/// results are bit-identical.
+/// per-item allocation. Per slot, votes accumulate in row order, the
+/// POPACCU adjustment and the softmax run in first-seen value order.
 ///
 /// Takes an [`ItemView`] (`li` is the view-local item index), so the same
 /// kernel — the same instructions, the same float sequence — runs whether
-/// the chunk is a resident [`ChunkedCube`] slice or a [`ChunkBuf`]
-/// streamed from disk.
+/// the chunk is a resident slice or a buffer streamed from disk.
 // Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
 #[allow(clippy::too_many_arguments)]
 fn col_value_item_kernel(
@@ -509,6 +88,7 @@ fn col_value_item_kernel(
     domain: usize,
     li: usize,
     s: &mut ColValueScratch,
+    out: &mut ValueChunkOut,
 ) {
     let vals = view.values(li);
     let nv = vals.len();
@@ -559,8 +139,9 @@ fn col_value_item_kernel(
             s.order.push(slot as u32);
         }
     }
-    // POPACCU adjustment, in the same first-seen value order as the
-    // row-major paths.
+    // POPACCU adjustment: replace the uniform 1/n false-value
+    // probability with smoothed empirical popularity, i.e. add
+    // ln(1/n) − ln(ρ(d,v)) per unit of claim weight on the value.
     if popaccu && total_claims > 0.0 {
         let denom = total_claims + n + 1.0;
         for &slot in &s.order {
@@ -571,7 +152,7 @@ fn col_value_item_kernel(
     }
 
     // Softmax with unobserved-value zeros (Eq. 21/25), summed in
-    // first-seen order like the row-major paths.
+    // first-seen order.
     let unobserved_count = domain.saturating_sub(s.order.len());
     s.vcs.clear();
     s.vcs
@@ -580,23 +161,27 @@ fn col_value_item_kernel(
     let log_z = crate::simd::log_sum_exp_with_zeros(&s.vcs, unobserved_count);
     #[cfg(not(feature = "simd"))]
     let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
-    let entry_start = s.entries.len();
+    let entry_start = out.entries.len();
     for (slot, &val) in vals.iter().enumerate().take(nv) {
         if s.voted[slot] {
             let p = (s.vote_sum[slot] - log_z).exp();
             s.prob[slot] = p;
-            s.entries.push((ValueId::new(val), p));
+            out.entries.push((ValueId::new(val), p));
         }
     }
-    s.entry_counts.push((s.entries.len() - entry_start) as u32);
+    out.entry_counts
+        .push((out.entries.len() - entry_start) as u32);
     let unobserved_mass = if log_z.is_finite() {
         (-log_z).exp()
     } else {
         1.0 / domain as f64
     };
-    s.unobserved.push(unobserved_mass);
+    out.unobserved.push(unobserved_mass);
 
     // Truth probability, conditional truth, and coverage per group.
+    // p(V_d = v | X, C_g = 1): raise this group's vote from weight·vote
+    // to the full vote and renormalize. With a = log p(v|X) and
+    // b = a + (1−weight)·vote, p_cond = e^b / (1 − e^a + e^b).
     for &(g, slot, weight, full_vote) in &s.rows {
         let slot = slot as usize;
         let voted = s.voted[slot];
@@ -616,7 +201,7 @@ fn col_value_item_kernel(
         } else {
             p
         };
-        s.groups_out.push((g, p, p_cond, voted));
+        out.groups.push((g, p, p_cond, voted));
     }
 
     // Reset the slots this item used; the arrays stay allocated.
@@ -627,161 +212,39 @@ fn col_value_item_kernel(
     }
 }
 
-/// [`estimate_values`] on the columnar chunked layout: chunks are packed
-/// into at most `num_shards` contiguous spans balanced on cell mass
-/// ([`balanced_ranges`]), each worker streams its chunks' `ig_*` columns
-/// through [`col_value_item_kernel`] with a reusable [`ColValueScratch`],
-/// and span outputs are merged in span order. The per-source full vote is
-/// hoisted out of the row loop (same expression, same inputs, same bits
-/// as computing it per group). Bit-identical to the flat and row-major
-/// sharded paths at any shard count.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_values_cols(
-    cc: &ChunkedCube,
+/// The value E-step over every item chunk of `src`.
+///
+/// `correctness[g]` is the current `p(C_wdv = 1 | X)`; `active_source[w]`
+/// gates which sources vote; `discount` (the CopyDiscount stage, if
+/// copy-aware fusion is on) scales each source's vote by its independence
+/// factor `I(w)` — `None` leaves the arithmetic bit-identical to
+/// copy-blind fusion.
+///
+/// Workers pull whole chunks ([`ShardedExecutor::map_chunks`], with the
+/// source's prefetch look-ahead) and run [`col_value_item_kernel`] over
+/// each chunk's items; chunks tile the item space in order and their
+/// outputs merge in chunk order, so the result is the same at any thread
+/// count, chunk size and cache size.
+pub fn estimate_values<S: ChunkSource>(
+    src: &S,
     correctness: &[f64],
     params: &Params,
     cfg: &ModelConfig,
     active_source: &[bool],
     discount: Option<&CopyDiscount>,
     exec: &mut ShardedExecutor<ColValueScratch>,
-) -> ValueLayerOutput {
-    debug_assert_eq!(correctness.len(), cc.num_groups());
-    debug_assert_eq!(active_source.len(), cc.num_sources());
-    let ni = cc.num_items();
+) -> io::Result<ValueLayerOutput> {
+    let meta = src.meta();
+    let num_groups = meta.num_groups as usize;
+    let ni = meta.num_items as usize;
+    debug_assert_eq!(correctness.len(), num_groups);
+    debug_assert_eq!(active_source.len(), meta.num_sources as usize);
     let n = cfg.n_false_values as f64;
 
     // `ln(n·A_w/(1−A_w))` (× independence factor) per active source,
     // hoisted out of the hot loop. Inactive sources never vote, so their
     // slot is a placeholder the kernel never reads.
-    let full_vote_of: Vec<f64> = (0..cc.num_sources())
-        .map(|w| {
-            if !active_source[w] {
-                return 0.0;
-            }
-            let a = clamp_quality(params.source_accuracy[w]);
-            let mut fv = (n * a / (1.0 - a)).ln();
-            if let Some(dc) = discount {
-                fv *= dc.factor(SourceId::new(w as u32));
-            }
-            fv
-        })
-        .collect();
-
-    let weights: Vec<u64> = cc.chunks.iter().map(|c| c.cells as u64).collect();
-    let chunk_ranges = balanced_ranges(&weights, exec.num_shards());
-    let map_weight = cfg.correctness_weighting == CorrectnessWeighting::Map;
-    let popaccu = cfg.value_model == ValueModel::PopAccu;
-    let domain = cfg.n_false_values + 1;
-
-    exec.run_ranges(&chunk_ranges, |s, _, chunks| {
-        s.entries.clear();
-        s.entry_counts.clear();
-        s.unobserved.clear();
-        s.groups_out.clear();
-        s.vote_sum.clear();
-        s.vote_sum.resize(cc.max_item_values, 0.0);
-        s.voted.clear();
-        s.voted.resize(cc.max_item_values, false);
-        s.claim.clear();
-        s.claim.resize(cc.max_item_values, 0.0);
-        s.prob.clear();
-        s.prob.resize(cc.max_item_values, 0.0);
-        for chunk_idx in chunks {
-            let view = cc.item_view(chunk_idx);
-            for li in 0..view.num_items() {
-                col_value_item_kernel(
-                    &view,
-                    correctness,
-                    active_source,
-                    &full_vote_of,
-                    map_weight,
-                    popaccu,
-                    n,
-                    domain,
-                    li,
-                    s,
-                );
-            }
-        }
-    });
-
-    // Ordered merge: span `i`'s arena holds span `i`'s items, and spans
-    // tile the chunk (hence item) space in order.
-    let live = &exec.scratch()[..chunk_ranges.len()];
-    let total_entries: usize = live.iter().map(|s| s.entries.len()).sum();
-    let mut offsets = Vec::with_capacity(ni + 1);
-    offsets.push(0u32);
-    let mut entries = Vec::with_capacity(total_entries);
-    let mut unobserved = Vec::with_capacity(ni);
-    let mut truth_of_group = vec![0.0; cc.num_groups()];
-    let mut truth_given_provided = vec![0.0; cc.num_groups()];
-    let mut covered_group = vec![false; cc.num_groups()];
-    for s in live {
-        for &c in &s.entry_counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        entries.extend_from_slice(&s.entries);
-        unobserved.extend_from_slice(&s.unobserved);
-        for &(g, t, cond, cov) in &s.groups_out {
-            truth_of_group[g as usize] = t;
-            truth_given_provided[g as usize] = cond;
-            covered_group[g as usize] = cov;
-        }
-    }
-    debug_assert_eq!(offsets.len(), ni + 1);
-
-    ValueLayerOutput {
-        posteriors: ItemPosteriors::from_flat_parts(offsets, entries, unobserved),
-        truth_of_group,
-        truth_given_provided,
-        covered_group,
-    }
-}
-
-/// Per-chunk output of the streamed value E-step: the chunk's posterior
-/// entries, per-item entry counts, per-item unobserved masses, and group
-/// scatter rows — exactly what one shard arena of
-/// [`estimate_values_cols`] accumulates for the same items.
-type ValueChunkOut = (
-    Vec<(ValueId, f64)>,
-    Vec<u32>,
-    Vec<f64>,
-    Vec<(u32, f64, f64, bool)>,
-);
-
-/// Value-layer E-step over item chunks streamed from disk.
-///
-/// Drives the exact [`col_value_item_kernel`] the resident columnar path
-/// uses, but pulls each chunk from a bounded [`ChunkCache`] instead of a
-/// resident [`ChunkedCube`], overlapping the next chunk's read + decode
-/// with the current chunk's compute via
-/// [`ShardedExecutor::map_chunks`]. Items run in the same global order
-/// and per-chunk outputs merge in chunk order — the same sequence the
-/// resident shard merge produces — so the result is bit-identical to
-/// [`estimate_values_cols`] at any thread count and any cache size ≥ 1.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_values_streamed(
-    items: &ChunkCache<ChunkBuf>,
-    meta: &ChunkStoreMeta,
-    correctness: &[f64],
-    params: &Params,
-    cfg: &ModelConfig,
-    active_source: &[bool],
-    discount: Option<&CopyDiscount>,
-    prefetch_depth: usize,
-    exec: &mut ShardedExecutor<ColValueScratch>,
-) -> io::Result<ValueLayerOutput> {
-    let num_groups = meta.num_groups as usize;
-    let num_sources = meta.num_sources as usize;
-    let ni = meta.num_items as usize;
-    debug_assert_eq!(correctness.len(), num_groups);
-    debug_assert_eq!(active_source.len(), num_sources);
-    let n = cfg.n_false_values as f64;
-
-    // Same hoisted per-source full vote as the resident path.
-    let full_vote_of: Vec<f64> = (0..num_sources)
+    let full_vote_of: Vec<f64> = (0..meta.num_sources as usize)
         .map(|w| {
             if !active_source[w] {
                 return 0.0;
@@ -801,51 +264,44 @@ pub fn estimate_values_streamed(
     let miv = meta.max_item_values as usize;
 
     let outs: Vec<ValueChunkOut> = exec.map_chunks(
-        items.num_chunks(),
-        prefetch_depth,
-        |idx| items.prefetch(idx),
-        |s, idx| -> io::Result<ValueChunkOut> {
-            let buf = items.get(idx)?;
-            let view = buf.view();
-            s.entries.clear();
-            s.entry_counts.clear();
-            s.unobserved.clear();
-            s.groups_out.clear();
-            s.vote_sum.clear();
-            s.vote_sum.resize(miv, 0.0);
-            s.voted.clear();
-            s.voted.resize(miv, false);
-            s.claim.clear();
-            s.claim.resize(miv, 0.0);
-            s.prob.clear();
-            s.prob.resize(miv, 0.0);
-            for li in 0..view.num_items() {
-                col_value_item_kernel(
-                    &view,
-                    correctness,
-                    active_source,
-                    &full_vote_of,
-                    map_weight,
-                    popaccu,
-                    n,
-                    domain,
-                    li,
-                    s,
-                );
-            }
-            Ok((
-                s.entries.clone(),
-                s.entry_counts.clone(),
-                s.unobserved.clone(),
-                s.groups_out.clone(),
-            ))
+        meta.item_chunks.len(),
+        src.prefetch_depth(kbt_flume::num_threads()),
+        |idx| src.prefetch_items(idx),
+        |s, idx| {
+            src.with_items(idx, |view| {
+                for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
+                    slots.clear();
+                    slots.resize(miv, 0.0);
+                }
+                s.voted.clear();
+                s.voted.resize(miv, false);
+                let mut out = ValueChunkOut {
+                    entries: Vec::with_capacity(view.item_values.len()),
+                    entry_counts: Vec::with_capacity(view.num_items()),
+                    unobserved: Vec::with_capacity(view.num_items()),
+                    groups: Vec::with_capacity(view.ig_group.len()),
+                };
+                for li in 0..view.num_items() {
+                    col_value_item_kernel(
+                        view,
+                        correctness,
+                        active_source,
+                        &full_vote_of,
+                        map_weight,
+                        popaccu,
+                        n,
+                        domain,
+                        li,
+                        s,
+                        &mut out,
+                    );
+                }
+                out
+            })
         },
     )?;
 
-    // Chunk-order merge: chunk `i` holds chunk `i`'s items, and chunks
-    // tile the item space in order — the same concatenation the
-    // resident shard merge performs.
-    let total_entries: usize = outs.iter().map(|(e, _, _, _)| e.len()).sum();
+    let total_entries: usize = outs.iter().map(|o| o.entries.len()).sum();
     let mut offsets = Vec::with_capacity(ni + 1);
     offsets.push(0u32);
     let mut entries = Vec::with_capacity(total_entries);
@@ -853,13 +309,13 @@ pub fn estimate_values_streamed(
     let mut truth_of_group = vec![0.0; num_groups];
     let mut truth_given_provided = vec![0.0; num_groups];
     let mut covered_group = vec![false; num_groups];
-    for (chunk_entries, entry_counts, chunk_unobserved, groups_out) in &outs {
-        for &c in entry_counts {
+    for out in &outs {
+        for &c in &out.entry_counts {
             offsets.push(offsets.last().unwrap() + c);
         }
-        entries.extend_from_slice(chunk_entries);
-        unobserved.extend_from_slice(chunk_unobserved);
-        for &(g, t, cond, cov) in groups_out {
+        entries.extend_from_slice(&out.entries);
+        unobserved.extend_from_slice(&out.unobserved);
+        for &(g, t, cond, cov) in &out.groups {
             truth_of_group[g as usize] = t;
             truth_given_provided[g as usize] = cond;
             covered_group[g as usize] = cov;
@@ -878,263 +334,16 @@ pub fn estimate_values_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
-    use kbt_datamodel::{CubeBuilder, ExtractorId, Observation, SourceId};
+    use crate::reference;
+    use kbt_datamodel::{
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
+    };
 
-    /// Reproduce Example 3.2: six sources with A = 0.6, n = 10; USA
-    /// provided by four sources, Kenya by two. Expected posteriors:
-    /// p(USA) ≈ 0.995, p(Kenya) ≈ 0.004.
+    /// Kernel ≡ reference for the value E-step, bit for bit: both value
+    /// models, both weightings, with and without a copy discount, at
+    /// several chunk sizes and thread counts and across buffer reuse.
     #[test]
-    fn example_3_2_posteriors() {
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        let usa = ValueId::new(0);
-        let kenya = ValueId::new(1);
-        for w in 0..4u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                usa,
-            ));
-        }
-        for w in 4..6u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                kenya,
-            ));
-        }
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.6; 6],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig::default(); // n = 10
-        let correctness = vec![1.0; cube.num_groups()]; // Ĉ given as in the example
-        let active = vec![true; 6];
-        let out = estimate_values(&cube, &correctness, &params, &cfg, &active, None);
-        let p_usa = out.posteriors.prob(item, usa);
-        let p_kenya = out.posteriors.prob(item, kenya);
-        assert!((p_usa - 0.995).abs() < 2e-3, "p(USA) = {p_usa}");
-        assert!((p_kenya - 0.004).abs() < 2e-3, "p(Kenya) = {p_kenya}");
-        // Unobserved mass: (1 − .995 − .004) / 9 each.
-        let p_other = out.posteriors.prob(item, ValueId::new(7));
-        assert!(p_other < 1e-3 && p_other > 0.0);
-        // Truth per group follows the group's value.
-        for (g, grp) in cube.groups().iter().enumerate() {
-            let expect = if grp.value == usa { p_usa } else { p_kenya };
-            assert_eq!(out.truth_of_group[g], expect);
-        }
-    }
-
-    #[test]
-    fn correctness_weights_downweight_suspicious_extractions() {
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        // v0 claimed by 2 sources with high correctness, v1 by 3 sources
-        // with near-zero correctness (likely extraction errors).
-        for w in 0..2u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                ValueId::new(0),
-            ));
-        }
-        for w in 2..5u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                ValueId::new(1),
-            ));
-        }
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.7; 5],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig::default();
-        let mut correctness = vec![0.0; cube.num_groups()];
-        for (g, grp) in cube.groups().iter().enumerate() {
-            correctness[g] = if grp.value == ValueId::new(0) {
-                0.95
-            } else {
-                0.05
-            };
-        }
-        let active = vec![true; 5];
-        let out = estimate_values(&cube, &correctness, &params, &cfg, &active, None);
-        assert!(
-            out.posteriors.prob(item, ValueId::new(0)) > out.posteriors.prob(item, ValueId::new(1)),
-            "weighted votes must override raw claim counts"
-        );
-    }
-
-    #[test]
-    fn map_weighting_thresholds_at_half() {
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            item,
-            ValueId::new(0),
-        ));
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(1),
-            item,
-            ValueId::new(1),
-        ));
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.7; 2],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig {
-            correctness_weighting: CorrectnessWeighting::Map,
-            ..ModelConfig::default()
-        };
-        // 0.6 → Ĉ=1 full vote; 0.4 → Ĉ=0 no vote.
-        let out = estimate_values(&cube, &[0.6, 0.4], &params, &cfg, &[true, true], None);
-        assert!(out.posteriors.prob(item, ValueId::new(0)) > 0.5);
-        assert!(out.posteriors.prob(item, ValueId::new(1)) < 0.2);
-    }
-
-    #[test]
-    fn inactive_sources_do_not_vote_and_groups_are_uncovered() {
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(0),
-            item,
-            ValueId::new(0),
-        ));
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.9],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig::default();
-        let out = estimate_values(&cube, &[1.0], &params, &cfg, &[false], None);
-        assert!(!out.covered_group[0]);
-        // With no votes the observed value ties with unobserved ones.
-        let p = out.posteriors.prob(item, ValueId::new(0));
-        assert!(
-            (p - 1.0 / 11.0).abs() < 1e-9,
-            "uniform over domain, got {p}"
-        );
-    }
-
-    #[test]
-    fn posterior_sums_to_one_over_the_domain() {
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        for w in 0..3u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                ValueId::new(w),
-            ));
-        }
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.3, 0.6, 0.9],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig::default();
-        let out = estimate_values(&cube, &[0.8, 0.5, 0.9], &params, &cfg, &[true; 3], None);
-        let obs_mass = out.posteriors.observed_mass(item);
-        let unobs = out.posteriors.prob(item, ValueId::new(9));
-        let total = obs_mass + unobs * (11 - 3) as f64;
-        assert!((total - 1.0).abs() < 1e-9, "total = {total}");
-    }
-
-    /// The sharded E-step must be bit-for-bit the flat E-step, for every
-    /// shard count and both value models.
-    #[test]
-    fn sharded_estep_is_bit_identical_to_flat() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut b = CubeBuilder::new();
-        for _ in 0..800 {
-            b.push(Observation {
-                extractor: ExtractorId::new(rng.gen_range(0..6)),
-                source: SourceId::new(rng.gen_range(0..25)),
-                item: ItemId::new(rng.gen_range(0..40)),
-                value: ValueId::new(rng.gen_range(0..7)),
-                confidence: rng.gen::<f64>(),
-            });
-        }
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: (0..25).map(|w| 0.3 + 0.02 * w as f64).collect(),
-            precision: vec![0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
-            recall: vec![0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
-            q: vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-        };
-        let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        let active: Vec<bool> = (0..25).map(|w| w % 5 != 0).collect();
-        for value_model in [ValueModel::Accu, ValueModel::PopAccu] {
-            let cfg = ModelConfig {
-                value_model,
-                ..ModelConfig::default()
-            };
-            let flat = estimate_values(&cube, &correctness, &params, &cfg, &active, None);
-            for shards in [1usize, 2, 8, 13] {
-                let mut exec = ShardedExecutor::with_shards(shards);
-                // Run twice: the second round exercises buffer reuse.
-                let _ = estimate_values_with(
-                    &cube,
-                    &correctness,
-                    &params,
-                    &cfg,
-                    &active,
-                    None,
-                    &mut exec,
-                );
-                let sharded = estimate_values_with(
-                    &cube,
-                    &correctness,
-                    &params,
-                    &cfg,
-                    &active,
-                    None,
-                    &mut exec,
-                );
-                assert_eq!(sharded.truth_of_group, flat.truth_of_group, "{shards}");
-                assert_eq!(
-                    sharded.truth_given_provided, flat.truth_given_provided,
-                    "{shards}"
-                );
-                assert_eq!(sharded.covered_group, flat.covered_group, "{shards}");
-                assert_eq!(sharded.posteriors, flat.posteriors, "{shards}");
-            }
-        }
-    }
-
-    /// The columnar E-step must be bit-for-bit the flat E-step, for every
-    /// shard count, both value models, both weightings, and several chunk
-    /// sizes.
-    #[test]
-    fn columnar_estep_is_bit_identical_to_flat() {
-        use kbt_datamodel::ChunkingConfig;
+    fn value_kernel_matches_the_reference_bitwise() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(777);
@@ -1157,91 +366,52 @@ mod tests {
         };
         let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
         let active: Vec<bool> = (0..25).map(|w| w % 5 != 0).collect();
-        for (value_model, weighting) in [
-            (ValueModel::Accu, CorrectnessWeighting::Weighted),
-            (ValueModel::PopAccu, CorrectnessWeighting::Weighted),
-            (ValueModel::Accu, CorrectnessWeighting::Map),
+        let discount =
+            CopyDiscount::from_scales((0..25).map(|w| 1.0 - 0.03 * (w % 4) as f64).collect());
+        for (value_model, weighting, discount) in [
+            (ValueModel::Accu, CorrectnessWeighting::Weighted, None),
+            (ValueModel::PopAccu, CorrectnessWeighting::Weighted, None),
+            (ValueModel::Accu, CorrectnessWeighting::Map, None),
+            (
+                ValueModel::Accu,
+                CorrectnessWeighting::Weighted,
+                Some(&discount),
+            ),
         ] {
             let cfg = ModelConfig {
                 value_model,
                 correctness_weighting: weighting,
                 ..ModelConfig::default()
             };
-            let flat = estimate_values(&cube, &correctness, &params, &cfg, &active, None);
+            let want =
+                reference::estimate_values(&cube, &correctness, &params, &cfg, &active, discount);
             for target_cells in [1usize, 16, 1 << 20] {
                 let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
+                let src = ResidentChunks::new(&cc);
                 for shards in [1usize, 2, 8] {
                     let mut exec = ShardedExecutor::with_shards(shards);
+                    let mut run = || {
+                        estimate_values(
+                            &src,
+                            &correctness,
+                            &params,
+                            &cfg,
+                            &active,
+                            discount,
+                            &mut exec,
+                        )
+                        .unwrap()
+                    };
                     // Run twice: the second round exercises buffer reuse.
-                    let _ = estimate_values_cols(
-                        &cc,
-                        &correctness,
-                        &params,
-                        &cfg,
-                        &active,
-                        None,
-                        &mut exec,
-                    );
-                    let cols = estimate_values_cols(
-                        &cc,
-                        &correctness,
-                        &params,
-                        &cfg,
-                        &active,
-                        None,
-                        &mut exec,
-                    );
+                    let _ = run();
+                    let got = run();
                     let tag = format!("{value_model:?}/{weighting:?} t={target_cells} s={shards}");
-                    assert_eq!(cols.truth_of_group, flat.truth_of_group, "{tag}");
-                    assert_eq!(
-                        cols.truth_given_provided, flat.truth_given_provided,
-                        "{tag}"
-                    );
-                    assert_eq!(cols.covered_group, flat.covered_group, "{tag}");
-                    assert_eq!(cols.posteriors, flat.posteriors, "{tag}");
+                    assert_eq!(got.truth_of_group, want.truth_of_group, "{tag}");
+                    assert_eq!(got.truth_given_provided, want.truth_given_provided, "{tag}");
+                    assert_eq!(got.covered_group, want.covered_group, "{tag}");
+                    assert_eq!(got.posteriors, want.posteriors, "{tag}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn popaccu_penalizes_popular_false_values_less_than_rare_ones() {
-        // Two values each claimed once with equal weights: POPACCU gives
-        // them equal posteriors; the point is it must stay normalized and
-        // ordered by vote weight when weights differ.
-        let mut b = CubeBuilder::new();
-        let item = ItemId::new(0);
-        for w in 0..3u32 {
-            b.push(Observation::certain(
-                ExtractorId::new(0),
-                SourceId::new(w),
-                item,
-                ValueId::new(0),
-            ));
-        }
-        b.push(Observation::certain(
-            ExtractorId::new(0),
-            SourceId::new(3),
-            item,
-            ValueId::new(1),
-        ));
-        let cube = b.build();
-        let params = Params {
-            source_accuracy: vec![0.7; 4],
-            precision: vec![0.9],
-            recall: vec![0.9],
-            q: vec![0.1],
-        };
-        let cfg = ModelConfig {
-            value_model: ValueModel::PopAccu,
-            ..ModelConfig::default()
-        };
-        let out = estimate_values(&cube, &[1.0; 4], &params, &cfg, &[true; 4], None);
-        let p0 = out.posteriors.prob(item, ValueId::new(0));
-        let p1 = out.posteriors.prob(item, ValueId::new(1));
-        assert!(p0 > p1, "majority value must win: {p0} vs {p1}");
-        let total =
-            out.posteriors.observed_mass(item) + out.posteriors.prob(item, ValueId::new(9)) * 9.0;
-        assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -15,7 +15,7 @@
 //! absence sums and each extraction then *adjusts* by
 //! `conf·(Pre_e − Abs_e)`, making the vote count O(cells) overall.
 
-use kbt_datamodel::{ObservationCube, SourceId};
+use kbt_datamodel::SourceId;
 
 use crate::config::ModelConfig;
 use crate::math::clamp_quality;
@@ -28,25 +28,17 @@ pub struct VoteCounter {
     pub presence: Vec<f64>,
     /// `Abs_e` per extractor.
     pub absence: Vec<f64>,
-    /// `Pre_e − Abs_e` per extractor, precomputed so the columnar
-    /// vote-count kernel is a single fused multiply-add per cell.
-    /// Bit-identical to computing the difference at use sites.
+    /// `Pre_e − Abs_e` per extractor, precomputed so the vote-count
+    /// kernel is one multiply-add per cell. Bit-identical to computing
+    /// the difference at use sites.
     pub adjust: Vec<f64>,
     /// `Σ_{e ∈ candidates(w)} Abs_e` per source.
     pub source_absence_sum: Vec<f64>,
 }
 
 impl VoteCounter {
-    /// Build vote tables from the current extractor parameters, using the
-    /// configured absence policy.
-    pub fn new(cube: &ObservationCube, params: &Params, cfg: &ModelConfig) -> Self {
-        let mut vc = Self::empty();
-        vc.rebuild(cube, params, cfg);
-        vc
-    }
-
-    /// An empty counter to be filled by [`Self::rebuild`] — what the
-    /// sharded EM engine holds across rounds.
+    /// An empty counter to be filled by [`Self::rebuild`] — what the EM
+    /// loop holds across rounds.
     pub fn empty() -> Self {
         Self {
             presence: Vec::new(),
@@ -57,53 +49,13 @@ impl VoteCounter {
     }
 
     /// Recompute the vote tables in place from fresh parameters, reusing
-    /// the existing allocations. Called once per EM round; produces
-    /// exactly what [`Self::new`] would.
-    pub fn rebuild(&mut self, cube: &ObservationCube, params: &Params, cfg: &ModelConfig) {
-        let ne = cube.num_extractors();
-        self.presence.clear();
-        self.absence.clear();
-        self.adjust.clear();
-        self.presence.reserve(ne);
-        self.absence.reserve(ne);
-        self.adjust.reserve(ne);
-        for e in 0..ne {
-            let r = clamp_quality(params.recall[e]);
-            let q = clamp_quality(params.q[e]);
-            let pre = r.ln() - q.ln();
-            let abs = (1.0 - r).ln() - (1.0 - q).ln();
-            self.presence.push(pre);
-            self.absence.push(abs);
-            self.adjust.push(pre - abs);
-        }
-        self.source_absence_sum.clear();
-        match cfg.absence_policy {
-            crate::config::AbsencePolicy::AllExtractors => {
-                let total: f64 = self.absence.iter().sum();
-                self.source_absence_sum.resize(cube.num_sources(), total);
-            }
-            crate::config::AbsencePolicy::SourceCandidates => {
-                let absence = &self.absence;
-                self.source_absence_sum
-                    .extend((0..cube.num_sources()).map(|w| {
-                        cube.extractors_on_source(SourceId::new(w as u32))
-                            .iter()
-                            .map(|e| absence[e.index()])
-                            .sum::<f64>()
-                    }));
-            }
-        }
-    }
-
-    /// Recompute the vote tables from a per-source extractor CSR instead
-    /// of a resident cube — the streamed-fit variant of
-    /// [`Self::rebuild`]. `src_ext_ids[src_ext_offsets[w]..src_ext_offsets[w+1]]`
-    /// must be source `w`'s sorted distinct extractor ids (exactly what
+    /// the existing allocations. Called once per EM round.
+    /// `src_ext_ids[src_ext_offsets[w]..src_ext_offsets[w+1]]` must be
+    /// source `w`'s sorted distinct extractor ids (what
     /// `ObservationCube::extractors_on_source` yields and
-    /// `kbt_datamodel::ChunkStoreMeta` persists), so the per-source
-    /// absence fold runs in the same ascending-extractor order and the
-    /// result is bit-identical to the resident rebuild.
-    pub fn rebuild_from_csr(
+    /// `kbt_datamodel::ChunkStoreMeta` holds), so the per-source absence
+    /// fold runs in ascending-extractor order.
+    pub fn rebuild(
         &mut self,
         num_extractors: usize,
         num_sources: usize,
@@ -170,7 +122,10 @@ impl VoteCounter {
 mod tests {
     use super::*;
     use crate::params::Params;
-    use kbt_datamodel::{Cell, CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
+    use crate::reference::vote_counter;
+    use kbt_datamodel::{
+        Cell, CubeBuilder, ExtractorId, ItemId, Observation, ObservationCube, ValueId,
+    };
 
     /// Build the 5-extractor configuration of Table 3, with every extractor
     /// active on one source.
@@ -199,7 +154,7 @@ mod tests {
     #[test]
     fn presence_and_absence_votes_match_table3() {
         let (cube, params) = table3_setup();
-        let vc = VoteCounter::new(&cube, &params, &ModelConfig::default());
+        let vc = vote_counter(&cube, &params, &ModelConfig::default());
         let expected_pre = [4.6, 3.9, 2.8, 0.4, 0.0];
         let expected_abs = [-4.6, -0.7, -4.5, -0.15, 0.0];
         for e in 0..5 {
@@ -225,7 +180,7 @@ mod tests {
         // W1/USA is extracted by E1–E4; E5 abstains. The paper computes
         // VCC = (4.6 + 3.9 + 2.8 + 0.4) + 0 = 11.7.
         let (cube, params) = table3_setup();
-        let vc = VoteCounter::new(&cube, &params, &ModelConfig::default());
+        let vc = vote_counter(&cube, &params, &ModelConfig::default());
         let cells: Vec<Cell> = (0..4)
             .map(|e| Cell {
                 extractor: ExtractorId::new(e),
@@ -241,7 +196,7 @@ mod tests {
     fn w6_usa_vote_count_matches_example_3_1() {
         // W6/USA is extracted only by E4: VCC = 0.4 + (−4.6 −0.7 −4.5 −0) = −9.4.
         let (cube, params) = table3_setup();
-        let vc = VoteCounter::new(&cube, &params, &ModelConfig::default());
+        let vc = vote_counter(&cube, &params, &ModelConfig::default());
         let cells = [Cell {
             extractor: ExtractorId::new(3),
             confidence: 1.0,
@@ -254,7 +209,7 @@ mod tests {
     #[test]
     fn confidence_scales_the_presence_adjustment() {
         let (cube, params) = table3_setup();
-        let vc = VoteCounter::new(&cube, &params, &ModelConfig::default());
+        let vc = vote_counter(&cube, &params, &ModelConfig::default());
         let cfg = ModelConfig::default();
         let full = vc.vote_count(
             SourceId::new(0),
@@ -281,7 +236,7 @@ mod tests {
     #[test]
     fn thresholding_binarizes_confidences() {
         let (cube, params) = table3_setup();
-        let vc = VoteCounter::new(&cube, &params, &ModelConfig::default());
+        let vc = vote_counter(&cube, &params, &ModelConfig::default());
         let cfg = ModelConfig {
             confidence_threshold: Some(0.7),
             ..ModelConfig::default()

@@ -1,32 +1,27 @@
 //! The out-of-core contract: a fit streamed from a [`FileChunkStore`]
-//! is **bit-for-bit identical** to the resident columnar fit at any
-//! thread count and any cache size ≥ 1 (and unbounded), including after
-//! the cube evolves through `apply_delta`/`retract`; and I/O corruption
-//! mid-fit surfaces as typed errors, never panics.
+//! is **bit-for-bit identical** to the resident fit — and both to the
+//! scalar oracle — at any thread count and any cache size, across the
+//! model's configuration axes and after the cube evolves through
+//! `apply_delta`/`retract`; and I/O corruption mid-fit surfaces as typed
+//! errors, never panics.
 //!
 //! Also compiled into the facade's `tests/out_of_core.rs`, so the tier-1
 //! `cargo test -q` at the repository root runs it.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kbt_core::{ExecMode, ModelConfig, MultiLayerModel, MultiLayerResult, QualityInit};
+use kbt_core::config::AbsencePolicy;
+use kbt_core::{CorrectnessWeighting, ModelConfig, MultiLayerModel, QualityInit, ValueModel};
 use kbt_datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation,
     ObservationCube, SourceId, ValueId,
 };
 use proptest::prelude::*;
 
-fn fresh_path(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "kbt-out-of-core-{tag}-{}-{n}.chunks",
-        std::process::id()
-    ))
-}
+#[path = "matrix/mod.rs"]
+mod matrix;
+use matrix::{assert_engine_matches_reference, fresh_path};
 
 /// Deterministic observation soup: dense-ish ids so groups share items
 /// and sources, several extractors, mixed confidences.
@@ -50,112 +45,91 @@ fn observations(seed: u64, len: usize) -> Vec<Observation> {
         .collect()
 }
 
-fn assert_bitwise_eq(streamed: &MultiLayerResult, resident: &MultiLayerResult, what: &str) {
-    assert_eq!(streamed.params, resident.params, "{what}: params");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&streamed.correctness),
-        bits(&resident.correctness),
-        "{what}: correctness"
-    );
-    assert_eq!(
-        bits(&streamed.truth_of_group),
-        bits(&resident.truth_of_group),
-        "{what}: truth"
-    );
-    assert_eq!(
-        bits(&streamed.truth_given_provided),
-        bits(&resident.truth_given_provided),
-        "{what}: cond truth"
-    );
-    assert_eq!(
-        streamed.covered_group, resident.covered_group,
-        "{what}: coverage"
-    );
-    assert_eq!(
-        streamed.active_source, resident.active_source,
-        "{what}: active"
-    );
-    assert_eq!(streamed.iterations, resident.iterations, "{what}: iters");
-    assert_eq!(streamed.converged, resident.converged, "{what}: converged");
-    assert_eq!(
-        streamed.posteriors, resident.posteriors,
-        "{what}: posteriors"
-    );
+fn build(observations: Vec<Observation>) -> ObservationCube {
+    let mut b = CubeBuilder::new();
+    for o in observations {
+        b.push(o);
+    }
+    b.build()
 }
 
-/// Fit `cube` resident and streamed (across cache sizes and thread
-/// counts) and assert bitwise equality.
+/// The matrix cell for a cold default-config fit of `cube`, chunked at
+/// `target_cells`.
 fn check_cube(cube: &ObservationCube, target_cells: usize, tag: &str) {
     let cfg = ModelConfig {
-        exec_mode: ExecMode::Sharded,
         chunk_target_cells: target_cells,
         ..ModelConfig::default()
     };
-    let model = MultiLayerModel::new(cfg.clone());
-    let (resident, resident_trace) = model.run_traced(cube, &QualityInit::Default);
-
-    let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
-    let path = fresh_path(tag);
-    FileChunkStore::write(&cc, &path).expect("write chunk store");
-    let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
-
-    for max_resident in [1usize, 4, 0] {
-        for threads in [Some(1), Some(2), Some(4)] {
-            let model = MultiLayerModel::new(ModelConfig {
-                threads,
-                ..cfg.clone()
-            });
-            let (streamed, trace, stats) = model
-                .run_streamed(&store, max_resident, &QualityInit::Default)
-                .expect("streamed fit");
-            assert_bitwise_eq(
-                &streamed,
-                &resident,
-                &format!("{tag} cache={max_resident} threads={threads:?}"),
-            );
-            assert_eq!(trace.rounds.len(), resident_trace.rounds.len());
-            for (a, b) in trace.rounds.iter().zip(&resident_trace.rounds) {
-                assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{tag}: delta");
-                assert_eq!(
-                    a.log_likelihood.to_bits(),
-                    b.log_likelihood.to_bits(),
-                    "{tag}: ll"
-                );
-            }
-            // The caches actually served the fit.
-            let io = stats.item_cache.hits
-                + stats.item_cache.misses
-                + stats.group_cache.hits
-                + stats.group_cache.misses;
-            assert!(io > 0, "{tag}: no cache traffic recorded");
-            if max_resident == 0 {
-                assert_eq!(stats.item_cache.evictions, 0, "{tag}: unbounded evicted");
-            }
-        }
-    }
-    let _ = fs::remove_file(&path);
+    assert_engine_matches_reference(cube, &cfg, &QualityInit::Default, None, None, tag);
 }
 
 #[test]
 fn streamed_fit_is_bitwise_identical_to_resident() {
-    let mut b = CubeBuilder::new();
-    for o in observations(1, 600) {
-        b.push(o);
-    }
-    let cube = b.build();
+    let cube = build(observations(1, 600));
     for target_cells in [7, 64, 1 << 20] {
         check_cube(&cube, target_cells, "base");
     }
+    // The configuration axes, on tiny chunks so every fit crosses many
+    // chunk and frame boundaries.
+    let base = ModelConfig {
+        chunk_target_cells: 24,
+        ..ModelConfig::default()
+    };
+    let mut cases = Vec::new();
+    for value_model in [ValueModel::Accu, ValueModel::PopAccu] {
+        for correctness_weighting in [CorrectnessWeighting::Weighted, CorrectnessWeighting::Map] {
+            for absence_policy in [
+                AbsencePolicy::AllExtractors,
+                AbsencePolicy::SourceCandidates,
+            ] {
+                cases.push(ModelConfig {
+                    value_model,
+                    correctness_weighting,
+                    absence_policy,
+                    ..base.clone()
+                });
+            }
+        }
+    }
+    cases.push(ModelConfig {
+        confidence_threshold: Some(0.5),
+        ..base.clone()
+    });
+    cases.push(ModelConfig {
+        alpha_update_from: None,
+        min_source_support: 40,
+        estimate_gamma: false,
+        ..base.clone()
+    });
+    // Zero iterations: every per-group vector still `num_groups` long.
+    cases.push(ModelConfig {
+        max_iterations: 0,
+        ..base.clone()
+    });
+    for (i, cfg) in cases.iter().enumerate() {
+        let tag = format!("config {i}");
+        assert_engine_matches_reference(&cube, cfg, &QualityInit::Default, None, None, &tag);
+    }
+
+    // Warm inputs (resident only — a streamed fit takes no priors): a
+    // per-group prior-truth hint, resumed parameters, and a non-neutral
+    // copy discount, alone and together.
+    let (cold, _) = MultiLayerModel::new(base.clone()).run_traced(&cube, &QualityInit::Default);
+    let resume = QualityInit::Resume(cold.params.clone());
+    let hint = Some(&cold.truth_of_group[..]);
+    let scales: Vec<f64> = (0..cube.num_sources())
+        .map(|w| 1.0 - 0.2 * (w % 3) as f64)
+        .collect();
+    let cold_init = QualityInit::Default;
+    assert_engine_matches_reference(&cube, &base, &cold_init, hint, None, "warm truth");
+    assert_engine_matches_reference(&cube, &base, &resume, hint, None, "resumed");
+    assert_engine_matches_reference(&cube, &base, &cold_init, None, Some(&scales), "discount");
+    assert_engine_matches_reference(&cube, &base, &resume, hint, Some(&scales), "warm discount");
 }
 
 #[test]
 fn streamed_fit_tracks_delta_and_retract() {
-    let mut b = CubeBuilder::new();
-    for o in observations(2, 400) {
-        b.push(o);
-    }
-    let cube = b.build();
+    let cube = build(observations(2, 400));
     // Grow by a delta batch, then retract a handful of triples: the
     // streamed fit must match the resident fit of each evolved cube.
     let delta = observations(3, 120);
@@ -174,20 +148,12 @@ fn streamed_fit_tracks_delta_and_retract() {
 
 #[test]
 fn corruption_mid_file_is_a_typed_error_not_a_panic() {
-    let mut b = CubeBuilder::new();
-    for o in observations(4, 500) {
-        b.push(o);
-    }
-    let cube = b.build();
+    let cube = build(observations(4, 500));
     let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 32 });
     let path = fresh_path("corrupt");
     FileChunkStore::write(&cc, &path).expect("write chunk store");
     let clean = fs::read(&path).expect("read back");
-    let model = MultiLayerModel::new(ModelConfig {
-        exec_mode: ExecMode::Sharded,
-        chunk_target_cells: 32,
-        ..ModelConfig::default()
-    });
+    let model = MultiLayerModel::new(ModelConfig::default());
 
     // Flip one byte at several interior offsets. `open` validates only
     // the index and meta frames, so payload corruption must surface from
@@ -220,20 +186,15 @@ fn corruption_mid_file_is_a_typed_error_not_a_panic() {
 }
 
 proptest! {
-    /// Randomized cubes and chunk geometries: streamed ≡ resident,
-    /// bitwise, for caches of 1, 2, and unbounded. (Case count follows
-    /// the harness default / `PROPTEST_CASES`.)
+    /// Randomized cubes and chunk geometries: streamed ≡ resident ≡
+    /// oracle, bitwise, for caches of 1, 4, and unbounded. (Case count
+    /// follows the harness default / `PROPTEST_CASES`.)
     #[test]
     fn prop_streamed_matches_resident(
         seed in 0u64..1_000_000,
         len in 50usize..250,
         target_cells in 1usize..200,
     ) {
-        let mut b = CubeBuilder::new();
-        for o in observations(seed, len) {
-            b.push(o);
-        }
-        let cube = b.build();
-        check_cube(&cube, target_cells, "prop");
+        check_cube(&build(observations(seed, len)), target_cells, "prop");
     }
 }

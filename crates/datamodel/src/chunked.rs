@@ -22,18 +22,21 @@
 //! The group list is additionally partitioned into fixed-size,
 //! **item-aligned chunks** ([`CubeChunk`]) of roughly
 //! [`ChunkingConfig::target_cells`] cells: a chunk's scratch is its whole
-//! working set, and a sharded executor schedules whole chunks
-//! (`kbt_flume::ShardedExecutor::run_ranges`). Because chunks never split
+//! working set, and a sharded executor hands whole chunks to its workers
+//! (`kbt_flume::ShardedExecutor::map_chunks`). Because chunks never split
 //! an item, per-item reductions stay local to one worker and the merge
 //! order stays deterministic.
 //!
-//! # Out-of-core streaming
+//! # Chunk sources
 //!
-//! The [`ChunkSource`] trait + [`FileChunkStore`] stream chunk payloads
-//! from disk, making the layout out-of-core-ready: the resident set is a
-//! handful of leased [`ChunkBuf`]s instead of the whole corpus. The v2
-//! file format (`KBTCHNK2`) holds four frame families, each a
-//! `[u32 len][payload][u32 crc32]` frame:
+//! An EM fit reads the cube only through a [`ChunkSource`]: item-major
+//! [`ItemView`]s, group-major [`GroupView`]s and the resident integer
+//! skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`] serves zero-copy
+//! slices of a [`ChunkedCube`]; [`StreamedChunks`] leases decoded
+//! [`ChunkBuf`]s / [`GroupBuf`]s of a [`FileChunkStore`] from bounded
+//! caches, so the resident set is a handful of buffers instead of the
+//! whole corpus. The v2 file format (`KBTCHNK2`) holds four frame
+//! families, each a `[u32 len][payload][u32 crc32]` frame:
 //!
 //! * a **meta frame** ([`ChunkStoreMeta`]) — the integer skeleton a
 //!   streamed fit keeps resident: counts, the item-chunk partition, the
@@ -106,7 +109,7 @@ pub struct CubeChunk {
 
 /// Columnar (structure-of-arrays) chunked view of an [`ObservationCube`].
 ///
-/// Three families of columns, all gathers of the cube in deterministic
+/// Two families of columns, both gathers of the cube in deterministic
 /// order:
 ///
 /// * **group-major** (global group order — the order `cube.groups()`
@@ -118,11 +121,7 @@ pub struct CubeChunk {
 ///   `ig_has_cells`, delimited by `item_offsets` — the value E-step
 ///   streams these; `ig_slot` pre-resolves each group's value to its
 ///   index in the item's sorted distinct-value list so the hot loop does
-///   no searching;
-/// * **extractor-major** (per extractor, its cells in global cell order):
-///   `ext_offsets` / `ext_group` / `ext_conf` — the extractor M-step
-///   reduces each extractor independently while preserving the serial
-///   accumulation order.
+///   no searching.
 #[derive(Debug, Clone)]
 pub struct ChunkedCube {
     /// Source id of group `g` (global group order).
@@ -165,17 +164,6 @@ pub struct ChunkedCube {
     /// (length `num_sources + 1`).
     pub source_offsets: Vec<u32>,
 
-    /// Per-extractor cell ranges: extractor `e` owns rows
-    /// `ext_offsets[e]..ext_offsets[e+1]` of `ext_group` / `ext_conf`
-    /// (length `num_extractors + 1`).
-    pub ext_offsets: Vec<u32>,
-    /// Global group index of each extractor-major cell, in global cell
-    /// order per extractor (so per-extractor reductions accumulate in
-    /// exactly the serial stream's order).
-    pub ext_group: Vec<u32>,
-    /// Confidence of each extractor-major cell.
-    pub ext_conf: Vec<f64>,
-
     /// The item-aligned chunk partition.
     pub chunks: Vec<CubeChunk>,
     /// Largest per-item distinct-value count — the slot-accumulator size
@@ -200,7 +188,6 @@ impl ChunkedCube {
         let ng = cube.num_groups();
         let ni = cube.num_items();
         let ns = cube.num_sources();
-        let ne = cube.num_extractors();
         let groups = cube.groups();
 
         // The gather scatters into positions fixed by prefix sums, so it
@@ -391,29 +378,6 @@ impl ChunkedCube {
         }
         debug_assert_eq!(*source_offsets.last().unwrap() as usize, ng);
 
-        // Extractor-major CSR by counting sort over the global cell
-        // stream — each extractor sees its cells as a subsequence of
-        // global cell order.
-        let mut ext_offsets = vec![0u32; ne + 1];
-        for &e in &cell_extractor {
-            ext_offsets[e as usize + 1] += 1;
-        }
-        for e in 0..ne {
-            ext_offsets[e + 1] += ext_offsets[e];
-        }
-        let mut cursor: Vec<u32> = ext_offsets[..ne].to_vec();
-        let mut ext_group = vec![0u32; cell_extractor.len()];
-        let mut ext_conf = vec![0.0f64; cell_extractor.len()];
-        for (g, win) in cell_offsets.windows(2).enumerate() {
-            for ci in win[0] as usize..win[1] as usize {
-                let e = cell_extractor[ci] as usize;
-                let slot = cursor[e] as usize;
-                ext_group[slot] = g as u32;
-                ext_conf[slot] = cell_confidence[ci];
-                cursor[e] += 1;
-            }
-        }
-
         // Greedy item-aligned chunking: close a chunk at the first item
         // boundary at or past `target_cells` cells.
         let target = cfg.target_cells.max(1) as u64;
@@ -457,14 +421,11 @@ impl ChunkedCube {
             item_value_offsets,
             item_values,
             source_offsets,
-            ext_offsets,
-            ext_group,
-            ext_conf,
             chunks,
             max_item_values,
             max_chunk_rows,
             num_sources: ns as u32,
-            num_extractors: ne as u32,
+            num_extractors: cube.num_extractors() as u32,
             num_values: cube.num_values() as u32,
         }
     }
@@ -477,6 +438,11 @@ impl ChunkedCube {
     /// Number of cells.
     pub fn num_cells(&self) -> usize {
         self.cell_extractor.len()
+    }
+
+    /// Number of item chunks.
+    pub fn num_chunks(&self) -> usize {
+        self.chunks.len()
     }
 
     /// Number of sources in the dense id space.
@@ -511,10 +477,10 @@ impl ChunkedCube {
         self.cell_offsets[g] as usize..self.cell_offsets[g + 1] as usize
     }
 
-    /// Borrowed item-major view of chunk `chunk_idx` — the same data
-    /// [`ChunkSource::load_chunk`] copies out, with zero copying. Resident
-    /// kernels run on this; streamed kernels run on [`ChunkBuf::view`],
-    /// and the two are indistinguishable to the kernel.
+    /// Borrowed item-major view of chunk `chunk_idx` — the same data an
+    /// item frame stores, with zero copying. Resident kernels run on this;
+    /// streamed kernels run on [`ChunkBuf::view`], and the two are
+    /// indistinguishable to the kernel.
     pub fn item_view(&self, chunk_idx: usize) -> ItemView<'_> {
         let chunk = &self.chunks[chunk_idx];
         let ilo = chunk.items.start as usize;
@@ -567,17 +533,15 @@ impl ChunkedCube {
             + self.ig_slot.len()
             + self.item_value_offsets.len()
             + self.item_values.len()
-            + self.source_offsets.len()
-            + self.ext_offsets.len()
-            + self.ext_group.len();
-        let f64s = self.cell_confidence.len() + self.ext_conf.len();
-        u32s * 4 + f64s * 8 + self.ig_has_cells.len() + self.chunks.len() * 24
+            + self.source_offsets.len();
+        u32s * 4 + self.cell_confidence.len() * 8 + self.ig_has_cells.len() + self.chunks.len() * 24
     }
 }
 
 /// One chunk's item-major payload, decoded into reusable buffers — the
-/// unit a [`ChunkSource`] yields and an out-of-core E-step worker holds
-/// resident (everything the value layer needs for the chunk's items).
+/// unit [`FileChunkStore::load_chunk`] yields and an out-of-core E-step
+/// worker holds resident (everything the value layer needs for the
+/// chunk's items).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkBuf {
     /// Dense item-id range the payload covers.
@@ -742,51 +706,134 @@ impl GroupView<'_> {
     }
 }
 
-/// A source of chunk payloads — in-memory ([`ChunkedCube`]) or streamed
-/// from disk ([`FileChunkStore`]). Abstracting the source keeps the
-/// E-step code identical whether the corpus is resident or out-of-core.
-pub trait ChunkSource {
-    /// Number of chunks available.
-    fn num_chunks(&self) -> usize;
+/// Where an EM fit's chunk views come from — the one seam between the
+/// engine and the cube's residency. Every stage reads the cube through
+/// these views (plus the resident [`ChunkStoreMeta`] skeleton), so the
+/// kernels run the same instructions whether a view is a zero-copy slice
+/// of a resident [`ChunkedCube`] ([`ResidentChunks`]) or a buffer leased
+/// from a [`FileChunkStore`]'s caches ([`StreamedChunks`]).
+pub trait ChunkSource: Sync {
+    /// The integer skeleton: counts, the item-chunk and group-frame
+    /// partitions, and the per-source CSRs.
+    fn meta(&self) -> &ChunkStoreMeta;
 
-    /// Load chunk `idx` into `buf` (cleared first, capacity reused).
-    fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()>;
-}
-
-impl ChunkSource for ChunkedCube {
-    fn num_chunks(&self) -> usize {
-        self.chunks.len()
+    /// How many chunks a prefetcher may run ahead of `workers` workers;
+    /// `0` when views are resident and there is nothing to warm.
+    fn prefetch_depth(&self, _workers: usize) -> usize {
+        0
     }
 
-    fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
-        let chunk = &self.chunks[idx];
-        let items = chunk.items.start as usize..chunk.items.end as usize;
-        let rows = chunk.rows.start as usize..chunk.rows.end as usize;
-        let row_base = chunk.rows.start;
-        let val_base = self.item_value_offsets[items.start];
-        let val_range = val_base as usize..self.item_value_offsets[items.end] as usize;
+    /// Warm item chunk `idx` ahead of its [`Self::with_items`].
+    fn prefetch_items(&self, _idx: usize) {}
 
-        buf.items = chunk.items.clone();
-        buf.item_offsets.clear();
-        buf.item_value_offsets.clear();
-        for d in items.start..=items.end {
-            buf.item_offsets.push(self.item_offsets[d] - row_base);
-            buf.item_value_offsets
-                .push(self.item_value_offsets[d] - val_base);
+    /// Warm group frame `idx` ahead of its [`Self::with_groups`].
+    fn prefetch_groups(&self, _idx: usize) {}
+
+    /// Run `f` on the item-major view of item chunk `idx`
+    /// (`meta().item_chunks[idx]`).
+    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R>;
+
+    /// Run `f` on the group-major view of group frame `idx`
+    /// (`meta().group_frames[idx]`).
+    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R>;
+}
+
+/// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
+/// with the skeleton derived once at construction. Never fails, never
+/// prefetches.
+#[derive(Debug)]
+pub struct ResidentChunks<'a> {
+    cube: &'a ChunkedCube,
+    meta: ChunkStoreMeta,
+}
+
+impl<'a> ResidentChunks<'a> {
+    /// Wrap `cube`, deriving its [`ChunkStoreMeta`].
+    pub fn new(cube: &'a ChunkedCube) -> Self {
+        Self {
+            cube,
+            meta: ChunkStoreMeta::from_cube(cube),
         }
-        buf.item_values.clear();
-        buf.item_values
-            .extend_from_slice(&self.item_values[val_range]);
-        buf.ig_group.clear();
-        buf.ig_group.extend_from_slice(&self.ig_group[rows.clone()]);
-        buf.ig_source.clear();
-        buf.ig_source
-            .extend_from_slice(&self.ig_source[rows.clone()]);
-        buf.ig_slot.clear();
-        buf.ig_slot.extend_from_slice(&self.ig_slot[rows.clone()]);
-        buf.ig_has_cells.clear();
-        buf.ig_has_cells.extend_from_slice(&self.ig_has_cells[rows]);
-        Ok(())
+    }
+}
+
+impl ChunkSource for ResidentChunks<'_> {
+    fn meta(&self) -> &ChunkStoreMeta {
+        &self.meta
+    }
+
+    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R> {
+        Ok(f(&self.cube.item_view(idx)))
+    }
+
+    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R> {
+        Ok(f(&self
+            .cube
+            .group_view(self.meta.group_frames[idx].clone())))
+    }
+}
+
+/// The streamed [`ChunkSource`]: a [`FileChunkStore`] behind one bounded
+/// [`ChunkCache`] per frame family. Views borrow leased `Arc` buffers, so
+/// `max_resident_chunks` bounds memory and I/O and can never change a
+/// result; read and CRC failures surface from `with_*` as typed errors.
+#[derive(Debug)]
+pub struct StreamedChunks {
+    store: Arc<FileChunkStore>,
+    items: ChunkCache<ChunkBuf>,
+    frames: ChunkCache<GroupBuf>,
+    cap: usize,
+}
+
+impl StreamedChunks {
+    /// Caches of at most `max_resident_chunks` decoded buffers each
+    /// (`0` = unbounded) over `store`.
+    pub fn new(store: Arc<FileChunkStore>, max_resident_chunks: usize) -> Self {
+        Self {
+            items: ChunkCache::for_items(Arc::clone(&store), max_resident_chunks),
+            frames: ChunkCache::for_group_frames(Arc::clone(&store), max_resident_chunks),
+            store,
+            cap: max_resident_chunks,
+        }
+    }
+
+    /// Hit/load/eviction counters of the item-chunk and group-frame
+    /// caches, in that order.
+    pub fn cache_stats(&self) -> (CacheStats, CacheStats) {
+        (self.items.stats(), self.frames.stats())
+    }
+}
+
+impl ChunkSource for StreamedChunks {
+    fn meta(&self) -> &ChunkStoreMeta {
+        self.store.meta()
+    }
+
+    /// A couple of chunks ahead of the workers, but never so far that a
+    /// bounded cache would evict chunks before they are consumed.
+    fn prefetch_depth(&self, workers: usize) -> usize {
+        let depth = workers.saturating_mul(2).max(2);
+        if self.cap > 0 {
+            depth.min(self.cap)
+        } else {
+            depth
+        }
+    }
+
+    fn prefetch_items(&self, idx: usize) {
+        self.items.prefetch(idx);
+    }
+
+    fn prefetch_groups(&self, idx: usize) {
+        self.frames.prefetch(idx);
+    }
+
+    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R> {
+        Ok(f(&self.items.get(idx)?.view()))
+    }
+
+    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R> {
+        Ok(f(&self.frames.get(idx)?.view()))
     }
 }
 
@@ -901,7 +948,10 @@ impl ChunkStoreMeta {
         let mut source_ext_offsets = Vec::with_capacity(ns + 1);
         source_ext_offsets.push(0u32);
         let mut source_ext_ids = Vec::new();
-        let mut ext_scratch: Vec<u32> = Vec::new();
+        // `seen[e] == w + 1` marks extractor `e` as already listed for
+        // source `w`, so a source's distinct list costs one pass over its
+        // cells plus a sort of the (short) list itself.
+        let mut seen = vec![0u32; cube.num_extractors()];
         for w in 0..ns {
             let lo = cube.source_offsets[w] as usize;
             let hi = cube.source_offsets[w + 1] as usize;
@@ -917,11 +967,14 @@ impl ChunkStoreMeta {
             source_item_counts.push(items);
             let cell_lo = cube.cell_offsets[lo] as usize;
             let cell_hi = cube.cell_offsets[hi] as usize;
-            ext_scratch.clear();
-            ext_scratch.extend_from_slice(&cube.cell_extractor[cell_lo..cell_hi]);
-            ext_scratch.sort_unstable();
-            ext_scratch.dedup();
-            source_ext_ids.extend_from_slice(&ext_scratch);
+            let first = source_ext_ids.len();
+            for &e in &cube.cell_extractor[cell_lo..cell_hi] {
+                if seen[e as usize] != w as u32 + 1 {
+                    seen[e as usize] = w as u32 + 1;
+                    source_ext_ids.push(e);
+                }
+            }
+            source_ext_ids[first..].sort_unstable();
             source_ext_offsets.push(source_ext_ids.len() as u32);
         }
 
@@ -1170,39 +1223,38 @@ impl FileChunkStore {
 
         let mut item_frames = Vec::with_capacity(cube.chunks.len());
         let mut payload: Vec<u8> = Vec::new();
-        let mut chunk = ChunkBuf::default();
+        let mut rebased: Vec<u32> = Vec::new();
+        let mut put_rebased = |payload: &mut Vec<u8>, offsets: &[u32], base: u32| {
+            rebased.clear();
+            rebased.extend(offsets.iter().map(|&o| o - base));
+            put_u32_slice(payload, &rebased);
+        };
         for idx in 0..cube.chunks.len() {
-            cube.load_chunk(idx, &mut chunk)?;
+            let v = cube.item_view(idx);
             payload.clear();
-            wire::put_u32(&mut payload, chunk.items.start);
-            wire::put_u32(&mut payload, chunk.items.end);
-            put_u32_slice(&mut payload, &chunk.item_offsets);
-            put_u32_slice(&mut payload, &chunk.item_value_offsets);
-            put_u32_slice(&mut payload, &chunk.item_values);
-            put_u32_slice(&mut payload, &chunk.ig_group);
-            put_u32_slice(&mut payload, &chunk.ig_source);
-            put_u32_slice(&mut payload, &chunk.ig_slot);
-            wire::put_u32(&mut payload, chunk.ig_has_cells.len() as u32);
-            payload.extend_from_slice(&chunk.ig_has_cells);
+            wire::put_u32(&mut payload, v.items.start);
+            wire::put_u32(&mut payload, v.items.end);
+            put_rebased(&mut payload, v.item_offsets, v.row_base);
+            put_rebased(&mut payload, v.item_value_offsets, v.val_base);
+            put_u32_slice(&mut payload, v.item_values);
+            put_u32_slice(&mut payload, v.ig_group);
+            put_u32_slice(&mut payload, v.ig_source);
+            put_u32_slice(&mut payload, v.ig_slot);
+            wire::put_u32(&mut payload, v.ig_has_cells.len() as u32);
+            payload.extend_from_slice(v.ig_has_cells);
             item_frames.push(write_frame(&mut w, &mut pos, &payload)?);
         }
 
         let mut group_frame_index = Vec::with_capacity(meta.group_frames.len());
-        let mut rebased: Vec<u32> = Vec::new();
         for f in &meta.group_frames {
-            let lo = f.start as usize;
-            let hi = f.end as usize;
-            let cell_base = cube.cell_offsets[lo];
-            let cells = cube.cell_offsets[lo] as usize..cube.cell_offsets[hi] as usize;
+            let v = cube.group_view(f.clone());
             payload.clear();
             wire::put_u32(&mut payload, f.start);
             wire::put_u32(&mut payload, f.end);
-            put_u32_slice(&mut payload, &cube.group_source[lo..hi]);
-            rebased.clear();
-            rebased.extend(cube.cell_offsets[lo..=hi].iter().map(|&o| o - cell_base));
-            put_u32_slice(&mut payload, &rebased);
-            put_u32_slice(&mut payload, &cube.cell_extractor[cells.clone()]);
-            put_column(&mut payload, &cube.cell_confidence[cells], f64::to_le_bytes);
+            put_u32_slice(&mut payload, v.group_source);
+            put_rebased(&mut payload, v.cell_offsets, v.cell_base);
+            put_u32_slice(&mut payload, v.cell_extractor);
+            put_column(&mut payload, v.cell_confidence, f64::to_le_bytes);
             group_frame_index.push(write_frame(&mut w, &mut pos, &payload)?);
         }
 
@@ -1342,12 +1394,15 @@ impl FileChunkStore {
     }
 }
 
-impl ChunkSource for FileChunkStore {
-    fn num_chunks(&self) -> usize {
+impl FileChunkStore {
+    /// Number of item frames (one per [`CubeChunk`]).
+    pub fn num_chunks(&self) -> usize {
         self.item_frames.len()
     }
 
-    fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
+    /// Load item frame `idx` into `buf` (cleared first, capacity
+    /// reused), CRC-verifying the frame.
+    pub fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
         let (off, len) = self.item_frames[idx];
         let payload = read_frame(&self.file, off, len).map_err(|e| in_frame("chunk", idx, e))?;
         let mut r = WireReader::new(&payload);
@@ -1702,27 +1757,6 @@ mod tests {
                 assert_eq!(cc.ig_has_cells[lo + k] == 1, !cube.cells_of(grp).is_empty());
             }
         }
-        // Extractor CSR covers every cell exactly once, in global order.
-        assert_eq!(*cc.ext_offsets.last().unwrap() as usize, cube.num_cells());
-        for e in 0..cube.num_extractors() {
-            let lo = cc.ext_offsets[e] as usize;
-            let hi = cc.ext_offsets[e + 1] as usize;
-            let mut prev_cell = None;
-            for k in lo..hi {
-                let g = cc.ext_group[k] as usize;
-                let r = cc.cells_of_group(g);
-                let ci = (r.start..r.end)
-                    .find(|&ci| {
-                        cc.cell_extractor[ci] as usize == e
-                            && cc.cell_confidence[ci].to_bits() == cc.ext_conf[k].to_bits()
-                    })
-                    .expect("ext cell present in its group");
-                if let Some(prev) = prev_cell {
-                    assert!(ci > prev, "extractor cells must keep global order");
-                }
-                prev_cell = Some(ci);
-            }
-        }
     }
 
     fn assert_chunks_tile(cc: &ChunkedCube) {
@@ -1827,25 +1861,32 @@ mod tests {
         }
     }
 
+    /// Two item views expose the same items, rows, values and columns.
+    fn assert_item_views_eq(a: &ItemView<'_>, b: &ItemView<'_>) {
+        assert_eq!(a.items, b.items);
+        for li in 0..a.num_items() {
+            assert_eq!(a.rows(li), b.rows(li));
+            assert_eq!(a.values(li), b.values(li));
+        }
+        assert_eq!(a.ig_group, b.ig_group);
+        assert_eq!(a.ig_source, b.ig_source);
+        assert_eq!(a.ig_slot, b.ig_slot);
+        assert_eq!(a.ig_has_cells, b.ig_has_cells);
+    }
+
     #[test]
     fn views_match_underlying_columns() {
         let cube = sample_cube();
         let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        let mut buf = ChunkBuf::default();
-        for idx in 0..cc.num_chunks() {
-            cc.load_chunk(idx, &mut buf).unwrap();
-            let a = cc.item_view(idx);
-            let b = buf.view();
-            assert_eq!(a.items, b.items);
-            assert_eq!(a.num_items(), b.num_items());
-            for li in 0..a.num_items() {
-                assert_eq!(a.rows(li), b.rows(li));
-                assert_eq!(a.values(li), b.values(li));
+        for (idx, chunk) in cc.chunks.iter().enumerate() {
+            let v = cc.item_view(idx);
+            assert_eq!(v.items, chunk.items);
+            for li in 0..v.num_items() {
+                let d = chunk.items.start as usize + li;
+                assert_eq!(v.values(li), cc.item_values_of(d));
+                let rows = cc.item_offsets[d] as usize..cc.item_offsets[d + 1] as usize;
+                assert_eq!(&v.ig_group[v.rows(li)], &cc.ig_group[rows]);
             }
-            assert_eq!(a.ig_group, b.ig_group);
-            assert_eq!(a.ig_source, b.ig_source);
-            assert_eq!(a.ig_slot, b.ig_slot);
-            assert_eq!(a.ig_has_cells, b.ig_has_cells);
         }
         let meta = ChunkStoreMeta::from_cube(&cc);
         for f in &meta.group_frames {
@@ -1880,11 +1921,10 @@ mod tests {
         let store = FileChunkStore::open(&path).unwrap();
         assert_eq!(store.num_chunks(), cc.num_chunks());
         assert_eq!(store.meta(), &ChunkStoreMeta::from_cube(&cc));
-        let (mut mem, mut disk) = (ChunkBuf::default(), ChunkBuf::default());
+        let mut disk = ChunkBuf::default();
         for idx in 0..cc.num_chunks() {
-            cc.load_chunk(idx, &mut mem).unwrap();
             store.load_chunk(idx, &mut disk).unwrap();
-            assert_eq!(mem, disk, "chunk {idx}");
+            assert_item_views_eq(&disk.view(), &cc.item_view(idx));
         }
         let mut gbuf = GroupBuf::default();
         for (idx, f) in store.meta().group_frames.clone().iter().enumerate() {

@@ -4,14 +4,13 @@
 //!
 //! The paper runs all inference in FlumeJava [6] on Map-Reduce (Section
 //! 3.2, Section 5.3.4). This crate reproduces the programming model
-//! in-process: sharded parallel map ([`par_map_slice`]), parallel
-//! do/filter/group-by-key/combine over [`PCollection`]s, and a phase
+//! in-process: sharded parallel map ([`par_map_slice`]), shard-parallel
+//! rounds with reusable scratch ([`ShardedExecutor`]), and a phase
 //! stopwatch used by the Table 7 timing experiment.
 //!
-//! Everything is deterministic: shards are contiguous, results are
-//! concatenated in input order, and grouped keys are emitted in sorted
-//! order, so a parallel run produces bit-identical results to a serial
-//! run (the integration tests assert this).
+//! Everything is deterministic: shards are contiguous and results are
+//! concatenated in input order, so a parallel run produces bit-identical
+//! results to a serial run (the integration tests assert this).
 //!
 //! ## Thread configuration
 //!
@@ -27,12 +26,10 @@
 
 #![warn(missing_docs)]
 
-pub mod pcollection;
 pub mod sharded;
 pub mod stopwatch;
 
-pub use pcollection::{PCollection, PTable};
-pub use sharded::{balanced_ranges, ShardedExecutor};
+pub use sharded::ShardedExecutor;
 pub use stopwatch::{PhaseTimer, Stopwatch};
 
 use std::cell::Cell;
@@ -212,42 +209,6 @@ where
     });
 }
 
-/// Parallel fold-then-reduce: each worker folds its shard from
-/// `identity()`, then the per-shard accumulators are combined in shard
-/// order with `combine` (so non-commutative combines are still
-/// deterministic).
-pub fn par_fold<T, A, Id, F, C>(items: &[T], identity: Id, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    Id: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let threads = effective_threads(items.len());
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().fold(identity(), fold);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut shards: Vec<A> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| {
-                let identity = &identity;
-                let fold = &fold;
-                scope.spawn(move || shard.iter().fold(identity(), fold))
-            })
-            .collect();
-        for h in handles {
-            shards.push(h.join().expect("kbt-flume worker panicked"));
-        }
-    });
-    let mut it = shards.into_iter();
-    let first = it.next().unwrap_or_else(&identity);
-    it.fold(first, combine)
-}
-
 /// Worker count for `len` items: never more workers than items.
 fn effective_threads(len: usize) -> usize {
     num_threads().min(len.max(1))
@@ -287,18 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_sums_deterministically() {
-        let xs: Vec<u64> = (1..=100_000).collect();
-        let sum = par_fold(&xs, || 0u64, |a, x| a + x, |a, b| a + b);
-        assert_eq!(sum, 100_000 * 100_001 / 2);
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = vec![];
         assert!(par_map_slice(&empty, |x| x + 1).is_empty());
         assert_eq!(par_map_slice(&[41u32], |x| x + 1), vec![42]);
-        assert_eq!(par_fold(&empty, || 7u32, |a, x| a + x, |a, b| a + b), 7);
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //! identical across *different* shard counts — which is what lets the
 //! inference engines produce bit-for-bit the same model at 1, 2, or 8
 //! threads (the `sharded_engine` integration tests pin this down).
-//! Cross-shard floating-point reduction ([`ShardedExecutor::reduce`]) is
-//! deterministic per shard count, because the per-shard accumulators are
-//! combined in shard order.
 
 use std::ops::Range;
 
@@ -131,46 +128,6 @@ impl<S: Send> ShardedExecutor<S> {
         });
     }
 
-    /// Run one task per **caller-provided** contiguous key range — the
-    /// chunk-at-a-time scheduling mode of the columnar EM engine: the
-    /// caller partitions its key space along chunk boundaries (e.g. via
-    /// [`balanced_ranges`] over a [`ChunkedCube`]'s per-chunk cell
-    /// counts), and each worker receives one whole span plus the scratch
-    /// arena matching the span's index. At most [`Self::num_shards`]
-    /// ranges are accepted; ranges must be disjoint (they get exclusive
-    /// arenas but may read shared inputs).
-    ///
-    /// Determinism matches [`Self::run_shards`]: arena `i` holds range
-    /// `i`'s output, so a merge loop visiting ranges in order is
-    /// reproducible for any partition, and bit-identical across
-    /// partitions when the per-key computation is pure.
-    ///
-    /// [`ChunkedCube`]: https://docs.rs/kbt-datamodel
-    pub fn run_ranges<F>(&mut self, ranges: &[Range<usize>], f: F)
-    where
-        F: Fn(&mut S, usize, Range<usize>) + Sync,
-    {
-        assert!(
-            ranges.len() <= self.shards,
-            "run_ranges: {} ranges > {} shards",
-            ranges.len(),
-            self.shards
-        );
-        if ranges.len() <= 1 {
-            if let Some(r) = ranges.first() {
-                f(&mut self.scratch[0], 0, r.clone());
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (i, (s, r)) in self.scratch.iter_mut().zip(ranges).enumerate() {
-                let r = r.clone();
-                scope.spawn(move || f(s, i, r));
-            }
-        });
-    }
-
     /// Keyed parallel map into a reusable output buffer:
     /// `out[k] = f(scratch, k)` for `k in 0..len`.
     ///
@@ -209,48 +166,6 @@ impl<S: Send> ShardedExecutor<S> {
                 });
             }
         });
-    }
-
-    /// Deterministic shard-reduce: fold each shard's key range from
-    /// `identity()`, then combine the per-shard accumulators **in shard
-    /// order**. Non-commutative (and floating-point) combines are
-    /// reproducible for a fixed shard count.
-    pub fn reduce<A, Id, F, C>(&mut self, len: usize, identity: Id, fold: F, combine: C) -> A
-    where
-        A: Send,
-        Id: Fn() -> A + Sync,
-        F: Fn(&mut S, A, usize) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let (shards, chunk) = self.plan(len);
-        if shards <= 1 || len < 2 {
-            let s = &mut self.scratch[0];
-            return (0..len).fold(identity(), |a, k| fold(s, a, k));
-        }
-        let mut accs: Vec<A> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let fold = &fold;
-            let identity = &identity;
-            let handles: Vec<_> = self
-                .scratch
-                .iter_mut()
-                .enumerate()
-                .take(shards)
-                .filter_map(|(i, s)| {
-                    let lo = (i * chunk).min(len);
-                    let hi = ((i + 1) * chunk).min(len);
-                    (lo < hi).then(|| {
-                        scope.spawn(move || (lo..hi).fold(identity(), |a, k| fold(s, a, k)))
-                    })
-                })
-                .collect();
-            for h in handles {
-                accs.push(h.join().expect("kbt-flume shard worker panicked"));
-            }
-        });
-        let mut it = accs.into_iter();
-        let first = it.next().unwrap_or_else(&identity);
-        it.fold(first, combine)
     }
 
     /// Pull-based chunk execution with a background prefetcher — the
@@ -373,73 +288,6 @@ impl<S: Send> ShardedExecutor<S> {
     }
 }
 
-/// Partition `weights.len()` chunks into at most `parts` contiguous,
-/// non-empty index ranges with near-equal total weight — the deterministic
-/// planner feeding [`ShardedExecutor::run_ranges`]. Chunk `i` carries
-/// `weights[i]` (e.g. its cube-cell count); a range closes as soon as the
-/// cumulative weight reaches the next `total * (k+1) / parts` boundary.
-/// Pure integer arithmetic, so the plan is identical on every platform.
-/// Zero-weight inputs fall back to an even split by index.
-pub fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
-    let len = weights.len();
-    let parts = parts.max(1);
-    if len == 0 {
-        return Vec::new();
-    }
-    let total: u128 = weights.iter().map(|&w| w as u128).sum();
-    if total == 0 {
-        let parts = parts.min(len);
-        let chunk = len.div_ceil(parts);
-        return (0..parts)
-            .map(|i| (i * chunk).min(len)..((i + 1) * chunk).min(len))
-            .filter(|r| !r.is_empty())
-            .collect();
-    }
-    // Binary-search the smallest per-range weight cap that packs into at
-    // most `parts` ranges (the classic contiguous-partition min-max), then
-    // emit the greedy packing under that cap.
-    let ranges_needed = |cap: u128| -> usize {
-        let mut count = 1usize;
-        let mut acc: u128 = 0;
-        for &w in weights {
-            let w = w as u128;
-            if acc + w > cap {
-                count += 1;
-                acc = w;
-            } else {
-                acc += w;
-            }
-        }
-        count
-    };
-    let mut lo = weights.iter().map(|&w| w as u128).max().unwrap();
-    let mut hi = total;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ranges_needed(mid) <= parts {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let cap = lo;
-    let mut out = Vec::with_capacity(parts.min(len));
-    let mut start = 0usize;
-    let mut acc: u128 = 0;
-    for (i, &w) in weights.iter().enumerate() {
-        let w = w as u128;
-        if acc + w > cap {
-            out.push(start..i);
-            start = i;
-            acc = w;
-        } else {
-            acc += w;
-        }
-    }
-    out.push(start..len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,24 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_exact_and_order_stable() {
-        let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(6);
-        let sum = exec.reduce(100_001, || 0u64, |_, a, k| a + k as u64, |a, b| a + b);
-        assert_eq!(sum, 100_000 * 100_001 / 2);
-        // Non-commutative combine: concatenation must come out in key order.
-        let digits = exec.reduce(
-            10,
-            String::new,
-            |_, mut a, k| {
-                a.push_str(&k.to_string());
-                a
-            },
-            |a, b| a + &b,
-        );
-        assert_eq!(digits, "0123456789");
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(4);
         let mut out: Vec<u32> = vec![1, 2, 3];
@@ -552,71 +382,12 @@ mod tests {
         assert!(out.is_empty());
         exec.map_keys(1, &mut out, |_, k| k as u32 + 41);
         assert_eq!(out, vec![41]);
-        assert_eq!(exec.reduce(0, || 5u32, |_, a, _| a + 1, |a, b| a + b), 5);
     }
 
     #[test]
     fn new_respects_scoped_thread_override() {
         let exec: ShardedExecutor<()> = with_threads(Some(3), ShardedExecutor::new);
         assert_eq!(exec.num_shards(), 3);
-    }
-
-    #[test]
-    fn run_ranges_covers_given_spans_with_matching_arenas() {
-        let mut exec: ShardedExecutor<Buf> = ShardedExecutor::with_shards(4);
-        let ranges = [0usize..3, 3..10, 10..11];
-        exec.run_ranges(&ranges, |s, i, range| {
-            s.out.clear();
-            s.out.push(i as u64);
-            s.out.extend(range.map(|k| k as u64));
-        });
-        for (i, r) in ranges.iter().enumerate() {
-            let out = &exec.scratch()[i].out;
-            assert_eq!(out[0], i as u64);
-            assert_eq!(out[1..], r.clone().map(|k| k as u64).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn run_ranges_handles_empty_and_single() {
-        let mut exec: ShardedExecutor<Buf> = ShardedExecutor::with_shards(4);
-        exec.run_ranges(&[], |_, _, _| panic!("no ranges, no work"));
-        exec.run_ranges(&[5..9], |s, i, range| {
-            assert_eq!(i, 0);
-            s.out.clear();
-            s.out.extend(range.map(|k| k as u64));
-        });
-        assert_eq!(exec.scratch()[0].out, vec![5, 6, 7, 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "run_ranges")]
-    fn run_ranges_rejects_more_ranges_than_shards() {
-        let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(2);
-        exec.run_ranges(&[0..1, 1..2, 2..3], |_, _, _| {});
-    }
-
-    #[test]
-    fn balanced_ranges_tile_and_respect_parts() {
-        for (weights, parts) in [
-            (vec![1u64; 10], 3usize),
-            (vec![100, 1, 1, 1, 1, 1, 1, 100], 4),
-            (vec![5], 8),
-            (vec![0, 0, 0, 0], 3),
-            (vec![7, 0, 0, 9, 2], 2),
-        ] {
-            let ranges = balanced_ranges(&weights, parts);
-            assert!(ranges.len() <= parts, "{weights:?} parts={parts}");
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, weights.len(), "{weights:?} parts={parts}");
-        }
-        assert!(balanced_ranges(&[], 4).is_empty());
     }
 
     #[test]
@@ -686,27 +457,5 @@ mod tests {
         let mut exec: ShardedExecutor<()> = ShardedExecutor::with_shards(4);
         let got: Result<Vec<u8>, ()> = exec.map_chunks(0, 4, |_| {}, |_, _| Ok(0));
         assert!(got.unwrap().is_empty());
-    }
-
-    #[test]
-    fn balanced_ranges_balance_skewed_weights() {
-        // One hot chunk in a sea of small ones: the hot chunk must get
-        // (close to) its own part instead of an even index split.
-        let mut weights = vec![1u64; 63];
-        weights.push(1_000);
-        let ranges = balanced_ranges(&weights, 4);
-        let loads: Vec<u64> = ranges
-            .iter()
-            .map(|r| weights[r.clone()].iter().sum())
-            .collect();
-        let max = *loads.iter().max().unwrap();
-        assert!(
-            max <= 1_000 + 63,
-            "no part may exceed hot-chunk + leftovers: {loads:?}"
-        );
-        assert!(
-            loads[..loads.len() - 1].iter().all(|&l| l < 100),
-            "small chunks must spread over the early parts: {loads:?}"
-        );
     }
 }

@@ -9,8 +9,10 @@
 //! * `--root <dir>`  workspace root (default: current directory)
 //! * `--json <path>` write the full diagnostic report as JSON
 //! * `--bench-report` write `BENCH_lint.json` (rule counts, waiver
-//!   counts, files scanned, scan wall time) through
-//!   [`kbt_bench::BenchReport`], for the `bench_compare` budget gate
+//!   counts, files scanned, scan wall time, and the source line count of
+//!   each system crate — informational, the ROADMAP's tracked metric)
+//!   through [`kbt_bench::BenchReport`], for the `bench_compare` budget
+//!   gate
 //! * `--list-waivers` print every waived finding (the escape-hatch audit)
 
 use std::path::PathBuf;
@@ -117,6 +119,10 @@ fn main() -> ExitCode {
                 &format!("waivers_{slug}"),
                 waived.get(key).copied().unwrap_or(0),
             );
+        }
+        for dir in ["core", "datamodel", "flume", "net", "store", "serve"] {
+            let lines = outcome.lines_by_crate.get(&format!("kbt-{dir}"));
+            report.count(&format!("lines_{dir}"), lines.copied().unwrap_or(0));
         }
         report
             .count("waivers_total", outcome.waiver_count())

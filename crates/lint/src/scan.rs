@@ -13,6 +13,9 @@ use crate::rules::{lint_file, Diagnostic, FileCtx, RuleId, ALL_RULES};
 pub struct ScanOutcome {
     pub files_scanned: u64,
     pub lines_scanned: u64,
+    /// Source lines per package (`kbt-core`, …) — the ROADMAP's tracked
+    /// line-count metric.
+    pub lines_by_crate: BTreeMap<String, u64>,
     pub diagnostics: Vec<Diagnostic>,
     /// Wall time of the scan, in milliseconds.
     pub scan_wall_ms: f64,
@@ -152,6 +155,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanOutcome> {
     let mut outcome = ScanOutcome {
         files_scanned: 0,
         lines_scanned: 0,
+        lines_by_crate: BTreeMap::new(),
         diagnostics: Vec::new(),
         scan_wall_ms: 0.0,
     };
@@ -175,8 +179,13 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanOutcome> {
                     .unwrap_or_default(),
                 display_path: display,
             };
+            let lines = source.lines().count() as u64;
             outcome.files_scanned += 1;
-            outcome.lines_scanned += source.lines().count() as u64;
+            outcome.lines_scanned += lines;
+            *outcome
+                .lines_by_crate
+                .entry(crate_name.clone())
+                .or_insert(0) += lines;
             outcome.diagnostics.extend(lint_file(&ctx, &source));
         }
     }

@@ -1,18 +1,21 @@
-//! Property tests for the columnar chunked cube (the `ExecMode::Sharded`
-//! engine's layout): on arbitrary observation sets — including ones
-//! evolved through [`ObservationCube::apply_delta`] and
-//! [`ObservationCube::retract`] — the columnar engine must produce
-//! **bit-for-bit** the flat reference path's results at 1, 2, and 8
-//! threads and at degenerate and huge chunk sizes, and the gathered
-//! columns must stay faithful to the row cube.
+//! Property tests for the columnar chunked cube (the engine's layout): on
+//! arbitrary observation sets — including ones evolved through
+//! [`ObservationCube::apply_delta`] and [`ObservationCube::retract`] — the
+//! chunk-view engine, resident and streamed, must produce **bit-for-bit**
+//! the scalar reference's results at every thread count and at degenerate
+//! and huge chunk sizes, and the gathered columns must stay faithful to
+//! the row cube.
 
-use kbt::core::{ExecMode, FusionModel, ModelConfig, MultiLayerModel};
+use kbt::core::ModelConfig;
 use kbt::datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ObservationCube,
     SourceId, ValueId,
 };
-use kbt::{FusionReport, QualityInit};
+use kbt::QualityInit;
 use proptest::prelude::*;
+
+#[path = "../crates/core/tests/matrix/mod.rs"]
+mod matrix;
 
 /// Arbitrary small observation sets (same family as `properties.rs`).
 fn observations(max_len: usize) -> impl Strategy<Value = Vec<Observation>> {
@@ -38,53 +41,22 @@ fn build(obs: &[Observation]) -> ObservationCube {
     b.build()
 }
 
-fn assert_bit_identical(a: &FusionReport, b: &FusionReport, ctx: &str) {
-    assert_eq!(a.source_trust(), b.source_trust(), "{ctx}: source trust");
-    assert_eq!(a.truth_of_group(), b.truth_of_group(), "{ctx}: truth");
-    assert_eq!(a.covered_group(), b.covered_group(), "{ctx}: coverage");
-    assert_eq!(a.correctness(), b.correctness(), "{ctx}: correctness");
-    assert_eq!(a.posteriors(), b.posteriors(), "{ctx}: posteriors");
-    assert_eq!(a.iterations(), b.iterations(), "{ctx}: iterations");
-    assert_eq!(
-        a.extractor_precision(),
-        b.extractor_precision(),
-        "{ctx}: precision"
-    );
-    assert_eq!(a.extractor_recall(), b.extractor_recall(), "{ctx}: recall");
-}
-
-/// Fit `cube` flat, then with the columnar and row-major sharded engines
-/// across thread counts and chunk sizes, asserting bitwise equality.
-fn assert_all_engines_agree(cube: &ObservationCube, ctx: &str) {
-    let flat_cfg = ModelConfig {
-        exec_mode: ExecMode::Flat,
-        threads: Some(1),
-        max_iterations: 5,
-        ..ModelConfig::default()
-    };
-    let flat = MultiLayerModel::new(flat_cfg.clone()).fit(cube, &QualityInit::Default);
-    for threads in [1usize, 2, 8] {
-        for target_cells in [1usize, 16, 1 << 20] {
-            let cfg = ModelConfig {
-                exec_mode: ExecMode::Sharded,
-                threads: Some(threads),
-                chunk_target_cells: target_cells,
-                ..flat_cfg.clone()
-            };
-            let cols = MultiLayerModel::new(cfg).fit(cube, &QualityInit::Default);
-            assert_bit_identical(
-                &flat,
-                &cols,
-                &format!("{ctx}: columnar t={threads} chunk={target_cells}"),
-            );
-        }
-        let rows_cfg = ModelConfig {
-            exec_mode: ExecMode::ShardedRows,
-            threads: Some(threads),
-            ..flat_cfg.clone()
+/// The equivalence matrix on `cube` at degenerate, small and huge chunk
+/// sizes.
+fn assert_matrix_at_chunk_sizes(cube: &ObservationCube, ctx: &str) {
+    for chunk_target_cells in [1usize, 16, 1 << 20] {
+        let cfg = ModelConfig {
+            chunk_target_cells,
+            ..ModelConfig::default()
         };
-        let rows = MultiLayerModel::new(rows_cfg).fit(cube, &QualityInit::Default);
-        assert_bit_identical(&flat, &rows, &format!("{ctx}: row-major t={threads}"));
+        matrix::assert_engine_matches_reference(
+            cube,
+            &cfg,
+            &QualityInit::Default,
+            None,
+            None,
+            &format!("{ctx} chunk={chunk_target_cells}"),
+        );
     }
 }
 
@@ -140,18 +112,18 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
 }
 
 proptest! {
-    /// Full pipeline runs on a freshly built cube: all engines agree
-    /// bitwise at 1/2/8 threads and extreme chunk sizes, and the columns
-    /// are faithful gathers.
+    /// A freshly built cube: the engine agrees with the reference
+    /// bitwise at every thread count, residency and extreme chunk sizes,
+    /// and the columns are faithful gathers.
     #[test]
     fn columnar_engine_bitwise_equal_on_built_cubes(obs in observations(80)) {
         let cube = build(&obs);
         assert_columns_faithful(&cube, 7);
-        assert_all_engines_agree(&cube, "built");
+        assert_matrix_at_chunk_sizes(&cube, "built");
     }
 
     /// The equivalence survives `apply_delta`: the columnar view is
-    /// rebuilt from the merged cube and all engines still agree bitwise.
+    /// rebuilt from the merged cube and the fits still agree bitwise.
     #[test]
     fn columnar_engine_bitwise_equal_after_delta(
         base in observations(60),
@@ -159,12 +131,12 @@ proptest! {
     ) {
         let cube = build(&base).apply_delta(&delta);
         assert_columns_faithful(&cube, 4);
-        assert_all_engines_agree(&cube, "delta");
+        assert_matrix_at_chunk_sizes(&cube, "delta");
     }
 
     /// The equivalence survives `retract`, which can leave cell-less
-    /// groups (claim-but-never-vote rows) behind — the columnar kernels
-    /// must treat them exactly like the flat path does.
+    /// groups (claim-but-never-vote rows) behind — the chunk kernels
+    /// must treat them exactly like the reference does.
     #[test]
     fn columnar_engine_bitwise_equal_after_retract(
         base in observations(60),
@@ -186,6 +158,6 @@ proptest! {
             .collect();
         let shrunk = cube.retract(&retractions);
         assert_columns_faithful(&shrunk, 3);
-        assert_all_engines_agree(&shrunk, "retract");
+        assert_matrix_at_chunk_sizes(&shrunk, "retract");
     }
 }

@@ -13,9 +13,11 @@
 //!    the bits it produced before the pair-counting kernel was replaced.
 
 mod common;
+#[path = "../crates/core/tests/matrix/mod.rs"]
+mod matrix;
 
 use kbt::core::{
-    detect_copies_from_accuracy, CopyDetectConfig, ExecMode, FusionModel, MultiLayerModel,
+    detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, FusionModel, MultiLayerModel,
 };
 use kbt::datamodel::{
     CubeBuilder, ExtractorId, ItemId, Observation, ObservationCube, SourceId, ValueId,
@@ -270,14 +272,14 @@ fn pipeline_discount_switch_feeds_evidence_back_into_fusion() {
 }
 
 /// Copy-aware fusion itself (not just detection) is bit-for-bit
-/// identical between the flat and sharded engines at 1, 2, and 8
-/// threads — this pins the two hand-mirrored CopyDiscount multiplies in
-/// the flat and sharded value E-steps to each other.
+/// identical at 1, 2, and 8 threads, and its final refit is the scalar
+/// reference's fit under the independence factors it reports — which
+/// pins the CopyDiscount multiply of the value kernel to the oracle's,
+/// resident and at every thread count (the equivalence matrix).
 #[test]
 fn copy_aware_fusion_is_bit_identical_across_engines() {
     let (cube, _) = planted_copier_corpus(3);
-    let mk = |exec_mode, threads| ModelConfig {
-        exec_mode,
+    let mk = |threads| ModelConfig {
         threads: Some(threads),
         copy_detection: Some(CopyDetectConfig {
             discount: true,
@@ -285,43 +287,43 @@ fn copy_aware_fusion_is_bit_identical_across_engines() {
         }),
         ..fusion_cfg()
     };
-    let flat = MultiLayerModel::new(mk(ExecMode::Flat, 1)).fit(&cube, &QualityInit::Default);
-    let flat_indep = flat.as_multi_layer().unwrap().source_independence.clone();
+    let serial = MultiLayerModel::new(mk(1)).fit(&cube, &QualityInit::Default);
+    let indep = serial
+        .source_independence()
+        .expect("independence factors recorded")
+        .to_vec();
     assert!(
-        flat_indep
-            .as_ref()
-            .is_some_and(|i| i.iter().any(|&s| s < 1.0)),
+        indep.iter().any(|&s| s < 1.0),
         "the discount loop must engage on the planted corpus"
     );
-    for threads in [1usize, 2, 8] {
-        let sharded =
-            MultiLayerModel::new(mk(ExecMode::Sharded, threads)).fit(&cube, &QualityInit::Default);
+    for threads in [2usize, 8] {
+        let sharded = MultiLayerModel::new(mk(threads)).fit(&cube, &QualityInit::Default);
+        assert_eq!(serial.source_trust(), sharded.source_trust(), "{threads}");
         assert_eq!(
-            flat.source_trust(),
-            sharded.source_trust(),
-            "trust at {threads} threads"
-        );
-        assert_eq!(
-            flat.truth_of_group(),
+            serial.truth_of_group(),
             sharded.truth_of_group(),
-            "truth at {threads} threads"
+            "{threads}"
         );
-        assert_eq!(
-            flat.correctness(),
-            sharded.correctness(),
-            "correctness at {threads} threads"
-        );
-        assert_eq!(
-            flat.copy_evidence, sharded.copy_evidence,
-            "evidence at {threads} threads"
-        );
-        assert_eq!(
-            flat_indep,
-            sharded.as_multi_layer().unwrap().source_independence,
-            "independence at {threads} threads"
-        );
-        assert_eq!(flat.iterations(), sharded.iterations());
+        assert_eq!(serial.correctness(), sharded.correctness(), "{threads}");
+        assert_eq!(serial.copy_evidence, sharded.copy_evidence, "{threads}");
+        assert_eq!(Some(&indep[..]), sharded.source_independence(), "{threads}");
+        assert_eq!(serial.iterations(), sharded.iterations());
     }
+
+    let discount = CopyDiscount::from_scales(indep.clone());
+    let init = QualityInit::Default;
+    let (oracle, _) = kbt::core::reference::fit(&cube, &fusion_cfg(), &init, None, Some(&discount));
+    assert_eq!(serial.source_trust(), oracle.params.source_accuracy);
+    assert_eq!(serial.truth_of_group(), oracle.truth_of_group);
+    assert_eq!(serial.correctness(), Some(&oracle.correctness[..]));
+    matrix::assert_engine_matches_reference(
+        &cube,
+        &fusion_cfg(),
+        &init,
+        None,
+        Some(&indep),
+        "planted copier",
+    );
 }
 
 /// The copy-aware fit reproduces, bit for bit, the trust vector and the

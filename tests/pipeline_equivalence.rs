@@ -1,10 +1,10 @@
-//! API-equivalence tests: `TrustPipeline` / `FusionModel::fit` must be
-//! bit-for-bit identical to the legacy `Model::new(cfg).run(..)` calls
-//! they replace, on fixed-seed corpora. Plus convergence-trace sanity.
+//! API-equivalence tests: `TrustPipeline` must be bit-for-bit identical
+//! to calling the model directly (`FusionModel::fit`, reading the
+//! engine-specific result through `as_multi_layer()` /
+//! `as_single_layer()`), on fixed-seed corpora. Plus convergence-trace
+//! sanity.
 
-#![allow(deprecated)] // the point is to compare against the legacy path
-
-use kbt::core::{ModelConfig, QualityInit, ValueModel};
+use kbt::core::{FusionModel, ModelConfig, QualityInit, ValueModel};
 use kbt::datamodel::SourceId;
 use kbt::synth::paper::{generate, SyntheticConfig};
 use kbt::synth::web::{generate as gen_web, WebCorpusConfig};
@@ -16,8 +16,9 @@ fn pipeline_multilayer_is_bit_identical_to_legacy_run() {
         seed: 20_26,
         ..SyntheticConfig::default()
     });
-    let legacy =
-        MultiLayerModel::new(ModelConfig::default()).run(&data.cube, &QualityInit::Default);
+    let direct =
+        MultiLayerModel::new(ModelConfig::default()).fit(&data.cube, &QualityInit::Default);
+    let legacy = direct.as_multi_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::multi_layer())
@@ -54,8 +55,9 @@ fn pipeline_accu_is_bit_identical_to_legacy_single_layer() {
         seed: 20_27,
         ..SyntheticConfig::default()
     });
-    let legacy = SingleLayerModel::new(ModelConfig::single_layer_default())
-        .run(&data.cube, &QualityInit::Default);
+    let direct = SingleLayerModel::new(ModelConfig::single_layer_default())
+        .fit(&data.cube, &QualityInit::Default);
+    let legacy = direct.as_single_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::accu())
@@ -80,7 +82,8 @@ fn pipeline_popaccu_is_bit_identical_to_legacy_popaccu() {
         value_model: ValueModel::PopAccu,
         ..ModelConfig::single_layer_default()
     };
-    let legacy = SingleLayerModel::new(cfg).run(&data.cube, &QualityInit::Default);
+    let direct = SingleLayerModel::new(cfg).fit(&data.cube, &QualityInit::Default);
+    let legacy = direct.as_single_layer().unwrap();
     // Model::pop_accu() forces the value model; handing it an Accu-flavored
     // config must still reproduce the PopAccu run.
     let report = TrustPipeline::new()
@@ -97,7 +100,8 @@ fn pipeline_gold_init_is_bit_identical_on_web_corpus() {
     // through both paths.
     let corpus = gen_web(&WebCorpusConfig::tiny(64));
     let init = kbt_bench_gold_init(&corpus);
-    let legacy = MultiLayerModel::new(ModelConfig::default()).run(&corpus.cube, &init);
+    let direct = MultiLayerModel::new(ModelConfig::default()).fit(&corpus.cube, &init);
+    let legacy = direct.as_multi_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(corpus.cube.clone())
         .init(init)

@@ -1,42 +1,26 @@
 //! Acceptance tests for the sharded EM execution engine:
 //!
-//! 1. fixed-seed proof that sharded execution — both the columnar chunked
-//!    engine (`Sharded`) and the pre-columnar row-major engine
-//!    (`ShardedRows`) — is **bit-for-bit identical** to the flat path at
-//!    1, 2, and 8 threads (both models), and
+//! 1. fixed-seed proof that the engine — resident and streamed, both
+//!    models — is **bit-for-bit identical** to the flat scalar reference
+//!    (`kbt::core::reference`) at 1, 2, and 8 threads, and
 //! 2. warm-started incremental fusion on a ~5% delta converges in
 //!    **strictly fewer** EM iterations than a cold rerun on the merged
 //!    cube.
 
-use kbt::core::{ExecMode, FusionModel, ModelConfig, MultiLayerModel, SingleLayerModel};
+use kbt::core::{ModelConfig, ValueModel};
 use kbt::datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt::synth::paper::{generate, SyntheticConfig};
-use kbt::{FusionReport, FusionSession, Model, QualityInit};
+use kbt::{FusionSession, Model, QualityInit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn assert_reports_bit_identical(a: &FusionReport, b: &FusionReport, ctx: &str) {
-    assert_eq!(a.source_trust(), b.source_trust(), "{ctx}: source trust");
-    assert_eq!(a.truth_of_group(), b.truth_of_group(), "{ctx}: truth");
-    assert_eq!(a.covered_group(), b.covered_group(), "{ctx}: coverage");
-    assert_eq!(a.correctness(), b.correctness(), "{ctx}: correctness");
-    assert_eq!(a.posteriors(), b.posteriors(), "{ctx}: posteriors");
-    assert_eq!(a.iterations(), b.iterations(), "{ctx}: iterations");
-    assert_eq!(a.converged(), b.converged(), "{ctx}: converged");
-    assert_eq!(
-        a.extractor_precision(),
-        b.extractor_precision(),
-        "{ctx}: precision"
-    );
-    assert_eq!(a.extractor_recall(), b.extractor_recall(), "{ctx}: recall");
-    // Per-round parameter deltas are params-derived and must match too.
-    let da: Vec<f64> = a.trace.rounds.iter().map(|r| r.delta).collect();
-    let db: Vec<f64> = b.trace.rounds.iter().map(|r| r.delta).collect();
-    assert_eq!(da, db, "{ctx}: trace deltas");
-}
+#[path = "../crates/core/tests/matrix/mod.rs"]
+mod matrix;
 
-/// Sharded multi-layer inference is bit-for-bit the flat path, at 1, 2,
-/// and 8 threads, on a fixed-seed synthetic corpus.
+/// Sharded multi-layer inference is bit-for-bit the flat reference, at 1,
+/// 2, and 8 threads (and streamed at 1, 2, 4 × three cache sizes), on a
+/// fixed-seed synthetic corpus — cold, and warm-started with a copy
+/// discount.
 #[test]
 fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     let data = generate(&SyntheticConfig {
@@ -45,39 +29,26 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         seed: 20240915,
         ..SyntheticConfig::default()
     });
-    let flat_cfg = ModelConfig {
-        exec_mode: ExecMode::Flat,
-        threads: Some(1),
+    let cfg = ModelConfig {
         max_iterations: 8,
+        chunk_target_cells: 512,
         ..ModelConfig::default()
     };
-    let flat = MultiLayerModel::new(flat_cfg.clone()).fit(&data.cube, &QualityInit::Default);
-    assert!(
-        flat.iterations() >= 2,
-        "corpus must exercise several rounds"
+    let cold = QualityInit::Default;
+    matrix::assert_engine_matches_reference(&data.cube, &cfg, &cold, None, None, "multi");
+    let (flat, _) = kbt::core::reference::fit(&data.cube, &cfg, &cold, None, None);
+    assert!(flat.iterations >= 2, "corpus must exercise several rounds");
+    let scales: Vec<f64> = (0..data.cube.num_sources())
+        .map(|w| if w % 4 == 0 { 0.4 } else { 1.0 })
+        .collect();
+    matrix::assert_engine_matches_reference(
+        &data.cube,
+        &cfg,
+        &QualityInit::Resume(flat.params.clone()),
+        Some(&flat.truth_of_group),
+        Some(&scales),
+        "multi, warm + discount",
     );
-    for mode in [ExecMode::Sharded, ExecMode::ShardedRows] {
-        for threads in [1usize, 2, 8] {
-            let cfg = ModelConfig {
-                exec_mode: mode,
-                threads: Some(threads),
-                ..flat_cfg.clone()
-            };
-            let sharded = MultiLayerModel::new(cfg).fit(&data.cube, &QualityInit::Default);
-            assert_reports_bit_identical(
-                &flat,
-                &sharded,
-                &format!("multi, {mode:?}, {threads} threads"),
-            );
-        }
-    }
-    // The flat path itself is thread-invariant; pin that too.
-    let flat8 = MultiLayerModel::new(ModelConfig {
-        threads: Some(8),
-        ..flat_cfg
-    })
-    .fit(&data.cube, &QualityInit::Default);
-    assert_reports_bit_identical(&flat, &flat8, "flat 1 vs 8 threads");
 }
 
 /// Same bit-for-bit guarantee for the single-layer baseline.
@@ -89,26 +60,17 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         seed: 777,
         ..SyntheticConfig::default()
     });
-    let flat_cfg = ModelConfig {
-        exec_mode: ExecMode::Flat,
-        threads: Some(1),
-        ..ModelConfig::single_layer_default()
-    };
-    let flat = SingleLayerModel::new(flat_cfg.clone()).fit(&data.cube, &QualityInit::Default);
-    for mode in [ExecMode::Sharded, ExecMode::ShardedRows] {
-        for threads in [1usize, 2, 8] {
-            let cfg = ModelConfig {
-                exec_mode: mode,
-                threads: Some(threads),
-                ..flat_cfg.clone()
-            };
-            let sharded = SingleLayerModel::new(cfg).fit(&data.cube, &QualityInit::Default);
-            assert_reports_bit_identical(
-                &flat,
-                &sharded,
-                &format!("single, {mode:?}, {threads} threads"),
-            );
-        }
+    for value_model in [ValueModel::Accu, ValueModel::PopAccu] {
+        let cfg = ModelConfig {
+            value_model,
+            ..ModelConfig::single_layer_default()
+        };
+        matrix::assert_single_layer_matches_reference(
+            &data.cube,
+            &cfg,
+            &QualityInit::Default,
+            &format!("{value_model:?}"),
+        );
     }
 }
 
