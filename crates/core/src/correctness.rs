@@ -91,9 +91,7 @@ impl AlphaState {
 }
 
 /// The per-group cell fold `vc += conf·adjust[e]` of the correctness
-/// kernel. With the `simd` feature this dispatches to the AVX2 gather
-/// kernel (bit-identical by construction); otherwise it is the scalar
-/// loop.
+/// kernel.
 #[inline]
 fn fold_cell_votes(
     start: f64,
@@ -102,18 +100,11 @@ fn fold_cell_votes(
     votes: &VoteCounter,
     cfg: &ModelConfig,
 ) -> f64 {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::fold_cell_votes(start, ext, conf, votes, cfg)
+    let mut vc = start;
+    for (&e, &c) in ext.iter().zip(conf) {
+        vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        let mut vc = start;
-        for (&e, &c) in ext.iter().zip(conf) {
-            vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
-        }
-        vc
-    }
+    vc
 }
 
 /// `p(C_wdv = 1 | X_wdv)` for one group frame (Eq. 15 with the

@@ -61,8 +61,6 @@ pub mod multi_layer;
 pub mod params;
 pub mod posterior;
 pub mod reference;
-#[cfg(feature = "simd")]
-pub mod simd;
 pub mod single_layer;
 pub mod value;
 pub mod votes;

@@ -17,7 +17,6 @@ use kbt_flume::ShardedExecutor;
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
 use crate::math::clamp_quality;
-#[cfg(not(feature = "simd"))]
 use crate::math::log_sum_exp_with_zeros;
 use crate::params::Params;
 use crate::posterior::ItemPosteriors;
@@ -157,9 +156,6 @@ fn col_value_item_kernel(
     s.vcs.clear();
     s.vcs
         .extend(s.order.iter().map(|&slot| s.vote_sum[slot as usize]));
-    #[cfg(feature = "simd")]
-    let log_z = crate::simd::log_sum_exp_with_zeros(&s.vcs, unobserved_count);
-    #[cfg(not(feature = "simd"))]
     let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
     let entry_start = out.entries.len();
     for (slot, &val) in vals.iter().enumerate().take(nv) {

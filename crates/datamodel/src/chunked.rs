@@ -35,8 +35,9 @@
 //! slices of a [`ChunkedCube`]; [`StreamedChunks`] leases decoded
 //! [`ChunkBuf`]s / [`GroupBuf`]s of a [`FileChunkStore`] from bounded
 //! caches, so the resident set is a handful of buffers instead of the
-//! whole corpus. The v2 file format (`KBTCHNK2`) holds four frame
-//! families, each a `[u32 len][payload][u32 crc32]` frame:
+//! whole corpus. The v2 file format (`KBTCHNK2`) is the magic followed by
+//! four families of [`wire`] frames (the frame, sequence and column
+//! contracts are stated once, in that module's docs):
 //!
 //! * a **meta frame** ([`ChunkStoreMeta`]) — the integer skeleton a
 //!   streamed fit keeps resident: counts, the item-chunk partition, the
@@ -69,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::cube::ObservationCube;
 use crate::ids::{ItemId, SourceId};
-use crate::wire::{self, WireReader};
+use crate::wire::{self, WireError, WireReader};
 
 /// How the columnar cube is partitioned into chunks.
 #[derive(Debug, Clone)]
@@ -843,53 +844,17 @@ const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK2";
 /// bounded even for degenerate cell distributions.
 const MAX_FRAME_GROUPS: usize = 1 << 20;
 
-/// Append a length-prefixed column of `W`-byte little-endian elements in
-/// one sized write instead of one `Vec` growth check per element.
-fn put_column<T: Copy, const W: usize>(buf: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; W]) {
-    wire::put_u32(buf, xs.len() as u32);
-    let start = buf.len();
-    buf.resize(start + xs.len() * W, 0);
-    for (dst, &x) in buf[start..].chunks_exact_mut(W).zip(xs) {
-        dst.copy_from_slice(&le(x));
-    }
-}
-
 fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
-    put_column(buf, xs, u32::to_le_bytes);
+    wire::put_column(buf, xs, u32::to_le_bytes);
 }
 
-/// Consume a length-prefixed column of `W`-byte elements as one byte
-/// slice. The count is checked against the bytes left **before** anything
-/// is sized from it ([`WireReader::count`]), so a frame announcing
-/// `u32::MAX` elements is a typed error, not a 16 GiB reservation.
-fn column_bytes<'a, const W: usize>(r: &mut WireReader<'a>) -> io::Result<&'a [u8]> {
-    let n = r.count(W).map_err(corrupt)?;
-    r.bytes(n * W).map_err(corrupt)
+fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> Result<(), WireError> {
+    r.column(out, u32::from_le_bytes)
 }
 
-/// Decode a [`put_column`] column into `out` (cleared first, capacity
-/// reused), one pass over one byte slice.
-fn read_column<T, const W: usize>(
-    r: &mut WireReader<'_>,
-    out: &mut Vec<T>,
-    from_le: impl Fn([u8; W]) -> T,
-) -> io::Result<()> {
-    let bytes = column_bytes::<W>(r)?;
-    out.clear();
-    out.extend(bytes.chunks_exact(W).map(|c| {
-        let mut le = [0u8; W];
-        le.copy_from_slice(c);
-        from_le(le)
-    }));
-    Ok(())
-}
-
-fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> io::Result<()> {
-    read_column(r, out, u32::from_le_bytes)
-}
-
-fn corrupt<E: std::fmt::Debug>(e: E) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}"))
+/// The bytes passed every [`wire`] check but do not describe a cube.
+fn malformed(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
 /// The integer skeleton of a chunk store — everything a streamed fit
@@ -1012,67 +977,58 @@ impl ChunkStoreMeta {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        wire::put_u32(&mut p, self.num_groups);
-        wire::put_u32(&mut p, self.num_cells);
-        wire::put_u32(&mut p, self.num_items);
-        wire::put_u32(&mut p, self.num_sources);
-        wire::put_u32(&mut p, self.num_extractors);
-        wire::put_u32(&mut p, self.num_values);
-        wire::put_u32(&mut p, self.max_item_values);
-        wire::put_u32(&mut p, self.max_chunk_rows);
-        wire::put_u32(&mut p, self.item_chunks.len() as u32);
-        for c in &self.item_chunks {
-            wire::put_u32(&mut p, c.items.start);
-            wire::put_u32(&mut p, c.items.end);
-            wire::put_u32(&mut p, c.rows.start);
-            wire::put_u32(&mut p, c.rows.end);
-            wire::put_u32(&mut p, c.cells);
+    fn encode(&self, p: &mut Vec<u8>) {
+        for x in [
+            self.num_groups,
+            self.num_cells,
+            self.num_items,
+            self.num_sources,
+            self.num_extractors,
+            self.num_values,
+            self.max_item_values,
+            self.max_chunk_rows,
+        ] {
+            wire::put_u32(p, x);
         }
-        wire::put_u32(&mut p, self.group_frames.len() as u32);
-        for f in &self.group_frames {
-            wire::put_u32(&mut p, f.start);
-            wire::put_u32(&mut p, f.end);
-        }
-        put_u32_slice(&mut p, &self.source_offsets);
-        put_u32_slice(&mut p, &self.source_item_counts);
-        put_u32_slice(&mut p, &self.source_ext_offsets);
-        put_u32_slice(&mut p, &self.source_ext_ids);
-        p
+        wire::put_seq(p, &self.item_chunks, |p, c| {
+            for x in [
+                c.items.start,
+                c.items.end,
+                c.rows.start,
+                c.rows.end,
+                c.cells,
+            ] {
+                wire::put_u32(p, x);
+            }
+        });
+        wire::put_seq(p, &self.group_frames, |p, f| {
+            wire::put_u32(p, f.start);
+            wire::put_u32(p, f.end);
+        });
+        put_u32_slice(p, &self.source_offsets);
+        put_u32_slice(p, &self.source_item_counts);
+        put_u32_slice(p, &self.source_ext_offsets);
+        put_u32_slice(p, &self.source_ext_ids);
     }
 
     fn decode(payload: &[u8]) -> io::Result<Self> {
         let mut r = WireReader::new(payload);
-        let num_groups = r.u32().map_err(corrupt)?;
-        let num_cells = r.u32().map_err(corrupt)?;
-        let num_items = r.u32().map_err(corrupt)?;
-        let num_sources = r.u32().map_err(corrupt)?;
-        let num_extractors = r.u32().map_err(corrupt)?;
-        let num_values = r.u32().map_err(corrupt)?;
-        let max_item_values = r.u32().map_err(corrupt)?;
-        let max_chunk_rows = r.u32().map_err(corrupt)?;
-        let n_chunks = r.count(20).map_err(corrupt)?;
-        let mut item_chunks = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let is = r.u32().map_err(corrupt)?;
-            let ie = r.u32().map_err(corrupt)?;
-            let rs = r.u32().map_err(corrupt)?;
-            let re = r.u32().map_err(corrupt)?;
-            let cells = r.u32().map_err(corrupt)?;
-            item_chunks.push(CubeChunk {
-                items: is..ie,
-                rows: rs..re,
-                cells,
-            });
-        }
-        let n_frames = r.count(8).map_err(corrupt)?;
-        let mut group_frames = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let fs = r.u32().map_err(corrupt)?;
-            let fe = r.u32().map_err(corrupt)?;
-            group_frames.push(fs..fe);
-        }
+        let num_groups = r.u32()?;
+        let num_cells = r.u32()?;
+        let num_items = r.u32()?;
+        let num_sources = r.u32()?;
+        let num_extractors = r.u32()?;
+        let num_values = r.u32()?;
+        let max_item_values = r.u32()?;
+        let max_chunk_rows = r.u32()?;
+        let item_chunks = r.seq::<_, WireError>(20, |r| {
+            Ok(CubeChunk {
+                items: r.u32()?..r.u32()?,
+                rows: r.u32()?..r.u32()?,
+                cells: r.u32()?,
+            })
+        })?;
+        let group_frames = r.seq::<_, WireError>(8, |r| Ok(r.u32()?..r.u32()?))?;
         let mut source_offsets = Vec::new();
         read_u32_vec(&mut r, &mut source_offsets)?;
         let mut source_item_counts = Vec::new();
@@ -1081,12 +1037,7 @@ impl ChunkStoreMeta {
         read_u32_vec(&mut r, &mut source_ext_offsets)?;
         let mut source_ext_ids = Vec::new();
         read_u32_vec(&mut r, &mut source_ext_ids)?;
-        if !r.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "meta frame: trailing bytes",
-            ));
-        }
+        r.finish()?;
         let ns = num_sources as usize;
         let meta_ok = source_offsets.len() == ns + 1
             && source_offsets.first() == Some(&0)
@@ -1102,10 +1053,7 @@ impl ChunkStoreMeta {
                 .map_or(num_groups == 0, |f| f.end == num_groups)
             && group_frames.windows(2).all(|w| w[0].end == w[1].start);
         if !meta_ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "meta frame: inconsistent CSR shapes",
-            ));
+            return Err(malformed("meta frame: inconsistent CSR shapes"));
         }
         Ok(Self {
             num_groups,
@@ -1126,82 +1074,39 @@ impl ChunkStoreMeta {
     }
 }
 
-/// Append one `[u32 len][payload][u32 crc32]` frame at `*pos`; returns
-/// the payload's byte offset and length.
-fn write_frame(
-    w: &mut io::BufWriter<fs::File>,
+/// Write one [`wire`] frame whose payload `body` builds, at `*pos` of
+/// `w`; returns the payload's byte offset and length — its index entry.
+/// `frame` is the one buffer every frame of a file is built in.
+fn emit_frame(
+    w: &mut impl io::Write,
     pos: &mut u64,
-    payload: &[u8],
+    frame: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
 ) -> io::Result<(u64, u32)> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&wire::crc32(payload).to_le_bytes())?;
-    let payload_off = *pos + 4;
-    *pos += 4 + payload.len() as u64 + 4;
-    Ok((payload_off, len))
-}
-
-/// Read the `len`-byte payload at `payload_off` plus its trailing CRC in
-/// one positioned read, verify the CRC, and return the payload — the one
-/// way bytes leave a chunk file. Positioned reads take `&File`, so
-/// concurrent loads share the store's single handle without a seek race.
-fn read_frame(file: &fs::File, payload_off: u64, len: u32) -> io::Result<Vec<u8>> {
-    let len = len as usize;
-    let mut frame = vec![0u8; len + 4];
-    file.read_exact_at(&mut frame, payload_off)?;
-    let (payload, stored) = frame.split_at(len);
-    if stored != wire::crc32(payload).to_le_bytes() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    frame.truncate(len);
-    Ok(frame)
-}
-
-/// [`read_frame`] for a frame known only by the offset of its `[len]`
-/// header (the index and meta frames at open). `limit` is the end of the
-/// frame region (the file length minus the trailing index pointer).
-fn read_frame_at_header(file: &fs::File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
-    if off + 4 > limit {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame header out of bounds",
-        ));
-    }
-    let mut len_bytes = [0u8; 4];
-    file.read_exact_at(&mut len_bytes, off)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if off + 4 + len as u64 + 4 > limit {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame extends past end of file",
-        ));
-    }
-    read_frame(file, off + 4, len)
-}
-
-/// Prefix an I/O error with the frame it came from; built on the error
-/// path only.
-fn in_frame(what: &str, idx: usize, e: io::Error) -> io::Error {
-    io::Error::new(e.kind(), format!("{what} {idx}: {e}"))
+    frame.clear();
+    wire::put_frame(frame, body);
+    w.write_all(frame)?;
+    let entry = (*pos + 4, (frame.len() - 8) as u32);
+    *pos += frame.len() as u64;
+    Ok(entry)
 }
 
 /// Disk-backed chunk payloads: the `KBTCHNK2` format described in the
-/// module docs — meta frame, item frames (one per [`CubeChunk`]), group
-/// frames (one per [`ChunkStoreMeta::group_frames`] entry), an index
-/// frame, and a trailing 8-byte index offset. Every frame is
-/// `[u32 len][payload][u32 crc32]`; every load re-verifies its frame's
-/// CRC, so a corrupted chunk surfaces as an [`io::Error`] instead of
-/// silently wrong EM input. [`FileChunkStore::open`] reads only the tail,
-/// the index, and the meta frame — peak memory for opening a store is
-/// O(metadata), never O(corpus).
+/// module docs — magic, meta frame, item frames (one per [`CubeChunk`]),
+/// group frames (one per [`ChunkStoreMeta::group_frames`] entry), an
+/// index frame, and a trailing 8-byte index offset. Every load
+/// re-verifies its frame's CRC, so a corrupted chunk surfaces as an
+/// [`io::Error`] instead of silently wrong EM input.
+/// [`FileChunkStore::open`] reads only the tail, the index, and the meta
+/// frame — peak memory for opening a store is O(metadata), never
+/// O(corpus).
 #[derive(Debug)]
 pub struct FileChunkStore {
     /// The one handle every load reads through (positioned reads).
     file: fs::File,
+    /// Where the frames end (the trailing index offset starts here): no
+    /// index entry can make a load read past it.
+    limit: u64,
     meta: ChunkStoreMeta,
     /// Byte offset + length of each item frame's payload.
     item_frames: Vec<(u64, u32)>,
@@ -1217,60 +1122,55 @@ impl FileChunkStore {
         let meta = ChunkStoreMeta::from_cube(cube);
         let mut w = io::BufWriter::new(fs::File::create(path)?);
         w.write_all(CHUNK_MAGIC)?;
-        let mut pos = 8u64;
+        let mut pos = CHUNK_MAGIC.len() as u64;
+        let mut frame = Vec::new();
 
-        let (_, _) = write_frame(&mut w, &mut pos, &meta.encode())?;
+        emit_frame(&mut w, &mut pos, &mut frame, |p| meta.encode(p))?;
 
-        let mut item_frames = Vec::with_capacity(cube.chunks.len());
-        let mut payload: Vec<u8> = Vec::new();
         let mut rebased: Vec<u32> = Vec::new();
-        let mut put_rebased = |payload: &mut Vec<u8>, offsets: &[u32], base: u32| {
+        let mut put_rebased = |p: &mut Vec<u8>, offsets: &[u32], base: u32| {
             rebased.clear();
             rebased.extend(offsets.iter().map(|&o| o - base));
-            put_u32_slice(payload, &rebased);
+            put_u32_slice(p, &rebased);
         };
+        let mut item_frames = Vec::new();
         for idx in 0..cube.chunks.len() {
             let v = cube.item_view(idx);
-            payload.clear();
-            wire::put_u32(&mut payload, v.items.start);
-            wire::put_u32(&mut payload, v.items.end);
-            put_rebased(&mut payload, v.item_offsets, v.row_base);
-            put_rebased(&mut payload, v.item_value_offsets, v.val_base);
-            put_u32_slice(&mut payload, v.item_values);
-            put_u32_slice(&mut payload, v.ig_group);
-            put_u32_slice(&mut payload, v.ig_source);
-            put_u32_slice(&mut payload, v.ig_slot);
-            wire::put_u32(&mut payload, v.ig_has_cells.len() as u32);
-            payload.extend_from_slice(v.ig_has_cells);
-            item_frames.push(write_frame(&mut w, &mut pos, &payload)?);
+            item_frames.push(emit_frame(&mut w, &mut pos, &mut frame, |p| {
+                wire::put_u32(p, v.items.start);
+                wire::put_u32(p, v.items.end);
+                put_rebased(p, v.item_offsets, v.row_base);
+                put_rebased(p, v.item_value_offsets, v.val_base);
+                put_u32_slice(p, v.item_values);
+                put_u32_slice(p, v.ig_group);
+                put_u32_slice(p, v.ig_source);
+                put_u32_slice(p, v.ig_slot);
+                wire::put_column(p, v.ig_has_cells, |b| [b]);
+            })?);
         }
 
-        let mut group_frame_index = Vec::with_capacity(meta.group_frames.len());
+        let mut group_frame_index = Vec::new();
         for f in &meta.group_frames {
             let v = cube.group_view(f.clone());
-            payload.clear();
-            wire::put_u32(&mut payload, f.start);
-            wire::put_u32(&mut payload, f.end);
-            put_u32_slice(&mut payload, v.group_source);
-            put_rebased(&mut payload, v.cell_offsets, v.cell_base);
-            put_u32_slice(&mut payload, v.cell_extractor);
-            put_column(&mut payload, v.cell_confidence, f64::to_le_bytes);
-            group_frame_index.push(write_frame(&mut w, &mut pos, &payload)?);
+            group_frame_index.push(emit_frame(&mut w, &mut pos, &mut frame, |p| {
+                wire::put_u32(p, f.start);
+                wire::put_u32(p, f.end);
+                put_u32_slice(p, v.group_source);
+                put_rebased(p, v.cell_offsets, v.cell_base);
+                put_u32_slice(p, v.cell_extractor);
+                wire::put_column(p, v.cell_confidence, f64::to_le_bytes);
+            })?);
         }
 
-        payload.clear();
-        wire::put_u32(&mut payload, item_frames.len() as u32);
-        for &(off, len) in &item_frames {
-            wire::put_u64(&mut payload, off);
-            wire::put_u32(&mut payload, len);
-        }
-        wire::put_u32(&mut payload, group_frame_index.len() as u32);
-        for &(off, len) in &group_frame_index {
-            wire::put_u64(&mut payload, off);
-            wire::put_u32(&mut payload, len);
-        }
         let index_pos = pos;
-        write_frame(&mut w, &mut pos, &payload)?;
+        emit_frame(&mut w, &mut pos, &mut frame, |p| {
+            for entries in [&item_frames, &group_frame_index] {
+                wire::put_seq(p, entries, |p, &(off, len)| {
+                    wire::put_u64(p, off);
+                    wire::put_u32(p, len);
+                });
+            }
+        })?;
         w.write_all(&index_pos.to_le_bytes())?;
         w.flush()
     }
@@ -1280,73 +1180,38 @@ impl FileChunkStore {
     /// frame. Reads O(metadata) bytes regardless of corpus size.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < 8 + 8 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a KBTCHNK2 chunk file (too short)",
-            ));
+        let limit = (file.metadata()?.len().checked_sub(8))
+            .filter(|&limit| limit >= 8)
+            .ok_or(WireError::Truncated)?;
+        let mut word = [0u8; 8];
+        file.read_exact_at(&mut word, 0)?;
+        WireReader::new(&word).magic(CHUNK_MAGIC)?;
+        file.read_exact_at(&mut word, limit)?;
+        let index_pos = u64::from_le_bytes(word);
+        if index_pos < 8 {
+            return Err(malformed("index offset out of bounds"));
         }
-        let mut magic = [0u8; 8];
-        file.read_exact_at(&mut magic, 0)?;
-        if &magic != CHUNK_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a KBTCHNK2 chunk file",
-            ));
-        }
-        let limit = file_len - 8;
-        let mut tail = [0u8; 8];
-        file.read_exact_at(&mut tail, limit)?;
-        let index_pos = u64::from_le_bytes(tail);
-        if index_pos < 8 || index_pos >= limit {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index offset out of bounds",
-            ));
-        }
-        let index = read_frame_at_header(&file, index_pos, limit)?;
+        let index = wire::read_prefixed_frame_at(&file, index_pos, limit)?;
         let mut r = WireReader::new(&index);
-        let n_item = r.count(12).map_err(corrupt)?;
-        let mut item_frames = Vec::with_capacity(n_item);
-        for _ in 0..n_item {
-            let off = r.u64().map_err(corrupt)?;
-            let len = r.u32().map_err(corrupt)?;
-            item_frames.push((off, len));
-        }
-        let n_group = r.count(12).map_err(corrupt)?;
-        let mut group_frame_index = Vec::with_capacity(n_group);
-        for _ in 0..n_group {
-            let off = r.u64().map_err(corrupt)?;
-            let len = r.u32().map_err(corrupt)?;
-            group_frame_index.push((off, len));
-        }
-        if !r.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index frame: trailing bytes",
-            ));
-        }
+        let entry = |r: &mut WireReader<'_>| Ok::<_, WireError>((r.u64()?, r.u32()?));
+        let item_frames = r.seq(12, entry)?;
+        let group_frame_index = r.seq(12, entry)?;
+        r.finish()?;
         for &(off, len) in item_frames.iter().chain(&group_frame_index) {
-            if off < 12 || off + len as u64 + 4 > limit {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "frame entry out of bounds",
-                ));
+            if off < 12 {
+                return Err(malformed("frame entry out of bounds"));
             }
+            wire::frame_fits(off, len, limit)?;
         }
-        let meta_payload = read_frame_at_header(&file, 8, limit)?;
-        let meta = ChunkStoreMeta::decode(&meta_payload)?;
+        let meta = ChunkStoreMeta::decode(&wire::read_prefixed_frame_at(&file, 8, limit)?)?;
         if meta.item_chunks.len() != item_frames.len()
             || meta.group_frames.len() != group_frame_index.len()
         {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame table / meta count mismatch",
-            ));
+            return Err(malformed("frame table / meta count mismatch"));
         }
         Ok(Self {
             file,
+            limit,
             meta,
             item_frames,
             group_frame_index,
@@ -1363,20 +1228,29 @@ impl FileChunkStore {
         self.group_frame_index.len()
     }
 
+    /// Number of item frames (one per [`CubeChunk`]).
+    pub fn num_chunks(&self) -> usize {
+        self.item_frames.len()
+    }
+
+    /// The CRC-verified payload of the frame behind an index entry — the
+    /// one way bytes leave a chunk file.
+    fn payload(&self, what: &str, idx: usize, (off, len): (u64, u32)) -> io::Result<Vec<u8>> {
+        wire::read_frame_at(&self.file, off, len, self.limit)
+            .map_err(|e| io::Error::new(e.kind(), format!("{what} {idx}: {e}")))
+    }
+
     /// Load group frame `idx` into `buf` (cleared first, capacity
     /// reused), CRC-verifying the frame.
     pub fn load_group_frame(&self, idx: usize, buf: &mut GroupBuf) -> io::Result<()> {
-        let (off, len) = self.group_frame_index[idx];
-        let payload =
-            read_frame(&self.file, off, len).map_err(|e| in_frame("group frame", idx, e))?;
+        let payload = self.payload("group frame", idx, self.group_frame_index[idx])?;
         let mut r = WireReader::new(&payload);
-        let start = r.u32().map_err(corrupt)?;
-        let end = r.u32().map_err(corrupt)?;
+        let (start, end) = (r.u32()?, r.u32()?);
         buf.groups = start..end;
         read_u32_vec(&mut r, &mut buf.group_source)?;
         read_u32_vec(&mut r, &mut buf.cell_offsets)?;
         read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-        read_column(&mut r, &mut buf.cell_confidence, f64::from_le_bytes)?;
+        r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
         let shape_ok = start <= end
             && buf.group_source.len() == (end - start) as usize
             && buf.cell_offsets.len() == (end - start) as usize + 1
@@ -1385,46 +1259,25 @@ impl FileChunkStore {
             && buf.cell_extractor.len() == buf.cell_confidence.len()
             && r.is_empty();
         if !shape_ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("group frame {idx}: malformed payload"),
-            ));
+            return Err(malformed(format!("group frame {idx}: malformed payload")));
         }
         Ok(())
-    }
-}
-
-impl FileChunkStore {
-    /// Number of item frames (one per [`CubeChunk`]).
-    pub fn num_chunks(&self) -> usize {
-        self.item_frames.len()
     }
 
     /// Load item frame `idx` into `buf` (cleared first, capacity
     /// reused), CRC-verifying the frame.
     pub fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
-        let (off, len) = self.item_frames[idx];
-        let payload = read_frame(&self.file, off, len).map_err(|e| in_frame("chunk", idx, e))?;
+        let payload = self.payload("chunk", idx, self.item_frames[idx])?;
         let mut r = WireReader::new(&payload);
-        let start = r.u32().map_err(corrupt)?;
-        let end = r.u32().map_err(corrupt)?;
-        buf.items = start..end;
+        buf.items = r.u32()?..r.u32()?;
         read_u32_vec(&mut r, &mut buf.item_offsets)?;
         read_u32_vec(&mut r, &mut buf.item_value_offsets)?;
         read_u32_vec(&mut r, &mut buf.item_values)?;
         read_u32_vec(&mut r, &mut buf.ig_group)?;
         read_u32_vec(&mut r, &mut buf.ig_source)?;
         read_u32_vec(&mut r, &mut buf.ig_slot)?;
-        buf.ig_has_cells.clear();
-        buf.ig_has_cells
-            .extend_from_slice(column_bytes::<1>(&mut r)?);
-        if !r.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("chunk {idx}: trailing bytes"),
-            ));
-        }
-        Ok(())
+        r.column(&mut buf.ig_has_cells, |[b]| b)?;
+        Ok(r.finish()?)
     }
 }
 
@@ -2019,67 +1872,25 @@ mod tests {
         assert_eq!(&bytes[..8], b"KBTCHNK2");
     }
 
-    /// A frame with a valid CRC whose column announces `u32::MAX`
-    /// elements is a typed error before anything is sized from the count.
+    /// A CRC-valid index frame whose first entry points at
+    /// `u64::MAX - 1`: the bounds check must not overflow its way past
+    /// (it panicked in debug builds and wrapped in release ones).
     #[test]
-    fn hostile_column_counts_are_rejected_before_allocating() {
+    fn hostile_index_offsets_are_rejected_at_open() {
         let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
-        let path = std::env::temp_dir().join("kbt_chunk_store_hostile.kbt");
+        let path = std::env::temp_dir().join("kbt_chunk_store_hostile_index.kbt");
         FileChunkStore::write(&cc, &path).unwrap();
-        let clean = fs::read(&path).unwrap();
-        let store = FileChunkStore::open(&path).unwrap();
-        let (item_off, item_len) = store.item_frames[0];
-        let (group_off, group_len) = store.group_frame_index[0];
-        let ng = store.meta().group_frames[0].len();
-        drop(store);
-
-        // Payload offsets of a count prefix: an item frame's first `u32`
-        // column, a group frame's first `u32` column, and its `f64`
-        // confidence column (after three `u32` columns).
-        let conf_count = {
-            let mut r = WireReader::new(&clean[group_off as usize..][..group_len as usize]);
-            r.bytes(8 + (4 + 4 * ng) + (4 + 4 * (ng + 1))).unwrap();
-            let nc = r.u32().unwrap() as usize;
-            8 + (4 + 4 * ng) + (4 + 4 * (ng + 1)) + (4 + 4 * nc)
-        };
-        for (off, len, at, group) in [
-            (item_off, item_len, 8, false),
-            (group_off, group_len, 8, true),
-            (group_off, group_len, conf_count, true),
-        ] {
-            let (off, len) = (off as usize, len as usize);
-            let mut bytes = clean.clone();
-            bytes[off + at..off + at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let crc = wire::crc32(&bytes[off..off + len]);
-            bytes[off + len..off + len + 4].copy_from_slice(&crc.to_le_bytes());
+        let mut bytes = fs::read(&path).unwrap();
+        let tail = bytes.len() - 8;
+        let index_pos = u64::from_le_bytes(bytes[tail..].try_into().unwrap()) as usize;
+        let payload = index_pos + 4..tail - 4;
+        for off in [u64::MAX - 1, u64::MAX - 11, tail as u64, 11] {
+            bytes[payload.start + 4..payload.start + 12].copy_from_slice(&off.to_le_bytes());
+            let crc = wire::crc32(&bytes[payload.clone()]);
+            bytes[payload.end..tail].copy_from_slice(&crc.to_le_bytes());
             fs::write(&path, &bytes).unwrap();
-            let store = FileChunkStore::open(&path).unwrap();
-            let err = if group {
-                store.load_group_frame(0, &mut GroupBuf::default())
-            } else {
-                store.load_chunk(0, &mut ChunkBuf::default())
-            }
-            .expect_err("hostile count must not decode");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count at {at}");
-        }
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncated_file_is_a_typed_error() {
-        let cube = sample_cube();
-        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        let dir = std::env::temp_dir().join("kbt_chunk_store_torn");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chunks.kbt");
-        FileChunkStore::write(&cc, &path).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        for keep in [5usize, 12, bytes.len() / 3, bytes.len() - 3] {
-            fs::write(&path, &bytes[..keep]).unwrap();
-            assert!(
-                FileChunkStore::open(&path).is_err(),
-                "truncation to {keep} bytes must fail open"
-            );
+            let err = FileChunkStore::open(&path).expect_err("hostile offset must not open");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {off:#x}");
         }
         fs::remove_file(&path).unwrap();
     }

@@ -610,6 +610,19 @@ pub struct CubeBuilder {
     num_values: u32,
 }
 
+/// Adopt `obs` as the builder's buffer: the same builder as pushing every
+/// element, without a second copy of the observations.
+impl From<Vec<Observation>> for CubeBuilder {
+    fn from(mut obs: Vec<Observation>) -> Self {
+        let mut b = Self::default();
+        for o in &mut obs {
+            b.admit(o);
+        }
+        b.obs = obs;
+        b
+    }
+}
+
 impl CubeBuilder {
     /// Create an empty builder.
     pub fn new() -> Self {
@@ -636,13 +649,18 @@ impl CubeBuilder {
 
     /// Add one observation. Confidence is clamped to `[0, 1]`.
     pub fn push(&mut self, mut o: Observation) -> &mut Self {
+        self.admit(&mut o);
+        self.obs.push(o);
+        self
+    }
+
+    /// Clamp `o`'s confidence and grow the id spaces to hold it.
+    fn admit(&mut self, o: &mut Observation) {
         o.confidence = o.confidence.clamp(0.0, 1.0);
         self.num_sources = self.num_sources.max(o.source.0 + 1);
         self.num_extractors = self.num_extractors.max(o.extractor.0 + 1);
         self.num_items = self.num_items.max(o.item.0 + 1);
         self.num_values = self.num_values.max(o.value.0 + 1);
-        self.obs.push(o);
-        self
     }
 
     /// Declare the dense id-space sizes explicitly (useful when some ids
@@ -756,6 +774,33 @@ mod tests {
         let cube = b.build();
         assert_eq!(cube.num_cells(), 1);
         assert_eq!(cube.cells_of(&cube.groups()[0])[0].confidence, 0.9);
+    }
+
+    #[test]
+    fn adopting_a_vector_equals_pushing_its_elements() {
+        let all = vec![
+            obs(2, 1, 3, 0, 1.7),  // clamped to 1.0
+            obs(0, 0, 0, 4, -0.2), // clamped to 0.0
+            obs(0, 0, 0, 4, 0.6),
+            obs(1, 5, 2, 1, 0.5),
+        ];
+        let mut pushed = CubeBuilder::new();
+        for o in &all {
+            pushed.push(*o);
+        }
+        let (a, b) = (CubeBuilder::from(all).build(), pushed.build());
+        assert_eq!(a.groups(), b.groups());
+        assert_eq!(a.cells, b.cells);
+        assert_eq!(
+            (
+                a.num_sources(),
+                a.num_extractors(),
+                a.num_items(),
+                a.num_values()
+            ),
+            (6, 3, 4, 5)
+        );
+        assert_eq!(a.num_values(), b.num_values());
     }
 
     #[test]

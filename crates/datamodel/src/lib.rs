@@ -39,4 +39,4 @@ pub use cube::{Cell, CubeBuilder, CubeShardStats, ObservationCube, TripleGroup};
 pub use ids::{ExtractorId, ItemId, SourceId, ValueId};
 pub use intern::{Interner, SymbolTable};
 pub use triple::{DataItem, Observation, Triple};
-pub use wire::{WireReader, WireTruncated};
+pub use wire::{WireError, WireReader};

@@ -1,19 +1,40 @@
-//! Stable little-endian on-disk encoding for the data-model types.
+//! The one wire codec under `KBTNET01`, `KBTWAL01`, `KBTCHNK2` and
+//! `KBTSNAP1`: how a value looks in bytes, and how a record is
+//! delimited, checksummed, version-tagged and length-guarded.
 //!
-//! The persistence layer (`kbt-store`) frames everything it writes —
-//! checkpoint snapshots and the append-only delta log — out of the
-//! primitives here: fixed-width little-endian integers, IEEE-754 bit
-//! patterns for floats (so a decoded value is **bit-identical** to the
-//! encoded one, never re-parsed through decimal), and the two record
-//! payloads the delta log carries, [`Observation`]s and
-//! `(source, item, value)` retraction keys.
+//! **Values.** Fixed-width little-endian integers, IEEE-754 bit images
+//! for floats (a decoded value is **bit-identical** to the encoded one,
+//! never re-parsed through decimal), [`Observation`]s and
+//! `(source, item, value)` keys. No serde, no varints, no alignment.
 //!
-//! The encoding is deliberately hand-rolled, like the vendor shims: no
-//! serde, no varints, no alignment games. Every multi-byte quantity is
-//! little-endian; every float travels as its `to_bits()` image. Framing
-//! (lengths, checksums, magics) is the caller's business — this module
-//! only defines how individual values look on disk, plus the CRC-32
-//! ([`crc32`]) used for per-record integrity.
+//! **Frame.** `[len u32][payload: len bytes][crc32(payload) u32]`.
+//! [`put_frame`] builds the payload in place and back-patches `len`;
+//! [`WireReader::frame`] checks `len` against the caller's cap *before
+//! anything is sized from it*, answers `None` while the frame is
+//! incomplete (a socket's "need more bytes" and a log's torn tail are the
+//! same answer) and verifies the CRC before the payload is parsed.
+//! [`put_crc`] / [`checked`] are the unprefixed form `[body][crc32(body)]`
+//! (the `KBTWAL01` header, the `KBTSNAP1` file, a chunk frame whose
+//! length the index already holds — [`read_frame_at`]).
+//!
+//! **Header.** `[magic: 8 bytes][version u32]` — [`put_header`] /
+//! [`WireReader::header`]; a format whose version lives in its magic
+//! uses [`WireReader::magic`] alone.
+//!
+//! **Sequence.** `[count u32][count × element]`. [`WireReader::seq`]
+//! (and [`WireReader::seq_n`] for a count that travelled separately)
+//! proves `count × element bytes` fits the bytes actually left before the
+//! `Vec` is sized — the only place in the four formats where a decoded
+//! count reaches an allocator. [`put_column`] / [`WireReader::column`]
+//! are the bulk form for columns of fixed-width scalars.
+//!
+//! **Errors.** Every failure above is a [`WireError`], which converts
+//! into `io::Error` (`InvalidData`), `kbt_store::StoreError` and
+//! `kbt_net::ProtoError`, so decoders use plain `?`.
+
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt as _;
 
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
@@ -23,6 +44,89 @@ pub const OBSERVATION_WIRE_BYTES: usize = 24;
 
 /// Encoded size of one `(source, item, value)` retraction key.
 pub const TRIPLE_KEY_WIRE_BYTES: usize = 12;
+
+/// Hard ceiling on any length-prefixed frame read from an untrusted
+/// peer (16 MiB). Network readers pass this (or something tighter) to
+/// [`WireReader::frame`] so a hostile length prefix — `len = u32::MAX`
+/// from a malicious client — is rejected as a typed decode error
+/// *before* any buffer is sized from it.
+pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+
+/// Why bytes failed to decode. Nothing here panics or allocates from an
+/// unproven length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The input ended before the announced structure did.
+    Truncated,
+    /// Bytes were left over after the announced structure.
+    TrailingBytes(usize),
+    /// A frame length prefix exceeded the caller's cap — an absurd or
+    /// hostile frame, rejected before allocating.
+    FrameTooLarge {
+        /// The announced length.
+        len: u32,
+        /// The cap it violated.
+        max: u32,
+    },
+    /// An element count announced more elements than the remaining
+    /// payload could possibly hold — rejected before allocating.
+    CountOverrun {
+        /// The announced element count.
+        count: u64,
+        /// Encoded size of one element.
+        elem_bytes: usize,
+        /// Bytes actually remaining in the payload.
+        remaining: usize,
+    },
+    /// The stored CRC does not match the bytes it covers.
+    BadCrc {
+        /// CRC carried by the bytes.
+        expected: u32,
+        /// CRC computed over them.
+        actual: u32,
+    },
+    /// A tag byte names no alternative its field has.
+    BadTag(u8),
+    /// The leading magic is not the format's.
+    BadMagic,
+    /// The header's version is not the one this build reads.
+    BadVersion(u32),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truncated => write!(f, "wire payload truncated"),
+            Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            Self::FrameTooLarge { len, max } => {
+                write!(f, "frame length {len} exceeds the {max}-byte cap")
+            }
+            Self::CountOverrun {
+                count,
+                elem_bytes,
+                remaining,
+            } => write!(
+                f,
+                "element count {count} x {elem_bytes} bytes overruns the {remaining}-byte payload"
+            ),
+            Self::BadCrc { expected, actual } => write!(
+                f,
+                "crc mismatch: stored {expected:#010x}, computed {actual:#010x}"
+            ),
+            Self::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
+            Self::BadMagic => write!(f, "magic mismatch"),
+            Self::BadVersion(v) => write!(f, "unsupported format version {v}"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
 
 // ---- writing ----
 
@@ -68,85 +172,93 @@ pub fn put_triple_key(buf: &mut Vec<u8>, key: &(SourceId, ItemId, ValueId)) {
     put_u32(buf, key.2 .0);
 }
 
+/// Append a format header: `magic`, then `version`.
+pub fn put_header(buf: &mut Vec<u8>, magic: &[u8; 8], version: u32) {
+    buf.extend_from_slice(magic);
+    put_u32(buf, version);
+}
+
+/// Append the CRC-32 of everything in `buf` from byte `from` on — the
+/// writing half of [`checked`].
+pub fn put_crc(buf: &mut Vec<u8>, from: usize) {
+    let crc = crc32(&buf[from..]);
+    put_u32(buf, crc);
+}
+
+/// Append one frame whose payload `body` writes in place: the length
+/// prefix is back-patched and the CRC appended once the payload is known,
+/// so a frame costs no second buffer.
+pub fn put_frame(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_u32(buf, 0);
+    body(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    put_crc(buf, at + 4);
+}
+
+/// Append a sequence: the element count, then every element through `put`.
+pub fn put_seq<T>(buf: &mut Vec<u8>, xs: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, xs.len() as u32);
+    for x in xs {
+        put(buf, x);
+    }
+}
+
+/// Append a sequence of `W`-byte little-endian scalars in one sized
+/// write instead of one `Vec` growth check per element.
+pub fn put_column<T: Copy, const W: usize>(buf: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; W]) {
+    put_u32(buf, xs.len() as u32);
+    let start = buf.len();
+    buf.resize(start + xs.len() * W, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(W).zip(xs) {
+        dst.copy_from_slice(&le(x));
+    }
+}
+
 // ---- reading ----
 
-/// Decoding failed: the input ended early. The byte-level integrity of a
-/// frame is the caller's job (CRC before parse); a reader hitting this
-/// means the frame length and its payload disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTruncated;
+/// `[body][crc32(body)]` → `body`, once the CRC checks out.
+#[inline]
+pub fn checked(bytes: &[u8]) -> Result<&[u8], WireError> {
+    let (body, stored) = bytes.split_last_chunk::<4>().ok_or(WireError::Truncated)?;
+    let (expected, actual) = (u32::from_le_bytes(*stored), crc32(body));
+    if expected != actual {
+        return Err(WireError::BadCrc { expected, actual });
+    }
+    Ok(body)
+}
 
-impl std::fmt::Display for WireTruncated {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wire payload truncated")
+/// Prove that a `len`-byte payload at `payload_off` and its CRC end at or
+/// before `limit`, in arithmetic a hostile offset cannot overflow.
+pub fn frame_fits(payload_off: u64, len: u32, limit: u64) -> Result<(), WireError> {
+    match payload_off.checked_add(len as u64 + 4) {
+        Some(end) if end <= limit => Ok(()),
+        _ => Err(WireError::Truncated),
     }
 }
 
-impl std::error::Error for WireTruncated {}
-
-/// Hard ceiling on any length-prefixed frame read from an untrusted
-/// peer (16 MiB). Network and log readers pass this (or something
-/// tighter) to [`WireReader::frame_len`] so a hostile length prefix —
-/// `len = u32::MAX` from a malicious client — is rejected as a typed
-/// decode error *before* any buffer is sized from it.
-pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
-
-/// Typed decode failure of a length-prefixed structure.
-///
-/// [`WireTruncated`] is kept as the error of the primitive reads (it is
-/// matched all over the persistence layer); this enum covers the checks
-/// that guard **allocation**: a frame length or element count must be
-/// proven sane against a cap or the remaining payload before any `Vec`
-/// is sized from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The input ended before the announced structure did.
-    Truncated,
-    /// A frame length prefix exceeded the caller's cap — an absurd or
-    /// hostile frame, rejected before allocating.
-    FrameTooLarge {
-        /// The announced length.
-        len: u32,
-        /// The cap it violated.
-        max: u32,
-    },
-    /// An element count announced more elements than the remaining
-    /// payload could possibly hold — rejected before allocating.
-    CountOverrun {
-        /// The announced element count.
-        count: u32,
-        /// Encoded size of one element.
-        elem_bytes: usize,
-        /// Bytes actually remaining in the payload.
-        remaining: usize,
-    },
+/// Read the `len`-byte payload at `payload_off` of `file` and its trailing
+/// CRC in one positioned read, verify, and return the payload. `limit`
+/// is where the file's frames end: the read is bounded by the file, not
+/// by the length field. Positioned reads take `&File`, so concurrent
+/// loads share one handle without a seek race.
+pub fn read_frame_at(file: &File, payload_off: u64, len: u32, limit: u64) -> io::Result<Vec<u8>> {
+    frame_fits(payload_off, len, limit)?;
+    let mut frame = vec![0u8; len as usize + 4];
+    file.read_exact_at(&mut frame, payload_off)?;
+    let len = checked(&frame)?.len();
+    frame.truncate(len);
+    Ok(frame)
 }
 
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Truncated => write!(f, "wire payload truncated"),
-            Self::FrameTooLarge { len, max } => {
-                write!(f, "frame length {len} exceeds the {max}-byte cap")
-            }
-            Self::CountOverrun {
-                count,
-                elem_bytes,
-                remaining,
-            } => write!(
-                f,
-                "element count {count} x {elem_bytes} bytes overruns the {remaining}-byte payload"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<WireTruncated> for WireError {
-    fn from(_: WireTruncated) -> Self {
-        Self::Truncated
-    }
+/// [`read_frame_at`] for a frame known only by the offset of its length
+/// prefix.
+pub fn read_prefixed_frame_at(file: &File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
+    frame_fits(off, 0, limit)?; // a zero-length payload = the prefix itself
+    let mut len = [0u8; 4];
+    file.read_exact_at(&mut len, off)?;
+    read_frame_at(file, off + 4, u32::from_le_bytes(len), limit)
 }
 
 /// A bounds-checked cursor over an encoded byte slice.
@@ -171,40 +283,69 @@ impl<'a> WireReader<'a> {
         self.data.is_empty()
     }
 
-    /// Consume `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireTruncated> {
-        if self.data.len() < n {
-            return Err(WireTruncated);
+    /// The structure is over: any byte left is an error.
+    #[inline]
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.data.len() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
         }
-        let (head, tail) = self.data.split_at(n);
+    }
+
+    /// Consume `n` raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, tail) = self.data.split_at_checked(n).ok_or(WireError::Truncated)?;
         self.data = tail;
         Ok(head)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, tail) = self
+            .data
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.data = tail;
+        Ok(*head)
+    }
+
     /// Consume one `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireTruncated> {
-        Ok(self.bytes(1)?[0])
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Consume one flag byte: `0` or `1`.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(WireError::BadTag(t)),
+        }
     }
 
     /// Consume one little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireTruncated> {
-        let b = self.bytes(4)?.first_chunk::<4>().ok_or(WireTruncated)?;
-        Ok(u32::from_le_bytes(*b))
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Consume one little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireTruncated> {
-        let b = self.bytes(8)?.first_chunk::<8>().ok_or(WireTruncated)?;
-        Ok(u64::from_le_bytes(*b))
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Consume one `f64` stored as its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireTruncated> {
-        Ok(f64::from_bits(self.u64()?))
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, WireError> {
+        self.u64().map(f64::from_bits)
     }
 
     /// Consume one [`Observation`].
-    pub fn observation(&mut self) -> Result<Observation, WireTruncated> {
+    pub fn observation(&mut self) -> Result<Observation, WireError> {
         Ok(Observation {
             extractor: ExtractorId::new(self.u32()?),
             source: SourceId::new(self.u32()?),
@@ -215,7 +356,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Consume one `(source, item, value)` retraction key.
-    pub fn triple_key(&mut self) -> Result<(SourceId, ItemId, ValueId), WireTruncated> {
+    pub fn triple_key(&mut self) -> Result<(SourceId, ItemId, ValueId), WireError> {
         Ok((
             SourceId::new(self.u32()?),
             ItemId::new(self.u32()?),
@@ -223,34 +364,108 @@ impl<'a> WireReader<'a> {
         ))
     }
 
-    /// Consume a `u32` frame-length prefix, rejecting anything over
-    /// `max` **before the caller allocates a buffer for it**. A hostile
-    /// peer announcing `len = u32::MAX` costs four bytes of input and a
-    /// typed error, never an allocation.
-    pub fn frame_len(&mut self, max: u32) -> Result<usize, WireError> {
-        let len = self.u32()?;
+    /// Consume a format's 8-byte magic.
+    pub fn magic(&mut self, magic: &[u8; 8]) -> Result<(), WireError> {
+        if &self.array::<8>()? != magic {
+            return Err(WireError::BadMagic);
+        }
+        Ok(())
+    }
+
+    /// Consume a [`put_header`] header and check both fields.
+    pub fn header(&mut self, magic: &[u8; 8], version: u32) -> Result<(), WireError> {
+        self.magic(magic)?;
+        match self.u32()? {
+            v if v == version => Ok(()),
+            v => Err(WireError::BadVersion(v)),
+        }
+    }
+
+    /// Consume one [`put_frame`] frame and return its CRC-verified
+    /// payload. `Ok(None)` — nothing consumed — while the frame is
+    /// incomplete; a length over `max` is an error as soon as its four
+    /// bytes are there, so a hostile `len = u32::MAX` costs four bytes of
+    /// input and a typed error, never an allocation.
+    #[inline]
+    pub fn frame(&mut self, max: u32) -> Result<Option<&'a [u8]>, WireError> {
+        let mut r = self.clone();
+        let Ok(len) = r.u32() else {
+            return Ok(None);
+        };
         if len > max {
             return Err(WireError::FrameTooLarge { len, max });
         }
-        Ok(len as usize)
+        let Ok(body) = r.bytes((len as usize).saturating_add(4)) else {
+            return Ok(None);
+        };
+        *self = r;
+        checked(body).map(Some)
     }
 
-    /// Consume a `u32` element-count prefix for elements of
-    /// `elem_bytes` encoded bytes each, rejecting counts the remaining
-    /// payload cannot hold. Guards `Vec::with_capacity(count)` against
-    /// absurd counts: a count that passes is bounded by
-    /// `remaining / elem_bytes`, so sizing a buffer from it is safe.
-    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
+    /// Prove `count` elements of at least `elem_bytes` encoded bytes each
+    /// fit the bytes left, so a buffer sized from `count` is bounded by
+    /// the input, not by the number.
+    fn count(&self, count: u64, elem_bytes: usize) -> Result<usize, WireError> {
         debug_assert!(elem_bytes > 0, "elements must occupy at least one byte");
-        let count = self.u32()?;
-        if (count as u64) * (elem_bytes as u64) > self.data.len() as u64 {
+        if count > (self.remaining() / elem_bytes) as u64 {
             return Err(WireError::CountOverrun {
                 count,
                 elem_bytes,
-                remaining: self.data.len(),
+                remaining: self.remaining(),
             });
         }
         Ok(count as usize)
+    }
+
+    /// An empty `Vec` with room for `count` elements of at least
+    /// `elem_bytes` encoded bytes each, once the bytes left can back them.
+    pub fn vec_for<T>(&self, count: u64, elem_bytes: usize) -> Result<Vec<T>, WireError> {
+        let count = self.count(count, elem_bytes)?;
+        Ok(Vec::with_capacity(count))
+    }
+
+    /// Decode `count` elements (a count that was not stored right in
+    /// front of them) of at least `elem_bytes` encoded bytes each.
+    pub fn seq_n<T, E: From<WireError>>(
+        &mut self,
+        count: u64,
+        elem_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let mut out = self.vec_for(count, elem_bytes)?;
+        for _ in 0..count {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Decode a [`put_seq`] sequence.
+    pub fn seq<T, E: From<WireError>>(
+        &mut self,
+        elem_bytes: usize,
+        elem: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let count = self.u32()?;
+        self.seq_n(count as u64, elem_bytes, elem)
+    }
+
+    /// Decode a [`put_column`] column into `out` (cleared first, capacity
+    /// reused): one guarded byte slice, one pass.
+    pub fn column<T, const W: usize>(
+        &mut self,
+        out: &mut Vec<T>,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<(), WireError> {
+        let count = self.u32()?;
+        let n = self.count(count as u64, W)?;
+        let bytes = self.bytes(n * W)?;
+        out.clear();
+        out.extend(bytes.chunks_exact(W).map(|c| {
+            let mut le = [0u8; W];
+            le.copy_from_slice(c);
+            from_le(le)
+        }));
+        Ok(())
     }
 }
 
@@ -361,84 +576,144 @@ mod tests {
     fn truncated_reads_error_instead_of_panicking() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 5);
-        let mut r = WireReader::new(&buf[..2]);
-        assert_eq!(r.u32(), Err(WireTruncated));
-        let mut r = WireReader::new(&buf);
-        assert_eq!(r.observation(), Err(WireTruncated));
+        assert_eq!(WireReader::new(&buf[..2]).u32(), Err(WireError::Truncated));
+        assert_eq!(
+            WireReader::new(&buf).observation(),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            WireReader::new(&buf).finish(),
+            Err(WireError::TrailingBytes(4))
+        );
     }
 
-    /// The hostile-length-prefix guard: `len = u32::MAX` (or anything
-    /// over the cap) is a typed error before any allocation happens.
+    /// One frame, every way it can arrive: whole, short at every byte,
+    /// over the cap, bit-flipped.
     #[test]
-    fn absurd_frame_lengths_are_rejected_before_allocating() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX);
-        let mut r = WireReader::new(&buf);
+    fn frames_round_trip_wait_and_reject() {
+        let mut buf = vec![0xAA]; // frames append; they do not own the buffer
+        put_frame(&mut buf, |b| b.extend_from_slice(b"payload"));
+        let frame = &buf[1..];
+        assert_eq!(frame.len(), 4 + 7 + 4);
+        let mut r = WireReader::new(frame);
+        assert_eq!(r.frame(MAX_FRAME_BYTES), Ok(Some(&b"payload"[..])));
+        assert!(r.is_empty());
+
+        for keep in 0..frame.len() {
+            let mut r = WireReader::new(&frame[..keep]);
+            assert_eq!(r.frame(MAX_FRAME_BYTES), Ok(None), "{keep} bytes");
+            assert_eq!(r.remaining(), keep, "an incomplete frame consumes nothing");
+        }
+        // The cap is checked as soon as the prefix is there — before the
+        // payload arrives, so nothing is ever buffered or sized for it.
         assert_eq!(
-            r.frame_len(MAX_FRAME_BYTES),
+            WireReader::new(&u32::MAX.to_le_bytes()).frame(MAX_FRAME_BYTES),
             Err(WireError::FrameTooLarge {
                 len: u32::MAX,
                 max: MAX_FRAME_BYTES
             })
         );
-
-        // At or under the cap passes, independent of remaining bytes —
-        // the *frame* guard bounds the buffer the caller will read into.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 64);
-        assert_eq!(WireReader::new(&buf).frame_len(64), Ok(64));
         assert_eq!(
-            WireReader::new(&buf).frame_len(63),
-            Err(WireError::FrameTooLarge { len: 64, max: 63 })
+            WireReader::new(frame).frame(6),
+            Err(WireError::FrameTooLarge { len: 7, max: 6 })
         );
+        for bit in 32..frame.len() * 8 {
+            let mut bad = frame.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    WireReader::new(&bad).frame(MAX_FRAME_BYTES),
+                    Err(WireError::BadCrc { .. })
+                ),
+                "bit {bit}"
+            );
+        }
+    }
 
-        // A truncated prefix is still a truncation error.
+    #[test]
+    fn headers_check_magic_then_version() {
+        let mut buf = Vec::new();
+        put_header(&mut buf, b"KBTTEST1", 3);
+        put_crc(&mut buf, 0);
+        let body = checked(&buf).unwrap();
+        assert_eq!(WireReader::new(body).header(b"KBTTEST1", 3), Ok(()));
         assert_eq!(
-            WireReader::new(&buf[..2]).frame_len(64),
+            WireReader::new(body).header(b"KBTTEST2", 3),
+            Err(WireError::BadMagic)
+        );
+        assert_eq!(
+            WireReader::new(body).header(b"KBTTEST1", 4),
+            Err(WireError::BadVersion(3))
+        );
+        assert_eq!(
+            WireReader::new(&body[..9]).header(b"KBTTEST1", 3),
             Err(WireError::Truncated)
         );
+        buf[2] ^= 1;
+        assert!(matches!(checked(&buf), Err(WireError::BadCrc { .. })));
+        assert_eq!(checked(&buf[..3]), Err(WireError::Truncated));
     }
 
     /// The element-count guard: a count the remaining payload cannot
-    /// hold is a typed error, so `Vec::with_capacity(count)` is safe on
-    /// any count that passes.
+    /// hold is a typed error before the `Vec` is sized from it.
     #[test]
     fn overrunning_element_counts_are_rejected_before_allocating() {
+        let key = (SourceId::new(1), ItemId::new(2), ValueId::new(3));
         let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX); // claims 4 billion observations...
-        put_observation(
-            &mut buf,
-            &Observation {
-                extractor: ExtractorId::new(0),
-                source: SourceId::new(0),
-                item: ItemId::new(0),
-                value: ValueId::new(0),
-                confidence: 1.0,
-            },
-        ); // ...but carries one
+        put_seq(&mut buf, &[key, key], put_triple_key);
         let mut r = WireReader::new(&buf);
-        assert_eq!(
-            r.count(OBSERVATION_WIRE_BYTES),
-            Err(WireError::CountOverrun {
-                count: u32::MAX,
-                elem_bytes: OBSERVATION_WIRE_BYTES,
-                remaining: OBSERVATION_WIRE_BYTES,
-            })
-        );
-
-        // An honest count passes and the elements decode.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 2);
-        for _ in 0..2 {
-            put_triple_key(
-                &mut buf,
-                &(SourceId::new(1), ItemId::new(2), ValueId::new(3)),
-            );
-        }
-        let mut r = WireReader::new(&buf);
-        assert_eq!(r.count(TRIPLE_KEY_WIRE_BYTES), Ok(2));
-        assert!(r.triple_key().is_ok() && r.triple_key().is_ok());
+        let keys: Result<_, WireError> = r.seq(TRIPLE_KEY_WIRE_BYTES, |r| r.triple_key());
+        assert_eq!(keys, Ok(vec![key, key]));
         assert!(r.is_empty());
+
+        // Claims four billion keys, carries two.
+        buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let overrun = WireError::CountOverrun {
+            count: u32::MAX as u64,
+            elem_bytes: TRIPLE_KEY_WIRE_BYTES,
+            remaining: 2 * TRIPLE_KEY_WIRE_BYTES,
+        };
+        let keys: Result<Vec<_>, WireError> =
+            WireReader::new(&buf).seq(TRIPLE_KEY_WIRE_BYTES, |r| r.triple_key());
+        assert_eq!(keys, Err(overrun));
+        // So does a count that travelled apart from its elements, at any
+        // width — `u64::MAX × 12` must not wrap into something small.
+        let r = WireReader::new(&buf[4..]);
+        assert!(r.vec_for::<u8>(u64::MAX, TRIPLE_KEY_WIRE_BYTES).is_err());
+        assert!(r.vec_for::<u8>(3, TRIPLE_KEY_WIRE_BYTES).is_err());
+        assert!(r.vec_for::<u8>(2, TRIPLE_KEY_WIRE_BYTES).is_ok());
+    }
+
+    #[test]
+    fn columns_round_trip_and_guard_their_count() {
+        let xs = [0.5f64, -0.0, f64::NAN, 1e300];
+        let mut buf = Vec::new();
+        put_column(&mut buf, &xs, f64::to_le_bytes);
+        assert_eq!(buf.len(), 4 + 8 * xs.len());
+        let mut out = vec![7.0; 9];
+        let mut r = WireReader::new(&buf);
+        r.column(&mut out, f64::from_le_bytes).unwrap();
+        assert!(r.is_empty());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&xs));
+
+        buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            WireReader::new(&buf).column(&mut out, f64::from_le_bytes),
+            Err(WireError::CountOverrun { .. })
+        ));
+    }
+
+    /// The positioned-read guard holds for offsets no file can have.
+    #[test]
+    fn positioned_frame_bounds_cannot_overflow() {
+        assert_eq!(frame_fits(12, 16, 32), Ok(()));
+        assert_eq!(frame_fits(12, 17, 32), Err(WireError::Truncated));
+        assert_eq!(frame_fits(u64::MAX - 1, 8, 32), Err(WireError::Truncated));
+        assert_eq!(
+            frame_fits(u64::MAX, u32::MAX, u64::MAX),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | `panic`      | `kbt-serve`, `kbt-net`, `kbt-store`, `kbt-datamodel::wire` | no `unwrap()` / `expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `assert!`-family in non-test code |
 //! | `atomics`    | every crate except `kbt-bench`                  | `Ordering::Relaxed` / `Ordering::SeqCst` need an adjacent `ordering:` justification comment |
 //! | `safety`     | whole workspace                                 | every `unsafe` needs an adjacent `SAFETY:` comment |
-//! | `hostile-len`| `wire.rs` / `proto.rs` / `wal.rs` / `codec.rs`  | length-derived allocations (`with_capacity`, `vec![`, `read_exact`) must follow a cap check (`MAX_*`, `frame_len`, `.count(`, `.remaining(`) in the same function |
+//! | `hostile-len`| `wire.rs` / `proto.rs` / `wal.rs` / `codec.rs` / `chunked.rs` | in a function that reads bytes, length-derived allocations (`with_capacity`, `vec![`, `read_exact`) must follow a cap check (`MAX_*`, `frame_fits`, `.count(`, `.remaining(`, or a guarded `wire` reader: `.seq(`, `.seq_n(`, `.vec_for(`) in the same function |
 //! | `allow-attr` | whole workspace                                 | every `#[allow(...)]` needs an adjacent justification comment |
 //! | `layering`   | whole workspace                                 | no architecture-inverting imports (see [`layering_violation`]) |
 //!
@@ -101,7 +101,7 @@ fn panic_rule_applies(ctx: &FileCtx) -> bool {
 fn hostile_len_applies(ctx: &FileCtx) -> bool {
     matches!(
         ctx.file_name.as_str(),
-        "wire.rs" | "proto.rs" | "wal.rs" | "codec.rs"
+        "wire.rs" | "proto.rs" | "wal.rs" | "codec.rs" | "chunked.rs"
     )
 }
 
@@ -478,14 +478,19 @@ pub fn lint_file(ctx: &FileCtx, source: &str) -> Vec<Diagnostic> {
 }
 
 /// Flag length-derived allocations not preceded by a cap check in the
-/// same function. An allocation site counts when its size argument
-/// mentions any lowercase identifier (a runtime value — decoded lengths
-/// always are); all-constant sizes (`with_capacity(PREAMBLE_BYTES)`,
+/// same function. Only a function that reads bytes can hold a decoded
+/// length, so only functions mentioning a byte reader (`WireReader`,
+/// `read_exact*`, `from_le_bytes`) are checked — encoders and cube
+/// builders size their buffers from structures already in memory. An
+/// allocation site counts when its size argument mentions any lowercase
+/// identifier (a runtime value — decoded lengths always are);
+/// all-constant sizes (`with_capacity(PREAMBLE_BYTES)`,
 /// `with_capacity(24)`) are safe by construction. A cap check is a
-/// mention of a `MAX_*` constant, [`kbt_datamodel::wire::WireReader::frame_len`],
-/// or a `.count(` / `.remaining(` guard earlier in the same function
-/// body — the last being the canonical whole-file-codec cap: a decoded
-/// count validated against the bytes actually present.
+/// mention of a `MAX_*` constant, `wire::frame_fits`, a
+/// `.count(` / `.remaining(` guard, or one of `kbt_datamodel::wire`'s
+/// guarded sequence readers (`.seq(` / `.seq_n(` / `.vec_for(`) earlier in
+/// the same function body — a decoded count validated against the bytes
+/// actually present.
 fn lint_hostile_len(
     _ctx: &FileCtx,
     map: &FileMap,
@@ -538,6 +543,18 @@ fn lint_hostile_len(
             ck += 1;
         }
 
+        let reads_bytes = code[ci..=body_end].iter().any(|&i| {
+            let t = &toks[i];
+            t.kind == TokKind::Ident
+                && (t.text == "WireReader"
+                    || t.text == "from_le_bytes"
+                    || t.text.starts_with("read_exact"))
+        });
+        if !reads_bytes {
+            ci = body_end + 1;
+            continue;
+        }
+
         // One pass over the body: remember whether a cap check has been
         // seen, flag uncapped length-derived allocations after it.
         let mut capped = false;
@@ -546,11 +563,11 @@ fn lint_hostile_len(
             let t = &toks[code[cb]];
             if t.kind == TokKind::Ident {
                 let name = t.text.as_str();
-                let cap_call = (name == "count" || name == "remaining")
+                let cap_call = matches!(name, "count" | "remaining" | "seq" | "seq_n" | "vec_for")
                     && cb > 0
                     && toks[code[cb - 1]].is_punct('.')
                     && code.get(cb + 1).is_some_and(|&i| toks[i].is_punct('('));
-                if name.starts_with("MAX_") || name == "frame_len" || cap_call {
+                if name.starts_with("MAX_") || name == "frame_fits" || cap_call {
                     capped = true;
                 } else if (name == "with_capacity" || name == "read_exact")
                     && code.get(cb + 1).is_some_and(|&i| toks[i].is_punct('('))
@@ -561,7 +578,7 @@ fn lint_hostile_len(
                             t.line,
                             format!(
                                 "{name} sized from a runtime value with no earlier cap check \
-                                 (MAX_* / frame_len / .count() / .remaining()) in this function"
+                                 (MAX_* / frame_fits / .count() / .remaining() / .seq()) in this function"
                             ),
                         );
                     }
@@ -574,7 +591,7 @@ fn lint_hostile_len(
                         RuleId::HostileLen,
                         t.line,
                         "vec! sized from a runtime value with no earlier cap check \
-                         (MAX_* / frame_len / .count() / .remaining()) in this function"
+                         (MAX_* / frame_fits / .count() / .remaining() / .seq()) in this function"
                             .into(),
                     );
                 }

@@ -81,7 +81,7 @@ fn atomics_clean_twin_passes() {
 #[test]
 fn safety_rule_catches_seeded_violation() {
     let diags = lint_file(
-        &ctx("kbt-core", "simd.rs"),
+        &ctx("kbt-core", "math.rs"),
         include_str!("fixtures/safety_violation.rs"),
     );
     assert_eq!(unwaived(&diags, RuleId::Safety).len(), 1, "{diags:?}");
@@ -90,7 +90,7 @@ fn safety_rule_catches_seeded_violation() {
 #[test]
 fn safety_clean_twin_passes() {
     let diags = lint_file(
-        &ctx("kbt-core", "simd.rs"),
+        &ctx("kbt-core", "math.rs"),
         include_str!("fixtures/safety_clean.rs"),
     );
     assert!(unwaived(&diags, RuleId::Safety).is_empty(), "{diags:?}");
@@ -98,12 +98,14 @@ fn safety_clean_twin_passes() {
 
 #[test]
 fn hostile_len_rule_catches_seeded_violations() {
-    let diags = lint_file(
-        &ctx("kbt-store", "codec.rs"),
-        include_str!("fixtures/hostile_len_violation.rs"),
-    );
-    let hits = unwaived(&diags, RuleId::HostileLen);
-    assert_eq!(hits.len(), 2, "with_capacity and vec!: {diags:?}");
+    for scope in [
+        ctx("kbt-store", "codec.rs"),
+        ctx("kbt-datamodel", "chunked.rs"),
+    ] {
+        let diags = lint_file(&scope, include_str!("fixtures/hostile_len_violation.rs"));
+        let hits = unwaived(&diags, RuleId::HostileLen);
+        assert_eq!(hits.len(), 2, "with_capacity and vec!: {diags:?}");
+    }
 }
 
 #[test]

@@ -8,9 +8,11 @@ use std::time::Duration;
 
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
 
+use kbt_datamodel::wire::{self, WireError};
+
 use crate::proto::{
-    encode_frame, encode_preamble, ErrorCode, FrameBuffer, FrameError, ProtoError, Reply, Request,
-    WireStats, DEFAULT_MAX_FRAME_BYTES,
+    encode_preamble, ErrorCode, FrameBuffer, ProtoError, Reply, Request, WireStats,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// Why a client call failed.
@@ -21,7 +23,7 @@ pub enum ClientError {
     /// The server closed the connection mid-reply.
     Disconnected,
     /// A reply frame failed framing (length/CRC) checks.
-    Frame(FrameError),
+    Frame(WireError),
     /// A reply payload failed to decode.
     Proto(ProtoError),
     /// The server answered with a typed error frame.
@@ -114,7 +116,9 @@ impl NetClient {
 
     /// Send one request frame and block for the next reply frame.
     pub fn request(&mut self, req: &Request) -> Result<Reply, ClientError> {
-        self.stream.write_all(&encode_frame(&req.encode()))?;
+        let mut frame = Vec::new();
+        wire::put_frame(&mut frame, |b| req.encode_into(b));
+        self.stream.write_all(&frame)?;
         self.read_reply()
     }
 

@@ -2,9 +2,8 @@
 //!
 //! The network front end for the trust-serving layer: point, top-k, and
 //! batched trust queries plus streaming delta/retraction ingestion over
-//! the `KBTNET01` length-prefixed wire protocol (same frame shape as the
-//! `KBTWAL01` delta log: `[len u32][payload][crc32 u32]`, little-endian,
-//! CRC-checked before parse).
+//! the `KBTNET01` wire protocol (header, frames and sequences of
+//! [`kbt_datamodel::wire`], the codec the `KBTWAL01` delta log shares).
 //!
 //! * [`proto`] — the codec: [`Request`]/[`Reply`] payloads, framing,
 //!   the [`FrameBuffer`] incremental assembler, typed [`ErrorCode`]s.
@@ -51,7 +50,7 @@ pub mod server;
 
 pub use client::{Answer, ClientError, NetClient};
 pub use proto::{
-    ErrorCode, FrameBuffer, FrameError, ProtoError, Reply, Request, WireStats,
-    DEFAULT_MAX_FRAME_BYTES, NET_MAGIC, NET_VERSION,
+    ErrorCode, FrameBuffer, ProtoError, Reply, Request, WireStats, DEFAULT_MAX_FRAME_BYTES,
+    NET_MAGIC, NET_VERSION,
 };
 pub use server::{NetConfig, NetError, NetServer, NetShutdown};

@@ -1,24 +1,18 @@
-//! The `KBTNET01` wire protocol: framing, request/reply payloads, and
-//! the incremental frame assembler.
-//!
-//! Everything on the wire is built from `kbt_datamodel::wire`
-//! primitives — little-endian integers, IEEE-754 bit images for floats
-//! — and mirrors the `KBTWAL01` log's frame shape:
+//! The `KBTNET01` wire protocol: request/reply payloads, typed error
+//! codes, and the incremental frame assembler.
 //!
 //! ```text
-//! connection:  [magic "KBTNET01" (8)] [version u32]          client → server, once
-//! frame:       [len u32] [payload: len bytes] [crc32(payload) u32]   both directions
+//! connection:  header("KBTNET01", version 1)      client → server, once
+//! then:        frame*                             both directions
 //! payload:     [kind u8] [body…]
 //! ```
 //!
-//! The length prefix is validated against a cap **before** any buffer
-//! is sized from it (a hostile `len = u32::MAX` costs four bytes and a
-//! typed error, never an allocation), and the CRC is checked before the
-//! payload is parsed, so a bit-flipped frame is rejected as
-//! [`FrameError::BadCrc`] instead of decoding into garbage.
+//! Header, frame and sequence are [`kbt_datamodel::wire`]'s — the length
+//! cap, the CRC-before-parse order and the count guards are stated (and
+//! enforced) there; this module only says what a payload holds.
 
 use kbt_datamodel::wire::{
-    crc32, put_f64, put_observation, put_triple_key, put_u32, put_u64, put_u8, WireError,
+    self, put_f64, put_observation, put_seq, put_triple_key, put_u32, put_u64, put_u8, WireError,
     WireReader, OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
 };
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
@@ -41,32 +35,14 @@ pub const DEFAULT_MAX_FRAME_BYTES: u32 = 1024 * 1024;
 /// Encode the connection preamble.
 pub fn encode_preamble() -> Vec<u8> {
     let mut buf = Vec::with_capacity(PREAMBLE_BYTES);
-    buf.extend_from_slice(NET_MAGIC);
-    put_u32(&mut buf, NET_VERSION);
+    wire::put_header(&mut buf, NET_MAGIC, NET_VERSION);
     buf
 }
 
-/// Validate a connection preamble.
-pub fn check_preamble(bytes: &[u8; PREAMBLE_BYTES]) -> Result<(), ErrorCode> {
-    if &bytes[..8] != NET_MAGIC {
-        return Err(ErrorCode::BadMagic);
-    }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != NET_VERSION {
-        return Err(ErrorCode::BadVersion);
-    }
-    Ok(())
-}
-
-/// Wrap a payload in a `[len][payload][crc]` frame.
+/// Wrap an encoded payload in a frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    // lint: allow(hostile-len) — encode path: `payload` is produced
-    // locally, not attacker-derived; inbound frames are capped by
-    // `FrameBuffer::next_frame` before any allocation.
     let mut buf = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(payload);
-    put_u32(&mut buf, crc32(payload));
+    wire::put_frame(&mut buf, |b| b.extend_from_slice(payload));
     buf
 }
 
@@ -140,6 +116,19 @@ impl ErrorCode {
     }
 }
 
+/// The code a framing failure is reported under.
+impl From<WireError> for ErrorCode {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::BadMagic => Self::BadMagic,
+            WireError::BadVersion(_) => Self::BadVersion,
+            WireError::FrameTooLarge { .. } => Self::FrameTooLarge,
+            WireError::BadCrc { .. } => Self::BadCrc,
+            _ => Self::BadFrame,
+        }
+    }
+}
+
 impl std::fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
@@ -162,12 +151,11 @@ impl std::fmt::Display for ErrorCode {
 /// Why a frame payload failed to decode into a request or reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
-    /// The body ended early or announced more elements than it carries.
+    /// The body ended early, ran long, or announced more elements than
+    /// it carries.
     Wire(WireError),
     /// The kind byte names no known payload.
     UnknownKind(u8),
-    /// Bytes were left over after the announced structure.
-    TrailingBytes(usize),
     /// An error-reply detail string was not UTF-8.
     BadString,
     /// An error-reply code byte was out of range.
@@ -179,7 +167,6 @@ impl std::fmt::Display for ProtoError {
         match self {
             Self::Wire(e) => write!(f, "malformed payload: {e}"),
             Self::UnknownKind(k) => write!(f, "unknown payload kind {k:#04x}"),
-            Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
             Self::BadString => write!(f, "error detail is not UTF-8"),
             Self::BadErrorCode(c) => write!(f, "error code {c} out of range"),
         }
@@ -191,12 +178,6 @@ impl std::error::Error for ProtoError {}
 impl From<WireError> for ProtoError {
     fn from(e: WireError) -> Self {
         Self::Wire(e)
-    }
-}
-
-impl From<kbt_datamodel::wire::WireTruncated> for ProtoError {
-    fn from(e: kbt_datamodel::wire::WireTruncated) -> Self {
-        Self::Wire(e.into())
     }
 }
 
@@ -287,21 +268,28 @@ impl Request {
     /// Encode to a frame payload (no framing; see [`encode_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the payload to `buf` — inside [`wire::put_frame`], a whole
+    /// frame built in one buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Self::Ping { token } => {
-                put_u8(&mut buf, K_PING);
-                put_u64(&mut buf, *token);
+                put_u8(buf, K_PING);
+                put_u64(buf, *token);
             }
             Self::Trust { id, source } => {
-                put_u8(&mut buf, K_TRUST);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, source.0);
+                put_u8(buf, K_TRUST);
+                put_u64(buf, *id);
+                put_u32(buf, source.0);
             }
             Self::Posterior { id, item, value } => {
-                put_u8(&mut buf, K_POSTERIOR);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, item.0);
-                put_u32(&mut buf, value.0);
+                put_u8(buf, K_POSTERIOR);
+                put_u64(buf, *id);
+                put_u32(buf, item.0);
+                put_u32(buf, value.0);
             }
             Self::TriplePosterior {
                 id,
@@ -309,47 +297,37 @@ impl Request {
                 item,
                 value,
             } => {
-                put_u8(&mut buf, K_TRIPLE);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, source.0);
-                put_u32(&mut buf, item.0);
-                put_u32(&mut buf, value.0);
+                put_u8(buf, K_TRIPLE);
+                put_u64(buf, *id);
+                put_u32(buf, source.0);
+                put_u32(buf, item.0);
+                put_u32(buf, value.0);
             }
             Self::TopKSources { id, k } => {
-                put_u8(&mut buf, K_TOPK);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, *k);
+                put_u8(buf, K_TOPK);
+                put_u64(buf, *id);
+                put_u32(buf, *k);
             }
             Self::TrustBatch { id, sources } => {
-                put_u8(&mut buf, K_TRUST_BATCH);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, sources.len() as u32);
-                for w in sources {
-                    put_u32(&mut buf, w.0);
-                }
+                put_u8(buf, K_TRUST_BATCH);
+                put_u64(buf, *id);
+                put_seq(buf, sources, |b, w| put_u32(b, w.0));
             }
             Self::Ingest { id, delta } => {
-                put_u8(&mut buf, K_INGEST);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, delta.len() as u32);
-                for o in delta {
-                    put_observation(&mut buf, o);
-                }
+                put_u8(buf, K_INGEST);
+                put_u64(buf, *id);
+                put_seq(buf, delta, put_observation);
             }
             Self::Retract { id, keys } => {
-                put_u8(&mut buf, K_RETRACT);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, keys.len() as u32);
-                for k in keys {
-                    put_triple_key(&mut buf, k);
-                }
+                put_u8(buf, K_RETRACT);
+                put_u64(buf, *id);
+                put_seq(buf, keys, put_triple_key);
             }
             Self::Stats { id } => {
-                put_u8(&mut buf, K_STATS);
-                put_u64(&mut buf, *id);
+                put_u8(buf, K_STATS);
+                put_u64(buf, *id);
             }
         }
-        buf
     }
 
     /// Decode a frame payload. The whole payload must be consumed.
@@ -377,39 +355,22 @@ impl Request {
                 id: r.u64()?,
                 k: r.u32()?,
             },
-            K_TRUST_BATCH => {
-                let id = r.u64()?;
-                let n = r.count(4)?;
-                let mut sources = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sources.push(SourceId::new(r.u32()?));
-                }
-                Self::TrustBatch { id, sources }
-            }
-            K_INGEST => {
-                let id = r.u64()?;
-                let n = r.count(OBSERVATION_WIRE_BYTES)?;
-                let mut delta = Vec::with_capacity(n);
-                for _ in 0..n {
-                    delta.push(r.observation()?);
-                }
-                Self::Ingest { id, delta }
-            }
-            K_RETRACT => {
-                let id = r.u64()?;
-                let n = r.count(TRIPLE_KEY_WIRE_BYTES)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(r.triple_key()?);
-                }
-                Self::Retract { id, keys }
-            }
+            K_TRUST_BATCH => Self::TrustBatch {
+                id: r.u64()?,
+                sources: r.seq(4, |r| r.u32().map(SourceId::new))?,
+            },
+            K_INGEST => Self::Ingest {
+                id: r.u64()?,
+                delta: r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?,
+            },
+            K_RETRACT => Self::Retract {
+                id: r.u64()?,
+                keys: r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?,
+            },
             K_STATS => Self::Stats { id: r.u64()? },
             other => return Err(ProtoError::UnknownKind(other)),
         };
-        if !r.is_empty() {
-            return Err(ProtoError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(req)
     }
 
@@ -581,7 +542,7 @@ fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-fn read_opt_f64(r: &mut WireReader<'_>) -> Result<Option<f64>, ProtoError> {
+fn read_opt_f64(r: &mut WireReader<'_>) -> Result<Option<f64>, WireError> {
     let has = r.u8()?;
     let bits = r.f64()?;
     Ok(match has {
@@ -594,16 +555,23 @@ impl Reply {
     /// Encode to a frame payload (no framing; see [`encode_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the payload to `buf` — inside [`wire::put_frame`], a whole
+    /// frame built in one buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Self::Pong {
                 token,
                 epoch,
                 fingerprint,
             } => {
-                put_u8(&mut buf, K_PONG);
-                put_u64(&mut buf, *token);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
+                put_u8(buf, K_PONG);
+                put_u64(buf, *token);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
             }
             Self::Trust {
                 id,
@@ -611,11 +579,11 @@ impl Reply {
                 fingerprint,
                 value,
             } => {
-                put_u8(&mut buf, K_TRUST_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_opt_f64(&mut buf, *value);
+                put_u8(buf, K_TRUST_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_opt_f64(buf, *value);
             }
             Self::Posterior {
                 id,
@@ -623,11 +591,11 @@ impl Reply {
                 fingerprint,
                 value,
             } => {
-                put_u8(&mut buf, K_POSTERIOR_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_opt_f64(&mut buf, *value);
+                put_u8(buf, K_POSTERIOR_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_opt_f64(buf, *value);
             }
             Self::TriplePosterior {
                 id,
@@ -635,11 +603,11 @@ impl Reply {
                 fingerprint,
                 value,
             } => {
-                put_u8(&mut buf, K_TRIPLE_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_opt_f64(&mut buf, *value);
+                put_u8(buf, K_TRIPLE_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_opt_f64(buf, *value);
             }
             Self::TopK {
                 id,
@@ -647,15 +615,14 @@ impl Reply {
                 fingerprint,
                 sources,
             } => {
-                put_u8(&mut buf, K_TOPK_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_u32(&mut buf, sources.len() as u32);
-                for (w, t) in sources {
-                    put_u32(&mut buf, w.0);
-                    put_f64(&mut buf, *t);
-                }
+                put_u8(buf, K_TOPK_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_seq(buf, sources, |b, (w, t)| {
+                    put_u32(b, w.0);
+                    put_f64(b, *t);
+                });
             }
             Self::TrustBatch {
                 id,
@@ -663,24 +630,21 @@ impl Reply {
                 fingerprint,
                 values,
             } => {
-                put_u8(&mut buf, K_TRUST_BATCH_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_u32(&mut buf, values.len() as u32);
-                for v in values {
-                    put_opt_f64(&mut buf, *v);
-                }
+                put_u8(buf, K_TRUST_BATCH_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_seq(buf, values, |b, v| put_opt_f64(b, *v));
             }
             Self::IngestAck { id, queued } => {
-                put_u8(&mut buf, K_INGEST_ACK);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, *queued);
+                put_u8(buf, K_INGEST_ACK);
+                put_u64(buf, *id);
+                put_u32(buf, *queued);
             }
             Self::RetractAck { id, queued } => {
-                put_u8(&mut buf, K_RETRACT_ACK);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, *queued);
+                put_u8(buf, K_RETRACT_ACK);
+                put_u64(buf, *id);
+                put_u32(buf, *queued);
             }
             Self::StatsReply {
                 id,
@@ -688,27 +652,25 @@ impl Reply {
                 fingerprint,
                 stats,
             } => {
-                put_u8(&mut buf, K_STATS_R);
-                put_u64(&mut buf, *id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *fingerprint);
-                put_u64(&mut buf, stats.accepted);
-                put_u64(&mut buf, stats.active);
-                put_u64(&mut buf, stats.peak_active);
-                put_u64(&mut buf, stats.queries);
-                put_u64(&mut buf, stats.ingested_observations);
-                put_u64(&mut buf, stats.retracted_keys);
-                put_u64(&mut buf, stats.protocol_errors);
+                put_u8(buf, K_STATS_R);
+                put_u64(buf, *id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *fingerprint);
+                put_u64(buf, stats.accepted);
+                put_u64(buf, stats.active);
+                put_u64(buf, stats.peak_active);
+                put_u64(buf, stats.queries);
+                put_u64(buf, stats.ingested_observations);
+                put_u64(buf, stats.retracted_keys);
+                put_u64(buf, stats.protocol_errors);
             }
             Self::Error { id, code, detail } => {
-                put_u8(&mut buf, K_ERROR);
-                put_u64(&mut buf, *id);
-                put_u8(&mut buf, code.to_u8());
-                put_u32(&mut buf, detail.len() as u32);
-                buf.extend_from_slice(detail.as_bytes());
+                put_u8(buf, K_ERROR);
+                put_u64(buf, *id);
+                put_u8(buf, code.to_u8());
+                wire::put_column(buf, detail.as_bytes(), |b| [b]);
             }
         }
-        buf
     }
 
     /// Decode a frame payload. The whole payload must be consumed.
@@ -739,38 +701,18 @@ impl Reply {
                 fingerprint: r.u64()?,
                 value: read_opt_f64(&mut r)?,
             },
-            K_TOPK_R => {
-                let id = r.u64()?;
-                let epoch = r.u64()?;
-                let fingerprint = r.u64()?;
-                let n = r.count(12)?;
-                let mut sources = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sources.push((SourceId::new(r.u32()?), r.f64()?));
-                }
-                Self::TopK {
-                    id,
-                    epoch,
-                    fingerprint,
-                    sources,
-                }
-            }
-            K_TRUST_BATCH_R => {
-                let id = r.u64()?;
-                let epoch = r.u64()?;
-                let fingerprint = r.u64()?;
-                let n = r.count(9)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(read_opt_f64(&mut r)?);
-                }
-                Self::TrustBatch {
-                    id,
-                    epoch,
-                    fingerprint,
-                    values,
-                }
-            }
+            K_TOPK_R => Self::TopK {
+                id: r.u64()?,
+                epoch: r.u64()?,
+                fingerprint: r.u64()?,
+                sources: r.seq::<_, WireError>(12, |r| Ok((SourceId::new(r.u32()?), r.f64()?)))?,
+            },
+            K_TRUST_BATCH_R => Self::TrustBatch {
+                id: r.u64()?,
+                epoch: r.u64()?,
+                fingerprint: r.u64()?,
+                values: r.seq(9, read_opt_f64)?,
+            },
             K_INGEST_ACK => Self::IngestAck {
                 id: r.u64()?,
                 queued: r.u32()?,
@@ -798,60 +740,21 @@ impl Reply {
                 let code_byte = r.u8()?;
                 let code =
                     ErrorCode::from_u8(code_byte).ok_or(ProtoError::BadErrorCode(code_byte))?;
-                let n = r.count(1)?;
-                let detail =
-                    String::from_utf8(r.bytes(n)?.to_vec()).map_err(|_| ProtoError::BadString)?;
+                let mut detail = Vec::new();
+                r.column(&mut detail, |[b]| b)?;
+                let detail = String::from_utf8(detail).map_err(|_| ProtoError::BadString)?;
                 Self::Error { id, code, detail }
             }
             other => return Err(ProtoError::UnknownKind(other)),
         };
-        if !r.is_empty() {
-            return Err(ProtoError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(reply)
     }
 }
 
 // ---- incremental frame assembly ----
 
-/// Why [`FrameBuffer::next_frame`] rejected the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// The length prefix exceeded the cap — rejected before buffering.
-    TooLarge {
-        /// The announced length.
-        len: u32,
-        /// The cap it violated.
-        max: u32,
-    },
-    /// The payload's CRC did not match.
-    BadCrc {
-        /// CRC carried by the frame.
-        expected: u32,
-        /// CRC computed over the payload.
-        actual: u32,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TooLarge { len, max } => {
-                write!(f, "frame length {len} exceeds the {max}-byte cap")
-            }
-            Self::BadCrc { expected, actual } => {
-                write!(
-                    f,
-                    "frame crc mismatch: stored {expected:#010x}, computed {actual:#010x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// Reassembles `[len][payload][crc]` frames from arbitrarily-sliced
+/// Reassembles frames from arbitrarily-sliced
 /// socket reads. A slow-loris client trickling one byte at a time just
 /// accumulates here; memory is bounded by the frame cap plus one read
 /// chunk because an oversized length prefix is rejected the moment its
@@ -879,47 +782,28 @@ impl FrameBuffer {
 
     /// Try to take the connection preamble off the front. `Ok(false)`
     /// means not enough bytes yet.
-    pub fn take_preamble(&mut self) -> Result<bool, ErrorCode> {
-        if self.buf.len() < PREAMBLE_BYTES {
-            return Ok(false);
+    pub fn take_preamble(&mut self) -> Result<bool, WireError> {
+        match WireReader::new(&self.buf).header(NET_MAGIC, NET_VERSION) {
+            Ok(()) => {
+                self.buf.drain(..PREAMBLE_BYTES);
+                Ok(true)
+            }
+            Err(WireError::Truncated) => Ok(false),
+            Err(e) => Err(e),
         }
-        let Some(head) = self.buf.first_chunk::<PREAMBLE_BYTES>() else {
-            return Ok(false);
-        };
-        check_preamble(head)?;
-        self.buf.drain(..PREAMBLE_BYTES);
-        Ok(true)
     }
 
     /// Extract the next complete frame's payload, if one has fully
     /// arrived. `Ok(None)` means more bytes are needed; an error means
     /// the stream is poisoned (the caller should close).
-    pub fn next_frame(&mut self, max_frame_bytes: u32) -> Result<Option<Vec<u8>>, FrameError> {
-        let Some(len_bytes) = self.buf.first_chunk::<4>() else {
+    pub fn next_frame(&mut self, max_frame_bytes: u32) -> Result<Option<Vec<u8>>, WireError> {
+        let mut r = WireReader::new(&self.buf);
+        let Some(payload) = r.frame(max_frame_bytes)? else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*len_bytes);
-        if len > max_frame_bytes {
-            return Err(FrameError::TooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let len = len as usize;
-        let total = 4 + len + 4;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        let Some(crc_bytes) = self.buf[4 + len..].first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let expected = u32::from_le_bytes(*crc_bytes);
-        let actual = crc32(&payload);
-        if expected != actual {
-            return Err(FrameError::BadCrc { expected, actual });
-        }
-        self.buf.drain(..total);
+        let payload = payload.to_vec();
+        let consumed = self.buf.len() - r.remaining();
+        self.buf.drain(..consumed);
         Ok(Some(payload))
     }
 }
@@ -927,40 +811,6 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_survive_byte_at_a_time_delivery() {
-        let req = Request::TrustBatch {
-            id: 42,
-            sources: (0..5).map(SourceId::new).collect(),
-        };
-        let frame = encode_frame(&req.encode());
-        let mut fb = FrameBuffer::new();
-        for (i, b) in frame.iter().enumerate() {
-            fb.push(&[*b]);
-            let got = fb.next_frame(DEFAULT_MAX_FRAME_BYTES).unwrap();
-            if i + 1 < frame.len() {
-                assert!(got.is_none(), "frame completed early at byte {i}");
-            } else {
-                let payload = got.expect("complete at the last byte");
-                assert_eq!(Request::decode(&payload).unwrap(), req);
-            }
-        }
-        assert_eq!(fb.buffered(), 0);
-    }
-
-    #[test]
-    fn hostile_length_prefix_is_rejected_before_buffering() {
-        let mut fb = FrameBuffer::new();
-        fb.push(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            fb.next_frame(DEFAULT_MAX_FRAME_BYTES),
-            Err(FrameError::TooLarge {
-                len: u32::MAX,
-                max: DEFAULT_MAX_FRAME_BYTES
-            })
-        );
-    }
 
     #[test]
     fn preamble_round_trips_and_rejects_imposters() {
@@ -972,12 +822,12 @@ mod tests {
 
         let mut fb = FrameBuffer::new();
         fb.push(b"GET / HTTP/1.1\r\n");
-        assert_eq!(fb.take_preamble(), Err(ErrorCode::BadMagic));
+        assert_eq!(fb.take_preamble(), Err(WireError::BadMagic));
 
         let mut bad_version = encode_preamble();
         bad_version[8] = 99;
         let mut fb = FrameBuffer::new();
         fb.push(&bad_version);
-        assert_eq!(fb.take_preamble(), Err(ErrorCode::BadVersion));
+        assert_eq!(fb.take_preamble(), Err(WireError::BadVersion(99)));
     }
 }

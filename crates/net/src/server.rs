@@ -35,12 +35,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use kbt_datamodel::wire;
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
 use kbt_serve::{HookError, SnapshotReader, TrustHandle, TrustServer};
 
 use crate::proto::{
-    encode_frame, ErrorCode, FrameBuffer, FrameError, ProtoError, Reply, Request, WireStats,
-    DEFAULT_MAX_FRAME_BYTES,
+    ErrorCode, FrameBuffer, ProtoError, Reply, Request, WireStats, DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// How often blocked loops wake to poll the stop flag.
@@ -532,13 +532,13 @@ fn serve_frames(
             match fb.take_preamble() {
                 Ok(true) => preamble_done = true,
                 Ok(false) => continue,
-                Err(code) => {
+                Err(e) => {
                     Counters::add(&shared.counters.protocol_errors, 1);
                     let _ = send_reply(
                         reply_tx,
                         &Reply::Error {
                             id: 0,
-                            code,
+                            code: e.into(),
                             detail: "bad connection preamble".into(),
                         },
                     );
@@ -553,15 +553,11 @@ fn serve_frames(
                 Ok(None) => break,
                 Err(e) => {
                     Counters::add(&shared.counters.protocol_errors, 1);
-                    let code = match e {
-                        FrameError::TooLarge { .. } => ErrorCode::FrameTooLarge,
-                        FrameError::BadCrc { .. } => ErrorCode::BadCrc,
-                    };
                     let _ = send_reply(
                         reply_tx,
                         &Reply::Error {
                             id: 0,
-                            code,
+                            code: e.into(),
                             detail: e.to_string(),
                         },
                     );
@@ -583,7 +579,8 @@ fn serve_frames(
 }
 
 fn send_reply(tx: &SyncSender<Vec<u8>>, reply: &Reply) -> Result<(), ()> {
-    let frame = encode_frame(&reply.encode());
+    let mut frame = Vec::new();
+    wire::put_frame(&mut frame, |b| reply.encode_into(b));
     match tx.try_send(frame) {
         Ok(()) => Ok(()),
         Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => Err(()),

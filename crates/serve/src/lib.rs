@@ -27,10 +27,8 @@
 //!   [`kbt_pipeline::FusionSession`], batches ingested deltas and
 //!   retractions, refits warm (`apply_delta` + `QualityInit::Resume` +
 //!   truth-hint + independence priors) or cold
-//!   ([`RefitMode`]), and publishes the next epoch.
-//!   [`TrustServer::spawn`] moves it onto a background thread fed over a
-//!   channel ([`BackgroundServer`]), leaving only cloneable
-//!   [`TrustHandle`]s on the read side.
+//!   ([`RefitMode`]), and publishes the next epoch; the read side holds
+//!   only cloneable [`TrustHandle`]s.
 //!
 //! ```
 //! use kbt_pipeline::{Model, TrustPipeline};
@@ -83,10 +81,7 @@ pub mod server;
 pub mod snapshot;
 pub mod store;
 
-pub use server::{
-    BackgroundServer, DurabilityHook, HookError, HookFailure, HookStage, ShutdownError,
-    TrustHandle, TrustServer,
-};
+pub use server::{DurabilityHook, HookError, HookFailure, HookStage, TrustHandle, TrustServer};
 pub use snapshot::{
     CalibrationBucket, RefitMode, SnapshotParts, SnapshotPartsError, SnapshotProvenance,
     TrustSnapshot, CALIBRATION_BUCKETS,

@@ -1,5 +1,5 @@
 //! [`TrustServer`]: the single-writer driver that owns the
-//! session/snapshot lifecycle, plus the background refitter thread.
+//! session/snapshot lifecycle.
 //!
 //! ```text
 //!  deltas ──▶ ingest/retract queue ──▶ FusionSession ──▶ TrustSnapshot
@@ -16,9 +16,7 @@
 //! Readers keep serving the previous epoch untouched for the whole
 //! refit; the swap is one `Arc` store.
 
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
 use kbt_pipeline::{FusionSession, PipelineError, TrustPipeline};
@@ -145,8 +143,8 @@ impl std::error::Error for HookError {
 /// each publish, handing over the freshly published snapshot and the
 /// session that produced it (the store decides there whether to
 /// checkpoint). A `commit` error is surfaced as a [`HookError`] by the
-/// refit methods and by [`BackgroundServer::shutdown`]; the snapshot is
-/// already published in memory at that point, but is not durable.
+/// refit methods; the snapshot is already published in memory at that
+/// point, but is not durable.
 pub trait DurabilityHook: Send {
     /// Persist an additive observation batch before it is queued.
     fn log_ingest(&mut self, delta: &[Observation]) -> Result<(), HookFailure>;
@@ -169,9 +167,10 @@ pub trait DurabilityHook: Send {
 /// publishes.
 ///
 /// Construction runs the initial fit and publishes **epoch 0**; each
-/// successful [`refit`](Self::refit) publishes the next epoch. Use
-/// [`spawn`](Self::spawn) to move the server onto a background thread
-/// and keep only [`TrustHandle`]s on the serving side.
+/// successful [`refit`](Self::refit) publishes the next epoch. A
+/// deployment runs it on one writer thread (`kbt_net`'s
+/// `trust_writer_loop`) and keeps only [`TrustHandle`]s on the serving
+/// side.
 pub struct TrustServer {
     session: FusionSession,
     store: Arc<SnapshotStore>,
@@ -402,195 +401,6 @@ impl TrustServer {
         }
         Ok(installed)
     }
-
-    /// Move the server onto a background thread: deltas flow in through
-    /// the returned [`BackgroundServer`], get batched (everything queued
-    /// while a refit was running joins the next one), and each batch
-    /// triggers a refit + publish. Readers keep their [`TrustHandle`]s.
-    pub fn spawn(self) -> BackgroundServer {
-        let handle = self.handle();
-        let (tx, rx) = mpsc::channel::<Command>();
-        let join = std::thread::spawn(move || background_loop(self, rx));
-        BackgroundServer { handle, tx, join }
-    }
-}
-
-/// Commands the background refitter consumes.
-enum Command {
-    Ingest(Vec<Observation>),
-    Retract(Vec<(SourceId, ItemId, ValueId)>),
-    Refit,
-    Shutdown,
-}
-
-fn background_loop(
-    mut server: TrustServer,
-    rx: mpsc::Receiver<Command>,
-) -> (TrustServer, Result<(), HookError>) {
-    let mut shutdown = false;
-    while !shutdown {
-        let Ok(first) = rx.recv() else { break };
-        let mut force = false;
-        let mut queue = Some(first);
-        // Batch: fold in everything that is already waiting, so one refit
-        // covers the whole burst instead of one refit per message.
-        loop {
-            let step = match queue.take() {
-                Some(Command::Ingest(obs)) => server.ingest(obs),
-                Some(Command::Retract(keys)) => server.retract(keys),
-                Some(Command::Refit) => {
-                    force = true;
-                    Ok(())
-                }
-                Some(Command::Shutdown) => {
-                    // Flush what was queued ahead of the shutdown, then
-                    // stop (messages behind it are dropped unread).
-                    shutdown = true;
-                    break;
-                }
-                None => Ok(()),
-            };
-            if let Err(e) = step {
-                // A failed write-ahead log: stop consuming rather than
-                // silently serve batches that were never made durable.
-                return (server, Err(e));
-            }
-            match rx.try_recv() {
-                Ok(next) => queue = Some(next),
-                Err(_) => break,
-            }
-        }
-        let step = if force {
-            server.force_refit().map(|_| ())
-        } else {
-            server.refit().map(|_| ())
-        };
-        if let Err(e) = step {
-            return (server, Err(e));
-        }
-    }
-    (server, Ok(()))
-}
-
-/// Handle to a [`TrustServer`] running on a background thread.
-///
-/// Dropping it without [`shutdown`](Self::shutdown) detaches the thread;
-/// it exits once the channel closes.
-#[derive(Debug)]
-pub struct BackgroundServer {
-    handle: TrustHandle,
-    tx: mpsc::Sender<Command>,
-    join: JoinHandle<(TrustServer, Result<(), HookError>)>,
-}
-
-impl BackgroundServer {
-    /// The read-side handle (cloneable).
-    pub fn handle(&self) -> TrustHandle {
-        self.handle.clone()
-    }
-
-    /// Queue an additive delta; the background thread batches it into
-    /// the next refit. Returns `false` if the server thread is gone.
-    pub fn ingest(&self, delta: Vec<Observation>) -> bool {
-        self.tx.send(Command::Ingest(delta)).is_ok()
-    }
-
-    /// Queue a retraction batch. Returns `false` if the server thread is
-    /// gone.
-    pub fn retract(&self, retractions: Vec<(SourceId, ItemId, ValueId)>) -> bool {
-        self.tx.send(Command::Retract(retractions)).is_ok()
-    }
-
-    /// Force a refit + publish even with an empty queue. Returns `false`
-    /// if the server thread is gone.
-    pub fn refit(&self) -> bool {
-        self.tx.send(Command::Refit).is_ok()
-    }
-
-    /// Stop the background thread and take the server back. Deltas that
-    /// were queued ahead of the shutdown are flushed with one final
-    /// refit before the thread exits.
-    ///
-    /// # Errors
-    ///
-    /// [`ShutdownError::Hook`] when an attached [`DurabilityHook`]
-    /// failed (including during the final queue flush) — the loop
-    /// stopped at the failure and later messages were dropped unread;
-    /// the `TrustServer` comes back inside the error so its in-memory
-    /// state can be inspected or republished.
-    /// [`ShutdownError::Panicked`] when the server thread itself
-    /// panicked (e.g. a hook that panics instead of erroring): the
-    /// panic payload is captured as a message instead of being
-    /// re-raised, so a network front end can report a typed fault and
-    /// keep its readers on the last published epoch. Servers without a
-    /// hook return `Ok` unless a panic occurred.
-    pub fn shutdown(self) -> Result<TrustServer, ShutdownError> {
-        let _ = self.tx.send(Command::Shutdown);
-        match self.join.join() {
-            Ok((server, Ok(()))) => Ok(server),
-            Ok((server, Err(error))) => Err(ShutdownError::Hook {
-                server: Box::new(server),
-                error,
-            }),
-            Err(payload) => Err(ShutdownError::Panicked(panic_message(payload.as_ref()))),
-        }
-    }
-}
-
-/// Why [`BackgroundServer::shutdown`] could not hand back a clean server.
-#[derive(Debug)]
-pub enum ShutdownError {
-    /// The durability hook failed; the loop stopped at the failure. The
-    /// server's in-memory state survives and is returned here.
-    Hook {
-        /// The recovered server (readers were never interrupted).
-        server: Box<TrustServer>,
-        /// The hook failure that stopped the loop.
-        error: HookError,
-    },
-    /// The server thread panicked; its state is gone. The captured panic
-    /// message replaces the re-panic the old API performed.
-    Panicked(String),
-}
-
-impl ShutdownError {
-    /// Recover the server when the loop stopped on a hook failure.
-    pub fn into_server(self) -> Option<TrustServer> {
-        match self {
-            Self::Hook { server, .. } => Some(*server),
-            Self::Panicked(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ShutdownError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Hook { error, .. } => write!(f, "background server stopped: {error}"),
-            Self::Panicked(msg) => write!(f, "trust server thread panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ShutdownError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Hook { error, .. } => Some(error),
-            Self::Panicked(_) => None,
-        }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (`&str` and
-/// `String` cover everything `panic!` and `.expect` produce).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Run one fit of `session` in `mode` and export it as a snapshot under
@@ -792,33 +602,6 @@ mod tests {
         assert_eq!(err, PipelineError::GranularitySession);
     }
 
-    #[test]
-    fn background_server_batches_and_publishes() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let server = TrustServer::new(session, RefitMode::Warm).spawn();
-        let handle = server.handle();
-        assert_eq!(handle.epoch(), 0);
-        // A burst of deltas: the worker batches whatever queued while the
-        // previous refit ran, so epochs advance by at least one.
-        assert!(server.ingest(corpus(8..9)));
-        assert!(server.ingest(corpus(9..10)));
-        assert!(server.refit());
-        let server = server
-            .shutdown()
-            .expect("no hook attached: the flush cannot fail");
-        assert!(server.epoch() >= 1, "the burst produced a publish");
-        assert_eq!(handle.epoch(), server.epoch());
-        let snap = handle.snapshot();
-        assert!(snap.verify_integrity());
-        assert!(snap.provenance().deltas_applied >= 1);
-        // Everything queued was folded in before shutdown.
-        assert_eq!(server.pending(), (0, 0));
-    }
-
     /// A hook that records calls and can be armed to fail, for the
     /// write-ahead ordering and error-surfacing contracts.
     struct ProbeHook {
@@ -929,10 +712,10 @@ mod tests {
         assert!(server.refit().unwrap().is_none(), "nothing queued");
     }
 
-    /// The satellite fix: a hook failure during the final queue flush is
-    /// surfaced by `shutdown`, not silently dropped.
+    /// A failed commit is a typed error after the publish: the epoch is
+    /// readable, the caller is told it is not durable.
     #[test]
-    fn background_shutdown_surfaces_final_flush_errors() {
+    fn commit_failures_surface_after_the_publish() {
         let session = TrustPipeline::new()
             .observations(corpus(0..8))
             .model(model())
@@ -944,18 +727,11 @@ mod tests {
             fail_commit: true,
             fail_log: false,
         }));
-        let server = server.spawn();
-        assert!(server.ingest(corpus(8..9)));
-        let err = server.shutdown().expect_err("the flush commit failed");
+        server.ingest(corpus(8..9)).unwrap();
+        let err = server.refit().unwrap_err();
+        assert_eq!(err.stage(), HookStage::Commit);
         assert!(err.to_string().contains("commit fsync failed"));
-        let ShutdownError::Hook { server, error } = err else {
-            panic!("a hook failure is typed as ShutdownError::Hook");
-        };
-        assert_eq!(error.stage(), HookStage::Commit);
-        // The refit itself went through in memory before the commit
-        // failed — exactly the "published but not durable" state the
-        // caller must be told about.
-        assert!(server.epoch() >= 1);
+        assert_eq!((server.epoch(), server.handle().epoch()), (1, 1));
     }
 
     /// A hook whose log_ingest accepts the first `ok_appends` batches
@@ -1031,58 +807,5 @@ mod tests {
         server.retract([key]).unwrap();
         server.refit().unwrap().expect("retraction publishes");
         assert_eq!(handle.epoch(), 3);
-    }
-
-    /// A hook that panics in commit — the worst-behaved persistence
-    /// layer a server thread can host.
-    struct PanickingHook;
-
-    impl DurabilityHook for PanickingHook {
-        fn log_ingest(&mut self, _delta: &[Observation]) -> Result<(), HookFailure> {
-            Ok(())
-        }
-        fn log_retract(
-            &mut self,
-            _retractions: &[(SourceId, ItemId, ValueId)],
-        ) -> Result<(), HookFailure> {
-            Ok(())
-        }
-        fn commit(
-            &mut self,
-            _snapshot: &TrustSnapshot,
-            _session: &FusionSession,
-        ) -> Result<(), HookFailure> {
-            panic!("hook panicked instead of erroring");
-        }
-    }
-
-    /// Regression for the `.join().expect(…)` re-panic: a panicking hook
-    /// yields `ShutdownError::Panicked` with the captured message, and
-    /// readers keep serving the last published epoch.
-    #[test]
-    fn background_shutdown_reports_thread_panic_as_typed_error() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Warm);
-        server.set_hook(Box::new(PanickingHook));
-        let server = server.spawn();
-        let handle = server.handle();
-        assert!(server.ingest(corpus(8..9)));
-        let err = server.shutdown().expect_err("the hook panicked");
-        let ShutdownError::Panicked(msg) = &err else {
-            panic!("a thread panic is typed as ShutdownError::Panicked");
-        };
-        assert!(msg.contains("hook panicked instead of erroring"), "{msg}");
-        assert!(
-            err.into_server().is_none(),
-            "a panicked thread's state is gone"
-        );
-        // The publish happened before the commit panicked: readers still
-        // serve, on the last epoch that reached the store.
-        assert!(handle.epoch() >= 1);
-        assert!(handle.snapshot().verify_integrity());
     }
 }

@@ -128,46 +128,6 @@ fn readers_never_observe_torn_or_stale_snapshots_during_refits() {
     assert!(reads.load(Ordering::SeqCst) > 0, "readers actually read");
 }
 
-/// Same protocol guarantees with the refitter on its own background
-/// thread, fed over the channel (ingest → batch → refit → publish).
-#[test]
-fn background_refitter_preserves_reader_guarantees() {
-    let session = TrustPipeline::new()
-        .observations(corpus(0..20))
-        .model(single_threaded())
-        .into_session()
-        .unwrap();
-    let server = TrustServer::new(session, RefitMode::Warm).spawn();
-    let handle = server.handle();
-    let done = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            let mut reader = handle.reader();
-            let done = &done;
-            scope.spawn(move || {
-                let mut last = 0u64;
-                while !done.load(Ordering::SeqCst) {
-                    let snap = reader.current();
-                    assert!(snap.verify_integrity());
-                    assert!(snap.epoch() >= last);
-                    last = snap.epoch();
-                }
-            });
-        }
-        for i in 0..4u32 {
-            let lo = 20 + i * 2;
-            assert!(server.ingest(corpus(lo..lo + 2)));
-        }
-        let server = server
-            .shutdown() // flushes the queue
-            .expect("no hook attached: the flush cannot fail");
-        assert!(server.epoch() >= 1, "the burst published at least once");
-        assert_eq!(server.pending(), (0, 0));
-        done.store(true, Ordering::SeqCst);
-    });
-}
-
 fn observations(max_len: usize) -> impl Strategy<Value = Vec<Observation>> {
     prop::collection::vec(
         (0u32..4, 0u32..7, 0u32..9, 0u32..5, 0.0f64..=1.0).prop_map(|(e, w, d, v, c)| {

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   magic "KBTSNAP1"                                      8 bytes
-//!   version            u32                                4
+//!   header("KBTSNAP1", version 1)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
 //!   cube section       dims + every cell as an observation
 //!   snapshot section   SnapshotParts, field by field
@@ -12,8 +11,8 @@
 //!   crc32              u32   (over everything above)      4
 //! ```
 //!
-//! All integers little-endian, all floats as IEEE-754 bit patterns (the
-//! `kbt_datamodel::wire` primitives) — a decoded checkpoint is
+//! Header, trailing CRC, value encodings and the guard on every decoded
+//! count are [`kbt_datamodel::wire`]'s — a decoded checkpoint is
 //! bit-identical to the encoded state, which [`decode_checkpoint`]
 //! proves twice over: the whole-file CRC catches byte corruption, and
 //! the snapshot rebuilt from the payload must reproduce the **stored
@@ -28,7 +27,10 @@
 //! cells-out/cells-in is a bitwise round trip.
 
 use kbt_core::{ItemPosteriors, ModelKind};
-use kbt_datamodel::wire::{crc32, put_f64, put_observation, put_u32, put_u64, put_u8, WireReader};
+use kbt_datamodel::wire::{
+    self, put_f64, put_observation, put_triple_key, put_u32, put_u64, put_u8, WireError,
+    WireReader, OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
+};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, ValueId};
 use kbt_serve::{RefitMode, SnapshotParts, SnapshotProvenance, TrustSnapshot};
 
@@ -62,14 +64,12 @@ pub fn encode_checkpoint(
     config_digest: u64,
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&CHECKPOINT_MAGIC);
-    put_u32(&mut buf, CHECKPOINT_VERSION);
+    wire::put_header(&mut buf, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
     put_u64(&mut buf, config_digest);
     encode_cube(&mut buf, cube);
     encode_snapshot(&mut buf, snapshot);
     put_u64(&mut buf, snapshot.fingerprint());
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
+    wire::put_crc(&mut buf, 0);
     buf
 }
 
@@ -86,26 +86,10 @@ pub fn decode_checkpoint(
     expected_digest: u64,
 ) -> Result<CheckpointContents, StoreError> {
     // Integrity first: nothing else in the file is trusted until the
-    // whole-file CRC passes (lengths read afterwards cannot be hostile).
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 4 + 8 + 4 {
-        return Err(StoreError::corrupt("checkpoint shorter than its header"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let crc_ok = trailer
-        .first_chunk::<4>()
-        .is_some_and(|c| crc32(body) == u32::from_le_bytes(*c));
-    if !crc_ok {
-        return Err(StoreError::corrupt("checkpoint CRC mismatch"));
-    }
-    let mut r = WireReader::new(body);
-    if r.bytes(8).map_err(truncated)? != CHECKPOINT_MAGIC {
-        return Err(StoreError::corrupt("checkpoint magic mismatch"));
-    }
-    let version = r.u32().map_err(truncated)?;
-    if version != CHECKPOINT_VERSION {
-        return Err(StoreError::corrupt("unsupported checkpoint version"));
-    }
-    let digest = r.u64().map_err(truncated)?;
+    // whole-file CRC passes.
+    let mut r = WireReader::new(wire::checked(bytes)?);
+    r.header(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    let digest = r.u64()?;
     if digest != expected_digest {
         return Err(StoreError::ConfigMismatch {
             stored: digest,
@@ -114,10 +98,8 @@ pub fn decode_checkpoint(
     }
     let cube = decode_cube(&mut r)?;
     let parts = decode_snapshot(&mut r)?;
-    let stored_fingerprint = r.u64().map_err(truncated)?;
-    if !r.is_empty() {
-        return Err(StoreError::corrupt("checkpoint has trailing bytes"));
-    }
+    let stored_fingerprint = r.u64()?;
+    r.finish()?;
     let snapshot = TrustSnapshot::from_parts(parts).map_err(StoreError::Parts)?;
     // The decisive check: the snapshot rebuilt from the payload must
     // recompute the exact fingerprint the writer stored — bit-identity
@@ -155,21 +137,13 @@ fn encode_cube(buf: &mut Vec<u8>, cube: &ObservationCube) {
 }
 
 fn decode_cube(r: &mut WireReader<'_>) -> Result<ObservationCube, StoreError> {
-    let sources = r.u32().map_err(truncated)?;
-    let extractors = r.u32().map_err(truncated)?;
-    let items = r.u32().map_err(truncated)?;
-    let values = r.u32().map_err(truncated)?;
-    let cells = r.u64().map_err(truncated)? as usize;
-    // Cap: each cell is a 24-byte observation — a count the remaining
-    // bytes cannot back is corrupt, and checking it first keeps the
-    // allocation proportional to the file, not to a length field.
-    if cells > r.remaining() / 24 {
-        return Err(StoreError::corrupt("cube cell count exceeds file size"));
-    }
-    let mut b = CubeBuilder::with_capacity(cells);
-    for _ in 0..cells {
-        b.push(r.observation().map_err(truncated)?);
-    }
+    let (sources, extractors, items, values) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+    let count = r.u64()?;
+    let cells: Vec<Observation> =
+        r.seq_n(count, OBSERVATION_WIRE_BYTES, WireReader::observation)?;
+    // The builder adopts the decoded vector: recovery holds one copy of
+    // the cells, not two.
+    let mut b = CubeBuilder::from(cells);
     b.reserve_ids(sources, extractors, items, values);
     Ok(b.build())
 }
@@ -205,7 +179,7 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
 
     put_u64(buf, snap.num_triples() as u64);
     for key in snap.triple_keys() {
-        kbt_datamodel::wire::put_triple_key(buf, key);
+        put_triple_key(buf, key);
     }
     for &p in snap.truth_of_group() {
         put_f64(buf, p);
@@ -231,99 +205,59 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
 }
 
 fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> {
-    let epoch = r.u64().map_err(truncated)?;
-    let model = match r.u8().map_err(truncated)? {
+    let epoch = r.u64()?;
+    let model = match r.u8()? {
         1 => ModelKind::MultiLayer,
         2 => ModelKind::SingleLayer,
-        _ => return Err(StoreError::corrupt("unknown model tag")),
+        t => return Err(WireError::BadTag(t).into()),
     };
-    let refit_mode = match r.u8().map_err(truncated)? {
+    let refit_mode = match r.u8()? {
         1 => RefitMode::Warm,
         2 => RefitMode::Cold,
-        _ => return Err(StoreError::corrupt("unknown refit-mode tag")),
+        t => return Err(WireError::BadTag(t).into()),
     };
-    let deltas_applied = r.u64().map_err(truncated)? as usize;
-    let iterations = r.u64().map_err(truncated)? as usize;
-    let converged = match r.u8().map_err(truncated)? {
-        0 => false,
-        1 => true,
-        _ => return Err(StoreError::corrupt("non-boolean converged flag")),
-    };
-    let coverage = r.f64().map_err(truncated)?;
+    let deltas_applied = r.u64()? as usize;
+    let iterations = r.u64()? as usize;
+    let converged = r.bool()?;
+    let coverage = r.f64()?;
 
-    let num_sources = r.u32().map_err(truncated)? as usize;
-    // Cap: every source contributes at least 9 payload bytes (trust f64
-    // + activity byte), so a larger count cannot be backed by the
-    // remaining bytes — reject before allocating.
-    if num_sources > r.remaining() / 9 {
-        return Err(StoreError::corrupt("source count exceeds file size"));
-    }
-    let mut source_trust = Vec::with_capacity(num_sources);
-    for _ in 0..num_sources {
-        source_trust.push(r.f64().map_err(truncated)?);
-    }
-    let mut active_source = Vec::with_capacity(num_sources);
-    for _ in 0..num_sources {
-        active_source.push(match r.u8().map_err(truncated)? {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::corrupt("non-boolean activity flag")),
-        });
-    }
-    let independence = match r.u8().map_err(truncated)? {
-        0 => None,
-        1 => {
-            let mut ind = Vec::with_capacity(num_sources);
-            for _ in 0..num_sources {
-                ind.push(r.f64().map_err(truncated)?);
-            }
-            Some(ind)
-        }
-        _ => return Err(StoreError::corrupt("unknown independence tag")),
+    // Three columns share one count: trust, activity, and (optionally)
+    // independence.
+    let num_sources = r.u32()? as u64;
+    let source_trust = r.seq_n(num_sources, 8, WireReader::f64)?;
+    let active_source = r.seq_n(num_sources, 1, WireReader::bool)?;
+    let independence = match r.bool()? {
+        false => None,
+        true => Some(r.seq_n(num_sources, 8, WireReader::f64)?),
     };
 
-    let num_triples = r.u64().map_err(truncated)? as usize;
-    // Cap: each triple costs 20 payload bytes (12-byte key + truth f64).
-    if num_triples > r.remaining() / 20 {
-        return Err(StoreError::corrupt("triple count exceeds file size"));
-    }
-    let mut triples = Vec::with_capacity(num_triples);
-    for _ in 0..num_triples {
-        triples.push(r.triple_key().map_err(truncated)?);
-    }
-    let mut truth_of_group = Vec::with_capacity(num_triples);
-    for _ in 0..num_triples {
-        truth_of_group.push(r.f64().map_err(truncated)?);
-    }
+    let num_triples = r.u64()?;
+    let triples = r.seq_n(num_triples, TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?;
+    let truth_of_group = r.seq_n(num_triples, 8, WireReader::f64)?;
 
-    let items = r.u32().map_err(truncated)? as usize;
-    let total_entries = r.u64().map_err(truncated)? as usize;
-    // Cap: each item row costs at least 12 bytes (row length + the
-    // unobserved-mass f64) and each entry exactly 12 (value + f64).
-    if items > r.remaining() / 12 || total_entries > r.remaining() / 12 {
-        return Err(StoreError::corrupt("posterior counts exceed file size"));
-    }
-    let mut offsets = Vec::with_capacity(items + 1);
+    // Posterior rows: a row costs at least 12 bytes (its length + the
+    // unobserved-mass f64) and an entry exactly 12 (value + f64).
+    let items = r.u32()? as u64;
+    let total_entries = r.u64()?;
+    let mut entries: Vec<(ValueId, f64)> = r.vec_for(total_entries, 12)?;
+    let mut offsets = r.vec_for(items, 12)?;
     offsets.push(0u32);
-    let mut entries: Vec<(ValueId, f64)> = Vec::with_capacity(total_entries);
-    let mut unobserved = Vec::with_capacity(items);
-    for _ in 0..items {
-        let row_len = r.u32().map_err(truncated)? as usize;
+    let unobserved = r.seq_n(items, 12, |r| {
         let row_start = entries.len();
-        for _ in 0..row_len {
-            let v = ValueId::new(r.u32().map_err(truncated)?);
-            let p = r.f64().map_err(truncated)?;
-            if let Some(&(prev, _)) = entries.last() {
-                if entries.len() > row_start && prev >= v {
-                    return Err(StoreError::corrupt("posterior row not sorted by value"));
-                }
+        for _ in 0..r.u32()? {
+            let (v, p) = (ValueId::new(r.u32()?), r.f64()?);
+            if entries[row_start..]
+                .last()
+                .is_some_and(|&(prev, _)| prev >= v)
+            {
+                return Err(StoreError::corrupt("posterior row not sorted by value"));
             }
             entries.push((v, p));
         }
         offsets.push(entries.len() as u32);
-        unobserved.push(r.f64().map_err(truncated)?);
-    }
-    if entries.len() != total_entries {
+        Ok(r.f64()?)
+    })?;
+    if entries.len() as u64 != total_entries {
         return Err(StoreError::corrupt("posterior entry count mismatch"));
     }
     let posteriors = ItemPosteriors::from_flat_parts(offsets, entries, unobserved);
@@ -359,10 +293,6 @@ fn mode_tag(m: RefitMode) -> u8 {
         RefitMode::Warm => 1,
         RefitMode::Cold => 2,
     }
-}
-
-fn truncated(_: kbt_datamodel::wire::WireTruncated) -> StoreError {
-    StoreError::corrupt("checkpoint payload truncated")
 }
 
 #[cfg(test)]
@@ -423,26 +353,6 @@ mod tests {
         // reproduce the original file byte for byte.
         let reencoded = encode_checkpoint(&decoded.snapshot, &decoded.cube, 7);
         assert_eq!(reencoded, bytes);
-    }
-
-    #[test]
-    fn every_flipped_byte_is_detected() {
-        let server = fitted_server();
-        let snap = server.handle().snapshot();
-        let bytes = encode_checkpoint(&snap, server.session().cube(), 7);
-        // Flipping any single byte must fail decode (the whole-file CRC
-        // covers every byte; the trailer bytes are the CRC itself).
-        for i in (0..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_checkpoint(&bad, 7).is_err(),
-                "flip at byte {i} slipped through"
-            );
-        }
-        // Truncation at any point fails too.
-        assert!(decode_checkpoint(&bytes[..bytes.len() - 1], 7).is_err());
-        assert!(decode_checkpoint(&[], 7).is_err());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use kbt_datamodel::wire::WireError;
 use kbt_datamodel::{ItemId, Observation, ObservationCube, SourceId, ValueId};
 use kbt_pipeline::{FusionSession, Model};
 use kbt_serve::{
@@ -142,6 +143,13 @@ pub enum StoreError {
 impl StoreError {
     pub(crate) fn corrupt(msg: impl Into<String>) -> Self {
         Self::Corrupt(msg.into())
+    }
+}
+
+/// Bytes that fail the wire codec's checks are a corrupt file.
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        Self::Corrupt(e.to_string())
     }
 }
 

@@ -1,16 +1,18 @@
-//! The write-ahead delta log: length-prefixed, CRC-framed records of
-//! every batch a [`TrustServer`](kbt_serve::TrustServer) accepted.
+//! The write-ahead delta log: one framed record per batch a
+//! [`TrustServer`](kbt_serve::TrustServer) accepted.
 //!
 //! ```text
 //! wal-<base-epoch>.log :=
-//!   header:  magic "KBTWAL01" · version u32 · config digest u64
-//!            · base epoch u64 · crc32(header) u32
-//!   frames:  [ len u32 | payload | crc32(payload) u32 ]*
+//!   header("KBTWAL01", version 1) · config digest u64 · base epoch u64
+//!     · CRC-32 of all of it, u32
+//!   frame*
 //!   payload: kind u8 ·
-//!            1 = AddBatch     count u32, then count observations
-//!            2 = RemoveBatch  count u32, then count (w, d, v) keys
+//!            1 = AddBatch     seq of observations
+//!            2 = RemoveBatch  seq of (w, d, v) keys
 //!            3 = Commit       epoch u64
 //! ```
+//!
+//! Header, frame and sequence are [`kbt_datamodel::wire`]'s.
 //!
 //! The **base epoch** names the checkpoint this log continues from: all
 //! records describe state *after* `checkpoint-<base-epoch>`. Batches are
@@ -29,7 +31,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use kbt_datamodel::wire::{
-    crc32, put_observation, put_triple_key, put_u32, put_u64, put_u8, WireReader,
+    self, put_observation, put_seq, put_triple_key, put_u64, put_u8, WireError, WireReader,
     OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
 };
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
@@ -69,6 +71,8 @@ pub enum WalRecord {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
+    /// The one buffer every frame is built in.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -78,17 +82,16 @@ impl WalWriter {
     pub fn create(path: &Path, config_digest: u64, base_epoch: u64) -> io::Result<Self> {
         let mut file = File::create(path)?;
         let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
-        header.extend_from_slice(&WAL_MAGIC);
-        put_u32(&mut header, WAL_VERSION);
+        wire::put_header(&mut header, &WAL_MAGIC, WAL_VERSION);
         put_u64(&mut header, config_digest);
         put_u64(&mut header, base_epoch);
-        let crc = crc32(&header);
-        put_u32(&mut header, crc);
+        wire::put_crc(&mut header, 0);
         file.write_all(&header)?;
         file.sync_data()?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
+            frame: header,
         })
     }
 
@@ -99,36 +102,26 @@ impl WalWriter {
 
     /// Append an ingested observation batch (one frame, no fsync).
     pub fn append_add(&mut self, delta: &[Observation]) -> io::Result<()> {
-        // lint: allow(hostile-len) — encode path: sized from a batch the
-        // server already holds in memory, not from a wire length field.
-        let mut payload = Vec::with_capacity(1 + 4 + delta.len() * 24);
-        put_u8(&mut payload, KIND_ADD);
-        put_u32(&mut payload, delta.len() as u32);
-        for o in delta {
-            put_observation(&mut payload, o);
-        }
-        self.append_frame(payload)
+        self.append_frame(|p| {
+            put_u8(p, KIND_ADD);
+            put_seq(p, delta, put_observation);
+        })
     }
 
     /// Append a retraction batch (one frame, no fsync).
     pub fn append_remove(&mut self, retractions: &[(SourceId, ItemId, ValueId)]) -> io::Result<()> {
-        // lint: allow(hostile-len) — encode path: sized from a batch the
-        // server already holds in memory, not from a wire length field.
-        let mut payload = Vec::with_capacity(1 + 4 + retractions.len() * 12);
-        put_u8(&mut payload, KIND_REMOVE);
-        put_u32(&mut payload, retractions.len() as u32);
-        for key in retractions {
-            put_triple_key(&mut payload, key);
-        }
-        self.append_frame(payload)
+        self.append_frame(|p| {
+            put_u8(p, KIND_REMOVE);
+            put_seq(p, retractions, put_triple_key);
+        })
     }
 
     /// Append a commit marker for a freshly published epoch.
     pub fn append_commit(&mut self, epoch: u64) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(1 + 8);
-        put_u8(&mut payload, KIND_COMMIT);
-        put_u64(&mut payload, epoch);
-        self.append_frame(payload)
+        self.append_frame(|p| {
+            put_u8(p, KIND_COMMIT);
+            put_u64(p, epoch);
+        })
     }
 
     /// fsync everything appended so far — the durability point of a
@@ -137,16 +130,11 @@ impl WalWriter {
         self.file.sync_data()
     }
 
-    fn append_frame(&mut self, payload: Vec<u8>) -> io::Result<()> {
-        // lint: allow(hostile-len) — encode path: `payload` was just
-        // built by this writer, not read from a length prefix.
-        let mut frame = Vec::with_capacity(4 + payload.len() + 4);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let crc = crc32(&payload);
-        put_u32(&mut frame, crc);
+    fn append_frame(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.frame.clear();
+        wire::put_frame(&mut self.frame, payload);
         // One write per frame: a crash tears at most the last record.
-        self.file.write_all(&frame)
+        self.file.write_all(&self.frame)
     }
 }
 
@@ -172,55 +160,32 @@ pub struct WalReadOutcome {
 /// instead: the whole file is untrusted.
 pub fn read_wal(path: &Path, expected_digest: u64) -> Result<WalReadOutcome, StoreError> {
     let bytes = std::fs::read(path).map_err(StoreError::Io)?;
-    if bytes.len() < WAL_HEADER_BYTES {
-        return Err(StoreError::corrupt("wal header truncated"));
-    }
-    let (header, rest) = bytes.split_at(WAL_HEADER_BYTES);
-    let (header_body, header_crc) = header.split_at(WAL_HEADER_BYTES - 4);
-    let crc_ok = header_crc
-        .first_chunk::<4>()
-        .is_some_and(|c| crc32(header_body) == u32::from_le_bytes(*c));
-    if !crc_ok {
-        return Err(StoreError::corrupt("wal header CRC mismatch"));
-    }
-    let mut h = WireReader::new(header_body);
-    let truncated = |_| StoreError::corrupt("wal header truncated");
-    if h.bytes(8).map_err(truncated)? != WAL_MAGIC {
-        return Err(StoreError::corrupt("wal magic mismatch"));
-    }
-    if h.u32().map_err(truncated)? != WAL_VERSION {
-        return Err(StoreError::corrupt("unsupported wal version"));
-    }
-    let digest = h.u64().map_err(truncated)?;
+    let (header, frames) = bytes
+        .split_at_checked(WAL_HEADER_BYTES)
+        .ok_or(WireError::Truncated)?;
+    let mut h = WireReader::new(wire::checked(header)?);
+    h.header(&WAL_MAGIC, WAL_VERSION)?;
+    let digest = h.u64()?;
     if digest != expected_digest {
         return Err(StoreError::ConfigMismatch {
             stored: digest,
             expected: expected_digest,
         });
     }
-    let base_epoch = h.u64().map_err(truncated)?;
+    let base_epoch = h.u64()?;
 
     let mut records = Vec::new();
-    let mut r = WireReader::new(rest);
+    let mut r = WireReader::new(frames);
+    // Any frame that does not check out — torn, corrupt, or CRC-valid
+    // with the wrong structure — ends the read; the cap is the file
+    // itself, already in memory.
     let clean = loop {
         if r.is_empty() {
             break true; // ended exactly on a frame boundary
         }
-        let Ok(len) = r.u32() else { break false };
-        let len = len as usize;
-        if r.remaining() < len + 4 {
-            break false; // torn tail: the frame never finished
-        }
-        let Ok(payload) = r.bytes(len) else {
-            break false;
-        };
-        let Ok(stored_crc) = r.u32() else { break false };
-        if crc32(payload) != stored_crc {
-            break false; // corrupt record
-        }
-        match parse_payload(payload) {
-            Some(record) => records.push(record),
-            None => break false, // CRC passed but structure is wrong
+        match r.frame(u32::MAX).ok().flatten().map(parse_payload) {
+            Some(Ok(record)) => records.push(record),
+            _ => break false,
         }
     };
     Ok(WalReadOutcome {
@@ -230,32 +195,16 @@ pub fn read_wal(path: &Path, expected_digest: u64) -> Result<WalReadOutcome, Sto
     })
 }
 
-fn parse_payload(payload: &[u8]) -> Option<WalRecord> {
+fn parse_payload(payload: &[u8]) -> Result<WalRecord, WireError> {
     let mut r = WireReader::new(payload);
-    let record = match r.u8().ok()? {
-        KIND_ADD => {
-            // `count` proves the announced elements fit the remaining
-            // payload before the Vec is sized — a corrupt count that
-            // survives the CRC cannot trigger an absurd allocation.
-            let count = r.count(OBSERVATION_WIRE_BYTES).ok()?;
-            let mut obs = Vec::with_capacity(count);
-            for _ in 0..count {
-                obs.push(r.observation().ok()?);
-            }
-            WalRecord::Add(obs)
-        }
-        KIND_REMOVE => {
-            let count = r.count(TRIPLE_KEY_WIRE_BYTES).ok()?;
-            let mut keys = Vec::with_capacity(count);
-            for _ in 0..count {
-                keys.push(r.triple_key().ok()?);
-            }
-            WalRecord::Remove(keys)
-        }
-        KIND_COMMIT => WalRecord::Commit(r.u64().ok()?),
-        _ => return None,
+    let record = match r.u8()? {
+        KIND_ADD => WalRecord::Add(r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?),
+        KIND_REMOVE => WalRecord::Remove(r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?),
+        KIND_COMMIT => WalRecord::Commit(r.u64()?),
+        kind => return Err(WireError::BadTag(kind)),
     };
-    r.is_empty().then_some(record)
+    r.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
