@@ -1,108 +1,63 @@
-//! The EM-throughput-at-scale scenario: the chunk-view EM engine on a
-//! 1M–10M-triple synthetic corpus, gated bit for bit against the scalar
-//! oracle (`kbt_core::reference`).
+//! The scale drill: the one check that has no test-sized equivalent.
+//! The chunk-view EM engine on a 1M- or 10M-triple synthetic corpus,
+//! gated bit for bit against the scalar oracle (`kbt_core::reference`).
 //!
 //! ```text
-//! cargo run --release -p kbt-bench --bin em_scale [-- --smoke | --full | --triples N]
-//!     [--rounds R] [--streamed [--max-resident M]]
+//! cargo run --release -p kbt-bench --bin em_scale [-- [--smoke] [--streamed]]
 //! ```
 //!
-//! Defaults to `--full` (10M triples); `--smoke` runs 1M so CI finishes in
-//! minutes. The engine and `reference::fit` run the same fixed number of
+//! Runs the full 10M triples by default; `--smoke` runs 1M so CI finishes
+//! in minutes. The engine and `reference::fit` run the same fixed number of
 //! EM rounds (`convergence_eps = 0`) on the same cube and the binary
 //! **hard-asserts bitwise equality** of their source-trust scores and
-//! per-group truth posteriors before reporting:
+//! per-group truth posteriors, then prints the fit's per-stage wall
+//! breakdown (`StageWall`: chunking gather, vote rebuild, E-steps,
+//! M-steps…) — a profile to read, not a gate: how fast the fit runs is
+//! measured by `benchmark/` alone.
 //!
-//! * the engine's wall time and EM-round throughput in triples (cube
-//!   groups) per second,
-//! * its per-stage wall breakdown (chunking gather, vote rebuild,
-//!   E-steps, M-steps…) and the steady-state value E-step kernel alone,
-//! * measured peak RSS (`VmHWM` from `/proc/self/status`).
+//! With `--streamed` the drill instead checks the out-of-core residency:
+//! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
+//! processes* run the same fixed-round fit — one resident (regenerating
+//! the corpus), one streaming from the store through bounded
+//! `ChunkCache`s — so each fit's `VmHWM` is measured in isolation. The
+//! parent hard-asserts bitwise-equal checksums between the two children
+//! and a streamed `VmHWM` well below the resident one, and in smoke mode
+//! that the streamed fit keeps at least half the resident throughput.
 //!
-//! With `--streamed` the scenario instead measures the out-of-core
-//! residency: the corpus is chunked to a `KBTCHNK2` store on disk, then
-//! two *child processes* run the same fixed-round fit — one resident
-//! (regenerating the corpus), one streaming from the store through
-//! bounded `ChunkCache`s — so each fit's `VmHWM` is measured in
-//! isolation. The parent hard-asserts bitwise-equal checksums between
-//! the two children, reports the RSS and throughput ratios plus the
-//! streamed fit's cache hit/load/eviction counters, and in smoke mode
-//! hard-asserts the throughput ratio stays at or above 0.5.
-//!
-//! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) for
-//! the CI regression gate.
+//! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) with
+//! the exact facts only — corpus and round counts, the two checksums,
+//! the assert outcomes — for `bench_compare`.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kbt_core::{
-    estimate_correctness, estimate_values, reference, AlphaState, ColValueScratch, FusionModel,
-    FusionReport, ModelConfig, MultiLayerModel, Params, QualityInit, StageWall,
-};
-use kbt_datamodel::{ChunkedCube, FileChunkStore, ResidentChunks};
-use kbt_flume::ShardedExecutor;
+use kbt_bench::BenchReport;
+use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
+use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
 use kbt_synth::scale::{generate, ScaleConfig};
 
-struct Args {
-    triples: usize,
-    rounds: usize,
-    mode: &'static str,
-    streamed: bool,
-    max_resident: usize,
+/// EM rounds every fit runs, with no convergence early-out: the engine,
+/// the oracle and both children do the same arithmetic volume, so their
+/// results are comparable bit for bit and the children's walls as a ratio.
+const ROUNDS: usize = 3;
+
+/// Chunks each `ChunkCache` of the streamed fit may hold.
+const MAX_RESIDENT_CHUNKS: usize = 4;
+
+fn fixed_round_cfg() -> ModelConfig {
+    ModelConfig {
+        max_iterations: ROUNDS,
+        convergence_eps: 0.0,
+        ..ModelConfig::default()
+    }
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut triples = 10_000_000usize;
-    let mut mode = "full";
-    let mut rounds = 3usize;
-    let mut streamed = false;
-    let mut max_resident = 4usize;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => {
-                triples = 1_000_000;
-                mode = "smoke";
-            }
-            "--full" => {
-                triples = 10_000_000;
-                mode = "full";
-            }
-            "--triples" => {
-                i += 1;
-                triples = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--triples needs an integer");
-                mode = "custom";
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--rounds needs an integer");
-            }
-            "--streamed" => streamed = true,
-            "--max-resident" => {
-                i += 1;
-                max_resident = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-resident needs an integer");
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
-    Args {
+fn corpus(triples: usize) -> ObservationCube {
+    generate(&ScaleConfig {
         triples,
-        rounds,
-        mode,
-        streamed,
-        max_resident,
-    }
+        ..ScaleConfig::default()
+    })
 }
 
 /// Deterministic checksum of an f64 slice's exact bit patterns.
@@ -117,95 +72,96 @@ fn bits_checksum(xs: &[f64]) -> u64 {
 /// Returns 0 on platforms without `/proc/self/status`.
 fn vm_hwm_bytes() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
                 .trim_end_matches("kB")
                 .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
-fn fixed_round_cfg(rounds: usize) -> ModelConfig {
-    // Fixed round count, no convergence early-out: every fit does the
-    // same arithmetic volume, so wall times are directly comparable.
-    ModelConfig {
-        max_iterations: rounds,
-        convergence_eps: 0.0,
-        ..ModelConfig::default()
-    }
+                .parse::<u64>()
+                .ok()
+        });
+    kb.unwrap_or(0) * 1024
 }
 
 // ---------------------------------------------------------------------
-// Child modes (hidden): run exactly one fit in a fresh process and print
-// a single JSON line, so the parent can read each fit's VmHWM without
-// the other fit's allocations polluting the high-water mark.
+// Child modes (hidden): run exactly one fit in a fresh process and end
+// with one line of `key=value` tokens, so the parent can read each fit's
+// VmHWM without the other fit's allocations polluting the high-water
+// mark.
 // ---------------------------------------------------------------------
 
-fn child_resident(triples: usize, rounds: usize) {
-    let cube = generate(&ScaleConfig {
-        triples,
-        ..ScaleConfig::default()
-    });
-    let model = MultiLayerModel::new(fixed_round_cfg(rounds));
+fn print_child_line(report: &FusionReport, wall_s: f64) {
+    println!(
+        "child: trust={:#018x} truth={:#018x} wall_s={wall_s} vm_hwm_bytes={}",
+        bits_checksum(report.source_trust()),
+        bits_checksum(report.truth_of_group()),
+        vm_hwm_bytes(),
+    );
+}
+
+fn child_resident(triples: usize) {
+    let cube = corpus(triples);
+    let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
     let report = model.fit(&cube, &QualityInit::Default);
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "{{\"trust_checksum\": \"{:#018x}\", \"truth_checksum\": \"{:#018x}\", \
-         \"wall_s\": {wall}, \"groups\": {}, \"vm_hwm_bytes\": {}}}",
-        bits_checksum(report.source_trust()),
-        bits_checksum(report.truth_of_group()),
-        cube.num_groups(),
-        vm_hwm_bytes(),
-    );
+    print_child_line(&report, t0.elapsed().as_secs_f64());
 }
 
-fn child_streamed(path: &str, rounds: usize, max_resident: usize) {
-    let store =
-        Arc::new(FileChunkStore::open(std::path::Path::new(path)).expect("open chunk store"));
-    let model = MultiLayerModel::new(fixed_round_cfg(rounds));
+fn child_streamed(path: &str) {
+    let store = Arc::new(FileChunkStore::open(Path::new(path)).expect("open chunk store"));
+    let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
     let (result, trace, stats) = model
-        .run_streamed(&store, max_resident, &QualityInit::Default)
+        .run_streamed(&store, MAX_RESIDENT_CHUNKS, &QualityInit::Default)
         .expect("streamed fit");
     let wall = t0.elapsed().as_secs_f64();
-    let report = FusionReport::from_multi_layer(result, trace);
+    // `misses` counts loader runs (loads are single-flight), so it is the
+    // number of frames read and decoded: chunks x rounds for the items.
+    // For the reader only: whether a lookup beats its prefetch is
+    // scheduling, so the counts differ from run to run.
+    let (items, groups) = (stats.item_cache, stats.group_cache);
     println!(
-        "{{\"trust_checksum\": \"{:#018x}\", \"truth_checksum\": \"{:#018x}\", \
-         \"wall_s\": {wall}, \"vm_hwm_bytes\": {}, \
-         \"item_hits\": {}, \"item_misses\": {}, \"item_evictions\": {}, \
-         \"group_hits\": {}, \"group_misses\": {}, \"group_evictions\": {}}}",
-        bits_checksum(report.source_trust()),
-        bits_checksum(report.truth_of_group()),
-        vm_hwm_bytes(),
-        stats.item_cache.hits,
-        stats.item_cache.misses,
-        stats.item_cache.evictions,
-        stats.group_cache.hits,
-        stats.group_cache.misses,
-        stats.group_cache.evictions,
+        "  caches: items {} hits / {} loads / {} evictions; groups {} / {} / {}",
+        items.hits, items.misses, items.evictions, groups.hits, groups.misses, groups.evictions
     );
+    print_child_line(&FusionReport::from_multi_layer(result, trace), wall);
 }
 
-/// Extract `"key": value` from a child's single-line JSON report. Values
-/// are either bare numbers or quoted strings; both parse from the raw
-/// slice between the colon and the next `,`/`}`.
-fn child_field(line: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":");
-    let at = line
-        .find(&pat)
-        .unwrap_or_else(|| panic!("child report missing {key}: {line}"));
-    let rest = &line[at + pat.len()..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("child report unterminated {key}: {line}"));
-    rest[..end].trim().trim_matches('"').to_string()
+/// Run this binary again with `args`, echo what it printed, and return
+/// its final `child:` line.
+fn spawn_child(args: &[&str]) -> String {
+    let exe = std::env::current_exe().expect("current_exe");
+    let out = std::process::Command::new(exe)
+        .args(args)
+        .output()
+        .expect("spawn child fit");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child fit {args:?} failed:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (echo, line) = stdout
+        .trim_end()
+        .rsplit_once('\n')
+        .unwrap_or(("", stdout.trim_end()));
+    assert!(
+        line.starts_with("child:"),
+        "child fit {args:?} printed no report line:\n{stdout}"
+    );
+    if !echo.is_empty() {
+        println!("{echo}");
+    }
+    line.to_string()
+}
+
+/// The value of `key` in a child's report line.
+fn child_field<'a>(line: &'a str, key: &str) -> &'a str {
+    line.split_whitespace()
+        .find_map(|token| token.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("child report missing {key}: {line}"))
 }
 
 fn child_num(line: &str, key: &str) -> f64 {
@@ -214,136 +170,77 @@ fn child_num(line: &str, key: &str) -> f64 {
         .unwrap_or_else(|_| panic!("child report: {key} is not a number: {raw}"))
 }
 
-fn spawn_child(args: &[String]) -> String {
-    let exe = std::env::current_exe().expect("current_exe");
-    let out = std::process::Command::new(exe)
-        .args(args)
-        .output()
-        .expect("spawn child fit");
-    assert!(
-        out.status.success(),
-        "child fit {args:?} failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .rev()
-        .find(|l| l.starts_with('{'))
-        .unwrap_or_else(|| panic!("child fit {args:?} printed no JSON line:\n{stdout}"))
-        .to_string()
-}
-
 // ---------------------------------------------------------------------
-// Streamed scenario: resident child vs streamed child over one store.
+// Streamed drill: resident child vs streamed child over one store.
 // ---------------------------------------------------------------------
 
-fn run_streamed_scenario(args: &Args) {
-    let synth_cfg = ScaleConfig {
-        triples: args.triples,
-        ..ScaleConfig::default()
-    };
+fn run_streamed(mode: &str, triples: usize) {
     println!(
-        "em_scale --streamed ({}): {} triples, cache cap {} chunks per family",
-        args.mode, args.triples, args.max_resident
+        "em_scale --streamed ({mode}): {triples} triples, cache cap {MAX_RESIDENT_CHUNKS} chunks per family"
     );
 
     // Chunk the corpus to disk once; both children fit the same data.
-    let cols_cfg = fixed_round_cfg(args.rounds);
-    let t0 = Instant::now();
-    let cube = generate(&synth_cfg);
-    let chunked = ChunkedCube::from_cube(&cube, &cols_cfg.chunking());
+    let cube = corpus(triples);
+    let groups = cube.num_groups();
+    let chunked = ChunkedCube::from_cube(&cube, &fixed_round_cfg().chunking());
+    drop(cube);
     let store_path = std::env::temp_dir().join(format!(
         "kbt-em-scale-streamed-{}.chunks",
         std::process::id()
     ));
     FileChunkStore::write(&chunked, &store_path).expect("write chunk store");
-    let store_bytes = std::fs::metadata(&store_path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "  chunk store: {} item chunks, {:.1} MiB on disk  ({:.2} s to build)",
+        "  chunk store: {} item chunks, {:.1} MiB on disk",
         chunked.chunks.len(),
-        store_bytes as f64 / (1 << 20) as f64,
-        t0.elapsed().as_secs_f64()
+        std::fs::metadata(&store_path).map_or(0, |m| m.len()) as f64 / (1 << 20) as f64,
     );
     drop(chunked);
-    drop(cube);
 
-    let resident = spawn_child(&[
-        "--child-resident".into(),
-        "--triples".into(),
-        args.triples.to_string(),
-        "--rounds".into(),
-        args.rounds.to_string(),
-    ]);
-    let streamed = spawn_child(&[
-        "--child-streamed".into(),
-        store_path.display().to_string(),
-        "--rounds".into(),
-        args.rounds.to_string(),
-        "--max-resident".into(),
-        args.max_resident.to_string(),
-    ]);
+    let resident = spawn_child(&["--child-resident", &triples.to_string()]);
+    let streamed = spawn_child(&["--child-streamed", &store_path.display().to_string()]);
     let _ = std::fs::remove_file(&store_path);
 
     // Bitwise gate: streaming must change I/O volume, never results.
-    let trust = child_field(&resident, "trust_checksum");
-    let truth = child_field(&resident, "truth_checksum");
+    let trust = child_field(&resident, "trust");
+    let truth = child_field(&resident, "truth");
     assert_eq!(
         trust,
-        child_field(&streamed, "trust_checksum"),
+        child_field(&streamed, "trust"),
         "source trust diverged between resident and streamed fits"
     );
     assert_eq!(
         truth,
-        child_field(&streamed, "truth_checksum"),
+        child_field(&streamed, "truth"),
         "truth posteriors diverged between resident and streamed fits"
     );
     println!("  bitwise equality: OK (trust checksum {trust}, truth checksum {truth})");
 
-    let groups = child_num(&resident, "groups");
     let resident_wall = child_num(&resident, "wall_s");
     let streamed_wall = child_num(&streamed, "wall_s");
     let resident_hwm = child_num(&resident, "vm_hwm_bytes");
     let streamed_hwm = child_num(&streamed, "vm_hwm_bytes");
-    let resident_tput = groups * args.rounds as f64 / resident_wall;
-    let streamed_tput = groups * args.rounds as f64 / streamed_wall;
-    let tput_ratio = streamed_tput / resident_tput;
-    let rss_ratio = if resident_hwm > 0.0 {
-        streamed_hwm / resident_hwm
-    } else {
-        f64::NAN
-    };
+    // Same corpus, same rounds: the throughput ratio is the wall ratio.
+    let tput_ratio = resident_wall / streamed_wall;
+    let rss_ratio = streamed_hwm / resident_hwm;
     // The acceptance bar: at full scale the streamed fit must run in
     // under 40% of the resident footprint (the corpus dwarfs the
     // O(groups) EM state). At smoke scale the EM state is a larger share
     // of both fits, so the bar relaxes to 60% — still proof the corpus
-    // itself stayed on disk.
-    let rss_bar = if args.mode == "full" { 0.4 } else { 0.6 };
-    let rss_ok = rss_ratio.is_finite() && rss_ratio < rss_bar;
+    // itself stayed on disk. (No `/proc`: 0/0 is NaN and fails the bar.)
+    let rss_bar = if mode == "full" { 0.4 } else { 0.6 };
+    let rss_ok = rss_ratio < rss_bar;
+    let mib = |bytes: f64| bytes / (1 << 20) as f64;
     println!(
-        "  resident: {resident_wall:.2} s, VmHWM {:.1} MiB  ({resident_tput:.0} triples/s per round)",
-        resident_hwm / (1 << 20) as f64
+        "  resident: {resident_wall:.2} s, VmHWM {:.1} MiB",
+        mib(resident_hwm)
     );
     println!(
-        "  streamed: {streamed_wall:.2} s, VmHWM {:.1} MiB  ({streamed_tput:.0} triples/s per round)",
-        streamed_hwm / (1 << 20) as f64
+        "  streamed: {streamed_wall:.2} s, VmHWM {:.1} MiB",
+        mib(streamed_hwm)
     );
     println!(
         "  streamed/resident: RSS x{rss_ratio:.2} ({}), throughput x{tput_ratio:.2}",
         if rss_ok { "ok" } else { "TOO HIGH" }
-    );
-    let stat = |key: &str| child_num(&streamed, key) as u64;
-    // `misses` counts loader runs (loads are single-flight), so it is the
-    // number of frames read and decoded: chunks x rounds for the items.
-    println!(
-        "  caches: items {} hits / {} loads / {} evictions; groups {} / {} / {}",
-        stat("item_hits"),
-        stat("item_misses"),
-        stat("item_evictions"),
-        stat("group_hits"),
-        stat("group_misses"),
-        stat("group_evictions"),
     );
     assert!(
         rss_ok,
@@ -354,126 +251,41 @@ fn run_streamed_scenario(args: &Args) {
     // I/O, which costs well under half the fit (measured x0.8-0.9). Under
     // x0.5 the I/O layer has regressed, whatever the runner's speed.
     assert!(
-        args.mode != "smoke" || tput_ratio >= 0.5,
+        mode != "smoke" || tput_ratio >= 0.5,
         "streamed throughput x{tput_ratio:.2} of resident, below the x0.5 floor"
     );
 
-    let mut report = kbt_bench::BenchReport::new("em_scale_streamed", args.mode);
+    let mut report = BenchReport::new("em_scale_streamed", mode);
     report
-        .count("triples", args.triples as u64)
+        .count("triples", triples as u64)
         .count("groups", groups as u64)
-        .count("em_rounds", args.rounds as u64)
-        .count("max_resident_chunks", args.max_resident as u64)
-        .count("store_bytes", store_bytes)
-        .metric("resident_wall_s", resident_wall)
-        .metric("streamed_wall_s", streamed_wall)
-        .metric("resident_triples_per_s", resident_tput)
-        .metric("streamed_triples_per_s", streamed_tput)
-        .metric("tput_ratio", tput_ratio)
-        .count("resident_vm_hwm_bytes", resident_hwm as u64)
-        .count("streamed_vm_hwm_bytes", streamed_hwm as u64)
-        .metric("rss_ratio", rss_ratio)
-        .count("item_cache_hits", stat("item_hits"))
-        .count("item_cache_misses", stat("item_misses"))
-        .count("item_cache_evictions", stat("item_evictions"))
-        .count("group_cache_hits", stat("group_hits"))
-        .count("group_cache_misses", stat("group_misses"))
-        .count("group_cache_evictions", stat("group_evictions"))
+        .count("em_rounds", ROUNDS as u64)
+        .count("max_resident_chunks", MAX_RESIDENT_CHUNKS as u64)
         .flag("bitwise_equal", true)
         .flag("streamed_rss_ok", rss_ok)
-        .text("trust_checksum", &trust)
-        .text("truth_checksum", &truth);
+        .text("trust_checksum", trust)
+        .text("truth_checksum", truth);
     let path = report.write().expect("write bench report");
     println!("report: {}", path.display());
 }
 
-fn main() {
-    // Hidden child entry points (see the child-modes section above).
-    let argv: Vec<String> = std::env::args().collect();
-    match argv.get(1).map(String::as_str) {
-        Some("--child-resident") => {
-            let get = |flag: &str, dflt: usize| {
-                argv.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| argv.get(i + 1))
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(dflt)
-            };
-            child_resident(get("--triples", 1_000_000), get("--rounds", 3));
-            return;
-        }
-        Some("--child-streamed") => {
-            let path = argv.get(2).expect("--child-streamed needs a store path");
-            let get = |flag: &str, dflt: usize| {
-                argv.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| argv.get(i + 1))
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(dflt)
-            };
-            child_streamed(path, get("--rounds", 3), get("--max-resident", 4));
-            return;
-        }
-        _ => {}
-    }
+// ---------------------------------------------------------------------
+// Resident drill: the engine against the oracle.
+// ---------------------------------------------------------------------
 
-    let args = parse_args();
-    if args.streamed {
-        run_streamed_scenario(&args);
-        return;
-    }
+fn run_resident(mode: &str, triples: usize) {
+    println!("em_scale ({mode}): {triples} triples");
+    let cube = corpus(triples);
+    let (groups, cells, items) = (cube.num_groups(), cube.num_cells(), cube.num_items());
+    println!("  generated cube: {groups} groups, {cells} cells, {items} items");
 
-    let synth_cfg = ScaleConfig {
-        triples: args.triples,
-        ..ScaleConfig::default()
-    };
-    println!(
-        "em_scale scenario ({}): {} triples, {} sources, {} extractors",
-        args.mode, args.triples, synth_cfg.num_sources, synth_cfg.num_extractors
-    );
-
-    let t0 = Instant::now();
-    let cube = generate(&synth_cfg);
-    println!(
-        "  generated cube: {} groups, {} cells, {} items  ({:.2} s)",
-        cube.num_groups(),
-        cube.num_cells(),
-        cube.num_items(),
-        t0.elapsed().as_secs_f64()
-    );
-
-    let cfg = fixed_round_cfg(args.rounds);
+    let cfg = fixed_round_cfg();
     let init = QualityInit::Default;
+    let report = MultiLayerModel::new(cfg.clone()).fit(&cube, &init);
 
-    // Untimed warmup fit (1 round): pages the big arenas in and lets the
-    // allocator reach steady state, so the timed fit measures the engine
-    // instead of first-touch fault costs.
-    let _ = MultiLayerModel::new(ModelConfig {
-        max_iterations: 1,
-        ..cfg.clone()
-    })
-    .fit(&cube, &init);
-
-    println!("\nEM fit ({} rounds):", args.rounds);
-    let model = MultiLayerModel::new(cfg.clone());
-    let t0 = Instant::now();
-    let report = model.fit(&cube, &init);
-    let cols_wall = t0.elapsed().as_secs_f64();
-    let rounds = report.iterations() as f64;
-    let cols_tput = cube.num_groups() as f64 * rounds / cols_wall;
-    println!(
-        "  engine     {rounds} rounds  {cols_wall:>8.2} s  ({cols_tput:>12.0} triples/s per round)"
-    );
-
-    // ---- Bitwise-equality gate: the engine must be the paper's     ----
-    // ---- equations in a faster layout, not a different model.      ----
-    let t0 = Instant::now();
+    // The engine must be the paper's equations in a faster layout, not a
+    // different model.
     let (oracle, _) = reference::fit(&cube, &cfg, &init, None, None);
-    println!(
-        "  reference  {} rounds  {:>8.2} s",
-        oracle.iterations,
-        t0.elapsed().as_secs_f64()
-    );
     let trust = bits_checksum(report.source_trust());
     let truth = bits_checksum(report.truth_of_group());
     assert_eq!(
@@ -491,13 +303,14 @@ fn main() {
         bits_checksum(&oracle.truth_of_group),
         "truth posteriors diverged between the engine and reference::fit"
     );
-    drop(oracle);
-    println!("\nbitwise equality: OK (trust checksum {trust:#018x}, truth checksum {truth:#018x})");
+    println!(
+        "bitwise equality with reference::fit over {} rounds: OK \
+         (trust checksum {trust:#018x}, truth checksum {truth:#018x})",
+        report.iterations()
+    );
 
-    // ---- Per-stage wall breakdown of the fit: where the rounds      ----
-    // ---- actually go, so regressions are attributable to a stage    ----
-    // ---- instead of a single opaque total.                          ----
-    let sw: &StageWall = &report.trace.stage_wall;
+    // Where the rounds go, for the reader; nothing gates on it.
+    let sw = &report.trace.stage_wall;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!(
         "stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
@@ -512,73 +325,40 @@ fn main() {
         ms(sw.log_likelihood),
     );
 
-    // ---- The value E-step kernel alone: round-1 state, warm arenas. ----
-    let chunked = ChunkedCube::from_cube(&cube, &cfg.chunking());
-    let src = ResidentChunks::new(&chunked);
-    let estep_reps: u32 = if args.mode == "full" { 3 } else { 5 };
-    let params = Params::init(&cube, &cfg, &init);
-    let votes = reference::vote_counter(&cube, &params, &cfg);
-    let alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
-    let active = vec![true; cube.num_sources()];
-    let mut corr = vec![0.0; cube.num_groups()];
-    estimate_correctness(
-        &src,
-        &votes,
-        &alpha,
-        &cfg,
-        &mut ShardedExecutor::new(),
-        &mut corr,
-    )
-    .expect("resident views");
-    let mut cexec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
-    let mut estep = || {
-        estimate_values(&src, &corr, &params, &cfg, &active, None, &mut cexec)
-            .expect("resident views")
-    };
-    let _ = estep(); // warm the arenas, then time
-    let t0 = Instant::now();
-    for _ in 0..estep_reps {
-        std::hint::black_box(estep());
-    }
-    let estep_cols_ms = t0.elapsed().as_secs_f64() * 1e3 / estep_reps as f64;
-    println!("value E-step ({estep_reps} reps): {estep_cols_ms:.1} ms");
-
-    // ---- Peak memory, measured: the kernel's VmHWM high-water mark ----
-    // ---- for this process (both cubes + EM state + the reference    ----
-    // ---- fit + bench scaffolding).                                  ----
-    let cube_bytes = cube.approx_bytes();
-    let chunked_bytes = chunked.approx_bytes();
-    let hwm = vm_hwm_bytes();
-    println!(
-        "peak memory (VmHWM): {:.1} MiB (row cube {:.1} MiB + columnar {:.1} MiB resident)",
-        hwm as f64 / (1 << 20) as f64,
-        cube_bytes as f64 / (1 << 20) as f64,
-        chunked_bytes as f64 / (1 << 20) as f64,
-    );
-
-    let mut bench = kbt_bench::BenchReport::new("em_scale", args.mode);
+    let mut bench = BenchReport::new("em_scale", mode);
     bench
-        .count("triples", args.triples as u64)
-        .count("groups", cube.num_groups() as u64)
-        .count("cells", cube.num_cells() as u64)
+        .count("triples", triples as u64)
+        .count("groups", groups as u64)
+        .count("cells", cells as u64)
         .count("em_rounds", report.iterations() as u64)
-        .metric("cols_wall_s", cols_wall)
-        .metric("cols_triples_per_s", cols_tput)
-        .metric("stage_chunking_ms", ms(sw.chunking))
-        .metric("stage_votes_ms", ms(sw.votes))
-        .metric("stage_correctness_ms", ms(sw.correctness))
-        .metric("stage_values_ms", ms(sw.values))
-        .metric("stage_source_update_ms", ms(sw.source_update))
-        .metric("stage_extractor_update_ms", ms(sw.extractor_update))
-        .metric("stage_alpha_ms", ms(sw.alpha))
-        .metric("stage_log_likelihood_ms", ms(sw.log_likelihood))
-        .metric("estep_cols_ms", estep_cols_ms)
-        .count("vm_hwm_bytes", hwm)
-        .count("cube_bytes", cube_bytes as u64)
-        .count("chunked_bytes", chunked_bytes as u64)
         .flag("bitwise_equal", true)
         .text("trust_checksum", &format!("{trust:#018x}"))
         .text("truth_checksum", &format!("{truth:#018x}"));
     let path = bench.write().expect("write bench report");
     println!("report: {}", path.display());
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    match argv[..] {
+        ["--child-resident", triples] => {
+            return child_resident(triples.parse().expect("triples is an integer"))
+        }
+        ["--child-streamed", store_path] => return child_streamed(store_path),
+        _ => {}
+    }
+    let (mut mode, mut triples, mut streamed) = ("full", 10_000_000, false);
+    for arg in argv {
+        match arg {
+            "--smoke" => (mode, triples) = ("smoke", 1_000_000),
+            "--streamed" => streamed = true,
+            other => panic!("unknown argument {other}"),
+        }
+    }
+    if streamed {
+        run_streamed(mode, triples);
+    } else {
+        run_resident(mode, triples);
+    }
 }

@@ -29,13 +29,7 @@ pub struct SynthLosses {
 /// Evaluate the multi-layer model on a synthetic dataset with exact truth.
 pub fn eval_multilayer_synth(data: &SyntheticDataset, cfg: &ModelConfig) -> SynthLosses {
     let result = MultiLayerModel::new(cfg.clone()).fit(&data.cube, &QualityInit::Default);
-    let eval = data.value_eval_set();
-    let pred: Vec<f64> = eval
-        .iter()
-        .map(|(d, v, _)| result.posteriors().prob(*d, *v))
-        .collect();
-    let truth: Vec<bool> = eval.iter().map(|(_, _, t)| *t).collect();
-    let sqv = square_loss_binary(&pred, &truth).unwrap_or(0.0);
+    let sqv = sqv_of(data, &result);
     let sqc = square_loss_binary(
         result.correctness().unwrap_or(&[]),
         &data.truth.group_provided,
@@ -51,13 +45,7 @@ pub fn eval_multilayer_synth(data: &SyntheticDataset, cfg: &ModelConfig) -> Synt
 /// Evaluate the single-layer baseline on a synthetic dataset.
 pub fn eval_singlelayer_synth(data: &SyntheticDataset, cfg: &ModelConfig) -> SynthLosses {
     let result = SingleLayerModel::new(cfg.clone()).fit(&data.cube, &QualityInit::Default);
-    let eval = data.value_eval_set();
-    let pred: Vec<f64> = eval
-        .iter()
-        .map(|(d, v, _)| result.posteriors().prob(*d, *v))
-        .collect();
-    let truth: Vec<bool> = eval.iter().map(|(_, _, t)| *t).collect();
-    let sqv = square_loss_binary(&pred, &truth).unwrap_or(0.0);
+    let sqv = sqv_of(data, &result);
     let active = vec![true; data.cube.num_sources()];
     let sqa = sqa_of(result.source_trust(), &data.truth.source_accuracy, &active);
     SynthLosses {
@@ -65,6 +53,16 @@ pub fn eval_singlelayer_synth(data: &SyntheticDataset, cfg: &ModelConfig) -> Syn
         sqc: None,
         sqa,
     }
+}
+
+fn sqv_of(data: &SyntheticDataset, result: &FusionReport) -> f64 {
+    let eval = data.value_eval_set();
+    let pred: Vec<f64> = eval
+        .iter()
+        .map(|(d, v, _)| result.posteriors().prob(*d, *v))
+        .collect();
+    let truth: Vec<bool> = eval.iter().map(|(_, _, t)| *t).collect();
+    square_loss_binary(&pred, &truth).unwrap_or(0.0)
 }
 
 fn sqa_of(pred: &[f64], truth: &[f64], active: &[bool]) -> f64 {
@@ -204,22 +202,21 @@ pub fn gold_init(corpus: &WebCorpus) -> QualityInit {
             }
         }
     }
-    let smooth = |t: usize, n: usize| -> Option<f64> {
-        (n > 0).then(|| (t as f64 + 1.0) / (n as f64 + 2.0))
-    };
     QualityInit::FromGold {
-        source_accuracy: src_true
-            .iter()
-            .zip(&src_tot)
-            .map(|(t, n)| smooth(*t, *n))
-            .collect(),
-        extractor_precision: ext_true
-            .iter()
-            .zip(&ext_tot)
-            .map(|(t, n)| smooth(*t, *n))
-            .collect(),
+        source_accuracy: smoothed_rates(&src_true, &src_tot),
+        extractor_precision: smoothed_rates(&ext_true, &ext_tot),
         extractor_recall: vec![None; cube.num_extractors()],
     }
+}
+
+/// Add-one smoothed `true / total` per id; `None` where nothing was
+/// labelled.
+fn smoothed_rates(true_counts: &[usize], totals: &[usize]) -> Vec<Option<f64>> {
+    true_counts
+        .iter()
+        .zip(totals)
+        .map(|(&t, &n)| (n > 0).then(|| (t as f64 + 1.0) / (n as f64 + 2.0)))
+        .collect()
 }
 
 /// Gold init re-targeted to a regrouped cube: working-source accuracies
@@ -243,21 +240,16 @@ pub fn gold_init_for_working_sources(
         }
     }
     // Extractor ids are unchanged by source regrouping.
-    let base = gold_init(corpus);
-    let (ep, er) = match base {
-        QualityInit::FromGold {
-            extractor_precision,
-            extractor_recall,
-            ..
-        } => (extractor_precision, extractor_recall),
-        _ => unreachable!(),
+    let QualityInit::FromGold {
+        extractor_precision: ep,
+        extractor_recall: er,
+        ..
+    } = gold_init(corpus)
+    else {
+        unreachable!("gold_init builds FromGold")
     };
     QualityInit::FromGold {
-        source_accuracy: src_true
-            .iter()
-            .zip(&src_tot)
-            .map(|(t, n)| (*n > 0).then(|| (*t as f64 + 1.0) / (*n as f64 + 2.0)))
-            .collect(),
+        source_accuracy: smoothed_rates(&src_true, &src_tot),
         extractor_precision: ep
             .into_iter()
             .chain(std::iter::repeat(None))
@@ -341,11 +333,7 @@ pub fn run_singlelayer(
                 }
             }
             QualityInit::FromGold {
-                source_accuracy: t
-                    .iter()
-                    .zip(&n)
-                    .map(|(t, n)| (*n > 0).then(|| (*t as f64 + 1.0) / (*n as f64 + 2.0)))
-                    .collect(),
+                source_accuracy: smoothed_rates(&t, &n),
                 extractor_precision: extractor_precision.clone(),
                 extractor_recall: extractor_recall.clone(),
             }
@@ -509,22 +497,6 @@ pub fn topic_weights(corpus: &WebCorpus, mass: f64) -> Vec<f64> {
             } else {
                 0.0
             }
-        })
-        .collect()
-}
-
-/// Aggregate per-source KBT scores for sources with ≥ `min_triples`
-/// triples (Figure 7 uses 5).
-pub fn kbt_scores_with_support(
-    cube: &ObservationCube,
-    result: &FusionReport,
-    min_triples: usize,
-) -> Vec<(SourceId, f64)> {
-    (0..cube.num_sources())
-        .filter_map(|w| {
-            let w = SourceId::new(w as u32);
-            (cube.source_size(w) >= min_triples && result.active_source()[w.index()])
-                .then(|| (w, result.kbt(w)))
         })
         .collect()
 }

@@ -3,7 +3,9 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Section 5). Each experiment is a binary under `src/bin/`
 //! (e.g. `fig3`, `table5`) printing the same rows/series the paper
-//! reports; Criterion benchmarks live under `benches/`.
+//! reports. Beside them sit `em_scale` (the one scale drill) and
+//! `bench_compare` (the exact-field gate over `BENCH_*.json`); timings
+//! live in `benchmark/` at the repository root, not here.
 
 #![warn(missing_docs)]
 
@@ -11,11 +13,4 @@ pub mod harness;
 pub mod report;
 pub mod table;
 
-pub use harness::{
-    ablation_configs, collect_triple_predictions, eval_multilayer_synth, eval_singlelayer_synth,
-    gold_init, kv_multilayer_config, kv_singlelayer_config, labeled_predictions, run_multilayer,
-    run_multilayer_sm, run_singlelayer, score_predictions, MethodScores, SynthLosses,
-    TriplePredictions,
-};
 pub use report::BenchReport;
-pub use table::{f3, f4, TableWriter};

@@ -1,12 +1,13 @@
-//! Machine-readable benchmark reports.
+//! Machine-readable reports of exact facts.
 //!
-//! Every scenario binary that supports `--smoke` emits a flat
-//! `BENCH_<name>.json` next to its stdout report, so CI can archive the
-//! numbers (throughput, latency percentiles, EM rounds, checksums) as
-//! artifacts and diff them across commits without scraping text output.
+//! `em_scale` and `kbt-lint` emit a flat `BENCH_<name>.json` next to
+//! their stdout report, so CI can gate the fields that must not drift
+//! (checksums, corpus and round counts, waiver and line budgets) with
+//! `bench_compare` without scraping text output. No timings: those are
+//! `benchmark/`'s.
 //!
 //! The emitter is deliberately dependency-free: a flat string →
-//! number/string/bool map, written with stable field order (insertion
+//! integer/string/bool map, written with stable field order (insertion
 //! order), no serde.
 
 use std::fs;
@@ -43,15 +44,15 @@ fn json_string(s: &str) -> String {
 
 impl BenchReport {
     /// Start a report for the scenario `name` running at `mode`
-    /// (`"smoke"` or `"full"`).
+    /// (e.g. `"smoke"` or `"full"`).
     pub fn new(name: &str, mode: &str) -> Self {
-        let mut report = Self {
+        Self {
             name: name.to_string(),
-            fields: Vec::new(),
-        };
-        report.fields.push(("bench".into(), json_string(name)));
-        report.fields.push(("mode".into(), json_string(mode)));
-        report
+            fields: vec![
+                ("bench".into(), json_string(name)),
+                ("mode".into(), json_string(mode)),
+            ],
+        }
     }
 
     /// Append one rendered field. A repeated key is a bug in the scenario
@@ -67,18 +68,7 @@ impl BenchReport {
         self
     }
 
-    /// Record a floating-point metric (non-finite values become `null`).
-    /// Panics if `key` was already recorded.
-    pub fn metric(&mut self, key: &str, value: f64) -> &mut Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".into()
-        };
-        self.push(key, rendered)
-    }
-
-    /// Record an integer metric. Panics if `key` was already recorded.
+    /// Record an integer field. Panics if `key` was already recorded.
     pub fn count(&mut self, key: &str, value: u64) -> &mut Self {
         self.push(key, value.to_string())
     }
@@ -129,15 +119,13 @@ mod tests {
     #[test]
     fn renders_flat_json_in_insertion_order() {
         let mut r = BenchReport::new("demo", "smoke");
-        r.metric("qps", 1234.5)
-            .count("em_rounds", 17)
+        r.count("em_rounds", 17)
             .text("checksum", "0xdead\"beef")
-            .flag("ok", true)
-            .metric("bad", f64::NAN);
+            .flag("ok", true);
         let json = r.to_json();
         assert_eq!(
             json,
-            "{\n  \"bench\": \"demo\",\n  \"mode\": \"smoke\",\n  \"qps\": 1234.5,\n  \"em_rounds\": 17,\n  \"checksum\": \"0xdead\\\"beef\",\n  \"ok\": true,\n  \"bad\": null\n}\n"
+            "{\n  \"bench\": \"demo\",\n  \"mode\": \"smoke\",\n  \"em_rounds\": 17,\n  \"checksum\": \"0xdead\\\"beef\",\n  \"ok\": true\n}\n"
         );
     }
 
@@ -145,6 +133,6 @@ mod tests {
     #[should_panic(expected = "recorded twice")]
     fn refuses_a_repeated_key() {
         let mut r = BenchReport::new("demo", "smoke");
-        r.metric("estep_ms_1t", 1.0).count("estep_ms_1t", 2);
+        r.count("em_rounds", 1).count("em_rounds", 2);
     }
 }

@@ -138,10 +138,10 @@ pub struct ModelConfig {
     /// (the coverage rule of Section 5.1.1/5.1.2).
     pub min_source_support: usize,
     /// Worker threads for this run. `None` uses the ambient
-    /// `kbt_flume` configuration (global fallback, then hardware);
-    /// `Some(0)` forces the hardware default; `Some(n)` pins `n` workers.
-    /// Per-run and race-free, unlike `kbt_flume::set_num_threads` —
-    /// installed around inference via `kbt_flume::with_threads`.
+    /// `kbt_flume` configuration (an enclosing `with_threads` scope, then
+    /// hardware); `Some(0)` forces the hardware default; `Some(n)` pins
+    /// `n` workers. Per-run and race-free — installed around inference
+    /// via `kbt_flume::with_threads`.
     pub threads: Option<usize>,
     /// Target number of cells per chunk when the engine lays the cube
     /// out as a `kbt_datamodel::ChunkedCube`. Chunks are item-aligned, so

@@ -113,7 +113,7 @@ fn fold_cell_votes(
 /// columns against the precomputed `Pre_e − Abs_e` table: per cell,
 /// `conf · (Pre_e − Abs_e)` accumulated in cell order onto the source's
 /// absence sum.
-pub fn estimate_correctness_frame(
+pub(crate) fn estimate_correctness_frame(
     view: &GroupView<'_>,
     votes: &VoteCounter,
     alpha: &AlphaState,
@@ -139,7 +139,7 @@ pub fn estimate_correctness_frame(
 /// group frame of `src`, frames in parallel, scattered into
 /// `out[g]` (length `num_groups`). Per-group sigmoids are independent, so
 /// the result does not depend on the frame partition or the thread count.
-pub fn estimate_correctness<S: ChunkSource>(
+pub(crate) fn estimate_correctness<S: ChunkSource>(
     src: &S,
     votes: &VoteCounter,
     alpha: &AlphaState,

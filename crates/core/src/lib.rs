@@ -69,15 +69,14 @@ pub use config::{CorrectnessWeighting, CubeResidency, ModelConfig, ValueModel};
 pub use copydetect::{
     detect_copies, detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CopyEvidence,
 };
-pub use correctness::{estimate_correctness, estimate_correctness_frame, AlphaState};
+pub use correctness::AlphaState;
 pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{
     ConvergenceTrace, FusionDetail, FusionModel, FusionReport, IterationTrace, ModelKind, StageWall,
 };
-pub use mstep::{update_extractor_quality, update_source_accuracy, StreamedExtractorAcc};
 pub use multi_layer::{MultiLayerModel, MultiLayerResult, StreamStats};
 pub use params::{q_from_precision_recall, Params, QualityInit};
 pub use posterior::ItemPosteriors;
 pub use single_layer::{SingleLayerModel, SingleLayerResult};
-pub use value::{estimate_values, ColValueScratch, ValueLayerOutput};
+pub use value::ValueLayerOutput;
 pub use votes::VoteCounter;

@@ -30,7 +30,7 @@ use crate::params::{q_from_precision_recall, Params};
 /// each source's sums run serially over its span.
 // Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
 #[allow(clippy::too_many_arguments)]
-pub fn update_source_accuracy(
+pub(crate) fn update_source_accuracy(
     source_offsets: &[u32],
     correctness: &[f64],
     truth: &[f64],
@@ -86,7 +86,7 @@ pub fn update_source_accuracy(
 /// group frame in ascending frame order, [`Self::finish`] to write the
 /// new parameters ([`update_extractor_quality`] does all three).
 #[derive(Debug, Default)]
-pub struct StreamedExtractorAcc {
+pub(crate) struct StreamedExtractorAcc {
     num: Vec<f64>,
     pden: Vec<f64>,
     rden: Vec<f64>,
@@ -204,7 +204,7 @@ pub fn estimate_gamma(source_item_counts: &[u32], correctness: &[f64], cfg: &Mod
 /// [`StreamedExtractorAcc`] (the arena of `fold`'s single worker) folded
 /// over the frames in ascending order under the source's prefetch
 /// look-ahead.
-pub fn update_extractor_quality<S: ChunkSource>(
+pub(crate) fn update_extractor_quality<S: ChunkSource>(
     src: &S,
     correctness: &[f64],
     cfg: &ModelConfig,

@@ -47,7 +47,7 @@ pub struct ValueLayerOutput {
 /// per-item inner loops index dense arrays instead of searching). Used
 /// slots are reset after each item; capacity is retained across rounds.
 #[derive(Debug, Default)]
-pub struct ColValueScratch {
+pub(crate) struct ColValueScratch {
     vote_sum: Vec<f64>,
     voted: Vec<bool>,
     claim: Vec<f64>,
@@ -221,7 +221,7 @@ fn col_value_item_kernel(
 /// each chunk's items; chunks tile the item space in order and their
 /// outputs merge in chunk order, so the result is the same at any thread
 /// count, chunk size and cache size.
-pub fn estimate_values<S: ChunkSource>(
+pub(crate) fn estimate_values<S: ChunkSource>(
     src: &S,
     correctness: &[f64],
     params: &Params,

@@ -429,8 +429,8 @@ impl ObservationCube {
     }
 
     /// Approximate resident size of the cube in bytes (vector payloads
-    /// only, no allocator overhead) — the input to the bench bins'
-    /// peak-memory estimates.
+    /// only, no allocator overhead) — what `benchmark/` reports as
+    /// `datamodel.cube_bytes`.
     pub fn approx_bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<Cell>()
             + self.groups.len() * std::mem::size_of::<TripleGroup>()
@@ -509,38 +509,38 @@ fn assemble_cube(
     num_items: u32,
     num_values: u32,
 ) -> ObservationCube {
-    // Source ranges over the (source-sorted) group list, plus the
-    // per-source extractor candidate sets in CSR form. A scratch buffer
-    // collects one source's extractors, sort+dedup runs per source, and
-    // the result lands in one flat allocation.
+    // Source ranges over the (source-sorted) group list, plus the per-source
+    // extractor candidate sets in CSR form. `seen[e] == w + 1` marks extractor
+    // `e` as listed for source `w`: one pass over its cells, one short sort.
     let ns = num_sources as usize;
     let mut source_group_ranges = vec![0u32..0u32; ns];
-    let mut per_source_ext: Vec<Vec<ExtractorId>> = vec![Vec::new(); ns];
+    let mut source_extractor_offsets = vec![0u32; ns + 1];
+    let mut source_extractor_ids: Vec<ExtractorId> = Vec::new();
+    let mut seen = vec![0u32; num_extractors as usize];
     let mut g = 0;
     while g < groups.len() {
         let w = groups[g].source;
         let start = g as u32;
-        let mut ext: Vec<ExtractorId> = Vec::new();
+        let first = source_extractor_ids.len();
         while g < groups.len() && groups[g].source == w {
             for c in &cells[groups[g].cell_range()] {
-                ext.push(c.extractor);
+                let mark = &mut seen[c.extractor.index()];
+                if *mark != w.0 + 1 {
+                    *mark = w.0 + 1;
+                    source_extractor_ids.push(c.extractor);
+                }
             }
             g += 1;
         }
-        ext.sort_unstable();
-        ext.dedup();
+        source_extractor_ids[first..].sort_unstable();
         source_group_ranges[w.index()] = start..g as u32;
-        per_source_ext[w.index()] = ext;
+        source_extractor_offsets[w.index() + 1] = source_extractor_ids.len() as u32;
     }
-    let mut source_extractor_offsets = Vec::with_capacity(ns + 1);
-    source_extractor_offsets.push(0u32);
-    let total_ext: usize = per_source_ext.iter().map(Vec::len).sum();
-    let mut source_extractor_ids = Vec::with_capacity(total_ext);
-    for ext in &per_source_ext {
-        source_extractor_ids.extend_from_slice(ext);
-        source_extractor_offsets.push(source_extractor_ids.len() as u32);
+    // A source with no group keeps the empty range at its predecessor's end.
+    for w in 0..ns {
+        source_extractor_offsets[w + 1] =
+            source_extractor_offsets[w + 1].max(source_extractor_offsets[w]);
     }
-    drop(per_source_ext);
 
     // Item index: counting sort of group indices by item.
     let ni = num_items as usize;
@@ -877,6 +877,7 @@ mod tests {
         assert_eq!(cube.num_items(), 7);
         assert_eq!(cube.num_values(), 9);
         assert_eq!(cube.source_size(SourceId::new(9)), 0);
+        assert!((1..10).all(|w| cube.extractors_on_source(SourceId::new(w)).is_empty()));
     }
 
     /// `apply_delta` must be indistinguishable from a full rebuild over

@@ -14,15 +14,13 @@
 //!
 //! ## Thread configuration
 //!
-//! Worker-thread count resolves in three layers:
+//! Worker-thread count resolves in two layers:
 //!
 //! 1. a **scoped override** installed by [`with_threads`] — what
 //!    `TrustPipeline::threads` and `ModelConfig::threads` use, safe under
 //!    concurrent runs because it is thread-local to the orchestrating
 //!    thread;
-//! 2. the **process-global fallback default** set by [`set_num_threads`]
-//!    (kept for coarse tuning, e.g. a CLI flag);
-//! 3. the hardware parallelism.
+//! 2. the hardware parallelism.
 
 #![warn(missing_docs)]
 
@@ -34,11 +32,6 @@ pub use stopwatch::{PhaseTimer, Stopwatch};
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-global fallback for the worker-thread count (0 = hardware
-/// default). Scoped overrides installed by [`with_threads`] win over this.
-static THREAD_DEFAULT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Scoped per-run override (0 = none). Thread-local, so concurrent
@@ -47,21 +40,16 @@ thread_local! {
 }
 
 /// Number of worker threads used by all `par_*` operations, resolved as
-/// scoped override → global fallback → hardware parallelism.
+/// scoped override → hardware parallelism.
 pub fn num_threads() -> usize {
     let scoped = THREAD_SCOPED.with(Cell::get);
     if scoped == usize::MAX {
         // with_threads(Some(0), ..): hardware default, shadowing any
-        // outer override or global fallback.
+        // outer override.
         return hardware_threads();
     }
     if scoped > 0 {
         return scoped;
-    }
-    // ordering: Relaxed — a lone word-sized config cell; readers need no ordering with any other memory.
-    let fallback = THREAD_DEFAULT.load(Ordering::Relaxed);
-    if fallback > 0 {
-        return fallback;
     }
     hardware_threads()
 }
@@ -70,18 +58,6 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Set the **process-global fallback** worker-thread count. `0` restores
-/// the hardware default.
-///
-/// This is a coarse knob shared by every thread in the process; prefer the
-/// race-free per-run override ([`with_threads`], or `threads` on
-/// `ModelConfig`/`TrustPipeline`) anywhere two runs could overlap — e.g.
-/// parallel `cargo test` threads.
-pub fn set_num_threads(n: usize) {
-    // ordering: Relaxed — publishes only the counter value itself, never other memory.
-    THREAD_DEFAULT.store(n, Ordering::Relaxed);
 }
 
 /// Run `f` with the worker-thread count scoped to `n` on this thread.

@@ -102,16 +102,6 @@ impl PhaseTimer {
     pub fn rows(&self) -> &[(String, Duration, u64)] {
         &self.phases
     }
-
-    /// Phase totals normalized so that `reference` equals 1.0 — the unit
-    /// used by Table 7 ("one iteration of MULTILAYER takes 1 unit").
-    pub fn relative_to(&self, reference: Duration) -> Vec<(String, f64)> {
-        let r = reference.as_secs_f64().max(f64::MIN_POSITIVE);
-        self.phases
-            .iter()
-            .map(|(n, d, _)| (n.clone(), d.as_secs_f64() / r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,15 +126,5 @@ mod tests {
         let v = t.time("work", || 41 + 1);
         assert_eq!(v, 42);
         assert!(t.total("work").is_some());
-    }
-
-    #[test]
-    fn relative_normalization() {
-        let mut t = PhaseTimer::new();
-        t.add("a", Duration::from_millis(100));
-        t.add("b", Duration::from_millis(50));
-        let rel = t.relative_to(Duration::from_millis(100));
-        assert_eq!(rel[0], ("a".to_string(), 1.0));
-        assert!((rel[1].1 - 0.5).abs() < 1e-9);
     }
 }

@@ -9,10 +9,9 @@
 //! * `--root <dir>`  workspace root (default: current directory)
 //! * `--json <path>` write the full diagnostic report as JSON
 //! * `--bench-report` write `BENCH_lint.json` (rule counts, waiver
-//!   counts, files scanned, scan wall time, and the source line count of
-//!   each system crate — informational, the ROADMAP's tracked metric)
-//!   through [`kbt_bench::BenchReport`], for the `bench_compare` budget
-//!   gate
+//!   counts and the source line count of each system crate — the
+//!   ROADMAP's tracked metric) through [`kbt_bench::BenchReport`], for
+//!   the `bench_compare` budget gate: none of them may go up
 //! * `--list-waivers` print every waived finding (the escape-hatch audit)
 
 use std::path::PathBuf;
@@ -104,10 +103,6 @@ fn main() -> ExitCode {
 
     if bench_report {
         let mut report = BenchReport::new("lint", "workspace");
-        report
-            .count("files_scanned", outcome.files_scanned)
-            .count("lines_scanned", outcome.lines_scanned)
-            .metric("scan_wall_ms", outcome.scan_wall_ms);
         for rule in ALL_RULES {
             let key = rule.key();
             let slug = rule_slug(rule);

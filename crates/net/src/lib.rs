@@ -15,7 +15,7 @@
 //!   reply queues, and degraded-but-serving behavior when a durability
 //!   hook fails.
 //! * [`NetClient`] — a synchronous client, plus raw-byte escape hatches
-//!   the hostile load harness (`serve_net`) uses to slow-loris, corrupt
+//!   the hostility tests (`tests/protocol.rs`) use to slow-loris, corrupt
 //!   frames, and disconnect mid-frame on purpose.
 //!
 //! ```no_run

@@ -8,12 +8,17 @@
 //! 2. **Socket hostility** (live [`NetServer`]): mid-frame disconnects,
 //!    `len = u32::MAX` prefixes, bad magic, corrupt CRCs, slow-loris
 //!    byte trickling, unknown request kinds — none of which may wedge
-//!    or kill the listener — plus the durability drill: a failing hook
-//!    degrades writes to typed `DurabilityLost` errors while queries
-//!    keep serving the last published epoch.
+//!    or kill the listener — one by one, then all at once beside
+//!    fingerprint-verifying queriers and writers forcing warm refits
+//!    (the concurrency drill) — plus the durability drill: a failing
+//!    hook degrades writes to typed `DurabilityLost` errors while
+//!    queries keep serving the last published epoch.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -521,6 +526,241 @@ fn slow_loris_byte_trickle_still_gets_an_answer() {
     }
 
     net.shutdown().expect("clean shutdown");
+}
+
+// ---- the concurrency drill ----
+
+/// Every `(epoch → fingerprint)` any participant ever observes. Two
+/// fingerprints for one epoch is a torn read.
+#[derive(Default)]
+struct EpochBook(Mutex<HashMap<u64, u64>>);
+
+impl EpochBook {
+    fn note(&self, epoch: u64, fingerprint: u64) {
+        let prev = self.0.lock().unwrap().insert(epoch, fingerprint);
+        assert!(
+            prev.is_none_or(|p| p == fingerprint),
+            "torn read: epoch {epoch} served fingerprints {prev:?} and {fingerprint}"
+        );
+    }
+}
+
+/// Where the drill's participants meet: each checks in once the server
+/// has answered it (so it is accepted and counted active), and none
+/// starts its part before all `parties` are connected at once. A deadline
+/// instead of `std::sync::Barrier`, so a participant that dies early
+/// fails the others instead of hanging them.
+fn arrive_and_wait(arrived: &AtomicUsize, parties: usize) {
+    arrived.fetch_add(1, Ordering::SeqCst);
+    wait_until(Duration::from_secs(20), "all drill connections", || {
+        (arrived.load(Ordering::SeqCst) >= parties).then_some(())
+    });
+}
+
+/// Counts a finished (or panicked) writer, so the queriers' loop ends
+/// either way.
+struct Finished<'a>(&'a AtomicUsize);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A raw connection that has completed one ping round trip.
+fn raw_conn_after_ping(addr: SocketAddr, token: u64) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&encode_preamble()).unwrap();
+    s.write_all(&encode_frame(&Request::Ping { token }.encode()))
+        .unwrap();
+    match read_reply_raw(&mut s) {
+        Some(Reply::Pong { token: t, .. }) => assert_eq!(t, token),
+        other => panic!("expected a Pong, got {other:?}"),
+    }
+    s
+}
+
+fn expect_error(stream: &mut TcpStream, expected: ErrorCode) {
+    match read_reply_raw(stream) {
+        Some(Reply::Error { code, .. }) => assert_eq!(code, expected),
+        other => panic!("expected a {expected:?} error, got {other:?}"),
+    }
+}
+
+/// Everything at once: ≥ 16 connections open simultaneously — queriers
+/// checking every reply against one epoch → fingerprint book (shared
+/// with an in-process reader of the same snapshot store), two writers
+/// whose ingest/retract pairs force warm refits under them, and one
+/// hostile of each kind. No epoch may show two fingerprints to anyone,
+/// each hostile draws its typed error, and the listener serves a fresh
+/// client afterwards.
+#[test]
+fn concurrent_queriers_writers_and_hostiles_never_see_a_torn_epoch() {
+    const QUERIERS: usize = 11;
+    const WRITERS: usize = 2;
+    // Queriers, writers, the slow loris and the three hostiles that can
+    // ping before they attack; the bad-preamble client cannot, so it is
+    // not waited for.
+    const PARTIES: usize = QUERIERS + WRITERS + 1 + 3;
+
+    let net = spawn_net();
+    let addr = net.addr();
+    let book = EpochBook::default();
+    let (arrived, writers_done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let meet = || arrive_and_wait(&arrived, PARTIES);
+    let (book, writers_done) = (&book, &writers_done);
+
+    thread::scope(|scope| {
+        for q in 0..QUERIERS as u32 {
+            scope.spawn(move || {
+                let mut client = NetClient::connect(addr).expect("querier connects");
+                client.ping().expect("ping");
+                meet();
+                let (mut last_epoch, mut i) = (0, q);
+                let started = Instant::now();
+                while writers_done.load(Ordering::SeqCst) < WRITERS {
+                    assert!(started.elapsed() < Duration::from_secs(60), "writers hang");
+                    let (epoch, fingerprint) = match i % 3 {
+                        0 => {
+                            let a = client.trust(SourceId::new(i % 4)).expect("trust");
+                            (a.epoch, a.fingerprint)
+                        }
+                        1 => {
+                            let a = client.top_k_sources(3).expect("top-k");
+                            assert!(a.value.windows(2).all(|p| p[0].1 >= p[1].1));
+                            (a.epoch, a.fingerprint)
+                        }
+                        _ => {
+                            let asked = (0..4).map(SourceId::new).collect();
+                            let a = client.trust_batch(asked).expect("trust batch");
+                            (a.epoch, a.fingerprint)
+                        }
+                    };
+                    book.note(epoch, fingerprint);
+                    assert!(
+                        epoch >= last_epoch,
+                        "epoch went backwards on one connection"
+                    );
+                    last_epoch = epoch;
+                    i += 1;
+                }
+            });
+        }
+
+        for w in 0..WRITERS as u32 {
+            scope.spawn(move || {
+                let _finished = Finished(writers_done);
+                let mut client = NetClient::connect(addr).expect("writer connects");
+                client.ping().expect("ping");
+                meet();
+                // Ingest a new source, wait for the refit that publishes
+                // it, retract it, wait again: two epochs per writer.
+                let source = 20 + w;
+                let mut epoch = client.ping().expect("ping").0;
+                let mut await_refit = |client: &mut NetClient| {
+                    epoch = wait_until(Duration::from_secs(20), "a warm refit", || {
+                        let (e, fingerprint) = client.ping().expect("ping during refit");
+                        book.note(e, fingerprint);
+                        (e > epoch).then_some(e)
+                    });
+                };
+                let delta = (0..10).map(|d| obs(source, d, 0)).collect();
+                assert_eq!(client.ingest(delta).expect("ingest ack"), 10);
+                await_refit(&mut client);
+                let keys = (0..10)
+                    .map(|d| (SourceId::new(source), ItemId::new(d), ValueId::new(0)))
+                    .collect();
+                assert_eq!(client.retract(keys).expect("retract ack"), 10);
+                await_refit(&mut client);
+            });
+        }
+
+        // The in-process oracle: the same snapshot store, read without
+        // the network in between, noted in the same book.
+        scope.spawn(|| {
+            let mut reader = net.handle().reader();
+            while writers_done.load(Ordering::SeqCst) < WRITERS {
+                let snap = reader.current();
+                book.note(snap.epoch(), snap.fingerprint());
+                thread::yield_now();
+            }
+        });
+
+        // Slow loris: a second ping, one byte per write.
+        scope.spawn(move || {
+            let mut s = raw_conn_after_ping(addr, 1);
+            meet();
+            for b in encode_frame(&Request::Ping { token: 2 }.encode()) {
+                s.write_all(&[b]).unwrap();
+                s.flush().unwrap();
+                thread::yield_now();
+            }
+            match read_reply_raw(&mut s) {
+                Some(Reply::Pong { token, .. }) => assert_eq!(token, 2),
+                other => panic!("slow client expected its pong, got {other:?}"),
+            }
+        });
+
+        // Mid-frame disconnect: half an ingest frame, then gone.
+        scope.spawn(move || {
+            let mut s = raw_conn_after_ping(addr, 3);
+            meet();
+            let delta = (0..50).map(|d| obs(30, d, 0)).collect();
+            let frame = encode_frame(&Request::Ingest { id: 7, delta }.encode());
+            s.write_all(&frame[..frame.len() / 2]).unwrap();
+        });
+
+        // `u32::MAX` length prefix.
+        scope.spawn(move || {
+            let mut s = raw_conn_after_ping(addr, 4);
+            meet();
+            s.write_all(&u32::MAX.to_le_bytes()).unwrap();
+            expect_error(&mut s, ErrorCode::FrameTooLarge);
+        });
+
+        // Flipped CRC bit.
+        scope.spawn(move || {
+            let mut s = raw_conn_after_ping(addr, 5);
+            meet();
+            let mut frame = encode_frame(&Request::Ping { token: 6 }.encode());
+            let n = frame.len();
+            frame[n - 1] ^= 0x40;
+            s.write_all(&frame).unwrap();
+            expect_error(&mut s, ErrorCode::BadCrc);
+        });
+
+        // Corrupt preamble, while everyone else is busy.
+        scope.spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\nHost: kbt\r\n\r\n").unwrap();
+            expect_error(&mut s, ErrorCode::BadMagic);
+        });
+    });
+
+    let epochs_seen = book.0.lock().unwrap().len();
+    assert!(
+        epochs_seen >= 3,
+        "refits ran under the queriers: {epochs_seen} epochs seen"
+    );
+    assert!(net.refits() >= 2, "the writers forced warm refits");
+
+    // The listener still serves a fresh client, from the last epoch.
+    let mut client = NetClient::connect(addr).expect("connect after the drill");
+    let (epoch, fingerprint) = client.ping().expect("ping");
+    book.note(epoch, fingerprint);
+    assert!(client.trust(SourceId::new(0)).unwrap().value.is_some());
+
+    let stats = net.stats();
+    assert!(
+        stats.peak_active >= PARTIES as u64,
+        "{PARTIES} connections were open at once, peak_active {}",
+        stats.peak_active
+    );
+    assert!(stats.protocol_errors >= 3, "{stats:?}");
+    assert_eq!(stats.ingested_observations, 20);
+    assert_eq!(stats.retracted_keys, 20);
+    let down = net.shutdown().expect("hostile load never kills the server");
+    assert!(down.durability.is_ok());
 }
 
 // ---- the durability drill ----

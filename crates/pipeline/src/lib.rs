@@ -263,9 +263,8 @@ impl TrustPipeline {
 
     /// Pin the worker-thread count for this run (`0` = hardware default).
     ///
-    /// Scoped and race-free: replaces the process-global
-    /// `kbt_flume::set_num_threads`, which remains only as a fallback
-    /// default for runs that never call this.
+    /// Scoped to this run and race-free (`kbt_flume::with_threads`); a
+    /// run that never calls this uses the hardware parallelism.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self

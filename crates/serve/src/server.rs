@@ -373,9 +373,9 @@ impl TrustServer {
     }
 
     /// [`Self::refit`] even when no delta is queued — always refits and
-    /// publishes a new epoch. Used by the `serve` bench to keep a refit
-    /// permanently in flight while readers hammer the store, and useful
-    /// operationally to re-publish after an out-of-band change.
+    /// publishes a new epoch. Keeps a refit in flight under readers
+    /// without feeding it data, and is useful operationally to
+    /// re-publish after an out-of-band change.
     ///
     /// # Errors
     ///

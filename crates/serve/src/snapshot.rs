@@ -23,7 +23,7 @@ pub enum RefitMode {
     /// `QualityInit::Default` from scratch on the merged cube — bitwise
     /// reproducible: a snapshot refit cold over a delta prefix is
     /// bit-identical to a cold `TrustPipeline` run over the same prefix
-    /// (the `serve` bench's equality check, and the right mode for audit
+    /// (checked by `tests/serving.rs`, and the right mode for audit
     /// replays).
     Cold,
 }
@@ -244,14 +244,8 @@ impl TrustSnapshot {
             return Err(SnapshotPartsError::UnsortedTriples);
         }
 
-        let mut trust_rank: Vec<u32> = (0..source_trust.len() as u32).collect();
-        trust_rank.sort_by(|&a, &b| {
-            f64::total_cmp(&source_trust[b as usize], &source_trust[a as usize]).then(a.cmp(&b))
-        });
-        let mut truth_rank: Vec<u32> = (0..truth_of_group.len() as u32).collect();
-        truth_rank.sort_by(|&a, &b| {
-            f64::total_cmp(&truth_of_group[b as usize], &truth_of_group[a as usize]).then(a.cmp(&b))
-        });
+        let trust_rank = rank_descending(&source_trust);
+        let truth_rank = rank_descending(&truth_of_group);
 
         let calibration = calibration_buckets(&truth_of_group);
         let mut snap = Self {
@@ -552,6 +546,25 @@ impl TrustSnapshot {
     }
 }
 
+/// Indices of `scores`, highest first under `f64::total_cmp`, ties by
+/// ascending index. Score and index are packed into one sort key, so the
+/// sort never chases an index back into `scores`.
+fn rank_descending(scores: &[f64]) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> = scores
+        .iter()
+        .zip(0u32..)
+        .map(|(&s, i)| {
+            // `total_cmp`'s order as an unsigned integer (a negative has every
+            // bit flipped, the rest only the sign bit), inverted to descend.
+            let bits = s.to_bits();
+            let ascending = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+            (!ascending, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Build the posterior-confidence histogram over the truth posteriors.
 fn calibration_buckets(truth: &[f64]) -> Vec<CalibrationBucket> {
     let n = CALIBRATION_BUCKETS;
@@ -682,6 +695,19 @@ mod tests {
             assert!(pair[0].3 >= pair[1].3);
         }
         assert!(snap.top_k_triples(0).is_empty());
+    }
+
+    #[test]
+    fn rank_order_is_total_cmp_descending_with_index_ties() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut scores = vec![0.5, nan, -0.0, 0.0, 1.0, -1.5, 0.5, inf, -nan, -inf, 5e-324];
+        // A long tail of ties, so the sort leaves its small-input path.
+        scores.extend((0..500u32).map(|i| f64::from(i % 7) / 7.0 - 0.3));
+        let mut expected: Vec<u32> = (0..scores.len() as u32).collect();
+        expected.sort_by(|&a, &b| {
+            f64::total_cmp(&scores[b as usize], &scores[a as usize]).then(a.cmp(&b))
+        });
+        assert_eq!(rank_descending(&scores), expected);
     }
 
     #[test]

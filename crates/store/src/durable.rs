@@ -11,7 +11,7 @@
 //!
 //! See the crate docs for the file formats and the recovery protocol;
 //! [`DurableTrustServer::recover`] is the pure recovery function (used
-//! directly by the crash proptests and the `store` bench), and
+//! directly by the crash proptests and `benchmark/`), and
 //! [`DurableTrustServer::open`] is recovery plus resumption: it
 //! re-checkpoints the recovered state, starts a fresh log, re-queues the
 //! uncommitted tail, and hands back a serving wrapper.
@@ -228,20 +228,48 @@ fn list_epoch_files(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u
     Ok(out)
 }
 
-/// Write `bytes` to `dir/name` atomically: tmp file, fsync, rename,
-/// best-effort directory fsync (so the rename itself is durable).
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+/// Write `bytes` to `dir/name` atomically: tmp file, fsync, rename. The
+/// rename itself is durable once the caller has run [`sync_dir`].
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let path = dir.join(name);
     let mut f = File::create(&tmp)?;
     f.write_all(bytes)?;
     f.sync_data()?;
     drop(f);
-    fs::rename(&tmp, &path)?;
+    fs::rename(&tmp, dir.join(name))
+}
+
+/// Best-effort fsync of `dir` itself, which makes the entries of files
+/// renamed into or created in it durable (their contents are synced
+/// through their own handles).
+fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(path)
+}
+
+/// Write `checkpoint-<epoch>` for `(snapshot, cube)` and start the fresh
+/// `wal-<epoch>.log` chained on it. The log is created only after the
+/// checkpoint's bytes are synced and renamed into place, and one
+/// directory sync then covers both new entries. Before it returns no
+/// commit has been written to the new log, so a crash may keep either
+/// file without the other and lose nothing: a checkpoint with no log
+/// replays zero records, and an empty log whose checkpoint is missing
+/// chains from the older checkpoint's log, which already holds every
+/// commit. After it, commits fsynced into the new log cannot vanish with
+/// the log's directory entry.
+fn write_checkpoint(
+    dir: &Path,
+    digest: u64,
+    snapshot: &TrustSnapshot,
+    cube: &ObservationCube,
+) -> Result<WalWriter, StoreError> {
+    let epoch = snapshot.epoch();
+    let bytes = encode_checkpoint(snapshot, cube, digest);
+    write_atomic(dir, &checkpoint_name(epoch), &bytes)?;
+    let wal = WalWriter::create(&dir.join(wal_name(epoch)), digest, epoch)?;
+    sync_dir(dir);
+    Ok(wal)
 }
 
 // ---- the shared store state ----
@@ -270,21 +298,14 @@ impl StoreInner {
     ) -> Result<Self, StoreError> {
         config.validate()?;
         fs::create_dir_all(dir)?;
-        let mut inner = Self {
+        let inner = Self {
             dir: dir.to_path_buf(),
             config,
             digest,
-            // Placeholder writer, immediately replaced by checkpoint();
-            // pointed at the real path so a failure mid-install leaves
-            // no stray file behind.
-            wal: WalWriter::create(
-                &dir.join(wal_name(snapshot.epoch())),
-                digest,
-                snapshot.epoch(),
-            )?,
-            deltas_at_checkpoint: 0,
+            wal: write_checkpoint(dir, digest, snapshot, cube)?,
+            deltas_at_checkpoint: snapshot.provenance().deltas_applied,
         };
-        inner.checkpoint(snapshot, cube)?;
+        inner.prune()?;
         Ok(inner)
     }
 
@@ -296,17 +317,9 @@ impl StoreInner {
         snapshot: &TrustSnapshot,
         cube: &ObservationCube,
     ) -> Result<(), StoreError> {
-        let epoch = snapshot.epoch();
-        let bytes = encode_checkpoint(snapshot, cube, self.digest);
-        write_atomic(&self.dir, &checkpoint_name(epoch), &bytes)?;
-        // Fresh log chained on the new checkpoint. Created only after
-        // the checkpoint is durable: a crash in between recovers from
-        // the new checkpoint with an empty (missing) log, which replays
-        // as zero records.
-        self.wal = WalWriter::create(&self.dir.join(wal_name(epoch)), self.digest, epoch)?;
+        self.wal = write_checkpoint(&self.dir, self.digest, snapshot, cube)?;
         self.deltas_at_checkpoint = snapshot.provenance().deltas_applied;
-        self.prune()?;
-        Ok(())
+        self.prune()
     }
 
     /// Delete checkpoints beyond the newest `keep_checkpoints`, and
@@ -638,8 +651,8 @@ impl DurableTrustServer {
 
     /// Pure recovery, no resumption and no writes: decode the newest
     /// valid checkpoint, replay the committed log suffix, collect the
-    /// uncommitted tail. What the crash proptests and the `store` bench
-    /// measure.
+    /// uncommitted tail. What the crash proptests check and
+    /// `benchmark/`'s `ingest_durable` times (`aux_p50_ms`).
     pub fn recover(dir: &Path, model: Model) -> Result<RecoveredState, StoreError> {
         recover_state(dir, model)
     }

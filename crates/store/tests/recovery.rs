@@ -347,6 +347,63 @@ fn reopened_server_matches_an_uncrashed_twin() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The structural fact behind "recovery is cheaper than a cold refit":
+/// a crash that lands on a checkpoint is pure decode, and a crash past
+/// one replays exactly the commits logged since, then refits once.
+#[test]
+fn recovery_decodes_a_checkpoint_and_replays_only_the_commits_past_it() {
+    // `commits` single-observation refits, then the crash.
+    let crash_after = |mode: RefitMode, checkpoint_every: usize, commits: u32| {
+        let dir = fresh_dir("replay-count");
+        let config = StoreConfig {
+            checkpoint_every,
+            fsync: FsyncPolicy::OnCommit,
+            keep_checkpoints: 2,
+        };
+        let session = FusionSession::from_observations(base_corpus(), model());
+        let mut server = DurableTrustServer::create(&dir, session, mode, config).unwrap();
+        for i in 0..commits {
+            server.ingest([obs(i % 2, i % 6, i % 12, 4)]).unwrap();
+            server.refit().unwrap().expect("pending batch publishes");
+        }
+        let served = server.handle().snapshot();
+        drop(server);
+        let recovered = DurableTrustServer::recover(&dir, model()).expect("recover");
+        (dir, served, recovered)
+    };
+
+    // Commit 2 checkpointed: nothing to replay. A *warm* server's
+    // snapshot comes back whole, provenance included — replay can only
+    // produce a cold refit, so this one was decoded and no EM ran.
+    let (dir, served, recovered) = crash_after(RefitMode::Warm, 2, 2);
+    assert_eq!(recovered.checkpoint_epoch, 2);
+    assert_eq!(recovered.replayed_commits, 0);
+    assert_eq!(served.provenance().refit_mode, RefitMode::Warm);
+    assert_eq!(&recovered.snapshot, served.as_ref());
+    assert_eq!(recovered.snapshot.fingerprint(), served.fingerprint());
+
+    // A tail torn off the log the checkpoint started destroys no commit
+    // (the log is empty; the tear is in its header): same epoch again.
+    let newest = files_with_prefix(&dir, "wal-").pop().expect("active log");
+    let bytes = fs::read(&newest).unwrap();
+    fs::write(&newest, &bytes[..bytes.len() - 7]).unwrap();
+    let torn = DurableTrustServer::recover(&dir, model()).expect("recover from torn tail");
+    assert_eq!(torn.replayed_commits, 0);
+    assert_eq!(&torn.snapshot, served.as_ref());
+    let _ = fs::remove_dir_all(&dir);
+
+    for (checkpoint_every, commits, checkpoint_epoch, replayed) in
+        [(4, 3, 0, 3), (2, 5, 4, 1), (4, 6, 4, 2)]
+    {
+        let (dir, served, recovered) = crash_after(RefitMode::Cold, checkpoint_every, commits);
+        assert_eq!(recovered.checkpoint_epoch, checkpoint_epoch);
+        assert_eq!(recovered.replayed_commits, replayed);
+        assert_eq!(recovered.snapshot.epoch(), u64::from(commits));
+        assert_eq!(recovered.snapshot.fingerprint(), served.fingerprint());
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn checkpoint_now_refuses_pending_batches() {
     let dir = fresh_dir("ckpt-now");

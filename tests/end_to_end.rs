@@ -113,7 +113,7 @@ fn pipeline_is_deterministic() {
 
 /// Parallel execution must not change results: 1 worker ≡ N workers.
 /// Thread counts are per-run (`.threads(..)`), so this test cannot race
-/// with other tests the way the old `set_num_threads` global did.
+/// with other tests.
 #[test]
 fn parallel_equals_serial() {
     let data = generate(&SyntheticConfig {
