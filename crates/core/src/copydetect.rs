@@ -233,7 +233,7 @@ pub(crate) fn collect_pair_stats(
     cube: &ObservationCube,
     cfg: &CopyDetectConfig,
 ) -> Vec<PairCounts> {
-    pair_counts(cube, cfg.min_overlap, kbt_flume::num_threads())
+    pair_counts(cube, cfg.min_overlap)
 }
 
 /// Score a pair-stats table against an accuracy vector and sort the

@@ -10,7 +10,7 @@
 use std::io;
 
 use kbt_datamodel::{ChunkSource, GroupView};
-use kbt_flume::{par_chunks_mut, ShardedExecutor};
+use kbt_flume::par_ranges_mut;
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
@@ -66,7 +66,7 @@ impl AlphaState {
         debug_assert_eq!(truth.len(), self.logits.len());
         let n = cfg.n_false_values.max(1) as f64;
         let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        par_chunks_mut(&mut self.logits, |base, chunk| {
+        par_ranges_mut(&mut self.logits, |base, chunk| {
             // Walk the source spans that overlap `base..end`, starting at
             // the one holding group `base`.
             let end = base + chunk.len();
@@ -144,15 +144,12 @@ pub(crate) fn estimate_correctness<S: ChunkSource>(
     votes: &VoteCounter,
     alpha: &AlphaState,
     cfg: &ModelConfig,
-    exec: &mut ShardedExecutor<()>,
     out: &mut [f64],
 ) -> io::Result<()> {
-    let frames = exec.map_chunks(
-        src.meta().group_frames.len(),
-        src.prefetch_depth(kbt_flume::num_threads()),
-        |i| src.prefetch_groups(i),
-        |_, i| src.with_groups(i, |v| estimate_correctness_frame(v, votes, alpha, cfg)),
-    )?;
+    // Scratch-free: one unit slot per worker the policy allows.
+    let frames = src.scan_groups(&mut vec![(); kbt_flume::num_threads()], |_, v| {
+        estimate_correctness_frame(v, votes, alpha, cfg)
+    })?;
     for (range, vals) in src.meta().group_frames.iter().zip(frames) {
         out[range.start as usize..range.end as usize].copy_from_slice(&vals);
     }
@@ -297,9 +294,7 @@ mod tests {
                         let mut alpha = AlphaState::uniform(ng, cfg.alpha);
                         alpha.update(&cc.source_offsets, &truth, &params, &cfg);
                         let mut got = vec![0.0; ng];
-                        let mut exec = ShardedExecutor::new();
-                        estimate_correctness(&src, &votes, &alpha, &cfg, &mut exec, &mut got)
-                            .unwrap();
+                        estimate_correctness(&src, &votes, &alpha, &cfg, &mut got).unwrap();
                         for g in 0..ng {
                             let tag = format!("{policy:?} t={target_cells} g={g} x{threads}");
                             assert_eq!(

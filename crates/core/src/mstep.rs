@@ -13,7 +13,7 @@
 use std::io;
 
 use kbt_datamodel::{ChunkSource, GroupView, ObservationCube, SourceId};
-use kbt_flume::{par_chunks_mut, par_map_indexed, ShardedExecutor};
+use kbt_flume::{par_map_slice, par_ranges_mut};
 
 use crate::config::ModelConfig;
 use crate::math::clamp_quality;
@@ -28,8 +28,6 @@ use crate::params::{q_from_precision_recall, Params};
 /// `source_offsets[w]..source_offsets[w+1]`. Sources are updated in
 /// parallel into the caller-held `updates` buffer (reused across rounds);
 /// each source's sums run serially over its span.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn update_source_accuracy(
     source_offsets: &[u32],
     correctness: &[f64],
@@ -37,12 +35,11 @@ pub(crate) fn update_source_accuracy(
     cfg: &ModelConfig,
     params: &mut Params,
     active: &mut [bool],
-    exec: &mut ShardedExecutor<()>,
     updates: &mut Vec<Option<f64>>,
 ) {
     let num_sources = source_offsets.len() - 1;
     debug_assert_eq!(truth.len(), correctness.len());
-    exec.map_keys(num_sources, updates, |_, w| {
+    let estimate = |w: usize| {
         let (lo, hi) = (source_offsets[w] as usize, source_offsets[w + 1] as usize);
         if hi - lo < cfg.min_source_support {
             return None;
@@ -57,6 +54,13 @@ pub(crate) fn update_source_accuracy(
             return None;
         }
         Some(clamp_quality(num / den))
+    };
+    updates.clear();
+    updates.resize(num_sources, None);
+    par_ranges_mut(updates, |base, part| {
+        for (w, u) in (base..).zip(part) {
+            *u = estimate(w);
+        }
     });
     for (w, u) in updates.iter().enumerate() {
         match u {
@@ -161,7 +165,7 @@ impl StreamedExtractorAcc {
         params: &mut Params,
     ) {
         let gamma = estimate_gamma(source_item_counts, correctness, cfg);
-        let (precision, recall, q) = (&mut params.precision, &mut params.recall, &mut params.q);
+        let (precision, recall) = (&mut params.precision, &mut params.recall);
         for e in 0..precision.len() {
             let rden = if self.scoped {
                 self.rden[e]
@@ -174,13 +178,8 @@ impl StreamedExtractorAcc {
             if rden > 1e-12 {
                 recall[e] = clamp_quality(self.num[e] / rden);
             }
+            params.q[e] = q_from_precision_recall(precision[e], recall[e], gamma);
         }
-        par_chunks_mut(q, |base, chunk| {
-            for (i, qe) in chunk.iter_mut().enumerate() {
-                let e = base + i;
-                *qe = q_from_precision_recall(precision[e], recall[e], gamma);
-            }
-        });
     }
 }
 
@@ -200,28 +199,23 @@ pub fn estimate_gamma(source_item_counts: &[u32], correctness: &[f64], cfg: &Mod
     clamp_quality(mass / (slots.max(1) as f64))
 }
 
-/// The extractor-quality M-step over every group frame of `src`: one
-/// [`StreamedExtractorAcc`] (the arena of `fold`'s single worker) folded
-/// over the frames in ascending order under the source's prefetch
-/// look-ahead.
+/// The extractor-quality M-step over every group frame of `src`: `acc`
+/// is the scan's only scratch slot, so one worker folds the frames into
+/// it in ascending order (a streamed source still prefetching ahead).
 pub(crate) fn update_extractor_quality<S: ChunkSource>(
     src: &S,
     correctness: &[f64],
     cfg: &ModelConfig,
     params: &mut Params,
-    fold: &mut ShardedExecutor<StreamedExtractorAcc>,
+    acc: &mut StreamedExtractorAcc,
 ) -> io::Result<()> {
-    debug_assert_eq!(fold.num_shards(), 1, "the fold is serial by contract");
     let meta = src.meta();
     let ne = meta.num_extractors as usize;
-    fold.scratch_mut()[0].begin(ne, &meta.source_offsets, correctness, cfg);
-    fold.map_chunks(
-        meta.group_frames.len(),
-        src.prefetch_depth(kbt_flume::num_threads()),
-        |i| src.prefetch_groups(i),
-        |acc, i| src.with_groups(i, |v| acc.consume(v, correctness, cfg)),
-    )?;
-    fold.scratch_mut()[0].finish(&meta.source_item_counts, correctness, cfg, params);
+    acc.begin(ne, &meta.source_offsets, correctness, cfg);
+    src.scan_groups(std::slice::from_mut(acc), |acc, v| {
+        acc.consume(v, correctness, cfg)
+    })?;
+    acc.finish(&meta.source_item_counts, correctness, cfg, params);
     Ok(())
 }
 
@@ -253,7 +247,7 @@ pub fn update_extractor_quality_indexed(
     let gamma = crate::reference::estimate_gamma(cube, correctness, cfg);
 
     let scoped = cfg.absence_policy == crate::config::AbsencePolicy::SourceCandidates;
-    let results: Vec<(f64, f64, f64)> = par_map_indexed(index, |_, cells| {
+    let results: Vec<(f64, f64, f64)> = par_map_slice(index, |cells| {
         let mut num = 0.0;
         let mut pden = 0.0;
         let mut rden = 0.0;
@@ -376,23 +370,29 @@ mod tests {
                     for threads in [1usize, 2, 8] {
                         let mut got = Params::init(&cube, &cfg, &QualityInit::Default);
                         let mut active = vec![true; cube.num_sources()];
-                        let mut exec = ShardedExecutor::with_shards(threads);
-                        let mut fold = ShardedExecutor::with_shards(1);
+                        let mut fold = StreamedExtractorAcc::default();
                         let mut updates = Vec::new();
                         // Two rounds: the second exercises buffer reuse.
                         for _ in 0..2 {
-                            update_source_accuracy(
-                                &cc.source_offsets,
-                                &correctness,
-                                &truth,
-                                &cfg,
-                                &mut got,
-                                &mut active,
-                                &mut exec,
-                                &mut updates,
-                            );
-                            update_extractor_quality(&src, &correctness, &cfg, &mut got, &mut fold)
+                            kbt_flume::with_threads(Some(threads), || {
+                                update_source_accuracy(
+                                    &cc.source_offsets,
+                                    &correctness,
+                                    &truth,
+                                    &cfg,
+                                    &mut got,
+                                    &mut active,
+                                    &mut updates,
+                                );
+                                update_extractor_quality(
+                                    &src,
+                                    &correctness,
+                                    &cfg,
+                                    &mut got,
+                                    &mut fold,
+                                )
                                 .unwrap();
+                            });
                         }
                         let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
                         assert_eq!(got, want, "{tag} x{threads}");

@@ -19,7 +19,7 @@ use kbt_datamodel::{
     CacheStats, ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
     SourceId, StreamedChunks,
 };
-use kbt_flume::{ShardedExecutor, Stopwatch};
+use kbt_flume::{par_ranges_mut, Stopwatch};
 
 use crate::config::ModelConfig;
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount, CopyEvidence};
@@ -325,7 +325,7 @@ impl MultiLayerModel {
 /// caller's residency picked. Every stage reads the cube through chunk
 /// views — [`estimate_correctness`] and [`update_extractor_quality`] over
 /// group frames, [`estimate_values`] over item chunks — or through the
-/// source's integer skeleton alone (vote tables, Eq. 28, α, γ). Executors
+/// source's integer skeleton alone (vote tables, Eq. 28, α, γ). Scratch
 /// and buffers persist across rounds, so the steady-state loop allocates
 /// only the round's value-layer output.
 fn run_em<S: ChunkSource>(
@@ -356,14 +356,14 @@ fn run_em<S: ChunkSource>(
         alpha.update(&meta.source_offsets, t0, &params, cfg);
     }
 
-    let mut value_exec: ShardedExecutor<ColValueScratch> = ShardedExecutor::new();
-    let mut group_exec: ShardedExecutor<()> = ShardedExecutor::new();
-    let mut source_exec: ShardedExecutor<()> = ShardedExecutor::new();
-    let mut fold_exec: ShardedExecutor<StreamedExtractorAcc> = ShardedExecutor::with_shards(1);
+    // One value-layer scratch per worker the scans may use.
+    let mut value_scratch: Vec<ColValueScratch> = Vec::new();
+    value_scratch.resize_with(kbt_flume::num_threads(), Default::default);
+    let mut extractor_acc = StreamedExtractorAcc::default();
     let mut votes = VoteCounter::empty();
     let mut correctness: Vec<f64> = vec![0.0; ng];
     let mut src_updates: Vec<Option<f64>> = Vec::new();
-    let mut ll_buf: Vec<f64> = Vec::new();
+    let mut ll_buf: Vec<f64> = vec![0.0; ng];
 
     let mut values: Option<ValueLayerOutput> = None;
     let mut trace = ConvergenceTrace::default();
@@ -382,7 +382,7 @@ fn run_em<S: ChunkSource>(
             cfg,
         );
         trace.stage_wall.votes += stage.lap();
-        estimate_correctness(src, &votes, &alpha, cfg, &mut group_exec, &mut correctness)?;
+        estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
         trace.stage_wall.correctness += stage.lap();
         // Step 2: item values (with the CopyDiscount stage, if any). The
         // previous round's output is dead from here on, so drop it first:
@@ -397,7 +397,7 @@ fn run_em<S: ChunkSource>(
             cfg,
             &active,
             discount,
-            &mut value_exec,
+            &mut value_scratch,
         )?;
         trace.stage_wall.values += stage.lap();
         // Steps 3–4: parameters.
@@ -409,11 +409,10 @@ fn run_em<S: ChunkSource>(
             cfg,
             &mut params,
             &mut active,
-            &mut source_exec,
             &mut src_updates,
         );
         trace.stage_wall.source_update += stage.lap();
-        update_extractor_quality(src, &correctness, cfg, &mut params, &mut fold_exec)?;
+        update_extractor_quality(src, &correctness, cfg, &mut params, &mut extractor_acc)?;
         trace.stage_wall.extractor_update += stage.lap();
         // Re-estimate the correctness prior for the *next* iteration
         // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
@@ -424,8 +423,10 @@ fn run_em<S: ChunkSource>(
         let delta = params.max_abs_delta(&prev);
         // Per-group LL terms in parallel, summed serially in group order.
         let (truth, corr) = (&out.truth_of_group, &correctness);
-        group_exec.map_keys(ng, &mut ll_buf, |_, g| {
-            map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])
+        par_ranges_mut(&mut ll_buf, |base, part| {
+            for (g, ll) in (base..).zip(part) {
+                *ll = map_confidence_ll(corr[g]) + map_confidence_ll(truth[g]);
+            }
         });
         let log_likelihood = ll_buf.iter().sum();
         trace.stage_wall.log_likelihood += stage.lap();

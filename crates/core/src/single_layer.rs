@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use kbt_datamodel::{ExtractorId, ItemId, ObservationCube, SourceId, ValueId};
-use kbt_flume::{ShardedExecutor, Stopwatch};
+use kbt_flume::{par_ranges, Stopwatch};
 
 use crate::config::{ModelConfig, ValueModel};
 use crate::math::{clamp_quality, log_sum_exp_with_zeros};
@@ -110,9 +110,8 @@ impl SingleLayerModel {
         init: &QualityInit,
     ) -> (SingleLayerResult, ConvergenceTrace) {
         kbt_flume::with_threads(self.cfg.threads, || {
-            let mut exec: ShardedExecutor<PairScratch> = ShardedExecutor::new();
             run_with(&self.cfg, cube, init, |pc, acc, truth_of_claim| {
-                pair_estep(pc, acc, &self.cfg, &mut exec, truth_of_claim)
+                pair_estep(pc, acc, &self.cfg, truth_of_claim)
             })
         })
     }
@@ -301,26 +300,22 @@ pub(crate) fn run_with(
     (result, trace)
 }
 
-/// Reusable per-shard scratch of the sharded single-layer E-step.
-#[derive(Debug, Default)]
-struct PairScratch {
-    votes: Vec<(ValueId, f64, f64)>, // (v, vote sum, claim count)
-    vcs: Vec<f64>,
+/// One item range's output of the single-layer E-step.
+struct PairRangeOut {
     entries: Vec<(ValueId, f64)>,
     entry_counts: Vec<u32>,
     unobserved: Vec<f64>,
     truth: Vec<(u32, f64)>, // (claim index, truthfulness)
 }
 
-/// The single-layer E-step (Eq. 2–3), items sharded over the executor's
-/// workers, each reusing its [`PairScratch`]; shard outputs merge in shard
-/// order. The arithmetic is [`crate::reference::pair_estep`]'s, operation
-/// for operation (the `sharded_engine` integration test pins bit-identity).
+/// The single-layer E-step (Eq. 2–3), one contiguous item range per
+/// worker ([`par_ranges`]); range outputs merge in range order. The
+/// arithmetic is [`crate::reference::pair_estep`]'s, operation for
+/// operation (the `sharded_engine` integration test pins bit-identity).
 fn pair_estep(
     pc: &PairClaims<'_>,
     acc: &[f64],
     cfg: &ModelConfig,
-    exec: &mut ShardedExecutor<PairScratch>,
     truth_of_claim: &mut [f64],
 ) -> ItemPosteriors {
     let PairClaims {
@@ -332,15 +327,20 @@ fn pair_estep(
     let ni = offsets.len() - 1;
     let n = cfg.n_false_values as f64;
     let domain = cfg.n_false_values + 1;
-    exec.run_shards(ni, |s, _, item_range| {
-        s.entries.clear();
-        s.entry_counts.clear();
-        s.unobserved.clear();
-        s.truth.clear();
+    let outs = par_ranges(ni, |item_range| {
+        let range_claims = (offsets[item_range.end] - offsets[item_range.start]) as usize;
+        let mut s = PairRangeOut {
+            entries: Vec::new(),
+            entry_counts: Vec::with_capacity(item_range.len()),
+            unobserved: Vec::with_capacity(item_range.len()),
+            truth: Vec::with_capacity(range_claims),
+        };
+        let mut votes: Vec<(ValueId, f64, f64)> = Vec::new(); // (v, vote sum, claim count)
+        let mut vcs: Vec<f64> = Vec::new();
         for d in item_range {
             let lo = offsets[d] as usize;
             let hi = offsets[d + 1] as usize;
-            s.votes.clear();
+            votes.clear();
             for &ci in &by_item[lo..hi] {
                 let cl = claims[ci as usize];
                 if !active_pair[cl.pair as usize] {
@@ -348,29 +348,29 @@ fn pair_estep(
                 }
                 let a = clamp_quality(acc[cl.pair as usize]);
                 let vote = (n * a / (1.0 - a)).ln();
-                match s.votes.iter_mut().find(|(v, _, _)| *v == cl.value) {
+                match votes.iter_mut().find(|(v, _, _)| *v == cl.value) {
                     Some((_, sum, c)) => {
                         *sum += vote;
                         *c += 1.0;
                     }
-                    None => s.votes.push((cl.value, vote, 1.0)),
+                    None => votes.push((cl.value, vote, 1.0)),
                 }
             }
-            if cfg.value_model == ValueModel::PopAccu && !s.votes.is_empty() {
-                let total: f64 = s.votes.iter().map(|(_, _, c)| c).sum();
+            if cfg.value_model == ValueModel::PopAccu && !votes.is_empty() {
+                let total: f64 = votes.iter().map(|(_, _, c)| c).sum();
                 let denom = total + n + 1.0;
-                for (_, sum, c) in s.votes.iter_mut() {
+                for (_, sum, c) in votes.iter_mut() {
                     let rho = (*c + 1.0) / denom;
                     *sum += *c * ((1.0 / n).ln() - rho.ln());
                 }
             }
-            let unobserved_count = domain.saturating_sub(s.votes.len());
-            s.vcs.clear();
-            s.vcs.extend(s.votes.iter().map(|(_, sum, _)| *sum));
-            let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
+            let unobserved_count = domain.saturating_sub(votes.len());
+            vcs.clear();
+            vcs.extend(votes.iter().map(|(_, sum, _)| *sum));
+            let log_z = log_sum_exp_with_zeros(&vcs, unobserved_count);
             let entry_start = s.entries.len();
             s.entries
-                .extend(s.votes.iter().map(|(v, sum, _)| (*v, (sum - log_z).exp())));
+                .extend(votes.iter().map(|(v, sum, _)| (*v, (sum - log_z).exp())));
             s.entries[entry_start..].sort_unstable_by_key(|(v, _)| *v);
             s.entry_counts.push((s.entries.len() - entry_start) as u32);
             let um = if log_z.is_finite() {
@@ -389,17 +389,16 @@ fn pair_estep(
                 s.truth.push((ci, p));
             }
         }
+        s
     });
 
-    // Ordered merge: shard `i` holds item range `i`.
-    let total_entries: usize = exec.scratch().iter().map(|s| s.entries.len()).sum();
+    // Ordered merge: the ranges tile the items in order.
+    let total_entries: usize = outs.iter().map(|s| s.entries.len()).sum();
     let mut out_offsets = Vec::with_capacity(ni + 1);
     out_offsets.push(0u32);
     let mut entries = Vec::with_capacity(total_entries);
     let mut unobserved = Vec::with_capacity(ni);
-    let ranges = exec.shard_ranges(ni);
-    for (s, range) in exec.scratch().iter().zip(&ranges) {
-        debug_assert_eq!(s.entry_counts.len(), range.len());
+    for s in &outs {
         for &c in &s.entry_counts {
             out_offsets.push(out_offsets.last().unwrap() + c);
         }
@@ -409,6 +408,7 @@ fn pair_estep(
             truth_of_claim[ci as usize] = p;
         }
     }
+    debug_assert_eq!(out_offsets.len(), ni + 1);
     ItemPosteriors::from_flat_parts(out_offsets, entries, unobserved)
 }
 

@@ -12,7 +12,6 @@
 use std::io;
 
 use kbt_datamodel::{ChunkSource, ItemView, SourceId, ValueId};
-use kbt_flume::ShardedExecutor;
 
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
@@ -216,11 +215,11 @@ fn col_value_item_kernel(
 /// factor `I(w)` — `None` leaves the arithmetic bit-identical to
 /// copy-blind fusion.
 ///
-/// Workers pull whole chunks ([`ShardedExecutor::map_chunks`], with the
-/// source's prefetch look-ahead) and run [`col_value_item_kernel`] over
-/// each chunk's items; chunks tile the item space in order and their
-/// outputs merge in chunk order, so the result is the same at any thread
-/// count, chunk size and cache size.
+/// Workers pull whole chunks ([`ChunkSource::scan_items`], one `scratch`
+/// slot each) and run [`col_value_item_kernel`] over each chunk's items;
+/// chunks tile the item space in order and their outputs merge in chunk
+/// order, so the result is the same at any thread count, chunk size and
+/// cache size.
 pub(crate) fn estimate_values<S: ChunkSource>(
     src: &S,
     correctness: &[f64],
@@ -228,7 +227,7 @@ pub(crate) fn estimate_values<S: ChunkSource>(
     cfg: &ModelConfig,
     active_source: &[bool],
     discount: Option<&CopyDiscount>,
-    exec: &mut ShardedExecutor<ColValueScratch>,
+    scratch: &mut [ColValueScratch],
 ) -> io::Result<ValueLayerOutput> {
     let meta = src.meta();
     let num_groups = meta.num_groups as usize;
@@ -259,43 +258,36 @@ pub(crate) fn estimate_values<S: ChunkSource>(
     let domain = cfg.n_false_values + 1;
     let miv = meta.max_item_values as usize;
 
-    let outs: Vec<ValueChunkOut> = exec.map_chunks(
-        meta.item_chunks.len(),
-        src.prefetch_depth(kbt_flume::num_threads()),
-        |idx| src.prefetch_items(idx),
-        |s, idx| {
-            src.with_items(idx, |view| {
-                for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
-                    slots.clear();
-                    slots.resize(miv, 0.0);
-                }
-                s.voted.clear();
-                s.voted.resize(miv, false);
-                let mut out = ValueChunkOut {
-                    entries: Vec::with_capacity(view.item_values.len()),
-                    entry_counts: Vec::with_capacity(view.num_items()),
-                    unobserved: Vec::with_capacity(view.num_items()),
-                    groups: Vec::with_capacity(view.ig_group.len()),
-                };
-                for li in 0..view.num_items() {
-                    col_value_item_kernel(
-                        view,
-                        correctness,
-                        active_source,
-                        &full_vote_of,
-                        map_weight,
-                        popaccu,
-                        n,
-                        domain,
-                        li,
-                        s,
-                        &mut out,
-                    );
-                }
-                out
-            })
-        },
-    )?;
+    let outs: Vec<ValueChunkOut> = src.scan_items(scratch, |s, view| {
+        for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
+            slots.clear();
+            slots.resize(miv, 0.0);
+        }
+        s.voted.clear();
+        s.voted.resize(miv, false);
+        let mut out = ValueChunkOut {
+            entries: Vec::with_capacity(view.item_values.len()),
+            entry_counts: Vec::with_capacity(view.num_items()),
+            unobserved: Vec::with_capacity(view.num_items()),
+            groups: Vec::with_capacity(view.ig_group.len()),
+        };
+        for li in 0..view.num_items() {
+            col_value_item_kernel(
+                view,
+                correctness,
+                active_source,
+                &full_vote_of,
+                map_weight,
+                popaccu,
+                n,
+                domain,
+                li,
+                s,
+                &mut out,
+            );
+        }
+        out
+    })?;
 
     let total_entries: usize = outs.iter().map(|o| o.entries.len()).sum();
     let mut offsets = Vec::with_capacity(ni + 1);
@@ -385,17 +377,20 @@ mod tests {
                 let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
                 let src = ResidentChunks::new(&cc);
                 for shards in [1usize, 2, 8] {
-                    let mut exec = ShardedExecutor::with_shards(shards);
+                    let mut scratch: Vec<ColValueScratch> = Vec::new();
+                    scratch.resize_with(shards, Default::default);
                     let mut run = || {
-                        estimate_values(
-                            &src,
-                            &correctness,
-                            &params,
-                            &cfg,
-                            &active,
-                            discount,
-                            &mut exec,
-                        )
+                        kbt_flume::with_threads(Some(shards), || {
+                            estimate_values(
+                                &src,
+                                &correctness,
+                                &params,
+                                &cfg,
+                                &active,
+                                discount,
+                                &mut scratch,
+                            )
+                        })
                         .unwrap()
                     };
                     // Run twice: the second round exercises buffer reuse.

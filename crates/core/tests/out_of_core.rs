@@ -5,7 +5,7 @@
 //! `apply_delta`/`retract`; and I/O corruption mid-fit surfaces as typed
 //! errors, never panics.
 //!
-//! Also compiled into the facade's `tests/out_of_core.rs`, so the tier-1
+//! `kbt-core` is a default member of the workspace, so the tier-1
 //! `cargo test -q` at the repository root runs it.
 
 use std::fs;

@@ -22,20 +22,21 @@
 //! The group list is additionally partitioned into fixed-size,
 //! **item-aligned chunks** ([`CubeChunk`]) of roughly
 //! [`ChunkingConfig::target_cells`] cells: a chunk's scratch is its whole
-//! working set, and a sharded executor hands whole chunks to its workers
-//! (`kbt_flume::ShardedExecutor::map_chunks`). Because chunks never split
-//! an item, per-item reductions stay local to one worker and the merge
-//! order stays deterministic.
+//! working set, and a scan hands whole chunks to its workers
+//! ([`ChunkSource::scan_items`]). Because chunks never split an item,
+//! per-item reductions stay local to one worker and the merge order stays
+//! deterministic.
 //!
 //! # Chunk sources
 //!
-//! An EM fit reads the cube only through a [`ChunkSource`]: item-major
-//! [`ItemView`]s, group-major [`GroupView`]s and the resident integer
-//! skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`] serves zero-copy
-//! slices of a [`ChunkedCube`]; [`StreamedChunks`] leases decoded
-//! [`ChunkBuf`]s / [`GroupBuf`]s of a [`FileChunkStore`] from bounded
-//! caches, so the resident set is a handful of buffers instead of the
-//! whole corpus. The v2 file format (`KBTCHNK2`) is the magic followed by
+//! An EM fit reads the cube only through a [`ChunkSource`]: scans over
+//! item-major [`ItemView`]s and over group-major [`GroupView`]s — the one
+//! place that decides how chunk work is scheduled and prefetched — and
+//! the resident integer skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`]
+//! serves zero-copy slices of a [`ChunkedCube`]; [`StreamedChunks`] leases
+//! decoded [`ChunkBuf`]s / [`GroupBuf`]s of a [`FileChunkStore`] from
+//! bounded caches, so the resident set is a handful of buffers instead of
+//! the whole corpus. The v2 file format (`KBTCHNK2`) is the magic followed by
 //! four families of [`wire`] frames (the frame, sequence and column
 //! contracts are stated once, in that module's docs):
 //!
@@ -123,7 +124,7 @@ pub struct CubeChunk {
 ///   streams these; `ig_slot` pre-resolves each group's value to its
 ///   index in the item's sorted distinct-value list so the hot loop does
 ///   no searching.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedCube {
     /// Source id of group `g` (global group order).
     pub group_source: Vec<u32>,
@@ -192,15 +193,12 @@ impl ChunkedCube {
         let groups = cube.groups();
 
         // The gather scatters into positions fixed by prefix sums, so it
-        // parallelizes over disjoint output ranges without changing a
+        // parallelizes over disjoint output windows without changing a
         // single byte of the result: every value and every position is
-        // independent of the worker count. Small cubes (unit tests,
-        // serving deltas) stay on one worker to skip spawn overhead.
-        let workers = if ng >= (1 << 15) {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
+        // independent of the part count. Small cubes (unit tests, serving
+        // deltas) stay in one part, which runs inline.
+        let parts = if ng >= (1 << 15) {
+            kbt_flume::num_threads()
         } else {
             1
         };
@@ -239,124 +237,96 @@ impl ChunkedCube {
         let mut ig_has_cells = vec![0u8; ng];
         let mut item_values = vec![0u32; item_value_offsets[ni] as usize];
 
-        // Group-major copy for the group span starting at `glo`.
-        let cell_offsets_ref = &cell_offsets;
-        let fill_groups = |glo: usize,
-                           gs: &mut [u32],
-                           gi: &mut [u32],
-                           gv: &mut [u32],
-                           ce: &mut [u32],
-                           cf: &mut [f64]| {
-            let cell_base = cell_offsets_ref[glo] as usize;
-            for (k, grp) in groups[glo..glo + gs.len()].iter().enumerate() {
-                gs[k] = grp.source.0;
-                gi[k] = grp.item.0;
-                gv[k] = grp.value.0;
-                let at = cell_offsets_ref[glo + k] as usize - cell_base;
+        // One part's disjoint windows of the ten columns: a contiguous
+        // group span with its cells, a contiguous item span with its
+        // item-major rows and distinct values.
+        struct Part<'a> {
+            groups: Range<usize>,
+            gs: &'a mut [u32],
+            gi: &'a mut [u32],
+            gv: &'a mut [u32],
+            ce: &'a mut [u32],
+            cf: &'a mut [f64],
+            items: Range<usize>,
+            igg: &'a mut [u32],
+            igs: &'a mut [u32],
+            igl: &'a mut [u32],
+            igh: &'a mut [u8],
+            ivals: &'a mut [u32],
+        }
+        fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+            column.split_off_mut(..len).expect("window in bounds")
+        }
+        let mut windows = Vec::with_capacity(parts);
+        let mut gs = group_source.as_mut_slice();
+        let mut gi = group_item.as_mut_slice();
+        let mut gv = group_value.as_mut_slice();
+        let mut ce = cell_extractor.as_mut_slice();
+        let mut cf = cell_confidence.as_mut_slice();
+        let mut igg = ig_group.as_mut_slice();
+        let mut igs = ig_source.as_mut_slice();
+        let mut igl = ig_slot.as_mut_slice();
+        let mut igh = ig_has_cells.as_mut_slice();
+        let mut ivals = item_values.as_mut_slice();
+        let span = |n: usize, t: usize| (n * t / parts)..(n * (t + 1) / parts);
+        for t in 0..parts {
+            let (groups, items) = (span(ng, t), span(ni, t));
+            let cells = (cell_offsets[groups.end] - cell_offsets[groups.start]) as usize;
+            let rows = (item_offsets[items.end] - item_offsets[items.start]) as usize;
+            let vals = (item_value_offsets[items.end] - item_value_offsets[items.start]) as usize;
+            windows.push(Part {
+                gs: carve(&mut gs, groups.len()),
+                gi: carve(&mut gi, groups.len()),
+                gv: carve(&mut gv, groups.len()),
+                ce: carve(&mut ce, cells),
+                cf: carve(&mut cf, cells),
+                groups,
+                igg: carve(&mut igg, rows),
+                igs: carve(&mut igs, rows),
+                igl: carve(&mut igl, rows),
+                igh: carve(&mut igh, rows),
+                ivals: carve(&mut ivals, vals),
+                items,
+            });
+        }
+        let fill = |w: &mut Part<'_>| {
+            // Group-major copy.
+            let cell_base = cell_offsets[w.groups.start] as usize;
+            for (k, grp) in groups[w.groups.clone()].iter().enumerate() {
+                w.gs[k] = grp.source.0;
+                w.gi[k] = grp.item.0;
+                w.gv[k] = grp.value.0;
+                let at = cell_offsets[w.groups.start + k] as usize - cell_base;
                 for (j, c) in cube.cells_of(grp).iter().enumerate() {
-                    ce[at + j] = c.extractor.0;
-                    cf[at + j] = c.confidence;
+                    w.ce[at + j] = c.extractor.0;
+                    w.cf[at + j] = c.confidence;
                 }
             }
-        };
-        // Item-major gather + slot resolution for items `dlo..dlo+n`.
-        let item_offsets_ref = &item_offsets;
-        let item_value_offsets_ref = &item_value_offsets;
-        let fill_items = |dlo: usize,
-                          n: usize,
-                          igg: &mut [u32],
-                          igs: &mut [u32],
-                          igl: &mut [u32],
-                          igh: &mut [u8],
-                          ivals: &mut [u32]| {
-            let row_base = item_offsets_ref[dlo] as usize;
-            let val_base = item_value_offsets_ref[dlo] as usize;
-            for d in dlo..dlo + n {
+            // Item-major gather + slot resolution.
+            let row_base = item_offsets[w.items.start] as usize;
+            let val_base = item_value_offsets[w.items.start] as usize;
+            for d in w.items.clone() {
                 let id = ItemId::new(d as u32);
                 let vals = cube.observed_values(id);
-                let vo = item_value_offsets_ref[d] as usize - val_base;
+                let vo = item_value_offsets[d] as usize - val_base;
                 for (j, v) in vals.iter().enumerate() {
-                    ivals[vo + j] = v.0;
+                    w.ivals[vo + j] = v.0;
                 }
-                let r0 = item_offsets_ref[d] as usize - row_base;
+                let r0 = item_offsets[d] as usize - row_base;
                 for (r, g) in (r0..).zip(cube.groups_of_item(id)) {
                     let grp = &groups[g];
                     let slot = vals
                         .binary_search(&grp.value)
                         .expect("group value is an observed value of its item");
-                    igg[r] = g as u32;
-                    igs[r] = grp.source.0;
-                    igl[r] = slot as u32;
-                    igh[r] = u8::from(!cube.cells_of(grp).is_empty());
+                    w.igg[r] = g as u32;
+                    w.igs[r] = grp.source.0;
+                    w.igl[r] = slot as u32;
+                    w.igh[r] = u8::from(!cube.cells_of(grp).is_empty());
                 }
             }
         };
-
-        if workers <= 1 {
-            fill_groups(
-                0,
-                &mut group_source,
-                &mut group_item,
-                &mut group_value,
-                &mut cell_extractor,
-                &mut cell_confidence,
-            );
-            fill_items(
-                0,
-                ni,
-                &mut ig_group,
-                &mut ig_source,
-                &mut ig_slot,
-                &mut ig_has_cells,
-                &mut item_values,
-            );
-        } else {
-            // Carve each column into per-part windows up front, then let
-            // every worker fill its disjoint windows.
-            fn carve<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
-                let s = std::mem::take(slice);
-                let (head, tail) = s.split_at_mut(len);
-                *slice = tail;
-                head
-            }
-            let part = |n: usize, t: usize| (n * t / workers)..(n * (t + 1) / workers);
-            std::thread::scope(|s| {
-                let mut gs = group_source.as_mut_slice();
-                let mut gi = group_item.as_mut_slice();
-                let mut gv = group_value.as_mut_slice();
-                let mut ce = cell_extractor.as_mut_slice();
-                let mut cf = cell_confidence.as_mut_slice();
-                let mut igg = ig_group.as_mut_slice();
-                let mut igs = ig_source.as_mut_slice();
-                let mut igl = ig_slot.as_mut_slice();
-                let mut igh = ig_has_cells.as_mut_slice();
-                let mut ivals = item_values.as_mut_slice();
-                for t in 0..workers {
-                    let gr = part(ng, t);
-                    let cells = (cell_offsets[gr.end] - cell_offsets[gr.start]) as usize;
-                    let (a, b, c) = (
-                        carve(&mut gs, gr.len()),
-                        carve(&mut gi, gr.len()),
-                        carve(&mut gv, gr.len()),
-                    );
-                    let (d, e) = (carve(&mut ce, cells), carve(&mut cf, cells));
-                    let fg = &fill_groups;
-                    s.spawn(move || fg(gr.start, a, b, c, d, e));
-
-                    let ir = part(ni, t);
-                    let rows = (item_offsets[ir.end] - item_offsets[ir.start]) as usize;
-                    let vals = (item_value_offsets[ir.end] - item_value_offsets[ir.start]) as usize;
-                    let (f, g, h) = (
-                        carve(&mut igg, rows),
-                        carve(&mut igs, rows),
-                        carve(&mut igl, rows),
-                    );
-                    let (i, j) = (carve(&mut igh, rows), carve(&mut ivals, vals));
-                    let fi = &fill_items;
-                    s.spawn(move || fi(ir.start, ir.len(), f, g, h, i, j));
-                }
-            });
-        }
+        // One window per worker (`parts` is the worker count, or 1).
+        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill));
 
         // Per-source offsets: groups are source-sorted and the cube's
         // non-empty ranges tile the group list; sources with no groups
@@ -708,35 +678,38 @@ impl GroupView<'_> {
 }
 
 /// Where an EM fit's chunk views come from — the one seam between the
-/// engine and the cube's residency. Every stage reads the cube through
-/// these views (plus the resident [`ChunkStoreMeta`] skeleton), so the
+/// engine and the cube's residency, and the one place that knows how
+/// chunk work is scheduled and prefetched. Every stage reads the cube
+/// through a scan (plus the resident [`ChunkStoreMeta`] skeleton), so the
 /// kernels run the same instructions whether a view is a zero-copy slice
 /// of a resident [`ChunkedCube`] ([`ResidentChunks`]) or a buffer leased
 /// from a [`FileChunkStore`]'s caches ([`StreamedChunks`]).
+///
+/// A scan runs `f(scratch, view)` once per chunk on
+/// [`kbt_flume::run_tasks`] — chunks pulled in ascending order by at most
+/// `kbt_flume::num_threads()` workers, each owning one `scratch` slot (a
+/// single slot makes the scan a serial fold) — and returns the per-chunk
+/// results **in chunk order**.
 pub trait ChunkSource: Sync {
     /// The integer skeleton: counts, the item-chunk and group-frame
     /// partitions, and the per-source CSRs.
     fn meta(&self) -> &ChunkStoreMeta;
 
-    /// How many chunks a prefetcher may run ahead of `workers` workers;
-    /// `0` when views are resident and there is nothing to warm.
-    fn prefetch_depth(&self, _workers: usize) -> usize {
-        0
-    }
+    /// Scan the item-major views of every item chunk
+    /// (`meta().item_chunks`).
+    fn scan_items<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>>;
 
-    /// Warm item chunk `idx` ahead of its [`Self::with_items`].
-    fn prefetch_items(&self, _idx: usize) {}
-
-    /// Warm group frame `idx` ahead of its [`Self::with_groups`].
-    fn prefetch_groups(&self, _idx: usize) {}
-
-    /// Run `f` on the item-major view of item chunk `idx`
-    /// (`meta().item_chunks[idx]`).
-    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R>;
-
-    /// Run `f` on the group-major view of group frame `idx`
-    /// (`meta().group_frames[idx]`).
-    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R>;
+    /// Scan the group-major views of every group frame
+    /// (`meta().group_frames`).
+    fn scan_groups<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>>;
 }
 
 /// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
@@ -763,27 +736,37 @@ impl ChunkSource for ResidentChunks<'_> {
         &self.meta
     }
 
-    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R> {
-        Ok(f(&self.cube.item_view(idx)))
+    fn scan_items<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>> {
+        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, None, |s, i| {
+            Ok(f(s, &self.cube.item_view(i)))
+        })
     }
 
-    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R> {
-        Ok(f(&self
-            .cube
-            .group_view(self.meta.group_frames[idx].clone())))
+    fn scan_groups<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>> {
+        let frames = &self.meta.group_frames;
+        kbt_flume::run_tasks(frames.len(), scratch, None, |s, i| {
+            Ok(f(s, &self.cube.group_view(frames[i].clone())))
+        })
     }
 }
 
 /// The streamed [`ChunkSource`]: a [`FileChunkStore`] behind one bounded
 /// [`ChunkCache`] per frame family. Views borrow leased `Arc` buffers, so
 /// `max_resident_chunks` bounds memory and I/O and can never change a
-/// result; read and CRC failures surface from `with_*` as typed errors.
+/// result; read and CRC failures surface from the scans as typed errors.
 #[derive(Debug)]
 pub struct StreamedChunks {
     store: Arc<FileChunkStore>,
     items: ChunkCache<ChunkBuf>,
     frames: ChunkCache<GroupBuf>,
-    cap: usize,
 }
 
 impl StreamedChunks {
@@ -794,7 +777,6 @@ impl StreamedChunks {
             items: ChunkCache::for_items(Arc::clone(&store), max_resident_chunks),
             frames: ChunkCache::for_group_frames(Arc::clone(&store), max_resident_chunks),
             store,
-            cap: max_resident_chunks,
         }
     }
 
@@ -810,31 +792,20 @@ impl ChunkSource for StreamedChunks {
         self.store.meta()
     }
 
-    /// A couple of chunks ahead of the workers, but never so far that a
-    /// bounded cache would evict chunks before they are consumed.
-    fn prefetch_depth(&self, workers: usize) -> usize {
-        let depth = workers.saturating_mul(2).max(2);
-        if self.cap > 0 {
-            depth.min(self.cap)
-        } else {
-            depth
-        }
+    fn scan_items<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>> {
+        self.items.scan(scratch, |s, buf| f(s, &buf.view()))
     }
 
-    fn prefetch_items(&self, idx: usize) {
-        self.items.prefetch(idx);
-    }
-
-    fn prefetch_groups(&self, idx: usize) {
-        self.frames.prefetch(idx);
-    }
-
-    fn with_items<R>(&self, idx: usize, f: impl FnOnce(&ItemView<'_>) -> R) -> io::Result<R> {
-        Ok(f(&self.items.get(idx)?.view()))
-    }
-
-    fn with_groups<R>(&self, idx: usize, f: impl FnOnce(&GroupView<'_>) -> R) -> io::Result<R> {
-        Ok(f(&self.frames.get(idx)?.view()))
+    fn scan_groups<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>> {
+        self.frames.scan(scratch, |s, buf| f(s, &buf.view()))
     }
 }
 
@@ -1452,6 +1423,27 @@ impl<B> ChunkCache<B> {
         }
     }
 
+    /// Run `f(scratch, buffer)` over every chunk in ascending order on
+    /// [`kbt_flume::run_tasks`] (one `scratch` slot per worker, results
+    /// in chunk order) while a prefetcher warms the chunks just ahead: a
+    /// couple per worker the scan can actually use, but never so far that
+    /// a bounded cache would evict chunks before they are consumed.
+    pub fn scan<S: Send, R: Send>(
+        &self,
+        scratch: &mut [S],
+        f: impl Fn(&mut S, &B) -> R + Sync,
+    ) -> io::Result<Vec<R>>
+    where
+        B: Send + Sync,
+    {
+        let workers = kbt_flume::num_threads().min(scratch.len());
+        let depth = workers.saturating_mul(2).max(2).min(self.cap);
+        let warm = |i| self.prefetch(i);
+        kbt_flume::run_tasks(self.num_chunks, scratch, Some((depth, &warm)), |s, i| {
+            Ok(f(s, &*self.get(i)?))
+        })
+    }
+
     /// Run the loader for `idx` outside the lock and insert the result,
     /// evicting down to the cap.
     fn load(
@@ -1648,6 +1640,33 @@ mod tests {
         }
     }
 
+    /// A cube big enough for the parallel gather (≥ 2^15 groups) chunks
+    /// to the same bytes whatever worker count the `kbt_flume` policy
+    /// grants.
+    #[test]
+    fn large_cube_chunks_identically_at_any_thread_count() {
+        let mut b = CubeBuilder::new();
+        let mut x = 0x9e37_79b9u32;
+        for i in 0..48_000u32 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let conf = f64::from(x >> 8) / f64::from(1u32 << 24);
+            b.push(obs(x % 5, (x >> 3) % 900, i % 9_000, (x >> 13) % 4, conf));
+        }
+        let cube = b.build();
+        assert!(cube.num_groups() >= 1 << 15, "{} groups", cube.num_groups());
+        let cfg = ChunkingConfig {
+            target_cells: 1_000,
+        };
+        let chunk_at = |n| kbt_flume::with_threads(Some(n), || ChunkedCube::from_cube(&cube, &cfg));
+        let serial = chunk_at(1);
+        assert_matches_cube(&serial, &cube);
+        assert_chunks_tile(&serial);
+        for threads in [2, 8] {
+            // Every column, the chunk partition and the scratch bounds.
+            assert!(chunk_at(threads) == serial, "{threads} threads");
+        }
+    }
+
     #[test]
     fn chunking_survives_delta_and_retract() {
         let cube = sample_cube();
@@ -1829,24 +1848,14 @@ mod tests {
                         .any(|idx| store.load_group_frame(idx, &mut gbuf).is_err());
                 assert!(any_err, "corruption must not pass CRC");
 
-                // The same through the caches, a prefetcher racing the
-                // lookups: the swallowed prefetch error must come back
-                // out of `get`, and nobody may hang on the failed load.
-                let store = Arc::new(store);
-                let items = ChunkCache::for_items(Arc::clone(&store), 2);
-                let frames = ChunkCache::for_group_frames(Arc::clone(&store), 2);
-                let any_err = std::thread::scope(|scope| {
-                    scope.spawn(|| {
-                        (0..items.num_chunks()).for_each(|i| items.prefetch(i));
-                        (0..frames.num_chunks()).for_each(|i| frames.prefetch(i));
-                    });
-                    let item_err = (0..items.num_chunks())
-                        .filter(|&i| items.get(i).is_err())
-                        .count();
-                    let frame_err = (0..frames.num_chunks())
-                        .filter(|&i| frames.get(i).is_err())
-                        .count();
-                    item_err + frame_err > 0
+                // The same through the scans, a prefetcher racing two
+                // workers: the swallowed prefetch error must come back
+                // out as the scan's error, and nobody may hang on the
+                // failed load.
+                let src = StreamedChunks::new(Arc::new(store), 2);
+                let any_err = kbt_flume::with_threads(Some(2), || {
+                    src.scan_items(&mut [(); 2], |_, _| ()).is_err()
+                        || src.scan_groups(&mut [(); 2], |_, _| ()).is_err()
                 });
                 assert!(any_err, "corruption must not pass CRC through the cache");
             }

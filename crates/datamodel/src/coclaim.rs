@@ -179,29 +179,19 @@ impl<E: RowEntry> Rows<'_, E> {
         weights
     }
 
-    /// Run the kernel over all sources on up to `threads` workers, each
-    /// owning one contiguous source range of near-equal scan weight.
-    fn pair_counts(
-        &self,
-        cube: &ObservationCube,
-        min_overlap: u64,
-        threads: usize,
-    ) -> Vec<PairCounts> {
+    /// Run the kernel over all sources on up to `kbt_flume::num_threads()`
+    /// workers, each owning one contiguous source range of near-equal
+    /// scan weight.
+    fn pair_counts(&self, cube: &ObservationCube, min_overlap: u64) -> Vec<PairCounts> {
         let ns = cube.num_sources();
+        let threads = kbt_flume::num_threads();
         if threads <= 1 || ns < 2 {
             return self.scan(cube, 0..ns, min_overlap);
         }
         let ranges = split_by_weight(&self.scan_weights(ns), threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = ranges
-                .into_iter()
-                .map(|r| scope.spawn(move || self.scan(cube, r, min_overlap)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("co-claim worker panicked"))
-                .collect()
-        })
+        let scanned =
+            kbt_flume::par_map_slice(&ranges, |r| self.scan(cube, r.clone(), min_overlap));
+        scanned.into_iter().flatten().collect()
     }
 }
 
@@ -230,8 +220,8 @@ fn split_by_weight(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
 /// The co-claim statistics of every source pair whose claim-pair overlap
 /// reaches `min_overlap` (pairs that never co-claim are not listed, so
 /// `0` and `1` select the same pairs), sorted by `(a, b)`; computed on up
-/// to `threads` workers, identical at any thread count.
-pub fn pair_counts(cube: &ObservationCube, min_overlap: usize, threads: usize) -> Vec<PairCounts> {
+/// to `kbt_flume::num_threads()` workers, identical at any thread count.
+pub fn pair_counts(cube: &ObservationCube, min_overlap: usize) -> Vec<PairCounts> {
     // The claim table is parallel to the cube's item index, so it shares
     // its offsets. Backer counts per value use one dense counter array,
     // zeroed again behind each row.
@@ -261,7 +251,7 @@ pub fn pair_counts(cube: &ObservationCube, min_overlap: usize, threads: usize) -
         offsets,
         entries: &claims,
     }
-    .pair_counts(cube, min_overlap as u64, threads)
+    .pair_counts(cube, min_overlap as u64)
 }
 
 /// Per-item source-multiplicity index over an [`ObservationCube`].
@@ -319,15 +309,13 @@ impl<'a> CoClaimIndex<'a> {
         &self.entries[lo..hi]
     }
 
-    /// The overlap-only instantiation of the kernel, on the machine's
-    /// available parallelism.
+    /// The overlap-only instantiation of the kernel.
     fn overlaps(&self, min_overlap: usize) -> Vec<PairCounts> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Rows {
             offsets: &self.offsets,
             entries: &self.entries,
         }
-        .pair_counts(self.cube, min_overlap as u64, threads)
+        .pair_counts(self.cube, min_overlap as u64)
     }
 
     /// The exact claim-pair overlap of every co-claiming source pair,
@@ -425,9 +413,10 @@ mod tests {
         };
         let want = vec![pc(0, 1, 2, 2, 1), pc(0, 2, 2, 1, 0), pc(1, 2, 2, 1, 0)];
         for threads in [1, 2, 8] {
-            assert_eq!(pair_counts(&cube, 0, threads), want, "threads = {threads}");
+            let got = kbt_flume::with_threads(Some(threads), || pair_counts(&cube, 0));
+            assert_eq!(got, want, "threads = {threads}");
         }
-        assert!(pair_counts(&cube, 3, 1).is_empty());
+        assert!(pair_counts(&cube, 3).is_empty());
     }
 
     #[test]
@@ -461,7 +450,7 @@ mod tests {
         assert_eq!(idx.num_items(), 0);
         assert!(idx.pair_overlaps().is_empty());
         assert!(idx.candidate_pairs(0).is_empty());
-        assert!(pair_counts(&cube, 0, 4).is_empty());
+        assert!(kbt_flume::with_threads(Some(4), || pair_counts(&cube, 0)).is_empty());
     }
 
     #[test]

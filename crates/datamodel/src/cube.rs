@@ -445,11 +445,9 @@ impl ObservationCube {
     }
 
     /// Partition the group list into `shards` contiguous ranges (the key
-    /// ranges a [`kbt_flume::ShardedExecutor`]-style engine would hand to
-    /// its workers) and report per-shard load — the skew diagnostic behind
-    /// the paper's Table 7 straggler discussion.
-    ///
-    /// [`kbt_flume::ShardedExecutor`]: https://docs.rs/kbt-flume
+    /// ranges `kbt_flume::par_ranges` hands to its workers) and report
+    /// per-shard load — the skew diagnostic behind the paper's Table 7
+    /// straggler discussion.
     pub fn shard_stats(&self, shards: usize) -> Vec<CubeShardStats> {
         if self.groups.is_empty() {
             return Vec::new();

@@ -1,63 +1,60 @@
 //! # kbt-flume
 //!
-//! A small FlumeJava-like parallel dataflow engine.
+//! The workspace's parallel runtime.
 //!
-//! The paper runs all inference in FlumeJava [6] on Map-Reduce (Section
-//! 3.2, Section 5.3.4). This crate reproduces the programming model
-//! in-process: sharded parallel map ([`par_map_slice`]), shard-parallel
-//! rounds with reusable scratch ([`ShardedExecutor`]), and a phase
-//! stopwatch used by the Table 7 timing experiment.
+//! The paper runs every inference stage as rounds on one dataflow
+//! substrate — FlumeJava [6] on Map-Reduce (Section 3.2, Section 5.3.4).
+//! This crate is the in-process stand-in, and like that substrate it is
+//! the *only* place parallelism is decided:
 //!
-//! Everything is deterministic: shards are contiguous and results are
-//! concatenated in input order, so a parallel run produces bit-identical
-//! results to a serial run (the integration tests assert this).
+//! * **one worker-count policy** — [`num_threads`]: the innermost
+//!   [`with_threads`] scope (what `TrustPipeline::threads` and
+//!   `ModelConfig::threads` install; thread-local to the orchestrating
+//!   thread, so concurrent runs cannot race), else the hardware
+//!   parallelism;
+//! * **one scoped-worker primitive** — [`run_tasks`]: indexed tasks pulled
+//!   in order by at most [`num_threads`] workers, a scratch slot per
+//!   worker, an optional look-ahead prefetch hook. It holds the only
+//!   `std::thread::scope` in the workspace's library code (`kbt-lint`'s
+//!   `layering` rule enforces that), so what a dispatch costs is paid, and
+//!   priced, in one function body;
+//! * three few-line adapters over it for the common shapes —
+//!   [`par_ranges`], [`par_map_slice`], [`par_ranges_mut`] — and the
+//!   [`Stopwatch`] / [`PhaseTimer`] used for round and Table 7 timing.
 //!
-//! ## Thread configuration
-//!
-//! Worker-thread count resolves in two layers:
-//!
-//! 1. a **scoped override** installed by [`with_threads`] — what
-//!    `TrustPipeline::threads` and `ModelConfig::threads` use, safe under
-//!    concurrent runs because it is thread-local to the orchestrating
-//!    thread;
-//! 2. the hardware parallelism.
+//! Everything is deterministic: tasks and ranges are fixed by the input
+//! size, results come back in task order, so a parallel run is
+//! bit-identical to a serial one whenever the per-task work is pure (the
+//! integration tests assert this for every engine stage).
 
 #![warn(missing_docs)]
 
-pub mod sharded;
 pub mod stopwatch;
 
-pub use sharded::ShardedExecutor;
 pub use stopwatch::{PhaseTimer, Stopwatch};
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
-    /// Scoped per-run override (0 = none). Thread-local, so concurrent
-    /// pipeline runs on different threads cannot race each other.
-    static THREAD_SCOPED: Cell<usize> = const { Cell::new(0) };
+    /// The innermost [`with_threads`] scope on this thread, if any.
+    /// Thread-local, so concurrent pipeline runs on different threads
+    /// cannot race each other.
+    static THREAD_SCOPED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Number of worker threads used by all `par_*` operations, resolved as
+/// Number of worker threads every parallel operation may use, resolved as
 /// scoped override → hardware parallelism.
 pub fn num_threads() -> usize {
-    let scoped = THREAD_SCOPED.with(Cell::get);
-    if scoped == usize::MAX {
-        // with_threads(Some(0), ..): hardware default, shadowing any
-        // outer override.
-        return hardware_threads();
+    match THREAD_SCOPED.with(Cell::get) {
+        Some(n) if n > 0 => n,
+        // No scope, or `Some(0)` shadowing an outer one: the hardware.
+        _ => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
     }
-    if scoped > 0 {
-        return scoped;
-    }
-    hardware_threads()
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Run `f` with the worker-thread count scoped to `n` on this thread.
@@ -66,26 +63,159 @@ fn hardware_threads() -> usize {
 /// hardware default. The previous override is restored on exit (also on
 /// panic), so nested scopes behave like a stack.
 pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
-    match n {
-        None => f(),
-        Some(n) => {
-            struct Restore(usize);
-            impl Drop for Restore {
-                fn drop(&mut self) {
-                    THREAD_SCOPED.with(|c| c.set(self.0));
-                }
-            }
-            let prev = THREAD_SCOPED.with(|c| {
-                let prev = c.get();
-                // usize::MAX marks "hardware default" explicitly, letting
-                // Some(0) shadow an outer override.
-                c.set(if n == 0 { usize::MAX } else { n });
-                prev
-            });
-            let _restore = Restore(prev);
-            f()
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_SCOPED.with(|c| c.set(self.0));
         }
     }
+    let _restore = n.map(|n| Restore(THREAD_SCOPED.with(|c| c.replace(Some(n)))));
+    f()
+}
+
+/// The scoped-worker primitive under every data-parallel loop: run
+/// `work(scratch, i)` for `i in 0..tasks` and return the results **in task
+/// order**.
+///
+/// Workers *pull* task indices in ascending order from a shared cursor.
+/// There are at most [`num_threads`] of them, never more than tasks or
+/// than `scratch` slots; each owns one slot for the whole call, so a
+/// caller that keeps `scratch` across rounds keeps its buffers'
+/// capacity (pass one slot to make a fold serial, `&mut vec![(); n]` when
+/// no scratch is needed). When one worker suffices and nothing is
+/// prefetched, everything runs inline on the calling thread.
+///
+/// `prefetch`, as `(depth, warm)`, adds a look-ahead thread that calls
+/// `warm(i)` (e.g. a chunk-cache load) for the tasks just ahead of the
+/// cursor, each at most once and never more than `depth` tasks ahead —
+/// overlapping the next task's I/O with the current one's compute.
+///
+/// On error the failure with the **lowest task index** (among the tasks
+/// that ran before the early stop) is returned and the remaining tasks
+/// are abandoned. Which worker ran which task never shows in the output,
+/// so a caller that merges the `Vec<T>` sequentially is bit-for-bit
+/// reproducible at any worker count.
+///
+/// # Panics
+///
+/// If `tasks > 0` and `scratch` is empty, or if `work` panics.
+pub fn run_tasks<S, T, E, F>(
+    tasks: usize,
+    scratch: &mut [S],
+    prefetch: Option<(usize, &(dyn Fn(usize) + Sync))>,
+    work: F,
+) -> Result<Vec<T>, E>
+where
+    S: Send,
+    T: Send,
+    E: Send,
+    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
+{
+    if tasks == 0 {
+        return Ok(Vec::new());
+    }
+    assert!(!scratch.is_empty(), "run_tasks needs a scratch slot");
+    let workers = num_threads().min(tasks).min(scratch.len());
+    let prefetch = prefetch.filter(|&(depth, _)| depth > 0);
+    if workers == 1 && prefetch.is_none() {
+        let s = &mut scratch[0];
+        return (0..tasks).map(|i| work(s, i)).collect();
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    const POISON: &str = "a kbt-flume worker panicked";
+    std::thread::scope(|scope| {
+        let (cursor, failed, error, slots, work) = (&cursor, &failed, &error, &slots, &work);
+        if let Some((depth, warm)) = prefetch {
+            scope.spawn(move || {
+                let mut next = 0usize;
+                // ordering: Relaxed — `failed` is an advisory early-abort
+                // hint and `cursor` only paces the prefetcher; neither
+                // publishes data (results and errors travel under their
+                // own mutexes, and `thread::scope` joins order everything
+                // at exit).
+                while next < tasks && !failed.load(Ordering::Relaxed) {
+                    let cur = cursor.load(Ordering::Relaxed);
+                    if next < cur {
+                        // Workers overtook us; skip to the frontier.
+                        next = cur;
+                    } else if next >= cur.saturating_add(depth) {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    } else {
+                        warm(next);
+                        next += 1;
+                    }
+                }
+            });
+        }
+        for s in scratch.iter_mut().take(workers) {
+            scope.spawn(move || loop {
+                // ordering: Relaxed — advisory abort hint; the
+                // authoritative error is under the `error` mutex.
+                if failed.load(Ordering::Relaxed) {
+                    break;
+                }
+                // ordering: Relaxed — the RMW itself is atomic, so every
+                // worker still draws a unique index; results are handed
+                // over via the per-slot mutexes.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= tasks {
+                    break;
+                }
+                match work(s, i) {
+                    Ok(t) => *slots[i].lock().expect(POISON) = Some(t),
+                    Err(e) => {
+                        // ordering: Relaxed — see the loads above; the
+                        // error value itself is mutex-guarded.
+                        failed.store(true, Ordering::Relaxed);
+                        let mut first = error.lock().expect(POISON);
+                        if first.as_ref().is_none_or(|(at, _)| i < *at) {
+                            *first = Some((i, e));
+                        }
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    if let Some((_, e)) = error.into_inner().expect(POISON) {
+        return Err(e);
+    }
+    Ok(slots
+        .into_iter()
+        .map(|slot| {
+            let done = slot.into_inner().expect(POISON);
+            done.expect("every task completed without error")
+        })
+        .collect())
+}
+
+/// [`run_tasks`] for scratch-free, infallible tasks.
+fn run_each<T: Send>(tasks: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let done = run_tasks(tasks, &mut vec![(); tasks], None, |_, i| {
+        Ok::<T, Infallible>(work(i))
+    });
+    match done {
+        Ok(out) => out,
+        Err(never) => match never {},
+    }
+}
+
+/// The contiguous split of `len` keys into one range per worker, as
+/// `(range length, range count)`: never more ranges than keys.
+fn plan(len: usize) -> (usize, usize) {
+    let chunk = len.div_ceil(num_threads().min(len).max(1)).max(1);
+    (chunk, len.div_ceil(chunk))
+}
+
+/// Run `f` over `0..len` split into one contiguous key range per worker;
+/// the per-range results come back in range order. No keys, no calls.
+pub fn par_ranges<R: Send>(len: usize, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
+    let (chunk, ranges) = plan(len);
+    run_each(ranges, |i| f(i * chunk..((i + 1) * chunk).min(len)))
 }
 
 /// Parallel map over a slice, preserving input order.
@@ -99,127 +229,63 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = effective_threads(items.len());
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut shards: Vec<Vec<U>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| scope.spawn(move || shard.iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        for h in handles {
-            shards.push(h.join().expect("kbt-flume worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for s in shards {
-        out.extend(s);
-    }
-    out
+    let shards = par_ranges(items.len(), |r| items[r].iter().map(&f).collect::<Vec<U>>());
+    shards.into_iter().flatten().collect()
 }
 
-/// Parallel indexed map: like [`par_map_slice`] but `f` also receives the
-/// global index of each element.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = effective_threads(items.len());
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut shards: Vec<Vec<U>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, shard)| {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    shard
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(base + i, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            shards.push(h.join().expect("kbt-flume worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for s in shards {
-        out.extend(s);
-    }
-    out
-}
-
-/// Parallel in-place update over mutable contiguous chunks.
+/// Parallel in-place update over one contiguous mutable range per worker.
 ///
-/// `f` receives the starting global index of the chunk and the chunk itself.
-pub fn par_chunks_mut<T, F>(items: &mut [T], f: F)
+/// `f` receives the starting global index of the range and the range
+/// itself.
+pub fn par_ranges_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = effective_threads(items.len());
-    if threads <= 1 || items.len() < 2 {
-        f(0, items);
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for (ci, shard) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || f(ci * chunk, shard));
-        }
+    let (chunk, _) = plan(items.len());
+    // Task `i` is the only one to lock part `i`: the mutex just hands the
+    // exclusive borrow across the thread boundary.
+    let parts: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
+    run_each(parts.len(), |i| {
+        f(i * chunk, &mut parts[i].lock().expect("part locked once"))
     });
-}
-
-/// Worker count for `len` items: never more workers than items.
-fn effective_threads(len: usize) -> usize {
-    num_threads().min(len.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 8, 33];
+
+    /// The adapters split by worker count and still equal the serial
+    /// loop: ranges tile the keys in order, maps and in-place updates see
+    /// every element once under its global index.
     #[test]
-    fn par_map_matches_serial_map() {
+    fn adapters_match_serial_at_any_worker_count() {
         let xs: Vec<u64> = (0..10_000).collect();
-        let serial: Vec<u64> = xs.iter().map(|x| x * x).collect();
-        assert_eq!(par_map_slice(&xs, |x| x * x), serial);
-    }
-
-    #[test]
-    fn par_map_indexed_sees_global_indices() {
-        let xs = vec![10u64; 5_000];
-        let out = par_map_indexed(&xs, |i, x| i as u64 + x);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 10);
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_updates_every_element() {
-        let mut xs: Vec<usize> = vec![0; 7_777];
-        par_chunks_mut(&mut xs, |base, shard| {
-            for (i, v) in shard.iter_mut().enumerate() {
-                *v = base + i;
-            }
-        });
-        for (i, v) in xs.iter().enumerate() {
-            assert_eq!(*v, i);
+        let squares: Vec<u64> = xs.iter().map(|x| x * x).collect();
+        for threads in WORKER_COUNTS {
+            with_threads(Some(threads), || {
+                assert_eq!(par_map_slice(&xs, |x| x * x), squares, "x{threads}");
+                let mut out = vec![0u64; xs.len()];
+                par_ranges_mut(&mut out, |base, part| {
+                    for (k, v) in (base..).zip(part) {
+                        *v = (k * k) as u64;
+                    }
+                });
+                assert_eq!(out, squares, "x{threads}");
+                for len in [0usize, 1, 3, 5, 10, 1_003] {
+                    let ranges = par_ranges(len, |r| r);
+                    assert!(ranges.len() <= threads.min(len), "x{threads} len={len}");
+                    let mut next = 0;
+                    for r in &ranges {
+                        assert_eq!(r.start, next);
+                        assert!(r.end > r.start);
+                        next = r.end;
+                    }
+                    assert_eq!(next, len, "x{threads} len={len}");
+                }
+            });
         }
     }
 
@@ -228,6 +294,16 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map_slice(&empty, |x| x + 1).is_empty());
         assert_eq!(par_map_slice(&[41u32], |x| x + 1), vec![42]);
+        assert!(par_ranges(0, |r| r).is_empty());
+        assert_eq!(par_ranges(1, |r| r), vec![0..1]);
+        par_ranges_mut(&mut [0u8; 0], |_, _| panic!("no keys, no calls"));
+        let mut one = [41u32];
+        par_ranges_mut(&mut one, |base, part| part[0] += 1 + base as u32);
+        assert_eq!(one, [42]);
+        // No tasks: nothing runs, not even with a prefetcher and no slots.
+        let warm = |_: usize| panic!("nothing to warm");
+        let got: Result<Vec<u8>, ()> = run_tasks(0, &mut [(); 0], Some((4, &warm)), |_, _| Ok(0));
+        assert!(got.unwrap().is_empty());
     }
 
     #[test]
@@ -238,11 +314,10 @@ mod tests {
             with_threads(Some(3), || assert_eq!(num_threads(), 3));
             assert_eq!(num_threads(), 1);
             // Some(0) explicitly requests the hardware default, shadowing
-            // the outer Some(1) — and the sentinel never leaks out.
-            with_threads(Some(0), || {
-                let n = num_threads();
-                assert!(n >= 1 && n != usize::MAX, "sentinel leaked: {n}");
-            });
+            // the outer Some(1).
+            let hardware = std::thread::spawn(num_threads).join().unwrap();
+            with_threads(Some(0), || assert_eq!(num_threads(), hardware));
+            assert_eq!(num_threads(), 1);
         });
         assert!(num_threads() >= 1);
         // None leaves ambient config untouched.
@@ -258,11 +333,121 @@ mod tests {
         });
     }
 
+    /// The thread contract: under `with_threads(Some(1))` nothing leaves
+    /// the calling thread, whatever the task count and scratch width.
     #[test]
-    fn parallel_results_match_under_scoped_override() {
-        let xs: Vec<u32> = (0..1_000).collect();
-        let serial = with_threads(Some(1), || par_map_slice(&xs, |x| x * 3));
-        let wide = with_threads(Some(8), || par_map_slice(&xs, |x| x * 3));
-        assert_eq!(serial, wide);
+    fn one_thread_runs_every_task_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids: Result<Vec<_>, ()> = with_threads(Some(1), || {
+            run_tasks(64, &mut [(); 8], None, |_, _| {
+                Ok(std::thread::current().id())
+            })
+        });
+        assert!(ids.unwrap().iter().all(|&id| id == me));
+        let mut xs = vec![0u8; 1_000];
+        with_threads(Some(1), || {
+            par_ranges_mut(&mut xs, |_, _| assert_eq!(std::thread::current().id(), me));
+            par_map_slice(&xs, |_| assert_eq!(std::thread::current().id(), me));
+        });
+    }
+
+    #[test]
+    fn workers_are_bounded_by_the_policy_and_the_scratch_slots() {
+        for (threads, slots, want) in [(3usize, 8usize, 3usize), (8, 2, 2), (33, 1, 1)] {
+            let mut ran = vec![0usize; slots];
+            let got: Result<Vec<usize>, ()> = with_threads(Some(threads), || {
+                run_tasks(100, &mut ran, None, |n, i| {
+                    *n += 1;
+                    Ok(i)
+                })
+            });
+            assert_eq!(got.unwrap(), (0..100).collect::<Vec<_>>());
+            assert_eq!(ran.iter().sum::<usize>(), 100);
+            assert!(ran[want..].iter().all(|&n| n == 0), "x{threads}: {ran:?}");
+        }
+    }
+
+    #[test]
+    fn run_tasks_returns_task_order_at_any_worker_count() {
+        let expect: Vec<u64> = (0..97u64).map(|i| i * i + 7).collect();
+        for threads in WORKER_COUNTS {
+            for depth in [0usize, 1, 4] {
+                let got: Result<Vec<u64>, ()> = with_threads(Some(threads), || {
+                    run_tasks(
+                        97,
+                        &mut vec![(); threads],
+                        Some((depth, &|_| {})),
+                        |_, i| Ok(i as u64 * i as u64 + 7),
+                    )
+                });
+                assert_eq!(got.unwrap(), expect, "threads={threads} depth={depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_keeps_its_capacity_across_rounds() {
+        let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); 3];
+        let mut round = |scale: u64| {
+            let sums: Result<Vec<u64>, ()> = with_threads(Some(3), || {
+                run_tasks(30, &mut scratch, None, |tmp, i| {
+                    tmp.clear();
+                    tmp.extend((0..100).map(|k| k * scale + i as u64));
+                    Ok(tmp.iter().sum())
+                })
+            });
+            assert_eq!(sums.unwrap()[1], 4_950 * scale + 100);
+            scratch
+                .iter()
+                .map(|s| (s.as_ptr(), s.capacity()))
+                .collect::<Vec<_>>()
+        };
+        let first = round(1);
+        // Same sizes again: every arena that was grown is reused as is.
+        let second = round(2);
+        for (a, b) in first.iter().zip(&second) {
+            assert!(a.1 == 0 || a == b, "steady state must not reallocate");
+        }
+        assert!(second.iter().any(|&(_, cap)| cap >= 100));
+    }
+
+    #[test]
+    fn run_tasks_surfaces_the_lowest_index_error_and_stops() {
+        for threads in [1usize, 4] {
+            let ran = AtomicUsize::new(0);
+            let got: Result<Vec<u64>, String> = with_threads(Some(threads), || {
+                run_tasks(1_000, &mut vec![(); threads], Some((2, &|_| {})), |_, i| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        Err(format!("task {i} failed"))
+                    } else {
+                        Ok(i as u64)
+                    }
+                })
+            });
+            assert_eq!(got.unwrap_err(), "task 5 failed", "threads={threads}");
+            assert!(
+                ran.load(Ordering::SeqCst) < 1_000,
+                "failure must stop the run early (threads={threads})"
+            );
+        }
+    }
+
+    #[test]
+    fn run_tasks_prefetches_each_task_at_most_once() {
+        let warmed: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+        let warm = |i: usize| {
+            warmed[i].fetch_add(1, Ordering::SeqCst);
+        };
+        let got: Result<Vec<usize>, ()> = with_threads(Some(2), || {
+            run_tasks(50, &mut [(); 2], Some((4, &warm)), |_, i| {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                Ok(i)
+            })
+        });
+        assert_eq!(got.unwrap(), (0..50).collect::<Vec<_>>());
+        let counts: Vec<usize> = warmed.iter().map(|n| n.load(Ordering::SeqCst)).collect();
+        assert!(counts.iter().all(|&n| n <= 1), "warmed twice: {counts:?}");
+        assert!(counts.contains(&1), "prefetcher must run");
     }
 }

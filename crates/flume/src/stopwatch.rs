@@ -34,23 +34,12 @@ impl Stopwatch {
         self.last = now;
         d
     }
-
-    /// Time since the previous lap without resetting it.
-    pub fn peek(&self) -> Duration {
-        self.last.elapsed()
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
 }
 
 /// Accumulates wall-clock durations by phase name.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
-    phases: Vec<(String, Duration, u64)>,
+    phases: Vec<(String, Duration)>,
 }
 
 impl PhaseTimer {
@@ -69,11 +58,9 @@ impl PhaseTimer {
 
     /// Charge an externally measured duration to `phase`.
     pub fn add(&mut self, phase: &str, d: Duration) {
-        if let Some(entry) = self.phases.iter_mut().find(|(n, _, _)| n == phase) {
-            entry.1 += d;
-            entry.2 += 1;
-        } else {
-            self.phases.push((phase.to_string(), d, 1));
+        match self.phases.iter_mut().find(|(n, _)| n == phase) {
+            Some((_, total)) => *total += d,
+            None => self.phases.push((phase.to_string(), d)),
         }
     }
 
@@ -81,26 +68,13 @@ impl PhaseTimer {
     pub fn total(&self, phase: &str) -> Option<Duration> {
         self.phases
             .iter()
-            .find(|(n, _, _)| n == phase)
-            .map(|(_, d, _)| *d)
-    }
-
-    /// Mean duration per recorded occurrence of `phase`.
-    pub fn mean(&self, phase: &str) -> Option<Duration> {
-        self.phases
-            .iter()
-            .find(|(n, _, _)| n == phase)
-            .map(|(_, d, c)| *d / (*c as u32).max(1))
+            .find(|(n, _)| n == phase)
+            .map(|(_, d)| *d)
     }
 
     /// Sum of all phase totals.
     pub fn grand_total(&self) -> Duration {
-        self.phases.iter().map(|(_, d, _)| *d).sum()
-    }
-
-    /// `(phase, total, count)` rows in first-recorded order.
-    pub fn rows(&self) -> &[(String, Duration, u64)] {
-        &self.phases
+        self.phases.iter().map(|(_, d)| *d).sum()
     }
 }
 
@@ -115,7 +89,6 @@ mod tests {
         t.add("prep", Duration::from_millis(20));
         t.add("iter", Duration::from_millis(5));
         assert_eq!(t.total("prep"), Some(Duration::from_millis(30)));
-        assert_eq!(t.mean("prep"), Some(Duration::from_millis(15)));
         assert_eq!(t.grand_total(), Duration::from_millis(35));
         assert_eq!(t.total("missing"), None);
     }

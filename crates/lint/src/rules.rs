@@ -20,7 +20,7 @@
 //! | `safety`     | whole workspace                                 | every `unsafe` needs an adjacent `SAFETY:` comment |
 //! | `hostile-len`| `wire.rs` / `proto.rs` / `wal.rs` / `codec.rs` / `chunked.rs` | in a function that reads bytes, length-derived allocations (`with_capacity`, `vec![`, `read_exact`) must follow a cap check (`MAX_*`, `frame_fits`, `.count(`, `.remaining(`, or a guarded `wire` reader: `.seq(`, `.seq_n(`, `.vec_for(`) in the same function |
 //! | `allow-attr` | whole workspace                                 | every `#[allow(...)]` needs an adjacent justification comment |
-//! | `layering`   | whole workspace                                 | no architecture-inverting imports (see [`layering_violation`]) |
+//! | `layering`   | whole workspace                                 | no architecture-inverting imports (see [`layering_violation`]); thread fan-out only in the crate that owns it (see [`threading_violation`]) |
 //!
 //! Test code is exempt everywhere: `#[cfg(test)]`-gated items and
 //! `#[test]` functions are skipped token-for-token, so fixtures like a
@@ -139,6 +139,31 @@ pub fn layering_violation(crate_name: &str, dep: &str) -> Option<String> {
         ));
     }
     None
+}
+
+/// Threading policy, the other half of `layering`: `Some(reason)` when
+/// `crate_name` must not make `call` in non-test code.
+///
+/// * `thread::scope` and `available_parallelism` belong to `kbt-flume`
+///   alone — one scoped-worker primitive, one worker-count policy; every
+///   data-parallel loop elsewhere goes through them, so a thread budget
+///   set with `kbt_flume::with_threads` governs all of it;
+/// * `thread::spawn` (detached, long-lived threads) belongs to `kbt-net`
+///   (connection and writer threads) and `kbt-bench`.
+pub fn threading_violation(crate_name: &str, call: &str) -> Option<String> {
+    let (owners, instead): (&[&str], &str) = match call {
+        "thread::spawn" => (
+            &["kbt-net", "kbt-bench"],
+            "run data-parallel work on kbt_flume::run_tasks or its adapters",
+        ),
+        "thread::scope" => (
+            &["kbt-flume"],
+            "run on kbt_flume::run_tasks or its adapters",
+        ),
+        _ => (&["kbt-flume"], "ask kbt_flume::num_threads"),
+    };
+    (!owners.contains(&crate_name))
+        .then(|| format!("{call} outside {} — {instead}", owners.join(" / ")))
 }
 
 /// Token-index spans computed once per file, driving every rule.
@@ -461,16 +486,31 @@ pub fn lint_file(ctx: &FileCtx, source: &str) -> Vec<Diagnostic> {
     }
 
     // ---- crate layering ----
-    for &i in &code {
+    for (ci, &i) in code.iter().enumerate() {
         if map.in_test[i] || toks[i].kind != TokKind::Ident {
             continue;
         }
-        let name = &toks[i].text;
+        let name = toks[i].text.as_str();
         if let Some(dep) = name.strip_prefix("kbt_") {
             let dep_full = format!("kbt_{dep}");
             if let Some(reason) = layering_violation(&ctx.crate_name, &dep_full) {
                 emit(RuleId::Layering, toks[i].line, reason);
             }
+        }
+        // `thread::scope` / `thread::spawn` as paths (a `scope.spawn(..)`
+        // method call is the primitive's own business), and
+        // `available_parallelism` wherever it is named.
+        let on_thread = ci >= 3
+            && toks[code[ci - 1]].is_punct(':')
+            && toks[code[ci - 2]].is_punct(':')
+            && toks[code[ci - 3]].is_ident("thread");
+        let call = match name {
+            "scope" | "spawn" if on_thread => format!("thread::{name}"),
+            "available_parallelism" => name.to_string(),
+            _ => continue,
+        };
+        if let Some(reason) = threading_violation(&ctx.crate_name, &call) {
+            emit(RuleId::Layering, toks[i].line, reason);
         }
     }
 

@@ -176,6 +176,48 @@ fn layering_rule_is_per_crate() {
     assert!(unwaived(&diags, RuleId::Layering).is_empty(), "{diags:?}");
 }
 
+#[test]
+fn layering_rule_catches_thread_fan_out_outside_its_owner() {
+    let src = include_str!("fixtures/layering_threads_violation.rs");
+    let hits_as = |crate_name: &str| -> Vec<String> {
+        let diags = lint_file(&ctx(crate_name, "mstep.rs"), src);
+        unwaived(&diags, RuleId::Layering)
+            .iter()
+            .map(|d| d.message.split(' ').next().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(
+        hits_as("kbt-core"),
+        ["available_parallelism", "thread::scope", "thread::spawn"]
+    );
+    assert_eq!(
+        hits_as("kbt-datamodel"),
+        ["available_parallelism", "thread::scope", "thread::spawn"]
+    );
+    // Each call has exactly one home (plus the bench leaf for `spawn`).
+    assert_eq!(hits_as("kbt-flume"), ["thread::spawn"]);
+    assert_eq!(
+        hits_as("kbt-net"),
+        ["available_parallelism", "thread::scope"]
+    );
+    assert_eq!(
+        hits_as("kbt-bench"),
+        ["available_parallelism", "thread::scope"]
+    );
+}
+
+#[test]
+fn layering_threads_clean_twin_passes() {
+    // `kbt_flume` calls from a foundation crate, raw threads in tests.
+    for crate_name in ["kbt-datamodel", "kbt-core", "kbt-pipeline"] {
+        let diags = lint_file(
+            &ctx(crate_name, "chunked.rs"),
+            include_str!("fixtures/layering_threads_clean.rs"),
+        );
+        assert!(unwaived(&diags, RuleId::Layering).is_empty(), "{diags:?}");
+    }
+}
+
 // ---- lexer edge cases: no false positives ----
 
 #[test]

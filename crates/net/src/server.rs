@@ -277,7 +277,7 @@ impl NetServer {
     }
 
     /// An in-process read-side handle to the same snapshot store the
-    /// network serves — the bench uses it as the torn-read oracle.
+    /// network serves — the torn-read oracle of `tests/protocol.rs`.
     pub fn handle(&self) -> TrustHandle {
         self.handle.clone()
     }

@@ -376,7 +376,10 @@ impl TrustPipeline {
                     let io_err = |e: std::io::Error| PipelineError::StreamedIo {
                         message: e.to_string(),
                     };
-                    let chunked = ChunkedCube::from_cube(&cube, &cfg.chunking());
+                    // Chunking runs under the run's thread budget too.
+                    let chunked = kbt_flume::with_threads(cfg.threads, || {
+                        ChunkedCube::from_cube(&cube, &cfg.chunking())
+                    });
                     FileChunkStore::write(&chunked, path).map_err(io_err)?;
                     let store = Arc::new(FileChunkStore::open(path).map_err(io_err)?);
                     let (result, trace, _stats) = MultiLayerModel::new(cfg.clone())

@@ -10,7 +10,8 @@
 //! `QualityInit::Resume` (start EM from the previous run's parameters).
 //! A warm re-run on a small delta converges in strictly fewer EM rounds
 //! than a cold rerun on the merged cube — the `sharded_engine`
-//! integration test and the `incremental` bench scenario both measure it.
+//! integration test asserts it (`warm_start_beats_cold_rerun_on_merged_cube`)
+//! and `benchmark/`'s `pipeline.warm_rounds` reports it.
 
 use kbt_core::{FusionDetail, FusionModel, FusionReport, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId, ValueId};

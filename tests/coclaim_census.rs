@@ -1,7 +1,7 @@
 //! The pair-counting kernel (`kbt::datamodel::pair_counts`, and the
 //! overlap-only census `CoClaimIndex::{pair_overlaps, candidate_pairs}`
 //! that runs on it) against the scalar oracle in `common`: same pairs,
-//! same counts, same order, at 1, 2 and 8 threads — on random corpora
+//! same counts, same order, at 1, 2, 4 and 8 threads — on random corpora
 //! with sources claiming several values per item and source ids that
 //! claim nothing, on cubes grown by `apply_delta` and shrunk by
 //! `retract`, on one very wide item, and on the empty cube.
@@ -15,7 +15,7 @@ use kbt::datamodel::{
 };
 use proptest::prelude::*;
 
-const THREADS: [usize; 3] = [1, 2, 8];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 const MIN_OVERLAPS: [usize; 3] = [0, 1, 5];
 
 /// Claims over a source id space three times wider than the ids drawn
@@ -51,21 +51,21 @@ fn assert_kernel_matches_oracle(cube: &ObservationCube, ctx: &str) {
     let index = CoClaimIndex::build(cube);
     for min_overlap in MIN_OVERLAPS {
         let oracle = common::expand_claim_pairs(cube, min_overlap);
-        for threads in THREADS {
-            assert_eq!(
-                oracle,
-                pair_counts(cube, min_overlap, threads),
-                "{ctx}: min_overlap {min_overlap}, {threads} threads"
-            );
-        }
-        let census: Vec<(SourceId, SourceId, u64)> = index
-            .candidate_pairs(min_overlap)
-            .iter()
-            .map(|c| (c.a, c.b, c.overlap))
-            .collect();
         let rows: Vec<(SourceId, SourceId, u64)> =
             oracle.iter().map(|p| (p.a, p.b, p.overlap)).collect();
-        assert_eq!(census, rows, "{ctx}: census, min_overlap {min_overlap}");
+        for threads in THREADS {
+            let (counts, candidates) = kbt::flume::with_threads(Some(threads), || {
+                (
+                    pair_counts(cube, min_overlap),
+                    index.candidate_pairs(min_overlap),
+                )
+            });
+            let tag = format!("{ctx}: min_overlap {min_overlap}, {threads} threads");
+            assert_eq!(oracle, counts, "{tag}");
+            let census: Vec<(SourceId, SourceId, u64)> =
+                candidates.iter().map(|c| (c.a, c.b, c.overlap)).collect();
+            assert_eq!(census, rows, "{tag}: census");
+        }
 
         let cfg = CopyDetectConfig {
             min_overlap,
@@ -136,11 +136,13 @@ fn a_single_2000_source_item() {
     let oracle = common::expand_claim_pairs(&cube, 0);
     assert_eq!(oracle.len(), 2_000 * 1_999 / 2);
     for threads in THREADS {
-        assert_eq!(oracle, pair_counts(&cube, 1, threads), "{threads} threads");
+        let counts = kbt::flume::with_threads(Some(threads), || pair_counts(&cube, 1));
+        assert_eq!(oracle, counts, "{threads} threads");
     }
     let twice: Vec<PairCounts> = oracle.iter().filter(|p| p.overlap >= 2).copied().collect();
     assert!(!twice.is_empty() && twice.len() < oracle.len());
-    assert_eq!(twice, pair_counts(&cube, 2, 2));
+    let at_two = kbt::flume::with_threads(Some(2), || pair_counts(&cube, 2));
+    assert_eq!(twice, at_two);
     assert_eq!(
         CoClaimIndex::build(&cube).candidate_pairs(2).len(),
         twice.len()
@@ -151,7 +153,7 @@ fn a_single_2000_source_item() {
 fn the_empty_cube_has_no_pairs() {
     let cube = CubeBuilder::new().build();
     assert_kernel_matches_oracle(&cube, "empty cube");
-    assert!(pair_counts(&cube, 0, 8).is_empty());
+    assert!(kbt::flume::with_threads(Some(8), || pair_counts(&cube, 0)).is_empty());
     // Sources and items reserved, nothing claimed.
     let mut b = CubeBuilder::new();
     b.reserve_ids(50, 1, 10, 3);
