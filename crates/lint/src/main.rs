@@ -115,7 +115,15 @@ fn main() -> ExitCode {
                 waived.get(key).copied().unwrap_or(0),
             );
         }
-        for dir in ["core", "datamodel", "flume", "net", "store", "serve"] {
+        for dir in [
+            "core",
+            "datamodel",
+            "flume",
+            "pipeline",
+            "net",
+            "store",
+            "serve",
+        ] {
             let lines = outcome.lines_by_crate.get(&format!("kbt-{dir}"));
             report.count(&format!("lines_{dir}"), lines.copied().unwrap_or(0));
         }

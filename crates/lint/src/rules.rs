@@ -110,6 +110,12 @@ fn hostile_len_applies(ctx: &FileCtx) -> bool {
 ///
 /// * `kbt-datamodel` and `kbt-flume` are the foundation — importing the
 ///   engine or serving layers from them inverts the architecture;
+/// * the write path has one seam, `kbt_serve::DurabilityHook`: the
+///   server owns its store through it, so `kbt-serve` knows neither
+///   `kbt_store` nor `kbt_net`, and the store and the network front end
+///   do not know each other (a durable network service is composed by
+///   whoever holds both — `DurableTrustServer::into_server` into
+///   `NetServer::spawn`);
 /// * `kbt-synth` is bench-only scaffolding: only `kbt-bench` and the
 ///   `kbt` facade (which re-exports everything) may depend on it;
 /// * `kbt-bench` is a leaf: only `kbt-lint` (for the report shape) may
@@ -126,6 +132,16 @@ pub fn layering_violation(crate_name: &str, dep: &str) -> Option<String> {
     if matches!(crate_name, "kbt-datamodel" | "kbt-flume") && inverted.contains(&dep) {
         return Some(format!(
             "{crate_name} is a foundation crate and must not import {dep} (architecture inversion)"
+        ));
+    }
+    if matches!(
+        (crate_name, dep),
+        ("kbt-serve", "kbt_store" | "kbt_net")
+            | ("kbt-net", "kbt_store")
+            | ("kbt-store", "kbt_net")
+    ) {
+        return Some(format!(
+            "{crate_name} must not import {dep}: the write path composes through kbt_serve::DurabilityHook"
         ));
     }
     if dep == "kbt_synth" && !matches!(crate_name, "kbt-synth" | "kbt-bench" | "kbt") {

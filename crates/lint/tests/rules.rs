@@ -177,6 +177,32 @@ fn layering_rule_is_per_crate() {
 }
 
 #[test]
+fn layering_rule_keeps_the_write_path_on_its_seam() {
+    let hits_as = |crate_name: &str, src: &str| -> Vec<u32> {
+        let diags = lint_file(&ctx(crate_name, "server.rs"), src);
+        let hits = unwaived(&diags, RuleId::Layering);
+        assert!(
+            hits.iter().all(|d| d.message.contains("DurabilityHook")),
+            "{diags:?}"
+        );
+        hits.iter().map(|d| d.line).collect()
+    };
+    let violation = include_str!("fixtures/layering_seam_violation.rs");
+    // `use kbt_net` (line 5) and `use kbt_store` (line 6); test code exempt.
+    assert_eq!(hits_as("kbt-serve", violation), [5, 6]);
+    assert_eq!(hits_as("kbt-net", violation), [6]);
+    assert_eq!(hits_as("kbt-store", violation), [5]);
+    // Whoever holds both may compose them.
+    assert!(hits_as("kbt", violation).is_empty());
+    assert!(hits_as("kbt-bench", violation).is_empty());
+
+    let clean = include_str!("fixtures/layering_seam_clean.rs");
+    for crate_name in ["kbt-serve", "kbt-net", "kbt-store"] {
+        assert!(hits_as(crate_name, clean).is_empty());
+    }
+}
+
+#[test]
 fn layering_rule_catches_thread_fan_out_outside_its_owner() {
     let src = include_str!("fixtures/layering_threads_violation.rs");
     let hits_as = |crate_name: &str| -> Vec<String> {

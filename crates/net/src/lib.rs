@@ -8,12 +8,14 @@
 //! * [`proto`] — the codec: [`Request`]/[`Reply`] payloads, framing,
 //!   the [`FrameBuffer`] incremental assembler, typed [`ErrorCode`]s.
 //! * [`NetServer`] — `std::net` thread-per-connection server over a
-//!   [`kbt_serve::TrustServer`]: queries answered on the connection's
-//!   reader thread from an epoch-cached snapshot reader, writes
-//!   coalesced through a bounded queue into the single trust-writer
-//!   thread (one warm refit per drained burst), bounded per-connection
-//!   reply queues, and degraded-but-serving behavior when a durability
-//!   hook fails.
+//!   [`kbt_serve::TrustServer`], durable when that server carries a
+//!   store as its hook (`DurableTrustServer::into_server`): queries
+//!   answered on the connection's reader thread from an epoch-cached
+//!   snapshot reader, writes through a bounded queue into the single
+//!   trust-writer thread (one refit per drained burst; an ack means
+//!   *queued*, an epoch advance means *logged, applied, committed* —
+//!   see [`server`]), bounded per-connection reply queues, and
+//!   degraded-but-serving behavior when the hook fails.
 //! * [`NetClient`] — a synchronous client, plus raw-byte escape hatches
 //!   the hostility tests (`tests/protocol.rs`) use to slow-loris, corrupt
 //!   frames, and disconnect mid-frame on purpose.
@@ -53,4 +55,4 @@ pub use proto::{
     ErrorCode, FrameBuffer, ProtoError, Reply, Request, WireStats, DEFAULT_MAX_FRAME_BYTES,
     NET_MAGIC, NET_VERSION,
 };
-pub use server::{NetConfig, NetError, NetServer, NetShutdown};
+pub use server::{NetError, NetServer, NetShutdown};

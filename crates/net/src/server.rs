@@ -25,18 +25,34 @@
 //!   `DurabilityLost` error carrying the hook's message, queries keep
 //!   serving the last published epoch, and [`NetServer::shutdown`]
 //!   returns the underlying [`HookError`].
+//!
+//! The [`TrustServer`] is served as it comes: with a store attached
+//! (`kbt_store::DurableTrustServer::into_server`) this is a durable
+//! service, and the server [`NetServer::shutdown`] hands back can be
+//! checkpointed. What a client may conclude from a reply:
+//!
+//! * an **ack** (`IngestAck` / `RetractAck`) means *queued*: the batch is
+//!   in the bounded queue and will reach the writer — shutdown drains the
+//!   queue before the writer leaves — but it is not logged yet, and a
+//!   crash or a degrade before the writer takes it loses it;
+//! * an **epoch advance** means *logged, applied, committed*: every batch
+//!   the new epoch contains went through the hook's `log` before the
+//!   server queued it, and the hook's `commit` (commit marker, fsync) is
+//!   the writer's next step after the publish — readers never wait on an
+//!   fsync, so the epoch is visible a moment before it is durable; if
+//!   that commit fails the epoch stays served, and the `DurabilityLost`
+//!   every later write draws says it may not survive a restart.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use kbt_datamodel::wire;
-use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
+use kbt_pipeline::Delta;
 use kbt_serve::{HookError, SnapshotReader, TrustHandle, TrustServer};
 
 use crate::proto::{
@@ -51,29 +67,14 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// frame plus one chunk.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Tuning knobs of a [`NetServer`].
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Per-frame byte cap enforced before any buffer is sized from a
-    /// length prefix. Default 1 MiB.
-    pub max_frame_bytes: u32,
-    /// Bounded reply frames queued per connection before the client is
-    /// declared too slow and disconnected. Default 128.
-    pub send_queue_frames: usize,
-    /// Bounded ingest/retract batches queued to the trust writer before
-    /// clients get `Overloaded` backpressure replies. Default 64.
-    pub ingest_queue_batches: usize,
-}
+/// Reply frames queued per connection before the client is declared too
+/// slow and disconnected. (The per-frame byte cap, enforced before any
+/// buffer is sized from a length prefix, is [`DEFAULT_MAX_FRAME_BYTES`].)
+const SEND_QUEUE_FRAMES: usize = 128;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            send_queue_frames: 128,
-            ingest_queue_batches: 64,
-        }
-    }
-}
+/// Ingest/retract batches queued to the trust writer before clients get
+/// `Overloaded` backpressure replies.
+const INGEST_QUEUE_BATCHES: usize = 64;
 
 /// Everything that can go wrong spawning or shutting down a server.
 #[derive(Debug)]
@@ -166,40 +167,13 @@ impl Counters {
     }
 }
 
+#[derive(Default)]
 struct Shared {
     stop: AtomicBool,
     /// Set (once) when the durability hook fails: the message clients
     /// see in `DurabilityLost` replies.
-    degraded: Mutex<Option<String>>,
-    is_degraded: AtomicBool,
+    degraded: OnceLock<String>,
     counters: Counters,
-    config: NetConfig,
-}
-
-impl Shared {
-    fn mark_degraded(&self, msg: String) {
-        let mut slot = self.degraded.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(msg);
-        }
-        self.is_degraded.store(true, Ordering::Release);
-    }
-
-    fn degraded_message(&self) -> Option<String> {
-        if !self.is_degraded.load(Ordering::Acquire) {
-            return None;
-        }
-        self.degraded
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-}
-
-/// One write command from a connection to the trust-writer thread.
-enum WriteCmd {
-    Add(Vec<Observation>),
-    Remove(Vec<(SourceId, ItemId, ValueId)>),
 }
 
 // ---- the server ----
@@ -218,43 +192,25 @@ impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("local_addr", &self.local_addr)
-            // ordering: Relaxed — debug peek at the flag; authoritative
-            // reads go through `degraded_message`'s Acquire.
-            .field("degraded", &self.shared.is_degraded.load(Ordering::Relaxed))
+            .field("degraded", &self.shared.degraded.get())
             .finish_non_exhaustive()
     }
 }
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start serving `server` with the default [`NetConfig`].
+    /// start serving `server`, with whatever durability hook it carries.
     pub fn spawn(server: TrustServer, addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        Self::spawn_with(server, addr, NetConfig::default())
-    }
-
-    /// [`Self::spawn`] with explicit tuning.
-    pub fn spawn_with(
-        server: TrustServer,
-        addr: impl ToSocketAddrs,
-        config: NetConfig,
-    ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let handle = server.handle();
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            degraded: Mutex::new(None),
-            is_degraded: AtomicBool::new(false),
-            counters: Counters::default(),
-            config,
-        });
+        let shared = Arc::new(Shared::default());
 
-        let (ingest_tx, ingest_rx) =
-            mpsc::sync_channel::<WriteCmd>(shared.config.ingest_queue_batches);
+        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Delta>(INGEST_QUEUE_BATCHES);
         let writer = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || trust_writer_loop(server, ingest_rx, shared))
+            std::thread::spawn(move || trust_writer_loop(server, ingest_rx, &shared))
         };
         let accept = {
             let shared = Arc::clone(&shared);
@@ -297,11 +253,12 @@ impl NetServer {
 
     /// The degradation message, when a durability hook has failed.
     pub fn degraded(&self) -> Option<String> {
-        self.shared.degraded_message()
+        self.shared.degraded.get().cloned()
     }
 
-    /// Stop accepting, drain the connections, flush the write queue, and
-    /// hand the trust server back.
+    /// Stop accepting, drain the connections, apply everything they
+    /// queued — every acked batch reaches the server — and hand the
+    /// trust server back.
     ///
     /// # Errors
     ///
@@ -338,67 +295,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ---- the trust-writer thread ----
 
-/// The single-writer loop: drain the bounded command queue, coalesce
-/// the burst into the server's pending queue, refit once per burst. A
-/// hook failure flips the shared degraded flag and keeps the loop
-/// draining (and discarding) so connection threads never block — reads
-/// keep serving the last published epoch.
+/// The single-writer loop: drain the bounded queue, submit the burst to
+/// the server (which logs each batch and coalesces it into its pending
+/// runs), refit once per burst. It leaves only when the queue
+/// disconnects — the accept loop drops the last sender after joining
+/// every connection — so a batch acked on the way into shutdown is
+/// still applied. A hook failure marks the server degraded and keeps the
+/// loop draining (and discarding) so connection threads never block —
+/// reads keep serving the last published epoch.
 fn trust_writer_loop(
     mut server: TrustServer,
-    rx: mpsc::Receiver<WriteCmd>,
-    shared: Arc<Shared>,
+    rx: mpsc::Receiver<Delta>,
+    shared: &Shared,
 ) -> (TrustServer, Result<(), HookError>) {
-    let mut failure: Option<HookError> = None;
-    loop {
-        let first = match rx.recv_timeout(POLL_INTERVAL) {
-            Ok(cmd) => Some(cmd),
-            Err(RecvTimeoutError::Timeout) => {
-                // ordering: Relaxed — advisory stop poll; see `shutdown`.
-                if shared.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                None
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let Some(first) = first else { continue };
-        let mut burst = VecDeque::from([first]);
-        while let Ok(next) = rx.try_recv() {
-            burst.push_back(next);
-        }
-        if failure.is_some() {
+    let mut durability = Ok(());
+    while let Ok(first) = rx.recv() {
+        // Taken whole before any of it is submitted, so a burst — and the
+        // wait for the publish behind it — is bounded by the queue.
+        let burst: Vec<Delta> = std::iter::once(first).chain(rx.try_iter()).collect();
+        if durability.is_err() {
             // Degraded: discard. Connections already refuse ingest at
             // the door; anything in flight is dropped, not half-logged.
             continue;
         }
-        let mut step = Ok(());
-        for cmd in burst {
-            step = match cmd {
-                WriteCmd::Add(obs) => server.ingest(obs),
-                WriteCmd::Remove(keys) => server.retract(keys),
-            };
-            if step.is_err() {
-                break;
-            }
-        }
-        let step = step.and_then(|()| server.refit().map(|_| ()));
+        let step = burst
+            .into_iter()
+            .try_for_each(|delta| server.submit(delta))
+            .and_then(|()| server.refit());
         match step {
-            Ok(()) => {
-                Counters::add(&shared.counters.refits, 1);
-            }
+            Ok(_) => Counters::add(&shared.counters.refits, 1),
             Err(e) => {
-                shared.mark_degraded(e.to_string());
-                failure = Some(e);
+                let _ = shared.degraded.set(e.to_string());
+                durability = Err(e);
             }
         }
     }
-    (
-        server,
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        },
-    )
+    (server, durability)
 }
 
 // ---- the accept loop ----
@@ -407,7 +339,7 @@ fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     handle: TrustHandle,
-    ingest_tx: SyncSender<WriteCmd>,
+    ingest_tx: SyncSender<Delta>,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     // ordering: Relaxed — advisory stop poll; see `shutdown`.
@@ -447,10 +379,11 @@ fn accept_loop(
 
 // ---- per-connection machinery ----
 
-/// Why the connection loop ended; the writer-side socket teardown is
-/// the same for all of them.
+/// Why the connection loop ended.
 enum ConnEnd {
     Disconnected,
+    /// The bounded reply queue filled up: the peer is not reading.
+    SlowConsumer,
     Fatal,
     Stopping,
 }
@@ -459,7 +392,7 @@ fn connection_loop(
     stream: TcpStream,
     shared: &Shared,
     reader: SnapshotReader,
-    ingest_tx: SyncSender<WriteCmd>,
+    ingest_tx: SyncSender<Delta>,
 ) {
     // Reader side polls the stop flag via a read timeout; writer side is
     // a dedicated thread so a slow client never blocks frame parsing.
@@ -470,7 +403,7 @@ fn connection_loop(
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(shared.config.send_queue_frames);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
     let writer = std::thread::spawn(move || {
         let mut out = write_half;
         while let Ok(frame) = reply_rx.recv() {
@@ -485,6 +418,12 @@ fn connection_loop(
     });
 
     let end = serve_frames(&stream, shared, reader, ingest_tx, &reply_tx);
+    if matches!(end, ConnEnd::SlowConsumer) {
+        // The writer thread is parked in a write the peer will never
+        // drain; closing the socket under it is what lets it (and the
+        // join below) return. The backlog is dropped, not delivered.
+        let _ = stream.shutdown(Shutdown::Both);
+    }
     drop(reply_tx); // writer drains queued replies, then exits
     let _ = writer.join();
     if matches!(end, ConnEnd::Fatal | ConnEnd::Stopping) {
@@ -498,10 +437,9 @@ fn serve_frames(
     mut stream: &TcpStream,
     shared: &Shared,
     mut reader: SnapshotReader,
-    ingest_tx: SyncSender<WriteCmd>,
+    ingest_tx: SyncSender<Delta>,
     reply_tx: &SyncSender<Vec<u8>>,
 ) -> ConnEnd {
-    let max = shared.config.max_frame_bytes;
     let mut fb = FrameBuffer::new();
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut preamble_done = false;
@@ -548,7 +486,7 @@ fn serve_frames(
         }
 
         loop {
-            let payload = match fb.next_frame(max) {
+            let payload = match fb.next_frame(DEFAULT_MAX_FRAME_BYTES) {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
                 Err(e) => {
@@ -569,7 +507,7 @@ fn serve_frames(
                 // The bounded reply queue is full: this client reads
                 // slower than it asks. Cut it loose instead of letting
                 // its backlog grow without bound.
-                return ConnEnd::Disconnected;
+                return ConnEnd::SlowConsumer;
             }
             if fatal {
                 return ConnEnd::Fatal;
@@ -592,7 +530,7 @@ fn handle_payload(
     payload: &[u8],
     shared: &Shared,
     reader: &mut SnapshotReader,
-    ingest_tx: &SyncSender<WriteCmd>,
+    ingest_tx: &SyncSender<Delta>,
 ) -> (Reply, bool) {
     let request = match Request::decode(payload) {
         Ok(req) => req,
@@ -684,18 +622,8 @@ fn handle_payload(
                 values: snap.trust_batch(&sources),
             }
         }
-        Request::Ingest { id, delta } => {
-            return (
-                queue_write(id, WriteCmd::Add(delta), shared, ingest_tx),
-                false,
-            )
-        }
-        Request::Retract { id, keys } => {
-            return (
-                queue_write(id, WriteCmd::Remove(keys), shared, ingest_tx),
-                false,
-            )
-        }
+        Request::Ingest { id, delta } => queue_write(id, Delta::Add(delta), shared, ingest_tx),
+        Request::Retract { id, keys } => queue_write(id, Delta::Remove(keys), shared, ingest_tx),
         Request::Stats { id } => {
             let snap = reader.current();
             Reply::StatsReply {
@@ -709,30 +637,32 @@ fn handle_payload(
     (reply, false)
 }
 
-/// Queue a write command, translating a degraded server and a full
-/// queue into their typed error replies.
-fn queue_write(id: u64, cmd: WriteCmd, shared: &Shared, ingest_tx: &SyncSender<WriteCmd>) -> Reply {
-    if let Some(msg) = shared.degraded_message() {
+/// Queue a batch for the trust writer, translating a degraded server
+/// and a full queue into their typed error replies. The ack says
+/// *queued*, nothing more.
+fn queue_write(id: u64, delta: Delta, shared: &Shared, ingest_tx: &SyncSender<Delta>) -> Reply {
+    if let Some(msg) = shared.degraded.get() {
         return Reply::Error {
             id,
             code: ErrorCode::DurabilityLost,
-            detail: msg,
+            detail: msg.clone(),
         };
     }
-    let queued = match &cmd {
-        WriteCmd::Add(obs) => obs.len() as u32,
-        WriteCmd::Remove(keys) => keys.len() as u32,
+    let queued = delta.len() as u32;
+    let (counter, ack) = match delta {
+        Delta::Add(_) => (
+            &shared.counters.ingested_observations,
+            Reply::IngestAck { id, queued },
+        ),
+        Delta::Remove(_) => (
+            &shared.counters.retracted_keys,
+            Reply::RetractAck { id, queued },
+        ),
     };
-    let is_add = matches!(&cmd, WriteCmd::Add(_));
-    match ingest_tx.try_send(cmd) {
+    match ingest_tx.try_send(delta) {
         Ok(()) => {
-            if is_add {
-                Counters::add(&shared.counters.ingested_observations, queued as u64);
-                Reply::IngestAck { id, queued }
-            } else {
-                Counters::add(&shared.counters.retracted_keys, queued as u64);
-                Reply::RetractAck { id, queued }
-            }
+            Counters::add(counter, queued.into());
+            ack
         }
         Err(TrySendError::Full(_)) => Reply::Error {
             id,

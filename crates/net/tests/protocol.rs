@@ -13,12 +13,19 @@
 //!    (the concurrency drill) — plus the durability drill: a failing
 //!    hook degrades writes to typed `DurabilityLost` errors while
 //!    queries keep serving the last published epoch.
+//! 3. **The write path as one thing**: shutdown under write load loses
+//!    no acked batch; the two bounded queues push back (`Overloaded`, a
+//!    slow reader cut loose) without hurting anyone else; and a real
+//!    `kbt-store` behind the socket restarts on the `(epoch,
+//!    fingerprint)` it last served, and degrades at the commit stage
+//!    when its directory dies.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -28,8 +35,9 @@ use kbt_net::{
     ClientError, ErrorCode, FrameBuffer, NetClient, NetServer, Reply, Request, WireStats,
     DEFAULT_MAX_FRAME_BYTES,
 };
-use kbt_pipeline::{FusionSession, TrustPipeline};
+use kbt_pipeline::{Delta, FusionSession, TrustPipeline};
 use kbt_serve::{DurabilityHook, HookFailure, HookStage, RefitMode, TrustServer, TrustSnapshot};
+use kbt_store::{DurableTrustServer, StoreConfig};
 use proptest::prelude::*;
 
 // ---- strategies ----
@@ -765,19 +773,16 @@ fn concurrent_queriers_writers_and_hostiles_never_see_a_torn_epoch() {
 
 // ---- the durability drill ----
 
-/// A hook whose ingest log is a brick wall: every `log_ingest` fails.
+/// A hook whose ingest log is a brick wall: logging an additive batch
+/// always fails.
 struct DeadIngestLog;
 
 impl DurabilityHook for DeadIngestLog {
-    fn log_ingest(&mut self, _delta: &[Observation]) -> Result<(), HookFailure> {
-        Err("ingest log unwritable: disk full".into())
-    }
-
-    fn log_retract(
-        &mut self,
-        _retractions: &[(SourceId, ItemId, ValueId)],
-    ) -> Result<(), HookFailure> {
-        Ok(())
+    fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
+        match delta {
+            Delta::Add(_) => Err("ingest log unwritable: disk full".into()),
+            Delta::Remove(_) => Ok(()),
+        }
     }
 
     fn commit(
@@ -844,4 +849,348 @@ fn hook_failure_degrades_to_typed_errors_while_queries_keep_serving() {
         epoch0,
         "in-memory state never ran ahead"
     );
+}
+
+// ---- the write path as one thing ----
+
+/// Regression: the trust writer used to leave on a stop poll while
+/// connection threads could still ack for one more poll interval, so a
+/// batch acked on the way into shutdown was neither applied nor handed
+/// back. Writers keep ingesting across `shutdown()`; every observation
+/// the server acked must be in the cube it returns.
+#[test]
+fn batches_acked_during_shutdown_are_applied() {
+    const WRITERS: u32 = 3;
+    let net = spawn_net();
+    let addr = net.addr();
+    let closing = AtomicBool::new(false);
+    let closing = &closing;
+
+    let (down, acked) = thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut client = NetClient::connect(addr).expect("writer connects");
+                    let mut acked = 0usize;
+                    // One fresh (source, item) per batch: an acked batch
+                    // is exactly one new group of this writer's source.
+                    for d in 0.. {
+                        if closing.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        match client.ingest(vec![obs(100 + w, d, 0)]) {
+                            Ok(n) => acked += n as usize,
+                            Err(ClientError::Server {
+                                code: ErrorCode::Overloaded,
+                                ..
+                            }) => {}
+                            Err(_) => break, // the server hung up first
+                        }
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    acked
+                })
+            })
+            .collect();
+        // Writers outlive the stop flag by a few poll intervals, so acks
+        // keep landing while the server is already shutting down.
+        scope.spawn(|| {
+            thread::sleep(Duration::from_millis(160));
+            closing.store(true, Ordering::SeqCst);
+        });
+        thread::sleep(Duration::from_millis(80));
+        let down = net.shutdown().expect("clean shutdown");
+        let acked: Vec<usize> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        (down, acked)
+    });
+
+    assert!(down.durability.is_ok());
+    let cube = down.server.session().cube();
+    for (w, &n) in acked.iter().enumerate() {
+        assert!(n > 0, "writer {w} got batches in");
+        assert_eq!(
+            cube.source_size(SourceId::new(100 + w as u32)),
+            n,
+            "every batch acked to writer {w} was applied"
+        );
+    }
+    assert_eq!(
+        down.stats.ingested_observations,
+        acked.iter().sum::<usize>() as u64
+    );
+    assert_eq!(down.server.pending(), (0, 0), "the queue was drained");
+}
+
+/// A hook whose `log` parks the trust-writer thread until the test lets
+/// go of the gate (a dropped gate lets everything through).
+struct GatedLog {
+    entered: mpsc::Sender<()>,
+    gate: mpsc::Receiver<()>,
+}
+
+impl DurabilityHook for GatedLog {
+    fn log(&mut self, _delta: &Delta) -> Result<(), HookFailure> {
+        let _ = self.entered.send(());
+        let _ = self.gate.recv();
+        Ok(())
+    }
+
+    fn commit(
+        &mut self,
+        _snapshot: &TrustSnapshot,
+        _session: &FusionSession,
+    ) -> Result<(), HookFailure> {
+        Ok(())
+    }
+}
+
+/// The ingest queue is bounded: with the writer held inside the hook,
+/// 64 batches queue, the next one is refused with `Overloaded` on a
+/// connection that stays usable, and letting the writer go folds every
+/// acked batch into one refit.
+#[test]
+fn a_full_ingest_queue_answers_overloaded_and_drains_into_one_refit() {
+    const QUEUE: u32 = 64;
+    let mut server = TrustServer::from_pipeline(
+        TrustPipeline::new().observations(corpus()).threads(1),
+        RefitMode::Warm,
+    )
+    .expect("seed corpus fits");
+    let (entered, entered_rx) = mpsc::channel();
+    let (gate_tx, gate) = mpsc::channel();
+    server.set_hook(Box::new(GatedLog { entered, gate }));
+    let net = NetServer::spawn(server, "127.0.0.1:0").expect("ephemeral bind");
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let (epoch0, _) = client.ping().expect("ping");
+
+    // Batch 0 reaches the writer, which parks in `log` holding it.
+    assert_eq!(client.ingest(vec![obs(9, 0, 0)]).expect("ack"), 1);
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the writer took the first batch");
+    // The queue takes exactly its bound…
+    for d in 1..=QUEUE {
+        assert_eq!(client.ingest(vec![obs(9, d, 0)]).expect("queued"), 1);
+    }
+    // …and not one batch more; retractions share the queue.
+    match client.ingest(vec![obs(9, QUEUE + 1, 0)]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    match client.retract(vec![(SourceId::new(0), ItemId::new(0), ValueId::new(0))]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    // Backpressure is not a disconnect, and nothing was published yet.
+    assert_eq!(client.ping().expect("same connection").0, epoch0);
+
+    // Release: batch 0 refits alone (it was taken alone), then the 64
+    // queued batches come out as one burst and one refit.
+    drop(gate_tx);
+    wait_until(Duration::from_secs(20), "the drained refit", || {
+        (client.ping().expect("ping").0 == epoch0 + 2).then_some(())
+    });
+    assert_eq!(net.refits(), 2);
+    let down = net.shutdown().expect("clean shutdown");
+    assert!(down.durability.is_ok());
+    assert_eq!(down.stats.ingested_observations, u64::from(QUEUE) + 1);
+    assert_eq!(down.stats.retracted_keys, 0);
+    assert_eq!(down.server.epoch(), epoch0 + 2);
+    assert_eq!(
+        down.server.session().cube().source_size(SourceId::new(9)),
+        QUEUE as usize + 1,
+        "every acked batch was applied"
+    );
+}
+
+/// The reply queue is bounded: a client that pipelines large top-k
+/// requests and never reads a byte fills its socket, then its 128-frame
+/// queue, and is cut loose — while a well-behaved client on the same
+/// server is answered before, during and after.
+#[test]
+fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
+    const SOURCES: u32 = 2000;
+    let wide: Vec<Observation> = (0..SOURCES)
+        .flat_map(|w| (0..2).map(move |d| obs(w, d, w % 2)))
+        .collect();
+    let server = TrustServer::from_pipeline(
+        TrustPipeline::new().observations(wide).threads(1),
+        RefitMode::Warm,
+    )
+    .expect("wide corpus fits");
+    let net = NetServer::spawn(server, "127.0.0.1:0").expect("ephemeral bind");
+    let mut good = NetClient::connect(net.addr()).expect("connect");
+    good.ping().expect("ping");
+
+    // ~24 KB per reply, 21 bytes per request: the requests always fit
+    // the server's receive window, the replies soon fit nowhere.
+    let mut hog = raw_conn_after_ping(net.addr(), 1);
+    wait_until(Duration::from_secs(10), "both connections active", || {
+        (net.stats().active == 2).then_some(())
+    });
+    let request = encode_frame(&Request::TopKSources { id: 7, k: SOURCES }.encode());
+    let mut sent = 0u32;
+    wait_until(Duration::from_secs(60), "the hog's disconnect", || {
+        for _ in 0..64 {
+            // A failed write is the disconnect arriving; keep polling.
+            sent += u32::from(hog.write_all(&request).is_ok());
+        }
+        assert_eq!(
+            good.top_k_sources(3)
+                .expect("served beside the hog")
+                .value
+                .len(),
+            3
+        );
+        (net.stats().active == 1).then_some(())
+    });
+    assert!(
+        sent > 128,
+        "the queue bound, not the first reply, cut it: {sent}"
+    );
+
+    // The server side is gone: what the kernel still holds drains to EOF.
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut sink = vec![0u8; 1 << 16];
+    while matches!(hog.read(&mut sink), Ok(n) if n > 0) {}
+    good.ping().expect("still served afterwards");
+    let down = net.shutdown().expect("clean shutdown");
+    assert_eq!(down.stats.accepted, 2);
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("kbt-net-store-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The restart drill: a durable server behind the socket, stopped
+/// without a checkpoint, comes back from its directory serving the
+/// `(epoch, fingerprint)` it last served — the log is replayed through
+/// the same coalesce + apply + fit the live server ran — and goes on.
+#[test]
+fn durable_service_restarts_on_the_epoch_and_fingerprint_it_last_served() {
+    let dir = fresh_dir("restart");
+    let session = TrustPipeline::new()
+        .observations(corpus())
+        .threads(1)
+        .into_session()
+        .expect("seed corpus fits");
+    let model = session.model().clone();
+    let advance = |client: &mut NetClient, send: &dyn Fn(&mut NetClient)| {
+        let (before, _) = client.ping().expect("ping");
+        send(client);
+        wait_until(Duration::from_secs(20), "a committed refit", || {
+            (client.ping().expect("ping").0 > before).then_some(())
+        });
+    };
+    let keys = |d: std::ops::Range<u32>| -> Vec<_> {
+        d.map(|d| (SourceId::new(9), ItemId::new(d), ValueId::new(0)))
+            .collect()
+    };
+
+    // First process: create, serve, write over the wire, stop. The
+    // default policy checkpoints every 8 applied batches, so all of this
+    // lives in the log alone.
+    let durable =
+        DurableTrustServer::create(&dir, session, RefitMode::Cold, StoreConfig::default())
+            .expect("create store");
+    let net = NetServer::spawn(durable.into_server(), "127.0.0.1:0").expect("ephemeral bind");
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let (epoch0, _) = client.ping().expect("ping");
+    advance(&mut client, &|c| {
+        c.ingest((0..10).map(|d| obs(9, d, 0)).collect()).unwrap();
+    });
+    advance(&mut client, &|c| {
+        c.retract(keys(0..4)).unwrap();
+    });
+    advance(&mut client, &|c| {
+        c.ingest(vec![obs(9, 0, 1), obs(10, 3, 1)]).unwrap();
+    });
+    advance(&mut client, &|c| {
+        c.retract(keys(4..5)).unwrap();
+    });
+    // One request per refit, so the fourth epoch is the last one coming.
+    let served = client.ping().expect("ping");
+    assert_eq!(served.0, epoch0 + 4);
+    let down = net.shutdown().expect("clean shutdown");
+    assert!(down.durability.is_ok());
+    assert_eq!(down.server.epoch(), served.0);
+    drop(down); // no checkpoint: the restart has to replay the log
+
+    // Second process: open the directory, serve it again.
+    let reopened = DurableTrustServer::open(&dir, model, RefitMode::Cold, StoreConfig::default())
+        .expect("open after restart");
+    let net = NetServer::spawn(reopened.into_server(), "127.0.0.1:0").expect("ephemeral bind");
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    assert_eq!(
+        client.ping().expect("ping"),
+        served,
+        "same epoch, same bits"
+    );
+    advance(&mut client, &|c| {
+        c.ingest(vec![obs(11, 1, 0)]).unwrap();
+    });
+    assert_eq!(client.ping().expect("ping").0, served.0 + 1);
+
+    // The server shutdown hands back is still durable: checkpoint it.
+    let mut down = net.shutdown().expect("clean shutdown");
+    assert!(down.durability.is_ok());
+    assert_eq!(
+        down.server.checkpoint_now().expect("checkpoint"),
+        served.0 + 1
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commit-stage degrade with the real store: its directory vanishes
+/// under the running server, the next batch is logged (the log's handle
+/// is still open), applied and published, the checkpoint that publish
+/// triggers fails — and from then on writes are refused with the
+/// store's own message while queries keep answering.
+#[test]
+fn a_store_that_loses_its_directory_degrades_at_the_commit_stage() {
+    let dir = fresh_dir("degrade");
+    let session = TrustPipeline::new()
+        .observations(corpus())
+        .threads(1)
+        .into_session()
+        .expect("seed corpus fits");
+    let config = StoreConfig {
+        checkpoint_every: 1,
+        keep_checkpoints: 2,
+    };
+    let durable =
+        DurableTrustServer::create(&dir, session, RefitMode::Warm, config).expect("create store");
+    let net = NetServer::spawn(durable.into_server(), "127.0.0.1:0").expect("ephemeral bind");
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let (epoch0, _) = client.ping().expect("ping");
+
+    std::fs::remove_dir_all(&dir).expect("pull the directory out");
+    assert_eq!(client.ingest(vec![obs(9, 0, 0)]).expect("acked"), 1);
+    let detail = wait_until(Duration::from_secs(10), "degraded mode", || {
+        match client.ingest(vec![obs(9, 1, 0)]) {
+            Ok(_) => None,
+            Err(ClientError::Server {
+                code: ErrorCode::DurabilityLost,
+                detail,
+            }) => Some(detail),
+            Err(other) => panic!("expected DurabilityLost, got {other}"),
+        }
+    });
+    assert!(
+        detail.contains("commit") && detail.contains("store I/O error"),
+        "client sees the stage and the store's own message, got: {detail}"
+    );
+    assert_eq!(net.degraded().as_deref(), Some(detail.as_str()));
+
+    // The batch was published in memory before its commit failed, and
+    // queries go on answering from it.
+    assert_eq!(client.ping().expect("ping while degraded").0, epoch0 + 1);
+    assert!(client.trust(SourceId::new(9)).unwrap().value.is_some());
+
+    let down = net.shutdown().expect("the process survived");
+    let err = down.durability.expect_err("the store failure is surfaced");
+    assert_eq!(err.stage(), HookStage::Commit);
+    assert_eq!(down.server.epoch(), epoch0 + 1);
 }

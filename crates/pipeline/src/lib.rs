@@ -35,7 +35,7 @@ pub mod error;
 pub mod session;
 
 pub use error::PipelineError;
-pub use session::FusionSession;
+pub use session::{Delta, FusionSession};
 
 use std::sync::Arc;
 

@@ -18,6 +18,48 @@ use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId,
 
 use crate::Model;
 
+/// One accepted batch on its way from a client to the cube: the shape
+/// the socket, the delta log, the server's queue and crash replay all
+/// carry, so what a batch *is* is decided here and nowhere else.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Delta {
+    /// New observations to merge in ([`FusionSession::update`]).
+    Add(Vec<Observation>),
+    /// `(source, item, value)` triples to remove
+    /// ([`FusionSession::retract`]).
+    Remove(Vec<(SourceId, ItemId, ValueId)>),
+}
+
+impl Delta {
+    /// Number of observations or keys in the batch.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Add(obs) => obs.len(),
+            Self::Remove(keys) => keys.len(),
+        }
+    }
+
+    /// `true` for a batch that carries nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Queue `self` behind `runs`, in submission order: a batch of the
+    /// same kind as the last queued run extends it, anything else starts
+    /// a new run. Each run becomes one [`FusionSession::apply`], so this
+    /// rule fixes [`FusionSession::deltas_applied`] — and with it the
+    /// snapshot fingerprint — for a given submission sequence. The live
+    /// server and crash replay both queue through it; that is what makes
+    /// a replayed epoch bit-identical to the one that was served.
+    pub fn coalesce_into(self, runs: &mut Vec<Delta>) {
+        match (runs.last_mut(), self) {
+            (Some(Self::Add(run)), Self::Add(obs)) => run.extend(obs),
+            (Some(Self::Remove(run)), Self::Remove(keys)) => run.extend(keys),
+            (_, delta) => runs.push(delta),
+        }
+    }
+}
+
 /// A long-lived fusion state: the observation cube plus the last run's
 /// converged parameters.
 ///
@@ -218,6 +260,14 @@ impl FusionSession {
         self.cube = merged;
         self.deltas_applied += 1;
         self
+    }
+
+    /// Apply one [`Delta`] run: [`Self::update`] or [`Self::retract`].
+    pub fn apply(&mut self, delta: &Delta) -> &mut Self {
+        match delta {
+            Delta::Add(obs) => self.update(obs),
+            Delta::Remove(keys) => self.retract(keys),
+        }
     }
 
     /// Run fusion on the current cube: cold ([`QualityInit::Default`]) on
@@ -472,6 +522,42 @@ mod tests {
         assert_eq!(s.cube().num_sources(), 5, "id spaces never shrink");
         let after = s.run();
         assert_eq!(after.source_trust().len(), 5);
+    }
+
+    /// Same-kind neighbours coalesce, order across kinds is kept, and
+    /// each run counts as one applied delta.
+    #[test]
+    fn deltas_coalesce_into_runs_and_apply_in_order() {
+        let key = (SourceId::new(0), ItemId::new(0), ValueId::new(0));
+        let mut runs = Vec::new();
+        for delta in [
+            Delta::Add(vec![obs(0, 5, 0, 0)]),
+            Delta::Add(vec![obs(0, 5, 1, 0)]),
+            Delta::Remove(vec![key]),
+            Delta::Add(vec![obs(1, 0, 0, 0)]),
+        ] {
+            delta.coalesce_into(&mut runs);
+        }
+        assert_eq!(
+            runs,
+            [
+                Delta::Add(vec![obs(0, 5, 0, 0), obs(0, 5, 1, 0)]),
+                Delta::Remove(vec![key]),
+                Delta::Add(vec![obs(1, 0, 0, 0)]),
+            ]
+        );
+        assert_eq!(runs.iter().map(Delta::len).sum::<usize>(), 4);
+
+        let mut s = FusionSession::from_observations(base_corpus(), Model::multi_layer());
+        for run in &runs {
+            s.apply(run);
+        }
+        assert_eq!(s.deltas_applied(), 3);
+        assert_eq!(s.cube().num_sources(), 6);
+        // The retraction dropped both extractions; the later add put one back.
+        let g = &s.cube().groups()[s.cube().source_groups(key.0).start];
+        assert_eq!((g.item, g.value), (key.1, key.2));
+        assert_eq!(s.cube().cells_of(g).len(), 1);
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //!   retractions, refits warm (`apply_delta` + `QualityInit::Resume` +
 //!   truth-hint + independence priors) or cold
 //!   ([`RefitMode`]), and publishes the next epoch; the read side holds
-//!   only cloneable [`TrustHandle`]s.
+//!   only cloneable [`TrustHandle`]s. Persistence plugs in through one
+//!   seam, the [`DurabilityHook`] the server owns: `log` before a batch
+//!   is queued, `commit` after a publish, `checkpoint` on demand.
 //!
 //! ```
 //! use kbt_pipeline::{Model, TrustPipeline};
@@ -81,7 +83,10 @@ pub mod server;
 pub mod snapshot;
 pub mod store;
 
-pub use server::{DurabilityHook, HookError, HookFailure, HookStage, TrustHandle, TrustServer};
+pub use server::{
+    fit_and_export, CheckpointError, DurabilityHook, HookError, HookFailure, HookStage,
+    TrustHandle, TrustServer,
+};
 pub use snapshot::{
     CalibrationBucket, RefitMode, SnapshotParts, SnapshotPartsError, SnapshotProvenance,
     TrustSnapshot, CALIBRATION_BUCKETS,

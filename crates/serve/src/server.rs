@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
-use kbt_pipeline::{FusionSession, PipelineError, TrustPipeline};
+use kbt_pipeline::{Delta, FusionSession, PipelineError, TrustPipeline};
 
 use crate::snapshot::{RefitMode, SnapshotProvenance, TrustSnapshot};
 use crate::store::{SnapshotReader, SnapshotStore};
@@ -61,16 +61,19 @@ pub type HookFailure = Box<dyn std::error::Error + Send + Sync>;
 /// Which [`DurabilityHook`] call a [`HookError`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookStage {
-    /// [`DurabilityHook::log_ingest`] rejected an additive batch — the
-    /// batch was **not** queued; the in-memory state never ran ahead of
-    /// the log.
+    /// [`DurabilityHook::log`] rejected an additive batch — the batch
+    /// was **not** queued; the in-memory state never ran ahead of the
+    /// log.
     LogIngest,
-    /// [`DurabilityHook::log_retract`] rejected a retraction batch —
-    /// likewise not queued.
+    /// [`DurabilityHook::log`] rejected a retraction batch — likewise
+    /// not queued.
     LogRetract,
     /// [`DurabilityHook::commit`] failed after a publish — the snapshot
     /// **is** serving in memory but is not durable.
     Commit,
+    /// [`DurabilityHook::checkpoint`] failed — nothing in memory
+    /// changed, and whatever was committed before still is.
+    Checkpoint,
 }
 
 impl std::fmt::Display for HookStage {
@@ -79,6 +82,7 @@ impl std::fmt::Display for HookStage {
             Self::LogIngest => write!(f, "log_ingest"),
             Self::LogRetract => write!(f, "log_retract"),
             Self::Commit => write!(f, "commit"),
+            Self::Checkpoint => write!(f, "checkpoint"),
         }
     }
 }
@@ -96,24 +100,14 @@ pub struct HookError {
 }
 
 impl HookError {
-    /// Wrap a hook failure with the stage it came from.
-    pub fn new(stage: HookStage, source: HookFailure) -> Self {
+    fn new(stage: HookStage, source: HookFailure) -> Self {
         Self { stage, source }
     }
 
-    /// Which hook call failed.
+    /// Which hook call failed (the persistence layer's own failure is
+    /// the error's [`source`](std::error::Error::source)).
     pub fn stage(&self) -> HookStage {
         self.stage
-    }
-
-    /// The persistence layer's underlying failure.
-    pub fn failure(&self) -> &(dyn std::error::Error + Send + Sync) {
-        self.source.as_ref()
-    }
-
-    /// Unwrap the underlying failure.
-    pub fn into_failure(self) -> HookFailure {
-        self.source
     }
 }
 
@@ -133,11 +127,34 @@ impl std::error::Error for HookError {
     }
 }
 
-/// The write-ahead contract between a [`TrustServer`] and a persistence
-/// layer (implemented by `kbt-store`, but any store can plug in).
+/// Why [`TrustServer::checkpoint_now`] wrote no checkpoint.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// Accepted batches are queued. A checkpoint rotates the log, and
+    /// their records would stay behind in a file no replay chain reaches:
+    /// refit first, then checkpoint.
+    PendingBatches,
+    /// The hook's [`DurabilityHook::checkpoint`] failed.
+    Hook(HookError),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::PendingBatches => write!(f, "batches are queued: refit, then checkpoint"),
+            Self::Hook(e) => write!(f, "checkpoint failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// The write-ahead contract between a [`TrustServer`] and the
+/// persistence layer it owns (`kbt-store` in production; tests plug in
+/// fakes). It is the only seam between the two: the store never reaches
+/// around it into the server, and the server knows nothing of files.
 ///
-/// The server calls [`log_ingest`](Self::log_ingest) /
-/// [`log_retract`](Self::log_retract) **before** queueing a batch — a
+/// The server calls [`log`](Self::log) **before** queueing a batch — a
 /// batch the hook rejects is never queued, so the in-memory state can
 /// never run ahead of the log — and [`commit`](Self::commit) **after**
 /// each publish, handing over the freshly published snapshot and the
@@ -146,20 +163,27 @@ impl std::error::Error for HookError {
 /// refit methods; the snapshot is already published in memory at that
 /// point, but is not durable.
 pub trait DurabilityHook: Send {
-    /// Persist an additive observation batch before it is queued.
-    fn log_ingest(&mut self, delta: &[Observation]) -> Result<(), HookFailure>;
-    /// Persist a retraction batch before it is queued.
-    fn log_retract(
-        &mut self,
-        retractions: &[(SourceId, ItemId, ValueId)],
-    ) -> Result<(), HookFailure>;
+    /// Persist an accepted batch before it is queued.
+    fn log(&mut self, delta: &Delta) -> Result<(), HookFailure>;
     /// Make everything logged before `snapshot`'s refit durable (fsync
-    /// the log, optionally checkpoint from `session`).
+    /// the log, checkpoint from `session` when the store's policy says
+    /// so).
     fn commit(
         &mut self,
         snapshot: &TrustSnapshot,
         session: &FusionSession,
     ) -> Result<(), HookFailure>;
+    /// Checkpoint `snapshot` and `session` now, whatever the policy
+    /// ([`TrustServer::checkpoint_now`]; the server has checked that no
+    /// logged batch is still queued). A store without checkpoints keeps
+    /// the default and does nothing.
+    fn checkpoint(
+        &mut self,
+        _snapshot: &TrustSnapshot,
+        _session: &FusionSession,
+    ) -> Result<(), HookFailure> {
+        Ok(())
+    }
 }
 
 /// The single-writer trust server: owns a [`FusionSession`] and a
@@ -174,10 +198,11 @@ pub trait DurabilityHook: Send {
 pub struct TrustServer {
     session: FusionSession,
     store: Arc<SnapshotStore>,
-    /// Queued deltas in **submission order** — a retract-then-ingest of
-    /// the same triple must re-add it, and an ingest-then-retract must
+    /// Queued delta runs in **submission order** — a retract-then-ingest
+    /// of the same triple must re-add it, and an ingest-then-retract must
     /// remove it, exactly as if each batch had been refitted on its own.
-    pending: Vec<PendingDelta>,
+    /// Filled only through [`Delta::coalesce_into`].
+    pending: Vec<Delta>,
     mode: RefitMode,
     epoch: u64,
     /// Write-ahead persistence, when attached ([`Self::set_hook`]).
@@ -197,28 +222,13 @@ impl std::fmt::Debug for TrustServer {
     }
 }
 
-/// One queued run of same-kind deltas (consecutive submissions of the
-/// same kind coalesce into one run; order across kinds is preserved).
-#[derive(Debug)]
-enum PendingDelta {
-    Add(Vec<Observation>),
-    Remove(Vec<(SourceId, ItemId, ValueId)>),
-}
-
 impl TrustServer {
     /// Run the initial fit of `session` (cold unless the session already
     /// carries converged parameters and `mode` is warm) and publish it as
     /// epoch 0.
     pub fn new(mut session: FusionSession, mode: RefitMode) -> Self {
-        let snap = fit_and_export(&mut session, mode, 0);
-        Self {
-            session,
-            store: Arc::new(SnapshotStore::new(snap)),
-            pending: Vec::new(),
-            mode,
-            epoch: 0,
-            hook: None,
-        }
+        let snapshot = fit_and_export(&mut session, mode, 0);
+        Self::resume(session, snapshot, mode)
     }
 
     /// Resume a server from recovered state **without refitting**: the
@@ -263,95 +273,72 @@ impl TrustServer {
         self.epoch
     }
 
-    /// The refit mode this server runs under.
-    pub fn mode(&self) -> RefitMode {
-        self.mode
-    }
-
     /// The underlying session (read-only).
     pub fn session(&self) -> &FusionSession {
         &self.session
     }
 
-    /// Attach a write-ahead persistence hook. Batches queued from now on
-    /// are logged through it before they are accepted, and every publish
-    /// is followed by a [`DurabilityHook::commit`].
+    /// Attach the write-ahead persistence hook, which the server owns
+    /// from here on. Batches queued from now on are logged through it
+    /// before they are accepted, and every publish is followed by a
+    /// [`DurabilityHook::commit`].
     pub fn set_hook(&mut self, hook: Box<dyn DurabilityHook>) -> &mut Self {
         self.hook = Some(hook);
         self
     }
 
-    /// Detach and return the persistence hook, if one was attached.
-    pub fn take_hook(&mut self) -> Option<Box<dyn DurabilityHook>> {
-        self.hook.take()
-    }
-
-    /// Queue an additive observation delta for the next refit. Deltas
-    /// and retractions are applied in submission order at refit time.
+    /// Log `delta` through the hook, then queue it for the next refit.
+    /// Batches are applied in submission order at refit time; an empty
+    /// batch is neither logged nor queued (it must not trigger a
+    /// publish). [`ingest`](Self::ingest) and [`retract`](Self::retract)
+    /// are this, by kind.
     ///
     /// # Errors
     ///
-    /// [`HookStage::LogIngest`] when an attached [`DurabilityHook`]
-    /// rejects the batch. The batch was **not** queued: the in-memory
-    /// state never runs ahead of the log.
+    /// [`HookStage::LogIngest`] / [`HookStage::LogRetract`] when an
+    /// attached [`DurabilityHook`] rejects the batch. The batch was
+    /// **not** queued: the in-memory state never runs ahead of the log.
+    pub fn submit(&mut self, delta: Delta) -> Result<(), HookError> {
+        if delta.is_empty() {
+            return Ok(());
+        }
+        if let Some(hook) = &mut self.hook {
+            let stage = match delta {
+                Delta::Add(_) => HookStage::LogIngest,
+                Delta::Remove(_) => HookStage::LogRetract,
+            };
+            hook.log(&delta).map_err(|e| HookError::new(stage, e))?;
+        }
+        delta.coalesce_into(&mut self.pending);
+        Ok(())
+    }
+
+    /// [`submit`](Self::submit) an additive observation batch.
     pub fn ingest(
         &mut self,
         delta: impl IntoIterator<Item = Observation>,
     ) -> Result<(), HookError> {
-        let delta: Vec<Observation> = delta.into_iter().collect();
-        if delta.is_empty() {
-            return Ok(()); // an empty batch must not trigger a publish
-        }
-        if let Some(hook) = &mut self.hook {
-            hook.log_ingest(&delta)
-                .map_err(|e| HookError::new(HookStage::LogIngest, e))?;
-        }
-        match self.pending.last_mut() {
-            Some(PendingDelta::Add(run)) => run.extend(delta),
-            _ => self.pending.push(PendingDelta::Add(delta)),
-        }
-        Ok(())
+        self.submit(Delta::Add(delta.into_iter().collect()))
     }
 
-    /// Queue a retraction batch (remove `(source, item, value)` triples)
-    /// for the next refit. Applied in submission order relative to
-    /// [`ingest`](Self::ingest): retracting a triple and then re-ingesting
-    /// it leaves the new observation in place.
-    ///
-    /// # Errors
-    ///
-    /// [`HookStage::LogRetract`] when an attached [`DurabilityHook`]
-    /// rejects the batch; on `Err` the batch was **not** queued.
+    /// [`submit`](Self::submit) a retraction batch (remove
+    /// `(source, item, value)` triples): retracting a triple and then
+    /// re-ingesting it leaves the new observation in place.
     pub fn retract(
         &mut self,
         retractions: impl IntoIterator<Item = (SourceId, ItemId, ValueId)>,
     ) -> Result<(), HookError> {
-        let retractions: Vec<(SourceId, ItemId, ValueId)> = retractions.into_iter().collect();
-        if retractions.is_empty() {
-            return Ok(()); // an empty batch must not trigger a publish
-        }
-        if let Some(hook) = &mut self.hook {
-            hook.log_retract(&retractions)
-                .map_err(|e| HookError::new(HookStage::LogRetract, e))?;
-        }
-        match self.pending.last_mut() {
-            Some(PendingDelta::Remove(run)) => run.extend(retractions),
-            _ => self.pending.push(PendingDelta::Remove(retractions)),
-        }
-        Ok(())
+        self.submit(Delta::Remove(retractions.into_iter().collect()))
     }
 
     /// Number of queued (not yet refitted) observations and retractions.
     pub fn pending(&self) -> (usize, usize) {
-        let mut obs = 0;
-        let mut retractions = 0;
-        for p in &self.pending {
-            match p {
-                PendingDelta::Add(run) => obs += run.len(),
-                PendingDelta::Remove(run) => retractions += run.len(),
-            }
-        }
-        (obs, retractions)
+        self.pending
+            .iter()
+            .fold((0, 0), |(obs, keys), run| match run {
+                Delta::Add(_) => (obs + run.len(), keys),
+                Delta::Remove(_) => (obs, keys + run.len()),
+            })
     }
 
     /// Fold the queued deltas into the session, refit, and publish the
@@ -382,15 +369,8 @@ impl TrustServer {
     /// Same as [`refit`](Self::refit): a [`HookStage::Commit`] failure
     /// after the in-memory publish.
     pub fn force_refit(&mut self) -> Result<Arc<TrustSnapshot>, HookError> {
-        for delta in std::mem::take(&mut self.pending) {
-            match delta {
-                PendingDelta::Add(obs) => {
-                    self.session.update(&obs);
-                }
-                PendingDelta::Remove(keys) => {
-                    self.session.retract(&keys);
-                }
-            }
+        for run in std::mem::take(&mut self.pending) {
+            self.session.apply(&run);
         }
         self.epoch += 1;
         let snap = fit_and_export(&mut self.session, self.mode, self.epoch);
@@ -401,13 +381,34 @@ impl TrustServer {
         }
         Ok(installed)
     }
+
+    /// Have the hook checkpoint the published epoch now, whatever its
+    /// own policy, and return that epoch. Without a hook there is
+    /// nothing to write and this only reports the epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::PendingBatches`] while accepted batches are
+    /// queued; [`HookStage::Checkpoint`] when the hook fails.
+    pub fn checkpoint_now(&mut self) -> Result<u64, CheckpointError> {
+        if !self.pending.is_empty() {
+            return Err(CheckpointError::PendingBatches);
+        }
+        if let Some(hook) = &mut self.hook {
+            hook.checkpoint(&self.store.load(), &self.session)
+                .map_err(|e| CheckpointError::Hook(HookError::new(HookStage::Checkpoint, e)))?;
+        }
+        Ok(self.epoch)
+    }
 }
 
 /// Run one fit of `session` in `mode` and export it as a snapshot under
-/// `epoch`. The recorded [`SnapshotProvenance::refit_mode`] is what
-/// actually happened: a warm-mode fit with nothing to resume (the
-/// server's initial fit) is recorded as cold.
-fn fit_and_export(session: &mut FusionSession, mode: RefitMode, epoch: u64) -> TrustSnapshot {
+/// `epoch` — the only place a fit becomes a [`TrustSnapshot`], for the
+/// live server and for crash replay alike (replay fits cold). The
+/// recorded [`SnapshotProvenance::refit_mode`] is what actually
+/// happened: a warm-mode fit with nothing to resume (the server's
+/// initial fit) is recorded as cold.
+pub fn fit_and_export(session: &mut FusionSession, mode: RefitMode, epoch: u64) -> TrustSnapshot {
     let resumes = matches!(mode, RefitMode::Warm) && session.params().is_some();
     let report = match mode {
         RefitMode::Warm => session.run(),
@@ -476,6 +477,22 @@ mod tests {
         })
     }
 
+    /// A server over `corpus(items)`, initial fit published.
+    fn server(items: std::ops::Range<u32>, mode: RefitMode) -> TrustServer {
+        TrustServer::from_pipeline(
+            TrustPipeline::new()
+                .observations(corpus(items))
+                .model(model()),
+            mode,
+        )
+        .unwrap()
+    }
+
+    fn first_triple(server: &TrustServer) -> (SourceId, ItemId, ValueId) {
+        let g = &server.session().cube().groups()[0];
+        (g.source, g.item, g.value)
+    }
+
     /// The serving guarantee: in cold refit mode, the snapshot published
     /// after each delta batch is bit-identical to a cold `TrustPipeline`
     /// run over the same prefix of observations.
@@ -487,12 +504,7 @@ mod tests {
             corpus(12..13),
             vec![obs(0, 6, 0, 0), obs(1, 6, 1, 1)],
         ];
-        let session = TrustPipeline::new()
-            .observations(base.clone())
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Cold);
+        let mut server = server(0..10, RefitMode::Cold);
         let mut prefix = base;
         let handle = server.handle();
         for (i, delta) in deltas.iter().enumerate() {
@@ -513,12 +525,7 @@ mod tests {
 
     #[test]
     fn warm_refits_advance_epochs_and_record_provenance() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..10))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Warm);
+        let mut server = server(0..10, RefitMode::Warm);
         let handle = server.handle();
         let init = handle.snapshot();
         assert_eq!(init.epoch(), 0);
@@ -538,10 +545,7 @@ mod tests {
         assert_eq!(handle.epoch(), 1);
 
         // Retraction-only deltas publish too.
-        let key = {
-            let g = &server.session().cube().groups()[0];
-            (g.source, g.item, g.value)
-        };
+        let key = first_triple(&server);
         server.retract([key]).unwrap();
         let snap = server.refit().unwrap().expect("retraction publishes");
         assert_eq!(snap.epoch(), 2);
@@ -560,12 +564,7 @@ mod tests {
             let g = obs(0, 0, 0, 0);
             (g.source, g.item, g.value)
         };
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Warm);
+        let mut server = server(0..8, RefitMode::Warm);
 
         // retract → ingest: the re-ingested observation survives.
         server.retract([key]).unwrap();
@@ -611,27 +610,18 @@ mod tests {
     }
 
     impl DurabilityHook for ProbeHook {
-        fn log_ingest(&mut self, delta: &[Observation]) -> Result<(), HookFailure> {
+        fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
             if self.fail_log {
                 return Err("log device gone".into());
             }
+            let kind = match delta {
+                Delta::Add(_) => "ingest",
+                Delta::Remove(_) => "retract",
+            };
             self.log
                 .lock()
                 .unwrap()
-                .push(format!("ingest:{}", delta.len()));
-            Ok(())
-        }
-        fn log_retract(
-            &mut self,
-            retractions: &[(SourceId, ItemId, ValueId)],
-        ) -> Result<(), HookFailure> {
-            if self.fail_log {
-                return Err("log device gone".into());
-            }
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("retract:{}", retractions.len()));
+                .push(format!("{kind}:{}", delta.len()));
             Ok(())
         }
         fn commit(
@@ -653,18 +643,27 @@ mod tests {
                 .push(format!("commit:{}", snapshot.epoch()));
             Ok(())
         }
+        fn checkpoint(
+            &mut self,
+            snapshot: &TrustSnapshot,
+            _session: &FusionSession,
+        ) -> Result<(), HookFailure> {
+            if self.fail_commit {
+                return Err("checkpoint rename failed".into());
+            }
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("checkpoint:{}", snapshot.epoch()));
+            Ok(())
+        }
     }
 
     /// Batches are logged before they are queued, and every publish is
     /// followed by a commit carrying the published epoch.
     #[test]
     fn hook_sees_log_before_queue_and_commit_after_publish() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Cold);
+        let mut server = server(0..8, RefitMode::Cold);
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         server.set_hook(Box::new(ProbeHook {
             log: Arc::clone(&log),
@@ -674,29 +673,35 @@ mod tests {
         let delta = corpus(8..9);
         let n = delta.len();
         server.ingest(delta).unwrap();
-        let key = {
-            let g = &server.session().cube().groups()[0];
-            (g.source, g.item, g.value)
-        };
+        let key = first_triple(&server);
         server.retract([key]).unwrap();
         server.refit().unwrap().expect("delta publishes");
         assert_eq!(
             log.lock().unwrap().as_slice(),
             [format!("ingest:{n}"), "retract:1".into(), "commit:1".into()]
         );
-        assert!(server.take_hook().is_some());
+
+        // A forced checkpoint reaches the hook only once the queue is
+        // drained: rotating the log under a queued batch would orphan it.
+        server.ingest(corpus(9..10)).unwrap();
+        assert!(matches!(
+            server.checkpoint_now(),
+            Err(CheckpointError::PendingBatches)
+        ));
+        assert_eq!(log.lock().unwrap().len(), 4, "refused before the hook");
+        server.refit().unwrap().expect("delta publishes");
+        assert_eq!(server.checkpoint_now().unwrap(), 2);
+        assert_eq!(
+            log.lock().unwrap()[4..],
+            ["commit:2".to_string(), "checkpoint:2".into()]
+        );
     }
 
     /// A rejected log entry keeps the batch out of the queue (the memory
     /// state never runs ahead of the log).
     #[test]
     fn rejected_log_batches_are_not_queued() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Cold);
+        let mut server = server(0..8, RefitMode::Cold);
         server.set_hook(Box::new(ProbeHook {
             log: Arc::default(),
             fail_commit: false,
@@ -716,12 +721,7 @@ mod tests {
     /// readable, the caller is told it is not durable.
     #[test]
     fn commit_failures_surface_after_the_publish() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Cold);
+        let mut server = server(0..8, RefitMode::Cold);
         server.set_hook(Box::new(ProbeHook {
             log: Arc::default(),
             fail_commit: true,
@@ -732,9 +732,13 @@ mod tests {
         assert_eq!(err.stage(), HookStage::Commit);
         assert!(err.to_string().contains("commit fsync failed"));
         assert_eq!((server.epoch(), server.handle().epoch()), (1, 1));
+        match server.checkpoint_now() {
+            Err(CheckpointError::Hook(e)) => assert_eq!(e.stage(), HookStage::Checkpoint),
+            other => panic!("expected a staged checkpoint failure, got {other:?}"),
+        }
     }
 
-    /// A hook whose log_ingest accepts the first `ok_appends` batches
+    /// A hook whose log accepts the first `ok_appends` additive batches
     /// and rejects the Nth — the "disk filled up mid-run" regression.
     struct NthAppendFails {
         ok_appends: usize,
@@ -742,17 +746,13 @@ mod tests {
     }
 
     impl DurabilityHook for NthAppendFails {
-        fn log_ingest(&mut self, _delta: &[Observation]) -> Result<(), HookFailure> {
-            self.seen += 1;
-            if self.seen > self.ok_appends {
-                return Err(format!("append {} hit a full disk", self.seen).into());
+        fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
+            if matches!(delta, Delta::Add(_)) {
+                self.seen += 1;
+                if self.seen > self.ok_appends {
+                    return Err(format!("append {} hit a full disk", self.seen).into());
+                }
             }
-            Ok(())
-        }
-        fn log_retract(
-            &mut self,
-            _retractions: &[(SourceId, ItemId, ValueId)],
-        ) -> Result<(), HookFailure> {
             Ok(())
         }
         fn commit(
@@ -769,12 +769,7 @@ mod tests {
     /// earlier batches still published, and readers keep serving.
     #[test]
     fn nth_append_failure_degrades_to_typed_error() {
-        let session = TrustPipeline::new()
-            .observations(corpus(0..8))
-            .model(model())
-            .into_session()
-            .unwrap();
-        let mut server = TrustServer::new(session, RefitMode::Warm);
+        let mut server = server(0..8, RefitMode::Warm);
         server.set_hook(Box::new(NthAppendFails {
             ok_appends: 2,
             seen: 0,
@@ -800,10 +795,7 @@ mod tests {
         assert!(handle.snapshot().verify_integrity());
         // And the server survives: retractions (whose log path still
         // works) keep flowing.
-        let key = {
-            let g = &server.session().cube().groups()[0];
-            (g.source, g.item, g.value)
-        };
+        let key = first_triple(&server);
         server.retract([key]).unwrap();
         server.refit().unwrap().expect("retraction publishes");
         assert_eq!(handle.epoch(), 3);

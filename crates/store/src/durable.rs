@@ -1,10 +1,11 @@
 //! [`DurableTrustServer`]: a [`TrustServer`] whose state survives a
 //! crash.
 //!
-//! The wrapper owns the server and a shared [`StoreInner`] (the active
-//! log writer plus the checkpoint policy), wired together through the
-//! serve layer's [`DurabilityHook`]: batches are logged before they are
-//! queued, publishes append a commit marker and fsync, and every
+//! The store *is* the server's [`DurabilityHook`]: `StoreInner` (the
+//! active log writer plus the checkpoint policy) is boxed into the
+//! [`TrustServer`] it persists and is reached through the hook's three
+//! calls and nothing else. Batches are logged before they are queued,
+//! publishes append a commit marker and fsync, and every
 //! [`StoreConfig::checkpoint_every`] applied batches the store
 //! checkpoints, rotates the log, and prunes history down to
 //! [`StoreConfig::keep_checkpoints`] checkpoints.
@@ -14,20 +15,20 @@
 //! directly by the crash proptests and `benchmark/`), and
 //! [`DurableTrustServer::open`] is recovery plus resumption: it
 //! re-checkpoints the recovered state, starts a fresh log, re-queues the
-//! uncommitted tail, and hands back a serving wrapper.
+//! uncommitted tail, and hands back a serving server.
 
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use kbt_datamodel::wire::WireError;
-use kbt_datamodel::{ItemId, Observation, ObservationCube, SourceId, ValueId};
-use kbt_pipeline::{FusionSession, Model};
+use kbt_datamodel::ObservationCube;
+use kbt_pipeline::{Delta, FusionSession, Model};
 use kbt_serve::{
-    DurabilityHook, HookError, HookFailure, RefitMode, SnapshotPartsError, SnapshotProvenance,
-    TrustHandle, TrustServer, TrustSnapshot,
+    fit_and_export, CheckpointError, DurabilityHook, HookError, HookFailure, RefitMode,
+    SnapshotPartsError, TrustServer, TrustSnapshot,
 };
 
 use crate::codec::{decode_checkpoint, encode_checkpoint};
@@ -35,23 +36,9 @@ use crate::wal::{read_wal, WalRecord, WalWriter};
 
 // ---- configuration ----
 
-/// When the delta log is fsynced. Checkpoint files are always fsynced
-/// before their atomic rename, independent of this policy — the policy
-/// only governs the per-commit log sync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// fsync the log at every commit marker: a completed
-    /// [`DurableTrustServer::refit`] survives an OS crash or power loss.
-    /// The default.
-    OnCommit,
-    /// Never fsync the log; appends reach the OS page cache only. An
-    /// application crash loses nothing (the kernel still has the
-    /// writes), but an OS crash can lose everything after the last
-    /// checkpoint. For bulk loads and benchmarks.
-    Disabled,
-}
-
-/// Tuning knobs of a durable store.
+/// Tuning knobs of a durable store. The log is always fsynced at a
+/// commit, and a checkpoint before its atomic rename; neither is a
+/// knob.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Checkpoint after this many applied delta batches (additive and
@@ -60,8 +47,6 @@ pub struct StoreConfig {
     /// recovery replay at the price of more checkpoint writes; `1`
     /// checkpoints at every publish. Must be at least 1.
     pub checkpoint_every: usize,
-    /// When the delta log is fsynced (see [`FsyncPolicy`]).
-    pub fsync: FsyncPolicy,
     /// How many checkpoints — and the log files that chain from them —
     /// survive pruning. The newest checkpoint is the recovery fast
     /// path; older ones are fallbacks if it is lost or corrupted. Must
@@ -73,7 +58,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             checkpoint_every: 8,
-            fsync: FsyncPolicy::OnCommit,
             keep_checkpoints: 2,
         }
     }
@@ -135,8 +119,8 @@ pub enum StoreError {
     PendingBatches,
     /// The [`StoreConfig`] is out of range.
     InvalidConfig(&'static str),
-    /// The durability hook failed while re-queueing recovered pending
-    /// batches.
+    /// The store's own hook call failed: re-logging a recovered pending
+    /// batch in `open`, or the checkpoint of `checkpoint_now`.
     Hook(HookError),
 }
 
@@ -272,10 +256,10 @@ fn write_checkpoint(
     Ok(wal)
 }
 
-// ---- the shared store state ----
+// ---- the store, as the server's hook ----
 
-/// The mutable persistence state shared between the serving wrapper and
-/// the hook installed in the inner [`TrustServer`].
+/// The persistence state of one serving [`TrustServer`]: its only
+/// [`DurabilityHook`], owned by the server it persists.
 struct StoreInner {
     dir: PathBuf,
     config: StoreConfig,
@@ -287,8 +271,9 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// Write a checkpoint of `(snapshot, cube)`, start a fresh log based
-    /// on it, and install both as the active state; then prune.
+    /// Write a checkpoint of `(snapshot, cube)` into `dir` (which
+    /// exists; `config` is validated), start a fresh log based on it,
+    /// and install both as the active state; then prune.
     fn install(
         dir: &Path,
         config: StoreConfig,
@@ -296,8 +281,6 @@ impl StoreInner {
         snapshot: &TrustSnapshot,
         cube: &ObservationCube,
     ) -> Result<Self, StoreError> {
-        config.validate()?;
-        fs::create_dir_all(dir)?;
         let inner = Self {
             dir: dir.to_path_buf(),
             config,
@@ -312,7 +295,7 @@ impl StoreInner {
     /// Checkpoint + rotate + prune. The caller guarantees `snapshot` and
     /// `cube` describe the same committed state and that no uncommitted
     /// batch sits in the active log's tail (rotation would orphan it).
-    fn checkpoint(
+    fn rotate(
         &mut self,
         snapshot: &TrustSnapshot,
         cube: &ObservationCube,
@@ -345,36 +328,13 @@ impl StoreInner {
     }
 }
 
-/// The [`DurabilityHook`] implementation: forwards the server's
-/// write-ahead traffic into the shared [`StoreInner`].
-struct StoreHook {
-    inner: Arc<Mutex<StoreInner>>,
-}
-
-impl StoreHook {
-    fn lock(&self) -> Result<std::sync::MutexGuard<'_, StoreInner>, HookFailure> {
-        self.inner
-            .lock()
-            .map_err(|_| HookFailure::from("store state poisoned by an earlier panic"))
-    }
-}
-
-impl DurabilityHook for StoreHook {
-    fn log_ingest(&mut self, delta: &[Observation]) -> Result<(), HookFailure> {
-        self.lock()?
-            .wal
-            .append_add(delta)
-            .map_err(HookFailure::from)
-    }
-
-    fn log_retract(
-        &mut self,
-        retractions: &[(SourceId, ItemId, ValueId)],
-    ) -> Result<(), HookFailure> {
-        self.lock()?
-            .wal
-            .append_remove(retractions)
-            .map_err(HookFailure::from)
+impl DurabilityHook for StoreInner {
+    fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
+        match delta {
+            Delta::Add(obs) => self.wal.append_add(obs)?,
+            Delta::Remove(keys) => self.wal.append_remove(keys)?,
+        }
+        Ok(())
     }
 
     fn commit(
@@ -382,36 +342,29 @@ impl DurabilityHook for StoreHook {
         snapshot: &TrustSnapshot,
         session: &FusionSession,
     ) -> Result<(), HookFailure> {
-        let mut inner = self.lock()?;
-        inner.wal.append_commit(snapshot.epoch())?;
-        if inner.config.fsync == FsyncPolicy::OnCommit {
-            inner.wal.sync()?;
-        }
+        self.wal.append_commit(snapshot.epoch())?;
+        self.wal.sync()?;
         // The checkpoint-every-N policy, measured in applied batches.
         // The server's pending queue is empty at commit time (it was
         // just drained into the session), so rotating here cannot orphan
         // an uncommitted log record.
         let applied = snapshot.provenance().deltas_applied;
-        if applied.saturating_sub(inner.deltas_at_checkpoint) >= inner.config.checkpoint_every {
-            inner
-                .checkpoint(snapshot, session.cube())
-                .map_err(|e| Box::new(e) as HookFailure)?;
+        if applied.saturating_sub(self.deltas_at_checkpoint) >= self.config.checkpoint_every {
+            self.rotate(snapshot, session.cube())?;
         }
         Ok(())
+    }
+
+    fn checkpoint(
+        &mut self,
+        snapshot: &TrustSnapshot,
+        session: &FusionSession,
+    ) -> Result<(), HookFailure> {
+        Ok(self.rotate(snapshot, session.cube())?)
     }
 }
 
 // ---- recovery ----
-
-/// One re-queued (accepted but never refitted) batch recovered from the
-/// uncommitted tail of the delta log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaBatch {
-    /// An additive observation batch.
-    Add(Vec<Observation>),
-    /// A retraction batch.
-    Remove(Vec<(SourceId, ItemId, ValueId)>),
-}
 
 /// What [`DurableTrustServer::recover`] reconstructed from disk.
 #[derive(Debug)]
@@ -424,10 +377,10 @@ pub struct RecoveredState {
     /// The session at that epoch: checkpointed cube plus every replayed
     /// committed batch, delta counter restored.
     pub session: FusionSession,
-    /// The uncommitted log tail, in submission order — batches the
-    /// pre-crash server accepted but never refitted. [`DurableTrustServer::open`]
-    /// re-queues (and re-logs) them.
-    pub pending: Vec<DeltaBatch>,
+    /// The uncommitted log tail, in submission order — the delta runs
+    /// the pre-crash server accepted but never refitted.
+    /// [`DurableTrustServer::open`] re-queues (and re-logs) them.
+    pub pending: Vec<Delta>,
     /// Epoch of the checkpoint recovery started from.
     pub checkpoint_epoch: u64,
     /// Commit markers replayed beyond the checkpoint (0 = the fast
@@ -474,7 +427,7 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
     // based on the epoch the previous one committed up to. A broken
     // link (missing file, bad header, torn middle) ends the chain —
     // recovery lands on the last epoch that is provably durable.
-    let mut pending: Vec<DeltaBatch> = Vec::new();
+    let mut pending: Vec<Delta> = Vec::new();
     let mut cur_epoch = checkpoint_epoch;
     let mut replayed_commits = 0u64;
     let wals: Vec<(u64, PathBuf)> = list_epoch_files(dir, WAL_PREFIX, WAL_SUFFIX)?
@@ -495,32 +448,18 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
         }
         for record in outcome.records {
             match record {
-                WalRecord::Add(obs) => match pending.last_mut() {
-                    // Coalesce exactly like the live server's pending
-                    // queue, so replay applies the same delta runs and
-                    // the provenance delta counter matches bit for bit.
-                    Some(DeltaBatch::Add(run)) => run.extend(obs),
-                    _ => pending.push(DeltaBatch::Add(obs)),
-                },
-                WalRecord::Remove(keys) => match pending.last_mut() {
-                    Some(DeltaBatch::Remove(run)) => run.extend(keys),
-                    _ => pending.push(DeltaBatch::Remove(keys)),
-                },
+                // Queued by the live server's own rule, so replay applies
+                // the same delta runs and the provenance delta counter
+                // matches bit for bit.
+                WalRecord::Batch(delta) => delta.coalesce_into(&mut pending),
                 WalRecord::Commit(epoch) => {
                     if epoch <= cur_epoch {
                         // Already inside the checkpoint: drop the run.
                         pending.clear();
                         continue;
                     }
-                    for batch in pending.drain(..) {
-                        match batch {
-                            DeltaBatch::Add(obs) => {
-                                session.update(&obs);
-                            }
-                            DeltaBatch::Remove(keys) => {
-                                session.retract(&keys);
-                            }
-                        }
+                    for run in pending.drain(..) {
+                        session.apply(&run);
                     }
                     cur_epoch = epoch;
                     replayed_commits += 1;
@@ -543,25 +482,7 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
     let snapshot = if replayed_commits == 0 {
         base.snapshot
     } else {
-        let report = session.run_cold();
-        let triples = session
-            .cube()
-            .groups()
-            .iter()
-            .map(|g| (g.source, g.item, g.value))
-            .collect();
-        TrustSnapshot::from_report(
-            &report,
-            triples,
-            cur_epoch,
-            SnapshotProvenance {
-                refit_mode: RefitMode::Cold,
-                deltas_applied: session.deltas_applied(),
-                iterations: report.iterations(),
-                converged: report.converged(),
-                coverage: report.coverage(),
-            },
-        )
+        fit_and_export(&mut session, RefitMode::Cold, cur_epoch)
     };
 
     Ok(RecoveredState {
@@ -573,23 +494,35 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
     })
 }
 
-// ---- the serving wrapper ----
+// ---- the durable server ----
 
-/// A [`TrustServer`] wrapped in crash-safe persistence: every accepted
-/// batch is write-ahead logged, every publish is committed, checkpoints
-/// land every [`StoreConfig::checkpoint_every`] applied batches, and
-/// [`open`](Self::open) restores the whole thing to the last durable
-/// epoch — bit-identically under [`RefitMode::Cold`] serving.
-pub struct DurableTrustServer {
-    server: TrustServer,
-    inner: Arc<Mutex<StoreInner>>,
+/// A [`TrustServer`] with crash-safe persistence attached: every
+/// accepted batch is write-ahead logged, every publish is committed,
+/// checkpoints land every [`StoreConfig::checkpoint_every`] applied
+/// batches, and [`open`](Self::open) restores the whole thing to the
+/// last durable epoch — bit-identically under [`RefitMode::Cold`]
+/// serving.
+///
+/// It *is* the server (`Deref`): `ingest` / `retract` / `refit` /
+/// `handle` / `epoch` / `pending` are [`TrustServer`]'s own, logging and
+/// committing through the store it owns as its hook. On `Err` from
+/// `ingest` / `retract` the batch was neither logged nor queued; when
+/// `refit` returns, the commit marker — and, when the policy fires, the
+/// checkpoint — are durable.
+#[derive(Debug)]
+pub struct DurableTrustServer(TrustServer);
+
+impl Deref for DurableTrustServer {
+    type Target = TrustServer;
+
+    fn deref(&self) -> &TrustServer {
+        &self.0
+    }
 }
 
-impl fmt::Debug for DurableTrustServer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableTrustServer")
-            .field("server", &self.server)
-            .finish_non_exhaustive()
+impl DerefMut for DurableTrustServer {
+    fn deref_mut(&mut self) -> &mut TrustServer {
+        &mut self.0
     }
 }
 
@@ -615,8 +548,7 @@ impl DurableTrustServer {
             return Err(StoreError::AlreadyExists);
         }
         let digest = config_digest(session.model());
-        let server = TrustServer::new(session, mode);
-        Self::wrap(dir, server, digest, config)
+        Self::attach(dir, TrustServer::new(session, mode), digest, config)
     }
 
     /// Recover the store in `dir` and resume serving from the last
@@ -636,15 +568,10 @@ impl DurableTrustServer {
         config.validate()?;
         let digest = config_digest(&model);
         let recovered = recover_state(dir, model)?;
-        let pending = recovered.pending;
         let server = TrustServer::resume(recovered.session, recovered.snapshot, mode);
-        let mut durable = Self::wrap(dir, server, digest, config)?;
-        for batch in pending {
-            let queued = match batch {
-                DeltaBatch::Add(obs) => durable.server.ingest(obs),
-                DeltaBatch::Remove(keys) => durable.server.retract(keys),
-            };
-            queued.map_err(StoreError::Hook)?;
+        let mut durable = Self::attach(dir, server, digest, config)?;
+        for run in recovered.pending {
+            durable.submit(run).map_err(StoreError::Hook)?;
         }
         Ok(durable)
     }
@@ -657,81 +584,25 @@ impl DurableTrustServer {
         recover_state(dir, model)
     }
 
-    fn wrap(
+    /// Checkpoint `server`'s published epoch into `dir` and hand the
+    /// store to the server as its hook.
+    fn attach(
         dir: &Path,
         mut server: TrustServer,
         digest: u64,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let snapshot = server.handle().snapshot();
-        let inner = Arc::new(Mutex::new(StoreInner::install(
-            dir,
-            config,
-            digest,
-            &snapshot,
-            server.session().cube(),
-        )?));
-        server.set_hook(Box::new(StoreHook {
-            inner: Arc::clone(&inner),
-        }));
-        Ok(Self { server, inner })
-    }
-
-    /// The read-side handle (cloneable, `Send + Sync`).
-    pub fn handle(&self) -> TrustHandle {
-        self.server.handle()
-    }
-
-    /// The epoch currently published.
-    pub fn epoch(&self) -> u64 {
-        self.server.epoch()
-    }
-
-    /// Queued (accepted, logged, not yet refitted) observation and
-    /// retraction counts.
-    pub fn pending(&self) -> (usize, usize) {
-        self.server.pending()
-    }
-
-    /// The wrapped server (read-only).
-    pub fn server(&self) -> &TrustServer {
-        &self.server
-    }
-
-    /// Log and queue an additive batch. On `Err` the batch was neither
-    /// logged nor queued.
-    pub fn ingest(
-        &mut self,
-        delta: impl IntoIterator<Item = Observation>,
-    ) -> Result<(), HookError> {
-        self.server.ingest(delta)
-    }
-
-    /// Log and queue a retraction batch. On `Err` the batch was neither
-    /// logged nor queued.
-    pub fn retract(
-        &mut self,
-        retractions: impl IntoIterator<Item = (SourceId, ItemId, ValueId)>,
-    ) -> Result<(), HookError> {
-        self.server.retract(retractions)
-    }
-
-    /// Refit over the queued batches, publish, and commit ([`None`]
-    /// when the queue is empty). The commit marker — and, when the
-    /// policy fires, the checkpoint — are durable before this returns.
-    pub fn refit(&mut self) -> Result<Option<Arc<TrustSnapshot>>, HookError> {
-        self.server.refit()
-    }
-
-    /// [`Self::refit`] even with an empty queue: always publishes and
-    /// commits a new epoch.
-    pub fn force_refit(&mut self) -> Result<Arc<TrustSnapshot>, HookError> {
-        self.server.force_refit()
+        let cube = server.session().cube();
+        let inner = StoreInner::install(dir, config, digest, &snapshot, cube)?;
+        server.set_hook(Box::new(inner));
+        Ok(Self(server))
     }
 
     /// Checkpoint the current published epoch immediately, regardless of
     /// the every-N policy, then rotate and prune. Returns the
-    /// checkpointed epoch.
+    /// checkpointed epoch. ([`TrustServer::checkpoint_now`] with the
+    /// store's error type.)
     ///
     /// # Errors
     ///
@@ -739,22 +610,17 @@ impl DurableTrustServer {
     /// rotating the log would strand their records in a file the new
     /// checkpoint's chain never replays. Refit first.
     pub fn checkpoint_now(&mut self) -> Result<u64, StoreError> {
-        if self.server.pending() != (0, 0) {
-            return Err(StoreError::PendingBatches);
-        }
-        let snapshot = self.server.handle().snapshot();
-        let mut inner = self
-            .inner
-            .lock()
-            .map_err(|_| StoreError::corrupt("store state poisoned by an earlier panic"))?;
-        inner.checkpoint(&snapshot, self.server.session().cube())?;
-        Ok(snapshot.epoch())
+        self.0.checkpoint_now().map_err(|e| match e {
+            CheckpointError::PendingBatches => StoreError::PendingBatches,
+            CheckpointError::Hook(e) => StoreError::Hook(e),
+        })
     }
 
-    /// Detach persistence and hand back the plain in-memory server (the
-    /// on-disk state stays as last committed).
-    pub fn into_server(mut self) -> TrustServer {
-        let _ = self.server.take_hook();
-        self.server
+    /// The server itself, store still attached: it keeps logging,
+    /// committing and checkpointing wherever it runs next — behind
+    /// `kbt_net::NetServer::spawn`, say, whose `shutdown()` hands it
+    /// back to be checkpointed with [`TrustServer::checkpoint_now`].
+    pub fn into_server(self) -> TrustServer {
+        self.0
     }
 }

@@ -24,28 +24,40 @@
 //!
 //! ## The protocol
 //!
-//! [`DurableTrustServer`] wraps a
-//! [`TrustServer`](kbt_serve::TrustServer) with a
-//! [`DurabilityHook`](kbt_serve::DurabilityHook):
+//! The store is a [`TrustServer`](kbt_serve::TrustServer)'s
+//! [`DurabilityHook`](kbt_serve::DurabilityHook) — boxed into the server
+//! it persists, reached through the hook's three calls and no other way.
+//! [`DurableTrustServer`] is that server under a name that can
+//! [`create`](DurableTrustServer::create), [`open`](DurableTrustServer::open)
+//! and [`recover`](DurableTrustServer::recover) one;
+//! [`into_server`](DurableTrustServer::into_server) hands the same
+//! server, store attached, to whatever runs it next (`kbt-net`'s
+//! `NetServer::spawn`). One [`Delta`](kbt_pipeline::Delta) is what the
+//! server queues, what a log record holds and what replay applies:
 //!
-//! 1. every batch is **logged before it is queued** — the in-memory
-//!    server can never run ahead of the log;
-//! 2. every publish appends a commit marker carrying the new epoch and
-//!    (under [`FsyncPolicy::OnCommit`]) fsyncs the log;
-//! 3. every [`StoreConfig::checkpoint_every`] applied batches, the hook
-//!    checkpoints the fresh snapshot + cube, rotates to a new log whose
-//!    base is that checkpoint, and prunes files older than
-//!    [`StoreConfig::keep_checkpoints`] checkpoints.
+//! 1. `log`: every batch is **logged before it is queued** — the
+//!    in-memory server can never run ahead of the log;
+//! 2. `commit`: every publish appends a commit marker carrying the new
+//!    epoch and fsyncs the log — when `refit` returns, the epoch is
+//!    logged, applied and committed;
+//! 3. every [`StoreConfig::checkpoint_every`] applied batches, `commit`
+//!    also checkpoints the fresh snapshot + cube, rotates to a new log
+//!    whose base is that checkpoint, and prunes files older than
+//!    [`StoreConfig::keep_checkpoints`] checkpoints; `checkpoint`
+//!    (`checkpoint_now`) does the same on demand, and is refused while
+//!    logged batches are still queued.
 //!
 //! ## Recovery
 //!
 //! [`DurableTrustServer::recover`] loads the newest checkpoint that
 //! decodes cleanly (older ones are fallbacks if the newest is corrupt),
 //! then replays the log chain: batches covered by a commit marker are
-//! re-applied to the session exactly as the live server applied them
-//! (consecutive same-kind batches coalesce into one delta run), and the
-//! uncommitted tail is re-queued as pending. If any commit was replayed,
-//! one cold refit rebuilds the snapshot — and because a cold fit depends
+//! re-applied to the session by the very functions the live server
+//! queues and applies them with (`Delta::coalesce_into`, where
+//! consecutive same-kind batches become one delta run, and
+//! `FusionSession::apply`), and the uncommitted tail is re-queued as
+//! pending. If any commit was replayed, one cold refit — the server's
+//! own `fit_and_export` — rebuilds the snapshot — and because a cold fit depends
 //! only on the cube contents ([`RefitMode::Cold`](kbt_serve::RefitMode)
 //! reproducibility), the recovered snapshot's fingerprint equals the
 //! pre-crash epoch's bit for bit. If the crash landed exactly on a
@@ -59,8 +71,5 @@ pub mod durable;
 pub mod wal;
 
 pub use codec::{decode_checkpoint, encode_checkpoint, CheckpointContents};
-pub use durable::{
-    config_digest, DeltaBatch, DurableTrustServer, FsyncPolicy, RecoveredState, StoreConfig,
-    StoreError,
-};
+pub use durable::{config_digest, DurableTrustServer, RecoveredState, StoreConfig, StoreError};
 pub use wal::{WalReadOutcome, WalRecord, WalWriter};

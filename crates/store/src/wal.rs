@@ -35,6 +35,7 @@ use kbt_datamodel::wire::{
     OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
 };
 use kbt_datamodel::{ItemId, Observation, SourceId, ValueId};
+use kbt_pipeline::Delta;
 
 use crate::durable::StoreError;
 
@@ -54,10 +55,8 @@ const KIND_COMMIT: u8 = 3;
 /// One decoded log record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// An ingested observation batch.
-    Add(Vec<Observation>),
-    /// A retraction batch of `(source, item, value)` keys.
-    Remove(Vec<(SourceId, ItemId, ValueId)>),
+    /// A batch the server accepted (kind 1 or 2).
+    Batch(Delta),
     /// A publish happened: everything logged before this frame is part
     /// of the named epoch.
     Commit(u64),
@@ -65,8 +64,8 @@ pub enum WalRecord {
 
 /// The append side of one log file. Created fresh (never reopened for
 /// append — rotation and recovery always start a new file), writes one
-/// frame per accepted batch, and fsyncs only when the commit policy
-/// says so ([`Self::sync`]).
+/// frame per accepted batch, and fsyncs when told to ([`Self::sync`] —
+/// the store does at every commit).
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -125,7 +124,7 @@ impl WalWriter {
     }
 
     /// fsync everything appended so far — the durability point of a
-    /// commit under `FsyncPolicy::OnCommit`.
+    /// commit.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
@@ -198,8 +197,12 @@ pub fn read_wal(path: &Path, expected_digest: u64) -> Result<WalReadOutcome, Sto
 fn parse_payload(payload: &[u8]) -> Result<WalRecord, WireError> {
     let mut r = WireReader::new(payload);
     let record = match r.u8()? {
-        KIND_ADD => WalRecord::Add(r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?),
-        KIND_REMOVE => WalRecord::Remove(r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?),
+        KIND_ADD => WalRecord::Batch(Delta::Add(
+            r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?,
+        )),
+        KIND_REMOVE => WalRecord::Batch(Delta::Remove(
+            r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?,
+        )),
         KIND_COMMIT => WalRecord::Commit(r.u64()?),
         kind => return Err(WireError::BadTag(kind)),
     };
@@ -243,8 +246,8 @@ mod tests {
         assert_eq!(
             out.records,
             vec![
-                WalRecord::Add(batch),
-                WalRecord::Remove(keys),
+                WalRecord::Batch(Delta::Add(batch)),
+                WalRecord::Batch(Delta::Remove(keys)),
                 WalRecord::Commit(8)
             ]
         );
@@ -266,7 +269,10 @@ mod tests {
         assert!(!out.clean);
         assert_eq!(
             out.records,
-            vec![WalRecord::Add(vec![obs(0, 0)]), WalRecord::Commit(1)]
+            vec![
+                WalRecord::Batch(Delta::Add(vec![obs(0, 0)])),
+                WalRecord::Commit(1)
+            ]
         );
     }
 

@@ -14,11 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use kbt_core::ModelConfig;
 use kbt_datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
-use kbt_pipeline::{FusionSession, Model};
+use kbt_pipeline::{Delta, FusionSession, Model};
 use kbt_serve::{RefitMode, TrustServer};
 use kbt_store::{
-    decode_checkpoint, encode_checkpoint, DeltaBatch, DurableTrustServer, FsyncPolicy, StoreConfig,
-    StoreError,
+    decode_checkpoint, encode_checkpoint, DurableTrustServer, StoreConfig, StoreError,
 };
 use proptest::prelude::*;
 
@@ -99,7 +98,6 @@ fn drive(dir: &Path, seed: u64, ops: usize, checkpoint_every: usize) -> Crashed 
     let mut rng = Mix(seed);
     let config = StoreConfig {
         checkpoint_every,
-        fsync: FsyncPolicy::OnCommit,
         keep_checkpoints: 2,
     };
     let session = FusionSession::from_observations(base_corpus(), model());
@@ -221,8 +219,8 @@ proptest! {
         prop_assert_eq!(recovered.snapshot.epoch(), last_epoch);
         prop_assert_eq!(recovered.snapshot.fingerprint(), last_fp);
         let (obs_n, ret_n) = recovered.pending.iter().fold((0, 0), |(a, r), b| match b {
-            DeltaBatch::Add(v) => (a + v.len(), r),
-            DeltaBatch::Remove(v) => (a, r + v.len()),
+            Delta::Add(v) => (a + v.len(), r),
+            Delta::Remove(v) => (a, r + v.len()),
         });
         prop_assert_eq!((obs_n, ret_n), crashed.pending);
         let _ = fs::remove_dir_all(&dir);
@@ -357,7 +355,6 @@ fn recovery_decodes_a_checkpoint_and_replays_only_the_commits_past_it() {
         let dir = fresh_dir("replay-count");
         let config = StoreConfig {
             checkpoint_every,
-            fsync: FsyncPolicy::OnCommit,
             keep_checkpoints: 2,
         };
         let session = FusionSession::from_observations(base_corpus(), model());
@@ -489,7 +486,6 @@ fn pruning_bounds_store_files() {
         RefitMode::Cold,
         StoreConfig {
             checkpoint_every: 1, // checkpoint at every publish
-            fsync: FsyncPolicy::OnCommit,
             keep_checkpoints: 2,
         },
     )

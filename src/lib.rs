@@ -24,11 +24,13 @@
 //!   [`TrustSnapshot`]s published through an epoch-swapped store while a
 //!   [`TrustServer`] ingests deltas and refits in the background,
 //! * [`store`] — crash-safe persistence for the serving layer: durable
-//!   snapshot checkpoints plus a write-ahead delta log, recovered to a
+//!   snapshot checkpoints plus a write-ahead delta log, attached to a
+//!   [`TrustServer`] as its durability hook and recovered to a
 //!   bit-identical epoch by [`DurableTrustServer`],
 //! * [`net`] — the network front end: trust queries and streaming
 //!   ingestion over the `KBTNET01` length-prefixed wire protocol, served
-//!   by a thread-per-connection [`NetServer`].
+//!   by a thread-per-connection [`NetServer`] — durably, when the server
+//!   it is given carries a store (`examples/durable_service.rs`).
 //!
 //! ## The one entry point
 //!
@@ -74,7 +76,7 @@ pub use kbt_datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, ObservationCube,
     SourceId, ValueId,
 };
-pub use kbt_net::{NetClient, NetConfig, NetServer, NetShutdown};
-pub use kbt_pipeline::{FusionSession, Model, PipelineError, PipelineRun, TrustPipeline};
+pub use kbt_net::{NetClient, NetServer, NetShutdown};
+pub use kbt_pipeline::{Delta, FusionSession, Model, PipelineError, PipelineRun, TrustPipeline};
 pub use kbt_serve::{RefitMode, SnapshotReader, SnapshotStore, TrustServer, TrustSnapshot};
-pub use kbt_store::{DurableTrustServer, FsyncPolicy, StoreConfig};
+pub use kbt_store::{DurableTrustServer, StoreConfig};
