@@ -126,34 +126,26 @@ impl MultiLayerModel {
         cube: &ObservationCube,
         init: &QualityInit,
     ) -> (MultiLayerResult, ConvergenceTrace) {
-        self.run_traced_with_prior(cube, init, None)
+        self.run_traced_with_priors(cube, init, None, None)
     }
 
-    /// [`Self::run_traced`] with an optional per-group **prior-truth
-    /// hint** — the incremental-fusion entry point (`FusionSession` in
-    /// `kbt-pipeline`). When `prior_truth[g]` carries the previous run's
-    /// `p(V_d = v(g) | X)` (remapped onto this cube's groups), the
-    /// per-triple correctness prior α is re-estimated from it *before*
-    /// the first round, so a warm-started run enters EM with the mature α
-    /// state a cold run only reaches after `alpha_update_from`
-    /// iterations. Ignored when α re-estimation is disabled.
-    pub fn run_traced_with_prior(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        self.run_traced_with_priors(cube, init, prior_truth, None)
-    }
-
-    /// [`Self::run_traced_with_prior`] plus an optional per-source
-    /// **independence prior** — prior copy evidence carried across warm
-    /// restarts (`FusionSession`). When `prior_independence[w]` holds the
-    /// previous run's `I(w)` factors, even the *first* EM fit of this run
-    /// is copy-aware, so a warm restart neither re-launders a known
-    /// copier's votes nor has to re-earn the discount from scratch.
-    /// Factors for sources beyond the slice (new in this cube) default
-    /// to 1 (fully independent).
+    /// [`Self::run_traced`] with the two priors a warm restart carries —
+    /// the incremental-fusion entry point (`FusionSession` in
+    /// `kbt-pipeline`).
+    ///
+    /// `prior_truth[g]` is a per-group **prior-truth hint**: the previous
+    /// run's `p(V_d = v(g) | X)` for this cube's groups. The per-triple
+    /// correctness prior α is re-estimated from it *before* the first
+    /// round, so a warm-started run enters EM with the mature α state a
+    /// cold run only reaches after `alpha_update_from` iterations.
+    /// Ignored when α re-estimation is disabled.
+    ///
+    /// `prior_independence[w]` is a per-source **independence prior** —
+    /// the previous run's `I(w)` factors, prior copy evidence: even the
+    /// *first* EM fit of this run is copy-aware, so a warm restart
+    /// neither re-launders a known copier's votes nor has to re-earn the
+    /// discount from scratch. Factors for sources beyond the slice (new
+    /// in this cube) default to 1 (fully independent).
     pub fn run_traced_with_priors(
         &self,
         cube: &ObservationCube,

@@ -443,56 +443,6 @@ impl ObservationCube {
                 + self.item_values.len())
                 * 4
     }
-
-    /// Partition the group list into `shards` contiguous ranges (the key
-    /// ranges `kbt_flume::par_ranges` hands to its workers) and report
-    /// per-shard load — the skew diagnostic behind the paper's Table 7
-    /// straggler discussion.
-    pub fn shard_stats(&self, shards: usize) -> Vec<CubeShardStats> {
-        if self.groups.is_empty() {
-            return Vec::new();
-        }
-        let shards = shards.max(1).min(self.groups.len());
-        let chunk = self.groups.len().div_ceil(shards);
-        (0..shards)
-            .map(|i| {
-                let lo = (i * chunk).min(self.groups.len());
-                let hi = ((i + 1) * chunk).min(self.groups.len());
-                let cells = if lo < hi {
-                    (self.groups[hi - 1].cells.end - self.groups[lo].cells.start) as usize
-                } else {
-                    0
-                };
-                let sources = if lo < hi {
-                    (self.groups[lo].source.0..=self.groups[hi - 1].source.0).count()
-                } else {
-                    0
-                };
-                CubeShardStats {
-                    shard: i,
-                    groups: lo..hi,
-                    cells,
-                    sources,
-                }
-            })
-            .filter(|s| !s.groups.is_empty())
-            .collect()
-    }
-}
-
-/// Load statistics of one contiguous group-range shard
-/// (see [`ObservationCube::shard_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CubeShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// The contiguous range of group indices the shard covers.
-    pub groups: Range<usize>,
-    /// Number of cube cells (extractions) inside those groups.
-    pub cells: usize,
-    /// Width of the source-id span the shard touches (groups are sorted
-    /// by source, so this bounds the number of distinct sources).
-    pub sources: usize,
 }
 
 /// Build the secondary indexes over sorted `(cells, groups)` — shared by
@@ -1042,34 +992,6 @@ mod tests {
                 confidence: 0.7
             }]
         );
-    }
-
-    #[test]
-    fn shard_stats_partition_all_groups_and_cells() {
-        let mut b = CubeBuilder::new();
-        for w in 0..5u32 {
-            for d in 0..7u32 {
-                for e in 0..(1 + w % 3) {
-                    b.push(obs(e, w, d, 0, 1.0));
-                }
-            }
-        }
-        let cube = b.build();
-        for shards in [1usize, 2, 4, 16, 64] {
-            let stats = cube.shard_stats(shards);
-            assert!(stats.len() <= shards.max(1));
-            let mut next = 0;
-            let mut cells = 0;
-            for s in &stats {
-                assert_eq!(s.groups.start, next);
-                next = s.groups.end;
-                cells += s.cells;
-                assert!(s.sources >= 1);
-            }
-            assert_eq!(next, cube.num_groups(), "shards = {shards}");
-            assert_eq!(cells, cube.num_cells(), "shards = {shards}");
-        }
-        assert!(CubeBuilder::new().build().shard_stats(4).is_empty());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use chunked::{
     CubeChunk, FileChunkStore, GroupBuf, GroupView, ItemView, ResidentChunks, StreamedChunks,
 };
 pub use coclaim::{pair_counts, CandidatePair, CoClaimIndex, PairCounts};
-pub use cube::{Cell, CubeBuilder, CubeShardStats, ObservationCube, TripleGroup};
+pub use cube::{Cell, CubeBuilder, ObservationCube, TripleGroup};
 pub use ids::{ExtractorId, ItemId, SourceId, ValueId};
 pub use intern::{Interner, SymbolTable};
 pub use triple::{DataItem, Observation, Triple};

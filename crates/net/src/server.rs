@@ -62,6 +62,13 @@ use crate::proto::{
 /// How often blocked loops wake to poll the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
+/// How long one socket write may make no progress before the peer is
+/// given up on. A peer that has stopped reading parks its connection's
+/// writer thread in `write_all` once the kernel buffers fill; without a
+/// bound that thread — and the [`NetServer::shutdown`] that joins it —
+/// would wait on the peer forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Socket-read chunk size. Bounds per-connection memory together with
 /// the frame cap: the frame buffer never holds more than one capped
 /// frame plus one chunk.
@@ -403,6 +410,12 @@ fn connection_loop(
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
+    // The timeout is the socket's, shared with `stream`; only the writer
+    // thread writes. A timed-out write ends it like any other write
+    // error: the frame is torn, so the connection is closed, not resumed.
+    if write_half.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
     let writer = std::thread::spawn(move || {
         let mut out = write_half;

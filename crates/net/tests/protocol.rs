@@ -14,11 +14,13 @@
 //!    hook degrades writes to typed `DurabilityLost` errors while
 //!    queries keep serving the last published epoch.
 //! 3. **The write path as one thing**: shutdown under write load loses
-//!    no acked batch; the two bounded queues push back (`Overloaded`, a
-//!    slow reader cut loose) without hurting anyone else; and a real
-//!    `kbt-store` behind the socket restarts on the `(epoch,
-//!    fingerprint)` it last served, and degrades at the commit stage
-//!    when its directory dies.
+//!    no acked batch and is not held by a peer that stopped reading; the
+//!    two bounded queues push back (`Overloaded`, a slow reader cut
+//!    loose) without hurting anyone else; and a real `kbt-store` behind
+//!    the socket, in either refit mode, restarts on the `(epoch,
+//!    fingerprint)` it last served and goes on publishing what a server
+//!    that never stopped would, and degrades at the commit stage when
+//!    its directory dies.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -1058,89 +1060,144 @@ fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
     assert_eq!(down.stats.accepted, 2);
 }
 
+/// The same peer met while *stopping*: it pipelines fewer requests than
+/// the reply queue holds, so nothing cuts it loose, and reads none of
+/// the answers, so the connection's writer thread parks in a socket
+/// write. `shutdown()` joins that thread, and only the write timeout
+/// lets the join return while the peer keeps its socket open.
+#[test]
+fn shutdown_is_not_held_by_a_client_that_never_reads() {
+    // ~240 KB per reply: 100 of them fit no pair of socket buffers, and
+    // 100 frames fit the 128-frame queue with room for the stop notice.
+    const SOURCES: u32 = 20_000;
+    const REQUESTS: u64 = 100;
+    let wide: Vec<Observation> = (0..SOURCES)
+        .flat_map(|w| (0..2).map(move |d| obs(w, d, w % 2)))
+        .collect();
+    let server = TrustServer::from_pipeline(
+        TrustPipeline::new().observations(wide).threads(1),
+        RefitMode::Warm,
+    )
+    .expect("wide corpus fits");
+    let net = NetServer::spawn(server, "127.0.0.1:0").expect("ephemeral bind");
+    let mut hog = raw_conn_after_ping(net.addr(), 1);
+    let request = encode_frame(&Request::TopKSources { id: 7, k: SOURCES }.encode());
+    for _ in 0..REQUESTS {
+        hog.write_all(&request)
+            .expect("21-byte requests always fit");
+    }
+    wait_until(Duration::from_secs(60), "every reply queued", || {
+        (net.stats().queries == REQUESTS).then_some(())
+    });
+
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done_tx.send(net.shutdown().map(|down| down.stats.accepted));
+    });
+    let accepted = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("shutdown returns while the peer still holds its socket open")
+        .expect("clean shutdown");
+    assert_eq!(accepted, 1);
+    drop(hog);
+}
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kbt-net-store-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// The restart drill: a durable server behind the socket, stopped
-/// without a checkpoint, comes back from its directory serving the
-/// `(epoch, fingerprint)` it last served — the log is replayed through
-/// the same coalesce + apply + fit the live server ran — and goes on.
+/// The restart drill, in both refit modes: a durable server behind the
+/// socket, stopped without a checkpoint, comes back from its directory
+/// serving the `(epoch, fingerprint)` it last served — the log is
+/// replayed through the live server's own refit step, once per commit —
+/// and its next epoch is the one a twin that never stopped publishes.
 #[test]
 fn durable_service_restarts_on_the_epoch_and_fingerprint_it_last_served() {
-    let dir = fresh_dir("restart");
-    let session = TrustPipeline::new()
-        .observations(corpus())
-        .threads(1)
-        .into_session()
-        .expect("seed corpus fits");
-    let model = session.model().clone();
-    let advance = |client: &mut NetClient, send: &dyn Fn(&mut NetClient)| {
-        let (before, _) = client.ping().expect("ping");
-        send(client);
-        wait_until(Duration::from_secs(20), "a committed refit", || {
-            (client.ping().expect("ping").0 > before).then_some(())
-        });
-    };
-    let keys = |d: std::ops::Range<u32>| -> Vec<_> {
-        d.map(|d| (SourceId::new(9), ItemId::new(d), ValueId::new(0)))
-            .collect()
-    };
+    for mode in [RefitMode::Warm, RefitMode::Cold] {
+        let dir = fresh_dir(&format!("restart-{mode:?}"));
+        let session = || {
+            TrustPipeline::new()
+                .observations(corpus())
+                .threads(1)
+                .into_session()
+                .expect("seed corpus fits")
+        };
+        let model = session().model().clone();
+        let keys = |d: std::ops::Range<u32>| -> Vec<_> {
+            d.map(|d| (SourceId::new(9), ItemId::new(d), ValueId::new(0)))
+                .collect()
+        };
+        // One request per refit, the same on both sides: over the wire,
+        // and straight into a twin with no socket, store or restart.
+        let mut twin = TrustServer::new(session(), mode);
+        let mut advance = |client: &mut NetClient, delta: Delta| -> (u64, u64) {
+            let (before, _) = client.ping().expect("ping");
+            match delta.clone() {
+                Delta::Add(obs) => client.ingest(obs).unwrap(),
+                Delta::Remove(keys) => client.retract(keys).unwrap(),
+            };
+            wait_until(Duration::from_secs(20), "a committed refit", || {
+                (client.ping().expect("ping").0 > before).then_some(())
+            });
+            twin.submit(delta).expect("no hook to fail");
+            let snap = twin.refit().unwrap().expect("batch publishes");
+            (snap.epoch(), snap.fingerprint())
+        };
 
-    // First process: create, serve, write over the wire, stop. The
-    // default policy checkpoints every 8 applied batches, so all of this
-    // lives in the log alone.
-    let durable =
-        DurableTrustServer::create(&dir, session, RefitMode::Cold, StoreConfig::default())
+        // First process: create, serve, write over the wire, stop. The
+        // default policy checkpoints every 8 applied batches, so all of
+        // this lives in the log alone.
+        let durable = DurableTrustServer::create(&dir, session(), mode, StoreConfig::default())
             .expect("create store");
-    let net = NetServer::spawn(durable.into_server(), "127.0.0.1:0").expect("ephemeral bind");
-    let mut client = NetClient::connect(net.addr()).expect("connect");
-    let (epoch0, _) = client.ping().expect("ping");
-    advance(&mut client, &|c| {
-        c.ingest((0..10).map(|d| obs(9, d, 0)).collect()).unwrap();
-    });
-    advance(&mut client, &|c| {
-        c.retract(keys(0..4)).unwrap();
-    });
-    advance(&mut client, &|c| {
-        c.ingest(vec![obs(9, 0, 1), obs(10, 3, 1)]).unwrap();
-    });
-    advance(&mut client, &|c| {
-        c.retract(keys(4..5)).unwrap();
-    });
-    // One request per refit, so the fourth epoch is the last one coming.
-    let served = client.ping().expect("ping");
-    assert_eq!(served.0, epoch0 + 4);
-    let down = net.shutdown().expect("clean shutdown");
-    assert!(down.durability.is_ok());
-    assert_eq!(down.server.epoch(), served.0);
-    drop(down); // no checkpoint: the restart has to replay the log
+        let net = NetServer::spawn(durable.into_server(), "127.0.0.1:0").expect("ephemeral bind");
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        let (epoch0, _) = client.ping().expect("ping");
+        let mut twin_at = (0, 0);
+        for delta in [
+            Delta::Add((0..10).map(|d| obs(9, d, 0)).collect()),
+            Delta::Remove(keys(0..4)),
+            Delta::Add(vec![obs(9, 0, 1), obs(10, 3, 1)]),
+            Delta::Remove(keys(4..5)),
+        ] {
+            twin_at = advance(&mut client, delta);
+        }
+        let served = client.ping().expect("ping");
+        assert_eq!(served.0, epoch0 + 4);
+        assert_eq!(served, twin_at, "{mode:?}: the store changes no bit");
+        let down = net.shutdown().expect("clean shutdown");
+        assert!(down.durability.is_ok());
+        assert_eq!(down.server.epoch(), served.0);
+        drop(down); // no checkpoint: the restart has to replay the log
 
-    // Second process: open the directory, serve it again.
-    let reopened = DurableTrustServer::open(&dir, model, RefitMode::Cold, StoreConfig::default())
-        .expect("open after restart");
-    let net = NetServer::spawn(reopened.into_server(), "127.0.0.1:0").expect("ephemeral bind");
-    let mut client = NetClient::connect(net.addr()).expect("connect");
-    assert_eq!(
-        client.ping().expect("ping"),
-        served,
-        "same epoch, same bits"
-    );
-    advance(&mut client, &|c| {
-        c.ingest(vec![obs(11, 1, 0)]).unwrap();
-    });
-    assert_eq!(client.ping().expect("ping").0, served.0 + 1);
+        // Second process: open the directory, serve it again.
+        let reopened = DurableTrustServer::open(&dir, model, mode, StoreConfig::default())
+            .expect("open after restart");
+        let net = NetServer::spawn(reopened.into_server(), "127.0.0.1:0").expect("ephemeral bind");
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        assert_eq!(
+            client.ping().expect("ping"),
+            served,
+            "{mode:?}: same epoch, same bits"
+        );
+        let twin_next = advance(&mut client, Delta::Add(vec![obs(11, 1, 0)]));
+        assert_eq!(
+            client.ping().expect("ping"),
+            twin_next,
+            "{mode:?}: the restart is invisible in the next epoch too"
+        );
+        assert_eq!(twin_next.0, served.0 + 1);
 
-    // The server shutdown hands back is still durable: checkpoint it.
-    let mut down = net.shutdown().expect("clean shutdown");
-    assert!(down.durability.is_ok());
-    assert_eq!(
-        down.server.checkpoint_now().expect("checkpoint"),
-        served.0 + 1
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        // The server shutdown hands back is still durable: checkpoint it.
+        let mut down = net.shutdown().expect("clean shutdown");
+        assert!(down.durability.is_ok());
+        assert_eq!(
+            down.server.checkpoint_now().expect("checkpoint"),
+            served.0 + 1
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Commit-stage degrade with the real store: its directory vanishes

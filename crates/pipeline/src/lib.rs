@@ -35,7 +35,7 @@ pub mod error;
 pub mod session;
 
 pub use error::PipelineError;
-pub use session::{Delta, FusionSession};
+pub use session::{Delta, FusionSession, WarmState};
 
 use std::sync::Arc;
 

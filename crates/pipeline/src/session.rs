@@ -1,5 +1,5 @@
-//! Incremental fusion sessions: keep the cube and the converged
-//! parameters alive between runs, merge observation deltas in, and
+//! Incremental fusion sessions: keep the cube and the last fit's
+//! [`WarmState`] alive between runs, merge observation deltas in, and
 //! warm-start EM instead of cold-restarting it.
 //!
 //! The paper's production pipeline re-runs at web scale as extraction
@@ -13,7 +13,7 @@
 //! integration test asserts it (`warm_start_beats_cold_rerun_on_merged_cube`)
 //! and `benchmark/`'s `pipeline.warm_rounds` reports it.
 
-use kbt_core::{FusionDetail, FusionModel, FusionReport, Params, QualityInit};
+use kbt_core::{FusionDetail, FusionModel, FusionReport, ItemPosteriors, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId, ValueId};
 
 use crate::Model;
@@ -60,8 +60,72 @@ impl Delta {
     }
 }
 
-/// A long-lived fusion state: the observation cube plus the last run's
-/// converged parameters.
+/// What a fit leaves behind for the next warm refit: the session's whole
+/// history, as one value.
+///
+/// Every field is a column of the epoch's published snapshot (`kbt-serve`
+/// exports exactly these), so a checkpoint rebuilds the warm state it was
+/// written under and a restored session refits bit-identically to the one
+/// that never stopped ([`FusionSession::restore`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmState {
+    /// The converged parameters [`QualityInit::Resume`] starts from. The
+    /// single layer has no extractor parameters: its three extractor
+    /// columns are empty and `source_accuracy` is what its `Resume` seeds
+    /// pair accuracies from.
+    pub params: Params,
+    /// The fit's `p(V_d | X)`. The next warm run pre-matures the α prior
+    /// from a per-triple truth hint read off this table — a fit's
+    /// `truth_of_group[g]` *is* `prob(item(g), value(g))`, bit for bit,
+    /// so the hint needs no column of its own and no remapping when the
+    /// cube's groups change under it.
+    pub posteriors: ItemPosteriors,
+    /// The independence factors `I(w)` the fit ran with — prior copy
+    /// evidence, so even the first EM fit of the next warm run discounts
+    /// known copiers (sources a later delta adds default to fully
+    /// independent). `None` after a copy-blind fit.
+    pub independence: Option<Vec<f64>>,
+}
+
+impl WarmState {
+    fn of(report: &FusionReport) -> Self {
+        Self {
+            params: match &report.detail {
+                FusionDetail::MultiLayer(r) => r.params.clone(),
+                FusionDetail::SingleLayer(r) => Params {
+                    source_accuracy: r.source_accuracy.clone(),
+                    precision: Vec::new(),
+                    recall: Vec::new(),
+                    q: Vec::new(),
+                },
+            },
+            posteriors: report.posteriors().clone(),
+            independence: report.source_independence().map(<[f64]>::to_vec),
+        }
+    }
+
+    /// The last fit's belief in each group of `cube` — its
+    /// `p(V_d = v(g) | X)` for every triple of an item it covered (one it
+    /// fitted, or one a delta added since), uniform over the
+    /// `(n_false_values + 1)`-value domain for items it never saw.
+    fn truth_hint(&self, cube: &ObservationCube, n_false_values: usize) -> Vec<f64> {
+        let known_items = self.posteriors.num_items();
+        let uniform = 1.0 / (n_false_values as f64 + 1.0);
+        cube.groups()
+            .iter()
+            .map(|g| {
+                if g.item.index() < known_items {
+                    self.posteriors.prob(g.item, g.value)
+                } else {
+                    uniform
+                }
+            })
+            .collect()
+    }
+}
+
+/// A long-lived fusion state: the observation cube plus the
+/// [`WarmState`] of the last run.
 ///
 /// Lifecycle: **cold run → deltas → warm re-run**, repeated forever.
 ///
@@ -85,19 +149,9 @@ impl Delta {
 pub struct FusionSession {
     cube: ObservationCube,
     model: Model,
-    params: Option<Params>,
-    /// Last run's `p(V_d = v(g) | X)` aligned with `cube.groups()` —
-    /// remapped across every [`Self::update`] so a warm run can
-    /// pre-mature the α prior (see
-    /// `MultiLayerModel::run_traced_with_prior`).
-    truth_hint: Option<Vec<f64>>,
-    /// Last copy-aware run's per-source independence factors `I(w)` —
-    /// prior copy evidence, re-used by warm restarts so even their first
-    /// EM fit discounts known copiers (sources added by later deltas
-    /// default to fully independent; see
-    /// `MultiLayerModel::run_traced_with_priors`).
-    independence: Option<Vec<f64>>,
-    last: Option<FusionReport>,
+    /// What the next [`Self::run`] resumes from; `None` until a fit has
+    /// run (or a [`Self::restore`] supplied one).
+    warm: Option<WarmState>,
     deltas_applied: usize,
 }
 
@@ -107,10 +161,7 @@ impl FusionSession {
         Self {
             cube,
             model,
-            params: None,
-            truth_hint: None,
-            independence: None,
-            last: None,
+            warm: None,
             deltas_applied: 0,
         }
     }
@@ -124,20 +175,23 @@ impl FusionSession {
         Self::new(b.build(), model)
     }
 
-    /// Rebuild a session from recovered state — the entry point crash
-    /// recovery (`kbt-store`) uses after decoding a checkpointed cube and
-    /// replaying the delta log onto it.
-    ///
-    /// The session starts with no warm-start state (no converged
-    /// parameters, truth hint, or independence priors): its first
-    /// [`Self::run`] is cold, which is what makes recovery bitwise
-    /// reproducible — a cold fit depends only on the cube contents.
-    /// `deltas_applied` restores the delta counter so provenance recorded
-    /// after recovery continues the pre-crash history.
-    pub fn restore(cube: ObservationCube, model: Model, deltas_applied: usize) -> Self {
+    /// Rebuild a session at a published epoch — the entry point crash
+    /// recovery (`kbt-store`) uses after decoding a checkpoint: the
+    /// epoch's cube, the delta counter its provenance recorded, and the
+    /// [`WarmState`] its snapshot kept. The restored session's next
+    /// [`Self::run`] is bit-identical to the one the session that fitted
+    /// the epoch would have produced.
+    pub fn restore(
+        cube: ObservationCube,
+        model: Model,
+        deltas_applied: usize,
+        warm: WarmState,
+    ) -> Self {
         Self {
+            cube,
+            model,
+            warm: Some(warm),
             deltas_applied,
-            ..Self::new(cube, model)
         }
     }
 
@@ -151,15 +205,10 @@ impl FusionSession {
         &self.model
     }
 
-    /// The parameters the next [`Self::run`] will warm-start from —
-    /// `None` until the first run.
-    pub fn params(&self) -> Option<&Params> {
-        self.params.as_ref()
-    }
-
-    /// The report of the most recent run, if any.
-    pub fn last_report(&self) -> Option<&FusionReport> {
-        self.last.as_ref()
+    /// What the next [`Self::run`] will warm-start from — `None` until
+    /// the first run.
+    pub fn warm(&self) -> Option<&WarmState> {
+        self.warm.as_ref()
     }
 
     /// Number of deltas applied so far ([`Self::update`] batches and
@@ -168,53 +217,12 @@ impl FusionSession {
         self.deltas_applied
     }
 
-    /// The per-source independence factors the last copy-aware run ended
-    /// with — the prior copy evidence the next warm [`Self::run`] will
-    /// start from. `None` until a run with
-    /// `ModelConfig::copy_detection` attached has completed.
-    pub fn independence(&self) -> Option<&[f64]> {
-        self.independence.as_deref()
-    }
-
     /// Merge a batch of new observations into the cube **incrementally**
     /// (delta-sort + merge-walk; the existing layout is never re-sorted).
     /// Returns `&mut self` so a delta round reads
     /// `session.update(&delta).run()`.
     pub fn update(&mut self, delta: &[Observation]) -> &mut Self {
-        let merged = self.cube.apply_delta(delta);
-        if let Some(hint) = &self.truth_hint {
-            // Remap the per-group truth hint onto the merged group list.
-            // Both lists are sorted by (source, item, value) and every old
-            // group survives a delta, so one merge-walk suffices; groups
-            // the delta introduced fall back to the model's prior belief.
-            let n = self.model.config().n_false_values as f64;
-            let posteriors = self.last.as_ref().map(|r| r.posteriors());
-            let old = self.cube.groups();
-            let mut remapped = Vec::with_capacity(merged.num_groups());
-            let mut oi = 0;
-            for grp in merged.groups() {
-                let key = (grp.source, grp.item, grp.value);
-                if oi < old.len() && (old[oi].source, old[oi].item, old[oi].value) == key {
-                    remapped.push(hint[oi]);
-                    oi += 1;
-                } else if let Some(p) =
-                    // Bound by the *posteriors'* item count, not the
-                    // cube's: earlier updates may have grown the cube
-                    // past what the last run covered.
-                    posteriors.filter(|p| grp.item.index() < p.num_items())
-                {
-                    // New triple of a known item: the session's current
-                    // belief about that (item, value).
-                    remapped.push(p.prob(grp.item, grp.value));
-                } else {
-                    // Brand-new item: uniform over the (n + 1)-value domain.
-                    remapped.push(1.0 / (n + 1.0));
-                }
-            }
-            debug_assert_eq!(oi, old.len(), "every existing group survives a delta");
-            self.truth_hint = Some(remapped);
-        }
-        self.cube = merged;
+        self.cube = self.cube.apply_delta(delta);
         self.deltas_applied += 1;
         self
     }
@@ -224,40 +232,14 @@ impl FusionSession {
     /// e.g. because a source took a page down or an extraction pattern
     /// was fixed. Unknown triples are ignored.
     ///
-    /// The warm-start state survives: the per-group truth hint is
-    /// remapped onto the surviving groups (retracted groups' entries are
-    /// dropped), and the per-source parameters and independence factors
-    /// stay aligned because [`ObservationCube::retract`] never shrinks
-    /// the dense id spaces. Historically a retraction that removed a
-    /// value's last extraction could leave a grouped value unobserved on
-    /// its item and panic the sharded E-step
-    /// (`"group value is an observed value of its item"`); the cube now
-    /// removes groups canonically and the E-step degrades gracefully, so
-    /// `session.retract(&[triple]).run()` is total — the regression tests
-    /// below pin this down.
+    /// The warm state survives untouched: it is keyed by ids, and
+    /// [`ObservationCube::retract`] never shrinks the dense id spaces. A
+    /// retraction that removes a value's last extraction leaves the
+    /// E-step to degrade gracefully (the cube removes groups
+    /// canonically), so `session.retract(&[triple]).run()` is total — the
+    /// regression tests below pin this down.
     pub fn retract(&mut self, retractions: &[(SourceId, ItemId, ValueId)]) -> &mut Self {
-        let merged = self.cube.retract(retractions);
-        if let Some(hint) = &self.truth_hint {
-            // Every surviving group exists in the old (sorted) list: one
-            // merge-walk drops exactly the retracted entries.
-            let old = self.cube.groups();
-            let mut remapped = Vec::with_capacity(merged.num_groups());
-            let mut oi = 0;
-            for grp in merged.groups() {
-                let key = (grp.source, grp.item, grp.value);
-                while oi < old.len() && (old[oi].source, old[oi].item, old[oi].value) < key {
-                    oi += 1;
-                }
-                debug_assert!(
-                    oi < old.len() && (old[oi].source, old[oi].item, old[oi].value) == key,
-                    "every surviving group pre-existed the retraction"
-                );
-                remapped.push(hint[oi]);
-                oi += 1;
-            }
-            self.truth_hint = Some(remapped);
-        }
-        self.cube = merged;
+        self.cube = self.cube.retract(retractions);
         self.deltas_applied += 1;
         self
     }
@@ -270,42 +252,32 @@ impl FusionSession {
         }
     }
 
-    /// Run fusion on the current cube: cold ([`QualityInit::Default`]) on
-    /// the first call, warm-started ([`QualityInit::Resume`] from the
-    /// previous converged parameters) afterwards. The converged
-    /// parameters are captured for the next round.
+    /// Run fusion on the current cube: cold ([`QualityInit::Default`])
+    /// while the session has no [`WarmState`], warm-started from it
+    /// afterwards. The fit's own warm state is captured for the next
+    /// round.
     pub fn run(&mut self) -> FusionReport {
-        let init = match &self.params {
-            Some(p) => QualityInit::Resume(p.clone()),
-            None => QualityInit::Default,
-        };
-        self.run_with_init(&init)
+        self.fit(true)
     }
 
     /// Run fusion from a cold start regardless of session history (the
     /// baseline the warm path is benchmarked against). Still captures the
-    /// converged parameters for subsequent warm runs.
+    /// warm state for subsequent warm runs.
     pub fn run_cold(&mut self) -> FusionReport {
-        self.run_with_init(&QualityInit::Default)
+        self.fit(false)
     }
 
-    fn run_with_init(&mut self, init: &QualityInit) -> FusionReport {
-        // Warm multi-layer runs also pre-mature the α prior from the last
-        // run's truth estimates (cold runs carry no hint).
-        let hint = match init {
-            QualityInit::Resume(_) => self.truth_hint.as_deref(),
-            _ => None,
-        };
-        // Warm runs also re-use the prior copy evidence: the first EM fit
-        // starts from the last run's independence factors.
-        let indep = match init {
-            QualityInit::Resume(_) => self.independence.as_deref(),
-            _ => None,
-        };
+    fn fit(&mut self, resume: bool) -> FusionReport {
+        let warm = self.warm.as_ref().filter(|_| resume);
+        let init = warm.map_or(QualityInit::Default, |w| {
+            QualityInit::Resume(w.params.clone())
+        });
         let report = match &self.model {
             Model::MultiLayer(cfg) => {
+                let hint = warm.map(|w| w.truth_hint(&self.cube, cfg.n_false_values));
+                let indep = warm.and_then(|w| w.independence.as_deref());
                 let (result, trace) = kbt_core::MultiLayerModel::new(cfg.clone())
-                    .run_traced_with_priors(&self.cube, init, hint, indep);
+                    .run_traced_with_priors(&self.cube, &init, hint.as_deref(), indep);
                 FusionReport::from_multi_layer(result, trace)
             }
             Model::Accu(cfg) => {
@@ -313,35 +285,17 @@ impl FusionSession {
                     value_model: kbt_core::ValueModel::Accu,
                     ..cfg.clone()
                 };
-                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, init)
+                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, &init)
             }
             Model::PopAccu(cfg) => {
                 let cfg = kbt_core::ModelConfig {
                     value_model: kbt_core::ValueModel::PopAccu,
                     ..cfg.clone()
                 };
-                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, init)
+                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, &init)
             }
         };
-        self.params = Some(match &report.detail {
-            FusionDetail::MultiLayer(r) => r.params.clone(),
-            // The single layer has no extractor parameters; carry the
-            // per-source accuracies forward (what its Resume init seeds
-            // pair accuracies from).
-            FusionDetail::SingleLayer(r) => Params {
-                source_accuracy: r.source_accuracy.clone(),
-                precision: Vec::new(),
-                recall: Vec::new(),
-                q: Vec::new(),
-            },
-        });
-        if let Some(r) = report.as_multi_layer() {
-            if let Some(indep) = &r.source_independence {
-                self.independence = Some(indep.clone());
-            }
-        }
-        self.truth_hint = Some(report.truth_of_group().to_vec());
-        self.last = Some(report.clone());
+        self.warm = Some(WarmState::of(&report));
         report
     }
 }
@@ -406,10 +360,9 @@ mod tests {
         let base = noisy_corpus(0..60);
         let delta = noisy_corpus(60..63); // ~5% new items
         let mut s = FusionSession::from_observations(base.clone(), Model::MultiLayer(cfg.clone()));
-        assert!(s.params().is_none());
+        assert!(s.warm().is_none());
         let cold = s.run();
-        assert!(s.params().is_some());
-        assert!(s.last_report().is_some());
+        assert!(s.warm().is_some());
         assert!(cold.converged());
 
         let warm = s.update(&delta).run();
@@ -446,8 +399,8 @@ mod tests {
 
     /// Regression: two `update`s between runs used to panic when the
     /// second delta referenced an item introduced by the first — the
-    /// truth-hint remap bounded new items by the *cube's* item count
-    /// instead of the stale posteriors' coverage.
+    /// truth hint must bound known items by the warm posteriors'
+    /// coverage, not by the *cube's* item count.
     #[test]
     fn consecutive_updates_before_rerun_are_safe() {
         let mut s = FusionSession::from_observations(base_corpus(), Model::multi_layer());
@@ -497,12 +450,11 @@ mod tests {
         assert_eq!(incremental.correctness(), b.correctness());
     }
 
-    /// Retracting before any run (no truth hint yet) and retracting
+    /// Retracting before any run (no warm state yet) and retracting
     /// everything a source ever said are both total.
     #[test]
     fn retraction_edge_cases() {
         let mut s = FusionSession::from_observations(base_corpus(), Model::multi_layer());
-        // No prior run: nothing to remap.
         s.retract(&[(SourceId::new(0), ItemId::new(0), ValueId::new(0))]);
         let first = s.run();
         assert!(first.iterations() >= 1);

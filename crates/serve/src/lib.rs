@@ -25,9 +25,9 @@
 //!   and touches no shared refcount.
 //! * [`TrustServer`] — the single writer. It owns a
 //!   [`kbt_pipeline::FusionSession`], batches ingested deltas and
-//!   retractions, refits warm (`apply_delta` + `QualityInit::Resume` +
-//!   truth-hint + independence priors) or cold
-//!   ([`RefitMode`]), and publishes the next epoch; the read side holds
+//!   retractions, refits warm (`apply_delta` + the previous epoch's
+//!   [`kbt_pipeline::WarmState`]) or cold ([`RefitMode`]), and publishes
+//!   the next epoch; the read side holds
 //!   only cloneable [`TrustHandle`]s. Persistence plugs in through one
 //!   seam, the [`DurabilityHook`] the server owns: `log` before a batch
 //!   is queued, `commit` after a publish, `checkpoint` on demand.
@@ -67,11 +67,13 @@
 //!
 //! ## When warm refits restart from init
 //!
-//! A warm refit resumes EM from the previous epoch's converged
-//! parameters. Two cases deliberately restart from initialization
-//! instead: [`RefitMode::Cold`] (bitwise-reproducible audit replays —
-//! a cold refit over a delta prefix is bit-identical to a cold
-//! `TrustPipeline` run over that prefix), and the copy-aware discount
+//! A warm refit resumes EM from the previous epoch's warm state, which
+//! every published [`TrustSnapshot`] can hand back
+//! ([`TrustSnapshot::warm_state`]) — so the mode is a performance
+//! choice, not a reproducibility one. Two cases deliberately restart
+//! from initialization instead: [`RefitMode::Cold`] (audits against the
+//! batch pipeline — a cold refit over a delta prefix is bit-identical to
+//! a cold `TrustPipeline` run over that prefix), and the copy-aware discount
 //! loop inside a fit, which refits from init with dependent sources
 //! down-weighted because a copier-corrupted basin cannot be left by warm
 //! continuation (see `MultiLayerModel`). The independence factors a fit
@@ -84,8 +86,8 @@ pub mod snapshot;
 pub mod store;
 
 pub use server::{
-    fit_and_export, CheckpointError, DurabilityHook, HookError, HookFailure, HookStage,
-    TrustHandle, TrustServer,
+    apply_and_fit, CheckpointError, DurabilityHook, HookError, HookFailure, HookStage, TrustHandle,
+    TrustServer,
 };
 pub use snapshot::{
     CalibrationBucket, RefitMode, SnapshotParts, SnapshotPartsError, SnapshotProvenance,

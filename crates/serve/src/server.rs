@@ -10,9 +10,10 @@
 //!
 //! The server batches incoming observation deltas and retractions, folds
 //! them into its [`FusionSession`] (`apply_delta` merge-walk, no full
-//! re-sort), refits EM — warm by default, re-using the previous epoch's
-//! converged parameters, truth hints, and copy-independence priors — and
-//! publishes a fresh immutable [`TrustSnapshot`] under the next epoch.
+//! re-sort), refits EM — warm by default, resuming from the previous
+//! epoch's `WarmState` (converged parameters, truth hints,
+//! copy-independence priors) — and publishes a fresh immutable
+//! [`TrustSnapshot`] under the next epoch.
 //! Readers keep serving the previous epoch untouched for the whole
 //! refit; the swap is one `Arc` store.
 
@@ -224,24 +225,23 @@ impl std::fmt::Debug for TrustServer {
 
 impl TrustServer {
     /// Run the initial fit of `session` (cold unless the session already
-    /// carries converged parameters and `mode` is warm) and publish it as
-    /// epoch 0.
+    /// carries a warm state and `mode` is warm) and publish it as epoch 0.
     pub fn new(mut session: FusionSession, mode: RefitMode) -> Self {
-        let snapshot = fit_and_export(&mut session, mode, 0);
+        let snapshot = apply_and_fit(&mut session, &mut Vec::new(), mode, 0);
         Self::resume(session, snapshot, mode)
     }
 
     /// Resume a server from recovered state **without refitting**: the
     /// store immediately serves `snapshot` under its own epoch, and the
     /// next publish continues from there. `session` must be the session
-    /// state the snapshot was fitted on (cube contents and delta count
-    /// aligned) — `kbt-store` reconstructs both from a checkpoint + log
-    /// replay and hands them here.
+    /// state the snapshot was fitted on (cube contents, delta count and
+    /// warm state aligned) — `kbt-store` reconstructs both from a
+    /// checkpoint + log replay and hands them here.
     pub fn resume(session: FusionSession, snapshot: TrustSnapshot, mode: RefitMode) -> Self {
         let epoch = snapshot.epoch();
         Self {
             session,
-            store: Arc::new(SnapshotStore::new(snapshot)),
+            store: Arc::new(SnapshotStore::new(snapshot.served_in(mode))),
             pending: Vec::new(),
             mode,
             epoch,
@@ -356,30 +356,14 @@ impl TrustServer {
         if self.pending.is_empty() {
             return Ok(None);
         }
-        self.force_refit().map(Some)
-    }
-
-    /// [`Self::refit`] even when no delta is queued — always refits and
-    /// publishes a new epoch. Keeps a refit in flight under readers
-    /// without feeding it data, and is useful operationally to
-    /// re-publish after an out-of-band change.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`refit`](Self::refit): a [`HookStage::Commit`] failure
-    /// after the in-memory publish.
-    pub fn force_refit(&mut self) -> Result<Arc<TrustSnapshot>, HookError> {
-        for run in std::mem::take(&mut self.pending) {
-            self.session.apply(&run);
-        }
         self.epoch += 1;
-        let snap = fit_and_export(&mut self.session, self.mode, self.epoch);
+        let snap = apply_and_fit(&mut self.session, &mut self.pending, self.mode, self.epoch);
         let installed = self.store.publish(snap);
         if let Some(hook) = &mut self.hook {
             hook.commit(&installed, &self.session)
                 .map_err(|e| HookError::new(HookStage::Commit, e))?;
         }
-        Ok(installed)
+        Ok(Some(installed))
     }
 
     /// Have the hook checkpoint the published epoch now, whatever its
@@ -402,14 +386,26 @@ impl TrustServer {
     }
 }
 
-/// Run one fit of `session` in `mode` and export it as a snapshot under
-/// `epoch` — the only place a fit becomes a [`TrustSnapshot`], for the
-/// live server and for crash replay alike (replay fits cold). The
-/// recorded [`SnapshotProvenance::refit_mode`] is what actually
-/// happened: a warm-mode fit with nothing to resume (the server's
-/// initial fit) is recorded as cold.
-pub fn fit_and_export(session: &mut FusionSession, mode: RefitMode, epoch: u64) -> TrustSnapshot {
-    let resumes = matches!(mode, RefitMode::Warm) && session.params().is_some();
+/// One step of the epoch sequence: fold `runs` into `session` in order
+/// (draining them), fit it in `mode`, and export the fit as the snapshot
+/// of `epoch`. The only place a queued run reaches a session and the
+/// only place a fit becomes a [`TrustSnapshot`] — [`TrustServer::new`]
+/// (no runs), [`TrustServer::refit`] and crash replay (`kbt-store`, once
+/// per replayed commit) all take it, which is what makes a replayed
+/// epoch bit-identical to the one that was served. The recorded
+/// [`SnapshotProvenance::refit_mode`] is what actually happened: a
+/// warm-mode fit with nothing to resume (the server's initial fit) is
+/// recorded as cold.
+pub fn apply_and_fit(
+    session: &mut FusionSession,
+    runs: &mut Vec<Delta>,
+    mode: RefitMode,
+    epoch: u64,
+) -> TrustSnapshot {
+    for run in runs.drain(..) {
+        session.apply(&run);
+    }
+    let resumes = matches!(mode, RefitMode::Warm) && session.warm().is_some();
     let report = match mode {
         RefitMode::Warm => session.run(),
         RefitMode::Cold => session.run_cold(),
@@ -436,6 +432,7 @@ pub fn fit_and_export(session: &mut FusionSession, mode: RefitMode, epoch: u64) 
             coverage: report.coverage(),
         },
     )
+    .served_in(mode)
 }
 
 #[cfg(test)]
@@ -550,10 +547,26 @@ mod tests {
         let snap = server.refit().unwrap().expect("retraction publishes");
         assert_eq!(snap.epoch(), 2);
         assert!(snap.triple_posterior(key.0, key.1, key.2).is_none());
+    }
 
-        // Forced refit publishes even when clean.
-        let snap = server.force_refit().unwrap();
-        assert_eq!(snap.epoch(), 3);
+    /// What the checkpoint relies on: every published snapshot hands back
+    /// exactly the warm state its session resumes the next refit from,
+    /// stamped with the mode the server runs.
+    #[test]
+    fn a_published_snapshot_hands_back_the_sessions_warm_state() {
+        for mode in [RefitMode::Warm, RefitMode::Cold] {
+            let mut server = server(0..10, mode);
+            let key = first_triple(&server);
+            server.ingest(corpus(10..11)).unwrap();
+            server.retract([key]).unwrap();
+            for epoch in 0..2 {
+                let snap = server.handle().snapshot();
+                assert_eq!(snap.epoch(), epoch);
+                assert_eq!(Some(&snap.warm_state()), server.session().warm());
+                assert_eq!(snap.serving_mode(), mode);
+                server.refit().unwrap();
+            }
+        }
     }
 
     /// Queued deltas apply in submission order: retract-then-ingest of

@@ -9,22 +9,24 @@
 //! mode). Readers share it behind an `Arc`, so a query never races a
 //! refit and a refit never blocks a query.
 
-use kbt_core::{FusionReport, ModelKind};
+use kbt_core::{FusionReport, ModelKind, Params};
 use kbt_datamodel::{ItemId, SourceId, ValueId};
+use kbt_pipeline::WarmState;
 
-/// How a refit initialized EM (recorded in the provenance).
+/// How a refit initializes EM (recorded in the provenance). A
+/// performance choice: in either mode an epoch is a function of the
+/// delta log, and crash recovery replays it bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefitMode {
-    /// `QualityInit::Resume` from the previous epoch's converged
-    /// parameters (plus the truth hint and independence priors) — the
-    /// production serving mode: converges in fewer rounds, but the exact
-    /// floats depend on the delta history.
+    /// `QualityInit::Resume` from the previous epoch's [`WarmState`]
+    /// (converged parameters, truth hint, independence priors) — the
+    /// production serving mode: converges in fewer rounds.
     Warm,
-    /// `QualityInit::Default` from scratch on the merged cube — bitwise
-    /// reproducible: a snapshot refit cold over a delta prefix is
-    /// bit-identical to a cold `TrustPipeline` run over the same prefix
-    /// (checked by `tests/serving.rs`, and the right mode for audit
-    /// replays).
+    /// `QualityInit::Default` from scratch on the merged cube: a
+    /// snapshot refit cold over a delta prefix is bit-identical to a cold
+    /// `TrustPipeline` run over the same prefix (checked by
+    /// `tests/serving.rs`) — the mode for audits against the batch
+    /// pipeline.
     Cold,
 }
 
@@ -97,6 +99,11 @@ pub struct SnapshotParts {
     pub posteriors: kbt_core::ItemPosteriors,
     /// Delta history and fit diagnostics.
     pub provenance: SnapshotProvenance,
+    /// Extractor `[P_e, R_e, Q_e]` columns the fit converged to (empty
+    /// for the single layer). Not part of the fingerprint.
+    pub extractor_quality: [Vec<f64>; 3],
+    /// See [`TrustSnapshot::serving_mode`]. Not part of the fingerprint.
+    pub serving_mode: RefitMode,
 }
 
 /// Why [`TrustSnapshot::from_parts`] rejected a payload.
@@ -110,6 +117,9 @@ pub enum SnapshotPartsError {
     /// The triple key column is not strictly sorted, so binary-searched
     /// queries would miss triples.
     UnsortedTriples,
+    /// The three `extractor_quality` columns disagree on the number of
+    /// extractors.
+    MisalignedExtractors,
 }
 
 impl std::fmt::Display for SnapshotPartsError {
@@ -118,6 +128,9 @@ impl std::fmt::Display for SnapshotPartsError {
             Self::MisalignedTriples => write!(f, "triple keys and truth posteriors misaligned"),
             Self::MisalignedSources => write!(f, "per-source columns disagree on source count"),
             Self::UnsortedTriples => write!(f, "triple key column is not strictly sorted"),
+            Self::MisalignedExtractors => {
+                write!(f, "extractor quality columns disagree on extractor count")
+            }
         }
     }
 }
@@ -134,29 +147,18 @@ impl std::error::Error for SnapshotPartsError {}
 /// from the [`FusionReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrustSnapshot {
-    epoch: u64,
-    model: ModelKind,
-    /// `A_w` per source — the KBT scores.
-    source_trust: Vec<f64>,
-    active_source: Vec<bool>,
-    /// Copy-independence factor `I(w)` per source (all 1 when the fit was
-    /// copy-blind).
-    independence: Option<Vec<f64>>,
-    /// `(source, item, value)` key of each triple group, sorted — the
-    /// group key column of the cube this epoch was fitted on.
-    triples: Vec<(SourceId, ItemId, ValueId)>,
-    /// `p(V_d = v(g) | X)` per triple group, aligned with `triples`.
-    truth_of_group: Vec<f64>,
-    /// Per-item posterior over observed values + uniform unobserved mass.
-    posteriors: kbt_core::ItemPosteriors,
+    /// The payload: the served columns, plus the extractor columns and
+    /// the serving mode, which are never served and stay outside the
+    /// fingerprint — they are kept so the snapshot can hand back the
+    /// [`WarmState`] the next refit resumes from.
+    parts: SnapshotParts,
     /// Source ids sorted by descending trust (ties: ascending id).
     trust_rank: Vec<u32>,
     /// Group indices sorted by descending truth posterior (ties:
     /// ascending group index).
     truth_rank: Vec<u32>,
     calibration: Vec<CalibrationBucket>,
-    provenance: SnapshotProvenance,
-    /// Order-sensitive digest of every payload field, fixed at
+    /// Order-sensitive digest of every served field, fixed at
     /// construction — see [`Self::fingerprint`].
     fingerprint: u64,
 }
@@ -194,6 +196,11 @@ impl TrustSnapshot {
             truth_of_group: report.truth_of_group().to_vec(),
             posteriors: report.posteriors().clone(),
             provenance,
+            extractor_quality: report.as_multi_layer().map_or_else(Default::default, |r| {
+                let p = &r.params;
+                [p.precision.clone(), p.recall.clone(), p.q.clone()]
+            }),
+            serving_mode: provenance.refit_mode,
         })
         // lint: allow(panic) — the parts are sliced out of one
         // `FusionReport`, whose columns are aligned by construction; the
@@ -218,50 +225,32 @@ impl TrustSnapshot {
     /// key column that is not strictly sorted (the binary-searched query
     /// index would silently miss triples).
     pub fn from_parts(parts: SnapshotParts) -> Result<Self, SnapshotPartsError> {
-        let SnapshotParts {
-            epoch,
-            model,
-            source_trust,
-            active_source,
-            independence,
-            triples,
-            truth_of_group,
-            posteriors,
-            provenance,
-        } = parts;
-        if triples.len() != truth_of_group.len() {
+        if parts.triples.len() != parts.truth_of_group.len() {
             return Err(SnapshotPartsError::MisalignedTriples);
         }
-        if active_source.len() != source_trust.len() {
+        let num_sources = parts.source_trust.len();
+        if parts.active_source.len() != num_sources
+            || parts
+                .independence
+                .as_ref()
+                .is_some_and(|ind| ind.len() != num_sources)
+        {
             return Err(SnapshotPartsError::MisalignedSources);
         }
-        if let Some(ind) = &independence {
-            if ind.len() != source_trust.len() {
-                return Err(SnapshotPartsError::MisalignedSources);
-            }
-        }
-        if triples.windows(2).any(|w| w[0] >= w[1]) {
+        if parts.triples.windows(2).any(|w| w[0] >= w[1]) {
             return Err(SnapshotPartsError::UnsortedTriples);
         }
+        let [precision, recall, q] = &parts.extractor_quality;
+        if recall.len() != precision.len() || q.len() != precision.len() {
+            return Err(SnapshotPartsError::MisalignedExtractors);
+        }
 
-        let trust_rank = rank_descending(&source_trust);
-        let truth_rank = rank_descending(&truth_of_group);
-
-        let calibration = calibration_buckets(&truth_of_group);
         let mut snap = Self {
-            epoch,
-            model,
-            source_trust,
-            active_source,
-            independence,
-            triples,
-            truth_of_group,
-            posteriors,
-            trust_rank,
-            truth_rank,
-            calibration,
-            provenance,
+            trust_rank: rank_descending(&parts.source_trust),
+            truth_rank: rank_descending(&parts.truth_of_group),
+            calibration: calibration_buckets(&parts.truth_of_group),
             fingerprint: 0,
+            parts,
         };
         snap.fingerprint = snap.compute_fingerprint();
         Ok(snap)
@@ -273,73 +262,107 @@ impl TrustSnapshot {
     /// deliberately absent: it is recomputed on rebuild, so a persisted
     /// snapshot cannot carry a payload/derived-state mismatch.
     pub fn to_parts(&self) -> SnapshotParts {
-        SnapshotParts {
-            epoch: self.epoch,
-            model: self.model,
-            source_trust: self.source_trust.clone(),
-            active_source: self.active_source.clone(),
-            independence: self.independence.clone(),
-            triples: self.triples.clone(),
-            truth_of_group: self.truth_of_group.clone(),
-            posteriors: self.posteriors.clone(),
-            provenance: self.provenance,
+        self.parts.clone()
+    }
+
+    // ---- the next refit ----
+
+    /// The [`WarmState`] of the fit this snapshot exports — what the
+    /// session that produced it resumes its next warm refit from, column
+    /// for column, so `FusionSession::restore` with it continues the
+    /// epoch sequence bit for bit.
+    pub fn warm_state(&self) -> WarmState {
+        let [precision, recall, q] = self.parts.extractor_quality.clone();
+        WarmState {
+            params: Params {
+                source_accuracy: self.parts.source_trust.clone(),
+                precision,
+                recall,
+                q,
+            },
+            posteriors: self.parts.posteriors.clone(),
+            independence: self.parts.independence.clone(),
         }
+    }
+
+    /// The extractor `[P_e, R_e, Q_e]` columns the fit converged to
+    /// (empty for the single layer); codecs persist them beside the
+    /// served columns.
+    pub fn extractor_quality(&self) -> [&[f64]; 3] {
+        self.parts.extractor_quality.each_ref().map(Vec::as_slice)
+    }
+
+    /// The [`RefitMode`] of the server that published (or resumed on)
+    /// this snapshot — the mode a replay of the log past it refits in.
+    /// [`provenance`](Self::provenance) records how *this* epoch was
+    /// fitted, which differs for a warm server's initial fit. A snapshot
+    /// built outside a server ([`Self::from_report`]) carries its own
+    /// fit's mode.
+    pub fn serving_mode(&self) -> RefitMode {
+        self.parts.serving_mode
+    }
+
+    /// Stamp the mode of the server that serves this snapshot.
+    pub(crate) fn served_in(mut self, mode: RefitMode) -> Self {
+        self.parts.serving_mode = mode;
+        self
     }
 
     // ---- identity ----
 
     /// The epoch this snapshot was published under (0 = the initial fit).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.parts.epoch
     }
 
     /// Which engine produced the underlying report.
     pub fn model(&self) -> ModelKind {
-        self.model
+        self.parts.model
     }
 
     /// Delta history and fit diagnostics.
     pub fn provenance(&self) -> &SnapshotProvenance {
-        &self.provenance
+        &self.parts.provenance
     }
 
     /// Number of sources in the dense id space.
     pub fn num_sources(&self) -> usize {
-        self.source_trust.len()
+        self.parts.source_trust.len()
     }
 
     /// Number of items the posterior table covers.
     pub fn num_items(&self) -> usize {
-        self.posteriors.num_items()
+        self.parts.posteriors.num_items()
     }
 
     /// Number of triple groups served.
     pub fn num_triples(&self) -> usize {
-        self.triples.len()
+        self.parts.triples.len()
     }
 
     // ---- point queries ----
 
     /// Trust score `A_w` of a source; `None` outside the id space.
     pub fn trust(&self, w: SourceId) -> Option<f64> {
-        self.source_trust.get(w.index()).copied()
+        self.parts.source_trust.get(w.index()).copied()
     }
 
     /// Whether the source had enough data to move off the default
     /// accuracy; `None` outside the id space.
     pub fn is_active(&self, w: SourceId) -> Option<bool> {
-        self.active_source.get(w.index()).copied()
+        self.parts.active_source.get(w.index()).copied()
     }
 
     /// Copy-independence factor `I(w)` of a source (1 when the fit was
     /// copy-blind or the source is independent); `None` outside the id
     /// space.
     pub fn independence(&self, w: SourceId) -> Option<f64> {
-        if w.index() >= self.source_trust.len() {
+        if w.index() >= self.parts.source_trust.len() {
             return None;
         }
         Some(
-            self.independence
+            self.parts
+                .independence
                 .as_ref()
                 .and_then(|i| i.get(w.index()).copied())
                 .unwrap_or(1.0),
@@ -350,39 +373,40 @@ impl TrustSnapshot {
     /// when the item is outside the id space (unobserved values of a
     /// known item get the item's uniform leftover mass).
     pub fn posterior(&self, d: ItemId, v: ValueId) -> Option<f64> {
-        if d.index() >= self.posteriors.num_items() {
+        if d.index() >= self.parts.posteriors.num_items() {
             return None;
         }
-        Some(self.posteriors.prob(d, v))
+        Some(self.parts.posteriors.prob(d, v))
     }
 
     /// The observed `(value, probability)` posterior row of an item,
     /// sorted by value; `None` outside the id space.
     pub fn posterior_row(&self, d: ItemId) -> Option<&[(ValueId, f64)]> {
-        if d.index() >= self.posteriors.num_items() {
+        if d.index() >= self.parts.posteriors.num_items() {
             return None;
         }
-        Some(self.posteriors.observed(d))
+        Some(self.parts.posteriors.observed(d))
     }
 
     /// The MAP value of an item with its probability — `None` when the
     /// item is unknown, has no observed value, or an unobserved value is
     /// the MAP.
     pub fn map_value(&self, d: ItemId) -> Option<(ValueId, f64)> {
-        if d.index() >= self.posteriors.num_items() {
+        if d.index() >= self.parts.posteriors.num_items() {
             return None;
         }
-        self.posteriors.map_value(d)
+        self.parts.posteriors.map_value(d)
     }
 
     /// Correctness posterior `p(V_d = v(g) | X)` of one served triple,
     /// addressed by its `(source, item, value)` key; `None` when the
     /// triple is not in this epoch's cube.
     pub fn triple_posterior(&self, w: SourceId, d: ItemId, v: ValueId) -> Option<f64> {
-        self.triples
+        self.parts
+            .triples
             .binary_search(&(w, d, v))
             .ok()
-            .map(|g| self.truth_of_group[g])
+            .map(|g| self.parts.truth_of_group[g])
     }
 
     // ---- batched lookups ----
@@ -406,7 +430,7 @@ impl TrustSnapshot {
         self.trust_rank
             .iter()
             .take(k)
-            .map(|&w| (SourceId::new(w), self.source_trust[w as usize]))
+            .map(|&w| (SourceId::new(w), self.parts.source_trust[w as usize]))
             .collect()
     }
 
@@ -418,8 +442,8 @@ impl TrustSnapshot {
             .iter()
             .take(k)
             .map(|&g| {
-                let (w, d, v) = self.triples[g as usize];
-                (w, d, v, self.truth_of_group[g as usize])
+                let (w, d, v) = self.parts.triples[g as usize];
+                (w, d, v, self.parts.truth_of_group[g as usize])
             })
             .collect()
     }
@@ -429,37 +453,37 @@ impl TrustSnapshot {
     /// All trust scores, indexed by source id — bit-for-bit the
     /// `FusionReport::source_trust` column of the fit.
     pub fn source_trust(&self) -> &[f64] {
-        &self.source_trust
+        &self.parts.source_trust
     }
 
     /// All truth posteriors, aligned with [`Self::triple_keys`] —
     /// bit-for-bit the `FusionReport::truth_of_group` column.
     pub fn truth_of_group(&self) -> &[f64] {
-        &self.truth_of_group
+        &self.parts.truth_of_group
     }
 
     /// The `(source, item, value)` key of every served triple group,
     /// sorted.
     pub fn triple_keys(&self) -> &[(SourceId, ItemId, ValueId)] {
-        &self.triples
+        &self.parts.triples
     }
 
     /// The per-source activity column, aligned with
     /// [`Self::source_trust`].
     pub fn active_sources(&self) -> &[bool] {
-        &self.active_source
+        &self.parts.active_source
     }
 
     /// The raw per-source independence column: `None` when the fit was
     /// copy-blind (the point query [`Self::independence`] answers 1.0 in
     /// that case; codecs need the distinction to round-trip exactly).
     pub fn independence_column(&self) -> Option<&[f64]> {
-        self.independence.as_deref()
+        self.parts.independence.as_deref()
     }
 
     /// The full per-item posterior table.
     pub fn posteriors(&self) -> &kbt_core::ItemPosteriors {
-        &self.posteriors
+        &self.parts.posteriors
     }
 
     /// The posterior-confidence histogram (see [`CalibrationBucket`]).
@@ -467,8 +491,9 @@ impl TrustSnapshot {
         &self.calibration
     }
 
-    /// Order-sensitive digest of every payload field, computed once at
-    /// construction. A reader that recomputes it
+    /// Order-sensitive digest of every served field (everything but
+    /// [`Self::extractor_quality`] and [`Self::serving_mode`]), computed
+    /// once at construction. A reader that recomputes it
     /// ([`Self::verify_integrity`]) and matches proves the snapshot it
     /// holds is exactly what the writer published — the torn-read oracle
     /// of the concurrency stress tests.
@@ -491,46 +516,46 @@ impl TrustSnapshot {
             h ^= x;
             h = h.wrapping_mul(PRIME);
         };
-        eat(self.epoch);
-        eat(match self.model {
+        eat(self.parts.epoch);
+        eat(match self.parts.model {
             ModelKind::MultiLayer => 1,
             ModelKind::SingleLayer => 2,
         });
-        eat(match self.provenance.refit_mode {
+        eat(match self.parts.provenance.refit_mode {
             RefitMode::Warm => 1,
             RefitMode::Cold => 2,
         });
-        eat(self.provenance.deltas_applied as u64);
-        eat(self.provenance.iterations as u64);
-        eat(self.provenance.converged as u64);
-        eat(self.provenance.coverage.to_bits());
-        for &t in &self.source_trust {
+        eat(self.parts.provenance.deltas_applied as u64);
+        eat(self.parts.provenance.iterations as u64);
+        eat(self.parts.provenance.converged as u64);
+        eat(self.parts.provenance.coverage.to_bits());
+        for &t in &self.parts.source_trust {
             eat(t.to_bits());
         }
-        for &a in &self.active_source {
+        for &a in &self.parts.active_source {
             eat(a as u64);
         }
-        if let Some(ind) = &self.independence {
+        if let Some(ind) = &self.parts.independence {
             for &i in ind {
                 eat(i.to_bits());
             }
         }
-        for (i, &(w, d, v)) in self.triples.iter().enumerate() {
+        for (i, &(w, d, v)) in self.parts.triples.iter().enumerate() {
             // FNV is order-sensitive: feed the key components separately
             // rather than packing them (a packed XOR would collide for
             // distinct keys once ids exceed the packing widths).
             eat(w.0 as u64);
             eat(d.0 as u64);
             eat(v.0 as u64);
-            eat(self.truth_of_group[i].to_bits());
+            eat(self.parts.truth_of_group[i].to_bits());
         }
-        for d in 0..self.posteriors.num_items() {
+        for d in 0..self.parts.posteriors.num_items() {
             let d = ItemId::new(d as u32);
-            for &(v, p) in self.posteriors.observed(d) {
+            for &(v, p) in self.parts.posteriors.observed(d) {
                 eat(v.0 as u64);
                 eat(p.to_bits());
             }
-            eat(self.posteriors.unobserved_mass_per_value(d).to_bits());
+            eat(self.parts.posteriors.unobserved_mass_per_value(d).to_bits());
         }
         for &w in &self.trust_rank {
             eat(w as u64);
@@ -752,20 +777,20 @@ mod tests {
         let snap = snapshot_of(&cube, &report);
         assert!(snap.verify_integrity());
         let mut torn = snap.clone();
-        torn.truth_of_group[0] += 1e-9;
+        torn.parts.truth_of_group[0] += 1e-9;
         assert!(
             !torn.verify_integrity(),
             "a flipped payload bit must be caught"
         );
         let mut wrong_epoch = snap.clone();
-        wrong_epoch.epoch = 8;
+        wrong_epoch.parts.epoch = 8;
         assert!(!wrong_epoch.verify_integrity());
         // Every payload surface is covered, not just the trust columns.
         let mut torn_cal = snap.clone();
         torn_cal.calibration[9].count += 1;
         assert!(!torn_cal.verify_integrity(), "calibration is covered");
         let mut torn_prov = snap.clone();
-        torn_prov.provenance.coverage += 1e-9;
+        torn_prov.parts.provenance.coverage += 1e-9;
         assert!(!torn_prov.verify_integrity(), "provenance is covered");
         let mut torn_rank = snap.clone();
         torn_rank.trust_rank.swap(0, 1);
@@ -811,6 +836,12 @@ mod tests {
         assert_eq!(
             TrustSnapshot::from_parts(unsorted),
             Err(SnapshotPartsError::UnsortedTriples)
+        );
+        let mut ragged = snap.to_parts();
+        ragged.extractor_quality[2].push(0.5);
+        assert_eq!(
+            TrustSnapshot::from_parts(ragged),
+            Err(SnapshotPartsError::MisalignedExtractors)
         );
     }
 }

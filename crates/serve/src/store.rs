@@ -164,11 +164,6 @@ impl SnapshotReader {
         &self.cached
     }
 
-    /// The epoch of the cached snapshot (no revalidation).
-    pub fn cached_epoch(&self) -> u64 {
-        self.cached.epoch()
-    }
-
     /// The store this reader was created from.
     pub fn store(&self) -> &Arc<SnapshotStore> {
         &self.store

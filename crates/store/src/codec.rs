@@ -3,10 +3,12 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   header("KBTSNAP1", version 1)                         12 bytes
+//!   header("KBTSNAP1", version 2)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
 //!   cube section       dims + every cell as an observation
-//!   snapshot section   SnapshotParts, field by field
+//!   snapshot section   the served columns, field by field
+//!   warm section       serving mode u8, then the extractor P / R / Q
+//!                      columns, each with its own count
 //!   fingerprint        u64   (TrustSnapshot::fingerprint) 8
 //!   crc32              u32   (over everything above)      4
 //! ```
@@ -20,6 +22,12 @@
 //! [`TrustSnapshot::from_parts`]), so a checkpoint can never decode to a
 //! snapshot that differs from the one the writer held in memory.
 //!
+//! The warm section is what version 2 added: with the served trust,
+//! posterior and independence columns it is the `WarmState` the next
+//! refit resumes from, and its mode byte is the `RefitMode` of the server
+//! that wrote the file — so recovery restores the session as it stood
+//! and replays the log past the checkpoint the way it was served.
+//!
 //! The cube is stored as its cells (each one a full `Observation`) plus
 //! the four dense id-space sizes. Rebuilding through [`CubeBuilder`]
 //! reproduces the canonical sorted/grouped layout exactly: `build`,
@@ -28,7 +36,7 @@
 
 use kbt_core::{ItemPosteriors, ModelKind};
 use kbt_datamodel::wire::{
-    self, put_f64, put_observation, put_triple_key, put_u32, put_u64, put_u8, WireError,
+    self, put_f64, put_observation, put_seq, put_triple_key, put_u32, put_u64, put_u8, WireError,
     WireReader, OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
 };
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, ValueId};
@@ -40,7 +48,7 @@ use crate::durable::StoreError;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.
@@ -202,6 +210,11 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
         }
         put_f64(buf, posteriors.unobserved_mass_per_value(d));
     }
+
+    put_u8(buf, mode_tag(snap.serving_mode()));
+    for column in snap.extractor_quality() {
+        put_seq(buf, column, |buf, &x| put_f64(buf, x));
+    }
 }
 
 fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> {
@@ -211,11 +224,7 @@ fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> 
         2 => ModelKind::SingleLayer,
         t => return Err(WireError::BadTag(t).into()),
     };
-    let refit_mode = match r.u8()? {
-        1 => RefitMode::Warm,
-        2 => RefitMode::Cold,
-        t => return Err(WireError::BadTag(t).into()),
-    };
+    let refit_mode = mode_from_tag(r.u8()?)?;
     let deltas_applied = r.u64()? as usize;
     let iterations = r.u64()? as usize;
     let converged = r.bool()?;
@@ -262,6 +271,10 @@ fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> 
     }
     let posteriors = ItemPosteriors::from_flat_parts(offsets, entries, unobserved);
 
+    let serving_mode = mode_from_tag(r.u8()?)?;
+    let mut column = || r.seq(8, WireReader::f64);
+    let extractor_quality = [column()?, column()?, column()?];
+
     Ok(SnapshotParts {
         epoch,
         model,
@@ -278,6 +291,8 @@ fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> 
             converged,
             coverage,
         },
+        extractor_quality,
+        serving_mode,
     })
 }
 
@@ -292,6 +307,14 @@ fn mode_tag(m: RefitMode) -> u8 {
     match m {
         RefitMode::Warm => 1,
         RefitMode::Cold => 2,
+    }
+}
+
+fn mode_from_tag(tag: u8) -> Result<RefitMode, WireError> {
+    match tag {
+        1 => Ok(RefitMode::Warm),
+        2 => Ok(RefitMode::Cold),
+        t => Err(WireError::BadTag(t)),
     }
 }
 

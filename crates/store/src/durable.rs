@@ -27,7 +27,7 @@ use kbt_datamodel::wire::WireError;
 use kbt_datamodel::ObservationCube;
 use kbt_pipeline::{Delta, FusionSession, Model};
 use kbt_serve::{
-    fit_and_export, CheckpointError, DurabilityHook, HookError, HookFailure, RefitMode,
+    apply_and_fit, CheckpointError, DurabilityHook, HookError, HookFailure, RefitMode,
     SnapshotPartsError, TrustServer, TrustSnapshot,
 };
 
@@ -370,12 +370,13 @@ impl DurabilityHook for StoreInner {
 #[derive(Debug)]
 pub struct RecoveredState {
     /// The snapshot at the last durable epoch — decoded directly from
-    /// the checkpoint when the crash landed on one, rebuilt by one cold
-    /// refit otherwise (bit-identical either way under
-    /// [`RefitMode::Cold`] serving).
+    /// the checkpoint when the crash landed on one, refitted by the
+    /// replay of the last commit marker otherwise; bit-identical to the
+    /// one that was served either way.
     pub snapshot: TrustSnapshot,
     /// The session at that epoch: checkpointed cube plus every replayed
-    /// committed batch, delta counter restored.
+    /// committed batch, delta counter and warm state as the live session
+    /// held them.
     pub session: FusionSession,
     /// The uncommitted log tail, in submission order — the delta runs
     /// the pre-crash server accepted but never refitted.
@@ -383,8 +384,8 @@ pub struct RecoveredState {
     pub pending: Vec<Delta>,
     /// Epoch of the checkpoint recovery started from.
     pub checkpoint_epoch: u64,
-    /// Commit markers replayed beyond the checkpoint (0 = the fast
-    /// path: pure decode, no EM).
+    /// Commit markers replayed beyond the checkpoint — one refit each
+    /// (0 = the fast path: pure decode, no EM).
     pub replayed_commits: u64,
 }
 
@@ -420,8 +421,16 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
         return Err(last_err);
     };
     let checkpoint_epoch = base.snapshot.epoch();
-    let mut session =
-        FusionSession::restore(base.cube, model, base.snapshot.provenance().deltas_applied);
+    let mut snapshot = base.snapshot;
+    let mut session = FusionSession::restore(
+        base.cube,
+        model,
+        snapshot.provenance().deltas_applied,
+        snapshot.warm_state(),
+    );
+    // The server that wrote the checkpoint stamped its refit mode on it;
+    // every commit it logged past the checkpoint was fitted in that mode.
+    let mode = snapshot.serving_mode();
 
     // Replay the log chain: wal files from the checkpoint on, each file
     // based on the epoch the previous one committed up to. A broken
@@ -458,9 +467,11 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
                         pending.clear();
                         continue;
                     }
-                    for run in pending.drain(..) {
-                        session.apply(&run);
-                    }
+                    // The live server's own refit step: the session
+                    // leaves it holding the warm state the next commit's
+                    // refit resumed from, so every replayed epoch — not
+                    // just the last — is the one that was served.
+                    snapshot = apply_and_fit(&mut session, &mut pending, mode, epoch);
                     cur_epoch = epoch;
                     replayed_commits += 1;
                 }
@@ -477,14 +488,6 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
         }
     }
 
-    // Rebuild the snapshot at the recovered epoch. With no replayed
-    // commit this is the decoded checkpoint itself — no EM at all.
-    let snapshot = if replayed_commits == 0 {
-        base.snapshot
-    } else {
-        fit_and_export(&mut session, RefitMode::Cold, cur_epoch)
-    };
-
     Ok(RecoveredState {
         snapshot,
         session,
@@ -500,8 +503,8 @@ fn recover_state(dir: &Path, model: Model) -> Result<RecoveredState, StoreError>
 /// accepted batch is write-ahead logged, every publish is committed,
 /// checkpoints land every [`StoreConfig::checkpoint_every`] applied
 /// batches, and [`open`](Self::open) restores the whole thing to the
-/// last durable epoch — bit-identically under [`RefitMode::Cold`]
-/// serving.
+/// last durable epoch, bit for bit, and goes on publishing the epochs a
+/// server that never stopped would have.
 ///
 /// It *is* the server (`Deref`): `ingest` / `retract` / `refit` /
 /// `handle` / `epoch` / `pending` are [`TrustServer`]'s own, logging and

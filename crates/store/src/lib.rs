@@ -12,10 +12,11 @@
 //!
 //! * `checkpoint-<epoch>` — the full durable state at one published
 //!   epoch: the observation cube (every cell, so the EM engine can be
-//!   restarted on it) and the published snapshot payload, framed with a
-//!   magic, a format version, a model-config digest, the snapshot's own
-//!   payload fingerprint, and a trailing CRC-32. Written atomically
-//!   (tmp + fsync + rename + directory fsync).
+//!   restarted on it) and the published snapshot payload (with the warm
+//!   state the next refit resumes from and the server's refit mode),
+//!   framed with a magic, a format version, a model-config digest, the
+//!   snapshot's own payload fingerprint, and a trailing CRC-32. Written
+//!   atomically (tmp + fsync + rename + directory fsync).
 //! * `wal-<epoch>.log` — the append-only delta log whose **base** is
 //!   `checkpoint-<epoch>`: length-prefixed frames with a per-record
 //!   CRC-32, one frame per ingested batch, retraction batch, or commit
@@ -50,19 +51,24 @@
 //! ## Recovery
 //!
 //! [`DurableTrustServer::recover`] loads the newest checkpoint that
-//! decodes cleanly (older ones are fallbacks if the newest is corrupt),
-//! then replays the log chain: batches covered by a commit marker are
-//! re-applied to the session by the very functions the live server
-//! queues and applies them with (`Delta::coalesce_into`, where
-//! consecutive same-kind batches become one delta run, and
-//! `FusionSession::apply`), and the uncommitted tail is re-queued as
-//! pending. If any commit was replayed, one cold refit — the server's
-//! own `fit_and_export` — rebuilds the snapshot — and because a cold fit depends
-//! only on the cube contents ([`RefitMode::Cold`](kbt_serve::RefitMode)
-//! reproducibility), the recovered snapshot's fingerprint equals the
-//! pre-crash epoch's bit for bit. If the crash landed exactly on a
-//! checkpoint, recovery is a pure decode: no EM at all, strictly cheaper
-//! than any refit.
+//! decodes cleanly (older ones are fallbacks if the newest is corrupt)
+//! and restores the session as the checkpointing server held it: the
+//! cube, the delta counter, and the
+//! [`WarmState`](kbt_pipeline::WarmState) the checkpointed snapshot
+//! kept. Then it replays the log chain with the very functions the live
+//! server runs: batches are queued through `Delta::coalesce_into` (where
+//! consecutive same-kind batches become one delta run), and every commit
+//! marker runs the server's own refit step,
+//! [`apply_and_fit`](kbt_serve::apply_and_fit) — apply the queued runs,
+//! fit, export — in the [`RefitMode`](kbt_serve::RefitMode) the
+//! checkpoint records its server ran. Each replayed epoch therefore
+//! starts from the state the live server refitted it from, and the
+//! recovered snapshot's fingerprint equals the pre-crash epoch's bit for
+//! bit, warm or cold; the uncommitted tail is re-queued as pending. A
+//! replay costs one refit per commit logged since the checkpoint, at
+//! most [`StoreConfig::checkpoint_every`] − 1 of them; if the crash
+//! landed exactly on a checkpoint, recovery is a pure decode: no EM at
+//! all.
 
 #![warn(missing_docs)]
 

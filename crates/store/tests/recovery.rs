@@ -1,12 +1,14 @@
 //! Crash-recovery properties of the durable store.
 //!
 //! Each proptest case drives a random ingest/retract/refit workload
-//! against a [`DurableTrustServer`], records the fingerprint of every
-//! published epoch, simulates a crash (optionally mangling the files the
-//! way a real crash or bad disk would: torn log tail at a random byte
-//! offset, a flipped byte inside a record, a deleted checkpoint), and
-//! asserts that recovery lands on a previously published epoch whose
-//! snapshot fingerprint matches **bit for bit**.
+//! against a [`DurableTrustServer`] in a sampled [`RefitMode`], records
+//! the fingerprint of every published epoch, simulates a crash
+//! (optionally mangling the files the way a real crash or bad disk
+//! would: torn log tail at a random byte offset, a flipped byte inside a
+//! record, a deleted checkpoint), and asserts that recovery lands on a
+//! previously published epoch whose snapshot fingerprint matches **bit
+//! for bit** — and that the reopened server goes on publishing exactly
+//! what a twin that never crashed publishes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,6 +26,7 @@ use proptest::prelude::*;
 // ---- deterministic helpers ----
 
 /// SplitMix64 — one sampled seed drives the whole case's decisions.
+#[derive(Clone)]
 struct Mix(u64);
 
 impl Mix {
@@ -85,58 +88,127 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 // ---- workload driver ----
 
-/// The ground truth a crashed workload leaves behind.
-struct Crashed {
-    /// `(epoch, fingerprint)` of every published snapshot, in order.
-    history: Vec<(u64, u64)>,
-    /// Queued-but-unrefitted counts at the moment of the crash.
-    pending: (usize, usize),
+fn mode_of(warm: bool) -> RefitMode {
+    if warm {
+        RefitMode::Warm
+    } else {
+        RefitMode::Cold
+    }
 }
 
-/// Run `ops` random operations and "crash" (drop the server mid-flight).
-fn drive(dir: &Path, seed: u64, ops: usize, checkpoint_every: usize) -> Crashed {
-    let mut rng = Mix(seed);
+fn create(dir: &Path, mode: RefitMode, checkpoint_every: usize) -> DurableTrustServer {
     let config = StoreConfig {
         checkpoint_every,
         keep_checkpoints: 2,
     };
     let session = FusionSession::from_observations(base_corpus(), model());
-    let mut server =
-        DurableTrustServer::create(dir, session, RefitMode::Cold, config).expect("create store");
-    let mut history = vec![(0u64, server.handle().snapshot().fingerprint())];
-    for _ in 0..ops {
-        match rng.below(4) {
-            0 | 1 => {
-                let batch: Vec<Observation> = (0..1 + rng.below(4))
-                    .map(|_| {
-                        obs(
-                            rng.below(2) as u32,
-                            rng.below(6) as u32,
-                            rng.below(12) as u32,
-                            rng.below(6) as u32,
-                        )
-                    })
-                    .collect();
-                server.ingest(batch).expect("logged ingest");
-            }
-            2 => {
-                let key = (
-                    SourceId::new(rng.below(6) as u32),
-                    ItemId::new(rng.below(12) as u32),
-                    ValueId::new(rng.below(6) as u32),
-                );
-                server.retract([key]).expect("logged retract");
-            }
-            _ => {
-                if let Some(snap) = server.refit().expect("committed refit") {
-                    history.push((snap.epoch(), snap.fingerprint()));
-                }
-            }
+    DurableTrustServer::create(dir, session, mode, config).expect("create store")
+}
+
+/// A server with no store that serves the same base in `mode`.
+fn twin(mode: RefitMode) -> TrustServer {
+    TrustServer::new(
+        FusionSession::from_observations(base_corpus(), model()),
+        mode,
+    )
+}
+
+/// One random operation — ingest (twice as likely), retract or refit —
+/// against `server`; `Some((epoch, fingerprint))` when it published.
+fn step(server: &mut TrustServer, rng: &mut Mix) -> Option<(u64, u64)> {
+    match rng.below(4) {
+        0 | 1 => {
+            let batch: Vec<Observation> = (0..1 + rng.below(4))
+                .map(|_| {
+                    obs(
+                        rng.below(2) as u32,
+                        rng.below(6) as u32,
+                        rng.below(12) as u32,
+                        rng.below(6) as u32,
+                    )
+                })
+                .collect();
+            server.ingest(batch).expect("logged ingest");
+            None
         }
+        2 => {
+            let key = (
+                SourceId::new(rng.below(6) as u32),
+                ItemId::new(rng.below(12) as u32),
+                ValueId::new(rng.below(6) as u32),
+            );
+            server.retract([key]).expect("logged retract");
+            None
+        }
+        _ => server
+            .refit()
+            .expect("committed refit")
+            .map(|snap| (snap.epoch(), snap.fingerprint())),
     }
-    let pending = server.pending();
-    drop(server); // the crash: no shutdown, no final checkpoint
-    Crashed { history, pending }
+}
+
+fn published(server: &TrustServer) -> (u64, u64) {
+    let snap = server.handle().snapshot();
+    (snap.epoch(), snap.fingerprint())
+}
+
+/// Run `ops` random operations from `seed` and "crash" (drop the server
+/// mid-flight: no shutdown, no final checkpoint). Returns the
+/// `(epoch, fingerprint)` of every published snapshot, in order.
+fn drive(
+    dir: &Path,
+    seed: u64,
+    ops: usize,
+    checkpoint_every: usize,
+    mode: RefitMode,
+) -> Vec<(u64, u64)> {
+    let mut rng = Mix(seed);
+    let mut server = create(dir, mode, checkpoint_every);
+    let mut history = vec![published(&server)];
+    for _ in 0..ops {
+        history.extend(step(&mut server, &mut rng));
+    }
+    history
+}
+
+/// A server that never crashed and stands where `recover` landed: the
+/// same `seed` replayed until `epoch` is published, then the recovered
+/// uncommitted tail submitted.
+fn twin_at(seed: u64, mode: RefitMode, epoch: u64, pending: &[Delta]) -> TrustServer {
+    let mut rng = Mix(seed);
+    let mut twin = twin(mode);
+    while twin.epoch() < epoch {
+        step(&mut twin, &mut rng);
+    }
+    for run in pending {
+        twin.submit(run.clone()).expect("no hook to fail");
+    }
+    twin
+}
+
+/// Reopen the store in `dir` and run it beside `twin`: the same random
+/// operations and one final batch, every publish compared bit for bit.
+fn reopened_keeps_step_with(
+    dir: &Path,
+    mode: RefitMode,
+    mut twin: TrustServer,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut reopened = DurableTrustServer::open(dir, model(), mode, StoreConfig::default())
+        .expect("open after crash");
+    prop_assert_eq!(published(&reopened), published(&twin));
+    prop_assert_eq!(reopened.pending(), twin.pending());
+    let mut rng = Mix(seed ^ 0xAF7E_2C2A);
+    for _ in 0..6 {
+        let ours = step(&mut reopened, &mut rng.clone());
+        prop_assert_eq!(ours, step(&mut twin, &mut rng));
+    }
+    for server in [&mut *reopened, &mut twin] {
+        server.ingest([obs(1, 2, 3, 4)]).expect("logged ingest");
+        server.refit().expect("committed refit");
+    }
+    prop_assert_eq!(published(&reopened), published(&twin));
+    Ok(())
 }
 
 fn files_with_prefix(dir: &Path, prefix: &str) -> Vec<PathBuf> {
@@ -204,48 +276,56 @@ fn mangle(dir: &Path, rng: &mut Mix) {
 
 proptest! {
     /// A clean crash (no file damage) recovers the exact last published
-    /// epoch, bit for bit, with the uncommitted tail intact as pending.
+    /// epoch, bit for bit, with the uncommitted tail intact as pending —
+    /// and the reopened server's later epochs are the uncrashed twin's.
     #[test]
     fn clean_crash_recovers_the_exact_last_epoch(
         seed in any::<u64>(),
         ops in 4usize..10,
         checkpoint_every in 1usize..4,
+        warm in any::<bool>(),
     ) {
+        let mode = mode_of(warm);
         let dir = fresh_dir("clean");
-        let crashed = drive(&dir, seed, ops, checkpoint_every);
+        let history = drive(&dir, seed, ops, checkpoint_every, mode);
         let recovered = DurableTrustServer::recover(&dir, model())
             .expect("clean recovery cannot fail");
-        let &(last_epoch, last_fp) = crashed.history.last().expect("epoch 0 exists");
+        let &(last_epoch, last_fp) = history.last().expect("epoch 0 exists");
         prop_assert_eq!(recovered.snapshot.epoch(), last_epoch);
         prop_assert_eq!(recovered.snapshot.fingerprint(), last_fp);
-        let (obs_n, ret_n) = recovered.pending.iter().fold((0, 0), |(a, r), b| match b {
-            Delta::Add(v) => (a + v.len(), r),
-            Delta::Remove(v) => (a, r + v.len()),
-        });
-        prop_assert_eq!((obs_n, ret_n), crashed.pending);
+        // Nothing was lost, so the twin is simply the whole workload.
+        let mut rng = Mix(seed);
+        let mut twin = twin(mode);
+        for _ in 0..ops {
+            step(&mut twin, &mut rng);
+        }
+        reopened_keeps_step_with(&dir, mode, twin, seed)?;
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// A crash plus file damage (torn tail at a random offset, a flipped
     /// byte, a deleted checkpoint) still recovers: the landing epoch is
-    /// one that was really published, and its fingerprint matches what
-    /// was served at that epoch bit for bit.
+    /// one that was really published, its fingerprint matches what was
+    /// served at that epoch bit for bit, and from there the reopened
+    /// server keeps step with a twin that accepted what survived.
     #[test]
     fn damaged_crash_recovers_a_durable_epoch(
         seed in any::<u64>(),
         ops in 4usize..10,
         checkpoint_every in 1usize..4,
+        warm in any::<bool>(),
     ) {
+        let mode = mode_of(warm);
         let dir = fresh_dir("damaged");
-        let crashed = drive(&dir, seed, ops, checkpoint_every);
+        let history = drive(&dir, seed, ops, checkpoint_every, mode);
         let mut rng = Mix(seed ^ 0xD15EA5E);
         mangle(&dir, &mut rng);
         let recovered = DurableTrustServer::recover(&dir, model())
             .expect("a checkpoint survived: recovery must succeed");
         let epoch = recovered.snapshot.epoch();
-        let &(last_epoch, _) = crashed.history.last().expect("epoch 0 exists");
+        let &(last_epoch, _) = history.last().expect("epoch 0 exists");
         prop_assert!(epoch <= last_epoch, "recovered future epoch {epoch}");
-        let published = crashed.history.iter().find(|&&(e, _)| e == epoch);
+        let published = history.iter().find(|&&(e, _)| e == epoch);
         match published {
             Some(&(_, fp)) => prop_assert!(
                 recovered.snapshot.fingerprint() == fp,
@@ -253,6 +333,8 @@ proptest! {
             ),
             None => prop_assert!(false, "epoch {epoch} was never published"),
         }
+        let twin = twin_at(seed, mode, epoch, &recovered.pending);
+        reopened_keeps_step_with(&dir, mode, twin, seed)?;
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -293,15 +375,14 @@ proptest! {
 #[test]
 fn open_resumes_and_continues_serving() {
     let dir = fresh_dir("resume");
-    let crashed = drive(&dir, 7, 8, 2);
-    let &(last_epoch, last_fp) = crashed.history.last().unwrap();
+    let history = drive(&dir, 7, 8, 2, RefitMode::Cold);
+    let &(last_epoch, last_fp) = history.last().unwrap();
 
     let mut reopened =
         DurableTrustServer::open(&dir, model(), RefitMode::Cold, StoreConfig::default())
             .expect("open after crash");
     assert_eq!(reopened.epoch(), last_epoch);
     assert_eq!(reopened.handle().snapshot().fingerprint(), last_fp);
-    assert_eq!(reopened.pending(), crashed.pending);
 
     // The store keeps working: new batches commit new epochs.
     reopened.ingest([obs(0, 1, 2, 3)]).unwrap();
@@ -310,55 +391,56 @@ fn open_resumes_and_continues_serving() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Crash past the checkpoint with an uncommitted tail, reopen, refit —
+/// in either mode the tail's epoch, and the one after it, equal what a
+/// server that never crashed publishes from the same submissions.
 #[test]
 fn reopened_server_matches_an_uncrashed_twin() {
-    // Crash with an uncommitted tail, reopen, refit — the published
-    // snapshot must equal what a server that never crashed produces
-    // from the same submissions.
-    let dir = fresh_dir("twin");
-    {
-        let session = FusionSession::from_observations(base_corpus(), model());
-        let mut server =
-            DurableTrustServer::create(&dir, session, RefitMode::Cold, StoreConfig::default())
-                .unwrap();
-        server.ingest([obs(0, 3, 4, 5), obs(1, 2, 9, 1)]).unwrap();
-        server
-            .retract([(SourceId::new(1), ItemId::new(3), ValueId::new(0))])
-            .unwrap();
-        // crash before refit
+    for mode in [RefitMode::Warm, RefitMode::Cold] {
+        let dir = fresh_dir("twin");
+        let mut twin = twin(mode);
+        {
+            let mut server = create(&dir, mode, 8);
+            for server in [&mut *server, &mut twin] {
+                // Two commits the log alone holds, then the tail.
+                for d in 0..2 {
+                    server.ingest([obs(0, 5, d, 1), obs(1, 4, d, 2)]).unwrap();
+                    server.refit().unwrap().expect("batch publishes");
+                }
+                server.ingest([obs(0, 3, 4, 5), obs(1, 2, 9, 1)]).unwrap();
+                server
+                    .retract([(SourceId::new(1), ItemId::new(3), ValueId::new(0))])
+                    .unwrap();
+            }
+            // crash before refit
+        }
+        let mut reopened =
+            DurableTrustServer::open(&dir, model(), mode, StoreConfig::default()).unwrap();
+        assert_eq!(published(&reopened), published(&twin), "{mode:?}");
+        assert_eq!(reopened.pending(), (2, 1));
+        for next in 3..5 {
+            let recovered_snap = reopened.refit().unwrap().expect("batch publishes");
+            let twin_snap = twin.refit().unwrap().expect("batch publishes");
+            assert_eq!(recovered_snap.epoch(), next);
+            assert_eq!(recovered_snap.as_ref(), twin_snap.as_ref(), "{mode:?}");
+            for server in [&mut *reopened, &mut twin] {
+                server.ingest([obs(1, 0, 6, 2)]).unwrap();
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
-    let mut reopened =
-        DurableTrustServer::open(&dir, model(), RefitMode::Cold, StoreConfig::default()).unwrap();
-    assert_eq!(reopened.pending(), (2, 1));
-    let recovered_snap = reopened.refit().unwrap().expect("tail publishes");
-
-    let twin_session = FusionSession::from_observations(base_corpus(), model());
-    let mut twin = TrustServer::new(twin_session, RefitMode::Cold);
-    twin.ingest([obs(0, 3, 4, 5), obs(1, 2, 9, 1)]).unwrap();
-    twin.retract([(SourceId::new(1), ItemId::new(3), ValueId::new(0))])
-        .unwrap();
-    let twin_snap = twin.refit().unwrap().expect("tail publishes");
-
-    assert_eq!(recovered_snap.epoch(), twin_snap.epoch());
-    assert_eq!(recovered_snap.fingerprint(), twin_snap.fingerprint());
-    assert_eq!(recovered_snap.as_ref(), twin_snap.as_ref());
-    let _ = fs::remove_dir_all(&dir);
 }
 
-/// The structural fact behind "recovery is cheaper than a cold refit":
-/// a crash that lands on a checkpoint is pure decode, and a crash past
-/// one replays exactly the commits logged since, then refits once.
+/// The structural fact behind "recovery is cheaper than refitting from
+/// raw observations": a crash that lands on a checkpoint is pure decode,
+/// and a crash past one replays exactly the commits logged since — one
+/// refit each, in the mode the server ran.
 #[test]
 fn recovery_decodes_a_checkpoint_and_replays_only_the_commits_past_it() {
     // `commits` single-observation refits, then the crash.
     let crash_after = |mode: RefitMode, checkpoint_every: usize, commits: u32| {
         let dir = fresh_dir("replay-count");
-        let config = StoreConfig {
-            checkpoint_every,
-            keep_checkpoints: 2,
-        };
-        let session = FusionSession::from_observations(base_corpus(), model());
-        let mut server = DurableTrustServer::create(&dir, session, mode, config).unwrap();
+        let mut server = create(&dir, mode, checkpoint_every);
         for i in 0..commits {
             server.ingest([obs(i % 2, i % 6, i % 12, 4)]).unwrap();
             server.refit().unwrap().expect("pending batch publishes");
@@ -369,9 +451,8 @@ fn recovery_decodes_a_checkpoint_and_replays_only_the_commits_past_it() {
         (dir, served, recovered)
     };
 
-    // Commit 2 checkpointed: nothing to replay. A *warm* server's
-    // snapshot comes back whole, provenance included — replay can only
-    // produce a cold refit, so this one was decoded and no EM ran.
+    // Commit 2 checkpointed: nothing to replay, the snapshot is decoded
+    // and no EM runs.
     let (dir, served, recovered) = crash_after(RefitMode::Warm, 2, 2);
     assert_eq!(recovered.checkpoint_epoch, 2);
     assert_eq!(recovered.replayed_commits, 0);
@@ -389,15 +470,19 @@ fn recovery_decodes_a_checkpoint_and_replays_only_the_commits_past_it() {
     assert_eq!(&torn.snapshot, served.as_ref());
     let _ = fs::remove_dir_all(&dir);
 
-    for (checkpoint_every, commits, checkpoint_epoch, replayed) in
-        [(4, 3, 0, 3), (2, 5, 4, 1), (4, 6, 4, 2)]
-    {
-        let (dir, served, recovered) = crash_after(RefitMode::Cold, checkpoint_every, commits);
-        assert_eq!(recovered.checkpoint_epoch, checkpoint_epoch);
-        assert_eq!(recovered.replayed_commits, replayed);
-        assert_eq!(recovered.snapshot.epoch(), u64::from(commits));
-        assert_eq!(recovered.snapshot.fingerprint(), served.fingerprint());
-        let _ = fs::remove_dir_all(&dir);
+    for mode in [RefitMode::Warm, RefitMode::Cold] {
+        for (checkpoint_every, commits, checkpoint_epoch, replayed) in
+            [(4, 3, 0, 3), (2, 5, 4, 1), (4, 6, 4, 2)]
+        {
+            let (dir, served, recovered) = crash_after(mode, checkpoint_every, commits);
+            assert_eq!(recovered.checkpoint_epoch, checkpoint_epoch);
+            assert_eq!(recovered.replayed_commits, replayed);
+            // Provenance, warm columns and serving mode included.
+            assert_eq!(&recovered.snapshot, served.as_ref(), "{mode:?}");
+            assert_eq!(recovered.snapshot.fingerprint(), served.fingerprint());
+            assert_eq!(recovered.session.warm(), Some(&served.warm_state()));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }
 

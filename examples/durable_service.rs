@@ -5,10 +5,12 @@
 //! `DurableTrustServer::into_server()` hands `NetServer::spawn` a server
 //! that keeps logging and committing behind the socket. This example
 //! opens (or, the first time, creates) a store in a temp directory,
-//! serves it on an ephemeral loopback port, ingests a batch over a
-//! `NetClient`, shuts down, checkpoints the server it gets back — and
-//! then does it all again from the directory alone, which serves the same
-//! `(epoch, fingerprint)` the first process last served.
+//! serves it warm on an ephemeral loopback port, ingests a batch over a
+//! `NetClient` and stops without a checkpoint, the way a killed process
+//! would — and then serves the directory again, which has to replay the
+//! warm log and serves the same `(epoch, fingerprint)` the first process
+//! last served. That one shuts down properly: it checkpoints the server
+//! it gets back.
 //!
 //! Run with: `cargo run --release --example durable_service`
 
@@ -32,11 +34,12 @@ fn obs(source: u32, item: u32, value: u32) -> Observation {
 /// Resume the store in `dir`, or start one over a small seed corpus
 /// (four sources, the odd ones wrong about everything).
 fn open_or_create(dir: &Path) -> Result<DurableTrustServer, StoreError> {
-    // Cold refits make every epoch a function of the cube alone, so a
-    // restart that has to replay the log lands on the same bits too.
+    // An epoch is a function of the log, warm refits included: the
+    // checkpoint carries the warm state, and a restart that has to
+    // replay the log runs the live server's refit step per commit.
     let (model, mode, config) = (
         Model::multi_layer(),
-        RefitMode::Cold,
+        RefitMode::Warm,
         StoreConfig::default(),
     );
     std::fs::create_dir_all(dir)?;
@@ -53,9 +56,14 @@ fn open_or_create(dir: &Path) -> Result<DurableTrustServer, StoreError> {
 }
 
 /// One process lifetime: serve the store in `dir`, optionally ingest
-/// `batch` over the wire and wait for it to be published, shut down and
-/// checkpoint. Returns the `(epoch, fingerprint)` served last.
-fn serve_once(dir: &Path, batch: Option<Vec<Observation>>) -> Result<(u64, u64), Box<dyn Error>> {
+/// `batch` over the wire and wait for it to be published, shut down
+/// and, if asked, checkpoint. Returns the `(epoch, fingerprint)` served
+/// last.
+fn serve_once(
+    dir: &Path,
+    batch: Option<Vec<Observation>>,
+    checkpoint: bool,
+) -> Result<(u64, u64), Box<dyn Error>> {
     let durable = open_or_create(dir)?;
     let net = NetServer::spawn(durable.into_server(), "127.0.0.1:0")?;
     let mut client = NetClient::connect(net.addr())?;
@@ -86,8 +94,12 @@ fn serve_once(dir: &Path, batch: Option<Vec<Observation>>) -> Result<(u64, u64),
     // Shutdown hands the server back with its store still attached.
     let mut down = net.shutdown()?;
     down.durability?;
-    let checkpointed = down.server.checkpoint_now()?;
-    println!("shut down after checkpointing epoch {checkpointed}");
+    if checkpoint {
+        let checkpointed = down.server.checkpoint_now()?;
+        println!("shut down after checkpointing epoch {checkpointed}");
+    } else {
+        println!("shut down with epoch {} in the log alone", served.0);
+    }
     Ok(served)
 }
 
@@ -96,8 +108,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let batch = (0..10).map(|d| obs(4, d, 0)).collect();
-    let first = serve_once(&dir, Some(batch))?;
-    let second = serve_once(&dir, None)?;
+    let first = serve_once(&dir, Some(batch), false)?;
+    let second = serve_once(&dir, None, true)?;
     std::fs::remove_dir_all(&dir)?;
 
     if first != second {

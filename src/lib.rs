@@ -77,6 +77,8 @@ pub use kbt_datamodel::{
     SourceId, ValueId,
 };
 pub use kbt_net::{NetClient, NetServer, NetShutdown};
-pub use kbt_pipeline::{Delta, FusionSession, Model, PipelineError, PipelineRun, TrustPipeline};
+pub use kbt_pipeline::{
+    Delta, FusionSession, Model, PipelineError, PipelineRun, TrustPipeline, WarmState,
+};
 pub use kbt_serve::{RefitMode, SnapshotReader, SnapshotStore, TrustServer, TrustSnapshot};
 pub use kbt_store::{DurableTrustServer, StoreConfig};

@@ -404,9 +404,10 @@ fn session_warm_restart_reuses_prior_copy_evidence() {
         ..fusion_cfg()
     };
     let mut session = FusionSession::new(cube.clone(), Model::MultiLayer(aware_cfg));
-    assert!(session.independence().is_none(), "no evidence before a run");
+    assert!(session.warm().is_none(), "no evidence before a run");
     let cold = session.run();
-    let indep = session.independence().expect("copy-aware run records I(w)");
+    let independence = |s: &FusionSession| s.warm().and_then(|w| w.independence.clone());
+    let indep = independence(&session).expect("copy-aware run records I(w)");
     assert!(
         indep[COPIER as usize] < 0.5,
         "cold run must discount the copier: {indep:?}"
@@ -426,7 +427,7 @@ fn session_warm_restart_reuses_prior_copy_evidence() {
         .collect();
     let warm = session.update(&delta).run();
     assert!(warm.converged());
-    let indep = session.independence().unwrap();
+    let indep = independence(&session).unwrap();
     assert!(
         indep[COPIER as usize] < 0.5,
         "warm run must keep the copier discounted: {indep:?}"

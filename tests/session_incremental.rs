@@ -1,10 +1,13 @@
 //! Property tests for incremental fusion: applying a delta through
 //! `FusionSession.update` must be equivalent to rebuilding the cube from
-//! all observations and running batch EM from the same initialization.
+//! all observations and running batch EM from the same initialization,
+//! and a session rebuilt from a published snapshot must refit exactly
+//! like the session that published it.
 
-use kbt::core::ModelConfig;
+use kbt::core::{CopyDetectConfig, ModelConfig};
 use kbt::datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
-use kbt::{FusionModel, FusionSession, Model, QualityInit};
+use kbt::serve::SnapshotProvenance;
+use kbt::{FusionModel, FusionReport, FusionSession, Model, QualityInit, RefitMode, TrustSnapshot};
 use proptest::prelude::*;
 
 fn observations(max_len: usize) -> impl Strategy<Value = Vec<Observation>> {
@@ -91,6 +94,98 @@ proptest! {
             .fit(batch_session.cube(), &resumed);
         for (a, b) in warm_inc.source_trust().iter().zip(warm_batch.source_trust()) {
             prop_assert!((a - b).abs() < 1e-9, "warm trust {} vs {}", a, b);
+        }
+    }
+}
+
+/// The snapshot a server would publish for `report`, fitted on
+/// `session`'s cube.
+fn snapshot_of(session: &FusionSession, report: &FusionReport) -> TrustSnapshot {
+    let triples = session
+        .cube()
+        .groups()
+        .iter()
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
+    TrustSnapshot::from_report(
+        report,
+        triples,
+        0,
+        SnapshotProvenance {
+            refit_mode: RefitMode::Warm,
+            deltas_applied: session.deltas_applied(),
+            iterations: report.iterations(),
+            converged: report.converged(),
+            coverage: report.coverage(),
+        },
+    )
+}
+
+proptest! {
+    /// One warm state: a session restored from `(cube, the published
+    /// snapshot's warm state)` and the live session the snapshot was
+    /// exported from produce bit-identical next refits — across windows
+    /// that add, retract, and add-then-retract the same triple, with and
+    /// without copy evidence to carry. It rests on the engine invariant
+    /// that a fit's per-group truth *is* its item posterior of the
+    /// group's value, which is asserted on every report along the way.
+    #[test]
+    fn restored_session_refits_like_the_live_one(
+        base in observations(80),
+        windows in prop::collection::vec((observations(12), 0usize..3, 0usize..1000), 1..4),
+        copy_aware in any::<bool>(),
+    ) {
+        prop_assume!(!base.is_empty());
+        let model = Model::MultiLayer(ModelConfig {
+            threads: Some(1),
+            copy_detection: copy_aware.then(|| CopyDetectConfig {
+                discount: true,
+                ..CopyDetectConfig::default()
+            }),
+            ..ModelConfig::default()
+        });
+        let mut live = FusionSession::from_observations(base, model.clone());
+        let mut report = live.run();
+        for (delta, kind, pick) in windows {
+            for (g, grp) in live.cube().groups().iter().enumerate() {
+                let belief = report.posteriors().prob(grp.item, grp.value);
+                prop_assert_eq!(report.truth_of_group()[g].to_bits(), belief.to_bits());
+            }
+            let mut restored = FusionSession::restore(
+                live.cube().clone(),
+                model.clone(),
+                live.deltas_applied(),
+                snapshot_of(&live, &report).warm_state(),
+            );
+            prop_assert_eq!(restored.warm(), live.warm());
+
+            let groups = live.cube().groups();
+            let known = groups.get(pick % groups.len().max(1));
+            let retraction: Vec<_> = match kind {
+                // Add only.
+                0 => Vec::new(),
+                // Retract a triple the cube already holds.
+                1 => known.map(|g| (g.source, g.item, g.value)).into_iter().collect(),
+                // Add, then retract a triple the same window added.
+                _ => delta.first().map(|o| (o.source, o.item, o.value)).into_iter().collect(),
+            };
+            for session in [&mut live, &mut restored] {
+                if kind != 1 {
+                    session.update(&delta);
+                }
+                if !retraction.is_empty() {
+                    session.retract(&retraction);
+                }
+            }
+            report = live.run();
+            let again = restored.run();
+            prop_assert_eq!(again.iterations(), report.iterations());
+            prop_assert_eq!(again.source_trust(), report.source_trust());
+            prop_assert_eq!(again.truth_of_group(), report.truth_of_group());
+            prop_assert_eq!(again.correctness(), report.correctness());
+            prop_assert_eq!(again.posteriors(), report.posteriors());
+            prop_assert_eq!(again.source_independence(), report.source_independence());
+            prop_assert_eq!(restored.warm(), live.warm());
         }
     }
 }

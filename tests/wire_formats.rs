@@ -185,11 +185,17 @@ fn wal_bytes_are_golden() {
     assert_eq!((bytes.len(), fnv1a(&bytes)), (135, 0x7621_fdba_27c4_b322));
 }
 
+/// Re-pinned once, for format version 2: the header's version field and
+/// the 61-byte warm section before the fingerprint (the serving-mode
+/// byte, then the extractor precision / recall / Q columns of this
+/// two-extractor fit, each behind its own `u32` count). Every byte a
+/// version-1 file had is still written, in place; version 1 was 4658
+/// bytes, `0x397f_1806_5325_f62c`.
 #[test]
 fn checkpoint_bytes_are_golden() {
     let bytes = sample_checkpoint();
     assert_eq!(&bytes[..8], b"KBTSNAP1");
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (4658, 0x397f_1806_5325_f62c));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (4719, 0x4ac1_d00e_ec1f_7179));
 }
 
 #[test]
@@ -395,6 +401,16 @@ fn wal() -> Format {
     }
 }
 
+/// Offsets of the sample checkpoint's warm section, counted back from
+/// the trailing CRC at `end`: `[mode byte, precision, recall, Q]`, each
+/// column a `u32` count (2 extractors) and its `f64`s, then the 8-byte
+/// fingerprint.
+fn warm_section(end: usize) -> [usize; 4] {
+    let column = 4 + 2 * 8;
+    let q = end - 8 - column;
+    [q - 2 * column - 1, q - 2 * column, q - column, q]
+}
+
 fn checkpoint() -> Format {
     let sample = sample_checkpoint();
     let end = sample.len() - 4;
@@ -402,8 +418,11 @@ fn checkpoint() -> Format {
         name: "KBTSNAP1",
         sealed: vec![(0..end, end)],
         len_fields: vec![],
-        // Header 12, digest 8, four u32 dims, then the u64 cell count.
-        count_fields: vec![(36, 8)],
+        // Header 12, digest 8, four u32 dims, then the u64 cell count;
+        // and the warm section's three extractor-column counts.
+        count_fields: std::iter::once((36, 8))
+            .chain(warm_section(end)[1..].iter().map(|&at| (at, 4)))
+            .collect(),
         version_at: Some(8),
         unread: vec![],
         decode: |b| {
@@ -546,6 +565,51 @@ fn hostile_bytes_are_typed_errors_in_all_four_decoders() {
         if let Some(at) = f.version_at {
             f.rejects("wrong version", &patched(at, &[9]), Some("version 9"));
         }
+    }
+}
+
+/// The checkpoint's version-2 warm section under attack, each shape
+/// behind a valid whole-file CRC so it reaches the section's own checks.
+#[test]
+fn a_hostile_warm_section_is_a_typed_error() {
+    let f = checkpoint();
+    let end = f.sample.len() - 4;
+    let sealed = |mut bytes: Vec<u8>| {
+        let crc = crc32(&bytes);
+        bytes.extend(crc.to_le_bytes());
+        bytes
+    };
+    let body = &f.sample[..end];
+    let [mode, _, _, q] = warm_section(end);
+
+    // A version-1 file is not read as a version-2 file minus a section.
+    let mut v1 = body.to_vec();
+    v1[8] = 1;
+    f.rejects("version 1 header", &sealed(v1), Some("version 1"));
+
+    let mut bad_mode = body.to_vec();
+    bad_mode[mode] = 3;
+    f.rejects("serving mode 3", &sealed(bad_mode), Some("tag byte 0x03"));
+
+    // One extractor's Q dropped, its column's count lowered to match:
+    // the bytes parse, the three columns disagree.
+    let mut ragged = body[..q].to_vec();
+    ragged.extend(1u32.to_le_bytes());
+    ragged.extend(&body[q + 4..q + 12]);
+    ragged.extend(&body[end - 8..]);
+    f.rejects(
+        "columns of 2, 2 and 1 extractors",
+        &sealed(ragged),
+        Some("disagree on extractor count"),
+    );
+
+    // The file ends inside the section — at every byte of it.
+    for cut in mode..end {
+        f.rejects(
+            &format!("sealed at {cut} bytes"),
+            &sealed(body[..cut].to_vec()),
+            None,
+        );
     }
 }
 
