@@ -10,10 +10,10 @@
 //! in minutes. The engine and `reference::fit` run the same fixed number of
 //! EM rounds (`convergence_eps = 0`) on the same cube and the binary
 //! **hard-asserts bitwise equality** of their source-trust scores and
-//! per-group truth posteriors, then prints the fit's per-stage wall
-//! breakdown (`StageWall`: chunking gather, vote rebuild, E-steps,
-//! M-steps…) — a profile to read, not a gate: how fast the fit runs is
-//! measured by `benchmark/` alone.
+//! per-group truth posteriors, then prints the cube-build wall and the
+//! fit's per-stage wall breakdown (`StageWall`: chunking gather, vote
+//! rebuild, E-steps, M-steps…) — a profile to read, not a gate: how fast
+//! the fit runs is measured by `benchmark/` alone.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
 //! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
@@ -30,12 +30,12 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
 use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
 use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
-use kbt_synth::scale::{generate, ScaleConfig};
+use kbt_synth::scale::{observations, ScaleConfig};
 
 /// EM rounds every fit runs, with no convergence early-out: the engine,
 /// the oracle and both children do the same arithmetic volume, so their
@@ -53,11 +53,18 @@ fn fixed_round_cfg() -> ModelConfig {
     }
 }
 
-fn corpus(triples: usize) -> ObservationCube {
-    generate(&ScaleConfig {
+/// The corpus and the wall of `CubeBuilder::build` alone.
+fn timed_corpus(triples: usize) -> (ObservationCube, Duration) {
+    let rows = observations(&ScaleConfig {
         triples,
         ..ScaleConfig::default()
-    })
+    });
+    let t0 = Instant::now();
+    (rows.build(), t0.elapsed())
+}
+
+fn corpus(triples: usize) -> ObservationCube {
+    timed_corpus(triples).0
 }
 
 /// Deterministic checksum of an f64 slice's exact bit patterns.
@@ -275,7 +282,7 @@ fn run_streamed(mode: &str, triples: usize) {
 
 fn run_resident(mode: &str, triples: usize) {
     println!("em_scale ({mode}): {triples} triples");
-    let cube = corpus(triples);
+    let (cube, build_wall) = timed_corpus(triples);
     let (groups, cells, items) = (cube.num_groups(), cube.num_cells(), cube.num_items());
     println!("  generated cube: {groups} groups, {cells} cells, {items} items");
 
@@ -311,10 +318,11 @@ fn run_resident(mode: &str, triples: usize) {
 
     // Where the rounds go, for the reader; nothing gates on it.
     let sw = &report.trace.stage_wall;
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!(
-        "stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
+        "cube build {:.1} ms; stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
          values {:.1}, source {:.1}, extractor {:.1}, alpha {:.1}, log-likelihood {:.1}",
+        ms(build_wall),
         ms(sw.chunking),
         ms(sw.votes),
         ms(sw.correctness),

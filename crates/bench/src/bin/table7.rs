@@ -7,24 +7,29 @@
 //! (extraction correctness, triple probability, source accuracy,
 //! extractor quality), normalized so that one Normal iteration = 1 unit.
 //! Extractor quality is computed per extractor in parallel (the
-//! Map-Reduce keying of the paper's pipeline), so an extractor owning a
-//! huge share of the extractions straggles its shard until SPLIT breaks
-//! it up — the paper reports an 8.8× speedup on that phase.
+//! Map-Reduce keying of the paper's pipeline — [`extractor_index`] and
+//! [`update_extractor_quality_indexed`] below exist only for this bin), so
+//! an extractor owning a huge share of the extractions straggles its shard
+//! until SPLIT breaks it up — the paper reports an 8.8× speedup on that
+//! phase.
 //!
 //! Expected shape (paper): splitting removes data skew, speeding
 //! iterations ~3×; merging adds a little preparation but does not slow
 //! iterations; overall the split variants cut total time roughly in half.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kbt_bench::harness::kv_multilayer_config;
 use kbt_bench::table::{f3, TableWriter};
+use kbt_core::config::AbsencePolicy;
+use kbt_core::math::clamp_quality;
 use kbt_core::reference::{
-    estimate_correctness, estimate_values, update_alpha, update_source_accuracy, vote_counter,
+    estimate_correctness, estimate_gamma, estimate_values, update_alpha, update_source_accuracy,
+    vote_counter,
 };
-use kbt_core::{AlphaState, Params, QualityInit};
-use kbt_datamodel::{CubeBuilder, ExtractorId, Observation, ObservationCube};
-use kbt_flume::PhaseTimer;
+use kbt_core::{q_from_precision_recall, AlphaState, ModelConfig, Params, QualityInit};
+use kbt_datamodel::{CubeBuilder, ExtractorId, Observation, ObservationCube, SourceId};
+use kbt_flume::par_map_slice;
 use kbt_granularity::splitmerge::group_rows_into_triples;
 use kbt_granularity::{split_and_merge, HierKey, SplitMergeConfig};
 use kbt_synth::web::{generate, WebCorpusConfig};
@@ -32,14 +37,107 @@ use kbt_synth::WebCorpus;
 
 const ITERS: usize = 5;
 
+/// Wall-clock time accumulated per named phase — the paper reports
+/// *relative* running time per pipeline phase, normalized against one
+/// Normal iteration.
+#[derive(Debug, Default)]
+struct PhaseTimer {
+    phases: Vec<(String, Duration)>,
+}
+
+impl PhaseTimer {
+    /// Time `f`, charging its duration to `phase`.
+    fn time<R>(&mut self, phase: &str, f: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let r = f();
+        match self.phases.iter_mut().find(|(n, _)| n == phase) {
+            Some((_, total)) => *total += t0.elapsed(),
+            None => self.phases.push((phase.to_string(), t0.elapsed())),
+        }
+        r
+    }
+
+    /// Total accumulated duration of `phase`, if recorded.
+    fn total(&self, phase: &str) -> Option<Duration> {
+        let found = self.phases.iter().find(|(n, _)| n == phase);
+        found.map(|(_, d)| *d)
+    }
+
+    /// Sum of all phase totals.
+    fn grand_total(&self) -> Duration {
+        self.phases.iter().map(|(_, d)| *d).sum()
+    }
+}
+
+/// The per-extractor cell index: for each extractor, the
+/// `(group index, confidence)` of its extractions in group order — the
+/// Map-Reduce sharding of Section 3.4.2 keys extractor quality by
+/// extractor, which is why oversized extractors become stragglers.
+fn extractor_index(cube: &ObservationCube) -> Vec<Vec<(u32, f64)>> {
+    let mut index = vec![Vec::new(); cube.num_extractors()];
+    for (g, _, cells) in cube.iter_with_cells() {
+        for cell in cells {
+            index[cell.extractor.index()].push((g as u32, cell.confidence));
+        }
+    }
+    index
+}
+
+/// Eqs. 32–33 + Eq. 7 keyed by extractor, as the paper's pipeline is
+/// (Section 5.3.4): each extractor's sums come from its own cell index,
+/// one parallel task stream over extractors.
+fn update_extractor_quality_indexed(
+    cube: &ObservationCube,
+    correctness: &[f64],
+    cfg: &ModelConfig,
+    params: &mut Params,
+    index: &[Vec<(u32, f64)>],
+) {
+    // Per-source correctness mass (for the scoped recall denominator).
+    let sum_c_source: Vec<f64> = (0..cube.num_sources())
+        .map(|w| {
+            correctness[cube.source_groups(SourceId::new(w as u32))]
+                .iter()
+                .sum()
+        })
+        .collect();
+    let total_mass: f64 = correctness.iter().sum();
+    let gamma = estimate_gamma(cube, correctness, cfg);
+    let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;
+    let sums: Vec<(f64, f64, f64)> = par_map_slice(index, |cells| {
+        let (mut num, mut pden, mut rden) = (0.0, 0.0, 0.0);
+        let mut last_source = u32::MAX;
+        for &(g, confidence) in cells {
+            let conf = cfg.effective_confidence(confidence);
+            num += conf * correctness[g as usize];
+            pden += conf;
+            let w = cube.groups()[g as usize].source.0;
+            if scoped && w != last_source {
+                rden += sum_c_source[w as usize];
+                last_source = w;
+            }
+        }
+        (num, pden, if scoped { rden } else { total_mass })
+    });
+    for (e, (num, pden, rden)) in sums.into_iter().enumerate() {
+        if pden > 1e-12 {
+            params.precision[e] = clamp_quality(num / pden);
+        }
+        if rden > 1e-12 {
+            params.recall[e] = clamp_quality(num / rden);
+        }
+        params.q[e] = q_from_precision_recall(params.precision[e], params.recall[e], gamma);
+    }
+}
+
 /// Instrumented Algorithm 1 — the reference stages, one timed phase
 /// each — with the per-extractor parallel M-step.
 fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
     let cfg = kv_multilayer_config();
-    let index = timer.time("Prep. Extractor", || cube.build_extractor_index());
+    let index = timer.time("Prep. Extractor", || extractor_index(cube));
     let mut params = Params::init(cube, &cfg, &QualityInit::Default);
     let mut active: Vec<bool> = (0..cube.num_sources())
-        .map(|w| cube.source_size(kbt_datamodel::SourceId::new(w as u32)) >= cfg.min_source_support)
+        .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
         .collect();
     let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
     for t in 1..=ITERS {
@@ -61,13 +159,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
             )
         });
         timer.time("IV. ExtQuality", || {
-            kbt_core::mstep::update_extractor_quality_indexed(
-                cube,
-                &correctness,
-                &cfg,
-                &mut params,
-                &index,
-            )
+            update_extractor_quality_indexed(cube, &correctness, &cfg, &mut params, &index)
         });
         if cfg.updates_alpha_at(t + 1) {
             timer.time("I. ExtCorr", || {
@@ -135,7 +227,7 @@ fn prepare(
     let mut b = CubeBuilder::with_capacity(corpus.observations.len());
     for (i, o) in corpus.observations.iter().enumerate() {
         b.push(Observation {
-            source: kbt_datamodel::SourceId::new(row_source[i]),
+            source: SourceId::new(row_source[i]),
             extractor: ExtractorId::new(row_extractor[i]),
             ..*o
         });
@@ -149,7 +241,7 @@ fn prepare(
 /// the quantity the paper's Table 7 reports (cluster wall time), where a
 /// single oversized source or extractor straggles the whole stage.
 fn simulated_makespan(cube: &ObservationCube, workers: f64) -> [f64; 4] {
-    use kbt_datamodel::{ItemId, SourceId};
+    use kbt_datamodel::ItemId;
     let makespan = |total: f64, max_task: f64| (total / workers).max(max_task);
     let total_cells = cube.num_cells() as f64;
     let max_group = cube
@@ -208,16 +300,16 @@ fn main() {
     );
 
     // --- Normal ---
-    let mut normal = PhaseTimer::new();
+    let mut normal = PhaseTimer::default();
     timed_run(&corpus.cube, &mut normal);
 
     // --- Split only (m = 0) ---
-    let mut split = PhaseTimer::new();
+    let mut split = PhaseTimer::default();
     let cube_split = prepare(&corpus, &mut split, 0, 300, 500);
     timed_run(&cube_split, &mut split);
 
     // --- Split & Merge (m = 5) ---
-    let mut sm = PhaseTimer::new();
+    let mut sm = PhaseTimer::default();
     let cube_sm = prepare(&corpus, &mut sm, 5, 300, 500);
     timed_run(&cube_sm, &mut sm);
 
@@ -309,4 +401,68 @@ fn main() {
          magnitude: a columnar shared-memory engine suffers far less from data skew\n\
          than the paper's Map-Reduce cluster (see EXPERIMENTS.md)."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kbt_core::reference;
+    use kbt_datamodel::{ItemId, ValueId};
+
+    #[test]
+    fn phase_timer_accumulates_by_phase() {
+        let mut t = PhaseTimer::default();
+        assert_eq!(t.time("work", || 41 + 1), 42);
+        t.time("work", || ());
+        t.time("prep", || ());
+        assert_eq!(t.phases.len(), 2);
+        assert_eq!(
+            t.grand_total(),
+            t.total("work").unwrap() + t.total("prep").unwrap()
+        );
+        assert_eq!(t.total("missing"), None);
+    }
+
+    /// The extractor-keyed M-step agrees with the reference fold under
+    /// both absence policies.
+    #[test]
+    fn indexed_update_matches_the_reference() {
+        let mut b = CubeBuilder::new();
+        for i in 0..500u32 {
+            let k = i.wrapping_mul(2_654_435_761);
+            b.push(Observation {
+                extractor: ExtractorId::new(k % 8),
+                source: SourceId::new((k >> 3) % 15),
+                item: ItemId::new((k >> 7) % 25),
+                value: ValueId::new((k >> 12) % 4),
+                confidence: f64::from((k >> 16) % 100) / 100.0,
+            });
+        }
+        let cube = b.build();
+        let correctness: Vec<f64> = (0..cube.num_groups())
+            .map(|g| (g % 17) as f64 / 17.0)
+            .collect();
+        for policy in [
+            AbsencePolicy::AllExtractors,
+            AbsencePolicy::SourceCandidates,
+        ] {
+            let cfg = ModelConfig {
+                absence_policy: policy,
+                ..ModelConfig::default()
+            };
+            let mut want = Params::init(&cube, &cfg, &QualityInit::Default);
+            let mut got = want.clone();
+            reference::update_extractor_quality(&cube, &correctness, &cfg, &mut want);
+            let index = extractor_index(&cube);
+            update_extractor_quality_indexed(&cube, &correctness, &cfg, &mut got, &index);
+            for e in 0..cube.num_extractors() {
+                assert!(
+                    (want.precision[e] - got.precision[e]).abs() < 1e-12,
+                    "P[{e}]"
+                );
+                assert!((want.recall[e] - got.recall[e]).abs() < 1e-12, "R[{e}]");
+                assert!((want.q[e] - got.q[e]).abs() < 1e-12, "Q[{e}]");
+            }
+        }
+    }
 }

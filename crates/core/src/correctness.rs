@@ -8,6 +8,7 @@
 //! allows it.
 
 use std::io;
+use std::sync::Mutex;
 
 use kbt_datamodel::{ChunkSource, GroupView};
 use kbt_flume::par_ranges_mut;
@@ -108,51 +109,64 @@ fn fold_cell_votes(
 }
 
 /// `p(C_wdv = 1 | X_wdv)` for one group frame (Eq. 15 with the
-/// confidence-weighted vote count of Eq. 31), in local group order. The
-/// vote count streams the frame's `cell_extractor` / `cell_confidence`
-/// columns against the precomputed `Pre_e − Abs_e` table: per cell,
-/// `conf · (Pre_e − Abs_e)` accumulated in cell order onto the source's
-/// absence sum.
-pub(crate) fn estimate_correctness_frame(
+/// confidence-weighted vote count of Eq. 31) into `out`, in local group
+/// order. The vote count streams the frame's `cell_extractor` /
+/// `cell_confidence` columns against the precomputed `Pre_e − Abs_e`
+/// table: per cell, `conf · (Pre_e − Abs_e)` accumulated in cell order
+/// onto the source's absence sum.
+fn estimate_correctness_frame(
     view: &GroupView<'_>,
     votes: &VoteCounter,
     alpha: &AlphaState,
     cfg: &ModelConfig,
-) -> Vec<f64> {
+    out: &mut [f64],
+) {
     let base = view.groups.start as usize;
-    (0..view.num_groups())
-        .map(|lg| {
-            let cells = view.cells(lg);
-            let vc = fold_cell_votes(
-                votes.source_absence_sum[view.group_source[lg] as usize],
-                &view.cell_extractor[cells.clone()],
-                &view.cell_confidence[cells],
-                votes,
-                cfg,
-            );
-            sigmoid(vc + alpha.logit(base + lg))
-        })
-        .collect()
+    for (lg, p) in out.iter_mut().enumerate() {
+        let cells = view.cells(lg);
+        let vc = fold_cell_votes(
+            votes.source_absence_sum[view.group_source[lg] as usize],
+            &view.cell_extractor[cells.clone()],
+            &view.cell_confidence[cells],
+            votes,
+            cfg,
+        );
+        *p = sigmoid(vc + alpha.logit(base + lg));
+    }
 }
 
 /// The correctness E-step: [`estimate_correctness_frame`] over every
-/// group frame of `src`, frames in parallel, scattered into
-/// `out[g]` (length `num_groups`). Per-group sigmoids are independent, so
+/// group frame of `src`, frames in parallel, each into its own window of
+/// `out` (length `num_groups`). Per-group sigmoids are independent, so
 /// the result does not depend on the frame partition or the thread count.
 pub(crate) fn estimate_correctness<S: ChunkSource>(
     src: &S,
     votes: &VoteCounter,
     alpha: &AlphaState,
     cfg: &ModelConfig,
-    out: &mut [f64],
+    mut out: &mut [f64],
 ) -> io::Result<()> {
+    let frames = &src.meta().group_frames;
+    let windows: Vec<Mutex<&mut [f64]>> = frames
+        .iter()
+        .map(|f| {
+            Mutex::new(
+                out.split_off_mut(..f.len())
+                    .expect("frames tile the groups"),
+            )
+        })
+        .collect();
     // Scratch-free: one unit slot per worker the policy allows.
-    let frames = src.scan_groups(&mut vec![(); kbt_flume::num_threads()], |_, v| {
-        estimate_correctness_frame(v, votes, alpha, cfg)
+    src.scan_groups(&mut vec![(); kbt_flume::num_threads()], |_, v| {
+        let frame = frames.partition_point(|f| f.end <= v.groups.start);
+        let mut window = windows[frame].lock().expect("a frame is scanned once");
+        assert_eq!(
+            window.len(),
+            v.num_groups(),
+            "frame {frame} is not the skeleton's"
+        );
+        estimate_correctness_frame(v, votes, alpha, cfg, &mut window)
     })?;
-    for (range, vals) in src.meta().group_frames.iter().zip(frames) {
-        out[range.start as usize..range.end as usize].copy_from_slice(&vals);
-    }
     Ok(())
 }
 

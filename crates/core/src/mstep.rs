@@ -12,8 +12,8 @@
 
 use std::io;
 
-use kbt_datamodel::{ChunkSource, GroupView, ObservationCube, SourceId};
-use kbt_flume::{par_map_slice, par_ranges_mut};
+use kbt_datamodel::{ChunkSource, GroupView};
+use kbt_flume::par_ranges_mut;
 
 use crate::config::ModelConfig;
 use crate::math::clamp_quality;
@@ -26,8 +26,9 @@ use crate::params::{q_from_precision_recall, Params};
 /// Eq. 28 needs no chunk data at all: groups are source-sorted, so source
 /// `w` owns `correctness` / `truth` entries
 /// `source_offsets[w]..source_offsets[w+1]`. Sources are updated in
-/// parallel into the caller-held `updates` buffer (reused across rounds);
-/// each source's sums run serially over its span.
+/// parallel, balanced by group count, into the caller-held `updates`
+/// buffer (reused across rounds); each source's sums run serially over
+/// its span.
 pub(crate) fn update_source_accuracy(
     source_offsets: &[u32],
     correctness: &[f64],
@@ -57,9 +58,32 @@ pub(crate) fn update_source_accuracy(
     };
     updates.clear();
     updates.resize(num_sources, None);
-    par_ranges_mut(updates, |base, part| {
-        for (w, u) in (base..).zip(part) {
-            *u = estimate(w);
+    // One window of sources per worker, cut where the *group* mass splits
+    // evenly: on a long-tail corpus the first half of the source ids owns
+    // most of the groups, and an even split by source count leaves one
+    // worker streaming several times what the others do.
+    let parts = kbt_flume::num_threads().clamp(1, num_sources.max(1));
+    let mut rest = updates.as_mut_slice();
+    let mut windows = Vec::with_capacity(parts);
+    let mut first = 0;
+    for k in 1..=parts {
+        // The last window also takes the trailing sources without groups.
+        let mass = (truth.len() * k / parts) as u32;
+        let ends = &source_offsets[1..];
+        let end = if k == parts {
+            num_sources
+        } else {
+            ends.partition_point(|&o| o < mass).max(first)
+        };
+        let window = rest.split_off_mut(..end - first);
+        windows.push((first, window.expect("windows tile the sources")));
+        first = end;
+    }
+    par_ranges_mut(&mut windows, |_, windows| {
+        for (base, part) in windows {
+            for (w, u) in (*base..).zip(part.iter_mut()) {
+                *u = estimate(w);
+            }
         }
     });
     for (w, u) in updates.iter().enumerate() {
@@ -219,76 +243,14 @@ pub(crate) fn update_extractor_quality<S: ChunkSource>(
     Ok(())
 }
 
-/// Per-extractor parallel variant of the extractor-quality update, keyed
-/// by extractor as the paper's Map-Reduce pipeline is (Section 5.3.4).
-///
-/// Each extractor's sums are computed from its own cell index, with one
-/// parallel task stream over extractors. An extractor with a huge share
-/// of the cells straggles its shard — the skew that the Table 7
-/// experiment shows SPLITANDMERGE removing.
-pub fn update_extractor_quality_indexed(
-    cube: &ObservationCube,
-    correctness: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    index: &[Vec<(u32, u32)>],
-) {
-    let ne = cube.num_extractors();
-    debug_assert_eq!(index.len(), ne);
-    // Per-source correctness mass (for the scoped recall denominator).
-    let sum_c_source: Vec<f64> = (0..cube.num_sources())
-        .map(|w| {
-            let range = cube.source_groups(SourceId::new(w as u32));
-            correctness[range].iter().sum()
-        })
-        .collect();
-    let total_mass: f64 = correctness.iter().sum();
-
-    let gamma = crate::reference::estimate_gamma(cube, correctness, cfg);
-
-    let scoped = cfg.absence_policy == crate::config::AbsencePolicy::SourceCandidates;
-    let results: Vec<(f64, f64, f64)> = par_map_slice(index, |cells| {
-        let mut num = 0.0;
-        let mut pden = 0.0;
-        let mut rden = 0.0;
-        let mut last_source = u32::MAX;
-        for &(g, ci) in cells {
-            let g = g as usize;
-            let conf = cfg.effective_confidence(cube.cell(ci).confidence);
-            num += conf * correctness[g];
-            pden += conf;
-            if scoped {
-                let w = cube.groups()[g].source.0;
-                if w != last_source {
-                    rden += sum_c_source[w as usize];
-                    last_source = w;
-                }
-            }
-        }
-        if !scoped {
-            rden = total_mass;
-        }
-        (num, pden, rden)
-    });
-    for (e, (num, pden, rden)) in results.into_iter().enumerate().take(ne) {
-        if pden > 1e-12 {
-            params.precision[e] = clamp_quality(num / pden);
-        }
-        if rden > 1e-12 {
-            params.recall[e] = clamp_quality(num / rden);
-        }
-        params.q[e] = q_from_precision_recall(params.precision[e], params.recall[e], gamma);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::QualityInit;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
-        ValueId,
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
+        ObservationCube, ResidentChunks, SourceId, ValueId,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -305,32 +267,6 @@ mod tests {
             });
         }
         b.build()
-    }
-
-    #[test]
-    fn indexed_update_matches_streaming_update() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let cube = random_cube(&mut rng, 500);
-        let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        for policy in [
-            crate::config::AbsencePolicy::AllExtractors,
-            crate::config::AbsencePolicy::SourceCandidates,
-        ] {
-            let cfg = ModelConfig {
-                absence_policy: policy,
-                ..ModelConfig::default()
-            };
-            let mut a = Params::init(&cube, &cfg, &QualityInit::Default);
-            let mut b2 = a.clone();
-            reference::update_extractor_quality(&cube, &correctness, &cfg, &mut a);
-            let index = cube.build_extractor_index();
-            update_extractor_quality_indexed(&cube, &correctness, &cfg, &mut b2, &index);
-            for e in 0..cube.num_extractors() {
-                assert!((a.precision[e] - b2.precision[e]).abs() < 1e-12, "P[{e}]");
-                assert!((a.recall[e] - b2.recall[e]).abs() < 1e-12, "R[{e}]");
-                assert!((a.q[e] - b2.q[e]).abs() < 1e-12, "Q[{e}]");
-            }
-        }
     }
 
     /// Kernel ≡ reference for both M-steps, bit for bit: Eq. 28 from the

@@ -10,6 +10,7 @@
 //! unobserved domain value (Eq. 21/25, Example 3.2).
 
 use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use kbt_datamodel::{ChunkSource, ItemView, SourceId, ValueId};
 
@@ -43,7 +44,8 @@ pub struct ValueLayerOutput {
 
 /// Reusable per-worker scratch of the value E-step: slot-indexed
 /// accumulators sized once to the cube's `max_item_values` (so the
-/// per-item inner loops index dense arrays instead of searching). Used
+/// per-item inner loops index dense arrays instead of searching), and the
+/// chunk-local row columns of the gather → compute → scatter phases. Used
 /// slots are reset after each item; capacity is retained across rounds.
 #[derive(Debug, Default)]
 pub(crate) struct ColValueScratch {
@@ -51,24 +53,30 @@ pub(crate) struct ColValueScratch {
     voted: Vec<bool>,
     claim: Vec<f64>,
     prob: Vec<f64>,
-    order: Vec<u32>,                 // first-seen voted slots
-    rows: Vec<(u32, u32, f64, f64)>, // (g, slot, weight, full vote)
+    order: Vec<u32>,            // first-seen voted slots
+    rows: Vec<(u32, f64, f64)>, // (slot, weight, full vote)
     vcs: Vec<f64>,
+    // One entry per item-major row of the chunk in hand.
+    gathered: Vec<f64>, // correctness[ig_group[r]]
+    truth: Vec<f64>,
+    cond: Vec<f64>,
+    covered: Vec<bool>,
 }
 
-/// One item chunk's value-layer output, merged in chunk order.
+/// One item chunk's posterior entries, concatenated in chunk order.
 struct ValueChunkOut {
     entries: Vec<(ValueId, f64)>,
     entry_counts: Vec<u32>,
     unobserved: Vec<f64>,
-    groups: Vec<(u32, f64, f64, bool)>, // (g, truth, cond, covered)
 }
 
 /// The per-item value E-step kernel (Eqs. 23–25). Streams the item's
-/// `ig_*` rows with pre-resolved value slots, so the hot loop is loads,
-/// one weight select, and a slot-indexed accumulate — no searching, no
-/// per-item allocation. Per slot, votes accumulate in row order, the
-/// POPACCU adjustment and the softmax run in first-seen value order.
+/// `ig_*` rows with pre-resolved value slots and the chunk's pre-gathered
+/// correctness column, so the hot loop is sequential loads, one weight
+/// select, and a slot-indexed accumulate — no searching, no random access,
+/// no per-item allocation. Per slot, votes accumulate in row order, the
+/// POPACCU adjustment and the softmax run in first-seen value order; the
+/// per-row `(truth, cond, covered)` outputs append in row order.
 ///
 /// Takes an [`ItemView`] (`li` is the view-local item index), so the same
 /// kernel — the same instructions, the same float sequence — runs whether
@@ -77,7 +85,6 @@ struct ValueChunkOut {
 #[allow(clippy::too_many_arguments)]
 fn col_value_item_kernel(
     view: &ItemView<'_>,
-    correctness: &[f64],
     active_source: &[bool],
     full_vote_of: &[f64],
     map_weight: bool,
@@ -93,23 +100,22 @@ fn col_value_item_kernel(
     let rows = view.rows(li);
     // Borrow the item's row span as slices once, so the hot loop iterates
     // without per-access bounds checks.
-    let ig_group = &view.ig_group[rows.clone()];
+    let gathered = &s.gathered[rows.clone()];
     let ig_source = &view.ig_source[rows.clone()];
     let ig_slot = &view.ig_slot[rows.clone()];
     let ig_has_cells = &view.ig_has_cells[rows];
     s.order.clear();
     s.rows.clear();
     let mut total_claims = 0.0f64;
-    for r in 0..ig_group.len() {
-        let g = ig_group[r];
+    for r in 0..gathered.len() {
         let slot = ig_slot[r] as usize;
         if ig_has_cells[r] == 0 {
             // Cell-less group (emptied by a retraction delta): no claim,
             // no vote, but a dense truth entry below.
-            s.rows.push((g, slot as u32, 0.0, 0.0));
+            s.rows.push((slot as u32, 0.0, 0.0));
             continue;
         }
-        let c = correctness[g as usize];
+        let c = gathered[r];
         let weight = if map_weight {
             if c >= 0.5 {
                 1.0
@@ -123,12 +129,12 @@ fn col_value_item_kernel(
         total_claims += weight;
         let w = ig_source[r] as usize;
         if !active_source[w] {
-            s.rows.push((g, slot as u32, 0.0, 0.0));
+            s.rows.push((slot as u32, 0.0, 0.0));
             continue;
         }
         let full_vote = full_vote_of[w];
         let vote = weight * full_vote;
-        s.rows.push((g, slot as u32, weight, full_vote));
+        s.rows.push((slot as u32, weight, full_vote));
         if s.voted[slot] {
             s.vote_sum[slot] += vote;
         } else {
@@ -173,11 +179,11 @@ fn col_value_item_kernel(
     };
     out.unobserved.push(unobserved_mass);
 
-    // Truth probability, conditional truth, and coverage per group.
+    // Truth probability, conditional truth, and coverage per row.
     // p(V_d = v | X, C_g = 1): raise this group's vote from weight·vote
     // to the full vote and renormalize. With a = log p(v|X) and
     // b = a + (1−weight)·vote, p_cond = e^b / (1 − e^a + e^b).
-    for &(g, slot, weight, full_vote) in &s.rows {
+    for &(slot, weight, full_vote) in &s.rows {
         let slot = slot as usize;
         let voted = s.voted[slot];
         let p = if voted { s.prob[slot] } else { unobserved_mass };
@@ -196,7 +202,9 @@ fn col_value_item_kernel(
         } else {
             p
         };
-        out.groups.push((g, p, p_cond, voted));
+        s.truth.push(p);
+        s.cond.push(p_cond);
+        s.covered.push(voted);
     }
 
     // Reset the slots this item used; the arrays stay allocated.
@@ -216,10 +224,14 @@ fn col_value_item_kernel(
 /// copy-blind fusion.
 ///
 /// Workers pull whole chunks ([`ChunkSource::scan_items`], one `scratch`
-/// slot each) and run [`col_value_item_kernel`] over each chunk's items;
-/// chunks tile the item space in order and their outputs merge in chunk
-/// order, so the result is the same at any thread count, chunk size and
-/// cache size.
+/// slot each) and run three phases per chunk, so that the only random
+/// memory accesses sit in two tight loops the core can overlap misses in,
+/// away from the dependent float work: **gather** `correctness[ig_group[r]]`
+/// into a chunk-local column, **compute** ([`col_value_item_kernel`] over
+/// dense rows), **scatter** the chunk's rows to the three per-group
+/// outputs. Chunks tile the item space in order and every group belongs to
+/// exactly one item, so the result is the same at any thread count, chunk
+/// size and cache size.
 pub(crate) fn estimate_values<S: ChunkSource>(
     src: &S,
     correctness: &[f64],
@@ -258,6 +270,12 @@ pub(crate) fn estimate_values<S: ChunkSource>(
     let domain = cfg.n_false_values + 1;
     let miv = meta.max_item_values as usize;
 
+    // The per-group outputs, written by the workers: atomics only to share
+    // the vectors across the scan, never to synchronize.
+    let bits = || (0..num_groups).map(|_| AtomicU64::new(0)).collect();
+    let (truth, cond): (Vec<AtomicU64>, Vec<AtomicU64>) = (bits(), bits());
+    let covered: Vec<AtomicBool> = (0..num_groups).map(|_| AtomicBool::new(false)).collect();
+
     let outs: Vec<ValueChunkOut> = src.scan_items(scratch, |s, view| {
         for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
             slots.clear();
@@ -265,16 +283,20 @@ pub(crate) fn estimate_values<S: ChunkSource>(
         }
         s.voted.clear();
         s.voted.resize(miv, false);
+        s.gathered.clear();
+        s.gathered
+            .extend(view.ig_group.iter().map(|&g| correctness[g as usize]));
+        s.truth.clear();
+        s.cond.clear();
+        s.covered.clear();
         let mut out = ValueChunkOut {
             entries: Vec::with_capacity(view.item_values.len()),
             entry_counts: Vec::with_capacity(view.num_items()),
             unobserved: Vec::with_capacity(view.num_items()),
-            groups: Vec::with_capacity(view.ig_group.len()),
         };
         for li in 0..view.num_items() {
             col_value_item_kernel(
                 view,
-                correctness,
                 active_source,
                 &full_vote_of,
                 map_weight,
@@ -286,6 +308,15 @@ pub(crate) fn estimate_values<S: ChunkSource>(
                 &mut out,
             );
         }
+        let rows = s.truth.iter().zip(&s.cond).zip(&s.covered);
+        for (&g, ((&t, &c), &cov)) in view.ig_group.iter().zip(rows) {
+            // ordering: Relaxed — group `g` is a row of exactly one item,
+            // so each slot has one writer per round and nobody reads it
+            // before the scan's workers are joined.
+            truth[g as usize].store(t.to_bits(), Ordering::Relaxed);
+            cond[g as usize].store(c.to_bits(), Ordering::Relaxed);
+            covered[g as usize].store(cov, Ordering::Relaxed);
+        }
         out
     })?;
 
@@ -294,28 +325,21 @@ pub(crate) fn estimate_values<S: ChunkSource>(
     offsets.push(0u32);
     let mut entries = Vec::with_capacity(total_entries);
     let mut unobserved = Vec::with_capacity(ni);
-    let mut truth_of_group = vec![0.0; num_groups];
-    let mut truth_given_provided = vec![0.0; num_groups];
-    let mut covered_group = vec![false; num_groups];
     for out in &outs {
         for &c in &out.entry_counts {
             offsets.push(offsets.last().unwrap() + c);
         }
         entries.extend_from_slice(&out.entries);
         unobserved.extend_from_slice(&out.unobserved);
-        for &(g, t, cond, cov) in &out.groups {
-            truth_of_group[g as usize] = t;
-            truth_given_provided[g as usize] = cond;
-            covered_group[g as usize] = cov;
-        }
     }
     debug_assert_eq!(offsets.len(), ni + 1);
 
+    let floats = |v: Vec<AtomicU64>| v.into_iter().map(|x| f64::from_bits(x.into_inner()));
     Ok(ValueLayerOutput {
         posteriors: ItemPosteriors::from_flat_parts(offsets, entries, unobserved),
-        truth_of_group,
-        truth_given_provided,
-        covered_group,
+        truth_of_group: floats(truth).collect(),
+        truth_given_provided: floats(cond).collect(),
+        covered_group: covered.into_iter().map(AtomicBool::into_inner).collect(),
     })
 }
 
@@ -329,7 +353,10 @@ mod tests {
 
     /// Kernel ≡ reference for the value E-step, bit for bit: both value
     /// models, both weightings, with and without a copy discount, at
-    /// several chunk sizes and thread counts and across buffer reuse.
+    /// several chunk sizes and thread counts and across buffer reuse — on
+    /// a cube after a retraction (emptied sources and items, inactive
+    /// sources), and on the unretracted cube with the retracted groups'
+    /// rows marked cell-less, which must tell the survivors the same.
     #[test]
     fn value_kernel_matches_the_reference_bitwise() {
         use rand::rngs::StdRng;
@@ -345,7 +372,13 @@ mod tests {
                 confidence: rng.gen::<f64>(),
             });
         }
-        let cube = b.build();
+        let full = b.build();
+        let retracted = |g: usize| g % 7 == 3 || full.groups()[g].source.0 == 11;
+        let (gone, kept): (Vec<usize>, Vec<usize>) =
+            (0..full.num_groups()).partition(|&g| retracted(g));
+        let key = |g: &kbt_datamodel::TripleGroup| (g.source, g.item, g.value);
+        let keys: Vec<_> = gone.iter().map(|&g| key(&full.groups()[g])).collect();
+        let cube = full.retract(&keys);
         let params = Params {
             source_accuracy: (0..25).map(|w| 0.3 + 0.02 * w as f64).collect(),
             precision: vec![0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
@@ -353,6 +386,10 @@ mod tests {
             q: vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
         };
         let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
+        let mut full_correctness = vec![0.5; full.num_groups()];
+        for (&g, &c) in kept.iter().zip(&correctness) {
+            full_correctness[g] = c;
+        }
         let active: Vec<bool> = (0..25).map(|w| w % 5 != 0).collect();
         let discount =
             CopyDiscount::from_scales((0..25).map(|w| 1.0 - 0.03 * (w % 4) as f64).collect());
@@ -374,16 +411,25 @@ mod tests {
             let want =
                 reference::estimate_values(&cube, &correctness, &params, &cfg, &active, discount);
             for target_cells in [1usize, 16, 1 << 20] {
-                let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
-                let src = ResidentChunks::new(&cc);
+                let chunking = ChunkingConfig { target_cells };
+                let cc = ChunkedCube::from_cube(&cube, &chunking);
+                let mut hollow = ChunkedCube::from_cube(&full, &chunking);
+                for (has_cells, &g) in hollow.ig_has_cells.iter_mut().zip(&hollow.ig_group) {
+                    *has_cells = u8::from(!retracted(g as usize));
+                }
+                // Every group is a row of exactly one item: one writer per slot.
+                let mut rows = cc.ig_group.clone();
+                rows.sort_unstable();
+                assert!(rows.iter().copied().eq(0..cube.num_groups() as u32));
                 for shards in [1usize, 2, 8] {
                     let mut scratch: Vec<ColValueScratch> = Vec::new();
                     scratch.resize_with(shards, Default::default);
-                    let mut run = || {
+                    let mut run = |cc: &ChunkedCube, correctness: &[f64]| {
+                        let src = ResidentChunks::new(cc);
                         kbt_flume::with_threads(Some(shards), || {
                             estimate_values(
                                 &src,
-                                &correctness,
+                                correctness,
                                 &params,
                                 &cfg,
                                 &active,
@@ -394,13 +440,28 @@ mod tests {
                         .unwrap()
                     };
                     // Run twice: the second round exercises buffer reuse.
-                    let _ = run();
-                    let got = run();
+                    let _ = run(&cc, &correctness);
+                    let got = run(&cc, &correctness);
                     let tag = format!("{value_model:?}/{weighting:?} t={target_cells} s={shards}");
                     assert_eq!(got.truth_of_group, want.truth_of_group, "{tag}");
                     assert_eq!(got.truth_given_provided, want.truth_given_provided, "{tag}");
                     assert_eq!(got.covered_group, want.covered_group, "{tag}");
                     assert_eq!(got.posteriors, want.posteriors, "{tag}");
+                    let hollow = run(&hollow, &full_correctness);
+                    let pick = |xs: &[f64]| kept.iter().map(|&g| xs[g]).collect::<Vec<f64>>();
+                    assert_eq!(pick(&hollow.truth_of_group), want.truth_of_group, "{tag}");
+                    assert_eq!(
+                        pick(&hollow.truth_given_provided),
+                        want.truth_given_provided,
+                        "{tag}"
+                    );
+                    assert_eq!(hollow.posteriors, want.posteriors, "{tag}");
+                    // A cell-less row still gets its dense entry: the mass of
+                    // its value, voted or not — never the initial zero.
+                    assert!(
+                        gone.iter().all(|&g| hollow.truth_of_group[g] > 0.0),
+                        "{tag}"
+                    );
                 }
             }
         }

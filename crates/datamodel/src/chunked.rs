@@ -166,6 +166,12 @@ pub struct ChunkedCube {
     /// (length `num_sources + 1`).
     pub source_offsets: Vec<u32>,
 
+    /// CSR offsets into `source_ext_ids` (length `num_sources + 1`).
+    pub source_ext_offsets: Vec<u32>,
+    /// Sorted distinct extractor ids observing each source, as the row
+    /// cube's `extractors_on_source` lists them.
+    pub source_ext_ids: Vec<u32>,
+
     /// The item-aligned chunk partition.
     pub chunks: Vec<CubeChunk>,
     /// Largest per-item distinct-value count — the slot-accumulator size
@@ -203,56 +209,50 @@ impl ChunkedCube {
             1
         };
 
-        // ---- Prefix passes (serial, O(groups + items)). ----
-        let mut cell_offsets = Vec::with_capacity(ng + 1);
-        cell_offsets.push(0u32);
-        for g in groups {
-            cell_offsets.push(cell_offsets.last().unwrap() + cube.cells_of(g).len() as u32);
-        }
+        // The row cube already holds both item CSRs, and a group's first
+        // cell is its offset: nothing to recount, three columns to copy.
         let nc = cube.num_cells();
-
-        let mut item_offsets = Vec::with_capacity(ni + 1);
-        item_offsets.push(0u32);
-        let mut item_value_offsets = Vec::with_capacity(ni + 1);
-        item_value_offsets.push(0u32);
-        let mut max_item_values = 0usize;
-        for d in 0..ni {
-            let id = ItemId::new(d as u32);
-            let nvals = cube.observed_values(id).len();
-            max_item_values = max_item_values.max(nvals);
-            item_value_offsets.push(item_value_offsets[d] + nvals as u32);
-            item_offsets.push(item_offsets[d] + cube.groups_of_item(id).count() as u32);
-        }
-        debug_assert_eq!(item_offsets[ni] as usize, ng);
+        let cell_start = |g: usize| groups.get(g).map_or(nc, |grp| grp.cell_range().start);
+        let (item_offsets, ig_group) = cube.item_index();
+        let (item_offsets, ig_group) = (item_offsets.to_vec(), ig_group.to_vec());
+        let (item_value_offsets, item_values) = cube.item_values();
+        let item_value_offsets = item_value_offsets.to_vec();
+        let item_values: Vec<u32> = item_values.iter().map(|v| v.0).collect();
+        let max_item_values = item_value_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
 
         // ---- Parallel gathers into the preallocated columns. ----
         let mut group_source = vec![0u32; ng];
         let mut group_item = vec![0u32; ng];
         let mut group_value = vec![0u32; ng];
+        // Filled per group below; the closing entry is already in place.
+        let mut cell_offsets = vec![nc as u32; ng + 1];
         let mut cell_extractor = vec![0u32; nc];
         let mut cell_confidence = vec![0.0f64; nc];
-        let mut ig_group = vec![0u32; ng];
         let mut ig_source = vec![0u32; ng];
         let mut ig_slot = vec![0u32; ng];
         let mut ig_has_cells = vec![0u8; ng];
-        let mut item_values = vec![0u32; item_value_offsets[ni] as usize];
+        let mut item_cells = vec![0u32; ni];
 
-        // One part's disjoint windows of the ten columns: a contiguous
+        // One part's disjoint windows of the gathered columns: a contiguous
         // group span with its cells, a contiguous item span with its
-        // item-major rows and distinct values.
+        // item-major rows.
         struct Part<'a> {
             groups: Range<usize>,
             gs: &'a mut [u32],
             gi: &'a mut [u32],
             gv: &'a mut [u32],
+            co: &'a mut [u32],
             ce: &'a mut [u32],
             cf: &'a mut [f64],
             items: Range<usize>,
-            igg: &'a mut [u32],
             igs: &'a mut [u32],
             igl: &'a mut [u32],
             igh: &'a mut [u8],
-            ivals: &'a mut [u32],
+            icells: &'a mut [u32],
         }
         fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
             column.split_off_mut(..len).expect("window in bounds")
@@ -261,42 +261,42 @@ impl ChunkedCube {
         let mut gs = group_source.as_mut_slice();
         let mut gi = group_item.as_mut_slice();
         let mut gv = group_value.as_mut_slice();
+        let mut co = cell_offsets.as_mut_slice();
         let mut ce = cell_extractor.as_mut_slice();
         let mut cf = cell_confidence.as_mut_slice();
-        let mut igg = ig_group.as_mut_slice();
         let mut igs = ig_source.as_mut_slice();
         let mut igl = ig_slot.as_mut_slice();
         let mut igh = ig_has_cells.as_mut_slice();
-        let mut ivals = item_values.as_mut_slice();
+        let mut icells = item_cells.as_mut_slice();
         let span = |n: usize, t: usize| (n * t / parts)..(n * (t + 1) / parts);
         for t in 0..parts {
             let (groups, items) = (span(ng, t), span(ni, t));
-            let cells = (cell_offsets[groups.end] - cell_offsets[groups.start]) as usize;
+            let cells = cell_start(groups.end) - cell_start(groups.start);
             let rows = (item_offsets[items.end] - item_offsets[items.start]) as usize;
-            let vals = (item_value_offsets[items.end] - item_value_offsets[items.start]) as usize;
             windows.push(Part {
                 gs: carve(&mut gs, groups.len()),
                 gi: carve(&mut gi, groups.len()),
                 gv: carve(&mut gv, groups.len()),
+                co: carve(&mut co, groups.len()),
                 ce: carve(&mut ce, cells),
                 cf: carve(&mut cf, cells),
                 groups,
-                igg: carve(&mut igg, rows),
                 igs: carve(&mut igs, rows),
                 igl: carve(&mut igl, rows),
                 igh: carve(&mut igh, rows),
-                ivals: carve(&mut ivals, vals),
+                icells: carve(&mut icells, items.len()),
                 items,
             });
         }
         let fill = |w: &mut Part<'_>| {
             // Group-major copy.
-            let cell_base = cell_offsets[w.groups.start] as usize;
+            let cell_base = cell_start(w.groups.start);
             for (k, grp) in groups[w.groups.clone()].iter().enumerate() {
                 w.gs[k] = grp.source.0;
                 w.gi[k] = grp.item.0;
                 w.gv[k] = grp.value.0;
-                let at = cell_offsets[w.groups.start + k] as usize - cell_base;
+                w.co[k] = grp.cell_range().start as u32;
+                let at = grp.cell_range().start - cell_base;
                 for (j, c) in cube.cells_of(grp).iter().enumerate() {
                     w.ce[at + j] = c.extractor.0;
                     w.cf[at + j] = c.confidence;
@@ -304,50 +304,34 @@ impl ChunkedCube {
             }
             // Item-major gather + slot resolution.
             let row_base = item_offsets[w.items.start] as usize;
-            let val_base = item_value_offsets[w.items.start] as usize;
             for d in w.items.clone() {
                 let id = ItemId::new(d as u32);
                 let vals = cube.observed_values(id);
-                let vo = item_value_offsets[d] as usize - val_base;
-                for (j, v) in vals.iter().enumerate() {
-                    w.ivals[vo + j] = v.0;
-                }
                 let r0 = item_offsets[d] as usize - row_base;
                 for (r, g) in (r0..).zip(cube.groups_of_item(id)) {
                     let grp = &groups[g];
                     let slot = vals
                         .binary_search(&grp.value)
                         .expect("group value is an observed value of its item");
-                    w.igg[r] = g as u32;
+                    let cells = cube.cells_of(grp).len() as u32;
                     w.igs[r] = grp.source.0;
                     w.igl[r] = slot as u32;
-                    w.igh[r] = u8::from(!cube.cells_of(grp).is_empty());
+                    w.igh[r] = u8::from(cells > 0);
+                    w.icells[d - w.items.start] += cells;
                 }
             }
         };
         // One window per worker (`parts` is the worker count, or 1).
         kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill));
 
-        // Per-source offsets: groups are source-sorted and the cube's
-        // non-empty ranges tile the group list; sources with no groups
-        // (the cube stores them as 0..0) become zero-width at the running
-        // offset so the CSR stays monotone.
-        let mut source_offsets = Vec::with_capacity(ns + 1);
-        source_offsets.push(0u32);
+        // Per-source offsets: groups are source-sorted, so the running sum
+        // of source sizes is each source's first group (a source with no
+        // groups is zero-width at the running offset).
+        let mut source_offsets = vec![0u32; ns + 1];
         for w in 0..ns {
-            let r = cube.source_groups(SourceId::new(w as u32));
-            let prev = *source_offsets.last().unwrap();
-            if r.is_empty() {
-                source_offsets.push(prev);
-            } else {
-                debug_assert_eq!(
-                    r.start as u32, prev,
-                    "source ranges must tile the group list"
-                );
-                source_offsets.push(r.end as u32);
-            }
+            let size = cube.source_size(SourceId::new(w as u32)) as u32;
+            source_offsets[w + 1] = source_offsets[w] + size;
         }
-        debug_assert_eq!(*source_offsets.last().unwrap() as usize, ng);
 
         // Greedy item-aligned chunking: close a chunk at the first item
         // boundary at or past `target_cells` cells.
@@ -357,13 +341,7 @@ impl ChunkedCube {
         let mut start_item = 0usize;
         let mut acc_cells = 0u64;
         for d in 0..ni {
-            let row_lo = item_offsets[d] as usize;
-            let row_hi = item_offsets[d + 1] as usize;
-            let item_cells: u64 = ig_group[row_lo..row_hi]
-                .iter()
-                .map(|&g| (cell_offsets[g as usize + 1] - cell_offsets[g as usize]) as u64)
-                .sum();
-            acc_cells += item_cells;
+            acc_cells += item_cells[d] as u64;
             if acc_cells >= target || d + 1 == ni {
                 let rows = item_offsets[start_item]..item_offsets[d + 1];
                 max_chunk_rows = max_chunk_rows.max(rows.len());
@@ -377,6 +355,7 @@ impl ChunkedCube {
             }
         }
 
+        let (source_ext_offsets, source_ext_ids) = cube.source_extractors();
         Self {
             group_source,
             group_item,
@@ -392,6 +371,8 @@ impl ChunkedCube {
             item_value_offsets,
             item_values,
             source_offsets,
+            source_ext_offsets: source_ext_offsets.to_vec(),
+            source_ext_ids: source_ext_ids.iter().map(|e| e.0).collect(),
             chunks,
             max_item_values,
             max_chunk_rows,
@@ -489,23 +470,6 @@ impl ChunkedCube {
             cell_extractor: &self.cell_extractor[cell_lo..cell_hi],
             cell_confidence: &self.cell_confidence[cell_lo..cell_hi],
         }
-    }
-
-    /// Approximate resident size of all columns in bytes (payload only).
-    pub fn approx_bytes(&self) -> usize {
-        let u32s = self.group_source.len()
-            + self.group_item.len()
-            + self.group_value.len()
-            + self.cell_offsets.len()
-            + self.cell_extractor.len()
-            + self.item_offsets.len()
-            + self.ig_group.len()
-            + self.ig_source.len()
-            + self.ig_slot.len()
-            + self.item_value_offsets.len()
-            + self.item_values.len()
-            + self.source_offsets.len();
-        u32s * 4 + self.cell_confidence.len() * 8 + self.ig_has_cells.len() + self.chunks.len() * 24
     }
 }
 
@@ -880,39 +844,15 @@ impl ChunkStoreMeta {
 
         // Per-source distinct-item counts: groups are item-sorted within
         // a source span, so counting runs of `group_item` is exact.
-        let mut source_item_counts = Vec::with_capacity(ns);
-        let mut source_ext_offsets = Vec::with_capacity(ns + 1);
-        source_ext_offsets.push(0u32);
-        let mut source_ext_ids = Vec::new();
-        // `seen[e] == w + 1` marks extractor `e` as already listed for
-        // source `w`, so a source's distinct list costs one pass over its
-        // cells plus a sort of the (short) list itself.
-        let mut seen = vec![0u32; cube.num_extractors()];
-        for w in 0..ns {
-            let lo = cube.source_offsets[w] as usize;
-            let hi = cube.source_offsets[w + 1] as usize;
-            let mut items = 0u32;
-            let mut prev = u32::MAX;
-            for g in lo..hi {
-                let it = cube.group_item[g];
-                if it != prev {
-                    items += 1;
-                    prev = it;
-                }
-            }
-            source_item_counts.push(items);
-            let cell_lo = cube.cell_offsets[lo] as usize;
-            let cell_hi = cube.cell_offsets[hi] as usize;
-            let first = source_ext_ids.len();
-            for &e in &cube.cell_extractor[cell_lo..cell_hi] {
-                if seen[e as usize] != w as u32 + 1 {
-                    seen[e as usize] = w as u32 + 1;
-                    source_ext_ids.push(e);
-                }
-            }
-            source_ext_ids[first..].sort_unstable();
-            source_ext_offsets.push(source_ext_ids.len() as u32);
-        }
+        let source_item_counts = cube
+            .source_offsets
+            .windows(2)
+            .map(|w| {
+                let items = &cube.group_item[w[0] as usize..w[1] as usize];
+                (!items.is_empty()) as u32
+                    + items.windows(2).filter(|p| p[0] != p[1]).count() as u32
+            })
+            .collect();
 
         // Group-frame partition: close a frame at ~cells-per-item-chunk
         // cells (so both frame families stream at similar granularity),
@@ -943,8 +883,8 @@ impl ChunkStoreMeta {
             group_frames,
             source_offsets: cube.source_offsets.clone(),
             source_item_counts,
-            source_ext_offsets,
-            source_ext_ids,
+            source_ext_offsets: cube.source_ext_offsets.clone(),
+            source_ext_ids: cube.source_ext_ids.clone(),
         }
     }
 

@@ -19,7 +19,10 @@
 //! the arithmetic of the paper's Example 3.1, where all five extractors are
 //! active on every page of the example.
 
+use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
@@ -134,6 +137,16 @@ impl ObservationCube {
         (&self.item_offsets, &self.item_groups)
     }
 
+    /// The per-item value lists in CSR form, `(offsets, values)`.
+    pub(crate) fn item_values(&self) -> (&[u32], &[ValueId]) {
+        (&self.item_value_offsets, &self.item_values)
+    }
+
+    /// The per-source extractor sets in CSR form, `(offsets, ids)`.
+    pub(crate) fn source_extractors(&self) -> (&[u32], &[ExtractorId]) {
+        (&self.source_extractor_offsets, &self.source_extractor_ids)
+    }
+
     /// The contiguous range of group indices belonging to source `w`.
     pub fn source_groups(&self, w: SourceId) -> Range<usize> {
         let r = &self.source_group_ranges[w.index()];
@@ -158,33 +171,6 @@ impl ObservationCube {
         &self.item_values[lo..hi]
     }
 
-    /// Distinct values observed (by any source) for item `d`, sorted.
-    pub fn observed_values_of_item(&self, d: ItemId) -> Vec<ValueId> {
-        let mut vs = Vec::new();
-        self.observed_values_into(d, &mut vs);
-        vs
-    }
-
-    /// Collect the distinct observed values of item `d`, sorted, into a
-    /// caller-provided buffer (cleared first, capacity retained) — the
-    /// allocation-free form the value layer uses once per item per EM
-    /// round. Copies from the CSR index built at cube-assembly time
-    /// instead of re-sorting and deduping the item's groups per call.
-    pub fn observed_values_into(&self, d: ItemId, out: &mut Vec<ValueId>) {
-        out.clear();
-        out.extend_from_slice(self.observed_values(d));
-        #[cfg(debug_assertions)]
-        {
-            let mut check: Vec<ValueId> = self
-                .groups_of_item(d)
-                .map(|g| self.groups[g].value)
-                .collect();
-            check.sort_unstable();
-            check.dedup();
-            debug_assert_eq!(*out, check, "item-values CSR out of sync for item {d:?}");
-        }
-    }
-
     /// Number of triples (groups) attributed to source `w`.
     pub fn source_size(&self, w: SourceId) -> usize {
         self.source_groups(w).len()
@@ -196,29 +182,6 @@ impl ObservationCube {
             .iter()
             .enumerate()
             .map(move |(i, g)| (i, g, self.cells_of(g)))
-    }
-
-    /// Build the per-extractor cell index: for each extractor, the
-    /// `(group index, cell index)` pairs of its extractions, in group
-    /// order. Used by the per-extractor parallel M-step (the Map-Reduce
-    /// sharding of Section 3.4.2 keys extractor-quality computation by
-    /// extractor, which is why oversized extractors become stragglers —
-    /// Table 7).
-    pub fn build_extractor_index(&self) -> Vec<Vec<(u32, u32)>> {
-        let mut index: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_extractors()];
-        for (g, grp) in self.groups.iter().enumerate() {
-            let range = grp.cell_range();
-            for (ci, cell) in self.cells[range.clone()].iter().enumerate() {
-                index[cell.extractor.index()].push((g as u32, (range.start + ci) as u32));
-            }
-        }
-        index
-    }
-
-    /// The cell at a raw cell index (for use with
-    /// [`Self::build_extractor_index`]).
-    pub fn cell(&self, idx: u32) -> &Cell {
-        &self.cells[idx as usize]
     }
 
     /// Merge `delta` into this cube **without re-sorting the existing
@@ -237,140 +200,52 @@ impl ObservationCube {
         if delta.is_empty() {
             return self.clone();
         }
-        let mut d: Vec<Observation> = delta
-            .iter()
-            .map(|o| {
-                let mut o = *o;
-                o.confidence = o.confidence.clamp(0.0, 1.0);
-                o
-            })
-            .collect();
-        d.sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
+        // The delta on its own, admitted (clamped, id spaces grown from
+        // this cube's), sorted and grouped exactly as a build would.
+        let mut d = CubeBuilder::from(delta.to_vec());
+        d.reserve_ids(
+            self.num_sources() as u32,
+            self.num_extractors,
+            self.num_items() as u32,
+            self.num_values,
+        );
+        d.obs.sort_unstable_by_key(row_key);
+        let (new_cells, new_groups) = group_rows(d.obs.iter().copied());
 
-        let mut num_sources = self.num_sources() as u32;
-        let mut num_extractors = self.num_extractors;
-        let mut num_items = self.num_items() as u32;
-        let mut num_values = self.num_values;
-        for o in &d {
-            num_sources = num_sources.max(o.source.0 + 1);
-            num_extractors = num_extractors.max(o.extractor.0 + 1);
-            num_items = num_items.max(o.item.0 + 1);
-            num_values = num_values.max(o.value.0 + 1);
-        }
-
-        let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len() + d.len());
-        let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len() + d.len());
-        let mut gi = 0; // cursor over existing groups
-        let mut di = 0; // cursor over sorted delta observations
-
-        // Consume one delta run (all rows of one (w, d, v) key), merging
-        // same-extractor duplicates with max confidence, optionally
-        // interleaving with the cells of an equal-key existing group.
-        let push_merged =
-            |cells: &mut Vec<Cell>, old: Option<&[Cell]>, d: &[Observation], di: &mut usize| {
-                let key = (d[*di].source, d[*di].item, d[*di].value);
-                let start = cells.len() as u32;
-                let mut old_cells = old.unwrap_or(&[]).iter().peekable();
-                while *di < d.len() {
-                    let o = d[*di];
-                    if (o.source, o.item, o.value) != key {
-                        break;
-                    }
-                    let mut conf = o.confidence;
-                    *di += 1;
-                    while *di < d.len() {
-                        let p = d[*di];
-                        if (p.source, p.item, p.value, p.extractor)
-                            != (o.source, o.item, o.value, o.extractor)
-                        {
-                            break;
-                        }
-                        conf = conf.max(p.confidence);
-                        *di += 1;
-                    }
-                    // Existing cells are sorted by extractor: emit the ones
-                    // strictly before this delta extractor, then merge equals.
-                    while let Some(c) = old_cells.peek() {
-                        if c.extractor < o.extractor {
-                            cells.push(**c);
-                            old_cells.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    if let Some(c) = old_cells.peek() {
-                        if c.extractor == o.extractor {
-                            conf = conf.max(c.confidence);
-                            old_cells.next();
-                        }
-                    }
-                    cells.push(Cell {
-                        extractor: o.extractor,
-                        confidence: conf,
-                    });
-                }
-                for c in old_cells {
-                    cells.push(*c);
-                }
-                (key, start..cells.len() as u32)
+        let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len() + new_cells.len());
+        let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len() + new_groups.len());
+        let key = |g: &TripleGroup| (g.source, g.item, g.value);
+        let (mut old, mut new) = (self.groups.iter().peekable(), new_groups.iter().peekable());
+        loop {
+            // The next key in order, from either side or — equal — both.
+            let order = match (old.peek(), new.peek()) {
+                (Some(a), Some(b)) => key(a).cmp(&key(b)),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
             };
-
-        while gi < self.groups.len() || di < d.len() {
-            let old_key = self.groups.get(gi).map(|g| (g.source, g.item, g.value));
-            let new_key = d.get(di).map(|o| (o.source, o.item, o.value));
-            let ord = match (old_key, new_key) {
-                (Some(ok), Some(nk)) => ok.cmp(&nk),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => unreachable!("loop condition"),
-            };
-            match ord {
-                std::cmp::Ordering::Less => {
-                    // Untouched existing group: copy cells verbatim.
-                    let grp = &self.groups[gi];
-                    let start = cells.len() as u32;
-                    cells.extend_from_slice(&self.cells[grp.cell_range()]);
-                    groups.push(TripleGroup {
-                        source: grp.source,
-                        item: grp.item,
-                        value: grp.value,
-                        cells: start..cells.len() as u32,
-                    });
-                    gi += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    // Brand-new group from the delta.
-                    let ((source, item, value), range) = push_merged(&mut cells, None, &d, &mut di);
-                    groups.push(TripleGroup {
-                        source,
-                        item,
-                        value,
-                        cells: range,
-                    });
-                }
-                std::cmp::Ordering::Equal => {
-                    // Same key on both sides: merge cell lists.
-                    let grp = &self.groups[gi];
-                    let ((source, item, value), range) =
-                        push_merged(&mut cells, Some(&self.cells[grp.cell_range()]), &d, &mut di);
-                    groups.push(TripleGroup {
-                        source,
-                        item,
-                        value,
-                        cells: range,
-                    });
-                    gi += 1;
-                }
-            }
+            let a = old.next_if(|_| order.is_le());
+            let b = new.next_if(|_| order.is_ge());
+            let start = cells.len() as u32;
+            merge_cells(
+                &mut cells,
+                a.map_or(&[], |g| &self.cells[g.cell_range()]),
+                b.map_or(&[], |g| &new_cells[g.cell_range()]),
+            );
+            let g = a.or(b).expect("one side had a group");
+            groups.push(TripleGroup {
+                cells: start..cells.len() as u32,
+                ..g.clone()
+            });
         }
 
         assemble_cube(
             cells,
             groups,
-            num_sources,
-            num_extractors,
-            num_items,
-            num_values,
+            d.num_sources,
+            d.num_extractors,
+            d.num_items,
+            d.num_values,
         )
     }
 
@@ -445,6 +320,34 @@ impl ObservationCube {
     }
 }
 
+/// Append the union of two extractor-sorted cell lists of one group, an
+/// extractor on both sides keeping the larger confidence.
+fn merge_cells(out: &mut Vec<Cell>, mut a: &[Cell], mut b: &[Cell]) {
+    while let (Some(x), Some(y)) = (a.first(), b.first()) {
+        let order = x.extractor.cmp(&y.extractor);
+        out.push(match order {
+            Ordering::Less => *x,
+            Ordering::Greater => *y,
+            Ordering::Equal => Cell {
+                confidence: y.confidence.max(x.confidence),
+                ..*x
+            },
+        });
+        a = &a[order.is_le() as usize..];
+        b = &b[order.is_ge() as usize..];
+    }
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+}
+
+/// Size of the dense id space that holds `id`. Every axis reserves
+/// `u32::MAX`: `id + 1` would wrap to an empty space in a release build
+/// and index out of bounds much later (`kbt-net` refuses such a frame).
+fn space_for(id: u32) -> u32 {
+    id.checked_add(1)
+        .expect("id u32::MAX is reserved: a dense id space holds id + 1 entries")
+}
+
 /// Build the secondary indexes over sorted `(cells, groups)` — shared by
 /// [`CubeBuilder::build`] (full sort) and [`ObservationCube::apply_delta`]
 /// (merge-walk). One linear pass over groups plus a counting sort of the
@@ -490,7 +393,9 @@ fn assemble_cube(
             source_extractor_offsets[w + 1].max(source_extractor_offsets[w]);
     }
 
-    // Item index: counting sort of group indices by item.
+    // Item index: counting sort of group indices by item. Each group's
+    // value lands beside its index, so the value lists below read one
+    // sequential column instead of chasing `groups[g]` per row.
     let ni = num_items as usize;
     let mut item_offsets = vec![0u32; ni + 1];
     for grp in &groups {
@@ -501,28 +406,23 @@ fn assemble_cube(
     }
     let mut cursor = item_offsets.clone();
     let mut item_groups = vec![0u32; groups.len()];
+    let mut row_values = vec![ValueId(0); groups.len()];
     for (gi, grp) in groups.iter().enumerate() {
         let slot = &mut cursor[grp.item.index()];
         item_groups[*slot as usize] = gi as u32;
+        row_values[*slot as usize] = grp.value;
         *slot += 1;
     }
 
-    // Item → sorted distinct observed values, CSR. Groups of one item are
-    // visited in group order (sources ascending); each item's value list
-    // is small, so a per-item sort+dedup in a scratch run is linearish.
+    // Item → sorted distinct observed values, CSR: each item's rows are
+    // few, so a per-item sort + dedup in a scratch run is linearish.
     let mut item_value_offsets = Vec::with_capacity(ni + 1);
     item_value_offsets.push(0u32);
     let mut item_values: Vec<ValueId> = Vec::new();
     let mut scratch: Vec<ValueId> = Vec::new();
-    for d in 0..ni {
+    for rows in item_offsets.windows(2) {
         scratch.clear();
-        let lo = item_offsets[d] as usize;
-        let hi = item_offsets[d + 1] as usize;
-        scratch.extend(
-            item_groups[lo..hi]
-                .iter()
-                .map(|&g| groups[g as usize].value),
-        );
+        scratch.extend_from_slice(&row_values[rows[0] as usize..rows[1] as usize]);
         scratch.sort_unstable();
         scratch.dedup();
         item_values.extend_from_slice(&scratch);
@@ -605,10 +505,10 @@ impl CubeBuilder {
     /// Clamp `o`'s confidence and grow the id spaces to hold it.
     fn admit(&mut self, o: &mut Observation) {
         o.confidence = o.confidence.clamp(0.0, 1.0);
-        self.num_sources = self.num_sources.max(o.source.0 + 1);
-        self.num_extractors = self.num_extractors.max(o.extractor.0 + 1);
-        self.num_items = self.num_items.max(o.item.0 + 1);
-        self.num_values = self.num_values.max(o.value.0 + 1);
+        self.num_sources = self.num_sources.max(space_for(o.source.0));
+        self.num_extractors = self.num_extractors.max(space_for(o.extractor.0));
+        self.num_items = self.num_items.max(space_for(o.item.0));
+        self.num_values = self.num_values.max(space_for(o.value.0));
     }
 
     /// Declare the dense id-space sizes explicitly (useful when some ids
@@ -628,49 +528,28 @@ impl CubeBuilder {
     }
 
     /// Sort, dedup, group, and index the observations.
+    ///
+    /// Three ways to the same key order `(source, item, value, extractor)`,
+    /// picked by [`build_path`] from the input alone; duplicate keys merge
+    /// to their maximum confidence, so the order among equal keys never
+    /// shows and the cube is the same on every path at any worker count.
     pub fn build(mut self) -> ObservationCube {
-        self.obs
-            .sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
-        // Merge duplicates keeping max confidence.
-        let mut cells: Vec<Cell> = Vec::with_capacity(self.obs.len());
-        let mut groups: Vec<TripleGroup> = Vec::new();
-        let mut i = 0;
-        while i < self.obs.len() {
-            let head = self.obs[i];
-            let group_start = cells.len() as u32;
-            let mut j = i;
-            while j < self.obs.len() {
-                let o = self.obs[j];
-                if (o.source, o.item, o.value) != (head.source, head.item, head.value) {
-                    break;
-                }
-                // Within the group, runs of the same extractor merge.
-                let mut conf = o.confidence;
-                let mut k = j + 1;
-                while k < self.obs.len() {
-                    let p = self.obs[k];
-                    if (p.source, p.item, p.value, p.extractor)
-                        != (o.source, o.item, o.value, o.extractor)
-                    {
-                        break;
-                    }
-                    conf = conf.max(p.confidence);
-                    k += 1;
-                }
-                cells.push(Cell {
-                    extractor: o.extractor,
-                    confidence: conf,
-                });
-                j = k;
-            }
-            groups.push(TripleGroup {
-                source: head.source,
-                item: head.item,
-                value: head.value,
-                cells: group_start..cells.len() as u32,
-            });
-            i = j;
+        let path = build_path(&self.obs);
+        if path == BuildPath::SerialSort {
+            self.obs.sort_unstable_by_key(row_key);
         }
+        let (cells, groups) = if path == BuildPath::Partitioned {
+            let rows = sort_partitioned(&self.obs, self.num_sources as usize);
+            group_rows(rows.iter().map(|r| Observation {
+                source: SourceId((r[0] >> 32) as u32),
+                item: ItemId(r[0] as u32),
+                value: ValueId((r[1] >> 32) as u32),
+                extractor: ExtractorId(r[1] as u32),
+                confidence: f64::from_bits(r[2]),
+            }))
+        } else {
+            group_rows(self.obs.iter().copied())
+        };
         drop(self.obs);
 
         assemble_cube(
@@ -682,6 +561,138 @@ impl CubeBuilder {
             self.num_values,
         )
     }
+}
+
+/// `[source·2³² + item, value·2³² + extractor]`: the same order as the
+/// tuple `(source, item, value, extractor)` in two comparisons.
+fn row_key(o: &Observation) -> [u64; 2] {
+    [
+        (o.source.0 as u64) << 32 | o.item.0 as u64,
+        (o.value.0 as u64) << 32 | o.extractor.0 as u64,
+    ]
+}
+
+/// How [`CubeBuilder::build`] brings its rows into key order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BuildPath {
+    /// Already in key order: one linear check, no sort.
+    Sorted,
+    /// One `sort_unstable_by_key` over all rows.
+    SerialSort,
+    /// [`sort_partitioned`]: source spans sorted as parallel tasks.
+    Partitioned,
+}
+
+/// Rows from which a counting partition by source beats one sort, worker
+/// spawn and the second row buffer included.
+const PARTITION_MIN_ROWS: usize = 1 << 16;
+
+/// The sorted check comes first on purpose: recovery hands the builder a
+/// checkpoint's cells in cube order on every `recover`, where pattern-
+/// defeating quicksort is O(n) and a counting partition plus worker spawn
+/// is not (a partition-always prototype cost `ingest_durable` 41 → 47 ms
+/// per recovery). On unsorted input the check stops at the first inversion.
+fn build_path(obs: &[Observation]) -> BuildPath {
+    if obs.is_sorted_by_key(row_key) {
+        BuildPath::Sorted
+    } else if obs.len() < PARTITION_MIN_ROWS {
+        BuildPath::SerialSort
+    } else {
+        BuildPath::Partitioned
+    }
+}
+
+/// A row of the partitioned build, [`row_key`] then the confidence bits:
+/// plain words, so `vec![[0; 3]; n]` is zeroed pages from the allocator
+/// rather than a fill loop, and a comparison reads no further than the key.
+type PackedRow = [u64; 3];
+
+/// Rows per sort task (contiguous sources, a source never split).
+const SPAN_ROWS: usize = 1 << 15;
+
+/// `obs` in key order, on every core [`kbt_flume::num_threads`] allows. A
+/// counting pass gives every source its window of the result and a stable
+/// scatter fills it — input that arrives item-major or source-major leaves
+/// each window sorted or nearly so; then spans of about [`SPAN_ROWS`] rows
+/// sort as tasks, source window by source window, on `(item, value,
+/// extractor)` alone. Sources ascend, so the whole is in key order.
+fn sort_partitioned(obs: &[Observation], num_sources: usize) -> Vec<PackedRow> {
+    let mut starts = vec![0usize; num_sources + 1];
+    for part in kbt_flume::par_ranges(obs.len(), |r| {
+        let mut count = vec![0u32; num_sources];
+        obs[r].iter().for_each(|o| count[o.source.index()] += 1);
+        count
+    }) {
+        for (n, c) in starts[1..].iter_mut().zip(part) {
+            *n += c as usize;
+        }
+    }
+    for w in 0..num_sources {
+        starts[w + 1] += starts[w];
+    }
+    let mut rows = vec![[0u64; 3]; obs.len()];
+    let mut next = starts.clone();
+    for o in obs {
+        let [hi, lo] = row_key(o);
+        rows[next[o.source.index()]] = [hi, lo, o.confidence.to_bits()];
+        next[o.source.index()] += 1;
+    }
+    // One task per span: the span's rows and its sources' window bounds.
+    let mut spans: Vec<Mutex<(&mut [PackedRow], &[usize])>> = Vec::new();
+    let (mut rest, mut first) = (rows.as_mut_slice(), 0);
+    for w in 1..=num_sources {
+        if starts[w] - starts[first] >= SPAN_ROWS || w == num_sources {
+            let span = rest.split_off_mut(..starts[w] - starts[first]);
+            spans.push(Mutex::new((
+                span.expect("windows tile the rows"),
+                &starts[first..=w],
+            )));
+            first = w;
+        }
+    }
+    let workers = &mut vec![(); kbt_flume::num_threads()];
+    let sorted: Result<Vec<()>, Infallible> =
+        kbt_flume::run_tasks(spans.len(), workers, None, |_, i| {
+            let mut span = spans[i].lock().expect("task i alone locks span i");
+            let (rows, bounds) = &mut *span;
+            for w in bounds.windows(2) {
+                rows[w[0] - bounds[0]..w[1] - bounds[0]].sort_unstable_by_key(|r| [r[0], r[1]]);
+            }
+            Ok(())
+        });
+    sorted.expect("infallible");
+    drop(spans);
+    rows
+}
+
+/// Group key-ordered rows by `(source, item, value)`, merging duplicate
+/// `(e, w, d, v)` rows to their maximum confidence.
+fn group_rows(rows: impl ExactSizeIterator<Item = Observation>) -> (Vec<Cell>, Vec<TripleGroup>) {
+    let mut cells: Vec<Cell> = Vec::with_capacity(rows.len());
+    let mut groups: Vec<TripleGroup> = Vec::new();
+    for o in rows {
+        let open = groups
+            .last_mut()
+            .filter(|g| (g.source, g.item, g.value) == (o.source, o.item, o.value));
+        match (open, cells.last_mut()) {
+            (Some(_), Some(c)) if c.extractor == o.extractor => {
+                c.confidence = c.confidence.max(o.confidence);
+                continue;
+            }
+            (Some(g), _) => g.cells.end += 1,
+            (None, _) => groups.push(TripleGroup {
+                source: o.source,
+                item: o.item,
+                value: o.value,
+                cells: cells.len() as u32..cells.len() as u32 + 1,
+            }),
+        }
+        cells.push(Cell {
+            extractor: o.extractor,
+            confidence: o.confidence,
+        });
+    }
+    (cells, groups)
 }
 
 #[cfg(test)]
@@ -809,8 +820,8 @@ mod tests {
         b.push(obs(1, 2, 0, 5, 1.0));
         let cube = b.build();
         assert_eq!(
-            cube.observed_values_of_item(ItemId::new(0)),
-            vec![ValueId::new(2), ValueId::new(5)]
+            cube.observed_values(ItemId::new(0)),
+            [ValueId::new(2), ValueId::new(5)]
         );
     }
 
@@ -853,6 +864,92 @@ mod tests {
             );
             assert_eq!(a.observed_values(d), b.observed_values(d));
         }
+    }
+
+    /// `n` hashed rows, source drawn by `source_of`: few enough distinct
+    /// keys that many `(e, w, d, v)` repeat with differing confidence.
+    fn corpus(n: usize, source_of: impl Fn(u32) -> u32) -> Vec<Observation> {
+        let hash = |i: usize| (i as u32).wrapping_mul(2_654_435_761) >> 8;
+        let row = |k: u32| {
+            obs(
+                k % 3,
+                source_of(k),
+                (k >> 4) % 97,
+                (k >> 11) % 5,
+                f64::from(k % 7) / 6.0,
+            )
+        };
+        (0..n).map(hash).map(row).collect()
+    }
+
+    /// The oracle of the build paths: one sort of all rows by the key
+    /// tuple, then the sorted path. Ids are reserved beyond any row.
+    fn serial_build(rows: &[Observation]) -> ObservationCube {
+        let mut b = CubeBuilder::from(rows.to_vec());
+        b.reserve_ids(200, 9, 120, 11);
+        b.obs
+            .sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
+        assert_eq!(build_path(&b.obs), BuildPath::Sorted);
+        b.build()
+    }
+
+    fn build_at(threads: usize, rows: &[Observation]) -> ObservationCube {
+        let mut b = CubeBuilder::from(rows.to_vec());
+        b.reserve_ids(200, 9, 120, 11);
+        kbt_flume::with_threads(Some(threads), || b.build())
+    }
+
+    /// The path is a function of the input alone, and all of them build
+    /// the cube of the serial sort.
+    #[test]
+    fn every_build_path_builds_the_serially_sorted_cube() {
+        let large = corpus(PARTITION_MIN_ROWS + 1_000, |k| (k >> 14) % 50);
+        let mut sorted = large.clone();
+        sorted.sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
+        let reversed: Vec<Observation> = sorted.iter().rev().copied().collect();
+        for (rows, path) in [
+            (&sorted[..], BuildPath::Sorted),
+            (&reversed[..], BuildPath::Partitioned),
+            (&large[..1_000], BuildPath::SerialSort),
+            (&large[..], BuildPath::Partitioned),
+        ] {
+            assert_eq!(build_path(rows), path);
+            assert_cubes_identical(&build_at(2, rows), &serial_build(rows));
+        }
+    }
+
+    /// Either side of the parallel threshold the cube is the one-worker
+    /// cube: with two of three source ids empty, with one source holding
+    /// more than half of the rows, with every row in one source.
+    #[test]
+    fn build_is_the_same_cube_at_any_worker_count() {
+        let n = PARTITION_MIN_ROWS;
+        for rows in [
+            corpus(n - 1, |k| (k >> 14) % 50),
+            corpus(n + 1, |k| (k >> 14) % 50 * 3),
+            corpus(4 * n, |k| if k % 5 < 3 { 7 } else { (k >> 14) % 50 }),
+            corpus(n + 1, |_| 4),
+        ] {
+            let one = build_at(1, &rows);
+            assert_cubes_identical(&one, &serial_build(&rows));
+            for threads in [2, 3, 8] {
+                assert_cubes_identical(&build_at(threads, &rows), &one);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX is reserved")]
+    fn the_builder_refuses_the_reserved_id() {
+        CubeBuilder::new().push(obs(0, u32::MAX, 0, 0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX is reserved")]
+    fn a_delta_refuses_the_reserved_id() {
+        CubeBuilder::new()
+            .build()
+            .apply_delta(&[obs(0, 0, 0, u32::MAX, 1.0)]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   priced, in one function body;
 //! * three few-line adapters over it for the common shapes —
 //!   [`par_ranges`], [`par_map_slice`], [`par_ranges_mut`] — and the
-//!   [`Stopwatch`] / [`PhaseTimer`] used for round and Table 7 timing.
+//!   [`Stopwatch`] used for round and stage timing.
 //!
 //! Everything is deterministic: tasks and ranges are fixed by the input
 //! size, results come back in task order, so a parallel run is
@@ -31,7 +31,7 @@
 
 pub mod stopwatch;
 
-pub use stopwatch::{PhaseTimer, Stopwatch};
+pub use stopwatch::Stopwatch;
 
 use std::cell::Cell;
 use std::convert::Infallible;

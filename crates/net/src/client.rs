@@ -305,12 +305,6 @@ impl NetClient {
         self.stream.write_all(bytes)?;
         Ok(())
     }
-
-    /// The underlying socket, for tests that need to misbehave further
-    /// (shutdown halves, set tiny buffers, …).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
 }
 
 fn reply_error(reply: Reply) -> ClientError {

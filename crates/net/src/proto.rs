@@ -160,6 +160,9 @@ pub enum ProtoError {
     BadString,
     /// An error-reply code byte was out of range.
     BadErrorCode(u8),
+    /// An ingest or retract frame names id `u32::MAX`, which every axis
+    /// reserves: a dense id space must hold `id + 1` entries.
+    ReservedId,
 }
 
 impl std::fmt::Display for ProtoError {
@@ -169,6 +172,7 @@ impl std::fmt::Display for ProtoError {
             Self::UnknownKind(k) => write!(f, "unknown payload kind {k:#04x}"),
             Self::BadString => write!(f, "error detail is not UTF-8"),
             Self::BadErrorCode(c) => write!(f, "error code {c} out of range"),
+            Self::ReservedId => write!(f, "id {} is reserved", u32::MAX),
         }
     }
 }
@@ -359,14 +363,29 @@ impl Request {
                 id: r.u64()?,
                 sources: r.seq(4, |r| r.u32().map(SourceId::new))?,
             },
-            K_INGEST => Self::Ingest {
-                id: r.u64()?,
-                delta: r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?,
-            },
-            K_RETRACT => Self::Retract {
-                id: r.u64()?,
-                keys: r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?,
-            },
+            // Refused here, before the frame is queued or logged: the id
+            // would overflow the cube's dense tables on the writer thread,
+            // and again on every replay of the log.
+            K_INGEST => {
+                let id = r.u64()?;
+                let delta = r.seq(OBSERVATION_WIRE_BYTES, WireReader::observation)?;
+                let ids = |o: &Observation| [o.extractor.0, o.source.0, o.item.0, o.value.0];
+                if delta.iter().any(|o| ids(o).contains(&u32::MAX)) {
+                    return Err(ProtoError::ReservedId);
+                }
+                Self::Ingest { id, delta }
+            }
+            K_RETRACT => {
+                let id = r.u64()?;
+                let keys = r.seq(TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?;
+                if keys
+                    .iter()
+                    .any(|k| [k.0 .0, k.1 .0, k.2 .0].contains(&u32::MAX))
+                {
+                    return Err(ProtoError::ReservedId);
+                }
+                Self::Retract { id, keys }
+            }
             K_STATS => Self::Stats { id: r.u64()? },
             other => return Err(ProtoError::UnknownKind(other)),
         };

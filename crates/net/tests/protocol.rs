@@ -32,7 +32,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use kbt_datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
-use kbt_net::proto::{encode_frame, encode_preamble};
+use kbt_net::proto::{encode_frame, encode_preamble, ProtoError};
 use kbt_net::{
     ClientError, ErrorCode, FrameBuffer, NetClient, NetServer, Reply, Request, WireStats,
     DEFAULT_MAX_FRAME_BYTES,
@@ -516,6 +516,42 @@ fn unknown_request_kinds_are_survivable_on_the_same_connection() {
     client.ping().expect("connection still usable");
 
     net.shutdown().expect("clean shutdown");
+}
+
+/// Id `u32::MAX` is reserved on every axis (a dense id space holds
+/// `id + 1` entries): a frame naming it is refused at decode with a typed
+/// error — never queued, never logged — and the server keeps serving.
+#[test]
+fn reserved_ids_are_refused_before_they_are_queued() {
+    let bad_delta = vec![obs(1, 2, 3), obs(u32::MAX, 0, 0)];
+    let bad_keys = vec![(SourceId::new(0), ItemId::new(u32::MAX), ValueId::new(0))];
+    let frames = [
+        Request::Ingest {
+            id: 7,
+            delta: bad_delta,
+        }
+        .encode(),
+        Request::Retract {
+            id: 8,
+            keys: bad_keys,
+        }
+        .encode(),
+    ];
+    let net = spawn_net();
+    for payload in &frames {
+        assert_eq!(Request::decode(payload), Err(ProtoError::ReservedId));
+        let mut raw = raw_conn_after_ping(net.addr(), 1);
+        raw.write_all(&encode_frame(payload)).unwrap();
+        expect_error(&mut raw, ErrorCode::BadFrame);
+    }
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    client.ping().expect("still serving");
+    let down = net.shutdown().expect("clean shutdown");
+    assert_eq!(
+        down.stats.ingested_observations + down.stats.retracted_keys,
+        0
+    );
+    assert_eq!(down.stats.protocol_errors, 2);
 }
 
 #[test]

@@ -79,6 +79,12 @@ impl Default for ScaleConfig {
 /// of extractions are full-confidence, the rest carry a confidence in
 /// `[0.5, 1.0)` to exercise the confidence-weighted vote path.
 pub fn generate(cfg: &ScaleConfig) -> ObservationCube {
+    observations(cfg).build()
+}
+
+/// The observations of [`generate`], not yet built into a cube — for a
+/// caller that wants to time the build on its own.
+pub fn observations(cfg: &ScaleConfig) -> CubeBuilder {
     let num_items = (cfg.triples / cfg.claims_per_item.max(1)).max(1);
     let num_sources = cfg.num_sources.max(1);
     let num_extractors = cfg.num_extractors.max(1);
@@ -133,7 +139,7 @@ pub fn generate(cfg: &ScaleConfig) -> ObservationCube {
             emitted += 1;
         }
     }
-    builder.build()
+    builder
 }
 
 #[cfg(test)]

@@ -33,28 +33,58 @@ fn build_cube(obs: &[Observation]) -> kbt::ObservationCube {
     b.build()
 }
 
+/// The delta-merged cube is structurally identical to a full rebuild.
+fn assert_delta_equals_rebuild(
+    base: &[Observation],
+    delta: &[Observation],
+) -> Result<(), TestCaseError> {
+    let incremental = build_cube(base).apply_delta(delta);
+    let all: Vec<Observation> = base.iter().chain(delta).copied().collect();
+    let full = build_cube(&all);
+    prop_assert_eq!(incremental.groups(), full.groups());
+    prop_assert_eq!(incremental.num_cells(), full.num_cells());
+    for (gi, gf) in incremental.groups().iter().zip(full.groups()) {
+        prop_assert_eq!(incremental.cells_of(gi), full.cells_of(gf));
+    }
+    prop_assert_eq!(incremental.num_sources(), full.num_sources());
+    prop_assert_eq!(incremental.num_extractors(), full.num_extractors());
+    prop_assert_eq!(incremental.num_items(), full.num_items());
+    prop_assert_eq!(incremental.num_values(), full.num_values());
+    for w in 0..full.num_sources() {
+        let w = SourceId::new(w as u32);
+        prop_assert_eq!(incremental.source_groups(w), full.source_groups(w));
+        prop_assert_eq!(
+            incremental.extractors_on_source(w),
+            full.extractors_on_source(w)
+        );
+    }
+    Ok(())
+}
+
+/// The same on a base large enough (≥ 2¹⁶ unsorted rows) that both full
+/// builds take `CubeBuilder`'s partitioned, parallel path.
+#[test]
+fn apply_delta_equals_a_parallel_full_rebuild() {
+    let row = |i: u32| {
+        let k = i.wrapping_mul(2_654_435_761) >> 7;
+        Observation {
+            extractor: ExtractorId::new(k % 5),
+            source: SourceId::new((k >> 3) % 300),
+            item: ItemId::new((k >> 9) % 4_000),
+            value: ValueId::new((k >> 5) % 6),
+            confidence: f64::from(k % 11) / 10.0,
+        }
+    };
+    let base: Vec<Observation> = (0..90_000).map(row).collect();
+    let delta: Vec<Observation> = (90_000..92_000).map(row).collect();
+    assert_delta_equals_rebuild(&base, &delta).unwrap();
+}
+
 proptest! {
-    /// The delta-merged cube is structurally identical to a full rebuild.
     #[test]
     fn apply_delta_equals_full_rebuild(base in observations(80), delta in observations(40)) {
         prop_assume!(!base.is_empty());
-        let incremental = build_cube(&base).apply_delta(&delta);
-        let all: Vec<Observation> = base.iter().chain(&delta).copied().collect();
-        let full = build_cube(&all);
-        prop_assert_eq!(incremental.groups(), full.groups());
-        prop_assert_eq!(incremental.num_cells(), full.num_cells());
-        for (gi, gf) in incremental.groups().iter().zip(full.groups()) {
-            prop_assert_eq!(incremental.cells_of(gi), full.cells_of(gf));
-        }
-        prop_assert_eq!(incremental.num_sources(), full.num_sources());
-        prop_assert_eq!(incremental.num_extractors(), full.num_extractors());
-        prop_assert_eq!(incremental.num_items(), full.num_items());
-        prop_assert_eq!(incremental.num_values(), full.num_values());
-        for w in 0..full.num_sources() {
-            let w = SourceId::new(w as u32);
-            prop_assert_eq!(incremental.source_groups(w), full.source_groups(w));
-            prop_assert_eq!(incremental.extractors_on_source(w), full.extractors_on_source(w));
-        }
+        assert_delta_equals_rebuild(&base, &delta)?;
     }
 
     /// `FusionSession.update(delta)` followed by EM is equivalent (within
