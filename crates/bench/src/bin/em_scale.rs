@@ -22,7 +22,9 @@
 //! `ChunkCache`s — so each fit's `VmHWM` is measured in isolation. The
 //! parent hard-asserts bitwise-equal checksums between the two children
 //! and a streamed `VmHWM` well below the resident one, and in smoke mode
-//! that the streamed fit keeps at least half the resident throughput.
+//! that the streamed fit keeps at least half the resident throughput. It
+//! also reports how many frames a round leases (exact: two scans of the
+//! store) and how many bytes the fit read per byte stored.
 //!
 //! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) with
 //! the exact facts only — corpus and round counts, the two checksums,
@@ -99,9 +101,19 @@ fn vm_hwm_bytes() -> u64 {
 // mark.
 // ---------------------------------------------------------------------
 
-fn print_child_line(report: &FusionReport, wall_s: f64) {
+/// Bytes this process has asked the kernel to read so far (`rchar` of
+/// `/proc/self/io`); 0 where there is no `/proc`.
+fn read_chars() -> u64 {
+    let io = std::fs::read_to_string("/proc/self/io").unwrap_or_default();
+    io.lines()
+        .find_map(|line| line.strip_prefix("rchar:")?.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// `extra` is the streamed child's own ` key=value` tokens.
+fn print_child_line(report: &FusionReport, wall_s: f64, extra: &str) {
     println!(
-        "child: trust={:#018x} truth={:#018x} wall_s={wall_s} vm_hwm_bytes={}",
+        "child: trust={:#018x} truth={:#018x} wall_s={wall_s} vm_hwm_bytes={}{extra}",
         bits_checksum(report.source_trust()),
         bits_checksum(report.truth_of_group()),
         vm_hwm_bytes(),
@@ -113,10 +125,11 @@ fn child_resident(triples: usize) {
     let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
     let report = model.fit(&cube, &QualityInit::Default);
-    print_child_line(&report, t0.elapsed().as_secs_f64());
+    print_child_line(&report, t0.elapsed().as_secs_f64(), "");
 }
 
 fn child_streamed(path: &str) {
+    let read_before = read_chars();
     let store = Arc::new(FileChunkStore::open(Path::new(path)).expect("open chunk store"));
     let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
@@ -125,15 +138,23 @@ fn child_streamed(path: &str) {
         .expect("streamed fit");
     let wall = t0.elapsed().as_secs_f64();
     // `misses` counts loader runs (loads are single-flight), so it is the
-    // number of frames read and decoded: chunks x rounds for the items.
-    // For the reader only: whether a lookup beats its prefetch is
-    // scheduling, so the counts differ from run to run.
+    // number of frames read and decoded. For the reader only: whether a
+    // lookup beats its prefetch, and which buffers outlive a scan, is
+    // scheduling, so those counts differ from run to run. `lookups` does
+    // not: every scan leases every frame of its family once.
     let (items, groups) = (stats.item_cache, stats.group_cache);
     println!(
         "  caches: items {} hits / {} loads / {} evictions; groups {} / {} / {}",
         items.hits, items.misses, items.evictions, groups.hits, groups.misses, groups.evictions
     );
-    print_child_line(&FusionReport::from_multi_layer(result, trace), wall);
+    let leases = items.lookups + groups.lookups;
+    assert_eq!(leases % ROUNDS as u64, 0, "a round left a scan unfinished");
+    let extra = format!(
+        " frame_leases_per_round={} store_read_bytes={}",
+        leases / ROUNDS as u64,
+        read_chars() - read_before
+    );
+    print_child_line(&FusionReport::from_multi_layer(result, trace), wall, &extra);
 }
 
 /// Run this binary again with `args`, echo what it printed, and return
@@ -196,10 +217,11 @@ fn run_streamed(mode: &str, triples: usize) {
         std::process::id()
     ));
     FileChunkStore::write(&chunked, &store_path).expect("write chunk store");
+    let store_bytes = std::fs::metadata(&store_path).map_or(0, |m| m.len()) as f64;
     println!(
         "  chunk store: {} item chunks, {:.1} MiB on disk",
         chunked.chunks.len(),
-        std::fs::metadata(&store_path).map_or(0, |m| m.len()) as f64 / (1 << 20) as f64,
+        store_bytes / (1 << 20) as f64,
     );
     drop(chunked);
 
@@ -245,8 +267,13 @@ fn run_streamed(mode: &str, triples: usize) {
         "  streamed: {streamed_wall:.2} s, VmHWM {:.1} MiB",
         mib(streamed_hwm)
     );
+    // One scan of each frame family per round: the store is read `ROUNDS`
+    // times over (plus the open), whatever the caches kept.
+    let leases = child_num(&streamed, "frame_leases_per_round") as u64;
+    let read_amp = child_num(&streamed, "store_read_bytes") / store_bytes;
     println!(
-        "  streamed/resident: RSS x{rss_ratio:.2} ({}), throughput x{tput_ratio:.2}",
+        "  streamed/resident: RSS x{rss_ratio:.2} ({}), throughput x{tput_ratio:.2}; \
+         store reads / store bytes x{read_amp:.2} over {ROUNDS} rounds, {leases} frames leased a round",
         if rss_ok { "ok" } else { "TOO HIGH" }
     );
     assert!(
@@ -268,6 +295,7 @@ fn run_streamed(mode: &str, triples: usize) {
         .count("groups", groups as u64)
         .count("em_rounds", ROUNDS as u64)
         .count("max_resident_chunks", MAX_RESIDENT_CHUNKS as u64)
+        .count("frame_leases_per_round", leases)
         .flag("bitwise_equal", true)
         .flag("streamed_rss_ok", rss_ok)
         .text("trust_checksum", trust)

@@ -15,6 +15,7 @@ use kbt_flume::par_ranges_mut;
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
+use crate::mstep::ExtractorSums;
 use crate::params::Params;
 use crate::votes::VoteCounter;
 
@@ -91,23 +92,6 @@ impl AlphaState {
     }
 }
 
-/// The per-group cell fold `vc += conf·adjust[e]` of the correctness
-/// kernel.
-#[inline]
-fn fold_cell_votes(
-    start: f64,
-    ext: &[u32],
-    conf: &[f64],
-    votes: &VoteCounter,
-    cfg: &ModelConfig,
-) -> f64 {
-    let mut vc = start;
-    for (&e, &c) in ext.iter().zip(conf) {
-        vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
-    }
-    vc
-}
-
 /// `p(C_wdv = 1 | X_wdv)` for one group frame (Eq. 15 with the
 /// confidence-weighted vote count of Eq. 31) into `out`, in local group
 /// order. The vote count streams the frame's `cell_extractor` /
@@ -124,13 +108,11 @@ fn estimate_correctness_frame(
     let base = view.groups.start as usize;
     for (lg, p) in out.iter_mut().enumerate() {
         let cells = view.cells(lg);
-        let vc = fold_cell_votes(
-            votes.source_absence_sum[view.group_source[lg] as usize],
-            &view.cell_extractor[cells.clone()],
-            &view.cell_confidence[cells],
-            votes,
-            cfg,
-        );
+        let extractors = &view.cell_extractor[cells.clone()];
+        let mut vc = votes.source_absence_sum[view.group_source[lg] as usize];
+        for (&e, &c) in extractors.iter().zip(&view.cell_confidence[cells]) {
+            vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
+        }
         *p = sigmoid(vc + alpha.logit(base + lg));
     }
 }
@@ -139,35 +121,41 @@ fn estimate_correctness_frame(
 /// group frame of `src`, frames in parallel, each into its own window of
 /// `out` (length `num_groups`). Per-group sigmoids are independent, so
 /// the result does not depend on the frame partition or the thread count.
+///
+/// The same scan carries the extractor M-step's transition: the worker
+/// that computed a frame folds it into the returned sums in the scan's
+/// ordered section before letting the frame go, so they add up in global
+/// cell order whatever the worker count, and no second pass reads the
+/// group frames.
 pub(crate) fn estimate_correctness<S: ChunkSource>(
     src: &S,
     votes: &VoteCounter,
     alpha: &AlphaState,
     cfg: &ModelConfig,
     mut out: &mut [f64],
-) -> io::Result<()> {
-    let frames = &src.meta().group_frames;
-    let windows: Vec<Mutex<&mut [f64]>> = frames
+) -> io::Result<ExtractorSums> {
+    let meta = src.meta();
+    let sums = Mutex::new(ExtractorSums::new(meta.num_extractors as usize));
+    let windows: Vec<Mutex<&mut [f64]>> = meta
+        .group_frames
         .iter()
         .map(|f| {
-            Mutex::new(
-                out.split_off_mut(..f.len())
-                    .expect("frames tile the groups"),
-            )
+            out.split_off_mut(..f.len())
+                .expect("frames tile the groups")
         })
+        .map(Mutex::new)
         .collect();
     // Scratch-free: one unit slot per worker the policy allows.
-    src.scan_groups(&mut vec![(); kbt_flume::num_threads()], |_, v| {
-        let frame = frames.partition_point(|f| f.end <= v.groups.start);
+    let workers = &mut vec![(); kbt_flume::num_threads()];
+    src.scan_groups(workers, |_, frame, v, turn| {
         let mut window = windows[frame].lock().expect("a frame is scanned once");
-        assert_eq!(
-            window.len(),
-            v.num_groups(),
-            "frame {frame} is not the skeleton's"
-        );
-        estimate_correctness_frame(v, votes, alpha, cfg, &mut window)
+        estimate_correctness_frame(v, votes, alpha, cfg, &mut window);
+        turn.in_order(|| {
+            let mut sums = sums.lock().expect("one fold at a time");
+            sums.fold_frame(v, &window, cfg)
+        });
     })?;
-    Ok(())
+    Ok(sums.into_inner().expect("one fold at a time"))
 }
 
 #[cfg(test)]

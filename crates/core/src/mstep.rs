@@ -10,12 +10,10 @@
 //!   looking. `Q_e` is then *derived* via Eq. 7 rather than estimated
 //!   directly (Section 3.4.2).
 
-use std::io;
-
-use kbt_datamodel::{ChunkSource, GroupView};
+use kbt_datamodel::{ChunkStoreMeta, GroupView};
 use kbt_flume::par_ranges_mut;
 
-use crate::config::ModelConfig;
+use crate::config::{AbsencePolicy, ModelConfig};
 use crate::math::clamp_quality;
 use crate::params::{q_from_precision_recall, Params};
 
@@ -100,107 +98,82 @@ pub(crate) fn update_source_accuracy(
 }
 
 /// The extractor-quality M-step (Eqs. 32–33 + Eq. 7) as a
-/// transition/final accumulator over group frames.
+/// transition/final accumulator riding the correctness scan
+/// ([`crate::correctness::estimate_correctness`]).
 ///
 /// Per-extractor sums must add up in a thread-count-independent order, so
-/// the fold is one serial pass over the group-major frames in ascending
-/// frame order — global cell order: `num[e] = Σ conf·p(C=1)` and
-/// `pden[e] = Σ conf` over the extractor's cells, and under the scoped
-/// absence policy `rden[e]` collects each visited source's correctness
-/// mass once (`Σ_{g : e ∈ candidates(source(g))} p(C_g = 1)`). No more
-/// than one frame is ever needed at a time.
-///
-/// Usage: [`Self::begin`] once per round, [`Self::consume`] once per
-/// group frame in ascending frame order, [`Self::finish`] to write the
-/// new parameters ([`update_extractor_quality`] does all three).
-#[derive(Debug, Default)]
-pub(crate) struct StreamedExtractorAcc {
+/// [`Self::fold_frame`] runs in the scan's ordered section — frame `i`
+/// after frame `i − 1`, on the worker that just computed the frame's
+/// correctness and still holds it — which is global cell order, the serial
+/// loop's: `num[e] = Σ conf·p(C=1)` and `pden[e] = Σ conf` over the
+/// extractor's cells. [`Self::finish`] runs at the M-step's place in
+/// Algorithm 1.
+#[derive(Debug)]
+pub(crate) struct ExtractorSums {
     num: Vec<f64>,
     pden: Vec<f64>,
-    rden: Vec<f64>,
-    last_source: Vec<u32>,
-    sum_c_source: Vec<f64>,
-    scoped: bool,
-    total_mass: f64,
 }
 
-impl StreamedExtractorAcc {
-    /// Reset the per-extractor sums and precompute the recall
-    /// denominators for this round: per-source correctness mass under
-    /// the scoped policy, total mass otherwise (Eq. 30 literally: the
-    /// same denominator for every extractor).
-    pub fn begin(
-        &mut self,
-        num_extractors: usize,
-        source_offsets: &[u32],
-        correctness: &[f64],
-        cfg: &ModelConfig,
-    ) {
-        for v in [&mut self.num, &mut self.pden, &mut self.rden] {
-            v.clear();
-            v.resize(num_extractors, 0.0);
-        }
-        self.last_source.clear();
-        self.last_source.resize(num_extractors, u32::MAX);
-        self.scoped = cfg.absence_policy == crate::config::AbsencePolicy::SourceCandidates;
-        self.sum_c_source.clear();
-        if self.scoped {
-            let nw = source_offsets.len() - 1;
-            self.total_mass = 0.0;
-            self.sum_c_source.extend((0..nw).map(|w| {
-                correctness[source_offsets[w] as usize..source_offsets[w + 1] as usize]
-                    .iter()
-                    .sum::<f64>()
-            }));
-        } else {
-            self.total_mass = correctness.iter().sum();
+impl ExtractorSums {
+    /// A round's sums, all zero.
+    pub fn new(num_extractors: usize) -> Self {
+        Self {
+            num: vec![0.0; num_extractors],
+            pden: vec![0.0; num_extractors],
         }
     }
 
-    /// Fold one group frame's cells into the per-extractor sums. Frames
-    /// must arrive in ascending frame order for the global-cell-order
-    /// guarantee to hold.
-    pub fn consume(&mut self, view: &GroupView<'_>, correctness: &[f64], cfg: &ModelConfig) {
-        let correctness = &correctness[view.groups.start as usize..view.groups.end as usize];
-        for (lg, (&c_g, &w)) in correctness.iter().zip(view.group_source).enumerate() {
+    /// Fold one group frame's cells into the per-extractor sums;
+    /// `correctness` is the frame's window of `p(C = 1)`.
+    pub fn fold_frame(&mut self, view: &GroupView<'_>, correctness: &[f64], cfg: &ModelConfig) {
+        for (lg, &c_g) in correctness.iter().enumerate() {
             let cells = view.cells(lg);
             let extractors = &view.cell_extractor[cells.clone()];
             for (&e, &raw) in extractors.iter().zip(&view.cell_confidence[cells]) {
-                let e = e as usize;
                 let conf = cfg.effective_confidence(raw);
-                self.num[e] += conf * c_g;
-                self.pden[e] += conf;
-                if self.scoped && self.last_source[e] != w {
-                    self.rden[e] += self.sum_c_source[w as usize];
-                    self.last_source[e] = w;
-                }
+                self.num[e as usize] += conf * c_g;
+                self.pden[e as usize] += conf;
             }
         }
     }
 
-    /// Derive the new precision/recall and, via Eq. 7, Q.
-    /// `source_item_counts` is the per-source distinct-item count of the
-    /// chunk skeleton, feeding [`estimate_gamma`].
+    /// Derive the new precision/recall and, via Eq. 7, Q, from a finished
+    /// scan's sums. The recall denominator needs no cell: under the scoped
+    /// absence policy extractor `e` collects the correctness mass of every
+    /// source it observes (`Σ_{g : e ∈ candidates(source(g))} p(C_g = 1)`),
+    /// in ascending source order off the skeleton's per-source extractor
+    /// sets; otherwise the total mass (Eq. 30 literally: the same
+    /// denominator for every extractor).
     pub fn finish(
-        &mut self,
-        source_item_counts: &[u32],
+        &self,
+        meta: &ChunkStoreMeta,
         correctness: &[f64],
         cfg: &ModelConfig,
         params: &mut Params,
     ) {
-        let gamma = estimate_gamma(source_item_counts, correctness, cfg);
+        let ne = self.num.len();
+        let mut rden = vec![0.0f64; ne];
+        if cfg.absence_policy == AbsencePolicy::SourceCandidates {
+            let spans = meta.source_offsets.windows(2);
+            for (groups, ext) in spans.zip(meta.source_ext_offsets.windows(2)) {
+                let mass: f64 = correctness[groups[0] as usize..groups[1] as usize]
+                    .iter()
+                    .sum();
+                for &e in &meta.source_ext_ids[ext[0] as usize..ext[1] as usize] {
+                    rden[e as usize] += mass;
+                }
+            }
+        } else {
+            rden.fill(correctness.iter().sum());
+        }
+        let gamma = estimate_gamma(&meta.source_item_counts, correctness, cfg);
         let (precision, recall) = (&mut params.precision, &mut params.recall);
-        for e in 0..precision.len() {
-            let rden = if self.scoped {
-                self.rden[e]
-            } else {
-                self.total_mass
-            };
+        for e in 0..ne {
             if self.pden[e] > 1e-12 {
                 precision[e] = clamp_quality(self.num[e] / self.pden[e]);
             }
-            if rden > 1e-12 {
-                recall[e] = clamp_quality(self.num[e] / rden);
+            if rden[e] > 1e-12 {
+                recall[e] = clamp_quality(self.num[e] / rden[e]);
             }
             params.q[e] = q_from_precision_recall(precision[e], recall[e], gamma);
         }
@@ -223,41 +196,55 @@ pub fn estimate_gamma(source_item_counts: &[u32], correctness: &[f64], cfg: &Mod
     clamp_quality(mass / (slots.max(1) as f64))
 }
 
-/// The extractor-quality M-step over every group frame of `src`: `acc`
-/// is the scan's only scratch slot, so one worker folds the frames into
-/// it in ascending order (a streamed source still prefetching ahead).
-pub(crate) fn update_extractor_quality<S: ChunkSource>(
-    src: &S,
-    correctness: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    acc: &mut StreamedExtractorAcc,
-) -> io::Result<()> {
-    let meta = src.meta();
-    let ne = meta.num_extractors as usize;
-    acc.begin(ne, &meta.source_offsets, correctness, cfg);
-    src.scan_groups(std::slice::from_mut(acc), |acc, v| {
-        acc.consume(v, correctness, cfg)
-    })?;
-    acc.finish(&meta.source_item_counts, correctness, cfg, params);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::QualityInit;
+    use crate::correctness::{estimate_correctness, AlphaState};
     use crate::reference;
     use kbt_datamodel::{
-        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
+        ChunkSource, ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
         ObservationCube, ResidentChunks, SourceId, ValueId,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_cube(rng: &mut StdRng, n: usize) -> ObservationCube {
+    /// One round's correctness, parameters and active flags.
+    type Round = (Vec<f64>, Params, Vec<bool>);
+
+    /// Two rounds (the second exercises buffer reuse) of the fused
+    /// correctness scan and both M-steps from `init`, as `run_em` calls
+    /// them.
+    fn two_rounds(cc: &ChunkedCube, init: &Params, truth: &[f64], cfg: &ModelConfig) -> Round {
+        let src = ResidentChunks::new(cc);
+        let meta = src.meta();
+        let (ne, nw) = (cc.num_extractors(), cc.num_sources());
+        let mut votes = crate::votes::VoteCounter::empty();
+        let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
+        votes.rebuild(ne, nw, ext_offsets, ext_ids, init, cfg);
+        let alpha = AlphaState::uniform(truth.len(), cfg.alpha);
+        let (mut c, mut got, mut active) = (vec![0.0; truth.len()], init.clone(), vec![true; nw]);
+        let mut updates = Vec::new();
+        for _ in 0..2 {
+            got = init.clone();
+            let sums = estimate_correctness(&src, &votes, &alpha, cfg, &mut c).unwrap();
+            let (offsets, active) = (&cc.source_offsets, &mut active);
+            update_source_accuracy(offsets, &c, truth, cfg, &mut got, active, &mut updates);
+            sums.finish(meta, &c, cfg, &mut got);
+        }
+        (c, got, active)
+    }
+
+    /// Kernel ≡ reference for both M-steps, bit for bit: Eq. 28 from the
+    /// offsets CSR and Eqs. 32–33 folded under the correctness scan, at
+    /// several frame sizes and thread counts and across buffer-reuse
+    /// rounds — on a random cube, on that cube after a retraction that
+    /// empties source 11, and on the unretracted cube with the retracted
+    /// groups left in place without cells, which must fold nothing.
+    #[test]
+    fn mstep_kernels_match_the_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(33);
         let mut b = CubeBuilder::new();
-        for _ in 0..n {
+        for _ in 0..600 {
             b.push(Observation {
                 extractor: ExtractorId::new(rng.gen_range(0..8)),
                 source: SourceId::new(rng.gen_range(0..15)),
@@ -266,21 +253,44 @@ mod tests {
                 confidence: rng.gen::<f64>(),
             });
         }
-        b.build()
-    }
-
-    /// Kernel ≡ reference for both M-steps, bit for bit: Eq. 28 from the
-    /// offsets CSR and the serial frame fold of Eqs. 32–33, at several
-    /// frame sizes and thread counts and across buffer-reuse rounds.
-    #[test]
-    fn mstep_kernels_match_the_reference_bitwise() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let cube = random_cube(&mut rng, 600);
-        let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        let truth: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
+        let full = b.build();
+        let retracted = |g: usize| g % 7 == 3 || full.groups()[g].source.0 == 11;
+        let gone = full
+            .groups()
+            .iter()
+            .enumerate()
+            .filter(|&(g, _)| retracted(g));
+        let keys: Vec<_> = gone.map(|(_, g)| (g.source, g.item, g.value)).collect();
+        let shrunk = full.retract(&keys);
+        let truth: Vec<f64> = (0..full.num_groups()).map(|_| rng.gen::<f64>()).collect();
+        let init = Params {
+            source_accuracy: vec![0.8; full.num_sources()],
+            precision: (0..8).map(|e| 0.9 - 0.06 * e as f64).collect(),
+            recall: (0..8).map(|e| 0.5 + 0.05 * e as f64).collect(),
+            q: (0..8).map(|e| 0.02 + 0.03 * e as f64).collect(),
+        };
+        // The retracted groups stay, without cells; the cells left and the
+        // per-source extractor sets are the retracted cube's.
+        let hollow_out = |mut cc: ChunkedCube, shrunk: &ChunkedCube| {
+            let offsets = std::mem::replace(&mut cc.cell_offsets, vec![0]);
+            let ext = std::mem::take(&mut cc.cell_extractor);
+            let conf = std::mem::take(&mut cc.cell_confidence);
+            for g in 0..full.num_groups() {
+                if !retracted(g) {
+                    let cells = offsets[g] as usize..offsets[g + 1] as usize;
+                    cc.cell_extractor.extend(&ext[cells.clone()]);
+                    cc.cell_confidence.extend(&conf[cells]);
+                }
+                cc.cell_offsets.push(cc.cell_extractor.len() as u32);
+            }
+            cc.source_ext_offsets = shrunk.source_ext_offsets.clone();
+            cc.source_ext_ids = shrunk.source_ext_ids.clone();
+            cc
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for policy in [
-            crate::config::AbsencePolicy::AllExtractors,
-            crate::config::AbsencePolicy::SourceCandidates,
+            AbsencePolicy::AllExtractors,
+            AbsencePolicy::SourceCandidates,
         ] {
             for estimate_gamma in [true, false] {
                 let cfg = ModelConfig {
@@ -289,50 +299,49 @@ mod tests {
                     min_source_support: 3,
                     ..ModelConfig::default()
                 };
-                let mut want = Params::init(&cube, &cfg, &QualityInit::Default);
-                let mut want_active = vec![true; cube.num_sources()];
-                reference::update_source_accuracy(
-                    &cube,
-                    &correctness,
-                    &truth,
-                    &cfg,
-                    &mut want,
-                    &mut want_active,
-                );
-                reference::update_extractor_quality(&cube, &correctness, &cfg, &mut want);
+                let oracle = |cube: &ObservationCube| -> Round {
+                    let truth = &truth[..cube.num_groups()];
+                    let votes = reference::vote_counter(cube, &init, &cfg);
+                    let alpha = AlphaState::uniform(truth.len(), cfg.alpha);
+                    let c = reference::estimate_correctness(cube, &votes, &alpha, &cfg);
+                    let (mut want, mut active) = (init.clone(), vec![true; cube.num_sources()]);
+                    reference::update_source_accuracy(
+                        cube,
+                        &c,
+                        truth,
+                        &cfg,
+                        &mut want,
+                        &mut active,
+                    );
+                    reference::update_extractor_quality(cube, &c, &cfg, &mut want);
+                    (c, want, active)
+                };
+                let (want_full, want_shrunk) = (oracle(&full), oracle(&shrunk));
+                let mut hollow_first: Option<Params> = None;
                 for target_cells in [1usize, 64, 1 << 20] {
-                    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
-                    let src = ResidentChunks::new(&cc);
-                    for threads in [1usize, 2, 8] {
-                        let mut got = Params::init(&cube, &cfg, &QualityInit::Default);
-                        let mut active = vec![true; cube.num_sources()];
-                        let mut fold = StreamedExtractorAcc::default();
-                        let mut updates = Vec::new();
-                        // Two rounds: the second exercises buffer reuse.
-                        for _ in 0..2 {
-                            kbt_flume::with_threads(Some(threads), || {
-                                update_source_accuracy(
-                                    &cc.source_offsets,
-                                    &correctness,
-                                    &truth,
-                                    &cfg,
-                                    &mut got,
-                                    &mut active,
-                                    &mut updates,
-                                );
-                                update_extractor_quality(
-                                    &src,
-                                    &correctness,
-                                    &cfg,
-                                    &mut got,
-                                    &mut fold,
-                                )
-                                .unwrap();
+                    let chunking = ChunkingConfig { target_cells };
+                    let of = |cube| ChunkedCube::from_cube(cube, &chunking);
+                    let cases = [
+                        (of(&full), Some(&want_full)),
+                        (of(&shrunk), Some(&want_shrunk)),
+                        (hollow_out(of(&full), &of(&shrunk)), None),
+                    ];
+                    for (cc, want) in &cases {
+                        for threads in [1usize, 2, 8] {
+                            let (c, got, active) = kbt_flume::with_threads(Some(threads), || {
+                                two_rounds(cc, &init, &truth[..cc.num_groups()], &cfg)
                             });
+                            let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
+                            let Some(want) = want else {
+                                assert_eq!(got.precision, want_shrunk.1.precision, "hollow {tag}");
+                                let first = hollow_first.get_or_insert(got.clone());
+                                assert_eq!(&got, first, "hollow {tag} x{threads}");
+                                continue;
+                            };
+                            assert_eq!(bits(&c), bits(&want.0), "{tag} x{threads}");
+                            assert_eq!(got, want.1, "{tag} x{threads}");
+                            assert_eq!(active, want.2, "{tag} x{threads}");
                         }
-                        let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
-                        assert_eq!(got, want, "{tag} x{threads}");
-                        assert_eq!(active, want_active, "{tag} x{threads}");
                     }
                 }
             }

@@ -25,7 +25,7 @@ use crate::config::ModelConfig;
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount, CopyEvidence};
 use crate::correctness::{estimate_correctness, AlphaState};
 use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
-use crate::mstep::{update_extractor_quality, update_source_accuracy, StreamedExtractorAcc};
+use crate::mstep::update_source_accuracy;
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
 use crate::value::{estimate_values, ColValueScratch, ValueLayerOutput};
@@ -95,8 +95,8 @@ impl MultiLayerResult {
 pub struct StreamStats {
     /// Item-chunk cache counters (value E-step reads).
     pub item_cache: CacheStats,
-    /// Group-frame cache counters (correctness E-step and extractor
-    /// M-step reads).
+    /// Group-frame cache counters (the correctness E-step's reads; the
+    /// extractor M-step rides the same scan).
     pub group_cache: CacheStats,
 }
 
@@ -314,12 +314,13 @@ impl MultiLayerModel {
 }
 
 /// Algorithm 1: the one EM loop, over whatever [`ChunkSource`] the
-/// caller's residency picked. Every stage reads the cube through chunk
-/// views — [`estimate_correctness`] and [`update_extractor_quality`] over
-/// group frames, [`estimate_values`] over item chunks — or through the
-/// source's integer skeleton alone (vote tables, Eq. 28, α, γ). Scratch
-/// and buffers persist across rounds, so the steady-state loop allocates
-/// only the round's value-layer output.
+/// caller's residency picked. A round scans the cube twice —
+/// [`estimate_correctness`] over the group frames, folding the extractor
+/// M-step's sums as it goes, and [`estimate_values`]
+/// over the item chunks; everything else reads the source's integer
+/// skeleton alone (vote tables, Eq. 28, the recall denominators, α, γ).
+/// Scratch and buffers persist across rounds, so the steady-state loop
+/// allocates only the round's value-layer output.
 fn run_em<S: ChunkSource>(
     cfg: &ModelConfig,
     src: &S,
@@ -351,7 +352,6 @@ fn run_em<S: ChunkSource>(
     // One value-layer scratch per worker the scans may use.
     let mut value_scratch: Vec<ColValueScratch> = Vec::new();
     value_scratch.resize_with(kbt_flume::num_threads(), Default::default);
-    let mut extractor_acc = StreamedExtractorAcc::default();
     let mut votes = VoteCounter::empty();
     let mut correctness: Vec<f64> = vec![0.0; ng];
     let mut src_updates: Vec<Option<f64>> = Vec::new();
@@ -374,7 +374,7 @@ fn run_em<S: ChunkSource>(
             cfg,
         );
         trace.stage_wall.votes += stage.lap();
-        estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
+        let sums = estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
         trace.stage_wall.correctness += stage.lap();
         // Step 2: item values (with the CopyDiscount stage, if any). The
         // previous round's output is dead from here on, so drop it first:
@@ -404,7 +404,7 @@ fn run_em<S: ChunkSource>(
             &mut src_updates,
         );
         trace.stage_wall.source_update += stage.lap();
-        update_extractor_quality(src, &correctness, cfg, &mut params, &mut extractor_acc)?;
+        sums.finish(meta, &correctness, cfg, &mut params);
         trace.stage_wall.extractor_update += stage.lap();
         // Re-estimate the correctness prior for the *next* iteration
         // (Section 3.3.4), using the fresh accuracies as in Example 3.3.

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use kbt_core::config::AbsencePolicy;
 use kbt_core::{CorrectnessWeighting, ModelConfig, MultiLayerModel, QualityInit, ValueModel};
+use kbt_datamodel::wire::{WireError, WireReader};
 use kbt_datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation,
     ObservationCube, SourceId, ValueId,
@@ -182,6 +183,131 @@ fn corruption_mid_file_is_a_typed_error_not_a_panic() {
     let err = FileChunkStore::open(&path).expect_err("torn file must not open");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
+    let _ = fs::remove_file(&path);
+}
+
+/// Payload `(offset, len)` of every item frame and every group frame of
+/// the chunk file `bytes`, read off its index frame.
+fn frame_payloads(bytes: &[u8]) -> [Vec<(usize, usize)>; 2] {
+    let tail = bytes.len() - 8;
+    let index_pos = u64::from_le_bytes(bytes[tail..].try_into().unwrap()) as usize;
+    let mut r = WireReader::new(&bytes[index_pos + 4..tail - 4]);
+    [(); 2].map(|()| {
+        r.seq::<_, WireError>(12, |r| Ok((r.u64()? as usize, r.u32()? as usize)))
+            .expect("index frame")
+    })
+}
+
+/// Fit `path` streamed on a watched thread: whatever is wrong with the
+/// file, the fit must come back — with a typed error — and not hang.
+fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> std::io::Error {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let path = path.to_path_buf();
+    std::thread::spawn(move || {
+        let model = MultiLayerModel::new(ModelConfig {
+            threads: Some(threads),
+            ..ModelConfig::default()
+        });
+        let store = Arc::new(FileChunkStore::open(&path).expect("meta and index are intact"));
+        let _ = tx.send(model.run_streamed(&store, cache, &QualityInit::Default));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the fit hung (or panicked) on a bad frame")
+        .expect_err("a bad frame must fail the fit")
+}
+
+/// A bad group frame surfaces while other workers wait their turn in the
+/// scan's ordered section: every one of them must be released. Each group
+/// frame in turn gets one flipped byte (a CRC failure), and one of them a
+/// CRC-valid payload that does not fit the skeleton; so does an item
+/// frame whose rows name a group the cube does not have.
+#[test]
+fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
+    let cube = build(observations(6, 500));
+    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 48 });
+    let path = fresh_path("bad-frame");
+    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    let clean = fs::read(&path).expect("read back");
+    let [item_frames, group_frames] = frame_payloads(&clean);
+    assert!(
+        group_frames.len() >= 8,
+        "{} group frames",
+        group_frames.len()
+    );
+    let check = |bytes: &[u8], what: &str| {
+        fs::write(&path, bytes).expect("write bad store");
+        for threads in [2usize, 3] {
+            for cache in [1usize, 4, 0] {
+                let err = streamed_fit_error(&path, threads, cache);
+                let tag = format!("{what} x{threads} cache={cache}: {err}");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}");
+            }
+        }
+    };
+    for (k, &(off, len)) in group_frames.iter().enumerate() {
+        let mut bytes = clean.clone();
+        bytes[off + len / 2] ^= 0x10;
+        check(&bytes, &format!("group frame {k} corrupt"));
+    }
+    // Word 1 of a group frame is its range's end; an item frame's
+    // `ig_group` column is its fourth (after two `items + 1` offset
+    // columns and the values), behind the two range words.
+    let reseal = |(off, len): (usize, usize), word: usize, value: u32| {
+        let mut bytes = clean.clone();
+        bytes[off + 4 * word..off + 4 * word + 4].copy_from_slice(&value.to_le_bytes());
+        let crc = kbt_datamodel::wire::crc32(&bytes[off..off + len]);
+        bytes[off + len..off + len + 4].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    };
+    let ng = cube.num_groups() as u32;
+    check(
+        &reseal(group_frames[3], 1, ng + 1),
+        "group range not the skeleton's",
+    );
+    let chunk = &cc.chunks[1];
+    let values = cc.item_value_offsets[chunk.items.end as usize]
+        - cc.item_value_offsets[chunk.items.start as usize];
+    let ig_group = 2 + 2 * (1 + chunk.items.len() + 1) + 1 + values as usize + 1;
+    check(
+        &reseal(item_frames[1], ig_group, ng),
+        "ig_group out of range",
+    );
+    let _ = fs::remove_file(&path);
+}
+
+/// Two scans per round, as a count: every round leases each item chunk
+/// and each group frame exactly once — `lookups` is the count that
+/// neither the prefetcher nor the eviction order can move (how many of
+/// those leases were loads, `misses`, is scheduling).
+#[test]
+fn a_round_scans_the_store_twice() {
+    let cube = build(observations(7, 2_000));
+    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 64 });
+    let path = fresh_path("scans");
+    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
+    let (chunks, frames) = (store.num_chunks() as u64, store.num_group_frames() as u64);
+    assert!(
+        chunks > 8 && frames > 8,
+        "the cache must be smaller than the store"
+    );
+    for threads in [1usize, 2, 3] {
+        let model = MultiLayerModel::new(ModelConfig {
+            threads: Some(threads),
+            ..ModelConfig::default()
+        });
+        let (result, _, stats) = model
+            .run_streamed(&store, 4, &QualityInit::Default)
+            .expect("streamed fit");
+        let rounds = result.iterations as u64;
+        assert!(rounds > 1);
+        assert_eq!(stats.item_cache.lookups, rounds * chunks, "x{threads}");
+        assert_eq!(stats.group_cache.lookups, rounds * frames, "x{threads}");
+        // A four-buffer cache cannot carry a scan over to the next round.
+        for (cache, n) in [(stats.item_cache, chunks), (stats.group_cache, frames)] {
+            assert!(cache.misses >= rounds * (n - 4), "x{threads}: {cache:?}");
+        }
+    }
     let _ = fs::remove_file(&path);
 }
 

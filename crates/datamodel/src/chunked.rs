@@ -49,7 +49,8 @@
 //!   value E-step streams (identical payload bytes to the v1 format);
 //! * **group frames** ([`GroupBuf`]) — contiguous group ranges with their
 //!   cell columns in global cell order, which the correctness E-step
-//!   and a serial extractor M-step pass stream;
+//!   streams once a round (the extractor M-step's sums ride that scan's
+//!   ordered section);
 //! * an **index frame** + trailing 8-byte offset, so [`FileChunkStore::open`]
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
@@ -68,6 +69,8 @@ use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+use kbt_flume::Turn;
 
 use crate::cube::ObservationCube;
 use crate::ids::{ItemId, SourceId};
@@ -455,8 +458,8 @@ impl ChunkedCube {
     }
 
     /// Borrowed group-major view of the group range `groups` — what a
-    /// streamed correctness / alpha / extractor pass sees per frame, with
-    /// zero copying when the cube is resident.
+    /// streamed correctness scan sees per frame, with zero copying when
+    /// the cube is resident.
     pub fn group_view(&self, groups: Range<u32>) -> GroupView<'_> {
         let lo = groups.start as usize;
         let hi = groups.end as usize;
@@ -518,8 +521,8 @@ impl ChunkBuf {
 }
 
 /// One group frame's group-major payload: a contiguous group range with
-/// its cell columns in global cell order. Streamed correctness / alpha /
-/// extractor passes consume these through [`GroupView`].
+/// its cell columns in global cell order. The streamed correctness scan
+/// consumes these through [`GroupView`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupBuf {
     /// Global group-index range the frame covers.
@@ -604,9 +607,9 @@ impl ItemView<'_> {
     }
 }
 
-/// Borrowed group-major frame view — input to the streamed correctness
-/// E-step and the serial extractor M-step pass. Backed by resident
-/// columns ([`ChunkedCube::group_view`]) or a decoded [`GroupBuf`]
+/// Borrowed group-major frame view — input to the correctness E-step and
+/// the extractor sums it folds in frame order. Backed by resident columns
+/// ([`ChunkedCube::group_view`]) or a decoded [`GroupBuf`]
 /// ([`GroupBuf::view`]); `cells` rebases the offsets so the kernels can't
 /// tell the backings apart.
 #[derive(Debug, Clone)]
@@ -668,11 +671,14 @@ pub trait ChunkSource: Sync {
     ) -> io::Result<Vec<R>>;
 
     /// Scan the group-major views of every group frame
-    /// (`meta().group_frames`).
+    /// (`meta().group_frames`): `f(scratch, frame, view, turn)`, where
+    /// `turn` is frame `frame`'s place in the scan's ordered section
+    /// ([`Turn::in_order`]) — what a fold that must add up in frame order
+    /// enters while its worker still holds the frame.
     fn scan_groups<S: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>>;
 }
 
@@ -705,7 +711,7 @@ impl ChunkSource for ResidentChunks<'_> {
         scratch: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, None, |s, i| {
+        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, None, |s, i, _| {
             Ok(f(s, &self.cube.item_view(i)))
         })
     }
@@ -713,11 +719,11 @@ impl ChunkSource for ResidentChunks<'_> {
     fn scan_groups<S: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
         let frames = &self.meta.group_frames;
-        kbt_flume::run_tasks(frames.len(), scratch, None, |s, i| {
-            Ok(f(s, &self.cube.group_view(frames[i].clone())))
+        kbt_flume::run_tasks(frames.len(), scratch, None, |s, i, turn| {
+            Ok(f(s, i, &self.cube.group_view(frames[i].clone()), turn))
         })
     }
 }
@@ -761,15 +767,16 @@ impl ChunkSource for StreamedChunks {
         scratch: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        self.items.scan(scratch, |s, buf| f(s, &buf.view()))
+        self.items.scan(scratch, |s, _, buf, _| f(s, &buf.view()))
     }
 
     fn scan_groups<S: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, &GroupView<'_>) -> R + Sync,
+        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        self.frames.scan(scratch, |s, buf| f(s, &buf.view()))
+        self.frames
+            .scan(scratch, |s, i, buf, turn| f(s, i, &buf.view(), turn))
     }
 }
 
@@ -790,6 +797,26 @@ fn read_u32_vec(r: &mut WireReader<'_>, out: &mut Vec<u32>) -> Result<(), WireEr
 /// The bytes passed every [`wire`] check but do not describe a cube.
 fn malformed(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
+/// Whether `offsets` delimits `rows` rows over `len` entries: `rows + 1`
+/// long, from 0 to `len`, never decreasing.
+fn is_csr(offsets: &[u32], rows: usize, len: usize) -> bool {
+    offsets.len() == rows + 1
+        && offsets[0] == 0
+        && offsets[rows] as usize == len
+        && offsets.is_sorted()
+}
+
+fn all_below(ids: &[u32], bound: u32) -> bool {
+    ids.iter().all(|&id| id < bound)
+}
+
+/// Whether `ranges` tile `0..end` in order.
+fn tiles<'a>(mut ranges: impl Iterator<Item = &'a Range<u32>>, end: u32) -> bool {
+    let mut next = 0;
+    ranges.all(|r| r.start == std::mem::replace(&mut next, r.end) && r.start <= r.end)
+        && next == end
 }
 
 /// The integer skeleton of a chunk store — everything a streamed fit
@@ -950,19 +977,13 @@ impl ChunkStoreMeta {
         read_u32_vec(&mut r, &mut source_ext_ids)?;
         r.finish()?;
         let ns = num_sources as usize;
-        let meta_ok = source_offsets.len() == ns + 1
-            && source_offsets.first() == Some(&0)
-            && source_offsets.last() == Some(&num_groups)
+        let meta_ok = is_csr(&source_offsets, ns, num_groups as usize)
             && source_item_counts.len() == ns
-            && source_ext_offsets.len() == ns + 1
-            && source_ext_offsets.last().copied() == Some(source_ext_ids.len() as u32)
-            && group_frames
-                .first()
-                .map_or(num_groups == 0, |f| f.start == 0)
-            && group_frames
-                .last()
-                .map_or(num_groups == 0, |f| f.end == num_groups)
-            && group_frames.windows(2).all(|w| w[0].end == w[1].start);
+            && is_csr(&source_ext_offsets, ns, source_ext_ids.len())
+            && all_below(&source_ext_ids, num_extractors)
+            && tiles(group_frames.iter(), num_groups)
+            && tiles(item_chunks.iter().map(|c| &c.items), num_items)
+            && tiles(item_chunks.iter().map(|c| &c.rows), num_groups);
         if !meta_ok {
             return Err(malformed("meta frame: inconsistent CSR shapes"));
         }
@@ -1152,23 +1173,27 @@ impl FileChunkStore {
     }
 
     /// Load group frame `idx` into `buf` (cleared first, capacity
-    /// reused), CRC-verifying the frame.
+    /// reused), CRC-verifying the frame and checking its shape against
+    /// the skeleton: a frame that loads indexes nothing out of bounds.
     pub fn load_group_frame(&self, idx: usize, buf: &mut GroupBuf) -> io::Result<()> {
         let payload = self.payload("group frame", idx, self.group_frame_index[idx])?;
         let mut r = WireReader::new(&payload);
-        let (start, end) = (r.u32()?, r.u32()?);
-        buf.groups = start..end;
-        read_u32_vec(&mut r, &mut buf.group_source)?;
-        read_u32_vec(&mut r, &mut buf.cell_offsets)?;
-        read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-        r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
-        let shape_ok = start <= end
-            && buf.group_source.len() == (end - start) as usize
-            && buf.cell_offsets.len() == (end - start) as usize + 1
-            && buf.cell_offsets.first() == Some(&0)
-            && buf.cell_offsets.last().copied() == Some(buf.cell_extractor.len() as u32)
-            && buf.cell_extractor.len() == buf.cell_confidence.len()
-            && r.is_empty();
+        let decoded = (|| {
+            buf.groups = r.u32()?..r.u32()?;
+            read_u32_vec(&mut r, &mut buf.group_source)?;
+            read_u32_vec(&mut r, &mut buf.cell_offsets)?;
+            read_u32_vec(&mut r, &mut buf.cell_extractor)?;
+            r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
+            r.finish()
+        })();
+        decoded.map_err(|e| malformed(format!("group frame {idx}: {e}")))?;
+        let (groups, cells) = (buf.groups.len(), buf.cell_extractor.len());
+        let shape_ok = buf.groups == self.meta.group_frames[idx]
+            && buf.group_source.len() == groups
+            && is_csr(&buf.cell_offsets, groups, cells)
+            && buf.cell_confidence.len() == cells
+            && all_below(&buf.group_source, self.meta.num_sources)
+            && all_below(&buf.cell_extractor, self.meta.num_extractors);
         if !shape_ok {
             return Err(malformed(format!("group frame {idx}: malformed payload")));
         }
@@ -1176,19 +1201,42 @@ impl FileChunkStore {
     }
 
     /// Load item frame `idx` into `buf` (cleared first, capacity
-    /// reused), CRC-verifying the frame.
+    /// reused), CRC-verifying the frame and checking its shape against
+    /// the skeleton, as [`Self::load_group_frame`] does.
     pub fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
         let payload = self.payload("chunk", idx, self.item_frames[idx])?;
         let mut r = WireReader::new(&payload);
-        buf.items = r.u32()?..r.u32()?;
-        read_u32_vec(&mut r, &mut buf.item_offsets)?;
-        read_u32_vec(&mut r, &mut buf.item_value_offsets)?;
-        read_u32_vec(&mut r, &mut buf.item_values)?;
-        read_u32_vec(&mut r, &mut buf.ig_group)?;
-        read_u32_vec(&mut r, &mut buf.ig_source)?;
-        read_u32_vec(&mut r, &mut buf.ig_slot)?;
-        r.column(&mut buf.ig_has_cells, |[b]| b)?;
-        Ok(r.finish()?)
+        let decoded = (|| {
+            buf.items = r.u32()?..r.u32()?;
+            read_u32_vec(&mut r, &mut buf.item_offsets)?;
+            read_u32_vec(&mut r, &mut buf.item_value_offsets)?;
+            read_u32_vec(&mut r, &mut buf.item_values)?;
+            read_u32_vec(&mut r, &mut buf.ig_group)?;
+            read_u32_vec(&mut r, &mut buf.ig_source)?;
+            read_u32_vec(&mut r, &mut buf.ig_slot)?;
+            r.column(&mut buf.ig_has_cells, |[b]| b)?;
+            r.finish()
+        })();
+        decoded.map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
+        let (meta, chunk) = (&self.meta, &self.meta.item_chunks[idx]);
+        let (items, rows) = (buf.items.len(), buf.ig_group.len());
+        let shape_ok = buf.items == chunk.items
+            && rows == chunk.rows.len()
+            && is_csr(&buf.item_offsets, items, rows)
+            && is_csr(&buf.item_value_offsets, items, buf.item_values.len())
+            && [buf.ig_source.len(), buf.ig_slot.len(), buf.ig_has_cells.len()] == [rows; 3]
+            && all_below(&buf.ig_group, meta.num_groups)
+            && all_below(&buf.ig_source, meta.num_sources)
+            // Every row's slot names one of its own item's values.
+            && (0..items).all(|li| {
+                let values = buf.item_value_offsets[li + 1] - buf.item_value_offsets[li];
+                let rows = buf.item_offsets[li] as usize..buf.item_offsets[li + 1] as usize;
+                values <= meta.max_item_values && all_below(&buf.ig_slot[rows], values)
+            });
+        if !shape_ok {
+            return Err(malformed(format!("chunk {idx}: malformed payload")));
+        }
+        Ok(())
     }
 }
 
@@ -1196,6 +1244,10 @@ impl FileChunkStore {
 /// [`ChunkCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
+    /// Leases handed out by [`ChunkCache::get`]: one per chunk per scan,
+    /// whatever the prefetcher and the eviction order did — the one count
+    /// here that scheduling cannot move.
+    pub lookups: u64,
     /// Lookups served from the cache, including those that waited for a
     /// load already in flight.
     pub hits: u64,
@@ -1250,6 +1302,7 @@ pub struct ChunkCache<B> {
     loader: Loader<B>,
     state: Mutex<CacheState<B>>,
     loaded: Condvar,
+    lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -1311,6 +1364,7 @@ impl<B> ChunkCache<B> {
                 in_flight: Vec::new(),
             }),
             loaded: Condvar::new(),
+            lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -1324,11 +1378,13 @@ impl<B> ChunkCache<B> {
 
     /// Snapshot the hit/miss/evict counters.
     pub fn stats(&self) -> CacheStats {
+        // ordering: Relaxed — stat snapshot; the counters are advisory and order nothing.
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CacheStats {
-            // ordering: Relaxed — stat snapshot; the counters are advisory and order nothing.
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            lookups: read(&self.lookups),
+            hits: read(&self.hits),
+            misses: read(&self.misses),
+            evictions: read(&self.evictions),
         }
     }
 
@@ -1336,6 +1392,8 @@ impl<B> ChunkCache<B> {
     /// (waiting for it), or by loading it. If the awaited load fails, this
     /// lookup runs the loader itself and returns that error.
     pub fn get(&self, idx: usize) -> io::Result<Arc<B>> {
+        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock().expect("chunk cache lock poisoned");
         loop {
             if let Some(b) = st.map.get(&idx).cloned() {
@@ -1363,15 +1421,16 @@ impl<B> ChunkCache<B> {
         }
     }
 
-    /// Run `f(scratch, buffer)` over every chunk in ascending order on
-    /// [`kbt_flume::run_tasks`] (one `scratch` slot per worker, results
-    /// in chunk order) while a prefetcher warms the chunks just ahead: a
-    /// couple per worker the scan can actually use, but never so far that
-    /// a bounded cache would evict chunks before they are consumed.
+    /// Run `f(scratch, idx, buffer, turn)` over every chunk in ascending
+    /// order on [`kbt_flume::run_tasks`] (one `scratch` slot per worker,
+    /// results in chunk order, the lease held until `f` returns) while a
+    /// prefetcher warms the chunks just ahead: a couple per worker the
+    /// scan can actually use, but never so far that a bounded cache would
+    /// evict chunks before they are consumed.
     pub fn scan<S: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, &B) -> R + Sync,
+        f: impl Fn(&mut S, usize, &B, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>>
     where
         B: Send + Sync,
@@ -1379,9 +1438,12 @@ impl<B> ChunkCache<B> {
         let workers = kbt_flume::num_threads().min(scratch.len());
         let depth = workers.saturating_mul(2).max(2).min(self.cap);
         let warm = |i| self.prefetch(i);
-        kbt_flume::run_tasks(self.num_chunks, scratch, Some((depth, &warm)), |s, i| {
-            Ok(f(s, &*self.get(i)?))
-        })
+        kbt_flume::run_tasks(
+            self.num_chunks,
+            scratch,
+            Some((depth, &warm)),
+            |s, i, turn| Ok(f(s, i, &*self.get(i)?, turn)),
+        )
     }
 
     /// Run the loader for `idx` outside the lock and insert the result,
@@ -1795,7 +1857,7 @@ mod tests {
                 let src = StreamedChunks::new(Arc::new(store), 2);
                 let any_err = kbt_flume::with_threads(Some(2), || {
                     src.scan_items(&mut [(); 2], |_, _| ()).is_err()
-                        || src.scan_groups(&mut [(); 2], |_, _| ()).is_err()
+                        || src.scan_groups(&mut [(); 2], |_, _, _, _| ()).is_err()
                 });
                 assert!(any_err, "corruption must not pass CRC through the cache");
             }
@@ -1844,6 +1906,103 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// A frame that passes its CRC but does not fit the skeleton is a
+    /// typed error at load, not an out-of-bounds index in a kernel: one
+    /// `u32` of one frame's payload patched at a time (word `at`, counted
+    /// from the payload's start) and the CRC re-sealed.
+    #[test]
+    fn checksummed_but_malformed_frames_are_refused_at_load() {
+        let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 24 });
+        let path = std::env::temp_dir().join("kbt_chunk_store_malformed.kbt");
+        FileChunkStore::write(&cc, &path).unwrap();
+        let clean = fs::read(&path).unwrap();
+        let store = FileChunkStore::open(&path).unwrap();
+        let (mut chunk, mut frame) = (ChunkBuf::default(), GroupBuf::default());
+        store.load_chunk(1, &mut chunk).unwrap();
+        store.load_group_frame(1, &mut frame).unwrap();
+        let (items, rows) = (chunk.items.len() as u32, chunk.ig_group.len() as u32);
+        assert!(items >= 2 && frame.groups.len() >= 2, "patches need room");
+        // Word index of each column's count: after the two range words.
+        let item_cols = [
+            items + 1,
+            items + 1,
+            chunk.item_values.len() as u32,
+            rows,
+            rows,
+        ];
+        let mut col = vec![2u32];
+        for len in item_cols {
+            col.push(col.last().unwrap() + 1 + len);
+        }
+        let groups = frame.groups.len() as u32;
+        let meta = store.meta();
+        let item_patches = [
+            ("item range", 1, chunk.items.end + 1),
+            ("item_offsets shorter", col[0], items),
+            ("item_offsets start", col[0] + 1, 1),
+            ("item_offsets order", col[0] + 2, u32::MAX),
+            ("item_offsets end", col[0] + 1 + items, rows + 1),
+            ("value offsets end", col[1] + 1 + items, 0),
+            ("ig_group", col[3] + 1, meta.num_groups),
+            ("ig_source", col[4] + 1, meta.num_sources),
+            ("ig_slot", col[5] + 1, meta.max_item_values),
+        ];
+        let frame_patches = [
+            ("group range", 0, frame.groups.start + 1),
+            ("group_source", 3, meta.num_sources),
+            ("cell_offsets start", 3 + groups + 1, 1),
+            ("cell_offsets order", 3 + groups + 2, u32::MAX),
+            (
+                "cell_extractor",
+                3 + groups + 1 + groups + 1 + 1,
+                meta.num_extractors,
+            ),
+        ];
+        let entries = [
+            (store.item_frames[1], true),
+            (store.group_frame_index[1], false),
+        ];
+        for ((off, len), is_item) in entries {
+            let patches: &[(&str, u32, u32)] = if is_item {
+                &item_patches
+            } else {
+                &frame_patches
+            };
+            for &(what, at, value) in patches {
+                let mut bytes = clean.clone();
+                let payload = off as usize..off as usize + len as usize;
+                let word = payload.start + 4 * at as usize;
+                bytes[word..word + 4].copy_from_slice(&value.to_le_bytes());
+                let crc = wire::crc32(&bytes[payload.clone()]);
+                bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+                fs::write(&path, &bytes).unwrap();
+                let store = FileChunkStore::open(&path).expect("meta and index are intact");
+                let err = if is_item {
+                    store.load_chunk(1, &mut chunk).expect_err(what)
+                } else {
+                    store.load_group_frame(1, &mut frame).expect_err(what)
+                };
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+                assert!(
+                    err.to_string().contains(" 1: "),
+                    "{what} names its frame: {err}"
+                );
+                // Every other frame still loads, and a scan reports the bad one.
+                let src = StreamedChunks::new(Arc::new(store), 2);
+                let scanned = kbt_flume::with_threads(Some(2), || {
+                    if is_item {
+                        src.scan_items(&mut [(); 2], |_, _| ()).map(drop)
+                    } else {
+                        src.scan_groups(&mut [(); 2], |_, _, _, _| ()).map(drop)
+                    }
+                });
+                let err = scanned.expect_err(what);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            }
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn chunk_cache_caps_residency_and_counts() {
         let cube = sample_cube();
@@ -1864,6 +2023,7 @@ mod tests {
         assert_eq!(
             cache.stats(),
             CacheStats {
+                lookups: 2,
                 hits: 1,
                 misses: 1,
                 evictions: 0
@@ -1873,6 +2033,7 @@ mod tests {
         assert_eq!(
             cache.stats(),
             CacheStats {
+                lookups: 3,
                 hits: 1,
                 misses: 2,
                 evictions: 1
@@ -1902,6 +2063,7 @@ mod tests {
         assert_eq!(
             unbounded.stats(),
             CacheStats {
+                lookups: 2 * n as u64,
                 hits: n as u64,
                 misses: n as u64,
                 evictions: 0

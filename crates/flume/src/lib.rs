@@ -18,6 +18,15 @@
 //!   `std::thread::scope` in the workspace's library code (`kbt-lint`'s
 //!   `layering` rule enforces that), so what a dispatch costs is paid, and
 //!   priced, in one function body;
+//! * **one ordered section** — each task is handed its [`Turn`], and
+//!   [`Turn::in_order`] runs a closure after the section of every
+//!   lower-indexed task and before that of any higher one while the rest
+//!   of the task bodies overlap: a fold that must add up in task order
+//!   (the extractor M-step's sums) rides a parallel scan and keeps the
+//!   serial loop's bits at any worker count. **Abort rule:** a task that
+//!   finishes without entering hands its turn on; once a task fails or
+//!   panics no further section runs and every waiter returns, so the
+//!   call reports the error (or propagates the panic) and never hangs;
 //! * three few-line adapters over it for the common shapes —
 //!   [`par_ranges`], [`par_map_slice`], [`par_ranges_mut`] — and the
 //!   [`Stopwatch`] used for round and stage timing.
@@ -38,7 +47,7 @@ use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 thread_local! {
     /// The innermost [`with_threads`] scope on this thread, if any.
@@ -73,9 +82,97 @@ pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The ordered section's state: whose turn it is, which tasks have
+/// handed theirs on, and whether the run has failed.
+struct Gate {
+    /// `(next, passed)`: the lowest task index that has not handed its
+    /// turn on, and the flag of every task that has.
+    turns: Mutex<(usize, Vec<bool>)>,
+    moved: Condvar,
+    failed: AtomicBool,
+}
+
+impl Gate {
+    /// Task `index` is done with the ordered section: advance the turn
+    /// past every task that has handed on, and wake the waiters if it
+    /// moved.
+    fn pass(&self, index: usize) {
+        // A panic never happens under this lock, but a poisoned guard
+        // would still hold valid indices: carry on.
+        let mut turns = self.turns.lock().unwrap_or_else(|p| p.into_inner());
+        let (next, passed) = &mut *turns;
+        let before = *next;
+        passed[index] = true;
+        while passed.get(*next) == Some(&true) {
+            *next += 1;
+        }
+        let moved = *next != before;
+        drop(turns);
+        if moved {
+            self.moved.notify_all();
+        }
+    }
+
+    /// The run is over for everyone: no further section runs.
+    fn abort(&self) {
+        // ordering: Relaxed — workers and the prefetcher read the flag as
+        // an advisory early stop; a waiter reads it under `turns`, and the
+        // lock taken right below orders this store before its next check.
+        self.failed.store(true, Ordering::Relaxed);
+        drop(self.turns.lock());
+        self.moved.notify_all();
+    }
+
+    fn failed(&self) -> bool {
+        // ordering: Relaxed — see `abort`; no data is published through it.
+        self.failed.load(Ordering::Relaxed)
+    }
+}
+
+/// A task's place in the ordered section of its [`run_tasks`] call.
+pub struct Turn<'a> {
+    gate: &'a Gate,
+    index: usize,
+}
+
+impl Turn<'_> {
+    /// Run `f` once every lower-indexed task has left its ordered section
+    /// (or finished without entering it), then hand the turn on; the rest
+    /// of the task runs unordered. Sections therefore execute one at a
+    /// time in task order, each seeing the writes of the ones before it.
+    /// If the run has failed, `f` does not run and the call returns at
+    /// once — [`run_tasks`] is about to report that failure.
+    pub fn in_order(self, f: impl FnOnce()) {
+        let mut turns = self.gate.turns.lock().unwrap_or_else(|p| p.into_inner());
+        while turns.0 != self.index && !self.gate.failed() {
+            turns = self
+                .gate
+                .moved
+                .wait(turns)
+                .unwrap_or_else(|p| p.into_inner());
+        }
+        drop(turns);
+        if !self.gate.failed() {
+            f();
+            self.gate.pass(self.index);
+        }
+    }
+}
+
+/// Aborts the run when dropped: armed around each task body, defused
+/// once the task has returned `Ok`, so an error and a panic both release
+/// the tasks waiting behind it.
+struct AbortOnDrop<'a>(&'a Gate);
+
+impl Drop for AbortOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.abort();
+    }
+}
+
 /// The scoped-worker primitive under every data-parallel loop: run
-/// `work(scratch, i)` for `i in 0..tasks` and return the results **in task
-/// order**.
+/// `work(scratch, i, turn)` for `i in 0..tasks` and return the results
+/// **in task order**.
 ///
 /// Workers *pull* task indices in ascending order from a shared cursor.
 /// There are at most [`num_threads`] of them, never more than tasks or
@@ -85,16 +182,19 @@ pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
 /// no scratch is needed). When one worker suffices and nothing is
 /// prefetched, everything runs inline on the calling thread.
 ///
+/// `turn` is the task's place in the call's one ordered section
+/// ([`Turn::in_order`]); a task with nothing to commit in order ignores it.
+///
 /// `prefetch`, as `(depth, warm)`, adds a look-ahead thread that calls
 /// `warm(i)` (e.g. a chunk-cache load) for the tasks just ahead of the
 /// cursor, each at most once and never more than `depth` tasks ahead —
 /// overlapping the next task's I/O with the current one's compute.
 ///
 /// On error the failure with the **lowest task index** (among the tasks
-/// that ran before the early stop) is returned and the remaining tasks
-/// are abandoned. Which worker ran which task never shows in the output,
-/// so a caller that merges the `Vec<T>` sequentially is bit-for-bit
-/// reproducible at any worker count.
+/// that ran before the early stop) is returned, the remaining tasks are
+/// abandoned and no further ordered section runs. Which worker ran which
+/// task never shows in the output, so a caller that merges the `Vec<T>`
+/// sequentially is bit-for-bit reproducible at any worker count.
 ///
 /// # Panics
 ///
@@ -109,7 +209,7 @@ where
     S: Send,
     T: Send,
     E: Send,
-    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
+    F: Fn(&mut S, usize, Turn<'_>) -> Result<T, E> + Sync,
 {
     if tasks == 0 {
         return Ok(Vec::new());
@@ -117,27 +217,39 @@ where
     assert!(!scratch.is_empty(), "run_tasks needs a scratch slot");
     let workers = num_threads().min(tasks).min(scratch.len());
     let prefetch = prefetch.filter(|&(depth, _)| depth > 0);
+    let gate = &Gate {
+        turns: Mutex::new((0, vec![false; tasks])),
+        moved: Condvar::new(),
+        failed: AtomicBool::new(false),
+    };
+    let run = |s: &mut S, index: usize| {
+        let armed = AbortOnDrop(gate);
+        let done = work(s, index, Turn { gate, index });
+        if done.is_ok() {
+            std::mem::forget(armed);
+            gate.pass(index);
+        }
+        done
+    };
     if workers == 1 && prefetch.is_none() {
         let s = &mut scratch[0];
-        return (0..tasks).map(|i| work(s, i)).collect();
+        return (0..tasks).map(|i| run(s, i)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
     let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
     let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     const POISON: &str = "a kbt-flume worker panicked";
     std::thread::scope(|scope| {
-        let (cursor, failed, error, slots, work) = (&cursor, &failed, &error, &slots, &work);
+        let (cursor, error, slots, run) = (&cursor, &error, &slots, &run);
         if let Some((depth, warm)) = prefetch {
             scope.spawn(move || {
                 let mut next = 0usize;
-                // ordering: Relaxed — `failed` is an advisory early-abort
-                // hint and `cursor` only paces the prefetcher; neither
-                // publishes data (results and errors travel under their
-                // own mutexes, and `thread::scope` joins order everything
-                // at exit).
-                while next < tasks && !failed.load(Ordering::Relaxed) {
+                // ordering: Relaxed — `cursor` only paces the prefetcher
+                // and publishes nothing (results and errors travel under
+                // their own mutexes, and `thread::scope` joins order
+                // everything at exit).
+                while next < tasks && !gate.failed() {
                     let cur = cursor.load(Ordering::Relaxed);
                     if next < cur {
                         // Workers overtook us; skip to the frontier.
@@ -153,9 +265,7 @@ where
         }
         for s in scratch.iter_mut().take(workers) {
             scope.spawn(move || loop {
-                // ordering: Relaxed — advisory abort hint; the
-                // authoritative error is under the `error` mutex.
-                if failed.load(Ordering::Relaxed) {
+                if gate.failed() {
                     break;
                 }
                 // ordering: Relaxed — the RMW itself is atomic, so every
@@ -165,12 +275,9 @@ where
                 if i >= tasks {
                     break;
                 }
-                match work(s, i) {
+                match run(s, i) {
                     Ok(t) => *slots[i].lock().expect(POISON) = Some(t),
                     Err(e) => {
-                        // ordering: Relaxed — see the loads above; the
-                        // error value itself is mutex-guarded.
-                        failed.store(true, Ordering::Relaxed);
                         let mut first = error.lock().expect(POISON);
                         if first.as_ref().is_none_or(|(at, _)| i < *at) {
                             *first = Some((i, e));
@@ -195,7 +302,7 @@ where
 
 /// [`run_tasks`] for scratch-free, infallible tasks.
 fn run_each<T: Send>(tasks: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let done = run_tasks(tasks, &mut vec![(); tasks], None, |_, i| {
+    let done = run_tasks(tasks, &mut vec![(); tasks], None, |_, i, _| {
         Ok::<T, Infallible>(work(i))
     });
     match done {
@@ -302,7 +409,8 @@ mod tests {
         assert_eq!(one, [42]);
         // No tasks: nothing runs, not even with a prefetcher and no slots.
         let warm = |_: usize| panic!("nothing to warm");
-        let got: Result<Vec<u8>, ()> = run_tasks(0, &mut [(); 0], Some((4, &warm)), |_, _| Ok(0));
+        let got: Result<Vec<u8>, ()> =
+            run_tasks(0, &mut [(); 0], Some((4, &warm)), |_, _, _| Ok(0));
         assert!(got.unwrap().is_empty());
     }
 
@@ -339,7 +447,7 @@ mod tests {
     fn one_thread_runs_every_task_on_the_calling_thread() {
         let me = std::thread::current().id();
         let ids: Result<Vec<_>, ()> = with_threads(Some(1), || {
-            run_tasks(64, &mut [(); 8], None, |_, _| {
+            run_tasks(64, &mut [(); 8], None, |_, _, _| {
                 Ok(std::thread::current().id())
             })
         });
@@ -356,7 +464,7 @@ mod tests {
         for (threads, slots, want) in [(3usize, 8usize, 3usize), (8, 2, 2), (33, 1, 1)] {
             let mut ran = vec![0usize; slots];
             let got: Result<Vec<usize>, ()> = with_threads(Some(threads), || {
-                run_tasks(100, &mut ran, None, |n, i| {
+                run_tasks(100, &mut ran, None, |n, i, _| {
                     *n += 1;
                     Ok(i)
                 })
@@ -377,7 +485,7 @@ mod tests {
                         97,
                         &mut vec![(); threads],
                         Some((depth, &|_| {})),
-                        |_, i| Ok(i as u64 * i as u64 + 7),
+                        |_, i, _| Ok(i as u64 * i as u64 + 7),
                     )
                 });
                 assert_eq!(got.unwrap(), expect, "threads={threads} depth={depth}");
@@ -390,7 +498,7 @@ mod tests {
         let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); 3];
         let mut round = |scale: u64| {
             let sums: Result<Vec<u64>, ()> = with_threads(Some(3), || {
-                run_tasks(30, &mut scratch, None, |tmp, i| {
+                run_tasks(30, &mut scratch, None, |tmp, i, _| {
                     tmp.clear();
                     tmp.extend((0..100).map(|k| k * scale + i as u64));
                     Ok(tmp.iter().sum())
@@ -416,14 +524,19 @@ mod tests {
         for threads in [1usize, 4] {
             let ran = AtomicUsize::new(0);
             let got: Result<Vec<u64>, String> = with_threads(Some(threads), || {
-                run_tasks(1_000, &mut vec![(); threads], Some((2, &|_| {})), |_, i| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    if i == 5 {
-                        Err(format!("task {i} failed"))
-                    } else {
-                        Ok(i as u64)
-                    }
-                })
+                run_tasks(
+                    1_000,
+                    &mut vec![(); threads],
+                    Some((2, &|_| {})),
+                    |_, i, _| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        if i == 5 {
+                            Err(format!("task {i} failed"))
+                        } else {
+                            Ok(i as u64)
+                        }
+                    },
+                )
             });
             assert_eq!(got.unwrap_err(), "task 5 failed", "threads={threads}");
             assert!(
@@ -440,7 +553,7 @@ mod tests {
             warmed[i].fetch_add(1, Ordering::SeqCst);
         };
         let got: Result<Vec<usize>, ()> = with_threads(Some(2), || {
-            run_tasks(50, &mut [(); 2], Some((4, &warm)), |_, i| {
+            run_tasks(50, &mut [(); 2], Some((4, &warm)), |_, i, _| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
                 Ok(i)
             })
