@@ -10,12 +10,13 @@
 //! * [`NetServer`] — `std::net` thread-per-connection server over a
 //!   [`kbt_serve::TrustServer`], durable when that server carries a
 //!   store as its hook (`DurableTrustServer::into_server`): queries
-//!   answered on the connection's reader thread from an epoch-cached
-//!   snapshot reader, writes through a bounded queue into the single
-//!   trust-writer thread (one refit per drained burst; an ack means
-//!   *queued*, an epoch advance means *logged, applied, committed* —
-//!   see [`server`]), bounded per-connection reply queues, and
-//!   degraded-but-serving behavior when the hook fails.
+//!   answered and written back on the connection's own thread from an
+//!   epoch-cached snapshot reader, writes through a bounded queue into
+//!   the single trust-writer thread (one refit per drained burst; an
+//!   ack means *queued*, an epoch advance means *logged, applied,
+//!   committed* — see [`server`]), a write timeout for clients that
+//!   stop reading, and degraded-but-serving behavior when the hook
+//!   fails.
 //! * [`NetClient`] — a synchronous client, plus raw-byte escape hatches
 //!   the hostility tests (`tests/protocol.rs`) use to slow-loris, corrupt
 //!   frames, and disconnect mid-frame on purpose.

@@ -781,6 +781,10 @@ impl Reply {
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already taken. They are dropped once
+    /// per `push`, not once per frame, so a read carrying n pipelined
+    /// frames costs O(n), not O(n²).
+    taken: usize,
 }
 
 impl FrameBuffer {
@@ -791,20 +795,22 @@ impl FrameBuffer {
 
     /// Append freshly read bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.taken);
+        self.taken = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.taken
     }
 
     /// Try to take the connection preamble off the front. `Ok(false)`
     /// means not enough bytes yet.
     pub fn take_preamble(&mut self) -> Result<bool, WireError> {
-        match WireReader::new(&self.buf).header(NET_MAGIC, NET_VERSION) {
+        match WireReader::new(&self.buf[self.taken..]).header(NET_MAGIC, NET_VERSION) {
             Ok(()) => {
-                self.buf.drain(..PREAMBLE_BYTES);
+                self.taken += PREAMBLE_BYTES;
                 Ok(true)
             }
             Err(WireError::Truncated) => Ok(false),
@@ -816,13 +822,13 @@ impl FrameBuffer {
     /// arrived. `Ok(None)` means more bytes are needed; an error means
     /// the stream is poisoned (the caller should close).
     pub fn next_frame(&mut self, max_frame_bytes: u32) -> Result<Option<Vec<u8>>, WireError> {
-        let mut r = WireReader::new(&self.buf);
+        let pending = &self.buf[self.taken..];
+        let mut r = WireReader::new(pending);
         let Some(payload) = r.frame(max_frame_bytes)? else {
             return Ok(None);
         };
         let payload = payload.to_vec();
-        let consumed = self.buf.len() - r.remaining();
-        self.buf.drain(..consumed);
+        self.taken += pending.len() - r.remaining();
         Ok(Some(payload))
     }
 }

@@ -1,25 +1,29 @@
 //! [`NetServer`]: the thread-per-connection network front end.
 //!
 //! ```text
-//!            ┌─ conn reader ──▶ queries answered on the spot (SnapshotReader)
-//!  TCP ──▶ accept loop          │        ingest/retract frames
-//!            └─ conn writer ◀──┤ bounded reply queue      │ bounded ingest queue
-//!                               ▼                         ▼
-//!                         (per connection)        trust-writer thread
-//!                                                 owns the TrustServer:
-//!                                                 drain → coalesce → refit
+//!  TCP ──▶ accept loop ──▶ conn thread ──▶ queries answered on the spot
+//!                       (per connection)    (SnapshotReader), the replies
+//!                              │            written back by the same thread
+//!                              │ ingest/retract frames
+//!                              ▼ bounded ingest queue
+//!                       trust-writer thread
+//!                       owns the TrustServer:
+//!                       drain → coalesce → refit
 //! ```
 //!
 //! Three invariants carry the hostile-client story:
 //!
 //! * **Readers never block on writers.** Query frames are answered on
-//!   the connection's reader thread from an epoch-cached
-//!   [`SnapshotReader`] — one atomic load — while refits run.
-//! * **Bounded queues everywhere.** Replies queue into a bounded
-//!   per-connection channel (a client that stops reading is
-//!   disconnected, not buffered forever); ingest batches queue into a
-//!   bounded channel to the single trust-writer thread (a full queue is
-//!   a typed `Overloaded` reply, not memory growth).
+//!   the connection's thread from an epoch-cached [`SnapshotReader`] —
+//!   one atomic load — while refits run.
+//! * **Bounded buffers everywhere.** Replies are bounded by the socket
+//!   and the write timeout: the replies to one read are written, at most
+//!   `READ_CHUNK` bytes at a time, before the next read, and a client
+//!   that stops reading parks only its own thread until a write makes no
+//!   progress for `WRITE_TIMEOUT`, then is disconnected, not buffered
+//!   forever. Ingest batches queue into a bounded channel to the single
+//!   trust-writer thread (a full queue is a typed `Overloaded` reply,
+//!   not memory growth).
 //! * **Failure degrades, never kills.** A durability-hook failure flips
 //!   the server into a degraded mode: ingestion is refused with a typed
 //!   `DurabilityLost` error carrying the hook's message, queries keep
@@ -44,7 +48,7 @@
 //!   every later write draws says it may not survive a restart.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
@@ -59,25 +63,22 @@ use crate::proto::{
     ErrorCode, FrameBuffer, ProtoError, Reply, Request, WireStats, DEFAULT_MAX_FRAME_BYTES,
 };
 
-/// How often blocked loops wake to poll the stop flag.
+/// How often an idle connection wakes to poll the stop flag, and how
+/// long the accept loop backs off after a failed accept.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// How long one socket write may make no progress before the peer is
-/// given up on. A peer that has stopped reading parks its connection's
-/// writer thread in `write_all` once the kernel buffers fill; without a
-/// bound that thread — and the [`NetServer::shutdown`] that joins it —
-/// would wait on the peer forever.
+/// given up on — the slow-consumer rule. A peer that has stopped reading
+/// parks its connection's thread in `write_all` once the kernel buffers
+/// fill; without a bound that thread — and the [`NetServer::shutdown`]
+/// that joins it — would wait on the peer forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Socket-read chunk size. Bounds per-connection memory together with
-/// the frame cap: the frame buffer never holds more than one capped
-/// frame plus one chunk.
+/// Socket-read chunk size, and the reply bytes answered before they are
+/// written. Bounds per-connection memory together with the frame cap:
+/// the frame buffer never holds more than one capped frame plus one
+/// chunk, the reply buffer never more than one chunk plus one reply.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// Reply frames queued per connection before the client is declared too
-/// slow and disconnected. (The per-frame byte cap, enforced before any
-/// buffer is sized from a length prefix, is [`DEFAULT_MAX_FRAME_BYTES`].)
-const SEND_QUEUE_FRAMES: usize = 128;
 
 /// Ingest/retract batches queued to the trust writer before clients get
 /// `Overloaded` backpressure replies.
@@ -209,7 +210,6 @@ impl NetServer {
     /// start serving `server`, with whatever durability hook it carries.
     pub fn spawn(server: TrustServer, addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let handle = server.handle();
         let shared = Arc::new(Shared::default());
@@ -276,7 +276,21 @@ impl NetServer {
         // ordering: Relaxed — pure termination request; the flag carries
         // no data, and every result travels through the channel and the
         // thread joins below (which are full synchronization points).
+        // The accept loop loads it only once `accept` has returned the
+        // connection made below, after this store; the kernel's socket
+        // locks order the two.
         self.shared.stop.store(true, Ordering::Relaxed);
+        // The accept loop blocks in `accept`; one connection of our own
+        // wakes it to see the flag. An unspecified bind address is
+        // reached through the loopback address of its family.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         let _ = self.accept.join();
         let stats = self.shared.counters.snapshot();
         match self.writer.join() {
@@ -349,10 +363,15 @@ fn accept_loop(
     ingest_tx: SyncSender<Delta>,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    // ordering: Relaxed — advisory stop poll; see `shutdown`.
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+    for stream in listener.incoming() {
+        // ordering: Relaxed — advisory stop poll; see `shutdown`. Checked
+        // before the connection counts: the one that wakes us after the
+        // flag is `shutdown`'s own.
+        if shared.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 Counters::add(&shared.counters.accepted, 1);
                 // ordering: Relaxed — the RMW's atomicity alone keeps the
                 // active count exact; the value feeds stats only and
@@ -363,7 +382,7 @@ fn accept_loop(
                 let reader = handle.reader();
                 let ingest_tx = ingest_tx.clone();
                 conns.push(std::thread::spawn(move || {
-                    connection_loop(stream, &shared, reader, ingest_tx);
+                    connection_loop(stream, &shared, reader, &ingest_tx);
                     // ordering: Relaxed — stat decrement; atomicity alone
                     // keeps the count exact.
                     shared.counters.active.fetch_sub(1, Ordering::Relaxed);
@@ -372,9 +391,7 @@ fn accept_loop(
                 // grow with every client that ever connected.
                 conns.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            // Out of descriptors and the like: back off, do not spin.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
@@ -386,192 +403,141 @@ fn accept_loop(
 
 // ---- per-connection machinery ----
 
-/// Why the connection loop ended.
-enum ConnEnd {
-    Disconnected,
-    /// The bounded reply queue filled up: the peer is not reading.
-    SlowConsumer,
-    Fatal,
-    Stopping,
-}
-
+/// One connection, one thread: it reads the requests and writes their
+/// replies on the same socket, then closes it the same way whatever
+/// ended the connection.
 fn connection_loop(
     stream: TcpStream,
     shared: &Shared,
     reader: SnapshotReader,
-    ingest_tx: SyncSender<Delta>,
+    ingest_tx: &SyncSender<Delta>,
 ) {
-    // Reader side polls the stop flag via a read timeout; writer side is
-    // a dedicated thread so a slow client never blocks frame parsing.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    // The read timeout polls the stop flag. A write that times out ends
+    // the connection like any other write error: the frame is torn, so
+    // the connection is closed, not resumed.
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // The timeout is the socket's, shared with `stream`; only the writer
-    // thread writes. A timed-out write ends it like any other write
-    // error: the frame is torn, so the connection is closed, not resumed.
-    if write_half.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
-        return;
-    }
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
-    let writer = std::thread::spawn(move || {
-        let mut out = write_half;
-        while let Ok(frame) = reply_rx.recv() {
-            if out.write_all(&frame).is_err() {
-                break;
-            }
-        }
-        // Flush the kernel buffer toward the peer before closing; the
-        // final error frame of a fatal close travels this path.
-        let _ = out.flush();
-        let _ = out.shutdown(Shutdown::Write);
-    });
-
-    let end = serve_frames(&stream, shared, reader, ingest_tx, &reply_tx);
-    if matches!(end, ConnEnd::SlowConsumer) {
-        // The writer thread is parked in a write the peer will never
-        // drain; closing the socket under it is what lets it (and the
-        // join below) return. The backlog is dropped, not delivered.
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    drop(reply_tx); // writer drains queued replies, then exits
-    let _ = writer.join();
-    if matches!(end, ConnEnd::Fatal | ConnEnd::Stopping) {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    // `stream` drops here: full close once both halves are done.
+    serve_frames(&stream, shared, reader, ingest_tx);
+    // Every reply, a final error frame included, was written before this
+    // FIN, so the peer reads it before EOF.
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
-/// The reader-side frame loop. Returns how the connection ended.
+/// The frame loop: read, answer every complete frame, write the replies
+/// in one go, poll the stop flag, repeat. Returns once the last reply
+/// owed (a fatal error, the stop notice) is written, or the peer is gone.
 fn serve_frames(
     mut stream: &TcpStream,
     shared: &Shared,
     mut reader: SnapshotReader,
-    ingest_tx: SyncSender<Delta>,
-    reply_tx: &SyncSender<Vec<u8>>,
-) -> ConnEnd {
+    ingest_tx: &SyncSender<Delta>,
+) {
     let mut fb = FrameBuffer::new();
     let mut chunk = vec![0u8; READ_CHUNK];
+    let mut out = Vec::new();
     let mut preamble_done = false;
+    // The last pass stopped at `READ_CHUNK` reply bytes: answer the rest
+    // of `fb` before reading more, so a pipelining client cannot size
+    // `out`.
+    let mut backlog = false;
     loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return ConnEnd::Disconnected,
-            Ok(n) => fb.push(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // ordering: Relaxed — advisory stop poll; see `shutdown`.
-                if shared.stop.load(Ordering::Relaxed) {
-                    let _ = send_reply(
-                        reply_tx,
-                        &Reply::Error {
-                            id: 0,
-                            code: ErrorCode::ShuttingDown,
-                            detail: "server stopping".into(),
-                        },
-                    );
-                    return ConnEnd::Stopping;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return ConnEnd::Disconnected,
-        }
-
-        if !preamble_done {
-            match fb.take_preamble() {
-                Ok(true) => preamble_done = true,
-                Ok(false) => continue,
-                Err(e) => {
-                    Counters::add(&shared.counters.protocol_errors, 1);
-                    let _ = send_reply(
-                        reply_tx,
-                        &Reply::Error {
-                            id: 0,
-                            code: e.into(),
-                            detail: "bad connection preamble".into(),
-                        },
-                    );
-                    return ConnEnd::Fatal;
-                }
+        if !backlog {
+            match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => fb.push(&chunk[..n]),
+                // A timed-out read is the idle stop poll below.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return,
             }
         }
-
-        loop {
-            let payload = match fb.next_frame(DEFAULT_MAX_FRAME_BYTES) {
-                Ok(Some(p)) => p,
-                Ok(None) => break,
-                Err(e) => {
-                    Counters::add(&shared.counters.protocol_errors, 1);
-                    let _ = send_reply(
-                        reply_tx,
-                        &Reply::Error {
-                            id: 0,
-                            code: e.into(),
-                            detail: e.to_string(),
-                        },
-                    );
-                    return ConnEnd::Fatal;
-                }
+        let mut close = false;
+        while !close && out.len() < READ_CHUNK {
+            let Some(reply) =
+                next_reply(&mut fb, &mut preamble_done, shared, &mut reader, ingest_tx)
+            else {
+                break;
             };
-            let (reply, fatal) = handle_payload(&payload, shared, &mut reader, &ingest_tx);
-            if send_reply(reply_tx, &reply).is_err() {
-                // The bounded reply queue is full: this client reads
-                // slower than it asks. Cut it loose instead of letting
-                // its backlog grow without bound.
-                return ConnEnd::SlowConsumer;
-            }
-            if fatal {
-                return ConnEnd::Fatal;
-            }
+            close = matches!(reply, Reply::Error { code, .. } if code.is_fatal());
+            wire::put_frame(&mut out, |b| reply.encode_into(b));
+        }
+        backlog = out.len() >= READ_CHUNK;
+        // ordering: Relaxed — advisory stop poll; see `shutdown`. Polled
+        // after every read, so a client that never pauses cannot hold
+        // `shutdown` either.
+        if !close && shared.stop.load(Ordering::Relaxed) {
+            let stopping = Reply::Error {
+                id: 0,
+                code: ErrorCode::ShuttingDown,
+                detail: "server stopping".into(),
+            };
+            wire::put_frame(&mut out, |b| stopping.encode_into(b));
+            close = true;
+        }
+        if stream.write_all(&out).is_err() || close {
+            return;
+        }
+        out.clear();
+    }
+}
+
+/// The reply to the next complete frame in `fb` — the connection
+/// preamble first — or `None` until more bytes arrive.
+fn next_reply(
+    fb: &mut FrameBuffer,
+    preamble_done: &mut bool,
+    shared: &Shared,
+    reader: &mut SnapshotReader,
+    ingest_tx: &SyncSender<Delta>,
+) -> Option<Reply> {
+    if !*preamble_done {
+        match fb.take_preamble() {
+            Ok(true) => *preamble_done = true,
+            Ok(false) => return None,
+            Err(e) => return Some(protocol_error(shared, e.into(), "bad connection preamble")),
         }
     }
-}
-
-fn send_reply(tx: &SyncSender<Vec<u8>>, reply: &Reply) -> Result<(), ()> {
-    let mut frame = Vec::new();
-    wire::put_frame(&mut frame, |b| reply.encode_into(b));
-    match tx.try_send(frame) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => Err(()),
+    match fb.next_frame(DEFAULT_MAX_FRAME_BYTES) {
+        Ok(payload) => payload.map(|p| handle_payload(&p, shared, reader, ingest_tx)),
+        Err(e) => Some(protocol_error(shared, e.into(), &e.to_string())),
     }
 }
 
-/// Decode one request payload and produce `(reply, fatal)`.
+/// A counted error reply to a frame that never parsed (so id 0). The
+/// code says whether the connection closes ([`ErrorCode::is_fatal`]).
+fn protocol_error(shared: &Shared, code: ErrorCode, detail: &str) -> Reply {
+    Counters::add(&shared.counters.protocol_errors, 1);
+    Reply::Error {
+        id: 0,
+        code,
+        detail: detail.into(),
+    }
+}
+
+/// Decode one request payload and answer it.
 fn handle_payload(
     payload: &[u8],
     shared: &Shared,
     reader: &mut SnapshotReader,
     ingest_tx: &SyncSender<Delta>,
-) -> (Reply, bool) {
+) -> Reply {
     let request = match Request::decode(payload) {
         Ok(req) => req,
         Err(ProtoError::UnknownKind(k)) => {
-            Counters::add(&shared.counters.protocol_errors, 1);
-            return (
-                Reply::Error {
-                    id: 0,
-                    code: ErrorCode::UnknownKind,
-                    detail: format!("unknown request kind {k:#04x}"),
-                },
-                false,
-            );
+            let detail = format!("unknown request kind {k:#04x}");
+            return protocol_error(shared, ErrorCode::UnknownKind, &detail);
         }
-        Err(e) => {
-            Counters::add(&shared.counters.protocol_errors, 1);
-            return (
-                Reply::Error {
-                    id: 0,
-                    code: ErrorCode::BadFrame,
-                    detail: e.to_string(),
-                },
-                true,
-            );
-        }
+        Err(e) => return protocol_error(shared, ErrorCode::BadFrame, &e.to_string()),
     };
 
-    let reply = match request {
+    match request {
         Request::Ping { token } => {
             let snap = reader.current();
             Reply::Pong {
@@ -646,8 +612,7 @@ fn handle_payload(
                 stats: shared.counters.snapshot(),
             }
         }
-    };
-    (reply, false)
+    }
 }
 
 /// Queue a batch for the trust writer, translating a degraded server

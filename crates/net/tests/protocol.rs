@@ -14,9 +14,10 @@
 //!    hook degrades writes to typed `DurabilityLost` errors while
 //!    queries keep serving the last published epoch.
 //! 3. **The write path as one thing**: shutdown under write load loses
-//!    no acked batch and is not held by a peer that stopped reading; the
-//!    two bounded queues push back (`Overloaded`, a slow reader cut
-//!    loose) without hurting anyone else; and a real `kbt-store` behind
+//!    no acked batch and is held neither by a peer that stopped reading
+//!    nor by one that never pauses; backpressure (`Overloaded` from the
+//!    bounded ingest queue, the write timeout cutting a slow reader
+//!    loose) hurts no one else; and a real `kbt-store` behind
 //!    the socket, in either refit mode, restarts on the `(epoch,
 //!    fingerprint)` it last served and goes on publishing what a server
 //!    that never stopped would, and degrades at the commit stage when
@@ -34,8 +35,8 @@ use std::time::{Duration, Instant};
 use kbt_datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt_net::proto::{encode_frame, encode_preamble, ProtoError};
 use kbt_net::{
-    ClientError, ErrorCode, FrameBuffer, NetClient, NetServer, Reply, Request, WireStats,
-    DEFAULT_MAX_FRAME_BYTES,
+    ClientError, ErrorCode, FrameBuffer, NetClient, NetServer, NetShutdown, Reply, Request,
+    WireStats, DEFAULT_MAX_FRAME_BYTES,
 };
 use kbt_pipeline::{Delta, FusionSession, TrustPipeline};
 use kbt_serve::{DurabilityHook, HookFailure, HookStage, RefitMode, TrustServer, TrustSnapshot};
@@ -230,8 +231,30 @@ proptest! {
         if sent < frame.len() {
             fb.push(&frame[sent..]);
             let payload = fb.next_frame(DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
-            prop_assert_eq!(Request::decode(&payload).unwrap(), req);
+            prop_assert_eq!(Request::decode(&payload).unwrap(), req.clone());
         }
+        prop_assert_eq!(fb.buffered(), 0);
+
+        // One full 64 KiB read of pipelined frames — the request between
+        // numbered pings — decodes in order, and the frame the read cut
+        // off completes on the next push.
+        const READ: usize = 64 * 1024;
+        let (mut bytes, mut pipelined, mut token) = (Vec::new(), Vec::new(), 0);
+        while bytes.len() <= READ {
+            for r in [req.clone(), Request::Ping { token }] {
+                bytes.extend_from_slice(&encode_frame(&r.encode()));
+                pipelined.push(r);
+            }
+            token += 1;
+        }
+        let mut decoded = Vec::new();
+        for read in [&bytes[..READ], &bytes[READ..]] {
+            fb.push(read);
+            while let Some(payload) = fb.next_frame(DEFAULT_MAX_FRAME_BYTES).unwrap() {
+                decoded.push(Request::decode(&payload).unwrap());
+            }
+        }
+        prop_assert_eq!(decoded, pipelined);
         prop_assert_eq!(fb.buffered(), 0);
     }
 
@@ -515,6 +538,63 @@ fn unknown_request_kinds_are_survivable_on_the_same_connection() {
     }
     client.ping().expect("connection still usable");
 
+    net.shutdown().expect("clean shutdown");
+}
+
+/// One write carrying 256 point requests, then three good requests and a
+/// corrupt-CRC frame: every reply comes back in request order with its
+/// id, then the typed `BadCrc` error, then EOF.
+#[test]
+fn pipelined_requests_are_answered_in_order_up_to_a_fatal_frame() {
+    let frames = |reqs: &[Request]| -> Vec<u8> {
+        reqs.iter()
+            .flat_map(|r| encode_frame(&r.encode()))
+            .collect()
+    };
+    let points: Vec<Request> = (1..=256u32)
+        .map(|i| Request::Trust {
+            id: u64::from(i),
+            source: SourceId::new(i % 6),
+        })
+        .collect();
+    let good = [
+        Request::Ping { token: 1001 },
+        Request::Posterior {
+            id: 1002,
+            item: ItemId::new(1),
+            value: ValueId::new(0),
+        },
+        Request::Stats { id: 1003 },
+    ];
+    let mut tail = frames(&good);
+    let mut corrupt = encode_frame(&Request::Ping { token: 1004 }.encode());
+    let n = corrupt.len();
+    corrupt[n - 1] ^= 0x40;
+    tail.extend_from_slice(&corrupt);
+
+    let net = spawn_net();
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    client.send_raw(&frames(&points)).unwrap();
+    client.send_raw(&tail).unwrap();
+    for req in points.iter().chain(&good) {
+        let reply = client.read_reply().expect("a reply per request");
+        let answered = match (req, &reply) {
+            (Request::Trust { id, .. }, Reply::Trust { id: r, .. })
+            | (Request::Posterior { id, .. }, Reply::Posterior { id: r, .. })
+            | (Request::Stats { id }, Reply::StatsReply { id: r, .. })
+            | (Request::Ping { token: id }, Reply::Pong { token: r, .. }) => id == r,
+            _ => false,
+        };
+        assert!(answered, "{req:?} answered by {reply:?}");
+    }
+    match client.read_reply() {
+        Ok(Reply::Error { code, .. }) => assert_eq!(code, ErrorCode::BadCrc),
+        other => panic!("expected a BadCrc error, got {other:?}"),
+    }
+    assert!(
+        matches!(client.read_reply(), Err(ClientError::Disconnected)),
+        "EOF after the fatal error"
+    );
     net.shutdown().expect("clean shutdown");
 }
 
@@ -1041,9 +1121,10 @@ fn a_full_ingest_queue_answers_overloaded_and_drains_into_one_refit() {
     );
 }
 
-/// The reply queue is bounded: a client that pipelines large top-k
-/// requests and never reads a byte fills its socket, then its 128-frame
-/// queue, and is cut loose — while a well-behaved client on the same
+/// The slow-consumer rule is the write timeout: a client that pipelines
+/// large top-k requests and never reads a byte fills its socket, parks
+/// its own connection's thread in a write, and is cut loose once that
+/// write makes no progress — while a well-behaved client on the same
 /// server is answered before, during and after.
 #[test]
 fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
@@ -1067,11 +1148,10 @@ fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
         (net.stats().active == 2).then_some(())
     });
     let request = encode_frame(&Request::TopKSources { id: 7, k: SOURCES }.encode());
-    let mut sent = 0u32;
     wait_until(Duration::from_secs(60), "the hog's disconnect", || {
         for _ in 0..64 {
             // A failed write is the disconnect arriving; keep polling.
-            sent += u32::from(hog.write_all(&request).is_ok());
+            let _ = hog.write_all(&request);
         }
         assert_eq!(
             good.top_k_sources(3)
@@ -1082,10 +1162,6 @@ fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
         );
         (net.stats().active == 1).then_some(())
     });
-    assert!(
-        sent > 128,
-        "the queue bound, not the first reply, cut it: {sent}"
-    );
 
     // The server side is gone: what the kernel still holds drains to EOF.
     hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -1096,15 +1172,13 @@ fn a_client_that_never_reads_is_disconnected_while_others_are_served() {
     assert_eq!(down.stats.accepted, 2);
 }
 
-/// The same peer met while *stopping*: it pipelines fewer requests than
-/// the reply queue holds, so nothing cuts it loose, and reads none of
-/// the answers, so the connection's writer thread parks in a socket
+/// The same peer met while *stopping*: it pipelines requests and reads
+/// none of the answers, so its connection's thread parks in a socket
 /// write. `shutdown()` joins that thread, and only the write timeout
 /// lets the join return while the peer keeps its socket open.
 #[test]
 fn shutdown_is_not_held_by_a_client_that_never_reads() {
-    // ~240 KB per reply: 100 of them fit no pair of socket buffers, and
-    // 100 frames fit the 128-frame queue with room for the stop notice.
+    // ~240 KB per reply: 100 of them fit no pair of socket buffers.
     const SOURCES: u32 = 20_000;
     const REQUESTS: u64 = 100;
     let wide: Vec<Observation> = (0..SOURCES)
@@ -1122,20 +1196,79 @@ fn shutdown_is_not_held_by_a_client_that_never_reads() {
         hog.write_all(&request)
             .expect("21-byte requests always fit");
     }
-    wait_until(Duration::from_secs(60), "every reply queued", || {
-        (net.stats().queries == REQUESTS).then_some(())
+    wait_until(Duration::from_secs(60), "the first reply", || {
+        (net.stats().queries >= 1).then_some(())
     });
 
-    let (done_tx, done_rx) = mpsc::channel();
-    thread::spawn(move || {
-        let _ = done_tx.send(net.shutdown().map(|down| down.stats.accepted));
-    });
-    let accepted = done_rx
-        .recv_timeout(Duration::from_secs(20))
-        .expect("shutdown returns while the peer still holds its socket open")
-        .expect("clean shutdown");
-    assert_eq!(accepted, 1);
+    let down = shutdown_watched(net, "the peer still holds its socket open");
+    assert_eq!(down.stats.accepted, 1);
     drop(hog);
+}
+
+/// `shutdown()` on a watched thread: it must return within 20 s while
+/// `condition` holds.
+fn shutdown_watched(net: NetServer, condition: &str) -> NetShutdown {
+    let (done_tx, done_rx) = mpsc::channel();
+    let watched = thread::spawn(move || {
+        let _ = done_tx.send(net.shutdown());
+    });
+    let down = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("shutdown did not return while {condition}"));
+    watched.join().expect("the shutdown thread");
+    down.expect("clean shutdown")
+}
+
+/// Regression: the stop flag was polled only when a read timed out, so a
+/// client that asks more often than the poll interval held its
+/// connection's thread — and `shutdown()`, which joins it — for as long
+/// as it kept asking. It now draws the stop notice after a reply.
+#[test]
+fn shutdown_is_not_held_by_a_client_that_never_pauses() {
+    let net = spawn_net();
+    let addr = net.addr();
+    let (pinging_tx, pinging) = mpsc::channel();
+    let pinger = thread::spawn(move || {
+        let mut client = NetClient::connect(addr).expect("connect");
+        loop {
+            if let Err(e) = client.ping() {
+                return e;
+            }
+            let _ = pinging_tx.send(());
+        }
+    });
+    pinging
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the pinger is answered");
+
+    let down = shutdown_watched(net, "a client pings in a tight loop");
+    assert_eq!(down.stats.accepted, 1);
+    match pinger.join().expect("the pinger") {
+        ClientError::Server {
+            code: ErrorCode::ShuttingDown,
+            ..
+        }
+        | ClientError::Disconnected => {}
+        other => panic!("expected the stop notice or EOF, got {other}"),
+    }
+}
+
+/// `accept` blocks; `shutdown()` wakes it with a connection of its own —
+/// through loopback when the server is bound to the unspecified address
+/// — that is neither served nor counted.
+#[test]
+fn shutdown_wakes_a_listener_bound_to_the_unspecified_address() {
+    let server = TrustServer::from_pipeline(
+        TrustPipeline::new().observations(corpus()).threads(1),
+        RefitMode::Warm,
+    )
+    .expect("seed corpus fits");
+    let net = NetServer::spawn(server, "0.0.0.0:0").expect("bind every interface");
+    let mut client = NetClient::connect(("127.0.0.1", net.addr().port())).expect("connect");
+    client.ping().expect("ping");
+
+    let down = shutdown_watched(net, "the listener is bound to 0.0.0.0");
+    assert_eq!(down.stats.accepted, 1);
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
