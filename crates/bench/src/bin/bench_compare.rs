@@ -11,8 +11,8 @@
 //!
 //! * **strings and integers** (checksums, corpus sizes, round counts)
 //!   must be **equal**;
-//! * **budget keys** (`*waiver*`, `violations_*`, `lines_*` — the
-//!   `kbt-lint` report) may only go **down**; widening one takes a
+//! * **budget keys** (`*waiver*`, `violations_*`, `lines_*`, `pub_*` —
+//!   the `kbt-lint` report) may only go **down**; widening one takes a
 //!   deliberate baseline bump in the same PR, in review;
 //! * **booleans** that are `true` in the baseline must stay `true`;
 //! * a key present on one side only fails, as does a missing current
@@ -63,7 +63,10 @@ fn parse_flat_json(text: &str, origin: &str) -> Vec<(String, String)> {
 
 /// Budget keys are count ceilings: the count may only go down.
 fn is_budget_key(key: &str) -> bool {
-    key.contains("waiver") || key.starts_with("violations_") || key.starts_with("lines_")
+    key.contains("waiver")
+        || ["violations_", "lines_", "pub_"]
+            .iter()
+            .any(|prefix| key.starts_with(prefix))
 }
 
 /// One line per baseline field (`ok` or `FAIL`), then one `FAIL` per
@@ -134,7 +137,8 @@ mod tests {
     use super::*;
 
     const BASELINE: &str = "{\n  \"bench\": \"em_scale\",\n  \"em_rounds\": 3,\n  \
-        \"waivers_total\": 3,\n  \"lines_core\": 5351,\n  \"bitwise_equal\": true,\n  \
+        \"waivers_total\": 3,\n  \"lines_core\": 5351,\n  \"pub_core\": 200,\n  \
+        \"bitwise_equal\": true,\n  \
         \"trust_checksum\": \"0x12563b294393137f\"\n}\n";
 
     fn failures(current: &str) -> Vec<String> {
@@ -169,6 +173,16 @@ mod tests {
             .replace("\"waivers_total\": 3", "\"waivers_total\": 2")
             .replace("\"lines_core\": 5351", "\"lines_core\": 5000");
         assert!(failures(&shrunk).is_empty());
+    }
+
+    #[test]
+    fn the_pub_budget_may_fall_but_never_rise() {
+        let fewer = BASELINE.replace("\"pub_core\": 200", "\"pub_core\": 180");
+        assert!(failures(&fewer).is_empty());
+        let more = BASELINE.replace("\"pub_core\": 200", "\"pub_core\": 201");
+        let failed = failures(&more);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].starts_with("FAIL pub_core"), "{failed:?}");
     }
 
     #[test]

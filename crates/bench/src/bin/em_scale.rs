@@ -18,12 +18,13 @@
 //! With `--streamed` the drill instead checks the out-of-core residency:
 //! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
 //! processes* run the same fixed-round fit — one resident (regenerating
-//! the corpus), one streaming from the store through bounded
-//! `ChunkCache`s — so each fit's `VmHWM` is measured in isolation. The
+//! the corpus), one streaming from the store with at most
+//! `MAX_RESIDENT_CHUNKS` decoded frames in memory — so each fit's `VmHWM`
+//! is measured in isolation. The
 //! parent hard-asserts bitwise-equal checksums between the two children
 //! and a streamed `VmHWM` well below the resident one, and in smoke mode
 //! that the streamed fit keeps at least half the resident throughput. It
-//! also reports how many frames a round leases (exact: two scans of the
+//! also reports how many frames a round reads (exact: two scans of the
 //! store) and how many bytes the fit read per byte stored.
 //!
 //! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) with
@@ -44,7 +45,7 @@ use kbt_synth::scale::{observations, ScaleConfig};
 /// results are comparable bit for bit and the children's walls as a ratio.
 const ROUNDS: usize = 3;
 
-/// Chunks each `ChunkCache` of the streamed fit may hold.
+/// Decoded frames the streamed fit may hold at once (one per scan worker).
 const MAX_RESIDENT_CHUNKS: usize = 4;
 
 fn fixed_round_cfg() -> ModelConfig {
@@ -133,25 +134,16 @@ fn child_streamed(path: &str) {
     let store = Arc::new(FileChunkStore::open(Path::new(path)).expect("open chunk store"));
     let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
-    let (result, trace, stats) = model
+    let (result, trace) = model
         .run_streamed(&store, MAX_RESIDENT_CHUNKS, &QualityInit::Default)
         .expect("streamed fit");
     let wall = t0.elapsed().as_secs_f64();
-    // `misses` counts loader runs (loads are single-flight), so it is the
-    // number of frames read and decoded. For the reader only: whether a
-    // lookup beats its prefetch, and which buffers outlive a scan, is
-    // scheduling, so those counts differ from run to run. `lookups` does
-    // not: every scan leases every frame of its family once.
-    let (items, groups) = (stats.item_cache, stats.group_cache);
-    println!(
-        "  caches: items {} hits / {} loads / {} evictions; groups {} / {} / {}",
-        items.hits, items.misses, items.evictions, groups.hits, groups.misses, groups.evictions
-    );
-    let leases = items.lookups + groups.lookups;
-    assert_eq!(leases % ROUNDS as u64, 0, "a round left a scan unfinished");
+    // Every scan reads every frame of its family once.
+    let frames = store.frames_read();
+    assert_eq!(frames % ROUNDS as u64, 0, "a round left a scan unfinished");
     let extra = format!(
-        " frame_leases_per_round={} store_read_bytes={}",
-        leases / ROUNDS as u64,
+        " frames_read_per_round={} store_read_bytes={}",
+        frames / ROUNDS as u64,
         read_chars() - read_before
     );
     print_child_line(&FusionReport::from_multi_layer(result, trace), wall, &extra);
@@ -204,7 +196,7 @@ fn child_num(line: &str, key: &str) -> f64 {
 
 fn run_streamed(mode: &str, triples: usize) {
     println!(
-        "em_scale --streamed ({mode}): {triples} triples, cache cap {MAX_RESIDENT_CHUNKS} chunks per family"
+        "em_scale --streamed ({mode}): {triples} triples, at most {MAX_RESIDENT_CHUNKS} decoded frames at once"
     );
 
     // Chunk the corpus to disk once; both children fit the same data.
@@ -268,12 +260,12 @@ fn run_streamed(mode: &str, triples: usize) {
         mib(streamed_hwm)
     );
     // One scan of each frame family per round: the store is read `ROUNDS`
-    // times over (plus the open), whatever the caches kept.
-    let leases = child_num(&streamed, "frame_leases_per_round") as u64;
+    // times over (plus the open).
+    let frames = child_num(&streamed, "frames_read_per_round") as u64;
     let read_amp = child_num(&streamed, "store_read_bytes") / store_bytes;
     println!(
         "  streamed/resident: RSS x{rss_ratio:.2} ({}), throughput x{tput_ratio:.2}; \
-         store reads / store bytes x{read_amp:.2} over {ROUNDS} rounds, {leases} frames leased a round",
+         store reads / store bytes x{read_amp:.2} over {ROUNDS} rounds, {frames} frames read a round",
         if rss_ok { "ok" } else { "TOO HIGH" }
     );
     assert!(
@@ -295,7 +287,7 @@ fn run_streamed(mode: &str, triples: usize) {
         .count("groups", groups as u64)
         .count("em_rounds", ROUNDS as u64)
         .count("max_resident_chunks", MAX_RESIDENT_CHUNKS as u64)
-        .count("frame_leases_per_round", leases)
+        .count("frames_read_per_round", frames)
         .flag("bitwise_equal", true)
         .flag("streamed_rss_ok", rss_ok)
         .text("trust_checksum", trust)

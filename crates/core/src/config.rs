@@ -56,12 +56,11 @@ pub enum AbsencePolicy {
 /// from. It changes where bytes come from, never which kernels run.
 ///
 /// [`CubeResidency::Streamed`] drives the EM rounds from a
-/// `kbt_datamodel::FileChunkStore` through bounded
-/// `kbt_datamodel::ChunkCache`s: peak memory is O(groups) float state +
-/// O(chunks in flight) payloads instead of O(corpus), and the fit is
+/// `kbt_datamodel::FileChunkStore`, each scan worker reading every frame
+/// it runs into its own buffer: peak memory is O(groups) float state +
+/// one decoded frame per worker instead of O(corpus), and the fit is
 /// **bit-for-bit identical** to a resident fit at any thread count and
-/// any cache size (leased `Arc` buffers mean eviction can never change a
-/// value — only I/O volume).
+/// any `max_resident_chunks`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CubeResidency {
     /// Keep the whole chunked cube in memory (the default).
@@ -72,9 +71,9 @@ pub enum CubeResidency {
         /// Path of the chunk store file
         /// (`kbt_datamodel::FileChunkStore::write`).
         path: PathBuf,
-        /// Residency cap per chunk cache (item frames and group frames
-        /// each get their own cache of this many decoded buffers);
-        /// `0` = unbounded.
+        /// Cap on decoded frames in memory at once: a scan runs on at
+        /// most this many workers, each holding one frame (fewer if the
+        /// thread count is lower); `0` = unbounded.
         max_resident_chunks: usize,
     },
 }
@@ -153,8 +152,8 @@ pub struct ModelConfig {
     /// only on scheduling granularity.
     pub chunk_target_cells: usize,
     /// Where the chunked cube lives during the fit: resident in memory
-    /// (default) or streamed from a chunk store on disk with bounded
-    /// caches. Streamed fits are bit-identical to resident ones — the
+    /// (default) or streamed from a chunk store on disk, a few decoded
+    /// frames at a time. Streamed fits are bit-identical to resident ones — the
     /// knob trades I/O for peak RSS, never results.
     pub residency: CubeResidency,
     /// Copy detection inside the engine (§5.4.2): when set, the

@@ -74,7 +74,7 @@ pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{
     ConvergenceTrace, FusionDetail, FusionModel, FusionReport, IterationTrace, ModelKind, StageWall,
 };
-pub use multi_layer::{MultiLayerModel, MultiLayerResult, StreamStats};
+pub use multi_layer::{MultiLayerModel, MultiLayerResult};
 pub use params::{q_from_precision_recall, Params, QualityInit};
 pub use posterior::ItemPosteriors;
 pub use single_layer::{SingleLayerModel, SingleLayerResult};

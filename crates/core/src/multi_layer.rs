@@ -16,8 +16,8 @@ use std::io;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    CacheStats, ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
-    SourceId, StreamedChunks,
+    ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks, SourceId,
+    StreamedChunks,
 };
 use kbt_flume::{par_ranges_mut, Stopwatch};
 
@@ -85,19 +85,6 @@ impl MultiLayerResult {
         }
         self.covered_group.iter().filter(|&&c| c).count() as f64 / self.covered_group.len() as f64
     }
-}
-
-/// I/O-side diagnostics of a streamed fit
-/// ([`MultiLayerModel::run_streamed`]): chunk-cache hit/load/eviction
-/// counters for the item-chunk and group-frame caches, accumulated over
-/// the whole run (`misses` is the number of frames read and decoded).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Item-chunk cache counters (value E-step reads).
-    pub item_cache: CacheStats,
-    /// Group-frame cache counters (the correctness E-step's reads; the
-    /// extractor M-step rides the same scan).
-    pub group_cache: CacheStats,
 }
 
 /// The multi-layer KBT estimator.
@@ -273,15 +260,16 @@ impl MultiLayerModel {
     /// out-of-core fit behind [`crate::config::CubeResidency::Streamed`].
     /// No [`ObservationCube`] (or [`ChunkedCube`]) is ever materialized:
     /// only the O(groups) posterior vectors, the per-source/per-extractor
-    /// tables, and at most `max_resident_chunks` decoded chunks per cache
-    /// (`0` = unbounded) are resident, while a background prefetcher
-    /// overlaps the next chunk's read + decode with the current chunk's
-    /// compute.
+    /// tables, and one decoded frame per scan worker are resident; a scan
+    /// runs on at most `max_resident_chunks` workers (`0` = as many as
+    /// the thread count allows). [`FileChunkStore::frames_read`] counts
+    /// the reads: each frame once per scan, two scans per round.
     ///
     /// It is the same loop over the same kernels as a resident fit, fed
     /// from [`StreamedChunks`] instead of [`ResidentChunks`], so the
     /// result is **bit-for-bit identical** at any thread count and any
-    /// cache size (the `out_of_core` integration tests assert this).
+    /// `max_resident_chunks` (the `out_of_core` integration tests assert
+    /// this).
     ///
     /// I/O failures mid-fit (truncated frames, CRC mismatches) surface
     /// as typed [`io::Error`]s, never panics. Copy detection needs
@@ -292,7 +280,7 @@ impl MultiLayerModel {
         store: &Arc<FileChunkStore>,
         max_resident_chunks: usize,
         init: &QualityInit,
-    ) -> io::Result<(MultiLayerResult, ConvergenceTrace, StreamStats)> {
+    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
         if self.cfg.copy_detection.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -301,15 +289,9 @@ impl MultiLayerModel {
             ));
         }
         let src = StreamedChunks::new(Arc::clone(store), max_resident_chunks);
-        let (result, trace) = kbt_flume::with_threads(self.cfg.threads, || {
+        kbt_flume::with_threads(self.cfg.threads, || {
             run_em(&self.cfg, &src, init, None, None)
-        })?;
-        let (item_cache, group_cache) = src.cache_stats();
-        let stats = StreamStats {
-            item_cache,
-            group_cache,
-        };
-        Ok((result, trace, stats))
+        })
     }
 }
 

@@ -231,7 +231,7 @@ fn col_value_item_kernel(
 /// dense rows), **scatter** the chunk's rows to the three per-group
 /// outputs. Chunks tile the item space in order and every group belongs to
 /// exactly one item, so the result is the same at any thread count, chunk
-/// size and cache size.
+/// size and residency.
 pub(crate) fn estimate_values<S: ChunkSource>(
     src: &S,
     correctness: &[f64],

@@ -122,21 +122,15 @@ pub fn assert_engine_matches_reference(
     let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
     for max_resident in [1usize, 4, 0] {
         for threads in [1usize, 2, 4] {
-            let (result, trace, stats) = at(threads)
+            let read_before = store.frames_read();
+            let got = at(threads)
                 .run_streamed(&store, max_resident, init)
                 .expect("streamed fit");
-            let what = format!("{tag} streamed cache={max_resident} x{threads}");
-            assert_fits_bitwise_eq(&(result, trace), &want, &what);
-            // The caches actually served the fit.
+            let what = format!("{tag} streamed cap={max_resident} x{threads}");
+            assert_fits_bitwise_eq(&got, &want, &what);
+            // The store actually served the fit.
             if cfg.max_iterations > 0 && ng > 0 {
-                let io = stats.item_cache.hits
-                    + stats.item_cache.misses
-                    + stats.group_cache.hits
-                    + stats.group_cache.misses;
-                assert!(io > 0, "{what}: no cache traffic recorded");
-            }
-            if max_resident == 0 {
-                assert_eq!(stats.item_cache.evictions, 0, "{what}: unbounded evicted");
+                assert!(store.frames_read() > read_before, "{what}: no frames read");
             }
         }
     }

@@ -31,11 +31,11 @@
 //!
 //! An EM fit reads the cube only through a [`ChunkSource`]: scans over
 //! item-major [`ItemView`]s and over group-major [`GroupView`]s — the one
-//! place that decides how chunk work is scheduled and prefetched — and
-//! the resident integer skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`]
-//! serves zero-copy slices of a [`ChunkedCube`]; [`StreamedChunks`] leases
-//! decoded [`ChunkBuf`]s / [`GroupBuf`]s of a [`FileChunkStore`] from
-//! bounded caches, so the resident set is a handful of buffers instead of
+//! place that decides how chunk work is scheduled — and the resident
+//! integer skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`] serves
+//! zero-copy slices of a [`ChunkedCube`]; [`StreamedChunks`] has each scan
+//! worker read a [`FileChunkStore`]'s frames into its own [`ChunkBuf`] /
+//! [`GroupBuf`], so the resident set is one buffer per worker instead of
 //! the whole corpus. The v2 file format (`KBTCHNK2`) is the magic followed by
 //! four families of [`wire`] frames (the frame, sequence and column
 //! contracts are stated once, in that module's docs):
@@ -54,21 +54,14 @@
 //! * an **index frame** + trailing 8-byte offset, so [`FileChunkStore::open`]
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
-//!
-//! [`ChunkCache`] adds a bounded cache of decoded buffers over the store,
-//! with single-flight loads and an eviction order made for cyclic scans:
-//! workers lease `Arc` handles, so an eviction never invalidates a
-//! computation under way — the cache size bounds *residency*, it can
-//! never change a result.
 
-use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{self, Write as _};
 use std::ops::Range;
 use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use kbt_flume::Turn;
 
@@ -646,11 +639,11 @@ impl GroupView<'_> {
 
 /// Where an EM fit's chunk views come from — the one seam between the
 /// engine and the cube's residency, and the one place that knows how
-/// chunk work is scheduled and prefetched. Every stage reads the cube
-/// through a scan (plus the resident [`ChunkStoreMeta`] skeleton), so the
-/// kernels run the same instructions whether a view is a zero-copy slice
-/// of a resident [`ChunkedCube`] ([`ResidentChunks`]) or a buffer leased
-/// from a [`FileChunkStore`]'s caches ([`StreamedChunks`]).
+/// chunk work is scheduled. Every stage reads the cube through a scan
+/// (plus the resident [`ChunkStoreMeta`] skeleton), so the kernels run the
+/// same instructions whether a view is a zero-copy slice of a resident
+/// [`ChunkedCube`] ([`ResidentChunks`]) or a worker's buffer freshly read
+/// from a [`FileChunkStore`] ([`StreamedChunks`]).
 ///
 /// A scan runs `f(scratch, view)` once per chunk on
 /// [`kbt_flume::run_tasks`] — chunks pulled in ascending order by at most
@@ -683,8 +676,7 @@ pub trait ChunkSource: Sync {
 }
 
 /// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
-/// with the skeleton derived once at construction. Never fails, never
-/// prefetches.
+/// with the skeleton derived once at construction. Never fails.
 #[derive(Debug)]
 pub struct ResidentChunks<'a> {
     cube: &'a ChunkedCube,
@@ -711,7 +703,7 @@ impl ChunkSource for ResidentChunks<'_> {
         scratch: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, None, |s, i, _| {
+        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i, _| {
             Ok(f(s, &self.cube.item_view(i)))
         })
     }
@@ -722,38 +714,56 @@ impl ChunkSource for ResidentChunks<'_> {
         f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
         let frames = &self.meta.group_frames;
-        kbt_flume::run_tasks(frames.len(), scratch, None, |s, i, turn| {
+        kbt_flume::run_tasks(frames.len(), scratch, |s, i, turn| {
             Ok(f(s, i, &self.cube.group_view(frames[i].clone()), turn))
         })
     }
 }
 
-/// The streamed [`ChunkSource`]: a [`FileChunkStore`] behind one bounded
-/// [`ChunkCache`] per frame family. Views borrow leased `Arc` buffers, so
-/// `max_resident_chunks` bounds memory and I/O and can never change a
-/// result; read and CRC failures surface from the scans as typed errors.
+/// The streamed [`ChunkSource`]: every scan reads its frames from a
+/// [`FileChunkStore`], in order, each worker into its own buffer, which it
+/// reuses for the scan's next frame. `max_resident_chunks` caps the
+/// decoded frames in memory at once, so a scan runs on at most that many
+/// workers (`0` = no cap beyond the thread count); it bounds memory and
+/// parallelism and can never change a result. Read, CRC and shape
+/// failures surface from the scans as typed errors.
 #[derive(Debug)]
 pub struct StreamedChunks {
     store: Arc<FileChunkStore>,
-    items: ChunkCache<ChunkBuf>,
-    frames: ChunkCache<GroupBuf>,
+    max_resident_chunks: usize,
 }
 
 impl StreamedChunks {
-    /// Caches of at most `max_resident_chunks` decoded buffers each
-    /// (`0` = unbounded) over `store`.
+    /// Scans of `store` holding at most `max_resident_chunks` decoded
+    /// frames at once (`0` = unbounded).
     pub fn new(store: Arc<FileChunkStore>, max_resident_chunks: usize) -> Self {
         Self {
-            items: ChunkCache::for_items(Arc::clone(&store), max_resident_chunks),
-            frames: ChunkCache::for_group_frames(Arc::clone(&store), max_resident_chunks),
             store,
+            max_resident_chunks,
         }
     }
 
-    /// Hit/load/eviction counters of the item-chunk and group-frame
-    /// caches, in that order.
-    pub fn cache_stats(&self) -> (CacheStats, CacheStats) {
-        (self.items.stats(), self.frames.stats())
+    /// Run `f(scratch, idx, buffer, turn)` over frames `0..frames` on
+    /// [`kbt_flume::run_tasks`]: each worker pairs a `scratch` slot with a
+    /// buffer of its own and `load`s frame `idx` into it before `f` runs.
+    fn scan<S: Send, B: Default + Send, R: Send>(
+        &self,
+        frames: usize,
+        scratch: &mut [S],
+        load: impl Fn(&FileChunkStore, usize, &mut B) -> io::Result<()> + Sync,
+        f: impl Fn(&mut S, usize, &B, Turn<'_>) -> R + Sync,
+    ) -> io::Result<Vec<R>> {
+        let workers = match self.max_resident_chunks {
+            0 => scratch.len(),
+            cap => cap.min(scratch.len()),
+        };
+        let mut slots: Vec<(&mut S, B)> = (scratch.iter_mut().take(workers))
+            .map(|s| (s, B::default()))
+            .collect();
+        kbt_flume::run_tasks(frames, &mut slots, |(s, buf), i, turn| {
+            load(&self.store, i, buf)?;
+            Ok(f(s, i, buf, turn))
+        })
     }
 }
 
@@ -767,7 +777,12 @@ impl ChunkSource for StreamedChunks {
         scratch: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        self.items.scan(scratch, |s, _, buf, _| f(s, &buf.view()))
+        self.scan(
+            self.store.num_chunks(),
+            scratch,
+            FileChunkStore::load_chunk,
+            |s, _, buf: &ChunkBuf, _| f(s, &buf.view()),
+        )
     }
 
     fn scan_groups<S: Send, R: Send>(
@@ -775,8 +790,12 @@ impl ChunkSource for StreamedChunks {
         scratch: &mut [S],
         f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        self.frames
-            .scan(scratch, |s, i, buf, turn| f(s, i, &buf.view(), turn))
+        self.scan(
+            self.store.num_group_frames(),
+            scratch,
+            FileChunkStore::load_group_frame,
+            |s, i, buf: &GroupBuf, turn| f(s, i, &buf.view(), turn),
+        )
     }
 }
 
@@ -1044,6 +1063,8 @@ pub struct FileChunkStore {
     item_frames: Vec<(u64, u32)>,
     /// Byte offset + length of each group frame's payload.
     group_frame_index: Vec<(u64, u32)>,
+    /// Frames read by [`Self::load_chunk`] / [`Self::load_group_frame`].
+    frames_read: AtomicU64,
 }
 
 impl FileChunkStore {
@@ -1147,6 +1168,7 @@ impl FileChunkStore {
             meta,
             item_frames,
             group_frame_index,
+            frames_read: AtomicU64::new(0),
         })
     }
 
@@ -1165,9 +1187,18 @@ impl FileChunkStore {
         self.item_frames.len()
     }
 
+    /// Item and group frames read from the file since it was opened: a
+    /// streamed fit reads each frame once per scan, so this is exact.
+    pub fn frames_read(&self) -> u64 {
+        // ordering: Relaxed — a count for reporting; it orders no memory.
+        self.frames_read.load(Ordering::Relaxed)
+    }
+
     /// The CRC-verified payload of the frame behind an index entry — the
     /// one way bytes leave a chunk file.
     fn payload(&self, what: &str, idx: usize, (off, len): (u64, u32)) -> io::Result<Vec<u8>> {
+        // ordering: Relaxed — a monotonic count for reporting; it publishes no memory.
+        self.frames_read.fetch_add(1, Ordering::Relaxed);
         wire::read_frame_at(&self.file, off, len, self.limit)
             .map_err(|e| io::Error::new(e.kind(), format!("{what} {idx}: {e}")))
     }
@@ -1237,288 +1268,6 @@ impl FileChunkStore {
             return Err(malformed(format!("chunk {idx}: malformed payload")));
         }
         Ok(())
-    }
-}
-
-/// Hit/miss/evict counters of a [`ChunkCache`], sampled via
-/// [`ChunkCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Leases handed out by [`ChunkCache::get`]: one per chunk per scan,
-    /// whatever the prefetcher and the eviction order did — the one count
-    /// here that scheduling cannot move.
-    pub lookups: u64,
-    /// Lookups served from the cache, including those that waited for a
-    /// load already in flight.
-    pub hits: u64,
-    /// Loader invocations: loads are single-flight, so a prefetch and the
-    /// lookup racing it count once.
-    pub misses: u64,
-    /// Decoded buffers dropped to respect the residency cap.
-    pub evictions: u64,
-}
-
-struct CacheState<B> {
-    map: HashMap<usize, Arc<B>>,
-    /// Resident chunks some [`ChunkCache::get`] has leased, oldest lease
-    /// first.
-    consumed: VecDeque<usize>,
-    /// Resident prefetched chunks no lookup has asked for yet, oldest
-    /// first.
-    unconsumed: VecDeque<usize>,
-    /// Chunks a thread is loading right now.
-    in_flight: Vec<usize>,
-}
-
-impl<B> CacheState<B> {
-    /// Take `idx` off whichever order list holds it. A scan asks for the
-    /// oldest entry of its list, so both searches start at the front.
-    fn unlist(&mut self, idx: usize) {
-        for list in [&mut self.unconsumed, &mut self.consumed] {
-            if let Some(p) = list.iter().position(|&i| i == idx) {
-                list.remove(p);
-                return;
-            }
-        }
-    }
-}
-
-/// Bounded cache of decoded chunk buffers over a loader (usually a
-/// [`FileChunkStore`]), built for the cyclic scans an EM fit makes.
-/// Lookups return `Arc` leases: an eviction only drops the cache's
-/// reference, never a worker's, so **`max_resident_chunks` bounds memory
-/// and I/O, and can never change a result**.
-///
-/// Loads are **single-flight**: they run outside the lock (misses on
-/// different chunks overlap their I/O), but a chunk some thread is
-/// already loading is never loaded twice — [`Self::get`] waits for that
-/// load, [`Self::prefetch`] returns. Eviction is **scan-aware**: a chunk
-/// a lookup has already leased goes first (the most recently leased one,
-/// which a cyclic scan needs last), and a prefetched chunk nobody has
-/// asked for yet goes only when nothing else is left.
-pub struct ChunkCache<B> {
-    cap: usize,
-    num_chunks: usize,
-    loader: Loader<B>,
-    state: Mutex<CacheState<B>>,
-    loaded: Condvar,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Reads and decodes chunk `idx`.
-type Loader<B> = Box<dyn Fn(usize) -> io::Result<B> + Send + Sync>;
-
-impl<B> std::fmt::Debug for ChunkCache<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkCache")
-            .field("cap", &self.cap)
-            .field("num_chunks", &self.num_chunks)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Clears a chunk's in-flight mark and wakes its waiters when the load
-/// ends — by insert, by error, or by a panicking loader — so no index can
-/// stay stuck in flight.
-struct Flight<'a, B> {
-    cache: &'a ChunkCache<B>,
-    idx: usize,
-}
-
-impl<B> Drop for Flight<'_, B> {
-    fn drop(&mut self) {
-        // A poisoned lock means a thread panicked inside the cache; the
-        // lists hold plain indices, valid at every step, so carry on.
-        let mut st = self
-            .cache
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        st.in_flight.retain(|&i| i != self.idx);
-        drop(st);
-        self.cache.loaded.notify_all();
-    }
-}
-
-impl<B> ChunkCache<B> {
-    /// Build a cache over `loader` for `num_chunks` chunks, keeping at
-    /// most `max_resident_chunks` decoded buffers resident
-    /// (`0` = unbounded).
-    pub fn new(num_chunks: usize, max_resident_chunks: usize, loader: Loader<B>) -> Self {
-        Self {
-            cap: if max_resident_chunks == 0 {
-                usize::MAX
-            } else {
-                max_resident_chunks
-            },
-            num_chunks,
-            loader,
-            state: Mutex::new(CacheState {
-                map: HashMap::new(),
-                consumed: VecDeque::new(),
-                unconsumed: VecDeque::new(),
-                in_flight: Vec::new(),
-            }),
-            loaded: Condvar::new(),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of chunks the cache fronts.
-    pub fn num_chunks(&self) -> usize {
-        self.num_chunks
-    }
-
-    /// Snapshot the hit/miss/evict counters.
-    pub fn stats(&self) -> CacheStats {
-        // ordering: Relaxed — stat snapshot; the counters are advisory and order nothing.
-        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        CacheStats {
-            lookups: read(&self.lookups),
-            hits: read(&self.hits),
-            misses: read(&self.misses),
-            evictions: read(&self.evictions),
-        }
-    }
-
-    /// Lease chunk `idx`: from the cache, from a load already in flight
-    /// (waiting for it), or by loading it. If the awaited load fails, this
-    /// lookup runs the loader itself and returns that error.
-    pub fn get(&self, idx: usize) -> io::Result<Arc<B>> {
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock().expect("chunk cache lock poisoned");
-        loop {
-            if let Some(b) = st.map.get(&idx).cloned() {
-                st.unlist(idx);
-                st.consumed.push_back(idx);
-                // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(b);
-            }
-            if !st.in_flight.contains(&idx) {
-                break;
-            }
-            st = self.loaded.wait(st).expect("chunk cache lock poisoned");
-        }
-        self.load(st, idx, true)
-    }
-
-    /// Warm chunk `idx` unless it is resident or already being loaded.
-    /// Load errors are swallowed — the worker's own [`Self::get`]
-    /// re-surfaces them with context.
-    pub fn prefetch(&self, idx: usize) {
-        let st = self.state.lock().expect("chunk cache lock poisoned");
-        if !st.map.contains_key(&idx) && !st.in_flight.contains(&idx) {
-            let _ = self.load(st, idx, false);
-        }
-    }
-
-    /// Run `f(scratch, idx, buffer, turn)` over every chunk in ascending
-    /// order on [`kbt_flume::run_tasks`] (one `scratch` slot per worker,
-    /// results in chunk order, the lease held until `f` returns) while a
-    /// prefetcher warms the chunks just ahead: a couple per worker the
-    /// scan can actually use, but never so far that a bounded cache would
-    /// evict chunks before they are consumed.
-    pub fn scan<S: Send, R: Send>(
-        &self,
-        scratch: &mut [S],
-        f: impl Fn(&mut S, usize, &B, Turn<'_>) -> R + Sync,
-    ) -> io::Result<Vec<R>>
-    where
-        B: Send + Sync,
-    {
-        let workers = kbt_flume::num_threads().min(scratch.len());
-        let depth = workers.saturating_mul(2).max(2).min(self.cap);
-        let warm = |i| self.prefetch(i);
-        kbt_flume::run_tasks(
-            self.num_chunks,
-            scratch,
-            Some((depth, &warm)),
-            |s, i, turn| Ok(f(s, i, &*self.get(i)?, turn)),
-        )
-    }
-
-    /// Run the loader for `idx` outside the lock and insert the result,
-    /// evicting down to the cap.
-    fn load(
-        &self,
-        mut st: MutexGuard<'_, CacheState<B>>,
-        idx: usize,
-        consumed: bool,
-    ) -> io::Result<Arc<B>> {
-        st.in_flight.push(idx);
-        drop(st);
-        let _flight = Flight { cache: self, idx };
-        // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let b = Arc::new((self.loader)(idx)?);
-
-        let mut st = self.state.lock().expect("chunk cache lock poisoned");
-        st.map.insert(idx, Arc::clone(&b));
-        if consumed {
-            st.consumed.push_back(idx);
-        } else {
-            st.unconsumed.push_back(idx);
-        }
-        while st.map.len() > self.cap {
-            // The newest entry of the first list that has one besides the
-            // chunk just inserted (cap 1 must still admit that one).
-            let st = &mut *st;
-            let Some(victim) =
-                [&mut st.consumed, &mut st.unconsumed]
-                    .into_iter()
-                    .find_map(|list| {
-                        let p = list.iter().rposition(|&i| i != idx)?;
-                        list.remove(p)
-                    })
-            else {
-                break;
-            };
-            st.map.remove(&victim);
-            // ordering: Relaxed — monotonic stat counter, read only for reporting; no memory is published through it.
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(b)
-    }
-}
-
-impl ChunkCache<ChunkBuf> {
-    /// Cache of decoded item-frame payloads over `store`.
-    pub fn for_items(store: Arc<FileChunkStore>, max_resident_chunks: usize) -> Self {
-        let n = store.num_chunks();
-        Self::new(
-            n,
-            max_resident_chunks,
-            Box::new(move |idx| {
-                let mut buf = ChunkBuf::default();
-                store.load_chunk(idx, &mut buf)?;
-                Ok(buf)
-            }),
-        )
-    }
-}
-
-impl ChunkCache<GroupBuf> {
-    /// Cache of decoded group-frame payloads over `store`.
-    pub fn for_group_frames(store: Arc<FileChunkStore>, max_resident_chunks: usize) -> Self {
-        let n = store.num_group_frames();
-        Self::new(
-            n,
-            max_resident_chunks,
-            Box::new(move |idx| {
-                let mut buf = GroupBuf::default();
-                store.load_group_frame(idx, &mut buf)?;
-                Ok(buf)
-            }),
-        )
     }
 }
 
@@ -1850,16 +1599,15 @@ mod tests {
                         .any(|idx| store.load_group_frame(idx, &mut gbuf).is_err());
                 assert!(any_err, "corruption must not pass CRC");
 
-                // The same through the scans, a prefetcher racing two
-                // workers: the swallowed prefetch error must come back
-                // out as the scan's error, and nobody may hang on the
-                // failed load.
+                // The same through the scans on two workers: the load
+                // error comes back out as the scan's error, and nobody
+                // hangs on the failed frame.
                 let src = StreamedChunks::new(Arc::new(store), 2);
                 let any_err = kbt_flume::with_threads(Some(2), || {
                     src.scan_items(&mut [(); 2], |_, _| ()).is_err()
                         || src.scan_groups(&mut [(); 2], |_, _, _, _| ()).is_err()
                 });
-                assert!(any_err, "corruption must not pass CRC through the cache");
+                assert!(any_err, "corruption must not pass CRC through a scan");
             }
         }
         fs::remove_file(&path).unwrap();
@@ -2003,209 +1751,41 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// `max_resident_chunks` caps a streamed scan's workers, one decoded
+    /// frame each: at cap 1 every frame runs on the calling thread, at cap
+    /// `k` on at most `min(k, threads)` threads; every scan reads each
+    /// frame once.
     #[test]
-    fn chunk_cache_caps_residency_and_counts() {
-        let cube = sample_cube();
-        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        let dir = std::env::temp_dir().join("kbt_chunk_cache_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chunks.kbt");
+    fn the_cap_bounds_a_streamed_scans_workers() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 4 });
+        let path = std::env::temp_dir().join("kbt_chunk_store_cap.kbt");
         FileChunkStore::write(&cc, &path).unwrap();
         let store = Arc::new(FileChunkStore::open(&path).unwrap());
-        let n = store.num_chunks();
-        assert!(n >= 3, "want ≥ 3 chunks, got {n}");
-
-        // Cap 1: every distinct access misses, repeats on the same chunk hit.
-        let cache = ChunkCache::for_items(store.clone(), 1);
-        let a = cache.get(0).unwrap();
-        let b = cache.get(0).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "repeat get must lease the same buf");
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                lookups: 2,
-                hits: 1,
-                misses: 1,
-                evictions: 0
-            }
-        );
-        let _c = cache.get(1).unwrap();
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                lookups: 3,
-                hits: 1,
-                misses: 2,
-                evictions: 1
-            }
-        );
-        // The evicted lease is still valid data.
-        let mut direct = ChunkBuf::default();
-        store.load_chunk(0, &mut direct).unwrap();
-        assert_eq!(*a, direct);
-
-        // Prefetch warms: the subsequent get is a hit.
-        cache.prefetch(2);
-        let s0 = cache.stats();
-        let _d = cache.get(2).unwrap();
-        let s1 = cache.stats();
-        assert_eq!(s1.hits, s0.hits + 1);
-        assert_eq!(s1.misses, s0.misses);
-
-        // Unbounded (0): no evictions ever.
-        let unbounded = ChunkCache::for_items(store.clone(), 0);
-        for idx in 0..n {
-            unbounded.get(idx).unwrap();
-        }
-        for idx in 0..n {
-            unbounded.get(idx).unwrap();
-        }
-        assert_eq!(
-            unbounded.stats(),
-            CacheStats {
-                lookups: 2 * n as u64,
-                hits: n as u64,
-                misses: n as u64,
-                evictions: 0
-            }
-        );
         fs::remove_file(&path).unwrap();
-    }
-
-    /// A cache over a counting in-memory loader: chunk `i` decodes to `i`.
-    fn counting_cache(
-        n: usize,
-        cap: usize,
-    ) -> (ChunkCache<usize>, Arc<std::sync::atomic::AtomicUsize>) {
-        let loads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&loads);
-        let cache = ChunkCache::new(
-            n,
-            cap,
-            Box::new(move |idx| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                Ok(idx)
-            }),
-        );
-        (cache, loads)
-    }
-
-    /// The policy on the access pattern it is for: a cyclic scan with a
-    /// prefetcher at most `cap` chunks ahead loads every chunk once per
-    /// pass, serves every lookup from the cache, and never holds more
-    /// than `cap` entries — including across the wrap-around, where LRU
-    /// order would evict the chunks prefetched for the new pass.
-    #[test]
-    fn prefetched_scan_loads_each_chunk_once_per_pass() {
-        let (n, cap) = (30usize, 4usize);
-        let (cache, loads) = counting_cache(n, cap);
-        for pass in 1..=3u64 {
-            for i in 0..n {
-                for ahead in i..(i + cap).min(n) {
-                    cache.prefetch(ahead);
-                    let s = cache.stats();
-                    assert!(s.misses - s.evictions <= cap as u64, "over cap: {s:?}");
+        let frames = (store.num_chunks() + store.num_group_frames()) as u64;
+        assert!(store.num_chunks() > 4 && store.num_group_frames() > 4);
+        let me = thread::current().id();
+        for cap in [1usize, 2, 3, 4, 8, 0] {
+            let src = StreamedChunks::new(Arc::clone(&store), cap);
+            let before = store.frames_read();
+            let [items, groups]: [Vec<ThreadId>; 2] = kbt_flume::with_threads(Some(4), || {
+                let id = || thread::current().id();
+                [
+                    src.scan_items(&mut [(); 8], |_, _| id()).unwrap(),
+                    src.scan_groups(&mut [(); 8], |_, _, _, _| id()).unwrap(),
+                ]
+            });
+            assert_eq!(store.frames_read() - before, frames, "cap {cap}");
+            let bound = if cap == 0 { 4 } else { cap.min(4) };
+            for ids in [items, groups] {
+                if cap == 1 {
+                    assert!(ids.iter().all(|&id| id == me), "cap 1 left the caller");
                 }
-                assert_eq!(*cache.get(i).unwrap(), i);
+                let distinct = ids.iter().collect::<HashSet<_>>().len();
+                assert!(distinct <= bound, "cap {cap}: {distinct} threads");
             }
-            let s = cache.stats();
-            assert_eq!(s.misses, pass * n as u64, "loads after pass {pass}");
-            assert_eq!(s.misses, loads.load(Ordering::SeqCst) as u64);
-            assert!(
-                s.hits >= pass * (n - cap) as u64,
-                "hits after pass {pass}: {s:?}"
-            );
         }
-    }
-
-    /// A demand load landing in a cache full of prefetched, not yet
-    /// consumed chunks must not push out the oldest of them (the next one
-    /// the scan needs).
-    #[test]
-    fn demand_load_spares_the_next_prefetched_chunk() {
-        let (cache, loads) = counting_cache(10, 3);
-        for i in [1, 2, 3] {
-            cache.prefetch(i);
-        }
-        cache.get(0).unwrap(); // over cap: evicts the newest prefetch, 3
-        assert_eq!(loads.load(Ordering::SeqCst), 4);
-        cache.get(1).unwrap();
-        cache.get(2).unwrap();
-        assert_eq!(loads.load(Ordering::SeqCst), 4, "1 and 2 stayed resident");
-    }
-
-    /// Single flight: a lookup arriving while another thread loads the
-    /// same chunk waits for that load instead of repeating it.
-    #[test]
-    fn concurrent_lookups_share_one_load() {
-        use std::sync::mpsc;
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let cache = ChunkCache::new(
-            4,
-            2,
-            Box::new(move |idx| {
-                started_tx.send(idx).unwrap();
-                release_rx.lock().unwrap().recv().unwrap();
-                Ok(idx)
-            }),
-        );
-        std::thread::scope(|scope| {
-            let first = scope.spawn(|| cache.get(3).unwrap());
-            assert_eq!(started_rx.recv().unwrap(), 3); // the load is in flight
-            cache.prefetch(3); // returns at once: nothing to do
-            let second = scope.spawn(|| cache.get(3).unwrap());
-            release_tx.send(()).unwrap();
-            let (a, b) = (first.join().unwrap(), second.join().unwrap());
-            assert!(Arc::ptr_eq(&a, &b));
-        });
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    /// A load that fails while another lookup waits on it wakes the
-    /// waiter, which runs the loader itself and gets its own typed error;
-    /// the index is not left in flight, so a later lookup can succeed.
-    #[test]
-    fn failed_load_wakes_waiters_with_a_typed_error() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::mpsc;
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let healthy = Arc::new(AtomicBool::new(false));
-        let healthy_in = Arc::clone(&healthy);
-        let cache = ChunkCache::new(
-            4,
-            2,
-            Box::new(move |idx| {
-                if healthy_in.load(Ordering::SeqCst) {
-                    return Ok(idx);
-                }
-                started_tx.send(idx).unwrap();
-                release_rx.lock().unwrap().recv().unwrap();
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "frame CRC mismatch",
-                ))
-            }),
-        );
-        std::thread::scope(|scope| {
-            let first = scope.spawn(|| cache.get(1));
-            assert_eq!(started_rx.recv().unwrap(), 1);
-            let second = scope.spawn(|| cache.get(1));
-            // One release per loader run: the first load, then the
-            // waiter's own retry.
-            release_tx.send(()).unwrap();
-            release_tx.send(()).unwrap();
-            for lookup in [first, second] {
-                let err = lookup.join().unwrap().expect_err("the loader fails");
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            }
-        });
-        assert_eq!(cache.stats().misses, 2);
-        healthy.store(true, Ordering::SeqCst);
-        assert_eq!(*cache.get(1).unwrap(), 1, "index 1 was not left in flight");
     }
 }

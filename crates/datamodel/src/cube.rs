@@ -652,7 +652,7 @@ fn sort_partitioned(obs: &[Observation], num_sources: usize) -> Vec<PackedRow> {
     }
     let workers = &mut vec![(); kbt_flume::num_threads()];
     let sorted: Result<Vec<()>, Infallible> =
-        kbt_flume::run_tasks(spans.len(), workers, None, |_, i, _| {
+        kbt_flume::run_tasks(spans.len(), workers, |_, i, _| {
             let mut span = spans[i].lock().expect("task i alone locks span i");
             let (rows, bounds) = &mut *span;
             for w in bounds.windows(2) {

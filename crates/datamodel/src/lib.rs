@@ -31,8 +31,8 @@ pub mod triple;
 pub mod wire;
 
 pub use chunked::{
-    CacheStats, ChunkBuf, ChunkCache, ChunkSource, ChunkStoreMeta, ChunkedCube, ChunkingConfig,
-    CubeChunk, FileChunkStore, GroupBuf, GroupView, ItemView, ResidentChunks, StreamedChunks,
+    ChunkBuf, ChunkSource, ChunkStoreMeta, ChunkedCube, ChunkingConfig, CubeChunk, FileChunkStore,
+    GroupBuf, GroupView, ItemView, ResidentChunks, StreamedChunks,
 };
 pub use coclaim::{pair_counts, CandidatePair, CoClaimIndex, PairCounts};
 pub use cube::{Cell, CubeBuilder, ObservationCube, TripleGroup};

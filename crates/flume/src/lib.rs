@@ -14,7 +14,7 @@
 //!   parallelism;
 //! * **one scoped-worker primitive** — [`run_tasks`]: indexed tasks pulled
 //!   in order by at most [`num_threads`] workers, a scratch slot per
-//!   worker, an optional look-ahead prefetch hook. It holds the only
+//!   worker. It holds the only
 //!   `std::thread::scope` in the workspace's library code (`kbt-lint`'s
 //!   `layering` rule enforces that), so what a dispatch costs is paid, and
 //!   priced, in one function body;
@@ -115,8 +115,8 @@ impl Gate {
 
     /// The run is over for everyone: no further section runs.
     fn abort(&self) {
-        // ordering: Relaxed — workers and the prefetcher read the flag as
-        // an advisory early stop; a waiter reads it under `turns`, and the
+        // ordering: Relaxed — workers read the flag as an advisory early
+        // stop; a waiter reads it under `turns`, and the
         // lock taken right below orders this store before its next check.
         self.failed.store(true, Ordering::Relaxed);
         drop(self.turns.lock());
@@ -179,16 +179,11 @@ impl Drop for AbortOnDrop<'_> {
 /// than `scratch` slots; each owns one slot for the whole call, so a
 /// caller that keeps `scratch` across rounds keeps its buffers'
 /// capacity (pass one slot to make a fold serial, `&mut vec![(); n]` when
-/// no scratch is needed). When one worker suffices and nothing is
-/// prefetched, everything runs inline on the calling thread.
+/// no scratch is needed). When one worker suffices, everything runs inline
+/// on the calling thread.
 ///
 /// `turn` is the task's place in the call's one ordered section
 /// ([`Turn::in_order`]); a task with nothing to commit in order ignores it.
-///
-/// `prefetch`, as `(depth, warm)`, adds a look-ahead thread that calls
-/// `warm(i)` (e.g. a chunk-cache load) for the tasks just ahead of the
-/// cursor, each at most once and never more than `depth` tasks ahead —
-/// overlapping the next task's I/O with the current one's compute.
 ///
 /// On error the failure with the **lowest task index** (among the tasks
 /// that ran before the early stop) is returned, the remaining tasks are
@@ -199,12 +194,7 @@ impl Drop for AbortOnDrop<'_> {
 /// # Panics
 ///
 /// If `tasks > 0` and `scratch` is empty, or if `work` panics.
-pub fn run_tasks<S, T, E, F>(
-    tasks: usize,
-    scratch: &mut [S],
-    prefetch: Option<(usize, &(dyn Fn(usize) + Sync))>,
-    work: F,
-) -> Result<Vec<T>, E>
+pub fn run_tasks<S, T, E, F>(tasks: usize, scratch: &mut [S], work: F) -> Result<Vec<T>, E>
 where
     S: Send,
     T: Send,
@@ -216,7 +206,6 @@ where
     }
     assert!(!scratch.is_empty(), "run_tasks needs a scratch slot");
     let workers = num_threads().min(tasks).min(scratch.len());
-    let prefetch = prefetch.filter(|&(depth, _)| depth > 0);
     let gate = &Gate {
         turns: Mutex::new((0, vec![false; tasks])),
         moved: Condvar::new(),
@@ -231,7 +220,7 @@ where
         }
         done
     };
-    if workers == 1 && prefetch.is_none() {
+    if workers == 1 {
         let s = &mut scratch[0];
         return (0..tasks).map(|i| run(s, i)).collect();
     }
@@ -242,27 +231,6 @@ where
     const POISON: &str = "a kbt-flume worker panicked";
     std::thread::scope(|scope| {
         let (cursor, error, slots, run) = (&cursor, &error, &slots, &run);
-        if let Some((depth, warm)) = prefetch {
-            scope.spawn(move || {
-                let mut next = 0usize;
-                // ordering: Relaxed — `cursor` only paces the prefetcher
-                // and publishes nothing (results and errors travel under
-                // their own mutexes, and `thread::scope` joins order
-                // everything at exit).
-                while next < tasks && !gate.failed() {
-                    let cur = cursor.load(Ordering::Relaxed);
-                    if next < cur {
-                        // Workers overtook us; skip to the frontier.
-                        next = cur;
-                    } else if next >= cur.saturating_add(depth) {
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    } else {
-                        warm(next);
-                        next += 1;
-                    }
-                }
-            });
-        }
         for s in scratch.iter_mut().take(workers) {
             scope.spawn(move || loop {
                 if gate.failed() {
@@ -302,7 +270,7 @@ where
 
 /// [`run_tasks`] for scratch-free, infallible tasks.
 fn run_each<T: Send>(tasks: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let done = run_tasks(tasks, &mut vec![(); tasks], None, |_, i, _| {
+    let done = run_tasks(tasks, &mut vec![(); tasks], |_, i, _| {
         Ok::<T, Infallible>(work(i))
     });
     match done {
@@ -407,10 +375,8 @@ mod tests {
         let mut one = [41u32];
         par_ranges_mut(&mut one, |base, part| part[0] += 1 + base as u32);
         assert_eq!(one, [42]);
-        // No tasks: nothing runs, not even with a prefetcher and no slots.
-        let warm = |_: usize| panic!("nothing to warm");
-        let got: Result<Vec<u8>, ()> =
-            run_tasks(0, &mut [(); 0], Some((4, &warm)), |_, _, _| Ok(0));
+        // No tasks: nothing runs, not even with no slots.
+        let got: Result<Vec<u8>, ()> = run_tasks(0, &mut [(); 0], |_, _, _| Ok(0));
         assert!(got.unwrap().is_empty());
     }
 
@@ -447,9 +413,7 @@ mod tests {
     fn one_thread_runs_every_task_on_the_calling_thread() {
         let me = std::thread::current().id();
         let ids: Result<Vec<_>, ()> = with_threads(Some(1), || {
-            run_tasks(64, &mut [(); 8], None, |_, _, _| {
-                Ok(std::thread::current().id())
-            })
+            run_tasks(64, &mut [(); 8], |_, _, _| Ok(std::thread::current().id()))
         });
         assert!(ids.unwrap().iter().all(|&id| id == me));
         let mut xs = vec![0u8; 1_000];
@@ -464,7 +428,7 @@ mod tests {
         for (threads, slots, want) in [(3usize, 8usize, 3usize), (8, 2, 2), (33, 1, 1)] {
             let mut ran = vec![0usize; slots];
             let got: Result<Vec<usize>, ()> = with_threads(Some(threads), || {
-                run_tasks(100, &mut ran, None, |n, i, _| {
+                run_tasks(100, &mut ran, |n, i, _| {
                     *n += 1;
                     Ok(i)
                 })
@@ -479,17 +443,12 @@ mod tests {
     fn run_tasks_returns_task_order_at_any_worker_count() {
         let expect: Vec<u64> = (0..97u64).map(|i| i * i + 7).collect();
         for threads in WORKER_COUNTS {
-            for depth in [0usize, 1, 4] {
-                let got: Result<Vec<u64>, ()> = with_threads(Some(threads), || {
-                    run_tasks(
-                        97,
-                        &mut vec![(); threads],
-                        Some((depth, &|_| {})),
-                        |_, i, _| Ok(i as u64 * i as u64 + 7),
-                    )
-                });
-                assert_eq!(got.unwrap(), expect, "threads={threads} depth={depth}");
-            }
+            let got: Result<Vec<u64>, ()> = with_threads(Some(threads), || {
+                run_tasks(97, &mut vec![(); threads], |_, i, _| {
+                    Ok(i as u64 * i as u64 + 7)
+                })
+            });
+            assert_eq!(got.unwrap(), expect, "threads={threads}");
         }
     }
 
@@ -498,7 +457,7 @@ mod tests {
         let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); 3];
         let mut round = |scale: u64| {
             let sums: Result<Vec<u64>, ()> = with_threads(Some(3), || {
-                run_tasks(30, &mut scratch, None, |tmp, i, _| {
+                run_tasks(30, &mut scratch, |tmp, i, _| {
                     tmp.clear();
                     tmp.extend((0..100).map(|k| k * scale + i as u64));
                     Ok(tmp.iter().sum())
@@ -524,19 +483,14 @@ mod tests {
         for threads in [1usize, 4] {
             let ran = AtomicUsize::new(0);
             let got: Result<Vec<u64>, String> = with_threads(Some(threads), || {
-                run_tasks(
-                    1_000,
-                    &mut vec![(); threads],
-                    Some((2, &|_| {})),
-                    |_, i, _| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        if i == 5 {
-                            Err(format!("task {i} failed"))
-                        } else {
-                            Ok(i as u64)
-                        }
-                    },
-                )
+                run_tasks(1_000, &mut vec![(); threads], |_, i, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        Err(format!("task {i} failed"))
+                    } else {
+                        Ok(i as u64)
+                    }
+                })
             });
             assert_eq!(got.unwrap_err(), "task 5 failed", "threads={threads}");
             assert!(
@@ -544,23 +498,5 @@ mod tests {
                 "failure must stop the run early (threads={threads})"
             );
         }
-    }
-
-    #[test]
-    fn run_tasks_prefetches_each_task_at_most_once() {
-        let warmed: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        let warm = |i: usize| {
-            warmed[i].fetch_add(1, Ordering::SeqCst);
-        };
-        let got: Result<Vec<usize>, ()> = with_threads(Some(2), || {
-            run_tasks(50, &mut [(); 2], Some((4, &warm)), |_, i, _| {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                Ok(i)
-            })
-        });
-        assert_eq!(got.unwrap(), (0..50).collect::<Vec<_>>());
-        let counts: Vec<usize> = warmed.iter().map(|n| n.load(Ordering::SeqCst)).collect();
-        assert!(counts.iter().all(|&n| n <= 1), "warmed twice: {counts:?}");
-        assert!(counts.contains(&1), "prefetcher must run");
     }
 }

@@ -32,7 +32,7 @@ fn commits_run_in_task_order_whatever_order_tasks_finish_in() {
         let (log, results) = within(Duration::from_secs(30), move || {
             let log = Mutex::new(Vec::new());
             let results: Result<Vec<usize>, ()> = with_threads(Some(threads), || {
-                run_tasks(TASKS, &mut vec![(); threads], None, |_, i, turn| {
+                run_tasks(TASKS, &mut vec![(); threads], |_, i, turn| {
                     // Later tasks finish first.
                     std::thread::sleep(Duration::from_micros(150 * (TASKS - i) as u64));
                     // Every third task has nothing to commit: its turn moves
@@ -60,7 +60,7 @@ fn run_with_a_bad_task(
     let log = Mutex::new(Vec::new());
     let parked = AtomicUsize::new(0);
     let results = with_threads(Some(threads), || {
-        run_tasks(TASKS, &mut vec![(); threads], None, |_, i, turn| {
+        run_tasks(TASKS, &mut vec![(); threads], |_, i, turn| {
             if i == 1 {
                 // Every other worker ends up waiting on a task above 1.
                 let deadline = Instant::now() + Duration::from_secs(5);

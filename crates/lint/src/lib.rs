@@ -17,7 +17,10 @@
 //! * a **workspace scanner** ([`scan`]) producing file:line
 //!   diagnostics, a machine-readable JSON report, and the
 //!   `BENCH_lint.json` metrics CI budget-gates (waiver counts can only
-//!   go down without a baseline bump).
+//!   go down without a baseline bump), among them two size budgets per
+//!   system crate: its source lines (`lines_<crate>`) and its bare `pub`
+//!   declarations in non-test code (`pub_<crate>`, [`count_pub`]) —
+//!   `pub(crate)` / `pub(super)` do not count.
 //!
 //! Run it locally:
 //!
@@ -35,5 +38,5 @@ pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-pub use rules::{lint_file, Diagnostic, FileCtx, RuleId, ALL_RULES};
+pub use rules::{count_pub, lint_file, Diagnostic, FileCtx, RuleId, ALL_RULES};
 pub use scan::{render, scan_workspace, sort_diagnostics, ScanOutcome};

@@ -9,9 +9,10 @@
 //! * `--root <dir>`  workspace root (default: current directory)
 //! * `--json <path>` write the full diagnostic report as JSON
 //! * `--bench-report` write `BENCH_lint.json` (rule counts, waiver
-//!   counts and the source line count of each system crate — the
-//!   ROADMAP's tracked metric) through [`kbt_bench::BenchReport`], for
-//!   the `bench_compare` budget gate: none of them may go up
+//!   counts, and the source line count and bare-`pub` count of each
+//!   system crate — the ROADMAP's tracked metrics) through
+//!   [`kbt_bench::BenchReport`], for the `bench_compare` budget gate:
+//!   none of them may go up
 //! * `--list-waivers` print every waived finding (the escape-hatch audit)
 
 use std::path::PathBuf;
@@ -124,8 +125,12 @@ fn main() -> ExitCode {
             "store",
             "serve",
         ] {
-            let lines = outcome.lines_by_crate.get(&format!("kbt-{dir}"));
-            report.count(&format!("lines_{dir}"), lines.copied().unwrap_or(0));
+            let name = format!("kbt-{dir}");
+            let lines = outcome.lines_by_crate.get(&name).copied().unwrap_or(0);
+            let public = outcome.pub_by_crate.get(&name).copied().unwrap_or(0);
+            report
+                .count(&format!("lines_{dir}"), lines)
+                .count(&format!("pub_{dir}"), public);
         }
         report
             .count("waivers_total", outcome.waiver_count())

@@ -361,6 +361,22 @@ impl FileMap {
     }
 }
 
+/// The `pub` budget's count for one file: every bare `pub` in non-test
+/// code — items, fields and re-exports alike. `pub(crate)`, `pub(super)`
+/// and `pub(in …)` are not public and do not count, nor does anything in
+/// a `#[cfg(test)]` item or a `#[test]` function.
+pub fn count_pub(source: &str) -> u64 {
+    let map = FileMap::build(source);
+    let code: Vec<&Tok> = (map.toks.iter().zip(&map.in_test))
+        .filter(|(t, &test)| t.kind != TokKind::Comment && !test)
+        .map(|(t, _)| t)
+        .collect();
+    let restricted = |i: usize| code.get(i + 1).is_some_and(|t| t.is_punct('('));
+    (0..code.len())
+        .filter(|&i| code[i].is_ident("pub") && !restricted(i))
+        .count() as u64
+}
+
 /// Lint one file's source. The entry point for both the workspace scan
 /// and the fixture tests.
 pub fn lint_file(ctx: &FileCtx, source: &str) -> Vec<Diagnostic> {

@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_file, Diagnostic, FileCtx, RuleId, ALL_RULES};
+use crate::rules::{count_pub, lint_file, Diagnostic, FileCtx, RuleId, ALL_RULES};
 
 /// Aggregated result of a workspace scan.
 #[derive(Debug)]
@@ -16,6 +16,9 @@ pub struct ScanOutcome {
     /// Source lines per package (`kbt-core`, …) — the ROADMAP's tracked
     /// line-count metric.
     pub lines_by_crate: BTreeMap<String, u64>,
+    /// Bare `pub` declarations per package ([`count_pub`]) — the `pub`
+    /// budget.
+    pub pub_by_crate: BTreeMap<String, u64>,
     pub diagnostics: Vec<Diagnostic>,
     /// Wall time of the scan, in milliseconds.
     pub scan_wall_ms: f64,
@@ -156,6 +159,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanOutcome> {
         files_scanned: 0,
         lines_scanned: 0,
         lines_by_crate: BTreeMap::new(),
+        pub_by_crate: BTreeMap::new(),
         diagnostics: Vec::new(),
         scan_wall_ms: 0.0,
     };
@@ -186,6 +190,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanOutcome> {
                 .lines_by_crate
                 .entry(crate_name.clone())
                 .or_insert(0) += lines;
+            *outcome.pub_by_crate.entry(crate_name.clone()).or_insert(0) += count_pub(&source);
             outcome.diagnostics.extend(lint_file(&ctx, &source));
         }
     }

@@ -4,7 +4,7 @@
 //! strings, nested block comments, test modules in `src/` files,
 //! multi-line attributes).
 
-use kbt_lint::{lint_file, Diagnostic, FileCtx, RuleId};
+use kbt_lint::{count_pub, lint_file, Diagnostic, FileCtx, RuleId};
 
 fn ctx(crate_name: &str, file_name: &str) -> FileCtx {
     FileCtx {
@@ -295,6 +295,39 @@ mod tests {
 ";
     let diags = lint_file(&ctx("kbt-net", "proto.rs"), src);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// The `pub` budget counts bare `pub` items, fields and re-exports in
+/// shipped code; restricted visibility, comments, strings and test code
+/// do not count.
+#[test]
+fn pub_count_takes_bare_pub_in_shipped_code_only() {
+    let src = r#"
+pub use inner::Thing;
+pub mod inner {
+    pub struct Thing {
+        pub field: u32,
+        pub(crate) hidden: u32,
+    }
+    pub(super) fn helper() {}
+    pub(in crate::inner) fn scoped() {}
+}
+// pub fn commented_out() {}
+/// pub in a doc comment
+pub const NAME: &str = "pub fn in a string";
+fn private() {}
+
+#[cfg(test)]
+mod tests {
+    pub fn fixture() {}
+}
+
+#[test]
+pub fn a_test() {}
+"#;
+    // `pub use`, `pub mod`, `pub struct`, `pub field`, `pub const`.
+    assert_eq!(count_pub(src), 5);
+    assert_eq!(count_pub("pub(crate) struct Private;"), 0);
 }
 
 #[test]

@@ -248,9 +248,9 @@ impl TrustPipeline {
     ///
     /// With [`CubeResidency::Streamed`] the pipeline chunks the inference
     /// cube to the given path as a `KBTCHNK2` store, then drives EM from
-    /// bounded [`kbt_datamodel::ChunkCache`]s over that file instead of
-    /// the resident columns — peak memory becomes O(groups) float state
-    /// plus O(chunks in flight) payloads. The trust scores, posteriors,
+    /// that file, each scan worker reading one frame at a time into its
+    /// own buffer — peak memory becomes O(groups) float state plus at most
+    /// `max_resident_chunks` decoded frames. The trust scores, posteriors,
     /// and trace are **bit-for-bit identical** to a resident run; only
     /// peak RSS and I/O volume change. Requires the multi-layer model
     /// ([`PipelineError::StreamedSingleLayer`]) and is incompatible with
@@ -382,7 +382,7 @@ impl TrustPipeline {
                     });
                     FileChunkStore::write(&chunked, path).map_err(io_err)?;
                     let store = Arc::new(FileChunkStore::open(path).map_err(io_err)?);
-                    let (result, trace, _stats) = MultiLayerModel::new(cfg.clone())
+                    let (result, trace) = MultiLayerModel::new(cfg.clone())
                         .run_streamed(&store, *max_resident_chunks, &init)
                         .map_err(io_err)?;
                     FusionReport::from_multi_layer(result, trace)

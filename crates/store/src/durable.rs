@@ -223,13 +223,11 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, dir.join(name))
 }
 
-/// Best-effort fsync of `dir` itself, which makes the entries of files
-/// renamed into or created in it durable (their contents are synced
-/// through their own handles).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsync `dir` itself, which makes the entries of files renamed into or
+/// created in it durable (their contents are synced through their own
+/// handles).
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Write `checkpoint-<epoch>` for `(snapshot, cube)` and start the fresh
@@ -252,7 +250,7 @@ fn write_checkpoint(
     let bytes = encode_checkpoint(snapshot, cube, digest);
     write_atomic(dir, &checkpoint_name(epoch), &bytes)?;
     let wal = WalWriter::create(&dir.join(wal_name(epoch)), digest, epoch)?;
-    sync_dir(dir);
+    sync_dir(dir)?;
     Ok(wal)
 }
 

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 mod matrix;
 
 /// Sharded multi-layer inference is bit-for-bit the flat reference, at 1,
-/// 2, and 8 threads (and streamed at 1, 2, 4 × three cache sizes), on a
+/// 2, and 8 threads (and streamed at 1, 2, 4 × three `max_resident_chunks`), on a
 /// fixed-seed synthetic corpus — cold, and warm-started with a copy
 /// discount.
 #[test]
