@@ -156,8 +156,8 @@ pub struct ModelConfig {
     /// frames at a time. Streamed fits are bit-identical to resident ones — the
     /// knob trades I/O for peak RSS, never results.
     pub residency: CubeResidency,
-    /// Copy detection inside the engine (§5.4.2): when set, the
-    /// multi-layer engine follows its EM fit with copy detection and
+    /// Copy detection inside the engine (§5.4.2): when set, a
+    /// multi-layer fit follows its EM rounds with copy detection and
     /// attaches the evidence to its result. With
     /// [`crate::CopyDetectConfig`]'s `discount` flag also set, fusion
     /// becomes copy-aware: `discount_rounds` rounds of detect →
@@ -166,8 +166,8 @@ pub struct ModelConfig {
     /// votes down-weighted, so a copier's duplicated mistakes stop
     /// laundering themselves into high posteriors. `None` (the default)
     /// keeps fusion copy-blind and bit-identical to previous releases.
-    /// Ignored by the single-layer baseline, which has no per-source
-    /// vote to discount (its sources are (page, extractor) pairs).
+    /// Ignored by the single-layer baseline: it runs the same engine over
+    /// (page, extractor) pair-sources, with no per-page vote to discount.
     pub copy_detection: Option<CopyDetectConfig>,
 }
 

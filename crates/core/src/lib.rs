@@ -20,11 +20,12 @@
 //!   confidence-weighted extractions (Section 3.5).
 //! * [`SingleLayerModel`] — the knowledge-fusion baseline of [11]
 //!   (Section 2.2): every (webpage, extractor) pair is a source under the
-//!   ACCU model of [8], optionally POPACCU.
+//!   ACCU model of [8], optionally POPACCU — the same EM engine over a
+//!   pair cube, with the extraction layer off.
 //!
 //! ## Quickstart
 //!
-//! Both engines implement [`FusionModel`]; [`FusionModel::fit`] returns
+//! Both models implement [`FusionModel`]; [`FusionModel::fit`] returns
 //! the unified [`FusionReport`]:
 //!
 //! ```

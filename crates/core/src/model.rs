@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use kbt_datamodel::{ObservationCube, SourceId};
 
+use crate::config::CubeResidency;
 use crate::copydetect::CopyEvidence;
 use crate::multi_layer::{MultiLayerModel, MultiLayerResult};
 use crate::params::QualityInit;
@@ -44,11 +45,13 @@ pub struct IterationTrace {
 
 /// Cumulative wall-clock time per EM stage across all rounds — the
 /// per-stage breakdown the `em_scale` bench reports. The single-layer
-/// baseline leaves it zeroed.
+/// baseline runs the same loop with the extraction layer off, so its
+/// vote, correctness, extractor and α stages stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
     /// The `ChunkedCube::from_cube` gather plus its chunk skeleton (once
-    /// per resident fit — streamed fits read pre-chunked files).
+    /// per resident fit — streamed fits read pre-chunked files); for the
+    /// single layer, the pair-cube reshape as well.
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14).
     pub votes: Duration,
@@ -74,7 +77,7 @@ pub struct ConvergenceTrace {
     /// Whether the run stopped because deltas fell below the threshold
     /// (as opposed to exhausting `max_iterations`).
     pub converged: bool,
-    /// Cumulative per-stage wall-clock breakdown (multi-layer fits only).
+    /// Cumulative per-stage wall-clock breakdown.
     pub stage_wall: StageWall,
 }
 
@@ -321,9 +324,15 @@ impl FusionModel for MultiLayerModel {
     }
 }
 
+/// Fits resident whatever [`crate::ModelConfig::residency`] says, as
+/// [`MultiLayerModel`]'s `fit` does; [`SingleLayerModel::run_traced`]
+/// streams, with the same bits.
 impl FusionModel for SingleLayerModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
-        let (result, trace) = self.run_traced(cube, init);
+        let mut cfg = self.config().clone();
+        cfg.residency = CubeResidency::Resident;
+        let fit = Self::new(cfg).run_traced(cube, init);
+        let (result, trace) = fit.expect("a resident fit cannot fail");
         FusionReport::from_single_layer(cube.num_sources(), result, trace)
     }
 }
@@ -380,7 +389,7 @@ mod tests {
     fn fit_matches_run_for_singlelayer() {
         let cube = consensus_cube();
         let model = SingleLayerModel::new(ModelConfig::single_layer_default());
-        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default);
+        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let report = model.fit(&cube, &QualityInit::Default);
         assert_eq!(report.model, ModelKind::SingleLayer);
         assert_eq!(report.source_trust(), legacy.source_accuracy);

@@ -178,7 +178,7 @@ impl MultiLayerModel {
         let src = ResidentChunks::new(&chunked);
         let gather = sw.lap();
         let fit = |discount: Option<&CopyDiscount>| {
-            run_em(&self.cfg, &src, init, prior_truth, discount)
+            run_em(&self.cfg, &src, init, prior_truth, discount, true)
                 .expect("resident chunk views cannot fail")
         };
         let (mut result, mut trace) = fit(base_discount);
@@ -290,7 +290,7 @@ impl MultiLayerModel {
         }
         let src = StreamedChunks::new(Arc::clone(store), max_resident_chunks);
         kbt_flume::with_threads(self.cfg.threads, || {
-            run_em(&self.cfg, &src, init, None, None)
+            run_em(&self.cfg, &src, init, None, None, true)
         })
     }
 }
@@ -303,12 +303,18 @@ impl MultiLayerModel {
 /// skeleton alone (vote tables, Eq. 28, the recall denominators, α, γ).
 /// Scratch and buffers persist across rounds, so the steady-state loop
 /// allocates only the round's value-layer output.
-fn run_em<S: ChunkSource>(
+///
+/// With `extraction` off every claim is provided (`p(C) ≡ 1`) and a round
+/// skips the vote tables, the correctness scan, the extractor M-step and
+/// α: the single layer of §2.2, which [`crate::SingleLayerModel`] runs
+/// over its pair cube.
+pub(crate) fn run_em<S: ChunkSource>(
     cfg: &ModelConfig,
     src: &S,
     init: &QualityInit,
     prior_truth: Option<&[f64]>,
     discount: Option<&CopyDiscount>,
+    extraction: bool,
 ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
     let meta = src.meta();
     let ng = meta.num_groups as usize;
@@ -335,7 +341,7 @@ fn run_em<S: ChunkSource>(
     let mut value_scratch: Vec<ColValueScratch> = Vec::new();
     value_scratch.resize_with(kbt_flume::num_threads(), Default::default);
     let mut votes = VoteCounter::empty();
-    let mut correctness: Vec<f64> = vec![0.0; ng];
+    let mut correctness: Vec<f64> = vec![if extraction { 0.0 } else { 1.0 }; ng];
     let mut src_updates: Vec<Option<f64>> = Vec::new();
     let mut ll_buf: Vec<f64> = vec![0.0; ng];
 
@@ -347,17 +353,16 @@ fn run_em<S: ChunkSource>(
     for t in 1..=cfg.max_iterations {
         stage.lap();
         // Step 1: extraction correctness.
-        votes.rebuild(
-            ne,
-            nw,
-            &meta.source_ext_offsets,
-            &meta.source_ext_ids,
-            &params,
-            cfg,
-        );
-        trace.stage_wall.votes += stage.lap();
-        let sums = estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
-        trace.stage_wall.correctness += stage.lap();
+        let sums = if extraction {
+            let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
+            votes.rebuild(ne, nw, ext_offsets, ext_ids, &params, cfg);
+            trace.stage_wall.votes += stage.lap();
+            let sums = estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
+            trace.stage_wall.correctness += stage.lap();
+            Some(sums)
+        } else {
+            None
+        };
         // Step 2: item values (with the CopyDiscount stage, if any). The
         // previous round's output is dead from here on, so drop it first:
         // the per-item posterior vectors are the largest fit-state
@@ -386,14 +391,16 @@ fn run_em<S: ChunkSource>(
             &mut src_updates,
         );
         trace.stage_wall.source_update += stage.lap();
-        sums.finish(meta, &correctness, cfg, &mut params);
-        trace.stage_wall.extractor_update += stage.lap();
-        // Re-estimate the correctness prior for the *next* iteration
-        // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
-        if cfg.updates_alpha_at(t + 1) || alpha_always {
-            alpha.update(&meta.source_offsets, &out.truth_of_group, &params, cfg);
+        if let Some(sums) = sums {
+            sums.finish(meta, &correctness, cfg, &mut params);
+            trace.stage_wall.extractor_update += stage.lap();
+            // Re-estimate the correctness prior for the *next* iteration
+            // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
+            if cfg.updates_alpha_at(t + 1) || alpha_always {
+                alpha.update(&meta.source_offsets, &out.truth_of_group, &params, cfg);
+            }
+            trace.stage_wall.alpha += stage.lap();
         }
-        trace.stage_wall.alpha += stage.lap();
         let delta = params.max_abs_delta(&prev);
         // Per-group LL terms in parallel, summed serially in group order.
         let (truth, corr) = (&out.truth_of_group, &correctness);

@@ -9,7 +9,7 @@
 //! [`fit`] / [`fit_single_layer`] bit for bit, and the paper's worked
 //! examples (Tables 2–4) are reproduced from these functions.
 
-use kbt_datamodel::{ItemId, ObservationCube, SourceId, ValueId};
+use kbt_datamodel::{ItemId, ObservationCube, SourceId, TripleGroup, ValueId};
 use kbt_flume::Stopwatch;
 
 use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel};
@@ -20,7 +20,7 @@ use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
 use crate::multi_layer::{alpha_matured_by, empty_values, MultiLayerResult};
 use crate::params::{q_from_precision_recall, Params, QualityInit};
 use crate::posterior::ItemPosteriors;
-use crate::single_layer::{run_with, PairClaims, SingleLayerResult};
+use crate::single_layer::{claims, page_init, pair_cube, SingleLayerResult};
 use crate::value::ValueLayerOutput;
 use crate::votes::VoteCounter;
 
@@ -352,59 +352,55 @@ pub fn fit(
     (result, trace)
 }
 
-/// The single-layer E-step (Eqs. 2–3), item by item: every claim of an
-/// active pair-source votes `ln(n·A_s/(1−A_s))` for its value.
-pub(crate) fn pair_estep(
-    pc: &PairClaims<'_>,
+/// The single-layer E-step (Eqs. 2–3) over the pair cube `pc`, item by
+/// item: every claim (group) of an active pair-source votes
+/// `ln(n·A_s/(1−A_s))` for its value, and POPACCU's popularity counts every
+/// claim. Each claim's truth goes to `truth[g]`.
+fn pair_estep(
+    pc: &ObservationCube,
     acc: &[f64],
+    active: &[bool],
     cfg: &ModelConfig,
-    truth_of_claim: &mut [f64],
+    truth: &mut [f64],
 ) -> ItemPosteriors {
     let n = cfg.n_false_values as f64;
     let domain = cfg.n_false_values + 1;
-    let ni = pc.offsets.len() - 1;
-    let mut entries_per_item = Vec::with_capacity(ni);
-    let mut unobserved = Vec::with_capacity(ni);
-    for d in 0..ni {
-        let item_claims = &pc.by_item[pc.offsets[d] as usize..pc.offsets[d + 1] as usize];
-        let mut votes: Vec<(ValueId, f64, f64)> = Vec::new(); // (v, vote sum, claim count)
-        for &ci in item_claims {
-            let cl = pc.claims[ci as usize];
-            if !pc.active_pair[cl.pair as usize] {
-                continue;
-            }
-            let a = clamp_quality(acc[cl.pair as usize]);
-            let vote = (n * a / (1.0 - a)).ln();
-            match votes.iter_mut().find(|(v, _, _)| *v == cl.value) {
-                Some((_, s, c)) => {
-                    *s += vote;
-                    *c += 1.0;
-                }
-                None => votes.push((cl.value, vote, 1.0)),
-            }
-        }
-        if cfg.value_model == ValueModel::PopAccu && !votes.is_empty() {
-            let total: f64 = votes.iter().map(|(_, _, c)| c).sum();
-            let denom = total + n + 1.0;
-            for (_, s, c) in votes.iter_mut() {
-                *s += *c * ((1.0 / n).ln() - ((*c + 1.0) / denom).ln());
-            }
-        }
-        let vcs: Vec<f64> = votes.iter().map(|(_, s, _)| *s).collect();
-        let log_z = log_sum_exp_with_zeros(&vcs, domain.saturating_sub(votes.len()));
-        let entries: Vec<(ValueId, f64)> = votes
-            .iter()
-            .map(|(v, s, _)| (*v, (s - log_z).exp()))
+    let mut entries_per_item = Vec::with_capacity(pc.num_items());
+    let mut unobserved = Vec::with_capacity(pc.num_items());
+    for d in 0..pc.num_items() {
+        let claims: Vec<(usize, &TripleGroup)> = (pc.groups_of_item(ItemId::new(d as u32)))
+            .map(|g| (g, &pc.groups()[g]))
             .collect();
+        let mut votes: Vec<(ValueId, f64)> = Vec::new(); // (v, vote sum), first-seen order
+        for (_, grp) in claims.iter().filter(|(_, grp)| active[grp.source.index()]) {
+            let a = clamp_quality(acc[grp.source.index()]);
+            let vote = (n * a / (1.0 - a)).ln();
+            match votes.iter_mut().find(|(v, _)| *v == grp.value) {
+                Some((_, s)) => *s += vote,
+                None => votes.push((grp.value, vote)),
+            }
+        }
+        if cfg.value_model == ValueModel::PopAccu && !claims.is_empty() {
+            let denom = claims.len() as f64 + n + 1.0;
+            for (v, s) in votes.iter_mut() {
+                let cnt = claims.iter().filter(|(_, grp)| grp.value == *v).count() as f64;
+                *s += cnt * ((1.0 / n).ln() - ((cnt + 1.0) / denom).ln());
+            }
+        }
+        let vcs: Vec<f64> = votes.iter().map(|(_, s)| *s).collect();
+        let log_z = log_sum_exp_with_zeros(&vcs, domain.saturating_sub(votes.len()));
+        let entries: Vec<(ValueId, f64)> =
+            votes.iter().map(|(v, s)| (*v, (s - log_z).exp())).collect();
         let um = if log_z.is_finite() {
             (-log_z).exp()
         } else {
             1.0 / domain as f64
         };
-        for &ci in item_claims {
-            let v = pc.claims[ci as usize].value;
-            truth_of_claim[ci as usize] =
-                entries.iter().find(|(ev, _)| *ev == v).map_or(um, |e| e.1);
+        for &(g, grp) in &claims {
+            truth[g] = entries
+                .iter()
+                .find(|(v, _)| *v == grp.value)
+                .map_or(um, |e| e.1);
         }
         entries_per_item.push(entries);
         unobserved.push(um);
@@ -412,16 +408,79 @@ pub(crate) fn pair_estep(
     ItemPosteriors::from_parts(entries_per_item, unobserved)
 }
 
-/// The single-layer baseline with the serial [`pair_estep`] in place of
-/// the sharded one — the oracle for [`crate::SingleLayerModel`].
+/// The single-layer baseline (§2.2), serially — the oracle for
+/// [`crate::SingleLayerModel`]: ACCU / POPACCU over the pair cube's
+/// (page, extractor) sources, each claim a pair-cube group.
 pub fn fit_single_layer(
     cube: &ObservationCube,
     cfg: &ModelConfig,
     init: &QualityInit,
 ) -> (SingleLayerResult, ConvergenceTrace) {
-    run_with(cfg, cube, init, |pc, acc, truth_of_claim| {
-        pair_estep(pc, acc, cfg, truth_of_claim)
-    })
+    let (pairs, pc) = pair_cube(cube, cfg);
+    let claims_of = |s: usize| pc.source_groups(SourceId::new(s as u32));
+    let active: Vec<bool> = (0..pairs.len())
+        .map(|s| claims_of(s).len() >= cfg.min_source_support)
+        .collect();
+    let default = cfg.default_source_accuracy;
+    let mut acc: Vec<f64> = (pairs.iter())
+        .map(|&(w, _)| page_init(init, w).map_or(default, clamp_quality))
+        .collect();
+
+    let mut truth = vec![0.0f64; pc.num_groups()];
+    let mut posteriors = empty_values(cube.num_items(), 0, cfg).posteriors;
+    let mut trace = ConvergenceTrace::default();
+    let mut watch = Stopwatch::start();
+    for t in 1..=cfg.max_iterations {
+        posteriors = pair_estep(&pc, &acc, &active, cfg, &mut truth);
+        // M-step (Eq. 4): an active pair's accuracy is the mean truth of
+        // its claims.
+        let mut delta = 0.0f64;
+        for s in (0..pairs.len()).filter(|&s| active[s]) {
+            let num = truth[claims_of(s)].iter().fold(0.0, |num, t| num + t);
+            let new = clamp_quality(num / claims_of(s).len() as f64);
+            delta = delta.max((new - acc[s]).abs());
+            acc[s] = new;
+        }
+        trace.rounds.push(IterationTrace {
+            iteration: t,
+            delta,
+            log_likelihood: truth.iter().map(|&p| map_confidence_ll(p)).sum(),
+            wall: watch.lap(),
+        });
+        if delta < cfg.convergence_eps {
+            trace.converged = true;
+            break;
+        }
+    }
+
+    // A page's accuracy is the claim-weighted mean of its active pairs'.
+    let mut src_num = vec![0.0f64; cube.num_sources()];
+    let mut src_den = vec![0.0f64; cube.num_sources()];
+    for (s, (w, _)) in pairs.iter().enumerate().filter(|&(s, _)| active[s]) {
+        src_num[w.index()] += claims_of(s).len() as f64 * acc[s];
+        src_den[w.index()] += claims_of(s).len() as f64;
+    }
+    let source_accuracy = (src_num.iter().zip(&src_den))
+        .map(|(n, d)| if *d > 0.0 { n / d } else { default })
+        .collect();
+    let mut covered_group = vec![false; cube.num_groups()];
+    for (g, grp, e) in claims(cube, cfg) {
+        covered_group[g] |= active[pairs.binary_search(&(grp.source, e)).expect("claimed pair")];
+    }
+    let groups = cube.groups().iter();
+    let truth_of_group = groups.map(|g| posteriors.prob(g.item, g.value)).collect();
+    let result = SingleLayerResult {
+        pairs,
+        pair_accuracy: acc,
+        source_accuracy,
+        posteriors,
+        truth_of_group,
+        covered_group,
+        active_pair: active,
+        iterations: trace.rounds.len(),
+        converged: trace.converged,
+    };
+    (result, trace)
 }
 
 #[cfg(test)]

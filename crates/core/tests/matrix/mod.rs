@@ -3,7 +3,8 @@
 //!
 //! engine resident at threads {1, 2, 8}
 //!   ≡ engine streamed at threads {1, 2, 4} × `max_resident_chunks` {1, 4, 0}
-//!   ≡ [`reference::fit`], bit for bit.
+//!   ≡ [`reference::fit`], bit for bit — and the same row for the single
+//!   layer against [`reference::fit_single_layer`].
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
@@ -17,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kbt_core::{
-    reference, ConvergenceTrace, CopyDiscount, ModelConfig, MultiLayerModel, MultiLayerResult,
-    QualityInit, SingleLayerModel,
+    reference, ConvergenceTrace, CopyDiscount, CubeResidency, ModelConfig, MultiLayerModel,
+    MultiLayerResult, QualityInit, SingleLayerModel,
 };
 use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
 
@@ -137,8 +138,10 @@ pub fn assert_engine_matches_reference(
     let _ = std::fs::remove_file(&path);
 }
 
-/// The single-layer row of the matrix: the sharded E-step at threads
-/// {1, 2, 8} ≡ [`reference::fit_single_layer`], bit for bit.
+/// The single-layer row of the matrix: the pair cube through the one
+/// engine, resident at threads {1, 2, 8} and streamed at threads
+/// {1, 2, 4} × `max_resident_chunks` {1, 4, 0}, ≡
+/// [`reference::fit_single_layer`], bit for bit.
 pub fn assert_single_layer_matches_reference(
     cube: &ObservationCube,
     cfg: &ModelConfig,
@@ -146,39 +149,66 @@ pub fn assert_single_layer_matches_reference(
     tag: &str,
 ) {
     let (want, want_trace) = reference::fit_single_layer(cube, cfg, init);
-    for threads in [1usize, 2, 8] {
-        let (got, trace) = SingleLayerModel::new(ModelConfig {
-            threads: Some(threads),
-            ..cfg.clone()
-        })
-        .run_traced(cube, init);
-        let what = format!("{tag} single-layer x{threads}");
-        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
-        assert_eq!(
-            bits(&got.pair_accuracy),
-            bits(&want.pair_accuracy),
-            "{what}: pair accuracy"
-        );
-        assert_eq!(
-            bits(&got.source_accuracy),
-            bits(&want.source_accuracy),
-            "{what}: source accuracy"
-        );
-        assert_eq!(
-            bits(&got.truth_of_group),
-            bits(&want.truth_of_group),
-            "{what}: truth"
-        );
-        assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
-        assert_eq!(got.active_pair, want.active_pair, "{what}: active");
-        assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
-        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
-        assert_eq!(got.converged, want.converged, "{what}: converged");
-        let deltas = |t: &ConvergenceTrace| t.rounds.iter().map(|r| r.delta).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&deltas(&trace)),
-            bits(&deltas(&want_trace)),
-            "{what}: deltas"
-        );
+    assert_eq!(
+        want.truth_of_group.len(),
+        cube.num_groups(),
+        "{tag}: dense truth"
+    );
+    let path = fresh_path("single");
+    let mut cells = vec![(CubeResidency::Resident, [1usize, 2, 8])];
+    for max_resident_chunks in [1usize, 4, 0] {
+        let streamed = CubeResidency::Streamed {
+            path: path.clone(),
+            max_resident_chunks,
+        };
+        cells.push((streamed, [1, 2, 4]));
     }
+    for (residency, threads) in cells {
+        for threads in threads {
+            let (got, trace) = SingleLayerModel::new(ModelConfig {
+                threads: Some(threads),
+                residency: residency.clone(),
+                ..cfg.clone()
+            })
+            .run_traced(cube, init)
+            .expect("single-layer fit");
+            let what = format!("{tag} single-layer {residency:?} x{threads}");
+            assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+            assert_eq!(
+                bits(&got.pair_accuracy),
+                bits(&want.pair_accuracy),
+                "{what}: pair accuracy"
+            );
+            assert_eq!(
+                bits(&got.source_accuracy),
+                bits(&want.source_accuracy),
+                "{what}: source accuracy"
+            );
+            assert_eq!(
+                bits(&got.truth_of_group),
+                bits(&want.truth_of_group),
+                "{what}: truth"
+            );
+            assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
+            assert_eq!(got.active_pair, want.active_pair, "{what}: active");
+            assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
+            assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+            assert_eq!(got.converged, want.converged, "{what}: converged");
+            assert_eq!(trace.converged, want_trace.converged, "{what}: trace");
+            assert_eq!(
+                trace.rounds.len(),
+                want_trace.rounds.len(),
+                "{what}: rounds"
+            );
+            for (a, b) in trace.rounds.iter().zip(&want_trace.rounds) {
+                assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{what}: delta");
+                assert_eq!(
+                    a.log_likelihood.to_bits(),
+                    b.log_likelihood.to_bits(),
+                    "{what}: log-likelihood"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }

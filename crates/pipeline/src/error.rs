@@ -56,11 +56,6 @@ pub enum PipelineError {
     /// run. Dropping the configuration silently would serve copy-blind
     /// answers that look copy-checked.
     SessionPostHocCopy,
-    /// `.residency(CubeResidency::Streamed { .. })` with a single-layer
-    /// model: only the multi-layer engine has an out-of-core driver
-    /// (`MultiLayerModel::run_streamed`); the single-layer baseline is
-    /// group-resident by construction.
-    StreamedSingleLayer,
     /// `.residency(CubeResidency::Streamed { .. })` combined with
     /// copy-aware fusion (`.copy_detection(..)` with `discount` set):
     /// the CopyDiscount loop needs pairwise co-occurrence statistics over
@@ -142,12 +137,6 @@ impl std::fmt::Display for PipelineError {
                  post-hoc copy evidence, a batch diagnostic the session does \
                  not run; use the multi-layer model, or run copy detection \
                  per batch via .run()"
-            ),
-            Self::StreamedSingleLayer => write!(
-                f,
-                "TrustPipeline: .residency(CubeResidency::Streamed) needs the \
-                 multi-layer model — only MultiLayerModel has an out-of-core \
-                 driver; the single-layer baseline is group-resident"
             ),
             Self::StreamedCopyDiscount => write!(
                 f,

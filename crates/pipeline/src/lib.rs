@@ -3,8 +3,8 @@
 //! [`TrustPipeline`]: the fluent, single entry point for the whole KBT
 //! flow of Dong et al. (VLDB 2015) — observations (or a pre-built cube),
 //! optional split-and-merge granularity selection (§4), one of the three
-//! fusion engines (§2.2/§3), optional copy detection (§5.4.2), and
-//! per-run thread configuration — terminating in a unified
+//! fusion models (§2.2/§3) on the one EM engine, optional copy detection
+//! (§5.4.2), and per-run thread configuration — terminating in a unified
 //! [`FusionReport`].
 //!
 //! ```
@@ -40,8 +40,8 @@ pub use session::{Delta, FusionSession, WarmState};
 use std::sync::Arc;
 
 use kbt_core::{
-    detect_copies_from_accuracy, CopyDetectConfig, FusionModel, FusionReport, ModelConfig,
-    MultiLayerModel, QualityInit, SingleLayerModel, ValueModel,
+    detect_copies_from_accuracy, CopyDetectConfig, FusionReport, ModelConfig, MultiLayerModel,
+    QualityInit, SingleLayerModel, ValueModel,
 };
 // Re-exported so callers configuring out-of-core runs need no direct
 // kbt-core import for the residency knob.
@@ -102,6 +102,77 @@ impl Model {
 impl Default for Model {
     fn default() -> Self {
         Self::multi_layer()
+    }
+}
+
+/// What a [`Model::fit`] starts from beyond its [`QualityInit`].
+enum Start<'a> {
+    /// A batch run: the cube lives where [`ModelConfig::residency`] says.
+    Batch,
+    /// A [`FusionSession`] refit: resident, and warm when the session has
+    /// a last fit to resume.
+    Session(Option<&'a WarmState>),
+}
+
+impl Model {
+    /// Fit `cube` with this model — the crate's one `Model` → engine
+    /// dispatch. `Accu` / `PopAccu` run the single layer with their value
+    /// model forced onto the configuration. A warm session refit hands the
+    /// multi-layer model the last fit's truth hint and independence prior;
+    /// the single layer resumes through `init` alone. Under
+    /// [`CubeResidency::Streamed`] a batch fit writes its chunk store (the
+    /// single layer, its pair cube's) and fits from it.
+    fn fit(
+        &self,
+        cube: &ObservationCube,
+        init: &QualityInit,
+        start: Start<'_>,
+    ) -> Result<FusionReport, PipelineError> {
+        let mut cfg = self.config().clone();
+        let warm = match start {
+            Start::Batch => None,
+            Start::Session(warm) => {
+                cfg.residency = CubeResidency::Resident;
+                warm
+            }
+        };
+        let io_err = |e: std::io::Error| PipelineError::StreamedIo {
+            message: e.to_string(),
+        };
+        let single = match self {
+            Self::MultiLayer(_) => None,
+            Self::Accu(_) => Some(ValueModel::Accu),
+            Self::PopAccu(_) => Some(ValueModel::PopAccu),
+        };
+        if let Some(value_model) = single {
+            let model = SingleLayerModel::new(ModelConfig { value_model, ..cfg });
+            let (result, trace) = model.run_traced(cube, init).map_err(io_err)?;
+            let report = FusionReport::from_single_layer(cube.num_sources(), result, trace);
+            return Ok(report);
+        }
+        let model = MultiLayerModel::new(cfg);
+        let cfg = model.config();
+        let (result, trace) = match &cfg.residency {
+            CubeResidency::Resident => {
+                let hint = warm.map(|w| w.truth_hint(cube, cfg.n_false_values));
+                let independence = warm.and_then(|w| w.independence.as_deref());
+                model.run_traced_with_priors(cube, init, hint.as_deref(), independence)
+            }
+            CubeResidency::Streamed {
+                path,
+                max_resident_chunks,
+            } => {
+                // Chunking runs under the run's thread budget too.
+                let chunked = kbt_flume::with_threads(cfg.threads, || {
+                    ChunkedCube::from_cube(cube, &cfg.chunking())
+                });
+                FileChunkStore::write(&chunked, path).map_err(io_err)?;
+                let store = Arc::new(FileChunkStore::open(path).map_err(io_err)?);
+                let streamed = model.run_streamed(&store, *max_resident_chunks, init);
+                streamed.map_err(io_err)?
+            }
+        };
+        Ok(FusionReport::from_multi_layer(result, trace))
     }
 }
 
@@ -252,10 +323,10 @@ impl TrustPipeline {
     /// own buffer — peak memory becomes O(groups) float state plus at most
     /// `max_resident_chunks` decoded frames. The trust scores, posteriors,
     /// and trace are **bit-for-bit identical** to a resident run; only
-    /// peak RSS and I/O volume change. Requires the multi-layer model
-    /// ([`PipelineError::StreamedSingleLayer`]) and is incompatible with
-    /// copy-aware fusion ([`PipelineError::StreamedCopyDiscount`]);
-    /// post-hoc copy detection still works.
+    /// peak RSS and I/O volume change. The single-layer models chunk and
+    /// stream their pair cube the same way. Incompatible with copy-aware
+    /// fusion ([`PipelineError::StreamedCopyDiscount`]); post-hoc copy
+    /// detection still works.
     pub fn residency(mut self, residency: CubeResidency) -> Self {
         self.model.config_mut().residency = residency;
         self
@@ -347,15 +418,11 @@ impl TrustPipeline {
         if threads.is_some() {
             model.config_mut().threads = threads;
         }
-        let streamed = matches!(model.config().residency, CubeResidency::Streamed { .. });
-        if streamed && !matches!(model, Model::MultiLayer(_)) {
-            return Err(PipelineError::StreamedSingleLayer);
-        }
         // Copy-aware fusion: hand the detector to the engine so the
         // CopyDiscount loop runs inside fusion instead of after it.
         if let Some(c) = &copy {
             if c.discount {
-                if streamed {
+                if matches!(model.config().residency, CubeResidency::Streamed { .. }) {
                     // The CopyDiscount loop needs a resident cube; fail
                     // typed here rather than as io::ErrorKind::Unsupported
                     // from inside the engine.
@@ -366,43 +433,7 @@ impl TrustPipeline {
                 }
             }
         }
-        let mut report = match &model {
-            Model::MultiLayer(cfg) => match &cfg.residency {
-                CubeResidency::Resident => MultiLayerModel::new(cfg.clone()).fit(&cube, &init),
-                CubeResidency::Streamed {
-                    path,
-                    max_resident_chunks,
-                } => {
-                    let io_err = |e: std::io::Error| PipelineError::StreamedIo {
-                        message: e.to_string(),
-                    };
-                    // Chunking runs under the run's thread budget too.
-                    let chunked = kbt_flume::with_threads(cfg.threads, || {
-                        ChunkedCube::from_cube(&cube, &cfg.chunking())
-                    });
-                    FileChunkStore::write(&chunked, path).map_err(io_err)?;
-                    let store = Arc::new(FileChunkStore::open(path).map_err(io_err)?);
-                    let (result, trace) = MultiLayerModel::new(cfg.clone())
-                        .run_streamed(&store, *max_resident_chunks, &init)
-                        .map_err(io_err)?;
-                    FusionReport::from_multi_layer(result, trace)
-                }
-            },
-            Model::Accu(cfg) => {
-                let cfg = ModelConfig {
-                    value_model: ValueModel::Accu,
-                    ..cfg.clone()
-                };
-                SingleLayerModel::new(cfg).fit(&cube, &init)
-            }
-            Model::PopAccu(cfg) => {
-                let cfg = ModelConfig {
-                    value_model: ValueModel::PopAccu,
-                    ..cfg.clone()
-                };
-                SingleLayerModel::new(cfg).fit(&cube, &init)
-            }
-        };
+        let mut report = model.fit(&cube, &init, Start::Batch)?;
 
         // --- Stage 4: diagnostics. ---
         // Post-hoc detection, unless the engine already produced evidence
@@ -772,22 +803,26 @@ mod tests {
     #[test]
     fn streamed_residency_matches_resident_bitwise() {
         let path = streamed_store_path("match");
-        let resident = TrustPipeline::new()
-            .observations(consensus())
-            .threads(2)
-            .run();
-        let streamed = TrustPipeline::new()
-            .observations(consensus())
-            .threads(2)
-            .residency(CubeResidency::Streamed {
+        for model in [Model::multi_layer(), Model::accu(), Model::pop_accu()] {
+            let run = |residency| {
+                TrustPipeline::new()
+                    .observations(consensus())
+                    .model(model.clone())
+                    .threads(2)
+                    .residency(residency)
+                    .run()
+            };
+            let resident = run(CubeResidency::Resident);
+            let streamed = run(CubeResidency::Streamed {
                 path: path.clone(),
                 max_resident_chunks: 1,
-            })
-            .run();
-        assert_eq!(resident.source_trust(), streamed.source_trust());
-        assert_eq!(resident.correctness(), streamed.correctness());
-        assert_eq!(resident.truth_of_group(), streamed.truth_of_group());
-        assert_eq!(resident.trace.rounds.len(), streamed.trace.rounds.len());
+            });
+            assert_eq!(resident.source_trust(), streamed.source_trust());
+            assert_eq!(resident.correctness(), streamed.correctness());
+            assert_eq!(resident.truth_of_group(), streamed.truth_of_group());
+            assert_eq!(resident.posteriors(), streamed.posteriors());
+            assert_eq!(resident.trace.rounds.len(), streamed.trace.rounds.len());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -797,15 +832,6 @@ mod tests {
             path: streamed_store_path("reject"),
             max_resident_chunks: 2,
         };
-        assert_eq!(
-            TrustPipeline::new()
-                .observations(consensus())
-                .model(Model::Accu(ModelConfig::single_layer_default()))
-                .residency(streamed.clone())
-                .try_run()
-                .unwrap_err(),
-            PipelineError::StreamedSingleLayer
-        );
         assert_eq!(
             TrustPipeline::new()
                 .observations(consensus())

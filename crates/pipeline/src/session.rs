@@ -13,10 +13,10 @@
 //! integration test asserts it (`warm_start_beats_cold_rerun_on_merged_cube`)
 //! and `benchmark/`'s `pipeline.warm_rounds` reports it.
 
-use kbt_core::{FusionDetail, FusionModel, FusionReport, ItemPosteriors, Params, QualityInit};
+use kbt_core::{FusionDetail, FusionReport, ItemPosteriors, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId, ValueId};
 
-use crate::Model;
+use crate::{Model, Start};
 
 /// One accepted batch on its way from a client to the cube: the shape
 /// the socket, the delta log, the server's queue and crash replay all
@@ -108,7 +108,7 @@ impl WarmState {
     /// `p(V_d = v(g) | X)` for every triple of an item it covered (one it
     /// fitted, or one a delta added since), uniform over the
     /// `(n_false_values + 1)`-value domain for items it never saw.
-    fn truth_hint(&self, cube: &ObservationCube, n_false_values: usize) -> Vec<f64> {
+    pub(crate) fn truth_hint(&self, cube: &ObservationCube, n_false_values: usize) -> Vec<f64> {
         let known_items = self.posteriors.num_items();
         let uniform = 1.0 / (n_false_values as f64 + 1.0);
         cube.groups()
@@ -272,29 +272,10 @@ impl FusionSession {
         let init = warm.map_or(QualityInit::Default, |w| {
             QualityInit::Resume(w.params.clone())
         });
-        let report = match &self.model {
-            Model::MultiLayer(cfg) => {
-                let hint = warm.map(|w| w.truth_hint(&self.cube, cfg.n_false_values));
-                let indep = warm.and_then(|w| w.independence.as_deref());
-                let (result, trace) = kbt_core::MultiLayerModel::new(cfg.clone())
-                    .run_traced_with_priors(&self.cube, &init, hint.as_deref(), indep);
-                FusionReport::from_multi_layer(result, trace)
-            }
-            Model::Accu(cfg) => {
-                let cfg = kbt_core::ModelConfig {
-                    value_model: kbt_core::ValueModel::Accu,
-                    ..cfg.clone()
-                };
-                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, &init)
-            }
-            Model::PopAccu(cfg) => {
-                let cfg = kbt_core::ModelConfig {
-                    value_model: kbt_core::ValueModel::PopAccu,
-                    ..cfg.clone()
-                };
-                kbt_core::SingleLayerModel::new(cfg).fit(&self.cube, &init)
-            }
-        };
+        let report = self
+            .model
+            .fit(&self.cube, &init, Start::Session(warm))
+            .expect("a resident fit cannot fail");
         self.warm = Some(WarmState::of(&report));
         report
     }

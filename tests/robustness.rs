@@ -167,3 +167,22 @@ fn many_extractors_zero_overlap_does_not_underflow() {
         assert!(t.is_finite());
     }
 }
+
+/// A single-layer group none of whose cells is a claim (every confidence
+/// is 0) reports the truth the posteriors give its triple — a group's
+/// truth and `posteriors().prob` never disagree — and stays uncovered.
+#[test]
+fn single_layer_group_without_a_claim_reports_its_posterior_truth() {
+    let mut observations: Vec<Observation> = (0..3u32).map(|w| obs(0, w, 0, 0, 1.0)).collect();
+    observations.push(obs(1, 3, 0, 0, 0.0));
+    let r = TrustPipeline::new()
+        .observations(observations)
+        .model(Model::accu())
+        .run();
+    for (g, &truth) in r.truth_of_group().iter().enumerate() {
+        let p = r.posteriors().prob(ItemId::new(0), ValueId::new(0));
+        assert_eq!(truth.to_bits(), p.to_bits(), "group {g}");
+    }
+    assert!(r.truth_of_group()[3] > 0.9);
+    assert_eq!(r.covered_group(), [true, true, true, false]);
+}

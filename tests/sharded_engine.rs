@@ -7,7 +7,7 @@
 //!    **strictly fewer** EM iterations than a cold rerun on the merged
 //!    cube.
 
-use kbt::core::{ModelConfig, ValueModel};
+use kbt::core::{reference, ModelConfig, Params, ValueModel};
 use kbt::datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt::synth::paper::{generate, SyntheticConfig};
 use kbt::{FusionSession, Model, QualityInit};
@@ -51,7 +51,10 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     );
 }
 
-/// Same bit-for-bit guarantee for the single-layer baseline.
+/// Same bit-for-bit guarantee for the single-layer baseline, resident and
+/// streamed: cold, gold-seeded, resumed, with zero iterations, and — for
+/// POPACCU's popularity rule, which counts inactive pairs' claims too —
+/// with a thin extractor's pairs held inactive by `min_source_support`.
 #[test]
 fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     let data = generate(&SyntheticConfig {
@@ -60,17 +63,67 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         seed: 777,
         ..SyntheticConfig::default()
     });
+    // One more extractor, with one or two claims per page.
+    let thin = ExtractorId::new(data.cube.num_extractors() as u32);
+    let extra: Vec<Observation> = (0..data.cube.num_sources() as u32)
+        .flat_map(|w| (0..1 + w % 2).map(move |d| (w, d)))
+        .map(|(w, d)| {
+            Observation::certain(thin, SourceId::new(w), ItemId::new(d), ValueId::new(w % 3))
+        })
+        .collect();
+    let cube = data.cube.apply_delta(&extra);
+    let ns = cube.num_sources();
+    let gold = QualityInit::FromGold {
+        source_accuracy: (0..ns)
+            .map(|w| (w % 3 != 0).then_some(0.5 + 0.03 * w as f64))
+            .collect(),
+        extractor_precision: vec![],
+        extractor_recall: vec![],
+    };
+    let base = ModelConfig {
+        chunk_target_cells: 256,
+        ..ModelConfig::single_layer_default()
+    };
+    // A warm restart's parameters, missing the last two pages.
+    let (last, _) = reference::fit_single_layer(&cube, &base, &QualityInit::Default);
+    let resume = QualityInit::Resume(Params {
+        source_accuracy: last.source_accuracy[..ns - 2].to_vec(),
+        precision: vec![],
+        recall: vec![],
+        q: vec![],
+    });
     for value_model in [ValueModel::Accu, ValueModel::PopAccu] {
         let cfg = ModelConfig {
             value_model,
-            ..ModelConfig::single_layer_default()
+            ..base.clone()
         };
-        matrix::assert_single_layer_matches_reference(
-            &data.cube,
-            &cfg,
-            &QualityInit::Default,
-            &format!("{value_model:?}"),
-        );
+        let cases = [
+            ("cold", cfg.clone(), &QualityInit::Default),
+            ("gold", cfg.clone(), &gold),
+            ("resume", cfg.clone(), &resume),
+            (
+                "zero iterations",
+                ModelConfig {
+                    max_iterations: 0,
+                    ..cfg.clone()
+                },
+                &QualityInit::Default,
+            ),
+            (
+                "support 3",
+                ModelConfig {
+                    min_source_support: 3,
+                    ..cfg.clone()
+                },
+                &QualityInit::Default,
+            ),
+        ];
+        let (thin_fit, _) = reference::fit_single_layer(&cube, &cases[4].1, cases[4].2);
+        assert!(thin_fit.active_pair.iter().any(|a| !a), "no inactive pair");
+        for (what, cfg, init) in cases {
+            let tag = format!("{value_model:?} {what}");
+            matrix::assert_single_layer_matches_reference(&cube, &cfg, init, &tag);
+        }
     }
 }
 
