@@ -60,7 +60,7 @@ pub enum AbsencePolicy {
 /// it runs into its own buffer: peak memory is O(groups) float state +
 /// one decoded frame per worker instead of O(corpus), and the fit is
 /// **bit-for-bit identical** to a resident fit at any thread count and
-/// any `max_resident_chunks`.
+/// any `max_resident_chunks`, warm priors and copy-aware refits included.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CubeResidency {
     /// Keep the whole chunked cube in memory (the default).
@@ -153,8 +153,9 @@ pub struct ModelConfig {
     pub chunk_target_cells: usize,
     /// Where the chunked cube lives during the fit: resident in memory
     /// (default) or streamed from a chunk store on disk, a few decoded
-    /// frames at a time. Streamed fits are bit-identical to resident ones — the
-    /// knob trades I/O for peak RSS, never results.
+    /// frames at a time (`FusionModel::fit` always fits resident). Streamed
+    /// fits are bit-identical to resident ones — the knob trades I/O for
+    /// peak RSS, never results.
     pub residency: CubeResidency,
     /// Copy detection inside the engine (§5.4.2): when set, a
     /// multi-layer fit follows its EM rounds with copy detection and

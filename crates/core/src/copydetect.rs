@@ -31,8 +31,6 @@
 
 use kbt_datamodel::{pair_counts, ObservationCube, PairCounts, SourceId};
 
-use crate::multi_layer::MultiLayerResult;
-
 /// Evidence about one source pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CopyEvidence {
@@ -198,24 +196,14 @@ impl CopyDiscount {
     }
 }
 
-/// Score all source pairs with sufficient overlap.
+/// Score all source pairs with sufficient overlap from per-source
+/// accuracy estimates: any engine's trust vector works (this is what
+/// `TrustPipeline` feeds from a `FusionReport`).
 ///
 /// Cost is `Σ_d fan-in(d)²/2` counter bumps — quadratic in per-item
 /// fan-in, which is small in practice — split over the ambient
-/// `kbt_flume` worker threads by source range.
-pub fn detect_copies(
-    cube: &ObservationCube,
-    result: &MultiLayerResult,
-    cfg: &CopyDetectConfig,
-) -> Vec<CopyEvidence> {
-    detect_copies_from_accuracy(cube, &result.params.source_accuracy, cfg)
-}
-
-/// Score all source pairs from per-source accuracy estimates.
-///
-/// Model-agnostic core of [`detect_copies`]: any engine's trust vector
-/// works (this is what `TrustPipeline` feeds from a `FusionReport`).
-/// Returns bit-for-bit identical evidence at any thread count.
+/// `kbt_flume` worker threads by source range. Returns bit-for-bit
+/// identical evidence at any thread count.
 pub fn detect_copies_from_accuracy(
     cube: &ObservationCube,
     source_accuracy: &[f64],
@@ -329,7 +317,7 @@ fn sort_evidence(out: &mut [CopyEvidence]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelConfig, MultiLayerModel, QualityInit};
+    use crate::{FusionModel, ModelConfig, MultiLayerModel, QualityInit};
     use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -376,13 +364,16 @@ mod tests {
         b.build()
     }
 
+    /// Copy evidence scored from a default multi-layer fit of `cube`.
+    fn fitted_evidence(cube: &ObservationCube, cfg: &CopyDetectConfig) -> Vec<CopyEvidence> {
+        let report = MultiLayerModel::new(ModelConfig::default()).fit(cube, &QualityInit::Default);
+        detect_copies_from_accuracy(cube, report.source_trust(), cfg)
+    }
+
     #[test]
     fn copier_pair_scores_highest() {
         let cube = corpus_with_copier(5);
-        let result = MultiLayerModel::new(ModelConfig::default())
-            .run_traced(&cube, &QualityInit::Default)
-            .0;
-        let evidence = detect_copies(&cube, &result, &CopyDetectConfig::default());
+        let evidence = fitted_evidence(&cube, &CopyDetectConfig::default());
         assert!(!evidence.is_empty());
         let top = &evidence[0];
         assert_eq!(
@@ -414,23 +405,17 @@ mod tests {
     #[test]
     fn overlap_threshold_filters_thin_pairs() {
         let cube = corpus_with_copier(9);
-        let result = MultiLayerModel::new(ModelConfig::default())
-            .run_traced(&cube, &QualityInit::Default)
-            .0;
         let cfg = CopyDetectConfig {
             min_overlap: 1_000_000,
             ..CopyDetectConfig::default()
         };
-        assert!(detect_copies(&cube, &result, &cfg).is_empty());
+        assert!(fitted_evidence(&cube, &cfg).is_empty());
     }
 
     #[test]
     fn evidence_is_sorted_by_score() {
         let cube = corpus_with_copier(13);
-        let result = MultiLayerModel::new(ModelConfig::default())
-            .run_traced(&cube, &QualityInit::Default)
-            .0;
-        let evidence = detect_copies(&cube, &result, &CopyDetectConfig::default());
+        let evidence = fitted_evidence(&cube, &CopyDetectConfig::default());
         for w in evidence.windows(2) {
             assert!(w[0].score >= w[1].score);
         }

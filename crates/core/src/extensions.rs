@@ -135,9 +135,8 @@ mod tests {
     #[test]
     fn weighted_kbt_flags_sources_with_no_informative_mass() {
         let cube = trivia_cube();
-        let result = MultiLayerModel::new(ModelConfig::default())
-            .run_traced(&cube, &QualityInit::Default)
-            .0;
+        let model = MultiLayerModel::new(ModelConfig::default());
+        let (result, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let weights = idf_weights(&cube);
         // Farm: 30 triples × idf ≈ 0.17 ≈ 5 mass; informative source:
         // 30 × ≈ 0.5 ≈ 15. A threshold between the two flags the farm.
@@ -151,9 +150,8 @@ mod tests {
     #[test]
     fn unit_weights_recover_plain_kbt() {
         let cube = trivia_cube();
-        let result = MultiLayerModel::new(ModelConfig::default())
-            .run_traced(&cube, &QualityInit::Default)
-            .0;
+        let model = MultiLayerModel::new(ModelConfig::default());
+        let (result, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let ones = vec![1.0; cube.num_groups()];
         let kbt = weighted_kbt(&cube, &result, &ones, 0.0);
         for (w, weighted) in kbt.iter().enumerate() {

@@ -67,9 +67,7 @@ pub mod value;
 pub mod votes;
 
 pub use config::{CorrectnessWeighting, CubeResidency, ModelConfig, ValueModel};
-pub use copydetect::{
-    detect_copies, detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CopyEvidence,
-};
+pub use copydetect::{detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CopyEvidence};
 pub use correctness::AlphaState;
 pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use kbt_datamodel::{ObservationCube, SourceId};
 
-use crate::config::CubeResidency;
+use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::CopyEvidence;
 use crate::multi_layer::{MultiLayerModel, MultiLayerResult};
 use crate::params::QualityInit;
@@ -50,8 +50,8 @@ pub struct IterationTrace {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
     /// The `ChunkedCube::from_cube` gather plus its chunk skeleton (once
-    /// per resident fit — streamed fits read pre-chunked files); for the
-    /// single layer, the pair-cube reshape as well.
+    /// per fit from a cube — `run_streamed` reads a pre-chunked store);
+    /// for the single layer, the pair-cube reshape as well.
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14).
     pub votes: Duration,
@@ -317,21 +317,26 @@ pub trait FusionModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport;
 }
 
+/// `cfg` kept resident: both models' `fit` ignore its residency, so they
+/// cannot fail.
+fn resident(cfg: &ModelConfig) -> ModelConfig {
+    ModelConfig {
+        residency: CubeResidency::Resident,
+        ..cfg.clone()
+    }
+}
+
 impl FusionModel for MultiLayerModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
-        let (result, trace) = self.run_traced(cube, init);
+        let fit = Self::new(resident(self.config())).run_traced(cube, init);
+        let (result, trace) = fit.expect("a resident fit cannot fail");
         FusionReport::from_multi_layer(result, trace)
     }
 }
 
-/// Fits resident whatever [`crate::ModelConfig::residency`] says, as
-/// [`MultiLayerModel`]'s `fit` does; [`SingleLayerModel::run_traced`]
-/// streams, with the same bits.
 impl FusionModel for SingleLayerModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
-        let mut cfg = self.config().clone();
-        cfg.residency = CubeResidency::Resident;
-        let fit = Self::new(cfg).run_traced(cube, init);
+        let fit = Self::new(resident(self.config())).run_traced(cube, init);
         let (result, trace) = fit.expect("a resident fit cannot fail");
         FusionReport::from_single_layer(cube.num_sources(), result, trace)
     }
@@ -371,7 +376,7 @@ mod tests {
     fn fit_matches_run_for_multilayer() {
         let cube = consensus_cube();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default);
+        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let report = model.fit(&cube, &QualityInit::Default);
         assert_eq!(report.model, ModelKind::MultiLayer);
         assert_eq!(report.source_trust(), legacy.params.source_accuracy);

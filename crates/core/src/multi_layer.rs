@@ -21,7 +21,7 @@ use kbt_datamodel::{
 };
 use kbt_flume::{par_ranges_mut, Stopwatch};
 
-use crate::config::ModelConfig;
+use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount, CopyEvidence};
 use crate::correctness::{estimate_correctness, AlphaState};
 use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
@@ -107,12 +107,14 @@ impl MultiLayerModel {
     /// Run Algorithm 1, also recording per-iteration diagnostics.
     ///
     /// Inference runs under the per-run thread configuration of
-    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`.
+    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`. The chunked
+    /// cube lives where [`ModelConfig::residency`] says (same bits); only a
+    /// streamed fit's I/O can fail.
     pub fn run_traced(
         &self,
         cube: &ObservationCube,
         init: &QualityInit,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
+    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
         self.run_traced_with_priors(cube, init, None, None)
     }
 
@@ -139,131 +141,30 @@ impl MultiLayerModel {
         init: &QualityInit,
         prior_truth: Option<&[f64]>,
         prior_independence: Option<&[f64]>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        kbt_flume::with_threads(self.cfg.threads, || {
-            self.run_inner(cube, init, prior_truth, prior_independence)
+    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+        let cfg = &self.cfg;
+        kbt_flume::with_threads(cfg.threads, || {
+            // The chunk view of the cube, built once per run: the
+            // copy-aware loop refits the same cube several times.
+            let mut sw = Stopwatch::start();
+            let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
+            let gather = sw.lap();
+            let (result, mut trace) = with_em(chunked, cfg, init, prior_truth, true, |fit| {
+                copy_aware(cfg, cube, prior_independence, fit)
+            })?;
+            trace.stage_wall.chunking += gather;
+            Ok((result, trace))
         })
     }
 
-    /// One EM fit plus, when [`ModelConfig::copy_detection`] is set, the
-    /// copy-aware loop: detect copies from the fitted accuracies, derive
-    /// [`CopyDiscount`] independence factors, and **refit from the run's
-    /// original initialization** with the dependent sources' votes
-    /// down-weighted — `discount_rounds` times. The refit deliberately
-    /// restarts truth discovery rather than warm-continuing: a copier's
-    /// doubled votes can drive EM into a self-consistent basin (copier
-    /// and victim rated near-perfect, honest sources poor) that a warm
-    /// continuation cannot leave, because the corrupted parameters are
-    /// exactly what the continuation resumes from. Traces of the refits
-    /// are appended to the base trace (iteration numbers continue across
-    /// rounds).
-    fn run_inner(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        prior_independence: Option<&[f64]>,
-    ) -> (MultiLayerResult, ConvergenceTrace) {
-        let prior_discount = prior_independence.map(|s| {
-            let mut scales = s.to_vec();
-            scales.resize(cube.num_sources(), 1.0);
-            CopyDiscount::from_scales(scales)
-        });
-        let base_discount = prior_discount.as_ref().filter(|d| !d.is_neutral());
-        // The chunk view of the cube, built once per run: the copy-aware
-        // loop refits the same cube several times, and the gather is pure
-        // so every refit can share it.
-        let mut sw = Stopwatch::start();
-        let chunked = ChunkedCube::from_cube(cube, &self.cfg.chunking());
-        let src = ResidentChunks::new(&chunked);
-        let gather = sw.lap();
-        let fit = |discount: Option<&CopyDiscount>| {
-            run_em(&self.cfg, &src, init, prior_truth, discount, true)
-                .expect("resident chunk views cannot fail")
-        };
-        let (mut result, mut trace) = fit(base_discount);
-        trace.stage_wall.chunking += gather;
-        // Record the factors this fit actually ran with even when no
-        // detection is configured (e.g. a session carrying prior evidence
-        // into a model whose copy_detection was turned off) — a
-        // discounted fit must never be indistinguishable from a
-        // copy-blind one. The discount loop below overwrites this with
-        // the factors of the final refit.
-        result.source_independence = base_discount.map(|d| d.as_slice().to_vec());
-
-        if let Some(cd) = &self.cfg.copy_detection {
-            let ns = cube.num_sources();
-            // The pair statistics depend only on the (immutable) cube:
-            // count once, re-score per round as the accuracies move.
-            let stats = collect_pair_stats(cube, cd);
-            let mut evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
-            if cd.discount {
-                // Factors the latest fit actually ran with: the prior on a
-                // warm restart, neutral otherwise (an all-ones discount is
-                // bit-identical to no discount at all).
-                let mut discount = prior_discount.unwrap_or_else(|| CopyDiscount::neutral(ns));
-                for _ in 0..cd.discount_rounds {
-                    let fresh = CopyDiscount::from_evidence(
-                        &evidence,
-                        &result.params.source_accuracy,
-                        ns,
-                        cd,
-                    );
-                    // Discounts only ever deepen within a run (element-wise
-                    // min with what the last fit used): discounting a pair
-                    // lowers its score, so re-deriving factors from scratch
-                    // could lift a threshold-straddling copier back to
-                    // neutral in the next round and revert the fit to
-                    // copy-blind. Monotonicity also guarantees the loop
-                    // converges — later rounds can only unmask *more*
-                    // dependencies.
-                    let next = CopyDiscount::from_scales(
-                        discount
-                            .as_slice()
-                            .iter()
-                            .zip(fresh.as_slice())
-                            .map(|(a, b)| a.min(*b))
-                            .collect(),
-                    );
-                    if next == discount {
-                        // The current fit already used exactly these
-                        // factors (warm restart with carried-over evidence,
-                        // or no pair above the threshold): a refit would
-                        // reproduce it bit-for-bit — skip it.
-                        break;
-                    }
-                    discount = next;
-                    let (refit, refit_trace) = fit(Some(&discount));
-                    let offset = trace.rounds.len();
-                    trace
-                        .rounds
-                        .extend(refit_trace.rounds.into_iter().map(|mut r| {
-                            r.iteration += offset;
-                            r
-                        }));
-                    trace.converged = refit_trace.converged;
-                    let total = result.iterations + refit.iterations;
-                    result = refit;
-                    result.iterations = total;
-                    // Re-score with the copy-aware accuracies: what the
-                    // next round (and the reported evidence) should see.
-                    evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
-                }
-                result.source_independence = Some(discount.as_slice().to_vec());
-            }
-            result.copy_evidence = Some(evidence);
-        }
-        (result, trace)
-    }
-
-    /// Algorithm 1 driven entirely from a [`FileChunkStore`] — the
-    /// out-of-core fit behind [`crate::config::CubeResidency::Streamed`].
-    /// No [`ObservationCube`] (or [`ChunkedCube`]) is ever materialized:
-    /// only the O(groups) posterior vectors, the per-source/per-extractor
-    /// tables, and one decoded frame per scan worker are resident; a scan
-    /// runs on at most `max_resident_chunks` workers (`0` = as many as
-    /// the thread count allows). [`FileChunkStore::frames_read`] counts
-    /// the reads: each frame once per scan, two scans per round.
+    /// Algorithm 1 from a [`FileChunkStore`] written elsewhere — the one
+    /// cube-less entry point. No [`ObservationCube`] (or [`ChunkedCube`])
+    /// is ever materialized: only the O(groups) posterior vectors, the
+    /// per-source/per-extractor tables, and one decoded frame per scan
+    /// worker are resident; a scan runs on at most `max_resident_chunks`
+    /// workers (`0` = as many as the thread count allows).
+    /// [`FileChunkStore::frames_read`] counts the reads: each frame once
+    /// per scan, two scans per round.
     ///
     /// It is the same loop over the same kernels as a resident fit, fed
     /// from [`StreamedChunks`] instead of [`ResidentChunks`], so the
@@ -272,8 +173,8 @@ impl MultiLayerModel {
     /// this).
     ///
     /// I/O failures mid-fit (truncated frames, CRC mismatches) surface
-    /// as typed [`io::Error`]s, never panics. Copy detection needs
-    /// pairwise co-occurrence statistics over a resident cube and is
+    /// as typed [`io::Error`]s, never panics. Copy detection counts pairs
+    /// on the row cube, which a store alone does not hold, and is
     /// rejected up front as [`io::ErrorKind::Unsupported`].
     pub fn run_streamed(
         &self,
@@ -284,14 +185,141 @@ impl MultiLayerModel {
         if self.cfg.copy_detection.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "copy detection needs pairwise source statistics over a resident cube; \
-                 fit with CubeResidency::Resident to use it",
+                "copy detection counts pairs on the row cube; fit it with run_traced, \
+                 which streams under CubeResidency::Streamed too",
             ));
         }
         let src = StreamedChunks::new(Arc::clone(store), max_resident_chunks);
         kbt_flume::with_threads(self.cfg.threads, || {
             run_em(&self.cfg, &src, init, None, None, true)
         })
+    }
+}
+
+/// A fit of [`run_em`]: its result and trace.
+type Fit = (MultiLayerResult, ConvergenceTrace);
+
+/// One EM fit plus, when [`ModelConfig::copy_detection`] is set, the
+/// copy-aware loop: detect copies from the fitted accuracies, derive
+/// [`CopyDiscount`] independence factors, and **refit from the run's
+/// original initialization** with the dependent sources' votes
+/// down-weighted — `discount_rounds` times. The refit deliberately
+/// restarts truth discovery rather than warm-continuing: a copier's
+/// doubled votes can drive EM into a self-consistent basin (copier
+/// and victim rated near-perfect, honest sources poor) that a warm
+/// continuation cannot leave, because the corrupted parameters are
+/// exactly what the continuation resumes from. Traces of the refits
+/// are appended to the base trace (iteration numbers continue across
+/// rounds). `fit` runs EM under a discount; the census reads `cube`.
+fn copy_aware(
+    cfg: &ModelConfig,
+    cube: &ObservationCube,
+    prior_independence: Option<&[f64]>,
+    fit: &dyn Fn(Option<&CopyDiscount>) -> io::Result<Fit>,
+) -> io::Result<Fit> {
+    let prior_discount = prior_independence.map(|s| {
+        let mut scales = s.to_vec();
+        scales.resize(cube.num_sources(), 1.0);
+        CopyDiscount::from_scales(scales)
+    });
+    let base_discount = prior_discount.as_ref().filter(|d| !d.is_neutral());
+    let (mut result, mut trace) = fit(base_discount)?;
+    // Record the factors this fit actually ran with even when no
+    // detection is configured (e.g. a session carrying prior evidence
+    // into a model whose copy_detection was turned off) — a
+    // discounted fit must never be indistinguishable from a
+    // copy-blind one. The discount loop below overwrites this with
+    // the factors of the final refit.
+    result.source_independence = base_discount.map(|d| d.as_slice().to_vec());
+
+    if let Some(cd) = &cfg.copy_detection {
+        let ns = cube.num_sources();
+        // The pair statistics depend only on the (immutable) cube:
+        // count once, re-score per round as the accuracies move.
+        let stats = collect_pair_stats(cube, cd);
+        let mut evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
+        if cd.discount {
+            // Factors the latest fit actually ran with: the prior on a
+            // warm restart, neutral otherwise (an all-ones discount is
+            // bit-identical to no discount at all).
+            let mut discount = prior_discount.unwrap_or_else(|| CopyDiscount::neutral(ns));
+            for _ in 0..cd.discount_rounds {
+                let fresh =
+                    CopyDiscount::from_evidence(&evidence, &result.params.source_accuracy, ns, cd);
+                // Discounts only ever deepen within a run (element-wise
+                // min with what the last fit used): discounting a pair
+                // lowers its score, so re-deriving factors from scratch
+                // could lift a threshold-straddling copier back to
+                // neutral in the next round and revert the fit to
+                // copy-blind. Monotonicity also guarantees the loop
+                // converges — later rounds can only unmask *more*
+                // dependencies.
+                let next = CopyDiscount::from_scales(
+                    discount
+                        .as_slice()
+                        .iter()
+                        .zip(fresh.as_slice())
+                        .map(|(a, b)| a.min(*b))
+                        .collect(),
+                );
+                if next == discount {
+                    // The current fit already used exactly these
+                    // factors (warm restart with carried-over evidence,
+                    // or no pair above the threshold): a refit would
+                    // reproduce it bit-for-bit — skip it.
+                    break;
+                }
+                discount = next;
+                let (refit, refit_trace) = fit(Some(&discount))?;
+                let offset = trace.rounds.len();
+                trace
+                    .rounds
+                    .extend(refit_trace.rounds.into_iter().map(|mut r| {
+                        r.iteration += offset;
+                        r
+                    }));
+                trace.converged = refit_trace.converged;
+                let total = result.iterations + refit.iterations;
+                result = refit;
+                result.iterations = total;
+                // Re-score with the copy-aware accuracies: what the
+                // next round (and the reported evidence) should see.
+                evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
+            }
+            result.source_independence = Some(discount.as_slice().to_vec());
+        }
+        result.copy_evidence = Some(evidence);
+    }
+    Ok((result, trace))
+}
+
+/// Lay `chunked` out where [`ModelConfig::residency`] says — the one place
+/// a fit's residency is decided — and hand `body` an EM fit over it, to
+/// run under any discount as often as it asks. A streamed `chunked` is
+/// written to the store and dropped before the first scan.
+pub(crate) fn with_em<R>(
+    chunked: ChunkedCube,
+    cfg: &ModelConfig,
+    init: &QualityInit,
+    prior_truth: Option<&[f64]>,
+    extraction: bool,
+    body: impl FnOnce(&dyn Fn(Option<&CopyDiscount>) -> io::Result<Fit>) -> io::Result<R>,
+) -> io::Result<R> {
+    match &cfg.residency {
+        CubeResidency::Resident => {
+            let src = ResidentChunks::new(&chunked);
+            body(&|d| run_em(cfg, &src, init, prior_truth, d, extraction))
+        }
+        CubeResidency::Streamed {
+            path,
+            max_resident_chunks,
+        } => {
+            FileChunkStore::write(&chunked, path)?;
+            drop(chunked);
+            let store = Arc::new(FileChunkStore::open(path)?);
+            let src = StreamedChunks::new(store, *max_resident_chunks);
+            body(&|d| run_em(cfg, &src, init, prior_truth, d, extraction))
+        }
     }
 }
 
@@ -308,14 +336,14 @@ impl MultiLayerModel {
 /// skips the vote tables, the correctness scan, the extractor M-step and
 /// α: the single layer of §2.2, which [`crate::SingleLayerModel`] runs
 /// over its pair cube.
-pub(crate) fn run_em<S: ChunkSource>(
+fn run_em<S: ChunkSource>(
     cfg: &ModelConfig,
     src: &S,
     init: &QualityInit,
     prior_truth: Option<&[f64]>,
     discount: Option<&CopyDiscount>,
     extraction: bool,
-) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+) -> io::Result<Fit> {
     let meta = src.meta();
     let ng = meta.num_groups as usize;
     let nw = meta.num_sources as usize;
@@ -493,7 +521,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
         for w in 0..5 {
             assert!(
                 r.kbt(SourceId::new(w)) > 0.9,
@@ -538,7 +566,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
         let good: f64 = (0..4).map(|w| r.kbt(SourceId::new(w))).sum::<f64>() / 4.0;
         let bad = r.kbt(SourceId::new(4));
         assert!(
@@ -576,7 +604,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
         // The junk extractor's extractions should be judged incorrect…
         for (g, grp) in cube.groups().iter().enumerate() {
             if grp.value == ValueId::new(1) {
@@ -609,7 +637,7 @@ mod tests {
         b.reserve_ids(2, 1, 1, 1);
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
         assert_eq!(r.params.source_accuracy, vec![0.8, 0.8]);
         assert!(!r.active_source[0]);
         assert_eq!(r.coverage(), 0.0);
@@ -639,7 +667,7 @@ mod tests {
             ..ModelConfig::default()
         };
         let model = MultiLayerModel::new(cfg);
-        let r = model.run_traced(&cube, &QualityInit::Default).0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
         assert!(
             r.converged,
             "did not converge in {} iterations",

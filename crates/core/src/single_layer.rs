@@ -29,17 +29,15 @@
 //! cost of that conflation.
 
 use std::io;
-use std::sync::Arc;
 
 use kbt_datamodel::{
-    ChunkedCube, CubeBuilder, ExtractorId, FileChunkStore, Observation, ObservationCube,
-    ResidentChunks, SourceId, StreamedChunks, TripleGroup,
+    ChunkedCube, CubeBuilder, ExtractorId, Observation, ObservationCube, SourceId, TripleGroup,
 };
 use kbt_flume::Stopwatch;
 
-use crate::config::{CubeResidency, ModelConfig};
+use crate::config::ModelConfig;
 use crate::model::ConvergenceTrace;
-use crate::multi_layer::{run_em, MultiLayerResult};
+use crate::multi_layer::{with_em, MultiLayerResult};
 use crate::params::QualityInit;
 use crate::posterior::ItemPosteriors;
 
@@ -104,8 +102,8 @@ impl SingleLayerModel {
     ///
     /// Inference runs under the per-run thread configuration of
     /// [`ModelConfig::threads`] via `kbt_flume::with_threads`. The pair
-    /// cube is resident or, under [`CubeResidency::Streamed`], written to
-    /// the store path and streamed from it (same bits); only that I/O can fail.
+    /// cube lives where [`ModelConfig::residency`] says (same bits); only
+    /// a streamed fit's I/O can fail.
     pub fn run_traced(
         &self,
         cube: &ObservationCube,
@@ -123,22 +121,7 @@ impl SingleLayerModel {
                 extractor_precision: Vec::new(),
                 extractor_recall: Vec::new(),
             };
-            let (fit, mut trace) = match &cfg.residency {
-                CubeResidency::Resident => {
-                    let src = ResidentChunks::new(&chunked);
-                    run_em(cfg, &src, &init, None, None, false)?
-                }
-                CubeResidency::Streamed {
-                    path,
-                    max_resident_chunks,
-                } => {
-                    FileChunkStore::write(&chunked, path)?;
-                    drop(chunked);
-                    let store = Arc::new(FileChunkStore::open(path)?);
-                    let src = StreamedChunks::new(store, *max_resident_chunks);
-                    run_em(cfg, &src, &init, None, None, false)?
-                }
-            };
+            let (fit, mut trace) = with_em(chunked, cfg, &init, None, false, |fit| fit(None))?;
             trace.stage_wall.chunking += chunking;
             Ok((fold_back(cube, cfg, pairs, fit), trace))
         })

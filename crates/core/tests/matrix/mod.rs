@@ -3,8 +3,10 @@
 //!
 //! engine resident at threads {1, 2, 8}
 //!   ≡ engine streamed at threads {1, 2, 4} × `max_resident_chunks` {1, 4, 0}
-//!   ≡ [`reference::fit`], bit for bit — and the same row for the single
-//!   layer against [`reference::fit_single_layer`].
+//!   ≡ [`reference::fit`], bit for bit, warm priors and copy discounts
+//!   included — and the same row for the single layer against
+//!   [`reference::fit_single_layer`]. Every fit goes through
+//!   `ModelConfig::residency`, so a streamed cell writes its own store.
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
@@ -13,15 +15,14 @@
 // Shared by several test crates; each uses the helpers it needs.
 #![allow(dead_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use kbt_core::{
     reference, ConvergenceTrace, CopyDiscount, CubeResidency, ModelConfig, MultiLayerModel,
     MultiLayerResult, QualityInit, SingleLayerModel,
 };
-use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
+use kbt_datamodel::ObservationCube;
 
 /// A store path no other test (or process) is using.
 pub fn fresh_path(tag: &str) -> PathBuf {
@@ -31,6 +32,41 @@ pub fn fresh_path(tag: &str) -> PathBuf {
         "kbt-matrix-{tag}-{}-{n}.chunks",
         std::process::id()
     ))
+}
+
+/// The matrix's (residency, threads) cells: resident at threads
+/// {1, 2, 8}, streamed through a store at `path` at threads {1, 2, 4} ×
+/// `max_resident_chunks` {1, 4, 0}.
+fn cells(path: &Path) -> Vec<(CubeResidency, usize)> {
+    let mut cells: Vec<_> = [1, 2, 8].map(|t| (CubeResidency::Resident, t)).into();
+    for max_resident_chunks in [1usize, 4, 0] {
+        for threads in [1, 2, 4] {
+            let path = path.to_path_buf();
+            let streamed = CubeResidency::Streamed {
+                path,
+                max_resident_chunks,
+            };
+            cells.push((streamed, threads));
+        }
+    }
+    cells
+}
+
+/// `cfg` at one cell of the matrix.
+fn at(cfg: &ModelConfig, (residency, threads): &(CubeResidency, usize)) -> ModelConfig {
+    ModelConfig {
+        threads: Some(*threads),
+        residency: residency.clone(),
+        ..cfg.clone()
+    }
+}
+
+/// After a fit at `cell`: a streamed fit must have written its store
+/// (removed here, so the next cell writes its own).
+fn assert_store_written((residency, _): &(CubeResidency, usize), what: &str) {
+    if let CubeResidency::Streamed { path, .. } = residency {
+        std::fs::remove_file(path).unwrap_or_else(|e| panic!("{what}: no store written: {e}"));
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -80,13 +116,12 @@ fn assert_fits_bitwise_eq(
     }
 }
 
-/// One cell of the matrix: fit `cube` under `cfg` / `init` with the
-/// oracle, with the resident engine and (cold, copy-blind fits only — a
-/// streamed fit takes no priors) with the streamed engine from a store
-/// chunked at `cfg.chunk_target_cells`, and assert every fit equals the
-/// oracle's bit for bit. `independence` is a full-length per-source
-/// factor vector: the engine takes it as its prior independence, the
-/// oracle as the equivalent [`CopyDiscount`].
+/// One row of the matrix: fit `cube` under `cfg` / `init` (and the warm
+/// priors, if any) with the oracle and with the engine at every
+/// (residency, threads) cell, chunked at `cfg.chunk_target_cells`, and
+/// assert every fit equals the oracle's bit for bit. `independence` is a
+/// full-length per-source factor vector: the engine takes it as its
+/// prior independence, the oracle as the equivalent [`CopyDiscount`].
 pub fn assert_engine_matches_reference(
     cube: &ObservationCube,
     cfg: &ModelConfig,
@@ -103,39 +138,14 @@ pub fn assert_engine_matches_reference(
     }
     assert_eq!(want.0.covered_group.len(), ng, "{tag}: dense coverage");
 
-    let at = |threads| {
-        MultiLayerModel::new(ModelConfig {
-            threads: Some(threads),
-            ..cfg.clone()
-        })
-    };
-    for threads in [1usize, 2, 8] {
-        let got = at(threads).run_traced_with_priors(cube, init, prior_truth, independence);
-        assert_fits_bitwise_eq(&got, &want, &format!("{tag} resident x{threads}"));
+    for cell in cells(&fresh_path("engine")) {
+        let got = MultiLayerModel::new(at(cfg, &cell))
+            .run_traced_with_priors(cube, init, prior_truth, independence)
+            .expect("engine fit");
+        let what = format!("{tag} {:?} x{}", cell.0, cell.1);
+        assert_store_written(&cell, &what);
+        assert_fits_bitwise_eq(&got, &want, &what);
     }
-    if prior_truth.is_some() || independence.is_some() {
-        return;
-    }
-
-    let path = fresh_path("engine");
-    FileChunkStore::write(&ChunkedCube::from_cube(cube, &cfg.chunking()), &path)
-        .expect("write chunk store");
-    let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
-    for max_resident in [1usize, 4, 0] {
-        for threads in [1usize, 2, 4] {
-            let read_before = store.frames_read();
-            let got = at(threads)
-                .run_streamed(&store, max_resident, init)
-                .expect("streamed fit");
-            let what = format!("{tag} streamed cap={max_resident} x{threads}");
-            assert_fits_bitwise_eq(&got, &want, &what);
-            // The store actually served the fit.
-            if cfg.max_iterations > 0 && ng > 0 {
-                assert!(store.frames_read() > read_before, "{what}: no frames read");
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The single-layer row of the matrix: the pair cube through the one
@@ -154,61 +164,46 @@ pub fn assert_single_layer_matches_reference(
         cube.num_groups(),
         "{tag}: dense truth"
     );
-    let path = fresh_path("single");
-    let mut cells = vec![(CubeResidency::Resident, [1usize, 2, 8])];
-    for max_resident_chunks in [1usize, 4, 0] {
-        let streamed = CubeResidency::Streamed {
-            path: path.clone(),
-            max_resident_chunks,
-        };
-        cells.push((streamed, [1, 2, 4]));
-    }
-    for (residency, threads) in cells {
-        for threads in threads {
-            let (got, trace) = SingleLayerModel::new(ModelConfig {
-                threads: Some(threads),
-                residency: residency.clone(),
-                ..cfg.clone()
-            })
+    for cell in cells(&fresh_path("single")) {
+        let (got, trace) = SingleLayerModel::new(at(cfg, &cell))
             .run_traced(cube, init)
             .expect("single-layer fit");
-            let what = format!("{tag} single-layer {residency:?} x{threads}");
-            assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        let what = format!("{tag} single-layer {:?} x{}", cell.0, cell.1);
+        assert_store_written(&cell, &what);
+        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        assert_eq!(
+            bits(&got.pair_accuracy),
+            bits(&want.pair_accuracy),
+            "{what}: pair accuracy"
+        );
+        assert_eq!(
+            bits(&got.source_accuracy),
+            bits(&want.source_accuracy),
+            "{what}: source accuracy"
+        );
+        assert_eq!(
+            bits(&got.truth_of_group),
+            bits(&want.truth_of_group),
+            "{what}: truth"
+        );
+        assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
+        assert_eq!(got.active_pair, want.active_pair, "{what}: active");
+        assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
+        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+        assert_eq!(got.converged, want.converged, "{what}: converged");
+        assert_eq!(trace.converged, want_trace.converged, "{what}: trace");
+        assert_eq!(
+            trace.rounds.len(),
+            want_trace.rounds.len(),
+            "{what}: rounds"
+        );
+        for (a, b) in trace.rounds.iter().zip(&want_trace.rounds) {
+            assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{what}: delta");
             assert_eq!(
-                bits(&got.pair_accuracy),
-                bits(&want.pair_accuracy),
-                "{what}: pair accuracy"
+                a.log_likelihood.to_bits(),
+                b.log_likelihood.to_bits(),
+                "{what}: log-likelihood"
             );
-            assert_eq!(
-                bits(&got.source_accuracy),
-                bits(&want.source_accuracy),
-                "{what}: source accuracy"
-            );
-            assert_eq!(
-                bits(&got.truth_of_group),
-                bits(&want.truth_of_group),
-                "{what}: truth"
-            );
-            assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
-            assert_eq!(got.active_pair, want.active_pair, "{what}: active");
-            assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
-            assert_eq!(got.iterations, want.iterations, "{what}: iterations");
-            assert_eq!(got.converged, want.converged, "{what}: converged");
-            assert_eq!(trace.converged, want_trace.converged, "{what}: trace");
-            assert_eq!(
-                trace.rounds.len(),
-                want_trace.rounds.len(),
-                "{what}: rounds"
-            );
-            for (a, b) in trace.rounds.iter().zip(&want_trace.rounds) {
-                assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{what}: delta");
-                assert_eq!(
-                    a.log_likelihood.to_bits(),
-                    b.log_likelihood.to_bits(),
-                    "{what}: log-likelihood"
-                );
-            }
         }
     }
-    let _ = std::fs::remove_file(&path);
 }

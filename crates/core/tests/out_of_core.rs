@@ -112,10 +112,11 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
         assert_engine_matches_reference(&cube, cfg, &QualityInit::Default, None, None, &tag);
     }
 
-    // Warm inputs (resident only — a streamed fit takes no priors): a
-    // per-group prior-truth hint, resumed parameters, and a non-neutral
-    // copy discount, alone and together.
-    let (cold, _) = MultiLayerModel::new(base.clone()).run_traced(&cube, &QualityInit::Default);
+    // Warm inputs, resident and streamed: a per-group prior-truth hint,
+    // resumed parameters, and a non-neutral copy discount, alone and
+    // together.
+    let cold = MultiLayerModel::new(base.clone()).run_traced(&cube, &QualityInit::Default);
+    let (cold, _) = cold.expect("resident fit");
     let resume = QualityInit::Resume(cold.params.clone());
     let hint = Some(&cold.truth_of_group[..]);
     let scales: Vec<f64> = (0..cube.num_sources())

@@ -8,6 +8,11 @@
 //! [`TrustPipeline::into_session`](crate::TrustPipeline::into_session))
 //! return this error instead; the panicking wrappers remain and format
 //! the same messages.
+//!
+//! Most variants are misuse. [`PipelineError::SessionInit`] and
+//! [`PipelineError::SessionPostHocCopy`] are deliberate refusals: a
+//! session owns its warm starts and runs no post-hoc stage, so either
+//! combination would be silently wrong, not merely unbuilt.
 
 use kbt_granularity::SplitMergeConfig;
 
@@ -29,6 +34,9 @@ pub enum PipelineError {
     /// regrouping reassigns source ids, so the reservation would be
     /// silently wrong.
     ReserveWithGranularity,
+    /// `.reserve_ids(..)` was combined with `.cube(..)`, whose id spaces
+    /// are already fixed.
+    ReserveOnCube,
     /// The `SplitMergeConfig` is unsatisfiable (`min_size` exceeds
     /// `max_size`): SPLITANDMERGE would split every merge product back
     /// below the minimum forever. Previously this aborted the process via
@@ -56,13 +64,6 @@ pub enum PipelineError {
     /// run. Dropping the configuration silently would serve copy-blind
     /// answers that look copy-checked.
     SessionPostHocCopy,
-    /// `.residency(CubeResidency::Streamed { .. })` combined with
-    /// copy-aware fusion (`.copy_detection(..)` with `discount` set):
-    /// the CopyDiscount loop needs pairwise co-occurrence statistics over
-    /// a resident cube, which the streamed engine never materializes.
-    /// Post-hoc copy detection (`discount == false`) remains available —
-    /// the pipeline still holds the cube it chunked from.
-    StreamedCopyDiscount,
     /// `.residency(CubeResidency::Streamed { .. })` cannot feed a
     /// [`FusionSession`](crate::FusionSession): the session refits after
     /// every delta, and re-chunking the evolving cube to disk on each
@@ -109,6 +110,11 @@ impl std::fmt::Display for PipelineError {
                  .granularity(..) — regrouping reassigns source ids, so the \
                  reservation would be silently wrong"
             ),
+            Self::ReserveOnCube => write!(
+                f,
+                "TrustPipeline: .reserve_ids(..) needs raw .observations(..); \
+                 a pre-built cube has already fixed its id spaces"
+            ),
             Self::InvalidSplitMerge { min_size, max_size } => write!(
                 f,
                 "TrustPipeline: invalid SplitMergeConfig — min_size {min_size} exceeds \
@@ -137,14 +143,6 @@ impl std::fmt::Display for PipelineError {
                  post-hoc copy evidence, a batch diagnostic the session does \
                  not run; use the multi-layer model, or run copy detection \
                  per batch via .run()"
-            ),
-            Self::StreamedCopyDiscount => write!(
-                f,
-                "TrustPipeline: .residency(CubeResidency::Streamed) cannot be \
-                 combined with copy-aware fusion (.copy_detection with \
-                 discount) — the CopyDiscount loop needs pairwise statistics \
-                 over a resident cube; run resident, or use post-hoc copy \
-                 detection (discount = false)"
             ),
             Self::StreamedSession => write!(
                 f,

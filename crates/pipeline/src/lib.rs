@@ -37,8 +37,6 @@ pub mod session;
 pub use error::PipelineError;
 pub use session::{Delta, FusionSession, WarmState};
 
-use std::sync::Arc;
-
 use kbt_core::{
     detect_copies_from_accuracy, CopyDetectConfig, FusionReport, ModelConfig, MultiLayerModel,
     QualityInit, SingleLayerModel, ValueModel,
@@ -46,7 +44,7 @@ use kbt_core::{
 // Re-exported so callers configuring out-of-core runs need no direct
 // kbt-core import for the residency knob.
 pub use kbt_core::CubeResidency;
-use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, Observation, ObservationCube};
+use kbt_datamodel::{CubeBuilder, Observation, ObservationCube};
 use kbt_granularity::hierarchy::SourceKey;
 use kbt_granularity::regroup_cube;
 // Re-exported so pipeline/serve callers need no direct kbt-granularity
@@ -92,9 +90,15 @@ impl Model {
         }
     }
 
-    fn config_mut(&mut self) -> &mut ModelConfig {
-        match self {
-            Self::MultiLayer(c) | Self::Accu(c) | Self::PopAccu(c) => c,
+    /// Apply the builder's run-time settings, so they hold in whatever
+    /// order the builder calls came.
+    fn configure(&mut self, threads: Option<usize>, residency: Option<CubeResidency>) {
+        let (Self::MultiLayer(cfg) | Self::Accu(cfg) | Self::PopAccu(cfg)) = self;
+        if threads.is_some() {
+            cfg.threads = threads;
+        }
+        if let Some(residency) = residency {
+            cfg.residency = residency;
         }
     }
 }
@@ -119,9 +123,8 @@ impl Model {
     /// dispatch. `Accu` / `PopAccu` run the single layer with their value
     /// model forced onto the configuration. A warm session refit hands the
     /// multi-layer model the last fit's truth hint and independence prior;
-    /// the single layer resumes through `init` alone. Under
-    /// [`CubeResidency::Streamed`] a batch fit writes its chunk store (the
-    /// single layer, its pair cube's) and fits from it.
+    /// the single layer resumes through `init` alone. A batch fit streams
+    /// when [`ModelConfig::residency`] says so; the engine decides how.
     fn fit(
         &self,
         cube: &ObservationCube,
@@ -139,40 +142,22 @@ impl Model {
         let io_err = |e: std::io::Error| PipelineError::StreamedIo {
             message: e.to_string(),
         };
-        let single = match self {
-            Self::MultiLayer(_) => None,
-            Self::Accu(_) => Some(ValueModel::Accu),
-            Self::PopAccu(_) => Some(ValueModel::PopAccu),
-        };
-        if let Some(value_model) = single {
-            let model = SingleLayerModel::new(ModelConfig { value_model, ..cfg });
-            let (result, trace) = model.run_traced(cube, init).map_err(io_err)?;
-            let report = FusionReport::from_single_layer(cube.num_sources(), result, trace);
-            return Ok(report);
-        }
-        let model = MultiLayerModel::new(cfg);
-        let cfg = model.config();
-        let (result, trace) = match &cfg.residency {
-            CubeResidency::Resident => {
+        let value_model = match self {
+            Self::MultiLayer(_) => {
                 let hint = warm.map(|w| w.truth_hint(cube, cfg.n_false_values));
                 let independence = warm.and_then(|w| w.independence.as_deref());
-                model.run_traced_with_priors(cube, init, hint.as_deref(), independence)
+                let model = MultiLayerModel::new(cfg);
+                let fit = model.run_traced_with_priors(cube, init, hint.as_deref(), independence);
+                let (result, trace) = fit.map_err(io_err)?;
+                return Ok(FusionReport::from_multi_layer(result, trace));
             }
-            CubeResidency::Streamed {
-                path,
-                max_resident_chunks,
-            } => {
-                // Chunking runs under the run's thread budget too.
-                let chunked = kbt_flume::with_threads(cfg.threads, || {
-                    ChunkedCube::from_cube(cube, &cfg.chunking())
-                });
-                FileChunkStore::write(&chunked, path).map_err(io_err)?;
-                let store = Arc::new(FileChunkStore::open(path).map_err(io_err)?);
-                let streamed = model.run_streamed(&store, *max_resident_chunks, init);
-                streamed.map_err(io_err)?
-            }
+            Self::Accu(_) => ValueModel::Accu,
+            Self::PopAccu(_) => ValueModel::PopAccu,
         };
-        Ok(FusionReport::from_multi_layer(result, trace))
+        let model = SingleLayerModel::new(ModelConfig { value_model, ..cfg });
+        let (result, trace) = model.run_traced(cube, init).map_err(io_err)?;
+        let report = FusionReport::from_single_layer(cube.num_sources(), result, trace);
+        Ok(report)
     }
 }
 
@@ -181,11 +166,30 @@ impl Model {
 enum Input {
     #[default]
     Empty,
-    Observations {
-        obs: Vec<Observation>,
-        reserve: Option<(u32, u32, u32, u32)>,
-    },
+    Observations(Vec<Observation>),
     Cube(ObservationCube),
+}
+
+impl Input {
+    /// The cube this input fits as is (no regrouping), its id spaces
+    /// grown to `reserve` (`.reserve_ids(..)`).
+    fn into_cube(
+        self,
+        reserve: Option<(u32, u32, u32, u32)>,
+    ) -> Result<ObservationCube, PipelineError> {
+        match (self, reserve) {
+            (Self::Empty, _) => Err(PipelineError::EmptyInput),
+            (Self::Cube(_), Some(_)) => Err(PipelineError::ReserveOnCube),
+            (Self::Cube(cube), None) => Ok(cube),
+            (Self::Observations(obs), reserve) => {
+                let mut b = CubeBuilder::from(obs);
+                if let Some((w, e, d, v)) = reserve {
+                    b.reserve_ids(w, e, d, v);
+                }
+                Ok(b.build())
+            }
+        }
+    }
 }
 
 type KeyFn = Box<dyn Fn(usize, &Observation) -> HierKey>;
@@ -222,12 +226,14 @@ pub struct PipelineRun {
 #[derive(Default)]
 pub struct TrustPipeline {
     input: Input,
+    reserve: Option<(u32, u32, u32, u32)>,
     model: Model,
     init: QualityInit,
     granularity: Option<SplitMergeConfig>,
     keys: Option<KeyFn>,
     copy: Option<CopyDetectConfig>,
     threads: Option<usize>,
+    residency: Option<CubeResidency>,
 }
 
 impl TrustPipeline {
@@ -239,21 +245,19 @@ impl TrustPipeline {
 
     /// Feed raw observations. Enables [`granularity`](Self::granularity).
     pub fn observations(mut self, obs: Vec<Observation>) -> Self {
-        self.input = Input::Observations { obs, reserve: None };
+        self.input = Input::Observations(obs);
         self
     }
 
     /// Reserve dense id spaces `(sources, extractors, items, values)`
     /// beyond those mentioned by the observations — for corpora where
-    /// trailing ids cast no votes. Only meaningful after
-    /// [`observations`](Self::observations), and incompatible with
-    /// [`granularity`](Self::granularity) (regrouping reassigns source
-    /// ids, so a reservation would be ambiguous — [`run`](Self::run)
-    /// panics on the combination rather than dropping it silently).
+    /// trailing ids cast no votes. Needs [`observations`](Self::observations)
+    /// input, before or after this call; a [`cube`](Self::cube) has fixed
+    /// its id spaces ([`PipelineError::ReserveOnCube`]), and
+    /// [`granularity`](Self::granularity) reassigns source ids
+    /// ([`PipelineError::ReserveWithGranularity`]).
     pub fn reserve_ids(mut self, sources: u32, extractors: u32, items: u32, values: u32) -> Self {
-        if let Input::Observations { reserve, .. } = &mut self.input {
-            *reserve = Some((sources, extractors, items, values));
-        }
+        self.reserve = Some((sources, extractors, items, values));
         self
     }
 
@@ -314,21 +318,21 @@ impl TrustPipeline {
         self
     }
 
-    /// Choose where the columnar cube lives during the fit (default:
-    /// [`CubeResidency::Resident`]).
+    /// Choose where the columnar cube lives during the fit (default: the
+    /// model's [`ModelConfig::residency`], [`CubeResidency::Resident`]
+    /// unless set there), before or after [`model`](Self::model).
     ///
-    /// With [`CubeResidency::Streamed`] the pipeline chunks the inference
+    /// With [`CubeResidency::Streamed`] the model chunks the inference
     /// cube to the given path as a `KBTCHNK2` store, then drives EM from
     /// that file, each scan worker reading one frame at a time into its
     /// own buffer — peak memory becomes O(groups) float state plus at most
     /// `max_resident_chunks` decoded frames. The trust scores, posteriors,
-    /// and trace are **bit-for-bit identical** to a resident run; only
-    /// peak RSS and I/O volume change. The single-layer models chunk and
-    /// stream their pair cube the same way. Incompatible with copy-aware
-    /// fusion ([`PipelineError::StreamedCopyDiscount`]); post-hoc copy
-    /// detection still works.
+    /// copy evidence and trace are **bit-for-bit identical** to a resident
+    /// run, copy-aware fusion included; only peak RSS and I/O volume
+    /// change. The single-layer models chunk and stream their pair cube
+    /// the same way.
     pub fn residency(mut self, residency: CubeResidency) -> Self {
-        self.model.config_mut().residency = residency;
+        self.residency = Some(residency);
         self
     }
 
@@ -376,30 +380,22 @@ impl TrustPipeline {
     pub fn try_run_detailed(self) -> Result<PipelineRun, PipelineError> {
         let Self {
             input,
+            reserve,
             mut model,
             init,
             granularity,
             keys,
             copy,
             threads,
+            residency,
         } = self;
 
         // --- Stage 1+2: materialize the inference cube. ---
         let (cube, working_sources, row_source) = match (input, granularity) {
-            (Input::Empty, _) => return Err(PipelineError::EmptyInput),
+            (input, None) => (input.into_cube(reserve)?, None, None),
+            (Input::Empty, Some(_)) => return Err(PipelineError::EmptyInput),
             (Input::Cube(_), Some(_)) => return Err(PipelineError::GranularityOnCube),
-            (Input::Cube(cube), None) => (cube, None, None),
-            (Input::Observations { obs, reserve }, None) => {
-                let mut b = CubeBuilder::with_capacity(obs.len());
-                for o in &obs {
-                    b.push(*o);
-                }
-                if let Some((w, e, d, v)) = reserve {
-                    b.reserve_ids(w, e, d, v);
-                }
-                (b.build(), None, None)
-            }
-            (Input::Observations { obs, reserve }, Some(sm)) => {
+            (Input::Observations(obs), Some(sm)) => {
                 if reserve.is_some() {
                     return Err(PipelineError::ReserveWithGranularity);
                 }
@@ -415,22 +411,12 @@ impl TrustPipeline {
         };
 
         // --- Stage 3: engine. ---
-        if threads.is_some() {
-            model.config_mut().threads = threads;
-        }
+        model.configure(threads, residency);
         // Copy-aware fusion: hand the detector to the engine so the
         // CopyDiscount loop runs inside fusion instead of after it.
-        if let Some(c) = &copy {
+        if let (Some(c), Model::MultiLayer(cfg)) = (&copy, &mut model) {
             if c.discount {
-                if matches!(model.config().residency, CubeResidency::Streamed { .. }) {
-                    // The CopyDiscount loop needs a resident cube; fail
-                    // typed here rather than as io::ErrorKind::Unsupported
-                    // from inside the engine.
-                    return Err(PipelineError::StreamedCopyDiscount);
-                }
-                if let Model::MultiLayer(cfg) = &mut model {
-                    cfg.copy_detection = Some(*c);
-                }
+                cfg.copy_detection = Some(*c);
             }
         }
         let mut report = model.fit(&cube, &init, Start::Batch)?;
@@ -463,8 +449,8 @@ impl TrustPipeline {
     /// The session inherits the pipeline's input, engine, thread budget,
     /// and copy-detection configuration (multi-layer sessions run the
     /// engine-side detector, so warm restarts re-use the independence
-    /// priors). Two stages do **not** carry over and are rejected with a
-    /// typed error instead of silently misbehaving:
+    /// priors). Four settings do **not** carry over and are rejected with
+    /// a typed error instead of silently misbehaving:
     ///
     /// * [`granularity`](Self::granularity) —
     ///   [`PipelineError::GranularitySession`]. SPLITANDMERGE assigns
@@ -485,12 +471,14 @@ impl TrustPipeline {
     pub fn into_session(self) -> Result<FusionSession, PipelineError> {
         let Self {
             input,
+            reserve,
             mut model,
             init,
             granularity,
             keys: _,
             copy,
             threads,
+            residency,
         } = self;
         if granularity.is_some() {
             return Err(PipelineError::GranularitySession);
@@ -498,11 +486,9 @@ impl TrustPipeline {
         if !matches!(init, QualityInit::Default) {
             return Err(PipelineError::SessionInit);
         }
+        model.configure(threads, residency);
         if matches!(model.config().residency, CubeResidency::Streamed { .. }) {
             return Err(PipelineError::StreamedSession);
-        }
-        if threads.is_some() {
-            model.config_mut().threads = threads;
         }
         // Engine-side copy detection: the multi-layer session attaches
         // evidence (and, with `discount`, runs copy-aware refits whose
@@ -518,21 +504,7 @@ impl TrustPipeline {
                 }
             }
         }
-        let cube = match input {
-            Input::Empty => return Err(PipelineError::EmptyInput),
-            Input::Cube(cube) => cube,
-            Input::Observations { obs, reserve } => {
-                let mut b = CubeBuilder::with_capacity(obs.len());
-                for o in &obs {
-                    b.push(*o);
-                }
-                if let Some((w, e, d, v)) = reserve {
-                    b.reserve_ids(w, e, d, v);
-                }
-                b.build()
-            }
-        };
-        Ok(FusionSession::new(cube, model))
+        Ok(FusionSession::new(input.into_cube(reserve)?, model))
     }
 }
 
@@ -573,11 +545,9 @@ mod tests {
     #[test]
     fn cube_input_and_observation_input_agree() {
         let obs = consensus();
-        let mut b = CubeBuilder::new();
-        for o in &obs {
-            b.push(*o);
-        }
-        let via_cube = TrustPipeline::new().cube(b.build()).run();
+        let via_cube = TrustPipeline::new()
+            .cube(CubeBuilder::from(obs.clone()).build())
+            .run();
         let via_obs = TrustPipeline::new().observations(obs).run();
         assert_eq!(via_cube.source_trust(), via_obs.source_trust());
         assert_eq!(via_cube.truth_of_group(), via_obs.truth_of_group());
@@ -619,11 +589,10 @@ mod tests {
         assert_eq!(run.report.source_trust().len(), 1);
     }
 
-    #[test]
-    fn copy_detection_attaches_sorted_evidence() {
-        // Source 3 copies source 2's (unique, hence "false-looking")
-        // values; 0, 1, and 4 agree on the majority value, so their
-        // agreements are not pair-exclusive and carry no copy signal.
+    /// Source 3 copies source 2's (unique, hence "false-looking")
+    /// values; 0, 1, and 4 agree on the majority value, so their
+    /// agreements are not pair-exclusive and carry no copy signal.
+    fn copier() -> Vec<Observation> {
         let mut data = Vec::new();
         for d in 0..12u32 {
             for w in [0u32, 1, 4] {
@@ -632,8 +601,13 @@ mod tests {
             data.push(obs(0, 2, d, 1 + d));
             data.push(obs(0, 3, d, 1 + d));
         }
+        data
+    }
+
+    #[test]
+    fn copy_detection_attaches_sorted_evidence() {
         let report = TrustPipeline::new()
-            .observations(data)
+            .observations(copier())
             .copy_detection(CopyDetectConfig::default())
             .run();
         let ev = report.copy_evidence.expect("copy detection ran");
@@ -800,30 +774,69 @@ mod tests {
         std::env::temp_dir().join(format!("kbt-pipeline-{tag}-{}.chunks", std::process::id()))
     }
 
+    /// Every model streams bit for bit at caps 1 and 4 with copy
+    /// detection on — copy-aware on the multi-layer model, post-hoc on the
+    /// single layer — through the builder switches or, for the
+    /// multi-layer model, a `ModelConfig` set directly.
     #[test]
     fn streamed_residency_matches_resident_bitwise() {
         let path = streamed_store_path("match");
+        let aware = CopyDetectConfig {
+            discount: true,
+            ..CopyDetectConfig::default()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let pipeline = |model| {
+            TrustPipeline::new()
+                .observations(copier())
+                .model(model)
+                .threads(2)
+        };
+        let streamed = |p: TrustPipeline| {
+            let report = p.run();
+            std::fs::remove_file(&path).expect("the fit streamed from its store");
+            report
+        };
         for model in [Model::multi_layer(), Model::accu(), Model::pop_accu()] {
-            let run = |residency| {
-                TrustPipeline::new()
-                    .observations(consensus())
-                    .model(model.clone())
-                    .threads(2)
-                    .residency(residency)
-                    .run()
-            };
-            let resident = run(CubeResidency::Resident);
-            let streamed = run(CubeResidency::Streamed {
-                path: path.clone(),
-                max_resident_chunks: 1,
-            });
-            assert_eq!(resident.source_trust(), streamed.source_trust());
-            assert_eq!(resident.correctness(), streamed.correctness());
-            assert_eq!(resident.truth_of_group(), streamed.truth_of_group());
-            assert_eq!(resident.posteriors(), streamed.posteriors());
-            assert_eq!(resident.trace.rounds.len(), streamed.trace.rounds.len());
+            let resident = pipeline(model.clone()).copy_detection(aware).run();
+            for max_resident_chunks in [1, 4] {
+                let residency = CubeResidency::Streamed {
+                    path: path.clone(),
+                    max_resident_chunks,
+                };
+                let switch = pipeline(model.clone()).copy_detection(aware);
+                let mut fits = vec![streamed(switch.residency(residency.clone()))];
+                if let Model::MultiLayer(cfg) = &model {
+                    let independence = resident.source_independence().expect("copy-aware");
+                    assert!(independence.iter().any(|&i| i < 1.0), "copier discounted");
+                    let cfg = ModelConfig {
+                        copy_detection: Some(aware),
+                        residency,
+                        ..cfg.clone()
+                    };
+                    fits.push(streamed(pipeline(Model::MultiLayer(cfg))));
+                }
+                for got in fits {
+                    assert_eq!(bits(resident.source_trust()), bits(got.source_trust()));
+                    assert_eq!(resident.correctness(), got.correctness());
+                    assert_eq!(bits(resident.truth_of_group()), bits(got.truth_of_group()));
+                    assert_eq!(resident.posteriors(), got.posteriors());
+                    assert_eq!(resident.source_independence(), got.source_independence());
+                    assert_eq!(resident.copy_evidence, got.copy_evidence);
+                    assert_eq!(resident.trace.rounds.len(), got.trace.rounds.len());
+                }
+            }
         }
-        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A store path in a directory that does not exist.
+    fn unwritable() -> CubeResidency {
+        CubeResidency::Streamed {
+            path: std::env::temp_dir()
+                .join("kbt-no-such-dir")
+                .join("store.chunks"),
+            max_resident_chunks: 1,
+        }
     }
 
     #[test]
@@ -835,18 +848,6 @@ mod tests {
         assert_eq!(
             TrustPipeline::new()
                 .observations(consensus())
-                .copy_detection(CopyDetectConfig {
-                    discount: true,
-                    ..CopyDetectConfig::default()
-                })
-                .residency(streamed.clone())
-                .try_run()
-                .unwrap_err(),
-            PipelineError::StreamedCopyDiscount
-        );
-        assert_eq!(
-            TrustPipeline::new()
-                .observations(consensus())
                 .residency(streamed)
                 .into_session()
                 .unwrap_err(),
@@ -855,13 +856,7 @@ mod tests {
         // An unwritable store path is a typed I/O error, not a panic.
         let err = TrustPipeline::new()
             .observations(consensus())
-            .residency(CubeResidency::Streamed {
-                path: std::env::temp_dir()
-                    .join("kbt-no-such-dir")
-                    .join("missing")
-                    .join("store.chunks"),
-                max_resident_chunks: 1,
-            })
+            .residency(unwritable())
             .try_run()
             .unwrap_err();
         assert!(
@@ -870,31 +865,33 @@ mod tests {
         );
     }
 
-    /// Post-hoc copy detection (no discount) stays available under
-    /// streamed residency: the pipeline still holds the cube it chunked.
+    /// Builder calls hold in any order: a residency set before
+    /// `.model(..)` and a reservation made before `.observations(..)` are
+    /// kept, and a reservation on a pre-built cube is refused, not
+    /// dropped.
     #[test]
-    fn streamed_residency_keeps_post_hoc_copy_detection() {
-        let path = streamed_store_path("posthoc");
-        let report = TrustPipeline::new()
+    fn builder_calls_commute() {
+        for model in [Model::multi_layer(), Model::accu()] {
+            let before_model = || {
+                TrustPipeline::new()
+                    .observations(consensus())
+                    .residency(unwritable())
+                    .model(model.clone())
+            };
+            let err = before_model().try_run().unwrap_err();
+            assert!(matches!(err, PipelineError::StreamedIo { .. }), "{err:?}");
+            let err = before_model().into_session().unwrap_err();
+            assert_eq!(err, PipelineError::StreamedSession);
+        }
+        let sources = |p: TrustPipeline| p.try_run().unwrap().source_trust().len();
+        let reserved = TrustPipeline::new().reserve_ids(9, 0, 0, 0);
+        assert_eq!(sources(reserved.observations(consensus())), 9);
+        let reserved = TrustPipeline::new().observations(consensus());
+        assert_eq!(sources(reserved.reserve_ids(9, 0, 0, 0)), 9);
+        let cube = TrustPipeline::new()
             .observations(consensus())
-            .copy_detection(CopyDetectConfig::default())
-            .residency(CubeResidency::Streamed {
-                path: path.clone(),
-                max_resident_chunks: 1,
-            })
-            .run();
-        assert!(report.copy_evidence.is_some());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs raw .observations")]
-    fn granularity_on_cube_panics_with_guidance() {
-        let mut b = CubeBuilder::new();
-        b.push(obs(0, 0, 0, 0));
-        let _ = TrustPipeline::new()
-            .cube(b.build())
-            .granularity(SplitMergeConfig::default())
-            .run();
+            .run_detailed();
+        let on_cube = TrustPipeline::new().cube(cube.cube).reserve_ids(9, 0, 0, 0);
+        assert_eq!(on_cube.try_run().unwrap_err(), PipelineError::ReserveOnCube);
     }
 }

@@ -168,11 +168,7 @@ impl FusionSession {
 
     /// Start a session from raw observations.
     pub fn from_observations(obs: Vec<Observation>, model: Model) -> Self {
-        let mut b = CubeBuilder::with_capacity(obs.len());
-        for o in &obs {
-            b.push(*o);
-        }
-        Self::new(b.build(), model)
+        Self::new(CubeBuilder::from(obs).build(), model)
     }
 
     /// Rebuild a session at a published epoch — the entry point crash

@@ -10,14 +10,16 @@
 //!    improves truth accuracy over copy-blind fusion on the same
 //!    corpus, per seed, and
 //! 4. the copy-aware fit's trust and independence factors are pinned to
-//!    the bits it produced before the pair-counting kernel was replaced.
+//!    the bits it produced before the pair-counting kernel was replaced,
+//!    resident and streamed.
 
 mod common;
 #[path = "../crates/core/tests/matrix/mod.rs"]
 mod matrix;
 
 use kbt::core::{
-    detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, FusionModel, MultiLayerModel,
+    detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CubeResidency, FusionModel,
+    MultiLayerModel,
 };
 use kbt::datamodel::{
     CubeBuilder, ExtractorId, ItemId, Observation, ObservationCube, SourceId, ValueId,
@@ -329,7 +331,9 @@ fn copy_aware_fusion_is_bit_identical_across_engines() {
 /// The copy-aware fit reproduces, bit for bit, the trust vector and the
 /// independence factors it produced when the detector still counted
 /// pairs with hash maps (recorded from the parent commit): the new
-/// kernel feeds the discount loop exactly the same evidence.
+/// kernel feeds the discount loop exactly the same evidence. Streamed at
+/// caps 1 and 4 too: every refit reads the model's own chunk store while
+/// the co-claim census reads the row cube.
 #[test]
 fn copy_aware_fit_reproduces_its_pre_kernel_bits() {
     const FLOOR: u64 = 0x3fa999999999999a; // min_independence = 0.05
@@ -358,34 +362,35 @@ fn copy_aware_fit_reproduces_its_pre_kernel_bits() {
             ],
         ),
     ];
-    for (seed, trust_bits) in pinned {
-        let (cube, _) = planted_copier_corpus(seed);
-        let aware_cfg = ModelConfig {
-            copy_detection: Some(CopyDetectConfig {
-                discount: true,
-                ..CopyDetectConfig::default()
-            }),
-            ..fusion_cfg()
-        };
-        let aware = MultiLayerModel::new(aware_cfg).fit(&cube, &QualityInit::Default);
-        let trust: Vec<u64> = aware.source_trust().iter().map(|t| t.to_bits()).collect();
-        assert_eq!(trust, trust_bits, "trust bits, seed {seed}");
-        let indep: Vec<u64> = aware
-            .as_multi_layer()
-            .unwrap()
-            .source_independence
-            .as_ref()
-            .expect("independence factors recorded")
-            .iter()
-            .map(|i| i.to_bits())
-            .collect();
-        assert_eq!(
-            indep,
-            [ONE, ONE, ONE, ONE, ONE, FLOOR],
-            "independence bits, seed {seed}"
-        );
-        assert_eq!(aware.iterations(), 14, "EM rounds, seed {seed}");
+    let path = matrix::fresh_path("aware");
+    let streamed = |max_resident_chunks| CubeResidency::Streamed {
+        path: path.clone(),
+        max_resident_chunks,
+    };
+    for residency in [CubeResidency::Resident, streamed(1), streamed(4)] {
+        for (seed, trust_bits) in pinned {
+            let (cube, _) = planted_copier_corpus(seed);
+            let aware_cfg = ModelConfig {
+                copy_detection: Some(CopyDetectConfig {
+                    discount: true,
+                    ..CopyDetectConfig::default()
+                }),
+                residency: residency.clone(),
+                ..fusion_cfg()
+            };
+            let fit = MultiLayerModel::new(aware_cfg).run_traced(&cube, &QualityInit::Default);
+            let (aware, _) = fit.expect("copy-aware fit");
+            let what = format!("seed {seed}, {residency:?}");
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            let trust = bits(&aware.params.source_accuracy);
+            assert_eq!(trust, trust_bits, "trust bits, {what}");
+            let indep = bits(aware.source_independence.as_deref().expect("I(w) recorded"));
+            let want = [ONE, ONE, ONE, ONE, ONE, FLOOR];
+            assert_eq!(indep, want, "independence bits, {what}");
+            assert_eq!(aware.iterations, 14, "EM rounds, {what}");
+        }
     }
+    std::fs::remove_file(&path).expect("the streamed fits wrote their store");
 }
 
 /// Warm session restarts re-use prior copy evidence: after a copy-aware

@@ -199,8 +199,9 @@ fn trace_matches_run_traced_output() {
         seed: 9_000,
         ..SyntheticConfig::default()
     });
-    let (legacy, trace) =
+    let fit =
         MultiLayerModel::new(ModelConfig::default()).run_traced(&data.cube, &QualityInit::Default);
+    let (legacy, trace) = fit.expect("resident fit");
     let report = TrustPipeline::new().cube(data.cube.clone()).run();
     assert_eq!(report.trace.rounds.len(), trace.rounds.len());
     assert_eq!(report.trace.converged, trace.converged);
