@@ -474,8 +474,7 @@ pub fn topic_weights(corpus: &WebCorpus, mass: f64) -> Vec<f64> {
         .map(|h| {
             let total: usize = h.values().sum();
             let mut subjects: Vec<(&u32, &usize)> = h.iter().collect();
-            // Largest first, ties by subject id: the map's order is random.
-            subjects.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+            subjects.sort_by(|a, b| b.1.cmp(a.1));
             let mut kept = std::collections::HashSet::new();
             let mut acc = 0usize;
             for (s, c) in subjects {

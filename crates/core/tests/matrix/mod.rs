@@ -6,7 +6,9 @@
 //!   ≡ [`reference::fit`], bit for bit, warm priors and copy discounts
 //!   included — and the same row for the single layer against
 //!   [`reference::fit_single_layer`]. Every fit goes through
-//!   `ModelConfig::residency`, so a streamed cell writes its own store.
+//!   `ModelConfig::residency`, so a streamed cell writes its own store;
+//!   a cold, copy-blind multi-layer cell also refits from that store
+//!   through the cube-less `run_streamed`.
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
@@ -17,12 +19,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use kbt_core::{
     reference, ConvergenceTrace, CopyDiscount, CubeResidency, ModelConfig, MultiLayerModel,
     MultiLayerResult, QualityInit, SingleLayerModel,
 };
-use kbt_datamodel::ObservationCube;
+use kbt_datamodel::{FileChunkStore, ObservationCube};
 
 /// A store path no other test (or process) is using.
 pub fn fresh_path(tag: &str) -> PathBuf {
@@ -138,13 +141,35 @@ pub fn assert_engine_matches_reference(
     }
     assert_eq!(want.0.covered_group.len(), ng, "{tag}: dense coverage");
 
+    // The cube-less entry point takes no priors: a cold, copy-blind
+    // streamed cell also refits from the store its fit wrote, reading
+    // each frame once a round.
+    let cold = prior_truth.is_none() && independence.is_none();
     for cell in cells(&fresh_path("engine")) {
-        let got = MultiLayerModel::new(at(cfg, &cell))
+        let model = MultiLayerModel::new(at(cfg, &cell));
+        let got = model
             .run_traced_with_priors(cube, init, prior_truth, independence)
             .expect("engine fit");
         let what = format!("{tag} {:?} x{}", cell.0, cell.1);
-        assert_store_written(&cell, &what);
         assert_fits_bitwise_eq(&got, &want, &what);
+        if let (
+            true,
+            CubeResidency::Streamed {
+                path,
+                max_resident_chunks: cap,
+            },
+        ) = (cold, &cell.0)
+        {
+            let store = Arc::new(FileChunkStore::open(path).expect("open the fit's store"));
+            let got = model
+                .run_streamed(&store, *cap, init)
+                .expect("run_streamed");
+            assert_fits_bitwise_eq(&got, &want, &format!("{what} run_streamed"));
+            let frames = (store.num_chunks() + store.num_group_frames()) as u64;
+            let rounds = got.0.iterations as u64;
+            assert_eq!(store.frames_read(), rounds * frames, "{what}: frames read");
+        }
+        assert_store_written(&cell, &what);
     }
 }
 

@@ -12,7 +12,9 @@ use std::fs;
 use std::sync::Arc;
 
 use kbt_core::config::AbsencePolicy;
-use kbt_core::{CorrectnessWeighting, ModelConfig, MultiLayerModel, QualityInit, ValueModel};
+use kbt_core::{
+    CorrectnessWeighting, CubeResidency, ModelConfig, MultiLayerModel, QualityInit, ValueModel,
+};
 use kbt_datamodel::wire::{WireError, WireReader};
 use kbt_datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation,
@@ -306,6 +308,49 @@ fn a_round_scans_the_store_twice() {
             assert_eq!(read, rounds * (chunks + frames), "x{threads} cap={cap}");
         }
     }
+    let _ = fs::remove_file(&path);
+}
+
+/// A streamed `run_traced` fits from the store it writes, not from the
+/// cube it was handed: at one thread the calling thread is the only scan
+/// worker, and the bytes it reads cover every frame's payload once a
+/// round.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_streamed_run_traced_reads_its_store() {
+    let thread_rchar = || -> u64 {
+        let io = fs::read_to_string("/proc/thread-self/io").expect("per-thread I/O counters");
+        let rchar = io.lines().find_map(|l| l.strip_prefix("rchar: "));
+        rchar.and_then(|n| n.parse().ok()).expect("an rchar line")
+    };
+    let cube = build(observations(7, 2_000));
+    let path = fresh_path("traced");
+    let model = MultiLayerModel::new(ModelConfig {
+        threads: Some(1),
+        chunk_target_cells: 64,
+        residency: CubeResidency::Streamed {
+            path: path.clone(),
+            max_resident_chunks: 1,
+        },
+        ..ModelConfig::default()
+    });
+    let before = thread_rchar();
+    let (result, _) = model
+        .run_traced(&cube, &QualityInit::Default)
+        .expect("streamed fit");
+    let read = thread_rchar() - before;
+    let [items, groups] = frame_payloads(&fs::read(&path).expect("the fit's store"));
+    let round: u64 = items
+        .iter()
+        .chain(&groups)
+        .map(|&(_, len)| len as u64)
+        .sum();
+    let rounds = result.iterations as u64;
+    assert!(rounds > 1 && items.len() > 8 && groups.len() > 8);
+    assert!(
+        read >= rounds * round,
+        "{read} bytes read, {rounds} rounds of {round}"
+    );
     let _ = fs::remove_file(&path);
 }
 

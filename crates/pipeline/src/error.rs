@@ -19,9 +19,9 @@ use kbt_granularity::SplitMergeConfig;
 /// Everything that can go wrong assembling or validating a
 /// [`TrustPipeline`](crate::TrustPipeline) before inference starts.
 ///
-/// Inference itself is total: once a pipeline validates, `run` cannot
-/// fail (EM is bounded by `max_iterations` and every estimator clamps its
-/// parameters).
+/// Inference itself fails only on chunk-store I/O
+/// ([`PipelineError::StreamedIo`]): EM is bounded by `max_iterations` and
+/// every estimator clamps its parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PipelineError {
@@ -93,12 +93,10 @@ impl PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::EmptyInput => {
-                write!(
-                    f,
-                    "TrustPipeline: provide .observations(..) or .cube(..) before .run()"
-                )
-            }
+            Self::EmptyInput => write!(
+                f,
+                "TrustPipeline: provide .observations(..) or .cube(..) before .run()"
+            ),
             Self::GranularityOnCube => write!(
                 f,
                 "TrustPipeline: .granularity(..) needs raw .observations(..); \

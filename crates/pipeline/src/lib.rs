@@ -94,9 +94,7 @@ impl Model {
     /// order the builder calls came.
     fn configure(&mut self, threads: Option<usize>, residency: Option<CubeResidency>) {
         let (Self::MultiLayer(cfg) | Self::Accu(cfg) | Self::PopAccu(cfg)) = self;
-        if threads.is_some() {
-            cfg.threads = threads;
-        }
+        cfg.threads = threads.or(cfg.threads);
         if let Some(residency) = residency {
             cfg.residency = residency;
         }
@@ -322,15 +320,12 @@ impl TrustPipeline {
     /// model's [`ModelConfig::residency`], [`CubeResidency::Resident`]
     /// unless set there), before or after [`model`](Self::model).
     ///
-    /// With [`CubeResidency::Streamed`] the model chunks the inference
-    /// cube to the given path as a `KBTCHNK2` store, then drives EM from
-    /// that file, each scan worker reading one frame at a time into its
-    /// own buffer — peak memory becomes O(groups) float state plus at most
-    /// `max_resident_chunks` decoded frames. The trust scores, posteriors,
-    /// copy evidence and trace are **bit-for-bit identical** to a resident
-    /// run, copy-aware fusion included; only peak RSS and I/O volume
-    /// change. The single-layer models chunk and stream their pair cube
-    /// the same way.
+    /// With [`CubeResidency::Streamed`] the model writes its chunked cube
+    /// (the single layer's, its pair cube) to a `KBTCHNK2` store at the
+    /// given path and fits from it within the memory bound
+    /// [`CubeResidency`] states. Trust scores, posteriors, copy evidence
+    /// and trace are **bit-for-bit identical** to a resident run,
+    /// copy-aware fusion included; only peak RSS and I/O volume change.
     pub fn residency(mut self, residency: CubeResidency) -> Self {
         self.residency = Some(residency);
         self
@@ -414,10 +409,8 @@ impl TrustPipeline {
         model.configure(threads, residency);
         // Copy-aware fusion: hand the detector to the engine so the
         // CopyDiscount loop runs inside fusion instead of after it.
-        if let (Some(c), Model::MultiLayer(cfg)) = (&copy, &mut model) {
-            if c.discount {
-                cfg.copy_detection = Some(*c);
-            }
+        if let (Some(c), Model::MultiLayer(cfg)) = (copy.filter(|c| c.discount), &mut model) {
+            cfg.copy_detection = Some(c);
         }
         let mut report = model.fit(&cube, &init, Start::Batch)?;
 
@@ -775,15 +768,16 @@ mod tests {
     }
 
     /// Every model streams bit for bit at caps 1 and 4 with copy
-    /// detection on — copy-aware on the multi-layer model, post-hoc on the
-    /// single layer — through the builder switches or, for the
-    /// multi-layer model, a `ModelConfig` set directly.
+    /// detection on — copy-aware or post-hoc on the multi-layer model,
+    /// post-hoc on the single layer — through the builder switches or, for
+    /// the copy-aware multi-layer model, a `ModelConfig` set directly.
     #[test]
     fn streamed_residency_matches_resident_bitwise() {
         let path = streamed_store_path("match");
+        let post_hoc = CopyDetectConfig::default();
         let aware = CopyDetectConfig {
             discount: true,
-            ..CopyDetectConfig::default()
+            ..post_hoc
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let pipeline = |model| {
@@ -797,20 +791,27 @@ mod tests {
             std::fs::remove_file(&path).expect("the fit streamed from its store");
             report
         };
-        for model in [Model::multi_layer(), Model::accu(), Model::pop_accu()] {
-            let resident = pipeline(model.clone()).copy_detection(aware).run();
+        let cases = [
+            (Model::multi_layer(), aware),
+            (Model::multi_layer(), post_hoc),
+            (Model::accu(), post_hoc),
+            (Model::pop_accu(), post_hoc),
+        ];
+        for (model, copy) in cases {
+            let resident = pipeline(model.clone()).copy_detection(copy).run();
+            assert!(resident.copy_evidence.is_some());
             for max_resident_chunks in [1, 4] {
                 let residency = CubeResidency::Streamed {
                     path: path.clone(),
                     max_resident_chunks,
                 };
-                let switch = pipeline(model.clone()).copy_detection(aware);
+                let switch = pipeline(model.clone()).copy_detection(copy);
                 let mut fits = vec![streamed(switch.residency(residency.clone()))];
-                if let Model::MultiLayer(cfg) = &model {
+                if let (Model::MultiLayer(cfg), true) = (&model, copy.discount) {
                     let independence = resident.source_independence().expect("copy-aware");
                     assert!(independence.iter().any(|&i| i < 1.0), "copier discounted");
                     let cfg = ModelConfig {
-                        copy_detection: Some(aware),
+                        copy_detection: Some(copy),
                         residency,
                         ..cfg.clone()
                     };
@@ -832,9 +833,7 @@ mod tests {
     /// A store path in a directory that does not exist.
     fn unwritable() -> CubeResidency {
         CubeResidency::Streamed {
-            path: std::env::temp_dir()
-                .join("kbt-no-such-dir")
-                .join("store.chunks"),
+            path: std::env::temp_dir().join("kbt-no-such-dir/store.chunks"),
             max_resident_chunks: 1,
         }
     }
@@ -893,5 +892,16 @@ mod tests {
             .run_detailed();
         let on_cube = TrustPipeline::new().cube(cube.cube).reserve_ids(9, 0, 0, 0);
         assert_eq!(on_cube.try_run().unwrap_err(), PipelineError::ReserveOnCube);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs raw .observations")]
+    fn granularity_on_cube_panics_with_guidance() {
+        let mut b = CubeBuilder::new();
+        b.push(obs(0, 0, 0, 0));
+        let _ = TrustPipeline::new()
+            .cube(b.build())
+            .granularity(SplitMergeConfig::default())
+            .run();
     }
 }
