@@ -134,7 +134,7 @@ fn child_streamed(path: &str) {
     let store = Arc::new(FileChunkStore::open(Path::new(path)).expect("open chunk store"));
     let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
-    let (result, trace) = model
+    let report = model
         .run_streamed(&store, MAX_RESIDENT_CHUNKS, &QualityInit::Default)
         .expect("streamed fit");
     let wall = t0.elapsed().as_secs_f64();
@@ -146,7 +146,7 @@ fn child_streamed(path: &str) {
         frames / ROUNDS as u64,
         read_chars() - read_before
     );
-    print_child_line(&FusionReport::from_multi_layer(result, trace), wall, &extra);
+    print_child_line(&report, wall, &extra);
 }
 
 /// Run this binary again with `args`, echo what it printed, and return
@@ -312,12 +312,12 @@ fn run_resident(mode: &str, triples: usize) {
 
     // The engine must be the paper's equations in a faster layout, not a
     // different model.
-    let (oracle, _) = reference::fit(&cube, &cfg, &init, None, None);
+    let oracle = reference::fit(&cube, &cfg, &init, None, None);
     let trust = bits_checksum(report.source_trust());
     let truth = bits_checksum(report.truth_of_group());
     assert_eq!(
         report.iterations(),
-        oracle.iterations,
+        oracle.iterations(),
         "engine and reference ran different round counts"
     );
     assert_eq!(

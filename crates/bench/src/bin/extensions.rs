@@ -25,6 +25,7 @@ fn main() {
     });
     let cfg = kv_multilayer_config();
     let (result, _) = run_multilayer(&corpus, &cfg, &QualityInit::Default);
+    let layer = result.extraction.as_ref().unwrap();
 
     // Plain vs IDF-weighted vs topic-filtered KBT at page level,
     // aggregated to sites.
@@ -34,8 +35,7 @@ fn main() {
     let combined: Vec<f64> = idf.iter().zip(&topic).map(|(a, b)| a * b).collect();
 
     let count_suspects = |weights: &[f64], label: &str| -> (usize, usize, usize) {
-        let kbt =
-            extensions::weighted_kbt(&corpus.cube, result.as_multi_layer().unwrap(), weights, 1.0);
+        let kbt = extensions::weighted_kbt(&corpus.cube, layer, weights, 1.0);
         // Site score = triple-weighted mean of its pages' scores.
         let mut num = vec![0.0f64; corpus.sites.len()];
         let mut den = vec![0.0f64; corpus.sites.len()];

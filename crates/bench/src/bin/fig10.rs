@@ -25,7 +25,7 @@ fn main() {
     // KBT per site.
     let cfg = kv_multilayer_config();
     let (result, _) = run_multilayer(&corpus, &cfg, &gold_init(&corpus));
-    let site_kbt = corpus.site_scores(result.source_trust(), result.active_source());
+    let site_kbt = corpus.site_scores(result.source_trust(), &result.active_source);
 
     // PageRank over a link graph independent of accuracy — except that
     // gossip sites are planted popular (they receive extra in-links), per

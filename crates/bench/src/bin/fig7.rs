@@ -29,7 +29,7 @@ fn main() {
     let cube = website_cube(&corpus);
     let result = MultiLayerModel::new(cfg).fit(&cube, &QualityInit::Default);
     let kbt: Vec<f64> = (0..cube.num_sources())
-        .filter(|&s| cube.source_size(SourceId::new(s as u32)) >= 5 && result.active_source()[s])
+        .filter(|&s| cube.source_size(SourceId::new(s as u32)) >= 5 && result.active_source[s])
         .map(|s| result.kbt(SourceId::new(s as u32)))
         .collect();
 

@@ -29,7 +29,7 @@ fn main() {
     });
     let cfg = kv_multilayer_config();
     let (result, _) = run_multilayer(&corpus, &cfg, &gold_init(&corpus));
-    let site_kbt = corpus.site_scores(result.source_trust(), result.active_source());
+    let site_kbt = corpus.site_scores(result.source_trust(), &result.active_source);
 
     // Sample up to 100 sites with KBT above 0.9.
     let sample: Vec<(u32, f64)> = site_kbt

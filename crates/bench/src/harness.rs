@@ -37,7 +37,7 @@ pub fn eval_multilayer_synth(data: &SyntheticDataset, cfg: &ModelConfig) -> Synt
     let sqa = sqa_of(
         result.source_trust(),
         &data.truth.source_accuracy,
-        result.active_source(),
+        &result.active_source,
     );
     SynthLosses { sqv, sqc, sqa }
 }
@@ -59,7 +59,7 @@ fn sqv_of(data: &SyntheticDataset, result: &FusionReport) -> f64 {
     let eval = data.value_eval_set();
     let pred: Vec<f64> = eval
         .iter()
-        .map(|(d, v, _)| result.posteriors().prob(*d, *v))
+        .map(|(d, v, _)| result.posteriors.prob(*d, *v))
         .collect();
     let truth: Vec<bool> = eval.iter().map(|(_, _, t)| *t).collect();
     square_loss_binary(&pred, &truth).unwrap_or(0.0)
@@ -273,7 +273,7 @@ pub fn run_multilayer(
     // fit() borrows the corpus cube — no clone for the common page-level
     // path (the KV cubes are millions of cells).
     let r = MultiLayerModel::new(cfg.clone()).fit(&corpus.cube, init);
-    let preds = collect_triple_predictions(&corpus.cube, r.truth_of_group(), r.covered_group());
+    let preds = collect_triple_predictions(&corpus.cube, r.truth_of_group(), &r.covered_group);
     (r, preds)
 }
 
@@ -353,7 +353,7 @@ pub fn run_singlelayer(
     let preds = collect_triple_predictions(
         &run.cube,
         run.report.truth_of_group(),
-        run.report.covered_group(),
+        &run.report.covered_group,
     );
     (run.report, preds)
 }
@@ -392,7 +392,7 @@ pub fn run_multilayer_sm(
     let preds = collect_triple_predictions(
         &run.cube,
         run.report.truth_of_group(),
-        run.report.covered_group(),
+        &run.report.covered_group,
     );
     (run.report, preds, run.cube, sources)
 }
@@ -474,7 +474,8 @@ pub fn topic_weights(corpus: &WebCorpus, mass: f64) -> Vec<f64> {
         .map(|h| {
             let total: usize = h.values().sum();
             let mut subjects: Vec<(&u32, &usize)> = h.iter().collect();
-            subjects.sort_by(|a, b| b.1.cmp(a.1));
+            // Count ties by subject id: `HashMap` order changes per run.
+            subjects.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
             let mut kept = std::collections::HashSet::new();
             let mut acc = 0usize;
             for (s, c) in subjects {
@@ -562,6 +563,18 @@ mod tests {
             s_gold.auc_pr,
             s_def.auc_pr
         );
+    }
+
+    /// Each call hashes its histograms with fresh keys, so a cut that
+    /// fell on a count tie by `HashMap` order kept a different head set
+    /// call to call.
+    #[test]
+    fn topic_weights_break_count_ties_by_subject() {
+        let corpus = gen_web(&WebCorpusConfig::tiny(7));
+        let first = topic_weights(&corpus, 0.5);
+        for _ in 0..16 {
+            assert_eq!(topic_weights(&corpus, 0.5), first);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use kbt_datamodel::{ObservationCube, SourceId};
 
 use crate::math::clamp_quality;
-use crate::multi_layer::MultiLayerResult;
+use crate::model::ExtractionLayer;
 
 /// Per-group IDF weights: `idf(g) = ln(G / freq(value(g)))`, normalized
 /// to a maximum of 1. Triples whose value dominates the corpus (the
@@ -48,10 +48,11 @@ pub fn idf_weights(cube: &ObservationCube) -> Vec<f64> {
 /// Sources whose *entire* weighted mass falls below `min_mass` are
 /// returned as `None` — trust cannot be assessed from triples the weight
 /// function considers uninformative (the paper's motivation for flagging
-/// trivia farms).
+/// trivia farms). `layer` is the extraction layer of a multi-layer fit of
+/// `cube`.
 pub fn weighted_kbt(
     cube: &ObservationCube,
-    result: &MultiLayerResult,
+    layer: &ExtractionLayer,
     weights: &[f64],
     min_mass: f64,
 ) -> Vec<Option<f64>> {
@@ -62,8 +63,8 @@ pub fn weighted_kbt(
             let mut num = 0.0;
             let mut den = 0.0;
             for g in range {
-                let x = weights[g] * result.correctness[g];
-                num += x * result.truth_given_provided[g];
+                let x = weights[g] * layer.correctness[g];
+                num += x * layer.truth_given_provided[g];
                 den += x;
             }
             (den >= min_mass).then(|| clamp_quality(num / den))
@@ -136,11 +137,12 @@ mod tests {
     fn weighted_kbt_flags_sources_with_no_informative_mass() {
         let cube = trivia_cube();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let (result, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
+        let result = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let weights = idf_weights(&cube);
         // Farm: 30 triples × idf ≈ 0.17 ≈ 5 mass; informative source:
         // 30 × ≈ 0.5 ≈ 15. A threshold between the two flags the farm.
-        let kbt = weighted_kbt(&cube, &result, &weights, 8.0);
+        let layer = result.extraction.as_ref().unwrap();
+        let kbt = weighted_kbt(&cube, layer, &weights, 8.0);
         // The trivia farm's whole mass is low-IDF → unassessable; the
         // informative source keeps a score.
         assert!(kbt[0].is_none(), "farm should be flagged, got {:?}", kbt[0]);
@@ -151,9 +153,10 @@ mod tests {
     fn unit_weights_recover_plain_kbt() {
         let cube = trivia_cube();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let (result, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
+        let result = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let ones = vec![1.0; cube.num_groups()];
-        let kbt = weighted_kbt(&cube, &result, &ones, 0.0);
+        let layer = result.extraction.as_ref().unwrap();
+        let kbt = weighted_kbt(&cube, layer, &ones, 0.0);
         for (w, weighted) in kbt.iter().enumerate() {
             if result.active_source[w] {
                 let plain = result.kbt(SourceId::new(w as u32));

@@ -25,8 +25,12 @@
 //!
 //! ## Quickstart
 //!
-//! Both models implement [`FusionModel`]; [`FusionModel::fit`] returns
-//! the unified [`FusionReport`]:
+//! Both models implement [`FusionModel`], and every fit — `fit`, each
+//! model's `run_traced`, `run_streamed`, the [`reference`](mod@reference)
+//! oracle — returns the one result type, [`FusionReport`]: shared columns
+//! as plain fields, one `Option` per model for what only that model
+//! estimates ([`FusionReport::extraction`], [`FusionReport::pair_sources`]),
+//! and the rounds and convergence once, in [`FusionReport::trace`]:
 //!
 //! ```
 //! use kbt_core::{FusionModel, ModelConfig, MultiLayerModel, QualityInit};
@@ -71,11 +75,12 @@ pub use copydetect::{detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount
 pub use correctness::AlphaState;
 pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{
-    ConvergenceTrace, FusionDetail, FusionModel, FusionReport, IterationTrace, ModelKind, StageWall,
+    ConvergenceTrace, ExtractionLayer, FusionModel, FusionReport, IterationTrace, ModelKind,
+    PairSources, StageWall,
 };
-pub use multi_layer::{MultiLayerModel, MultiLayerResult};
+pub use multi_layer::MultiLayerModel;
 pub use params::{q_from_precision_recall, Params, QualityInit};
 pub use posterior::ItemPosteriors;
-pub use single_layer::{SingleLayerModel, SingleLayerResult};
+pub use single_layer::SingleLayerModel;
 pub use value::ValueLayerOutput;
 pub use votes::VoteCounter;

@@ -26,7 +26,7 @@ pub fn logit(p: f64) -> f64 {
 /// Clamp a probability into the open interval `(ε, 1-ε)` so logs and odds
 /// stay finite. ε = 1e-9.
 #[inline]
-pub fn clamp_prob(p: f64) -> f64 {
+fn clamp_prob(p: f64) -> f64 {
     p.clamp(1e-9, 1.0 - 1e-9)
 }
 

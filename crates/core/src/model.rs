@@ -1,28 +1,25 @@
 //! The unified fusion interface: [`FusionModel`] and [`FusionReport`].
 //!
-//! The two inference engines of this crate historically exposed
-//! incompatible result shapes — [`MultiLayerResult::kbt`] versus
-//! `SingleLayerResult::source_accuracy[w]` — which forced every caller to
-//! special-case the model it ran. [`FusionModel::fit`] runs either engine
-//! and returns a [`FusionReport`] with one uniform surface: per-source
-//! trust ([`FusionReport::kbt`]), value posteriors, per-group truth and
-//! coverage, extractor quality where the model estimates it, and a
-//! per-iteration [`ConvergenceTrace`] (parameter delta, pseudo
-//! log-likelihood, wall time per EM round).
-//!
-//! The model-specific result structs remain available through
-//! [`FusionReport::detail`] for callers that need engine internals.
+//! Both engines of this crate run the one EM loop and write one result:
+//! [`FusionModel::fit`] runs either and returns a [`FusionReport`] —
+//! per-source trust ([`FusionReport::kbt`]), value posteriors, per-group
+//! truth and coverage, extractor quality where the model estimates it,
+//! and a per-iteration [`ConvergenceTrace`] (parameter delta, pseudo
+//! log-likelihood, wall time per EM round). What only one model produces
+//! sits in one `Option` per model: [`FusionReport::extraction`] and
+//! [`FusionReport::pair_sources`].
 
 use std::time::Duration;
 
-use kbt_datamodel::{ObservationCube, SourceId};
+use kbt_datamodel::{ExtractorId, ObservationCube, SourceId};
 
 use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::CopyEvidence;
-use crate::multi_layer::{MultiLayerModel, MultiLayerResult};
-use crate::params::QualityInit;
+use crate::multi_layer::MultiLayerModel;
+use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
-use crate::single_layer::{SingleLayerModel, SingleLayerResult};
+use crate::single_layer::SingleLayerModel;
+use crate::value::ValueLayerOutput;
 
 /// One EM round of the convergence trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,10 +66,12 @@ pub struct StageWall {
     pub log_likelihood: Duration,
 }
 
-/// Per-iteration diagnostics of one inference run.
+/// Per-iteration diagnostics of one inference run: the one record of how
+/// many rounds it took and whether it converged.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConvergenceTrace {
-    /// One entry per EM round actually performed, in order.
+    /// One entry per EM round actually performed, in order (summed across
+    /// the copy-aware refits when [`ModelConfig::copy_detection`] is set).
     pub rounds: Vec<IterationTrace>,
     /// Whether the run stopped because deltas fell below the threshold
     /// (as opposed to exhausting `max_iterations`).
@@ -91,6 +90,19 @@ impl ConvergenceTrace {
     pub fn total_wall(&self) -> Duration {
         self.rounds.iter().map(|r| r.wall).sum()
     }
+
+    /// This trace continued by a `later` fit's (a copy-aware refit): its
+    /// rounds follow on in number and its convergence is the run's. The
+    /// stage breakdown stays this trace's.
+    pub(crate) fn then(mut self, later: Self) -> Self {
+        let offset = self.rounds.len();
+        self.rounds.extend(later.rounds.into_iter().map(|mut r| {
+            r.iteration += offset;
+            r
+        }));
+        self.converged = later.converged;
+        self
+    }
 }
 
 /// Which engine produced a [`FusionReport`].
@@ -102,16 +114,31 @@ pub enum ModelKind {
     SingleLayer,
 }
 
-/// Engine-specific result, preserved in full inside a [`FusionReport`].
+/// The extraction layer's per-group estimates: the multi-layer model's
+/// alone.
 #[derive(Debug, Clone)]
-pub enum FusionDetail {
-    /// Output of [`MultiLayerModel`].
-    MultiLayer(MultiLayerResult),
-    /// Output of [`SingleLayerModel`].
-    SingleLayer(SingleLayerResult),
+pub struct ExtractionLayer {
+    /// `p(C_wdv = 1 | X)` per triple group — extraction correctness.
+    pub correctness: Vec<f64>,
+    /// `p(V_d = v(g) | X, C_g = 1)` per group — truthfulness conditioned
+    /// on the source actually providing the triple (the Eq. 28 quantity;
+    /// see `ValueLayerOutput::truth_given_provided`).
+    pub truth_given_provided: Vec<f64>,
 }
 
-/// The unified result of a fusion run, independent of the engine.
+/// The single layer's (webpage, extractor) pair-sources.
+#[derive(Debug, Clone)]
+pub struct PairSources {
+    /// The pair-sources, ascending (pair id order).
+    pub pairs: Vec<(SourceId, ExtractorId)>,
+    /// `A_s` per pair-source.
+    pub pair_accuracy: Vec<f64>,
+    /// Pairs with enough claims to move off the default accuracy.
+    pub active_pair: Vec<bool>,
+}
+
+/// The one result of a fit, whichever engine ran: the latent estimates
+/// `Z` and the parameters θ of Algorithm 1.
 ///
 /// ```
 /// use kbt_core::{FusionModel, ModelConfig, MultiLayerModel, QualityInit};
@@ -128,190 +155,132 @@ pub enum FusionDetail {
 /// assert_eq!(report.trace.rounds.len(), report.iterations());
 /// assert!(report.trace.rounds.iter().all(|r| r.log_likelihood <= 0.0));
 /// ```
-///
-/// The large result arrays live once, inside [`FusionReport::detail`];
-/// the uniform accessors below borrow through it, so building a report
-/// copies nothing.
 #[derive(Debug, Clone)]
 pub struct FusionReport {
-    /// Which engine ran.
-    pub model: ModelKind,
+    /// Final parameters: `A_w` (the KBT scores), `P_e`, `R_e`, `Q_e`. The
+    /// single layer has no extractor parameters: its extractor columns are
+    /// empty, and `A_w` is the claim-weighted mean of page `w`'s active
+    /// pair accuracies.
+    pub params: Params,
+    /// Posterior `p(V_d | X)` per item.
+    pub posteriors: ItemPosteriors,
+    /// `p(V_d = v(g) | X)` per cube group — triple truthfulness.
+    pub truth_of_group: Vec<f64>,
+    /// Coverage flag per group: supported by at least one active source
+    /// (for the single layer, claimed by an active pair).
+    pub covered_group: Vec<bool>,
+    /// Whether each source had enough data for its accuracy to move off
+    /// the default (for the single layer, whether any of its pairs did).
+    pub active_source: Vec<bool>,
+    /// Per-source independence factors `I(w)` the final E-step ran with
+    /// (the CopyDiscount stage). `None` iff the fit was copy-blind: set by
+    /// the copy-aware loop, and also when a (non-neutral) prior
+    /// independence from a warm restart was applied without
+    /// [`ModelConfig::copy_detection`] — the factors a fit actually used
+    /// are always reported. A serving snapshot exports them next to the
+    /// trust scores: `trust × independence` is the discounted voting weight.
+    pub source_independence: Option<Vec<f64>>,
+    /// Copy-detection evidence (sorted by score): the copy-aware loop's,
+    /// scored with its post-refit accuracies, or a pipeline's post-hoc
+    /// detection.
+    pub copy_evidence: Option<Vec<CopyEvidence>>,
     /// Per-iteration diagnostics.
     pub trace: ConvergenceTrace,
-    /// Copy-detection evidence, when a pipeline ran it (sorted by score).
-    pub copy_evidence: Option<Vec<CopyEvidence>>,
-    /// The engine-specific result, in full.
-    pub detail: FusionDetail,
-    /// Per-source activity for the single layer, derived from pair
-    /// activity at construction (the multi-layer result carries its own).
-    single_layer_active: Vec<bool>,
+    /// The extraction layer — `Some` iff the multi-layer model ran.
+    pub extraction: Option<ExtractionLayer>,
+    /// The pair-sources — `Some` iff the single layer ran.
+    pub pair_sources: Option<PairSources>,
 }
 
 impl FusionReport {
+    /// A multi-layer fit's report, copy-blind until the copy-aware loop
+    /// says otherwise.
+    pub(crate) fn multi_layer(
+        params: Params,
+        correctness: Vec<f64>,
+        values: ValueLayerOutput,
+        active_source: Vec<bool>,
+        trace: ConvergenceTrace,
+    ) -> Self {
+        Self {
+            params,
+            posteriors: values.posteriors,
+            truth_of_group: values.truth_of_group,
+            covered_group: values.covered_group,
+            active_source,
+            source_independence: None,
+            copy_evidence: None,
+            trace,
+            extraction: Some(ExtractionLayer {
+                correctness,
+                truth_given_provided: values.truth_given_provided,
+            }),
+            pair_sources: None,
+        }
+    }
+
     /// The trust score of source `w` (its estimated accuracy `A_w`).
     pub fn kbt(&self, w: SourceId) -> f64 {
-        self.source_trust()[w.index()]
+        self.params.source_accuracy[w.index()]
     }
 
     /// Per-source trust — the KBT score under the multi-layer model, the
     /// claim-weighted pair-accuracy mean under the single layer.
     pub fn source_trust(&self) -> &[f64] {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => &r.params.source_accuracy,
-            FusionDetail::SingleLayer(r) => &r.source_accuracy,
+        &self.params.source_accuracy
+    }
+
+    /// Which engine ran: the one whose `Option` is set.
+    pub fn model(&self) -> ModelKind {
+        if self.extraction.is_some() {
+            ModelKind::MultiLayer
+        } else {
+            ModelKind::SingleLayer
         }
     }
 
-    /// Whether each source had enough data to move off the default.
-    pub fn active_source(&self) -> &[bool] {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => &r.active_source,
-            FusionDetail::SingleLayer(_) => &self.single_layer_active,
-        }
-    }
-
-    /// Posterior `p(V_d | X)` per item.
-    pub fn posteriors(&self) -> &ItemPosteriors {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => &r.posteriors,
-            FusionDetail::SingleLayer(r) => &r.posteriors,
-        }
-    }
-
-    /// `p(V_d = v(g) | X)` per cube group.
+    /// The `truth_of_group` field, borrowed.
     pub fn truth_of_group(&self) -> &[f64] {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => &r.truth_of_group,
-            FusionDetail::SingleLayer(r) => &r.truth_of_group,
-        }
+        &self.truth_of_group
     }
 
-    /// Coverage flag per cube group.
-    pub fn covered_group(&self) -> &[bool] {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => &r.covered_group,
-            FusionDetail::SingleLayer(r) => &r.covered_group,
-        }
-    }
-
-    /// `p(C_wdv = 1 | X)` per group — extraction correctness. `None` for
-    /// the single-layer model, which has no extraction layer.
+    /// [`ExtractionLayer::correctness`]; `None` for the single layer.
     pub fn correctness(&self) -> Option<&[f64]> {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => Some(&r.correctness),
-            FusionDetail::SingleLayer(_) => None,
-        }
+        self.extraction.as_ref().map(|x| &x.correctness[..])
     }
 
-    /// Extractor precision `P_e`. `None` for the single-layer model.
+    /// Extractor precision `P_e`; `None` for the single layer.
     pub fn extractor_precision(&self) -> Option<&[f64]> {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => Some(&r.params.precision),
-            FusionDetail::SingleLayer(_) => None,
-        }
+        self.extraction.as_ref().map(|_| &self.params.precision[..])
     }
 
-    /// Extractor recall `R_e`. `None` for the single-layer model.
+    /// Extractor recall `R_e`; `None` for the single layer.
     pub fn extractor_recall(&self) -> Option<&[f64]> {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => Some(&r.params.recall),
-            FusionDetail::SingleLayer(_) => None,
-        }
+        self.extraction.as_ref().map(|_| &self.params.recall[..])
     }
 
-    /// EM iterations actually performed.
+    /// EM iterations actually performed ([`ConvergenceTrace::rounds`]).
     pub fn iterations(&self) -> usize {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => r.iterations,
-            FusionDetail::SingleLayer(r) => r.iterations,
-        }
+        self.trace.rounds.len()
     }
 
     /// Whether parameters converged before the iteration cap.
     pub fn converged(&self) -> bool {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => r.converged,
-            FusionDetail::SingleLayer(r) => r.converged,
-        }
+        self.trace.converged
     }
 
     /// Fraction of covered triple groups (the Cov metric of §5.1.1).
     pub fn coverage(&self) -> f64 {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => r.coverage(),
-            FusionDetail::SingleLayer(r) => r.coverage(),
-        }
-    }
-
-    /// Per-source copy-independence factors `I(w)` the final fit ran
-    /// with — `None` for copy-blind runs and for the single-layer model.
-    /// This is the factor a serving snapshot exports next to the trust
-    /// scores: `trust × independence` is the discounted voting weight.
-    pub fn source_independence(&self) -> Option<&[f64]> {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => r.source_independence.as_deref(),
-            FusionDetail::SingleLayer(_) => None,
-        }
-    }
-
-    /// The multi-layer internals, if that engine ran.
-    pub fn as_multi_layer(&self) -> Option<&MultiLayerResult> {
-        match &self.detail {
-            FusionDetail::MultiLayer(r) => Some(r),
-            FusionDetail::SingleLayer(_) => None,
-        }
-    }
-
-    /// The single-layer internals, if that engine ran.
-    pub fn as_single_layer(&self) -> Option<&SingleLayerResult> {
-        match &self.detail {
-            FusionDetail::SingleLayer(r) => Some(r),
-            FusionDetail::MultiLayer(_) => None,
-        }
-    }
-
-    /// Build a report from a multi-layer run (the result is moved into
-    /// [`FusionReport::detail`]; copy-aware runs surface their evidence
-    /// directly in [`FusionReport::copy_evidence`]).
-    pub fn from_multi_layer(mut result: MultiLayerResult, trace: ConvergenceTrace) -> Self {
-        Self {
-            model: ModelKind::MultiLayer,
-            trace,
-            copy_evidence: result.copy_evidence.take(),
-            detail: FusionDetail::MultiLayer(result),
-            single_layer_active: Vec::new(),
-        }
-    }
-
-    /// Build a report from a single-layer run. Per-source activity is
-    /// derived from pair activity: a source is active if any of its
-    /// (source, extractor) pairs is.
-    pub fn from_single_layer(
-        num_sources: usize,
-        result: SingleLayerResult,
-        trace: ConvergenceTrace,
-    ) -> Self {
-        let mut active_source = vec![false; num_sources];
-        for (pid, (w, _)) in result.pairs.iter().enumerate() {
-            if result.active_pair[pid] {
-                active_source[w.index()] = true;
-            }
-        }
-        Self {
-            model: ModelKind::SingleLayer,
-            trace,
-            copy_evidence: None,
-            detail: FusionDetail::SingleLayer(result),
-            single_layer_active: active_source,
-        }
+        let covered = self.covered_group.iter().filter(|&&c| c).count();
+        covered as f64 / self.covered_group.len().max(1) as f64
     }
 }
 
 /// A fusion engine: fit the cube, return the unified report.
 ///
-/// Implemented by [`MultiLayerModel`] and [`SingleLayerModel`]; the
-/// report wraps the engines' `run_traced` results unchanged (the
-/// `pipeline_equivalence` integration tests assert this).
+/// Implemented by [`MultiLayerModel`] and [`SingleLayerModel`]: `fit` is
+/// their `run_traced` held resident (the `pipeline_equivalence`
+/// integration tests assert this).
 pub trait FusionModel {
     /// Run inference on `cube` starting from `init`.
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport;
@@ -329,16 +298,14 @@ fn resident(cfg: &ModelConfig) -> ModelConfig {
 impl FusionModel for MultiLayerModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
         let fit = Self::new(resident(self.config())).run_traced(cube, init);
-        let (result, trace) = fit.expect("a resident fit cannot fail");
-        FusionReport::from_multi_layer(result, trace)
+        fit.expect("a resident fit cannot fail")
     }
 }
 
 impl FusionModel for SingleLayerModel {
     fn fit(&self, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
         let fit = Self::new(resident(self.config())).run_traced(cube, init);
-        let (result, trace) = fit.expect("a resident fit cannot fail");
-        FusionReport::from_single_layer(cube.num_sources(), result, trace)
+        fit.expect("a resident fit cannot fail")
     }
 }
 
@@ -376,33 +343,33 @@ mod tests {
     fn fit_matches_run_for_multilayer() {
         let cube = consensus_cube();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
+        let legacy = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let report = model.fit(&cube, &QualityInit::Default);
-        assert_eq!(report.model, ModelKind::MultiLayer);
+        assert_eq!(report.model(), ModelKind::MultiLayer);
         assert_eq!(report.source_trust(), legacy.params.source_accuracy);
-        assert_eq!(report.correctness(), Some(&legacy.correctness[..]));
-        assert_eq!(report.truth_of_group(), legacy.truth_of_group);
-        assert_eq!(report.iterations(), legacy.iterations);
-        assert_eq!(report.converged(), legacy.converged);
-        assert_eq!(report.trace.rounds.len(), report.iterations());
-        assert_eq!(report.trace.converged, report.converged());
-        assert!(report.as_multi_layer().is_some());
-        assert!(report.as_single_layer().is_none());
+        assert_eq!(report.correctness(), legacy.correctness());
+        assert_eq!(report.truth_of_group, legacy.truth_of_group);
+        assert_eq!(report.iterations(), legacy.iterations());
+        assert_eq!(report.converged(), legacy.converged());
+        assert!(report.extraction.is_some());
+        assert!(report.pair_sources.is_none());
     }
 
     #[test]
     fn fit_matches_run_for_singlelayer() {
         let cube = consensus_cube();
         let model = SingleLayerModel::new(ModelConfig::single_layer_default());
-        let (legacy, _) = model.run_traced(&cube, &QualityInit::Default).unwrap();
+        let legacy = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let report = model.fit(&cube, &QualityInit::Default);
-        assert_eq!(report.model, ModelKind::SingleLayer);
-        assert_eq!(report.source_trust(), legacy.source_accuracy);
+        assert_eq!(report.model(), ModelKind::SingleLayer);
+        assert_eq!(report.source_trust(), legacy.params.source_accuracy);
         assert!(report.correctness().is_none());
         assert!(report.extractor_precision().is_none());
-        assert_eq!(report.truth_of_group(), legacy.truth_of_group);
+        assert!(report.params.precision.is_empty());
+        assert!(report.pair_sources.is_some());
+        assert_eq!(report.truth_of_group, legacy.truth_of_group);
         // Every source with an active pair is active.
-        assert!(report.active_source().iter().all(|&a| a));
+        assert!(report.active_source.iter().all(|&a| a));
     }
 
     #[test]

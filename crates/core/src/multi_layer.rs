@@ -16,76 +16,19 @@ use std::io;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks, SourceId,
-    StreamedChunks,
+    ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks, StreamedChunks,
 };
 use kbt_flume::{par_ranges_mut, Stopwatch};
 
 use crate::config::{CubeResidency, ModelConfig};
-use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount, CopyEvidence};
+use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount};
 use crate::correctness::{estimate_correctness, AlphaState};
-use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
+use crate::model::{map_confidence_ll, ConvergenceTrace, FusionReport, IterationTrace};
 use crate::mstep::update_source_accuracy;
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
 use crate::value::{estimate_values, ColValueScratch, ValueLayerOutput};
 use crate::votes::VoteCounter;
-
-/// Everything Algorithm 1 returns: the latent-variable estimates `Z` and
-/// the parameters θ.
-#[derive(Debug, Clone)]
-pub struct MultiLayerResult {
-    /// Final parameters: `A_w` (the KBT scores), `P_e`, `R_e`, `Q_e`.
-    pub params: Params,
-    /// `p(C_wdv = 1 | X)` per triple group — extraction correctness.
-    pub correctness: Vec<f64>,
-    /// `p(V_d | X)` per item.
-    pub posteriors: ItemPosteriors,
-    /// `p(V_d = v(g) | X)` per triple group — triple truthfulness.
-    pub truth_of_group: Vec<f64>,
-    /// `p(V_d = v(g) | X, C_g = 1)` per group — truthfulness conditioned
-    /// on the source actually providing the triple (the Eq. 28 quantity;
-    /// see `ValueLayerOutput::truth_given_provided`).
-    pub truth_given_provided: Vec<f64>,
-    /// Coverage flag per group (supported by at least one active source).
-    pub covered_group: Vec<bool>,
-    /// Whether each source had enough data for its accuracy to move off
-    /// the default.
-    pub active_source: Vec<bool>,
-    /// Iterations actually performed (summed across the copy-aware refit
-    /// rounds when [`ModelConfig::copy_detection`] is set).
-    pub iterations: usize,
-    /// Whether the parameter deltas fell below the convergence threshold.
-    pub converged: bool,
-    /// Copy-detection evidence from the copy-aware fusion loop (sorted by
-    /// score, post-refit accuracies). `None` unless
-    /// [`ModelConfig::copy_detection`] is set.
-    pub copy_evidence: Option<Vec<CopyEvidence>>,
-    /// Per-source independence factors `I(w)` the final E-step ran with
-    /// (the CopyDiscount stage). `None` iff the fit was copy-blind: set
-    /// by the copy-aware loop, and also when a (non-neutral) prior
-    /// independence from a warm restart was applied without
-    /// [`ModelConfig::copy_detection`] — the factors a fit actually used
-    /// are always reported.
-    pub source_independence: Option<Vec<f64>>,
-}
-
-impl MultiLayerResult {
-    /// The Knowledge-Based Trust score of source `w`: its estimated
-    /// accuracy `A_w`.
-    pub fn kbt(&self, w: SourceId) -> f64 {
-        self.params.source_accuracy[w.index()]
-    }
-
-    /// Fraction of triple groups that are covered (the Cov metric of
-    /// Section 5.1.1).
-    pub fn coverage(&self) -> f64 {
-        if self.covered_group.is_empty() {
-            return 0.0;
-        }
-        self.covered_group.iter().filter(|&&c| c).count() as f64 / self.covered_group.len() as f64
-    }
-}
 
 /// The multi-layer KBT estimator.
 #[derive(Debug, Clone, Default)]
@@ -104,7 +47,7 @@ impl MultiLayerModel {
         &self.cfg
     }
 
-    /// Run Algorithm 1, also recording per-iteration diagnostics.
+    /// Run Algorithm 1 and report it, per-iteration trace included.
     ///
     /// Inference runs under the per-run thread configuration of
     /// [`ModelConfig::threads`] via `kbt_flume::with_threads`. The chunked
@@ -114,7 +57,7 @@ impl MultiLayerModel {
         &self,
         cube: &ObservationCube,
         init: &QualityInit,
-    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+    ) -> io::Result<FusionReport> {
         self.run_traced_with_priors(cube, init, None, None)
     }
 
@@ -141,7 +84,7 @@ impl MultiLayerModel {
         init: &QualityInit,
         prior_truth: Option<&[f64]>,
         prior_independence: Option<&[f64]>,
-    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+    ) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
             // The chunk view of the cube, built once per run: the
@@ -149,11 +92,11 @@ impl MultiLayerModel {
             let mut sw = Stopwatch::start();
             let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
             let gather = sw.lap();
-            let (result, mut trace) = with_em(chunked, cfg, init, prior_truth, true, |fit| {
+            let mut report = with_em(chunked, cfg, init, prior_truth, true, |fit| {
                 copy_aware(cfg, cube, prior_independence, fit)
             })?;
-            trace.stage_wall.chunking += gather;
-            Ok((result, trace))
+            report.trace.stage_wall.chunking += gather;
+            Ok(report)
         })
     }
 
@@ -167,10 +110,10 @@ impl MultiLayerModel {
     /// per scan, two scans per round.
     ///
     /// It is the same loop over the same kernels as a resident fit, fed
-    /// from [`StreamedChunks`] instead of [`ResidentChunks`], so the
-    /// result is **bit-for-bit identical** at any thread count and any
-    /// `max_resident_chunks` (the `out_of_core` integration tests assert
-    /// this).
+    /// from [`StreamedChunks`] instead of [`ResidentChunks`], so its
+    /// [`FusionReport`] is **bit-for-bit identical** at any thread count
+    /// and any `max_resident_chunks` (the `out_of_core` integration tests
+    /// assert this).
     ///
     /// I/O failures mid-fit (truncated frames, CRC mismatches) surface
     /// as typed [`io::Error`]s, never panics. Copy detection counts pairs
@@ -181,7 +124,7 @@ impl MultiLayerModel {
         store: &Arc<FileChunkStore>,
         max_resident_chunks: usize,
         init: &QualityInit,
-    ) -> io::Result<(MultiLayerResult, ConvergenceTrace)> {
+    ) -> io::Result<FusionReport> {
         if self.cfg.copy_detection.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -196,9 +139,6 @@ impl MultiLayerModel {
     }
 }
 
-/// A fit of [`run_em`]: its result and trace.
-type Fit = (MultiLayerResult, ConvergenceTrace);
-
 /// One EM fit plus, when [`ModelConfig::copy_detection`] is set, the
 /// copy-aware loop: detect copies from the fitted accuracies, derive
 /// [`CopyDiscount`] independence factors, and **refit from the run's
@@ -208,36 +148,36 @@ type Fit = (MultiLayerResult, ConvergenceTrace);
 /// doubled votes can drive EM into a self-consistent basin (copier
 /// and victim rated near-perfect, honest sources poor) that a warm
 /// continuation cannot leave, because the corrupted parameters are
-/// exactly what the continuation resumes from. Traces of the refits
-/// are appended to the base trace (iteration numbers continue across
-/// rounds). `fit` runs EM under a discount; the census reads `cube`.
+/// exactly what the continuation resumes from. The refits' rounds
+/// continue the base fit's trace ([`ConvergenceTrace::then`]). `fit`
+/// runs EM under a discount; the census reads `cube`.
 fn copy_aware(
     cfg: &ModelConfig,
     cube: &ObservationCube,
     prior_independence: Option<&[f64]>,
-    fit: &dyn Fn(Option<&CopyDiscount>) -> io::Result<Fit>,
-) -> io::Result<Fit> {
+    fit: &dyn Fn(Option<&CopyDiscount>) -> io::Result<FusionReport>,
+) -> io::Result<FusionReport> {
     let prior_discount = prior_independence.map(|s| {
         let mut scales = s.to_vec();
         scales.resize(cube.num_sources(), 1.0);
         CopyDiscount::from_scales(scales)
     });
     let base_discount = prior_discount.as_ref().filter(|d| !d.is_neutral());
-    let (mut result, mut trace) = fit(base_discount)?;
+    let mut report = fit(base_discount)?;
     // Record the factors this fit actually ran with even when no
     // detection is configured (e.g. a session carrying prior evidence
     // into a model whose copy_detection was turned off) — a
     // discounted fit must never be indistinguishable from a
     // copy-blind one. The discount loop below overwrites this with
     // the factors of the final refit.
-    result.source_independence = base_discount.map(|d| d.as_slice().to_vec());
+    report.source_independence = base_discount.map(|d| d.as_slice().to_vec());
 
     if let Some(cd) = &cfg.copy_detection {
         let ns = cube.num_sources();
         // The pair statistics depend only on the (immutable) cube:
         // count once, re-score per round as the accuracies move.
         let stats = collect_pair_stats(cube, cd);
-        let mut evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
+        let mut evidence = score_pair_stats(&stats, &report.params.source_accuracy, cd);
         if cd.discount {
             // Factors the latest fit actually ran with: the prior on a
             // warm restart, neutral otherwise (an all-ones discount is
@@ -245,7 +185,7 @@ fn copy_aware(
             let mut discount = prior_discount.unwrap_or_else(|| CopyDiscount::neutral(ns));
             for _ in 0..cd.discount_rounds {
                 let fresh =
-                    CopyDiscount::from_evidence(&evidence, &result.params.source_accuracy, ns, cd);
+                    CopyDiscount::from_evidence(&evidence, &report.params.source_accuracy, ns, cd);
                 // Discounts only ever deepen within a run (element-wise
                 // min with what the last fit used): discounting a pair
                 // lowers its score, so re-deriving factors from scratch
@@ -270,27 +210,18 @@ fn copy_aware(
                     break;
                 }
                 discount = next;
-                let (refit, refit_trace) = fit(Some(&discount))?;
-                let offset = trace.rounds.len();
-                trace
-                    .rounds
-                    .extend(refit_trace.rounds.into_iter().map(|mut r| {
-                        r.iteration += offset;
-                        r
-                    }));
-                trace.converged = refit_trace.converged;
-                let total = result.iterations + refit.iterations;
-                result = refit;
-                result.iterations = total;
+                let refit = fit(Some(&discount))?;
+                let trace = report.trace.then(refit.trace);
+                report = FusionReport { trace, ..refit };
                 // Re-score with the copy-aware accuracies: what the
                 // next round (and the reported evidence) should see.
-                evidence = score_pair_stats(&stats, &result.params.source_accuracy, cd);
+                evidence = score_pair_stats(&stats, &report.params.source_accuracy, cd);
             }
-            result.source_independence = Some(discount.as_slice().to_vec());
+            report.source_independence = Some(discount.as_slice().to_vec());
         }
-        result.copy_evidence = Some(evidence);
+        report.copy_evidence = Some(evidence);
     }
-    Ok((result, trace))
+    Ok(report)
 }
 
 /// Lay `chunked` out where [`ModelConfig::residency`] says — the one place
@@ -303,7 +234,7 @@ pub(crate) fn with_em<R>(
     init: &QualityInit,
     prior_truth: Option<&[f64]>,
     extraction: bool,
-    body: impl FnOnce(&dyn Fn(Option<&CopyDiscount>) -> io::Result<Fit>) -> io::Result<R>,
+    body: impl FnOnce(&dyn Fn(Option<&CopyDiscount>) -> io::Result<FusionReport>) -> io::Result<R>,
 ) -> io::Result<R> {
     match &cfg.residency {
         CubeResidency::Resident => {
@@ -343,7 +274,7 @@ fn run_em<S: ChunkSource>(
     prior_truth: Option<&[f64]>,
     discount: Option<&CopyDiscount>,
     extraction: bool,
-) -> io::Result<Fit> {
+) -> io::Result<FusionReport> {
     let meta = src.meta();
     let ng = meta.num_groups as usize;
     let nw = meta.num_sources as usize;
@@ -453,20 +384,13 @@ fn run_em<S: ChunkSource>(
     }
 
     let values = values.unwrap_or_else(|| empty_values(meta.num_items as usize, ng, cfg));
-    let result = MultiLayerResult {
+    Ok(FusionReport::multi_layer(
         params,
         correctness,
-        posteriors: values.posteriors,
-        truth_of_group: values.truth_of_group,
-        truth_given_provided: values.truth_given_provided,
-        covered_group: values.covered_group,
-        active_source: active,
-        iterations: trace.rounds.len(),
-        converged: trace.converged,
-        copy_evidence: None,
-        source_independence: None,
-    };
-    Ok((result, trace))
+        values,
+        active,
+        trace,
+    ))
 }
 
 /// Whether `init` resumes converged parameters, in which case the α
@@ -500,7 +424,7 @@ pub(crate) fn empty_values(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
+    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
 
     /// A clean corpus: 5 accurate sources agreeing on 20 items, observed by
     /// 3 good extractors. The model should end up trusting everyone.
@@ -521,7 +445,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap();
         for w in 0..5 {
             assert!(
                 r.kbt(SourceId::new(w)) > 0.9,
@@ -529,14 +453,14 @@ mod tests {
                 r.kbt(SourceId::new(w))
             );
         }
-        for &c in &r.correctness {
+        for &c in r.correctness().unwrap() {
             assert!(c > 0.9, "all extractions should be judged correct");
         }
         for &t in &r.truth_of_group {
             assert!(t > 0.9, "all triples should be judged true");
         }
         assert!(r.coverage() == 1.0);
-        assert!(r.iterations <= 5);
+        assert!(r.iterations() <= 5);
     }
 
     /// One source disagrees with four consistent ones on every item: the
@@ -566,7 +490,7 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap();
         let good: f64 = (0..4).map(|w| r.kbt(SourceId::new(w))).sum::<f64>() / 4.0;
         let bad = r.kbt(SourceId::new(4));
         assert!(
@@ -604,14 +528,14 @@ mod tests {
         }
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap();
         // The junk extractor's extractions should be judged incorrect…
         for (g, grp) in cube.groups().iter().enumerate() {
             if grp.value == ValueId::new(1) {
                 assert!(
-                    r.correctness[g] < 0.5,
+                    r.correctness().unwrap()[g] < 0.5,
                     "hallucinated extraction judged correct: {}",
-                    r.correctness[g]
+                    r.correctness().unwrap()[g]
                 );
             }
         }
@@ -637,7 +561,7 @@ mod tests {
         b.reserve_ids(2, 1, 1, 1);
         let cube = b.build();
         let model = MultiLayerModel::new(ModelConfig::default());
-        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap();
         assert_eq!(r.params.source_accuracy, vec![0.8, 0.8]);
         assert!(!r.active_source[0]);
         assert_eq!(r.coverage(), 0.0);
@@ -667,12 +591,12 @@ mod tests {
             ..ModelConfig::default()
         };
         let model = MultiLayerModel::new(cfg);
-        let r = model.run_traced(&cube, &QualityInit::Default).unwrap().0;
+        let r = model.run_traced(&cube, &QualityInit::Default).unwrap();
         assert!(
-            r.converged,
+            r.converged(),
             "did not converge in {} iterations",
-            r.iterations
+            r.iterations()
         );
-        assert!(r.iterations < 50);
+        assert!(r.iterations() < 50);
     }
 }

@@ -143,6 +143,17 @@ impl Params {
         p
     }
 
+    /// Source accuracies alone, with empty extractor columns: the single
+    /// layer's parameters.
+    pub(crate) fn sources_only(source_accuracy: Vec<f64>) -> Self {
+        Self {
+            source_accuracy,
+            precision: Vec::new(),
+            recall: Vec::new(),
+            q: Vec::new(),
+        }
+    }
+
     /// Largest absolute element-wise change versus `other` — the
     /// convergence statistic of Algorithm 1 line 7.
     pub fn max_abs_delta(&self, other: &Params) -> f64 {

@@ -94,9 +94,7 @@ impl ItemPosteriors {
     /// every observed value is less probable than an unobserved one.
     pub fn map_value(&self, d: ItemId) -> Option<(ValueId, f64)> {
         let obs = self.observed(d);
-        let best = obs
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("probability NaN"))?;
+        let best = obs.iter().max_by(|a, b| a.1.total_cmp(&b.1))?;
         if best.1 < self.unobserved[d.index()] {
             return None;
         }

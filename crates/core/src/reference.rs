@@ -16,11 +16,13 @@ use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel
 use crate::copydetect::CopyDiscount;
 use crate::correctness::AlphaState;
 use crate::math::{clamp_quality, log_sum_exp_with_zeros, logit, sigmoid};
-use crate::model::{map_confidence_ll, ConvergenceTrace, IterationTrace};
-use crate::multi_layer::{alpha_matured_by, empty_values, MultiLayerResult};
+use crate::model::{
+    map_confidence_ll, ConvergenceTrace, FusionReport, IterationTrace, PairSources,
+};
+use crate::multi_layer::{alpha_matured_by, empty_values};
 use crate::params::{q_from_precision_recall, Params, QualityInit};
 use crate::posterior::ItemPosteriors;
-use crate::single_layer::{claims, page_init, pair_cube, SingleLayerResult};
+use crate::single_layer::{claims, page_init, pair_cube};
 use crate::value::ValueLayerOutput;
 use crate::votes::VoteCounter;
 
@@ -293,7 +295,7 @@ pub fn fit(
     init: &QualityInit,
     prior_truth: Option<&[f64]>,
     discount: Option<&CopyDiscount>,
-) -> (MultiLayerResult, ConvergenceTrace) {
+) -> FusionReport {
     let ng = cube.num_groups();
     let mut params = Params::init(cube, cfg, init);
     let mut active: Vec<bool> = (0..cube.num_sources())
@@ -336,20 +338,7 @@ pub fn fit(
             break;
         }
     }
-    let result = MultiLayerResult {
-        params,
-        correctness,
-        posteriors: values.posteriors,
-        truth_of_group: values.truth_of_group,
-        truth_given_provided: values.truth_given_provided,
-        covered_group: values.covered_group,
-        active_source: active,
-        iterations: trace.rounds.len(),
-        converged: trace.converged,
-        copy_evidence: None,
-        source_independence: None,
-    };
-    (result, trace)
+    FusionReport::multi_layer(params, correctness, values, active, trace)
 }
 
 /// The single-layer E-step (Eqs. 2–3) over the pair cube `pc`, item by
@@ -415,7 +404,7 @@ pub fn fit_single_layer(
     cube: &ObservationCube,
     cfg: &ModelConfig,
     init: &QualityInit,
-) -> (SingleLayerResult, ConvergenceTrace) {
+) -> FusionReport {
     let (pairs, pc) = pair_cube(cube, cfg);
     let claims_of = |s: usize| pc.source_groups(SourceId::new(s as u32));
     let active: Vec<bool> = (0..pairs.len())
@@ -469,18 +458,26 @@ pub fn fit_single_layer(
     }
     let groups = cube.groups().iter();
     let truth_of_group = groups.map(|g| posteriors.prob(g.item, g.value)).collect();
-    let result = SingleLayerResult {
-        pairs,
-        pair_accuracy: acc,
-        source_accuracy,
+    let mut active_source = vec![false; cube.num_sources()];
+    for (s, (w, _)) in pairs.iter().enumerate() {
+        active_source[w.index()] |= active[s];
+    }
+    FusionReport {
+        params: Params::sources_only(source_accuracy),
         posteriors,
         truth_of_group,
         covered_group,
-        active_pair: active,
-        iterations: trace.rounds.len(),
-        converged: trace.converged,
-    };
-    (result, trace)
+        active_source,
+        source_independence: None,
+        copy_evidence: None,
+        trace,
+        extraction: None,
+        pair_sources: Some(PairSources {
+            pairs,
+            pair_accuracy: acc,
+            active_pair: active,
+        }),
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! on the one EM engine: [`SingleLayerModel::run_traced`] builds the *pair
 //! cube* — one source per (page, extractor) pair with a claim, one group
 //! per claim — fits it with the extraction layer off, and folds the fit
-//! back onto the input cube. The rewrite is exact:
+//! back onto the input cube as a [`FusionReport`] whose
+//! [`FusionReport::pair_sources`] keeps the pair-level fit. The rewrite is
+//! exact:
 //!
 //! * with `p(C) ≡ 1` the engine's vote is `1.0 · ln(n·A_s/(1 − A_s))`,
 //!   Eq. 2's vote to the bit;
@@ -36,44 +38,9 @@ use kbt_datamodel::{
 use kbt_flume::Stopwatch;
 
 use crate::config::ModelConfig;
-use crate::model::ConvergenceTrace;
-use crate::multi_layer::{with_em, MultiLayerResult};
-use crate::params::QualityInit;
-use crate::posterior::ItemPosteriors;
-
-/// Result of single-layer fusion.
-#[derive(Debug, Clone)]
-pub struct SingleLayerResult {
-    /// The (webpage, extractor) pair-sources, ascending (pair id order).
-    pub pairs: Vec<(SourceId, ExtractorId)>,
-    /// `A_s` per pair-source.
-    pub pair_accuracy: Vec<f64>,
-    /// Per web source: claim-weighted mean of its pairs' accuracies — the
-    /// best per-source trust estimate the single-layer model can offer.
-    pub source_accuracy: Vec<f64>,
-    /// Posterior `p(V_d | X)` per item.
-    pub posteriors: ItemPosteriors,
-    /// `p(V_d = v(g) | X)` per cube group.
-    pub truth_of_group: Vec<f64>,
-    /// Coverage per cube group: claimed by at least one active pair.
-    pub covered_group: Vec<bool>,
-    /// Pairs with enough claims to move off the default accuracy.
-    pub active_pair: Vec<bool>,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Whether accuracies converged before the iteration cap.
-    pub converged: bool,
-}
-
-impl SingleLayerResult {
-    /// Fraction of covered groups (the Cov metric).
-    pub fn coverage(&self) -> f64 {
-        if self.covered_group.is_empty() {
-            return 0.0;
-        }
-        self.covered_group.iter().filter(|&&c| c).count() as f64 / self.covered_group.len() as f64
-    }
-}
+use crate::model::{FusionReport, PairSources};
+use crate::multi_layer::with_em;
+use crate::params::{Params, QualityInit};
 
 /// The single-layer ACCU/POPACCU estimator.
 #[derive(Debug, Clone)]
@@ -98,7 +65,7 @@ impl SingleLayerModel {
         &self.cfg
     }
 
-    /// Run single-layer fusion, also recording per-iteration diagnostics.
+    /// Run single-layer fusion and report it, per-iteration trace included.
     ///
     /// Inference runs under the per-run thread configuration of
     /// [`ModelConfig::threads`] via `kbt_flume::with_threads`. The pair
@@ -108,7 +75,7 @@ impl SingleLayerModel {
         &self,
         cube: &ObservationCube,
         init: &QualityInit,
-    ) -> io::Result<(SingleLayerResult, ConvergenceTrace)> {
+    ) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
             let mut sw = Stopwatch::start();
@@ -121,9 +88,9 @@ impl SingleLayerModel {
                 extractor_precision: Vec::new(),
                 extractor_recall: Vec::new(),
             };
-            let (fit, mut trace) = with_em(chunked, cfg, &init, None, false, |fit| fit(None))?;
-            trace.stage_wall.chunking += chunking;
-            Ok((fold_back(cube, cfg, pairs, fit), trace))
+            let mut fit = with_em(chunked, cfg, &init, None, false, |fit| fit(None))?;
+            fit.trace.stage_wall.chunking += chunking;
+            Ok(fold_back(cube, cfg, pairs, fit))
         })
     }
 }
@@ -186,14 +153,15 @@ pub(crate) fn page_init(init: &QualityInit, w: SourceId) -> Option<f64> {
 }
 
 /// Fold a pair-cube fit back onto `cube`: the claim-weighted mean of each
-/// page's active pair accuracies, and per group the posterior of its
-/// `(item, value)` and whether an active pair claims it.
+/// page's active pair accuracies (a page with none is inactive), and per
+/// group the posterior of its `(item, value)` and whether an active pair
+/// claims it.
 fn fold_back(
     cube: &ObservationCube,
     cfg: &ModelConfig,
     pairs: Vec<(SourceId, ExtractorId)>,
-    fit: MultiLayerResult,
-) -> SingleLayerResult {
+    fit: FusionReport,
+) -> FusionReport {
     let (acc, active) = (fit.params.source_accuracy, fit.active_source);
     let mut claims_of = vec![0usize; pairs.len()];
     let mut covered_group = vec![false; cube.num_groups()];
@@ -215,16 +183,21 @@ fn fold_back(
     let posteriors = fit.posteriors;
     let groups = cube.groups().iter();
     let truth_of_group = groups.map(|g| posteriors.prob(g.item, g.value)).collect();
-    SingleLayerResult {
-        pairs,
-        pair_accuracy: acc,
-        source_accuracy,
+    FusionReport {
+        params: Params::sources_only(source_accuracy),
         posteriors,
         truth_of_group,
         covered_group,
-        active_pair: active,
-        iterations: fit.iterations,
-        converged: fit.converged,
+        active_source: den.iter().map(|&d| d > 0.0).collect(),
+        source_independence: None,
+        copy_evidence: None,
+        trace: fit.trace,
+        extraction: None,
+        pair_sources: Some(PairSources {
+            pairs,
+            pair_accuracy: acc,
+            active_pair: active,
+        }),
     }
 }
 
@@ -242,12 +215,8 @@ mod tests {
         )
     }
 
-    fn fit(
-        model: SingleLayerModel,
-        cube: &ObservationCube,
-        init: &QualityInit,
-    ) -> SingleLayerResult {
-        model.run_traced(cube, init).expect("resident fit").0
+    fn fit(model: SingleLayerModel, cube: &ObservationCube, init: &QualityInit) -> FusionReport {
+        model.run_traced(cube, init).expect("resident fit")
     }
 
     #[test]
@@ -327,9 +296,10 @@ mod tests {
         assert_eq!(uncovered.len(), 1);
         // W1 keeps the default accuracy.
         assert_eq!(
-            r.source_accuracy[1],
+            r.kbt(SourceId::new(1)),
             ModelConfig::default().default_source_accuracy
         );
+        assert!(r.active_source[0] && !r.active_source[1]);
     }
 
     #[test]

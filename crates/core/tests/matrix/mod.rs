@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kbt_core::{
-    reference, ConvergenceTrace, CopyDiscount, CubeResidency, ModelConfig, MultiLayerModel,
-    MultiLayerResult, QualityInit, SingleLayerModel,
+    reference, ConvergenceTrace, CopyDiscount, CubeResidency, FusionReport, ModelConfig,
+    MultiLayerModel, QualityInit, SingleLayerModel,
 };
 use kbt_datamodel::{FileChunkStore, ObservationCube};
 
@@ -76,39 +76,10 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn assert_fits_bitwise_eq(
-    (got, got_trace): &(MultiLayerResult, ConvergenceTrace),
-    (want, want_trace): &(MultiLayerResult, ConvergenceTrace),
-    what: &str,
-) {
-    assert_eq!(got.params, want.params, "{what}: params");
-    assert_eq!(
-        bits(&got.correctness),
-        bits(&want.correctness),
-        "{what}: correctness"
-    );
-    assert_eq!(
-        bits(&got.truth_of_group),
-        bits(&want.truth_of_group),
-        "{what}: truth"
-    );
-    assert_eq!(
-        bits(&got.truth_given_provided),
-        bits(&want.truth_given_provided),
-        "{what}: cond truth"
-    );
-    assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
-    assert_eq!(got.active_source, want.active_source, "{what}: active");
-    assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
-    assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+fn assert_traces_bitwise_eq(got: &ConvergenceTrace, want: &ConvergenceTrace, what: &str) {
     assert_eq!(got.converged, want.converged, "{what}: converged");
-    assert_eq!(got_trace.converged, want_trace.converged, "{what}: trace");
-    assert_eq!(
-        got_trace.rounds.len(),
-        want_trace.rounds.len(),
-        "{what}: rounds"
-    );
-    for (a, b) in got_trace.rounds.iter().zip(&want_trace.rounds) {
+    assert_eq!(got.rounds.len(), want.rounds.len(), "{what}: rounds");
+    for (a, b) in got.rounds.iter().zip(&want.rounds) {
         assert_eq!(a.iteration, b.iteration, "{what}: round number");
         assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{what}: delta");
         assert_eq!(
@@ -117,6 +88,42 @@ fn assert_fits_bitwise_eq(
             "{what}: log-likelihood"
         );
     }
+}
+
+/// The columns both models write, bit for bit.
+fn assert_reports_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str) {
+    assert_eq!(got.model(), want.model(), "{what}: model");
+    assert_eq!(got.params, want.params, "{what}: params");
+    assert_eq!(
+        bits(got.source_trust()),
+        bits(want.source_trust()),
+        "{what}: trust"
+    );
+    assert_eq!(
+        bits(&got.truth_of_group),
+        bits(&want.truth_of_group),
+        "{what}: truth"
+    );
+    assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
+    assert_eq!(got.active_source, want.active_source, "{what}: active");
+    assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
+    assert_traces_bitwise_eq(&got.trace, &want.trace, what);
+}
+
+fn assert_fits_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str) {
+    assert_reports_bitwise_eq(got, want, what);
+    let (got, want) = (got.extraction.as_ref(), want.extraction.as_ref());
+    let (got, want) = (got.expect("extraction layer"), want.expect("oracle's"));
+    assert_eq!(
+        bits(&got.correctness),
+        bits(&want.correctness),
+        "{what}: correctness"
+    );
+    assert_eq!(
+        bits(&got.truth_given_provided),
+        bits(&want.truth_given_provided),
+        "{what}: cond truth"
+    );
 }
 
 /// One row of the matrix: fit `cube` under `cfg` / `init` (and the warm
@@ -136,10 +143,10 @@ pub fn assert_engine_matches_reference(
     let discount = independence.map(|s| CopyDiscount::from_scales(s.to_vec()));
     let want = reference::fit(cube, cfg, init, prior_truth, discount.as_ref());
     let ng = cube.num_groups();
-    for v in [&want.0.correctness, &want.0.truth_of_group] {
+    for v in [want.correctness().unwrap(), &want.truth_of_group[..]] {
         assert_eq!(v.len(), ng, "{tag}: per-group vectors are dense");
     }
-    assert_eq!(want.0.covered_group.len(), ng, "{tag}: dense coverage");
+    assert_eq!(want.covered_group.len(), ng, "{tag}: dense coverage");
 
     // The cube-less entry point takes no priors: a cold, copy-blind
     // streamed cell also refits from the store its fit wrote, reading
@@ -166,7 +173,7 @@ pub fn assert_engine_matches_reference(
                 .expect("run_streamed");
             assert_fits_bitwise_eq(&got, &want, &format!("{what} run_streamed"));
             let frames = (store.num_chunks() + store.num_group_frames()) as u64;
-            let rounds = got.0.iterations as u64;
+            let rounds = got.iterations() as u64;
             assert_eq!(store.frames_read(), rounds * frames, "{what}: frames read");
         }
         assert_store_written(&cell, &what);
@@ -183,52 +190,27 @@ pub fn assert_single_layer_matches_reference(
     init: &QualityInit,
     tag: &str,
 ) {
-    let (want, want_trace) = reference::fit_single_layer(cube, cfg, init);
+    let want = reference::fit_single_layer(cube, cfg, init);
     assert_eq!(
         want.truth_of_group.len(),
         cube.num_groups(),
         "{tag}: dense truth"
     );
+    let want_pairs = want.pair_sources.as_ref().expect("oracle's pairs");
     for cell in cells(&fresh_path("single")) {
-        let (got, trace) = SingleLayerModel::new(at(cfg, &cell))
+        let got = SingleLayerModel::new(at(cfg, &cell))
             .run_traced(cube, init)
             .expect("single-layer fit");
         let what = format!("{tag} single-layer {:?} x{}", cell.0, cell.1);
         assert_store_written(&cell, &what);
-        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        assert_reports_bitwise_eq(&got, &want, &what);
+        let pairs = got.pair_sources.as_ref().expect("pair sources");
+        assert_eq!(pairs.pairs, want_pairs.pairs, "{what}: pairs");
         assert_eq!(
-            bits(&got.pair_accuracy),
-            bits(&want.pair_accuracy),
+            bits(&pairs.pair_accuracy),
+            bits(&want_pairs.pair_accuracy),
             "{what}: pair accuracy"
         );
-        assert_eq!(
-            bits(&got.source_accuracy),
-            bits(&want.source_accuracy),
-            "{what}: source accuracy"
-        );
-        assert_eq!(
-            bits(&got.truth_of_group),
-            bits(&want.truth_of_group),
-            "{what}: truth"
-        );
-        assert_eq!(got.covered_group, want.covered_group, "{what}: coverage");
-        assert_eq!(got.active_pair, want.active_pair, "{what}: active");
-        assert_eq!(got.posteriors, want.posteriors, "{what}: posteriors");
-        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
-        assert_eq!(got.converged, want.converged, "{what}: converged");
-        assert_eq!(trace.converged, want_trace.converged, "{what}: trace");
-        assert_eq!(
-            trace.rounds.len(),
-            want_trace.rounds.len(),
-            "{what}: rounds"
-        );
-        for (a, b) in trace.rounds.iter().zip(&want_trace.rounds) {
-            assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{what}: delta");
-            assert_eq!(
-                a.log_likelihood.to_bits(),
-                b.log_likelihood.to_bits(),
-                "{what}: log-likelihood"
-            );
-        }
+        assert_eq!(pairs.active_pair, want_pairs.active_pair, "{what}: active");
     }
 }

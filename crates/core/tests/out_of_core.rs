@@ -118,7 +118,7 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
     // resumed parameters, and a non-neutral copy discount, alone and
     // together.
     let cold = MultiLayerModel::new(base.clone()).run_traced(&cube, &QualityInit::Default);
-    let (cold, _) = cold.expect("resident fit");
+    let cold = cold.expect("resident fit");
     let resume = QualityInit::Resume(cold.params.clone());
     let hint = Some(&cold.truth_of_group[..]);
     let scales: Vec<f64> = (0..cube.num_sources())
@@ -299,10 +299,10 @@ fn a_round_scans_the_store_twice() {
                 ..ModelConfig::default()
             });
             let before = store.frames_read();
-            let (result, _) = model
+            let report = model
                 .run_streamed(&store, cap, &QualityInit::Default)
                 .expect("streamed fit");
-            let rounds = result.iterations as u64;
+            let rounds = report.iterations() as u64;
             assert!(rounds > 1);
             let read = store.frames_read() - before;
             assert_eq!(read, rounds * (chunks + frames), "x{threads} cap={cap}");
@@ -335,7 +335,7 @@ fn a_streamed_run_traced_reads_its_store() {
         ..ModelConfig::default()
     });
     let before = thread_rchar();
-    let (result, _) = model
+    let report = model
         .run_traced(&cube, &QualityInit::Default)
         .expect("streamed fit");
     let read = thread_rchar() - before;
@@ -345,7 +345,7 @@ fn a_streamed_run_traced_reads_its_store() {
         .chain(&groups)
         .map(|&(_, len)| len as u64)
         .sum();
-    let rounds = result.iterations as u64;
+    let rounds = report.iterations() as u64;
     assert!(rounds > 1 && items.len() > 8 && groups.len() > 8);
     assert!(
         read >= rounds * round,

@@ -429,7 +429,7 @@ impl ChunkedCube {
     /// item frame stores, with zero copying. Resident kernels run on this;
     /// streamed kernels run on [`ChunkBuf::view`], and the two are
     /// indistinguishable to the kernel.
-    pub fn item_view(&self, chunk_idx: usize) -> ItemView<'_> {
+    pub(crate) fn item_view(&self, chunk_idx: usize) -> ItemView<'_> {
         let chunk = &self.chunks[chunk_idx];
         let ilo = chunk.items.start as usize;
         let ihi = chunk.items.end as usize;
@@ -453,7 +453,7 @@ impl ChunkedCube {
     /// Borrowed group-major view of the group range `groups` — what a
     /// streamed correctness scan sees per frame, with zero copying when
     /// the cube is resident.
-    pub fn group_view(&self, groups: Range<u32>) -> GroupView<'_> {
+    pub(crate) fn group_view(&self, groups: Range<u32>) -> GroupView<'_> {
         let lo = groups.start as usize;
         let hi = groups.end as usize;
         let cell_lo = self.cell_offsets[lo] as usize;
@@ -496,7 +496,7 @@ pub struct ChunkBuf {
 
 impl ChunkBuf {
     /// Borrowed view over the decoded payload — the interface kernels
-    /// consume, shared with [`ChunkedCube::item_view`].
+    /// consume, shared with `ChunkedCube::item_view`.
     pub fn view(&self) -> ItemView<'_> {
         ItemView {
             items: self.items.clone(),
@@ -533,7 +533,7 @@ pub struct GroupBuf {
 
 impl GroupBuf {
     /// Borrowed view over the decoded payload, shared with
-    /// [`ChunkedCube::group_view`].
+    /// `ChunkedCube::group_view`.
     pub fn view(&self) -> GroupView<'_> {
         GroupView {
             groups: self.groups.clone(),
@@ -548,7 +548,7 @@ impl GroupBuf {
 
 /// Borrowed item-major chunk view — the value E-step's kernel input,
 /// backed either by resident [`ChunkedCube`] columns
-/// ([`ChunkedCube::item_view`]) or a decoded [`ChunkBuf`]
+/// (`ChunkedCube::item_view`) or a decoded [`ChunkBuf`]
 /// ([`ChunkBuf::view`]). Local indices run `0..num_items()`; `rows` /
 /// `values` rebase the chunk's offset columns so the kernel never sees
 /// the difference between the two backings.
@@ -602,7 +602,7 @@ impl ItemView<'_> {
 
 /// Borrowed group-major frame view — input to the correctness E-step and
 /// the extractor sums it folds in frame order. Backed by resident columns
-/// ([`ChunkedCube::group_view`]) or a decoded [`GroupBuf`]
+/// (`ChunkedCube::group_view`) or a decoded [`GroupBuf`]
 /// ([`GroupBuf::view`]); `cells` rebases the offsets so the kernels can't
 /// tell the backings apart.
 #[derive(Debug, Clone)]

@@ -302,13 +302,6 @@ impl<'a> CoClaimIndex<'a> {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// The `(source, claim count)` entries of item `d`, sorted by source.
-    pub fn item_sources(&self, d: ItemId) -> &[(SourceId, u32)] {
-        let lo = self.offsets[d.index()] as usize;
-        let hi = self.offsets[d.index() + 1] as usize;
-        &self.entries[lo..hi]
-    }
-
     /// The overlap-only instantiation of the kernel.
     fn overlaps(&self, min_overlap: usize) -> Vec<PairCounts> {
         Rows {
@@ -369,11 +362,10 @@ mod tests {
         let cube = b.build();
         let idx = CoClaimIndex::build(&cube);
         assert_eq!(idx.num_items(), 2);
-        assert_eq!(
-            idx.item_sources(ItemId::new(0)),
-            &[(SourceId::new(0), 1), (SourceId::new(1), 2)]
-        );
-        assert_eq!(idx.item_sources(ItemId::new(1)), &[(SourceId::new(2), 1)]);
+        // Item d's (source, claim count) entries, sorted by source.
+        let row = |d: usize| &idx.entries[idx.offsets[d] as usize..idx.offsets[d + 1] as usize];
+        assert_eq!(row(0), &[(SourceId::new(0), 1), (SourceId::new(1), 2)]);
+        assert_eq!(row(1), &[(SourceId::new(2), 1)]);
     }
 
     #[test]

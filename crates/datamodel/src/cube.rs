@@ -495,16 +495,22 @@ impl CubeBuilder {
         }
     }
 
-    /// Add one observation. Confidence is clamped to `[0, 1]`.
+    /// Add one observation. Confidence is clamped to `[0, 1]`; NaN is no
+    /// evidence and becomes 0.
     pub fn push(&mut self, mut o: Observation) -> &mut Self {
         self.admit(&mut o);
         self.obs.push(o);
         self
     }
 
-    /// Clamp `o`'s confidence and grow the id spaces to hold it.
+    /// Clamp `o`'s confidence (NaN to 0: one NaN would reach every vote
+    /// of its item) and grow the id spaces to hold it.
     fn admit(&mut self, o: &mut Observation) {
-        o.confidence = o.confidence.clamp(0.0, 1.0);
+        o.confidence = if o.confidence.is_nan() {
+            0.0
+        } else {
+            o.confidence.clamp(0.0, 1.0)
+        };
         self.num_sources = self.num_sources.max(space_for(o.source.0));
         self.num_extractors = self.num_extractors.max(space_for(o.extractor.0));
         self.num_items = self.num_items.max(space_for(o.item.0));
@@ -1096,11 +1102,12 @@ mod tests {
         let mut b = CubeBuilder::new();
         b.push(obs(0, 0, 0, 0, 1.7));
         b.push(obs(0, 0, 0, 1, -0.2));
+        b.push(obs(0, 0, 0, 2, f64::NAN));
         let cube = b.build();
         let confs: Vec<f64> = cube
             .iter_with_cells()
             .flat_map(|(_, _, cs)| cs.iter().map(|c| c.confidence))
             .collect();
-        assert_eq!(confs, vec![1.0, 0.0]);
+        assert_eq!(confs, vec![1.0, 0.0, 0.0]);
     }
 }

@@ -439,6 +439,32 @@ fn network_ingest_and_retract_advance_epochs() {
     assert!(down.server.epoch() > epoch1);
 }
 
+/// A NaN confidence on a shared item is no evidence: the next epoch's
+/// trust replies and top-k ranking stay finite.
+#[test]
+fn a_nan_confidence_cannot_poison_the_next_epoch() {
+    let net = spawn_net();
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let (epoch0, _) = client.ping().expect("ping");
+    let nan = Observation {
+        confidence: f64::NAN,
+        ..obs(4, 0, 0)
+    };
+    assert_eq!(client.ingest(vec![nan]).expect("ingest ack"), 1);
+    wait_until(Duration::from_secs(10), "the NaN refit", || {
+        let (e, _) = client.ping().expect("ping during refit");
+        (e > epoch0).then_some(())
+    });
+    for w in 0..5u32 {
+        let trust = client.trust(SourceId::new(w)).expect("trust").value;
+        assert!(trust.is_some_and(f64::is_finite), "source {w}: {trust:?}");
+    }
+    let top = client.top_k_sources(5).expect("top-k").value;
+    assert_eq!(top.len(), 5);
+    assert!(top.iter().all(|(_, t)| t.is_finite()), "{top:?}");
+    net.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn mid_frame_disconnects_do_not_wedge_the_listener() {
     let net = spawn_net();

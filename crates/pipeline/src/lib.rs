@@ -146,16 +146,13 @@ impl Model {
                 let independence = warm.and_then(|w| w.independence.as_deref());
                 let model = MultiLayerModel::new(cfg);
                 let fit = model.run_traced_with_priors(cube, init, hint.as_deref(), independence);
-                let (result, trace) = fit.map_err(io_err)?;
-                return Ok(FusionReport::from_multi_layer(result, trace));
+                return fit.map_err(io_err);
             }
             Self::Accu(_) => ValueModel::Accu,
             Self::PopAccu(_) => ValueModel::PopAccu,
         };
         let model = SingleLayerModel::new(ModelConfig { value_model, ..cfg });
-        let (result, trace) = model.run_traced(cube, init).map_err(io_err)?;
-        let report = FusionReport::from_single_layer(cube.num_sources(), result, trace);
-        Ok(report)
+        model.run_traced(cube, init).map_err(io_err)
     }
 }
 
@@ -808,7 +805,7 @@ mod tests {
                 let switch = pipeline(model.clone()).copy_detection(copy);
                 let mut fits = vec![streamed(switch.residency(residency.clone()))];
                 if let (Model::MultiLayer(cfg), true) = (&model, copy.discount) {
-                    let independence = resident.source_independence().expect("copy-aware");
+                    let independence = resident.source_independence.as_deref().expect("copy-aware");
                     assert!(independence.iter().any(|&i| i < 1.0), "copier discounted");
                     let cfg = ModelConfig {
                         copy_detection: Some(copy),
@@ -821,8 +818,8 @@ mod tests {
                     assert_eq!(bits(resident.source_trust()), bits(got.source_trust()));
                     assert_eq!(resident.correctness(), got.correctness());
                     assert_eq!(bits(resident.truth_of_group()), bits(got.truth_of_group()));
-                    assert_eq!(resident.posteriors(), got.posteriors());
-                    assert_eq!(resident.source_independence(), got.source_independence());
+                    assert_eq!(resident.posteriors, got.posteriors);
+                    assert_eq!(resident.source_independence, got.source_independence);
                     assert_eq!(resident.copy_evidence, got.copy_evidence);
                     assert_eq!(resident.trace.rounds.len(), got.trace.rounds.len());
                 }

@@ -13,7 +13,7 @@
 //! integration test asserts it (`warm_start_beats_cold_rerun_on_merged_cube`)
 //! and `benchmark/`'s `pipeline.warm_rounds` reports it.
 
-use kbt_core::{FusionDetail, FusionReport, ItemPosteriors, Params, QualityInit};
+use kbt_core::{FusionReport, ItemPosteriors, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId, ValueId};
 
 use crate::{Model, Start};
@@ -90,17 +90,9 @@ pub struct WarmState {
 impl WarmState {
     fn of(report: &FusionReport) -> Self {
         Self {
-            params: match &report.detail {
-                FusionDetail::MultiLayer(r) => r.params.clone(),
-                FusionDetail::SingleLayer(r) => Params {
-                    source_accuracy: r.source_accuracy.clone(),
-                    precision: Vec::new(),
-                    recall: Vec::new(),
-                    q: Vec::new(),
-                },
-            },
-            posteriors: report.posteriors().clone(),
-            independence: report.source_independence().map(<[f64]>::to_vec),
+            params: report.params.clone(),
+            posteriors: report.posteriors.clone(),
+            independence: report.source_independence.clone(),
         }
     }
 
@@ -504,6 +496,6 @@ mod tests {
         let delta: Vec<Observation> = (0..4u32).map(|w| obs(0, w, 20, 0)).collect();
         let warm = s.update(&delta).run();
         assert!(warm.iterations() <= cold.iterations());
-        assert_eq!(warm.model, kbt_core::ModelKind::SingleLayer);
+        assert_eq!(warm.model(), kbt_core::ModelKind::SingleLayer);
     }
 }

@@ -188,18 +188,19 @@ impl TrustSnapshot {
         );
         Self::from_parts(SnapshotParts {
             epoch,
-            model: report.model,
+            model: report.model(),
             source_trust: report.source_trust().to_vec(),
-            active_source: report.active_source().to_vec(),
-            independence: report.source_independence().map(<[f64]>::to_vec),
+            active_source: report.active_source.to_vec(),
+            independence: report.source_independence.clone(),
             triples,
             truth_of_group: report.truth_of_group().to_vec(),
-            posteriors: report.posteriors().clone(),
+            posteriors: report.posteriors.clone(),
             provenance,
-            extractor_quality: report.as_multi_layer().map_or_else(Default::default, |r| {
-                let p = &r.params;
-                [p.precision.clone(), p.recall.clone(), p.q.clone()]
-            }),
+            extractor_quality: [
+                report.params.precision.clone(),
+                report.params.recall.clone(),
+                report.params.q.clone(),
+            ],
             serving_mode: provenance.refit_mode,
         })
         // lint: allow(panic) — the parts are sliced out of one
@@ -214,9 +215,9 @@ impl TrustSnapshot {
     /// The derived state (rank orders, calibration buckets, fingerprint)
     /// is **recomputed**, not trusted from the caller: it is a pure
     /// deterministic function of the payload (`f64::total_cmp` sorts and
-    /// fixed-order FNV-1a), so a round trip through
-    /// [`to_parts`](Self::to_parts) reproduces the original snapshot
-    /// bit for bit — including [`fingerprint`](Self::fingerprint).
+    /// fixed-order FNV-1a), so rebuilding a snapshot from its own parts
+    /// reproduces it bit for bit — including
+    /// [`fingerprint`](Self::fingerprint).
     ///
     /// # Errors
     ///
@@ -254,15 +255,6 @@ impl TrustSnapshot {
         };
         snap.fingerprint = snap.compute_fingerprint();
         Ok(snap)
-    }
-
-    /// Clone out the payload fields — everything
-    /// [`from_parts`](Self::from_parts) needs to rebuild this snapshot
-    /// bit for bit. Derived state (ranks, calibration, fingerprint) is
-    /// deliberately absent: it is recomputed on rebuild, so a persisted
-    /// snapshot cannot carry a payload/derived-state mismatch.
-    pub fn to_parts(&self) -> SnapshotParts {
-        self.parts.clone()
     }
 
     // ---- the next refit ----
@@ -379,15 +371,6 @@ impl TrustSnapshot {
         Some(self.parts.posteriors.prob(d, v))
     }
 
-    /// The observed `(value, probability)` posterior row of an item,
-    /// sorted by value; `None` outside the id space.
-    pub fn posterior_row(&self, d: ItemId) -> Option<&[(ValueId, f64)]> {
-        if d.index() >= self.parts.posteriors.num_items() {
-            return None;
-        }
-        Some(self.parts.posteriors.observed(d))
-    }
-
     /// The MAP value of an item with its probability — `None` when the
     /// item is unknown, has no observed value, or an unobserved value is
     /// the MAP.
@@ -414,11 +397,6 @@ impl TrustSnapshot {
     /// [`Self::trust`] over a batch of sources, one `Option` per input.
     pub fn trust_batch(&self, sources: &[SourceId]) -> Vec<Option<f64>> {
         sources.iter().map(|&w| self.trust(w)).collect()
-    }
-
-    /// [`Self::posterior`] over a batch of `(item, value)` pairs.
-    pub fn posterior_batch(&self, pairs: &[(ItemId, ValueId)]) -> Vec<Option<f64>> {
-        pairs.iter().map(|&(d, v)| self.posterior(d, v)).collect()
     }
 
     // ---- rankings ----
@@ -686,7 +664,7 @@ mod tests {
             );
             assert_eq!(
                 snap.posterior(grp.item, grp.value),
-                Some(report.posteriors().prob(grp.item, grp.value))
+                Some(report.posteriors.prob(grp.item, grp.value))
             );
         }
         assert_eq!(
@@ -744,16 +722,6 @@ mod tests {
             snap.trust_batch(&ws),
             ws.iter().map(|&w| snap.trust(w)).collect::<Vec<_>>()
         );
-        let pairs: Vec<(ItemId, ValueId)> = (0..8u32)
-            .map(|d| (ItemId::new(d), ValueId::new(d % 3)))
-            .collect();
-        assert_eq!(
-            snap.posterior_batch(&pairs),
-            pairs
-                .iter()
-                .map(|&(d, v)| snap.posterior(d, v))
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -797,13 +765,13 @@ mod tests {
         assert!(!torn_rank.verify_integrity(), "rank orders are covered");
     }
 
-    /// The persistence contract: `to_parts |> from_parts` reproduces the
-    /// snapshot bit for bit, derived state and fingerprint included.
+    /// The persistence contract: `from_parts` of a snapshot's own parts
+    /// reproduces it bit for bit, derived state and fingerprint included.
     #[test]
     fn parts_round_trip_is_bit_identical() {
         let (cube, report) = fitted();
         let snap = snapshot_of(&cube, &report);
-        let rebuilt = TrustSnapshot::from_parts(snap.to_parts()).unwrap();
+        let rebuilt = TrustSnapshot::from_parts(snap.parts.clone()).unwrap();
         assert_eq!(rebuilt, snap);
         assert_eq!(rebuilt.fingerprint(), snap.fingerprint());
         assert!(rebuilt.verify_integrity());
@@ -813,31 +781,31 @@ mod tests {
     fn inconsistent_parts_are_rejected() {
         let (cube, report) = fitted();
         let snap = snapshot_of(&cube, &report);
-        let mut short = snap.to_parts();
+        let mut short = snap.parts.clone();
         short.truth_of_group.pop();
         assert_eq!(
             TrustSnapshot::from_parts(short),
             Err(SnapshotPartsError::MisalignedTriples)
         );
-        let mut extra = snap.to_parts();
+        let mut extra = snap.parts.clone();
         extra.active_source.push(true);
         assert_eq!(
             TrustSnapshot::from_parts(extra),
             Err(SnapshotPartsError::MisalignedSources)
         );
-        let mut wide = snap.to_parts();
+        let mut wide = snap.parts.clone();
         wide.independence = Some(vec![1.0; wide.source_trust.len() + 1]);
         assert_eq!(
             TrustSnapshot::from_parts(wide),
             Err(SnapshotPartsError::MisalignedSources)
         );
-        let mut unsorted = snap.to_parts();
+        let mut unsorted = snap.parts.clone();
         unsorted.triples.swap(0, 1);
         assert_eq!(
             TrustSnapshot::from_parts(unsorted),
             Err(SnapshotPartsError::UnsortedTriples)
         );
-        let mut ragged = snap.to_parts();
+        let mut ragged = snap.parts.clone();
         ragged.extractor_quality[2].push(0.5);
         assert_eq!(
             TrustSnapshot::from_parts(ragged),

@@ -176,13 +176,13 @@ proptest! {
             let w = SourceId::new(w);
             prop_assert_eq!(snap.trust(w).unwrap(), report.kbt(w));
             prop_assert_eq!(snap.is_active(w).unwrap(),
-                report.active_source()[w.index()]);
+                report.active_source[w.index()]);
         }
         for d in 0..snap.num_items() as u32 {
             for v in 0..6u32 {
                 let (d, v) = (ItemId::new(d), ValueId::new(v));
                 prop_assert_eq!(snap.posterior(d, v).unwrap(),
-                    report.posteriors().prob(d, v));
+                    report.posteriors.prob(d, v));
             }
         }
         for (g, &(w, d, v)) in snap.triple_keys().iter().enumerate() {

@@ -45,10 +45,10 @@ use kbt_serve::{RefitMode, SnapshotParts, SnapshotProvenance, TrustSnapshot};
 use crate::durable::StoreError;
 
 /// First bytes of every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
+const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.

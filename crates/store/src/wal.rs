@@ -40,13 +40,13 @@ use kbt_pipeline::Delta;
 use crate::durable::StoreError;
 
 /// First bytes of every delta-log file.
-pub const WAL_MAGIC: [u8; 8] = *b"KBTWAL01";
+const WAL_MAGIC: [u8; 8] = *b"KBTWAL01";
 
 /// Current delta-log format version.
-pub const WAL_VERSION: u32 = 1;
+const WAL_VERSION: u32 = 1;
 
 /// Encoded size of the log header.
-pub const WAL_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 4;
+const WAL_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 4;
 
 const KIND_ADD: u8 = 1;
 const KIND_REMOVE: u8 = 2;

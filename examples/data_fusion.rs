@@ -67,7 +67,7 @@ fn main() {
     // How many items did fusion decide correctly?
     let mut correct = 0;
     for (d, &truth) in true_value.iter().enumerate() {
-        if let Some((v, _)) = result.posteriors().map_value(ItemId::new(d as u32)) {
+        if let Some((v, _)) = result.posteriors.map_value(ItemId::new(d as u32)) {
             if v.0 == truth {
                 correct += 1;
             }

@@ -33,7 +33,7 @@ fn main() {
         .cube(corpus.cube.clone())
         .model(Model::MultiLayer(cfg.clone()))
         .run();
-    let fine_active = fine.active_source().iter().filter(|&&a| a).count();
+    let fine_active = fine.active_source.iter().filter(|&&a| a).count();
 
     // --- Split-and-merge with the paper's defaults m=5, M=10K. ---
     let keys: Vec<_> = corpus
@@ -52,7 +52,7 @@ fn main() {
         .run_detailed();
     let coarse = &coarse_run.report;
     let sources = coarse_run.working_sources.as_deref().unwrap();
-    let coarse_active = coarse.active_source().iter().filter(|&&a| a).count();
+    let coarse_active = coarse.active_source.iter().filter(|&&a| a).count();
 
     println!("Webpage granularity:");
     println!(
@@ -77,7 +77,7 @@ fn main() {
     let mut n_thin = 0usize;
     for p in 0..corpus.cube.num_sources() {
         let size = corpus.cube.source_size(SourceId::new(p as u32));
-        if (1..5).contains(&size) && fine.active_source()[p] {
+        if (1..5).contains(&size) && fine.active_source[p] {
             fine_err += (fine.kbt(SourceId::new(p as u32)) - corpus.page_accuracy[p]).abs();
             n_thin += 1;
         }

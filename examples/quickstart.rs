@@ -52,7 +52,7 @@ fn main() {
     for (v, name) in VALUES.iter().enumerate() {
         println!(
             "  p(V = {name:9}) = {:.3}",
-            result.posteriors().prob(item, ValueId::new(v as u32))
+            result.posteriors.prob(item, ValueId::new(v as u32))
         );
     }
 
@@ -62,7 +62,7 @@ fn main() {
             "  W{}: KBT = {:.3}{}",
             w + 1,
             result.kbt(SourceId::new(w)),
-            if result.active_source()[w as usize] {
+            if result.active_source[w as usize] {
                 ""
             } else {
                 "  (too little data; default)"

@@ -75,7 +75,7 @@ fn main() {
 
     // Rank sites by the gap between popularity and trustworthiness.
     let mut scored: Vec<(usize, f64, f64)> = (0..n)
-        .filter(|&s| result.active_source()[s])
+        .filter(|&s| result.active_source[s])
         .map(|s| (s, result.kbt(SourceId::new(s as u32)), pr[s]))
         .collect();
 

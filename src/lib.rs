@@ -70,7 +70,7 @@ pub use kbt_synth as synth;
 
 pub use kbt_core::{
     ConvergenceTrace, FusionModel, FusionReport, IterationTrace, ModelConfig, ModelKind,
-    MultiLayerModel, MultiLayerResult, QualityInit, SingleLayerModel, SingleLayerResult,
+    MultiLayerModel, QualityInit, SingleLayerModel,
 };
 pub use kbt_datamodel::{
     ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, ObservationCube,

@@ -168,7 +168,7 @@ fn sqv_is_paper_magnitude() {
     let eval = data.value_eval_set();
     let pred: Vec<f64> = eval
         .iter()
-        .map(|(d, v, _)| r.posteriors().prob(*d, *v))
+        .map(|(d, v, _)| r.posteriors.prob(*d, *v))
         .collect();
     let truth: Vec<bool> = eval.iter().map(|(_, _, t)| *t).collect();
     let sqv = square_loss_binary(&pred, &truth).unwrap();

@@ -130,7 +130,7 @@ fn site_level_model_scores_most_sites() {
         assert_eq!(ws.key.depth(), 1, "expected site-level keys");
     }
     let r = &run.report;
-    let active = r.active_source().iter().filter(|&&a| a).count();
+    let active = r.active_source.iter().filter(|&&a| a).count();
     assert!(
         active * 10 >= sources.len() * 8,
         "most site-level sources should be scorable: {active}/{}",

@@ -1,8 +1,7 @@
 //! API-equivalence tests: `TrustPipeline` must be bit-for-bit identical
-//! to calling the model directly (`FusionModel::fit`, reading the
-//! engine-specific result through `as_multi_layer()` /
-//! `as_single_layer()`), on fixed-seed corpora. Plus convergence-trace
-//! sanity.
+//! to calling the model directly (`FusionModel::fit`, down to the
+//! model-specific `extraction` / `pair_sources` columns), on fixed-seed
+//! corpora. Plus convergence-trace sanity.
 
 use kbt::core::{FusionModel, ModelConfig, QualityInit, ValueModel};
 use kbt::datamodel::SourceId;
@@ -18,35 +17,33 @@ fn pipeline_multilayer_is_bit_identical_to_legacy_run() {
     });
     let direct =
         MultiLayerModel::new(ModelConfig::default()).fit(&data.cube, &QualityInit::Default);
-    let legacy = direct.as_multi_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::multi_layer())
         .run();
 
-    assert_eq!(report.source_trust(), legacy.params.source_accuracy);
-    assert_eq!(report.correctness(), Some(&legacy.correctness[..]));
-    assert_eq!(report.truth_of_group(), legacy.truth_of_group);
-    assert_eq!(report.covered_group(), legacy.covered_group);
-    assert_eq!(report.active_source(), legacy.active_source);
+    assert_eq!(report.source_trust(), direct.params.source_accuracy);
+    assert_eq!(report.correctness(), direct.correctness());
+    assert_eq!(report.truth_of_group(), direct.truth_of_group);
+    assert_eq!(report.covered_group, direct.covered_group);
+    assert_eq!(report.active_source, direct.active_source);
     assert_eq!(
         report.extractor_precision(),
-        Some(&legacy.params.precision[..])
+        Some(&direct.params.precision[..])
     );
-    assert_eq!(report.extractor_recall(), Some(&legacy.params.recall[..]));
-    assert_eq!(report.iterations(), legacy.iterations);
-    assert_eq!(report.converged(), legacy.converged);
+    assert_eq!(report.extractor_recall(), Some(&direct.params.recall[..]));
+    assert_eq!(report.iterations(), direct.iterations());
+    assert_eq!(report.converged(), direct.converged());
     for d in 0..data.cube.num_items() {
         let d = kbt::ItemId::new(d as u32);
         assert_eq!(
-            report.posteriors().observed_mass(d),
-            legacy.posteriors.observed_mass(d)
+            report.posteriors.observed_mass(d),
+            direct.posteriors.observed_mass(d)
         );
     }
-    // The embedded detail is the very same result type.
-    let detail = report.as_multi_layer().unwrap();
-    assert_eq!(detail.params.source_accuracy, legacy.params.source_accuracy);
-    assert_eq!(detail.truth_given_provided, legacy.truth_given_provided);
+    // The extraction layer's own columns match too.
+    let (got, want) = (report.extraction.unwrap(), direct.extraction.unwrap());
+    assert_eq!(got.truth_given_provided, want.truth_given_provided);
 }
 
 #[test]
@@ -57,19 +54,19 @@ fn pipeline_accu_is_bit_identical_to_legacy_single_layer() {
     });
     let direct = SingleLayerModel::new(ModelConfig::single_layer_default())
         .fit(&data.cube, &QualityInit::Default);
-    let legacy = direct.as_single_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::accu())
         .run();
 
-    assert_eq!(report.source_trust(), legacy.source_accuracy);
-    assert_eq!(report.truth_of_group(), legacy.truth_of_group);
-    assert_eq!(report.covered_group(), legacy.covered_group);
-    assert_eq!(report.iterations(), legacy.iterations);
-    let detail = report.as_single_layer().unwrap();
-    assert_eq!(detail.pair_accuracy, legacy.pair_accuracy);
-    assert_eq!(detail.pairs, legacy.pairs);
+    assert_eq!(report.source_trust(), direct.source_trust());
+    assert_eq!(report.truth_of_group(), direct.truth_of_group);
+    assert_eq!(report.covered_group, direct.covered_group);
+    assert_eq!(report.active_source, direct.active_source);
+    assert_eq!(report.iterations(), direct.iterations());
+    let (got, want) = (report.pair_sources.unwrap(), direct.pair_sources.unwrap());
+    assert_eq!(got.pair_accuracy, want.pair_accuracy);
+    assert_eq!(got.pairs, want.pairs);
 }
 
 #[test]
@@ -83,15 +80,14 @@ fn pipeline_popaccu_is_bit_identical_to_legacy_popaccu() {
         ..ModelConfig::single_layer_default()
     };
     let direct = SingleLayerModel::new(cfg).fit(&data.cube, &QualityInit::Default);
-    let legacy = direct.as_single_layer().unwrap();
     // Model::pop_accu() forces the value model; handing it an Accu-flavored
     // config must still reproduce the PopAccu run.
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::PopAccu(ModelConfig::single_layer_default()))
         .run();
-    assert_eq!(report.source_trust(), legacy.source_accuracy);
-    assert_eq!(report.truth_of_group(), legacy.truth_of_group);
+    assert_eq!(report.source_trust(), direct.source_trust());
+    assert_eq!(report.truth_of_group(), direct.truth_of_group);
 }
 
 #[test]
@@ -101,13 +97,12 @@ fn pipeline_gold_init_is_bit_identical_on_web_corpus() {
     let corpus = gen_web(&WebCorpusConfig::tiny(64));
     let init = kbt_bench_gold_init(&corpus);
     let direct = MultiLayerModel::new(ModelConfig::default()).fit(&corpus.cube, &init);
-    let legacy = direct.as_multi_layer().unwrap();
     let report = TrustPipeline::new()
         .cube(corpus.cube.clone())
         .init(init)
         .run();
-    assert_eq!(report.source_trust(), legacy.params.source_accuracy);
-    assert_eq!(report.correctness(), Some(&legacy.correctness[..]));
+    assert_eq!(report.source_trust(), direct.source_trust());
+    assert_eq!(report.correctness(), direct.correctness());
 }
 
 /// A miniature of `kbt_bench::harness::gold_init` (the bench crate is not
@@ -201,7 +196,8 @@ fn trace_matches_run_traced_output() {
     });
     let fit =
         MultiLayerModel::new(ModelConfig::default()).run_traced(&data.cube, &QualityInit::Default);
-    let (legacy, trace) = fit.expect("resident fit");
+    let legacy = fit.expect("resident fit");
+    let trace = &legacy.trace;
     let report = TrustPipeline::new().cube(data.cube.clone()).run();
     assert_eq!(report.trace.rounds.len(), trace.rounds.len());
     assert_eq!(report.trace.converged, trace.converged);
@@ -211,5 +207,5 @@ fn trace_matches_run_traced_output() {
         assert_eq!(a.delta, b.delta);
         assert_eq!(a.log_likelihood, b.log_likelihood);
     }
-    assert_eq!(report.iterations(), legacy.iterations);
+    assert_eq!(report.iterations(), legacy.iterations());
 }

@@ -46,7 +46,7 @@ proptest! {
         for &a in r.source_trust() {
             prop_assert!((0.0..=1.0).contains(&a));
         }
-        let params = &r.as_multi_layer().unwrap().params;
+        let params = &r.params;
         for e in 0..cube.num_extractors() {
             prop_assert!((0.0..=1.0).contains(&params.precision[e]));
             prop_assert!((0.0..=1.0).contains(&params.recall[e]));
@@ -56,11 +56,11 @@ proptest! {
         // Posterior normalization per item with any observed value.
         for d in 0..cube.num_items() {
             let d = ItemId::new(d as u32);
-            let obs_mass = r.posteriors().observed_mass(d);
-            let unobs = r.posteriors()
+            let obs_mass = r.posteriors.observed_mass(d);
+            let unobs = r.posteriors
                 .prob(d, ValueId::new(u32::MAX - 1)); // surely unobserved
             let k = (cfg.n_false_values + 1)
-                .saturating_sub(r.posteriors().observed(d).len());
+                .saturating_sub(r.posteriors.observed(d).len());
             let total = obs_mass + unobs * k as f64;
             prop_assert!((total - 1.0).abs() < 1e-6, "item {d:?} total {total}");
         }

@@ -39,7 +39,7 @@ fn single_observation_corpus_is_handled() {
     let r = multilayer(vec![obs(0, 0, 0, 0, 1.0)], ModelConfig::default());
     assert!(r.kbt(SourceId::new(0)).is_finite());
     assert!(r
-        .posteriors()
+        .posteriors
         .prob(ItemId::new(0), ValueId::new(0))
         .is_finite());
     let s = TrustPipeline::new()
@@ -61,7 +61,7 @@ fn domain_smaller_than_observed_values_does_not_break_normalization() {
             ..ModelConfig::default()
         },
     );
-    let total = r.posteriors().observed_mass(ItemId::new(0));
+    let total = r.posteriors.observed_mass(ItemId::new(0));
     assert!(
         (total - 1.0).abs() < 1e-6,
         "observed values exceed domain; total = {total}"
@@ -80,7 +80,7 @@ fn adversarial_unanimous_lie_is_believed_but_finite() {
         }
     }
     let r = multilayer(observations, ModelConfig::default());
-    assert!(r.posteriors().prob(ItemId::new(0), ValueId::new(9)) > 0.9);
+    assert!(r.posteriors.prob(ItemId::new(0), ValueId::new(9)) > 0.9);
     for w in 0..6 {
         assert!(r.kbt(SourceId::new(w)) > 0.5);
     }
@@ -108,7 +108,7 @@ fn extreme_iteration_counts_stay_stable() {
     for &a in r.source_trust() {
         assert!(a.is_finite() && (0.0..=1.0).contains(&a));
     }
-    let params = &r.as_multi_layer().unwrap().params;
+    let params = &r.params;
     for e in 0..params.q.len() {
         assert!(
             params.q[e] < params.recall[e] + 1e-9,
@@ -146,7 +146,7 @@ fn gold_init_with_extreme_seeds_is_clamped() {
     for &a in r.source_trust() {
         assert!(a.is_finite());
     }
-    let params = &r.as_multi_layer().unwrap().params;
+    let params = &r.params;
     for e in 0..params.precision.len() {
         assert!(params.precision[e].is_finite());
         assert!(params.q[e].is_finite());
@@ -180,9 +180,9 @@ fn single_layer_group_without_a_claim_reports_its_posterior_truth() {
         .model(Model::accu())
         .run();
     for (g, &truth) in r.truth_of_group().iter().enumerate() {
-        let p = r.posteriors().prob(ItemId::new(0), ValueId::new(0));
+        let p = r.posteriors.prob(ItemId::new(0), ValueId::new(0));
         assert_eq!(truth.to_bits(), p.to_bits(), "group {g}");
     }
     assert!(r.truth_of_group()[3] > 0.9);
-    assert_eq!(r.covered_group(), [true, true, true, false]);
+    assert_eq!(r.covered_group, [true, true, true, false]);
 }

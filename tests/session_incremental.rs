@@ -117,7 +117,7 @@ proptest! {
 
         // And the warm re-run from the batch's converged parameters is
         // equivalent on both cubes too (same init ⇒ same trajectory).
-        let resumed = QualityInit::Resume(batch.as_multi_layer().unwrap().params.clone());
+        let resumed = QualityInit::Resume(batch.params.clone());
         let warm_inc = kbt::MultiLayerModel::new(ModelConfig::default())
             .fit(session.cube(), &resumed);
         let warm_batch = kbt::MultiLayerModel::new(ModelConfig::default())
@@ -178,7 +178,7 @@ proptest! {
         let mut report = live.run();
         for (delta, kind, pick) in windows {
             for (g, grp) in live.cube().groups().iter().enumerate() {
-                let belief = report.posteriors().prob(grp.item, grp.value);
+                let belief = report.posteriors.prob(grp.item, grp.value);
                 prop_assert_eq!(report.truth_of_group()[g].to_bits(), belief.to_bits());
             }
             let mut restored = FusionSession::restore(
@@ -213,8 +213,8 @@ proptest! {
             prop_assert_eq!(again.source_trust(), report.source_trust());
             prop_assert_eq!(again.truth_of_group(), report.truth_of_group());
             prop_assert_eq!(again.correctness(), report.correctness());
-            prop_assert_eq!(again.posteriors(), report.posteriors());
-            prop_assert_eq!(again.source_independence(), report.source_independence());
+            prop_assert_eq!(again.posteriors, report.posteriors);
+            prop_assert_eq!(again.source_independence, report.source_independence);
             prop_assert_eq!(restored.warm(), live.warm());
         }
     }

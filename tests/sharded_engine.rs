@@ -36,8 +36,11 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     };
     let cold = QualityInit::Default;
     matrix::assert_engine_matches_reference(&data.cube, &cfg, &cold, None, None, "multi");
-    let (flat, _) = kbt::core::reference::fit(&data.cube, &cfg, &cold, None, None);
-    assert!(flat.iterations >= 2, "corpus must exercise several rounds");
+    let flat = kbt::core::reference::fit(&data.cube, &cfg, &cold, None, None);
+    assert!(
+        flat.iterations() >= 2,
+        "corpus must exercise several rounds"
+    );
     let scales: Vec<f64> = (0..data.cube.num_sources())
         .map(|w| if w % 4 == 0 { 0.4 } else { 1.0 })
         .collect();
@@ -85,9 +88,9 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         ..ModelConfig::single_layer_default()
     };
     // A warm restart's parameters, missing the last two pages.
-    let (last, _) = reference::fit_single_layer(&cube, &base, &QualityInit::Default);
+    let last = reference::fit_single_layer(&cube, &base, &QualityInit::Default);
     let resume = QualityInit::Resume(Params {
-        source_accuracy: last.source_accuracy[..ns - 2].to_vec(),
+        source_accuracy: last.source_trust()[..ns - 2].to_vec(),
         precision: vec![],
         recall: vec![],
         q: vec![],
@@ -118,8 +121,12 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
                 &QualityInit::Default,
             ),
         ];
-        let (thin_fit, _) = reference::fit_single_layer(&cube, &cases[4].1, cases[4].2);
-        assert!(thin_fit.active_pair.iter().any(|a| !a), "no inactive pair");
+        let thin_fit = reference::fit_single_layer(&cube, &cases[4].1, cases[4].2);
+        let thin_pairs = thin_fit.pair_sources.expect("single-layer pairs");
+        assert!(
+            thin_pairs.active_pair.iter().any(|a| !a),
+            "no inactive pair"
+        );
         for (what, cfg, init) in cases {
             let tag = format!("{value_model:?} {what}");
             matrix::assert_single_layer_matches_reference(&cube, &cfg, init, &tag);
