@@ -13,7 +13,10 @@
 //! per-group truth posteriors, then prints the cube-build wall and the
 //! fit's per-stage wall breakdown (`StageWall`: chunking gather, vote
 //! rebuild, E-steps, M-steps…) — a profile to read, not a gate: how fast
-//! the fit runs is measured by `benchmark/` alone.
+//! the fit runs is measured by `benchmark/` alone. Before the fit it
+//! builds the corpus a second time on one worker and hard-asserts that
+//! the two builds are the same cube, field for field: a slip in how the
+//! build cuts its 10k sources into windows shows here.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
 //! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
@@ -37,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
 use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
-use kbt_datamodel::{ChunkedCube, FileChunkStore, ObservationCube};
+use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId};
 use kbt_synth::scale::{observations, ScaleConfig};
 
 /// EM rounds every fit runs, with no convergence early-out: the engine,
@@ -56,14 +59,46 @@ fn fixed_round_cfg() -> ModelConfig {
     }
 }
 
-/// The corpus and the wall of `CubeBuilder::build` alone.
-fn timed_corpus(triples: usize) -> (ObservationCube, Duration) {
-    let rows = observations(&ScaleConfig {
+/// The corpus's observations, not yet built.
+fn rows(triples: usize) -> CubeBuilder {
+    observations(&ScaleConfig {
         triples,
         ..ScaleConfig::default()
-    });
+    })
+}
+
+/// The corpus and the wall of `CubeBuilder::build` alone.
+fn timed_corpus(triples: usize) -> (ObservationCube, Duration) {
+    let rows = rows(triples);
     let t0 = Instant::now();
     (rows.build(), t0.elapsed())
+}
+
+/// Hard-assert that two cubes are the same, bit for bit, through the
+/// public accessors: groups, cells, the per-source group ranges and
+/// extractor sets, the per-item group lists and observed values.
+fn assert_same_cube(a: &ObservationCube, b: &ObservationCube) {
+    let shape = |c: &ObservationCube| {
+        let ids = (c.num_sources(), c.num_extractors(), c.num_items());
+        (ids, c.num_values(), c.num_cells())
+    };
+    assert_eq!(shape(a), shape(b), "cube shapes differ");
+    assert_eq!(a.groups(), b.groups(), "groups differ");
+    let cells = |c: &ObservationCube| -> Vec<(u32, u64)> {
+        let all = c.iter_with_cells().flat_map(|(_, _, cells)| cells);
+        all.map(|x| (x.extractor.0, x.confidence.to_bits()))
+            .collect()
+    };
+    assert!(cells(a) == cells(b), "cells differ");
+    for w in (0..a.num_sources() as u32).map(SourceId::new) {
+        assert_eq!(a.source_groups(w), b.source_groups(w), "{w:?} groups");
+        let (x, y) = (a.extractors_on_source(w), b.extractors_on_source(w));
+        assert_eq!(x, y, "{w:?} extractor set");
+    }
+    for d in (0..a.num_items() as u32).map(ItemId::new) {
+        assert!(a.groups_of_item(d).eq(b.groups_of_item(d)), "{d:?} groups");
+        assert_eq!(a.observed_values(d), b.observed_values(d), "{d:?} values");
+    }
 }
 
 fn corpus(triples: usize) -> ObservationCube {
@@ -306,6 +341,13 @@ fn run_resident(mode: &str, triples: usize) {
     let (groups, cells, items) = (cube.num_groups(), cube.num_cells(), cube.num_items());
     println!("  generated cube: {groups} groups, {cells} cells, {items} items");
 
+    // The build cuts the sources into one window per worker: on one
+    // worker it must build the same cube.
+    let serial = kbt_flume::with_threads(Some(1), || rows(triples).build());
+    assert_same_cube(&cube, &serial);
+    drop(serial);
+    println!("  cube built on one worker: the same, bit for bit");
+
     let cfg = fixed_round_cfg();
     let init = QualityInit::Default;
     let report = MultiLayerModel::new(cfg.clone()).fit(&cube, &init);
@@ -360,6 +402,7 @@ fn run_resident(mode: &str, triples: usize) {
         .count("cells", cells as u64)
         .count("em_rounds", report.iterations() as u64)
         .flag("bitwise_equal", true)
+        .flag("build_bitwise_equal", true)
         .text("trust_checksum", &format!("{trust:#018x}"))
         .text("truth_checksum", &format!("{truth:#018x}"));
     let path = bench.write().expect("write bench report");

@@ -18,11 +18,19 @@
 //! the vote counter treats exactly those as the candidate set. This matches
 //! the arithmetic of the paper's Example 3.1, where all five extractors are
 //! active on every page of the example.
+//!
+//! [`CubeBuilder::build`] assembles the cube the way the paper's batch job
+//! does on its dataflow substrate, a shuffle by key then per-partition
+//! work: unsorted input is cut by source into one window of about equal
+//! row count per worker, and each window's task brings its rows into key
+//! order, groups them and records its share of the indexes; then the
+//! windows' groups and cells are laid out in window order, and each
+//! window places its groups in the item index. The cube is the same at
+//! any worker count.
 
 use std::cmp::Ordering;
-use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{self, AtomicU32};
 
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
@@ -188,7 +196,7 @@ impl ObservationCube {
     /// layout**: the delta alone is sorted (`O(m log m)` for `m` delta
     /// rows) and merge-walked against the already-sorted group list
     /// (`O(groups + cells)`), then the secondary indexes are rebuilt in
-    /// one linear pass. The result is bit-identical to rebuilding a
+    /// linear passes over source windows, one per worker. The result is bit-identical to rebuilding a
     /// [`CubeBuilder`] from the union of all observations (duplicate
     /// `(e, w, d, v)` entries keep the maximum confidence, exactly as
     /// [`CubeBuilder::build`] does) — the `session_incremental` proptest
@@ -210,7 +218,8 @@ impl ObservationCube {
             self.num_values,
         );
         d.obs.sort_unstable_by_key(row_key);
-        let (new_cells, new_groups) = group_rows(d.obs.iter().copied());
+        let (mut new_cells, mut new_groups) = (Vec::new(), Vec::new());
+        lay_out(&d.obs, &mut new_cells, &mut new_groups);
 
         let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len() + new_cells.len());
         let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len() + new_groups.len());
@@ -348,10 +357,11 @@ fn space_for(id: u32) -> u32 {
         .expect("id u32::MAX is reserved: a dense id space holds id + 1 entries")
 }
 
-/// Build the secondary indexes over sorted `(cells, groups)` — shared by
-/// [`CubeBuilder::build`] (full sort) and [`ObservationCube::apply_delta`]
-/// (merge-walk). One linear pass over groups plus a counting sort of the
-/// item index.
+/// Index laid-out `(cells, groups)` — what [`ObservationCube::apply_delta`]
+/// (merge-walk) and [`ObservationCube::retract`] (filter) produce. From
+/// [`PARTITION_MIN_ROWS`] groups on, one source window per worker records
+/// its share of the indexes in one walk over its groups and cells; then
+/// [`index_cube`] lays them out.
 fn assemble_cube(
     cells: Vec<Cell>,
     groups: Vec<TripleGroup>,
@@ -360,73 +370,201 @@ fn assemble_cube(
     num_items: u32,
     num_values: u32,
 ) -> ObservationCube {
-    // Source ranges over the (source-sorted) group list, plus the per-source
-    // extractor candidate sets in CSR form. `seen[e] == w + 1` marks extractor
-    // `e` as listed for source `w`: one pass over its cells, one short sort.
-    let ns = num_sources as usize;
-    let mut source_group_ranges = vec![0u32..0u32; ns];
-    let mut source_extractor_offsets = vec![0u32; ns + 1];
-    let mut source_extractor_ids: Vec<ExtractorId> = Vec::new();
-    let mut seen = vec![0u32; num_extractors as usize];
-    let mut g = 0;
-    while g < groups.len() {
-        let w = groups[g].source;
-        let start = g as u32;
-        let first = source_extractor_ids.len();
-        while g < groups.len() && groups[g].source == w {
-            for c in &cells[groups[g].cell_range()] {
-                let mark = &mut seen[c.extractor.index()];
-                if *mark != w.0 + 1 {
-                    *mark = w.0 + 1;
-                    source_extractor_ids.push(c.extractor);
-                }
+    let (ns, parts) = (num_sources as usize, workers_for(groups.len()));
+    let first = |w: usize| groups.partition_point(|g| g.source.index() < w);
+    let cuts = cut_sources(ns, groups.len(), parts, |g| groups[g].source.index());
+    let records = kbt_flume::par_map_slice(&cuts, |sources| {
+        let mut index = WindowIndex::new(sources.clone(), num_items, num_extractors);
+        for grp in &groups[first(sources.start)..first(sources.end)] {
+            index.group(grp.source, grp.item);
+            for c in &cells[grp.cell_range()] {
+                index.cell(grp.source, c.extractor);
             }
-            g += 1;
         }
-        source_extractor_ids[first..].sort_unstable();
-        source_group_ranges[w.index()] = start..g as u32;
-        source_extractor_offsets[w.index() + 1] = source_extractor_ids.len() as u32;
-    }
-    // A source with no group keeps the empty range at its predecessor's end.
-    for w in 0..ns {
-        source_extractor_offsets[w + 1] =
-            source_extractor_offsets[w + 1].max(source_extractor_offsets[w]);
+        index.close();
+        index
+    });
+    index_cube(cells, groups, records, num_extractors, num_values)
+}
+
+/// One source window's share of the secondary indexes, recorded in one
+/// walk over the window's groups and cells in key order.
+struct WindowIndex {
+    /// The window's sources.
+    sources: Range<usize>,
+    groups: usize,
+    cells: usize,
+    /// Per source of the window: its group count.
+    source_groups: Vec<u32>,
+    /// Per source of the window: the size of its extractor set.
+    source_extractors: Vec<u32>,
+    /// The window's extractor sets in source order, each sorted.
+    extractors: Vec<ExtractorId>,
+    /// Where the open source's set starts in `extractors`.
+    open: usize,
+    /// `seen[e] == w + 1` marks extractor `e` as listed for source `w`.
+    seen: Vec<u32>,
+    /// Per item: the window's groups about it — then, in [`index_cube`],
+    /// the item-index slot of its next one.
+    item_slots: Vec<u32>,
+}
+
+impl WindowIndex {
+    fn new(sources: Range<usize>, num_items: u32, num_extractors: u32) -> Self {
+        Self {
+            groups: 0,
+            cells: 0,
+            source_groups: vec![0; sources.len()],
+            source_extractors: vec![0; sources.len()],
+            extractors: Vec::new(),
+            open: 0,
+            seen: vec![0; num_extractors as usize],
+            item_slots: vec![0; num_items as usize],
+            sources,
+        }
     }
 
-    // Item index: counting sort of group indices by item. Each group's
-    // value lands beside its index, so the value lists below read one
-    // sequential column instead of chasing `groups[g]` per row.
-    let ni = num_items as usize;
+    /// A group of source `w` about item `d` opens; sources ascend.
+    fn group(&mut self, w: SourceId, d: ItemId) {
+        let local = w.index() - self.sources.start;
+        if self.source_groups[local] == 0 {
+            self.close();
+        }
+        self.source_groups[local] += 1;
+        self.item_slots[d.index()] += 1;
+        self.groups += 1;
+    }
+
+    /// A cell of extractor `e` in the open group of source `w`.
+    fn cell(&mut self, w: SourceId, e: ExtractorId) {
+        self.cells += 1;
+        let mark = &mut self.seen[e.index()];
+        if *mark != w.0 + 1 {
+            *mark = w.0 + 1;
+            self.extractors.push(e);
+            self.source_extractors[w.index() - self.sources.start] += 1;
+        }
+    }
+
+    /// Record the window's key-ordered `rows`.
+    fn record<R: Row>(&mut self, rows: &[R]) {
+        for (step, [hi, lo, _]) in steps(rows) {
+            let w = SourceId((hi >> 32) as u32);
+            match step {
+                Step::Duplicate => continue,
+                Step::Group => self.group(w, ItemId(hi as u32)),
+                Step::Cell => {}
+            }
+            self.cell(w, ExtractorId(lo as u32));
+        }
+        self.close();
+    }
+
+    /// Seal the open source's extractor set.
+    fn close(&mut self) {
+        self.extractors[self.open..].sort_unstable();
+        self.open = self.extractors.len();
+    }
+}
+
+/// Lay out the secondary indexes of `(cells, groups)` from the records of
+/// source windows that tile the sources in order — the index passes of
+/// [`CubeBuilder::build`] and [`assemble_cube`]. The source ranges and
+/// extractor sets are the records' counts laid end to end. Each window
+/// places its own groups in the item index: its per-item counts become
+/// cursors that start where the lower windows' groups of that item end,
+/// so every item's groups ascend. Each group's value lands beside its
+/// index, and the per-item value lists are built over item windows from
+/// that one sequential column.
+fn index_cube(
+    cells: Vec<Cell>,
+    groups: Vec<TripleGroup>,
+    mut records: Vec<WindowIndex>,
+    num_extractors: u32,
+    num_values: u32,
+) -> ObservationCube {
+    let ns = records.last().map_or(0, |r| r.sources.end);
+    let ni = records[0].item_slots.len();
+    let mut source_group_ranges = vec![0u32..0u32; ns];
+    let mut source_extractor_offsets = vec![0u32; ns + 1];
+    let mut source_extractor_ids = Vec::new();
+    let mut g = 0;
+    for r in &records {
+        let counts = r.source_groups.iter().zip(&r.source_extractors);
+        for (w, (&size, &exts)) in r.sources.clone().zip(counts) {
+            // A source with no group keeps the empty range `0..0`.
+            if size > 0 {
+                source_group_ranges[w] = g..g + size;
+            }
+            g += size;
+            source_extractor_offsets[w + 1] = source_extractor_offsets[w] + exts;
+        }
+        source_extractor_ids.extend_from_slice(&r.extractors);
+    }
+
     let mut item_offsets = vec![0u32; ni + 1];
-    for grp in &groups {
-        item_offsets[grp.item.index() + 1] += 1;
+    for d in 0..ni {
+        let mut at = item_offsets[d];
+        for r in &mut records {
+            at += std::mem::replace(&mut r.item_slots[d], at);
+        }
+        item_offsets[d + 1] = at;
     }
-    for k in 0..ni {
-        item_offsets[k + 1] += item_offsets[k];
-    }
-    let mut cursor = item_offsets.clone();
-    let mut item_groups = vec![0u32; groups.len()];
-    let mut row_values = vec![ValueId(0); groups.len()];
-    for (gi, grp) in groups.iter().enumerate() {
-        let slot = &mut cursor[grp.item.index()];
-        item_groups[*slot as usize] = gi as u32;
-        row_values[*slot as usize] = grp.value;
-        *slot += 1;
-    }
+    let slots = || (0..groups.len()).map(|_| AtomicU32::new(0)).collect();
+    let (item_groups, row_values): (Vec<AtomicU32>, Vec<AtomicU32>) = (slots(), slots());
+    let mut first = 0;
+    let mut windows: Vec<(Range<usize>, &mut [u32])> = records
+        .iter_mut()
+        .map(|r| {
+            first += r.groups;
+            (first - r.groups..first, r.item_slots.as_mut_slice())
+        })
+        .collect();
+    kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
+        for (span, cursor) in ws {
+            for (g, grp) in span.clone().zip(&groups[span.clone()]) {
+                let slot = &mut cursor[grp.item.index()];
+                // ordering: Relaxed — a slot is handed out by one window's
+                // cursor alone, so it has one writer; nothing reads it
+                // before the workers are joined.
+                item_groups[*slot as usize].store(g as u32, atomic::Ordering::Relaxed);
+                // ordering: Relaxed — the same slot, the same one writer.
+                row_values[*slot as usize].store(grp.value.0, atomic::Ordering::Relaxed);
+                *slot += 1;
+            }
+        }
+    });
+    let parts = records.len();
+    drop(records);
+    let item_groups: Vec<u32> = item_groups.into_iter().map(AtomicU32::into_inner).collect();
+    let row_values: Vec<u32> = row_values.into_iter().map(AtomicU32::into_inner).collect();
 
     // Item → sorted distinct observed values, CSR: each item's rows are
     // few, so a per-item sort + dedup in a scratch run is linearish.
+    let spans: Vec<Range<usize>> = (0..parts)
+        .map(|t| ni * t / parts..ni * (t + 1) / parts)
+        .collect();
+    let lists = kbt_flume::par_map_slice(&spans, |items| {
+        let (mut ends, mut values, mut scratch) =
+            (Vec::with_capacity(items.len()), Vec::new(), Vec::new());
+        for d in items.clone() {
+            scratch.clear();
+            let rows = &row_values[item_offsets[d] as usize..item_offsets[d + 1] as usize];
+            scratch.extend(rows.iter().map(|&v| ValueId(v)));
+            scratch.sort_unstable();
+            scratch.dedup();
+            values.extend_from_slice(&scratch);
+            ends.push(values.len() as u32);
+        }
+        (ends, values)
+    });
     let mut item_value_offsets = Vec::with_capacity(ni + 1);
     item_value_offsets.push(0u32);
     let mut item_values: Vec<ValueId> = Vec::new();
-    let mut scratch: Vec<ValueId> = Vec::new();
-    for rows in item_offsets.windows(2) {
-        scratch.clear();
-        scratch.extend_from_slice(&row_values[rows[0] as usize..rows[1] as usize]);
-        scratch.sort_unstable();
-        scratch.dedup();
-        item_values.extend_from_slice(&scratch);
-        item_value_offsets.push(item_values.len() as u32);
+    for (ends, values) in lists {
+        let base = item_values.len() as u32;
+        item_value_offsets.extend(ends.iter().map(|e| base + e));
+        item_values.extend_from_slice(&values);
     }
 
     ObservationCube {
@@ -535,37 +673,96 @@ impl CubeBuilder {
 
     /// Sort, dedup, group, and index the observations.
     ///
-    /// Three ways to the same key order `(source, item, value, extractor)`,
-    /// picked by [`build_path`] from the input alone; duplicate keys merge
-    /// to their maximum confidence, so the order among equal keys never
-    /// shows and the cube is the same on every path at any worker count.
-    pub fn build(mut self) -> ObservationCube {
-        let path = build_path(&self.obs);
-        if path == BuildPath::SerialSort {
-            self.obs.sort_unstable_by_key(row_key);
-        }
-        let (cells, groups) = if path == BuildPath::Partitioned {
-            let rows = sort_partitioned(&self.obs, self.num_sources as usize);
-            group_rows(rows.iter().map(|r| Observation {
-                source: SourceId((r[0] >> 32) as u32),
-                item: ItemId(r[0] as u32),
-                value: ValueId((r[1] >> 32) as u32),
-                extractor: ExtractorId(r[1] as u32),
-                confidence: f64::from_bits(r[2]),
-            }))
-        } else {
-            group_rows(self.obs.iter().copied())
+    /// Input already in key order `(source, item, value, extractor)` (one
+    /// linear check) is read in place by one window on the calling
+    /// thread. Anything else is cut by source into windows of about equal
+    /// row count — one per worker from 2¹⁶ rows on, else one run inline —
+    /// and each window's task gathers its rows from the input by source
+    /// and sorts them source by source. Either way a window records its
+    /// share of the indexes in the walk that groups its rows. The windows' groups and cells are
+    /// then laid out in window order — a memory-bound walk, which one
+    /// task per window measured no faster on a 2-vCPU machine — and a
+    /// task per window places its groups in the item index. Duplicate keys merge
+    /// to their maximum confidence, so the cube is the same at any worker
+    /// count.
+    pub fn build(self) -> ObservationCube {
+        let Self {
+            obs,
+            num_sources,
+            num_extractors,
+            num_items,
+            num_values,
+        } = self;
+        let ns = num_sources as usize;
+        // The sorted check comes first on purpose: recovery hands the
+        // builder a checkpoint's cells in cube order on every `recover`,
+        // and one window reads them in place on the calling thread. (Two
+        // windows measured slower there on a 2-vCPU machine: ≈ 270k rows,
+        // `recover` 37 → 45 ms.) On unsorted input it stops at the first
+        // inversion.
+        let sorted = obs.is_sorted_by_key(row_key);
+        let (starts, parts) = match sorted {
+            true => (Vec::new(), 1),
+            false => (source_starts(&obs, ns), workers_for(obs.len())),
         };
-        drop(self.obs);
+        let first_row = |w: usize| obs.partition_point(|o| o.source.index() < w);
+        let cuts = cut_sources(ns, obs.len(), parts, |p| match sorted {
+            true => obs[p].source.index(),
+            false => starts.partition_point(|&s| s <= p) - 1,
+        });
+        // Each window's rows in key order — a span of sorted input, or its
+        // gather into its stretch of one row buffer — and its records, from
+        // one walk over them. The buffer is allocated here, zeroed, on the
+        // calling thread: the workers fault its pages in, and its memory
+        // goes back where the cube's arrays come from (allocated by
+        // short-lived workers, gather buffers stayed resident in their
+        // arenas: +63 MB peak RSS on the 2M-row fit).
+        let mut buffer = vec![[0; 3]; if sorted { 0 } else { obs.len() }];
+        let mut rest = buffer.as_mut_slice();
+        let mut windows: Vec<_> = cuts
+            .into_iter()
+            .map(|sources| {
+                let (span, rows) = match sorted {
+                    true => (first_row(sources.start)..first_row(sources.end), 0),
+                    false => (0..0, starts[sources.end] - starts[sources.start]),
+                };
+                let rows = rest.split_off_mut(..rows).expect("windows tile the rows");
+                (
+                    rows,
+                    span,
+                    WindowIndex::new(sources, num_items, num_extractors),
+                )
+            })
+            .collect();
+        kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
+            for (rows, span, index) in ws {
+                match sorted {
+                    true => index.record(&obs[span.clone()]),
+                    false => {
+                        gather(&obs, &starts, index.sources.clone(), rows);
+                        index.record(rows);
+                    }
+                }
+            }
+        });
+        drop(starts);
+        // Free the input before the cube's arrays exist, unless the windows
+        // read it in place.
+        let obs = if sorted { obs } else { Vec::new() };
 
-        assemble_cube(
-            cells,
-            groups,
-            self.num_sources,
-            self.num_extractors,
-            self.num_items,
-            self.num_values,
-        )
+        // The windows' groups and cells, laid out in window order.
+        let nc = windows.iter().map(|w| w.2.cells).sum();
+        let ng = windows.iter().map(|w| w.2.groups).sum();
+        let (mut cells, mut groups) = (Vec::with_capacity(nc), Vec::with_capacity(ng));
+        for (rows, span, _) in &windows {
+            match sorted {
+                true => lay_out(&obs[span.clone()], &mut cells, &mut groups),
+                false => lay_out(rows, &mut cells, &mut groups),
+            }
+        }
+        let records = windows.into_iter().map(|w| w.2).collect();
+        drop((buffer, obs));
+        index_cube(cells, groups, records, num_extractors, num_values)
     }
 }
 
@@ -578,127 +775,174 @@ fn row_key(o: &Observation) -> [u64; 2] {
     ]
 }
 
-/// How [`CubeBuilder::build`] brings its rows into key order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BuildPath {
-    /// Already in key order: one linear check, no sort.
-    Sorted,
-    /// One `sort_unstable_by_key` over all rows.
-    SerialSort,
-    /// [`sort_partitioned`]: source spans sorted as parallel tasks.
-    Partitioned,
-}
-
-/// Rows from which a counting partition by source beats one sort, worker
-/// spawn and the second row buffer included.
+/// Unsorted rows (or groups) from which the build and the index passes
+/// split the sources into one window per worker: below it, a spawn costs
+/// more than a second worker saves, and one window runs inline.
 const PARTITION_MIN_ROWS: usize = 1 << 16;
 
-/// The sorted check comes first on purpose: recovery hands the builder a
-/// checkpoint's cells in cube order on every `recover`, where pattern-
-/// defeating quicksort is O(n) and a counting partition plus worker spawn
-/// is not (a partition-always prototype cost `ingest_durable` 41 → 47 ms
-/// per recovery). On unsorted input the check stops at the first inversion.
-fn build_path(obs: &[Observation]) -> BuildPath {
-    if obs.is_sorted_by_key(row_key) {
-        BuildPath::Sorted
-    } else if obs.len() < PARTITION_MIN_ROWS {
-        BuildPath::SerialSort
-    } else {
-        BuildPath::Partitioned
+/// Windows for `rows` rows: one per worker [`kbt_flume::num_threads`]
+/// allows from [`PARTITION_MIN_ROWS`] on, else one.
+fn workers_for(rows: usize) -> usize {
+    match rows >= PARTITION_MIN_ROWS {
+        true => kbt_flume::num_threads(),
+        false => 1,
     }
 }
 
-/// A row of the partitioned build, [`row_key`] then the confidence bits:
-/// plain words, so `vec![[0; 3]; n]` is zeroed pages from the allocator
-/// rather than a fill loop, and a comparison reads no further than the key.
-type PackedRow = [u64; 3];
+/// The sources `0..num_sources` cut into `parts` windows of about equal
+/// count of `rows` source-ordered rows. `source_at(p)` is the source of
+/// row `p`; a window may be empty.
+fn cut_sources(
+    num_sources: usize,
+    rows: usize,
+    parts: usize,
+    source_at: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    let cut = |t: usize| match t {
+        0 => 0,
+        t if t == parts => num_sources,
+        t => source_at(rows * t / parts),
+    };
+    (0..parts).map(|t| cut(t)..cut(t + 1)).collect()
+}
 
-/// Rows per sort task (contiguous sources, a source never split).
-const SPAN_ROWS: usize = 1 << 15;
-
-/// `obs` in key order, on every core [`kbt_flume::num_threads`] allows. A
-/// counting pass gives every source its window of the result and a stable
-/// scatter fills it — input that arrives item-major or source-major leaves
-/// each window sorted or nearly so; then spans of about [`SPAN_ROWS`] rows
-/// sort as tasks, source window by source window, on `(item, value,
-/// extractor)` alone. Sources ascend, so the whole is in key order.
-fn sort_partitioned(obs: &[Observation], num_sources: usize) -> Vec<PackedRow> {
-    let mut starts = vec![0usize; num_sources + 1];
-    for part in kbt_flume::par_ranges(obs.len(), |r| {
+/// `starts[w]`: the rows of the sources below `w`, for `w` in
+/// `0..=num_sources`. Counted over one input range per worker (the rows
+/// cut as if each were its own source).
+fn source_starts(obs: &[Observation], num_sources: usize) -> Vec<usize> {
+    let ranges = cut_sources(obs.len(), obs.len(), workers_for(obs.len()), |p| p);
+    let counts = kbt_flume::par_map_slice(&ranges, |r| {
         let mut count = vec![0u32; num_sources];
-        obs[r].iter().for_each(|o| count[o.source.index()] += 1);
+        obs[r.clone()]
+            .iter()
+            .for_each(|o| count[o.source.index()] += 1);
         count
-    }) {
-        for (n, c) in starts[1..].iter_mut().zip(part) {
+    });
+    let mut starts = vec![0usize; num_sources + 1];
+    for count in counts {
+        for (n, c) in starts[1..].iter_mut().zip(count) {
             *n += c as usize;
         }
     }
     for w in 0..num_sources {
         starts[w + 1] += starts[w];
     }
-    let mut rows = vec![[0u64; 3]; obs.len()];
-    let mut next = starts.clone();
-    for o in obs {
-        let [hi, lo] = row_key(o);
-        rows[next[o.source.index()]] = [hi, lo, o.confidence.to_bits()];
-        next[o.source.index()] += 1;
-    }
-    // One task per span: the span's rows and its sources' window bounds.
-    let mut spans: Vec<Mutex<(&mut [PackedRow], &[usize])>> = Vec::new();
-    let (mut rest, mut first) = (rows.as_mut_slice(), 0);
-    for w in 1..=num_sources {
-        if starts[w] - starts[first] >= SPAN_ROWS || w == num_sources {
-            let span = rest.split_off_mut(..starts[w] - starts[first]);
-            spans.push(Mutex::new((
-                span.expect("windows tile the rows"),
-                &starts[first..=w],
-            )));
-            first = w;
-        }
-    }
-    let workers = &mut vec![(); kbt_flume::num_threads()];
-    let sorted: Result<Vec<()>, Infallible> =
-        kbt_flume::run_tasks(spans.len(), workers, |_, i, _| {
-            let mut span = spans[i].lock().expect("task i alone locks span i");
-            let (rows, bounds) = &mut *span;
-            for w in bounds.windows(2) {
-                rows[w[0] - bounds[0]..w[1] - bounds[0]].sort_unstable_by_key(|r| [r[0], r[1]]);
-            }
-            Ok(())
-        });
-    sorted.expect("infallible");
-    drop(spans);
-    rows
+    starts
 }
 
-/// Group key-ordered rows by `(source, item, value)`, merging duplicate
-/// `(e, w, d, v)` rows to their maximum confidence.
-fn group_rows(rows: impl ExactSizeIterator<Item = Observation>) -> (Vec<Cell>, Vec<TripleGroup>) {
-    let mut cells: Vec<Cell> = Vec::with_capacity(rows.len());
-    let mut groups: Vec<TripleGroup> = Vec::new();
-    for o in rows {
-        let open = groups
-            .last_mut()
-            .filter(|g| (g.source, g.item, g.value) == (o.source, o.item, o.value));
-        match (open, cells.last_mut()) {
-            (Some(_), Some(c)) if c.extractor == o.extractor => {
-                c.confidence = c.confidence.max(o.confidence);
+/// A row in key order: [`row_key`], then the confidence bits, so a
+/// comparison reads no further than the key.
+type PackedRow = [u64; 3];
+
+/// The rows of `sources` in key order, into `rows`: a stable scatter by
+/// source out of the whole input — input that arrives item-major or
+/// source-major leaves each source's run sorted or nearly so — then each
+/// run sorted on `(item, value, extractor)`.
+fn gather(obs: &[Observation], starts: &[usize], sources: Range<usize>, rows: &mut [PackedRow]) {
+    let base = starts[sources.start];
+    let mut next: Vec<usize> = starts[sources.clone()].iter().map(|s| s - base).collect();
+    for o in obs {
+        if let Some(at) = next.get_mut(o.source.index().wrapping_sub(sources.start)) {
+            rows[*at] = o.packed();
+            *at += 1;
+        }
+    }
+    for w in sources {
+        sort_run(&mut rows[starts[w] - base..starts[w + 1] - base]);
+    }
+}
+
+/// Sort one source's rows on their key: by insertion while they stay
+/// nearly sorted, as a stable scatter of item-major input leaves them (an
+/// extractor list that wraps round is the only inversion), and by one
+/// `sort_unstable` once insertion has moved as many rows as there are.
+fn sort_run(run: &mut [PackedRow]) {
+    let key = |r: &PackedRow| [r[0], r[1]];
+    let mut budget = run.len();
+    for i in 1..run.len() {
+        let mut j = i;
+        while j > 0 && key(&run[j - 1]) > key(&run[j]) {
+            if budget == 0 {
+                return run.sort_unstable_by_key(key);
+            }
+            run.swap(j - 1, j);
+            (budget, j) = (budget - 1, j - 1);
+        }
+    }
+}
+
+/// A row the build walks in key order: an observation of sorted input,
+/// read in place, or a gathered [`PackedRow`].
+trait Row: Sync {
+    fn packed(&self) -> PackedRow;
+}
+
+impl Row for Observation {
+    fn packed(&self) -> PackedRow {
+        let [hi, lo] = row_key(self);
+        [hi, lo, self.confidence.to_bits()]
+    }
+}
+
+impl Row for PackedRow {
+    fn packed(&self) -> PackedRow {
+        *self
+    }
+}
+
+/// What a row adds to the walk of key-ordered rows.
+enum Step {
+    /// The first cell of a new `(w, d, v)` group.
+    Group,
+    /// A new cell of the open group.
+    Cell,
+    /// The open cell again (a duplicate `(e, w, d, v)`): its confidence
+    /// merges into the cell's by maximum.
+    Duplicate,
+}
+
+/// Each of the key-ordered `rows` with the [`Step`] it takes.
+fn steps<R: Row>(rows: &[R]) -> impl Iterator<Item = (Step, PackedRow)> + '_ {
+    let mut last: Option<PackedRow> = None;
+    rows.iter().map(move |r| {
+        let r = r.packed();
+        let step = match last {
+            Some(l) if l[0] != r[0] || l[1] >> 32 != r[1] >> 32 => Step::Group,
+            Some(l) if l[1] != r[1] => Step::Cell,
+            Some(_) => Step::Duplicate,
+            None => Step::Group,
+        };
+        last = Some(r);
+        (step, r)
+    })
+}
+
+/// Append key-ordered `rows`' groups and cells to the cube's arrays.
+fn lay_out<R: Row>(rows: &[R], cells: &mut Vec<Cell>, groups: &mut Vec<TripleGroup>) {
+    for (step, [hi, lo, confidence]) in steps(rows) {
+        let confidence = f64::from_bits(confidence);
+        let at = cells.len() as u32;
+        match step {
+            Step::Duplicate => {
+                let open = cells.last_mut().expect("a duplicate follows its cell");
+                open.confidence = open.confidence.max(confidence);
                 continue;
             }
-            (Some(g), _) => g.cells.end += 1,
-            (None, _) => groups.push(TripleGroup {
-                source: o.source,
-                item: o.item,
-                value: o.value,
-                cells: cells.len() as u32..cells.len() as u32 + 1,
+            Step::Group => groups.push(TripleGroup {
+                source: SourceId((hi >> 32) as u32),
+                item: ItemId(hi as u32),
+                value: ValueId((lo >> 32) as u32),
+                cells: at..at,
             }),
+            Step::Cell => {}
         }
+        let group = groups.last_mut().expect("a cell follows its group");
+        group.cells.end = at + 1;
         cells.push(Cell {
-            extractor: o.extractor,
-            confidence: o.confidence,
+            extractor: ExtractorId(lo as u32),
+            confidence,
         });
     }
-    (cells, groups)
 }
 
 #[cfg(test)]
@@ -888,15 +1132,31 @@ mod tests {
         (0..n).map(hash).map(row).collect()
     }
 
+    /// `n` hashed rows over the ids [`serial_build`] reserves, drawn by
+    /// `salt`: most `(w, d, v)` distinct, so 150k rows make about 110k
+    /// groups, some `(e, w, d, v)` repeated with differing confidence.
+    fn spread(n: u32, salt: u32) -> Vec<Observation> {
+        let row = |i: u32| {
+            let mut h = i.wrapping_add(salt << 20).wrapping_mul(0x9E37_79B1);
+            h ^= h >> 15;
+            h = h.wrapping_mul(0x85EB_CA6B);
+            h ^= h >> 13;
+            let c = f64::from(h >> 28) / 15.0;
+            obs(h % 9, (h >> 4) % 200, (h >> 12) % 120, (h >> 19) % 11, c)
+        };
+        (0..n).map(row).collect()
+    }
+
     /// The oracle of the build paths: one sort of all rows by the key
-    /// tuple, then the sorted path. Ids are reserved beyond any row.
+    /// tuple, then the sorted path on one worker. Ids are reserved beyond
+    /// any row.
     fn serial_build(rows: &[Observation]) -> ObservationCube {
         let mut b = CubeBuilder::from(rows.to_vec());
         b.reserve_ids(200, 9, 120, 11);
         b.obs
             .sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
-        assert_eq!(build_path(&b.obs), BuildPath::Sorted);
-        b.build()
+        assert!(b.obs.is_sorted_by_key(row_key));
+        kbt_flume::with_threads(Some(1), || b.build())
     }
 
     fn build_at(threads: usize, rows: &[Observation]) -> ObservationCube {
@@ -905,21 +1165,23 @@ mod tests {
         kbt_flume::with_threads(Some(threads), || b.build())
     }
 
-    /// The path is a function of the input alone, and all of them build
-    /// the cube of the serial sort.
+    /// Input in key order is read in place, anything else gathered; either
+    /// side of the parallel threshold, both build the cube of the serial
+    /// sort.
     #[test]
     fn every_build_path_builds_the_serially_sorted_cube() {
         let large = corpus(PARTITION_MIN_ROWS + 1_000, |k| (k >> 14) % 50);
         let mut sorted = large.clone();
         sorted.sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
         let reversed: Vec<Observation> = sorted.iter().rev().copied().collect();
-        for (rows, path) in [
-            (&sorted[..], BuildPath::Sorted),
-            (&reversed[..], BuildPath::Partitioned),
-            (&large[..1_000], BuildPath::SerialSort),
-            (&large[..], BuildPath::Partitioned),
+        for (rows, in_order) in [
+            (&sorted[..], true),
+            (&sorted[..1_000], true),
+            (&reversed[..], false),
+            (&large[..1_000], false),
+            (&large[..], false),
         ] {
-            assert_eq!(build_path(rows), path);
+            assert_eq!(rows.is_sorted_by_key(row_key), in_order);
             assert_cubes_identical(&build_at(2, rows), &serial_build(rows));
         }
     }
@@ -984,6 +1246,16 @@ mod tests {
             full.push(*o);
         }
         assert_cubes_identical(&incremental, &full.build());
+
+        // Above the parallel threshold the merge is indexed in windows.
+        let (base, delta) = (spread(150_000, 1), spread(60_000, 2));
+        let full = serial_build(&[&base[..], &delta[..]].concat());
+        for threads in [1, 2, 3, 8] {
+            let cube = build_at(threads, &base);
+            assert!(cube.num_groups() >= PARTITION_MIN_ROWS);
+            let incremental = kbt_flume::with_threads(Some(threads), || cube.apply_delta(&delta));
+            assert_cubes_identical(&incremental, &full);
+        }
     }
 
     #[test]
@@ -1051,6 +1323,29 @@ mod tests {
         assert_cubes_identical(&retracted, &survivors.build());
         assert_eq!(retracted.source_size(SourceId::new(1)), 0);
         assert!(retracted.extractors_on_source(SourceId::new(1)).is_empty());
+
+        // Above the parallel threshold: every third group goes, and every
+        // group of source 7, which is left empty.
+        let base = spread(150_000, 3);
+        let gone = |w: u32, d: u32, v: u32| w == 7 || (w * 131 + d * 7 + v).is_multiple_of(3);
+        let keys: Vec<_> = base
+            .iter()
+            .filter(|o| gone(o.source.0, o.item.0, o.value.0))
+            .map(|o| (o.source, o.item, o.value))
+            .collect();
+        let survivors: Vec<Observation> = base
+            .iter()
+            .filter(|o| !gone(o.source.0, o.item.0, o.value.0))
+            .copied()
+            .collect();
+        let rebuilt = serial_build(&survivors);
+        assert!(rebuilt.num_groups() >= PARTITION_MIN_ROWS);
+        for threads in [1, 2, 3, 8] {
+            let cube = build_at(threads, &base);
+            let retracted = kbt_flume::with_threads(Some(threads), || cube.retract(&keys));
+            assert_cubes_identical(&retracted, &rebuilt);
+            assert_eq!(retracted.source_size(SourceId::new(7)), 0);
+        }
     }
 
     #[test]

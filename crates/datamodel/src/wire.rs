@@ -15,7 +15,7 @@
 //! same answer) and verifies the CRC before the payload is parsed.
 //! [`put_crc`] / [`checked`] are the unprefixed form `[body][crc32(body)]`
 //! (the `KBTWAL01` header, the `KBTSNAP1` file, a chunk frame whose
-//! length the index already holds — [`read_frame_at`]).
+//! length the index already holds — `read_frame_at`).
 //!
 //! **Header.** `[magic: 8 bytes][version u32]` — [`put_header`] /
 //! [`WireReader::header`]; a format whose version lives in its magic
@@ -253,15 +253,15 @@ pub fn frame_fits(payload_off: u64, len: u32, limit: u64) -> Result<(), WireErro
     }
 }
 
-/// Read the `len`-byte payload at `payload_off` of `file` and its trailing
+/// Read the `len`-byte payload at `off` of `file` and its trailing
 /// CRC in one positioned read, verify, and return the payload. `limit`
 /// is where the file's frames end: the read is bounded by the file, not
 /// by the length field. Positioned reads take `&File`, so concurrent
 /// loads share one handle without a seek race.
-pub fn read_frame_at(file: &File, payload_off: u64, len: u32, limit: u64) -> io::Result<Vec<u8>> {
-    frame_fits(payload_off, len, limit)?;
+pub(crate) fn read_frame_at(file: &File, off: u64, len: u32, limit: u64) -> io::Result<Vec<u8>> {
+    frame_fits(off, len, limit)?;
     let mut frame = vec![0u8; len as usize + 4];
-    file.read_exact_at(&mut frame, payload_off)?;
+    file.read_exact_at(&mut frame, off)?;
     let len = checked(&frame)?.len();
     frame.truncate(len);
     Ok(frame)
@@ -269,7 +269,7 @@ pub fn read_frame_at(file: &File, payload_off: u64, len: u32, limit: u64) -> io:
 
 /// [`read_frame_at`] for a frame known only by the offset of its length
 /// prefix.
-pub fn read_prefixed_frame_at(file: &File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
+pub(crate) fn read_prefixed_frame_at(file: &File, off: u64, limit: u64) -> io::Result<Vec<u8>> {
     frame_fits(off, 0, limit)?; // a zero-length payload = the prefix itself
     let mut len = [0u8; 4];
     file.read_exact_at(&mut len, off)?;

@@ -328,10 +328,12 @@ impl TrustPipeline {
         self
     }
 
-    /// Pin the worker-thread count for this run (`0` = hardware default).
+    /// Pin the worker-thread count for this run (`0` = hardware default):
+    /// building the cube, the engine and post-hoc detection.
     ///
     /// Scoped to this run and race-free (`kbt_flume::with_threads`); a
-    /// run that never calls this uses the hardware parallelism.
+    /// run that never calls this uses the model's
+    /// [`ModelConfig::threads`], else the hardware parallelism.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -370,6 +372,13 @@ impl TrustPipeline {
     /// Fallible [`run_detailed`](Self::run_detailed); see
     /// [`try_run`](Self::try_run).
     pub fn try_run_detailed(self) -> Result<PipelineRun, PipelineError> {
+        // The whole run — building the cube, the engine and post-hoc
+        // detection — under the engine's thread budget.
+        let threads = self.threads.or(self.model.config().threads);
+        kbt_flume::with_threads(threads, || self.run_configured())
+    }
+
+    fn run_configured(self) -> Result<PipelineRun, PipelineError> {
         let Self {
             input,
             reserve,
@@ -413,14 +422,14 @@ impl TrustPipeline {
 
         // --- Stage 4: diagnostics. ---
         // Post-hoc detection, unless the engine already produced evidence
-        // through its copy-aware loop. Runs under the same thread budget
-        // as inference.
+        // through its copy-aware loop.
         if let Some(copy_cfg) = copy {
             if report.copy_evidence.is_none() {
-                report.copy_evidence =
-                    Some(kbt_flume::with_threads(model.config().threads, || {
-                        detect_copies_from_accuracy(&cube, report.source_trust(), &copy_cfg)
-                    }));
+                report.copy_evidence = Some(detect_copies_from_accuracy(
+                    &cube,
+                    report.source_trust(),
+                    &copy_cfg,
+                ));
             }
         }
 
@@ -494,7 +503,8 @@ impl TrustPipeline {
                 }
             }
         }
-        Ok(FusionSession::new(input.into_cube(reserve)?, model))
+        let cube = kbt_flume::with_threads(model.config().threads, || input.into_cube(reserve))?;
+        Ok(FusionSession::new(cube, model))
     }
 }
 

@@ -158,9 +158,12 @@ impl FusionSession {
         }
     }
 
-    /// Start a session from raw observations.
+    /// Start a session from raw observations, building the cube under
+    /// the model's [`ModelConfig::threads`](kbt_core::ModelConfig).
     pub fn from_observations(obs: Vec<Observation>, model: Model) -> Self {
-        Self::new(CubeBuilder::from(obs).build(), model)
+        let threads = model.config().threads;
+        let cube = kbt_flume::with_threads(threads, || CubeBuilder::from(obs).build());
+        Self::new(cube, model)
     }
 
     /// Rebuild a session at a published epoch — the entry point crash
@@ -206,11 +209,13 @@ impl FusionSession {
     }
 
     /// Merge a batch of new observations into the cube **incrementally**
-    /// (delta-sort + merge-walk; the existing layout is never re-sorted).
-    /// Returns `&mut self` so a delta round reads
+    /// (delta-sort + merge-walk; the existing layout is never re-sorted),
+    /// under the model's thread count. Returns `&mut self` so a delta
+    /// round reads
     /// `session.update(&delta).run()`.
     pub fn update(&mut self, delta: &[Observation]) -> &mut Self {
-        self.cube = self.cube.apply_delta(delta);
+        let threads = self.model.config().threads;
+        self.cube = kbt_flume::with_threads(threads, || self.cube.apply_delta(delta));
         self.deltas_applied += 1;
         self
     }
@@ -218,7 +223,8 @@ impl FusionSession {
     /// Apply a **negative delta**: remove every `(source, item, value)`
     /// triple in `retractions` from the cube (all of its extractions),
     /// e.g. because a source took a page down or an extraction pattern
-    /// was fixed. Unknown triples are ignored.
+    /// was fixed. Unknown triples are ignored. Runs under the model's
+    /// thread count.
     ///
     /// The warm state survives untouched: it is keyed by ids, and
     /// [`ObservationCube::retract`] never shrinks the dense id spaces. A
@@ -227,7 +233,8 @@ impl FusionSession {
     /// canonically), so `session.retract(&[triple]).run()` is total — the
     /// regression tests below pin this down.
     pub fn retract(&mut self, retractions: &[(SourceId, ItemId, ValueId)]) -> &mut Self {
-        self.cube = self.cube.retract(retractions);
+        let threads = self.model.config().threads;
+        self.cube = kbt_flume::with_threads(threads, || self.cube.retract(retractions));
         self.deltas_applied += 1;
         self
     }
