@@ -16,7 +16,11 @@
 //! the fit runs is measured by `benchmark/` alone. Before the fit it
 //! builds the corpus a second time on one worker and hard-asserts that
 //! the two builds are the same cube, field for field: a slip in how the
-//! build cuts its 10k sources into windows shows here.
+//! build cuts its 10k sources into windows shows here. After the fit it
+//! refits at `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times
+//! the group frames, so many more per-worker sums merged — and
+//! hard-asserts the same trust and truth bits: the M-step and
+//! log-likelihood sums are exact, so no partition can move a bit.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
 //! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
@@ -40,13 +44,19 @@ use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
 use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
-use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId};
+use kbt_datamodel::{
+    ChunkStoreMeta, ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId,
+};
 use kbt_synth::scale::{observations, ScaleConfig};
 
 /// EM rounds every fit runs, with no convergence early-out: the engine,
 /// the oracle and both children do the same arithmetic volume, so their
 /// results are comparable bit for bit and the children's walls as a ratio.
 const ROUNDS: usize = 3;
+
+/// Chunk size of the partition drill's refit: ≈ 470 group frames on the
+/// smoke corpus, against ≈ 30 at the default 64 Ki cells.
+const PARTITION_TARGET_CELLS: usize = 4_096;
 
 /// Decoded frames the streamed fit may hold at once (one per scan worker).
 const MAX_RESIDENT_CHUNKS: usize = 4;
@@ -378,6 +388,32 @@ fn run_resident(mode: &str, triples: usize) {
         report.iterations()
     );
 
+    // Another partition of the same cube: more, smaller frames, so more
+    // per-worker sums merged in another order — and the same bits.
+    let frames = |cfg: &ModelConfig| {
+        let cc = ChunkedCube::from_cube(&cube, &cfg.chunking());
+        ChunkStoreMeta::from_cube(&cc).group_frames.len()
+    };
+    let fine_cfg = ModelConfig {
+        chunk_target_cells: PARTITION_TARGET_CELLS,
+        ..cfg.clone()
+    };
+    let fine = MultiLayerModel::new(fine_cfg.clone()).fit(&cube, &init);
+    assert_eq!(
+        (
+            bits_checksum(fine.source_trust()),
+            bits_checksum(fine.truth_of_group())
+        ),
+        (trust, truth),
+        "a finer chunk partition moved the fit's bits"
+    );
+    println!(
+        "  refit at {PARTITION_TARGET_CELLS} cells per chunk ({} group frames, not {}): \
+         the same bits",
+        frames(&fine_cfg),
+        frames(&cfg)
+    );
+
     // Where the rounds go, for the reader; nothing gates on it.
     let sw = &report.trace.stage_wall;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -403,6 +439,7 @@ fn run_resident(mode: &str, triples: usize) {
         .count("em_rounds", report.iterations() as u64)
         .flag("bitwise_equal", true)
         .flag("build_bitwise_equal", true)
+        .flag("partition_bitwise_equal", true)
         .text("trust_checksum", &format!("{trust:#018x}"))
         .text("truth_checksum", &format!("{truth:#018x}"));
     let path = bench.write().expect("write bench report");

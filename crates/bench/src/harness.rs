@@ -349,7 +349,8 @@ pub fn run_singlelayer(
         .cube(cube)
         .model(single_layer_model(cfg))
         .init(init)
-        .run_detailed();
+        .try_run_detailed()
+        .expect("pipeline runs");
     let preds = collect_triple_predictions(
         &run.cube,
         run.report.truth_of_group(),
@@ -388,7 +389,8 @@ pub fn run_multilayer_sm(
         .cube(cube)
         .model(Model::MultiLayer(cfg.clone()))
         .init(init)
-        .run_detailed();
+        .try_run_detailed()
+        .expect("pipeline runs");
     let preds = collect_triple_predictions(
         &run.cube,
         run.report.truth_of_group(),

@@ -8,7 +8,6 @@
 //! allows it.
 
 use std::io;
-use std::sync::Mutex;
 
 use kbt_datamodel::{ChunkSource, GroupView};
 use kbt_flume::par_ranges_mut;
@@ -123,39 +122,25 @@ fn estimate_correctness_frame(
 /// the result does not depend on the frame partition or the thread count.
 ///
 /// The same scan carries the extractor M-step's transition: the worker
-/// that computed a frame folds it into the returned sums in the scan's
-/// ordered section before letting the frame go, so they add up in global
-/// cell order whatever the worker count, and no second pass reads the
-/// group frames.
+/// that computed a frame folds it into its own [`ExtractorSums`] before
+/// letting the frame go, and the workers' exact sums are merged after the
+/// scan: no frame waits for another, no second pass reads the frames.
 pub(crate) fn estimate_correctness<S: ChunkSource>(
     src: &S,
     votes: &VoteCounter,
     alpha: &AlphaState,
     cfg: &ModelConfig,
-    mut out: &mut [f64],
+    out: &mut [f64],
 ) -> io::Result<ExtractorSums> {
-    let meta = src.meta();
-    let sums = Mutex::new(ExtractorSums::new(meta.num_extractors as usize));
-    let windows: Vec<Mutex<&mut [f64]>> = meta
-        .group_frames
-        .iter()
-        .map(|f| {
-            out.split_off_mut(..f.len())
-                .expect("frames tile the groups")
-        })
-        .map(Mutex::new)
-        .collect();
-    // Scratch-free: one unit slot per worker the policy allows.
-    let workers = &mut vec![(); kbt_flume::num_threads()];
-    src.scan_groups(workers, |_, frame, v, turn| {
-        let mut window = windows[frame].lock().expect("a frame is scanned once");
-        estimate_correctness_frame(v, votes, alpha, cfg, &mut window);
-        turn.in_order(|| {
-            let mut sums = sums.lock().expect("one fold at a time");
-            sums.fold_frame(v, &window, cfg)
-        });
+    let zero = ExtractorSums::new(src.meta().num_extractors as usize);
+    let mut workers = vec![zero; kbt_flume::num_threads()];
+    src.scan_groups(&mut workers, out, |sums, v, window| {
+        estimate_correctness_frame(v, votes, alpha, cfg, window);
+        sums.fold_frame(v, window, cfg);
     })?;
-    Ok(sums.into_inner().expect("one fold at a time"))
+    let mut sums = workers.pop().expect("one worker at least");
+    workers.iter().for_each(|w| sums.merge(w));
+    Ok(sums)
 }
 
 #[cfg(test)]

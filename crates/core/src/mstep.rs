@@ -10,8 +10,10 @@
 //!   looking. `Q_e` is then *derived* via Eq. 7 rather than estimated
 //!   directly (Section 3.4.2).
 
+use std::ops::Range;
+
 use kbt_datamodel::{ChunkStoreMeta, GroupView};
-use kbt_flume::par_ranges_mut;
+use kbt_flume::ExactSum;
 
 use crate::config::{AbsencePolicy, ModelConfig};
 use crate::math::clamp_quality;
@@ -24,102 +26,86 @@ use crate::params::{q_from_precision_recall, Params};
 /// Eq. 28 needs no chunk data at all: groups are source-sorted, so source
 /// `w` owns `correctness` / `truth` entries
 /// `source_offsets[w]..source_offsets[w+1]`. Sources are updated in
-/// parallel, balanced by group count, into the caller-held `updates`
-/// buffer (reused across rounds); each source's sums run serially over
-/// its span.
+/// parallel, balanced by group count; `num_w` and `den_w` are exact sums.
+/// `den_w = Σ p(C_g = 1)` is also what the recall denominators and γ add
+/// up, so with `extraction` on it comes back merged: entry `e` over the
+/// sources extractor `e` observes (if scoped), the last entry in total.
 pub(crate) fn update_source_accuracy(
-    source_offsets: &[u32],
+    meta: &ChunkStoreMeta,
     correctness: &[f64],
     truth: &[f64],
     cfg: &ModelConfig,
     params: &mut Params,
     active: &mut [bool],
-    updates: &mut Vec<Option<f64>>,
-) {
-    let num_sources = source_offsets.len() - 1;
-    debug_assert_eq!(truth.len(), correctness.len());
-    let estimate = |w: usize| {
-        let (lo, hi) = (source_offsets[w] as usize, source_offsets[w + 1] as usize);
-        if hi - lo < cfg.min_source_support {
-            return None;
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for g in lo..hi {
-            num += correctness[g] * truth[g];
-            den += correctness[g];
-        }
-        if den <= 1e-12 {
-            return None;
-        }
-        Some(clamp_quality(num / den))
-    };
-    updates.clear();
-    updates.resize(num_sources, None);
+    extraction: bool,
+) -> Vec<ExactSum> {
+    let (offsets, ext_offsets) = (&meta.source_offsets, &meta.source_ext_offsets);
+    let num_sources = offsets.len() - 1;
+    let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;
+    let masses = usize::from(extraction) * (meta.num_extractors as usize + 1);
     // One window of sources per worker, cut where the *group* mass splits
     // evenly: on a long-tail corpus the first half of the source ids owns
     // most of the groups, and an even split by source count leaves one
     // worker streaming several times what the others do.
     let parts = kbt_flume::num_threads().clamp(1, num_sources.max(1));
-    let mut rest = updates.as_mut_slice();
-    let mut windows = Vec::with_capacity(parts);
-    let mut first = 0;
-    for k in 1..=parts {
-        // The last window also takes the trailing sources without groups.
-        let mass = (truth.len() * k / parts) as u32;
-        let ends = &source_offsets[1..];
-        let end = if k == parts {
-            num_sources
-        } else {
-            ends.partition_point(|&o| o < mass).max(first)
-        };
-        let window = rest.split_off_mut(..end - first);
-        windows.push((first, window.expect("windows tile the sources")));
-        first = end;
-    }
-    par_ranges_mut(&mut windows, |_, windows| {
-        for (base, part) in windows {
-            for (w, u) in (*base..).zip(part.iter_mut()) {
-                *u = estimate(w);
-            }
+    let cut = |k: usize| match k {
+        k if k == parts => num_sources,
+        k => offsets[1..].partition_point(|&o| (o as usize) < truth.len() * k / parts),
+    };
+    let windows: Vec<_> = (0..parts).map(|k| cut(k)..cut(k + 1)).collect();
+    let window = |sources: &Range<usize>| {
+        let mut mass = vec![ExactSum::default(); masses];
+        let updates: Vec<Option<f64>> = (sources.clone())
+            .map(|w| {
+                let groups = offsets[w] as usize..offsets[w + 1] as usize;
+                let (mut num, mut den) = (ExactSum::default(), ExactSum::default());
+                num.extend(groups.clone().map(|g| correctness[g] * truth[g]));
+                den.extend(correctness[groups.clone()].iter().copied());
+                if let Some((total, per_extractor)) = mass.split_last_mut() {
+                    total.merge(&den);
+                    let ext = ext_offsets[w] as usize..ext_offsets[w + 1] as usize;
+                    for &e in meta.source_ext_ids[ext].iter().filter(|_| scoped) {
+                        per_extractor[e as usize].merge(&den);
+                    }
+                }
+                let den = den.finish();
+                let supported = groups.len() >= cfg.min_source_support && den > 1e-12;
+                supported.then(|| clamp_quality(num.finish() / den))
+            })
+            .collect();
+        (sources.clone(), updates, mass)
+    };
+    let mut mass = vec![ExactSum::default(); masses];
+    for (sources, updates, part) in kbt_flume::par_map_slice(&windows, window) {
+        mass.iter_mut().zip(&part).for_each(|(m, p)| m.merge(p));
+        for (w, u) in sources.zip(updates) {
+            active[w] = u.is_some();
+            params.source_accuracy[w] = u.unwrap_or(params.source_accuracy[w]);
         }
-    });
-    for (w, u) in updates.iter().enumerate() {
-        match u {
-            Some(a) => {
-                params.source_accuracy[w] = *a;
-                active[w] = true;
-            }
-            None => {
-                active[w] = false;
-            }
-        }
     }
+    mass
 }
 
 /// The extractor-quality M-step (Eqs. 32–33 + Eq. 7) as a
-/// transition/final accumulator riding the correctness scan
+/// transition/merge/final accumulator riding the correctness scan
 /// ([`crate::correctness::estimate_correctness`]).
 ///
-/// Per-extractor sums must add up in a thread-count-independent order, so
-/// [`Self::fold_frame`] runs in the scan's ordered section — frame `i`
-/// after frame `i − 1`, on the worker that just computed the frame's
-/// correctness and still holds it — which is global cell order, the serial
-/// loop's: `num[e] = Σ conf·p(C=1)` and `pden[e] = Σ conf` over the
-/// extractor's cells. [`Self::finish`] runs at the M-step's place in
-/// Algorithm 1.
-#[derive(Debug)]
+/// Each scan worker folds the frames it computed into its own exact sums —
+/// `num[e] = Σ conf·p(C=1)` and `pden[e] = Σ conf` over the extractor's
+/// cells — merged after the scan, so no frame order or worker shows in
+/// the bits. [`Self::finish`] runs at the M-step's place in Algorithm 1.
+#[derive(Debug, Clone)]
 pub(crate) struct ExtractorSums {
-    num: Vec<f64>,
-    pden: Vec<f64>,
+    num: Vec<ExactSum>,
+    pden: Vec<ExactSum>,
 }
 
 impl ExtractorSums {
     /// A round's sums, all zero.
     pub fn new(num_extractors: usize) -> Self {
         Self {
-            num: vec![0.0; num_extractors],
-            pden: vec![0.0; num_extractors],
+            num: vec![ExactSum::default(); num_extractors],
+            pden: vec![ExactSum::default(); num_extractors],
         }
     }
 
@@ -131,69 +117,56 @@ impl ExtractorSums {
             let extractors = &view.cell_extractor[cells.clone()];
             for (&e, &raw) in extractors.iter().zip(&view.cell_confidence[cells]) {
                 let conf = cfg.effective_confidence(raw);
-                self.num[e as usize] += conf * c_g;
-                self.pden[e as usize] += conf;
+                self.num[e as usize].add(conf * c_g);
+                self.pden[e as usize].add(conf);
             }
+        }
+    }
+
+    /// Add another worker's sums.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        let (num, pden) = (self.num.iter_mut(), self.pden.iter_mut());
+        for (a, b) in num.zip(&other.num).chain(pden.zip(&other.pden)) {
+            a.merge(b);
         }
     }
 
     /// Derive the new precision/recall and, via Eq. 7, Q, from a finished
-    /// scan's sums. The recall denominator needs no cell: under the scoped
-    /// absence policy extractor `e` collects the correctness mass of every
-    /// source it observes (`Σ_{g : e ∈ candidates(source(g))} p(C_g = 1)`),
-    /// in ascending source order off the skeleton's per-source extractor
-    /// sets; otherwise the total mass (Eq. 30 literally: the same
-    /// denominator for every extractor).
+    /// scan's sums and the `mass` of [`update_source_accuracy`]. Extractor
+    /// `e`'s recall denominator is, if scoped, the mass of every source it
+    /// observes; otherwise the total (Eq. 30 literally). γ̂ is the total
+    /// over the slot universe: `n + 1` values per distinct item of a source.
     pub fn finish(
         &self,
         meta: &ChunkStoreMeta,
-        correctness: &[f64],
+        mass: &[ExactSum],
         cfg: &ModelConfig,
         params: &mut Params,
     ) {
-        let ne = self.num.len();
-        let mut rden = vec![0.0f64; ne];
-        if cfg.absence_policy == AbsencePolicy::SourceCandidates {
-            let spans = meta.source_offsets.windows(2);
-            for (groups, ext) in spans.zip(meta.source_ext_offsets.windows(2)) {
-                let mass: f64 = correctness[groups[0] as usize..groups[1] as usize]
-                    .iter()
-                    .sum();
-                for &e in &meta.source_ext_ids[ext[0] as usize..ext[1] as usize] {
-                    rden[e as usize] += mass;
-                }
-            }
+        let (total, per_extractor) = mass.split_last().expect("the total mass");
+        let total = total.finish();
+        let items: usize = meta.source_item_counts.iter().map(|&c| c as usize).sum();
+        let gamma = if cfg.estimate_gamma && items > 0 {
+            clamp_quality(total / ((items * (cfg.n_false_values + 1)) as f64))
         } else {
-            rden.fill(correctness.iter().sum());
-        }
-        let gamma = estimate_gamma(&meta.source_item_counts, correctness, cfg);
+            cfg.gamma
+        };
         let (precision, recall) = (&mut params.precision, &mut params.recall);
-        for e in 0..ne {
-            if self.pden[e] > 1e-12 {
-                precision[e] = clamp_quality(self.num[e] / self.pden[e]);
+        for e in 0..self.num.len() {
+            let (num, pden) = (self.num[e].finish(), self.pden[e].finish());
+            let rden = match cfg.absence_policy {
+                AbsencePolicy::SourceCandidates => per_extractor[e].finish(),
+                AbsencePolicy::AllExtractors => total,
+            };
+            if pden > 1e-12 {
+                precision[e] = clamp_quality(num / pden);
             }
-            if rden[e] > 1e-12 {
-                recall[e] = clamp_quality(self.num[e] / rden[e]);
+            if rden > 1e-12 {
+                recall[e] = clamp_quality(num / rden);
             }
             params.q[e] = q_from_precision_recall(precision[e], recall[e], gamma);
         }
     }
-}
-
-/// The γ re-estimation of the extractor-quality update (see
-/// [`ModelConfig::estimate_gamma`]): expected provided mass over the slot
-/// universe — each source can provide one of `n + 1` domain values for
-/// each of its `source_item_counts[w]` distinct items.
-pub fn estimate_gamma(source_item_counts: &[u32], correctness: &[f64], cfg: &ModelConfig) -> f64 {
-    if !cfg.estimate_gamma || correctness.is_empty() {
-        return cfg.gamma;
-    }
-    let mut slots = 0usize;
-    for &c in source_item_counts {
-        slots += c as usize * (cfg.n_false_values + 1);
-    }
-    let mass: f64 = correctness.iter().sum();
-    clamp_quality(mass / (slots.max(1) as f64))
 }
 
 #[cfg(test)]
@@ -223,13 +196,11 @@ mod tests {
         votes.rebuild(ne, nw, ext_offsets, ext_ids, init, cfg);
         let alpha = AlphaState::uniform(truth.len(), cfg.alpha);
         let (mut c, mut got, mut active) = (vec![0.0; truth.len()], init.clone(), vec![true; nw]);
-        let mut updates = Vec::new();
         for _ in 0..2 {
             got = init.clone();
             let sums = estimate_correctness(&src, &votes, &alpha, cfg, &mut c).unwrap();
-            let (offsets, active) = (&cc.source_offsets, &mut active);
-            update_source_accuracy(offsets, &c, truth, cfg, &mut got, active, &mut updates);
-            sums.finish(meta, &c, cfg, &mut got);
+            let mass = update_source_accuracy(meta, &c, truth, cfg, &mut got, &mut active, true);
+            sums.finish(meta, &mass, cfg, &mut got);
         }
         (c, got, active)
     }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use kbt_datamodel::{
     ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks, StreamedChunks,
 };
-use kbt_flume::{par_ranges_mut, Stopwatch};
+use kbt_flume::{ExactSum, Stopwatch};
 
 use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount};
@@ -259,9 +259,11 @@ pub(crate) fn with_em<R>(
 /// [`estimate_correctness`] over the group frames, folding the extractor
 /// M-step's sums as it goes, and [`estimate_values`]
 /// over the item chunks; everything else reads the source's integer
-/// skeleton alone (vote tables, Eq. 28, the recall denominators, α, γ).
-/// Scratch and buffers persist across rounds, so the steady-state loop
-/// allocates only the round's value-layer output.
+/// skeleton alone (vote tables, Eq. 28 and the masses it hands on, α).
+/// Every float sum that feeds the parameters or the trace is an
+/// [`ExactSum`], so no partition or thread count moves a bit. Scratch and
+/// buffers persist across rounds, so the steady-state loop allocates only
+/// the round's value-layer output and per-worker accumulators.
 ///
 /// With `extraction` off every claim is provided (`p(C) ≡ 1`) and a round
 /// skips the vote tables, the correctness scan, the extractor M-step and
@@ -301,8 +303,6 @@ fn run_em<S: ChunkSource>(
     value_scratch.resize_with(kbt_flume::num_threads(), Default::default);
     let mut votes = VoteCounter::empty();
     let mut correctness: Vec<f64> = vec![if extraction { 0.0 } else { 1.0 }; ng];
-    let mut src_updates: Vec<Option<f64>> = Vec::new();
-    let mut ll_buf: Vec<f64> = vec![0.0; ng];
 
     let mut values: Option<ValueLayerOutput> = None;
     let mut trace = ConvergenceTrace::default();
@@ -340,18 +340,12 @@ fn run_em<S: ChunkSource>(
         trace.stage_wall.values += stage.lap();
         // Steps 3–4: parameters.
         let prev = params.clone();
-        update_source_accuracy(
-            &meta.source_offsets,
-            &correctness,
-            &out.truth_given_provided,
-            cfg,
-            &mut params,
-            &mut active,
-            &mut src_updates,
-        );
+        let (c, given) = (&correctness, &out.truth_given_provided);
+        let mass =
+            update_source_accuracy(meta, c, given, cfg, &mut params, &mut active, extraction);
         trace.stage_wall.source_update += stage.lap();
         if let Some(sums) = sums {
-            sums.finish(meta, &correctness, cfg, &mut params);
+            sums.finish(meta, &mass, cfg, &mut params);
             trace.stage_wall.extractor_update += stage.lap();
             // Re-estimate the correctness prior for the *next* iteration
             // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
@@ -361,14 +355,17 @@ fn run_em<S: ChunkSource>(
             trace.stage_wall.alpha += stage.lap();
         }
         let delta = params.max_abs_delta(&prev);
-        // Per-group LL terms in parallel, summed serially in group order.
+        // Per-group LL terms summed per range, the ranges' sums merged.
         let (truth, corr) = (&out.truth_of_group, &correctness);
-        par_ranges_mut(&mut ll_buf, |base, part| {
-            for (g, ll) in (base..).zip(part) {
-                *ll = map_confidence_ll(corr[g]) + map_confidence_ll(truth[g]);
-            }
-        });
-        let log_likelihood = ll_buf.iter().sum();
+        let mut ll = ExactSum::default();
+        for range in kbt_flume::par_ranges(ng, |r| {
+            let mut ll = ExactSum::default();
+            ll.extend(r.map(|g| map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])));
+            ll
+        }) {
+            ll.merge(&range);
+        }
+        let log_likelihood = ll.finish();
         trace.stage_wall.log_likelihood += stage.lap();
         trace.rounds.push(IterationTrace {
             iteration: t,

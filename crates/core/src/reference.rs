@@ -1,6 +1,7 @@
 //! The scalar reference: Algorithm 1 written straight off the paper's
 //! equations over the row-major [`ObservationCube`] — one plainly serial
-//! function per equation, no chunks, no scratch reuse, no threads.
+//! function per equation, no chunks, no scratch reuse, no threads; its
+//! sums are [`ExactSum`]s, as the engine's are.
 //!
 //! This is the **oracle**, not an engine: no configuration value selects
 //! it, and nothing on the fitting or serving path calls it. The tests and
@@ -10,7 +11,7 @@
 //! examples (Tables 2–4) are reproduced from these functions.
 
 use kbt_datamodel::{ItemId, ObservationCube, SourceId, TripleGroup, ValueId};
-use kbt_flume::Stopwatch;
+use kbt_flume::{ExactSum, Stopwatch};
 
 use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
@@ -204,11 +205,8 @@ pub fn update_source_accuracy(
 ) {
     for (w, active) in active.iter_mut().enumerate() {
         let range = cube.source_groups(SourceId::new(w as u32));
-        let (mut num, mut den) = (0.0, 0.0);
-        for g in range.clone() {
-            num += correctness[g] * truth[g];
-            den += correctness[g];
-        }
+        let num = exact_sum(range.clone().map(|g| correctness[g] * truth[g]));
+        let den = exact_sum(correctness[range.clone()].iter().copied());
         *active = !(range.len() < cfg.min_source_support || den <= 1e-12);
         if *active {
             params.source_accuracy[w] = clamp_quality(num / den);
@@ -231,8 +229,7 @@ pub fn estimate_gamma(cube: &ObservationCube, correctness: &[f64], cfg: &ModelCo
             + usize::from(!groups.is_empty());
         slots += items * (cfg.n_false_values + 1);
     }
-    let mass: f64 = correctness.iter().sum();
-    clamp_quality(mass / (slots.max(1) as f64))
+    clamp_quality(exact_sum(correctness.iter().copied()) / (slots.max(1) as f64))
 }
 
 /// Eqs. 32–33 + Eq. 7 in one pass over the cube's cells:
@@ -246,43 +243,49 @@ pub fn update_extractor_quality(
     params: &mut Params,
 ) {
     let ne = cube.num_extractors();
-    let mut num = vec![0.0f64; ne];
-    let mut pden = vec![0.0f64; ne];
-    let mut rden = vec![0.0f64; ne];
+    let mut num = vec![ExactSum::default(); ne];
+    let mut pden = vec![ExactSum::default(); ne];
     for (g, _grp, cells) in cube.iter_with_cells() {
         for c in cells {
             let conf = cfg.effective_confidence(c.confidence);
-            num[c.extractor.index()] += conf * correctness[g];
-            pden[c.extractor.index()] += conf;
+            num[c.extractor.index()].add(conf * correctness[g]);
+            pden[c.extractor.index()].add(conf);
         }
     }
-    match cfg.absence_policy {
+    let rden = match cfg.absence_policy {
         // Eq. 30 literally: the total provided mass, for every extractor.
-        AbsencePolicy::AllExtractors => rden.fill(correctness.iter().sum()),
+        AbsencePolicy::AllExtractors => vec![exact_sum(correctness.iter().copied()); ne],
         AbsencePolicy::SourceCandidates => {
+            let mut rden = vec![ExactSum::default(); ne];
             for w in 0..cube.num_sources() {
                 let w = SourceId::new(w as u32);
-                let range = cube.source_groups(w);
-                if range.is_empty() {
-                    continue;
-                }
-                let sum_c: f64 = correctness[range].iter().sum();
-                for e in cube.extractors_on_source(w) {
-                    rden[e.index()] += sum_c;
+                for g in cube.source_groups(w) {
+                    for e in cube.extractors_on_source(w) {
+                        rden[e.index()].add(correctness[g]);
+                    }
                 }
             }
+            rden.iter().map(ExactSum::finish).collect()
         }
-    }
+    };
     let gamma = estimate_gamma(cube, correctness, cfg);
     for e in 0..ne {
-        if pden[e] > 1e-12 {
-            params.precision[e] = clamp_quality(num[e] / pden[e]);
+        let (num, pden, rden) = (num[e].finish(), pden[e].finish(), rden[e]);
+        if pden > 1e-12 {
+            params.precision[e] = clamp_quality(num / pden);
         }
-        if rden[e] > 1e-12 {
-            params.recall[e] = clamp_quality(num[e] / rden[e]);
+        if rden > 1e-12 {
+            params.recall[e] = clamp_quality(num / rden);
         }
         params.q[e] = q_from_precision_recall(params.precision[e], params.recall[e], gamma);
     }
+}
+
+/// The correctly rounded sum of `xs`.
+fn exact_sum(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut sum = ExactSum::default();
+    sum.extend(xs);
+    sum.finish()
 }
 
 /// Algorithm 1, one EM fit: the oracle for the engine's `run_em`, with
@@ -326,11 +329,10 @@ pub fn fit(
         trace.rounds.push(IterationTrace {
             iteration: t,
             delta,
-            log_likelihood: correctness
-                .iter()
-                .zip(&values.truth_of_group)
-                .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v))
-                .sum(),
+            log_likelihood: exact_sum(
+                (correctness.iter().zip(&values.truth_of_group))
+                    .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v)),
+            ),
             wall: watch.lap(),
         });
         if delta < cfg.convergence_eps {
@@ -425,7 +427,7 @@ pub fn fit_single_layer(
         // its claims.
         let mut delta = 0.0f64;
         for s in (0..pairs.len()).filter(|&s| active[s]) {
-            let num = truth[claims_of(s)].iter().fold(0.0, |num, t| num + t);
+            let num = exact_sum(truth[claims_of(s)].iter().copied());
             let new = clamp_quality(num / claims_of(s).len() as f64);
             delta = delta.max((new - acc[s]).abs());
             acc[s] = new;
@@ -433,7 +435,7 @@ pub fn fit_single_layer(
         trace.rounds.push(IterationTrace {
             iteration: t,
             delta,
-            log_likelihood: truth.iter().map(|&p| map_confidence_ll(p)).sum(),
+            log_likelihood: exact_sum(truth.iter().map(|&p| map_confidence_ll(p))),
             wall: watch.lap(),
         });
         if delta < cfg.convergence_eps {

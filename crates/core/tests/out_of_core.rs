@@ -219,11 +219,12 @@ fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> s
         .expect_err("a bad frame must fail the fit")
 }
 
-/// A bad group frame surfaces while other workers wait their turn in the
-/// scan's ordered section: every one of them must be released. Each group
-/// frame in turn gets one flipped byte (a CRC failure), and one of them a
-/// CRC-valid payload that does not fit the skeleton; so does an item
-/// frame whose rows name a group the cube does not have.
+/// A bad group frame surfaces as the fit's typed error while the other
+/// scan workers carry on with their own frames: the fit neither hangs
+/// nor panics. Each group frame in turn gets one flipped byte (a CRC
+/// failure), and one of them a CRC-valid payload that does not fit the
+/// skeleton; so does an item frame whose rows name a group the cube does
+/// not have.
 #[test]
 fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     let cube = build(observations(6, 500));

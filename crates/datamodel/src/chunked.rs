@@ -49,8 +49,8 @@
 //!   value E-step streams (identical payload bytes to the v1 format);
 //! * **group frames** ([`GroupBuf`]) — contiguous group ranges with their
 //!   cell columns in global cell order, which the correctness E-step
-//!   streams once a round (the extractor M-step's sums ride that scan's
-//!   ordered section);
+//!   streams once a round (each scan worker folds the extractor M-step's
+//!   sums from the frames it ran);
 //! * an **index frame** + trailing 8-byte offset, so [`FileChunkStore::open`]
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
@@ -61,9 +61,7 @@ use std::ops::Range;
 use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use kbt_flume::Turn;
+use std::sync::{Arc, Mutex};
 
 use crate::cube::ObservationCube;
 use crate::ids::{ItemId, SourceId};
@@ -111,9 +109,8 @@ pub struct CubeChunk {
 /// order:
 ///
 /// * **group-major** (global group order — the order `cube.groups()`
-///   iterates): `group_source` / `group_item` / `group_value` /
-///   `cell_offsets`, with the cell payload split into `cell_extractor` /
-///   `cell_confidence`;
+///   iterates): `group_source` / `group_item` / `cell_offsets`, with the
+///   cell payload split into `cell_extractor` / `cell_confidence`;
 /// * **item-major** (the order `cube.groups_of_item(d)` yields, for
 ///   ascending `d`): `ig_group` / `ig_source` / `ig_slot` /
 ///   `ig_has_cells`, delimited by `item_offsets` — the value E-step
@@ -126,8 +123,6 @@ pub struct ChunkedCube {
     pub group_source: Vec<u32>,
     /// Item id of group `g`.
     pub group_item: Vec<u32>,
-    /// Value id of group `g`.
-    pub group_value: Vec<u32>,
     /// Cell range of group `g`: `cell_offsets[g]..cell_offsets[g+1]`
     /// (length `num_groups + 1`).
     pub cell_offsets: Vec<u32>,
@@ -223,7 +218,6 @@ impl ChunkedCube {
         // ---- Parallel gathers into the preallocated columns. ----
         let mut group_source = vec![0u32; ng];
         let mut group_item = vec![0u32; ng];
-        let mut group_value = vec![0u32; ng];
         // Filled per group below; the closing entry is already in place.
         let mut cell_offsets = vec![nc as u32; ng + 1];
         let mut cell_extractor = vec![0u32; nc];
@@ -240,7 +234,6 @@ impl ChunkedCube {
             groups: Range<usize>,
             gs: &'a mut [u32],
             gi: &'a mut [u32],
-            gv: &'a mut [u32],
             co: &'a mut [u32],
             ce: &'a mut [u32],
             cf: &'a mut [f64],
@@ -256,7 +249,6 @@ impl ChunkedCube {
         let mut windows = Vec::with_capacity(parts);
         let mut gs = group_source.as_mut_slice();
         let mut gi = group_item.as_mut_slice();
-        let mut gv = group_value.as_mut_slice();
         let mut co = cell_offsets.as_mut_slice();
         let mut ce = cell_extractor.as_mut_slice();
         let mut cf = cell_confidence.as_mut_slice();
@@ -272,7 +264,6 @@ impl ChunkedCube {
             windows.push(Part {
                 gs: carve(&mut gs, groups.len()),
                 gi: carve(&mut gi, groups.len()),
-                gv: carve(&mut gv, groups.len()),
                 co: carve(&mut co, groups.len()),
                 ce: carve(&mut ce, cells),
                 cf: carve(&mut cf, cells),
@@ -290,7 +281,6 @@ impl ChunkedCube {
             for (k, grp) in groups[w.groups.clone()].iter().enumerate() {
                 w.gs[k] = grp.source.0;
                 w.gi[k] = grp.item.0;
-                w.gv[k] = grp.value.0;
                 w.co[k] = grp.cell_range().start as u32;
                 let at = grp.cell_range().start - cell_base;
                 for (j, c) in cube.cells_of(grp).iter().enumerate() {
@@ -355,7 +345,6 @@ impl ChunkedCube {
         Self {
             group_source,
             group_item,
-            group_value,
             cell_offsets,
             cell_extractor,
             cell_confidence,
@@ -601,7 +590,7 @@ impl ItemView<'_> {
 }
 
 /// Borrowed group-major frame view — input to the correctness E-step and
-/// the extractor sums it folds in frame order. Backed by resident columns
+/// to the extractor sums its worker folds. Backed by resident columns
 /// (`ChunkedCube::group_view`) or a decoded [`GroupBuf`]
 /// ([`GroupBuf::view`]); `cells` rebases the offsets so the kernels can't
 /// tell the backings apart.
@@ -664,15 +653,27 @@ pub trait ChunkSource: Sync {
     ) -> io::Result<Vec<R>>;
 
     /// Scan the group-major views of every group frame
-    /// (`meta().group_frames`): `f(scratch, frame, view, turn)`, where
-    /// `turn` is frame `frame`'s place in the scan's ordered section
-    /// ([`Turn::in_order`]) — what a fold that must add up in frame order
-    /// enters while its worker still holds the frame.
-    fn scan_groups<S: Send, R: Send>(
+    /// (`meta().group_frames`): `f(scratch, view, window)`, where `window`
+    /// is the frame's groups' slice of `out` (one entry per group), for
+    /// the frame's task alone to write.
+    fn scan_groups<S: Send, O: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
+        out: &mut [O],
+        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
     ) -> io::Result<Vec<R>>;
+}
+
+/// `out` (one entry per group) cut into one window per group frame, each
+/// handed to the one task that scans the frame.
+fn frame_windows<'a, O>(out: &'a mut [O], frames: &[Range<u32>]) -> Vec<Mutex<&'a mut [O]>> {
+    assert_eq!(out.len(), frames.last().map_or(0, |f| f.end as usize));
+    let mut rest = out;
+    let window = |f: &Range<u32>| {
+        rest.split_off_mut(..f.len())
+            .expect("frames tile the groups")
+    };
+    frames.iter().map(window).map(Mutex::new).collect()
 }
 
 /// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
@@ -703,19 +704,22 @@ impl ChunkSource for ResidentChunks<'_> {
         scratch: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
     ) -> io::Result<Vec<R>> {
-        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i, _| {
+        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i| {
             Ok(f(s, &self.cube.item_view(i)))
         })
     }
 
-    fn scan_groups<S: Send, R: Send>(
+    fn scan_groups<S: Send, O: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
+        out: &mut [O],
+        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
     ) -> io::Result<Vec<R>> {
         let frames = &self.meta.group_frames;
-        kbt_flume::run_tasks(frames.len(), scratch, |s, i, turn| {
-            Ok(f(s, i, &self.cube.group_view(frames[i].clone()), turn))
+        let windows = frame_windows(out, frames);
+        kbt_flume::run_tasks(frames.len(), scratch, |s, i| {
+            let mut window = windows[i].lock().expect("a frame is scanned once");
+            Ok(f(s, &self.cube.group_view(frames[i].clone()), &mut window))
         })
     }
 }
@@ -743,7 +747,7 @@ impl StreamedChunks {
         }
     }
 
-    /// Run `f(scratch, idx, buffer, turn)` over frames `0..frames` on
+    /// Run `f(scratch, idx, buffer)` over frames `0..frames` on
     /// [`kbt_flume::run_tasks`]: each worker pairs a `scratch` slot with a
     /// buffer of its own and `load`s frame `idx` into it before `f` runs.
     fn scan<S: Send, B: Default + Send, R: Send>(
@@ -751,7 +755,7 @@ impl StreamedChunks {
         frames: usize,
         scratch: &mut [S],
         load: impl Fn(&FileChunkStore, usize, &mut B) -> io::Result<()> + Sync,
-        f: impl Fn(&mut S, usize, &B, Turn<'_>) -> R + Sync,
+        f: impl Fn(&mut S, usize, &B) -> R + Sync,
     ) -> io::Result<Vec<R>> {
         let workers = match self.max_resident_chunks {
             0 => scratch.len(),
@@ -760,9 +764,9 @@ impl StreamedChunks {
         let mut slots: Vec<(&mut S, B)> = (scratch.iter_mut().take(workers))
             .map(|s| (s, B::default()))
             .collect();
-        kbt_flume::run_tasks(frames, &mut slots, |(s, buf), i, turn| {
+        kbt_flume::run_tasks(frames, &mut slots, |(s, buf), i| {
             load(&self.store, i, buf)?;
-            Ok(f(s, i, buf, turn))
+            Ok(f(s, i, buf))
         })
     }
 }
@@ -781,20 +785,25 @@ impl ChunkSource for StreamedChunks {
             self.store.num_chunks(),
             scratch,
             FileChunkStore::load_chunk,
-            |s, _, buf: &ChunkBuf, _| f(s, &buf.view()),
+            |s, _, buf: &ChunkBuf| f(s, &buf.view()),
         )
     }
 
-    fn scan_groups<S: Send, R: Send>(
+    fn scan_groups<S: Send, O: Send, R: Send>(
         &self,
         scratch: &mut [S],
-        f: impl Fn(&mut S, usize, &GroupView<'_>, Turn<'_>) -> R + Sync,
+        out: &mut [O],
+        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
     ) -> io::Result<Vec<R>> {
+        let windows = frame_windows(out, &self.meta().group_frames);
         self.scan(
             self.store.num_group_frames(),
             scratch,
             FileChunkStore::load_group_frame,
-            |s, i, buf: &GroupBuf, turn| f(s, i, &buf.view(), turn),
+            |s, i, buf: &GroupBuf| {
+                let mut window = windows[i].lock().expect("a frame is scanned once");
+                f(s, &buf.view(), &mut window)
+            },
         )
     }
 }
@@ -1311,7 +1320,6 @@ mod tests {
         for (g, grp) in cube.groups().iter().enumerate() {
             assert_eq!(cc.group_source[g], grp.source.0);
             assert_eq!(cc.group_item[g], grp.item.0);
-            assert_eq!(cc.group_value[g], grp.value.0);
             let cells = cube.cells_of(grp);
             let r = cc.cells_of_group(g);
             assert_eq!(r.len(), cells.len());
@@ -1603,9 +1611,12 @@ mod tests {
                 // error comes back out as the scan's error, and nobody
                 // hangs on the failed frame.
                 let src = StreamedChunks::new(Arc::new(store), 2);
+                let mut groups = vec![(); src.meta().num_groups as usize];
                 let any_err = kbt_flume::with_threads(Some(2), || {
                     src.scan_items(&mut [(); 2], |_, _| ()).is_err()
-                        || src.scan_groups(&mut [(); 2], |_, _, _, _| ()).is_err()
+                        || src
+                            .scan_groups(&mut [(); 2], &mut groups, |_, _, _| ())
+                            .is_err()
                 });
                 assert!(any_err, "corruption must not pass CRC through a scan");
             }
@@ -1737,11 +1748,13 @@ mod tests {
                 );
                 // Every other frame still loads, and a scan reports the bad one.
                 let src = StreamedChunks::new(Arc::new(store), 2);
+                let mut groups = vec![(); src.meta().num_groups as usize];
                 let scanned = kbt_flume::with_threads(Some(2), || {
                     if is_item {
                         src.scan_items(&mut [(); 2], |_, _| ()).map(drop)
                     } else {
-                        src.scan_groups(&mut [(); 2], |_, _, _, _| ()).map(drop)
+                        src.scan_groups(&mut [(); 2], &mut groups, |_, _, _| ())
+                            .map(drop)
                     }
                 });
                 let err = scanned.expect_err(what);
@@ -1769,12 +1782,14 @@ mod tests {
         let me = thread::current().id();
         for cap in [1usize, 2, 3, 4, 8, 0] {
             let src = StreamedChunks::new(Arc::clone(&store), cap);
+            let mut groups = vec![(); src.meta().num_groups as usize];
             let before = store.frames_read();
             let [items, groups]: [Vec<ThreadId>; 2] = kbt_flume::with_threads(Some(4), || {
                 let id = || thread::current().id();
                 [
                     src.scan_items(&mut [(); 8], |_, _| id()).unwrap(),
-                    src.scan_groups(&mut [(); 8], |_, _, _, _| id()).unwrap(),
+                    src.scan_groups(&mut [(); 8], &mut groups, |_, _, _| id())
+                        .unwrap(),
                 ]
             });
             assert_eq!(store.frames_read() - before, frames, "cap {cap}");

@@ -18,36 +18,29 @@
 //!   `std::thread::scope` in the workspace's library code (`kbt-lint`'s
 //!   `layering` rule enforces that), so what a dispatch costs is paid, and
 //!   priced, in one function body;
-//! * **one ordered section** — each task is handed its [`Turn`], and
-//!   [`Turn::in_order`] runs a closure after the section of every
-//!   lower-indexed task and before that of any higher one while the rest
-//!   of the task bodies overlap: a fold that must add up in task order
-//!   (the extractor M-step's sums) rides a parallel scan and keeps the
-//!   serial loop's bits at any worker count. **Abort rule:** a task that
-//!   finishes without entering hands its turn on; once a task fails or
-//!   panics no further section runs and every waiter returns, so the
-//!   call reports the error (or propagates the panic) and never hangs;
-//! * three few-line adapters over it for the common shapes —
+//! * **one order-free sum** — [`ExactSum`]: exact, so a float reduction
+//!   folded per worker and merged in any order (the M-steps' sums, the
+//!   log-likelihood) has the same bits at any worker count or partition;
+//! * three few-line adapters over [`run_tasks`] for the common shapes —
 //!   [`par_ranges`], [`par_map_slice`], [`par_ranges_mut`] — and the
 //!   [`Stopwatch`] used for round and stage timing.
 //!
 //! Everything is deterministic: tasks and ranges are fixed by the input
-//! size, results come back in task order, so a parallel run is
-//! bit-identical to a serial one whenever the per-task work is pure (the
-//! integration tests assert this for every engine stage).
+//! size, results come back in task order and float sums are exact, so a
+//! parallel run is bit-identical to a serial one whenever the per-task
+//! work is pure (the integration tests assert this for every stage).
 
 #![warn(missing_docs)]
-
-pub mod stopwatch;
-
-pub use stopwatch::Stopwatch;
 
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// The innermost [`with_threads`] scope on this thread, if any.
@@ -82,114 +75,222 @@ pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The ordered section's state: whose turn it is, which tasks have
-/// handed theirs on, and whether the run has failed.
-struct Gate {
-    /// `(next, passed)`: the lowest task index that has not handed its
-    /// turn on, and the flag of every task that has.
-    turns: Mutex<(usize, Vec<bool>)>,
-    moved: Condvar,
-    failed: AtomicBool,
+/// [`ExactSum`]'s 32-bit digits, from 2⁻¹⁰⁷⁴ past 2¹⁰²⁴ with room for 2⁶⁰
+/// addends; an add puts less than 2⁵² into a chunk and 2¹¹⁶ into the
+/// window, so both carry every `CARRY_EVERY` adds. The window holds the
+/// exponent fields from `WINDOW_EXP`, `[2⁻⁶², 4)`, in units of 2⁻¹¹⁴.
+const CHUNKS: usize = 67;
+const CARRY_EVERY: u32 = 1 << 10;
+const DIGIT_MASK: i64 = (1 << 32) - 1;
+const WINDOW_EXP: usize = 961;
+const WINDOW_CHUNK: usize = 30;
+
+/// An exact sum of finite `f64` values, kept as a fixed-point integer:
+/// [`add`](Self::add) and [`merge`](Self::merge) are exactly associative
+/// and commutative and [`finish`](Self::finish) rounds once, so a sum's
+/// bits depend on its addends only — never on a worker count, partition or
+/// order. Addends in `[2⁻⁶², 4)` (probabilities, confidences, their logs)
+/// go into a 128-bit window; the rest, and the window every 1024 adds,
+/// into R. M. Neal's "small superaccumulator" (signed 64-bit chunks of
+/// 32-bit digits), allocated on first use.
+#[derive(Debug, Clone, Default)]
+pub struct ExactSum {
+    window: i128,
+    /// `Σ chunks[i] · 2^(32·i − 1074)`: empty, or `CHUNKS` long.
+    chunks: Vec<i64>,
+    /// Adds since the last carry.
+    pending: u32,
 }
 
-impl Gate {
-    /// Task `index` is done with the ordered section: advance the turn
-    /// past every task that has handed on, and wake the waiters if it
-    /// moved.
-    fn pass(&self, index: usize) {
-        // A panic never happens under this lock, but a poisoned guard
-        // would still hold valid indices: carry on.
-        let mut turns = self.turns.lock().unwrap_or_else(|p| p.into_inner());
-        let (next, passed) = &mut *turns;
-        let before = *next;
-        passed[index] = true;
-        while passed.get(*next) == Some(&true) {
-            *next += 1;
+impl ExactSum {
+    /// Add `x` exactly.
+    #[inline]
+    pub fn add(&mut self, x: f64) {
+        self.extend([x]);
+    }
+
+    /// Add everything `other` holds, exactly.
+    pub fn merge(&mut self, other: &Self) {
+        if self.pending + other.pending >= CARRY_EVERY {
+            self.carry();
         }
-        let moved = *next != before;
-        drop(turns);
-        if moved {
-            self.moved.notify_all();
+        self.window += other.window;
+        if !other.chunks.is_empty() {
+            let chunks = allocated(&mut self.chunks).iter_mut();
+            chunks.zip(&other.chunks).for_each(|(a, b)| *a += b);
+        }
+        // The carried digits (< 2³² each) count as one more add.
+        self.pending += other.pending + 1;
+        if self.pending >= CARRY_EVERY {
+            self.carry();
+        }
+    }
+
+    /// The sum, correctly rounded: nearest, ties to even, `±inf` past the
+    /// largest finite `f64`, and `+0.0` for an exact zero.
+    pub fn finish(&self) -> f64 {
+        // Integer casts round to nearest, ties to even; scaling a normal
+        // (or exactly representable) result by a power of two is exact.
+        if self.chunks.is_empty() {
+            return self.window as f64 * unit(WINDOW_CHUNK);
+        }
+        let mut n = [0; CHUNKS];
+        n.copy_from_slice(&self.chunks);
+        spread(self.window, &mut n);
+        carry(&mut n);
+        let sign = if n[CHUNKS - 1] < 0 { -1.0 } else { 1.0 };
+        if sign < 0.0 {
+            n.iter_mut().for_each(|d| *d = -*d);
+            carry(&mut n);
+        }
+        let Some(top) = n.iter().rposition(|&d| d != 0) else {
+            return 0.0;
+        };
+        // The top three digits hold 65 bits or more: the significand, the
+        // round bit and room for a sticky bit standing for the rest.
+        let base = top.saturating_sub(2);
+        let digits = (base..=top).fold(0, |w, i| w | (n[i] as u128) << (32 * (i - base)));
+        let sticky = n[..base].iter().any(|&d| d != 0);
+        sign * (digits | u128::from(sticky)) as f64 * unit(base)
+    }
+
+    fn carry(&mut self) {
+        carry_window(&mut self.chunks, std::mem::take(&mut self.window));
+        self.pending = 0;
+    }
+}
+
+/// Adds every value exactly, keeping the window and the counter in
+/// registers for the loop.
+impl Extend<f64> for ExactSum {
+    #[inline]
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, xs: I) {
+        let (mut window, mut pending) = (self.window, self.pending);
+        for x in xs {
+            debug_assert!(x.is_finite(), "ExactSum adds finite values only");
+            let bits = x.to_bits();
+            let r = ((bits >> 52) as usize & 0x7ff).wrapping_sub(WINDOW_EXP);
+            if r < 64 {
+                let neg = (bits as i64) >> 63;
+                let mant = ((bits & ((1 << 52) - 1)) | (1 << 52)) as i64;
+                window += i128::from((mant ^ neg) - neg) << (r & 63);
+            } else {
+                add_outside(&mut self.chunks, bits);
+            }
+            pending += 1;
+            if pending == CARRY_EVERY {
+                carry_window(&mut self.chunks, std::mem::take(&mut window));
+                pending = 0;
+            }
+        }
+        (self.window, self.pending) = (window, pending);
+    }
+}
+
+/// The chunks, allocated on first use.
+fn allocated(chunks: &mut Vec<i64>) -> &mut [i64; CHUNKS] {
+    if chunks.is_empty() {
+        *chunks = vec![0; CHUNKS];
+    }
+    chunks.as_mut_slice().try_into().expect("CHUNKS long")
+}
+
+/// Add the finite `f64` with these bits to the chunks: its significand
+/// lands on two of them.
+#[inline(never)]
+fn add_outside(chunks: &mut Vec<i64>, bits: u64) {
+    if bits << 1 == 0 {
+        return; // ±0
+    }
+    let exp = (bits >> 52) as usize & 0x7ff;
+    // `x = ±mant · 2^(shift − 1074)`, subnormals included.
+    let mant = (bits & ((1 << 52) - 1)) | (u64::from(exp != 0) << 52);
+    let shift = exp.max(1) - 1;
+    let (k, low) = (shift / 32, shift % 32);
+    let neg = (bits as i64) >> 63;
+    let chunks = allocated(chunks);
+    chunks[k] += ((((mant << low) as i64) & DIGIT_MASK) ^ neg) - neg;
+    chunks[k + 1] += (((mant >> (32 - low)) as i64) ^ neg) - neg;
+}
+
+#[cold]
+#[inline(never)]
+fn carry_window(chunks: &mut Vec<i64>, window: i128) {
+    let chunks = allocated(chunks);
+    spread(window, chunks);
+    carry(chunks);
+}
+
+/// Add `window` to the chunks as three digits and a signed top.
+fn spread(window: i128, chunks: &mut [i64; CHUNKS]) {
+    for i in 0..3 {
+        chunks[WINDOW_CHUNK + i] += (window >> (32 * i)) as i64 & DIGIT_MASK;
+    }
+    chunks[WINDOW_CHUNK + 3] += (window >> 96) as i64;
+}
+
+/// Bring every chunk but the last into `0..2³²`, moving the rest up: the
+/// value is unchanged, and the last chunk carries its sign.
+fn carry(chunks: &mut [i64; CHUNKS]) {
+    let mut c = 0;
+    for d in &mut chunks[..CHUNKS - 1] {
+        let v = *d + c;
+        *d = v & DIGIT_MASK;
+        c = v >> 32;
+    }
+    chunks[CHUNKS - 1] += c;
+}
+
+/// The weight of chunk `k`'s lowest digit, 2^(32·k − 1074).
+fn unit(k: usize) -> f64 {
+    match 32 * k as i32 - 1074 {
+        e if e >= -1022 => f64::from_bits(((e + 1023) as u64) << 52),
+        e => f64::from_bits(1 << (e + 1074)),
+    }
+}
+
+/// A lap stopwatch for per-round wall-clock timing.
+///
+/// [`Stopwatch::lap`] returns the time since the previous lap (or since
+/// construction for the first lap) — the unit the models use to time each
+/// EM round for the convergence trace of `FusionReport`.
+#[derive(Debug, Clone)]
+pub struct Stopwatch {
+    last: Instant,
+}
+
+impl Stopwatch {
+    /// Start a stopwatch now.
+    pub fn start() -> Self {
+        Self {
+            last: Instant::now(),
         }
     }
 
-    /// The run is over for everyone: no further section runs.
-    fn abort(&self) {
-        // ordering: Relaxed — workers read the flag as an advisory early
-        // stop; a waiter reads it under `turns`, and the
-        // lock taken right below orders this store before its next check.
-        self.failed.store(true, Ordering::Relaxed);
-        drop(self.turns.lock());
-        self.moved.notify_all();
-    }
-
-    fn failed(&self) -> bool {
-        // ordering: Relaxed — see `abort`; no data is published through it.
-        self.failed.load(Ordering::Relaxed)
-    }
-}
-
-/// A task's place in the ordered section of its [`run_tasks`] call.
-pub struct Turn<'a> {
-    gate: &'a Gate,
-    index: usize,
-}
-
-impl Turn<'_> {
-    /// Run `f` once every lower-indexed task has left its ordered section
-    /// (or finished without entering it), then hand the turn on; the rest
-    /// of the task runs unordered. Sections therefore execute one at a
-    /// time in task order, each seeing the writes of the ones before it.
-    /// If the run has failed, `f` does not run and the call returns at
-    /// once — [`run_tasks`] is about to report that failure.
-    pub fn in_order(self, f: impl FnOnce()) {
-        let mut turns = self.gate.turns.lock().unwrap_or_else(|p| p.into_inner());
-        while turns.0 != self.index && !self.gate.failed() {
-            turns = self
-                .gate
-                .moved
-                .wait(turns)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-        drop(turns);
-        if !self.gate.failed() {
-            f();
-            self.gate.pass(self.index);
-        }
-    }
-}
-
-/// Aborts the run when dropped: armed around each task body, defused
-/// once the task has returned `Ok`, so an error and a panic both release
-/// the tasks waiting behind it.
-struct AbortOnDrop<'a>(&'a Gate);
-
-impl Drop for AbortOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.abort();
+    /// Time since the previous lap (or since start), and reset the lap.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        now - std::mem::replace(&mut self.last, now)
     }
 }
 
 /// The scoped-worker primitive under every data-parallel loop: run
-/// `work(scratch, i, turn)` for `i in 0..tasks` and return the results
-/// **in task order**.
+/// `work(scratch, i)` for `i in 0..tasks` and return the results **in
+/// task order**.
 ///
 /// Workers *pull* task indices in ascending order from a shared cursor.
 /// There are at most [`num_threads`] of them, never more than tasks or
 /// than `scratch` slots; each owns one slot for the whole call, so a
-/// caller that keeps `scratch` across rounds keeps its buffers'
-/// capacity (pass one slot to make a fold serial, `&mut vec![(); n]` when
-/// no scratch is needed). When one worker suffices, everything runs inline
-/// on the calling thread.
-///
-/// `turn` is the task's place in the call's one ordered section
-/// ([`Turn::in_order`]); a task with nothing to commit in order ignores it.
+/// caller that keeps `scratch` across rounds keeps its buffers' capacity,
+/// and a fold into the slots (say, [`ExactSum`]s merged afterwards) needs
+/// no lock; `&mut vec![(); n]` when no scratch is needed. When one worker
+/// suffices, everything runs inline on the calling thread.
 ///
 /// On error the failure with the **lowest task index** (among the tasks
-/// that ran before the early stop) is returned, the remaining tasks are
-/// abandoned and no further ordered section runs. Which worker ran which
-/// task never shows in the output, so a caller that merges the `Vec<T>`
-/// sequentially is bit-for-bit reproducible at any worker count.
+/// that ran before the early stop) is returned and the remaining tasks
+/// are abandoned. Which worker ran which task never shows in the output,
+/// so a caller that merges the `Vec<T>` sequentially is bit-for-bit
+/// reproducible at any worker count.
 ///
 /// # Panics
 ///
@@ -199,84 +300,57 @@ where
     S: Send,
     T: Send,
     E: Send,
-    F: Fn(&mut S, usize, Turn<'_>) -> Result<T, E> + Sync,
+    F: Fn(&mut S, usize) -> Result<T, E> + Sync,
 {
     if tasks == 0 {
         return Ok(Vec::new());
     }
     assert!(!scratch.is_empty(), "run_tasks needs a scratch slot");
     let workers = num_threads().min(tasks).min(scratch.len());
-    let gate = &Gate {
-        turns: Mutex::new((0, vec![false; tasks])),
-        moved: Condvar::new(),
-        failed: AtomicBool::new(false),
-    };
-    let run = |s: &mut S, index: usize| {
-        let armed = AbortOnDrop(gate);
-        let done = work(s, index, Turn { gate, index });
-        if done.is_ok() {
-            std::mem::forget(armed);
-            gate.pass(index);
-        }
-        done
-    };
     if workers == 1 {
         let s = &mut scratch[0];
-        return (0..tasks).map(|i| run(s, i)).collect();
+        return (0..tasks).map(|i| work(s, i)).collect();
     }
 
-    let cursor = AtomicUsize::new(0);
-    let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    const POISON: &str = "a kbt-flume worker panicked";
-    std::thread::scope(|scope| {
-        let (cursor, error, slots, run) = (&cursor, &error, &slots, &run);
-        for s in scratch.iter_mut().take(workers) {
-            scope.spawn(move || loop {
-                if gate.failed() {
-                    break;
-                }
-                // ordering: Relaxed — the RMW itself is atomic, so every
-                // worker still draws a unique index; results are handed
-                // over via the per-slot mutexes.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                match run(s, i) {
-                    Ok(t) => *slots[i].lock().expect(POISON) = Some(t),
-                    Err(e) => {
-                        let mut first = error.lock().expect(POISON);
-                        if first.as_ref().is_none_or(|(at, _)| i < *at) {
-                            *first = Some((i, e));
+    let (cursor, stop) = (&AtomicUsize::new(0), &AtomicBool::new(false));
+    let work = &work;
+    let mut done: Vec<(usize, Result<T, E>)> = std::thread::scope(|scope| {
+        let workers: Vec<ScopedJoinHandle<'_, _>> = (scratch.iter_mut().take(workers))
+            .map(|s| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    // ordering: Relaxed — the flag is an advisory early
+                    // stop, and the RMW alone makes every drawn index
+                    // unique; the results travel through the join.
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks {
+                            break;
                         }
-                        break;
+                        let result = work(s, i);
+                        if result.is_err() {
+                            // ordering: Relaxed — see above.
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        done.push((i, result));
                     }
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        let join = |w: ScopedJoinHandle<'_, _>| w.join().unwrap_or_else(|p| resume_unwind(p));
+        workers.into_iter().flat_map(join).collect()
     });
-    if let Some((_, e)) = error.into_inner().expect(POISON) {
-        return Err(e);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            let done = slot.into_inner().expect(POISON);
-            done.expect("every task completed without error")
-        })
-        .collect())
+    // Every task below a failed one ran to the end, so the first error in
+    // task order is the lowest-index failure.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// [`run_tasks`] for scratch-free, infallible tasks.
 fn run_each<T: Send>(tasks: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let done = run_tasks(tasks, &mut vec![(); tasks], |_, i, _| {
-        Ok::<T, Infallible>(work(i))
-    });
-    match done {
-        Ok(out) => out,
-        Err(never) => match never {},
-    }
+    let done = run_tasks(tasks, &mut vec![(); tasks], |_, i| Ok(work(i)));
+    done.unwrap_or_else(|never: Infallible| match never {})
 }
 
 /// The contiguous split of `len` keys into one range per worker, as
@@ -376,7 +450,7 @@ mod tests {
         par_ranges_mut(&mut one, |base, part| part[0] += 1 + base as u32);
         assert_eq!(one, [42]);
         // No tasks: nothing runs, not even with no slots.
-        let got: Result<Vec<u8>, ()> = run_tasks(0, &mut [(); 0], |_, _, _| Ok(0));
+        let got: Result<Vec<u8>, ()> = run_tasks(0, &mut [(); 0], |_, _| Ok(0));
         assert!(got.unwrap().is_empty());
     }
 
@@ -413,7 +487,7 @@ mod tests {
     fn one_thread_runs_every_task_on_the_calling_thread() {
         let me = std::thread::current().id();
         let ids: Result<Vec<_>, ()> = with_threads(Some(1), || {
-            run_tasks(64, &mut [(); 8], |_, _, _| Ok(std::thread::current().id()))
+            run_tasks(64, &mut [(); 8], |_, _| Ok(std::thread::current().id()))
         });
         assert!(ids.unwrap().iter().all(|&id| id == me));
         let mut xs = vec![0u8; 1_000];
@@ -428,7 +502,7 @@ mod tests {
         for (threads, slots, want) in [(3usize, 8usize, 3usize), (8, 2, 2), (33, 1, 1)] {
             let mut ran = vec![0usize; slots];
             let got: Result<Vec<usize>, ()> = with_threads(Some(threads), || {
-                run_tasks(100, &mut ran, |n, i, _| {
+                run_tasks(100, &mut ran, |n, i| {
                     *n += 1;
                     Ok(i)
                 })
@@ -444,7 +518,7 @@ mod tests {
         let expect: Vec<u64> = (0..97u64).map(|i| i * i + 7).collect();
         for threads in WORKER_COUNTS {
             let got: Result<Vec<u64>, ()> = with_threads(Some(threads), || {
-                run_tasks(97, &mut vec![(); threads], |_, i, _| {
+                run_tasks(97, &mut vec![(); threads], |_, i| {
                     Ok(i as u64 * i as u64 + 7)
                 })
             });
@@ -457,7 +531,7 @@ mod tests {
         let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); 3];
         let mut round = |scale: u64| {
             let sums: Result<Vec<u64>, ()> = with_threads(Some(3), || {
-                run_tasks(30, &mut scratch, |tmp, i, _| {
+                run_tasks(30, &mut scratch, |tmp, i| {
                     tmp.clear();
                     tmp.extend((0..100).map(|k| k * scale + i as u64));
                     Ok(tmp.iter().sum())
@@ -483,7 +557,7 @@ mod tests {
         for threads in [1usize, 4] {
             let ran = AtomicUsize::new(0);
             let got: Result<Vec<u64>, String> = with_threads(Some(threads), || {
-                run_tasks(1_000, &mut vec![(); threads], |_, i, _| {
+                run_tasks(1_000, &mut vec![(); threads], |_, i| {
                     ran.fetch_add(1, Ordering::SeqCst);
                     if i == 5 {
                         Err(format!("task {i} failed"))

@@ -1,13 +1,11 @@
 //! Typed pipeline errors.
 //!
-//! [`TrustPipeline::run`](crate::TrustPipeline::run) historically turned
-//! every misuse into a panic — acceptable for a batch CLI, fatal for an
-//! always-on serving process where one misconfigured
-//! `SplitMergeConfig` would abort the whole trust server. The fallible
-//! entry points ([`TrustPipeline::try_run`](crate::TrustPipeline::try_run),
+//! The pipeline once turned every misuse into a panic — acceptable for a
+//! batch CLI, fatal for an always-on serving process where one
+//! misconfigured `SplitMergeConfig` would abort the whole trust server.
+//! Its entry points ([`TrustPipeline::try_run`](crate::TrustPipeline::try_run),
 //! [`TrustPipeline::into_session`](crate::TrustPipeline::into_session))
-//! return this error instead; the panicking wrappers remain and format
-//! the same messages.
+//! return this error instead; there are no panicking wrappers.
 //!
 //! Most variants are misuse. [`PipelineError::SessionInit`] and
 //! [`PipelineError::SessionPostHocCopy`] are deliberate refusals: a
@@ -95,7 +93,7 @@ impl std::fmt::Display for PipelineError {
         match self {
             Self::EmptyInput => write!(
                 f,
-                "TrustPipeline: provide .observations(..) or .cube(..) before .run()"
+                "TrustPipeline: provide .observations(..) or .cube(..) before .try_run()"
             ),
             Self::GranularityOnCube => write!(
                 f,
@@ -125,7 +123,7 @@ impl std::fmt::Display for PipelineError {
                  warm-start priors and independence factors from a previous \
                  epoch would silently misalign once a delta changes the \
                  split/merge outcome; run granularity selection batch-style \
-                 (.run()), or regroup upstream and feed the regrouped \
+                 (.try_run()), or regroup upstream and feed the regrouped \
                  observations to the session"
             ),
             Self::SessionInit => write!(
@@ -140,7 +138,7 @@ impl std::fmt::Display for PipelineError {
                  cannot feed a FusionSession — the single layer only supports \
                  post-hoc copy evidence, a batch diagnostic the session does \
                  not run; use the multi-layer model, or run copy detection \
-                 per batch via .run()"
+                 per batch via .try_run()"
             ),
             Self::StreamedSession => write!(
                 f,

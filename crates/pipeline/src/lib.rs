@@ -24,9 +24,10 @@
 //!     .observations(obs)
 //!     .model(Model::multi_layer())
 //!     .threads(1)
-//!     .run();
+//!     .try_run()?;
 //! assert!(report.kbt(SourceId::new(0)) > report.kbt(SourceId::new(2)));
 //! assert!(report.trace.rounds.iter().all(|r| r.delta.is_finite()));
+//! # Ok::<(), kbt_pipeline::PipelineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -189,10 +190,10 @@ impl Input {
 
 type KeyFn = Box<dyn Fn(usize, &Observation) -> HierKey>;
 
-/// Everything [`TrustPipeline::run_detailed`] returns beyond the report.
+/// Everything [`TrustPipeline::try_run_detailed`] returns beyond the report.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
-    /// The unified fusion result (same as [`TrustPipeline::run`]).
+    /// The unified fusion result (same as [`TrustPipeline::try_run`]).
     pub report: FusionReport,
     /// The cube inference actually ran on (regrouped when granularity
     /// selection was enabled).
@@ -217,7 +218,7 @@ pub struct PipelineRun {
 /// 3. engine — [`model`](Self::model), [`init`](Self::init),
 ///    [`threads`](Self::threads)
 /// 4. diagnostics — [`copy_detection`](Self::copy_detection)
-/// 5. [`run`](Self::run) → [`FusionReport`]
+/// 5. [`try_run`](Self::try_run) → [`FusionReport`]
 #[derive(Default)]
 pub struct TrustPipeline {
     input: Input,
@@ -339,38 +340,17 @@ impl TrustPipeline {
         self
     }
 
-    /// Run the pipeline and return the unified report.
-    ///
-    /// # Panics
-    ///
-    /// On any [`PipelineError`] — no input, granularity regrouping
-    /// requested on a pre-built cube, or an unsatisfiable
-    /// [`SplitMergeConfig`]. Serving processes that must not abort should
-    /// use [`try_run`](Self::try_run) instead.
-    pub fn run(self) -> FusionReport {
-        self.run_detailed().report
-    }
-
-    /// Run the pipeline, also returning the inference cube and the
-    /// granularity decisions — what the granularity-tuning workloads need.
-    ///
-    /// # Panics
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_detailed(self) -> PipelineRun {
-        self.try_run_detailed().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run`](Self::run): validates the pipeline (including the
-    /// [`SplitMergeConfig`], which previously `assert!`-aborted deep
-    /// inside SPLITANDMERGE) and returns a typed [`PipelineError`]
-    /// instead of panicking.
+    /// Run the pipeline and return the unified report. Validates the
+    /// pipeline (including the [`SplitMergeConfig`], which once
+    /// `assert!`-aborted deep inside SPLITANDMERGE) and returns a typed
+    /// [`PipelineError`] instead of panicking.
     pub fn try_run(self) -> Result<FusionReport, PipelineError> {
         Ok(self.try_run_detailed()?.report)
     }
 
-    /// Fallible [`run_detailed`](Self::run_detailed); see
-    /// [`try_run`](Self::try_run).
+    /// [`try_run`](Self::try_run), also returning the inference cube and
+    /// the granularity decisions — what the granularity-tuning workloads
+    /// need.
     pub fn try_run_detailed(self) -> Result<PipelineRun, PipelineError> {
         // The whole run — building the cube, the engine and post-hoc
         // detection — under the engine's thread budget.
@@ -535,7 +515,10 @@ mod tests {
 
     #[test]
     fn observations_to_report() {
-        let report = TrustPipeline::new().observations(consensus()).run();
+        let report = TrustPipeline::new()
+            .observations(consensus())
+            .try_run()
+            .expect("pipeline runs");
         assert_eq!(report.source_trust().len(), 4);
         assert!(report.kbt(SourceId::new(0)) > 0.9);
         assert_eq!(report.coverage(), 1.0);
@@ -547,8 +530,12 @@ mod tests {
         let obs = consensus();
         let via_cube = TrustPipeline::new()
             .cube(CubeBuilder::from(obs.clone()).build())
-            .run();
-        let via_obs = TrustPipeline::new().observations(obs).run();
+            .try_run()
+            .expect("pipeline runs");
+        let via_obs = TrustPipeline::new()
+            .observations(obs)
+            .try_run()
+            .expect("pipeline runs");
         assert_eq!(via_cube.source_trust(), via_obs.source_trust());
         assert_eq!(via_cube.truth_of_group(), via_obs.truth_of_group());
     }
@@ -558,12 +545,14 @@ mod tests {
         let accu = TrustPipeline::new()
             .observations(consensus())
             .model(Model::Accu(ModelConfig::single_layer_default()))
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         // PopAccu handed a config that *claims* Accu still runs PopAccu.
         let pop = TrustPipeline::new()
             .observations(consensus())
             .model(Model::PopAccu(ModelConfig::single_layer_default()))
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         assert!(accu.correctness().is_none());
         assert!(pop.correctness().is_none());
         assert_eq!(accu.source_trust().len(), 4);
@@ -581,7 +570,8 @@ mod tests {
                 min_size: 5,
                 max_size: 100,
             })
-            .run_detailed();
+            .try_run_detailed()
+            .expect("pipeline runs");
         let sources = run.working_sources.expect("granularity ran");
         assert_eq!(sources.len(), 1);
         assert_eq!(run.cube.num_sources(), 1);
@@ -609,7 +599,8 @@ mod tests {
         let report = TrustPipeline::new()
             .observations(copier())
             .copy_detection(CopyDetectConfig::default())
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         let ev = report.copy_evidence.expect("copy detection ran");
         assert!(!ev.is_empty());
         for w in ev.windows(2) {
@@ -624,20 +615,16 @@ mod tests {
         let serial = TrustPipeline::new()
             .observations(consensus())
             .threads(1)
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         let wide = TrustPipeline::new()
             .observations(consensus())
             .threads(8)
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         assert_eq!(serial.source_trust(), wide.source_trust());
         assert_eq!(serial.correctness(), wide.correctness());
         assert_eq!(serial.truth_of_group(), wide.truth_of_group());
-    }
-
-    #[test]
-    #[should_panic(expected = "provide .observations")]
-    fn empty_pipeline_panics_with_guidance() {
-        let _ = TrustPipeline::new().run();
     }
 
     #[test]
@@ -667,7 +654,10 @@ mod tests {
         );
         // A valid pipeline succeeds through the fallible path too, with
         // the same numbers as the panicking one.
-        let a = TrustPipeline::new().observations(consensus()).run();
+        let a = TrustPipeline::new()
+            .observations(consensus())
+            .try_run()
+            .expect("pipeline runs");
         let b = TrustPipeline::new()
             .observations(consensus())
             .try_run()
@@ -695,20 +685,6 @@ mod tests {
                 max_size: 3
             }
         );
-        // The panicking wrapper reports the same message rather than the
-        // raw assertion.
-        let panic = std::panic::catch_unwind(|| {
-            TrustPipeline::new()
-                .observations(consensus())
-                .granularity(SplitMergeConfig {
-                    min_size: 50,
-                    max_size: 3,
-                })
-                .run()
-        })
-        .unwrap_err();
-        let msg = panic.downcast_ref::<String>().expect("string panic");
-        assert!(msg.contains("invalid SplitMergeConfig"), "{msg}");
     }
 
     /// Regression: granularity + session warm state is rejected instead
@@ -765,7 +741,8 @@ mod tests {
         let direct = TrustPipeline::new()
             .observations(consensus())
             .threads(1)
-            .run();
+            .try_run()
+            .expect("pipeline runs");
         assert_eq!(via_session.source_trust(), direct.source_trust());
         assert_eq!(via_session.truth_of_group(), direct.truth_of_group());
     }
@@ -794,7 +771,7 @@ mod tests {
                 .threads(2)
         };
         let streamed = |p: TrustPipeline| {
-            let report = p.run();
+            let report = p.try_run().expect("pipeline runs");
             std::fs::remove_file(&path).expect("the fit streamed from its store");
             report
         };
@@ -805,7 +782,10 @@ mod tests {
             (Model::pop_accu(), post_hoc),
         ];
         for (model, copy) in cases {
-            let resident = pipeline(model.clone()).copy_detection(copy).run();
+            let resident = pipeline(model.clone())
+                .copy_detection(copy)
+                .try_run()
+                .expect("pipeline runs");
             assert!(resident.copy_evidence.is_some());
             for max_resident_chunks in [1, 4] {
                 let residency = CubeResidency::Streamed {
@@ -896,19 +876,9 @@ mod tests {
         assert_eq!(sources(reserved.reserve_ids(9, 0, 0, 0)), 9);
         let cube = TrustPipeline::new()
             .observations(consensus())
-            .run_detailed();
+            .try_run_detailed()
+            .expect("pipeline runs");
         let on_cube = TrustPipeline::new().cube(cube.cube).reserve_ids(9, 0, 0, 0);
         assert_eq!(on_cube.try_run().unwrap_err(), PipelineError::ReserveOnCube);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs raw .observations")]
-    fn granularity_on_cube_panics_with_guidance() {
-        let mut b = CubeBuilder::new();
-        b.push(obs(0, 0, 0, 0));
-        let _ = TrustPipeline::new()
-            .cube(b.build())
-            .granularity(SplitMergeConfig::default())
-            .run();
     }
 }

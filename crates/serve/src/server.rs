@@ -511,7 +511,8 @@ mod tests {
             let cold = TrustPipeline::new()
                 .observations(prefix.clone())
                 .model(model())
-                .run();
+                .try_run()
+                .expect("pipeline runs");
             let snap = handle.snapshot();
             assert_eq!(snap.epoch(), i as u64 + 1);
             assert_eq!(snap.source_trust(), cold.source_trust(), "delta {i}");

@@ -152,7 +152,7 @@ proptest! {
         let report = TrustPipeline::new()
             .observations(base.iter().chain(&delta).copied().collect())
             .model(single_threaded())
-            .run();
+            .try_run().expect("pipeline runs");
 
         // Serve the same data through a cold-refit server: base corpus,
         // then the delta, then one refit.

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 const ITEMS: usize = 200;
 const DOMAIN: u32 = 11; // 1 true + 10 false values
 
-fn main() {
+fn main() -> Result<(), kbt::PipelineError> {
     let mut rng = StdRng::seed_from_u64(2024);
     // Planted reliabilities: two curated databases, four average ones,
     // two scrapers full of errors.
@@ -53,7 +53,7 @@ fn main() {
             n_false_values: (DOMAIN - 1) as usize,
             ..ModelConfig::default()
         }))
-        .run();
+        .try_run()?;
 
     println!("Estimated vs planted database reliability (ACCU, Eq. 1–4):");
     for (w, planted) in reliability.iter().enumerate() {
@@ -78,4 +78,5 @@ fn main() {
          ({:.1}% — majority vote alone would do worse with two scrapers).",
         100.0 * correct as f64 / ITEMS as f64
     );
+    Ok(())
 }

@@ -16,7 +16,7 @@ use kbt::granularity::SplitMergeConfig;
 use kbt::synth::web::{generate, WebCorpusConfig};
 use kbt::{Model, TrustPipeline};
 
-fn main() {
+fn main() -> Result<(), kbt::PipelineError> {
     let corpus = generate(&WebCorpusConfig {
         num_sites: 300,
         seed: 123,
@@ -32,7 +32,7 @@ fn main() {
     let fine = TrustPipeline::new()
         .cube(corpus.cube.clone())
         .model(Model::MultiLayer(cfg.clone()))
-        .run();
+        .try_run()?;
     let fine_active = fine.active_source.iter().filter(|&&a| a).count();
 
     // --- Split-and-merge with the paper's defaults m=5, M=10K. ---
@@ -49,7 +49,7 @@ fn main() {
             max_size: 10_000,
         })
         .model(Model::MultiLayer(cfg))
-        .run_detailed();
+        .try_run_detailed()?;
     let coarse = &coarse_run.report;
     let sources = coarse_run.working_sources.as_deref().unwrap();
     let coarse_active = coarse.active_source.iter().filter(|&&a| a).count();
@@ -93,4 +93,5 @@ fn main() {
              so thin pages inherit a site-level estimate instead."
         );
     }
+    Ok(())
 }

@@ -13,7 +13,7 @@ use kbt::{Model, TrustPipeline};
 
 const VALUES: [&str; 3] = ["USA", "Kenya", "N.America"];
 
-fn main() {
+fn main() -> Result<(), kbt::PipelineError> {
     // The extraction matrix of Table 2: (extractor, webpage, value).
     // W1–W4 truly provide USA; W5–W6 provide Kenya; W7–W8 provide
     // nothing (every extraction from them is an extractor hallucination).
@@ -46,7 +46,7 @@ fn main() {
         )
         .reserve_ids(8, 5, 1, 11)
         .model(Model::multi_layer())
-        .run();
+        .try_run()?;
 
     println!("What is Barack Obama's nationality?");
     for (v, name) in VALUES.iter().enumerate() {
@@ -89,4 +89,5 @@ fn main() {
         result.converged(),
         result.trace.final_delta().unwrap_or(0.0)
     );
+    Ok(())
 }

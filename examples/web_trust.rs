@@ -18,7 +18,7 @@ use kbt::graph::{
 use kbt::synth::web::{generate, SiteArchetype, WebCorpusConfig};
 use kbt::{Model, TrustPipeline};
 
-fn main() {
+fn main() -> Result<(), kbt::PipelineError> {
     let corpus = generate(&WebCorpusConfig {
         num_sites: 400,
         seed: 7,
@@ -43,7 +43,7 @@ fn main() {
             absence_policy: AbsencePolicy::SourceCandidates,
             ..ModelConfig::default()
         }))
-        .run();
+        .try_run()?;
 
     // PageRank over a link graph where gossip sites are popular.
     let n = corpus.sites.len();
@@ -102,4 +102,5 @@ fn main() {
     if let Some(r) = kbt::metrics::pearson(&xs, &ys) {
         println!("\nPearson correlation between KBT and PageRank: {r:.3} (≈ orthogonal)");
     }
+    Ok(())
 }

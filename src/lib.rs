@@ -47,8 +47,9 @@
 //! let report = TrustPipeline::new()
 //!     .observations(obs)
 //!     .model(Model::multi_layer())
-//!     .run();
+//!     .try_run()?;
 //! println!("KBT of W0 = {:.3}", report.kbt(SourceId::new(0)));
+//! # Ok::<(), kbt::PipelineError>(())
 //! ```
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and the README for

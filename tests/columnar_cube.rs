@@ -68,7 +68,6 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     for (g, grp) in cube.groups().iter().enumerate() {
         assert_eq!(cc.group_source[g], grp.source.0);
         assert_eq!(cc.group_item[g], grp.item.0);
-        assert_eq!(cc.group_value[g], grp.value.0);
         let cells = cube.cells_of(grp);
         let r = cc.cells_of_group(g);
         assert_eq!(r.len(), cells.len());

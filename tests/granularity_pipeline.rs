@@ -30,7 +30,8 @@ fn regrouped(corpus: &WebCorpus, sm: SplitMergeConfig) -> PipelineRun {
         .source_keys(move |i, _| keys[i].clone())
         .granularity(sm)
         .model(Model::MultiLayer(kv_cfg()))
-        .run_detailed()
+        .try_run_detailed()
+        .expect("pipeline runs")
 }
 
 #[test]
@@ -39,7 +40,8 @@ fn merging_improves_source_coverage() {
     let fine = TrustPipeline::new()
         .cube(corpus.cube.clone())
         .model(Model::MultiLayer(kv_cfg()))
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     let merged = regrouped(
         &corpus,
         SplitMergeConfig {

@@ -20,7 +20,8 @@ fn pipeline_multilayer_is_bit_identical_to_legacy_run() {
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::multi_layer())
-        .run();
+        .try_run()
+        .expect("pipeline runs");
 
     assert_eq!(report.source_trust(), direct.params.source_accuracy);
     assert_eq!(report.correctness(), direct.correctness());
@@ -57,7 +58,8 @@ fn pipeline_accu_is_bit_identical_to_legacy_single_layer() {
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::accu())
-        .run();
+        .try_run()
+        .expect("pipeline runs");
 
     assert_eq!(report.source_trust(), direct.source_trust());
     assert_eq!(report.truth_of_group(), direct.truth_of_group);
@@ -85,7 +87,8 @@ fn pipeline_popaccu_is_bit_identical_to_legacy_popaccu() {
     let report = TrustPipeline::new()
         .cube(data.cube.clone())
         .model(Model::PopAccu(ModelConfig::single_layer_default()))
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     assert_eq!(report.source_trust(), direct.source_trust());
     assert_eq!(report.truth_of_group(), direct.truth_of_group);
 }
@@ -100,7 +103,8 @@ fn pipeline_gold_init_is_bit_identical_on_web_corpus() {
     let report = TrustPipeline::new()
         .cube(corpus.cube.clone())
         .init(init)
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     assert_eq!(report.source_trust(), direct.source_trust());
     assert_eq!(report.correctness(), direct.correctness());
 }
@@ -156,7 +160,8 @@ fn trace_deltas_shrink_monotonically_on_consensus_data() {
             max_iterations: 12,
             ..ModelConfig::default()
         }))
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     let deltas: Vec<f64> = report.trace.rounds.iter().map(|r| r.delta).collect();
     assert!(!deltas.is_empty());
     for w in deltas.windows(2) {
@@ -198,7 +203,10 @@ fn trace_matches_run_traced_output() {
         MultiLayerModel::new(ModelConfig::default()).run_traced(&data.cube, &QualityInit::Default);
     let legacy = fit.expect("resident fit");
     let trace = &legacy.trace;
-    let report = TrustPipeline::new().cube(data.cube.clone()).run();
+    let report = TrustPipeline::new()
+        .cube(data.cube.clone())
+        .try_run()
+        .expect("pipeline runs");
     assert_eq!(report.trace.rounds.len(), trace.rounds.len());
     assert_eq!(report.trace.converged, trace.converged);
     for (a, b) in report.trace.rounds.iter().zip(&trace.rounds) {

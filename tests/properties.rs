@@ -36,7 +36,7 @@ proptest! {
         let r = TrustPipeline::new()
             .cube(cube.clone())
             .model(Model::MultiLayer(cfg.clone()))
-            .run();
+            .try_run().expect("pipeline runs");
         for &c in r.correctness().unwrap() {
             prop_assert!((0.0..=1.0).contains(&c));
         }

@@ -20,7 +20,8 @@ fn multilayer(observations: Vec<Observation>, cfg: ModelConfig) -> FusionReport 
     TrustPipeline::new()
         .observations(observations)
         .model(Model::MultiLayer(cfg))
-        .run()
+        .try_run()
+        .expect("pipeline runs")
 }
 
 #[test]
@@ -45,7 +46,8 @@ fn single_observation_corpus_is_handled() {
     let s = TrustPipeline::new()
         .observations(vec![obs(0, 0, 0, 0, 1.0)])
         .model(Model::accu())
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     assert!(s.kbt(SourceId::new(0)).is_finite());
 }
 
@@ -142,7 +144,8 @@ fn gold_init_with_extreme_seeds_is_clamped() {
     let r = TrustPipeline::new()
         .observations(observations)
         .init(init)
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     for &a in r.source_trust() {
         assert!(a.is_finite());
     }
@@ -178,7 +181,8 @@ fn single_layer_group_without_a_claim_reports_its_posterior_truth() {
     let r = TrustPipeline::new()
         .observations(observations)
         .model(Model::accu())
-        .run();
+        .try_run()
+        .expect("pipeline runs");
     for (g, &truth) in r.truth_of_group().iter().enumerate() {
         let p = r.posteriors.prob(ItemId::new(0), ValueId::new(0));
         assert_eq!(truth.to_bits(), p.to_bits(), "group {g}");

@@ -235,7 +235,10 @@ fn session_without_deltas_is_plain_batch() {
         })
         .collect();
     let via_session = FusionSession::from_observations(obs.clone(), Model::multi_layer()).run();
-    let via_pipeline = kbt::TrustPipeline::new().observations(obs).run();
+    let via_pipeline = kbt::TrustPipeline::new()
+        .observations(obs)
+        .try_run()
+        .expect("pipeline runs");
     assert_eq!(via_session.source_trust(), via_pipeline.source_trust());
     assert_eq!(via_session.truth_of_group(), via_pipeline.truth_of_group());
 }
