@@ -11,19 +11,19 @@
 //! EM rounds (`convergence_eps = 0`) on the same cube and the binary
 //! **hard-asserts bitwise equality** of their source-trust scores and
 //! per-group truth posteriors, then prints the cube-build wall and the
-//! fit's per-stage wall breakdown (`StageWall`: chunking gather, vote
-//! rebuild, E-steps, M-steps…) — a profile to read, not a gate: how fast
-//! the fit runs is measured by `benchmark/` alone. Before the fit it
-//! builds the corpus a second time on one worker and hard-asserts that
-//! the two builds are the same cube, field for field: a slip in how the
-//! build cuts its 10k sources into windows shows here. After the fit it
+//! fit's per-stage wall breakdown (`StageWall`: chunking, vote rebuild,
+//! the round's one scan, the M-steps' finish) — a profile to read, not a
+//! gate: how fast the fit runs is measured by `benchmark/` alone. Before
+//! the fit it builds the corpus a second time on one worker and
+//! hard-asserts that the two builds are the same cube, field for field: a
+//! slip in how the build cuts its 10k sources into windows shows here. After the fit it
 //! refits at `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times
-//! the group frames, so many more per-worker sums merged — and
-//! hard-asserts the same trust and truth bits: the M-step and
+//! the item chunks, so the rows fold into the workers' sums in another
+//! order — and hard-asserts the same trust and truth bits: the M-step and
 //! log-likelihood sums are exact, so no partition can move a bit.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
-//! the corpus is chunked to a `KBTCHNK2` store on disk, then two *child
+//! the corpus is chunked to a `KBTCHNK3` store on disk, then two *child
 //! processes* run the same fixed-round fit — one resident (regenerating
 //! the corpus), one streaming from the store with at most
 //! `MAX_RESIDENT_CHUNKS` decoded frames in memory — so each fit's `VmHWM`
@@ -31,8 +31,8 @@
 //! parent hard-asserts bitwise-equal checksums between the two children
 //! and a streamed `VmHWM` well below the resident one, and in smoke mode
 //! that the streamed fit keeps at least half the resident throughput. It
-//! also reports how many frames a round reads (exact: two scans of the
-//! store) and how many bytes the fit read per byte stored.
+//! also hard-asserts that a round reads each item frame once (one scan of
+//! the store) and reports how many bytes the fit read per byte stored.
 //!
 //! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) with
 //! the exact facts only — corpus and round counts, the two checksums,
@@ -44,9 +44,7 @@ use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
 use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
-use kbt_datamodel::{
-    ChunkStoreMeta, ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId,
-};
+use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId};
 use kbt_synth::scale::{observations, ScaleConfig};
 
 /// EM rounds every fit runs, with no convergence early-out: the engine,
@@ -54,7 +52,7 @@ use kbt_synth::scale::{observations, ScaleConfig};
 /// results are comparable bit for bit and the children's walls as a ratio.
 const ROUNDS: usize = 3;
 
-/// Chunk size of the partition drill's refit: ≈ 470 group frames on the
+/// Chunk size of the partition drill's refit: ≈ 470 item chunks on the
 /// smoke corpus, against ≈ 30 at the default 64 Ki cells.
 const PARTITION_TARGET_CELLS: usize = 4_096;
 
@@ -183,9 +181,13 @@ fn child_streamed(path: &str) {
         .run_streamed(&store, MAX_RESIDENT_CHUNKS, &QualityInit::Default)
         .expect("streamed fit");
     let wall = t0.elapsed().as_secs_f64();
-    // Every scan reads every frame of its family once.
+    // A round is one scan: it reads every item frame once.
     let frames = store.frames_read();
-    assert_eq!(frames % ROUNDS as u64, 0, "a round left a scan unfinished");
+    assert_eq!(
+        frames,
+        ROUNDS as u64 * store.num_chunks() as u64,
+        "a round did not read each item frame exactly once"
+    );
     let extra = format!(
         " frames_read_per_round={} store_read_bytes={}",
         frames / ROUNDS as u64,
@@ -304,8 +306,8 @@ fn run_streamed(mode: &str, triples: usize) {
         "  streamed: {streamed_wall:.2} s, VmHWM {:.1} MiB",
         mib(streamed_hwm)
     );
-    // One scan of each frame family per round: the store is read `ROUNDS`
-    // times over (plus the open).
+    // One scan per round: the store is read `ROUNDS` times over (plus the
+    // open).
     let frames = child_num(&streamed, "frames_read_per_round") as u64;
     let read_amp = child_num(&streamed, "store_read_bytes") / store_bytes;
     println!(
@@ -388,12 +390,9 @@ fn run_resident(mode: &str, triples: usize) {
         report.iterations()
     );
 
-    // Another partition of the same cube: more, smaller frames, so more
-    // per-worker sums merged in another order — and the same bits.
-    let frames = |cfg: &ModelConfig| {
-        let cc = ChunkedCube::from_cube(&cube, &cfg.chunking());
-        ChunkStoreMeta::from_cube(&cc).group_frames.len()
-    };
+    // Another partition of the same cube: more, smaller chunks, so the
+    // rows fold into the workers' sums in another order — and the same bits.
+    let chunks = |cfg: &ModelConfig| ChunkedCube::from_cube(&cube, &cfg.chunking()).num_chunks();
     let fine_cfg = ModelConfig {
         chunk_target_cells: PARTITION_TARGET_CELLS,
         ..cfg.clone()
@@ -408,27 +407,23 @@ fn run_resident(mode: &str, triples: usize) {
         "a finer chunk partition moved the fit's bits"
     );
     println!(
-        "  refit at {PARTITION_TARGET_CELLS} cells per chunk ({} group frames, not {}): \
+        "  refit at {PARTITION_TARGET_CELLS} cells per chunk ({} item chunks, not {}): \
          the same bits",
-        frames(&fine_cfg),
-        frames(&cfg)
+        chunks(&fine_cfg),
+        chunks(&cfg)
     );
 
     // Where the rounds go, for the reader; nothing gates on it.
     let sw = &report.trace.stage_wall;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!(
-        "cube build {:.1} ms; stages (ms, all rounds): chunking {:.1}, votes {:.1}, correctness {:.1}, \
-         values {:.1}, source {:.1}, extractor {:.1}, alpha {:.1}, log-likelihood {:.1}",
+        "cube build {:.1} ms; stages (ms, all rounds): chunking {:.1}, votes {:.1}, scan {:.1}, \
+         M-step {:.1}",
         ms(build_wall),
         ms(sw.chunking),
         ms(sw.votes),
-        ms(sw.correctness),
-        ms(sw.values),
-        ms(sw.source_update),
-        ms(sw.extractor_update),
-        ms(sw.alpha),
-        ms(sw.log_likelihood),
+        ms(sw.scan),
+        ms(sw.mstep),
     );
 
     let mut bench = BenchReport::new("em_scale", mode);

@@ -57,7 +57,7 @@ pub enum AbsencePolicy {
 ///
 /// [`CubeResidency::Streamed`] drives the EM rounds from a
 /// `kbt_datamodel::FileChunkStore`, each scan worker reading every frame
-/// it runs into its own buffer: peak memory is O(groups) float state +
+/// it runs into its own buffer: peak memory is O(groups) row state +
 /// one decoded frame per worker instead of O(corpus), and the fit is
 /// **bit-for-bit identical** to a resident fit at any thread count and
 /// any `max_resident_chunks`, warm priors and copy-aware refits included.
@@ -66,7 +66,7 @@ pub enum CubeResidency {
     /// Keep the whole chunked cube in memory (the default).
     #[default]
     Resident,
-    /// Stream chunk payloads from a `KBTCHNK2` chunk store on disk.
+    /// Stream chunk payloads from a `KBTCHNK3` chunk store on disk.
     Streamed {
         /// Path of the chunk store file
         /// (`kbt_datamodel::FileChunkStore::write`).
@@ -92,8 +92,8 @@ pub struct ModelConfig {
     /// self-consistent EM choice and the stabilizer that keeps the
     /// coupled (P, Q, p(C)) updates away from the degenerate "everything
     /// provided"/"nothing provided" fixed points on sparse data (see
-    /// DESIGN.md). Disable to hold γ at the configured constant, as the
-    /// paper's description suggests.
+    /// README, "Where this departs from the paper"). Disable to hold γ at
+    /// the configured constant, as the paper's description suggests.
     pub estimate_gamma: bool,
     /// `α`: prior probability that an extracted triple is truly provided
     /// (Section 3.3.1), used before re-estimation kicks in.
@@ -129,7 +129,7 @@ pub struct ModelConfig {
     /// (`false`) uses the Eq. 5-consistent form
     /// `α̂ = p·A + (1−p)·(1−A)/n`, which is what makes extraction
     /// correctness separate provided from hallucinated triples (see
-    /// DESIGN.md).
+    /// README, "Where this departs from the paper").
     pub literal_eq26_alpha: bool,
     /// Sources with fewer than this many triples are *inactive*: their
     /// quality stays at the default and their claims do not vote, and

@@ -7,14 +7,11 @@
 //! iteration's value posteriors (Section 3.3.4, Eq. 26) once the schedule
 //! allows it.
 
-use std::io;
-
-use kbt_datamodel::{ChunkSource, GroupView};
-use kbt_flume::par_ranges_mut;
+use kbt_datamodel::ItemView;
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
-use crate::mstep::ExtractorSums;
+use crate::mstep::RoundSums;
 use crate::params::Params;
 use crate::votes::VoteCounter;
 
@@ -43,113 +40,71 @@ impl AlphaState {
         &mut self.logits
     }
 
-    /// Re-estimate every group's prior from the value layer
-    /// (Section 3.3.4).
+    /// Re-estimate the priors `logits` of a chunk's rows from the value
+    /// layer (Section 3.3.4).
     ///
-    /// `truth[g]` is the previous iteration's `p(V_d = v(g) | X)` and the
-    /// source accuracy comes from the current parameters. By default the
-    /// Eq. 5-consistent form is used,
+    /// `truth(r)` is the previous iteration's `p(V_d = v | X)` of row `r`,
+    /// whose source is `sources[r]`; the source accuracy comes from the
+    /// current parameters. By default the Eq. 5-consistent form is used,
     /// `α̂ = p·A_w + (1 − p)·(1 − A_w)/n` — a source provides a *specific*
     /// false value with probability `(1 − A_w)/n`. Setting
     /// [`ModelConfig::literal_eq26_alpha`] reproduces the paper's printed
     /// Eq. 26 without the `/n` spread (Example 3.3).
-    ///
-    /// Groups are source-sorted, so the per-source group spans of
-    /// `source_offsets` give each group's source and the update reads no
-    /// chunk data at all.
-    pub fn update(
-        &mut self,
-        source_offsets: &[u32],
-        truth: &[f64],
+    pub(crate) fn update(
+        logits: &mut [f64],
+        sources: &[u32],
+        truth: impl Fn(usize) -> f64,
         params: &Params,
         cfg: &ModelConfig,
     ) {
-        debug_assert_eq!(truth.len(), self.logits.len());
         let n = cfg.n_false_values.max(1) as f64;
         let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        par_ranges_mut(&mut self.logits, |base, chunk| {
-            // Walk the source spans that overlap `base..end`, starting at
-            // the one holding group `base`.
-            let end = base + chunk.len();
-            let mut w = source_offsets
-                .partition_point(|&o| o as usize <= base)
-                .saturating_sub(1);
-            let mut g = base;
-            while g < end {
-                let span_end = (source_offsets[w + 1] as usize).min(end);
-                let a = params.source_accuracy[w];
-                for (l, &t) in chunk[g - base..span_end - base]
-                    .iter_mut()
-                    .zip(&truth[g..span_end])
-                {
-                    *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
-                }
-                g = span_end;
-                w += 1;
-            }
-        });
+        for (r, (l, &w)) in logits.iter_mut().zip(sources).enumerate() {
+            let (t, a) = (truth(r), params.source_accuracy[w as usize]);
+            *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
+        }
     }
 }
 
-/// `p(C_wdv = 1 | X_wdv)` for one group frame (Eq. 15 with the
-/// confidence-weighted vote count of Eq. 31) into `out`, in local group
-/// order. The vote count streams the frame's `cell_extractor` /
-/// `cell_confidence` columns against the precomputed `Pre_e − Abs_e`
-/// table: per cell, `conf · (Pre_e − Abs_e)` accumulated in cell order
-/// onto the source's absence sum.
-fn estimate_correctness_frame(
-    view: &GroupView<'_>,
+/// `p(C_wdv = 1 | X_wdv)` for every row of a chunk (Eq. 15 with the
+/// confidence-weighted vote count of Eq. 31) into `out`, from the rows'
+/// prior log-odds `alpha`. The vote count streams the row's
+/// `cell_extractor` / `cell_confidence` columns against the precomputed
+/// `Pre_e − Abs_e` table: per cell, `conf · (Pre_e − Abs_e)` accumulated
+/// in cell order onto the source's absence sum.
+///
+/// Each row's cells are folded into the extractor M-step's `sums` as soon
+/// as its posterior is known, so the extractor update needs no pass of its
+/// own.
+pub(crate) fn estimate_correctness(
+    view: &ItemView<'_>,
     votes: &VoteCounter,
-    alpha: &AlphaState,
+    alpha: &[f64],
     cfg: &ModelConfig,
     out: &mut [f64],
+    sums: &mut RoundSums,
 ) {
-    let base = view.groups.start as usize;
-    for (lg, p) in out.iter_mut().enumerate() {
-        let cells = view.cells(lg);
+    for (r, p) in out.iter_mut().enumerate() {
+        let cells = view.cells(r);
         let extractors = &view.cell_extractor[cells.clone()];
-        let mut vc = votes.source_absence_sum[view.group_source[lg] as usize];
-        for (&e, &c) in extractors.iter().zip(&view.cell_confidence[cells]) {
+        let confidences = &view.cell_confidence[cells];
+        let mut vc = votes.source_absence_sum[view.ig_source[r] as usize];
+        for (&e, &c) in extractors.iter().zip(confidences) {
             vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
         }
-        *p = sigmoid(vc + alpha.logit(base + lg));
+        *p = sigmoid(vc + alpha[r]);
+        sums.fold_cells(extractors, confidences, *p, cfg);
     }
-}
-
-/// The correctness E-step: [`estimate_correctness_frame`] over every
-/// group frame of `src`, frames in parallel, each into its own window of
-/// `out` (length `num_groups`). Per-group sigmoids are independent, so
-/// the result does not depend on the frame partition or the thread count.
-///
-/// The same scan carries the extractor M-step's transition: the worker
-/// that computed a frame folds it into its own [`ExtractorSums`] before
-/// letting the frame go, and the workers' exact sums are merged after the
-/// scan: no frame waits for another, no second pass reads the frames.
-pub(crate) fn estimate_correctness<S: ChunkSource>(
-    src: &S,
-    votes: &VoteCounter,
-    alpha: &AlphaState,
-    cfg: &ModelConfig,
-    out: &mut [f64],
-) -> io::Result<ExtractorSums> {
-    let zero = ExtractorSums::new(src.meta().num_extractors as usize);
-    let mut workers = vec![zero; kbt_flume::num_threads()];
-    src.scan_groups(&mut workers, out, |sums, v, window| {
-        estimate_correctness_frame(v, votes, alpha, cfg, window);
-        sums.fold_frame(v, window, cfg);
-    })?;
-    let mut sums = workers.pop().expect("one worker at least");
-    workers.iter().for_each(|w| sums.merge(w));
-    Ok(sums)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
-        SourceId, ValueId,
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, SourceId,
+        ValueId,
     };
 
     /// Two extractors with known quality; a triple extracted by the good
@@ -216,23 +171,23 @@ mod tests {
             literal_eq26_alpha: true,
             ..ModelConfig::default()
         };
-        alpha.update(&[0, 1], &[0.004], &params, &literal);
+        AlphaState::update(alpha.logits_mut(), &[0], |_| 0.004, &params, &literal);
         let expected = logit(0.004 * 0.6 + 0.996 * 0.4);
         assert!((alpha.logit(0) - expected).abs() < 1e-12);
         // Eq. 5-consistent default spreads the false mass over n values:
         // α = 0.004·0.6 + 0.996·0.4/10 = 0.0423 — a much lower prior for
         // a value the consensus rejects.
         let cfg = ModelConfig::default();
-        alpha.update(&[0, 1], &[0.004], &params, &cfg);
+        AlphaState::update(alpha.logits_mut(), &[0], |_| 0.004, &params, &cfg);
         let expected_spread = logit(0.004 * 0.6 + 0.996 * 0.4 / 10.0);
         assert!((alpha.logit(0) - expected_spread).abs() < 1e-12);
         assert!(alpha.logit(0) < -2.0);
     }
 
     /// Kernel ≡ reference for the correctness E-step and the α update,
-    /// bit for bit, at several frame sizes and thread counts. The cube
-    /// has source ids without groups (3, then the trailing 6), which any
-    /// worker split of the α update must not let shift a span.
+    /// bit for bit, at several chunk sizes and thread counts: each chunk's
+    /// rows, in item-major order, land back on their cube groups. The cube
+    /// has source ids without groups (3, then the trailing 6).
     #[test]
     fn correctness_and_alpha_kernels_match_the_reference_bitwise() {
         let mut b = CubeBuilder::new();
@@ -275,23 +230,35 @@ mod tests {
             let want = reference::estimate_correctness(&cube, &votes, &want_alpha, &cfg);
             for target_cells in [1usize, 5, 1 << 20] {
                 let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
-                let src = ResidentChunks::new(&cc);
                 for threads in [1, 2, 5] {
-                    kbt_flume::with_threads(Some(threads), || {
-                        let mut alpha = AlphaState::uniform(ng, cfg.alpha);
-                        alpha.update(&cc.source_offsets, &truth, &params, &cfg);
-                        let mut got = vec![0.0; ng];
-                        estimate_correctness(&src, &votes, &alpha, &cfg, &mut got).unwrap();
-                        for g in 0..ng {
-                            let tag = format!("{policy:?} t={target_cells} g={g} x{threads}");
-                            assert_eq!(
-                                alpha.logit(g).to_bits(),
-                                want_alpha.logit(g).to_bits(),
-                                "alpha {tag}"
+                    let mut workers = vec![RoundSums::default(); threads];
+                    // α rides back out in the truth column.
+                    let (got, alpha) = kbt_flume::with_threads(Some(threads), || {
+                        scan_rows(&cc, &cfg, &mut workers, |sums, view, rows| {
+                            sums.reset(cube.num_sources(), cube.num_extractors(), true);
+                            let prior = |r: usize| truth[view.ig_group[r] as usize];
+                            AlphaState::update(rows.alpha, view.ig_source, prior, &params, &cfg);
+                            estimate_correctness(
+                                view,
+                                &votes,
+                                rows.alpha,
+                                &cfg,
+                                rows.correctness,
+                                sums,
                             );
-                            assert_eq!(got[g].to_bits(), want[g].to_bits(), "{tag}");
-                        }
+                            rows.truth.copy_from_slice(rows.alpha);
+                        })
                     });
+                    let got = got.iter().zip(&alpha.truth_of_group).map(|(&c, &a)| (a, c));
+                    for (g, (alpha, c)) in got.enumerate() {
+                        let tag = format!("{policy:?} t={target_cells} g={g} x{threads}");
+                        assert_eq!(
+                            alpha.to_bits(),
+                            want_alpha.logit(g).to_bits(),
+                            "alpha {tag}"
+                        );
+                        assert_eq!(c.to_bits(), want[g].to_bits(), "{tag}");
+                    }
                 }
             }
         }

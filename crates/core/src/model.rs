@@ -43,27 +43,25 @@ pub struct IterationTrace {
 /// Cumulative wall-clock time per EM stage across all rounds — the
 /// per-stage breakdown the `em_scale` bench reports. The single-layer
 /// baseline runs the same loop with the extraction layer off, so its
-/// vote, correctness, extractor and α stages stay zero.
+/// scan does no correctness work and its vote stage is the value votes
+/// alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
-    /// The `ChunkedCube::from_cube` gather plus its chunk skeleton (once
-    /// per fit from a cube — `run_streamed` reads a pre-chunked store);
-    /// for the single layer, the pair-cube reshape as well.
+    /// Laying the cube out in row order — the `ChunkedCube::from_cube`
+    /// gather, once per fit from a cube (`run_streamed` reads a
+    /// pre-chunked store); for the single layer, the pair-cube reshape as
+    /// well — and the fit's results back in cube group order.
     pub chunking: Duration,
-    /// Vote-table rebuilds (Eqs. 12–14).
+    /// Vote-table rebuilds (Eqs. 12–14, and Eq. 19's per-source votes).
     pub votes: Duration,
-    /// Correctness E-step (Eqs. 15, 26, 31).
-    pub correctness: Duration,
-    /// Value E-step (Eqs. 23–25).
-    pub values: Duration,
-    /// Source-accuracy M-step (Eq. 28).
-    pub source_update: Duration,
-    /// Extractor-quality M-step (Eqs. 32–33 + Eq. 7).
-    pub extractor_update: Duration,
-    /// α re-estimation (Eq. 26).
-    pub alpha: Duration,
-    /// Pseudo log-likelihood fold.
-    pub log_likelihood: Duration,
+    /// The round's one scan: α (Eq. 26), correctness (Eqs. 15, 31), the
+    /// value E-step (Eqs. 23–25) and every row folded into the M-step and
+    /// log-likelihood sums.
+    pub scan: Duration,
+    /// The M-steps' finish: the workers' sums merged, source accuracy
+    /// (Eq. 28), extractor quality (Eqs. 32–33 + Eq. 7) and the
+    /// log-likelihood.
+    pub mstep: Duration,
 }
 
 /// Per-iteration diagnostics of one inference run: the one record of how

@@ -9,174 +9,188 @@
 //!   correctness mass it captured out of all that was provided where it was
 //!   looking. `Q_e` is then *derived* via Eq. 7 rather than estimated
 //!   directly (Section 3.4.2).
+//!
+//! Both are transition / merge / final aggregates: a round's scan folds
+//! every row into its worker's [`RoundSums`], the workers' sums are merged
+//! after the scan, and the updates below finish them — exact sums, so no
+//! chunk order, partition or worker count shows in the bits.
 
-use std::ops::Range;
-
-use kbt_datamodel::{ChunkStoreMeta, GroupView};
+use kbt_datamodel::ChunkStoreMeta;
 use kbt_flume::ExactSum;
 
 use crate::config::{AbsencePolicy, ModelConfig};
 use crate::math::clamp_quality;
+use crate::model::map_confidence_ll;
 use crate::params::{q_from_precision_recall, Params};
 
-/// Eq. 28. Sources below `cfg.min_source_support` keep their current
-/// (default) accuracy; `active` is updated to reflect which sources have
-/// enough data to be trusted.
-///
-/// Eq. 28 needs no chunk data at all: groups are source-sorted, so source
-/// `w` owns `correctness` / `truth` entries
-/// `source_offsets[w]..source_offsets[w+1]`. Sources are updated in
-/// parallel, balanced by group count; `num_w` and `den_w` are exact sums.
-/// `den_w = Σ p(C_g = 1)` is also what the recall denominators and γ add
-/// up, so with `extraction` on it comes back merged: entry `e` over the
-/// sources extractor `e` observes (if scoped), the last entry in total.
-pub(crate) fn update_source_accuracy(
-    meta: &ChunkStoreMeta,
-    correctness: &[f64],
-    truth: &[f64],
-    cfg: &ModelConfig,
-    params: &mut Params,
-    active: &mut [bool],
-    extraction: bool,
-) -> Vec<ExactSum> {
-    let (offsets, ext_offsets) = (&meta.source_offsets, &meta.source_ext_offsets);
-    let num_sources = offsets.len() - 1;
-    let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;
-    let masses = usize::from(extraction) * (meta.num_extractors as usize + 1);
-    // One window of sources per worker, cut where the *group* mass splits
-    // evenly: on a long-tail corpus the first half of the source ids owns
-    // most of the groups, and an even split by source count leaves one
-    // worker streaming several times what the others do.
-    let parts = kbt_flume::num_threads().clamp(1, num_sources.max(1));
-    let cut = |k: usize| match k {
-        k if k == parts => num_sources,
-        k => offsets[1..].partition_point(|&o| (o as usize) < truth.len() * k / parts),
-    };
-    let windows: Vec<_> = (0..parts).map(|k| cut(k)..cut(k + 1)).collect();
-    let window = |sources: &Range<usize>| {
-        let mut mass = vec![ExactSum::default(); masses];
-        let updates: Vec<Option<f64>> = (sources.clone())
-            .map(|w| {
-                let groups = offsets[w] as usize..offsets[w + 1] as usize;
-                let (mut num, mut den) = (ExactSum::default(), ExactSum::default());
-                num.extend(groups.clone().map(|g| correctness[g] * truth[g]));
-                den.extend(correctness[groups.clone()].iter().copied());
-                if let Some((total, per_extractor)) = mass.split_last_mut() {
-                    total.merge(&den);
-                    let ext = ext_offsets[w] as usize..ext_offsets[w + 1] as usize;
-                    for &e in meta.source_ext_ids[ext].iter().filter(|_| scoped) {
-                        per_extractor[e as usize].merge(&den);
-                    }
-                }
-                let den = den.finish();
-                let supported = groups.len() >= cfg.min_source_support && den > 1e-12;
-                supported.then(|| clamp_quality(num.finish() / den))
-            })
-            .collect();
-        (sources.clone(), updates, mass)
-    };
-    let mut mass = vec![ExactSum::default(); masses];
-    for (sources, updates, part) in kbt_flume::par_map_slice(&windows, window) {
-        mass.iter_mut().zip(&part).for_each(|(m, p)| m.merge(p));
-        for (w, u) in sources.zip(updates) {
-            active[w] = u.is_some();
-            params.source_accuracy[w] = u.unwrap_or(params.source_accuracy[w]);
-        }
-    }
-    mass
+/// One round's sums, per scan worker: Eq. 28's per source, `num_w = Σ
+/// p(C)·p(V | X, C = 1)` and `den_w = Σ p(C)` over its groups; Eqs.
+/// 32–33's per extractor, `num_e = Σ conf·p(C)` and `pden_e = Σ conf` over
+/// its cells — `pden` does not move between rounds, so a fit folds it in
+/// its first round only; and the pseudo log-likelihood.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RoundSums {
+    source_num: Vec<ExactSum>,
+    source_den: Vec<ExactSum>,
+    ext_num: Vec<ExactSum>,
+    ext_pden: Vec<ExactSum>,
+    pub(crate) ll: ExactSum,
 }
 
-/// The extractor-quality M-step (Eqs. 32–33 + Eq. 7) as a
-/// transition/merge/final accumulator riding the correctness scan
-/// ([`crate::correctness::estimate_correctness`]).
-///
-/// Each scan worker folds the frames it computed into its own exact sums —
-/// `num[e] = Σ conf·p(C=1)` and `pden[e] = Σ conf` over the extractor's
-/// cells — merged after the scan, so no frame order or worker shows in
-/// the bits. [`Self::finish`] runs at the M-step's place in Algorithm 1.
-#[derive(Debug, Clone)]
-pub(crate) struct ExtractorSums {
-    num: Vec<ExactSum>,
-    pden: Vec<ExactSum>,
-}
-
-impl ExtractorSums {
-    /// A round's sums, all zero.
-    pub fn new(num_extractors: usize) -> Self {
-        Self {
-            num: vec![ExactSum::default(); num_extractors],
-            pden: vec![ExactSum::default(); num_extractors],
+impl RoundSums {
+    /// All zero, with the `Σ conf` sums iff `with_pden`.
+    pub(crate) fn reset(&mut self, sources: usize, extractors: usize, with_pden: bool) {
+        let pden = usize::from(with_pden) * extractors;
+        let (source_num, source_den) = (&mut self.source_num, &mut self.source_den);
+        let (ext_num, ext_pden) = (&mut self.ext_num, &mut self.ext_pden);
+        for (sums, len) in [
+            (source_num, sources),
+            (source_den, sources),
+            (ext_num, extractors),
+            (ext_pden, pden),
+        ] {
+            sums.clear();
+            sums.resize(len, ExactSum::default());
         }
+        self.ll = ExactSum::default();
     }
 
-    /// Fold one group frame's cells into the per-extractor sums;
-    /// `correctness` is the frame's window of `p(C = 1)`.
-    pub fn fold_frame(&mut self, view: &GroupView<'_>, correctness: &[f64], cfg: &ModelConfig) {
-        for (lg, &c_g) in correctness.iter().enumerate() {
-            let cells = view.cells(lg);
-            let extractors = &view.cell_extractor[cells.clone()];
-            for (&e, &raw) in extractors.iter().zip(&view.cell_confidence[cells]) {
-                let conf = cfg.effective_confidence(raw);
-                self.num[e as usize].add(conf * c_g);
-                self.pden[e as usize].add(conf);
+    /// Fold a chunk's rows: their sources, correctness, truth and
+    /// conditional truth.
+    pub(crate) fn fold_rows(&mut self, sources: &[u32], c: &[f64], truth: &[f64], cond: &[f64]) {
+        for ((&w, &c), &cond) in sources.iter().zip(c).zip(cond) {
+            self.source_num[w as usize].add(c * cond);
+            self.source_den[w as usize].add(c);
+        }
+        let terms = c.iter().zip(truth);
+        (self.ll).extend(terms.map(|(&c, &t)| map_confidence_ll(c) + map_confidence_ll(t)));
+    }
+
+    /// Fold one group's cells, of correctness `c`.
+    #[inline]
+    pub(crate) fn fold_cells(
+        &mut self,
+        extractors: &[u32],
+        confidences: &[f64],
+        c: f64,
+        cfg: &ModelConfig,
+    ) {
+        let with_pden = !self.ext_pden.is_empty();
+        for (&e, &raw) in extractors.iter().zip(confidences) {
+            let conf = cfg.effective_confidence(raw);
+            self.ext_num[e as usize].add(conf * c);
+            if with_pden {
+                self.ext_pden[e as usize].add(conf);
             }
         }
     }
 
     /// Add another worker's sums.
     pub(crate) fn merge(&mut self, other: &Self) {
-        let (num, pden) = (self.num.iter_mut(), self.pden.iter_mut());
-        for (a, b) in num.zip(&other.num).chain(pden.zip(&other.pden)) {
-            a.merge(b);
+        let pairs = [
+            (&mut self.source_num, &other.source_num),
+            (&mut self.source_den, &other.source_den),
+            (&mut self.ext_num, &other.ext_num),
+            (&mut self.ext_pden, &other.ext_pden),
+        ];
+        for (a, b) in pairs {
+            a.iter_mut().zip(b).for_each(|(a, b)| a.merge(b));
         }
+        self.ll.merge(&other.ll);
     }
 
-    /// Derive the new precision/recall and, via Eq. 7, Q, from a finished
-    /// scan's sums and the `mass` of [`update_source_accuracy`]. Extractor
-    /// `e`'s recall denominator is, if scoped, the mass of every source it
-    /// observes; otherwise the total (Eq. 30 literally). γ̂ is the total
-    /// over the slot universe: `n + 1` values per distinct item of a source.
-    pub fn finish(
-        &self,
-        meta: &ChunkStoreMeta,
-        mass: &[ExactSum],
-        cfg: &ModelConfig,
-        params: &mut Params,
-    ) {
-        let (total, per_extractor) = mass.split_last().expect("the total mass");
-        let total = total.finish();
-        let items: usize = meta.source_item_counts.iter().map(|&c| c as usize).sum();
-        let gamma = if cfg.estimate_gamma && items > 0 {
-            clamp_quality(total / ((items * (cfg.n_false_values + 1)) as f64))
-        } else {
-            cfg.gamma
-        };
-        let (precision, recall) = (&mut params.precision, &mut params.recall);
-        for e in 0..self.num.len() {
-            let (num, pden) = (self.num[e].finish(), self.pden[e].finish());
-            let rden = match cfg.absence_policy {
-                AbsencePolicy::SourceCandidates => per_extractor[e].finish(),
-                AbsencePolicy::AllExtractors => total,
-            };
-            if pden > 1e-12 {
-                precision[e] = clamp_quality(num / pden);
+    /// The finished `Σ conf` per extractor, if this round folded them.
+    pub(crate) fn pden(&self) -> Option<Vec<f64>> {
+        let pden = &self.ext_pden;
+        (!pden.is_empty()).then(|| pden.iter().map(ExactSum::finish).collect())
+    }
+}
+
+/// Eq. 28 from a round's merged [`RoundSums`]. Sources below
+/// `cfg.min_source_support` (their group span in `meta.source_offsets`)
+/// keep their current (default) accuracy; `active` is updated to reflect
+/// which sources have enough data to be trusted.
+///
+/// `den_w = Σ p(C_g = 1)` is also what the recall denominators and γ add
+/// up, so with `extraction` on it comes back merged: entry `e` over the
+/// sources extractor `e` observes (if scoped), the last entry in total.
+pub(crate) fn update_source_accuracy(
+    meta: &ChunkStoreMeta,
+    sums: &RoundSums,
+    cfg: &ModelConfig,
+    params: &mut Params,
+    active: &mut [bool],
+    extraction: bool,
+) -> Vec<ExactSum> {
+    let (offsets, ext_offsets) = (&meta.source_offsets, &meta.source_ext_offsets);
+    let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;
+    let masses = usize::from(extraction) * (meta.num_extractors as usize + 1);
+    let mut mass = vec![ExactSum::default(); masses];
+    for (w, (num, den)) in sums.source_num.iter().zip(&sums.source_den).enumerate() {
+        if let Some((total, per_extractor)) = mass.split_last_mut() {
+            total.merge(den);
+            let ext = ext_offsets[w] as usize..ext_offsets[w + 1] as usize;
+            for &e in meta.source_ext_ids[ext].iter().filter(|_| scoped) {
+                per_extractor[e as usize].merge(den);
             }
-            if rden > 1e-12 {
-                recall[e] = clamp_quality(num / rden);
-            }
-            params.q[e] = q_from_precision_recall(precision[e], recall[e], gamma);
         }
+        let den = den.finish();
+        active[w] = (offsets[w + 1] - offsets[w]) as usize >= cfg.min_source_support && den > 1e-12;
+        if active[w] {
+            params.source_accuracy[w] = clamp_quality(num.finish() / den);
+        }
+    }
+    mass
+}
+
+/// Eqs. 32–33 + Eq. 7: the new precision/recall and, via Eq. 7, Q, from
+/// a round's merged [`RoundSums`], the fit's `Σ conf` per extractor
+/// `pden`, and the `mass` of [`update_source_accuracy`]. Extractor `e`'s
+/// recall denominator is, if scoped, the mass of every source it
+/// observes; otherwise the total (Eq. 30 literally). γ̂ is the total over
+/// the slot universe: `n + 1` values per distinct item of a source.
+pub(crate) fn update_extractor_quality(
+    meta: &ChunkStoreMeta,
+    sums: &RoundSums,
+    pden: &[f64],
+    mass: &[ExactSum],
+    cfg: &ModelConfig,
+    params: &mut Params,
+) {
+    let (total, per_extractor) = mass.split_last().expect("the total mass");
+    let total = total.finish();
+    let items: usize = meta.source_item_counts.iter().map(|&c| c as usize).sum();
+    let gamma = if cfg.estimate_gamma && items > 0 {
+        clamp_quality(total / ((items * (cfg.n_false_values + 1)) as f64))
+    } else {
+        cfg.gamma
+    };
+    let (precision, recall) = (&mut params.precision, &mut params.recall);
+    for (e, (num, &pden)) in sums.ext_num.iter().zip(pden).enumerate() {
+        let num = num.finish();
+        let rden = match cfg.absence_policy {
+            AbsencePolicy::SourceCandidates => per_extractor[e].finish(),
+            AbsencePolicy::AllExtractors => total,
+        };
+        if pden > 1e-12 {
+            precision[e] = clamp_quality(num / pden);
+        }
+        if rden > 1e-12 {
+            recall[e] = clamp_quality(num / rden);
+        }
+        params.q[e] = q_from_precision_recall(precision[e], recall[e], gamma);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::correctness::{estimate_correctness, AlphaState};
+    use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkSource, ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
-        ObservationCube, ResidentChunks, SourceId, ValueId,
+        ChunkStoreMeta, ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
+        ObservationCube, SourceId, ValueId,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -184,33 +198,44 @@ mod tests {
     /// One round's correctness, parameters and active flags.
     type Round = (Vec<f64>, Params, Vec<bool>);
 
-    /// Two rounds (the second exercises buffer reuse) of the fused
-    /// correctness scan and both M-steps from `init`, as `run_em` calls
-    /// them.
+    /// Two rounds (the second exercises the scratch's reuse and a round
+    /// without the `Σ conf` fold) of the correctness scan folding both
+    /// M-steps' sums, and both M-steps from `init`, as `run_em` runs them.
     fn two_rounds(cc: &ChunkedCube, init: &Params, truth: &[f64], cfg: &ModelConfig) -> Round {
-        let src = ResidentChunks::new(cc);
-        let meta = src.meta();
+        let meta = ChunkStoreMeta::from_cube(cc);
         let (ne, nw) = (cc.num_extractors(), cc.num_sources());
         let mut votes = crate::votes::VoteCounter::empty();
         let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
         votes.rebuild(ne, nw, ext_offsets, ext_ids, init, cfg);
-        let alpha = AlphaState::uniform(truth.len(), cfg.alpha);
-        let (mut c, mut got, mut active) = (vec![0.0; truth.len()], init.clone(), vec![true; nw]);
-        for _ in 0..2 {
+        let mut workers = vec![RoundSums::default(); 8];
+        let (mut c, mut got, mut active) = (Vec::new(), init.clone(), vec![true; nw]);
+        let mut pden = Vec::new();
+        for round in 0..2 {
             got = init.clone();
-            let sums = estimate_correctness(&src, &votes, &alpha, cfg, &mut c).unwrap();
-            let mass = update_source_accuracy(meta, &c, truth, cfg, &mut got, &mut active, true);
-            sums.finish(meta, &mass, cfg, &mut got);
+            workers.iter_mut().for_each(|w| w.reset(nw, ne, round == 0));
+            c = scan_rows(cc, cfg, &mut workers, |sums, view, rows| {
+                estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
+                let t: Vec<f64> = view.ig_group.iter().map(|&g| truth[g as usize]).collect();
+                sums.fold_rows(view.ig_source, rows.correctness, &t, &t);
+            })
+            .0;
+            let (sums, rest) = workers.split_first_mut().unwrap();
+            rest.iter().for_each(|w| sums.merge(w));
+            let mass = update_source_accuracy(&meta, sums, cfg, &mut got, &mut active, true);
+            if let Some(folded) = sums.pden() {
+                pden = folded;
+            }
+            update_extractor_quality(&meta, sums, &pden, &mass, cfg, &mut got);
         }
         (c, got, active)
     }
 
-    /// Kernel ≡ reference for both M-steps, bit for bit: Eq. 28 from the
-    /// offsets CSR and Eqs. 32–33 folded under the correctness scan, at
-    /// several frame sizes and thread counts and across buffer-reuse
-    /// rounds — on a random cube, on that cube after a retraction that
-    /// empties source 11, and on the unretracted cube with the retracted
-    /// groups left in place without cells, which must fold nothing.
+    /// Kernel ≡ reference for both M-steps, bit for bit: both folded
+    /// under the correctness scan, at several chunk sizes and thread
+    /// counts and across buffer-reuse rounds — on a random cube, on that
+    /// cube after a retraction that empties source 11, and on the
+    /// unretracted cube with the retracted groups left in place without
+    /// cells, which must fold nothing.
     #[test]
     fn mstep_kernels_match_the_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(33);
@@ -242,21 +267,11 @@ mod tests {
         };
         // The retracted groups stay, without cells; the cells left and the
         // per-source extractor sets are the retracted cube's.
-        let hollow_out = |mut cc: ChunkedCube, shrunk: &ChunkedCube| {
-            let offsets = std::mem::replace(&mut cc.cell_offsets, vec![0]);
-            let ext = std::mem::take(&mut cc.cell_extractor);
-            let conf = std::mem::take(&mut cc.cell_confidence);
-            for g in 0..full.num_groups() {
-                if !retracted(g) {
-                    let cells = offsets[g] as usize..offsets[g + 1] as usize;
-                    cc.cell_extractor.extend(&ext[cells.clone()]);
-                    cc.cell_confidence.extend(&conf[cells]);
-                }
-                cc.cell_offsets.push(cc.cell_extractor.len() as u32);
-            }
-            cc.source_ext_offsets = shrunk.source_ext_offsets.clone();
-            cc.source_ext_ids = shrunk.source_ext_ids.clone();
-            cc
+        let hollow_out = |cc: ChunkedCube, shrunk: &ChunkedCube| {
+            let mut hollow = hollow_rows(cc, retracted);
+            hollow.source_ext_offsets = shrunk.source_ext_offsets.clone();
+            hollow.source_ext_ids = shrunk.source_ext_ids.clone();
+            hollow
         };
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for policy in [
@@ -317,5 +332,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `cc` with the cells of every row whose group `hollow` picks
+    /// removed: the rows stay, claiming without a cell, and each chunk
+    /// counts the cells it has left.
+    pub(crate) fn hollow_rows(mut cc: ChunkedCube, hollow: impl Fn(usize) -> bool) -> ChunkedCube {
+        let offsets = std::mem::replace(&mut cc.cell_offsets, vec![0]);
+        let ext = std::mem::take(&mut cc.cell_extractor);
+        let conf = std::mem::take(&mut cc.cell_confidence);
+        for (r, &g) in cc.ig_group.iter().enumerate() {
+            if !hollow(g as usize) {
+                let cells = offsets[r] as usize..offsets[r + 1] as usize;
+                cc.cell_extractor.extend(&ext[cells.clone()]);
+                cc.cell_confidence.extend(&conf[cells]);
+            }
+            cc.cell_offsets.push(cc.cell_extractor.len() as u32);
+        }
+        for chunk in &mut cc.chunks {
+            let rows = chunk.rows.start as usize..chunk.rows.end as usize;
+            chunk.cells = cc.cell_offsets[rows.end] - cc.cell_offsets[rows.start];
+        }
+        cc
     }
 }

@@ -11,23 +11,35 @@
 //! prior α is re-estimated from the previous iteration's value posteriors
 //! (Eq. 26) beginning at the configured iteration (the third, by default —
 //! Section 5.1.2).
+//!
+//! A round is one scan over the item chunks: each chunk's worker applies
+//! the α update that is due, computes the chunk's correctness and value
+//! posteriors, and folds its rows into the M-steps' and the
+//! log-likelihood's exact sums; the M-steps finish after the scan. The
+//! fit keeps its per-group state in the chunks' row order and hands it
+//! back in cube group order once, when it reports.
 
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    ChunkSource, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks, StreamedChunks,
+    ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
+    StreamedChunks,
 };
-use kbt_flume::{ExactSum, Stopwatch};
+use kbt_flume::Stopwatch;
 
 use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount};
 use crate::correctness::{estimate_correctness, AlphaState};
-use crate::model::{map_confidence_ll, ConvergenceTrace, FusionReport, IterationTrace};
-use crate::mstep::update_source_accuracy;
+use crate::math::logit;
+use crate::model::{ConvergenceTrace, FusionReport, IterationTrace};
+use crate::mstep::{update_extractor_quality, update_source_accuracy, RoundSums};
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
-use crate::value::{estimate_values, ColValueScratch, ValueLayerOutput};
+use crate::value::{
+    estimate_values, ChunkPosteriors, ColValueScratch, ValueLayerOutput, ValueVotes,
+};
 use crate::votes::VoteCounter;
 
 /// The multi-layer KBT estimator.
@@ -102,12 +114,13 @@ impl MultiLayerModel {
 
     /// Algorithm 1 from a [`FileChunkStore`] written elsewhere — the one
     /// cube-less entry point. No [`ObservationCube`] (or [`ChunkedCube`])
-    /// is ever materialized: only the O(groups) posterior vectors, the
-    /// per-source/per-extractor tables, and one decoded frame per scan
-    /// worker are resident; a scan runs on at most `max_resident_chunks`
-    /// workers (`0` = as many as the thread count allows).
-    /// [`FileChunkStore::frames_read`] counts the reads: each frame once
-    /// per scan, two scans per round.
+    /// is ever materialized: only the O(groups) row state, the
+    /// per-source/per-extractor tables, and one decoded frame and one set
+    /// of sums per scan worker are resident; a scan runs on at most
+    /// `max_resident_chunks` workers (`0` = as many as the thread count
+    /// allows).
+    /// [`FileChunkStore::frames_read`] counts the reads: each item frame
+    /// once per round.
     ///
     /// It is the same loop over the same kernels as a resident fit, fed
     /// from [`StreamedChunks`] instead of [`ResidentChunks`], so its
@@ -255,20 +268,21 @@ pub(crate) fn with_em<R>(
 }
 
 /// Algorithm 1: the one EM loop, over whatever [`ChunkSource`] the
-/// caller's residency picked. A round scans the cube twice —
-/// [`estimate_correctness`] over the group frames, folding the extractor
-/// M-step's sums as it goes, and [`estimate_values`]
-/// over the item chunks; everything else reads the source's integer
-/// skeleton alone (vote tables, Eq. 28 and the masses it hands on, α).
-/// Every float sum that feeds the parameters or the trace is an
-/// [`ExactSum`], so no partition or thread count moves a bit. Scratch and
-/// buffers persist across rounds, so the steady-state loop allocates only
-/// the round's value-layer output and per-worker accumulators.
+/// caller's residency picked. A round rebuilds the vote tables, makes one
+/// scan over the item chunks and finishes the M-steps from the workers'
+/// merged [`RoundSums`]; everything besides the scan reads the source's
+/// integer skeleton alone. Each chunk is handled by the worker that pulled
+/// it: the α update that is due (Eq. 26), correctness (Eqs. 15, 31), the
+/// value E-step (Eqs. 23–25), and every row folded into the sums. Every
+/// float sum that feeds the parameters or the trace is a
+/// [`kbt_flume::ExactSum`], so no partition or thread count moves a bit.
+/// The per-row state and the workers' scratch persist across rounds, so a
+/// round allocates only its per-worker accumulators.
 ///
 /// With `extraction` off every claim is provided (`p(C) ≡ 1`) and a round
-/// skips the vote tables, the correctness scan, the extractor M-step and
-/// α: the single layer of §2.2, which [`crate::SingleLayerModel`] runs
-/// over its pair cube.
+/// skips the vote tables, correctness, the extractor M-step and α: the
+/// single layer of §2.2, which [`crate::SingleLayerModel`] runs over its
+/// pair cube.
 fn run_em<S: ChunkSource>(
     cfg: &ModelConfig,
     src: &S,
@@ -281,6 +295,7 @@ fn run_em<S: ChunkSource>(
     let ng = meta.num_groups as usize;
     let nw = meta.num_sources as usize;
     let ne = meta.num_extractors as usize;
+    let miv = meta.max_item_values as usize;
 
     let mut params = Params::init_sized(nw, ne, cfg, init);
     // A source may vote from the start if it has enough support (its
@@ -291,96 +306,90 @@ fn run_em<S: ChunkSource>(
         .windows(2)
         .map(|w| (w[1] - w[0]) as usize >= cfg.min_source_support)
         .collect();
-    let mut alpha = AlphaState::uniform(ng, cfg.alpha);
     let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
-    if let (Some(t0), Some(_)) = (prior_truth, cfg.alpha_update_from) {
-        debug_assert_eq!(t0.len(), ng);
-        alpha.update(&meta.source_offsets, t0, &params, cfg);
-    }
+    debug_assert!(prior_truth.is_none_or(|t0| t0.len() == ng));
 
-    // One value-layer scratch per worker the scans may use.
-    let mut value_scratch: Vec<ColValueScratch> = Vec::new();
-    value_scratch.resize_with(kbt_flume::num_threads(), Default::default);
-    let mut votes = VoteCounter::empty();
-    let mut correctness: Vec<f64> = vec![if extraction { 0.0 } else { 1.0 }; ng];
-
-    let mut values: Option<ValueLayerOutput> = None;
+    let mut rows = RowState::new(meta, cfg, extraction);
+    let mut workers: Vec<(ColValueScratch, RoundSums)> = Vec::new();
+    workers.resize_with(kbt_flume::num_threads(), Default::default);
+    let (mut votes, mut value_votes) = (VoteCounter::empty(), ValueVotes::default());
+    // `Σ conf` per extractor: folded in the first round, fixed after.
+    let mut pden: Vec<f64> = Vec::new();
     let mut trace = ConvergenceTrace::default();
     let mut watch = Stopwatch::start();
     let mut stage = Stopwatch::start();
 
     for t in 1..=cfg.max_iterations {
         stage.lap();
-        // Step 1: extraction correctness.
-        let sums = if extraction {
+        if extraction {
             let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
             votes.rebuild(ne, nw, ext_offsets, ext_ids, &params, cfg);
-            trace.stage_wall.votes += stage.lap();
-            let sums = estimate_correctness(src, &votes, &alpha, cfg, &mut correctness)?;
-            trace.stage_wall.correctness += stage.lap();
-            Some(sums)
-        } else {
-            None
-        };
-        // Step 2: item values (with the CopyDiscount stage, if any). The
-        // previous round's output is dead from here on, so drop it first:
-        // the per-item posterior vectors are the largest fit-state
-        // allocation, and holding two rounds' worth while the new one is
-        // built would dominate a streamed fit's peak RSS.
-        drop(values.take());
-        let out = estimate_values(
-            src,
-            &correctness,
-            &params,
-            cfg,
-            &active,
-            discount,
-            &mut value_scratch,
-        )?;
-        trace.stage_wall.values += stage.lap();
-        // Steps 3–4: parameters.
-        let prev = params.clone();
-        let (c, given) = (&correctness, &out.truth_given_provided);
-        let mass =
-            update_source_accuracy(meta, c, given, cfg, &mut params, &mut active, extraction);
-        trace.stage_wall.source_update += stage.lap();
-        if let Some(sums) = sums {
-            sums.finish(meta, &mass, cfg, &mut params);
-            trace.stage_wall.extractor_update += stage.lap();
-            // Re-estimate the correctness prior for the *next* iteration
-            // (Section 3.3.4), using the fresh accuracies as in Example 3.3.
-            if cfg.updates_alpha_at(t + 1) || alpha_always {
-                alpha.update(&meta.source_offsets, &out.truth_of_group, &params, cfg);
+        }
+        value_votes.rebuild(&params, cfg, &active, discount);
+        trace.stage_wall.votes += stage.lap();
+
+        // Eq. 26 for this round's rows: from the warm prior before the
+        // first round, from the last round's truth once the schedule (or
+        // a resumed fit) allows it.
+        let prior = prior_truth.filter(|_| t == 1 && cfg.alpha_update_from.is_some());
+        let from_truth = t > 1 && (cfg.updates_alpha_at(t) || alpha_always);
+        for (_, sums) in &mut workers {
+            sums.reset(nw, ne, extraction && t == 1);
+        }
+        let mut windows = rows.windows(meta);
+        src.scan_items(&mut workers, &mut windows, |(scratch, sums), view, rows| {
+            if t == 1 {
+                rows.group.copy_from_slice(view.ig_group);
             }
-            trace.stage_wall.alpha += stage.lap();
+            if extraction {
+                if let Some(prior) = prior {
+                    let truth = |r: usize| prior[view.ig_group[r] as usize];
+                    AlphaState::update(rows.alpha, view.ig_source, truth, &params, cfg);
+                } else if from_truth {
+                    let truth = |r: usize| rows.truth[r];
+                    AlphaState::update(rows.alpha, view.ig_source, truth, &params, cfg);
+                }
+                estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
+            }
+            estimate_values(view, &value_votes, &active, miv, scratch, rows);
+            sums.fold_rows(view.ig_source, rows.correctness, rows.truth, rows.cond);
+        })?;
+        trace.stage_wall.scan += stage.lap();
+
+        let ((_, sums), rest) = workers.split_first_mut().expect("one worker at least");
+        rest.iter().for_each(|(_, w)| sums.merge(w));
+        let prev = params.clone();
+        let mass = update_source_accuracy(meta, sums, cfg, &mut params, &mut active, extraction);
+        if extraction {
+            if let Some(folded) = sums.pden() {
+                pden = folded;
+            }
+            update_extractor_quality(meta, sums, &pden, &mass, cfg, &mut params);
         }
         let delta = params.max_abs_delta(&prev);
-        // Per-group LL terms summed per range, the ranges' sums merged.
-        let (truth, corr) = (&out.truth_of_group, &correctness);
-        let mut ll = ExactSum::default();
-        for range in kbt_flume::par_ranges(ng, |r| {
-            let mut ll = ExactSum::default();
-            ll.extend(r.map(|g| map_confidence_ll(corr[g]) + map_confidence_ll(truth[g])));
-            ll
-        }) {
-            ll.merge(&range);
-        }
-        let log_likelihood = ll.finish();
-        trace.stage_wall.log_likelihood += stage.lap();
+        let log_likelihood = sums.ll.finish();
+        trace.stage_wall.mstep += stage.lap();
         trace.rounds.push(IterationTrace {
             iteration: t,
             delta,
             log_likelihood,
             wall: watch.lap(),
         });
-        values = Some(out);
         if delta < cfg.convergence_eps {
             trace.converged = true;
             break;
         }
     }
 
-    let values = values.unwrap_or_else(|| empty_values(meta.num_items as usize, ng, cfg));
+    // Back to cube group order: the one permutation of the fit.
+    stage.lap();
+    let (correctness, values) = if trace.rounds.is_empty() {
+        let values = empty_values(meta.num_items as usize, ng, cfg);
+        (rows.correctness, values)
+    } else {
+        rows.in_cube_order()
+    };
+    trace.stage_wall.chunking += stage.lap();
     Ok(FusionReport::multi_layer(
         params,
         correctness,
@@ -388,6 +397,104 @@ fn run_em<S: ChunkSource>(
         active,
         trace,
     ))
+}
+
+/// A fit's per-row state, in the chunks' (item-major) row order: allocated
+/// once per fit on the calling thread and kept across rounds.
+struct RowState {
+    /// Cube group of each row, copied from the chunks in the first round:
+    /// the permutation back to cube order.
+    group: Vec<u32>,
+    alpha: Vec<f64>,
+    correctness: Vec<f64>,
+    truth: Vec<f64>,
+    cond: Vec<f64>,
+    covered: Vec<bool>,
+    /// One entry per chunk.
+    posteriors: Vec<ChunkPosteriors>,
+}
+
+/// One chunk's window of the [`RowState`], for the one task that scans
+/// the chunk.
+pub(crate) struct ChunkRows<'a> {
+    pub(crate) group: &'a mut [u32],
+    pub(crate) alpha: &'a mut [f64],
+    pub(crate) correctness: &'a mut [f64],
+    pub(crate) truth: &'a mut [f64],
+    pub(crate) cond: &'a mut [f64],
+    pub(crate) covered: &'a mut [bool],
+    pub(crate) posteriors: &'a mut ChunkPosteriors,
+}
+
+impl RowState {
+    /// Uniform priors; correctness fixed at 1 when the extraction layer is
+    /// off.
+    fn new(meta: &ChunkStoreMeta, cfg: &ModelConfig, extraction: bool) -> Self {
+        let ng = meta.num_groups as usize;
+        let posteriors = meta.item_chunks.iter().map(ChunkPosteriors::for_chunk);
+        Self {
+            group: vec![0; ng],
+            alpha: vec![logit(cfg.alpha); ng],
+            correctness: vec![if extraction { 0.0 } else { 1.0 }; ng],
+            truth: vec![0.0; ng],
+            cond: vec![0.0; ng],
+            covered: vec![false; ng],
+            posteriors: posteriors.collect(),
+        }
+    }
+
+    /// The state cut into one window per chunk of `meta.item_chunks`.
+    fn windows(&mut self, meta: &ChunkStoreMeta) -> Vec<ChunkRows<'_>> {
+        fn carve<'a, T>(column: &mut &'a mut [T], rows: &Range<u32>) -> &'a mut [T] {
+            column
+                .split_off_mut(..rows.len())
+                .expect("chunks tile the rows")
+        }
+        let (mut group, mut alpha) = (&mut self.group[..], &mut self.alpha[..]);
+        let (mut correctness, mut truth) = (&mut self.correctness[..], &mut self.truth[..]);
+        let (mut cond, mut covered) = (&mut self.cond[..], &mut self.covered[..]);
+        let chunks = meta.item_chunks.iter().zip(&mut self.posteriors);
+        chunks
+            .map(|(chunk, posteriors)| ChunkRows {
+                group: carve(&mut group, &chunk.rows),
+                alpha: carve(&mut alpha, &chunk.rows),
+                correctness: carve(&mut correctness, &chunk.rows),
+                truth: carve(&mut truth, &chunk.rows),
+                cond: carve(&mut cond, &chunk.rows),
+                covered: carve(&mut covered, &chunk.rows),
+                posteriors,
+            })
+            .collect()
+    }
+
+    /// Correctness and the value layer's output in cube group order. Each
+    /// float column lands in a row buffer the fit is done with — α's
+    /// first, then the one the column before it vacated — so the
+    /// permutation touches no fresh memory.
+    fn in_cube_order(self) -> (Vec<f64>, ValueLayerOutput) {
+        let group = &self.group;
+        let place = |mut out: Vec<f64>, rows: &[f64]| {
+            for (&g, &x) in group.iter().zip(rows) {
+                out[g as usize] = x;
+            }
+            out
+        };
+        let correctness = place(self.alpha, &self.correctness);
+        let truth_of_group = place(self.correctness, &self.truth);
+        let truth_given_provided = place(self.truth, &self.cond);
+        let mut covered_group = vec![false; group.len()];
+        for (&g, &x) in group.iter().zip(&self.covered) {
+            covered_group[g as usize] = x;
+        }
+        let posteriors = ChunkPosteriors::concat(&self.posteriors);
+        let values = ValueLayerOutput {
+            posteriors,
+            truth_of_group,
+            truth_given_provided,
+            covered_group,
+        };
+        (correctness, values)
+    }
 }
 
 /// Whether `init` resumes converged parameters, in which case the α
@@ -419,9 +526,31 @@ pub(crate) fn empty_values(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
+    use kbt_datamodel::{
+        ChunkingConfig, CubeBuilder, ExtractorId, ItemId, ItemView, Observation, SourceId, ValueId,
+    };
+
+    /// One resident scan of `cc` on `workers` into a fit's row state, as
+    /// `run_em`'s first round makes it under `cfg`: `f(worker, view, rows)`
+    /// fills each chunk's rows. The correctness and value columns come
+    /// back in cube group order, as a fit reports them.
+    pub(crate) fn scan_rows<S: Send>(
+        cc: &ChunkedCube,
+        cfg: &ModelConfig,
+        workers: &mut [S],
+        f: impl Fn(&mut S, &ItemView<'_>, &mut ChunkRows<'_>) + Sync,
+    ) -> (Vec<f64>, ValueLayerOutput) {
+        let src = ResidentChunks::new(cc);
+        let mut rows = RowState::new(src.meta(), cfg, true);
+        src.scan_items(workers, &mut rows.windows(src.meta()), |s, view, rows| {
+            rows.group.copy_from_slice(view.ig_group);
+            f(s, view, rows);
+        })
+        .expect("a resident scan never fails");
+        rows.in_cube_order()
+    }
 
     /// A clean corpus: 5 accurate sources agreeing on 20 items, observed by
     /// 3 good extractors. The model should end up trusting everyone.
@@ -595,5 +724,80 @@ mod tests {
             r.iterations()
         );
         assert!(r.iterations() < 50);
+    }
+
+    /// Rows without cells — which no row cube produces, but a chunk store
+    /// may hold — claim nothing and still report, in cube order: a warm
+    /// fit (resumed parameters, prior truth, copy discount) over a cube
+    /// with every fifth group's cells removed is the same at 1, 2 and 8
+    /// threads, resident and streamed at caps 0, 1 and 4, and every
+    /// group's truth and coverage are its own `(item, value)`'s.
+    #[test]
+    fn cell_less_rows_report_in_cube_order_at_any_residency() {
+        use crate::mstep::tests::hollow_rows;
+        let mut b = CubeBuilder::new();
+        for d in 0..30u32 {
+            for k in 0..6u32 {
+                let w = (d * 5 + k * 7) % 23;
+                b.push(Observation {
+                    extractor: ExtractorId::new(k % 3),
+                    source: SourceId::new(w),
+                    item: ItemId::new(d),
+                    value: ValueId::new((w + k) % 3),
+                    confidence: 0.4 + 0.1 * k as f64,
+                });
+            }
+        }
+        let cube = b.build();
+        let hollow = |g: usize| g % 5 == 2;
+        let chunking = ChunkingConfig { target_cells: 12 };
+        let cc = hollow_rows(ChunkedCube::from_cube(&cube, &chunking), hollow);
+        let cfg = ModelConfig::default();
+        let init = QualityInit::Resume(Params::init(&cube, &cfg, &QualityInit::Default));
+        let prior: Vec<f64> = (0..cube.num_groups())
+            .map(|g| (g % 7) as f64 / 7.0)
+            .collect();
+        let discount = CopyDiscount::from_scales((0..23).map(|w| 1.0 - 0.02 * w as f64).collect());
+        let fit = |src: &dyn Fn() -> io::Result<FusionReport>, threads| {
+            kbt_flume::with_threads(Some(threads), src).expect("fit")
+        };
+        let resident = ResidentChunks::new(&cc);
+        let run = || run_em(&cfg, &resident, &init, Some(&prior), Some(&discount), true);
+        let want = fit(&run, 1);
+        let path = std::env::temp_dir().join(format!("kbt-hollow-{}.chunks", std::process::id()));
+        FileChunkStore::write(&cc, &path).expect("write the store");
+        let store = Arc::new(FileChunkStore::open(&path).expect("open the store"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            let mut fits = vec![fit(&run, threads)];
+            for cap in [0, 1, 4] {
+                let src = StreamedChunks::new(Arc::clone(&store), cap);
+                let streamed = || run_em(&cfg, &src, &init, Some(&prior), Some(&discount), true);
+                fits.push(fit(&streamed, threads));
+            }
+            for got in &fits {
+                assert_eq!(got.params, want.params, "x{threads}");
+                assert_eq!(bits(&got.truth_of_group), bits(&want.truth_of_group));
+                assert_eq!(got.covered_group, want.covered_group, "x{threads}");
+                assert_eq!(got.posteriors, want.posteriors, "x{threads}");
+                let (a, b) = (got.correctness().unwrap(), want.correctness().unwrap());
+                assert_eq!(bits(a), bits(b), "x{threads}");
+            }
+        }
+        std::fs::remove_file(&path).expect("remove the store");
+        for (g, grp) in cube.groups().iter().enumerate() {
+            let truth = want.posteriors.prob(grp.item, grp.value);
+            let voted = want
+                .posteriors
+                .observed(grp.item)
+                .iter()
+                .any(|e| e.0 == grp.value);
+            assert_eq!(
+                want.truth_of_group[g].to_bits(),
+                truth.to_bits(),
+                "group {g}"
+            );
+            assert_eq!(want.covered_group[g], voted, "group {g}");
+        }
     }
 }

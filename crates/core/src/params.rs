@@ -66,9 +66,9 @@ pub enum QualityInit {
     /// fusion path (`FusionSession` in `kbt-pipeline`). Entries are
     /// copied index-wise into the new parameter vectors; ids beyond the
     /// resumed vectors (sources/extractors introduced by a delta) fall
-    /// back to the defaults. Starting EM at a near-fixed point makes a
-    /// small-delta re-run converge in a handful of rounds instead of a
-    /// cold restart.
+    /// back to the defaults. It does not promise fewer rounds: at 200k
+    /// triples a default-config warm refit after a small delta still runs
+    /// all 5.
     Resume(Params),
 }
 

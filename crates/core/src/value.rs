@@ -9,15 +9,13 @@
 //! posterior is a softmax over vote counts with one `exp(0)` term per
 //! unobserved domain value (Eq. 21/25, Example 3.2).
 
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use kbt_datamodel::{ChunkSource, ItemView, SourceId, ValueId};
+use kbt_datamodel::{CubeChunk, ItemView, SourceId, ValueId};
 
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
 use crate::math::clamp_quality;
 use crate::math::log_sum_exp_with_zeros;
+use crate::multi_layer::ChunkRows;
 use crate::params::Params;
 use crate::posterior::ItemPosteriors;
 
@@ -35,7 +33,7 @@ pub struct ValueLayerOutput {
     /// estimator the unconditional posterior already discounts by
     /// `p(C)`, and re-weighting it by `p(C)` in Eq. 28 double-counts the
     /// extraction uncertainty, collapsing `A_w` on sparse data (see
-    /// DESIGN.md).
+    /// README, "Where this departs from the paper").
     pub truth_given_provided: Vec<f64>,
     /// Whether each group's `(d, v)` received at least one vote from an
     /// *active* source (the coverage rule; see [`ModelConfig::min_source_support`]).
@@ -44,8 +42,7 @@ pub struct ValueLayerOutput {
 
 /// Reusable per-worker scratch of the value E-step: slot-indexed
 /// accumulators sized once to the cube's `max_item_values` (so the
-/// per-item inner loops index dense arrays instead of searching), and the
-/// chunk-local row columns of the gather → compute → scatter phases. Used
+/// per-item inner loops index dense arrays instead of searching). Used
 /// slots are reset after each item; capacity is retained across rounds.
 #[derive(Debug, Default)]
 pub(crate) struct ColValueScratch {
@@ -56,67 +53,135 @@ pub(crate) struct ColValueScratch {
     order: Vec<u32>,            // first-seen voted slots
     rows: Vec<(u32, f64, f64)>, // (slot, weight, full vote)
     vcs: Vec<f64>,
-    // One entry per item-major row of the chunk in hand.
-    gathered: Vec<f64>, // correctness[ig_group[r]]
-    truth: Vec<f64>,
-    cond: Vec<f64>,
-    covered: Vec<bool>,
 }
 
-/// One item chunk's posterior entries, concatenated in chunk order.
-struct ValueChunkOut {
+/// One chunk's posterior entries, in item order — kept by the fit across
+/// rounds and concatenated in chunk order once, when the fit reports.
+#[derive(Debug)]
+pub(crate) struct ChunkPosteriors {
     entries: Vec<(ValueId, f64)>,
     entry_counts: Vec<u32>,
     unobserved: Vec<f64>,
 }
 
-/// The per-item value E-step kernel (Eqs. 23–25). Streams the item's
-/// `ig_*` rows with pre-resolved value slots and the chunk's pre-gathered
-/// correctness column, so the hot loop is sequential loads, one weight
-/// select, and a slot-indexed accumulate — no searching, no random access,
-/// no per-item allocation. Per slot, votes accumulate in row order, the
-/// POPACCU adjustment and the softmax run in first-seen value order; the
-/// per-row `(truth, cond, covered)` outputs append in row order.
-///
-/// Takes an [`ItemView`] (`li` is the view-local item index), so the same
-/// kernel — the same instructions, the same float sequence — runs whether
-/// the chunk is a resident slice or a buffer streamed from disk.
-// Kernel signature: the EM stages pass disjoint column and scratch borrows as separate parameters; bundling them in a struct would alias mutable slices or force per-round allocation.
-#[allow(clippy::too_many_arguments)]
-fn col_value_item_kernel(
-    view: &ItemView<'_>,
-    active_source: &[bool],
-    full_vote_of: &[f64],
+impl ChunkPosteriors {
+    /// Room for `chunk`'s posteriors — at most one entry per row — taken
+    /// on the calling thread, so no scan worker ever grows these buffers
+    /// (memory a worker allocates stays in its thread's arena).
+    pub(crate) fn for_chunk(chunk: &CubeChunk) -> Self {
+        Self {
+            entries: Vec::with_capacity(chunk.rows.len()),
+            entry_counts: Vec::with_capacity(chunk.items.len()),
+            unobserved: Vec::with_capacity(chunk.items.len()),
+        }
+    }
+
+    /// The posteriors of every item, from each chunk's in chunk order.
+    pub(crate) fn concat(chunks: &[Self]) -> ItemPosteriors {
+        let items = chunks.iter().map(|c| c.unobserved.len()).sum();
+        let mut offsets = Vec::with_capacity(items + 1);
+        offsets.push(0u32);
+        let mut entries = Vec::with_capacity(chunks.iter().map(|c| c.entries.len()).sum());
+        let mut unobserved = Vec::with_capacity(items);
+        for chunk in chunks {
+            for &c in &chunk.entry_counts {
+                offsets.push(offsets.last().unwrap() + c);
+            }
+            entries.extend_from_slice(&chunk.entries);
+            unobserved.extend_from_slice(&chunk.unobserved);
+        }
+        ItemPosteriors::from_flat_parts(offsets, entries, unobserved)
+    }
+}
+
+/// What the value E-step reads besides the chunk, fixed for a round:
+/// each active source's vote `ln(n·A_w/(1−A_w))` (× its independence
+/// factor) and the model's switches. Rebuilt in place every round.
+#[derive(Debug, Default)]
+pub(crate) struct ValueVotes {
+    full_vote: Vec<f64>,
     map_weight: bool,
     popaccu: bool,
     n: f64,
     domain: usize,
+}
+
+impl ValueVotes {
+    /// The votes of `params` under `cfg`. `discount` (the CopyDiscount
+    /// stage, if copy-aware fusion is on) scales each source's vote by its
+    /// independence factor `I(w)` — `None` leaves the arithmetic
+    /// bit-identical to copy-blind fusion. Inactive sources never vote, so
+    /// their entry is a placeholder the kernel never reads.
+    pub(crate) fn rebuild(
+        &mut self,
+        params: &Params,
+        cfg: &ModelConfig,
+        active_source: &[bool],
+        discount: Option<&CopyDiscount>,
+    ) {
+        let n = cfg.n_false_values as f64;
+        self.full_vote.clear();
+        self.full_vote
+            .extend(active_source.iter().enumerate().map(|(w, &active)| {
+                if !active {
+                    return 0.0;
+                }
+                let a = clamp_quality(params.source_accuracy[w]);
+                let mut fv = (n * a / (1.0 - a)).ln();
+                if let Some(dc) = discount {
+                    fv *= dc.factor(SourceId::new(w as u32));
+                }
+                fv
+            }));
+        self.map_weight = cfg.correctness_weighting == CorrectnessWeighting::Map;
+        self.popaccu = cfg.value_model == ValueModel::PopAccu;
+        self.n = n;
+        self.domain = cfg.n_false_values + 1;
+    }
+}
+
+/// The per-item value E-step kernel (Eqs. 23–25). Streams the item's
+/// rows with pre-resolved value slots and the chunk's correctness column
+/// (`out.correctness`), so the hot loop is sequential loads, one weight
+/// select, and a slot-indexed accumulate — no searching, no random
+/// access, no per-item allocation. Per slot, votes accumulate in row
+/// order, the POPACCU adjustment and the softmax run in first-seen value
+/// order; the per-row `(truth, cond, covered)` outputs land at the item's
+/// rows.
+///
+/// Takes an [`ItemView`] (`li` is the view-local item index), so the same
+/// kernel — the same instructions, the same float sequence — runs whether
+/// the chunk is a resident slice or a buffer streamed from disk.
+fn col_value_item_kernel(
+    view: &ItemView<'_>,
+    votes: &ValueVotes,
+    active_source: &[bool],
     li: usize,
     s: &mut ColValueScratch,
-    out: &mut ValueChunkOut,
+    out: &mut ChunkRows<'_>,
 ) {
     let vals = view.values(li);
     let nv = vals.len();
     let rows = view.rows(li);
     // Borrow the item's row span as slices once, so the hot loop iterates
     // without per-access bounds checks.
-    let gathered = &s.gathered[rows.clone()];
+    let correctness = &out.correctness[rows.clone()];
     let ig_source = &view.ig_source[rows.clone()];
     let ig_slot = &view.ig_slot[rows.clone()];
-    let ig_has_cells = &view.ig_has_cells[rows];
+    let cell_offsets = &view.cell_offsets[rows.start..=rows.end];
     s.order.clear();
     s.rows.clear();
     let mut total_claims = 0.0f64;
-    for r in 0..gathered.len() {
+    for r in 0..correctness.len() {
         let slot = ig_slot[r] as usize;
-        if ig_has_cells[r] == 0 {
+        if cell_offsets[r] == cell_offsets[r + 1] {
             // Cell-less group (emptied by a retraction delta): no claim,
             // no vote, but a dense truth entry below.
             s.rows.push((slot as u32, 0.0, 0.0));
             continue;
         }
-        let c = gathered[r];
-        let weight = if map_weight {
+        let c = correctness[r];
+        let weight = if votes.map_weight {
             if c >= 0.5 {
                 1.0
             } else {
@@ -132,7 +197,7 @@ fn col_value_item_kernel(
             s.rows.push((slot as u32, 0.0, 0.0));
             continue;
         }
-        let full_vote = full_vote_of[w];
+        let full_vote = votes.full_vote[w];
         let vote = weight * full_vote;
         s.rows.push((slot as u32, weight, full_vote));
         if s.voted[slot] {
@@ -146,7 +211,8 @@ fn col_value_item_kernel(
     // POPACCU adjustment: replace the uniform 1/n false-value
     // probability with smoothed empirical popularity, i.e. add
     // ln(1/n) − ln(ρ(d,v)) per unit of claim weight on the value.
-    if popaccu && total_claims > 0.0 {
+    let n = votes.n;
+    if votes.popaccu && total_claims > 0.0 {
         let denom = total_claims + n + 1.0;
         for &slot in &s.order {
             let cnt = s.claim[slot as usize];
@@ -157,33 +223,36 @@ fn col_value_item_kernel(
 
     // Softmax with unobserved-value zeros (Eq. 21/25), summed in
     // first-seen order.
+    let domain = votes.domain;
     let unobserved_count = domain.saturating_sub(s.order.len());
     s.vcs.clear();
     s.vcs
         .extend(s.order.iter().map(|&slot| s.vote_sum[slot as usize]));
     let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
-    let entry_start = out.entries.len();
+    let posteriors = &mut *out.posteriors;
+    let entry_start = posteriors.entries.len();
     for (slot, &val) in vals.iter().enumerate().take(nv) {
         if s.voted[slot] {
             let p = (s.vote_sum[slot] - log_z).exp();
             s.prob[slot] = p;
-            out.entries.push((ValueId::new(val), p));
+            posteriors.entries.push((ValueId::new(val), p));
         }
     }
-    out.entry_counts
-        .push((out.entries.len() - entry_start) as u32);
+    posteriors
+        .entry_counts
+        .push((posteriors.entries.len() - entry_start) as u32);
     let unobserved_mass = if log_z.is_finite() {
         (-log_z).exp()
     } else {
         1.0 / domain as f64
     };
-    out.unobserved.push(unobserved_mass);
+    posteriors.unobserved.push(unobserved_mass);
 
     // Truth probability, conditional truth, and coverage per row.
     // p(V_d = v | X, C_g = 1): raise this group's vote from weight·vote
     // to the full vote and renormalize. With a = log p(v|X) and
     // b = a + (1−weight)·vote, p_cond = e^b / (1 − e^a + e^b).
-    for &(slot, weight, full_vote) in &s.rows {
+    for (r, &(slot, weight, full_vote)) in rows.zip(&s.rows) {
         let slot = slot as usize;
         let voted = s.voted[slot];
         let p = if voted { s.prob[slot] } else { unobserved_mass };
@@ -202,9 +271,9 @@ fn col_value_item_kernel(
         } else {
             p
         };
-        s.truth.push(p);
-        s.cond.push(p_cond);
-        s.covered.push(voted);
+        out.truth[r] = p;
+        out.cond[r] = p_cond;
+        out.covered[r] = voted;
     }
 
     // Reset the slots this item used; the arrays stay allocated.
@@ -215,148 +284,73 @@ fn col_value_item_kernel(
     }
 }
 
-/// The value E-step over every item chunk of `src`.
-///
-/// `correctness[g]` is the current `p(C_wdv = 1 | X)`; `active_source[w]`
-/// gates which sources vote; `discount` (the CopyDiscount stage, if
-/// copy-aware fusion is on) scales each source's vote by its independence
-/// factor `I(w)` — `None` leaves the arithmetic bit-identical to
-/// copy-blind fusion.
-///
-/// Workers pull whole chunks ([`ChunkSource::scan_items`], one `scratch`
-/// slot each) and run three phases per chunk, so that the only random
-/// memory accesses sit in two tight loops the core can overlap misses in,
-/// away from the dependent float work: **gather** `correctness[ig_group[r]]`
-/// into a chunk-local column, **compute** ([`col_value_item_kernel`] over
-/// dense rows), **scatter** the chunk's rows to the three per-group
-/// outputs. Chunks tile the item space in order and every group belongs to
-/// exactly one item, so the result is the same at any thread count, chunk
-/// size and residency.
-pub(crate) fn estimate_values<S: ChunkSource>(
-    src: &S,
-    correctness: &[f64],
-    params: &Params,
-    cfg: &ModelConfig,
+/// The value E-step over one chunk: [`col_value_item_kernel`] for each of
+/// its items, from the chunk's correctness column into its truth,
+/// conditional truth, coverage and posteriors. `active_source[w]` gates
+/// which sources vote;
+/// `max_item_values` sizes the slot accumulators. Every row belongs to
+/// exactly one item and chunks never split an item, so the result does
+/// not depend on the chunk partition, the thread count or the residency.
+pub(crate) fn estimate_values(
+    view: &ItemView<'_>,
+    votes: &ValueVotes,
     active_source: &[bool],
-    discount: Option<&CopyDiscount>,
-    scratch: &mut [ColValueScratch],
-) -> io::Result<ValueLayerOutput> {
-    let meta = src.meta();
-    let num_groups = meta.num_groups as usize;
-    let ni = meta.num_items as usize;
-    debug_assert_eq!(correctness.len(), num_groups);
-    debug_assert_eq!(active_source.len(), meta.num_sources as usize);
-    let n = cfg.n_false_values as f64;
-
-    // `ln(n·A_w/(1−A_w))` (× independence factor) per active source,
-    // hoisted out of the hot loop. Inactive sources never vote, so their
-    // slot is a placeholder the kernel never reads.
-    let full_vote_of: Vec<f64> = (0..meta.num_sources as usize)
-        .map(|w| {
-            if !active_source[w] {
-                return 0.0;
-            }
-            let a = clamp_quality(params.source_accuracy[w]);
-            let mut fv = (n * a / (1.0 - a)).ln();
-            if let Some(dc) = discount {
-                fv *= dc.factor(SourceId::new(w as u32));
-            }
-            fv
-        })
-        .collect();
-
-    let map_weight = cfg.correctness_weighting == CorrectnessWeighting::Map;
-    let popaccu = cfg.value_model == ValueModel::PopAccu;
-    let domain = cfg.n_false_values + 1;
-    let miv = meta.max_item_values as usize;
-
-    // The per-group outputs, written by the workers: atomics only to share
-    // the vectors across the scan, never to synchronize.
-    let bits = || (0..num_groups).map(|_| AtomicU64::new(0)).collect();
-    let (truth, cond): (Vec<AtomicU64>, Vec<AtomicU64>) = (bits(), bits());
-    let covered: Vec<AtomicBool> = (0..num_groups).map(|_| AtomicBool::new(false)).collect();
-
-    let outs: Vec<ValueChunkOut> = src.scan_items(scratch, |s, view| {
-        for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
-            slots.clear();
-            slots.resize(miv, 0.0);
-        }
-        s.voted.clear();
-        s.voted.resize(miv, false);
-        s.gathered.clear();
-        s.gathered
-            .extend(view.ig_group.iter().map(|&g| correctness[g as usize]));
-        s.truth.clear();
-        s.cond.clear();
-        s.covered.clear();
-        let mut out = ValueChunkOut {
-            entries: Vec::with_capacity(view.item_values.len()),
-            entry_counts: Vec::with_capacity(view.num_items()),
-            unobserved: Vec::with_capacity(view.num_items()),
-        };
-        for li in 0..view.num_items() {
-            col_value_item_kernel(
-                view,
-                active_source,
-                &full_vote_of,
-                map_weight,
-                popaccu,
-                n,
-                domain,
-                li,
-                s,
-                &mut out,
-            );
-        }
-        let rows = s.truth.iter().zip(&s.cond).zip(&s.covered);
-        for (&g, ((&t, &c), &cov)) in view.ig_group.iter().zip(rows) {
-            // ordering: Relaxed — group `g` is a row of exactly one item,
-            // so each slot has one writer per round and nobody reads it
-            // before the scan's workers are joined.
-            truth[g as usize].store(t.to_bits(), Ordering::Relaxed);
-            cond[g as usize].store(c.to_bits(), Ordering::Relaxed);
-            covered[g as usize].store(cov, Ordering::Relaxed);
-        }
-        out
-    })?;
-
-    let total_entries: usize = outs.iter().map(|o| o.entries.len()).sum();
-    let mut offsets = Vec::with_capacity(ni + 1);
-    offsets.push(0u32);
-    let mut entries = Vec::with_capacity(total_entries);
-    let mut unobserved = Vec::with_capacity(ni);
-    for out in &outs {
-        for &c in &out.entry_counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        entries.extend_from_slice(&out.entries);
-        unobserved.extend_from_slice(&out.unobserved);
+    max_item_values: usize,
+    s: &mut ColValueScratch,
+    out: &mut ChunkRows<'_>,
+) {
+    for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
+        slots.clear();
+        slots.resize(max_item_values, 0.0);
     }
-    debug_assert_eq!(offsets.len(), ni + 1);
-
-    let floats = |v: Vec<AtomicU64>| v.into_iter().map(|x| f64::from_bits(x.into_inner()));
-    Ok(ValueLayerOutput {
-        posteriors: ItemPosteriors::from_flat_parts(offsets, entries, unobserved),
-        truth_of_group: floats(truth).collect(),
-        truth_given_provided: floats(cond).collect(),
-        covered_group: covered.into_iter().map(AtomicBool::into_inner).collect(),
-    })
+    s.voted.clear();
+    s.voted.resize(max_item_values, false);
+    let posteriors = &mut *out.posteriors;
+    posteriors.entries.clear();
+    posteriors.entry_counts.clear();
+    posteriors.unobserved.clear();
+    for li in 0..view.num_items() {
+        col_value_item_kernel(view, votes, active_source, li, s, out);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mstep::tests::hollow_rows;
+    use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, ResidentChunks,
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
     };
+
+    /// The value E-step over every chunk of `cc` on `scratch.len()`
+    /// workers, from correctness per cube group, reported in cube group
+    /// order as a fit reports it.
+    fn scan(
+        cc: &ChunkedCube,
+        correctness: &[f64],
+        votes: &ValueVotes,
+        active: &[bool],
+        scratch: &mut [ColValueScratch],
+    ) -> ValueLayerOutput {
+        let cfg = ModelConfig::default();
+        let miv = cc.max_item_values;
+        scan_rows(cc, &cfg, scratch, |s, view, rows| {
+            for (c, &g) in rows.correctness.iter_mut().zip(view.ig_group) {
+                *c = correctness[g as usize];
+            }
+            estimate_values(view, votes, active, miv, s, rows);
+        })
+        .1
+    }
 
     /// Kernel ≡ reference for the value E-step, bit for bit: both value
     /// models, both weightings, with and without a copy discount, at
     /// several chunk sizes and thread counts and across buffer reuse — on
     /// a cube after a retraction (emptied sources and items, inactive
     /// sources), and on the unretracted cube with the retracted groups'
-    /// rows marked cell-less, which must tell the survivors the same.
+    /// rows left without cells, which must tell the survivors the same.
     #[test]
     fn value_kernel_matches_the_reference_bitwise() {
         use rand::rngs::StdRng;
@@ -410,34 +404,19 @@ mod tests {
             };
             let want =
                 reference::estimate_values(&cube, &correctness, &params, &cfg, &active, discount);
+            let mut votes = ValueVotes::default();
+            votes.rebuild(&params, &cfg, &active, discount);
             for target_cells in [1usize, 16, 1 << 20] {
                 let chunking = ChunkingConfig { target_cells };
                 let cc = ChunkedCube::from_cube(&cube, &chunking);
-                let mut hollow = ChunkedCube::from_cube(&full, &chunking);
-                for (has_cells, &g) in hollow.ig_has_cells.iter_mut().zip(&hollow.ig_group) {
-                    *has_cells = u8::from(!retracted(g as usize));
-                }
-                // Every group is a row of exactly one item: one writer per slot.
-                let mut rows = cc.ig_group.clone();
-                rows.sort_unstable();
-                assert!(rows.iter().copied().eq(0..cube.num_groups() as u32));
+                let hollow = hollow_rows(ChunkedCube::from_cube(&full, &chunking), retracted);
                 for shards in [1usize, 2, 8] {
                     let mut scratch: Vec<ColValueScratch> = Vec::new();
                     scratch.resize_with(shards, Default::default);
                     let mut run = |cc: &ChunkedCube, correctness: &[f64]| {
-                        let src = ResidentChunks::new(cc);
                         kbt_flume::with_threads(Some(shards), || {
-                            estimate_values(
-                                &src,
-                                correctness,
-                                &params,
-                                &cfg,
-                                &active,
-                                discount,
-                                &mut scratch,
-                            )
+                            scan(cc, correctness, &votes, &active, &mut scratch)
                         })
-                        .unwrap()
                     };
                     // Run twice: the second round exercises buffer reuse.
                     let _ = run(&cc, &correctness);

@@ -150,7 +150,7 @@ pub fn assert_engine_matches_reference(
 
     // The cube-less entry point takes no priors: a cold, copy-blind
     // streamed cell also refits from the store its fit wrote, reading
-    // each frame once a round.
+    // each item frame once a round.
     let cold = prior_truth.is_none() && independence.is_none();
     for cell in cells(&fresh_path("engine")) {
         let model = MultiLayerModel::new(at(cfg, &cell));
@@ -172,7 +172,7 @@ pub fn assert_engine_matches_reference(
                 .run_streamed(&store, *cap, init)
                 .expect("run_streamed");
             assert_fits_bitwise_eq(&got, &want, &format!("{what} run_streamed"));
-            let frames = (store.num_chunks() + store.num_group_frames()) as u64;
+            let frames = store.num_chunks() as u64;
             let rounds = got.iterations() as u64;
             assert_eq!(store.frames_read(), rounds * frames, "{what}: frames read");
         }

@@ -131,6 +131,81 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
     assert_engine_matches_reference(&cube, &base, &resume, hint, Some(&scales), "warm discount");
 }
 
+/// A fit keeps its per-group state in row order (item-major) and reports
+/// in cube group order (source-major) through one permutation: nothing of
+/// the row order may leak. On a cube whose two orders are far apart —
+/// every item claimed by sources spread over the whole id range, grown by
+/// a delta and then retracted (emptied sources and items) — a warm fit
+/// (resumed parameters, a per-group prior truth, a copy discount) equals
+/// the oracle bit for bit in every matrix cell, and every per-group
+/// vector of the report is in cube order: each group's truth is its own
+/// `(item, value)` posterior, and it is covered iff that value is.
+#[test]
+fn the_row_permutation_cannot_leak() {
+    let mut b = CubeBuilder::new();
+    for d in 0..24u32 {
+        for k in 0..9u32 {
+            let w = (d * 7 + k * 11) % 40;
+            for e in 0..(1 + (d + k) % 3) {
+                b.push(Observation {
+                    extractor: ExtractorId::new(e),
+                    source: SourceId::new(w),
+                    item: ItemId::new(d),
+                    value: ValueId::new((w + d) % 3),
+                    confidence: 0.3 + 0.2 * e as f64,
+                });
+            }
+        }
+    }
+    let grown = b.build().apply_delta(&observations(9, 150));
+    let gone: Vec<_> = (grown.groups().iter())
+        .filter(|g| g.source.0 == 13 || g.item.0 == 5 || (g.source.0 + g.item.0) % 11 == 0)
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
+    let cube = grown.retract(&gone);
+    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 16 });
+    let moved = (cc.ig_group.iter().enumerate()).filter(|&(r, &g)| r != g as usize);
+    assert!(
+        moved.count() * 10 > cube.num_groups() * 9,
+        "row order near group order"
+    );
+
+    let cfg = ModelConfig {
+        chunk_target_cells: 16,
+        ..ModelConfig::default()
+    };
+    let cold = MultiLayerModel::new(cfg.clone())
+        .run_traced(&cube, &QualityInit::Default)
+        .expect("resident fit");
+    let resume = QualityInit::Resume(cold.params.clone());
+    let hint: Vec<f64> = (0..cube.num_groups())
+        .map(|g| cold.truth_of_group[g] * 0.9)
+        .collect();
+    let scales: Vec<f64> = (0..cube.num_sources())
+        .map(|w| 1.0 - 0.15 * (w % 4) as f64)
+        .collect();
+    assert_engine_matches_reference(&cube, &cfg, &resume, Some(&hint), Some(&scales), "leak");
+
+    let warm = MultiLayerModel::new(cfg)
+        .run_traced_with_priors(&cube, &resume, Some(&hint), Some(&scales))
+        .expect("resident fit");
+    for (g, grp) in cube.groups().iter().enumerate() {
+        let posterior = warm.posteriors.observed(grp.item);
+        let voted = posterior.iter().any(|&(v, _)| v == grp.value);
+        let truth = warm.posteriors.prob(grp.item, grp.value);
+        assert_eq!(
+            warm.truth_of_group[g].to_bits(),
+            truth.to_bits(),
+            "group {g}"
+        );
+        assert_eq!(warm.covered_group[g], voted, "group {g}");
+    }
+    let extraction = warm.extraction.as_ref().expect("the extraction layer");
+    for v in [&extraction.correctness, &extraction.truth_given_provided] {
+        assert_eq!(v.len(), cube.num_groups());
+    }
+}
+
 #[test]
 fn streamed_fit_tracks_delta_and_retract() {
     let cube = build(observations(2, 400));
@@ -189,16 +264,14 @@ fn corruption_mid_file_is_a_typed_error_not_a_panic() {
     let _ = fs::remove_file(&path);
 }
 
-/// Payload `(offset, len)` of every item frame and every group frame of
-/// the chunk file `bytes`, read off its index frame.
-fn frame_payloads(bytes: &[u8]) -> [Vec<(usize, usize)>; 2] {
+/// Payload `(offset, len)` of every item frame of the chunk file
+/// `bytes`, read off its index frame.
+fn frame_payloads(bytes: &[u8]) -> Vec<(usize, usize)> {
     let tail = bytes.len() - 8;
     let index_pos = u64::from_le_bytes(bytes[tail..].try_into().unwrap()) as usize;
     let mut r = WireReader::new(&bytes[index_pos + 4..tail - 4]);
-    [(); 2].map(|()| {
-        r.seq::<_, WireError>(12, |r| Ok((r.u64()? as usize, r.u32()? as usize)))
-            .expect("index frame")
-    })
+    r.seq::<_, WireError>(12, |r| Ok((r.u64()? as usize, r.u32()? as usize)))
+        .expect("index frame")
 }
 
 /// Fit `path` streamed on a watched thread: whatever is wrong with the
@@ -219,12 +292,13 @@ fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> s
         .expect_err("a bad frame must fail the fit")
 }
 
-/// A bad group frame surfaces as the fit's typed error while the other
+/// A bad item frame surfaces as the fit's typed error while the other
 /// scan workers carry on with their own frames: the fit neither hangs
-/// nor panics. Each group frame in turn gets one flipped byte (a CRC
-/// failure), and one of them a CRC-valid payload that does not fit the
-/// skeleton; so does an item frame whose rows name a group the cube does
-/// not have.
+/// nor panics. Each item frame in turn gets one flipped byte (a CRC
+/// failure), and some get a CRC-valid payload that does not fit the
+/// skeleton: an item range not the skeleton's, a row naming a group the
+/// cube does not have, row cell offsets that are not a CSR, and a cell
+/// naming an extractor the cube does not have.
 #[test]
 fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     let cube = build(observations(6, 500));
@@ -232,12 +306,8 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     let path = fresh_path("bad-frame");
     FileChunkStore::write(&cc, &path).expect("write chunk store");
     let clean = fs::read(&path).expect("read back");
-    let [item_frames, group_frames] = frame_payloads(&clean);
-    assert!(
-        group_frames.len() >= 8,
-        "{} group frames",
-        group_frames.len()
-    );
+    let item_frames = frame_payloads(&clean);
+    assert!(item_frames.len() >= 8, "{} item frames", item_frames.len());
     let check = |bytes: &[u8], what: &str| {
         fs::write(&path, bytes).expect("write bad store");
         for threads in [2usize, 3] {
@@ -248,14 +318,15 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
             }
         }
     };
-    for (k, &(off, len)) in group_frames.iter().enumerate() {
+    for (k, &(off, len)) in item_frames.iter().enumerate() {
         let mut bytes = clean.clone();
         bytes[off + len / 2] ^= 0x10;
-        check(&bytes, &format!("group frame {k} corrupt"));
+        check(&bytes, &format!("item frame {k} corrupt"));
     }
-    // Word 1 of a group frame is its range's end; an item frame's
-    // `ig_group` column is its fourth (after two `items + 1` offset
-    // columns and the values), behind the two range words.
+    // Word 1 of an item frame is its item range's end. Its columns follow
+    // the two range words, each a count and then its entries: two
+    // `items + 1` offset columns, the values, `ig_group`, `ig_source`,
+    // `ig_slot`, the `rows + 1` cell offsets and the cells' extractors.
     let reseal = |(off, len): (usize, usize), word: usize, value: u32| {
         let mut bytes = clean.clone();
         bytes[off + 4 * word..off + 4 * word + 4].copy_from_slice(&value.to_le_bytes());
@@ -263,36 +334,44 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
         bytes[off + len..off + len + 4].copy_from_slice(&crc.to_le_bytes());
         bytes
     };
-    let ng = cube.num_groups() as u32;
-    check(
-        &reseal(group_frames[3], 1, ng + 1),
-        "group range not the skeleton's",
-    );
     let chunk = &cc.chunks[1];
+    check(
+        &reseal(item_frames[1], 1, chunk.items.end + 1),
+        "item range not the skeleton's",
+    );
     let values = cc.item_value_offsets[chunk.items.end as usize]
         - cc.item_value_offsets[chunk.items.start as usize];
-    let ig_group = 2 + 2 * (1 + chunk.items.len() + 1) + 1 + values as usize + 1;
+    let (items, rows) = (chunk.items.len(), chunk.rows.len());
+    let ig_group = 2 + 2 * (1 + items + 1) + 1 + values as usize + 1;
+    let cell_offsets = ig_group + 3 * (1 + rows);
+    let cell_extractor = cell_offsets + 1 + rows + 1;
+    let ng = cube.num_groups() as u32;
     check(
         &reseal(item_frames[1], ig_group, ng),
         "ig_group out of range",
     );
+    check(
+        &reseal(item_frames[1], cell_offsets + 2, u32::MAX),
+        "row cell offsets not a CSR",
+    );
+    check(
+        &reseal(item_frames[1], cell_extractor, cube.num_extractors() as u32),
+        "extractor id out of range",
+    );
     let _ = fs::remove_file(&path);
 }
 
-/// Two scans per round, as a count: every round reads each item chunk
-/// and each group frame exactly once, at any thread count and cap.
+/// One scan per round, as a count: every round reads each item frame
+/// exactly once, at any thread count and cap.
 #[test]
-fn a_round_scans_the_store_twice() {
+fn a_round_scans_the_store_once() {
     let cube = build(observations(7, 2_000));
     let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 64 });
     let path = fresh_path("scans");
     FileChunkStore::write(&cc, &path).expect("write chunk store");
     let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
-    let (chunks, frames) = (store.num_chunks() as u64, store.num_group_frames() as u64);
-    assert!(
-        chunks > 8 && frames > 8,
-        "the cap must be smaller than the store"
-    );
+    let chunks = store.num_chunks() as u64;
+    assert!(chunks > 8, "the cap must be smaller than the store");
     for threads in [1usize, 2, 3] {
         for cap in [1usize, 4, 0] {
             let model = MultiLayerModel::new(ModelConfig {
@@ -306,7 +385,7 @@ fn a_round_scans_the_store_twice() {
             let rounds = report.iterations() as u64;
             assert!(rounds > 1);
             let read = store.frames_read() - before;
-            assert_eq!(read, rounds * (chunks + frames), "x{threads} cap={cap}");
+            assert_eq!(read, rounds * chunks, "x{threads} cap={cap}");
         }
     }
     let _ = fs::remove_file(&path);
@@ -340,14 +419,10 @@ fn a_streamed_run_traced_reads_its_store() {
         .run_traced(&cube, &QualityInit::Default)
         .expect("streamed fit");
     let read = thread_rchar() - before;
-    let [items, groups] = frame_payloads(&fs::read(&path).expect("the fit's store"));
-    let round: u64 = items
-        .iter()
-        .chain(&groups)
-        .map(|&(_, len)| len as u64)
-        .sum();
+    let items = frame_payloads(&fs::read(&path).expect("the fit's store"));
+    let round: u64 = items.iter().map(|&(_, len)| len as u64).sum();
     let rounds = report.iterations() as u64;
-    assert!(rounds > 1 && items.len() > 8 && groups.len() > 8);
+    assert!(rounds > 1 && items.len() > 8);
     assert!(
         read >= rounds * round,
         "{read} bytes read, {rounds} rounds of {round}"

@@ -12,45 +12,42 @@
 //! [`ObservationCube`] (the cube stays the system of record — deltas and
 //! retractions still go through [`ObservationCube::apply_delta`] /
 //! [`ObservationCube::retract`], and the columnar view is rebuilt from the
-//! result), and it is **row-equivalent by construction**: every column is
-//! a gather of the cube's existing arrays in the cube's existing order, so
-//! an EM step that walks the columns in index order performs bit-for-bit
-//! the same float operations as one walking the cube. The
+//! result), and it is **row-equivalent by construction**: it lists the
+//! cube's groups item by item, in the order `cube.groups_of_item(d)`
+//! yields them, each with its cells in the cube's cell order — so a
+//! kernel that walks a row's cells, or an item's rows, performs
+//! bit-for-bit the same float operations as one walking the cube. The
 //! `columnar_cube` proptests pin that equivalence down through build,
 //! `apply_delta`, and `retract`.
 //!
-//! The group list is additionally partitioned into fixed-size,
-//! **item-aligned chunks** ([`CubeChunk`]) of roughly
-//! [`ChunkingConfig::target_cells`] cells: a chunk's scratch is its whole
-//! working set, and a scan hands whole chunks to its workers
+//! The rows are partitioned into fixed-size, **item-aligned chunks**
+//! ([`CubeChunk`]) of roughly [`ChunkingConfig::target_cells`] cells: a
+//! chunk carries everything an EM round computes for its rows —
+//! correctness from its cells, the value posteriors of its items — so a
+//! round is one scan that hands whole chunks to its workers
 //! ([`ChunkSource::scan_items`]). Because chunks never split an item,
-//! per-item reductions stay local to one worker and the merge order stays
-//! deterministic.
+//! per-item reductions stay local to one worker.
 //!
 //! # Chunk sources
 //!
-//! An EM fit reads the cube only through a [`ChunkSource`]: scans over
-//! item-major [`ItemView`]s and over group-major [`GroupView`]s — the one
-//! place that decides how chunk work is scheduled — and the resident
-//! integer skeleton ([`ChunkStoreMeta`]). [`ResidentChunks`] serves
-//! zero-copy slices of a [`ChunkedCube`]; [`StreamedChunks`] has each scan
-//! worker read a [`FileChunkStore`]'s frames into its own [`ChunkBuf`] /
-//! [`GroupBuf`], so the resident set is one buffer per worker instead of
-//! the whole corpus. The v2 file format (`KBTCHNK2`) is the magic followed by
-//! four families of [`wire`] frames (the frame, sequence and column
-//! contracts are stated once, in that module's docs):
+//! An EM fit reads the cube only through a [`ChunkSource`]: one scan over
+//! the item-major [`ItemView`]s — the one place that decides how chunk
+//! work is scheduled — and the resident integer skeleton
+//! ([`ChunkStoreMeta`]). [`ResidentChunks`] serves zero-copy slices of a
+//! [`ChunkedCube`]; [`StreamedChunks`] has each scan worker read a
+//! [`FileChunkStore`]'s frames into its own [`ChunkBuf`], so the resident
+//! set is one buffer per worker instead of the whole corpus. The v3 file
+//! format (`KBTCHNK3`) is the magic followed by three families of
+//! [`wire`] frames (the frame, sequence and column contracts are stated
+//! once, in that module's docs):
 //!
 //! * a **meta frame** ([`ChunkStoreMeta`]) — the integer skeleton a
-//!   streamed fit keeps resident: counts, the item-chunk partition, the
-//!   group-frame partition, and the per-source CSRs (group offsets,
-//!   distinct-item counts, sorted distinct extractor ids) that the
-//!   M-steps and vote tables need without touching any cell payload;
-//! * **item frames** — one per [`CubeChunk`], the item-major payload the
-//!   value E-step streams (identical payload bytes to the v1 format);
-//! * **group frames** ([`GroupBuf`]) — contiguous group ranges with their
-//!   cell columns in global cell order, which the correctness E-step
-//!   streams once a round (each scan worker folds the extractor M-step's
-//!   sums from the frames it ran);
+//!   streamed fit keeps resident: counts, the item-chunk partition, and
+//!   the per-source CSRs (group offsets, distinct-item counts, sorted
+//!   distinct extractor ids) that the M-steps and vote tables need
+//!   without touching any cell payload;
+//! * **item frames** — one per [`CubeChunk`]: its items' value lists and
+//!   its rows with their cells, the whole payload of a round's scan;
 //! * an **index frame** + trailing 8-byte offset, so [`FileChunkStore::open`]
 //!   reads only the file tail, the index, and the meta frame — never the
 //!   whole file (opening a multi-GB store costs O(meta), not O(corpus)).
@@ -99,52 +96,40 @@ pub struct CubeChunk {
     /// The chunk's rows in the item-major (`ig_*`) columns:
     /// `item_offsets[items.start]..item_offsets[items.end]`.
     pub rows: Range<u32>,
-    /// Number of cube cells inside the chunk's groups.
+    /// Number of cube cells inside the chunk's rows.
     pub cells: u32,
 }
 
 /// Columnar (structure-of-arrays) chunked view of an [`ObservationCube`].
 ///
-/// Two families of columns, both gathers of the cube in deterministic
-/// order:
-///
-/// * **group-major** (global group order — the order `cube.groups()`
-///   iterates): `group_source` / `group_item` / `cell_offsets`, with the
-///   cell payload split into `cell_extractor` / `cell_confidence`;
-/// * **item-major** (the order `cube.groups_of_item(d)` yields, for
-///   ascending `d`): `ig_group` / `ig_source` / `ig_slot` /
-///   `ig_has_cells`, delimited by `item_offsets` — the value E-step
-///   streams these; `ig_slot` pre-resolves each group's value to its
-///   index in the item's sorted distinct-value list so the hot loop does
-///   no searching.
+/// One row per group, item-major: the rows of item `d` are the groups
+/// `cube.groups_of_item(d)` yields, in that order, delimited by
+/// `item_offsets`. Per row, `ig_group` / `ig_source` / `ig_slot` and a
+/// cell range (`cell_offsets`) over the cell columns, where each row's
+/// cells keep the cube's cell order. `ig_slot` pre-resolves each group's
+/// value to its index in the item's sorted distinct-value list so the hot
+/// loop does no searching.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedCube {
-    /// Source id of group `g` (global group order).
-    pub group_source: Vec<u32>,
-    /// Item id of group `g`.
-    pub group_item: Vec<u32>,
-    /// Cell range of group `g`: `cell_offsets[g]..cell_offsets[g+1]`
-    /// (length `num_groups + 1`).
-    pub cell_offsets: Vec<u32>,
-    /// Extractor id of each cell, in the cube's global cell order.
-    pub cell_extractor: Vec<u32>,
-    /// Extraction confidence of each cell.
-    pub cell_confidence: Vec<f64>,
-
     /// Item-major row ranges: item `d` owns rows
-    /// `item_offsets[d]..item_offsets[d+1]` of the `ig_*` columns
-    /// (length `num_items + 1`).
+    /// `item_offsets[d]..item_offsets[d+1]` (length `num_items + 1`).
     pub item_offsets: Vec<u32>,
-    /// Global group index of each item-major row.
+    /// Global (cube) group index of each row — the permutation between
+    /// row order and cube group order.
     pub ig_group: Vec<u32>,
-    /// Source id of each item-major row.
+    /// Source id of each row.
     pub ig_source: Vec<u32>,
     /// Slot of the row's value inside the item's sorted distinct-value
     /// list (`item_values_of`).
     pub ig_slot: Vec<u32>,
-    /// 1 when the row's group has at least one cell, else 0. Cell-less
-    /// groups can appear after retractions; they claim but never vote.
-    pub ig_has_cells: Vec<u8>,
+    /// Cell range of row `r`: `cell_offsets[r]..cell_offsets[r+1]`
+    /// (length `num_groups + 1`). A row without cells (left by a
+    /// retraction) claims but never votes.
+    pub cell_offsets: Vec<u32>,
+    /// Extractor id of each cell, rows in row order.
+    pub cell_extractor: Vec<u32>,
+    /// Extraction confidence of each cell.
+    pub cell_confidence: Vec<f64>,
 
     /// CSR offsets of the per-item sorted distinct values
     /// (length `num_items + 1`).
@@ -152,8 +137,8 @@ pub struct ChunkedCube {
     /// Flat per-item sorted distinct value ids.
     pub item_values: Vec<u32>,
 
-    /// Per-source group ranges over the (source-sorted) group list:
-    /// source `w` owns groups `source_offsets[w]..source_offsets[w+1]`
+    /// Per-source group ranges over the cube's (source-sorted) group
+    /// list: source `w` owns groups `source_offsets[w]..source_offsets[w+1]`
     /// (length `num_sources + 1`).
     pub source_offsets: Vec<u32>,
 
@@ -168,8 +153,7 @@ pub struct ChunkedCube {
     /// Largest per-item distinct-value count — the slot-accumulator size
     /// a value-layer scratch needs.
     pub max_item_values: usize,
-    /// Most item-major rows in any single chunk — sizes per-worker row
-    /// scratch.
+    /// Most rows in any single chunk — sizes per-worker row scratch.
     pub max_chunk_rows: usize,
 
     num_sources: u32,
@@ -180,17 +164,18 @@ pub struct ChunkedCube {
 impl ChunkedCube {
     /// Gather the columnar view from `cube`, partitioned per `cfg`.
     ///
-    /// Pure gather: no reordering, no recomputation — every column copies
-    /// the cube's arrays in the cube's iteration order, which is what
-    /// makes columnar EM kernels bit-for-bit equal to the row-major ones.
+    /// Pure gather: no recomputation — every column copies the cube's
+    /// arrays in item-major order, each row's cells in the cube's cell
+    /// order, which is what makes columnar EM kernels bit-for-bit equal to
+    /// the row-major ones.
     pub fn from_cube(cube: &ObservationCube, cfg: &ChunkingConfig) -> Self {
         let ng = cube.num_groups();
         let ni = cube.num_items();
         let ns = cube.num_sources();
         let groups = cube.groups();
 
-        // The gather scatters into positions fixed by prefix sums, so it
-        // parallelizes over disjoint output windows without changing a
+        // The gathers write positions fixed by prefix sums, so they
+        // parallelize over disjoint output windows without changing a
         // single byte of the result: every value and every position is
         // independent of the part count. Small cubes (unit tests, serving
         // deltas) stay in one part, which runs inline.
@@ -199,11 +184,12 @@ impl ChunkedCube {
         } else {
             1
         };
+        let span = |n: usize, t: usize| (n * t / parts)..(n * (t + 1) / parts);
+        fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+            column.split_off_mut(..len).expect("window in bounds")
+        }
 
-        // The row cube already holds both item CSRs, and a group's first
-        // cell is its offset: nothing to recount, three columns to copy.
-        let nc = cube.num_cells();
-        let cell_start = |g: usize| groups.get(g).map_or(nc, |grp| grp.cell_range().start);
+        // The row cube already holds both item CSRs.
         let (item_offsets, ig_group) = cube.item_index();
         let (item_offsets, ig_group) = (item_offsets.to_vec(), ig_group.to_vec());
         let (item_value_offsets, item_values) = cube.item_values();
@@ -214,81 +200,45 @@ impl ChunkedCube {
             .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0);
+        let rows_of = |items: &Range<usize>| {
+            item_offsets[items.start] as usize..item_offsets[items.end] as usize
+        };
 
-        // ---- Parallel gathers into the preallocated columns. ----
-        let mut group_source = vec![0u32; ng];
-        let mut group_item = vec![0u32; ng];
-        // Filled per group below; the closing entry is already in place.
-        let mut cell_offsets = vec![nc as u32; ng + 1];
-        let mut cell_extractor = vec![0u32; nc];
-        let mut cell_confidence = vec![0.0f64; nc];
+        // ---- Pass 1: per row its source, slot and cell count, and where
+        // its cells start in the cube. ----
         let mut ig_source = vec![0u32; ng];
         let mut ig_slot = vec![0u32; ng];
-        let mut ig_has_cells = vec![0u8; ng];
+        let mut cube_cell = vec![0u32; ng];
+        // Row `r`'s cell count lands at `r + 1`; the running sum below
+        // turns the counts into offsets.
+        let mut cell_offsets = vec![0u32; ng + 1];
         let mut item_cells = vec![0u32; ni];
-
-        // One part's disjoint windows of the gathered columns: a contiguous
-        // group span with its cells, a contiguous item span with its
-        // item-major rows.
-        struct Part<'a> {
-            groups: Range<usize>,
-            gs: &'a mut [u32],
-            gi: &'a mut [u32],
-            co: &'a mut [u32],
-            ce: &'a mut [u32],
-            cf: &'a mut [f64],
+        struct Rows<'a> {
             items: Range<usize>,
-            igs: &'a mut [u32],
-            igl: &'a mut [u32],
-            igh: &'a mut [u8],
-            icells: &'a mut [u32],
-        }
-        fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
-            column.split_off_mut(..len).expect("window in bounds")
+            source: &'a mut [u32],
+            slot: &'a mut [u32],
+            first: &'a mut [u32],
+            count: &'a mut [u32],
+            cells: &'a mut [u32],
         }
         let mut windows = Vec::with_capacity(parts);
-        let mut gs = group_source.as_mut_slice();
-        let mut gi = group_item.as_mut_slice();
-        let mut co = cell_offsets.as_mut_slice();
-        let mut ce = cell_extractor.as_mut_slice();
-        let mut cf = cell_confidence.as_mut_slice();
-        let mut igs = ig_source.as_mut_slice();
-        let mut igl = ig_slot.as_mut_slice();
-        let mut igh = ig_has_cells.as_mut_slice();
+        let (mut igs, mut igl) = (ig_source.as_mut_slice(), ig_slot.as_mut_slice());
+        let mut first = cube_cell.as_mut_slice();
+        let mut counts = &mut cell_offsets[1..];
         let mut icells = item_cells.as_mut_slice();
-        let span = |n: usize, t: usize| (n * t / parts)..(n * (t + 1) / parts);
         for t in 0..parts {
-            let (groups, items) = (span(ng, t), span(ni, t));
-            let cells = cell_start(groups.end) - cell_start(groups.start);
-            let rows = (item_offsets[items.end] - item_offsets[items.start]) as usize;
-            windows.push(Part {
-                gs: carve(&mut gs, groups.len()),
-                gi: carve(&mut gi, groups.len()),
-                co: carve(&mut co, groups.len()),
-                ce: carve(&mut ce, cells),
-                cf: carve(&mut cf, cells),
-                groups,
-                igs: carve(&mut igs, rows),
-                igl: carve(&mut igl, rows),
-                igh: carve(&mut igh, rows),
-                icells: carve(&mut icells, items.len()),
+            let items = span(ni, t);
+            let rows = rows_of(&items).len();
+            windows.push(Rows {
+                source: carve(&mut igs, rows),
+                slot: carve(&mut igl, rows),
+                first: carve(&mut first, rows),
+                count: carve(&mut counts, rows),
+                cells: carve(&mut icells, items.len()),
                 items,
             });
         }
-        let fill = |w: &mut Part<'_>| {
-            // Group-major copy.
-            let cell_base = cell_start(w.groups.start);
-            for (k, grp) in groups[w.groups.clone()].iter().enumerate() {
-                w.gs[k] = grp.source.0;
-                w.gi[k] = grp.item.0;
-                w.co[k] = grp.cell_range().start as u32;
-                let at = grp.cell_range().start - cell_base;
-                for (j, c) in cube.cells_of(grp).iter().enumerate() {
-                    w.ce[at + j] = c.extractor.0;
-                    w.cf[at + j] = c.confidence;
-                }
-            }
-            // Item-major gather + slot resolution.
+        let fill_rows = |w: &mut Rows<'_>| {
             let row_base = item_offsets[w.items.start] as usize;
             for d in w.items.clone() {
                 let id = ItemId::new(d as u32);
@@ -299,16 +249,59 @@ impl ChunkedCube {
                     let slot = vals
                         .binary_search(&grp.value)
                         .expect("group value is an observed value of its item");
-                    let cells = cube.cells_of(grp).len() as u32;
-                    w.igs[r] = grp.source.0;
-                    w.igl[r] = slot as u32;
-                    w.igh[r] = u8::from(cells > 0);
-                    w.icells[d - w.items.start] += cells;
+                    let cells = grp.cell_range();
+                    w.source[r] = grp.source.0;
+                    w.slot[r] = slot as u32;
+                    w.first[r] = cells.start as u32;
+                    let cells = cells.len() as u32;
+                    w.count[r] = cells;
+                    w.cells[d - w.items.start] += cells;
                 }
             }
         };
         // One window per worker (`parts` is the worker count, or 1).
-        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill));
+        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill_rows));
+        for r in 0..ng {
+            cell_offsets[r + 1] += cell_offsets[r];
+        }
+
+        // ---- Pass 2: each row's cells, in the cube's cell order. ----
+        let nc = cube.num_cells();
+        let mut cell_extractor = vec![0u32; nc];
+        let mut cell_confidence = vec![0.0f64; nc];
+        struct Cells<'a> {
+            rows: Range<usize>,
+            extractor: &'a mut [u32],
+            confidence: &'a mut [f64],
+        }
+        let mut windows = Vec::with_capacity(parts);
+        let (mut ce, mut cf) = (
+            cell_extractor.as_mut_slice(),
+            cell_confidence.as_mut_slice(),
+        );
+        for t in 0..parts {
+            let rows = rows_of(&span(ni, t));
+            let cells = (cell_offsets[rows.end] - cell_offsets[rows.start]) as usize;
+            windows.push(Cells {
+                extractor: carve(&mut ce, cells),
+                confidence: carve(&mut cf, cells),
+                rows,
+            });
+        }
+        let fill_cells = |w: &mut Cells<'_>| {
+            let base = cell_offsets[w.rows.start] as usize;
+            for r in w.rows.clone() {
+                let at = cell_offsets[r] as usize - base;
+                let len = cell_offsets[r + 1] - cell_offsets[r];
+                let first = cube_cell[r] as usize;
+                let cells = &cube.cells[first..first + len as usize];
+                for (j, c) in cells.iter().enumerate() {
+                    w.extractor[at + j] = c.extractor.0;
+                    w.confidence[at + j] = c.confidence;
+                }
+            }
+        };
+        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill_cells));
 
         // Per-source offsets: groups are source-sorted, so the running sum
         // of source sizes is each source's first group (a source with no
@@ -343,16 +336,13 @@ impl ChunkedCube {
 
         let (source_ext_offsets, source_ext_ids) = cube.source_extractors();
         Self {
-            group_source,
-            group_item,
-            cell_offsets,
-            cell_extractor,
-            cell_confidence,
             item_offsets,
             ig_group,
             ig_source,
             ig_slot,
-            ig_has_cells,
+            cell_offsets,
+            cell_extractor,
+            cell_confidence,
             item_value_offsets,
             item_values,
             source_offsets,
@@ -367,9 +357,9 @@ impl ChunkedCube {
         }
     }
 
-    /// Number of groups.
+    /// Number of groups (rows).
     pub fn num_groups(&self) -> usize {
-        self.group_source.len()
+        self.ig_group.len()
     }
 
     /// Number of cells.
@@ -409,14 +399,9 @@ impl ChunkedCube {
         &self.item_values[lo..hi]
     }
 
-    /// Cell range of group `g` in the cell columns.
-    pub fn cells_of_group(&self, g: usize) -> Range<usize> {
-        self.cell_offsets[g] as usize..self.cell_offsets[g + 1] as usize
-    }
-
-    /// Borrowed item-major view of chunk `chunk_idx` — the same data an
-    /// item frame stores, with zero copying. Resident kernels run on this;
-    /// streamed kernels run on [`ChunkBuf::view`], and the two are
+    /// Borrowed view of chunk `chunk_idx` — the same data an item frame
+    /// stores, with zero copying. Resident kernels run on this; streamed
+    /// kernels run on [`ChunkBuf::view`], and the two are
     /// indistinguishable to the kernel.
     pub(crate) fn item_view(&self, chunk_idx: usize) -> ItemView<'_> {
         let chunk = &self.chunks[chunk_idx];
@@ -425,43 +410,29 @@ impl ChunkedCube {
         let rows = chunk.rows.start as usize..chunk.rows.end as usize;
         let val_lo = self.item_value_offsets[ilo] as usize;
         let val_hi = self.item_value_offsets[ihi] as usize;
+        let cell_lo = self.cell_offsets[rows.start] as usize;
+        let cell_hi = self.cell_offsets[rows.end] as usize;
         ItemView {
             items: chunk.items.clone(),
             row_base: chunk.rows.start,
             val_base: self.item_value_offsets[ilo],
+            cell_base: self.cell_offsets[rows.start],
             item_offsets: &self.item_offsets[ilo..=ihi],
             item_value_offsets: &self.item_value_offsets[ilo..=ihi],
             item_values: &self.item_values[val_lo..val_hi],
             ig_group: &self.ig_group[rows.clone()],
             ig_source: &self.ig_source[rows.clone()],
             ig_slot: &self.ig_slot[rows.clone()],
-            ig_has_cells: &self.ig_has_cells[rows],
-        }
-    }
-
-    /// Borrowed group-major view of the group range `groups` — what a
-    /// streamed correctness scan sees per frame, with zero copying when
-    /// the cube is resident.
-    pub(crate) fn group_view(&self, groups: Range<u32>) -> GroupView<'_> {
-        let lo = groups.start as usize;
-        let hi = groups.end as usize;
-        let cell_lo = self.cell_offsets[lo] as usize;
-        let cell_hi = self.cell_offsets[hi] as usize;
-        GroupView {
-            groups: groups.clone(),
-            cell_base: self.cell_offsets[lo],
-            group_source: &self.group_source[lo..hi],
-            cell_offsets: &self.cell_offsets[lo..=hi],
+            cell_offsets: &self.cell_offsets[rows.start..=rows.end],
             cell_extractor: &self.cell_extractor[cell_lo..cell_hi],
             cell_confidence: &self.cell_confidence[cell_lo..cell_hi],
         }
     }
 }
 
-/// One chunk's item-major payload, decoded into reusable buffers — the
-/// unit [`FileChunkStore::load_chunk`] yields and an out-of-core E-step
-/// worker holds resident (everything the value layer needs for the
-/// chunk's items).
+/// One chunk's payload, decoded into reusable buffers — the unit
+/// [`FileChunkStore::load_chunk`] yields and an out-of-core scan worker
+/// holds resident (everything a round computes the chunk's rows from).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkBuf {
     /// Dense item-id range the payload covers.
@@ -479,8 +450,12 @@ pub struct ChunkBuf {
     pub ig_source: Vec<u32>,
     /// Value slot per row.
     pub ig_slot: Vec<u32>,
-    /// Row has at least one cell.
-    pub ig_has_cells: Vec<u8>,
+    /// Cell offsets per row, rebased to the chunk (length `rows + 1`).
+    pub cell_offsets: Vec<u32>,
+    /// Extractor id per cell.
+    pub cell_extractor: Vec<u32>,
+    /// Confidence per cell.
+    pub cell_confidence: Vec<f64>,
 }
 
 impl ChunkBuf {
@@ -491,43 +466,13 @@ impl ChunkBuf {
             items: self.items.clone(),
             row_base: 0,
             val_base: 0,
+            cell_base: 0,
             item_offsets: &self.item_offsets,
             item_value_offsets: &self.item_value_offsets,
             item_values: &self.item_values,
             ig_group: &self.ig_group,
             ig_source: &self.ig_source,
             ig_slot: &self.ig_slot,
-            ig_has_cells: &self.ig_has_cells,
-        }
-    }
-}
-
-/// One group frame's group-major payload: a contiguous group range with
-/// its cell columns in global cell order. The streamed correctness scan
-/// consumes these through [`GroupView`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GroupBuf {
-    /// Global group-index range the frame covers.
-    pub groups: Range<u32>,
-    /// Source id per group in the range.
-    pub group_source: Vec<u32>,
-    /// Cell offsets rebased to the frame (`cell_offsets[0] == 0`, length
-    /// `groups.len() + 1`).
-    pub cell_offsets: Vec<u32>,
-    /// Extractor id per cell, in global cell order.
-    pub cell_extractor: Vec<u32>,
-    /// Confidence per cell.
-    pub cell_confidence: Vec<f64>,
-}
-
-impl GroupBuf {
-    /// Borrowed view over the decoded payload, shared with
-    /// `ChunkedCube::group_view`.
-    pub fn view(&self) -> GroupView<'_> {
-        GroupView {
-            groups: self.groups.clone(),
-            cell_base: 0,
-            group_source: &self.group_source,
             cell_offsets: &self.cell_offsets,
             cell_extractor: &self.cell_extractor,
             cell_confidence: &self.cell_confidence,
@@ -535,12 +480,12 @@ impl GroupBuf {
     }
 }
 
-/// Borrowed item-major chunk view — the value E-step's kernel input,
-/// backed either by resident [`ChunkedCube`] columns
-/// (`ChunkedCube::item_view`) or a decoded [`ChunkBuf`]
-/// ([`ChunkBuf::view`]). Local indices run `0..num_items()`; `rows` /
-/// `values` rebase the chunk's offset columns so the kernel never sees
-/// the difference between the two backings.
+/// Borrowed chunk view — an EM round's kernel input, backed either by
+/// resident [`ChunkedCube`] columns (`ChunkedCube::item_view`) or a
+/// decoded [`ChunkBuf`] ([`ChunkBuf::view`]). Local indices run
+/// `0..num_items()` and `0..num_rows()`; `rows` / `values` / `cells`
+/// rebase the chunk's offset columns so the kernel never sees the
+/// difference between the two backings.
 #[derive(Debug, Clone)]
 pub struct ItemView<'a> {
     /// Dense item-id range the view covers (`items.start + li` is the
@@ -552,6 +497,9 @@ pub struct ItemView<'a> {
     /// Offset of the view's first value in `item_value_offsets`'
     /// coordinate space (0 for a decoded [`ChunkBuf`]).
     pub val_base: u32,
+    /// Offset of the view's first cell in `cell_offsets`' coordinate
+    /// space (0 for a decoded [`ChunkBuf`]).
+    pub cell_base: u32,
     /// Row offsets (length `num_items() + 1`), in `row_base` coordinates.
     pub item_offsets: &'a [u32],
     /// Value-CSR offsets (length `num_items() + 1`), in `val_base`
@@ -565,14 +513,24 @@ pub struct ItemView<'a> {
     pub ig_source: &'a [u32],
     /// Value slot per row.
     pub ig_slot: &'a [u32],
-    /// Row has at least one cell.
-    pub ig_has_cells: &'a [u8],
+    /// Cell offsets per row (length `num_rows() + 1`), in `cell_base`
+    /// coordinates.
+    pub cell_offsets: &'a [u32],
+    /// Extractor id per cell.
+    pub cell_extractor: &'a [u32],
+    /// Confidence per cell.
+    pub cell_confidence: &'a [f64],
 }
 
 impl ItemView<'_> {
     /// Number of items in the view.
     pub fn num_items(&self) -> usize {
         self.items.len()
+    }
+
+    /// Number of rows in the view.
+    pub fn num_rows(&self) -> usize {
+        self.ig_group.len()
     }
 
     /// Local row range of local item `li` into the `ig_*` columns.
@@ -587,93 +545,46 @@ impl ItemView<'_> {
         let hi = (self.item_value_offsets[li + 1] - self.val_base) as usize;
         &self.item_values[lo..hi]
     }
-}
 
-/// Borrowed group-major frame view — input to the correctness E-step and
-/// to the extractor sums its worker folds. Backed by resident columns
-/// (`ChunkedCube::group_view`) or a decoded [`GroupBuf`]
-/// ([`GroupBuf::view`]); `cells` rebases the offsets so the kernels can't
-/// tell the backings apart.
-#[derive(Debug, Clone)]
-pub struct GroupView<'a> {
-    /// Global group-index range the view covers (`groups.start + lg` is
-    /// the global group index of local group `lg`).
-    pub groups: Range<u32>,
-    /// Offset of the view's first cell in `cell_offsets`' coordinate
-    /// space (0 for a decoded [`GroupBuf`]).
-    pub cell_base: u32,
-    /// Source id per group in the range.
-    pub group_source: &'a [u32],
-    /// Cell offsets (length `num_groups() + 1`), in `cell_base`
-    /// coordinates.
-    pub cell_offsets: &'a [u32],
-    /// Extractor id per cell, in global cell order.
-    pub cell_extractor: &'a [u32],
-    /// Confidence per cell.
-    pub cell_confidence: &'a [f64],
-}
-
-impl GroupView<'_> {
-    /// Number of groups in the view.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Local cell range of local group `lg` into the cell columns.
-    pub fn cells(&self, lg: usize) -> Range<usize> {
-        (self.cell_offsets[lg] - self.cell_base) as usize
-            ..(self.cell_offsets[lg + 1] - self.cell_base) as usize
+    /// Local cell range of local row `r` into the cell columns.
+    pub fn cells(&self, r: usize) -> Range<usize> {
+        (self.cell_offsets[r] - self.cell_base) as usize
+            ..(self.cell_offsets[r + 1] - self.cell_base) as usize
     }
 }
 
 /// Where an EM fit's chunk views come from — the one seam between the
 /// engine and the cube's residency, and the one place that knows how
-/// chunk work is scheduled. Every stage reads the cube through a scan
-/// (plus the resident [`ChunkStoreMeta`] skeleton), so the kernels run the
-/// same instructions whether a view is a zero-copy slice of a resident
+/// chunk work is scheduled. A round reads the cube through one scan (plus
+/// the resident [`ChunkStoreMeta`] skeleton), so the kernels run the same
+/// instructions whether a view is a zero-copy slice of a resident
 /// [`ChunkedCube`] ([`ResidentChunks`]) or a worker's buffer freshly read
 /// from a [`FileChunkStore`] ([`StreamedChunks`]).
-///
-/// A scan runs `f(scratch, view)` once per chunk on
-/// [`kbt_flume::run_tasks`] — chunks pulled in ascending order by at most
-/// `kbt_flume::num_threads()` workers, each owning one `scratch` slot (a
-/// single slot makes the scan a serial fold) — and returns the per-chunk
-/// results **in chunk order**.
 pub trait ChunkSource: Sync {
-    /// The integer skeleton: counts, the item-chunk and group-frame
-    /// partitions, and the per-source CSRs.
+    /// The integer skeleton: counts, the item-chunk partition, and the
+    /// per-source CSRs.
     fn meta(&self) -> &ChunkStoreMeta;
 
-    /// Scan the item-major views of every item chunk
-    /// (`meta().item_chunks`).
-    fn scan_items<S: Send, R: Send>(
-        &self,
-        scratch: &mut [S],
-        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
-    ) -> io::Result<Vec<R>>;
-
-    /// Scan the group-major views of every group frame
-    /// (`meta().group_frames`): `f(scratch, view, window)`, where `window`
-    /// is the frame's groups' slice of `out` (one entry per group), for
-    /// the frame's task alone to write.
-    fn scan_groups<S: Send, O: Send, R: Send>(
+    /// Scan every item chunk (`meta().item_chunks`): `f(scratch, view,
+    /// out)` once per chunk, where `out` is the chunk's own entry of `out`
+    /// (one per chunk), for that chunk's task alone to write. Chunks are
+    /// pulled in ascending order by at most `kbt_flume::num_threads()`
+    /// workers on [`kbt_flume::run_tasks`], each owning one `scratch` slot
+    /// (a single slot makes the scan a serial fold).
+    fn scan_items<S: Send, O: Send>(
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
-    ) -> io::Result<Vec<R>>;
+        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+    ) -> io::Result<()>;
 }
 
-/// `out` (one entry per group) cut into one window per group frame, each
-/// handed to the one task that scans the frame.
-fn frame_windows<'a, O>(out: &'a mut [O], frames: &[Range<u32>]) -> Vec<Mutex<&'a mut [O]>> {
-    assert_eq!(out.len(), frames.last().map_or(0, |f| f.end as usize));
-    let mut rest = out;
-    let window = |f: &Range<u32>| {
-        rest.split_off_mut(..f.len())
-            .expect("frames tile the groups")
-    };
-    frames.iter().map(window).map(Mutex::new).collect()
+/// `out` (one entry per chunk), each entry behind a lock of its own: the
+/// lock only hands the one task that scans the chunk its exclusive borrow
+/// across the worker boundary.
+fn per_chunk<O>(out: &mut [O], chunks: usize) -> Vec<Mutex<&mut O>> {
+    assert_eq!(out.len(), chunks, "one output per item chunk");
+    out.iter_mut().map(Mutex::new).collect()
 }
 
 /// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
@@ -699,28 +610,22 @@ impl ChunkSource for ResidentChunks<'_> {
         &self.meta
     }
 
-    fn scan_items<S: Send, R: Send>(
-        &self,
-        scratch: &mut [S],
-        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
-    ) -> io::Result<Vec<R>> {
-        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i| {
-            Ok(f(s, &self.cube.item_view(i)))
-        })
-    }
-
-    fn scan_groups<S: Send, O: Send, R: Send>(
+    fn scan_items<S: Send, O: Send>(
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
-    ) -> io::Result<Vec<R>> {
-        let frames = &self.meta.group_frames;
-        let windows = frame_windows(out, frames);
-        kbt_flume::run_tasks(frames.len(), scratch, |s, i| {
-            let mut window = windows[i].lock().expect("a frame is scanned once");
-            Ok(f(s, &self.cube.group_view(frames[i].clone()), &mut window))
+        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+    ) -> io::Result<()> {
+        let out = per_chunk(out, self.cube.num_chunks());
+        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i| {
+            f(
+                s,
+                &self.cube.item_view(i),
+                &mut out[i].lock().expect("a chunk is scanned once"),
+            );
+            Ok(())
         })
+        .map(drop)
     }
 }
 
@@ -746,29 +651,6 @@ impl StreamedChunks {
             max_resident_chunks,
         }
     }
-
-    /// Run `f(scratch, idx, buffer)` over frames `0..frames` on
-    /// [`kbt_flume::run_tasks`]: each worker pairs a `scratch` slot with a
-    /// buffer of its own and `load`s frame `idx` into it before `f` runs.
-    fn scan<S: Send, B: Default + Send, R: Send>(
-        &self,
-        frames: usize,
-        scratch: &mut [S],
-        load: impl Fn(&FileChunkStore, usize, &mut B) -> io::Result<()> + Sync,
-        f: impl Fn(&mut S, usize, &B) -> R + Sync,
-    ) -> io::Result<Vec<R>> {
-        let workers = match self.max_resident_chunks {
-            0 => scratch.len(),
-            cap => cap.min(scratch.len()),
-        };
-        let mut slots: Vec<(&mut S, B)> = (scratch.iter_mut().take(workers))
-            .map(|s| (s, B::default()))
-            .collect();
-        kbt_flume::run_tasks(frames, &mut slots, |(s, buf), i| {
-            load(&self.store, i, buf)?;
-            Ok(f(s, i, buf))
-        })
-    }
 }
 
 impl ChunkSource for StreamedChunks {
@@ -776,43 +658,35 @@ impl ChunkSource for StreamedChunks {
         self.store.meta()
     }
 
-    fn scan_items<S: Send, R: Send>(
-        &self,
-        scratch: &mut [S],
-        f: impl Fn(&mut S, &ItemView<'_>) -> R + Sync,
-    ) -> io::Result<Vec<R>> {
-        self.scan(
-            self.store.num_chunks(),
-            scratch,
-            FileChunkStore::load_chunk,
-            |s, _, buf: &ChunkBuf| f(s, &buf.view()),
-        )
-    }
-
-    fn scan_groups<S: Send, O: Send, R: Send>(
+    fn scan_items<S: Send, O: Send>(
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &GroupView<'_>, &mut [O]) -> R + Sync,
-    ) -> io::Result<Vec<R>> {
-        let windows = frame_windows(out, &self.meta().group_frames);
-        self.scan(
-            self.store.num_group_frames(),
-            scratch,
-            FileChunkStore::load_group_frame,
-            |s, i, buf: &GroupBuf| {
-                let mut window = windows[i].lock().expect("a frame is scanned once");
-                f(s, &buf.view(), &mut window)
-            },
-        )
+        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+    ) -> io::Result<()> {
+        let chunks = self.store.num_chunks();
+        let out = per_chunk(out, chunks);
+        let workers = match self.max_resident_chunks {
+            0 => scratch.len(),
+            cap => cap.min(scratch.len()),
+        };
+        let mut slots: Vec<(&mut S, ChunkBuf)> = (scratch.iter_mut().take(workers))
+            .map(|s| (s, ChunkBuf::default()))
+            .collect();
+        kbt_flume::run_tasks(chunks, &mut slots, |(s, buf), i| {
+            self.store.load_chunk(i, buf)?;
+            f(
+                s,
+                &buf.view(),
+                &mut out[i].lock().expect("a chunk is scanned once"),
+            );
+            Ok(())
+        })
+        .map(drop)
     }
 }
 
-const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK2";
-
-/// Cap on groups per on-disk group frame, so a frame's decoded size stays
-/// bounded even for degenerate cell distributions.
-const MAX_FRAME_GROUPS: usize = 1 << 20;
+const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK3";
 
 fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
     wire::put_column(buf, xs, u32::to_le_bytes);
@@ -848,8 +722,8 @@ fn tiles<'a>(mut ranges: impl Iterator<Item = &'a Range<u32>>, end: u32) -> bool
 }
 
 /// The integer skeleton of a chunk store — everything a streamed fit
-/// keeps resident besides the O(groups) float vectors. Holds the counts,
-/// both frame partitions, and the per-source CSRs the M-steps, the gamma
+/// keeps resident besides its O(groups) row state. Holds the counts, the
+/// item-chunk partition, and the per-source CSRs the M-steps, the gamma
 /// estimate, and the vote tables need, so no EM stage has to touch a cell
 /// payload except through the streamed frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -868,19 +742,16 @@ pub struct ChunkStoreMeta {
     pub num_values: u32,
     /// Largest per-item distinct-value count (slot-accumulator size).
     pub max_item_values: u32,
-    /// Most item-major rows in any single item chunk.
+    /// Most rows in any single item chunk.
     pub max_chunk_rows: u32,
     /// The item-aligned chunk partition (one item frame per entry).
     pub item_chunks: Vec<CubeChunk>,
-    /// The group-frame partition: contiguous group ranges tiling
-    /// `0..num_groups` (one group frame per entry).
-    pub group_frames: Vec<Range<u32>>,
     /// Per-source group ranges (length `num_sources + 1`): source `w`
     /// owns groups `source_offsets[w]..source_offsets[w+1]`.
     pub source_offsets: Vec<u32>,
     /// Distinct items claimed by each source (length `num_sources`) —
     /// the gamma estimate's slot count, precomputed so streamed fits
-    /// never need the `group_item` column.
+    /// never need a pass over the rows for it.
     pub source_item_counts: Vec<u32>,
     /// CSR offsets into `source_ext_ids` (length `num_sources + 1`).
     pub source_ext_offsets: Vec<u32>,
@@ -891,42 +762,25 @@ pub struct ChunkStoreMeta {
 }
 
 impl ChunkStoreMeta {
-    /// Derive the metadata (including the group-frame partition) from a
-    /// resident columnar cube.
+    /// Derive the metadata from a resident columnar cube.
     pub fn from_cube(cube: &ChunkedCube) -> Self {
-        let ng = cube.num_groups();
         let ns = cube.num_sources();
 
-        // Per-source distinct-item counts: groups are item-sorted within
-        // a source span, so counting runs of `group_item` is exact.
-        let source_item_counts = cube
-            .source_offsets
-            .windows(2)
-            .map(|w| {
-                let items = &cube.group_item[w[0] as usize..w[1] as usize];
-                (!items.is_empty()) as u32
-                    + items.windows(2).filter(|p| p[0] != p[1]).count() as u32
-            })
-            .collect();
-
-        // Group-frame partition: close a frame at ~cells-per-item-chunk
-        // cells (so both frame families stream at similar granularity),
-        // or at the group-count cap.
-        let target = (cube.num_cells() / cube.chunks.len().max(1)).max(1) as u64;
-        let mut group_frames = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for g in 0..ng {
-            acc += (cube.cell_offsets[g + 1] - cube.cell_offsets[g]) as u64;
-            if acc >= target || g - start + 1 >= MAX_FRAME_GROUPS || g + 1 == ng {
-                group_frames.push(start as u32..(g + 1) as u32);
-                start = g + 1;
-                acc = 0;
+        // Per-source distinct-item counts: an item's rows are in cube
+        // group order, so its sources come in runs, one per
+        // (source, item) pair.
+        let mut source_item_counts = vec![0u32; ns];
+        for rows in cube.item_offsets.windows(2) {
+            let sources = &cube.ig_source[rows[0] as usize..rows[1] as usize];
+            for (r, &w) in sources.iter().enumerate() {
+                if r == 0 || sources[r - 1] != w {
+                    source_item_counts[w as usize] += 1;
+                }
             }
         }
 
         Self {
-            num_groups: ng as u32,
+            num_groups: cube.num_groups() as u32,
             num_cells: cube.num_cells() as u32,
             num_items: cube.num_items() as u32,
             num_sources: ns as u32,
@@ -935,7 +789,6 @@ impl ChunkStoreMeta {
             max_item_values: cube.max_item_values as u32,
             max_chunk_rows: cube.max_chunk_rows as u32,
             item_chunks: cube.chunks.clone(),
-            group_frames,
             source_offsets: cube.source_offsets.clone(),
             source_item_counts,
             source_ext_offsets: cube.source_ext_offsets.clone(),
@@ -967,10 +820,6 @@ impl ChunkStoreMeta {
                 wire::put_u32(p, x);
             }
         });
-        wire::put_seq(p, &self.group_frames, |p, f| {
-            wire::put_u32(p, f.start);
-            wire::put_u32(p, f.end);
-        });
         put_u32_slice(p, &self.source_offsets);
         put_u32_slice(p, &self.source_item_counts);
         put_u32_slice(p, &self.source_ext_offsets);
@@ -994,7 +843,6 @@ impl ChunkStoreMeta {
                 cells: r.u32()?,
             })
         })?;
-        let group_frames = r.seq::<_, WireError>(8, |r| Ok(r.u32()?..r.u32()?))?;
         let mut source_offsets = Vec::new();
         read_u32_vec(&mut r, &mut source_offsets)?;
         let mut source_item_counts = Vec::new();
@@ -1009,7 +857,6 @@ impl ChunkStoreMeta {
             && source_item_counts.len() == ns
             && is_csr(&source_ext_offsets, ns, source_ext_ids.len())
             && all_below(&source_ext_ids, num_extractors)
-            && tiles(group_frames.iter(), num_groups)
             && tiles(item_chunks.iter().map(|c| &c.items), num_items)
             && tiles(item_chunks.iter().map(|c| &c.rows), num_groups);
         if !meta_ok {
@@ -1025,7 +872,6 @@ impl ChunkStoreMeta {
             max_item_values,
             max_chunk_rows,
             item_chunks,
-            group_frames,
             source_offsets,
             source_item_counts,
             source_ext_offsets,
@@ -1051,10 +897,9 @@ fn emit_frame(
     Ok(entry)
 }
 
-/// Disk-backed chunk payloads: the `KBTCHNK2` format described in the
+/// Disk-backed chunk payloads: the `KBTCHNK3` format described in the
 /// module docs — magic, meta frame, item frames (one per [`CubeChunk`]),
-/// group frames (one per [`ChunkStoreMeta::group_frames`] entry), an
-/// index frame, and a trailing 8-byte index offset. Every load
+/// an index frame, and a trailing 8-byte index offset. Every load
 /// re-verifies its frame's CRC, so a corrupted chunk surfaces as an
 /// [`io::Error`] instead of silently wrong EM input.
 /// [`FileChunkStore::open`] reads only the tail, the index, and the meta
@@ -1070,16 +915,14 @@ pub struct FileChunkStore {
     meta: ChunkStoreMeta,
     /// Byte offset + length of each item frame's payload.
     item_frames: Vec<(u64, u32)>,
-    /// Byte offset + length of each group frame's payload.
-    group_frame_index: Vec<(u64, u32)>,
-    /// Frames read by [`Self::load_chunk`] / [`Self::load_group_frame`].
+    /// Frames read by [`Self::load_chunk`].
     frames_read: AtomicU64,
 }
 
 impl FileChunkStore {
-    /// Serialize every item chunk and group frame of `cube` to `path`
-    /// (truncating), streaming through a [`io::BufWriter`] so peak write
-    /// memory is one frame, not the whole file.
+    /// Serialize every item chunk of `cube` to `path` (truncating),
+    /// streaming through a [`io::BufWriter`] so peak write memory is one
+    /// frame, not the whole file.
     pub fn write(cube: &ChunkedCube, path: &Path) -> io::Result<()> {
         let meta = ChunkStoreMeta::from_cube(cube);
         let mut w = io::BufWriter::new(fs::File::create(path)?);
@@ -1107,17 +950,6 @@ impl FileChunkStore {
                 put_u32_slice(p, v.ig_group);
                 put_u32_slice(p, v.ig_source);
                 put_u32_slice(p, v.ig_slot);
-                wire::put_column(p, v.ig_has_cells, |b| [b]);
-            })?);
-        }
-
-        let mut group_frame_index = Vec::new();
-        for f in &meta.group_frames {
-            let v = cube.group_view(f.clone());
-            group_frame_index.push(emit_frame(&mut w, &mut pos, &mut frame, |p| {
-                wire::put_u32(p, f.start);
-                wire::put_u32(p, f.end);
-                put_u32_slice(p, v.group_source);
                 put_rebased(p, v.cell_offsets, v.cell_base);
                 put_u32_slice(p, v.cell_extractor);
                 wire::put_column(p, v.cell_confidence, f64::to_le_bytes);
@@ -1126,12 +958,10 @@ impl FileChunkStore {
 
         let index_pos = pos;
         emit_frame(&mut w, &mut pos, &mut frame, |p| {
-            for entries in [&item_frames, &group_frame_index] {
-                wire::put_seq(p, entries, |p, &(off, len)| {
-                    wire::put_u64(p, off);
-                    wire::put_u32(p, len);
-                });
-            }
+            wire::put_seq(p, &item_frames, |p, &(off, len)| {
+                wire::put_u64(p, off);
+                wire::put_u32(p, len);
+            });
         })?;
         w.write_all(&index_pos.to_le_bytes())?;
         w.flush()
@@ -1155,20 +985,16 @@ impl FileChunkStore {
         }
         let index = wire::read_prefixed_frame_at(&file, index_pos, limit)?;
         let mut r = WireReader::new(&index);
-        let entry = |r: &mut WireReader<'_>| Ok::<_, WireError>((r.u64()?, r.u32()?));
-        let item_frames = r.seq(12, entry)?;
-        let group_frame_index = r.seq(12, entry)?;
+        let item_frames = r.seq(12, |r| Ok::<_, WireError>((r.u64()?, r.u32()?)))?;
         r.finish()?;
-        for &(off, len) in item_frames.iter().chain(&group_frame_index) {
+        for &(off, len) in &item_frames {
             if off < 12 {
                 return Err(malformed("frame entry out of bounds"));
             }
             wire::frame_fits(off, len, limit)?;
         }
         let meta = ChunkStoreMeta::decode(&wire::read_prefixed_frame_at(&file, 8, limit)?)?;
-        if meta.item_chunks.len() != item_frames.len()
-            || meta.group_frames.len() != group_frame_index.len()
-        {
+        if meta.item_chunks.len() != item_frames.len() {
             return Err(malformed("frame table / meta count mismatch"));
         }
         Ok(Self {
@@ -1176,7 +1002,6 @@ impl FileChunkStore {
             limit,
             meta,
             item_frames,
-            group_frame_index,
             frames_read: AtomicU64::new(0),
         })
     }
@@ -1186,65 +1011,27 @@ impl FileChunkStore {
         &self.meta
     }
 
-    /// Number of group frames in the store.
-    pub fn num_group_frames(&self) -> usize {
-        self.group_frame_index.len()
-    }
-
     /// Number of item frames (one per [`CubeChunk`]).
     pub fn num_chunks(&self) -> usize {
         self.item_frames.len()
     }
 
-    /// Item and group frames read from the file since it was opened: a
-    /// streamed fit reads each frame once per scan, so this is exact.
+    /// Item frames read from the file since it was opened: a streamed fit
+    /// reads each frame once per round, so this is exact.
     pub fn frames_read(&self) -> u64 {
         // ordering: Relaxed — a count for reporting; it orders no memory.
         self.frames_read.load(Ordering::Relaxed)
     }
 
-    /// The CRC-verified payload of the frame behind an index entry — the
-    /// one way bytes leave a chunk file.
-    fn payload(&self, what: &str, idx: usize, (off, len): (u64, u32)) -> io::Result<Vec<u8>> {
-        // ordering: Relaxed — a monotonic count for reporting; it publishes no memory.
-        self.frames_read.fetch_add(1, Ordering::Relaxed);
-        wire::read_frame_at(&self.file, off, len, self.limit)
-            .map_err(|e| io::Error::new(e.kind(), format!("{what} {idx}: {e}")))
-    }
-
-    /// Load group frame `idx` into `buf` (cleared first, capacity
-    /// reused), CRC-verifying the frame and checking its shape against
-    /// the skeleton: a frame that loads indexes nothing out of bounds.
-    pub fn load_group_frame(&self, idx: usize, buf: &mut GroupBuf) -> io::Result<()> {
-        let payload = self.payload("group frame", idx, self.group_frame_index[idx])?;
-        let mut r = WireReader::new(&payload);
-        let decoded = (|| {
-            buf.groups = r.u32()?..r.u32()?;
-            read_u32_vec(&mut r, &mut buf.group_source)?;
-            read_u32_vec(&mut r, &mut buf.cell_offsets)?;
-            read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-            r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
-            r.finish()
-        })();
-        decoded.map_err(|e| malformed(format!("group frame {idx}: {e}")))?;
-        let (groups, cells) = (buf.groups.len(), buf.cell_extractor.len());
-        let shape_ok = buf.groups == self.meta.group_frames[idx]
-            && buf.group_source.len() == groups
-            && is_csr(&buf.cell_offsets, groups, cells)
-            && buf.cell_confidence.len() == cells
-            && all_below(&buf.group_source, self.meta.num_sources)
-            && all_below(&buf.cell_extractor, self.meta.num_extractors);
-        if !shape_ok {
-            return Err(malformed(format!("group frame {idx}: malformed payload")));
-        }
-        Ok(())
-    }
-
     /// Load item frame `idx` into `buf` (cleared first, capacity
     /// reused), CRC-verifying the frame and checking its shape against
-    /// the skeleton, as [`Self::load_group_frame`] does.
+    /// the skeleton: a frame that loads indexes nothing out of bounds.
     pub fn load_chunk(&self, idx: usize, buf: &mut ChunkBuf) -> io::Result<()> {
-        let payload = self.payload("chunk", idx, self.item_frames[idx])?;
+        // ordering: Relaxed — a monotonic count for reporting; it publishes no memory.
+        self.frames_read.fetch_add(1, Ordering::Relaxed);
+        let (off, len) = self.item_frames[idx];
+        let payload = wire::read_frame_at(&self.file, off, len, self.limit)
+            .map_err(|e| io::Error::new(e.kind(), format!("chunk {idx}: {e}")))?;
         let mut r = WireReader::new(&payload);
         let decoded = (|| {
             buf.items = r.u32()?..r.u32()?;
@@ -1254,19 +1041,29 @@ impl FileChunkStore {
             read_u32_vec(&mut r, &mut buf.ig_group)?;
             read_u32_vec(&mut r, &mut buf.ig_source)?;
             read_u32_vec(&mut r, &mut buf.ig_slot)?;
-            r.column(&mut buf.ig_has_cells, |[b]| b)?;
+            read_u32_vec(&mut r, &mut buf.cell_offsets)?;
+            read_u32_vec(&mut r, &mut buf.cell_extractor)?;
+            r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
             r.finish()
         })();
         decoded.map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
         let (meta, chunk) = (&self.meta, &self.meta.item_chunks[idx]);
-        let (items, rows) = (buf.items.len(), buf.ig_group.len());
+        let (items, rows, cells) = (
+            buf.items.len(),
+            buf.ig_group.len(),
+            buf.cell_extractor.len(),
+        );
         let shape_ok = buf.items == chunk.items
             && rows == chunk.rows.len()
+            && cells == chunk.cells as usize
             && is_csr(&buf.item_offsets, items, rows)
             && is_csr(&buf.item_value_offsets, items, buf.item_values.len())
-            && [buf.ig_source.len(), buf.ig_slot.len(), buf.ig_has_cells.len()] == [rows; 3]
+            && is_csr(&buf.cell_offsets, rows, cells)
+            && [buf.ig_source.len(), buf.ig_slot.len()] == [rows; 2]
+            && buf.cell_confidence.len() == cells
             && all_below(&buf.ig_group, meta.num_groups)
             && all_below(&buf.ig_source, meta.num_sources)
+            && all_below(&buf.cell_extractor, meta.num_extractors)
             // Every row's slot names one of its own item's values.
             && (0..items).all(|li| {
                 let values = buf.item_value_offsets[li + 1] - buf.item_value_offsets[li];
@@ -1309,7 +1106,9 @@ mod tests {
         b.build()
     }
 
-    /// Every column must be a faithful gather of the cube.
+    /// Every column must be a faithful gather of the cube: item-major
+    /// rows mirroring `groups_of_item`, each with its group's cells in
+    /// the cube's order.
     fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
         assert_eq!(cc.num_groups(), cube.num_groups());
         assert_eq!(cc.num_cells(), cube.num_cells());
@@ -1317,20 +1116,6 @@ mod tests {
         assert_eq!(cc.num_extractors(), cube.num_extractors());
         assert_eq!(cc.num_items(), cube.num_items());
         assert_eq!(cc.num_values(), cube.num_values());
-        for (g, grp) in cube.groups().iter().enumerate() {
-            assert_eq!(cc.group_source[g], grp.source.0);
-            assert_eq!(cc.group_item[g], grp.item.0);
-            let cells = cube.cells_of(grp);
-            let r = cc.cells_of_group(g);
-            assert_eq!(r.len(), cells.len());
-            for (k, c) in cells.iter().enumerate() {
-                assert_eq!(cc.cell_extractor[r.start + k], c.extractor.0);
-                assert_eq!(
-                    cc.cell_confidence[r.start + k].to_bits(),
-                    c.confidence.to_bits()
-                );
-            }
-        }
         for w in 0..cube.num_sources() {
             let r = cube.source_groups(SourceId::new(w as u32));
             if r.is_empty() {
@@ -1340,6 +1125,7 @@ mod tests {
                 assert_eq!(cc.source_offsets[w + 1] as usize, r.end);
             }
         }
+        assert_eq!(cc.cell_offsets.len(), cc.num_groups() + 1);
         for d in 0..cube.num_items() {
             let vals = cube.observed_values(ItemId::new(d as u32));
             assert_eq!(
@@ -1350,15 +1136,18 @@ mod tests {
             let lo = cc.item_offsets[d] as usize;
             let hi = cc.item_offsets[d + 1] as usize;
             assert_eq!(hi - lo, rows.len());
-            for (k, &g) in rows.iter().enumerate() {
+            for (r, &g) in (lo..).zip(&rows) {
                 let grp = &cube.groups()[g];
-                assert_eq!(cc.ig_group[lo + k] as usize, g);
-                assert_eq!(cc.ig_source[lo + k], grp.source.0);
-                assert_eq!(
-                    cc.item_values_of(d)[cc.ig_slot[lo + k] as usize],
-                    grp.value.0
-                );
-                assert_eq!(cc.ig_has_cells[lo + k] == 1, !cube.cells_of(grp).is_empty());
+                assert_eq!(cc.ig_group[r] as usize, g);
+                assert_eq!(cc.ig_source[r], grp.source.0);
+                assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
+                let cells = cube.cells_of(grp);
+                let at = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
+                assert_eq!(at.len(), cells.len());
+                for (k, c) in at.zip(cells) {
+                    assert_eq!(cc.cell_extractor[k], c.extractor.0);
+                    assert_eq!(cc.cell_confidence[k].to_bits(), c.confidence.to_bits());
+                }
             }
         }
     }
@@ -1375,6 +1164,8 @@ mod tests {
                 cc.item_offsets[chunk.items.start as usize]
                     ..cc.item_offsets[chunk.items.end as usize]
             );
+            let (lo, hi) = (chunk.rows.start as usize, chunk.rows.end as usize);
+            assert_eq!(chunk.cells, cc.cell_offsets[hi] - cc.cell_offsets[lo]);
             next_item = chunk.items.end;
             next_row = chunk.rows.end;
             cells += chunk.cells as u64;
@@ -1455,17 +1246,9 @@ mod tests {
         let meta = ChunkStoreMeta::from_cube(&cc);
         assert_eq!(meta.num_groups as usize, cc.num_groups());
         assert_eq!(meta.num_cells as usize, cc.num_cells());
+        assert!(meta.item_chunks.len() > 1, "want multiple item frames");
         assert_eq!(meta.item_chunks, cc.chunks);
         assert_eq!(meta.source_offsets, cc.source_offsets);
-        // Group frames tile the group list.
-        assert!(meta.group_frames.len() > 1, "want multiple group frames");
-        let mut next = 0u32;
-        for f in &meta.group_frames {
-            assert_eq!(f.start, next);
-            assert!(f.end > f.start);
-            next = f.end;
-        }
-        assert_eq!(next as usize, cc.num_groups());
         // Per-source extractor lists match the cube's.
         for w in 0..cube.num_sources() {
             let lo = meta.source_ext_offsets[w] as usize;
@@ -1483,16 +1266,15 @@ mod tests {
         }
         // Distinct-item counts.
         for w in 0..cube.num_sources() {
-            let lo = cc.source_offsets[w] as usize;
-            let hi = cc.source_offsets[w + 1] as usize;
-            let mut items: Vec<u32> = cc.group_item[lo..hi].to_vec();
-            items.sort_unstable();
+            let groups = &cube.groups()[cube.source_groups(SourceId::new(w as u32))];
+            let mut items: Vec<ItemId> = groups.iter().map(|g| g.item).collect();
             items.dedup();
             assert_eq!(meta.source_item_counts[w] as usize, items.len());
         }
     }
 
-    /// Two item views expose the same items, rows, values and columns.
+    /// Two item views expose the same items, rows, values, cells and
+    /// columns.
     fn assert_item_views_eq(a: &ItemView<'_>, b: &ItemView<'_>) {
         assert_eq!(a.items, b.items);
         for li in 0..a.num_items() {
@@ -1502,7 +1284,17 @@ mod tests {
         assert_eq!(a.ig_group, b.ig_group);
         assert_eq!(a.ig_source, b.ig_source);
         assert_eq!(a.ig_slot, b.ig_slot);
-        assert_eq!(a.ig_has_cells, b.ig_has_cells);
+        for r in 0..a.num_rows() {
+            assert_eq!(a.cells(r), b.cells(r));
+        }
+        assert_eq!(a.cell_extractor, b.cell_extractor);
+        let bits = |v: &ItemView<'_>| {
+            v.cell_confidence
+                .iter()
+                .map(|c| c.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]
@@ -1512,30 +1304,21 @@ mod tests {
         for (idx, chunk) in cc.chunks.iter().enumerate() {
             let v = cc.item_view(idx);
             assert_eq!(v.items, chunk.items);
+            assert_eq!(v.num_rows(), chunk.rows.len());
             for li in 0..v.num_items() {
                 let d = chunk.items.start as usize + li;
                 assert_eq!(v.values(li), cc.item_values_of(d));
                 let rows = cc.item_offsets[d] as usize..cc.item_offsets[d + 1] as usize;
                 assert_eq!(&v.ig_group[v.rows(li)], &cc.ig_group[rows]);
             }
-        }
-        let meta = ChunkStoreMeta::from_cube(&cc);
-        for f in &meta.group_frames {
-            let v = cc.group_view(f.clone());
-            assert_eq!(v.num_groups(), f.len());
-            for lg in 0..v.num_groups() {
-                let g = f.start as usize + lg;
-                assert_eq!(v.group_source[lg], cc.group_source[g]);
-                let cells = v.cells(lg);
-                let global = cc.cells_of_group(g);
-                assert_eq!(cells.len(), global.len());
-                for (k, ci) in global.enumerate() {
-                    assert_eq!(v.cell_extractor[cells.start + k], cc.cell_extractor[ci]);
-                    assert_eq!(
-                        v.cell_confidence[cells.start + k].to_bits(),
-                        cc.cell_confidence[ci].to_bits()
-                    );
-                }
+            for r in 0..v.num_rows() {
+                let global = chunk.rows.start as usize + r;
+                let cells = cc.cell_offsets[global] as usize..cc.cell_offsets[global + 1] as usize;
+                assert_eq!(
+                    &v.cell_extractor[v.cells(r)],
+                    &cc.cell_extractor[cells.clone()]
+                );
+                assert_eq!(&v.cell_confidence[v.cells(r)], &cc.cell_confidence[cells]);
             }
         }
     }
@@ -1556,28 +1339,6 @@ mod tests {
         for idx in 0..cc.num_chunks() {
             store.load_chunk(idx, &mut disk).unwrap();
             assert_item_views_eq(&disk.view(), &cc.item_view(idx));
-        }
-        let mut gbuf = GroupBuf::default();
-        for (idx, f) in store.meta().group_frames.clone().iter().enumerate() {
-            store.load_group_frame(idx, &mut gbuf).unwrap();
-            assert_eq!(gbuf.groups, *f);
-            let v = cc.group_view(f.clone());
-            let d = gbuf.view();
-            assert_eq!(d.group_source, v.group_source);
-            for lg in 0..v.num_groups() {
-                assert_eq!(d.cells(lg), v.cells(lg));
-            }
-            assert_eq!(d.cell_extractor, v.cell_extractor);
-            assert_eq!(
-                d.cell_confidence
-                    .iter()
-                    .map(|c| c.to_bits())
-                    .collect::<Vec<_>>(),
-                v.cell_confidence
-                    .iter()
-                    .map(|c| c.to_bits())
-                    .collect::<Vec<_>>()
-            );
         }
         fs::remove_file(&path).unwrap();
     }
@@ -1600,33 +1361,29 @@ mod tests {
             Err(_) => {}
             Ok(store) => {
                 let mut buf = ChunkBuf::default();
-                let mut gbuf = GroupBuf::default();
-                let any_err = (0..store.num_chunks())
-                    .any(|idx| store.load_chunk(idx, &mut buf).is_err())
-                    || (0..store.num_group_frames())
-                        .any(|idx| store.load_group_frame(idx, &mut gbuf).is_err());
+                let any_err =
+                    (0..store.num_chunks()).any(|idx| store.load_chunk(idx, &mut buf).is_err());
                 assert!(any_err, "corruption must not pass CRC");
 
-                // The same through the scans on two workers: the load
-                // error comes back out as the scan's error, and nobody
-                // hangs on the failed frame.
+                // The same through a scan on two workers: the load error
+                // comes back out as the scan's error, and nobody hangs on
+                // the failed frame.
                 let src = StreamedChunks::new(Arc::new(store), 2);
-                let mut groups = vec![(); src.meta().num_groups as usize];
-                let any_err = kbt_flume::with_threads(Some(2), || {
-                    src.scan_items(&mut [(); 2], |_, _| ()).is_err()
-                        || src
-                            .scan_groups(&mut [(); 2], &mut groups, |_, _, _| ())
-                            .is_err()
+                let mut out = vec![(); src.meta().item_chunks.len()];
+                let scanned = kbt_flume::with_threads(Some(2), || {
+                    src.scan_items(&mut [(); 2], &mut out, |_, _, _| ())
                 });
-                assert!(any_err, "corruption must not pass CRC through a scan");
+                assert!(
+                    scanned.is_err(),
+                    "corruption must not pass CRC through a scan"
+                );
             }
         }
         fs::remove_file(&path).unwrap();
     }
 
-    /// `KBTCHNK2` did not move: the encoder rewrite must produce the
-    /// bytes the element-at-a-time encoder produced (length and FNV-1a
-    /// recorded from that encoder).
+    /// The `KBTCHNK3` bytes, pinned (length and FNV-1a): any change to
+    /// the encoder is a format change.
     #[test]
     fn file_store_bytes_are_golden() {
         let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
@@ -1637,9 +1394,9 @@ mod tests {
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(bytes.len(), 4154);
-        assert_eq!(fnv, 0x6c4e_5924_1760_49dc);
-        assert_eq!(&bytes[..8], b"KBTCHNK2");
+        assert_eq!(bytes.len(), 3480);
+        assert_eq!(fnv, 0x706b_5d9f_6230_2f31);
+        assert_eq!(&bytes[..8], b"KBTCHNK3");
     }
 
     /// A CRC-valid index frame whose first entry points at
@@ -1676,26 +1433,27 @@ mod tests {
         FileChunkStore::write(&cc, &path).unwrap();
         let clean = fs::read(&path).unwrap();
         let store = FileChunkStore::open(&path).unwrap();
-        let (mut chunk, mut frame) = (ChunkBuf::default(), GroupBuf::default());
+        let mut chunk = ChunkBuf::default();
         store.load_chunk(1, &mut chunk).unwrap();
-        store.load_group_frame(1, &mut frame).unwrap();
         let (items, rows) = (chunk.items.len() as u32, chunk.ig_group.len() as u32);
-        assert!(items >= 2 && frame.groups.len() >= 2, "patches need room");
+        let cells = chunk.cell_extractor.len() as u32;
+        assert!(items >= 2 && rows >= 3 && cells >= 2, "patches need room");
         // Word index of each column's count: after the two range words.
-        let item_cols = [
+        let columns = [
             items + 1,
             items + 1,
             chunk.item_values.len() as u32,
             rows,
             rows,
+            rows,
+            rows + 1,
         ];
         let mut col = vec![2u32];
-        for len in item_cols {
+        for len in columns {
             col.push(col.last().unwrap() + 1 + len);
         }
-        let groups = frame.groups.len() as u32;
         let meta = store.meta();
-        let item_patches = [
+        let patches = [
             ("item range", 1, chunk.items.end + 1),
             ("item_offsets shorter", col[0], items),
             ("item_offsets start", col[0] + 1, 1),
@@ -1705,61 +1463,35 @@ mod tests {
             ("ig_group", col[3] + 1, meta.num_groups),
             ("ig_source", col[4] + 1, meta.num_sources),
             ("ig_slot", col[5] + 1, meta.max_item_values),
+            ("cell_offsets start", col[6] + 1, 1),
+            ("cell_offsets order", col[6] + 2, u32::MAX),
+            ("cell_offsets end", col[6] + 1 + rows, cells + 1),
+            ("cell_extractor", col[7] + 1, meta.num_extractors),
         ];
-        let frame_patches = [
-            ("group range", 0, frame.groups.start + 1),
-            ("group_source", 3, meta.num_sources),
-            ("cell_offsets start", 3 + groups + 1, 1),
-            ("cell_offsets order", 3 + groups + 2, u32::MAX),
-            (
-                "cell_extractor",
-                3 + groups + 1 + groups + 1 + 1,
-                meta.num_extractors,
-            ),
-        ];
-        let entries = [
-            (store.item_frames[1], true),
-            (store.group_frame_index[1], false),
-        ];
-        for ((off, len), is_item) in entries {
-            let patches: &[(&str, u32, u32)] = if is_item {
-                &item_patches
-            } else {
-                &frame_patches
-            };
-            for &(what, at, value) in patches {
-                let mut bytes = clean.clone();
-                let payload = off as usize..off as usize + len as usize;
-                let word = payload.start + 4 * at as usize;
-                bytes[word..word + 4].copy_from_slice(&value.to_le_bytes());
-                let crc = wire::crc32(&bytes[payload.clone()]);
-                bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
-                fs::write(&path, &bytes).unwrap();
-                let store = FileChunkStore::open(&path).expect("meta and index are intact");
-                let err = if is_item {
-                    store.load_chunk(1, &mut chunk).expect_err(what)
-                } else {
-                    store.load_group_frame(1, &mut frame).expect_err(what)
-                };
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-                assert!(
-                    err.to_string().contains(" 1: "),
-                    "{what} names its frame: {err}"
-                );
-                // Every other frame still loads, and a scan reports the bad one.
-                let src = StreamedChunks::new(Arc::new(store), 2);
-                let mut groups = vec![(); src.meta().num_groups as usize];
-                let scanned = kbt_flume::with_threads(Some(2), || {
-                    if is_item {
-                        src.scan_items(&mut [(); 2], |_, _| ()).map(drop)
-                    } else {
-                        src.scan_groups(&mut [(); 2], &mut groups, |_, _, _| ())
-                            .map(drop)
-                    }
-                });
-                let err = scanned.expect_err(what);
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-            }
+        let (off, len) = store.item_frames[1];
+        for (what, at, value) in patches {
+            let mut bytes = clean.clone();
+            let payload = off as usize..off as usize + len as usize;
+            let word = payload.start + 4 * at as usize;
+            bytes[word..word + 4].copy_from_slice(&value.to_le_bytes());
+            let crc = wire::crc32(&bytes[payload.clone()]);
+            bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let store = FileChunkStore::open(&path).expect("meta and index are intact");
+            let err = store.load_chunk(1, &mut chunk).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(
+                err.to_string().contains(" 1: "),
+                "{what} names its frame: {err}"
+            );
+            // Every other frame still loads, and a scan reports the bad one.
+            let src = StreamedChunks::new(Arc::new(store), 2);
+            let mut out = vec![(); src.meta().item_chunks.len()];
+            let scanned = kbt_flume::with_threads(Some(2), || {
+                src.scan_items(&mut [(); 2], &mut out, |_, _, _| ())
+            });
+            let err = scanned.expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
         fs::remove_file(&path).unwrap();
     }
@@ -1767,7 +1499,7 @@ mod tests {
     /// `max_resident_chunks` caps a streamed scan's workers, one decoded
     /// frame each: at cap 1 every frame runs on the calling thread, at cap
     /// `k` on at most `min(k, threads)` threads; every scan reads each
-    /// frame once.
+    /// frame once, and hands each chunk its own output.
     #[test]
     fn the_cap_bounds_a_streamed_scans_workers() {
         use std::collections::HashSet;
@@ -1777,30 +1509,33 @@ mod tests {
         FileChunkStore::write(&cc, &path).unwrap();
         let store = Arc::new(FileChunkStore::open(&path).unwrap());
         fs::remove_file(&path).unwrap();
-        let frames = (store.num_chunks() + store.num_group_frames()) as u64;
-        assert!(store.num_chunks() > 4 && store.num_group_frames() > 4);
+        let frames = store.num_chunks();
+        assert!(frames > 4);
         let me = thread::current().id();
         for cap in [1usize, 2, 3, 4, 8, 0] {
             let src = StreamedChunks::new(Arc::clone(&store), cap);
-            let mut groups = vec![(); src.meta().num_groups as usize];
             let before = store.frames_read();
-            let [items, groups]: [Vec<ThreadId>; 2] = kbt_flume::with_threads(Some(4), || {
-                let id = || thread::current().id();
-                [
-                    src.scan_items(&mut [(); 8], |_, _| id()).unwrap(),
-                    src.scan_groups(&mut [(); 8], &mut groups, |_, _, _| id())
-                        .unwrap(),
-                ]
-            });
-            assert_eq!(store.frames_read() - before, frames, "cap {cap}");
-            let bound = if cap == 0 { 4 } else { cap.min(4) };
-            for ids in [items, groups] {
-                if cap == 1 {
-                    assert!(ids.iter().all(|&id| id == me), "cap 1 left the caller");
-                }
-                let distinct = ids.iter().collect::<HashSet<_>>().len();
-                assert!(distinct <= bound, "cap {cap}: {distinct} threads");
+            let mut ran: Vec<Option<(ThreadId, Range<u32>)>> = vec![None; frames];
+            kbt_flume::with_threads(Some(4), || {
+                src.scan_items(&mut [(); 8], &mut ran, |_, view, out| {
+                    *out = Some((thread::current().id(), view.items.clone()));
+                })
+            })
+            .unwrap();
+            assert_eq!(store.frames_read() - before, frames as u64, "cap {cap}");
+            let ran: Vec<_> = ran
+                .into_iter()
+                .map(|r| r.expect("every chunk ran"))
+                .collect();
+            for ((_, items), chunk) in ran.iter().zip(&cc.chunks) {
+                assert_eq!(*items, chunk.items, "chunk {cap}: its own output");
             }
+            let bound = if cap == 0 { 4 } else { cap.min(4) };
+            if cap == 1 {
+                assert!(ran.iter().all(|&(id, _)| id == me), "cap 1 left the caller");
+            }
+            let distinct = ran.iter().map(|(id, _)| id).collect::<HashSet<_>>().len();
+            assert!(distinct <= bound, "cap {cap}: {distinct} threads");
         }
     }
 }

@@ -67,7 +67,7 @@ impl TripleGroup {
 /// Immutable, index-accelerated storage for the observation matrix `X`.
 #[derive(Debug, Clone)]
 pub struct ObservationCube {
-    cells: Vec<Cell>,
+    pub(crate) cells: Vec<Cell>,
     groups: Vec<TripleGroup>,
     /// Per source: contiguous range in `groups`.
     source_group_ranges: Vec<Range<u32>>,

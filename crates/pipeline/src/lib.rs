@@ -319,7 +319,7 @@ impl TrustPipeline {
     /// unless set there), before or after [`model`](Self::model).
     ///
     /// With [`CubeResidency::Streamed`] the model writes its chunked cube
-    /// (the single layer's, its pair cube) to a `KBTCHNK2` store at the
+    /// (the single layer's, its pair cube) to a `KBTCHNK3` store at the
     /// given path and fits from it within the memory bound
     /// [`CubeResidency`] states. Trust scores, posteriors, copy evidence
     /// and trace are **bit-for-bit identical** to a resident run,

@@ -19,8 +19,8 @@ use kbt_pipeline::WarmState;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefitMode {
     /// `QualityInit::Resume` from the previous epoch's [`WarmState`]
-    /// (converged parameters, truth hint, independence priors) — the
-    /// production serving mode: converges in fewer rounds.
+    /// (last parameters, truth hint, independence priors) — the production
+    /// mode; at 200k triples a default-config warm refit still runs all 5.
     Warm,
     /// `QualityInit::Default` from scratch on the merged cube: a
     /// snapshot refit cold over a delta prefix is bit-identical to a cold

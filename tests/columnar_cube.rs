@@ -65,36 +65,27 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
     assert_eq!(cc.num_groups(), cube.num_groups());
     assert_eq!(cc.num_cells(), cube.num_cells());
-    for (g, grp) in cube.groups().iter().enumerate() {
-        assert_eq!(cc.group_source[g], grp.source.0);
-        assert_eq!(cc.group_item[g], grp.item.0);
-        let cells = cube.cells_of(grp);
-        let r = cc.cells_of_group(g);
-        assert_eq!(r.len(), cells.len());
-        for (k, c) in cells.iter().enumerate() {
-            assert_eq!(cc.cell_extractor[r.start + k], c.extractor.0);
-            assert_eq!(
-                cc.cell_confidence[r.start + k].to_bits(),
-                c.confidence.to_bits()
-            );
-        }
-    }
     // Item-major rows mirror `groups_of_item`, with slots resolving into
-    // the item's sorted distinct-value list.
+    // the item's sorted distinct-value list and each row's cells the
+    // group's, in the cube's order.
     for d in 0..cube.num_items() {
         let item = ItemId::new(d as u32);
         let rows: Vec<usize> = cube.groups_of_item(item).collect();
         let lo = cc.item_offsets[d] as usize;
         let hi = cc.item_offsets[d + 1] as usize;
         assert_eq!(hi - lo, rows.len());
-        for (k, &g) in rows.iter().enumerate() {
+        for (r, &g) in (lo..).zip(&rows) {
             let grp = &cube.groups()[g];
-            assert_eq!(cc.ig_group[lo + k] as usize, g);
-            assert_eq!(
-                cc.item_values_of(d)[cc.ig_slot[lo + k] as usize],
-                grp.value.0
-            );
-            assert_eq!(cc.ig_has_cells[lo + k] == 1, !cube.cells_of(grp).is_empty());
+            assert_eq!(cc.ig_group[r] as usize, g);
+            assert_eq!(cc.ig_source[r], grp.source.0);
+            assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
+            let cells = cube.cells_of(grp);
+            let at = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
+            assert_eq!(at.len(), cells.len());
+            for (k, c) in at.zip(cells) {
+                assert_eq!(cc.cell_extractor[k], c.extractor.0);
+                assert_eq!(cc.cell_confidence[k].to_bits(), c.confidence.to_bits());
+            }
         }
     }
     // Chunks tile items and rows without gaps or overlap.

@@ -3,9 +3,11 @@
 //! 1. fixed-seed proof that the engine — resident and streamed, both
 //!    models — is **bit-for-bit identical** to the flat scalar reference
 //!    (`kbt::core::reference`) at 1, 2, and 8 threads, and
-//! 2. warm-started incremental fusion on a ~5% delta converges in
-//!    **strictly fewer** EM iterations than a cold rerun on the merged
-//!    cube.
+//! 2. on this small, converging corpus, warm-started incremental fusion
+//!    on a ~5% delta converges in **strictly fewer** EM iterations than a
+//!    cold rerun on the merged cube. That is this corpus's property, not a
+//!    promise: on `kbt_synth::scale`'s 200k-triple corpus a
+//!    default-config warm refit runs all 5 rounds.
 
 use kbt::core::{reference, ModelConfig, Params, ValueModel};
 use kbt::datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};

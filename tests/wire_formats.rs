@@ -1,7 +1,7 @@
 //! The four wire formats, bytes first: `KBTWAL01`, `KBTSNAP1` and
 //! `KBTNET01` goldens (length + FNV-1a of what the encoders produced
 //! before they were rebuilt on `kbt_datamodel::wire`'s one frame codec;
-//! `KBTCHNK2`'s golden lives with its encoder, `file_store_bytes_are_golden`),
+//! `KBTCHNK3`'s golden lives with its encoder, `file_store_bytes_are_golden`),
 //! then one hostile corpus through all four decoders.
 
 use kbt::core::ModelConfig;
@@ -256,9 +256,7 @@ fn net_bytes_are_golden() {
 use std::ops::Range;
 
 use kbt::datamodel::wire::{crc32, WireError, WireReader};
-use kbt::datamodel::{
-    ChunkBuf, ChunkedCube, ChunkingConfig, CubeBuilder, FileChunkStore, GroupBuf,
-};
+use kbt::datamodel::{ChunkBuf, ChunkedCube, ChunkingConfig, CubeBuilder, FileChunkStore};
 use kbt::net::{FrameBuffer, ProtoError, DEFAULT_MAX_FRAME_BYTES};
 use kbt::store::{decode_checkpoint, wal::read_wal};
 
@@ -458,8 +456,7 @@ fn chunk_store() -> Format {
     let index = index_pos + 4..tail - 4;
     let mut r = WireReader::new(&sample[index.clone()]);
     let entry = |r: &mut WireReader<'_>| Ok::<_, WireError>((r.u64()? as usize, r.u32()? as usize));
-    let mut entries = r.seq(12, entry).unwrap();
-    entries.extend(r.seq(12, entry).unwrap());
+    let entries: Vec<(usize, usize)> = r.seq(12, entry).unwrap();
 
     let meta = 12..12 + u32_at(8);
     let mut sealed = vec![(meta.clone(), meta.end), (index.clone(), index.end)];
@@ -469,25 +466,24 @@ fn chunk_store() -> Format {
     let mut unread = Vec::new();
     for (i, &(off, len)) in entries.iter().enumerate() {
         sealed.push((off..off + len, off + len));
-        let in_index = 4 + 12 * i + if i < cube.num_chunks() { 0 } else { 4 };
-        len_fields.push(index.start + in_index + 8);
+        len_fields.push(index.start + 4 + 12 * i + 8);
         unread.push(off - 4..off);
     }
-    // Group frame 0: its range, three u32 columns (`ng`, `ng + 1` and
-    // `cells` long), then the f64 confidence column.
-    let group = entries[cube.num_chunks()].0;
-    let ng = u32_at(group + 4) - u32_at(group);
-    let extractors = group + 8 + (4 + 4 * ng) + (4 + 4 * (ng + 1));
+    // Item frame 0: its range, eight u32 columns (ending in the row cell
+    // offsets and the cells' extractors), then the f64 confidence column.
+    let first = entries[0].0 + 8;
+    let cell_offsets = (0..6).fold(first, |at, _| at + 4 + 4 * u32_at(at));
+    let extractors = cell_offsets + 4 + 4 * u32_at(cell_offsets);
     let confidences = extractors + 4 + 4 * u32_at(extractors);
     Format {
-        name: "KBTCHNK2",
+        name: "KBTCHNK3",
         // The meta frame's item-chunk count (after eight u32 dims), the
-        // first column of item frame 0 and of group frame 0 (after their
-        // ranges), and that f64 column.
+        // first column of item frame 0 (after its range), its row cell
+        // offsets, and its f64 column.
         count_fields: vec![
             (meta.start + 32, 4),
-            (entries[0].0 + 8, 4),
-            (group + 8, 4),
+            (first, 4),
+            (cell_offsets, 4),
             (confidences, 4),
         ],
         version_at: None,
@@ -498,10 +494,7 @@ fn chunk_store() -> Format {
                 for i in 0..store.num_chunks() {
                     store.load_chunk(i, &mut ChunkBuf::default())?;
                 }
-                for i in 0..store.num_group_frames() {
-                    store.load_group_frame(i, &mut GroupBuf::default())?;
-                }
-                Ok(store.num_chunks() + store.num_group_frames())
+                Ok(store.num_chunks())
             });
             std::fs::remove_file(&path).unwrap();
             loaded.map_err(|e| {
