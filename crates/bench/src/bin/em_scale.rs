@@ -16,14 +16,21 @@
 //! gate: how fast the fit runs is measured by `benchmark/` alone. Before
 //! the fit it builds the corpus a second time on one worker and
 //! hard-asserts that the two builds are the same cube, field for field: a
-//! slip in how the build cuts its 10k sources into windows shows here. After the fit it
+//! slip in how the build cuts its items into windows shows here. After the fit it
 //! refits at `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times
 //! the item chunks, so the rows fold into the workers' sums in another
 //! order — and hard-asserts the same trust and truth bits: the M-step and
 //! log-likelihood sums are exact, so no partition can move a bit.
 //!
+//! It prints two truth digests: the checksum of the per-group truth in
+//! cube order (item-major), and the same posteriors taken in
+//! `(source, item, value)` key order. In smoke mode it hard-asserts the
+//! second against [`SOURCE_MAJOR_TRUTH_PIN`], the cube-order checksum from
+//! before the groups were renumbered item-major: the renumbering was a
+//! pure relabeling, so every posterior must still be there, bit for bit.
+//!
 //! With `--streamed` the drill instead checks the out-of-core residency:
-//! the corpus is chunked to a `KBTCHNK3` store on disk, then two *child
+//! the corpus is chunked to a `KBTCHNK4` store on disk, then two *child
 //! processes* run the same fixed-round fit — one resident (regenerating
 //! the corpus), one streaming from the store with at most
 //! `MAX_RESIDENT_CHUNKS` decoded frames in memory — so each fit's `VmHWM`
@@ -58,6 +65,10 @@ const PARTITION_TARGET_CELLS: usize = 4_096;
 
 /// Decoded frames the streamed fit may hold at once (one per scan worker).
 const MAX_RESIDENT_CHUNKS: usize = 4;
+
+/// The smoke corpus's truth checksum in `(source, item, value)` key order
+/// — the cube order before the groups were renumbered item-major.
+const SOURCE_MAJOR_TRUTH_PIN: &str = "0x3c5caec4f25bed91";
 
 fn fixed_round_cfg() -> ModelConfig {
     ModelConfig {
@@ -120,6 +131,25 @@ fn bits_checksum(xs: &[f64]) -> u64 {
     })
 }
 
+/// The checksum of `truth` (one entry per group of `cube`) taken in
+/// `(source, item, value)` key order: source by source, each source's
+/// groups ascending.
+fn source_major_checksum(cube: &ObservationCube, truth: &[f64]) -> String {
+    let sources = (0..cube.num_sources() as u32).map(SourceId::new);
+    let groups = sources.flat_map(|w| cube.source_groups(w).iter());
+    let truth: Vec<f64> = groups.map(|&g| truth[g as usize]).collect();
+    format!("{:#018x}", bits_checksum(&truth))
+}
+
+/// In smoke mode, hard-assert the key-order truth against the pin.
+fn assert_source_major_pin(mode: &str, key_order: &str) {
+    assert!(
+        mode != "smoke" || key_order == SOURCE_MAJOR_TRUTH_PIN,
+        "truth in (source, item, value) order {key_order}, pinned {SOURCE_MAJOR_TRUTH_PIN}: \
+         the item-major cube is not a relabeling of the source-major one"
+    );
+}
+
 /// Measured peak resident set size of this process, from the kernel's
 /// `VmHWM` accounting — what the corpus actually cost, not an estimate.
 /// Returns 0 on platforms without `/proc/self/status`.
@@ -154,7 +184,7 @@ fn read_chars() -> u64 {
         .unwrap_or(0)
 }
 
-/// `extra` is the streamed child's own ` key=value` tokens.
+/// `extra` is the child's own ` key=value` tokens.
 fn print_child_line(report: &FusionReport, wall_s: f64, extra: &str) {
     println!(
         "child: trust={:#018x} truth={:#018x} wall_s={wall_s} vm_hwm_bytes={}{extra}",
@@ -169,7 +199,9 @@ fn child_resident(triples: usize) {
     let model = MultiLayerModel::new(fixed_round_cfg());
     let t0 = Instant::now();
     let report = model.fit(&cube, &QualityInit::Default);
-    print_child_line(&report, t0.elapsed().as_secs_f64(), "");
+    let wall = t0.elapsed().as_secs_f64();
+    let key_order = source_major_checksum(&cube, report.truth_of_group());
+    print_child_line(&report, wall, &format!(" key_truth={key_order}"));
 }
 
 fn child_streamed(path: &str) {
@@ -282,6 +314,9 @@ fn run_streamed(mode: &str, triples: usize) {
         "truth posteriors diverged between resident and streamed fits"
     );
     println!("  bitwise equality: OK (trust checksum {trust}, truth checksum {truth})");
+    let key_order = child_field(&resident, "key_truth");
+    assert_source_major_pin(mode, key_order);
+    println!("  truth checksum in (source, item, value) order: {key_order}");
 
     let resident_wall = child_num(&resident, "wall_s");
     let streamed_wall = child_num(&streamed, "wall_s");
@@ -338,7 +373,8 @@ fn run_streamed(mode: &str, triples: usize) {
         .flag("bitwise_equal", true)
         .flag("streamed_rss_ok", rss_ok)
         .text("trust_checksum", trust)
-        .text("truth_checksum", truth);
+        .text("truth_checksum", truth)
+        .text("truth_checksum_source_major", key_order);
     let path = report.write().expect("write bench report");
     println!("report: {}", path.display());
 }
@@ -353,7 +389,7 @@ fn run_resident(mode: &str, triples: usize) {
     let (groups, cells, items) = (cube.num_groups(), cube.num_cells(), cube.num_items());
     println!("  generated cube: {groups} groups, {cells} cells, {items} items");
 
-    // The build cuts the sources into one window per worker: on one
+    // The build cuts the items into one window per worker: on one
     // worker it must build the same cube.
     let serial = kbt_flume::with_threads(Some(1), || rows(triples).build());
     assert_same_cube(&cube, &serial);
@@ -389,6 +425,9 @@ fn run_resident(mode: &str, triples: usize) {
          (trust checksum {trust:#018x}, truth checksum {truth:#018x})",
         report.iterations()
     );
+    let key_order = source_major_checksum(&cube, report.truth_of_group());
+    assert_source_major_pin(mode, &key_order);
+    println!("  truth checksum in (source, item, value) order: {key_order}");
 
     // Another partition of the same cube: more, smaller chunks, so the
     // rows fold into the workers' sums in another order — and the same bits.
@@ -436,7 +475,8 @@ fn run_resident(mode: &str, triples: usize) {
         .flag("build_bitwise_equal", true)
         .flag("partition_bitwise_equal", true)
         .text("trust_checksum", &format!("{trust:#018x}"))
-        .text("truth_checksum", &format!("{truth:#018x}"));
+        .text("truth_checksum", &format!("{truth:#018x}"))
+        .text("truth_checksum_source_major", &key_order);
     let path = bench.write().expect("write bench report");
     println!("report: {}", path.display());
 }

@@ -57,7 +57,8 @@ fn main() {
             if s != *site {
                 continue;
             }
-            for g in corpus.cube.source_groups(SourceId::new(p as u32)) {
+            for &g in corpus.cube.source_groups(SourceId::new(p as u32)) {
+                let g = g as usize;
                 if result.correctness().unwrap()[g] < 0.8 || checked >= 10 {
                     continue;
                 }

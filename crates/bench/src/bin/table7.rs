@@ -70,14 +70,17 @@ impl PhaseTimer {
 }
 
 /// The per-extractor cell index: for each extractor, the
-/// `(group index, confidence)` of its extractions in group order — the
-/// Map-Reduce sharding of Section 3.4.2 keys extractor quality by
-/// extractor, which is why oversized extractors become stragglers.
+/// `(group index, confidence)` of its extractions source by source, each
+/// source's in group order — the Map-Reduce sharding of Section 3.4.2
+/// keys extractor quality by extractor, which is why oversized extractors
+/// become stragglers.
 fn extractor_index(cube: &ObservationCube) -> Vec<Vec<(u32, f64)>> {
     let mut index = vec![Vec::new(); cube.num_extractors()];
-    for (g, _, cells) in cube.iter_with_cells() {
-        for cell in cells {
-            index[cell.extractor.index()].push((g as u32, cell.confidence));
+    for w in 0..cube.num_sources() {
+        for &g in cube.source_groups(SourceId::new(w as u32)) {
+            for cell in cube.cells_of(&cube.groups()[g as usize]) {
+                index[cell.extractor.index()].push((g, cell.confidence));
+            }
         }
     }
     index
@@ -96,8 +99,8 @@ fn update_extractor_quality_indexed(
     // Per-source correctness mass (for the scoped recall denominator).
     let sum_c_source: Vec<f64> = (0..cube.num_sources())
         .map(|w| {
-            correctness[cube.source_groups(SourceId::new(w as u32))]
-                .iter()
+            (cube.source_groups(SourceId::new(w as u32)).iter())
+                .map(|&g| correctness[g as usize])
                 .sum()
         })
         .collect();

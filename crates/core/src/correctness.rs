@@ -186,8 +186,8 @@ mod tests {
 
     /// Kernel ≡ reference for the correctness E-step and the α update,
     /// bit for bit, at several chunk sizes and thread counts: each chunk's
-    /// rows, in item-major order, land back on their cube groups. The cube
-    /// has source ids without groups (3, then the trailing 6).
+    /// rows are its cube groups. The cube has source ids without groups
+    /// (3, then the trailing 6).
     #[test]
     fn correctness_and_alpha_kernels_match_the_reference_bitwise() {
         let mut b = CubeBuilder::new();
@@ -236,7 +236,8 @@ mod tests {
                     let (got, alpha) = kbt_flume::with_threads(Some(threads), || {
                         scan_rows(&cc, &cfg, &mut workers, |sums, view, rows| {
                             sums.reset(cube.num_sources(), cube.num_extractors(), true);
-                            let prior = |r: usize| truth[view.ig_group[r] as usize];
+                            let first = rows.first;
+                            let prior = |r: usize| truth[first + r];
                             AlphaState::update(rows.alpha, view.ig_source, prior, &params, &cfg);
                             estimate_correctness(
                                 view,

@@ -59,10 +59,10 @@ pub fn weighted_kbt(
     assert_eq!(weights.len(), cube.num_groups());
     (0..cube.num_sources())
         .map(|w| {
-            let range = cube.source_groups(SourceId::new(w as u32));
             let mut num = 0.0;
             let mut den = 0.0;
-            for g in range {
+            for &g in cube.source_groups(SourceId::new(w as u32)) {
+                let g = g as usize;
                 let x = weights[g] * layer.correctness[g];
                 num += x * layer.truth_given_provided[g];
                 den += x;

@@ -47,10 +47,11 @@ pub struct IterationTrace {
 /// alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
-    /// Laying the cube out in row order — the `ChunkedCube::from_cube`
-    /// gather, once per fit from a cube (`run_streamed` reads a
+    /// Splitting the cube into chunk columns — the `ChunkedCube::from_cube`
+    /// split, once per fit from a cube (`run_streamed` reads a
     /// pre-chunked store); for the single layer, the pair-cube reshape as
-    /// well — and the fit's results back in cube group order.
+    /// well. The cube's groups are the fit's rows, so nothing is permuted
+    /// back.
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14, and Eq. 19's per-source votes).
     pub votes: Duration,

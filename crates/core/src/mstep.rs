@@ -107,7 +107,7 @@ impl RoundSums {
 }
 
 /// Eq. 28 from a round's merged [`RoundSums`]. Sources below
-/// `cfg.min_source_support` (their group span in `meta.source_offsets`)
+/// `cfg.min_source_support` (their size in `meta.source_sizes`)
 /// keep their current (default) accuracy; `active` is updated to reflect
 /// which sources have enough data to be trusted.
 ///
@@ -122,7 +122,7 @@ pub(crate) fn update_source_accuracy(
     active: &mut [bool],
     extraction: bool,
 ) -> Vec<ExactSum> {
-    let (offsets, ext_offsets) = (&meta.source_offsets, &meta.source_ext_offsets);
+    let (sizes, ext_offsets) = (&meta.source_sizes, &meta.source_ext_offsets);
     let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;
     let masses = usize::from(extraction) * (meta.num_extractors as usize + 1);
     let mut mass = vec![ExactSum::default(); masses];
@@ -135,7 +135,7 @@ pub(crate) fn update_source_accuracy(
             }
         }
         let den = den.finish();
-        active[w] = (offsets[w + 1] - offsets[w]) as usize >= cfg.min_source_support && den > 1e-12;
+        active[w] = sizes[w] as usize >= cfg.min_source_support && den > 1e-12;
         if active[w] {
             params.source_accuracy[w] = clamp_quality(num.finish() / den);
         }
@@ -215,8 +215,8 @@ pub(crate) mod tests {
             workers.iter_mut().for_each(|w| w.reset(nw, ne, round == 0));
             c = scan_rows(cc, cfg, &mut workers, |sums, view, rows| {
                 estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
-                let t: Vec<f64> = view.ig_group.iter().map(|&g| truth[g as usize]).collect();
-                sums.fold_rows(view.ig_source, rows.correctness, &t, &t);
+                let t = &truth[rows.first..][..view.num_rows()];
+                sums.fold_rows(view.ig_source, rows.correctness, t, t);
             })
             .0;
             let (sums, rest) = workers.split_first_mut().unwrap();
@@ -341,8 +341,8 @@ pub(crate) mod tests {
         let offsets = std::mem::replace(&mut cc.cell_offsets, vec![0]);
         let ext = std::mem::take(&mut cc.cell_extractor);
         let conf = std::mem::take(&mut cc.cell_confidence);
-        for (r, &g) in cc.ig_group.iter().enumerate() {
-            if !hollow(g as usize) {
+        for r in 0..cc.num_groups() {
+            if !hollow(r) {
                 let cells = offsets[r] as usize..offsets[r + 1] as usize;
                 cc.cell_extractor.extend(&ext[cells.clone()]);
                 cc.cell_confidence.extend(&conf[cells]);

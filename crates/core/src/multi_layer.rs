@@ -16,8 +16,8 @@
 //! the α update that is due, computes the chunk's correctness and value
 //! posteriors, and folds its rows into the M-steps' and the
 //! log-likelihood's exact sums; the M-steps finish after the scan. The
-//! fit keeps its per-group state in the chunks' row order and hands it
-//! back in cube group order once, when it reports.
+//! chunks' rows are the cube's (item-major) groups in order, so the fit's
+//! per-row state is the report's per-group state, with no permutation.
 
 use std::io;
 use std::ops::Range;
@@ -103,11 +103,11 @@ impl MultiLayerModel {
             // copy-aware loop refits the same cube several times.
             let mut sw = Stopwatch::start();
             let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
-            let gather = sw.lap();
+            let split = sw.lap();
             let mut report = with_em(chunked, cfg, init, prior_truth, true, |fit| {
                 copy_aware(cfg, cube, prior_independence, fit)
             })?;
-            report.trace.stage_wall.chunking += gather;
+            report.trace.stage_wall.chunking += split;
             Ok(report)
         })
     }
@@ -298,13 +298,10 @@ fn run_em<S: ChunkSource>(
     let miv = meta.max_item_values as usize;
 
     let mut params = Params::init_sized(nw, ne, cfg, init);
-    // A source may vote from the start if it has enough support (its
-    // group span is its size); its accuracy stays at the default until
-    // the first M-step.
-    let mut active: Vec<bool> = meta
-        .source_offsets
-        .windows(2)
-        .map(|w| (w[1] - w[0]) as usize >= cfg.min_source_support)
+    // A source may vote from the start if it has enough support; its
+    // accuracy stays at the default until the first M-step.
+    let mut active: Vec<bool> = (meta.source_sizes.iter())
+        .map(|&size| size as usize >= cfg.min_source_support)
         .collect();
     let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
     debug_assert!(prior_truth.is_none_or(|t0| t0.len() == ng));
@@ -338,12 +335,9 @@ fn run_em<S: ChunkSource>(
         }
         let mut windows = rows.windows(meta);
         src.scan_items(&mut workers, &mut windows, |(scratch, sums), view, rows| {
-            if t == 1 {
-                rows.group.copy_from_slice(view.ig_group);
-            }
             if extraction {
                 if let Some(prior) = prior {
-                    let truth = |r: usize| prior[view.ig_group[r] as usize];
+                    let truth = |r: usize| prior[rows.first + r];
                     AlphaState::update(rows.alpha, view.ig_source, truth, &params, cfg);
                 } else if from_truth {
                     let truth = |r: usize| rows.truth[r];
@@ -381,15 +375,13 @@ fn run_em<S: ChunkSource>(
         }
     }
 
-    // Back to cube group order: the one permutation of the fit.
-    stage.lap();
-    let (correctness, values) = if trace.rounds.is_empty() {
-        let values = empty_values(meta.num_items as usize, ng, cfg);
-        (rows.correctness, values)
-    } else {
-        rows.in_cube_order()
+    let (correctness, values) = match trace.rounds.is_empty() {
+        true => {
+            let values = empty_values(meta.num_items as usize, ng, cfg);
+            (rows.correctness, values)
+        }
+        false => rows.into_output(),
     };
-    trace.stage_wall.chunking += stage.lap();
     Ok(FusionReport::multi_layer(
         params,
         correctness,
@@ -399,12 +391,9 @@ fn run_em<S: ChunkSource>(
     ))
 }
 
-/// A fit's per-row state, in the chunks' (item-major) row order: allocated
-/// once per fit on the calling thread and kept across rounds.
+/// A fit's per-row state, in row (= cube group) order: allocated once per
+/// fit on the calling thread and kept across rounds.
 struct RowState {
-    /// Cube group of each row, copied from the chunks in the first round:
-    /// the permutation back to cube order.
-    group: Vec<u32>,
     alpha: Vec<f64>,
     correctness: Vec<f64>,
     truth: Vec<f64>,
@@ -417,7 +406,8 @@ struct RowState {
 /// One chunk's window of the [`RowState`], for the one task that scans
 /// the chunk.
 pub(crate) struct ChunkRows<'a> {
-    pub(crate) group: &'a mut [u32],
+    /// The row (cube group) of the window's first entry.
+    pub(crate) first: usize,
     pub(crate) alpha: &'a mut [f64],
     pub(crate) correctness: &'a mut [f64],
     pub(crate) truth: &'a mut [f64],
@@ -433,7 +423,6 @@ impl RowState {
         let ng = meta.num_groups as usize;
         let posteriors = meta.item_chunks.iter().map(ChunkPosteriors::for_chunk);
         Self {
-            group: vec![0; ng],
             alpha: vec![logit(cfg.alpha); ng],
             correctness: vec![if extraction { 0.0 } else { 1.0 }; ng],
             truth: vec![0.0; ng],
@@ -450,13 +439,13 @@ impl RowState {
                 .split_off_mut(..rows.len())
                 .expect("chunks tile the rows")
         }
-        let (mut group, mut alpha) = (&mut self.group[..], &mut self.alpha[..]);
+        let mut alpha = &mut self.alpha[..];
         let (mut correctness, mut truth) = (&mut self.correctness[..], &mut self.truth[..]);
         let (mut cond, mut covered) = (&mut self.cond[..], &mut self.covered[..]);
         let chunks = meta.item_chunks.iter().zip(&mut self.posteriors);
         chunks
             .map(|(chunk, posteriors)| ChunkRows {
-                group: carve(&mut group, &chunk.rows),
+                first: chunk.rows.start as usize,
                 alpha: carve(&mut alpha, &chunk.rows),
                 correctness: carve(&mut correctness, &chunk.rows),
                 truth: carve(&mut truth, &chunk.rows),
@@ -467,33 +456,16 @@ impl RowState {
             .collect()
     }
 
-    /// Correctness and the value layer's output in cube group order. Each
-    /// float column lands in a row buffer the fit is done with — α's
-    /// first, then the one the column before it vacated — so the
-    /// permutation touches no fresh memory.
-    fn in_cube_order(self) -> (Vec<f64>, ValueLayerOutput) {
-        let group = &self.group;
-        let place = |mut out: Vec<f64>, rows: &[f64]| {
-            for (&g, &x) in group.iter().zip(rows) {
-                out[g as usize] = x;
-            }
-            out
-        };
-        let correctness = place(self.alpha, &self.correctness);
-        let truth_of_group = place(self.correctness, &self.truth);
-        let truth_given_provided = place(self.truth, &self.cond);
-        let mut covered_group = vec![false; group.len()];
-        for (&g, &x) in group.iter().zip(&self.covered) {
-            covered_group[g as usize] = x;
-        }
-        let posteriors = ChunkPosteriors::concat(&self.posteriors);
+    /// Correctness and the value layer's output: the row columns, which
+    /// are already in cube group order.
+    fn into_output(self) -> (Vec<f64>, ValueLayerOutput) {
         let values = ValueLayerOutput {
-            posteriors,
-            truth_of_group,
-            truth_given_provided,
-            covered_group,
+            posteriors: ChunkPosteriors::concat(&self.posteriors),
+            truth_of_group: self.truth,
+            truth_given_provided: self.cond,
+            covered_group: self.covered,
         };
-        (correctness, values)
+        (self.correctness, values)
     }
 }
 
@@ -535,7 +507,7 @@ pub(crate) mod tests {
     /// One resident scan of `cc` on `workers` into a fit's row state, as
     /// `run_em`'s first round makes it under `cfg`: `f(worker, view, rows)`
     /// fills each chunk's rows. The correctness and value columns come
-    /// back in cube group order, as a fit reports them.
+    /// back as a fit reports them.
     pub(crate) fn scan_rows<S: Send>(
         cc: &ChunkedCube,
         cfg: &ModelConfig,
@@ -545,11 +517,10 @@ pub(crate) mod tests {
         let src = ResidentChunks::new(cc);
         let mut rows = RowState::new(src.meta(), cfg, true);
         src.scan_items(workers, &mut rows.windows(src.meta()), |s, view, rows| {
-            rows.group.copy_from_slice(view.ig_group);
-            f(s, view, rows);
+            f(s, view, rows)
         })
         .expect("a resident scan never fails");
-        rows.in_cube_order()
+        rows.into_output()
     }
 
     /// A clean corpus: 5 accurate sources agreeing on 20 items, observed by

@@ -204,10 +204,11 @@ pub fn update_source_accuracy(
     active: &mut [bool],
 ) {
     for (w, active) in active.iter_mut().enumerate() {
-        let range = cube.source_groups(SourceId::new(w as u32));
-        let num = exact_sum(range.clone().map(|g| correctness[g] * truth[g]));
-        let den = exact_sum(correctness[range.clone()].iter().copied());
-        *active = !(range.len() < cfg.min_source_support || den <= 1e-12);
+        let groups = cube.source_groups(SourceId::new(w as u32));
+        let groups = || groups.iter().map(|&g| g as usize);
+        let num = exact_sum(groups().map(|g| correctness[g] * truth[g]));
+        let den = exact_sum(groups().map(|g| correctness[g]));
+        *active = !(groups().len() < cfg.min_source_support || den <= 1e-12);
         if *active {
             params.source_accuracy[w] = clamp_quality(num / den);
         }
@@ -216,16 +217,20 @@ pub fn update_source_accuracy(
 
 /// γ̂ = expected provided mass over the slot universe: each source can
 /// provide one of `n + 1` domain values for each item it talks about.
-/// Groups are sorted by (source, item, value), so a source's distinct
-/// items are the runs of its group span.
+/// A source's groups ascend, so its distinct items are the runs of their
+/// items.
 pub fn estimate_gamma(cube: &ObservationCube, correctness: &[f64], cfg: &ModelConfig) -> f64 {
     if !cfg.estimate_gamma || correctness.is_empty() {
         return cfg.gamma;
     }
     let mut slots = 0usize;
     for w in 0..cube.num_sources() {
-        let groups = &cube.groups()[cube.source_groups(SourceId::new(w as u32))];
-        let items = groups.windows(2).filter(|p| p[0].item != p[1].item).count()
+        let groups = cube.source_groups(SourceId::new(w as u32));
+        let item = |g: u32| cube.groups()[g as usize].item;
+        let items = groups
+            .windows(2)
+            .filter(|p| item(p[0]) != item(p[1]))
+            .count()
             + usize::from(!groups.is_empty());
         slots += items * (cfg.n_false_values + 1);
     }
@@ -259,9 +264,9 @@ pub fn update_extractor_quality(
             let mut rden = vec![ExactSum::default(); ne];
             for w in 0..cube.num_sources() {
                 let w = SourceId::new(w as u32);
-                for g in cube.source_groups(w) {
+                for &g in cube.source_groups(w) {
                     for e in cube.extractors_on_source(w) {
-                        rden[e.index()].add(correctness[g]);
+                        rden[e.index()].add(correctness[g as usize]);
                     }
                 }
             }
@@ -427,7 +432,7 @@ pub fn fit_single_layer(
         // its claims.
         let mut delta = 0.0f64;
         for s in (0..pairs.len()).filter(|&s| active[s]) {
-            let num = exact_sum(truth[claims_of(s)].iter().copied());
+            let num = exact_sum(claims_of(s).iter().map(|&g| truth[g as usize]));
             let new = clamp_quality(num / claims_of(s).len() as f64);
             delta = delta.max((new - acc[s]).abs());
             acc[s] = new;
@@ -601,7 +606,8 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
     }
 
-    /// W0 provides two triples; W1 provides one.
+    /// W0 provides two triples; W1 provides one. In group order:
+    /// (item 0, W0), (item 0, W1), (item 1, W0).
     fn cube_two_sources() -> ObservationCube {
         cube_of(&[
             obs(0, 0, 0, 0, 1.0),
@@ -618,7 +624,7 @@ mod tests {
         let mut active = vec![false; 2];
         // W0 groups: truth .9 and .5, correctness 1 and .5 →
         // A = (1·.9 + .5·.5) / (1 + .5) = 1.15/1.5.
-        let (c, t) = ([1.0, 0.5, 1.0], [0.9, 0.5, 0.2]);
+        let (c, t) = ([1.0, 1.0, 0.5], [0.9, 0.2, 0.5]);
         update_source_accuracy(&cube, &c, &t, &cfg, &mut params, &mut active);
         assert!((params.source_accuracy[0] - 1.15 / 1.5).abs() < 1e-12);
         assert!((params.source_accuracy[1] - 0.2).abs() < 1e-12);
@@ -632,7 +638,7 @@ mod tests {
         update_source_accuracy(
             &cube,
             &[1.0; 3],
-            &[0.9, 0.9, 0.1],
+            &[0.9, 0.1, 0.9],
             &cfg,
             &mut params,
             &mut active,
@@ -652,9 +658,9 @@ mod tests {
             ..ModelConfig::default()
         };
         let mut params = Params::init(&cube, &cfg, &QualityInit::Default);
-        // E0 extracted groups 0,1 (correctness .8, .4) → P = .6.
-        // E1 extracted group 2 (correctness 1.0) → P = 1 → clamped .999.
-        update_extractor_quality(&cube, &[0.8, 0.4, 1.0], &cfg, &mut params);
+        // E0 extracted groups 0,2 (correctness .8, .4) → P = .6.
+        // E1 extracted group 1 (correctness 1.0) → P = 1 → clamped .999.
+        update_extractor_quality(&cube, &[0.8, 1.0, 0.4], &cfg, &mut params);
         assert!((params.precision[0] - 0.6).abs() < 1e-12);
         assert!((params.precision[1] - 0.999).abs() < 1e-12);
         // Recall of E0: num = 1.2 of W0's mass 1.2 → R = 1 → clamped.

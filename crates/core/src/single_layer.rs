@@ -118,14 +118,17 @@ pub(crate) fn pair_cube(
     cube: &ObservationCube,
     cfg: &ModelConfig,
 ) -> (Vec<(SourceId, ExtractorId)>, ObservationCube) {
+    // In the pair cube's key order: by item, then pair (ascending pairs
+    // are ascending pair-sources), then value.
     let mut claimed: Vec<_> = claims(cube, cfg)
-        .map(|(_, grp, e)| ((grp.source, e), grp.item, grp.value))
+        .map(|(_, grp, e)| (grp.item, (grp.source, e), grp.value))
         .collect();
     claimed.sort_unstable();
-    let mut pairs: Vec<(SourceId, ExtractorId)> = claimed.iter().map(|c| c.0).collect();
+    let mut pairs: Vec<(SourceId, ExtractorId)> = claimed.iter().map(|c| c.1).collect();
+    pairs.sort_unstable();
     pairs.dedup();
     let mut b = CubeBuilder::with_capacity(claimed.len());
-    for (pair, item, value) in claimed {
+    for (item, pair, value) in claimed {
         let s = pairs.binary_search(&pair).expect("claimed pair");
         b.push(Observation {
             extractor: ExtractorId::new(0),

@@ -325,8 +325,8 @@ mod tests {
     };
 
     /// The value E-step over every chunk of `cc` on `scratch.len()`
-    /// workers, from correctness per cube group, reported in cube group
-    /// order as a fit reports it.
+    /// workers, from correctness per cube group, reported as a fit
+    /// reports it.
     fn scan(
         cc: &ChunkedCube,
         correctness: &[f64],
@@ -337,9 +337,8 @@ mod tests {
         let cfg = ModelConfig::default();
         let miv = cc.max_item_values;
         scan_rows(cc, &cfg, scratch, |s, view, rows| {
-            for (c, &g) in rows.correctness.iter_mut().zip(view.ig_group) {
-                *c = correctness[g as usize];
-            }
+            rows.correctness
+                .copy_from_slice(&correctness[rows.first..][..view.num_rows()]);
             estimate_values(view, votes, active, miv, s, rows);
         })
         .1

@@ -131,17 +131,17 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
     assert_engine_matches_reference(&cube, &base, &resume, hint, Some(&scales), "warm discount");
 }
 
-/// A fit keeps its per-group state in row order (item-major) and reports
-/// in cube group order (source-major) through one permutation: nothing of
-/// the row order may leak. On a cube whose two orders are far apart —
-/// every item claimed by sources spread over the whole id range, grown by
-/// a delta and then retracted (emptied sources and items) — a warm fit
-/// (resumed parameters, a per-group prior truth, a copy discount) equals
-/// the oracle bit for bit in every matrix cell, and every per-group
-/// vector of the report is in cube order: each group's truth is its own
-/// `(item, value)` posterior, and it is covered iff that value is.
+/// The cube's groups are item-major, so a fit's rows *are* its groups:
+/// nothing is permuted between the scan and the report. On a cube whose
+/// items are claimed by sources spread over the whole id range, grown by
+/// a delta and then retracted (emptied sources and items), row `g` of the
+/// chunks is group `g`; a warm fit (resumed parameters, a per-group prior
+/// truth, a copy discount) equals the oracle bit for bit in every matrix
+/// cell, and streamed at 8 threads under caps 0, 1 and 4 too; and every
+/// per-group vector of the report is its group's: each group's truth is
+/// its own `(item, value)` posterior, and it is covered iff that value is.
 #[test]
-fn the_row_permutation_cannot_leak() {
+fn the_rows_are_the_groups() {
     let mut b = CubeBuilder::new();
     for d in 0..24u32 {
         for k in 0..9u32 {
@@ -164,11 +164,11 @@ fn the_row_permutation_cannot_leak() {
         .collect();
     let cube = grown.retract(&gone);
     let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 16 });
-    let moved = (cc.ig_group.iter().enumerate()).filter(|&(r, &g)| r != g as usize);
-    assert!(
-        moved.count() * 10 > cube.num_groups() * 9,
-        "row order near group order"
-    );
+    for (r, grp) in cube.groups().iter().enumerate() {
+        assert_eq!(cc.ig_source[r], grp.source.0, "row {r}");
+        let cells = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
+        assert_eq!(cells, grp.cell_range(), "row {r}");
+    }
 
     let cfg = ModelConfig {
         chunk_target_cells: 16,
@@ -184,11 +184,32 @@ fn the_row_permutation_cannot_leak() {
     let scales: Vec<f64> = (0..cube.num_sources())
         .map(|w| 1.0 - 0.15 * (w % 4) as f64)
         .collect();
-    assert_engine_matches_reference(&cube, &cfg, &resume, Some(&hint), Some(&scales), "leak");
+    assert_engine_matches_reference(&cube, &cfg, &resume, Some(&hint), Some(&scales), "rows");
 
-    let warm = MultiLayerModel::new(cfg)
-        .run_traced_with_priors(&cube, &resume, Some(&hint), Some(&scales))
-        .expect("resident fit");
+    let fit = |cfg: ModelConfig| {
+        MultiLayerModel::new(cfg)
+            .run_traced_with_priors(&cube, &resume, Some(&hint), Some(&scales))
+            .expect("fit")
+    };
+    let warm = fit(cfg.clone());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for cap in [0, 1, 4] {
+        let path = fresh_path("rows");
+        let streamed = fit(ModelConfig {
+            threads: Some(8),
+            residency: CubeResidency::Streamed {
+                path: path.clone(),
+                max_resident_chunks: cap,
+            },
+            ..cfg.clone()
+        });
+        let _ = fs::remove_file(&path);
+        assert_eq!(streamed.params, warm.params, "x8 cap={cap}");
+        assert_eq!(bits(&streamed.truth_of_group), bits(&warm.truth_of_group));
+        assert_eq!(streamed.covered_group, warm.covered_group, "x8 cap={cap}");
+        let correctness = |r: &kbt_core::FusionReport| bits(r.correctness().expect("multi-layer"));
+        assert_eq!(correctness(&streamed), correctness(&warm), "x8 cap={cap}");
+    }
     for (g, grp) in cube.groups().iter().enumerate() {
         let posterior = warm.posteriors.observed(grp.item);
         let voted = posterior.iter().any(|&(v, _)| v == grp.value);
@@ -204,6 +225,23 @@ fn the_row_permutation_cannot_leak() {
     for v in [&extraction.correctness, &extraction.truth_given_provided] {
         assert_eq!(v.len(), cube.num_groups());
     }
+}
+
+/// A store of the previous format, `KBTCHNK3` (a group id per row), is
+/// refused at open with a typed error, never read as the current one.
+#[test]
+fn a_kbtchnk3_store_is_refused_at_open() {
+    let cube = build(observations(5, 300));
+    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 32 });
+    let path = fresh_path("v3");
+    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    let mut bytes = fs::read(&path).expect("read back");
+    assert_eq!(&bytes[..8], b"KBTCHNK4");
+    bytes[..8].copy_from_slice(b"KBTCHNK3");
+    fs::write(&path, &bytes).expect("write the old magic");
+    let err = FileChunkStore::open(&path).expect_err("a v3 store must not open");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let _ = fs::remove_file(&path);
 }
 
 #[test]
@@ -295,10 +333,10 @@ fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> s
 /// A bad item frame surfaces as the fit's typed error while the other
 /// scan workers carry on with their own frames: the fit neither hangs
 /// nor panics. Each item frame in turn gets one flipped byte (a CRC
-/// failure), and some get a CRC-valid payload that does not fit the
-/// skeleton: an item range not the skeleton's, a row naming a group the
-/// cube does not have, row cell offsets that are not a CSR, and a cell
-/// naming an extractor the cube does not have.
+/// failure), and some get a CRC-valid `KBTCHNK4` payload that does not
+/// fit the skeleton: an item range not the skeleton's, a row naming a
+/// source the cube does not have, row cell offsets that are not a CSR,
+/// and a cell naming an extractor the cube does not have.
 #[test]
 fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     let cube = build(observations(6, 500));
@@ -325,8 +363,8 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     }
     // Word 1 of an item frame is its item range's end. Its columns follow
     // the two range words, each a count and then its entries: two
-    // `items + 1` offset columns, the values, `ig_group`, `ig_source`,
-    // `ig_slot`, the `rows + 1` cell offsets and the cells' extractors.
+    // `items + 1` offset columns, the values, `ig_source`, `ig_slot`, the
+    // `rows + 1` cell offsets and the cells' extractors.
     let reseal = |(off, len): (usize, usize), word: usize, value: u32| {
         let mut bytes = clean.clone();
         bytes[off + 4 * word..off + 4 * word + 4].copy_from_slice(&value.to_le_bytes());
@@ -342,13 +380,13 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
     let values = cc.item_value_offsets[chunk.items.end as usize]
         - cc.item_value_offsets[chunk.items.start as usize];
     let (items, rows) = (chunk.items.len(), chunk.rows.len());
-    let ig_group = 2 + 2 * (1 + items + 1) + 1 + values as usize + 1;
-    let cell_offsets = ig_group + 3 * (1 + rows);
+    let ig_source = 2 + 2 * (1 + items + 1) + 1 + values as usize + 1;
+    let cell_offsets = ig_source + 2 * (1 + rows);
     let cell_extractor = cell_offsets + 1 + rows + 1;
-    let ng = cube.num_groups() as u32;
+    let ns = cube.num_sources() as u32;
     check(
-        &reseal(item_frames[1], ig_group, ng),
-        "ig_group out of range",
+        &reseal(item_frames[1], ig_source, ns),
+        "ig_source out of range",
     );
     check(
         &reseal(item_frames[1], cell_offsets + 2, u32::MAX),

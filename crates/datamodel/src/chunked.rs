@@ -12,12 +12,13 @@
 //! [`ObservationCube`] (the cube stays the system of record — deltas and
 //! retractions still go through [`ObservationCube::apply_delta`] /
 //! [`ObservationCube::retract`], and the columnar view is rebuilt from the
-//! result), and it is **row-equivalent by construction**: it lists the
-//! cube's groups item by item, in the order `cube.groups_of_item(d)`
-//! yields them, each with its cells in the cube's cell order — so a
-//! kernel that walks a row's cells, or an item's rows, performs
-//! bit-for-bit the same float operations as one walking the cube. The
-//! `columnar_cube` proptests pin that equivalence down through build,
+//! result), and it is **row-equivalent by construction**: the cube's
+//! groups are item-major already, so row `g` is group `g`, with its cells
+//! in the cube's cell order, and building the view is one sequential
+//! split into columns — a kernel that walks a row's cells, or an item's
+//! rows, performs bit-for-bit the same float operations as one walking
+//! the cube, and a fit's per-row outputs are the report's per-group ones.
+//! The `columnar_cube` proptests pin that equivalence down through build,
 //! `apply_delta`, and `retract`.
 //!
 //! The rows are partitioned into fixed-size, **item-aligned chunks**
@@ -36,14 +37,14 @@
 //! ([`ChunkStoreMeta`]). [`ResidentChunks`] serves zero-copy slices of a
 //! [`ChunkedCube`]; [`StreamedChunks`] has each scan worker read a
 //! [`FileChunkStore`]'s frames into its own [`ChunkBuf`], so the resident
-//! set is one buffer per worker instead of the whole corpus. The v3 file
-//! format (`KBTCHNK3`) is the magic followed by three families of
+//! set is one buffer per worker instead of the whole corpus. The v4 file
+//! format (`KBTCHNK4`) is the magic followed by three families of
 //! [`wire`] frames (the frame, sequence and column contracts are stated
 //! once, in that module's docs):
 //!
 //! * a **meta frame** ([`ChunkStoreMeta`]) — the integer skeleton a
 //!   streamed fit keeps resident: counts, the item-chunk partition, and
-//!   the per-source CSRs (group offsets, distinct-item counts, sorted
+//!   the per-source columns (group counts, distinct-item counts, sorted
 //!   distinct extractor ids) that the M-steps and vote tables need
 //!   without touching any cell payload;
 //! * **item frames** — one per [`CubeChunk`]: its items' value lists and
@@ -102,21 +103,17 @@ pub struct CubeChunk {
 
 /// Columnar (structure-of-arrays) chunked view of an [`ObservationCube`].
 ///
-/// One row per group, item-major: the rows of item `d` are the groups
-/// `cube.groups_of_item(d)` yields, in that order, delimited by
-/// `item_offsets`. Per row, `ig_group` / `ig_source` / `ig_slot` and a
-/// cell range (`cell_offsets`) over the cell columns, where each row's
-/// cells keep the cube's cell order. `ig_slot` pre-resolves each group's
-/// value to its index in the item's sorted distinct-value list so the hot
-/// loop does no searching.
+/// One row per group, in the cube's (item-major) group order: row `g` is
+/// group `g`, and the rows of item `d` are delimited by `item_offsets`.
+/// Per row, `ig_source` / `ig_slot` and a cell range (`cell_offsets`) over
+/// the cell columns, which hold the cube's cells in the cube's order.
+/// `ig_slot` pre-resolves each group's value to its index in the item's
+/// sorted distinct-value list so the hot loop does no searching.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedCube {
     /// Item-major row ranges: item `d` owns rows
     /// `item_offsets[d]..item_offsets[d+1]` (length `num_items + 1`).
     pub item_offsets: Vec<u32>,
-    /// Global (cube) group index of each row — the permutation between
-    /// row order and cube group order.
-    pub ig_group: Vec<u32>,
     /// Source id of each row.
     pub ig_source: Vec<u32>,
     /// Slot of the row's value inside the item's sorted distinct-value
@@ -137,10 +134,8 @@ pub struct ChunkedCube {
     /// Flat per-item sorted distinct value ids.
     pub item_values: Vec<u32>,
 
-    /// Per-source group ranges over the cube's (source-sorted) group
-    /// list: source `w` owns groups `source_offsets[w]..source_offsets[w+1]`
-    /// (length `num_sources + 1`).
-    pub source_offsets: Vec<u32>,
+    /// Number of groups of each source (length `num_sources`).
+    pub source_sizes: Vec<u32>,
 
     /// CSR offsets into `source_ext_ids` (length `num_sources + 1`).
     pub source_ext_offsets: Vec<u32>,
@@ -162,19 +157,19 @@ pub struct ChunkedCube {
 }
 
 impl ChunkedCube {
-    /// Gather the columnar view from `cube`, partitioned per `cfg`.
+    /// Split `cube` into columns, partitioned per `cfg`.
     ///
-    /// Pure gather: no recomputation — every column copies the cube's
-    /// arrays in item-major order, each row's cells in the cube's cell
-    /// order, which is what makes columnar EM kernels bit-for-bit equal to
-    /// the row-major ones.
+    /// Pure copy: no recomputation — the cube's groups are already the
+    /// rows in order and its cells the cell columns, so one sequential
+    /// walk per window of items fills every column, which is what makes
+    /// columnar EM kernels bit-for-bit equal to the row-major ones.
     pub fn from_cube(cube: &ObservationCube, cfg: &ChunkingConfig) -> Self {
-        let ng = cube.num_groups();
+        let (ng, nc) = (cube.num_groups(), cube.num_cells());
         let ni = cube.num_items();
         let ns = cube.num_sources();
         let groups = cube.groups();
 
-        // The gathers write positions fixed by prefix sums, so they
+        // The windows write positions fixed by the item offsets, so they
         // parallelize over disjoint output windows without changing a
         // single byte of the result: every value and every position is
         // independent of the part count. Small cubes (unit tests, serving
@@ -184,14 +179,11 @@ impl ChunkedCube {
         } else {
             1
         };
-        let span = |n: usize, t: usize| (n * t / parts)..(n * (t + 1) / parts);
         fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
             column.split_off_mut(..len).expect("window in bounds")
         }
 
-        // The row cube already holds both item CSRs.
-        let (item_offsets, ig_group) = cube.item_index();
-        let (item_offsets, ig_group) = (item_offsets.to_vec(), ig_group.to_vec());
+        let item_offsets = cube.item_offsets().to_vec();
         let (item_value_offsets, item_values) = cube.item_values();
         let item_value_offsets = item_value_offsets.to_vec();
         let item_values: Vec<u32> = item_values.iter().map(|v| v.0).collect();
@@ -200,117 +192,72 @@ impl ChunkedCube {
             .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0);
-        let rows_of = |items: &Range<usize>| {
-            item_offsets[items.start] as usize..item_offsets[items.end] as usize
-        };
 
-        // ---- Pass 1: per row its source, slot and cell count, and where
-        // its cells start in the cube. ----
+        // Per row its source, slot and cell end; per cell its columns. The
+        // cube's cells follow its groups, so row `r`'s cells end where
+        // group `r`'s do.
         let mut ig_source = vec![0u32; ng];
         let mut ig_slot = vec![0u32; ng];
-        let mut cube_cell = vec![0u32; ng];
-        // Row `r`'s cell count lands at `r + 1`; the running sum below
-        // turns the counts into offsets.
         let mut cell_offsets = vec![0u32; ng + 1];
-        let mut item_cells = vec![0u32; ni];
-        struct Rows<'a> {
-            items: Range<usize>,
-            source: &'a mut [u32],
-            slot: &'a mut [u32],
-            first: &'a mut [u32],
-            count: &'a mut [u32],
-            cells: &'a mut [u32],
-        }
-        let mut windows = Vec::with_capacity(parts);
-        let (mut igs, mut igl) = (ig_source.as_mut_slice(), ig_slot.as_mut_slice());
-        let mut first = cube_cell.as_mut_slice();
-        let mut counts = &mut cell_offsets[1..];
-        let mut icells = item_cells.as_mut_slice();
-        for t in 0..parts {
-            let items = span(ni, t);
-            let rows = rows_of(&items).len();
-            windows.push(Rows {
-                source: carve(&mut igs, rows),
-                slot: carve(&mut igl, rows),
-                first: carve(&mut first, rows),
-                count: carve(&mut counts, rows),
-                cells: carve(&mut icells, items.len()),
-                items,
-            });
-        }
-        let fill_rows = |w: &mut Rows<'_>| {
-            let row_base = item_offsets[w.items.start] as usize;
-            for d in w.items.clone() {
-                let id = ItemId::new(d as u32);
-                let vals = cube.observed_values(id);
-                let r0 = item_offsets[d] as usize - row_base;
-                for (r, g) in (r0..).zip(cube.groups_of_item(id)) {
-                    let grp = &groups[g];
-                    let slot = vals
-                        .binary_search(&grp.value)
-                        .expect("group value is an observed value of its item");
-                    let cells = grp.cell_range();
-                    w.source[r] = grp.source.0;
-                    w.slot[r] = slot as u32;
-                    w.first[r] = cells.start as u32;
-                    let cells = cells.len() as u32;
-                    w.count[r] = cells;
-                    w.cells[d - w.items.start] += cells;
-                }
-            }
-        };
-        // One window per worker (`parts` is the worker count, or 1).
-        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill_rows));
-        for r in 0..ng {
-            cell_offsets[r + 1] += cell_offsets[r];
-        }
-
-        // ---- Pass 2: each row's cells, in the cube's cell order. ----
-        let nc = cube.num_cells();
         let mut cell_extractor = vec![0u32; nc];
         let mut cell_confidence = vec![0.0f64; nc];
-        struct Cells<'a> {
-            rows: Range<usize>,
+        struct Window<'a> {
+            items: Range<usize>,
+            cells: Range<usize>,
+            source: &'a mut [u32],
+            slot: &'a mut [u32],
+            ends: &'a mut [u32],
             extractor: &'a mut [u32],
             confidence: &'a mut [f64],
         }
+        let cell_at = |r: usize| groups.get(r).map_or(nc, |g| g.cell_range().start);
         let mut windows = Vec::with_capacity(parts);
+        let (mut igs, mut igl) = (ig_source.as_mut_slice(), ig_slot.as_mut_slice());
+        let mut ends = &mut cell_offsets[1..];
         let (mut ce, mut cf) = (
             cell_extractor.as_mut_slice(),
             cell_confidence.as_mut_slice(),
         );
         for t in 0..parts {
-            let rows = rows_of(&span(ni, t));
-            let cells = (cell_offsets[rows.end] - cell_offsets[rows.start]) as usize;
-            windows.push(Cells {
-                extractor: carve(&mut ce, cells),
-                confidence: carve(&mut cf, cells),
-                rows,
+            let items = ni * t / parts..ni * (t + 1) / parts;
+            let rows = item_offsets[items.start] as usize..item_offsets[items.end] as usize;
+            let cells = cell_at(rows.start)..cell_at(rows.end);
+            windows.push(Window {
+                source: carve(&mut igs, rows.len()),
+                slot: carve(&mut igl, rows.len()),
+                ends: carve(&mut ends, rows.len()),
+                extractor: carve(&mut ce, cells.len()),
+                confidence: carve(&mut cf, cells.len()),
+                items,
+                cells,
             });
         }
-        let fill_cells = |w: &mut Cells<'_>| {
-            let base = cell_offsets[w.rows.start] as usize;
-            for r in w.rows.clone() {
-                let at = cell_offsets[r] as usize - base;
-                let len = cell_offsets[r + 1] - cell_offsets[r];
-                let first = cube_cell[r] as usize;
-                let cells = &cube.cells[first..first + len as usize];
-                for (j, c) in cells.iter().enumerate() {
-                    w.extractor[at + j] = c.extractor.0;
-                    w.confidence[at + j] = c.confidence;
+        let fill = |w: &mut Window<'_>| {
+            let base = item_offsets[w.items.start] as usize;
+            for d in w.items.clone() {
+                let id = ItemId::new(d as u32);
+                let vals = cube.observed_values(id);
+                for r in cube.groups_of_item(id) {
+                    let grp = &groups[r];
+                    let slot = vals
+                        .binary_search(&grp.value)
+                        .expect("group value is an observed value of its item");
+                    w.source[r - base] = grp.source.0;
+                    w.slot[r - base] = slot as u32;
+                    w.ends[r - base] = grp.cell_range().end as u32;
                 }
             }
+            let out = w.extractor.iter_mut().zip(w.confidence.iter_mut());
+            for (c, (e, f)) in cube.cells[w.cells.clone()].iter().zip(out) {
+                (*e, *f) = (c.extractor.0, c.confidence);
+            }
         };
-        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill_cells));
+        // One window per worker (`parts` is the worker count, or 1).
+        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill));
 
-        // Per-source offsets: groups are source-sorted, so the running sum
-        // of source sizes is each source's first group (a source with no
-        // groups is zero-width at the running offset).
-        let mut source_offsets = vec![0u32; ns + 1];
-        for w in 0..ns {
-            let size = cube.source_size(SourceId::new(w as u32)) as u32;
-            source_offsets[w + 1] = source_offsets[w] + size;
-        }
+        let source_sizes = (0..ns)
+            .map(|w| cube.source_size(SourceId::new(w as u32)) as u32)
+            .collect();
 
         // Greedy item-aligned chunking: close a chunk at the first item
         // boundary at or past `target_cells` cells.
@@ -318,26 +265,24 @@ impl ChunkedCube {
         let mut chunks = Vec::new();
         let mut max_chunk_rows = 0usize;
         let mut start_item = 0usize;
-        let mut acc_cells = 0u64;
+        let cells_before = |d: usize| cell_offsets[item_offsets[d] as usize];
         for d in 0..ni {
-            acc_cells += item_cells[d] as u64;
-            if acc_cells >= target || d + 1 == ni {
+            let acc_cells = cells_before(d + 1) - cells_before(start_item);
+            if acc_cells as u64 >= target || d + 1 == ni {
                 let rows = item_offsets[start_item]..item_offsets[d + 1];
                 max_chunk_rows = max_chunk_rows.max(rows.len());
                 chunks.push(CubeChunk {
                     items: start_item as u32..(d + 1) as u32,
                     rows,
-                    cells: acc_cells as u32,
+                    cells: acc_cells,
                 });
                 start_item = d + 1;
-                acc_cells = 0;
             }
         }
 
         let (source_ext_offsets, source_ext_ids) = cube.source_extractors();
         Self {
             item_offsets,
-            ig_group,
             ig_source,
             ig_slot,
             cell_offsets,
@@ -345,7 +290,7 @@ impl ChunkedCube {
             cell_confidence,
             item_value_offsets,
             item_values,
-            source_offsets,
+            source_sizes,
             source_ext_offsets: source_ext_offsets.to_vec(),
             source_ext_ids: source_ext_ids.iter().map(|e| e.0).collect(),
             chunks,
@@ -359,7 +304,7 @@ impl ChunkedCube {
 
     /// Number of groups (rows).
     pub fn num_groups(&self) -> usize {
-        self.ig_group.len()
+        self.ig_source.len()
     }
 
     /// Number of cells.
@@ -420,7 +365,6 @@ impl ChunkedCube {
             item_offsets: &self.item_offsets[ilo..=ihi],
             item_value_offsets: &self.item_value_offsets[ilo..=ihi],
             item_values: &self.item_values[val_lo..val_hi],
-            ig_group: &self.ig_group[rows.clone()],
             ig_source: &self.ig_source[rows.clone()],
             ig_slot: &self.ig_slot[rows.clone()],
             cell_offsets: &self.cell_offsets[rows.start..=rows.end],
@@ -444,8 +388,6 @@ pub struct ChunkBuf {
     pub item_value_offsets: Vec<u32>,
     /// Flat per-item sorted distinct value ids.
     pub item_values: Vec<u32>,
-    /// Global group index per row.
-    pub ig_group: Vec<u32>,
     /// Source id per row.
     pub ig_source: Vec<u32>,
     /// Value slot per row.
@@ -470,7 +412,6 @@ impl ChunkBuf {
             item_offsets: &self.item_offsets,
             item_value_offsets: &self.item_value_offsets,
             item_values: &self.item_values,
-            ig_group: &self.ig_group,
             ig_source: &self.ig_source,
             ig_slot: &self.ig_slot,
             cell_offsets: &self.cell_offsets,
@@ -507,8 +448,6 @@ pub struct ItemView<'a> {
     pub item_value_offsets: &'a [u32],
     /// Flat per-item sorted distinct value ids for the view's items.
     pub item_values: &'a [u32],
-    /// Global group index per row.
-    pub ig_group: &'a [u32],
     /// Source id per row.
     pub ig_source: &'a [u32],
     /// Value slot per row.
@@ -530,7 +469,7 @@ impl ItemView<'_> {
 
     /// Number of rows in the view.
     pub fn num_rows(&self) -> usize {
-        self.ig_group.len()
+        self.ig_source.len()
     }
 
     /// Local row range of local item `li` into the `ig_*` columns.
@@ -686,7 +625,7 @@ impl ChunkSource for StreamedChunks {
     }
 }
 
-const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK3";
+const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK4";
 
 fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
     wire::put_column(buf, xs, u32::to_le_bytes);
@@ -746,9 +685,8 @@ pub struct ChunkStoreMeta {
     pub max_chunk_rows: u32,
     /// The item-aligned chunk partition (one item frame per entry).
     pub item_chunks: Vec<CubeChunk>,
-    /// Per-source group ranges (length `num_sources + 1`): source `w`
-    /// owns groups `source_offsets[w]..source_offsets[w+1]`.
-    pub source_offsets: Vec<u32>,
+    /// Number of groups of each source (length `num_sources`).
+    pub source_sizes: Vec<u32>,
     /// Distinct items claimed by each source (length `num_sources`) —
     /// the gamma estimate's slot count, precomputed so streamed fits
     /// never need a pass over the rows for it.
@@ -766,9 +704,9 @@ impl ChunkStoreMeta {
     pub fn from_cube(cube: &ChunkedCube) -> Self {
         let ns = cube.num_sources();
 
-        // Per-source distinct-item counts: an item's rows are in cube
-        // group order, so its sources come in runs, one per
-        // (source, item) pair.
+        // Per-source distinct-item counts: an item's rows are sorted by
+        // source, so its sources come in runs, one per (source, item)
+        // pair.
         let mut source_item_counts = vec![0u32; ns];
         for rows in cube.item_offsets.windows(2) {
             let sources = &cube.ig_source[rows[0] as usize..rows[1] as usize];
@@ -789,7 +727,7 @@ impl ChunkStoreMeta {
             max_item_values: cube.max_item_values as u32,
             max_chunk_rows: cube.max_chunk_rows as u32,
             item_chunks: cube.chunks.clone(),
-            source_offsets: cube.source_offsets.clone(),
+            source_sizes: cube.source_sizes.clone(),
             source_item_counts,
             source_ext_offsets: cube.source_ext_offsets.clone(),
             source_ext_ids: cube.source_ext_ids.clone(),
@@ -820,7 +758,7 @@ impl ChunkStoreMeta {
                 wire::put_u32(p, x);
             }
         });
-        put_u32_slice(p, &self.source_offsets);
+        put_u32_slice(p, &self.source_sizes);
         put_u32_slice(p, &self.source_item_counts);
         put_u32_slice(p, &self.source_ext_offsets);
         put_u32_slice(p, &self.source_ext_ids);
@@ -843,8 +781,8 @@ impl ChunkStoreMeta {
                 cells: r.u32()?,
             })
         })?;
-        let mut source_offsets = Vec::new();
-        read_u32_vec(&mut r, &mut source_offsets)?;
+        let mut source_sizes = Vec::new();
+        read_u32_vec(&mut r, &mut source_sizes)?;
         let mut source_item_counts = Vec::new();
         read_u32_vec(&mut r, &mut source_item_counts)?;
         let mut source_ext_offsets = Vec::new();
@@ -853,7 +791,9 @@ impl ChunkStoreMeta {
         read_u32_vec(&mut r, &mut source_ext_ids)?;
         r.finish()?;
         let ns = num_sources as usize;
-        let meta_ok = is_csr(&source_offsets, ns, num_groups as usize)
+        let sized: u64 = source_sizes.iter().map(|&n| u64::from(n)).sum();
+        let meta_ok = source_sizes.len() == ns
+            && sized == u64::from(num_groups)
             && source_item_counts.len() == ns
             && is_csr(&source_ext_offsets, ns, source_ext_ids.len())
             && all_below(&source_ext_ids, num_extractors)
@@ -872,7 +812,7 @@ impl ChunkStoreMeta {
             max_item_values,
             max_chunk_rows,
             item_chunks,
-            source_offsets,
+            source_sizes,
             source_item_counts,
             source_ext_offsets,
             source_ext_ids,
@@ -897,7 +837,7 @@ fn emit_frame(
     Ok(entry)
 }
 
-/// Disk-backed chunk payloads: the `KBTCHNK3` format described in the
+/// Disk-backed chunk payloads: the `KBTCHNK4` format described in the
 /// module docs — magic, meta frame, item frames (one per [`CubeChunk`]),
 /// an index frame, and a trailing 8-byte index offset. Every load
 /// re-verifies its frame's CRC, so a corrupted chunk surfaces as an
@@ -947,7 +887,6 @@ impl FileChunkStore {
                 put_rebased(p, v.item_offsets, v.row_base);
                 put_rebased(p, v.item_value_offsets, v.val_base);
                 put_u32_slice(p, v.item_values);
-                put_u32_slice(p, v.ig_group);
                 put_u32_slice(p, v.ig_source);
                 put_u32_slice(p, v.ig_slot);
                 put_rebased(p, v.cell_offsets, v.cell_base);
@@ -1038,7 +977,6 @@ impl FileChunkStore {
             read_u32_vec(&mut r, &mut buf.item_offsets)?;
             read_u32_vec(&mut r, &mut buf.item_value_offsets)?;
             read_u32_vec(&mut r, &mut buf.item_values)?;
-            read_u32_vec(&mut r, &mut buf.ig_group)?;
             read_u32_vec(&mut r, &mut buf.ig_source)?;
             read_u32_vec(&mut r, &mut buf.ig_slot)?;
             read_u32_vec(&mut r, &mut buf.cell_offsets)?;
@@ -1050,7 +988,7 @@ impl FileChunkStore {
         let (meta, chunk) = (&self.meta, &self.meta.item_chunks[idx]);
         let (items, rows, cells) = (
             buf.items.len(),
-            buf.ig_group.len(),
+            buf.ig_source.len(),
             buf.cell_extractor.len(),
         );
         let shape_ok = buf.items == chunk.items
@@ -1059,9 +997,8 @@ impl FileChunkStore {
             && is_csr(&buf.item_offsets, items, rows)
             && is_csr(&buf.item_value_offsets, items, buf.item_values.len())
             && is_csr(&buf.cell_offsets, rows, cells)
-            && [buf.ig_source.len(), buf.ig_slot.len()] == [rows; 2]
+            && buf.ig_slot.len() == rows
             && buf.cell_confidence.len() == cells
-            && all_below(&buf.ig_group, meta.num_groups)
             && all_below(&buf.ig_source, meta.num_sources)
             && all_below(&buf.cell_extractor, meta.num_extractors)
             // Every row's slot names one of its own item's values.
@@ -1106,9 +1043,8 @@ mod tests {
         b.build()
     }
 
-    /// Every column must be a faithful gather of the cube: item-major
-    /// rows mirroring `groups_of_item`, each with its group's cells in
-    /// the cube's order.
+    /// Every column must be a faithful split of the cube: row `g` is group
+    /// `g`, with its cells in the cube's order.
     fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
         assert_eq!(cc.num_groups(), cube.num_groups());
         assert_eq!(cc.num_cells(), cube.num_cells());
@@ -1117,13 +1053,8 @@ mod tests {
         assert_eq!(cc.num_items(), cube.num_items());
         assert_eq!(cc.num_values(), cube.num_values());
         for w in 0..cube.num_sources() {
-            let r = cube.source_groups(SourceId::new(w as u32));
-            if r.is_empty() {
-                assert_eq!(cc.source_offsets[w], cc.source_offsets[w + 1]);
-            } else {
-                assert_eq!(cc.source_offsets[w] as usize, r.start);
-                assert_eq!(cc.source_offsets[w + 1] as usize, r.end);
-            }
+            let size = cube.source_size(SourceId::new(w as u32));
+            assert_eq!(cc.source_sizes[w] as usize, size);
         }
         assert_eq!(cc.cell_offsets.len(), cc.num_groups() + 1);
         for d in 0..cube.num_items() {
@@ -1132,13 +1063,12 @@ mod tests {
                 cc.item_values_of(d),
                 vals.iter().map(|v| v.0).collect::<Vec<_>>().as_slice()
             );
-            let rows: Vec<usize> = cube.groups_of_item(ItemId::new(d as u32)).collect();
+            let rows = cube.groups_of_item(ItemId::new(d as u32));
             let lo = cc.item_offsets[d] as usize;
             let hi = cc.item_offsets[d + 1] as usize;
-            assert_eq!(hi - lo, rows.len());
-            for (r, &g) in (lo..).zip(&rows) {
-                let grp = &cube.groups()[g];
-                assert_eq!(cc.ig_group[r] as usize, g);
+            assert_eq!(lo..hi, rows);
+            for r in rows {
+                let grp = &cube.groups()[r];
                 assert_eq!(cc.ig_source[r], grp.source.0);
                 assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
                 let cells = cube.cells_of(grp);
@@ -1171,7 +1101,7 @@ mod tests {
             cells += chunk.cells as u64;
         }
         assert_eq!(next_item as usize, cc.num_items());
-        assert_eq!(next_row as usize, cc.ig_group.len());
+        assert_eq!(next_row as usize, cc.num_groups());
         assert_eq!(cells as usize, cc.num_cells());
     }
 
@@ -1248,7 +1178,7 @@ mod tests {
         assert_eq!(meta.num_cells as usize, cc.num_cells());
         assert!(meta.item_chunks.len() > 1, "want multiple item frames");
         assert_eq!(meta.item_chunks, cc.chunks);
-        assert_eq!(meta.source_offsets, cc.source_offsets);
+        assert_eq!(meta.source_sizes, cc.source_sizes);
         // Per-source extractor lists match the cube's.
         for w in 0..cube.num_sources() {
             let lo = meta.source_ext_offsets[w] as usize;
@@ -1266,8 +1196,11 @@ mod tests {
         }
         // Distinct-item counts.
         for w in 0..cube.num_sources() {
-            let groups = &cube.groups()[cube.source_groups(SourceId::new(w as u32))];
-            let mut items: Vec<ItemId> = groups.iter().map(|g| g.item).collect();
+            let groups = cube.source_groups(SourceId::new(w as u32));
+            let mut items: Vec<ItemId> = groups
+                .iter()
+                .map(|&g| cube.groups()[g as usize].item)
+                .collect();
             items.dedup();
             assert_eq!(meta.source_item_counts[w] as usize, items.len());
         }
@@ -1281,7 +1214,6 @@ mod tests {
             assert_eq!(a.rows(li), b.rows(li));
             assert_eq!(a.values(li), b.values(li));
         }
-        assert_eq!(a.ig_group, b.ig_group);
         assert_eq!(a.ig_source, b.ig_source);
         assert_eq!(a.ig_slot, b.ig_slot);
         for r in 0..a.num_rows() {
@@ -1309,7 +1241,7 @@ mod tests {
                 let d = chunk.items.start as usize + li;
                 assert_eq!(v.values(li), cc.item_values_of(d));
                 let rows = cc.item_offsets[d] as usize..cc.item_offsets[d + 1] as usize;
-                assert_eq!(&v.ig_group[v.rows(li)], &cc.ig_group[rows]);
+                assert_eq!(&v.ig_source[v.rows(li)], &cc.ig_source[rows]);
             }
             for r in 0..v.num_rows() {
                 let global = chunk.rows.start as usize + r;
@@ -1382,8 +1314,10 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    /// The `KBTCHNK3` bytes, pinned (length and FNV-1a): any change to
-    /// the encoder is a format change.
+    /// The `KBTCHNK4` bytes, pinned (length and FNV-1a): any change to
+    /// the encoder is a format change. (`KBTCHNK3`, with a group-id column
+    /// per row and per-source group offsets, was 3,480 bytes,
+    /// `0x706b5d9f62302f31`.)
     #[test]
     fn file_store_bytes_are_golden() {
         let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
@@ -1394,9 +1328,9 @@ mod tests {
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(bytes.len(), 3480);
-        assert_eq!(fnv, 0x706b_5d9f_6230_2f31);
-        assert_eq!(&bytes[..8], b"KBTCHNK3");
+        assert_eq!(bytes.len(), 3224);
+        assert_eq!(fnv, 0x2d3b_9f78_5ab3_db52);
+        assert_eq!(&bytes[..8], b"KBTCHNK4");
     }
 
     /// A CRC-valid index frame whose first entry points at
@@ -1435,7 +1369,7 @@ mod tests {
         let store = FileChunkStore::open(&path).unwrap();
         let mut chunk = ChunkBuf::default();
         store.load_chunk(1, &mut chunk).unwrap();
-        let (items, rows) = (chunk.items.len() as u32, chunk.ig_group.len() as u32);
+        let (items, rows) = (chunk.items.len() as u32, chunk.ig_source.len() as u32);
         let cells = chunk.cell_extractor.len() as u32;
         assert!(items >= 2 && rows >= 3 && cells >= 2, "patches need room");
         // Word index of each column's count: after the two range words.
@@ -1443,7 +1377,6 @@ mod tests {
             items + 1,
             items + 1,
             chunk.item_values.len() as u32,
-            rows,
             rows,
             rows,
             rows + 1,
@@ -1460,13 +1393,12 @@ mod tests {
             ("item_offsets order", col[0] + 2, u32::MAX),
             ("item_offsets end", col[0] + 1 + items, rows + 1),
             ("value offsets end", col[1] + 1 + items, 0),
-            ("ig_group", col[3] + 1, meta.num_groups),
-            ("ig_source", col[4] + 1, meta.num_sources),
-            ("ig_slot", col[5] + 1, meta.max_item_values),
-            ("cell_offsets start", col[6] + 1, 1),
-            ("cell_offsets order", col[6] + 2, u32::MAX),
-            ("cell_offsets end", col[6] + 1 + rows, cells + 1),
-            ("cell_extractor", col[7] + 1, meta.num_extractors),
+            ("ig_source", col[3] + 1, meta.num_sources),
+            ("ig_slot", col[4] + 1, meta.max_item_values),
+            ("cell_offsets start", col[5] + 1, 1),
+            ("cell_offsets order", col[5] + 2, u32::MAX),
+            ("cell_offsets end", col[5] + 1 + rows, cells + 1),
+            ("cell_extractor", col[6] + 1, meta.num_extractors),
         ];
         let (off, len) = store.item_frames[1];
         for (what, at, value) in patches {

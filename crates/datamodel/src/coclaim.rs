@@ -5,11 +5,12 @@
 //! claims about the same data items relate. What it counts is the sparse
 //! product `A·Aᵀ` of the source × item incidence, computed here row by
 //! row: the claims are laid out **item-major** once (each item's row
-//! sorted by source — the order the cube's item index already has), then
-//! for every source `a`, each of its claims walks the tail of its item's
-//! row — the claims of sources `b > a` — and bumps a dense slot indexed
-//! by `b`. When `a` is done the touched slots are flushed in `b` order
-//! and zeroed. No hashing, no merge:
+//! sorted by source — the cube's own group order), then for every source
+//! `a`, each of its claims (listed by the cube's source index) walks the
+//! tail of its item's row — the claims of sources `b > a`, which follow
+//! its own entry in the row — and bumps a dense slot indexed by `b`. When
+//! `a` is done the touched slots are flushed in `b` order and zeroed. No
+//! hashing, no merge:
 //!
 //! * time is `Σ_d fan-in(d)²/2` slot bumps — every claim pair is visited
 //!   exactly once, from its lower-id source;
@@ -30,7 +31,7 @@
 use std::ops::Range;
 
 use crate::cube::ObservationCube;
-use crate::ids::{ItemId, SourceId, ValueId};
+use crate::ids::{SourceId, ValueId};
 
 /// One candidate source pair surviving the overlap prefilter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +64,9 @@ pub struct PairCounts {
 trait RowEntry: Copy + Sync {
     fn source(&self) -> SourceId;
     /// Add this entry's `[overlap, agree, agree_exclusive]` contribution
-    /// against a claim of `value`. Must add at least 1 to the overlap —
-    /// a zero overlap is what marks a slot untouched.
-    fn bump(&self, value: ValueId, slot: &mut [u64; 3]);
+    /// against `claim`, an entry of the same row. Must add at least 1 to
+    /// the overlap — a zero overlap is what marks a slot untouched.
+    fn bump(&self, claim: &Self, slot: &mut [u64; 3]);
 }
 
 /// A single claim: the detector's row entry.
@@ -86,8 +87,8 @@ impl RowEntry for Claim {
         self.source
     }
 
-    fn bump(&self, value: ValueId, slot: &mut [u64; 3]) {
-        let agree = self.value == value;
+    fn bump(&self, claim: &Self, slot: &mut [u64; 3]) {
+        let agree = self.value == claim.value;
         slot[0] += 1;
         slot[1] += u64::from(agree);
         slot[2] += u64::from(agree & self.exclusive);
@@ -100,24 +101,22 @@ impl RowEntry for (SourceId, u32) {
         self.0
     }
 
-    fn bump(&self, _: ValueId, slot: &mut [u64; 3]) {
+    fn bump(&self, _: &Self, slot: &mut [u64; 3]) {
         slot[0] += u64::from(self.1);
     }
 }
 
-/// Item-major rows: `entries[offsets[d]..offsets[d + 1]]` is item `d`'s
-/// row, sorted by source.
+/// Item-major rows, each sorted by source, laid end to end: entry `p`'s
+/// row ends at `row_end[p]`.
 #[derive(Clone, Copy)]
 struct Rows<'a, E> {
-    offsets: &'a [u32],
     entries: &'a [E],
+    row_end: &'a [u32],
+    /// The entry of each cube group; `None` when entry `g` is group `g`'s.
+    entry_of: Option<&'a [u32]>,
 }
 
 impl<E: RowEntry> Rows<'_, E> {
-    fn row(&self, d: ItemId) -> &[E] {
-        &self.entries[self.offsets[d.index()] as usize..self.offsets[d.index() + 1] as usize]
-    }
-
     /// The kernel, for one contiguous range of first sources: the pairs
     /// `(a, b)` with `a` in `sources` and overlap ≥ `min_overlap`, sorted
     /// by `(a, b)`.
@@ -132,20 +131,20 @@ impl<E: RowEntry> Rows<'_, E> {
         let mut touched: Vec<SourceId> = Vec::new();
         for a in sources {
             let a = SourceId::new(a as u32);
-            for g in &cube.groups()[cube.source_groups(a)] {
-                // The row is sorted by source: its tail is every claim by
-                // a higher-id source, which also skips `a`'s own other
-                // claims on the item.
-                for e in self.row(g.item).iter().rev() {
+            for &g in cube.source_groups(a) {
+                let p = self.entry_of.map_or(g as usize, |e| e[g as usize] as usize);
+                let claim = &self.entries[p];
+                // The row is sorted by source: past `a`'s own other
+                // claims on the item, its tail is every claim by a
+                // higher-id source.
+                let tail = &self.entries[p + 1..self.row_end[p] as usize];
+                for e in tail.iter().skip_while(|e| e.source() == a) {
                     let b = e.source();
-                    if b <= a {
-                        break;
-                    }
                     let slot = &mut slots[b.index()];
                     if slot[0] == 0 {
                         touched.push(b);
                     }
-                    e.bump(g.value, slot);
+                    e.bump(claim, slot);
                 }
             }
             touched.sort_unstable();
@@ -170,11 +169,8 @@ impl<E: RowEntry> Rows<'_, E> {
     /// for the lowest-id source of every row, less for later ones).
     fn scan_weights(&self, num_sources: usize) -> Vec<u64> {
         let mut weights = vec![0u64; num_sources];
-        for w in self.offsets.windows(2) {
-            let row = &self.entries[w[0] as usize..w[1] as usize];
-            for (k, e) in row.iter().enumerate() {
-                weights[e.source().index()] += (row.len() - k) as u64;
-            }
+        for (p, (e, &end)) in self.entries.iter().zip(self.row_end).enumerate() {
+            weights[e.source().index()] += u64::from(end) - p as u64;
         }
         weights
     }
@@ -222,34 +218,32 @@ fn split_by_weight(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
 /// `0` and `1` select the same pairs), sorted by `(a, b)`; computed on up
 /// to `kbt_flume::num_threads()` workers, identical at any thread count.
 pub fn pair_counts(cube: &ObservationCube, min_overlap: usize) -> Vec<PairCounts> {
-    // The claim table is parallel to the cube's item index, so it shares
-    // its offsets. Backer counts per value use one dense counter array,
-    // zeroed again behind each row.
-    let (offsets, item_groups) = cube.item_index();
+    // One claim per group, in group order: the cube's item rows, each
+    // sorted by source. Backer counts per value use one dense counter
+    // array, zeroed again behind each row.
     let groups = cube.groups();
-    let mut claims: Vec<Claim> = Vec::with_capacity(item_groups.len());
+    let mut claims: Vec<Claim> = Vec::with_capacity(groups.len());
+    let mut row_end: Vec<u32> = Vec::with_capacity(groups.len());
     let mut backers = vec![0u32; cube.num_values()];
-    for w in offsets.windows(2) {
-        let row = claims.len();
-        for &g in &item_groups[w[0] as usize..w[1] as usize] {
-            let g = &groups[g as usize];
+    for w in cube.item_offsets().windows(2) {
+        let row = &groups[w[0] as usize..w[1] as usize];
+        for g in row {
             backers[g.value.index()] += 1;
-            claims.push(Claim {
-                source: g.source,
-                value: g.value,
-                exclusive: false,
-            });
         }
-        for c in &mut claims[row..] {
-            c.exclusive = backers[c.value.index()] == 2;
-        }
-        for c in &claims[row..] {
-            backers[c.value.index()] = 0;
+        claims.extend(row.iter().map(|g| Claim {
+            source: g.source,
+            value: g.value,
+            exclusive: backers[g.value.index()] == 2,
+        }));
+        row_end.extend(row.iter().map(|_| w[1]));
+        for g in row {
+            backers[g.value.index()] = 0;
         }
     }
     Rows {
-        offsets,
         entries: &claims,
+        row_end: &row_end,
+        entry_of: None,
     }
     .pair_counts(cube, min_overlap as u64)
 }
@@ -259,54 +253,58 @@ pub fn pair_counts(cube: &ObservationCube, min_overlap: usize) -> Vec<PairCounts
 /// For each data item, the sorted list of `(source, claims)` entries,
 /// where `claims` counts the item's triple groups attributed to that
 /// source (a source claiming two values for one item counts twice —
-/// claim-pair semantics). Built in one linear pass over the cube's item
-/// index, whose rows are already sorted by source, so each entry is one
-/// run; `O(groups)` time, `O(Σ_d distinct_sources(d))` space.
+/// claim-pair semantics). Built in one sequential pass over the cube's
+/// groups, whose item rows are already sorted by source, so each entry is
+/// one run; `O(groups)` time, `O(Σ_d distinct_sources(d))` space plus
+/// each group's entry.
 #[derive(Debug, Clone)]
 pub struct CoClaimIndex<'a> {
     cube: &'a ObservationCube,
-    /// `offsets[d]..offsets[d + 1]` indexes `entries` for item `d`.
-    offsets: Vec<u32>,
-    /// `(source, claim count)` per item, sorted by source.
+    /// `(source, claim count)` per item, sorted by source, items in order.
     entries: Vec<(SourceId, u32)>,
+    /// Per entry: the end of its item's row in `entries`.
+    row_end: Vec<u32>,
+    /// Per cube group: its entry.
+    entry_of: Vec<u32>,
 }
 
 impl<'a> CoClaimIndex<'a> {
     /// Build the index from a cube.
     pub fn build(cube: &'a ObservationCube) -> Self {
-        let (item_offsets, item_groups) = cube.item_index();
         let groups = cube.groups();
-        let mut offsets = Vec::with_capacity(item_offsets.len());
-        offsets.push(0u32);
         let mut entries: Vec<(SourceId, u32)> = Vec::new();
-        for w in item_offsets.windows(2) {
+        let mut row_end: Vec<u32> = Vec::new();
+        let mut entry_of: Vec<u32> = Vec::with_capacity(groups.len());
+        for w in cube.item_offsets().windows(2) {
             let row = entries.len();
-            for &g in &item_groups[w[0] as usize..w[1] as usize] {
-                let source = groups[g as usize].source;
+            for g in &groups[w[0] as usize..w[1] as usize] {
                 match entries[row..].last_mut() {
-                    Some((s, c)) if *s == source => *c += 1,
-                    _ => entries.push((source, 1)),
+                    Some((s, c)) if *s == g.source => *c += 1,
+                    _ => entries.push((g.source, 1)),
                 }
+                entry_of.push(entries.len() as u32 - 1);
             }
-            offsets.push(entries.len() as u32);
+            row_end.resize(entries.len(), entries.len() as u32);
         }
         Self {
             cube,
-            offsets,
             entries,
+            row_end,
+            entry_of,
         }
     }
 
     /// Number of items the index covers.
     pub fn num_items(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.cube.num_items()
     }
 
     /// The overlap-only instantiation of the kernel.
     fn overlaps(&self, min_overlap: usize) -> Vec<PairCounts> {
         Rows {
-            offsets: &self.offsets,
             entries: &self.entries,
+            row_end: &self.row_end,
+            entry_of: Some(&self.entry_of),
         }
         .pair_counts(self.cube, min_overlap as u64)
     }
@@ -339,7 +337,7 @@ impl<'a> CoClaimIndex<'a> {
 mod tests {
     use super::*;
     use crate::cube::CubeBuilder;
-    use crate::ids::ExtractorId;
+    use crate::ids::{ExtractorId, ItemId};
     use crate::triple::Observation;
 
     fn obs(e: u32, w: u32, d: u32, v: u32) -> Observation {
@@ -362,10 +360,17 @@ mod tests {
         let cube = b.build();
         let idx = CoClaimIndex::build(&cube);
         assert_eq!(idx.num_items(), 2);
-        // Item d's (source, claim count) entries, sorted by source.
-        let row = |d: usize| &idx.entries[idx.offsets[d] as usize..idx.offsets[d + 1] as usize];
-        assert_eq!(row(0), &[(SourceId::new(0), 1), (SourceId::new(1), 2)]);
-        assert_eq!(row(1), &[(SourceId::new(2), 1)]);
+        // Item 0's (source, claim count) entries, sorted by source, then
+        // item 1's; each entry knows where its row ends.
+        let rows = [
+            (SourceId::new(0), 1),
+            (SourceId::new(1), 2),
+            (SourceId::new(2), 1),
+        ];
+        assert_eq!(idx.entries, rows);
+        assert_eq!(idx.row_end, [2, 2, 3]);
+        // Groups: (0, s0, v0), (0, s1, v0), (0, s1, v1), (1, s2, v0).
+        assert_eq!(idx.entry_of, [0, 1, 1, 2]);
     }
 
     #[test]

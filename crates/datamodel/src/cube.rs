@@ -1,14 +1,16 @@
 //! The sparse observation "data cube" of Figure 1(b).
 //!
 //! The cube stores one [`Cell`] per nonzero `X_{ewdv}` entry, grouped by the
-//! `(w, d, v)` triple it supports. Groups are sorted by
-//! `(source, item, value)`, so all groups of one source are contiguous; a
-//! secondary index lists the groups of each data item. This columnar layout
-//! lets every inference stage stream the data it needs without hashing:
+//! `(w, d, v)` triple it supports. Groups are sorted item-major, by
+//! `(item, source, value)` — the order in which Algorithm 1 reads them —
+//! so all groups of one data item are contiguous, and the cells follow
+//! their groups in the same order. A source index lists the groups of
+//! each source, ascending. This columnar layout lets every inference stage
+//! stream the data it needs without hashing:
 //!
 //! * extraction-correctness (per-triple) — iterate [`ObservationCube::groups`],
-//! * value inference (per-item) — iterate [`ObservationCube::groups_of_item`],
-//! * source accuracy (per-source) — iterate [`ObservationCube::source_groups`],
+//! * value inference (per-item) — the contiguous [`ObservationCube::groups_of_item`],
+//! * source accuracy (per-source) — the source index, [`ObservationCube::source_groups`],
 //! * extractor quality — stream all cells once, accumulating per extractor.
 //!
 //! Absence votes (Eq. 13) need to know which extractors *could have*
@@ -21,11 +23,11 @@
 //!
 //! [`CubeBuilder::build`] assembles the cube the way the paper's batch job
 //! does on its dataflow substrate, a shuffle by key then per-partition
-//! work: unsorted input is cut by source into one window of about equal
+//! work: unsorted input is cut by item into one window of about equal
 //! row count per worker, and each window's task brings its rows into key
 //! order, groups them and records its share of the indexes; then the
 //! windows' groups and cells are laid out in window order, and each
-//! window places its groups in the item index. The cube is the same at
+//! window places its groups in the source index. The cube is the same at
 //! any worker count.
 
 use std::cmp::Ordering;
@@ -62,6 +64,11 @@ impl TripleGroup {
     pub fn cell_range(&self) -> Range<usize> {
         self.cells.start as usize..self.cells.end as usize
     }
+
+    /// The group's key in cube order: `(item, source, value)`.
+    fn key(&self) -> (ItemId, SourceId, ValueId) {
+        (self.item, self.source, self.value)
+    }
 }
 
 /// Immutable, index-accelerated storage for the observation matrix `X`.
@@ -69,11 +76,12 @@ impl TripleGroup {
 pub struct ObservationCube {
     pub(crate) cells: Vec<Cell>,
     groups: Vec<TripleGroup>,
-    /// Per source: contiguous range in `groups`.
-    source_group_ranges: Vec<Range<u32>>,
-    /// Group indices ordered by item; `item_offsets[d]..item_offsets[d+1]`.
-    item_groups: Vec<u32>,
+    /// Item `d` owns groups `item_offsets[d]..item_offsets[d + 1]`.
     item_offsets: Vec<u32>,
+    /// CSR of each source's group ids, ascending:
+    /// `source_group_ids[source_offsets[w]..source_offsets[w + 1]]`.
+    source_offsets: Vec<u32>,
+    source_group_ids: Vec<u32>,
     /// CSR of sorted distinct extractors per source:
     /// `source_extractor_ids[source_extractor_offsets[w]..source_extractor_offsets[w+1]]`.
     /// One flat allocation instead of a `Vec<Vec<_>>` — cheap to build and
@@ -103,7 +111,7 @@ impl ObservationCube {
 
     /// Number of sources (dense id space, including sources with no data).
     pub fn num_sources(&self) -> usize {
-        self.source_group_ranges.len()
+        self.source_offsets.len().saturating_sub(1)
     }
 
     /// Number of extractors in the dense id space.
@@ -121,7 +129,7 @@ impl ObservationCube {
         self.num_values as usize
     }
 
-    /// All triple groups, sorted by `(source, item, value)`.
+    /// All triple groups, sorted by `(item, source, value)`.
     pub fn groups(&self) -> &[TripleGroup] {
         &self.groups
     }
@@ -131,18 +139,15 @@ impl ObservationCube {
         &self.cells[g.cell_range()]
     }
 
-    /// Indices (into [`Self::groups`]) of the groups about data item `d`.
-    pub fn groups_of_item(&self, d: ItemId) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.item_offsets[d.index()] as usize;
-        let hi = self.item_offsets[d.index() + 1] as usize;
-        self.item_groups[lo..hi].iter().map(|&g| g as usize)
+    /// The contiguous range of group indices about data item `d`, sorted
+    /// by `(source, value)`.
+    pub fn groups_of_item(&self, d: ItemId) -> Range<usize> {
+        self.item_offsets[d.index()] as usize..self.item_offsets[d.index() + 1] as usize
     }
 
-    /// The item index in CSR form, `(offsets, group indices)`: item `d`'s
-    /// groups are `indices[offsets[d]..offsets[d + 1]]`, ascending — so
-    /// sorted by `(source, value)`.
-    pub(crate) fn item_index(&self) -> (&[u32], &[u32]) {
-        (&self.item_offsets, &self.item_groups)
+    /// Item `d`'s groups are `offsets[d]..offsets[d + 1]`.
+    pub(crate) fn item_offsets(&self) -> &[u32] {
+        &self.item_offsets
     }
 
     /// The per-item value lists in CSR form, `(offsets, values)`.
@@ -155,10 +160,12 @@ impl ObservationCube {
         (&self.source_extractor_offsets, &self.source_extractor_ids)
     }
 
-    /// The contiguous range of group indices belonging to source `w`.
-    pub fn source_groups(&self, w: SourceId) -> Range<usize> {
-        let r = &self.source_group_ranges[w.index()];
-        r.start as usize..r.end as usize
+    /// The group indices of source `w`, ascending — so sorted by
+    /// `(item, value)`.
+    pub fn source_groups(&self, w: SourceId) -> &[u32] {
+        let lo = self.source_offsets[w.index()] as usize;
+        let hi = self.source_offsets[w.index() + 1] as usize;
+        &self.source_group_ids[lo..hi]
     }
 
     /// Sorted distinct extractors that extracted anything from source `w` —
@@ -196,7 +203,8 @@ impl ObservationCube {
     /// layout**: the delta alone is sorted (`O(m log m)` for `m` delta
     /// rows) and merge-walked against the already-sorted group list
     /// (`O(groups + cells)`), then the secondary indexes are rebuilt in
-    /// linear passes over source windows, one per worker. The result is bit-identical to rebuilding a
+    /// linear passes over item windows, one per worker. A delta about new
+    /// items appends at the end. The result is bit-identical to rebuilding a
     /// [`CubeBuilder`] from the union of all observations (duplicate
     /// `(e, w, d, v)` entries keep the maximum confidence, exactly as
     /// [`CubeBuilder::build`] does) — the `session_incremental` proptest
@@ -223,12 +231,11 @@ impl ObservationCube {
 
         let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len() + new_cells.len());
         let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len() + new_groups.len());
-        let key = |g: &TripleGroup| (g.source, g.item, g.value);
         let (mut old, mut new) = (self.groups.iter().peekable(), new_groups.iter().peekable());
         loop {
             // The next key in order, from either side or — equal — both.
             let order = match (old.peek(), new.peek()) {
-                (Some(a), Some(b)) => key(a).cmp(&key(b)),
+                (Some(a), Some(b)) => a.key().cmp(&b.key()),
                 (Some(_), None) => Ordering::Less,
                 (None, Some(_)) => Ordering::Greater,
                 (None, None) => break,
@@ -266,7 +273,7 @@ impl ObservationCube {
     ///
     /// The result is canonical: bit-identical to rebuilding a
     /// [`CubeBuilder`] from the surviving observations, so every
-    /// downstream invariant (item index ⊇ group values, source ranges,
+    /// downstream invariant (item ranges ⊇ group values, source index,
     /// extractor candidate sets) holds again after a retraction — the
     /// `serve` stress tests and the `FusionSession::retract` regression
     /// tests rely on this. Dense id spaces are **never shrunk**: a
@@ -276,7 +283,8 @@ impl ObservationCube {
         if retractions.is_empty() {
             return self.clone();
         }
-        let mut keys: Vec<(SourceId, ItemId, ValueId)> = retractions.to_vec();
+        let mut keys: Vec<(ItemId, SourceId, ValueId)> =
+            retractions.iter().map(|&(w, d, v)| (d, w, v)).collect();
         keys.sort_unstable();
         keys.dedup();
 
@@ -284,8 +292,8 @@ impl ObservationCube {
         let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len());
         let mut ki = 0;
         for grp in &self.groups {
-            let key = (grp.source, grp.item, grp.value);
-            // Both lists are sorted by (source, item, value): one walk.
+            let key = grp.key();
+            // Both lists are sorted by (item, source, value): one walk.
             while ki < keys.len() && keys[ki] < key {
                 ki += 1;
             }
@@ -295,10 +303,8 @@ impl ObservationCube {
             let start = cells.len() as u32;
             cells.extend_from_slice(&self.cells[grp.cell_range()]);
             groups.push(TripleGroup {
-                source: grp.source,
-                item: grp.item,
-                value: grp.value,
                 cells: start..cells.len() as u32,
+                ..grp.clone()
             });
         }
 
@@ -318,9 +324,9 @@ impl ObservationCube {
     pub fn approx_bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<Cell>()
             + self.groups.len() * std::mem::size_of::<TripleGroup>()
-            + self.source_group_ranges.len() * std::mem::size_of::<Range<u32>>()
-            + (self.item_groups.len()
-                + self.item_offsets.len()
+            + (self.item_offsets.len()
+                + self.source_offsets.len()
+                + self.source_group_ids.len()
                 + self.source_extractor_offsets.len()
                 + self.source_extractor_ids.len()
                 + self.item_value_offsets.len()
@@ -359,7 +365,7 @@ fn space_for(id: u32) -> u32 {
 
 /// Index laid-out `(cells, groups)` — what [`ObservationCube::apply_delta`]
 /// (merge-walk) and [`ObservationCube::retract`] (filter) produce. From
-/// [`PARTITION_MIN_ROWS`] groups on, one source window per worker records
+/// [`PARTITION_MIN_ROWS`] groups on, one item window per worker records
 /// its share of the indexes in one walk over its groups and cells; then
 /// [`index_cube`] lays them out.
 fn assemble_cube(
@@ -370,13 +376,13 @@ fn assemble_cube(
     num_items: u32,
     num_values: u32,
 ) -> ObservationCube {
-    let (ns, parts) = (num_sources as usize, workers_for(groups.len()));
-    let first = |w: usize| groups.partition_point(|g| g.source.index() < w);
-    let cuts = cut_sources(ns, groups.len(), parts, |g| groups[g].source.index());
-    let records = kbt_flume::par_map_slice(&cuts, |sources| {
-        let mut index = WindowIndex::new(sources.clone(), num_items, num_extractors);
-        for grp in &groups[first(sources.start)..first(sources.end)] {
-            index.group(grp.source, grp.item);
+    let (ni, parts) = (num_items as usize, workers_for(groups.len()));
+    let first = |d: usize| groups.partition_point(|g| g.item.index() < d);
+    let cuts = cut_items(ni, groups.len(), parts, |g| groups[g].item.index());
+    let records = kbt_flume::par_map_slice(&cuts, |items| {
+        let mut index = WindowIndex::new(items.clone(), num_sources);
+        for grp in &groups[first(items.start)..first(items.end)] {
+            index.group(grp.source, grp.item, grp.value);
             for c in &cells[grp.cell_range()] {
                 index.cell(grp.source, c.extractor);
             }
@@ -387,72 +393,85 @@ fn assemble_cube(
     index_cube(cells, groups, records, num_extractors, num_values)
 }
 
-/// One source window's share of the secondary indexes, recorded in one
+/// Extractors below this id are marked per source in one bit of a word;
+/// the rest are listed as `(source, extractor)` pairs.
+const MASKED_EXTRACTORS: u32 = u64::BITS;
+
+/// One item window's share of the secondary indexes, recorded in one
 /// walk over the window's groups and cells in key order.
 struct WindowIndex {
-    /// The window's sources.
-    sources: Range<usize>,
+    /// The window's items.
+    items: Range<usize>,
     groups: usize,
     cells: usize,
-    /// Per source of the window: its group count.
-    source_groups: Vec<u32>,
-    /// Per source of the window: the size of its extractor set.
-    source_extractors: Vec<u32>,
-    /// The window's extractor sets in source order, each sorted.
-    extractors: Vec<ExtractorId>,
-    /// Where the open source's set starts in `extractors`.
-    open: usize,
-    /// `seen[e] == w + 1` marks extractor `e` as listed for source `w`.
-    seen: Vec<u32>,
-    /// Per item: the window's groups about it — then, in [`index_cube`],
-    /// the item-index slot of its next one.
-    item_slots: Vec<u32>,
+    /// Per item of the window: its group count.
+    item_groups: Vec<u32>,
+    /// Per item of the window: the size of its value list.
+    item_values: Vec<u32>,
+    /// The window's value lists in item order, each sorted.
+    values: Vec<ValueId>,
+    /// The open item (window-local) and its values so far.
+    open: Option<usize>,
+    open_values: Vec<ValueId>,
+    /// Per source: the window's groups of it — then, in [`index_cube`],
+    /// the source-index slot of its next one.
+    source_slots: Vec<u32>,
+    /// Per source: bit `e` set when extractor `e` below
+    /// [`MASKED_EXTRACTORS`] extracted from it.
+    extractor_mask: Vec<u64>,
+    /// `source·2³² + extractor` for the cells of the other extractors.
+    extractor_pairs: Vec<u64>,
 }
 
 impl WindowIndex {
-    fn new(sources: Range<usize>, num_items: u32, num_extractors: u32) -> Self {
+    fn new(items: Range<usize>, num_sources: u32) -> Self {
         Self {
             groups: 0,
             cells: 0,
-            source_groups: vec![0; sources.len()],
-            source_extractors: vec![0; sources.len()],
-            extractors: Vec::new(),
-            open: 0,
-            seen: vec![0; num_extractors as usize],
-            item_slots: vec![0; num_items as usize],
-            sources,
+            item_groups: vec![0; items.len()],
+            item_values: vec![0; items.len()],
+            values: Vec::new(),
+            open: None,
+            open_values: Vec::new(),
+            source_slots: vec![0; num_sources as usize],
+            extractor_mask: vec![0; num_sources as usize],
+            extractor_pairs: Vec::new(),
+            items,
         }
     }
 
-    /// A group of source `w` about item `d` opens; sources ascend.
-    fn group(&mut self, w: SourceId, d: ItemId) {
-        let local = w.index() - self.sources.start;
-        if self.source_groups[local] == 0 {
+    /// A group of source `w` about item `d` with value `v` opens; items
+    /// ascend.
+    fn group(&mut self, w: SourceId, d: ItemId, v: ValueId) {
+        let local = d.index() - self.items.start;
+        if self.open != Some(local) {
             self.close();
+            self.open = Some(local);
         }
-        self.source_groups[local] += 1;
-        self.item_slots[d.index()] += 1;
+        self.item_groups[local] += 1;
+        self.open_values.push(v);
+        self.source_slots[w.index()] += 1;
         self.groups += 1;
     }
 
     /// A cell of extractor `e` in the open group of source `w`.
     fn cell(&mut self, w: SourceId, e: ExtractorId) {
         self.cells += 1;
-        let mark = &mut self.seen[e.index()];
-        if *mark != w.0 + 1 {
-            *mark = w.0 + 1;
-            self.extractors.push(e);
-            self.source_extractors[w.index() - self.sources.start] += 1;
+        match e.0 < MASKED_EXTRACTORS {
+            true => self.extractor_mask[w.index()] |= 1 << e.0,
+            false => self
+                .extractor_pairs
+                .push(u64::from(w.0) << 32 | u64::from(e.0)),
         }
     }
 
     /// Record the window's key-ordered `rows`.
     fn record<R: Row>(&mut self, rows: &[R]) {
         for (step, [hi, lo, _]) in steps(rows) {
-            let w = SourceId((hi >> 32) as u32);
+            let w = SourceId(hi as u32);
             match step {
                 Step::Duplicate => continue,
-                Step::Group => self.group(w, ItemId(hi as u32)),
+                Step::Group => self.group(w, ItemId((hi >> 32) as u32), ValueId((lo >> 32) as u32)),
                 Step::Cell => {}
             }
             self.cell(w, ExtractorId(lo as u32));
@@ -460,22 +479,25 @@ impl WindowIndex {
         self.close();
     }
 
-    /// Seal the open source's extractor set.
+    /// Seal the open item's value list.
     fn close(&mut self) {
-        self.extractors[self.open..].sort_unstable();
-        self.open = self.extractors.len();
+        if let Some(local) = self.open.take() {
+            self.open_values.sort_unstable();
+            self.open_values.dedup();
+            self.item_values[local] = self.open_values.len() as u32;
+            self.values.append(&mut self.open_values);
+        }
     }
 }
 
 /// Lay out the secondary indexes of `(cells, groups)` from the records of
-/// source windows that tile the sources in order — the index passes of
-/// [`CubeBuilder::build`] and [`assemble_cube`]. The source ranges and
-/// extractor sets are the records' counts laid end to end. Each window
-/// places its own groups in the item index: its per-item counts become
-/// cursors that start where the lower windows' groups of that item end,
-/// so every item's groups ascend. Each group's value lands beside its
-/// index, and the per-item value lists are built over item windows from
-/// that one sequential column.
+/// item windows that tile the items in order — the index passes of
+/// [`CubeBuilder::build`] and [`assemble_cube`]. The item ranges and value
+/// lists are the records' counts laid end to end; a source's extractor set
+/// is the union of the windows' marks. Each window places its own groups
+/// in the source index: its per-source counts become cursors that start
+/// where the lower windows' groups of that source end, so every source's
+/// groups ascend.
 fn index_cube(
     cells: Vec<Cell>,
     groups: Vec<TripleGroup>,
@@ -483,96 +505,81 @@ fn index_cube(
     num_extractors: u32,
     num_values: u32,
 ) -> ObservationCube {
-    let ns = records.last().map_or(0, |r| r.sources.end);
-    let ni = records[0].item_slots.len();
-    let mut source_group_ranges = vec![0u32..0u32; ns];
-    let mut source_extractor_offsets = vec![0u32; ns + 1];
-    let mut source_extractor_ids = Vec::new();
-    let mut g = 0;
+    let ni = records.last().map_or(0, |r| r.items.end);
+    let ns = records[0].source_slots.len();
+    let mut item_offsets = Vec::with_capacity(ni + 1);
+    let mut item_value_offsets = Vec::with_capacity(ni + 1);
+    item_offsets.push(0u32);
+    item_value_offsets.push(0u32);
+    let mut item_values = Vec::with_capacity(records.iter().map(|r| r.values.len()).sum());
     for r in &records {
-        let counts = r.source_groups.iter().zip(&r.source_extractors);
-        for (w, (&size, &exts)) in r.sources.clone().zip(counts) {
-            // A source with no group keeps the empty range `0..0`.
-            if size > 0 {
-                source_group_ranges[w] = g..g + size;
-            }
-            g += size;
-            source_extractor_offsets[w + 1] = source_extractor_offsets[w] + exts;
+        for (&n, &k) in r.item_groups.iter().zip(&r.item_values) {
+            item_offsets.push(item_offsets.last().expect("starts at 0") + n);
+            item_value_offsets.push(item_value_offsets.last().expect("starts at 0") + k);
         }
-        source_extractor_ids.extend_from_slice(&r.extractors);
+        item_values.extend_from_slice(&r.values);
     }
 
-    let mut item_offsets = vec![0u32; ni + 1];
-    for d in 0..ni {
-        let mut at = item_offsets[d];
+    let mut source_offsets = vec![0u32; ns + 1];
+    for w in 0..ns {
+        let mut at = source_offsets[w];
         for r in &mut records {
-            at += std::mem::replace(&mut r.item_slots[d], at);
+            at += std::mem::replace(&mut r.source_slots[w], at);
         }
-        item_offsets[d + 1] = at;
+        source_offsets[w + 1] = at;
     }
-    let slots = || (0..groups.len()).map(|_| AtomicU32::new(0)).collect();
-    let (item_groups, row_values): (Vec<AtomicU32>, Vec<AtomicU32>) = (slots(), slots());
+    let mut pairs: Vec<u64> = records
+        .iter_mut()
+        .flat_map(|r| std::mem::take(&mut r.extractor_pairs))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut pairs = pairs.into_iter().peekable();
+    let mut source_extractor_offsets = Vec::with_capacity(ns + 1);
+    source_extractor_offsets.push(0u32);
+    let mut source_extractor_ids = Vec::new();
+    for w in 0..ns {
+        let mut mask = records.iter().fold(0, |m, r| m | r.extractor_mask[w]);
+        while mask != 0 {
+            source_extractor_ids.push(ExtractorId(mask.trailing_zeros()));
+            mask &= mask - 1;
+        }
+        while let Some(p) = pairs.next_if(|&p| (p >> 32) as usize == w) {
+            source_extractor_ids.push(ExtractorId(p as u32));
+        }
+        source_extractor_offsets.push(source_extractor_ids.len() as u32);
+    }
+
+    let slots: Vec<AtomicU32> = (0..groups.len()).map(|_| AtomicU32::new(0)).collect();
     let mut first = 0;
     let mut windows: Vec<(Range<usize>, &mut [u32])> = records
         .iter_mut()
         .map(|r| {
             first += r.groups;
-            (first - r.groups..first, r.item_slots.as_mut_slice())
+            (first - r.groups..first, r.source_slots.as_mut_slice())
         })
         .collect();
     kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
         for (span, cursor) in ws {
             for (g, grp) in span.clone().zip(&groups[span.clone()]) {
-                let slot = &mut cursor[grp.item.index()];
+                let slot = &mut cursor[grp.source.index()];
                 // ordering: Relaxed — a slot is handed out by one window's
                 // cursor alone, so it has one writer; nothing reads it
                 // before the workers are joined.
-                item_groups[*slot as usize].store(g as u32, atomic::Ordering::Relaxed);
-                // ordering: Relaxed — the same slot, the same one writer.
-                row_values[*slot as usize].store(grp.value.0, atomic::Ordering::Relaxed);
+                slots[*slot as usize].store(g as u32, atomic::Ordering::Relaxed);
                 *slot += 1;
             }
         }
     });
-    let parts = records.len();
     drop(records);
-    let item_groups: Vec<u32> = item_groups.into_iter().map(AtomicU32::into_inner).collect();
-    let row_values: Vec<u32> = row_values.into_iter().map(AtomicU32::into_inner).collect();
-
-    // Item → sorted distinct observed values, CSR: each item's rows are
-    // few, so a per-item sort + dedup in a scratch run is linearish.
-    let spans: Vec<Range<usize>> = (0..parts)
-        .map(|t| ni * t / parts..ni * (t + 1) / parts)
-        .collect();
-    let lists = kbt_flume::par_map_slice(&spans, |items| {
-        let (mut ends, mut values, mut scratch) =
-            (Vec::with_capacity(items.len()), Vec::new(), Vec::new());
-        for d in items.clone() {
-            scratch.clear();
-            let rows = &row_values[item_offsets[d] as usize..item_offsets[d + 1] as usize];
-            scratch.extend(rows.iter().map(|&v| ValueId(v)));
-            scratch.sort_unstable();
-            scratch.dedup();
-            values.extend_from_slice(&scratch);
-            ends.push(values.len() as u32);
-        }
-        (ends, values)
-    });
-    let mut item_value_offsets = Vec::with_capacity(ni + 1);
-    item_value_offsets.push(0u32);
-    let mut item_values: Vec<ValueId> = Vec::new();
-    for (ends, values) in lists {
-        let base = item_values.len() as u32;
-        item_value_offsets.extend(ends.iter().map(|e| base + e));
-        item_values.extend_from_slice(&values);
-    }
+    let source_group_ids = slots.into_iter().map(AtomicU32::into_inner).collect();
 
     ObservationCube {
         cells,
         groups,
-        source_group_ranges,
-        item_groups,
         item_offsets,
+        source_offsets,
+        source_group_ids,
         source_extractor_offsets,
         source_extractor_ids,
         item_value_offsets,
@@ -673,18 +680,18 @@ impl CubeBuilder {
 
     /// Sort, dedup, group, and index the observations.
     ///
-    /// Input already in key order `(source, item, value, extractor)` (one
+    /// Input already in key order `(item, source, value, extractor)` (one
     /// linear check) is read in place by one window on the calling
-    /// thread. Anything else is cut by source into windows of about equal
+    /// thread. Anything else is cut by item into windows of about equal
     /// row count — one per worker from 2¹⁶ rows on, else one run inline —
-    /// and each window's task gathers its rows from the input by source
-    /// and sorts them source by source. Either way a window records its
-    /// share of the indexes in the walk that groups its rows. The windows' groups and cells are
-    /// then laid out in window order — a memory-bound walk, which one
-    /// task per window measured no faster on a 2-vCPU machine — and a
-    /// task per window places its groups in the item index. Duplicate keys merge
-    /// to their maximum confidence, so the cube is the same at any worker
-    /// count.
+    /// and each window's task gathers its rows from the input by item
+    /// and sorts them item by item. Either way a window records its share
+    /// of the indexes in the walk that groups its rows. The windows' groups
+    /// and cells are then laid out in window order — a memory-bound walk,
+    /// which one task per window measured no faster on a 2-vCPU machine —
+    /// and a task per window places its groups in the source index.
+    /// Duplicate keys merge to their maximum confidence, so the cube is
+    /// the same at any worker count and in any arrival order.
     pub fn build(self) -> ObservationCube {
         let Self {
             obs,
@@ -693,7 +700,7 @@ impl CubeBuilder {
             num_items,
             num_values,
         } = self;
-        let ns = num_sources as usize;
+        let ni = num_items as usize;
         // The sorted check comes first on purpose: recovery hands the
         // builder a checkpoint's cells in cube order on every `recover`,
         // and one window reads them in place on the calling thread. (Two
@@ -703,11 +710,11 @@ impl CubeBuilder {
         let sorted = obs.is_sorted_by_key(row_key);
         let (starts, parts) = match sorted {
             true => (Vec::new(), 1),
-            false => (source_starts(&obs, ns), workers_for(obs.len())),
+            false => (item_starts(&obs, ni), workers_for(obs.len())),
         };
-        let first_row = |w: usize| obs.partition_point(|o| o.source.index() < w);
-        let cuts = cut_sources(ns, obs.len(), parts, |p| match sorted {
-            true => obs[p].source.index(),
+        let first_row = |d: usize| obs.partition_point(|o| o.item.index() < d);
+        let cuts = cut_items(ni, obs.len(), parts, |p| match sorted {
+            true => obs[p].item.index(),
             false => starts.partition_point(|&s| s <= p) - 1,
         });
         // Each window's rows in key order — a span of sorted input, or its
@@ -721,17 +728,13 @@ impl CubeBuilder {
         let mut rest = buffer.as_mut_slice();
         let mut windows: Vec<_> = cuts
             .into_iter()
-            .map(|sources| {
+            .map(|items| {
                 let (span, rows) = match sorted {
-                    true => (first_row(sources.start)..first_row(sources.end), 0),
-                    false => (0..0, starts[sources.end] - starts[sources.start]),
+                    true => (first_row(items.start)..first_row(items.end), 0),
+                    false => (0..0, starts[items.end] - starts[items.start]),
                 };
                 let rows = rest.split_off_mut(..rows).expect("windows tile the rows");
-                (
-                    rows,
-                    span,
-                    WindowIndex::new(sources, num_items, num_extractors),
-                )
+                (rows, span, WindowIndex::new(items, num_sources))
             })
             .collect();
         kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
@@ -739,7 +742,7 @@ impl CubeBuilder {
                 match sorted {
                     true => index.record(&obs[span.clone()]),
                     false => {
-                        gather(&obs, &starts, index.sources.clone(), rows);
+                        gather(&obs, &starts, index.items.clone(), rows);
                         index.record(rows);
                     }
                 }
@@ -766,17 +769,17 @@ impl CubeBuilder {
     }
 }
 
-/// `[source·2³² + item, value·2³² + extractor]`: the same order as the
-/// tuple `(source, item, value, extractor)` in two comparisons.
+/// `[item·2³² + source, value·2³² + extractor]`: the same order as the
+/// tuple `(item, source, value, extractor)` in two comparisons.
 fn row_key(o: &Observation) -> [u64; 2] {
     [
-        (o.source.0 as u64) << 32 | o.item.0 as u64,
+        (o.item.0 as u64) << 32 | o.source.0 as u64,
         (o.value.0 as u64) << 32 | o.extractor.0 as u64,
     ]
 }
 
 /// Unsorted rows (or groups) from which the build and the index passes
-/// split the sources into one window per worker: below it, a spawn costs
+/// split the items into one window per worker: below it, a spawn costs
 /// more than a second worker saves, and one window runs inline.
 const PARTITION_MIN_ROWS: usize = 1 << 16;
 
@@ -789,43 +792,43 @@ fn workers_for(rows: usize) -> usize {
     }
 }
 
-/// The sources `0..num_sources` cut into `parts` windows of about equal
-/// count of `rows` source-ordered rows. `source_at(p)` is the source of
-/// row `p`; a window may be empty.
-fn cut_sources(
-    num_sources: usize,
+/// The items `0..num_items` cut into `parts` windows of about equal count
+/// of `rows` item-ordered rows. `item_at(p)` is the item of row `p`; a
+/// window may be empty.
+fn cut_items(
+    num_items: usize,
     rows: usize,
     parts: usize,
-    source_at: impl Fn(usize) -> usize,
+    item_at: impl Fn(usize) -> usize,
 ) -> Vec<Range<usize>> {
     let cut = |t: usize| match t {
         0 => 0,
-        t if t == parts => num_sources,
-        t => source_at(rows * t / parts),
+        t if t == parts => num_items,
+        t => item_at(rows * t / parts),
     };
     (0..parts).map(|t| cut(t)..cut(t + 1)).collect()
 }
 
-/// `starts[w]`: the rows of the sources below `w`, for `w` in
-/// `0..=num_sources`. Counted over one input range per worker (the rows
-/// cut as if each were its own source).
-fn source_starts(obs: &[Observation], num_sources: usize) -> Vec<usize> {
-    let ranges = cut_sources(obs.len(), obs.len(), workers_for(obs.len()), |p| p);
+/// `starts[d]`: the rows of the items below `d`, for `d` in
+/// `0..=num_items`. Counted over one input range per worker (the rows
+/// cut as if each were its own item).
+fn item_starts(obs: &[Observation], num_items: usize) -> Vec<usize> {
+    let ranges = cut_items(obs.len(), obs.len(), workers_for(obs.len()), |p| p);
     let counts = kbt_flume::par_map_slice(&ranges, |r| {
-        let mut count = vec![0u32; num_sources];
+        let mut count = vec![0u32; num_items];
         obs[r.clone()]
             .iter()
-            .for_each(|o| count[o.source.index()] += 1);
+            .for_each(|o| count[o.item.index()] += 1);
         count
     });
-    let mut starts = vec![0usize; num_sources + 1];
+    let mut starts = vec![0usize; num_items + 1];
     for count in counts {
         for (n, c) in starts[1..].iter_mut().zip(count) {
             *n += c as usize;
         }
     }
-    for w in 0..num_sources {
-        starts[w + 1] += starts[w];
+    for d in 0..num_items {
+        starts[d + 1] += starts[d];
     }
     starts
 }
@@ -834,40 +837,23 @@ fn source_starts(obs: &[Observation], num_sources: usize) -> Vec<usize> {
 /// comparison reads no further than the key.
 type PackedRow = [u64; 3];
 
-/// The rows of `sources` in key order, into `rows`: a stable scatter by
-/// source out of the whole input — input that arrives item-major or
-/// source-major leaves each source's run sorted or nearly so — then each
-/// run sorted on `(item, value, extractor)`.
-fn gather(obs: &[Observation], starts: &[usize], sources: Range<usize>, rows: &mut [PackedRow]) {
-    let base = starts[sources.start];
-    let mut next: Vec<usize> = starts[sources.clone()].iter().map(|s| s - base).collect();
+/// The rows of `items` in key order, into `rows`: a stable scatter by
+/// item out of the whole input, then each item's run sorted on
+/// `(source, value, extractor)`. The runs are short — an item's claims —
+/// and a run that arrives sorted, as source-major input leaves it, costs
+/// one pass.
+fn gather(obs: &[Observation], starts: &[usize], items: Range<usize>, rows: &mut [PackedRow]) {
+    let base = starts[items.start];
+    let mut next: Vec<usize> = starts[items.clone()].iter().map(|s| s - base).collect();
     for o in obs {
-        if let Some(at) = next.get_mut(o.source.index().wrapping_sub(sources.start)) {
+        if let Some(at) = next.get_mut(o.item.index().wrapping_sub(items.start)) {
             rows[*at] = o.packed();
             *at += 1;
         }
     }
-    for w in sources {
-        sort_run(&mut rows[starts[w] - base..starts[w + 1] - base]);
-    }
-}
-
-/// Sort one source's rows on their key: by insertion while they stay
-/// nearly sorted, as a stable scatter of item-major input leaves them (an
-/// extractor list that wraps round is the only inversion), and by one
-/// `sort_unstable` once insertion has moved as many rows as there are.
-fn sort_run(run: &mut [PackedRow]) {
-    let key = |r: &PackedRow| [r[0], r[1]];
-    let mut budget = run.len();
-    for i in 1..run.len() {
-        let mut j = i;
-        while j > 0 && key(&run[j - 1]) > key(&run[j]) {
-            if budget == 0 {
-                return run.sort_unstable_by_key(key);
-            }
-            run.swap(j - 1, j);
-            (budget, j) = (budget - 1, j - 1);
-        }
+    for d in items {
+        let run = &mut rows[starts[d] - base..starts[d + 1] - base];
+        run.sort_unstable_by_key(|r| (r[0] as u128) << 64 | r[1] as u128);
     }
 }
 
@@ -929,8 +915,8 @@ fn lay_out<R: Row>(rows: &[R], cells: &mut Vec<Cell>, groups: &mut Vec<TripleGro
                 continue;
             }
             Step::Group => groups.push(TripleGroup {
-                source: SourceId((hi >> 32) as u32),
-                item: ItemId(hi as u32),
+                source: SourceId(hi as u32),
+                item: ItemId((hi >> 32) as u32),
                 value: ValueId((lo >> 32) as u32),
                 cells: at..at,
             }),
@@ -1013,7 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn source_ranges_are_contiguous_and_complete() {
+    fn source_index_lists_each_sources_groups_ascending() {
         let mut b = CubeBuilder::new();
         for w in 0..3u32 {
             for d in 0..4u32 {
@@ -1022,12 +1008,15 @@ mod tests {
         }
         let cube = b.build();
         for w in 0..3u32 {
-            let r = cube.source_groups(SourceId::new(w));
-            assert_eq!(r.len(), 4);
-            for g in r {
-                assert_eq!(cube.groups()[g].source, SourceId::new(w));
+            let ids = cube.source_groups(SourceId::new(w));
+            assert_eq!(ids.len(), 4);
+            assert!(ids.is_sorted());
+            for &g in ids {
+                assert_eq!(cube.groups()[g as usize].source, SourceId::new(w));
             }
         }
+        // Item-major: item 0's groups come first, one per source.
+        assert_eq!(cube.groups_of_item(ItemId::new(0)), 0..3);
     }
 
     #[test]
@@ -1060,6 +1049,33 @@ mod tests {
             cube.extractors_on_source(SourceId::new(1)),
             &[ExtractorId::new(1)]
         );
+    }
+
+    /// Extractor ids from [`MASKED_EXTRACTORS`] on are listed from pairs,
+    /// after the masked ones: every source's set is its extractors,
+    /// sorted, whichever window saw them and at any worker count.
+    #[test]
+    fn wide_extractor_ids_are_listed_in_order() {
+        let ids = [200u32, 0, 64, 63, 100, 3, 64, 65];
+        let rows: Vec<Observation> = (0..PARTITION_MIN_ROWS as u32 + 500)
+            .map(|i| obs(ids[i as usize % 8], i % 5, i % 999, i % 3, 0.5))
+            .collect();
+        let want = |w: u32| {
+            let mut set: Vec<ExtractorId> = (rows.iter())
+                .filter(|o| o.source.0 == w)
+                .map(|o| o.extractor)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        for threads in [1, 2, 8] {
+            let cube =
+                kbt_flume::with_threads(Some(threads), || CubeBuilder::from(rows.clone()).build());
+            for w in 0..5u32 {
+                assert_eq!(cube.extractors_on_source(SourceId::new(w)), want(w));
+            }
+        }
     }
 
     #[test]
@@ -1108,10 +1124,7 @@ mod tests {
         }
         for d in 0..a.num_items() {
             let d = ItemId::new(d as u32);
-            assert_eq!(
-                a.groups_of_item(d).collect::<Vec<_>>(),
-                b.groups_of_item(d).collect::<Vec<_>>()
-            );
+            assert_eq!(a.groups_of_item(d), b.groups_of_item(d));
             assert_eq!(a.observed_values(d), b.observed_values(d));
         }
     }
@@ -1154,7 +1167,7 @@ mod tests {
         let mut b = CubeBuilder::from(rows.to_vec());
         b.reserve_ids(200, 9, 120, 11);
         b.obs
-            .sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
+            .sort_unstable_by_key(|o| (o.item, o.source, o.value, o.extractor));
         assert!(b.obs.is_sorted_by_key(row_key));
         kbt_flume::with_threads(Some(1), || b.build())
     }
@@ -1166,37 +1179,55 @@ mod tests {
     }
 
     /// Input in key order is read in place, anything else gathered; either
-    /// side of the parallel threshold, both build the cube of the serial
-    /// sort.
+    /// side of the parallel threshold, at 1, 2 and 8 threads, the same
+    /// observations build the cube of the serial sort in every arrival
+    /// order: item-major (a generator that emits item by item), source-major
+    /// (page-by-page extraction), reversed and shuffled.
     #[test]
     fn every_build_path_builds_the_serially_sorted_cube() {
         let large = corpus(PARTITION_MIN_ROWS + 1_000, |k| (k >> 14) % 50);
+        let mut item_major = large.clone();
+        item_major.sort_by_key(|o| o.item);
+        let mut source_major = large.clone();
+        source_major.sort_by_key(|o| (o.source, o.item));
         let mut sorted = large.clone();
-        sorted.sort_unstable_by_key(|o| (o.source, o.item, o.value, o.extractor));
+        sorted.sort_unstable_by_key(|o| (o.item, o.source, o.value, o.extractor));
         let reversed: Vec<Observation> = sorted.iter().rev().copied().collect();
+        // `large` arrives in hashed order: a shuffle.
         for (rows, in_order) in [
             (&sorted[..], true),
             (&sorted[..1_000], true),
+            (&item_major[..], false),
+            (&source_major[..], false),
             (&reversed[..], false),
             (&large[..1_000], false),
             (&large[..], false),
         ] {
             assert_eq!(rows.is_sorted_by_key(row_key), in_order);
-            assert_cubes_identical(&build_at(2, rows), &serial_build(rows));
+            let want = serial_build(rows);
+            for threads in [1, 2, 8] {
+                assert_cubes_identical(&build_at(threads, rows), &want);
+            }
         }
     }
 
     /// Either side of the parallel threshold the cube is the one-worker
     /// cube: with two of three source ids empty, with one source holding
-    /// more than half of the rows, with every row in one source.
+    /// more than half of the rows, with every row in one source, and with
+    /// every row about one item (the windows are cut by item).
     #[test]
     fn build_is_the_same_cube_at_any_worker_count() {
         let n = PARTITION_MIN_ROWS;
+        let one_item = |mut rows: Vec<Observation>| {
+            rows.iter_mut().for_each(|o| o.item = ItemId::new(4));
+            rows
+        };
         for rows in [
             corpus(n - 1, |k| (k >> 14) % 50),
             corpus(n + 1, |k| (k >> 14) % 50 * 3),
             corpus(4 * n, |k| if k % 5 < 3 { 7 } else { (k >> 14) % 50 }),
             corpus(n + 1, |_| 4),
+            one_item(corpus(n + 1, |k| (k >> 14) % 50)),
         ] {
             let one = build_at(1, &rows);
             assert_cubes_identical(&one, &serial_build(&rows));

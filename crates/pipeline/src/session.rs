@@ -436,13 +436,9 @@ mod tests {
         assert!(first.iterations() >= 1);
         // Retract every triple of source 4 (it keeps its id and default
         // accuracy; its groups disappear).
-        let all_of_4: Vec<(SourceId, ItemId, ValueId)> = s
-            .cube()
-            .source_groups(SourceId::new(4))
-            .map(|g| {
-                let grp = &s.cube().groups()[g];
-                (grp.source, grp.item, grp.value)
-            })
+        let all_of_4: Vec<(SourceId, ItemId, ValueId)> = (s.cube().groups().iter())
+            .filter(|g| g.source == SourceId::new(4))
+            .map(|g| (g.source, g.item, g.value))
             .collect();
         assert!(!all_of_4.is_empty());
         s.retract(&all_of_4);
@@ -483,7 +479,7 @@ mod tests {
         assert_eq!(s.deltas_applied(), 3);
         assert_eq!(s.cube().num_sources(), 6);
         // The retraction dropped both extractions; the later add put one back.
-        let g = &s.cube().groups()[s.cube().source_groups(key.0).start];
+        let g = &s.cube().groups()[s.cube().source_groups(key.0)[0] as usize];
         assert_eq!((g.item, g.value), (key.1, key.2));
         assert_eq!(s.cube().cells_of(g).len(), 1);
     }

@@ -91,7 +91,7 @@ pub struct SnapshotParts {
     /// Copy-independence factor `I(w)` per source; `None` when the fit
     /// was copy-blind.
     pub independence: Option<Vec<f64>>,
-    /// `(source, item, value)` key of each triple group, strictly sorted.
+    /// `(source, item, value)` per triple group, strictly sorted by `(item, source, value)`.
     pub triples: Vec<(SourceId, ItemId, ValueId)>,
     /// `p(V_d = v(g) | X)` per triple group, aligned with `triples`.
     pub truth_of_group: Vec<f64>,
@@ -114,8 +114,8 @@ pub enum SnapshotPartsError {
     /// `active_source` (or a present `independence`) disagrees with
     /// `source_trust` on the number of sources.
     MisalignedSources,
-    /// The triple key column is not strictly sorted, so binary-searched
-    /// queries would miss triples.
+    /// The triple column is not strictly sorted by `(item, source,
+    /// value)`, so binary-searched queries would miss triples.
     UnsortedTriples,
     /// The three `extractor_quality` columns disagree on the number of
     /// extractors.
@@ -223,8 +223,8 @@ impl TrustSnapshot {
     ///
     /// When the columns are mutually inconsistent: misaligned lengths
     /// between triples/posterior columns or source columns, or a triple
-    /// key column that is not strictly sorted (the binary-searched query
-    /// index would silently miss triples).
+    /// column that is not strictly sorted by `(item, source, value)` (the
+    /// binary-searched query index would silently miss triples).
     pub fn from_parts(parts: SnapshotParts) -> Result<Self, SnapshotPartsError> {
         if parts.triples.len() != parts.truth_of_group.len() {
             return Err(SnapshotPartsError::MisalignedTriples);
@@ -238,7 +238,8 @@ impl TrustSnapshot {
         {
             return Err(SnapshotPartsError::MisalignedSources);
         }
-        if parts.triples.windows(2).any(|w| w[0] >= w[1]) {
+        let key = |&(w, d, v): &(SourceId, ItemId, ValueId)| (d, w, v);
+        if parts.triples.windows(2).any(|t| key(&t[0]) >= key(&t[1])) {
             return Err(SnapshotPartsError::UnsortedTriples);
         }
         let [precision, recall, q] = &parts.extractor_quality;
@@ -387,7 +388,7 @@ impl TrustSnapshot {
     pub fn triple_posterior(&self, w: SourceId, d: ItemId, v: ValueId) -> Option<f64> {
         self.parts
             .triples
-            .binary_search(&(w, d, v))
+            .binary_search_by_key(&(d, w, v), |&(w, d, v)| (d, w, v))
             .ok()
             .map(|g| self.parts.truth_of_group[g])
     }
@@ -440,8 +441,7 @@ impl TrustSnapshot {
         &self.parts.truth_of_group
     }
 
-    /// The `(source, item, value)` key of every served triple group,
-    /// sorted.
+    /// Every served triple group's `(source, item, value)`, sorted by `(item, source, value)`.
     pub fn triple_keys(&self) -> &[(SourceId, ItemId, ValueId)] {
         &self.parts.triples
     }

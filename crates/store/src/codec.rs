@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   header("KBTSNAP1", version 2)                         12 bytes
+//!   header("KBTSNAP1", version 3)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
 //!   cube section       dims + every cell as an observation
 //!   snapshot section   the served columns, field by field
@@ -29,10 +29,10 @@
 //! and replays the log past the checkpoint the way it was served.
 //!
 //! The cube is stored as its cells (each one a full `Observation`) plus
-//! the four dense id-space sizes. Rebuilding through [`CubeBuilder`]
-//! reproduces the canonical sorted/grouped layout exactly: `build`,
-//! `apply_delta`, and `retract` all maintain the same canonical form, so
-//! cells-out/cells-in is a bitwise round trip.
+//! the four dense id-space sizes; cells and snapshot triples are in cube
+//! order, item-major since version 3 (version 2, source-major, is refused).
+//! Rebuilding through [`CubeBuilder`] reproduces the canonical layout
+//! exactly, as `build`, `apply_delta` and `retract` all keep it.
 
 use kbt_core::{ItemPosteriors, ModelKind};
 use kbt_datamodel::wire::{
@@ -48,7 +48,7 @@ use crate::durable::StoreError;
 const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-const CHECKPOINT_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 3;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.

@@ -65,18 +65,16 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
     assert_eq!(cc.num_groups(), cube.num_groups());
     assert_eq!(cc.num_cells(), cube.num_cells());
-    // Item-major rows mirror `groups_of_item`, with slots resolving into
-    // the item's sorted distinct-value list and each row's cells the
-    // group's, in the cube's order.
+    // Row `g` is group `g`: item-major rows span `groups_of_item`, with
+    // slots resolving into the item's sorted distinct-value list and each
+    // row's cells the group's, in the cube's order.
     for d in 0..cube.num_items() {
-        let item = ItemId::new(d as u32);
-        let rows: Vec<usize> = cube.groups_of_item(item).collect();
+        let rows = cube.groups_of_item(ItemId::new(d as u32));
         let lo = cc.item_offsets[d] as usize;
         let hi = cc.item_offsets[d + 1] as usize;
-        assert_eq!(hi - lo, rows.len());
-        for (r, &g) in (lo..).zip(&rows) {
-            let grp = &cube.groups()[g];
-            assert_eq!(cc.ig_group[r] as usize, g);
+        assert_eq!(lo..hi, rows);
+        for r in rows {
+            let grp = &cube.groups()[r];
             assert_eq!(cc.ig_source[r], grp.source.0);
             assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
             let cells = cube.cells_of(grp);
@@ -98,7 +96,7 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
         next_row = chunk.rows.end;
     }
     assert_eq!(next_item as usize, cc.num_items());
-    assert_eq!(next_row as usize, cc.ig_group.len());
+    assert_eq!(next_row as usize, cc.num_groups());
 }
 
 proptest! {

@@ -1,9 +1,14 @@
 //! Property-based tests over the core invariants, spanning crates.
 
+use std::collections::BTreeSet;
+
 use kbt::core::ModelConfig;
-use kbt::datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
+use kbt::datamodel::{
+    CubeBuilder, ExtractorId, ItemId, Observation, ObservationCube, SourceId, ValueId,
+};
 use kbt::metrics::{auc_pr, paper_bucket_edges, wdev, PrCurve};
-use kbt::{Model, TrustPipeline};
+use kbt::serve::SnapshotProvenance;
+use kbt::{Model, RefitMode, TrustPipeline, TrustSnapshot};
 use proptest::prelude::*;
 
 /// Arbitrary small observation sets.
@@ -22,7 +27,109 @@ fn observations() -> impl Strategy<Value = Vec<Observation>> {
     )
 }
 
+/// The cube's indexes against a brute-force recount over its groups:
+/// groups strictly ascend by `(item, source, value)`; each source's group
+/// list is exactly its groups, ascending, and its size; its extractor set
+/// is the extractors of its cells; each item's values are its groups'.
+fn assert_indexes_recount(cube: &ObservationCube) {
+    let groups = cube.groups();
+    let key = |g: usize| (groups[g].item, groups[g].source, groups[g].value);
+    assert!(
+        (1..groups.len()).all(|g| key(g - 1) < key(g)),
+        "not item-major"
+    );
+    for w in (0..cube.num_sources() as u32).map(SourceId::new) {
+        let own: Vec<u32> = (0..groups.len() as u32)
+            .filter(|&g| groups[g as usize].source == w)
+            .collect();
+        assert_eq!(cube.source_groups(w), own, "{w:?}");
+        assert_eq!(cube.source_size(w), own.len(), "{w:?}");
+        let extractors: BTreeSet<ExtractorId> = (own.iter())
+            .flat_map(|&g| cube.cells_of(&groups[g as usize]))
+            .map(|c| c.extractor)
+            .collect();
+        assert!(cube.extractors_on_source(w).iter().eq(&extractors), "{w:?}");
+    }
+    for d in (0..cube.num_items() as u32).map(ItemId::new) {
+        let values: BTreeSet<ValueId> = (groups.iter())
+            .filter(|g| g.item == d)
+            .map(|g| g.value)
+            .collect();
+        assert!(cube.observed_values(d).iter().eq(&values), "{d:?}");
+        let range = cube.groups_of_item(d);
+        assert!(groups[range].iter().all(|g| g.item == d), "{d:?}");
+    }
+}
+
+/// A snapshot of a one-round fit over `cube` answers every group's
+/// `(source, item, value)` with that group's posterior, and misses a
+/// value no group claims and a source with no groups.
+fn assert_snapshot_finds_every_triple(cube: &ObservationCube) {
+    let cfg = ModelConfig {
+        max_iterations: 1,
+        ..ModelConfig::default()
+    };
+    let report = TrustPipeline::new()
+        .cube(cube.clone())
+        .model(Model::MultiLayer(cfg))
+        .try_run()
+        .expect("pipeline runs");
+    let triples: Vec<_> = (cube.groups().iter())
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
+    let provenance = SnapshotProvenance {
+        refit_mode: RefitMode::Cold,
+        deltas_applied: 0,
+        iterations: report.iterations(),
+        converged: report.converged(),
+        coverage: report.coverage(),
+    };
+    let snap = TrustSnapshot::from_report(&report, triples, 0, provenance);
+    let absent_source = SourceId::new(cube.num_sources() as u32);
+    for (g, grp) in cube.groups().iter().enumerate() {
+        let got = snap.triple_posterior(grp.source, grp.item, grp.value);
+        assert_eq!(
+            got.map(f64::to_bits),
+            Some(report.truth_of_group()[g].to_bits())
+        );
+        assert_eq!(
+            snap.triple_posterior(grp.source, grp.item, ValueId::new(7)),
+            None
+        );
+        assert_eq!(
+            snap.triple_posterior(absent_source, grp.item, grp.value),
+            None
+        );
+    }
+}
+
 proptest! {
+    /// The item-major group order is a relabeling that every index and
+    /// the serving lookup agree with: random cubes with duplicate
+    /// observations, then grown by a delta (new and existing keys), then
+    /// with every seventh group (from an offset) retracted.
+    #[test]
+    fn item_major_indexes_match_a_recount(
+        obs in observations(),
+        delta in observations(),
+        offset in 0usize..7,
+    ) {
+        let mut b = CubeBuilder::new();
+        for o in obs.iter().chain(&obs[..obs.len() / 3]) {
+            b.push(Observation { confidence: o.confidence / 2.0, ..*o });
+        }
+        let base = b.build();
+        let grown = base.apply_delta(&delta);
+        let gone: Vec<_> = (grown.groups().iter().enumerate())
+            .filter(|(g, _)| g % 7 == offset)
+            .map(|(_, g)| (g.source, g.item, g.value))
+            .collect();
+        for cube in [&base, &grown, &grown.retract(&gone)] {
+            assert_indexes_recount(cube);
+            assert_snapshot_finds_every_triple(cube);
+        }
+    }
+
     /// The full model never produces anything outside [0, 1] and the
     /// per-item posterior always normalizes over the domain.
     #[test]

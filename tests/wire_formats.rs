@@ -1,7 +1,7 @@
 //! The four wire formats, bytes first: `KBTWAL01`, `KBTSNAP1` and
 //! `KBTNET01` goldens (length + FNV-1a of what the encoders produced
 //! before they were rebuilt on `kbt_datamodel::wire`'s one frame codec;
-//! `KBTCHNK3`'s golden lives with its encoder, `file_store_bytes_are_golden`),
+//! `KBTCHNK4`'s golden lives with its encoder, `file_store_bytes_are_golden`),
 //! then one hostile corpus through all four decoders.
 
 use kbt::core::ModelConfig;
@@ -193,12 +193,16 @@ fn wal_bytes_are_golden() {
 /// bytes, `0x397f_1806_5325_f62c`. Re-pinned once more when the fit's
 /// sums became correctly rounded exact sums: the same 4719 bytes, of
 /// which only the low mantissa bytes of fitted floats, the fingerprint
-/// and the CRC moved (`0x4ac1_d00e_ec1f_7179` before).
+/// and the CRC moved (`0x4ac1_d00e_ec1f_7179` before). Re-pinned for
+/// format version 3, when the cube's groups went item-major: the same
+/// 4719 bytes, with the version field, the cube section's cells and the
+/// snapshot's triples in `(item, source, value)` order, and the
+/// fingerprint and the CRC moved (`0x5cb8_9ef0_b2c6_a5ae` before).
 #[test]
 fn checkpoint_bytes_are_golden() {
     let bytes = sample_checkpoint();
     assert_eq!(&bytes[..8], b"KBTSNAP1");
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (4719, 0x5cb8_9ef0_b2c6_a5ae));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (4719, 0x374a_365b_f169_ca52));
 }
 
 #[test]
@@ -469,14 +473,14 @@ fn chunk_store() -> Format {
         len_fields.push(index.start + 4 + 12 * i + 8);
         unread.push(off - 4..off);
     }
-    // Item frame 0: its range, eight u32 columns (ending in the row cell
+    // Item frame 0: its range, seven u32 columns (ending in the row cell
     // offsets and the cells' extractors), then the f64 confidence column.
     let first = entries[0].0 + 8;
-    let cell_offsets = (0..6).fold(first, |at, _| at + 4 + 4 * u32_at(at));
+    let cell_offsets = (0..5).fold(first, |at, _| at + 4 + 4 * u32_at(at));
     let extractors = cell_offsets + 4 + 4 * u32_at(cell_offsets);
     let confidences = extractors + 4 + 4 * u32_at(extractors);
     Format {
-        name: "KBTCHNK3",
+        name: "KBTCHNK4",
         // The meta frame's item-chunk count (after eight u32 dims), the
         // first column of item frame 0 (after its range), its row cell
         // offsets, and its f64 column.
@@ -578,10 +582,14 @@ fn a_hostile_warm_section_is_a_typed_error() {
     let body = &f.sample[..end];
     let [mode, _, _, q] = warm_section(end);
 
-    // A version-1 file is not read as a version-2 file minus a section.
-    let mut v1 = body.to_vec();
-    v1[8] = 1;
-    f.rejects("version 1 header", &sealed(v1), Some("version 1"));
+    // A version-1 file is not read as a current file minus a section,
+    // nor a version-2 file (source-major triples) as an item-major one.
+    for version in [1u8, 2] {
+        let mut old = body.to_vec();
+        old[8] = version;
+        let message = format!("version {version}");
+        f.rejects(&message, &sealed(old), Some(&message));
+    }
 
     let mut bad_mode = body.to_vec();
     bad_mode[mode] = 3;
