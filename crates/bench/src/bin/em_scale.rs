@@ -50,7 +50,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
-use kbt_core::{reference, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit};
+use kbt_core::{
+    reference, EmState, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit,
+};
 use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId};
 use kbt_synth::scale::{observations, ScaleConfig};
 
@@ -402,7 +404,7 @@ fn run_resident(mode: &str, triples: usize) {
 
     // The engine must be the paper's equations in a faster layout, not a
     // different model.
-    let oracle = reference::fit(&cube, &cfg, &init, None, None);
+    let oracle = reference::fit(&cube, &cfg, EmState::start(&cube, &cfg, &init));
     let trust = bits_checksum(report.source_trust());
     let truth = bits_checksum(report.truth_of_group());
     assert_eq!(

@@ -5,8 +5,9 @@
 //! correctness posteriors and value distribution of Table 4.
 
 use kbt_bench::table::{f3, TableWriter};
+use kbt_core::math::logit;
 use kbt_core::reference::{estimate_correctness, estimate_values, vote_counter};
-use kbt_core::{AlphaState, ModelConfig, Params};
+use kbt_core::{ModelConfig, Params};
 use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
 
 const USA: u32 = 0;
@@ -85,7 +86,7 @@ fn main() {
     println!("Paper: Pre = 4.6 3.9 2.8 .4 0 ; Abs = -4.6 -.7 -4.5 -.15 0\n");
 
     println!("== Table 4: extraction correctness p(Cwdv=1|X) ==");
-    let alpha = AlphaState::uniform(cube.num_groups(), 0.5);
+    let alpha = vec![logit(0.5); cube.num_groups()];
     let correctness = estimate_correctness(&cube, &votes, &alpha, &cfg);
     let names = ["USA", "Kenya", "N.Amer"];
     let mut t4 = TableWriter::new(&["source", "USA", "Kenya", "N.Amer"]);

@@ -22,12 +22,12 @@ use std::time::{Duration, Instant};
 use kbt_bench::harness::kv_multilayer_config;
 use kbt_bench::table::{f3, TableWriter};
 use kbt_core::config::AbsencePolicy;
-use kbt_core::math::clamp_quality;
+use kbt_core::math::{clamp_quality, logit};
 use kbt_core::reference::{
     estimate_correctness, estimate_gamma, estimate_values, update_alpha, update_source_accuracy,
     vote_counter,
 };
-use kbt_core::{q_from_precision_recall, AlphaState, ModelConfig, Params, QualityInit};
+use kbt_core::{q_from_precision_recall, ModelConfig, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ExtractorId, Observation, ObservationCube, SourceId};
 use kbt_flume::par_map_slice;
 use kbt_granularity::splitmerge::group_rows_into_triples;
@@ -142,7 +142,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
     let mut active: Vec<bool> = (0..cube.num_sources())
         .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
         .collect();
-    let mut alpha = AlphaState::uniform(cube.num_groups(), cfg.alpha);
+    let mut alpha = vec![logit(cfg.alpha); cube.num_groups()];
     for t in 1..=ITERS {
         let votes = vote_counter(cube, &params, &cfg);
         let correctness = timer.time("I. ExtCorr", || {
@@ -164,7 +164,7 @@ fn timed_run(cube: &ObservationCube, timer: &mut PhaseTimer) {
         timer.time("IV. ExtQuality", || {
             update_extractor_quality_indexed(cube, &correctness, &cfg, &mut params, &index)
         });
-        if cfg.updates_alpha_at(t + 1) {
+        if cfg.alpha_update_from.is_some_and(|from| t + 1 >= from) {
             timer.time("I. ExtCorr", || {
                 update_alpha(&mut alpha, cube, &out.truth_of_group, &params, &cfg)
             });

@@ -60,13 +60,13 @@ pub enum AbsencePolicy {
 /// it runs into its own buffer: peak memory is O(groups) row state +
 /// one decoded frame per worker instead of O(corpus), and the fit is
 /// **bit-for-bit identical** to a resident fit at any thread count and
-/// any `max_resident_chunks`, warm priors and copy-aware refits included.
+/// any `max_resident_chunks`, warm starts and copy-aware refits included.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CubeResidency {
     /// Keep the whole chunked cube in memory (the default).
     #[default]
     Resident,
-    /// Stream chunk payloads from a `KBTCHNK3` chunk store on disk.
+    /// Stream chunk payloads from a `KBTCHNK4` chunk store on disk.
     Streamed {
         /// Path of the chunk store file
         /// (`kbt_datamodel::FileChunkStore::write`).
@@ -223,12 +223,6 @@ impl ModelConfig {
         }
     }
 
-    /// Whether α re-estimation is active at 1-based iteration `t`.
-    #[inline]
-    pub fn updates_alpha_at(&self, t: usize) -> bool {
-        matches!(self.alpha_update_from, Some(from) if t >= from)
-    }
-
     /// The chunk partitioning this config asks the engine to use — the
     /// single construction site for
     /// `kbt_datamodel::ChunkingConfig`.
@@ -243,6 +237,7 @@ impl ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EmState, QualityInit};
 
     #[test]
     fn defaults_match_the_papers_settings() {
@@ -258,18 +253,27 @@ mod tests {
         assert_eq!(ModelConfig::single_layer_default().n_false_values, 100);
     }
 
+    /// α is re-estimated from a truth column: from the third round on by
+    /// default, from the first truth on once resumed, never when frozen.
     #[test]
     fn alpha_update_schedule() {
         let c = ModelConfig::default();
-        assert!(!c.updates_alpha_at(1));
-        assert!(!c.updates_alpha_at(2));
-        assert!(c.updates_alpha_at(3));
-        assert!(c.updates_alpha_at(5));
-        let frozen = ModelConfig {
-            alpha_update_from: None,
-            ..c
+        let cube = kbt_datamodel::CubeBuilder::new().build();
+        let mut s = EmState::start(&cube, &c, &QualityInit::Default);
+        s.rounds = 2;
+        assert!(!s.alpha_due(&c), "no truth column yet");
+        s.truth = Some(Vec::new());
+        let due = |s: &mut EmState, rounds| {
+            s.rounds = rounds;
+            s.alpha_due(&c)
         };
-        assert!(!frozen.updates_alpha_at(5));
+        let schedule = [0, 1, 2, 4].map(|rounds| due(&mut s, rounds));
+        assert_eq!(schedule, [false, false, true, true]);
+        s.resumed = true;
+        assert!(due(&mut s, 0));
+        let mut frozen = c.clone();
+        frozen.alpha_update_from = None;
+        assert!(!s.alpha_due(&frozen));
     }
 
     #[test]

@@ -15,54 +15,28 @@ use crate::mstep::RoundSums;
 use crate::params::Params;
 use crate::votes::VoteCounter;
 
-/// Per-group prior log-odds `ln(α_wdv / (1 − α_wdv))`.
-#[derive(Debug, Clone)]
-pub struct AlphaState {
-    logits: Vec<f64>,
-}
-
-impl AlphaState {
-    /// Uniform prior `α` for every group (the initial iterations).
-    pub fn uniform(num_groups: usize, alpha: f64) -> Self {
-        Self {
-            logits: vec![logit(alpha); num_groups],
-        }
-    }
-
-    /// Prior log-odds of group `g`.
-    #[inline]
-    pub fn logit(&self, g: usize) -> f64 {
-        self.logits[g]
-    }
-
-    /// The logit buffer, for [`crate::reference::update_alpha`].
-    pub(crate) fn logits_mut(&mut self) -> &mut [f64] {
-        &mut self.logits
-    }
-
-    /// Re-estimate the priors `logits` of a chunk's rows from the value
-    /// layer (Section 3.3.4).
-    ///
-    /// `truth(r)` is the previous iteration's `p(V_d = v | X)` of row `r`,
-    /// whose source is `sources[r]`; the source accuracy comes from the
-    /// current parameters. By default the Eq. 5-consistent form is used,
-    /// `α̂ = p·A_w + (1 − p)·(1 − A_w)/n` — a source provides a *specific*
-    /// false value with probability `(1 − A_w)/n`. Setting
-    /// [`ModelConfig::literal_eq26_alpha`] reproduces the paper's printed
-    /// Eq. 26 without the `/n` spread (Example 3.3).
-    pub(crate) fn update(
-        logits: &mut [f64],
-        sources: &[u32],
-        truth: impl Fn(usize) -> f64,
-        params: &Params,
-        cfg: &ModelConfig,
-    ) {
-        let n = cfg.n_false_values.max(1) as f64;
-        let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-        for (r, (l, &w)) in logits.iter_mut().zip(sources).enumerate() {
-            let (t, a) = (truth(r), params.source_accuracy[w as usize]);
-            *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
-        }
+/// Re-estimate the prior log-odds `ln(α / (1 − α))` of a chunk's rows from
+/// the value layer (Section 3.3.4).
+///
+/// `truth[r]` is the previous iteration's `p(V_d = v | X)` of row `r`,
+/// whose source is `sources[r]`; the source accuracy comes from the
+/// current parameters. By default the Eq. 5-consistent form is used,
+/// `α̂ = p·A_w + (1 − p)·(1 − A_w)/n` — a source provides a *specific*
+/// false value with probability `(1 − A_w)/n`. Setting
+/// [`ModelConfig::literal_eq26_alpha`] reproduces the paper's printed
+/// Eq. 26 without the `/n` spread (Example 3.3).
+pub(crate) fn update_alpha(
+    logits: &mut [f64],
+    sources: &[u32],
+    truth: &[f64],
+    params: &Params,
+    cfg: &ModelConfig,
+) {
+    let n = cfg.n_false_values.max(1) as f64;
+    let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
+    for ((l, &w), &t) in logits.iter_mut().zip(sources).zip(truth) {
+        let a = params.source_accuracy[w as usize];
+        *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
     }
 }
 
@@ -137,7 +111,7 @@ mod tests {
         };
         let cfg = ModelConfig::default();
         let votes = reference::vote_counter(&cube, &params, &cfg);
-        let alpha = AlphaState::uniform(cube.num_groups(), 0.5);
+        let alpha = vec![logit(0.5); cube.num_groups()];
         let c = reference::estimate_correctness(&cube, &votes, &alpha, &cfg);
         assert!(c[0] > 0.9, "good-extractor triple: {}", c[0]);
         assert!(c[1] < 0.5, "bad-extractor-only triple: {}", c[1]);
@@ -163,25 +137,24 @@ mod tests {
             recall: vec![0.9],
             q: vec![0.1],
         };
-        let mut alpha = AlphaState::uniform(1, 0.5);
-        assert!((alpha.logit(0) - 0.0).abs() < 1e-9);
+        let mut alpha = [logit(0.5)];
         // Example 3.3 (literal Eq. 26): p(V=v) = 0.004, A_w = 0.6 →
         // α = 0.004·0.6 + 0.996·0.4 = 0.4008.
         let literal = ModelConfig {
             literal_eq26_alpha: true,
             ..ModelConfig::default()
         };
-        AlphaState::update(alpha.logits_mut(), &[0], |_| 0.004, &params, &literal);
+        update_alpha(&mut alpha, &[0], &[0.004], &params, &literal);
         let expected = logit(0.004 * 0.6 + 0.996 * 0.4);
-        assert!((alpha.logit(0) - expected).abs() < 1e-12);
+        assert!((alpha[0] - expected).abs() < 1e-12);
         // Eq. 5-consistent default spreads the false mass over n values:
         // α = 0.004·0.6 + 0.996·0.4/10 = 0.0423 — a much lower prior for
         // a value the consensus rejects.
         let cfg = ModelConfig::default();
-        AlphaState::update(alpha.logits_mut(), &[0], |_| 0.004, &params, &cfg);
+        update_alpha(&mut alpha, &[0], &[0.004], &params, &cfg);
         let expected_spread = logit(0.004 * 0.6 + 0.996 * 0.4 / 10.0);
-        assert!((alpha.logit(0) - expected_spread).abs() < 1e-12);
-        assert!(alpha.logit(0) < -2.0);
+        assert!((alpha[0] - expected_spread).abs() < 1e-12);
+        assert!(alpha[0] < -2.0);
     }
 
     /// Kernel ≡ reference for the correctness E-step and the α update,
@@ -216,6 +189,8 @@ mod tests {
             q: vec![0.1, 0.2, 0.3],
         };
         let truth: Vec<f64> = (0..ng).map(|g| (g as f64 + 0.5) / ng as f64).collect();
+        let zeros = vec![0.0; ng];
+        let columns = [&zeros[..], &truth[..]];
         for policy in [
             crate::config::AbsencePolicy::AllExtractors,
             crate::config::AbsencePolicy::SourceCandidates,
@@ -225,7 +200,7 @@ mod tests {
                 ..ModelConfig::default()
             };
             let votes = reference::vote_counter(&cube, &params, &cfg);
-            let mut want_alpha = AlphaState::uniform(ng, cfg.alpha);
+            let mut want_alpha = vec![logit(cfg.alpha); ng];
             reference::update_alpha(&mut want_alpha, &cube, &truth, &params, &cfg);
             let want = reference::estimate_correctness(&cube, &votes, &want_alpha, &cfg);
             for target_cells in [1usize, 5, 1 << 20] {
@@ -234,11 +209,9 @@ mod tests {
                     let mut workers = vec![RoundSums::default(); threads];
                     // α rides back out in the truth column.
                     let (got, alpha) = kbt_flume::with_threads(Some(threads), || {
-                        scan_rows(&cc, &cfg, &mut workers, |sums, view, rows| {
+                        scan_rows(&cc, &cfg, columns, &mut workers, |sums, view, rows| {
                             sums.reset(cube.num_sources(), cube.num_extractors(), true);
-                            let first = rows.first;
-                            let prior = |r: usize| truth[first + r];
-                            AlphaState::update(rows.alpha, view.ig_source, prior, &params, &cfg);
+                            update_alpha(rows.alpha, view.ig_source, rows.truth, &params, &cfg);
                             estimate_correctness(
                                 view,
                                 &votes,
@@ -253,11 +226,7 @@ mod tests {
                     let got = got.iter().zip(&alpha.truth_of_group).map(|(&c, &a)| (a, c));
                     for (g, (alpha, c)) in got.enumerate() {
                         let tag = format!("{policy:?} t={target_cells} g={g} x{threads}");
-                        assert_eq!(
-                            alpha.to_bits(),
-                            want_alpha.logit(g).to_bits(),
-                            "alpha {tag}"
-                        );
+                        assert_eq!(alpha.to_bits(), want_alpha[g].to_bits(), "alpha {tag}");
                         assert_eq!(c.to_bits(), want[g].to_bits(), "{tag}");
                     }
                 }

@@ -72,13 +72,12 @@ pub mod votes;
 
 pub use config::{CorrectnessWeighting, CubeResidency, ModelConfig, ValueModel};
 pub use copydetect::{detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CopyEvidence};
-pub use correctness::AlphaState;
 pub use extensions::{idf_weights, weighted_kbt};
 pub use model::{
     ConvergenceTrace, ExtractionLayer, FusionModel, FusionReport, IterationTrace, ModelKind,
     PairSources, StageWall,
 };
-pub use multi_layer::MultiLayerModel;
+pub use multi_layer::{EmState, MultiLayerModel};
 pub use params::{q_from_precision_recall, Params, QualityInit};
 pub use posterior::ItemPosteriors;
 pub use single_layer::SingleLayerModel;

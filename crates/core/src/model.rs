@@ -15,7 +15,7 @@ use kbt_datamodel::{ExtractorId, ObservationCube, SourceId};
 
 use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::CopyEvidence;
-use crate::multi_layer::MultiLayerModel;
+use crate::multi_layer::{EmState, MultiLayerModel};
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
 use crate::single_layer::SingleLayerModel;
@@ -192,26 +192,27 @@ pub struct FusionReport {
 }
 
 impl FusionReport {
-    /// A multi-layer fit's report, copy-blind until the copy-aware loop
-    /// says otherwise.
+    /// The report of a multi-layer fit that stopped at state `s`. It records
+    /// the discount the fit ran with even when no copy detection is
+    /// configured (e.g. a session carrying prior evidence into a model
+    /// without it): a discounted fit is never indistinguishable from a
+    /// copy-blind one.
     pub(crate) fn multi_layer(
-        params: Params,
-        correctness: Vec<f64>,
+        s: EmState,
         values: ValueLayerOutput,
-        active_source: Vec<bool>,
         trace: ConvergenceTrace,
     ) -> Self {
         Self {
-            params,
+            params: s.params,
             posteriors: values.posteriors,
             truth_of_group: values.truth_of_group,
             covered_group: values.covered_group,
-            active_source,
-            source_independence: None,
+            active_source: s.active,
+            source_independence: s.discount.map(|d| d.as_slice().to_vec()),
             copy_evidence: None,
             trace,
             extraction: Some(ExtractionLayer {
-                correctness,
+                correctness: s.correctness,
                 truth_given_provided: values.truth_given_provided,
             }),
             pair_sources: None,

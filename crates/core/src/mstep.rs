@@ -185,7 +185,8 @@ pub(crate) fn update_extractor_quality(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::correctness::{estimate_correctness, AlphaState};
+    use crate::correctness::estimate_correctness;
+    use crate::math::logit;
     use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
@@ -209,14 +210,14 @@ pub(crate) mod tests {
         votes.rebuild(ne, nw, ext_offsets, ext_ids, init, cfg);
         let mut workers = vec![RoundSums::default(); 8];
         let (mut c, mut got, mut active) = (Vec::new(), init.clone(), vec![true; nw]);
-        let mut pden = Vec::new();
+        let (mut pden, zeros) = (Vec::new(), vec![0.0; truth.len()]);
+        let columns = [&zeros[..], truth];
         for round in 0..2 {
             got = init.clone();
             workers.iter_mut().for_each(|w| w.reset(nw, ne, round == 0));
-            c = scan_rows(cc, cfg, &mut workers, |sums, view, rows| {
+            c = scan_rows(cc, cfg, columns, &mut workers, |sums, view, rows| {
                 estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
-                let t = &truth[rows.first..][..view.num_rows()];
-                sums.fold_rows(view.ig_source, rows.correctness, t, t);
+                sums.fold_rows(view.ig_source, rows.correctness, rows.truth, rows.truth);
             })
             .0;
             let (sums, rest) = workers.split_first_mut().unwrap();
@@ -288,7 +289,7 @@ pub(crate) mod tests {
                 let oracle = |cube: &ObservationCube| -> Round {
                     let truth = &truth[..cube.num_groups()];
                     let votes = reference::vote_counter(cube, &init, &cfg);
-                    let alpha = AlphaState::uniform(truth.len(), cfg.alpha);
+                    let alpha = vec![logit(cfg.alpha); truth.len()];
                     let c = reference::estimate_correctness(cube, &votes, &alpha, &cfg);
                     let (mut want, mut active) = (init.clone(), vec![true; cube.num_sources()]);
                     reference::update_source_accuracy(

@@ -12,6 +12,13 @@
 //! (Eq. 26) beginning at the configured iteration (the third, by default —
 //! Section 5.1.2).
 //!
+//! A round is a map over one [`EmState`] — parameters, active sources, the
+//! per-row α logits, correctness and truth, and the α schedule's clock —
+//! so a fit is a start state with rounds applied, and a fit that stopped
+//! continues from the state it left. A warm start is a resumed state
+//! ([`EmState::resume`]): the last fit's parameters, and its belief in each
+//! triple as the truth column the first round re-estimates α from.
+//!
 //! A round is one scan over the item chunks: each chunk's worker applies
 //! the α update that is due, computes the chunk's correctness and value
 //! posteriors, and folds its rows into the M-steps' and the
@@ -25,15 +32,15 @@ use std::sync::Arc;
 
 use kbt_datamodel::{
     ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
-    StreamedChunks,
+    SourceId, StreamedChunks,
 };
 use kbt_flume::Stopwatch;
 
 use crate::config::{CubeResidency, ModelConfig};
 use crate::copydetect::{collect_pair_stats, score_pair_stats, CopyDiscount};
-use crate::correctness::{estimate_correctness, AlphaState};
+use crate::correctness::{estimate_correctness, update_alpha};
 use crate::math::logit;
-use crate::model::{ConvergenceTrace, FusionReport, IterationTrace};
+use crate::model::{ConvergenceTrace, FusionReport, IterationTrace, StageWall};
 use crate::mstep::{update_extractor_quality, update_source_accuracy, RoundSums};
 use crate::params::{Params, QualityInit};
 use crate::posterior::ItemPosteriors;
@@ -59,44 +66,23 @@ impl MultiLayerModel {
         &self.cfg
     }
 
-    /// Run Algorithm 1 and report it, per-iteration trace included.
-    ///
-    /// Inference runs under the per-run thread configuration of
-    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`. The chunked
-    /// cube lives where [`ModelConfig::residency`] says (same bits); only a
-    /// streamed fit's I/O can fail.
+    /// Run Algorithm 1 from `init` and report it, per-iteration trace
+    /// included: [`Self::run_from`] an [`EmState::start`].
     pub fn run_traced(
         &self,
         cube: &ObservationCube,
         init: &QualityInit,
     ) -> io::Result<FusionReport> {
-        self.run_traced_with_priors(cube, init, None, None)
+        self.run_from(cube, EmState::start(cube, &self.cfg, init))
     }
 
-    /// [`Self::run_traced`] with the two priors a warm restart carries —
-    /// the incremental-fusion entry point (`FusionSession` in
-    /// `kbt-pipeline`).
-    ///
-    /// `prior_truth[g]` is a per-group **prior-truth hint**: the previous
-    /// run's `p(V_d = v(g) | X)` for this cube's groups. The per-triple
-    /// correctness prior α is re-estimated from it *before* the first
-    /// round, so a warm-started run enters EM with the mature α state a
-    /// cold run only reaches after `alpha_update_from` iterations.
-    /// Ignored when α re-estimation is disabled.
-    ///
-    /// `prior_independence[w]` is a per-source **independence prior** —
-    /// the previous run's `I(w)` factors, prior copy evidence: even the
-    /// *first* EM fit of this run is copy-aware, so a warm restart
-    /// neither re-launders a known copier's votes nor has to re-earn the
-    /// discount from scratch. Factors for sources beyond the slice (new
-    /// in this cube) default to 1 (fully independent).
-    pub fn run_traced_with_priors(
-        &self,
-        cube: &ObservationCube,
-        init: &QualityInit,
-        prior_truth: Option<&[f64]>,
-        prior_independence: Option<&[f64]>,
-    ) -> io::Result<FusionReport> {
+    /// Run Algorithm 1 on `cube` from `start`, cold or warm (`FusionSession`
+    /// in `kbt-pipeline` resumes here), and report it; a discounted start
+    /// makes even the first fit copy-aware. It runs under
+    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`, with the
+    /// chunked cube where [`ModelConfig::residency`] says (same bits); only
+    /// a streamed fit's I/O can fail.
+    pub fn run_from(&self, cube: &ObservationCube, start: EmState) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
             // The chunk view of the cube, built once per run: the
@@ -104,9 +90,7 @@ impl MultiLayerModel {
             let mut sw = Stopwatch::start();
             let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
             let split = sw.lap();
-            let mut report = with_em(chunked, cfg, init, prior_truth, true, |fit| {
-                copy_aware(cfg, cube, prior_independence, fit)
-            })?;
+            let mut report = with_em(chunked, cfg, |fit| copy_aware(cfg, cube, start, fit))?;
             report.trace.stage_wall.chunking += split;
             Ok(report)
         })
@@ -146,56 +130,159 @@ impl MultiLayerModel {
             ));
         }
         let src = StreamedChunks::new(Arc::clone(store), max_resident_chunks);
-        kbt_flume::with_threads(self.cfg.threads, || {
-            run_em(&self.cfg, &src, init, None, None, true)
-        })
+        let meta = src.meta();
+        let ne = meta.num_extractors as usize;
+        let start = EmState::new(ne, &meta.source_sizes, &self.cfg, init, true);
+        kbt_flume::with_threads(self.cfg.threads, || fit_em(&self.cfg, &src, start))
     }
+}
+
+/// Algorithm 1's state between rounds: everything the next round reads. A
+/// fit applies rounds to a start state, cold ([`Self::start`]) or warm
+/// ([`Self::resume`]), and continues from where it stopped bit for bit.
+#[derive(Debug, Clone)]
+pub struct EmState {
+    pub(crate) params: Params,
+    pub(crate) active: Vec<bool>,
+    /// Independence factors scaling the value votes; never all ones.
+    pub(crate) discount: Option<CopyDiscount>,
+    /// Per row (cube group): the log-odds `ln(α / (1 − α))` (Eq. 26),
+    /// correctness (Eq. 15) and truth (none before a round or warm start).
+    pub(crate) alpha: Vec<f64>,
+    pub(crate) correctness: Vec<f64>,
+    pub(crate) truth: Option<Vec<f64>>,
+    /// Rounds applied so far: the α schedule's clock.
+    pub(crate) rounds: usize,
+    /// Whether `params` resume a converged fit, which matures α at once.
+    pub(crate) resumed: bool,
+    /// Whether the extraction layer is fitted: not in the single layer.
+    pub(crate) extraction: bool,
+}
+
+impl EmState {
+    /// The start of a fit of `cube` from `init`: uniform α, no truth, and
+    /// every source with enough support active. A `Resume` init needs no
+    /// schedule: α is re-estimated from the first truth on.
+    pub fn start(cube: &ObservationCube, cfg: &ModelConfig, init: &QualityInit) -> Self {
+        let size = |w| cube.source_size(SourceId::new(w as u32)) as u32;
+        let sizes: Vec<u32> = (0..cube.num_sources()).map(size).collect();
+        Self::new(cube.num_extractors(), &sizes, cfg, init, true)
+    }
+
+    /// A warm restart on `cube`: the `last` fit's parameters resumed, and
+    /// `truth[g]`, its belief in group `g`, as the truth column the first
+    /// round re-estimates α from.
+    pub fn resume(
+        cube: &ObservationCube,
+        cfg: &ModelConfig,
+        last: Params,
+        truth: Vec<f64>,
+    ) -> Self {
+        assert_eq!(truth.len(), cube.num_groups(), "one truth per group");
+        let mut start = Self::start(cube, cfg, &QualityInit::Resume(last));
+        start.truth = Some(truth);
+        start
+    }
+
+    /// This state with every round's value votes scaled by the independence
+    /// factors `I(w)`; sources beyond the slice are fully independent.
+    pub fn discounted(self, independence: &[f64]) -> Self {
+        let mut scales = independence.to_vec();
+        scales.resize(self.active.len(), 1.0);
+        let discount = Some(CopyDiscount::from_scales(scales)).filter(|d| !d.is_neutral());
+        Self { discount, ..self }
+    }
+
+    /// The start from `init` over `ne` extractors and the sources' row
+    /// counts; a source with enough support votes from the first round.
+    pub(crate) fn new(
+        ne: usize,
+        sizes: &[u32],
+        cfg: &ModelConfig,
+        init: &QualityInit,
+        extraction: bool,
+    ) -> Self {
+        let ng = sizes.iter().map(|&n| n as usize).sum(); // a row is one source's
+        let supported = |&n: &u32| n as usize >= cfg.min_source_support;
+        Self {
+            params: Params::init_sized(sizes.len(), ne, cfg, init),
+            active: sizes.iter().map(supported).collect(),
+            discount: None,
+            alpha: vec![logit(cfg.alpha); ng],
+            correctness: vec![if extraction { 0.0 } else { 1.0 }; ng],
+            truth: None,
+            rounds: 0,
+            resumed: matches!(init, QualityInit::Resume(_)),
+            extraction,
+        }
+    }
+
+    /// Whether the next round re-estimates α (Eq. 26) from the truth
+    /// column: when on, once resumed or once the schedule reaches it.
+    pub(crate) fn alpha_due(&self, cfg: &ModelConfig) -> bool {
+        let due = |from| self.resumed || self.rounds + 1 >= from;
+        self.truth.is_some() && cfg.alpha_update_from.is_some_and(due)
+    }
+}
+
+/// Algorithm 1's driver, the engine's and the oracles': after `done`
+/// rounds, apply `round` (its Δ and log-likelihood) until Δ < ε or
+/// `cfg.max_iterations` rounds in all.
+pub(crate) fn iterate<E>(
+    cfg: &ModelConfig,
+    done: usize,
+    mut round: impl FnMut() -> Result<(f64, f64), E>,
+) -> Result<ConvergenceTrace, E> {
+    let (mut trace, mut watch) = (ConvergenceTrace::default(), Stopwatch::start());
+    for iteration in done + 1..=cfg.max_iterations {
+        let (delta, log_likelihood) = round()?;
+        trace.rounds.push(IterationTrace {
+            iteration,
+            delta,
+            log_likelihood,
+            wall: watch.lap(),
+        });
+        if delta < cfg.convergence_eps {
+            trace.converged = true;
+            break;
+        }
+    }
+    Ok(trace)
 }
 
 /// One EM fit plus, when [`ModelConfig::copy_detection`] is set, the
 /// copy-aware loop: detect copies from the fitted accuracies, derive
-/// [`CopyDiscount`] independence factors, and **refit from the run's
-/// original initialization** with the dependent sources' votes
-/// down-weighted — `discount_rounds` times. The refit deliberately
-/// restarts truth discovery rather than warm-continuing: a copier's
-/// doubled votes can drive EM into a self-consistent basin (copier
-/// and victim rated near-perfect, honest sources poor) that a warm
-/// continuation cannot leave, because the corrupted parameters are
-/// exactly what the continuation resumes from. The refits' rounds
-/// continue the base fit's trace ([`ConvergenceTrace::then`]). `fit`
-/// runs EM under a discount; the census reads `cube`.
+/// [`CopyDiscount`] independence factors, and **refit from `start`**
+/// with the dependent sources' votes down-weighted — `discount_rounds`
+/// times. The refit deliberately restarts truth discovery rather than
+/// warm-continuing: a copier's doubled votes can drive EM into a
+/// self-consistent basin (copier and victim rated near-perfect, honest
+/// sources poor) that a warm continuation cannot leave, because the
+/// corrupted parameters are exactly what the continuation resumes from.
+/// The refits' rounds continue the base fit's trace
+/// ([`ConvergenceTrace::then`]). `fit` runs EM from a state; the census
+/// reads `cube`.
 fn copy_aware(
     cfg: &ModelConfig,
     cube: &ObservationCube,
-    prior_independence: Option<&[f64]>,
-    fit: &dyn Fn(Option<&CopyDiscount>) -> io::Result<FusionReport>,
+    start: EmState,
+    fit: &dyn Fn(EmState) -> io::Result<FusionReport>,
 ) -> io::Result<FusionReport> {
-    let prior_discount = prior_independence.map(|s| {
-        let mut scales = s.to_vec();
-        scales.resize(cube.num_sources(), 1.0);
-        CopyDiscount::from_scales(scales)
-    });
-    let base_discount = prior_discount.as_ref().filter(|d| !d.is_neutral());
-    let mut report = fit(base_discount)?;
-    // Record the factors this fit actually ran with even when no
-    // detection is configured (e.g. a session carrying prior evidence
-    // into a model whose copy_detection was turned off) — a
-    // discounted fit must never be indistinguishable from a
-    // copy-blind one. The discount loop below overwrites this with
-    // the factors of the final refit.
-    report.source_independence = base_discount.map(|d| d.as_slice().to_vec());
-
-    if let Some(cd) = &cfg.copy_detection {
+    let detect = cfg.copy_detection.as_ref();
+    let refit_from = detect.filter(|cd| cd.discount).map(|_| start.clone());
+    let mut report = fit(start)?;
+    if let Some(cd) = detect {
         let ns = cube.num_sources();
         // The pair statistics depend only on the (immutable) cube:
         // count once, re-score per round as the accuracies move.
         let stats = collect_pair_stats(cube, cd);
         let mut evidence = score_pair_stats(&stats, &report.params.source_accuracy, cd);
-        if cd.discount {
+        if let Some(from) = refit_from {
             // Factors the latest fit actually ran with: the prior on a
             // warm restart, neutral otherwise (an all-ones discount is
             // bit-identical to no discount at all).
-            let mut discount = prior_discount.unwrap_or_else(|| CopyDiscount::neutral(ns));
+            let neutral = || CopyDiscount::neutral(ns);
+            let mut discount = from.discount.clone().unwrap_or_else(neutral);
             for _ in 0..cd.discount_rounds {
                 let fresh =
                     CopyDiscount::from_evidence(&evidence, &report.params.source_accuracy, ns, cd);
@@ -223,7 +310,10 @@ fn copy_aware(
                     break;
                 }
                 discount = next;
-                let refit = fit(Some(&discount))?;
+                let refit = fit(EmState {
+                    discount: Some(discount.clone()),
+                    ..from.clone()
+                })?;
                 let trace = report.trace.then(refit.trace);
                 report = FusionReport { trace, ..refit };
                 // Re-score with the copy-aware accuracies: what the
@@ -239,20 +329,17 @@ fn copy_aware(
 
 /// Lay `chunked` out where [`ModelConfig::residency`] says — the one place
 /// a fit's residency is decided — and hand `body` an EM fit over it, to
-/// run under any discount as often as it asks. A streamed `chunked` is
+/// run from any state as often as it asks. A streamed `chunked` is
 /// written to the store and dropped before the first scan.
 pub(crate) fn with_em<R>(
     chunked: ChunkedCube,
     cfg: &ModelConfig,
-    init: &QualityInit,
-    prior_truth: Option<&[f64]>,
-    extraction: bool,
-    body: impl FnOnce(&dyn Fn(Option<&CopyDiscount>) -> io::Result<FusionReport>) -> io::Result<R>,
+    body: impl FnOnce(&dyn Fn(EmState) -> io::Result<FusionReport>) -> io::Result<R>,
 ) -> io::Result<R> {
     match &cfg.residency {
         CubeResidency::Resident => {
             let src = ResidentChunks::new(&chunked);
-            body(&|d| run_em(cfg, &src, init, prior_truth, d, extraction))
+            body(&|start| fit_em(cfg, &src, start))
         }
         CubeResidency::Streamed {
             path,
@@ -262,152 +349,112 @@ pub(crate) fn with_em<R>(
             drop(chunked);
             let store = Arc::new(FileChunkStore::open(path)?);
             let src = StreamedChunks::new(store, *max_resident_chunks);
-            body(&|d| run_em(cfg, &src, init, prior_truth, d, extraction))
+            body(&|start| fit_em(cfg, &src, start))
         }
     }
 }
 
+/// [`run_em`] from `state`, reported.
+fn fit_em<S: ChunkSource>(cfg: &ModelConfig, src: &S, mut s: EmState) -> io::Result<FusionReport> {
+    let (rows, trace) = run_em(cfg, src, &mut s)?;
+    let values = match (trace.rounds.is_empty(), s.truth.take()) {
+        (false, Some(truth)) => rows.into_values(truth),
+        _ => empty_values(src.meta().num_items as usize, s.alpha.len(), cfg),
+    };
+    Ok(FusionReport::multi_layer(s, values, trace))
+}
+
 /// Algorithm 1: the one EM loop, over whatever [`ChunkSource`] the
-/// caller's residency picked. A round rebuilds the vote tables, makes one
-/// scan over the item chunks and finishes the M-steps from the workers'
-/// merged [`RoundSums`]; everything besides the scan reads the source's
-/// integer skeleton alone. Each chunk is handled by the worker that pulled
-/// it: the α update that is due (Eq. 26), correctness (Eqs. 15, 31), the
-/// value E-step (Eqs. 23–25), and every row folded into the sums. Every
-/// float sum that feeds the parameters or the trace is a
-/// [`kbt_flume::ExactSum`], so no partition or thread count moves a bit.
-/// The per-row state and the workers' scratch persist across rounds, so a
-/// round allocates only its per-worker accumulators.
-///
-/// With `extraction` off every claim is provided (`p(C) ≡ 1`) and a round
-/// skips the vote tables, correctness, the extractor M-step and α: the
-/// single layer of §2.2, which [`crate::SingleLayerModel`] runs over its
-/// pair cube.
+/// caller's residency picked — [`iterate`] over a round that maps `state`
+/// to the next: the vote tables, then one scan over the item chunks in
+/// which each chunk's worker applies the α update that is due (Eq. 26),
+/// correctness (Eqs. 15, 31) and the value E-step (Eqs. 23–25) and folds
+/// its rows into [`RoundSums`] of exact sums (no partition or thread count
+/// moves a bit), then the M-steps. The single layer skips the vote
+/// tables, correctness, the extractor M-step and α. Returns the last
+/// round's value rows and the trace; `state` is left where it stopped.
 fn run_em<S: ChunkSource>(
     cfg: &ModelConfig,
     src: &S,
-    init: &QualityInit,
-    prior_truth: Option<&[f64]>,
-    discount: Option<&CopyDiscount>,
-    extraction: bool,
-) -> io::Result<FusionReport> {
-    let meta = src.meta();
-    let ng = meta.num_groups as usize;
-    let nw = meta.num_sources as usize;
-    let ne = meta.num_extractors as usize;
+    state: &mut EmState,
+) -> io::Result<(ValueRows, ConvergenceTrace)> {
+    let (meta, extraction) = (src.meta(), state.extraction);
+    let (nw, ne) = (meta.num_sources as usize, meta.num_extractors as usize);
+    assert_eq!(
+        state.alpha.len(),
+        meta.num_groups as usize,
+        "a state of another cube"
+    );
     let miv = meta.max_item_values as usize;
-
-    let mut params = Params::init_sized(nw, ne, cfg, init);
-    // A source may vote from the start if it has enough support; its
-    // accuracy stays at the default until the first M-step.
-    let mut active: Vec<bool> = (meta.source_sizes.iter())
-        .map(|&size| size as usize >= cfg.min_source_support)
-        .collect();
-    let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
-    debug_assert!(prior_truth.is_none_or(|t0| t0.len() == ng));
-
-    let mut rows = RowState::new(meta, cfg, extraction);
     let mut workers: Vec<(ColValueScratch, RoundSums)> = Vec::new();
     workers.resize_with(kbt_flume::num_threads(), Default::default);
     let (mut votes, mut value_votes) = (VoteCounter::empty(), ValueVotes::default());
-    // `Σ conf` per extractor: folded in the first round, fixed after.
+    // `Σ conf` per extractor: folded in the fit's first round, fixed after.
     let mut pden: Vec<f64> = Vec::new();
-    let mut trace = ConvergenceTrace::default();
-    let mut watch = Stopwatch::start();
-    let mut stage = Stopwatch::start();
-
-    for t in 1..=cfg.max_iterations {
+    let mut rows = ValueRows::new(meta);
+    let (mut wall, mut stage) = (StageWall::default(), Stopwatch::start());
+    let mut trace = iterate::<io::Error>(cfg, state.rounds, || {
         stage.lap();
+        let (params, active) = (&state.params, &state.active);
         if extraction {
             let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
-            votes.rebuild(ne, nw, ext_offsets, ext_ids, &params, cfg);
+            votes.rebuild(ne, nw, ext_offsets, ext_ids, params, cfg);
         }
-        value_votes.rebuild(&params, cfg, &active, discount);
-        trace.stage_wall.votes += stage.lap();
+        value_votes.rebuild(params, cfg, active, state.discount.as_ref());
+        wall.votes += stage.lap();
 
-        // Eq. 26 for this round's rows: from the warm prior before the
-        // first round, from the last round's truth once the schedule (or
-        // a resumed fit) allows it.
-        let prior = prior_truth.filter(|_| t == 1 && cfg.alpha_update_from.is_some());
-        let from_truth = t > 1 && (cfg.updates_alpha_at(t) || alpha_always);
+        let alpha_due = extraction && state.alpha_due(cfg);
         for (_, sums) in &mut workers {
-            sums.reset(nw, ne, extraction && t == 1);
+            sums.reset(nw, ne, extraction && pden.is_empty());
         }
-        let mut windows = rows.windows(meta);
+        let truth = state
+            .truth
+            .get_or_insert_with(|| vec![0.0; state.alpha.len()]);
+        let mut windows = rows.windows(meta, [&mut state.alpha, &mut state.correctness, truth]);
         src.scan_items(&mut workers, &mut windows, |(scratch, sums), view, rows| {
             if extraction {
-                if let Some(prior) = prior {
-                    let truth = |r: usize| prior[rows.first + r];
-                    AlphaState::update(rows.alpha, view.ig_source, truth, &params, cfg);
-                } else if from_truth {
-                    let truth = |r: usize| rows.truth[r];
-                    AlphaState::update(rows.alpha, view.ig_source, truth, &params, cfg);
+                if alpha_due {
+                    update_alpha(rows.alpha, view.ig_source, rows.truth, params, cfg);
                 }
                 estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
             }
-            estimate_values(view, &value_votes, &active, miv, scratch, rows);
+            estimate_values(view, &value_votes, active, miv, scratch, rows);
             sums.fold_rows(view.ig_source, rows.correctness, rows.truth, rows.cond);
         })?;
-        trace.stage_wall.scan += stage.lap();
+        wall.scan += stage.lap();
 
         let ((_, sums), rest) = workers.split_first_mut().expect("one worker at least");
         rest.iter().for_each(|(_, w)| sums.merge(w));
-        let prev = params.clone();
-        let mass = update_source_accuracy(meta, sums, cfg, &mut params, &mut active, extraction);
+        let prev = state.params.clone();
+        let (params, active) = (&mut state.params, &mut state.active);
+        let mass = update_source_accuracy(meta, sums, cfg, params, active, extraction);
         if extraction {
             if let Some(folded) = sums.pden() {
                 pden = folded;
             }
-            update_extractor_quality(meta, sums, &pden, &mass, cfg, &mut params);
+            update_extractor_quality(meta, sums, &pden, &mass, cfg, params);
         }
-        let delta = params.max_abs_delta(&prev);
-        let log_likelihood = sums.ll.finish();
-        trace.stage_wall.mstep += stage.lap();
-        trace.rounds.push(IterationTrace {
-            iteration: t,
-            delta,
-            log_likelihood,
-            wall: watch.lap(),
-        });
-        if delta < cfg.convergence_eps {
-            trace.converged = true;
-            break;
-        }
-    }
-
-    let (correctness, values) = match trace.rounds.is_empty() {
-        true => {
-            let values = empty_values(meta.num_items as usize, ng, cfg);
-            (rows.correctness, values)
-        }
-        false => rows.into_output(),
-    };
-    Ok(FusionReport::multi_layer(
-        params,
-        correctness,
-        values,
-        active,
-        trace,
-    ))
+        state.rounds += 1;
+        let delta = state.params.max_abs_delta(&prev);
+        wall.mstep += stage.lap();
+        Ok((delta, sums.ll.finish()))
+    })?;
+    trace.stage_wall = wall;
+    Ok((rows, trace))
 }
 
-/// A fit's per-row state, in row (= cube group) order: allocated once per
-/// fit on the calling thread and kept across rounds.
-struct RowState {
-    alpha: Vec<f64>,
-    correctness: Vec<f64>,
-    truth: Vec<f64>,
+/// The value layer's per-row output of a fit's last round, in row (= cube
+/// group) order.
+struct ValueRows {
     cond: Vec<f64>,
     covered: Vec<bool>,
     /// One entry per chunk.
     posteriors: Vec<ChunkPosteriors>,
 }
 
-/// One chunk's window of the [`RowState`], for the one task that scans
-/// the chunk.
+/// One chunk's window of the [`EmState`]'s and the [`ValueRows`]' row
+/// columns, for the one task that scans the chunk.
 pub(crate) struct ChunkRows<'a> {
-    /// The row (cube group) of the window's first entry.
-    pub(crate) first: usize,
     pub(crate) alpha: &'a mut [f64],
     pub(crate) correctness: &'a mut [f64],
     pub(crate) truth: &'a mut [f64],
@@ -416,36 +463,33 @@ pub(crate) struct ChunkRows<'a> {
     pub(crate) posteriors: &'a mut ChunkPosteriors,
 }
 
-impl RowState {
-    /// Uniform priors; correctness fixed at 1 when the extraction layer is
-    /// off.
-    fn new(meta: &ChunkStoreMeta, cfg: &ModelConfig, extraction: bool) -> Self {
+impl ValueRows {
+    fn new(meta: &ChunkStoreMeta) -> Self {
         let ng = meta.num_groups as usize;
         let posteriors = meta.item_chunks.iter().map(ChunkPosteriors::for_chunk);
         Self {
-            alpha: vec![logit(cfg.alpha); ng],
-            correctness: vec![if extraction { 0.0 } else { 1.0 }; ng],
-            truth: vec![0.0; ng],
             cond: vec![0.0; ng],
             covered: vec![false; ng],
             posteriors: posteriors.collect(),
         }
     }
 
-    /// The state cut into one window per chunk of `meta.item_chunks`.
-    fn windows(&mut self, meta: &ChunkStoreMeta) -> Vec<ChunkRows<'_>> {
+    /// These columns and the state's α, correctness and truth cut into one
+    /// window per chunk of `meta.item_chunks`.
+    fn windows<'a>(
+        &'a mut self,
+        meta: &ChunkStoreMeta,
+        [mut alpha, mut correctness, mut truth]: [&'a mut [f64]; 3],
+    ) -> Vec<ChunkRows<'a>> {
         fn carve<'a, T>(column: &mut &'a mut [T], rows: &Range<u32>) -> &'a mut [T] {
             column
                 .split_off_mut(..rows.len())
                 .expect("chunks tile the rows")
         }
-        let mut alpha = &mut self.alpha[..];
-        let (mut correctness, mut truth) = (&mut self.correctness[..], &mut self.truth[..]);
         let (mut cond, mut covered) = (&mut self.cond[..], &mut self.covered[..]);
         let chunks = meta.item_chunks.iter().zip(&mut self.posteriors);
         chunks
             .map(|(chunk, posteriors)| ChunkRows {
-                first: chunk.rows.start as usize,
                 alpha: carve(&mut alpha, &chunk.rows),
                 correctness: carve(&mut correctness, &chunk.rows),
                 truth: carve(&mut truth, &chunk.rows),
@@ -456,26 +500,16 @@ impl RowState {
             .collect()
     }
 
-    /// Correctness and the value layer's output: the row columns, which
-    /// are already in cube group order.
-    fn into_output(self) -> (Vec<f64>, ValueLayerOutput) {
-        let values = ValueLayerOutput {
+    /// The value layer's output, `truth` its truth column: the row
+    /// columns, which are already in cube group order.
+    fn into_values(self, truth: Vec<f64>) -> ValueLayerOutput {
+        ValueLayerOutput {
             posteriors: ChunkPosteriors::concat(&self.posteriors),
-            truth_of_group: self.truth,
+            truth_of_group: truth,
             truth_given_provided: self.cond,
             covered_group: self.covered,
-        };
-        (self.correctness, values)
+        }
     }
-}
-
-/// Whether `init` resumes converged parameters, in which case the α
-/// re-estimation of Section 3.3.4 starts immediately: the schedule delays
-/// it only while the early parameter estimates are unreliable, and a
-/// warm-started run's estimates already are reliable. (A schedule of
-/// `None` still disables re-estimation entirely.)
-pub(crate) fn alpha_matured_by(init: &QualityInit) -> bool {
-    matches!(init, QualityInit::Resume(_))
 }
 
 /// The degenerate value-layer output of a zero-iteration run
@@ -505,22 +539,25 @@ pub(crate) mod tests {
     };
 
     /// One resident scan of `cc` on `workers` into a fit's row state, as
-    /// `run_em`'s first round makes it under `cfg`: `f(worker, view, rows)`
-    /// fills each chunk's rows. The correctness and value columns come
-    /// back as a fit reports them.
+    /// `run_em`'s first round makes it under `cfg` but from the
+    /// `correctness` and `truth` columns given: `f(worker, view, rows)`
+    /// fills each chunk's rows. The correctness and value columns come back
+    /// as a fit reports them.
     pub(crate) fn scan_rows<S: Send>(
         cc: &ChunkedCube,
         cfg: &ModelConfig,
+        [correctness, truth]: [&[f64]; 2],
         workers: &mut [S],
         f: impl Fn(&mut S, &ItemView<'_>, &mut ChunkRows<'_>) + Sync,
     ) -> (Vec<f64>, ValueLayerOutput) {
         let src = ResidentChunks::new(cc);
-        let mut rows = RowState::new(src.meta(), cfg, true);
-        src.scan_items(workers, &mut rows.windows(src.meta()), |s, view, rows| {
-            f(s, view, rows)
-        })
-        .expect("a resident scan never fails");
-        rows.into_output()
+        let mut alpha = vec![logit(cfg.alpha); cc.num_groups()];
+        let (mut correctness, mut truth) = (correctness.to_vec(), truth.to_vec());
+        let mut rows = ValueRows::new(src.meta());
+        let mut windows = rows.windows(src.meta(), [&mut alpha, &mut correctness, &mut truth]);
+        (src.scan_items(workers, &mut windows, |s, view, rows| f(s, view, rows)))
+            .expect("a resident scan never fails");
+        (correctness, rows.into_values(truth))
     }
 
     /// A clean corpus: 5 accurate sources agreeing on 20 items, observed by
@@ -697,15 +734,46 @@ pub(crate) mod tests {
         assert!(r.iterations() < 50);
     }
 
-    /// Rows without cells — which no row cube produces, but a chunk store
-    /// may hold — claim nothing and still report, in cube order: a warm
-    /// fit (resumed parameters, prior truth, copy discount) over a cube
-    /// with every fifth group's cells removed is the same at 1, 2 and 8
-    /// threads, resident and streamed at caps 0, 1 and 4, and every
-    /// group's truth and coverage are its own `(item, value)`'s.
+    /// Algorithm 1 is a resumable map: k rounds, then n − k more from their
+    /// state, is the n-round fit bit for bit (state, value layer, every Δ
+    /// and log-likelihood) at every k, cold and warm (resumed, a truth
+    /// column, a discount), the same resident at 1, 2 and 8 threads and
+    /// streamed at caps 0, 1 and 4. Every fifth row has no cells, as a
+    /// chunk store may hold: it claims nothing and still reports in cube
+    /// order, every group's truth and coverage its own `(item, value)`'s.
     #[test]
-    fn cell_less_rows_report_in_cube_order_at_any_residency() {
-        use crate::mstep::tests::hollow_rows;
+    fn a_fit_continued_from_its_state_is_one_fit() {
+        type Trace = Vec<(usize, f64, f64)>;
+        // The state and the value layer after `n` rounds in all at `x`
+        // threads, in Debug form (which prints every float exactly), and
+        // the trace.
+        fn run<S: ChunkSource>(src: &S, s: &mut EmState, n: usize, x: usize) -> (String, Trace) {
+            let cfg = ModelConfig {
+                max_iterations: n,
+                convergence_eps: 0.0,
+                ..ModelConfig::default()
+            };
+            let (rows, trace) =
+                kbt_flume::with_threads(Some(x), || run_em(&cfg, src, s).expect("fit"));
+            let values = rows.into_values(s.truth.clone().expect("a round ran"));
+            let round = |r: &IterationTrace| (r.iteration, r.delta, r.log_likelihood);
+            (
+                format!("{s:?} {values:?}"),
+                trace.rounds.iter().map(round).collect(),
+            )
+        }
+        fn check<S: ChunkSource>(src: &S, start: &EmState, x: usize, tag: &str) -> String {
+            let (want, trace) = run(src, &mut start.clone(), 5, x);
+            let want = format!("{want} {trace:?}");
+            for k in 1..5 {
+                let mut state = start.clone();
+                let (_, head) = run(src, &mut state, k, x);
+                let (got, tail) = run(src, &mut state, 5, x);
+                let got = format!("{got} {:?}", [head, tail].concat());
+                assert_eq!(got, want, "{tag} k={k} x{x}");
+            }
+            want
+        }
         let mut b = CubeBuilder::new();
         for d in 0..30u32 {
             for k in 0..6u32 {
@@ -720,55 +788,40 @@ pub(crate) mod tests {
             }
         }
         let cube = b.build();
-        let hollow = |g: usize| g % 5 == 2;
-        let chunking = ChunkingConfig { target_cells: 12 };
-        let cc = hollow_rows(ChunkedCube::from_cube(&cube, &chunking), hollow);
+        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 12 });
+        let cc = crate::mstep::tests::hollow_rows(cc, |g| g % 5 == 2);
         let cfg = ModelConfig::default();
-        let init = QualityInit::Resume(Params::init(&cube, &cfg, &QualityInit::Default));
-        let prior: Vec<f64> = (0..cube.num_groups())
-            .map(|g| (g % 7) as f64 / 7.0)
-            .collect();
-        let discount = CopyDiscount::from_scales((0..23).map(|w| 1.0 - 0.02 * w as f64).collect());
-        let fit = |src: &dyn Fn() -> io::Result<FusionReport>, threads| {
-            kbt_flume::with_threads(Some(threads), src).expect("fit")
-        };
-        let resident = ResidentChunks::new(&cc);
-        let run = || run_em(&cfg, &resident, &init, Some(&prior), Some(&discount), true);
-        let want = fit(&run, 1);
-        let path = std::env::temp_dir().join(format!("kbt-hollow-{}.chunks", std::process::id()));
+        let cold = EmState::start(&cube, &cfg, &QualityInit::Default);
+        let prior = (0..cube.num_groups()).map(|g| (g % 7) as f64 / 7.0);
+        let scales: Vec<f64> = (0..23).map(|w| 1.0 - 0.02 * w as f64).collect();
+        let warm = EmState::resume(&cube, &cfg, cold.params.clone(), prior.collect());
+        let warm = warm.discounted(&scales);
+        let path = std::env::temp_dir().join(format!("kbt-split-{}.chunks", std::process::id()));
         FileChunkStore::write(&cc, &path).expect("write the store");
         let store = Arc::new(FileChunkStore::open(&path).expect("open the store"));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for threads in [1, 2, 8] {
-            let mut fits = vec![fit(&run, threads)];
-            for cap in [0, 1, 4] {
-                let src = StreamedChunks::new(Arc::clone(&store), cap);
-                let streamed = || run_em(&cfg, &src, &init, Some(&prior), Some(&discount), true);
-                fits.push(fit(&streamed, threads));
+        for (start, tag) in [(&cold, "cold"), (&warm, "warm")] {
+            let want = check(&ResidentChunks::new(&cc), start, 1, tag);
+            for threads in [1, 2, 8] {
+                let got = check(&ResidentChunks::new(&cc), start, threads, tag);
+                assert_eq!(got, want, "{tag} x{threads}");
+                for cap in [0, 1, 4] {
+                    let src = StreamedChunks::new(Arc::clone(&store), cap);
+                    let got = check(&src, start, threads, &format!("{tag} cap={cap}"));
+                    assert_eq!(got, want, "{tag} cap={cap} x{threads}");
+                }
             }
-            for got in &fits {
-                assert_eq!(got.params, want.params, "x{threads}");
-                assert_eq!(bits(&got.truth_of_group), bits(&want.truth_of_group));
-                assert_eq!(got.covered_group, want.covered_group, "x{threads}");
-                assert_eq!(got.posteriors, want.posteriors, "x{threads}");
-                let (a, b) = (got.correctness().unwrap(), want.correctness().unwrap());
-                assert_eq!(bits(a), bits(b), "x{threads}");
+            let r = fit_em(&cfg, &ResidentChunks::new(&cc), start.clone()).expect("fit");
+            for (g, grp) in cube.groups().iter().enumerate() {
+                let truth = r.posteriors.prob(grp.item, grp.value);
+                assert_eq!(r.truth_of_group[g].to_bits(), truth.to_bits(), "{tag} {g}");
+                let voted = r
+                    .posteriors
+                    .observed(grp.item)
+                    .iter()
+                    .any(|e| e.0 == grp.value);
+                assert_eq!(r.covered_group[g], voted, "{tag} {g}");
             }
         }
         std::fs::remove_file(&path).expect("remove the store");
-        for (g, grp) in cube.groups().iter().enumerate() {
-            let truth = want.posteriors.prob(grp.item, grp.value);
-            let voted = want
-                .posteriors
-                .observed(grp.item)
-                .iter()
-                .any(|e| e.0 == grp.value);
-            assert_eq!(
-                want.truth_of_group[g].to_bits(),
-                truth.to_bits(),
-                "group {g}"
-            );
-            assert_eq!(want.covered_group[g], voted, "group {g}");
-        }
     }
 }

@@ -10,17 +10,16 @@
 //! [`fit`] / [`fit_single_layer`] bit for bit, and the paper's worked
 //! examples (Tables 2–4) are reproduced from these functions.
 
+use std::convert::Infallible;
+
 use kbt_datamodel::{ItemId, ObservationCube, SourceId, TripleGroup, ValueId};
-use kbt_flume::{ExactSum, Stopwatch};
+use kbt_flume::ExactSum;
 
 use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
-use crate::correctness::AlphaState;
 use crate::math::{clamp_quality, log_sum_exp_with_zeros, logit, sigmoid};
-use crate::model::{
-    map_confidence_ll, ConvergenceTrace, FusionReport, IterationTrace, PairSources,
-};
-use crate::multi_layer::{alpha_matured_by, empty_values};
+use crate::model::{map_confidence_ll, FusionReport, PairSources};
+use crate::multi_layer::{empty_values, iterate, EmState};
 use crate::params::{q_from_precision_recall, Params, QualityInit};
 use crate::posterior::ItemPosteriors;
 use crate::single_layer::{claims, page_init, pair_cube};
@@ -56,21 +55,20 @@ pub fn vote_counter(cube: &ObservationCube, params: &Params, cfg: &ModelConfig) 
 pub fn estimate_correctness(
     cube: &ObservationCube,
     votes: &VoteCounter,
-    alpha: &AlphaState,
+    alpha: &[f64],
     cfg: &ModelConfig,
 ) -> Vec<f64> {
     let groups = cube.groups().iter().enumerate();
     groups
-        .map(|(g, grp)| {
-            sigmoid(votes.vote_count(grp.source, cube.cells_of(grp), cfg) + alpha.logit(g))
-        })
+        .map(|(g, grp)| sigmoid(votes.vote_count(grp.source, cube.cells_of(grp), cfg) + alpha[g]))
         .collect()
 }
 
 /// Re-estimate every group's correctness prior from the value layer
-/// (Section 3.3.4, Eq. 26; see [`AlphaState::update`] for the two forms).
+/// (Section 3.3.4, Eq. 26, in the Eq. 5-consistent form unless
+/// [`ModelConfig::literal_eq26_alpha`] asks for the printed one).
 pub fn update_alpha(
-    alpha: &mut AlphaState,
+    alpha: &mut [f64],
     cube: &ObservationCube,
     truth: &[f64],
     params: &Params,
@@ -78,7 +76,7 @@ pub fn update_alpha(
 ) {
     let n = cfg.n_false_values.max(1) as f64;
     let spread = if cfg.literal_eq26_alpha { 1.0 } else { n };
-    for ((l, grp), &t) in alpha.logits_mut().iter_mut().zip(cube.groups()).zip(truth) {
+    for ((l, grp), &t) in alpha.iter_mut().zip(cube.groups()).zip(truth) {
         let a = params.source_accuracy[grp.source.index()];
         *l = logit(t * a + (1.0 - t) * (1.0 - a) / spread);
     }
@@ -293,59 +291,41 @@ fn exact_sum(xs: impl Iterator<Item = f64>) -> f64 {
     sum.finish()
 }
 
-/// Algorithm 1, one EM fit: the oracle for the engine's `run_em`, with
-/// the same inputs — the warm per-group `prior_truth` hint and the
-/// per-source copy `discount` included. The copy-aware refit loop is not
-/// part of it; hand it the factors the engine reports it ran with.
-pub fn fit(
+/// Algorithm 1 from `start`, one EM fit: the oracle for the engine's
+/// `run_em`, the same driver over its own [`round`]. The copy-aware refit
+/// loop is not part of it; hand it the factors the engine reports it ran
+/// with ([`EmState::discounted`]).
+pub fn fit(cube: &ObservationCube, cfg: &ModelConfig, start: EmState) -> FusionReport {
+    let mut values = empty_values(cube.num_items(), cube.num_groups(), cfg);
+    let mut s = start;
+    let Ok(trace) = iterate(cfg, s.rounds, || round(cube, cfg, &mut s, &mut values));
+    FusionReport::multi_layer(s, values, trace)
+}
+
+/// One round of Algorithm 1 over `s`: α when due (Eq. 26), correctness,
+/// the value layer into `values`, and both M-steps. Returns its Δ and
+/// log-likelihood; it cannot fail.
+fn round(
     cube: &ObservationCube,
     cfg: &ModelConfig,
-    init: &QualityInit,
-    prior_truth: Option<&[f64]>,
-    discount: Option<&CopyDiscount>,
-) -> FusionReport {
-    let ng = cube.num_groups();
-    let mut params = Params::init(cube, cfg, init);
-    let mut active: Vec<bool> = (0..cube.num_sources())
-        .map(|w| cube.source_size(SourceId::new(w as u32)) >= cfg.min_source_support)
-        .collect();
-    let mut alpha = AlphaState::uniform(ng, cfg.alpha);
-    let alpha_always = alpha_matured_by(init) && cfg.alpha_update_from.is_some();
-    if let (Some(t0), Some(_)) = (prior_truth, cfg.alpha_update_from) {
-        update_alpha(&mut alpha, cube, t0, &params, cfg);
+    s: &mut EmState,
+    values: &mut ValueLayerOutput,
+) -> Result<(f64, f64), Infallible> {
+    if let Some(truth) = s.truth.as_ref().filter(|_| s.alpha_due(cfg)) {
+        update_alpha(&mut s.alpha, cube, truth, &s.params, cfg);
     }
-
-    let mut correctness = vec![0.0; ng];
-    let mut values = empty_values(cube.num_items(), ng, cfg);
-    let mut trace = ConvergenceTrace::default();
-    let mut watch = Stopwatch::start();
-    for t in 1..=cfg.max_iterations {
-        let votes = vote_counter(cube, &params, cfg);
-        correctness = estimate_correctness(cube, &votes, &alpha, cfg);
-        values = estimate_values(cube, &correctness, &params, cfg, &active, discount);
-        let prev = params.clone();
-        let cond = &values.truth_given_provided;
-        update_source_accuracy(cube, &correctness, cond, cfg, &mut params, &mut active);
-        update_extractor_quality(cube, &correctness, cfg, &mut params);
-        if cfg.updates_alpha_at(t + 1) || alpha_always {
-            update_alpha(&mut alpha, cube, &values.truth_of_group, &params, cfg);
-        }
-        let delta = params.max_abs_delta(&prev);
-        trace.rounds.push(IterationTrace {
-            iteration: t,
-            delta,
-            log_likelihood: exact_sum(
-                (correctness.iter().zip(&values.truth_of_group))
-                    .map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v)),
-            ),
-            wall: watch.lap(),
-        });
-        if delta < cfg.convergence_eps {
-            trace.converged = true;
-            break;
-        }
-    }
-    FusionReport::multi_layer(params, correctness, values, active, trace)
+    let votes = vote_counter(cube, &s.params, cfg);
+    s.correctness = estimate_correctness(cube, &votes, &s.alpha, cfg);
+    let c = &s.correctness;
+    *values = estimate_values(cube, c, &s.params, cfg, &s.active, s.discount.as_ref());
+    let prev = s.params.clone();
+    let (cond, truth) = (&values.truth_given_provided, &values.truth_of_group);
+    update_source_accuracy(cube, c, cond, cfg, &mut s.params, &mut s.active);
+    update_extractor_quality(cube, c, cfg, &mut s.params);
+    let ll = (c.iter().zip(truth)).map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v));
+    s.truth = Some(truth.clone());
+    s.rounds += 1;
+    Ok((s.params.max_abs_delta(&prev), exact_sum(ll)))
 }
 
 /// The single-layer E-step (Eqs. 2–3) over the pair cube `pc`, item by
@@ -424,9 +404,7 @@ pub fn fit_single_layer(
 
     let mut truth = vec![0.0f64; pc.num_groups()];
     let mut posteriors = empty_values(cube.num_items(), 0, cfg).posteriors;
-    let mut trace = ConvergenceTrace::default();
-    let mut watch = Stopwatch::start();
-    for t in 1..=cfg.max_iterations {
+    let round = || {
         posteriors = pair_estep(&pc, &acc, &active, cfg, &mut truth);
         // M-step (Eq. 4): an active pair's accuracy is the mean truth of
         // its claims.
@@ -437,17 +415,10 @@ pub fn fit_single_layer(
             delta = delta.max((new - acc[s]).abs());
             acc[s] = new;
         }
-        trace.rounds.push(IterationTrace {
-            iteration: t,
-            delta,
-            log_likelihood: exact_sum(truth.iter().map(|&p| map_confidence_ll(p))),
-            wall: watch.lap(),
-        });
-        if delta < cfg.convergence_eps {
-            trace.converged = true;
-            break;
-        }
-    }
+        let ll = exact_sum(truth.iter().map(|&p| map_confidence_ll(p)));
+        Ok::<_, Infallible>((delta, ll))
+    };
+    let Ok(trace) = iterate(cfg, 0, round);
 
     // A page's accuracy is the claim-weighted mean of its active pairs'.
     let mut src_num = vec![0.0f64; cube.num_sources()];

@@ -39,7 +39,7 @@ use kbt_flume::Stopwatch;
 
 use crate::config::ModelConfig;
 use crate::model::{FusionReport, PairSources};
-use crate::multi_layer::with_em;
+use crate::multi_layer::{with_em, EmState};
 use crate::params::{Params, QualityInit};
 
 /// The single-layer ACCU/POPACCU estimator.
@@ -88,7 +88,9 @@ impl SingleLayerModel {
                 extractor_precision: Vec::new(),
                 extractor_recall: Vec::new(),
             };
-            let mut fit = with_em(chunked, cfg, &init, None, false, |fit| fit(None))?;
+            let ne = chunked.num_extractors();
+            let start = EmState::new(ne, &chunked.source_sizes, cfg, &init, false);
+            let mut fit = with_em(chunked, cfg, |fit| fit(start))?;
             fit.trace.stage_wall.chunking += chunking;
             Ok(fold_back(cube, cfg, pairs, fit))
         })

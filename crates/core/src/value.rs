@@ -336,9 +336,8 @@ mod tests {
     ) -> ValueLayerOutput {
         let cfg = ModelConfig::default();
         let miv = cc.max_item_values;
-        scan_rows(cc, &cfg, scratch, |s, view, rows| {
-            rows.correctness
-                .copy_from_slice(&correctness[rows.first..][..view.num_rows()]);
+        let truth = vec![0.0; cc.num_groups()];
+        scan_rows(cc, &cfg, [correctness, &truth], scratch, |s, view, rows| {
             estimate_values(view, votes, active, miv, s, rows);
         })
         .1

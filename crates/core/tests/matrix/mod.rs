@@ -3,16 +3,16 @@
 //!
 //! engine resident at threads {1, 2, 8}
 //!   ≡ engine streamed at threads {1, 2, 4} × `max_resident_chunks` {1, 4, 0}
-//!   ≡ [`reference::fit`], bit for bit, warm priors and copy discounts
-//!   included — and the same row for the single layer against
-//!   [`reference::fit_single_layer`]. Every fit goes through
-//!   `ModelConfig::residency`, so a streamed cell writes its own store;
-//!   a cold, copy-blind multi-layer cell also refits from that store
-//!   through the cube-less `run_streamed`.
+//!   ≡ [`reference::fit`], bit for bit, from an init or from a built
+//!   [`EmState`] (a warm restart, a copy discount) — and the same row for
+//!   the single layer against [`reference::fit_single_layer`]. Every fit
+//!   goes through `ModelConfig::residency`, so a streamed cell writes its
+//!   own store; a multi-layer cell fitted from an init also refits from
+//!   that store through the cube-less `run_streamed`.
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
-//! priors, copy discounts, cube histories and chunk sizes.
+//! starts, copy discounts, cube histories and chunk sizes.
 
 // Shared by several test crates; each uses the helpers it needs.
 #![allow(dead_code)]
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kbt_core::{
-    reference, ConvergenceTrace, CopyDiscount, CubeResidency, FusionReport, ModelConfig,
+    reference, ConvergenceTrace, CubeResidency, EmState, FusionReport, ModelConfig,
     MultiLayerModel, QualityInit, SingleLayerModel,
 };
 use kbt_datamodel::{FileChunkStore, ObservationCube};
@@ -126,46 +126,61 @@ fn assert_fits_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str) {
     );
 }
 
-/// One row of the matrix: fit `cube` under `cfg` / `init` (and the warm
-/// priors, if any) with the oracle and with the engine at every
-/// (residency, threads) cell, chunked at `cfg.chunk_target_cells`, and
-/// assert every fit equals the oracle's bit for bit. `independence` is a
-/// full-length per-source factor vector: the engine takes it as its
-/// prior independence, the oracle as the equivalent [`CopyDiscount`].
+/// One row of the matrix: fit `cube` under `cfg` from `init` with the
+/// oracle and with the engine's `run_traced` at every (residency,
+/// threads) cell, chunked at `cfg.chunk_target_cells`, and assert every
+/// fit equals the oracle's bit for bit. A streamed cell also refits from
+/// the store its fit wrote through the cube-less `run_streamed`, reading
+/// each item frame once a round.
 pub fn assert_engine_matches_reference(
     cube: &ObservationCube,
     cfg: &ModelConfig,
     init: &QualityInit,
-    prior_truth: Option<&[f64]>,
-    independence: Option<&[f64]>,
     tag: &str,
 ) {
-    let discount = independence.map(|s| CopyDiscount::from_scales(s.to_vec()));
-    let want = reference::fit(cube, cfg, init, prior_truth, discount.as_ref());
+    assert_fits_match(cube, cfg, &EmState::start(cube, cfg, init), Some(init), tag);
+}
+
+/// [`assert_engine_matches_reference`] from a built start — a warm
+/// restart, a discount — through the engine's `run_from`.
+pub fn assert_engine_matches_reference_from(
+    cube: &ObservationCube,
+    cfg: &ModelConfig,
+    start: &EmState,
+    tag: &str,
+) {
+    assert_fits_match(cube, cfg, start, None, tag);
+}
+
+fn assert_fits_match(
+    cube: &ObservationCube,
+    cfg: &ModelConfig,
+    start: &EmState,
+    init: Option<&QualityInit>,
+    tag: &str,
+) {
+    let want = reference::fit(cube, cfg, start.clone());
     let ng = cube.num_groups();
     for v in [want.correctness().unwrap(), &want.truth_of_group[..]] {
         assert_eq!(v.len(), ng, "{tag}: per-group vectors are dense");
     }
     assert_eq!(want.covered_group.len(), ng, "{tag}: dense coverage");
 
-    // The cube-less entry point takes no priors: a cold, copy-blind
-    // streamed cell also refits from the store its fit wrote, reading
-    // each item frame once a round.
-    let cold = prior_truth.is_none() && independence.is_none();
     for cell in cells(&fresh_path("engine")) {
         let model = MultiLayerModel::new(at(cfg, &cell));
-        let got = model
-            .run_traced_with_priors(cube, init, prior_truth, independence)
-            .expect("engine fit");
+        let got = match init {
+            Some(init) => model.run_traced(cube, init),
+            None => model.run_from(cube, start.clone()),
+        };
         let what = format!("{tag} {:?} x{}", cell.0, cell.1);
-        assert_fits_bitwise_eq(&got, &want, &what);
+        assert_fits_bitwise_eq(&got.expect("engine fit"), &want, &what);
         if let (
-            true,
+            Some(init),
             CubeResidency::Streamed {
                 path,
                 max_resident_chunks: cap,
             },
-        ) = (cold, &cell.0)
+        ) = (init, &cell.0)
         {
             let store = Arc::new(FileChunkStore::open(path).expect("open the fit's store"));
             let got = model

@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use kbt_core::config::AbsencePolicy;
 use kbt_core::{
-    CorrectnessWeighting, CubeResidency, ModelConfig, MultiLayerModel, QualityInit, ValueModel,
+    CorrectnessWeighting, CubeResidency, EmState, ModelConfig, MultiLayerModel, QualityInit,
+    ValueModel,
 };
 use kbt_datamodel::wire::{WireError, WireReader};
 use kbt_datamodel::{
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 
 #[path = "matrix/mod.rs"]
 mod matrix;
-use matrix::{assert_engine_matches_reference, fresh_path};
+use matrix::{assert_engine_matches_reference, assert_engine_matches_reference_from, fresh_path};
 
 /// Deterministic observation soup: dense-ish ids so groups share items
 /// and sources, several extractors, mixed confidences.
@@ -63,7 +64,7 @@ fn check_cube(cube: &ObservationCube, target_cells: usize, tag: &str) {
         chunk_target_cells: target_cells,
         ..ModelConfig::default()
     };
-    assert_engine_matches_reference(cube, &cfg, &QualityInit::Default, None, None, tag);
+    assert_engine_matches_reference(cube, &cfg, &QualityInit::Default, tag);
 }
 
 #[test]
@@ -111,24 +112,26 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
     });
     for (i, cfg) in cases.iter().enumerate() {
         let tag = format!("config {i}");
-        assert_engine_matches_reference(&cube, cfg, &QualityInit::Default, None, None, &tag);
+        assert_engine_matches_reference(&cube, cfg, &QualityInit::Default, &tag);
     }
 
-    // Warm inputs, resident and streamed: a per-group prior-truth hint,
-    // resumed parameters, and a non-neutral copy discount, alone and
-    // together.
+    // Warm starts, resident and streamed: resumed parameters alone (what
+    // `FusionModel::fit` with a `Resume` init runs), with the last fit's
+    // truth column (a session's warm restart), and a non-neutral copy
+    // discount, cold and warm.
     let cold = MultiLayerModel::new(base.clone()).run_traced(&cube, &QualityInit::Default);
     let cold = cold.expect("resident fit");
     let resume = QualityInit::Resume(cold.params.clone());
-    let hint = Some(&cold.truth_of_group[..]);
+    let warm = EmState::resume(&cube, &base, cold.params, cold.truth_of_group);
     let scales: Vec<f64> = (0..cube.num_sources())
         .map(|w| 1.0 - 0.2 * (w % 3) as f64)
         .collect();
-    let cold_init = QualityInit::Default;
-    assert_engine_matches_reference(&cube, &base, &cold_init, hint, None, "warm truth");
-    assert_engine_matches_reference(&cube, &base, &resume, hint, None, "resumed");
-    assert_engine_matches_reference(&cube, &base, &cold_init, None, Some(&scales), "discount");
-    assert_engine_matches_reference(&cube, &base, &resume, hint, Some(&scales), "warm discount");
+    let discounted = EmState::start(&cube, &base, &QualityInit::Default).discounted(&scales);
+    assert_engine_matches_reference(&cube, &base, &resume, "resumed, no truth");
+    assert_engine_matches_reference_from(&cube, &base, &warm, "resumed");
+    assert_engine_matches_reference_from(&cube, &base, &discounted, "discount");
+    let warm = warm.discounted(&scales);
+    assert_engine_matches_reference_from(&cube, &base, &warm, "warm discount");
 }
 
 /// The cube's groups are item-major, so a fit's rows *are* its groups:
@@ -177,20 +180,17 @@ fn the_rows_are_the_groups() {
     let cold = MultiLayerModel::new(cfg.clone())
         .run_traced(&cube, &QualityInit::Default)
         .expect("resident fit");
-    let resume = QualityInit::Resume(cold.params.clone());
     let hint: Vec<f64> = (0..cube.num_groups())
         .map(|g| cold.truth_of_group[g] * 0.9)
         .collect();
     let scales: Vec<f64> = (0..cube.num_sources())
         .map(|w| 1.0 - 0.15 * (w % 4) as f64)
         .collect();
-    assert_engine_matches_reference(&cube, &cfg, &resume, Some(&hint), Some(&scales), "rows");
+    let start = EmState::resume(&cube, &cfg, cold.params, hint).discounted(&scales);
+    assert_engine_matches_reference_from(&cube, &cfg, &start, "rows");
 
-    let fit = |cfg: ModelConfig| {
-        MultiLayerModel::new(cfg)
-            .run_traced_with_priors(&cube, &resume, Some(&hint), Some(&scales))
-            .expect("fit")
-    };
+    let fit =
+        |cfg: ModelConfig| (MultiLayerModel::new(cfg).run_from(&cube, start.clone())).expect("fit");
     let warm = fit(cfg.clone());
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for cap in [0, 1, 4] {
@@ -225,6 +225,33 @@ fn the_rows_are_the_groups() {
     for v in [&extraction.correctness, &extraction.truth_given_provided] {
         assert_eq!(v.len(), cube.num_groups());
     }
+}
+
+/// A discount is per-source independence factors padded with ones: an
+/// empty or all-ones slice is no discount at all (the fit reports none and
+/// runs copy-blind), and a short one leaves the sources beyond it fully
+/// independent.
+#[test]
+fn a_start_is_discounted_by_padded_independence_factors() {
+    let cube = build(observations(7, 200));
+    let cfg = ModelConfig::default();
+    let start = || EmState::start(&cube, &cfg, &QualityInit::Default);
+    let fit = |start| MultiLayerModel::new(cfg.clone()).run_from(&cube, start);
+    let blind = fit(start()).expect("fit");
+    for neutral in [&[][..], &[1.0; 3][..]] {
+        let got = fit(start().discounted(neutral)).expect("fit");
+        assert_eq!(got.source_independence, None);
+        assert_eq!(got.params, blind.params);
+    }
+    let mut full = vec![1.0; cube.num_sources()];
+    full[0] = 0.5;
+    let short = fit(start().discounted(&[0.5])).expect("fit");
+    assert_eq!(short.source_independence.as_deref(), Some(&full[..]));
+    assert_eq!(
+        short.params,
+        fit(start().discounted(&full)).expect("fit").params
+    );
+    assert_ne!(short.params, blind.params);
 }
 
 /// A store of the previous format, `KBTCHNK3` (a group id per row), is

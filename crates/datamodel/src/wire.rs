@@ -1,4 +1,4 @@
-//! The one wire codec under `KBTNET01`, `KBTWAL01`, `KBTCHNK3` and
+//! The one wire codec under `KBTNET01`, `KBTWAL01`, `KBTCHNK4` and
 //! `KBTSNAP1`: how a value looks in bytes, and how a record is
 //! delimited, checksummed, version-tagged and length-guarded.
 //!

@@ -39,8 +39,8 @@ pub use error::PipelineError;
 pub use session::{Delta, FusionSession, WarmState};
 
 use kbt_core::{
-    detect_copies_from_accuracy, CopyDetectConfig, FusionReport, ModelConfig, MultiLayerModel,
-    QualityInit, SingleLayerModel, ValueModel,
+    detect_copies_from_accuracy, CopyDetectConfig, EmState, FusionReport, ModelConfig,
+    MultiLayerModel, QualityInit, SingleLayerModel, ValueModel,
 };
 // Re-exported so callers configuring out-of-core runs need no direct
 // kbt-core import for the residency knob.
@@ -120,9 +120,9 @@ enum Start<'a> {
 impl Model {
     /// Fit `cube` with this model — the crate's one `Model` → engine
     /// dispatch. `Accu` / `PopAccu` run the single layer with their value
-    /// model forced onto the configuration. A warm session refit hands the
-    /// multi-layer model the last fit's truth hint and independence prior;
-    /// the single layer resumes through `init` alone. A batch fit streams
+    /// model forced onto the configuration. A warm session refit runs the
+    /// multi-layer model from the start its [`WarmState`] builds; the
+    /// single layer resumes through `init` alone. A batch fit streams
     /// when [`ModelConfig::residency`] says so; the engine decides how.
     fn fit(
         &self,
@@ -143,10 +143,9 @@ impl Model {
         };
         let value_model = match self {
             Self::MultiLayer(_) => {
-                let hint = warm.map(|w| w.truth_hint(cube, cfg.n_false_values));
-                let independence = warm.and_then(|w| w.independence.as_deref());
-                let model = MultiLayerModel::new(cfg);
-                let fit = model.run_traced_with_priors(cube, init, hint.as_deref(), independence);
+                let start = warm.map(|warm| warm.start(cube, &cfg));
+                let start = start.unwrap_or_else(|| EmState::start(cube, &cfg, init));
+                let fit = MultiLayerModel::new(cfg).run_from(cube, start);
                 return fit.map_err(io_err);
             }
             Self::Accu(_) => ValueModel::Accu,
@@ -319,7 +318,7 @@ impl TrustPipeline {
     /// unless set there), before or after [`model`](Self::model).
     ///
     /// With [`CubeResidency::Streamed`] the model writes its chunked cube
-    /// (the single layer's, its pair cube) to a `KBTCHNK3` store at the
+    /// (the single layer's, its pair cube) to a `KBTCHNK4` store at the
     /// given path and fits from it within the memory bound
     /// [`CubeResidency`] states. Trust scores, posteriors, copy evidence
     /// and trace are **bit-for-bit identical** to a resident run,

@@ -13,7 +13,7 @@
 //! delta runs all 5 rounds and stops at Δ 1–5·10⁻³, as a cold fit does
 //! (`benchmark/`'s `pipeline.warm_rounds` reports the count).
 
-use kbt_core::{FusionReport, ItemPosteriors, Params, QualityInit};
+use kbt_core::{EmState, FusionReport, ItemPosteriors, ModelConfig, Params, QualityInit};
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, SourceId, ValueId};
 
 use crate::{Model, Start};
@@ -74,10 +74,9 @@ pub struct WarmState {
     /// columns are empty and `source_accuracy` is what its `Resume` seeds
     /// pair accuracies from.
     pub params: Params,
-    /// The fit's `p(V_d | X)`. The next warm run pre-matures the α prior
-    /// from a per-triple truth hint read off this table — a fit's
-    /// `truth_of_group[g]` *is* `prob(item(g), value(g))`, bit for bit,
-    /// so the hint needs no column of its own and no remapping when the
+    /// The fit's `p(V_d | X)`, which the next warm run's truth column is
+    /// read off: a fit's `truth_of_group[g]` *is* `prob(item(g), value(g))`,
+    /// bit for bit, so it needs no column here and no remapping when the
     /// cube's groups change under it.
     pub posteriors: ItemPosteriors,
     /// The independence factors `I(w)` the fit ran with — prior copy
@@ -96,23 +95,23 @@ impl WarmState {
         }
     }
 
-    /// The last fit's belief in each group of `cube` — its
-    /// `p(V_d = v(g) | X)` for every triple of an item it covered (one it
-    /// fitted, or one a delta added since), uniform over the
-    /// `(n_false_values + 1)`-value domain for items it never saw.
-    pub(crate) fn truth_hint(&self, cube: &ObservationCube, n_false_values: usize) -> Vec<f64> {
-        let known_items = self.posteriors.num_items();
-        let uniform = 1.0 / (n_false_values as f64 + 1.0);
-        cube.groups()
-            .iter()
-            .map(|g| {
-                if g.item.index() < known_items {
-                    self.posteriors.prob(g.item, g.value)
-                } else {
-                    uniform
-                }
+    /// The warm restart this state resumes on `cube`: its parameters and
+    /// independence factors, and its belief in each group as the truth
+    /// column — `p(V_d = v(g) | X)`, uniform over the `(n_false_values +
+    /// 1)`-value domain for an item it never saw (a delta added it since).
+    pub(crate) fn start(&self, cube: &ObservationCube, cfg: &ModelConfig) -> EmState {
+        let (known, uniform) = (
+            self.posteriors.num_items(),
+            1.0 / (cfg.n_false_values as f64 + 1.0),
+        );
+        let truth = (cube.groups().iter())
+            .map(|g| match g.item.index() < known {
+                true => self.posteriors.prob(g.item, g.value),
+                false => uniform,
             })
-            .collect()
+            .collect();
+        let start = EmState::resume(cube, cfg, self.params.clone(), truth);
+        start.discounted(self.independence.as_deref().unwrap_or_default())
     }
 }
 
@@ -133,7 +132,7 @@ impl WarmState {
 /// let mut session = FusionSession::from_observations(base, Model::multi_layer());
 /// let cold = session.run();                       // cold: QualityInit::Default
 /// let delta: Vec<Observation> = (0..8).map(|d| obs(3, d, 0)).collect();
-/// let warm = session.update(&delta).run();        // warm: QualityInit::Resume
+/// let warm = session.update(&delta).run();        // warm: a resumed EmState
 /// assert!(warm.iterations() <= cold.iterations());
 /// assert_eq!(session.cube().num_sources(), 4);
 /// ```
@@ -375,7 +374,7 @@ mod tests {
 
     /// Regression: two `update`s between runs used to panic when the
     /// second delta referenced an item introduced by the first — the
-    /// truth hint must bound known items by the warm posteriors'
+    /// warm start's truth column must bound known items by the warm posteriors'
     /// coverage, not by the *cube's* item count.
     #[test]
     fn consecutive_updates_before_rerun_are_safe() {

@@ -11,7 +11,7 @@
 //! The server batches incoming observation deltas and retractions, folds
 //! them into its [`FusionSession`] (`apply_delta` merge-walk, no full
 //! re-sort), refits EM — warm by default, resuming from the previous
-//! epoch's `WarmState` (converged parameters, truth hints,
+//! epoch's `WarmState` (converged parameters, posteriors,
 //! copy-independence priors) — and publishes a fresh immutable
 //! [`TrustSnapshot`] under the next epoch.
 //! Readers keep serving the previous epoch untouched for the whole

@@ -18,8 +18,8 @@ use kbt_pipeline::WarmState;
 /// delta log, and crash recovery replays it bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefitMode {
-    /// `QualityInit::Resume` from the previous epoch's [`WarmState`]
-    /// (last parameters, truth hint, independence priors) — the production
+    /// A resumed start from the previous epoch's [`WarmState`] (last
+    /// parameters, their truth column, independence priors) — the production
     /// mode; at 200k triples a default-config warm refit still runs all 5.
     Warm,
     /// `QualityInit::Default` from scratch on the merged cube: a

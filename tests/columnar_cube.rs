@@ -53,8 +53,6 @@ fn assert_matrix_at_chunk_sizes(cube: &ObservationCube, ctx: &str) {
             cube,
             &cfg,
             &QualityInit::Default,
-            None,
-            None,
             &format!("{ctx} chunk={chunk_target_cells}"),
         );
     }

@@ -18,7 +18,7 @@ mod common;
 mod matrix;
 
 use kbt::core::{
-    detect_copies_from_accuracy, CopyDetectConfig, CopyDiscount, CubeResidency, FusionModel,
+    detect_copies_from_accuracy, CopyDetectConfig, CubeResidency, EmState, FusionModel,
     MultiLayerModel,
 };
 use kbt::datamodel::{
@@ -317,20 +317,12 @@ fn copy_aware_fusion_is_bit_identical_across_engines() {
         assert_eq!(serial.iterations(), sharded.iterations());
     }
 
-    let discount = CopyDiscount::from_scales(indep.clone());
-    let init = QualityInit::Default;
-    let oracle = kbt::core::reference::fit(&cube, &fusion_cfg(), &init, None, Some(&discount));
+    let start = EmState::start(&cube, &fusion_cfg(), &QualityInit::Default).discounted(&indep);
+    let oracle = kbt::core::reference::fit(&cube, &fusion_cfg(), start.clone());
     assert_eq!(serial.source_trust(), oracle.params.source_accuracy);
     assert_eq!(serial.truth_of_group(), oracle.truth_of_group);
     assert_eq!(serial.correctness(), oracle.correctness());
-    matrix::assert_engine_matches_reference(
-        &cube,
-        &fusion_cfg(),
-        &init,
-        None,
-        Some(&indep),
-        "planted copier",
-    );
+    matrix::assert_engine_matches_reference_from(&cube, &fusion_cfg(), &start, "planted copier");
 }
 
 /// The copy-aware fit reproduces, bit for bit, the trust vector and the

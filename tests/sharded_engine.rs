@@ -9,7 +9,7 @@
 //!    promise: on `kbt_synth::scale`'s 200k-triple corpus a
 //!    default-config warm refit runs all 5 rounds.
 
-use kbt::core::{reference, ModelConfig, Params, ValueModel};
+use kbt::core::{reference, EmState, ModelConfig, Params, ValueModel};
 use kbt::datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt::synth::paper::{generate, SyntheticConfig};
 use kbt::{FusionSession, Model, QualityInit};
@@ -37,8 +37,8 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         ..ModelConfig::default()
     };
     let cold = QualityInit::Default;
-    matrix::assert_engine_matches_reference(&data.cube, &cfg, &cold, None, None, "multi");
-    let flat = kbt::core::reference::fit(&data.cube, &cfg, &cold, None, None);
+    matrix::assert_engine_matches_reference(&data.cube, &cfg, &cold, "multi");
+    let flat = reference::fit(&data.cube, &cfg, EmState::start(&data.cube, &cfg, &cold));
     assert!(
         flat.iterations() >= 2,
         "corpus must exercise several rounds"
@@ -46,14 +46,9 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     let scales: Vec<f64> = (0..data.cube.num_sources())
         .map(|w| if w % 4 == 0 { 0.4 } else { 1.0 })
         .collect();
-    matrix::assert_engine_matches_reference(
-        &data.cube,
-        &cfg,
-        &QualityInit::Resume(flat.params.clone()),
-        Some(&flat.truth_of_group),
-        Some(&scales),
-        "multi, warm + discount",
-    );
+    let warm = EmState::resume(&data.cube, &cfg, flat.params, flat.truth_of_group);
+    let warm = warm.discounted(&scales);
+    matrix::assert_engine_matches_reference_from(&data.cube, &cfg, &warm, "multi, warm + discount");
 }
 
 /// Same bit-for-bit guarantee for the single-layer baseline, resident and
