@@ -293,7 +293,7 @@ fn run_streamed(mode: &str, triples: usize) {
     let store_bytes = std::fs::metadata(&store_path).map_or(0, |m| m.len()) as f64;
     println!(
         "  chunk store: {} item chunks, {:.1} MiB on disk",
-        chunked.chunks.len(),
+        chunked.frames.len(),
         store_bytes / (1 << 20) as f64,
     );
     drop(chunked);
@@ -433,7 +433,7 @@ fn run_resident(mode: &str, triples: usize) {
 
     // Another partition of the same cube: more, smaller chunks, so the
     // rows fold into the workers' sums in another order — and the same bits.
-    let chunks = |cfg: &ModelConfig| ChunkedCube::from_cube(&cube, &cfg.chunking()).num_chunks();
+    let chunks = |cfg: &ModelConfig| ChunkedCube::from_cube(&cube, &cfg.chunking()).frames.len();
     let fine_cfg = ModelConfig {
         chunk_target_cells: PARTITION_TARGET_CELLS,
         ..cfg.clone()

@@ -52,7 +52,7 @@ pub enum AbsencePolicy {
 }
 
 /// Where the chunked cube lives during a fit — which
-/// `kbt_datamodel::ChunkSource` the one EM loop reads its chunk views
+/// `kbt_datamodel::ChunkSource` the one EM loop reads its item frames
 /// from. It changes where bytes come from, never which kernels run.
 ///
 /// [`CubeResidency::Streamed`] drives the EM rounds from a
@@ -143,12 +143,13 @@ pub struct ModelConfig {
     /// via `kbt_flume::with_threads`.
     pub threads: Option<usize>,
     /// Target number of cells per chunk when the engine lays the cube
-    /// out as a `kbt_datamodel::ChunkedCube`. Chunks are item-aligned, so
-    /// a chunk's scratch covers whole items; smaller chunks balance skew
-    /// better, larger chunks amortize scheduling. Forwarded to
-    /// `kbt_datamodel::ChunkingConfig::target_cells`; the default
-    /// (64 Ki cells ≈ a few MiB of columns) keeps a chunk's working set
-    /// L2/L3-resident on common hardware. Has no effect on results —
+    /// out as a `kbt_datamodel::ChunkedCube`, one item frame per chunk —
+    /// resident, or written to a chunk store as those same frames. Chunks
+    /// are item-aligned, so a chunk's scratch covers whole items; smaller
+    /// chunks balance skew better, larger chunks amortize scheduling.
+    /// Forwarded to `kbt_datamodel::ChunkingConfig::target_cells`; the
+    /// default (64 Ki cells ≈ a few MiB of columns) keeps a chunk's working
+    /// set L2/L3-resident on common hardware. Has no effect on results —
     /// only on scheduling granularity.
     pub chunk_target_cells: usize,
     /// Where the chunked cube lives during the fit: resident in memory

@@ -35,7 +35,7 @@ use kbt_datamodel::{pair_counts, ObservationCube, PairCounts, SourceId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CopyEvidence {
     /// The pair (ordered, `a < b`; copy direction is not identified —
-    /// see [8] for the directional test).
+    /// see \[8\] for the directional test).
     pub a: SourceId,
     /// Second source of the pair.
     pub b: SourceId,
@@ -118,7 +118,7 @@ impl Default for CopyDetectConfig {
 /// Per-source independence factors `I(w) ∈ [min_independence, 1]` — the
 /// CopyDiscount stage of copy-aware fusion.
 ///
-/// The paper's ACCUCOPY lineage [8] counts a source's vote only with the
+/// The paper's ACCUCOPY lineage \[8\] counts a source's vote only with the
 /// probability that it acted independently. We reproduce that shape: each
 /// pair whose evidence score exceeds [`CopyDetectConfig::score_threshold`]
 /// marks its *dependent* member (the lower-accuracy source; ties go to

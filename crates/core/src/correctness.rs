@@ -7,7 +7,7 @@
 //! iteration's value posteriors (Section 3.3.4, Eq. 26) once the schedule
 //! allows it.
 
-use kbt_datamodel::ItemView;
+use kbt_datamodel::ChunkBuf;
 
 use crate::config::ModelConfig;
 use crate::math::{logit, sigmoid};
@@ -51,7 +51,7 @@ pub(crate) fn update_alpha(
 /// as its posterior is known, so the extractor update needs no pass of its
 /// own.
 pub(crate) fn estimate_correctness(
-    view: &ItemView<'_>,
+    frame: &ChunkBuf,
     votes: &VoteCounter,
     alpha: &[f64],
     cfg: &ModelConfig,
@@ -59,10 +59,10 @@ pub(crate) fn estimate_correctness(
     sums: &mut RoundSums,
 ) {
     for (r, p) in out.iter_mut().enumerate() {
-        let cells = view.cells(r);
-        let extractors = &view.cell_extractor[cells.clone()];
-        let confidences = &view.cell_confidence[cells];
-        let mut vc = votes.source_absence_sum[view.ig_source[r] as usize];
+        let cells = frame.cells(r);
+        let extractors = &frame.cell_extractor[cells.clone()];
+        let confidences = &frame.cell_confidence[cells];
+        let mut vc = votes.source_absence_sum[frame.ig_source[r] as usize];
         for (&e, &c) in extractors.iter().zip(confidences) {
             vc += cfg.effective_confidence(c) * votes.adjust[e as usize];
         }
@@ -209,11 +209,11 @@ mod tests {
                     let mut workers = vec![RoundSums::default(); threads];
                     // α rides back out in the truth column.
                     let (got, alpha) = kbt_flume::with_threads(Some(threads), || {
-                        scan_rows(&cc, &cfg, columns, &mut workers, |sums, view, rows| {
+                        scan_rows(&cc, &cfg, columns, &mut workers, |sums, buf, rows| {
                             sums.reset(cube.num_sources(), cube.num_extractors(), true);
-                            update_alpha(rows.alpha, view.ig_source, rows.truth, &params, &cfg);
+                            update_alpha(rows.alpha, &buf.ig_source, rows.truth, &params, &cfg);
                             estimate_correctness(
-                                view,
+                                buf,
                                 &votes,
                                 rows.alpha,
                                 &cfg,

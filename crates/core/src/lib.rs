@@ -18,9 +18,9 @@
 //!   in log-odds space, the improved uncertainty-weighted estimator
 //!   (Section 3.3.3), per-triple prior re-estimation (Section 3.3.4), and
 //!   confidence-weighted extractions (Section 3.5).
-//! * [`SingleLayerModel`] — the knowledge-fusion baseline of [11]
+//! * [`SingleLayerModel`] — the knowledge-fusion baseline of \[11\]
 //!   (Section 2.2): every (webpage, extractor) pair is a source under the
-//!   ACCU model of [8], optionally POPACCU — the same EM engine over a
+//!   ACCU model of \[8\], optionally POPACCU — the same EM engine over a
 //!   pair cube, with the extraction layer off.
 //!
 //! ## Quickstart

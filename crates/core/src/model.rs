@@ -47,10 +47,10 @@ pub struct IterationTrace {
 /// alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
-    /// Splitting the cube into chunk columns — the `ChunkedCube::from_cube`
-    /// split, once per fit from a cube (`run_streamed` reads a
-    /// pre-chunked store); for the single layer, the pair-cube reshape as
-    /// well. The cube's groups are the fit's rows, so nothing is permuted
+    /// Splitting the cube into its item frames and meta frame — the
+    /// `ChunkedCube::from_cube` split, once per fit from a cube
+    /// (`run_streamed` reads a pre-chunked store); for the single layer,
+    /// the pair-cube reshape as well. The cube's groups are the fit's rows, so nothing is permuted
     /// back.
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14, and Eq. 19's per-source votes).

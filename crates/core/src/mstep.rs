@@ -11,7 +11,7 @@
 //!   directly (Section 3.4.2).
 //!
 //! Both are transition / merge / final aggregates: a round's scan folds
-//! every row into its worker's [`RoundSums`], the workers' sums are merged
+//! every row into its worker's `RoundSums`, the workers' sums are merged
 //! after the scan, and the updates below finish them — exact sums, so no
 //! chunk order, partition or worker count shows in the bits.
 
@@ -190,7 +190,7 @@ pub(crate) mod tests {
     use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkStoreMeta, ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
+        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation,
         ObservationCube, SourceId, ValueId,
     };
     use rand::rngs::StdRng;
@@ -203,8 +203,8 @@ pub(crate) mod tests {
     /// without the `Σ conf` fold) of the correctness scan folding both
     /// M-steps' sums, and both M-steps from `init`, as `run_em` runs them.
     fn two_rounds(cc: &ChunkedCube, init: &Params, truth: &[f64], cfg: &ModelConfig) -> Round {
-        let meta = ChunkStoreMeta::from_cube(cc);
-        let (ne, nw) = (cc.num_extractors(), cc.num_sources());
+        let meta = &cc.meta;
+        let (ne, nw) = (meta.num_extractors as usize, meta.num_sources as usize);
         let mut votes = crate::votes::VoteCounter::empty();
         let (ext_offsets, ext_ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
         votes.rebuild(ne, nw, ext_offsets, ext_ids, init, cfg);
@@ -215,18 +215,18 @@ pub(crate) mod tests {
         for round in 0..2 {
             got = init.clone();
             workers.iter_mut().for_each(|w| w.reset(nw, ne, round == 0));
-            c = scan_rows(cc, cfg, columns, &mut workers, |sums, view, rows| {
-                estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
-                sums.fold_rows(view.ig_source, rows.correctness, rows.truth, rows.truth);
+            c = scan_rows(cc, cfg, columns, &mut workers, |sums, buf, rows| {
+                estimate_correctness(buf, &votes, rows.alpha, cfg, rows.correctness, sums);
+                sums.fold_rows(&buf.ig_source, rows.correctness, rows.truth, rows.truth);
             })
             .0;
             let (sums, rest) = workers.split_first_mut().unwrap();
             rest.iter().for_each(|w| sums.merge(w));
-            let mass = update_source_accuracy(&meta, sums, cfg, &mut got, &mut active, true);
+            let mass = update_source_accuracy(meta, sums, cfg, &mut got, &mut active, true);
             if let Some(folded) = sums.pden() {
                 pden = folded;
             }
-            update_extractor_quality(&meta, sums, &pden, &mass, cfg, &mut got);
+            update_extractor_quality(meta, sums, &pden, &mass, cfg, &mut got);
         }
         (c, got, active)
     }
@@ -270,8 +270,8 @@ pub(crate) mod tests {
         // per-source extractor sets are the retracted cube's.
         let hollow_out = |cc: ChunkedCube, shrunk: &ChunkedCube| {
             let mut hollow = hollow_rows(cc, retracted);
-            hollow.source_ext_offsets = shrunk.source_ext_offsets.clone();
-            hollow.source_ext_ids = shrunk.source_ext_ids.clone();
+            hollow.meta.source_ext_offsets = shrunk.meta.source_ext_offsets.clone();
+            hollow.meta.source_ext_ids = shrunk.meta.source_ext_ids.clone();
             hollow
         };
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -316,7 +316,7 @@ pub(crate) mod tests {
                     for (cc, want) in &cases {
                         for threads in [1usize, 2, 8] {
                             let (c, got, active) = kbt_flume::with_threads(Some(threads), || {
-                                two_rounds(cc, &init, &truth[..cc.num_groups()], &cfg)
+                                two_rounds(cc, &init, &truth[..cc.meta.num_groups as usize], &cfg)
                             });
                             let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
                             let Some(want) = want else {
@@ -336,23 +336,24 @@ pub(crate) mod tests {
     }
 
     /// `cc` with the cells of every row whose group `hollow` picks
-    /// removed: the rows stay, claiming without a cell, and each chunk
-    /// counts the cells it has left.
+    /// removed, frame by frame: the rows stay, claiming without a cell,
+    /// and each chunk (and the meta frame) counts the cells it has left.
     pub(crate) fn hollow_rows(mut cc: ChunkedCube, hollow: impl Fn(usize) -> bool) -> ChunkedCube {
-        let offsets = std::mem::replace(&mut cc.cell_offsets, vec![0]);
-        let ext = std::mem::take(&mut cc.cell_extractor);
-        let conf = std::mem::take(&mut cc.cell_confidence);
-        for r in 0..cc.num_groups() {
-            if !hollow(r) {
-                let cells = offsets[r] as usize..offsets[r + 1] as usize;
-                cc.cell_extractor.extend(&ext[cells.clone()]);
-                cc.cell_confidence.extend(&conf[cells]);
+        let chunks = cc.meta.item_chunks.iter_mut();
+        for (chunk, frame) in chunks.zip(&mut cc.frames) {
+            let offsets = std::mem::replace(&mut frame.cell_offsets, vec![0]);
+            let ext = std::mem::take(&mut frame.cell_extractor);
+            let conf = std::mem::take(&mut frame.cell_confidence);
+            for r in 0..frame.num_rows() {
+                if !hollow(chunk.rows.start as usize + r) {
+                    let cells = offsets[r] as usize..offsets[r + 1] as usize;
+                    frame.cell_extractor.extend(&ext[cells.clone()]);
+                    frame.cell_confidence.extend(&conf[cells]);
+                }
+                frame.cell_offsets.push(frame.cell_extractor.len() as u32);
             }
-            cc.cell_offsets.push(cc.cell_extractor.len() as u32);
-        }
-        for chunk in &mut cc.chunks {
-            let rows = chunk.rows.start as usize..chunk.rows.end as usize;
-            chunk.cells = cc.cell_offsets[rows.end] - cc.cell_offsets[rows.start];
+            cc.meta.num_cells -= chunk.cells - frame.cell_extractor.len() as u32;
+            chunk.cells = frame.cell_extractor.len() as u32;
         }
         cc
     }

@@ -31,8 +31,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, ResidentChunks,
-    SourceId, StreamedChunks,
+    ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, SourceId,
+    StreamedChunks,
 };
 use kbt_flume::Stopwatch;
 
@@ -85,7 +85,7 @@ impl MultiLayerModel {
     pub fn run_from(&self, cube: &ObservationCube, start: EmState) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
-            // The chunk view of the cube, built once per run: the
+            // The chunked cube, built once per run: the
             // copy-aware loop refits the same cube several times.
             let mut sw = Stopwatch::start();
             let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
@@ -107,7 +107,7 @@ impl MultiLayerModel {
     /// once per round.
     ///
     /// It is the same loop over the same kernels as a resident fit, fed
-    /// from [`StreamedChunks`] instead of [`ResidentChunks`], so its
+    /// from [`StreamedChunks`] instead of a resident [`ChunkedCube`], so its
     /// [`FusionReport`] is **bit-for-bit identical** at any thread count
     /// and any `max_resident_chunks` (the `out_of_core` integration tests
     /// assert this).
@@ -337,10 +337,7 @@ pub(crate) fn with_em<R>(
     body: impl FnOnce(&dyn Fn(EmState) -> io::Result<FusionReport>) -> io::Result<R>,
 ) -> io::Result<R> {
     match &cfg.residency {
-        CubeResidency::Resident => {
-            let src = ResidentChunks::new(&chunked);
-            body(&|start| fit_em(cfg, &src, start))
-        }
+        CubeResidency::Resident => body(&|start| fit_em(cfg, &chunked, start)),
         CubeResidency::Streamed {
             path,
             max_resident_chunks,
@@ -411,15 +408,15 @@ fn run_em<S: ChunkSource>(
             .truth
             .get_or_insert_with(|| vec![0.0; state.alpha.len()]);
         let mut windows = rows.windows(meta, [&mut state.alpha, &mut state.correctness, truth]);
-        src.scan_items(&mut workers, &mut windows, |(scratch, sums), view, rows| {
+        src.scan_items(&mut workers, &mut windows, |(scratch, sums), buf, rows| {
             if extraction {
                 if alpha_due {
-                    update_alpha(rows.alpha, view.ig_source, rows.truth, params, cfg);
+                    update_alpha(rows.alpha, &buf.ig_source, rows.truth, params, cfg);
                 }
-                estimate_correctness(view, &votes, rows.alpha, cfg, rows.correctness, sums);
+                estimate_correctness(buf, &votes, rows.alpha, cfg, rows.correctness, sums);
             }
-            estimate_values(view, &value_votes, active, miv, scratch, rows);
-            sums.fold_rows(view.ig_source, rows.correctness, rows.truth, rows.cond);
+            estimate_values(buf, &value_votes, active, miv, scratch, rows);
+            sums.fold_rows(&buf.ig_source, rows.correctness, rows.truth, rows.cond);
         })?;
         wall.scan += stage.lap();
 
@@ -535,12 +532,12 @@ pub(crate) fn empty_values(
 pub(crate) mod tests {
     use super::*;
     use kbt_datamodel::{
-        ChunkingConfig, CubeBuilder, ExtractorId, ItemId, ItemView, Observation, SourceId, ValueId,
+        ChunkBuf, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId,
     };
 
     /// One resident scan of `cc` on `workers` into a fit's row state, as
     /// `run_em`'s first round makes it under `cfg` but from the
-    /// `correctness` and `truth` columns given: `f(worker, view, rows)`
+    /// `correctness` and `truth` columns given: `f(worker, frame, rows)`
     /// fills each chunk's rows. The correctness and value columns come back
     /// as a fit reports them.
     pub(crate) fn scan_rows<S: Send>(
@@ -548,14 +545,13 @@ pub(crate) mod tests {
         cfg: &ModelConfig,
         [correctness, truth]: [&[f64]; 2],
         workers: &mut [S],
-        f: impl Fn(&mut S, &ItemView<'_>, &mut ChunkRows<'_>) + Sync,
+        f: impl Fn(&mut S, &ChunkBuf, &mut ChunkRows<'_>) + Sync,
     ) -> (Vec<f64>, ValueLayerOutput) {
-        let src = ResidentChunks::new(cc);
-        let mut alpha = vec![logit(cfg.alpha); cc.num_groups()];
+        let mut alpha = vec![logit(cfg.alpha); cc.meta.num_groups as usize];
         let (mut correctness, mut truth) = (correctness.to_vec(), truth.to_vec());
-        let mut rows = ValueRows::new(src.meta());
-        let mut windows = rows.windows(src.meta(), [&mut alpha, &mut correctness, &mut truth]);
-        (src.scan_items(workers, &mut windows, |s, view, rows| f(s, view, rows)))
+        let mut rows = ValueRows::new(&cc.meta);
+        let mut windows = rows.windows(&cc.meta, [&mut alpha, &mut correctness, &mut truth]);
+        (cc.scan_items(workers, &mut windows, |s, buf, rows| f(s, buf, rows)))
             .expect("a resident scan never fails");
         (correctness, rows.into_values(truth))
     }
@@ -800,9 +796,9 @@ pub(crate) mod tests {
         FileChunkStore::write(&cc, &path).expect("write the store");
         let store = Arc::new(FileChunkStore::open(&path).expect("open the store"));
         for (start, tag) in [(&cold, "cold"), (&warm, "warm")] {
-            let want = check(&ResidentChunks::new(&cc), start, 1, tag);
+            let want = check(&cc, start, 1, tag);
             for threads in [1, 2, 8] {
-                let got = check(&ResidentChunks::new(&cc), start, threads, tag);
+                let got = check(&cc, start, threads, tag);
                 assert_eq!(got, want, "{tag} x{threads}");
                 for cap in [0, 1, 4] {
                     let src = StreamedChunks::new(Arc::clone(&store), cap);
@@ -810,7 +806,7 @@ pub(crate) mod tests {
                     assert_eq!(got, want, "{tag} cap={cap} x{threads}");
                 }
             }
-            let r = fit_em(&cfg, &ResidentChunks::new(&cc), start.clone()).expect("fit");
+            let r = fit_em(&cfg, &cc, start.clone()).expect("fit");
             for (g, grp) in cube.groups().iter().enumerate() {
                 let truth = r.posteriors.prob(grp.item, grp.value);
                 assert_eq!(r.truth_of_group[g].to_bits(), truth.to_bits(), "{tag} {g}");

@@ -292,7 +292,7 @@ fn exact_sum(xs: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Algorithm 1 from `start`, one EM fit: the oracle for the engine's
-/// `run_em`, the same driver over its own [`round`]. The copy-aware refit
+/// `run_em`, the same driver over its own `round`. The copy-aware refit
 /// loop is not part of it; hand it the factors the engine reports it ran
 /// with ([`EmState::discounted`]).
 pub fn fit(cube: &ObservationCube, cfg: &ModelConfig, start: EmState) -> FusionReport {

@@ -1,9 +1,9 @@
 //! The single-layer baseline (Section 2.2): the state-of-the-art knowledge
-//! fusion of [11] that KBT improves upon.
+//! fusion of \[11\] that KBT improves upon.
 //!
 //! The cube is "reshaped" into the two-dimensional matrix of Figure 1(a)
 //! by treating every (webpage, extractor) combination as a distinct data
-//! source `s = (w, e)`. The ACCU model of [8] (Eqs. 1–4) is then run: each
+//! source `s = (w, e)`. The ACCU model of \[8\] (Eqs. 1–4) is then run: each
 //! pair-source claims the values its extractions assert, value posteriors
 //! follow Bayes' rule with a uniform prior, and pair accuracies are
 //! re-estimated as the mean truth probability of their claims (Eq. 4).
@@ -88,8 +88,8 @@ impl SingleLayerModel {
                 extractor_precision: Vec::new(),
                 extractor_recall: Vec::new(),
             };
-            let ne = chunked.num_extractors();
-            let start = EmState::new(ne, &chunked.source_sizes, cfg, &init, false);
+            let ne = chunked.meta.num_extractors as usize;
+            let start = EmState::new(ne, &chunked.meta.source_sizes, cfg, &init, false);
             let mut fit = with_em(chunked, cfg, |fit| fit(start))?;
             fit.trace.stage_wall.chunking += chunking;
             Ok(fold_back(cube, cfg, pairs, fit))

@@ -9,7 +9,7 @@
 //! posterior is a softmax over vote counts with one `exp(0)` term per
 //! unobserved domain value (Eq. 21/25, Example 3.2).
 
-use kbt_datamodel::{CubeChunk, ItemView, SourceId, ValueId};
+use kbt_datamodel::{ChunkBuf, CubeChunk, SourceId, ValueId};
 
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
@@ -149,26 +149,26 @@ impl ValueVotes {
 /// order; the per-row `(truth, cond, covered)` outputs land at the item's
 /// rows.
 ///
-/// Takes an [`ItemView`] (`li` is the view-local item index), so the same
-/// kernel — the same instructions, the same float sequence — runs whether
-/// the chunk is a resident slice or a buffer streamed from disk.
+/// Takes the chunk's [`ChunkBuf`] (`li` is the frame-local item index), so
+/// the same kernel — the same instructions, the same float sequence — runs
+/// whether the frame is a resident cube's or a buffer streamed from disk.
 fn col_value_item_kernel(
-    view: &ItemView<'_>,
+    frame: &ChunkBuf,
     votes: &ValueVotes,
     active_source: &[bool],
     li: usize,
     s: &mut ColValueScratch,
     out: &mut ChunkRows<'_>,
 ) {
-    let vals = view.values(li);
+    let vals = frame.values(li);
     let nv = vals.len();
-    let rows = view.rows(li);
+    let rows = frame.rows(li);
     // Borrow the item's row span as slices once, so the hot loop iterates
     // without per-access bounds checks.
     let correctness = &out.correctness[rows.clone()];
-    let ig_source = &view.ig_source[rows.clone()];
-    let ig_slot = &view.ig_slot[rows.clone()];
-    let cell_offsets = &view.cell_offsets[rows.start..=rows.end];
+    let ig_source = &frame.ig_source[rows.clone()];
+    let ig_slot = &frame.ig_slot[rows.clone()];
+    let cell_offsets = &frame.cell_offsets[rows.start..=rows.end];
     s.order.clear();
     s.rows.clear();
     let mut total_claims = 0.0f64;
@@ -292,7 +292,7 @@ fn col_value_item_kernel(
 /// exactly one item and chunks never split an item, so the result does
 /// not depend on the chunk partition, the thread count or the residency.
 pub(crate) fn estimate_values(
-    view: &ItemView<'_>,
+    frame: &ChunkBuf,
     votes: &ValueVotes,
     active_source: &[bool],
     max_item_values: usize,
@@ -309,8 +309,8 @@ pub(crate) fn estimate_values(
     posteriors.entries.clear();
     posteriors.entry_counts.clear();
     posteriors.unobserved.clear();
-    for li in 0..view.num_items() {
-        col_value_item_kernel(view, votes, active_source, li, s, out);
+    for li in 0..frame.num_items() {
+        col_value_item_kernel(frame, votes, active_source, li, s, out);
     }
 }
 
@@ -335,10 +335,10 @@ mod tests {
         scratch: &mut [ColValueScratch],
     ) -> ValueLayerOutput {
         let cfg = ModelConfig::default();
-        let miv = cc.max_item_values;
-        let truth = vec![0.0; cc.num_groups()];
-        scan_rows(cc, &cfg, [correctness, &truth], scratch, |s, view, rows| {
-            estimate_values(view, votes, active, miv, s, rows);
+        let miv = cc.meta.max_item_values as usize;
+        let truth = vec![0.0; cc.meta.num_groups as usize];
+        scan_rows(cc, &cfg, [correctness, &truth], scratch, |s, buf, rows| {
+            estimate_values(buf, votes, active, miv, s, rows);
         })
         .1
     }

@@ -137,8 +137,9 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
 /// The cube's groups are item-major, so a fit's rows *are* its groups:
 /// nothing is permuted between the scan and the report. On a cube whose
 /// items are claimed by sources spread over the whole id range, grown by
-/// a delta and then retracted (emptied sources and items), row `g` of the
-/// chunks is group `g`; a warm fit (resumed parameters, a per-group prior
+/// a delta and then retracted (emptied sources and items), group `g` is
+/// local row `g − chunk.rows.start` of its chunk's frame, with its cells
+/// at the frame's offset into the cube's cells; a warm fit (resumed parameters, a per-group prior
 /// truth, a copy discount) equals the oracle bit for bit in every matrix
 /// cell, and streamed at 8 threads under caps 0, 1 and 4 too; and every
 /// per-group vector of the report is its group's: each group's truth is
@@ -167,11 +168,22 @@ fn the_rows_are_the_groups() {
         .collect();
     let cube = grown.retract(&gone);
     let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 16 });
-    for (r, grp) in cube.groups().iter().enumerate() {
-        assert_eq!(cc.ig_source[r], grp.source.0, "row {r}");
-        let cells = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
-        assert_eq!(cells, grp.cell_range(), "row {r}");
+    let (mut next_row, mut first_cell) = (0, 0);
+    for (chunk, frame) in cc.meta.item_chunks.iter().zip(&cc.frames) {
+        assert_eq!(chunk.rows.start as usize, next_row);
+        for r in 0..frame.num_rows() {
+            let g = chunk.rows.start as usize + r;
+            let grp = &cube.groups()[g];
+            assert_eq!(frame.ig_source[r], grp.source.0, "row {g}");
+            let cells = frame.cells(r);
+            let cells = first_cell + cells.start..first_cell + cells.end;
+            assert_eq!(cells, grp.cell_range(), "row {g}");
+        }
+        next_row += frame.num_rows();
+        first_cell += chunk.cells as usize;
     }
+    assert_eq!(next_row, cube.num_groups());
+    assert_eq!(first_cell, cube.num_cells());
 
     let cfg = ModelConfig {
         chunk_target_cells: 16,
@@ -399,15 +411,14 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
         bytes[off + len..off + len + 4].copy_from_slice(&crc.to_le_bytes());
         bytes
     };
-    let chunk = &cc.chunks[1];
+    let chunk = &cc.meta.item_chunks[1];
     check(
         &reseal(item_frames[1], 1, chunk.items.end + 1),
         "item range not the skeleton's",
     );
-    let values = cc.item_value_offsets[chunk.items.end as usize]
-        - cc.item_value_offsets[chunk.items.start as usize];
+    let values = cc.frames[1].item_values.len();
     let (items, rows) = (chunk.items.len(), chunk.rows.len());
-    let ig_source = 2 + 2 * (1 + items + 1) + 1 + values as usize + 1;
+    let ig_source = 2 + 2 * (1 + items + 1) + 1 + values + 1;
     let cell_offsets = ig_source + 2 * (1 + rows);
     let cell_extractor = cell_offsets + 1 + rows + 1;
     let ns = cube.num_sources() as u32;

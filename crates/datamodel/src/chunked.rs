@@ -1,4 +1,4 @@
-//! Columnar (SoA) chunked view of the observation cube — the layout the
+//! Columnar (SoA) chunked form of the observation cube — the layout the
 //! EM hot loops stream at 10M-triple scale.
 //!
 //! [`ObservationCube`] stores groups and cells as arrays of structs; the
@@ -8,39 +8,42 @@
 //! fixed reduction order so rustc can keep the loop bodies branch-free and
 //! auto-vectorize the float accumulations.
 //!
-//! [`ChunkedCube`] is that view. It is **derived** from an
+//! [`ChunkedCube`] is that layout, and it has one shape in memory and on
+//! disk: the **meta frame** ([`ChunkStoreMeta`]) plus one **item frame**
+//! ([`ChunkBuf`]) per chunk — exactly what a [`FileChunkStore`] written
+//! from it decodes, frame for frame. It is **derived** from an
 //! [`ObservationCube`] (the cube stays the system of record — deltas and
 //! retractions still go through [`ObservationCube::apply_delta`] /
-//! [`ObservationCube::retract`], and the columnar view is rebuilt from the
+//! [`ObservationCube::retract`], and the chunked cube is rebuilt from the
 //! result), and it is **row-equivalent by construction**: the cube's
-//! groups are item-major already, so row `g` is group `g`, with its cells
-//! in the cube's cell order, and building the view is one sequential
-//! split into columns — a kernel that walks a row's cells, or an item's
-//! rows, performs bit-for-bit the same float operations as one walking
-//! the cube, and a fit's per-row outputs are the report's per-group ones.
-//! The `columnar_cube` proptests pin that equivalence down through build,
-//! `apply_delta`, and `retract`.
+//! groups are item-major already, so the frames' rows are the groups in
+//! order, with their cells in the cube's cell order, and building the
+//! frames is one sequential split into columns — a kernel that walks a
+//! row's cells, or an item's rows, performs bit-for-bit the same float
+//! operations as one walking the cube, and a fit's per-row outputs are the
+//! report's per-group ones. The `columnar_cube` proptests pin that
+//! equivalence down through build, `apply_delta`, and `retract`.
 //!
 //! The rows are partitioned into fixed-size, **item-aligned chunks**
 //! ([`CubeChunk`]) of roughly [`ChunkingConfig::target_cells`] cells: a
 //! chunk carries everything an EM round computes for its rows —
 //! correctness from its cells, the value posteriors of its items — so a
-//! round is one scan that hands whole chunks to its workers
+//! round is one scan that hands whole frames to its workers
 //! ([`ChunkSource::scan_items`]). Because chunks never split an item,
 //! per-item reductions stay local to one worker.
 //!
 //! # Chunk sources
 //!
 //! An EM fit reads the cube only through a [`ChunkSource`]: one scan over
-//! the item-major [`ItemView`]s — the one place that decides how chunk
-//! work is scheduled — and the resident integer skeleton
-//! ([`ChunkStoreMeta`]). [`ResidentChunks`] serves zero-copy slices of a
-//! [`ChunkedCube`]; [`StreamedChunks`] has each scan worker read a
-//! [`FileChunkStore`]'s frames into its own [`ChunkBuf`], so the resident
-//! set is one buffer per worker instead of the whole corpus. The v4 file
-//! format (`KBTCHNK4`) is the magic followed by three families of
-//! [`wire`] frames (the frame, sequence and column contracts are stated
-//! once, in that module's docs):
+//! the item frames — the one place that decides how chunk work is
+//! scheduled — and the resident integer skeleton ([`ChunkStoreMeta`]).
+//! Both residencies hand the kernels a `&ChunkBuf`: a resident
+//! [`ChunkedCube`] its own frames, [`StreamedChunks`] the buffer each scan
+//! worker reads a [`FileChunkStore`]'s frame into, so the resident set is
+//! one buffer per worker instead of the whole corpus. The v4 file format
+//! (`KBTCHNK4`) is the magic followed by three families of [`wire`]
+//! frames (the frame, sequence and column contracts are stated once, in
+//! that module's docs):
 //!
 //! * a **meta frame** ([`ChunkStoreMeta`]) — the integer skeleton a
 //!   streamed fit keeps resident: counts, the item-chunk partition, and
@@ -88,311 +91,165 @@ impl Default for ChunkingConfig {
 }
 
 /// One item-aligned chunk of the columnar cube: a contiguous range of
-/// items, the contiguous range of item-major rows they own, and the cell
-/// mass inside — the weight the scheduler balances on.
+/// items, the contiguous range of item-major rows (cube groups) they own,
+/// and the cell mass inside.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CubeChunk {
     /// Dense item-id range `[start, end)` the chunk covers.
     pub items: Range<u32>,
-    /// The chunk's rows in the item-major (`ig_*`) columns:
-    /// `item_offsets[items.start]..item_offsets[items.end]`.
+    /// The cube groups the chunk's items own, which are its frame's rows
+    /// in order: local row `r` is group `rows.start + r`.
     pub rows: Range<u32>,
     /// Number of cube cells inside the chunk's rows.
     pub cells: u32,
 }
 
-/// Columnar (structure-of-arrays) chunked view of an [`ObservationCube`].
+/// The columnar (structure-of-arrays) chunked cube: the meta frame and
+/// one decoded item frame per chunk — the same values a
+/// [`FileChunkStore`] holds, in the same shapes.
 ///
-/// One row per group, in the cube's (item-major) group order: row `g` is
-/// group `g`, and the rows of item `d` are delimited by `item_offsets`.
-/// Per row, `ig_source` / `ig_slot` and a cell range (`cell_offsets`) over
-/// the cell columns, which hold the cube's cells in the cube's order.
-/// `ig_slot` pre-resolves each group's value to its index in the item's
-/// sorted distinct-value list so the hot loop does no searching.
+/// Frame `i` is what [`FileChunkStore::load_chunk`]`(i)` decodes from a
+/// store this cube was written to: the items of `meta.item_chunks[i]`
+/// with their rows (in the cube's item-major group order, so local row
+/// `r` is cube group `meta.item_chunks[i].rows.start + r`) and the rows'
+/// cells, every offset local to the frame. A resident scan hands the
+/// kernels `&frames[i]`, a streamed scan its worker's buffer: one type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedCube {
-    /// Item-major row ranges: item `d` owns rows
-    /// `item_offsets[d]..item_offsets[d+1]` (length `num_items + 1`).
-    pub item_offsets: Vec<u32>,
-    /// Source id of each row.
-    pub ig_source: Vec<u32>,
-    /// Slot of the row's value inside the item's sorted distinct-value
-    /// list (`item_values_of`).
-    pub ig_slot: Vec<u32>,
-    /// Cell range of row `r`: `cell_offsets[r]..cell_offsets[r+1]`
-    /// (length `num_groups + 1`). A row without cells (left by a
-    /// retraction) claims but never votes.
-    pub cell_offsets: Vec<u32>,
-    /// Extractor id of each cell, rows in row order.
-    pub cell_extractor: Vec<u32>,
-    /// Extraction confidence of each cell.
-    pub cell_confidence: Vec<f64>,
-
-    /// CSR offsets of the per-item sorted distinct values
-    /// (length `num_items + 1`).
-    pub item_value_offsets: Vec<u32>,
-    /// Flat per-item sorted distinct value ids.
-    pub item_values: Vec<u32>,
-
-    /// Number of groups of each source (length `num_sources`).
-    pub source_sizes: Vec<u32>,
-
-    /// CSR offsets into `source_ext_ids` (length `num_sources + 1`).
-    pub source_ext_offsets: Vec<u32>,
-    /// Sorted distinct extractor ids observing each source, as the row
-    /// cube's `extractors_on_source` lists them.
-    pub source_ext_ids: Vec<u32>,
-
-    /// The item-aligned chunk partition.
-    pub chunks: Vec<CubeChunk>,
-    /// Largest per-item distinct-value count — the slot-accumulator size
-    /// a value-layer scratch needs.
-    pub max_item_values: usize,
-    /// Most rows in any single chunk — sizes per-worker row scratch.
-    pub max_chunk_rows: usize,
-
-    num_sources: u32,
-    num_extractors: u32,
-    num_values: u32,
+    /// The integer skeleton: counts, the item-chunk partition and the
+    /// per-source columns.
+    pub meta: ChunkStoreMeta,
+    /// One item frame per entry of `meta.item_chunks`.
+    pub frames: Vec<ChunkBuf>,
 }
 
+/// Cubes of at least this many groups fill their frames on up to
+/// `kbt_flume::num_threads()` workers; smaller ones (unit tests, serving
+/// deltas) fill them inline.
+const PARALLEL_FILL_GROUPS: usize = 1 << 15;
+
 impl ChunkedCube {
-    /// Split `cube` into columns, partitioned per `cfg`.
+    /// Split `cube` into item frames, partitioned per `cfg`.
     ///
     /// Pure copy: no recomputation — the cube's groups are already the
     /// rows in order and its cells the cell columns, so one sequential
-    /// walk per window of items fills every column, which is what makes
-    /// columnar EM kernels bit-for-bit equal to the row-major ones.
+    /// walk per chunk fills its frame, which is what makes columnar EM
+    /// kernels bit-for-bit equal to the row-major ones. Every value is
+    /// independent of the worker count, which fills whole frames.
     pub fn from_cube(cube: &ObservationCube, cfg: &ChunkingConfig) -> Self {
-        let (ng, nc) = (cube.num_groups(), cube.num_cells());
-        let ni = cube.num_items();
-        let ns = cube.num_sources();
-        let groups = cube.groups();
-
-        // The windows write positions fixed by the item offsets, so they
-        // parallelize over disjoint output windows without changing a
-        // single byte of the result: every value and every position is
-        // independent of the part count. Small cubes (unit tests, serving
-        // deltas) stay in one part, which runs inline.
-        let parts = if ng >= (1 << 15) {
-            kbt_flume::num_threads()
-        } else {
-            1
+        let (ni, ns) = (cube.num_items(), cube.num_sources());
+        let (groups, item_offsets) = (cube.groups(), cube.item_offsets());
+        let (value_offsets, _) = cube.item_values();
+        let cell_at = |r: u32| {
+            (groups.get(r as usize)).map_or(cube.num_cells(), |g| g.cell_range().start) as u32
         };
-        fn carve<'a, T>(column: &mut &'a mut [T], len: usize) -> &'a mut [T] {
-            column.split_off_mut(..len).expect("window in bounds")
-        }
-
-        let item_offsets = cube.item_offsets().to_vec();
-        let (item_value_offsets, item_values) = cube.item_values();
-        let item_value_offsets = item_value_offsets.to_vec();
-        let item_values: Vec<u32> = item_values.iter().map(|v| v.0).collect();
-        let max_item_values = item_value_offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
-
-        // Per row its source, slot and cell end; per cell its columns. The
-        // cube's cells follow its groups, so row `r`'s cells end where
-        // group `r`'s do.
-        let mut ig_source = vec![0u32; ng];
-        let mut ig_slot = vec![0u32; ng];
-        let mut cell_offsets = vec![0u32; ng + 1];
-        let mut cell_extractor = vec![0u32; nc];
-        let mut cell_confidence = vec![0.0f64; nc];
-        struct Window<'a> {
-            items: Range<usize>,
-            cells: Range<usize>,
-            source: &'a mut [u32],
-            slot: &'a mut [u32],
-            ends: &'a mut [u32],
-            extractor: &'a mut [u32],
-            confidence: &'a mut [f64],
-        }
-        let cell_at = |r: usize| groups.get(r).map_or(nc, |g| g.cell_range().start);
-        let mut windows = Vec::with_capacity(parts);
-        let (mut igs, mut igl) = (ig_source.as_mut_slice(), ig_slot.as_mut_slice());
-        let mut ends = &mut cell_offsets[1..];
-        let (mut ce, mut cf) = (
-            cell_extractor.as_mut_slice(),
-            cell_confidence.as_mut_slice(),
-        );
-        for t in 0..parts {
-            let items = ni * t / parts..ni * (t + 1) / parts;
-            let rows = item_offsets[items.start] as usize..item_offsets[items.end] as usize;
-            let cells = cell_at(rows.start)..cell_at(rows.end);
-            windows.push(Window {
-                source: carve(&mut igs, rows.len()),
-                slot: carve(&mut igl, rows.len()),
-                ends: carve(&mut ends, rows.len()),
-                extractor: carve(&mut ce, cells.len()),
-                confidence: carve(&mut cf, cells.len()),
-                items,
-                cells,
-            });
-        }
-        let fill = |w: &mut Window<'_>| {
-            let base = item_offsets[w.items.start] as usize;
-            for d in w.items.clone() {
-                let id = ItemId::new(d as u32);
-                let vals = cube.observed_values(id);
-                for r in cube.groups_of_item(id) {
-                    let grp = &groups[r];
-                    let slot = vals
-                        .binary_search(&grp.value)
-                        .expect("group value is an observed value of its item");
-                    w.source[r - base] = grp.source.0;
-                    w.slot[r - base] = slot as u32;
-                    w.ends[r - base] = grp.cell_range().end as u32;
-                }
-            }
-            let out = w.extractor.iter_mut().zip(w.confidence.iter_mut());
-            for (c, (e, f)) in cube.cells[w.cells.clone()].iter().zip(out) {
-                (*e, *f) = (c.extractor.0, c.confidence);
-            }
-        };
-        // One window per worker (`parts` is the worker count, or 1).
-        kbt_flume::par_ranges_mut(&mut windows, |_, ws| ws.iter_mut().for_each(fill));
-
-        let source_sizes = (0..ns)
-            .map(|w| cube.source_size(SourceId::new(w as u32)) as u32)
-            .collect();
 
         // Greedy item-aligned chunking: close a chunk at the first item
         // boundary at or past `target_cells` cells.
         let target = cfg.target_cells.max(1) as u64;
-        let mut chunks = Vec::new();
-        let mut max_chunk_rows = 0usize;
-        let mut start_item = 0usize;
-        let cells_before = |d: usize| cell_offsets[item_offsets[d] as usize];
+        let mut item_chunks = Vec::new();
+        let mut start = 0usize;
         for d in 0..ni {
-            let acc_cells = cells_before(d + 1) - cells_before(start_item);
-            if acc_cells as u64 >= target || d + 1 == ni {
-                let rows = item_offsets[start_item]..item_offsets[d + 1];
-                max_chunk_rows = max_chunk_rows.max(rows.len());
-                chunks.push(CubeChunk {
-                    items: start_item as u32..(d + 1) as u32,
-                    rows,
-                    cells: acc_cells,
-                });
-                start_item = d + 1;
+            let rows = item_offsets[start]..item_offsets[d + 1];
+            let cells = cell_at(rows.end) - cell_at(rows.start);
+            if u64::from(cells) >= target || d + 1 == ni {
+                let items = start as u32..(d + 1) as u32;
+                item_chunks.push(CubeChunk { items, rows, cells });
+                start = d + 1;
             }
         }
 
+        // Every frame's buffers are sized here, on the calling thread, so
+        // the workers below fill them without allocating: memory a worker
+        // allocates lands in its thread's malloc arena and stays resident
+        // after the call.
+        let mut frames: Vec<ChunkBuf> = (item_chunks.iter())
+            .map(|c| {
+                let (items, rows) = (c.items.len(), c.rows.len());
+                let values =
+                    value_offsets[c.items.end as usize] - value_offsets[c.items.start as usize];
+                ChunkBuf {
+                    items: c.items.clone(),
+                    item_offsets: Vec::with_capacity(items + 1),
+                    item_value_offsets: Vec::with_capacity(items + 1),
+                    item_values: Vec::with_capacity(values as usize),
+                    ig_source: Vec::with_capacity(rows),
+                    ig_slot: Vec::with_capacity(rows),
+                    cell_offsets: Vec::with_capacity(rows + 1),
+                    cell_extractor: Vec::with_capacity(c.cells as usize),
+                    cell_confidence: Vec::with_capacity(c.cells as usize),
+                }
+            })
+            .collect();
+        // One per-source distinct-item count per worker, summed after.
+        let workers = if groups.len() >= PARALLEL_FILL_GROUPS {
+            kbt_flume::num_threads()
+        } else {
+            1
+        };
+        let mut item_counts = vec![vec![0u32; ns]; workers];
+        let slots = per_chunk(&mut frames, item_chunks.len());
+        let Ok(_) = kbt_flume::run_tasks(item_chunks.len(), &mut item_counts, |counts, i| {
+            let mut frame = slots[i].lock().expect("a frame is filled once");
+            frame.fill(cube, &item_chunks[i], counts);
+            Ok::<_, std::convert::Infallible>(())
+        });
+        drop(slots);
+        let mut item_counts = item_counts.into_iter();
+        let mut source_item_counts = item_counts.next().expect("one worker at least");
+        for counts in item_counts {
+            (source_item_counts.iter_mut().zip(counts)).for_each(|(n, k)| *n += k);
+        }
+
         let (source_ext_offsets, source_ext_ids) = cube.source_extractors();
-        Self {
-            item_offsets,
-            ig_source,
-            ig_slot,
-            cell_offsets,
-            cell_extractor,
-            cell_confidence,
-            item_value_offsets,
-            item_values,
-            source_sizes,
-            source_ext_offsets: source_ext_offsets.to_vec(),
-            source_ext_ids: source_ext_ids.iter().map(|e| e.0).collect(),
-            chunks,
-            max_item_values,
-            max_chunk_rows,
+        let meta = ChunkStoreMeta {
+            num_groups: groups.len() as u32,
+            num_cells: cube.num_cells() as u32,
+            num_items: ni as u32,
             num_sources: ns as u32,
             num_extractors: cube.num_extractors() as u32,
             num_values: cube.num_values() as u32,
-        }
-    }
-
-    /// Number of groups (rows).
-    pub fn num_groups(&self) -> usize {
-        self.ig_source.len()
-    }
-
-    /// Number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cell_extractor.len()
-    }
-
-    /// Number of item chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Number of sources in the dense id space.
-    pub fn num_sources(&self) -> usize {
-        self.num_sources as usize
-    }
-
-    /// Number of extractors in the dense id space.
-    pub fn num_extractors(&self) -> usize {
-        self.num_extractors as usize
-    }
-
-    /// Number of items in the dense id space.
-    pub fn num_items(&self) -> usize {
-        self.item_offsets.len().saturating_sub(1)
-    }
-
-    /// Number of values in the dense id space.
-    pub fn num_values(&self) -> usize {
-        self.num_values as usize
-    }
-
-    /// Sorted distinct value ids of item `d`.
-    pub fn item_values_of(&self, d: usize) -> &[u32] {
-        let lo = self.item_value_offsets[d] as usize;
-        let hi = self.item_value_offsets[d + 1] as usize;
-        &self.item_values[lo..hi]
-    }
-
-    /// Borrowed view of chunk `chunk_idx` — the same data an item frame
-    /// stores, with zero copying. Resident kernels run on this; streamed
-    /// kernels run on [`ChunkBuf::view`], and the two are
-    /// indistinguishable to the kernel.
-    pub(crate) fn item_view(&self, chunk_idx: usize) -> ItemView<'_> {
-        let chunk = &self.chunks[chunk_idx];
-        let ilo = chunk.items.start as usize;
-        let ihi = chunk.items.end as usize;
-        let rows = chunk.rows.start as usize..chunk.rows.end as usize;
-        let val_lo = self.item_value_offsets[ilo] as usize;
-        let val_hi = self.item_value_offsets[ihi] as usize;
-        let cell_lo = self.cell_offsets[rows.start] as usize;
-        let cell_hi = self.cell_offsets[rows.end] as usize;
-        ItemView {
-            items: chunk.items.clone(),
-            row_base: chunk.rows.start,
-            val_base: self.item_value_offsets[ilo],
-            cell_base: self.cell_offsets[rows.start],
-            item_offsets: &self.item_offsets[ilo..=ihi],
-            item_value_offsets: &self.item_value_offsets[ilo..=ihi],
-            item_values: &self.item_values[val_lo..val_hi],
-            ig_source: &self.ig_source[rows.clone()],
-            ig_slot: &self.ig_slot[rows.clone()],
-            cell_offsets: &self.cell_offsets[rows.start..=rows.end],
-            cell_extractor: &self.cell_extractor[cell_lo..cell_hi],
-            cell_confidence: &self.cell_confidence[cell_lo..cell_hi],
-        }
+            max_item_values: (value_offsets.windows(2).map(|w| w[1] - w[0]))
+                .max()
+                .unwrap_or(0),
+            max_chunk_rows: (item_chunks.iter().map(|c| c.rows.len() as u32))
+                .max()
+                .unwrap_or(0),
+            item_chunks,
+            source_sizes: (0..ns)
+                .map(|w| cube.source_size(SourceId::new(w as u32)) as u32)
+                .collect(),
+            source_item_counts,
+            source_ext_offsets: source_ext_offsets.to_vec(),
+            source_ext_ids: source_ext_ids.iter().map(|e| e.0).collect(),
+        };
+        Self { meta, frames }
     }
 }
 
-/// One chunk's payload, decoded into reusable buffers — the unit
-/// [`FileChunkStore::load_chunk`] yields and an out-of-core scan worker
-/// holds resident (everything a round computes the chunk's rows from).
+/// One chunk's item frame: the unit [`FileChunkStore::load_chunk`] decodes
+/// into reusable buffers, an out-of-core scan worker holds, and a
+/// resident [`ChunkedCube`] keeps one of per chunk — everything a round
+/// computes the chunk's rows from. Local indices run `0..num_items()` and
+/// `0..num_rows()`, and every offset column is local to the frame.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkBuf {
-    /// Dense item-id range the payload covers.
+    /// Dense item-id range the frame covers (`items.start + li` is the
+    /// global item id of local item `li`).
     pub items: Range<u32>,
-    /// Row offsets rebased to the chunk (`item_offsets[0] == 0`, length
-    /// `items.len() + 1`).
+    /// Row offsets (`item_offsets[0] == 0`, length `items.len() + 1`).
     pub item_offsets: Vec<u32>,
-    /// Value-CSR offsets rebased to the chunk (length `items.len() + 1`).
+    /// Value-CSR offsets (length `items.len() + 1`).
     pub item_value_offsets: Vec<u32>,
     /// Flat per-item sorted distinct value ids.
     pub item_values: Vec<u32>,
     /// Source id per row.
     pub ig_source: Vec<u32>,
-    /// Value slot per row.
+    /// Slot of the row's value inside its item's sorted distinct-value
+    /// list ([`Self::values`]).
     pub ig_slot: Vec<u32>,
-    /// Cell offsets per row, rebased to the chunk (length `rows + 1`).
+    /// Cell offsets per row (length `rows + 1`). A row without cells
+    /// (left by a retraction) claims but never votes.
     pub cell_offsets: Vec<u32>,
     /// Extractor id per cell.
     pub cell_extractor: Vec<u32>,
@@ -401,110 +258,133 @@ pub struct ChunkBuf {
 }
 
 impl ChunkBuf {
-    /// Borrowed view over the decoded payload — the interface kernels
-    /// consume, shared with `ChunkedCube::item_view`.
-    pub fn view(&self) -> ItemView<'_> {
-        ItemView {
-            items: self.items.clone(),
-            row_base: 0,
-            val_base: 0,
-            cell_base: 0,
-            item_offsets: &self.item_offsets,
-            item_value_offsets: &self.item_value_offsets,
-            item_values: &self.item_values,
-            ig_source: &self.ig_source,
-            ig_slot: &self.ig_slot,
-            cell_offsets: &self.cell_offsets,
-            cell_extractor: &self.cell_extractor,
-            cell_confidence: &self.cell_confidence,
-        }
-    }
-}
-
-/// Borrowed chunk view — an EM round's kernel input, backed either by
-/// resident [`ChunkedCube`] columns (`ChunkedCube::item_view`) or a
-/// decoded [`ChunkBuf`] ([`ChunkBuf::view`]). Local indices run
-/// `0..num_items()` and `0..num_rows()`; `rows` / `values` / `cells`
-/// rebase the chunk's offset columns so the kernel never sees the
-/// difference between the two backings.
-#[derive(Debug, Clone)]
-pub struct ItemView<'a> {
-    /// Dense item-id range the view covers (`items.start + li` is the
-    /// global item id of local item `li`).
-    pub items: Range<u32>,
-    /// Offset of the view's first row in `item_offsets`' coordinate
-    /// space (0 for a decoded [`ChunkBuf`]).
-    pub row_base: u32,
-    /// Offset of the view's first value in `item_value_offsets`'
-    /// coordinate space (0 for a decoded [`ChunkBuf`]).
-    pub val_base: u32,
-    /// Offset of the view's first cell in `cell_offsets`' coordinate
-    /// space (0 for a decoded [`ChunkBuf`]).
-    pub cell_base: u32,
-    /// Row offsets (length `num_items() + 1`), in `row_base` coordinates.
-    pub item_offsets: &'a [u32],
-    /// Value-CSR offsets (length `num_items() + 1`), in `val_base`
-    /// coordinates.
-    pub item_value_offsets: &'a [u32],
-    /// Flat per-item sorted distinct value ids for the view's items.
-    pub item_values: &'a [u32],
-    /// Source id per row.
-    pub ig_source: &'a [u32],
-    /// Value slot per row.
-    pub ig_slot: &'a [u32],
-    /// Cell offsets per row (length `num_rows() + 1`), in `cell_base`
-    /// coordinates.
-    pub cell_offsets: &'a [u32],
-    /// Extractor id per cell.
-    pub cell_extractor: &'a [u32],
-    /// Confidence per cell.
-    pub cell_confidence: &'a [f64],
-}
-
-impl ItemView<'_> {
-    /// Number of items in the view.
+    /// Number of items in the frame.
     pub fn num_items(&self) -> usize {
         self.items.len()
     }
 
-    /// Number of rows in the view.
+    /// Number of rows in the frame.
     pub fn num_rows(&self) -> usize {
         self.ig_source.len()
     }
 
     /// Local row range of local item `li` into the `ig_*` columns.
     pub fn rows(&self, li: usize) -> Range<usize> {
-        (self.item_offsets[li] - self.row_base) as usize
-            ..(self.item_offsets[li + 1] - self.row_base) as usize
+        self.item_offsets[li] as usize..self.item_offsets[li + 1] as usize
     }
 
     /// Sorted distinct value ids of local item `li`.
     pub fn values(&self, li: usize) -> &[u32] {
-        let lo = (self.item_value_offsets[li] - self.val_base) as usize;
-        let hi = (self.item_value_offsets[li + 1] - self.val_base) as usize;
-        &self.item_values[lo..hi]
+        let lo = self.item_value_offsets[li] as usize;
+        &self.item_values[lo..self.item_value_offsets[li + 1] as usize]
     }
 
     /// Local cell range of local row `r` into the cell columns.
     pub fn cells(&self, r: usize) -> Range<usize> {
-        (self.cell_offsets[r] - self.cell_base) as usize
-            ..(self.cell_offsets[r + 1] - self.cell_base) as usize
+        self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize
+    }
+
+    /// Append `chunk`'s columns of `cube`, rebased to the chunk, and
+    /// count each source's distinct items among its rows into
+    /// `items_per_source`.
+    fn fill(&mut self, cube: &ObservationCube, chunk: &CubeChunk, items_per_source: &mut [u32]) {
+        let items = chunk.items.start as usize..chunk.items.end as usize;
+        let rows = &cube.groups()[chunk.rows.start as usize..chunk.rows.end as usize];
+        let (value_offsets, values) = cube.item_values();
+        let item_offsets = &cube.item_offsets()[items.start..=items.end];
+        let value_offsets = &value_offsets[items.start..=items.end];
+        let (first_row, first_value) = (item_offsets[0], value_offsets[0]);
+        let cells = rows.first().map_or(0, |g| g.cell_range().start);
+        let cells = cells..cells + chunk.cells as usize;
+
+        self.item_offsets
+            .extend(item_offsets.iter().map(|&o| o - first_row));
+        self.item_value_offsets
+            .extend(value_offsets.iter().map(|&o| o - first_value));
+        let values = &values[first_value as usize..value_offsets[items.len()] as usize];
+        self.item_values.extend(values.iter().map(|v| v.0));
+        self.ig_source.extend(rows.iter().map(|g| g.source.0));
+        self.cell_offsets.push(0);
+        (self.cell_offsets).extend(
+            rows.iter()
+                .map(|g| (g.cell_range().end - cells.start) as u32),
+        );
+        let cells = &cube.cells[cells];
+        self.cell_extractor
+            .extend(cells.iter().map(|c| c.extractor.0));
+        self.cell_confidence
+            .extend(cells.iter().map(|c| c.confidence));
+
+        for li in 0..items.len() {
+            let vals = cube.observed_values(ItemId::new(chunk.items.start + li as u32));
+            let at = self.rows(li);
+            self.ig_slot.extend(rows[at.clone()].iter().map(|g| {
+                let slot = vals.binary_search(&g.value);
+                slot.expect("group value is an observed value of its item") as u32
+            }));
+            // An item's rows are sorted by source, so its sources come in
+            // runs, one per (source, item) pair.
+            let sources = &self.ig_source[at];
+            for (k, &w) in sources.iter().enumerate() {
+                if k == 0 || sources[k - 1] != w {
+                    items_per_source[w as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// The item-frame payload [`FileChunkStore::load_chunk`] decodes.
+    fn encode(&self, p: &mut Vec<u8>) {
+        wire::put_u32(p, self.items.start);
+        wire::put_u32(p, self.items.end);
+        for column in [
+            &self.item_offsets,
+            &self.item_value_offsets,
+            &self.item_values,
+            &self.ig_source,
+            &self.ig_slot,
+            &self.cell_offsets,
+            &self.cell_extractor,
+        ] {
+            put_u32_slice(p, column);
+        }
+        wire::put_column(p, &self.cell_confidence, f64::to_le_bytes);
+    }
+
+    /// Decode an item-frame payload written by [`Self::encode`] into these
+    /// buffers, reusing their capacity.
+    fn decode(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        let mut r = WireReader::new(payload);
+        self.items = r.u32()?..r.u32()?;
+        for column in [
+            &mut self.item_offsets,
+            &mut self.item_value_offsets,
+            &mut self.item_values,
+            &mut self.ig_source,
+            &mut self.ig_slot,
+            &mut self.cell_offsets,
+            &mut self.cell_extractor,
+        ] {
+            read_u32_vec(&mut r, column)?;
+        }
+        r.column(&mut self.cell_confidence, f64::from_le_bytes)?;
+        r.finish()
     }
 }
 
-/// Where an EM fit's chunk views come from — the one seam between the
+/// Where an EM fit's item frames come from — the one seam between the
 /// engine and the cube's residency, and the one place that knows how
 /// chunk work is scheduled. A round reads the cube through one scan (plus
 /// the resident [`ChunkStoreMeta`] skeleton), so the kernels run the same
-/// instructions whether a view is a zero-copy slice of a resident
-/// [`ChunkedCube`] ([`ResidentChunks`]) or a worker's buffer freshly read
-/// from a [`FileChunkStore`] ([`StreamedChunks`]).
+/// instructions whether a frame is a resident [`ChunkedCube`]'s or a
+/// worker's buffer freshly read from a [`FileChunkStore`]
+/// ([`StreamedChunks`]).
 pub trait ChunkSource: Sync {
     /// The integer skeleton: counts, the item-chunk partition, and the
     /// per-source CSRs.
     fn meta(&self) -> &ChunkStoreMeta;
 
-    /// Scan every item chunk (`meta().item_chunks`): `f(scratch, view,
+    /// Scan every item chunk (`meta().item_chunks`): `f(scratch, frame,
     /// out)` once per chunk, where `out` is the chunk's own entry of `out`
     /// (one per chunk), for that chunk's task alone to write. Chunks are
     /// pulled in ascending order by at most `kbt_flume::num_threads()`
@@ -514,37 +394,20 @@ pub trait ChunkSource: Sync {
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+        f: impl Fn(&mut S, &ChunkBuf, &mut O) + Sync,
     ) -> io::Result<()>;
 }
 
 /// `out` (one entry per chunk), each entry behind a lock of its own: the
-/// lock only hands the one task that scans the chunk its exclusive borrow
-/// across the worker boundary.
+/// lock only hands the one task that works on the chunk its exclusive
+/// borrow across the worker boundary.
 fn per_chunk<O>(out: &mut [O], chunks: usize) -> Vec<Mutex<&mut O>> {
     assert_eq!(out.len(), chunks, "one output per item chunk");
     out.iter_mut().map(Mutex::new).collect()
 }
 
-/// The resident [`ChunkSource`]: zero-copy views of a [`ChunkedCube`],
-/// with the skeleton derived once at construction. Never fails.
-#[derive(Debug)]
-pub struct ResidentChunks<'a> {
-    cube: &'a ChunkedCube,
-    meta: ChunkStoreMeta,
-}
-
-impl<'a> ResidentChunks<'a> {
-    /// Wrap `cube`, deriving its [`ChunkStoreMeta`].
-    pub fn new(cube: &'a ChunkedCube) -> Self {
-        Self {
-            cube,
-            meta: ChunkStoreMeta::from_cube(cube),
-        }
-    }
-}
-
-impl ChunkSource for ResidentChunks<'_> {
+/// The resident source: the cube's own frames. Never fails.
+impl ChunkSource for ChunkedCube {
     fn meta(&self) -> &ChunkStoreMeta {
         &self.meta
     }
@@ -553,15 +416,12 @@ impl ChunkSource for ResidentChunks<'_> {
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+        f: impl Fn(&mut S, &ChunkBuf, &mut O) + Sync,
     ) -> io::Result<()> {
-        let out = per_chunk(out, self.cube.num_chunks());
-        kbt_flume::run_tasks(self.cube.num_chunks(), scratch, |s, i| {
-            f(
-                s,
-                &self.cube.item_view(i),
-                &mut out[i].lock().expect("a chunk is scanned once"),
-            );
+        let out = per_chunk(out, self.frames.len());
+        kbt_flume::run_tasks(self.frames.len(), scratch, |s, i| {
+            let out = &mut out[i].lock().expect("a chunk is scanned once");
+            f(s, &self.frames[i], out);
             Ok(())
         })
         .map(drop)
@@ -601,7 +461,7 @@ impl ChunkSource for StreamedChunks {
         &self,
         scratch: &mut [S],
         out: &mut [O],
-        f: impl Fn(&mut S, &ItemView<'_>, &mut O) + Sync,
+        f: impl Fn(&mut S, &ChunkBuf, &mut O) + Sync,
     ) -> io::Result<()> {
         let chunks = self.store.num_chunks();
         let out = per_chunk(out, chunks);
@@ -614,11 +474,7 @@ impl ChunkSource for StreamedChunks {
             .collect();
         kbt_flume::run_tasks(chunks, &mut slots, |(s, buf), i| {
             self.store.load_chunk(i, buf)?;
-            f(
-                s,
-                &buf.view(),
-                &mut out[i].lock().expect("a chunk is scanned once"),
-            );
+            f(s, buf, &mut out[i].lock().expect("a chunk is scanned once"));
             Ok(())
         })
         .map(drop)
@@ -681,7 +537,8 @@ pub struct ChunkStoreMeta {
     pub num_values: u32,
     /// Largest per-item distinct-value count (slot-accumulator size).
     pub max_item_values: u32,
-    /// Most rows in any single item chunk.
+    /// Most rows in any single item chunk — only recorded: the frame
+    /// carries it, and nothing reads it.
     pub max_chunk_rows: u32,
     /// The item-aligned chunk partition (one item frame per entry).
     pub item_chunks: Vec<CubeChunk>,
@@ -700,40 +557,6 @@ pub struct ChunkStoreMeta {
 }
 
 impl ChunkStoreMeta {
-    /// Derive the metadata from a resident columnar cube.
-    pub fn from_cube(cube: &ChunkedCube) -> Self {
-        let ns = cube.num_sources();
-
-        // Per-source distinct-item counts: an item's rows are sorted by
-        // source, so its sources come in runs, one per (source, item)
-        // pair.
-        let mut source_item_counts = vec![0u32; ns];
-        for rows in cube.item_offsets.windows(2) {
-            let sources = &cube.ig_source[rows[0] as usize..rows[1] as usize];
-            for (r, &w) in sources.iter().enumerate() {
-                if r == 0 || sources[r - 1] != w {
-                    source_item_counts[w as usize] += 1;
-                }
-            }
-        }
-
-        Self {
-            num_groups: cube.num_groups() as u32,
-            num_cells: cube.num_cells() as u32,
-            num_items: cube.num_items() as u32,
-            num_sources: ns as u32,
-            num_extractors: cube.num_extractors() as u32,
-            num_values: cube.num_values() as u32,
-            max_item_values: cube.max_item_values as u32,
-            max_chunk_rows: cube.max_chunk_rows as u32,
-            item_chunks: cube.chunks.clone(),
-            source_sizes: cube.source_sizes.clone(),
-            source_item_counts,
-            source_ext_offsets: cube.source_ext_offsets.clone(),
-            source_ext_ids: cube.source_ext_ids.clone(),
-        }
-    }
-
     fn encode(&self, p: &mut Vec<u8>) {
         for x in [
             self.num_groups,
@@ -864,34 +687,17 @@ impl FileChunkStore {
     /// streaming through a [`io::BufWriter`] so peak write memory is one
     /// frame, not the whole file.
     pub fn write(cube: &ChunkedCube, path: &Path) -> io::Result<()> {
-        let meta = ChunkStoreMeta::from_cube(cube);
         let mut w = io::BufWriter::new(fs::File::create(path)?);
         w.write_all(CHUNK_MAGIC)?;
         let mut pos = CHUNK_MAGIC.len() as u64;
         let mut frame = Vec::new();
 
-        emit_frame(&mut w, &mut pos, &mut frame, |p| meta.encode(p))?;
+        emit_frame(&mut w, &mut pos, &mut frame, |p| cube.meta.encode(p))?;
 
-        let mut rebased: Vec<u32> = Vec::new();
-        let mut put_rebased = |p: &mut Vec<u8>, offsets: &[u32], base: u32| {
-            rebased.clear();
-            rebased.extend(offsets.iter().map(|&o| o - base));
-            put_u32_slice(p, &rebased);
-        };
-        let mut item_frames = Vec::new();
-        for idx in 0..cube.chunks.len() {
-            let v = cube.item_view(idx);
+        let mut item_frames = Vec::with_capacity(cube.frames.len());
+        for chunk in &cube.frames {
             item_frames.push(emit_frame(&mut w, &mut pos, &mut frame, |p| {
-                wire::put_u32(p, v.items.start);
-                wire::put_u32(p, v.items.end);
-                put_rebased(p, v.item_offsets, v.row_base);
-                put_rebased(p, v.item_value_offsets, v.val_base);
-                put_u32_slice(p, v.item_values);
-                put_u32_slice(p, v.ig_source);
-                put_u32_slice(p, v.ig_slot);
-                put_rebased(p, v.cell_offsets, v.cell_base);
-                put_u32_slice(p, v.cell_extractor);
-                wire::put_column(p, v.cell_confidence, f64::to_le_bytes);
+                chunk.encode(p)
             })?);
         }
 
@@ -971,20 +777,7 @@ impl FileChunkStore {
         let (off, len) = self.item_frames[idx];
         let payload = wire::read_frame_at(&self.file, off, len, self.limit)
             .map_err(|e| io::Error::new(e.kind(), format!("chunk {idx}: {e}")))?;
-        let mut r = WireReader::new(&payload);
-        let decoded = (|| {
-            buf.items = r.u32()?..r.u32()?;
-            read_u32_vec(&mut r, &mut buf.item_offsets)?;
-            read_u32_vec(&mut r, &mut buf.item_value_offsets)?;
-            read_u32_vec(&mut r, &mut buf.item_values)?;
-            read_u32_vec(&mut r, &mut buf.ig_source)?;
-            read_u32_vec(&mut r, &mut buf.ig_slot)?;
-            read_u32_vec(&mut r, &mut buf.cell_offsets)?;
-            read_u32_vec(&mut r, &mut buf.cell_extractor)?;
-            r.column(&mut buf.cell_confidence, f64::from_le_bytes)?;
-            r.finish()
-        })();
-        decoded.map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
+        (buf.decode(&payload)).map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
         let (meta, chunk) = (&self.meta, &self.meta.item_chunks[idx]);
         let (items, rows, cells) = (
             buf.items.len(),
@@ -1043,66 +836,84 @@ mod tests {
         b.build()
     }
 
-    /// Every column must be a faithful split of the cube: row `g` is group
-    /// `g`, with its cells in the cube's order.
+    /// Every frame must be a faithful split of the cube: cube row `g` is
+    /// local row `g − chunk.rows.start` of its frame, with its cells in the
+    /// cube's order.
     fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
-        assert_eq!(cc.num_groups(), cube.num_groups());
-        assert_eq!(cc.num_cells(), cube.num_cells());
-        assert_eq!(cc.num_sources(), cube.num_sources());
-        assert_eq!(cc.num_extractors(), cube.num_extractors());
-        assert_eq!(cc.num_items(), cube.num_items());
-        assert_eq!(cc.num_values(), cube.num_values());
+        let meta = &cc.meta;
+        assert_eq!(meta.num_groups as usize, cube.num_groups());
+        assert_eq!(meta.num_cells as usize, cube.num_cells());
+        assert_eq!(meta.num_sources as usize, cube.num_sources());
+        assert_eq!(meta.num_extractors as usize, cube.num_extractors());
+        assert_eq!(meta.num_items as usize, cube.num_items());
+        assert_eq!(meta.num_values as usize, cube.num_values());
         for w in 0..cube.num_sources() {
             let size = cube.source_size(SourceId::new(w as u32));
-            assert_eq!(cc.source_sizes[w] as usize, size);
+            assert_eq!(meta.source_sizes[w] as usize, size);
         }
-        assert_eq!(cc.cell_offsets.len(), cc.num_groups() + 1);
-        for d in 0..cube.num_items() {
-            let vals = cube.observed_values(ItemId::new(d as u32));
-            assert_eq!(
-                cc.item_values_of(d),
-                vals.iter().map(|v| v.0).collect::<Vec<_>>().as_slice()
-            );
-            let rows = cube.groups_of_item(ItemId::new(d as u32));
-            let lo = cc.item_offsets[d] as usize;
-            let hi = cc.item_offsets[d + 1] as usize;
-            assert_eq!(lo..hi, rows);
-            for r in rows {
-                let grp = &cube.groups()[r];
-                assert_eq!(cc.ig_source[r], grp.source.0);
-                assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
-                let cells = cube.cells_of(grp);
-                let at = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
-                assert_eq!(at.len(), cells.len());
-                for (k, c) in at.zip(cells) {
-                    assert_eq!(cc.cell_extractor[k], c.extractor.0);
-                    assert_eq!(cc.cell_confidence[k].to_bits(), c.confidence.to_bits());
+        assert_eq!(cc.frames.len(), meta.item_chunks.len());
+        for (chunk, frame) in meta.item_chunks.iter().zip(&cc.frames) {
+            assert_eq!(frame.cell_offsets.len(), frame.num_rows() + 1);
+            let first_row = chunk.rows.start as usize;
+            let first_cell = cube
+                .groups()
+                .get(first_row)
+                .map_or(0, |g| g.cell_range().start);
+            for li in 0..frame.num_items() {
+                let d = ItemId::new(chunk.items.start + li as u32);
+                let vals = cube.observed_values(d);
+                assert_eq!(
+                    frame.values(li),
+                    vals.iter().map(|v| v.0).collect::<Vec<_>>().as_slice()
+                );
+                let rows = cube.groups_of_item(d);
+                let at = frame.rows(li);
+                assert_eq!(at.start + first_row..at.end + first_row, rows);
+                for r in at {
+                    let grp = &cube.groups()[r + first_row];
+                    assert_eq!(frame.ig_source[r], grp.source.0);
+                    assert_eq!(frame.values(li)[frame.ig_slot[r] as usize], grp.value.0);
+                    let cells = cube.cells_of(grp);
+                    let at = frame.cells(r);
+                    assert_eq!(at.start + first_cell, grp.cell_range().start);
+                    assert_eq!(at.len(), cells.len());
+                    for (k, c) in at.zip(cells) {
+                        assert_eq!(frame.cell_extractor[k], c.extractor.0);
+                        assert_eq!(frame.cell_confidence[k].to_bits(), c.confidence.to_bits());
+                    }
                 }
             }
         }
     }
 
+    /// The chunks tile the items, rows and cells in order, each frame
+    /// holding its chunk's items, rows and cells.
     fn assert_chunks_tile(cc: &ChunkedCube) {
+        let meta = &cc.meta;
         let mut next_item = 0u32;
         let mut next_row = 0u32;
         let mut cells = 0u64;
-        for chunk in &cc.chunks {
+        assert_eq!(cc.frames.len(), meta.item_chunks.len());
+        for (chunk, frame) in meta.item_chunks.iter().zip(&cc.frames) {
             assert_eq!(chunk.items.start, next_item);
             assert_eq!(chunk.rows.start, next_row);
+            assert_eq!(frame.items, chunk.items);
             assert_eq!(
-                chunk.rows,
-                cc.item_offsets[chunk.items.start as usize]
-                    ..cc.item_offsets[chunk.items.end as usize]
+                frame.item_offsets[frame.num_items()] as usize,
+                chunk.rows.len()
             );
-            let (lo, hi) = (chunk.rows.start as usize, chunk.rows.end as usize);
-            assert_eq!(chunk.cells, cc.cell_offsets[hi] - cc.cell_offsets[lo]);
+            assert_eq!(frame.num_rows(), chunk.rows.len());
+            assert_eq!(chunk.cells, frame.cell_offsets[frame.num_rows()]);
+            assert_eq!(frame.cell_extractor.len(), chunk.cells as usize);
             next_item = chunk.items.end;
             next_row = chunk.rows.end;
             cells += chunk.cells as u64;
         }
-        assert_eq!(next_item as usize, cc.num_items());
-        assert_eq!(next_row as usize, cc.num_groups());
-        assert_eq!(cells as usize, cc.num_cells());
+        assert_eq!(next_item, meta.num_items);
+        assert_eq!(next_row, meta.num_groups);
+        assert_eq!(cells, u64::from(meta.num_cells));
+        let most_rows = meta.item_chunks.iter().map(|c| c.rows.len());
+        assert_eq!(meta.max_chunk_rows as usize, most_rows.max().unwrap_or(0));
     }
 
     #[test]
@@ -1164,8 +975,8 @@ mod tests {
     #[test]
     fn empty_cube_has_no_chunks() {
         let cc = ChunkedCube::from_cube(&CubeBuilder::new().build(), &ChunkingConfig::default());
-        assert_eq!(cc.num_chunks(), 0);
-        assert_eq!(cc.num_groups(), 0);
+        assert!(cc.frames.is_empty());
+        assert_eq!(cc.meta.num_groups, 0);
         assert_chunks_tile(&cc);
     }
 
@@ -1173,12 +984,14 @@ mod tests {
     fn meta_frames_tile_and_match_cube() {
         let cube = sample_cube();
         let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        let meta = ChunkStoreMeta::from_cube(&cc);
-        assert_eq!(meta.num_groups as usize, cc.num_groups());
-        assert_eq!(meta.num_cells as usize, cc.num_cells());
+        let meta = &cc.meta;
+        assert_eq!(meta.num_groups as usize, cube.num_groups());
+        assert_eq!(meta.num_cells as usize, cube.num_cells());
         assert!(meta.item_chunks.len() > 1, "want multiple item frames");
-        assert_eq!(meta.item_chunks, cc.chunks);
-        assert_eq!(meta.source_sizes, cc.source_sizes);
+        assert_chunks_tile(&cc);
+        let most_values =
+            (0..cube.num_items()).map(|d| cube.observed_values(ItemId::new(d as u32)).len());
+        assert_eq!(meta.max_item_values as usize, most_values.max().unwrap());
         // Per-source extractor lists match the cube's.
         for w in 0..cube.num_sources() {
             let lo = meta.source_ext_offsets[w] as usize;
@@ -1194,9 +1007,10 @@ mod tests {
                 "source {w}"
             );
         }
-        // Distinct-item counts.
+        // Sizes and distinct-item counts.
         for w in 0..cube.num_sources() {
             let groups = cube.source_groups(SourceId::new(w as u32));
+            assert_eq!(meta.source_sizes[w] as usize, groups.len());
             let mut items: Vec<ItemId> = groups
                 .iter()
                 .map(|&g| cube.groups()[g as usize].item)
@@ -1206,71 +1020,41 @@ mod tests {
         }
     }
 
-    /// Two item views expose the same items, rows, values, cells and
-    /// columns.
-    fn assert_item_views_eq(a: &ItemView<'_>, b: &ItemView<'_>) {
-        assert_eq!(a.items, b.items);
-        for li in 0..a.num_items() {
-            assert_eq!(a.rows(li), b.rows(li));
-            assert_eq!(a.values(li), b.values(li));
-        }
-        assert_eq!(a.ig_source, b.ig_source);
-        assert_eq!(a.ig_slot, b.ig_slot);
-        for r in 0..a.num_rows() {
-            assert_eq!(a.cells(r), b.cells(r));
-        }
-        assert_eq!(a.cell_extractor, b.cell_extractor);
-        let bits = |v: &ItemView<'_>| {
-            v.cell_confidence
-                .iter()
-                .map(|c| c.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(a), bits(b));
-    }
-
-    #[test]
-    fn views_match_underlying_columns() {
-        let cube = sample_cube();
-        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        for (idx, chunk) in cc.chunks.iter().enumerate() {
-            let v = cc.item_view(idx);
-            assert_eq!(v.items, chunk.items);
-            assert_eq!(v.num_rows(), chunk.rows.len());
-            for li in 0..v.num_items() {
-                let d = chunk.items.start as usize + li;
-                assert_eq!(v.values(li), cc.item_values_of(d));
-                let rows = cc.item_offsets[d] as usize..cc.item_offsets[d + 1] as usize;
-                assert_eq!(&v.ig_source[v.rows(li)], &cc.ig_source[rows]);
-            }
-            for r in 0..v.num_rows() {
-                let global = chunk.rows.start as usize + r;
-                let cells = cc.cell_offsets[global] as usize..cc.cell_offsets[global + 1] as usize;
-                assert_eq!(
-                    &v.cell_extractor[v.cells(r)],
-                    &cc.cell_extractor[cells.clone()]
-                );
-                assert_eq!(&v.cell_confidence[v.cells(r)], &cc.cell_confidence[cells]);
-            }
-        }
-    }
-
+    /// The resident form is the stored form: a store written from a
+    /// chunked cube opens to the cube's meta frame, and each of its item
+    /// frames loads to the cube's frame — at one-item, small and
+    /// whole-cube chunks, on a built cube and its `apply_delta` and
+    /// `retract` descendants.
     #[test]
     fn file_store_round_trips_every_chunk() {
         let cube = sample_cube();
-        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 8 });
-        assert!(cc.num_chunks() > 1, "want a multi-chunk test corpus");
-        let dir = std::env::temp_dir().join("kbt_chunk_store_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chunks.kbt");
-        FileChunkStore::write(&cc, &path).unwrap();
-        let store = FileChunkStore::open(&path).unwrap();
-        assert_eq!(store.num_chunks(), cc.num_chunks());
-        assert_eq!(store.meta(), &ChunkStoreMeta::from_cube(&cc));
-        let mut disk = ChunkBuf::default();
-        for idx in 0..cc.num_chunks() {
-            store.load_chunk(idx, &mut disk).unwrap();
-            assert_item_views_eq(&disk.view(), &cc.item_view(idx));
+        let grown = cube.apply_delta(&[obs(7, 9, 12, 5, 0.9), obs(0, 0, 0, 3, 0.2)]);
+        let shrunk = grown.retract(&[
+            (SourceId::new(0), ItemId::new(0), ValueId::new(0)),
+            (SourceId::new(2), ItemId::new(4), ValueId::new(2)),
+        ]);
+        assert!(shrunk.num_groups() < grown.num_groups());
+        let path = std::env::temp_dir().join(format!("kbt_chunk_store_{}.kbt", std::process::id()));
+        // A frame with its confidences as bits, so `==` is bitwise.
+        let bits = |frame: &ChunkBuf| {
+            let mut frame = frame.clone();
+            let conf = std::mem::take(&mut frame.cell_confidence);
+            (frame, conf.iter().map(|c| c.to_bits()).collect::<Vec<_>>())
+        };
+        for (tag, cube) in [("built", &cube), ("grown", &grown), ("shrunk", &shrunk)] {
+            for target_cells in [1usize, 8, 1 << 20] {
+                let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
+                let tag = format!("{tag} t={target_cells}");
+                FileChunkStore::write(&cc, &path).unwrap();
+                let store = FileChunkStore::open(&path).unwrap();
+                assert_eq!(store.meta(), &cc.meta, "{tag}");
+                assert_eq!(store.num_chunks(), cc.frames.len(), "{tag}");
+                let mut disk = ChunkBuf::default();
+                for (i, frame) in cc.frames.iter().enumerate() {
+                    store.load_chunk(i, &mut disk).unwrap();
+                    assert_eq!(bits(&disk), bits(frame), "{tag} frame {i}");
+                }
+            }
         }
         fs::remove_file(&path).unwrap();
     }
@@ -1449,8 +1233,8 @@ mod tests {
             let before = store.frames_read();
             let mut ran: Vec<Option<(ThreadId, Range<u32>)>> = vec![None; frames];
             kbt_flume::with_threads(Some(4), || {
-                src.scan_items(&mut [(); 8], &mut ran, |_, view, out| {
-                    *out = Some((thread::current().id(), view.items.clone()));
+                src.scan_items(&mut [(); 8], &mut ran, |_, frame, out| {
+                    *out = Some((thread::current().id(), frame.items.clone()));
                 })
             })
             .unwrap();
@@ -1459,7 +1243,7 @@ mod tests {
                 .into_iter()
                 .map(|r| r.expect("every chunk ran"))
                 .collect();
-            for ((_, items), chunk) in ran.iter().zip(&cc.chunks) {
+            for ((_, items), chunk) in ran.iter().zip(&cc.meta.item_chunks) {
                 assert_eq!(*items, chunk.items, "chunk {cap}: its own output");
             }
             let bound = if cap == 0 { 4 } else { cap.min(4) };

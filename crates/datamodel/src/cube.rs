@@ -60,7 +60,7 @@ pub struct TripleGroup {
 }
 
 impl TripleGroup {
-    /// Range of this group's cells inside [`ObservationCube::cells`].
+    /// Range of this group's cells in its cube's cell array ([`ObservationCube::cells_of`]).
     pub fn cell_range(&self) -> Range<usize> {
         self.cells.start as usize..self.cells.end as usize
     }

@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use chunked::{
     ChunkBuf, ChunkSource, ChunkStoreMeta, ChunkedCube, ChunkingConfig, CubeChunk, FileChunkStore,
-    ItemView, ResidentChunks, StreamedChunks,
+    StreamedChunks,
 };
 pub use coclaim::{pair_counts, CandidatePair, CoClaimIndex, PairCounts};
 pub use cube::{Cell, CubeBuilder, ObservationCube, TripleGroup};

@@ -3,7 +3,7 @@
 //! A Knowledge-Vault-style extraction pipeline simulator.
 //!
 //! The paper's corpus comes from 16 information-extraction systems with
-//! 40M extraction patterns run over 2B+ webpages [10]. That pipeline is
+//! 40M extraction patterns run over 2B+ webpages \[10\]. That pipeline is
 //! proprietary; this crate reproduces its *error structure*, which is all
 //! the inference layer can see:
 //!

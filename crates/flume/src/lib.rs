@@ -3,7 +3,7 @@
 //! The workspace's parallel runtime.
 //!
 //! The paper runs every inference stage as rounds on one dataflow
-//! substrate — FlumeJava [6] on Map-Reduce (Section 3.2, Section 5.3.4).
+//! substrate — FlumeJava \[6\] on Map-Reduce (Section 3.2, Section 5.3.4).
 //! This crate is the in-process stand-in, and like that substrate it is
 //! the *only* place parallelism is decided:
 //!

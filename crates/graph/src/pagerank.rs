@@ -1,4 +1,4 @@
-//! PageRank by power iteration [4].
+//! PageRank by power iteration \[4\].
 //!
 //! Standard damped PageRank with uniform teleport and dangling-node mass
 //! redistribution. Scores are normalized to sum to 1; the Figure 10

@@ -4,7 +4,7 @@
 //!
 //! * [`square_loss`] family — SqV (triple truthfulness), SqC (extraction
 //!   correctness), SqA (source accuracy),
-//! * [`wdev`] — weighted deviation with the paper's non-uniform buckets,
+//! * [`wdev()`] — weighted deviation with the paper's non-uniform buckets,
 //! * [`PrCurve`] / [`auc_pr`] — precision–recall curve and its area,
 //! * [`calibration_curve`] — Figure 8 calibration plots,
 //! * [`count_histogram`] / [`probability_histogram`] — Figures 5–7,

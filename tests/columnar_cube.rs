@@ -58,43 +58,49 @@ fn assert_matrix_at_chunk_sizes(cube: &ObservationCube, ctx: &str) {
     }
 }
 
-/// The gathered columns must be a faithful image of the row cube.
+/// The gathered frames must be a faithful image of the row cube.
 fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
-    assert_eq!(cc.num_groups(), cube.num_groups());
-    assert_eq!(cc.num_cells(), cube.num_cells());
-    // Row `g` is group `g`: item-major rows span `groups_of_item`, with
-    // slots resolving into the item's sorted distinct-value list and each
-    // row's cells the group's, in the cube's order.
-    for d in 0..cube.num_items() {
-        let rows = cube.groups_of_item(ItemId::new(d as u32));
-        let lo = cc.item_offsets[d] as usize;
-        let hi = cc.item_offsets[d + 1] as usize;
-        assert_eq!(lo..hi, rows);
-        for r in rows {
-            let grp = &cube.groups()[r];
-            assert_eq!(cc.ig_source[r], grp.source.0);
-            assert_eq!(cc.item_values_of(d)[cc.ig_slot[r] as usize], grp.value.0);
-            let cells = cube.cells_of(grp);
-            let at = cc.cell_offsets[r] as usize..cc.cell_offsets[r + 1] as usize;
-            assert_eq!(at.len(), cells.len());
-            for (k, c) in at.zip(cells) {
-                assert_eq!(cc.cell_extractor[k], c.extractor.0);
-                assert_eq!(cc.cell_confidence[k].to_bits(), c.confidence.to_bits());
-            }
-        }
-    }
-    // Chunks tile items and rows without gaps or overlap.
-    let mut next_item = 0u32;
-    let mut next_row = 0u32;
-    for chunk in &cc.chunks {
+    assert_eq!(cc.meta.num_groups as usize, cube.num_groups());
+    assert_eq!(cc.meta.num_cells as usize, cube.num_cells());
+    assert_eq!(cc.frames.len(), cc.meta.item_chunks.len());
+    // Group `g` is local row `g − chunk.rows.start` of its frame:
+    // item-major rows span `groups_of_item`, with slots resolving into the
+    // item's sorted distinct-value list and each row's cells the group's,
+    // in the cube's order.
+    let (mut next_item, mut next_row, mut first_cell) = (0u32, 0u32, 0usize);
+    for (chunk, frame) in cc.meta.item_chunks.iter().zip(&cc.frames) {
+        // Chunks tile items and rows without gaps or overlap.
         assert_eq!(chunk.items.start, next_item);
         assert_eq!(chunk.rows.start, next_row);
+        assert_eq!(frame.items, chunk.items);
+        let first_row = chunk.rows.start as usize;
+        for li in 0..frame.num_items() {
+            let d = chunk.items.start as usize + li;
+            let rows = cube.groups_of_item(ItemId::new(d as u32));
+            let at = frame.rows(li);
+            assert_eq!(at.start + first_row..at.end + first_row, rows);
+            for r in at {
+                let grp = &cube.groups()[r + first_row];
+                assert_eq!(frame.ig_source[r], grp.source.0);
+                assert_eq!(frame.values(li)[frame.ig_slot[r] as usize], grp.value.0);
+                let cells = cube.cells_of(grp);
+                let at = frame.cells(r);
+                assert_eq!(at.start + first_cell, grp.cell_range().start);
+                assert_eq!(at.len(), cells.len());
+                for (k, c) in at.zip(cells) {
+                    assert_eq!(frame.cell_extractor[k], c.extractor.0);
+                    assert_eq!(frame.cell_confidence[k].to_bits(), c.confidence.to_bits());
+                }
+            }
+        }
         next_item = chunk.items.end;
         next_row = chunk.rows.end;
+        first_cell += chunk.cells as usize;
     }
-    assert_eq!(next_item as usize, cc.num_items());
-    assert_eq!(next_row as usize, cc.num_groups());
+    assert_eq!(next_item as usize, cube.num_items());
+    assert_eq!(next_row as usize, cube.num_groups());
+    assert_eq!(first_cell, cube.num_cells());
 }
 
 proptest! {
@@ -108,7 +114,7 @@ proptest! {
         assert_matrix_at_chunk_sizes(&cube, "built");
     }
 
-    /// The equivalence survives `apply_delta`: the columnar view is
+    /// The equivalence survives `apply_delta`: the chunked cube is
     /// rebuilt from the merged cube and the fits still agree bitwise.
     #[test]
     fn columnar_engine_bitwise_equal_after_delta(
