@@ -9,18 +9,20 @@
 //! Runs the full 10M triples by default; `--smoke` runs 1M so CI finishes
 //! in minutes. The engine and `reference::fit` run the same fixed number of
 //! EM rounds (`convergence_eps = 0`) on the same cube and the binary
-//! **hard-asserts bitwise equality** of their source-trust scores and
-//! per-group truth posteriors, then prints the cube-build wall and the
-//! fit's per-stage wall breakdown (`StageWall`: chunking, vote rebuild,
-//! the round's one scan, the M-steps' finish) — a profile to read, not a
-//! gate: how fast the fit runs is measured by `benchmark/` alone. Before
-//! the fit it builds the corpus a second time on one worker and
-//! hard-asserts that the two builds are the same cube, field for field: a
-//! slip in how the build cuts its items into windows shows here. After the fit it
-//! refits at `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times
-//! the item chunks, so the rows fold into the workers' sums in another
-//! order — and hard-asserts the same trust and truth bits: the M-step and
-//! log-likelihood sums are exact, so no partition can move a bit.
+//! **hard-asserts bitwise equality** of their source-trust scores,
+//! per-group truth posteriors and every round's Δ and log-likelihood,
+//! then prints the cube-build wall and the fit's per-stage wall breakdown
+//! (`StageWall`: chunking, vote rebuild, the round's one scan, the
+//! M-steps' finish) — a profile to read, not a gate: how fast the fit
+//! runs is measured by `benchmark/` alone. Before the fit it builds the
+//! corpus a second time on one worker and hard-asserts that the two
+//! builds are the same cube, field for field: a slip in how the build
+//! cuts its items into windows shows here. After the fit it refits at
+//! `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times the item
+//! chunks, so the rows fold into the workers' sums in another order — and
+//! hard-asserts the same trust, truth and per-round Δ and log-likelihood
+//! bits: the M-step and log-likelihood sums are exact, so no partition
+//! can move a bit.
 //!
 //! It prints two truth digests: the checksum of the per-group truth in
 //! cube order (item-major), and the same posteriors taken in
@@ -141,6 +143,14 @@ fn source_major_checksum(cube: &ObservationCube, truth: &[f64]) -> String {
     let groups = sources.flat_map(|w| cube.source_groups(w).iter());
     let truth: Vec<f64> = groups.map(|&g| truth[g as usize]).collect();
     format!("{:#018x}", bits_checksum(&truth))
+}
+
+/// Every round's Δ and log-likelihood, as bits.
+fn trace_bits(report: &FusionReport) -> Vec<(u64, u64)> {
+    let rounds = report.trace.rounds.iter();
+    rounds
+        .map(|r| (r.delta.to_bits(), r.log_likelihood.to_bits()))
+        .collect()
 }
 
 /// In smoke mode, hard-assert the key-order truth against the pin.
@@ -422,9 +432,14 @@ fn run_resident(mode: &str, triples: usize) {
         bits_checksum(&oracle.truth_of_group),
         "truth posteriors diverged between the engine and reference::fit"
     );
+    assert_eq!(
+        trace_bits(&report),
+        trace_bits(&oracle),
+        "a round's Δ or log-likelihood diverged between the engine and reference::fit"
+    );
     println!(
-        "bitwise equality with reference::fit over {} rounds: OK \
-         (trust checksum {trust:#018x}, truth checksum {truth:#018x})",
+        "bitwise equality with reference::fit over {} rounds, every round's Δ and \
+         log-likelihood included: OK (trust checksum {trust:#018x}, truth checksum {truth:#018x})",
         report.iterations()
     );
     let key_order = source_major_checksum(&cube, report.truth_of_group());
@@ -446,6 +461,11 @@ fn run_resident(mode: &str, triples: usize) {
         ),
         (trust, truth),
         "a finer chunk partition moved the fit's bits"
+    );
+    assert_eq!(
+        trace_bits(&fine),
+        trace_bits(&report),
+        "a finer chunk partition moved a round's Δ or log-likelihood"
     );
     println!(
         "  refit at {PARTITION_TARGET_CELLS} cells per chunk ({} item chunks, not {}): \

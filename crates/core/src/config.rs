@@ -142,15 +142,14 @@ pub struct ModelConfig {
     /// `n` workers. Per-run and race-free — installed around inference
     /// via `kbt_flume::with_threads`.
     pub threads: Option<usize>,
-    /// Target number of cells per chunk when the engine lays the cube
-    /// out as a `kbt_datamodel::ChunkedCube`, one item frame per chunk —
-    /// resident, or written to a chunk store as those same frames. Chunks
-    /// are item-aligned, so a chunk's scratch covers whole items; smaller
-    /// chunks balance skew better, larger chunks amortize scheduling.
-    /// Forwarded to `kbt_datamodel::ChunkingConfig::target_cells`; the
-    /// default (64 Ki cells ≈ a few MiB of columns) keeps a chunk's working
-    /// set L2/L3-resident on common hardware. Has no effect on results —
-    /// only on scheduling granularity.
+    /// Target number of cells per item-aligned chunk when the engine lays
+    /// the cube out as a `kbt_datamodel::ChunkedCube` (resident, or written
+    /// to a chunk store as the same frames): smaller chunks balance skew
+    /// better, larger ones amortize scheduling. Forwarded to
+    /// `kbt_datamodel::ChunkingConfig::target_cells`, which caps it at a
+    /// sixteenth of the cube's cells but not below 4 Ki; the default (64 Ki
+    /// cells ≈ a few MiB of columns) keeps a chunk's working set
+    /// L2/L3-resident. Has no effect on results — only on scheduling.
     pub chunk_target_cells: usize,
     /// Where the chunked cube lives during the fit: resident in memory
     /// (default) or streamed from a chunk store on disk, a few decoded

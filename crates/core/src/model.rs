@@ -29,11 +29,11 @@ pub struct IterationTrace {
     /// Largest absolute parameter change in this round (the Algorithm 1
     /// line 7 statistic; compared against `convergence_eps`).
     pub delta: f64,
-    /// Pseudo log-likelihood after the round: the summed log-probability
-    /// the model assigns to its own MAP labeling of the latent variables
-    /// (extraction correctness and triple truth). A diagnostic confidence
-    /// energy in `(-inf, 0]` that approaches 0 as posteriors sharpen — not
-    /// the marginal data likelihood.
+    /// Pseudo log-likelihood after the round: `Σ ln max(c, 1 − c) + ln
+    /// max(p, 1 − p)` over the rows, the log-probability of the model's own
+    /// MAP labeling of correctness and truth, folded per item as one `ln Π`
+    /// per block of ≤ 256 rows. A diagnostic in `(-inf, 0]` that approaches 0
+    /// as posteriors sharpen — not the marginal data likelihood.
     pub log_likelihood: f64,
     /// Wall-clock time of the round, measured with
     /// [`kbt_flume::Stopwatch`].
@@ -50,8 +50,7 @@ pub struct StageWall {
     /// Splitting the cube into its item frames and meta frame — the
     /// `ChunkedCube::from_cube` split, once per fit from a cube
     /// (`run_streamed` reads a pre-chunked store); for the single layer,
-    /// the pair-cube reshape as well. The cube's groups are the fit's rows, so nothing is permuted
-    /// back.
+    /// the pair-cube reshape as well.
     pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14, and Eq. 19's per-source votes).
     pub votes: Duration,
@@ -307,13 +306,6 @@ impl FusionModel for SingleLayerModel {
         let fit = Self::new(resident(self.config())).run_traced(cube, init);
         fit.expect("a resident fit cannot fail")
     }
-}
-
-/// Pseudo log-likelihood term for one posterior probability `p`: the log
-/// of the probability mass on the MAP side, `ln max(p, 1-p)`, clamped away
-/// from zero.
-pub(crate) fn map_confidence_ll(p: f64) -> f64 {
-    p.max(1.0 - p).max(f64::MIN_POSITIVE).ln()
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use kbt_flume::ExactSum;
 
 use crate::config::{AbsencePolicy, ModelConfig};
 use crate::math::clamp_quality;
-use crate::model::map_confidence_ll;
 use crate::params::{q_from_precision_recall, Params};
 
 /// One round's sums, per scan worker: Eq. 28's per source, `num_w = Σ
@@ -55,15 +54,12 @@ impl RoundSums {
         self.ll = ExactSum::default();
     }
 
-    /// Fold a chunk's rows: their sources, correctness, truth and
-    /// conditional truth.
-    pub(crate) fn fold_rows(&mut self, sources: &[u32], c: &[f64], truth: &[f64], cond: &[f64]) {
+    /// Fold a chunk's rows (sources, correctness, conditional truth) into Eq. 28's sums.
+    pub(crate) fn fold_rows(&mut self, sources: &[u32], c: &[f64], cond: &[f64]) {
         for ((&w, &c), &cond) in sources.iter().zip(c).zip(cond) {
             self.source_num[w as usize].add(c * cond);
             self.source_den[w as usize].add(c);
         }
-        let terms = c.iter().zip(truth);
-        (self.ll).extend(terms.map(|(&c, &t)| map_confidence_ll(c) + map_confidence_ll(t)));
     }
 
     /// Fold one group's cells, of correctness `c`.
@@ -217,7 +213,7 @@ pub(crate) mod tests {
             workers.iter_mut().for_each(|w| w.reset(nw, ne, round == 0));
             c = scan_rows(cc, cfg, columns, &mut workers, |sums, buf, rows| {
                 estimate_correctness(buf, &votes, rows.alpha, cfg, rows.correctness, sums);
-                sums.fold_rows(&buf.ig_source, rows.correctness, rows.truth, rows.truth);
+                sums.fold_rows(&buf.ig_source, rows.correctness, rows.truth);
             })
             .0;
             let (sums, rest) = workers.split_first_mut().unwrap();

@@ -415,8 +415,8 @@ fn run_em<S: ChunkSource>(
                 }
                 estimate_correctness(buf, &votes, rows.alpha, cfg, rows.correctness, sums);
             }
-            estimate_values(buf, &value_votes, active, miv, scratch, rows);
-            sums.fold_rows(&buf.ig_source, rows.correctness, rows.truth, rows.cond);
+            estimate_values(buf, &value_votes, active, miv, scratch, rows, &mut sums.ll);
+            sums.fold_rows(&buf.ig_source, rows.correctness, rows.cond);
         })?;
         wall.scan += stage.lap();
 

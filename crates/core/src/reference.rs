@@ -18,12 +18,12 @@ use kbt_flume::ExactSum;
 use crate::config::{AbsencePolicy, CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
 use crate::math::{clamp_quality, log_sum_exp_with_zeros, logit, sigmoid};
-use crate::model::{map_confidence_ll, FusionReport, PairSources};
+use crate::model::{FusionReport, PairSources};
 use crate::multi_layer::{empty_values, iterate, EmState};
 use crate::params::{q_from_precision_recall, Params, QualityInit};
 use crate::posterior::ItemPosteriors;
 use crate::single_layer::{claims, page_init, pair_cube};
-use crate::value::ValueLayerOutput;
+use crate::value::{ValueLayerOutput, LL_BLOCK_ROWS};
 use crate::votes::VoteCounter;
 
 /// Presence/absence vote tables (Eqs. 12–13) for `cube`: the cube's
@@ -291,6 +291,16 @@ fn exact_sum(xs: impl Iterator<Item = f64>) -> f64 {
     sum.finish()
 }
 
+/// The log-likelihood in the engine's blocks: one `ln Π max(c, 1 − c) ·
+/// max(p, 1 − p)` per run of at most [`LL_BLOCK_ROWS`] of an item's groups.
+fn log_likelihood(cube: &ObservationCube, c: impl Fn(usize) -> f64, p: &[f64]) -> f64 {
+    let items = (0..cube.num_items()).map(|d| cube.groups_of_item(ItemId::new(d as u32)));
+    let groups: Vec<Vec<usize>> = items.map(Iterator::collect).collect();
+    let factor = |g: usize| c(g).max(1.0 - c(g)) * p[g].max(1.0 - p[g]);
+    let blocks = groups.iter().flat_map(|item| item.chunks(LL_BLOCK_ROWS));
+    exact_sum(blocks.map(|block| block.iter().fold(1.0, |prod, &g| prod * factor(g)).ln()))
+}
+
 /// Algorithm 1 from `start`, one EM fit: the oracle for the engine's
 /// `run_em`, the same driver over its own `round`. The copy-aware refit
 /// loop is not part of it; hand it the factors the engine reports it ran
@@ -322,10 +332,10 @@ fn round(
     let (cond, truth) = (&values.truth_given_provided, &values.truth_of_group);
     update_source_accuracy(cube, c, cond, cfg, &mut s.params, &mut s.active);
     update_extractor_quality(cube, c, cfg, &mut s.params);
-    let ll = (c.iter().zip(truth)).map(|(&c, &v)| map_confidence_ll(c) + map_confidence_ll(v));
+    let ll = log_likelihood(cube, |g| c[g], truth);
     s.truth = Some(truth.clone());
     s.rounds += 1;
-    Ok((s.params.max_abs_delta(&prev), exact_sum(ll)))
+    Ok((s.params.max_abs_delta(&prev), ll))
 }
 
 /// The single-layer E-step (Eqs. 2–3) over the pair cube `pc`, item by
@@ -415,8 +425,7 @@ pub fn fit_single_layer(
             delta = delta.max((new - acc[s]).abs());
             acc[s] = new;
         }
-        let ll = exact_sum(truth.iter().map(|&p| map_confidence_ll(p)));
-        Ok::<_, Infallible>((delta, ll))
+        Ok::<_, Infallible>((delta, log_likelihood(&pc, |_| 1.0, &truth)))
     };
     let Ok(trace) = iterate(cfg, 0, round);
 

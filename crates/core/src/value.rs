@@ -10,6 +10,7 @@
 //! unobserved domain value (Eq. 21/25, Example 3.2).
 
 use kbt_datamodel::{ChunkBuf, CubeChunk, SourceId, ValueId};
+use kbt_flume::ExactSum;
 
 use crate::config::{CorrectnessWeighting, ModelConfig, ValueModel};
 use crate::copydetect::CopyDiscount;
@@ -39,6 +40,9 @@ pub struct ValueLayerOutput {
     /// *active* source (the coverage rule; see [`ModelConfig::min_source_support`]).
     pub covered_group: Vec<bool>,
 }
+
+/// Most rows of one item per log-likelihood `ln`: a block's product is ≥ 4⁻²⁵⁶.
+pub(crate) const LL_BLOCK_ROWS: usize = 256;
 
 /// Reusable per-worker scratch of the value E-step: slot-indexed
 /// accumulators sized once to the cube's `max_item_values` (so the
@@ -147,11 +151,9 @@ impl ValueVotes {
 /// access, no per-item allocation. Per slot, votes accumulate in row
 /// order, the POPACCU adjustment and the softmax run in first-seen value
 /// order; the per-row `(truth, cond, covered)` outputs land at the item's
-/// rows.
-///
-/// Takes the chunk's [`ChunkBuf`] (`li` is the frame-local item index), so
-/// the same kernel — the same instructions, the same float sequence — runs
-/// whether the frame is a resident cube's or a buffer streamed from disk.
+/// rows, and `ll` gets one `ln Π max(c, 1 − c) · max(p, 1 − p)` (each
+/// factor ≥ ¼) per block of at most [`LL_BLOCK_ROWS`] rows, in row order.
+/// `li` is the item's index in `frame`.
 fn col_value_item_kernel(
     frame: &ChunkBuf,
     votes: &ValueVotes,
@@ -159,9 +161,9 @@ fn col_value_item_kernel(
     li: usize,
     s: &mut ColValueScratch,
     out: &mut ChunkRows<'_>,
+    ll: &mut ExactSum,
 ) {
     let vals = frame.values(li);
-    let nv = vals.len();
     let rows = frame.rows(li);
     // Borrow the item's row span as slices once, so the hot loop iterates
     // without per-access bounds checks.
@@ -182,11 +184,7 @@ fn col_value_item_kernel(
         }
         let c = correctness[r];
         let weight = if votes.map_weight {
-            if c >= 0.5 {
-                1.0
-            } else {
-                0.0
-            }
+            f64::from(u8::from(c >= 0.5))
         } else {
             c
         };
@@ -226,21 +224,19 @@ fn col_value_item_kernel(
     let domain = votes.domain;
     let unobserved_count = domain.saturating_sub(s.order.len());
     s.vcs.clear();
-    s.vcs
-        .extend(s.order.iter().map(|&slot| s.vote_sum[slot as usize]));
+    (s.vcs).extend(s.order.iter().map(|&slot| s.vote_sum[slot as usize]));
     let log_z = log_sum_exp_with_zeros(&s.vcs, unobserved_count);
     let posteriors = &mut *out.posteriors;
     let entry_start = posteriors.entries.len();
-    for (slot, &val) in vals.iter().enumerate().take(nv) {
+    for (slot, &val) in vals.iter().enumerate() {
         if s.voted[slot] {
             let p = (s.vote_sum[slot] - log_z).exp();
             s.prob[slot] = p;
             posteriors.entries.push((ValueId::new(val), p));
         }
     }
-    posteriors
-        .entry_counts
-        .push((posteriors.entries.len() - entry_start) as u32);
+    let entries = (posteriors.entries.len() - entry_start) as u32;
+    posteriors.entry_counts.push(entries);
     let unobserved_mass = if log_z.is_finite() {
         (-log_z).exp()
     } else {
@@ -252,7 +248,9 @@ fn col_value_item_kernel(
     // p(V_d = v | X, C_g = 1): raise this group's vote from weight·vote
     // to the full vote and renormalize. With a = log p(v|X) and
     // b = a + (1−weight)·vote, p_cond = e^b / (1 − e^a + e^b).
-    for (r, &(slot, weight, full_vote)) in rows.zip(&s.rows) {
+    let mut block = 1.0f64;
+    let rows = rows.zip(&s.rows).zip(correctness).enumerate();
+    for (k, ((r, &(slot, weight, full_vote)), &c)) in rows {
         let slot = slot as usize;
         let voted = s.voted[slot];
         let p = if voted { s.prob[slot] } else { unobserved_mass };
@@ -274,10 +272,15 @@ fn col_value_item_kernel(
         out.truth[r] = p;
         out.cond[r] = p_cond;
         out.covered[r] = voted;
+        block *= c.max(1.0 - c) * p.max(1.0 - p);
+        if (k + 1) % LL_BLOCK_ROWS == 0 || k + 1 == correctness.len() {
+            ll.add(block.ln());
+            block = 1.0;
+        }
     }
 
     // Reset the slots this item used; the arrays stay allocated.
-    for slot in 0..nv {
+    for slot in 0..vals.len() {
         s.vote_sum[slot] = 0.0;
         s.voted[slot] = false;
         s.claim[slot] = 0.0;
@@ -286,8 +289,8 @@ fn col_value_item_kernel(
 
 /// The value E-step over one chunk: [`col_value_item_kernel`] for each of
 /// its items, from the chunk's correctness column into its truth,
-/// conditional truth, coverage and posteriors. `active_source[w]` gates
-/// which sources vote;
+/// conditional truth, coverage and posteriors, its rows' log-likelihood
+/// into `ll`. `active_source[w]` gates which sources vote;
 /// `max_item_values` sizes the slot accumulators. Every row belongs to
 /// exactly one item and chunks never split an item, so the result does
 /// not depend on the chunk partition, the thread count or the residency.
@@ -298,6 +301,7 @@ pub(crate) fn estimate_values(
     max_item_values: usize,
     s: &mut ColValueScratch,
     out: &mut ChunkRows<'_>,
+    ll: &mut ExactSum,
 ) {
     for slots in [&mut s.vote_sum, &mut s.claim, &mut s.prob] {
         slots.clear();
@@ -310,7 +314,7 @@ pub(crate) fn estimate_values(
     posteriors.entry_counts.clear();
     posteriors.unobserved.clear();
     for li in 0..frame.num_items() {
-        col_value_item_kernel(frame, votes, active_source, li, s, out);
+        col_value_item_kernel(frame, votes, active_source, li, s, out, ll);
     }
 }
 
@@ -338,7 +342,7 @@ mod tests {
         let miv = cc.meta.max_item_values as usize;
         let truth = vec![0.0; cc.meta.num_groups as usize];
         scan_rows(cc, &cfg, [correctness, &truth], scratch, |s, buf, rows| {
-            estimate_values(buf, votes, active, miv, s, rows);
+            estimate_values(buf, votes, active, miv, s, rows, &mut ExactSum::default());
         })
         .1
     }

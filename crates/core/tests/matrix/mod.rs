@@ -8,7 +8,8 @@
 //!   the single layer against [`reference::fit_single_layer`]. Every fit
 //!   goes through `ModelConfig::residency`, so a streamed cell writes its
 //!   own store; a multi-layer cell fitted from an init also refits from
-//!   that store through the cube-less `run_streamed`.
+//!   that store through the cube-less `run_streamed`. The multi-layer row
+//!   also checks the blocked log-likelihood against the per-row sum.
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
@@ -26,6 +27,7 @@ use kbt_core::{
     MultiLayerModel, QualityInit, SingleLayerModel,
 };
 use kbt_datamodel::{FileChunkStore, ObservationCube};
+use kbt_flume::ExactSum;
 
 /// A store path no other test (or process) is using.
 pub fn fresh_path(tag: &str) -> PathBuf {
@@ -88,6 +90,26 @@ fn assert_traces_bitwise_eq(got: &ConvergenceTrace, want: &ConvergenceTrace, wha
             "{what}: log-likelihood"
         );
     }
+}
+
+/// The last round's log-likelihood — folded per item as one `ln` per block
+/// of at most 256 rows — is the per-row sum `Σ ln max(c, 1 − c) + ln max(p,
+/// 1 − p)` of the report's correctness and truth, to 10⁻¹² relative.
+fn assert_ll_is_the_per_row_sum(report: &FusionReport, what: &str) {
+    let Some(last) = report.trace.rounds.last() else {
+        return;
+    };
+    let rows = report.correctness().expect("extraction layer").iter();
+    let mut per_row = ExactSum::default();
+    per_row.extend(
+        (rows.zip(&report.truth_of_group))
+            .map(|(&c, &p)| c.max(1.0 - c).ln() + p.max(1.0 - p).ln()),
+    );
+    let (got, want) = (last.log_likelihood, per_row.finish());
+    assert!(
+        (got - want).abs() <= 1e-12 * want.abs(),
+        "{what}: log-likelihood {got} against the per-row sum {want}"
+    );
 }
 
 /// The columns both models write, bit for bit.
@@ -165,6 +187,7 @@ fn assert_fits_match(
         assert_eq!(v.len(), ng, "{tag}: per-group vectors are dense");
     }
     assert_eq!(want.covered_group.len(), ng, "{tag}: dense coverage");
+    assert_ll_is_the_per_row_sum(&want, tag);
 
     for cell in cells(&fresh_path("engine")) {
         let model = MultiLayerModel::new(at(cfg, &cell));

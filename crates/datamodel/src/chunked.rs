@@ -72,13 +72,12 @@ use crate::wire::{self, WireError, WireReader};
 #[derive(Debug, Clone)]
 pub struct ChunkingConfig {
     /// Soft target for the number of cube cells per chunk. A chunk closes
-    /// at the first **item boundary** at or past this many cells (items
-    /// are never split across chunks, so a single very wide item can
-    /// exceed the target). Smaller chunks = finer load balancing and a
-    /// smaller per-worker working set; larger chunks = less scheduling
-    /// overhead. The default (64 Ki cells ≈ 1 MiB of confidence + id
-    /// columns) keeps a chunk's hot data inside the L2 cache of
-    /// contemporary cores.
+    /// at the first **item boundary** at or past `min(target_cells, max(4
+    /// Ki, ⌈cells / 16⌉))` cells, so a small cube still spreads over its
+    /// workers (a very wide item can exceed the cap). Smaller chunks = finer
+    /// load balancing and a smaller per-worker working set; larger chunks =
+    /// less scheduling overhead. The default (64 Ki cells ≈ 1 MiB of
+    /// confidence + id columns) keeps a chunk's hot data L2-resident.
     pub target_cells: usize,
 }
 
@@ -144,11 +143,12 @@ impl ChunkedCube {
             (groups.get(r as usize)).map_or(cube.num_cells(), |g| g.cell_range().start) as u32
         };
 
-        // Greedy item-aligned chunking: close a chunk at the first item
-        // boundary at or past `target_cells` cells.
-        let target = cfg.target_cells.max(1) as u64;
-        let mut item_chunks = Vec::new();
-        let mut start = 0usize;
+        // Greedy: close a chunk at the first item boundary at or past its cap.
+        const MIN_CHUNK_CELLS: u64 = 4 * 1024;
+        const MIN_CHUNKS: u64 = 16;
+        let share = (cube.num_cells() as u64).div_ceil(MIN_CHUNKS);
+        let target = (cfg.target_cells.max(1) as u64).min(share.max(MIN_CHUNK_CELLS));
+        let (mut item_chunks, mut start) = (Vec::new(), 0usize);
         for d in 0..ni {
             let rows = item_offsets[start]..item_offsets[d + 1];
             let cells = cell_at(rows.end) - cell_at(rows.start);

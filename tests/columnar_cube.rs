@@ -103,6 +103,109 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     assert_eq!(first_cell, cube.num_cells());
 }
 
+/// Every source on every item, one to three cells per group — the chunk
+/// store tests' grid, at any size.
+fn grid_cube(sources: u32, items: u32) -> ObservationCube {
+    let mut b = CubeBuilder::new();
+    for w in 0..sources {
+        for d in 0..items {
+            for e in 0..(1 + (w + d) % 3) {
+                b.push(Observation {
+                    extractor: ExtractorId::new(e),
+                    source: SourceId::new(w),
+                    item: ItemId::new(d),
+                    value: ValueId::new((w + d) % 4),
+                    confidence: 0.3 + 0.1 * f64::from(e),
+                });
+            }
+        }
+    }
+    b.build()
+}
+
+/// The chunk partition's rule: a chunk closes at the first item boundary
+/// at or past `min(target_cells, max(4 Ki, ⌈cells / 16⌉))` cells. A cube
+/// of at least 16 × 4 Ki cells gets 16 chunks at the default target, each
+/// but the last at least its sixteenth (so never 17: 16 such chunks hold
+/// every cell); one of under 4 Ki cells stays one chunk; and a target of
+/// at most 4 Ki cells cuts greedily at the target itself, as the rule
+/// always did.
+#[test]
+fn chunks_are_capped_at_a_sixteenth_of_the_cube() {
+    let (big, small) = (grid_cube(40, 1_000), grid_cube(40, 50));
+    assert!(big.num_cells() >= 16 * 4096, "{} cells", big.num_cells());
+    assert!(small.num_cells() < 4096, "{} cells", small.num_cells());
+    let chunks = |cube: &ObservationCube, target_cells| {
+        assert_columns_faithful(cube, target_cells);
+        ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells })
+            .meta
+            .item_chunks
+    };
+    let default = ChunkingConfig::default().target_cells;
+    let cut = chunks(&big, default);
+    let share = big.num_cells().div_ceil(16) as u32;
+    assert_eq!(cut.len(), 16);
+    assert!(cut[..15].iter().all(|c| c.cells >= share), "{cut:?}");
+    assert_eq!(chunks(&small, default).len(), 1);
+    for target_cells in [1usize, 8, 1_000, 4096] {
+        for cube in [&big, &small] {
+            let (mut want, mut start, mut cells) = (Vec::new(), 0, 0);
+            for d in 0..cube.num_items() as u32 {
+                let groups = cube.groups_of_item(ItemId::new(d));
+                cells += (groups.map(|g| cube.cells_of(&cube.groups()[g]).len())).sum::<usize>();
+                if cells >= target_cells || d as usize + 1 == cube.num_items() {
+                    want.push(start..d + 1);
+                    (start, cells) = (d + 1, 0);
+                }
+            }
+            let got: Vec<_> = chunks(cube, target_cells)
+                .into_iter()
+                .map(|c| c.items)
+                .collect();
+            assert_eq!(got, want, "t={target_cells}");
+        }
+    }
+}
+
+/// The log-likelihood folds an item's rows in blocks of at most 256: a
+/// cube of the proptests' family plus one item of 600 rows (three blocks,
+/// over 150 sources and 4 values) still fits bitwise as the reference
+/// does, both models, at every chunk size, thread count and residency.
+#[test]
+fn columnar_engine_bitwise_equal_with_a_600_row_item() {
+    let mut obs: Vec<Observation> = (0..60u32)
+        .map(|i| Observation {
+            extractor: ExtractorId::new(i % 6),
+            source: SourceId::new(i * 7 % 8),
+            item: ItemId::new(i * 3 % 10),
+            value: ValueId::new(i * 5 % 7 % 5),
+            confidence: f64::from(i % 11) / 10.0,
+        })
+        .collect();
+    for w in 0..150u32 {
+        for v in 0..4u32 {
+            obs.push(Observation {
+                extractor: ExtractorId::new((w + v) % 6),
+                source: SourceId::new(w),
+                item: ItemId::new(10),
+                value: ValueId::new(v),
+                confidence: f64::from((w * 4 + v) % 13) / 12.0,
+            });
+        }
+    }
+    let cube = build(&obs);
+    assert_eq!(cube.groups_of_item(ItemId::new(10)).len(), 600);
+    assert_matrix_at_chunk_sizes(&cube, "600-row item");
+    for chunk_target_cells in [1usize, 16, 1 << 20] {
+        let cfg = ModelConfig {
+            chunk_target_cells,
+            ..ModelConfig::default()
+        };
+        let tag = format!("600-row item chunk={chunk_target_cells}");
+        matrix::assert_single_layer_matches_reference(&cube, &cfg, &QualityInit::Default, &tag);
+    }
+}
+
 proptest! {
     /// A freshly built cube: the engine agrees with the reference
     /// bitwise at every thread count, residency and extreme chunk sizes,
