@@ -179,7 +179,7 @@ pub(crate) fn update_extractor_quality(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::correctness::estimate_correctness;
     use crate::math::logit;
@@ -229,10 +229,8 @@ pub(crate) mod tests {
 
     /// Kernel ≡ reference for both M-steps, bit for bit: both folded
     /// under the correctness scan, at several chunk sizes and thread
-    /// counts and across buffer-reuse rounds — on a random cube, on that
-    /// cube after a retraction that empties source 11, and on the
-    /// unretracted cube with the retracted groups left in place without
-    /// cells, which must fold nothing.
+    /// counts and across buffer-reuse rounds — on a random cube and on
+    /// that cube after a retraction that empties source 11.
     #[test]
     fn mstep_kernels_match_the_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(33);
@@ -247,12 +245,8 @@ pub(crate) mod tests {
             });
         }
         let full = b.build();
-        let retracted = |g: usize| g % 7 == 3 || full.groups()[g].source.0 == 11;
-        let gone = full
-            .groups()
-            .iter()
-            .enumerate()
-            .filter(|&(g, _)| retracted(g));
+        let gone =
+            (full.groups().iter().enumerate()).filter(|&(g, grp)| g % 7 == 3 || grp.source.0 == 11);
         let keys: Vec<_> = gone.map(|(_, g)| (g.source, g.item, g.value)).collect();
         let shrunk = full.retract(&keys);
         let truth: Vec<f64> = (0..full.num_groups()).map(|_| rng.gen::<f64>()).collect();
@@ -261,14 +255,6 @@ pub(crate) mod tests {
             precision: (0..8).map(|e| 0.9 - 0.06 * e as f64).collect(),
             recall: (0..8).map(|e| 0.5 + 0.05 * e as f64).collect(),
             q: (0..8).map(|e| 0.02 + 0.03 * e as f64).collect(),
-        };
-        // The retracted groups stay, without cells; the cells left and the
-        // per-source extractor sets are the retracted cube's.
-        let hollow_out = |cc: ChunkedCube, shrunk: &ChunkedCube| {
-            let mut hollow = hollow_rows(cc, retracted);
-            hollow.meta.source_ext_offsets = shrunk.meta.source_ext_offsets.clone();
-            hollow.meta.source_ext_ids = shrunk.meta.source_ext_ids.clone();
-            hollow
         };
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for policy in [
@@ -300,27 +286,15 @@ pub(crate) mod tests {
                     (c, want, active)
                 };
                 let (want_full, want_shrunk) = (oracle(&full), oracle(&shrunk));
-                let mut hollow_first: Option<Params> = None;
                 for target_cells in [1usize, 64, 1 << 20] {
                     let chunking = ChunkingConfig { target_cells };
                     let of = |cube| ChunkedCube::from_cube(cube, &chunking);
-                    let cases = [
-                        (of(&full), Some(&want_full)),
-                        (of(&shrunk), Some(&want_shrunk)),
-                        (hollow_out(of(&full), &of(&shrunk)), None),
-                    ];
-                    for (cc, want) in &cases {
+                    for (cc, want) in [(of(&full), &want_full), (of(&shrunk), &want_shrunk)] {
                         for threads in [1usize, 2, 8] {
                             let (c, got, active) = kbt_flume::with_threads(Some(threads), || {
-                                two_rounds(cc, &init, &truth[..cc.meta.num_groups as usize], &cfg)
+                                two_rounds(&cc, &init, &truth[..cc.meta.num_groups as usize], &cfg)
                             });
                             let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
-                            let Some(want) = want else {
-                                assert_eq!(got.precision, want_shrunk.1.precision, "hollow {tag}");
-                                let first = hollow_first.get_or_insert(got.clone());
-                                assert_eq!(&got, first, "hollow {tag} x{threads}");
-                                continue;
-                            };
                             assert_eq!(bits(&c), bits(&want.0), "{tag} x{threads}");
                             assert_eq!(got, want.1, "{tag} x{threads}");
                             assert_eq!(active, want.2, "{tag} x{threads}");
@@ -329,28 +303,5 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    /// `cc` with the cells of every row whose group `hollow` picks
-    /// removed, frame by frame: the rows stay, claiming without a cell,
-    /// and each chunk (and the meta frame) counts the cells it has left.
-    pub(crate) fn hollow_rows(mut cc: ChunkedCube, hollow: impl Fn(usize) -> bool) -> ChunkedCube {
-        let chunks = cc.meta.item_chunks.iter_mut();
-        for (chunk, frame) in chunks.zip(&mut cc.frames) {
-            let offsets = std::mem::replace(&mut frame.cell_offsets, vec![0]);
-            let ext = std::mem::take(&mut frame.cell_extractor);
-            let conf = std::mem::take(&mut frame.cell_confidence);
-            for r in 0..frame.num_rows() {
-                if !hollow(chunk.rows.start as usize + r) {
-                    let cells = offsets[r] as usize..offsets[r + 1] as usize;
-                    frame.cell_extractor.extend(&ext[cells.clone()]);
-                    frame.cell_confidence.extend(&conf[cells]);
-                }
-                frame.cell_offsets.push(frame.cell_extractor.len() as u32);
-            }
-            cc.meta.num_cells -= chunk.cells - frame.cell_extractor.len() as u32;
-            chunk.cells = frame.cell_extractor.len() as u32;
-        }
-        cc
     }
 }

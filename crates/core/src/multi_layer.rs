@@ -734,9 +734,8 @@ pub(crate) mod tests {
     /// state, is the n-round fit bit for bit (state, value layer, every Δ
     /// and log-likelihood) at every k, cold and warm (resumed, a truth
     /// column, a discount), the same resident at 1, 2 and 8 threads and
-    /// streamed at caps 0, 1 and 4. Every fifth row has no cells, as a
-    /// chunk store may hold: it claims nothing and still reports in cube
-    /// order, every group's truth and coverage its own `(item, value)`'s.
+    /// streamed at caps 0, 1 and 4. The fit reports in cube order: every
+    /// group's truth and coverage are its own `(item, value)`'s.
     #[test]
     fn a_fit_continued_from_its_state_is_one_fit() {
         type Trace = Vec<(usize, f64, f64)>;
@@ -785,7 +784,6 @@ pub(crate) mod tests {
         }
         let cube = b.build();
         let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 12 });
-        let cc = crate::mstep::tests::hollow_rows(cc, |g| g % 5 == 2);
         let cfg = ModelConfig::default();
         let cold = EmState::start(&cube, &cfg, &QualityInit::Default);
         let prior = (0..cube.num_groups()).map(|g| (g % 7) as f64 / 7.0);

@@ -109,12 +109,6 @@ pub fn estimate_values(
         let mut total_claims = 0.0f64;
         for g in cube.groups_of_item(ItemId::new(d as u32)) {
             let grp = &cube.groups()[g];
-            if cube.cells_of(grp).is_empty() {
-                // A group with no surviving extraction (emptied by a
-                // retraction) casts no claim and no vote.
-                rows.push((g, grp.value, 0.0, 0.0));
-                continue;
-            }
             let weight = match cfg.correctness_weighting {
                 CorrectnessWeighting::Weighted => correctness[g],
                 CorrectnessWeighting::Map => f64::from(u8::from(correctness[g] >= 0.5)),

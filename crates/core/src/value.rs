@@ -170,18 +170,11 @@ fn col_value_item_kernel(
     let correctness = &out.correctness[rows.clone()];
     let ig_source = &frame.ig_source[rows.clone()];
     let ig_slot = &frame.ig_slot[rows.clone()];
-    let cell_offsets = &frame.cell_offsets[rows.start..=rows.end];
     s.order.clear();
     s.rows.clear();
     let mut total_claims = 0.0f64;
     for r in 0..correctness.len() {
         let slot = ig_slot[r] as usize;
-        if cell_offsets[r] == cell_offsets[r + 1] {
-            // Cell-less group (emptied by a retraction delta): no claim,
-            // no vote, but a dense truth entry below.
-            s.rows.push((slot as u32, 0.0, 0.0));
-            continue;
-        }
         let c = correctness[r];
         let weight = if votes.map_weight {
             f64::from(u8::from(c >= 0.5))
@@ -321,7 +314,6 @@ pub(crate) fn estimate_values(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mstep::tests::hollow_rows;
     use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
@@ -351,8 +343,7 @@ mod tests {
     /// models, both weightings, with and without a copy discount, at
     /// several chunk sizes and thread counts and across buffer reuse — on
     /// a cube after a retraction (emptied sources and items, inactive
-    /// sources), and on the unretracted cube with the retracted groups'
-    /// rows left without cells, which must tell the survivors the same.
+    /// sources).
     #[test]
     fn value_kernel_matches_the_reference_bitwise() {
         use rand::rngs::StdRng;
@@ -369,11 +360,9 @@ mod tests {
             });
         }
         let full = b.build();
-        let retracted = |g: usize| g % 7 == 3 || full.groups()[g].source.0 == 11;
-        let (gone, kept): (Vec<usize>, Vec<usize>) =
-            (0..full.num_groups()).partition(|&g| retracted(g));
-        let key = |g: &kbt_datamodel::TripleGroup| (g.source, g.item, g.value);
-        let keys: Vec<_> = gone.iter().map(|&g| key(&full.groups()[g])).collect();
+        let gone =
+            (full.groups().iter().enumerate()).filter(|&(g, grp)| g % 7 == 3 || grp.source.0 == 11);
+        let keys: Vec<_> = gone.map(|(_, g)| (g.source, g.item, g.value)).collect();
         let cube = full.retract(&keys);
         let params = Params {
             source_accuracy: (0..25).map(|w| 0.3 + 0.02 * w as f64).collect(),
@@ -382,10 +371,6 @@ mod tests {
             q: vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
         };
         let correctness: Vec<f64> = (0..cube.num_groups()).map(|_| rng.gen::<f64>()).collect();
-        let mut full_correctness = vec![0.5; full.num_groups()];
-        for (&g, &c) in kept.iter().zip(&correctness) {
-            full_correctness[g] = c;
-        }
         let active: Vec<bool> = (0..25).map(|w| w % 5 != 0).collect();
         let discount =
             CopyDiscount::from_scales((0..25).map(|w| 1.0 - 0.03 * (w % 4) as f64).collect());
@@ -411,38 +396,22 @@ mod tests {
             for target_cells in [1usize, 16, 1 << 20] {
                 let chunking = ChunkingConfig { target_cells };
                 let cc = ChunkedCube::from_cube(&cube, &chunking);
-                let hollow = hollow_rows(ChunkedCube::from_cube(&full, &chunking), retracted);
                 for shards in [1usize, 2, 8] {
                     let mut scratch: Vec<ColValueScratch> = Vec::new();
                     scratch.resize_with(shards, Default::default);
-                    let mut run = |cc: &ChunkedCube, correctness: &[f64]| {
+                    let mut run = || {
                         kbt_flume::with_threads(Some(shards), || {
-                            scan(cc, correctness, &votes, &active, &mut scratch)
+                            scan(&cc, &correctness, &votes, &active, &mut scratch)
                         })
                     };
                     // Run twice: the second round exercises buffer reuse.
-                    let _ = run(&cc, &correctness);
-                    let got = run(&cc, &correctness);
+                    let _ = run();
+                    let got = run();
                     let tag = format!("{value_model:?}/{weighting:?} t={target_cells} s={shards}");
                     assert_eq!(got.truth_of_group, want.truth_of_group, "{tag}");
                     assert_eq!(got.truth_given_provided, want.truth_given_provided, "{tag}");
                     assert_eq!(got.covered_group, want.covered_group, "{tag}");
                     assert_eq!(got.posteriors, want.posteriors, "{tag}");
-                    let hollow = run(&hollow, &full_correctness);
-                    let pick = |xs: &[f64]| kept.iter().map(|&g| xs[g]).collect::<Vec<f64>>();
-                    assert_eq!(pick(&hollow.truth_of_group), want.truth_of_group, "{tag}");
-                    assert_eq!(
-                        pick(&hollow.truth_given_provided),
-                        want.truth_given_provided,
-                        "{tag}"
-                    );
-                    assert_eq!(hollow.posteriors, want.posteriors, "{tag}");
-                    // A cell-less row still gets its dense entry: the mass of
-                    // its value, voted or not — never the initial zero.
-                    assert!(
-                        gone.iter().all(|&g| hollow.truth_of_group[g] > 0.0),
-                        "{tag}"
-                    );
                 }
             }
         }

@@ -248,8 +248,9 @@ pub struct ChunkBuf {
     /// Slot of the row's value inside its item's sorted distinct-value
     /// list ([`Self::values`]).
     pub ig_slot: Vec<u32>,
-    /// Cell offsets per row (length `rows + 1`). A row without cells
-    /// (left by a retraction) claims but never votes.
+    /// Cell offsets per row (length `rows + 1`), strictly increasing:
+    /// every row has a cell, as `retract` drops a group with its last
+    /// one.
     pub cell_offsets: Vec<u32>,
     /// Extractor id per cell.
     pub cell_extractor: Vec<u32>,
@@ -790,6 +791,7 @@ impl FileChunkStore {
             && is_csr(&buf.item_offsets, items, rows)
             && is_csr(&buf.item_value_offsets, items, buf.item_values.len())
             && is_csr(&buf.cell_offsets, rows, cells)
+            && buf.cell_offsets.windows(2).all(|w| w[0] < w[1])
             && buf.ig_slot.len() == rows
             && buf.cell_confidence.len() == cells
             && all_below(&buf.ig_source, meta.num_sources)
@@ -1181,6 +1183,8 @@ mod tests {
             ("ig_slot", col[4] + 1, meta.max_item_values),
             ("cell_offsets start", col[5] + 1, 1),
             ("cell_offsets order", col[5] + 2, u32::MAX),
+            // Row 0 cell-less, its cells handed to row 1: no cube holds one.
+            ("cell-less row", col[5] + 2, 0),
             ("cell_offsets end", col[5] + 1 + rows, cells + 1),
             ("cell_extractor", col[6] + 1, meta.num_extractors),
         ];

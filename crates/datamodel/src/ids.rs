@@ -4,7 +4,7 @@
 //! webpages, but any single inference shard works on far fewer objects, and
 //! 32-bit ids halve index memory versus `usize` (see the type-size guidance
 //! in the Rust perf book). Each id is an index into the corresponding
-//! [`crate::intern::Interner`] or dense table.
+//! dense table.
 
 use std::fmt;
 

@@ -26,7 +26,6 @@ pub mod chunked;
 pub mod coclaim;
 pub mod cube;
 pub mod ids;
-pub mod intern;
 pub mod triple;
 pub mod wire;
 
@@ -37,6 +36,5 @@ pub use chunked::{
 pub use coclaim::{pair_counts, CandidatePair, CoClaimIndex, PairCounts};
 pub use cube::{Cell, CubeBuilder, ObservationCube, TripleGroup};
 pub use ids::{ExtractorId, ItemId, SourceId, ValueId};
-pub use intern::{Interner, SymbolTable};
-pub use triple::{DataItem, Observation, Triple};
+pub use triple::Observation;
 pub use wire::{WireError, WireReader};

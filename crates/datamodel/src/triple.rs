@@ -1,4 +1,4 @@
-//! Triples, data items, and raw observations.
+//! Raw observations.
 //!
 //! The paper represents a (subject, predicate, object) knowledge triple as a
 //! (data item, value) pair where the data item is (subject, predicate)
@@ -8,61 +8,6 @@
 //! evidence `p(X_ewdv = 1)`).
 
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
-
-/// A data item `d = (subject, predicate)` in symbolic form, before interning.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DataItem {
-    /// Entity identifier (e.g. a Freebase mid).
-    pub subject: String,
-    /// Predicate name (e.g. `nationality`).
-    pub predicate: String,
-}
-
-impl DataItem {
-    /// Construct a data item from its two components.
-    pub fn new(subject: impl Into<String>, predicate: impl Into<String>) -> Self {
-        Self {
-            subject: subject.into(),
-            predicate: predicate.into(),
-        }
-    }
-
-    /// Canonical interning key: `subject` and `predicate` joined by an
-    /// *unescaped* `|`, with any `|` or `\` inside either component
-    /// escaped as `\|` / `\\`. The escaping makes the key injective — a
-    /// subject containing `|` (URLs, free-text entity names) can no
-    /// longer collide with a different (subject, predicate) split, which
-    /// the plain `"subject|predicate"` concatenation allowed.
-    pub fn key(&self) -> String {
-        let mut out = String::with_capacity(self.subject.len() + self.predicate.len() + 1);
-        escape_component(&self.subject, &mut out);
-        out.push('|');
-        escape_component(&self.predicate, &mut out);
-        out
-    }
-}
-
-/// Escape `|` and `\` so the component cannot fake or split the `|`
-/// delimiter of [`DataItem::key`].
-fn escape_component(s: &str, out: &mut String) {
-    for c in s.chars() {
-        if c == '\\' || c == '|' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-}
-
-/// A fully-resolved knowledge triple `(d, v)` attributed to a source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Triple {
-    /// The source that (putatively) provides the triple.
-    pub source: SourceId,
-    /// The data item.
-    pub item: ItemId,
-    /// The value.
-    pub value: ValueId,
-}
 
 /// One cell of the observation matrix `X_{ewdv}`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,53 +36,11 @@ impl Observation {
             confidence: 1.0,
         }
     }
-
-    /// The `(source, item, value)` triple this observation supports.
-    pub fn triple(&self) -> Triple {
-        Triple {
-            source: self.source,
-            item: self.item,
-            value: self.value,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn data_item_key_is_stable() {
-        let d = DataItem::new("BarackObama", "nationality");
-        assert_eq!(d.key(), "BarackObama|nationality");
-    }
-
-    /// Regression: with the old `"subject|predicate"` concatenation,
-    /// `("a|b", "c")` and `("a", "b|c")` interned to the same key and were
-    /// silently fused into one data item.
-    #[test]
-    fn data_item_key_is_injective_for_pipe_subjects() {
-        let pairs = [
-            (DataItem::new("a|b", "c"), DataItem::new("a", "b|c")),
-            (DataItem::new("a\\", "|b"), DataItem::new("a", "\\|b")),
-            (DataItem::new("a\\|b", "c"), DataItem::new("a|b", "\\c")),
-        ];
-        for (x, y) in &pairs {
-            assert_ne!(x.key(), y.key(), "{x:?} vs {y:?} must not collide");
-        }
-        // Round-trip sanity: escaping is deterministic and distinct items
-        // always produce distinct keys among a larger combinatorial set.
-        let parts = ["a", "a|", "|a", "a\\", "\\", "|", "a|b", ""];
-        let mut seen = std::collections::HashSet::new();
-        for s in &parts {
-            for p in &parts {
-                assert!(
-                    seen.insert(DataItem::new(*s, *p).key()),
-                    "collision for ({s:?}, {p:?})"
-                );
-            }
-        }
-    }
 
     #[test]
     fn certain_observation_has_unit_confidence() {
@@ -149,12 +52,8 @@ mod tests {
         );
         assert_eq!(o.confidence, 1.0);
         assert_eq!(
-            o.triple(),
-            Triple {
-                source: SourceId::new(1),
-                item: ItemId::new(2),
-                value: ValueId::new(3)
-            }
+            (o.source, o.item, o.value),
+            (SourceId::new(1), ItemId::new(2), ValueId::new(3))
         );
     }
 }

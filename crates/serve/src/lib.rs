@@ -12,12 +12,13 @@
 //!
 //! * [`TrustSnapshot`] — an immutable, query-optimized export of one
 //!   fusion epoch: trust scores, value posteriors, triple posteriors,
-//!   copy-independence factors, calibration buckets, and provenance.
+//!   copy-independence factors, and provenance — what the paper's three
+//!   queries read (a source's KBT, an item's value posterior, a triple's
+//!   truth), and nothing else.
 //!   Queries: [`trust`](TrustSnapshot::trust),
 //!   [`posterior`](TrustSnapshot::posterior),
 //!   [`triple_posterior`](TrustSnapshot::triple_posterior),
-//!   [`top_k_sources`](TrustSnapshot::top_k_sources),
-//!   [`top_k_triples`](TrustSnapshot::top_k_triples), and batched forms.
+//!   [`top_k_sources`](TrustSnapshot::top_k_sources), and batched forms.
 //! * [`SnapshotStore`] / [`SnapshotReader`] — epoch-swapped publication:
 //!   the writer installs a new `Arc<TrustSnapshot>` and then releases the
 //!   epoch counter; readers revalidate an epoch-cached `Arc` with one
@@ -90,7 +91,6 @@ pub use server::{
     TrustServer,
 };
 pub use snapshot::{
-    CalibrationBucket, RefitMode, SnapshotParts, SnapshotPartsError, SnapshotProvenance,
-    TrustSnapshot, CALIBRATION_BUCKETS,
+    RefitMode, SnapshotParts, SnapshotPartsError, SnapshotProvenance, TrustSnapshot,
 };
 pub use store::{SnapshotReader, SnapshotStore};

@@ -4,10 +4,9 @@
 //! A snapshot is everything a read path needs, copied out of a
 //! [`FusionReport`] once per refit and then never mutated: per-source
 //! trust, per-item value posteriors, per-triple correctness posteriors,
-//! copy-independence factors, a confidence histogram (calibration
-//! buckets), and provenance (epoch, deltas applied, EM rounds, refit
-//! mode). Readers share it behind an `Arc`, so a query never races a
-//! refit and a refit never blocks a query.
+//! copy-independence factors, and provenance (epoch, deltas applied, EM
+//! rounds, refit mode). Readers share it behind an `Arc`, so a query
+//! never races a refit and a refit never blocks a query.
 
 use kbt_core::{FusionReport, ModelKind, Params};
 use kbt_datamodel::{ItemId, SourceId, ValueId};
@@ -48,35 +47,12 @@ pub struct SnapshotProvenance {
     pub coverage: f64,
 }
 
-/// One bucket of the snapshot's posterior-confidence histogram: how much
-/// of the served triple population falls into a `[lo, hi)` band of
-/// `p(triple is true)`, and the band's mean prediction. The serving-side
-/// analogue of the paper's Figure 8 calibration buckets — with no gold
-/// labels at serve time, the buckets expose *sharpness* (how decisively
-/// the snapshot separates true from false triples) and feed drift
-/// monitoring across epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationBucket {
-    /// Inclusive lower edge of the bucket.
-    pub lo: f64,
-    /// Exclusive upper edge (inclusive for the last bucket).
-    pub hi: f64,
-    /// Number of triple groups whose truth posterior lands in the bucket.
-    pub count: usize,
-    /// Mean truth posterior of those groups (0 when empty).
-    pub mean_predicted: f64,
-}
-
-/// Number of calibration buckets a snapshot carries.
-pub const CALIBRATION_BUCKETS: usize = 10;
-
 /// The payload of a [`TrustSnapshot`], split out for persistence.
 ///
 /// These are exactly the fields a codec must write to reproduce a
-/// snapshot bit for bit; the snapshot's remaining state (rank orders,
-/// calibration buckets, the integrity fingerprint) is a deterministic
-/// function of this payload and is recomputed by
-/// [`TrustSnapshot::from_parts`].
+/// snapshot bit for bit; the snapshot's remaining state (the trust rank
+/// order and the integrity fingerprint) is a deterministic function of
+/// this payload and is recomputed by [`TrustSnapshot::from_parts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotParts {
     /// The epoch the snapshot was published under.
@@ -141,7 +117,7 @@ impl std::error::Error for SnapshotPartsError {}
 ///
 /// Built once per refit by [`TrustSnapshot::from_report`]; all queries
 /// are read-only and lock-free (plain memory reads plus binary search /
-/// precomputed rank orders). Equality-critical fields
+/// the precomputed trust rank order). Equality-critical fields
 /// ([`source_trust`](Self::source_trust),
 /// [`truth_of_group`](Self::truth_of_group)) are exported bit-for-bit
 /// from the [`FusionReport`].
@@ -154,10 +130,6 @@ pub struct TrustSnapshot {
     parts: SnapshotParts,
     /// Source ids sorted by descending trust (ties: ascending id).
     trust_rank: Vec<u32>,
-    /// Group indices sorted by descending truth posterior (ties:
-    /// ascending group index).
-    truth_rank: Vec<u32>,
-    calibration: Vec<CalibrationBucket>,
     /// Order-sensitive digest of every served field, fixed at
     /// construction — see [`Self::fingerprint`].
     fingerprint: u64,
@@ -212,9 +184,9 @@ impl TrustSnapshot {
     /// Rebuild a snapshot from its payload [`SnapshotParts`] — the
     /// decode-side constructor of the persistence layer.
     ///
-    /// The derived state (rank orders, calibration buckets, fingerprint)
-    /// is **recomputed**, not trusted from the caller: it is a pure
-    /// deterministic function of the payload (`f64::total_cmp` sorts and
+    /// The derived state (the trust rank order, the fingerprint) is
+    /// **recomputed**, not trusted from the caller: it is a pure
+    /// deterministic function of the payload (an `f64::total_cmp` sort and
     /// fixed-order FNV-1a), so rebuilding a snapshot from its own parts
     /// reproduces it bit for bit — including
     /// [`fingerprint`](Self::fingerprint).
@@ -249,8 +221,6 @@ impl TrustSnapshot {
 
         let mut snap = Self {
             trust_rank: rank_descending(&parts.source_trust),
-            truth_rank: rank_descending(&parts.truth_of_group),
-            calibration: calibration_buckets(&parts.truth_of_group),
             fingerprint: 0,
             parts,
         };
@@ -413,20 +383,6 @@ impl TrustSnapshot {
             .collect()
     }
 
-    /// The `k` most credible triples as `(source, item, value,
-    /// posterior)`, descending (ties broken by ascending group index).
-    /// O(k) via the precomputed rank order.
-    pub fn top_k_triples(&self, k: usize) -> Vec<(SourceId, ItemId, ValueId, f64)> {
-        self.truth_rank
-            .iter()
-            .take(k)
-            .map(|&g| {
-                let (w, d, v) = self.parts.triples[g as usize];
-                (w, d, v, self.parts.truth_of_group[g as usize])
-            })
-            .collect()
-    }
-
     // ---- bulk / audit access ----
 
     /// All trust scores, indexed by source id — bit-for-bit the
@@ -462,11 +418,6 @@ impl TrustSnapshot {
     /// The full per-item posterior table.
     pub fn posteriors(&self) -> &kbt_core::ItemPosteriors {
         &self.parts.posteriors
-    }
-
-    /// The posterior-confidence histogram (see [`CalibrationBucket`]).
-    pub fn calibration(&self) -> &[CalibrationBucket] {
-        &self.calibration
     }
 
     /// Order-sensitive digest of every served field (everything but
@@ -538,13 +489,6 @@ impl TrustSnapshot {
         for &w in &self.trust_rank {
             eat(w as u64);
         }
-        for &g in &self.truth_rank {
-            eat(g as u64);
-        }
-        for b in &self.calibration {
-            eat(b.count as u64);
-            eat(b.mean_predicted.to_bits());
-        }
         h
     }
 }
@@ -566,31 +510,6 @@ fn rank_descending(scores: &[f64]) -> Vec<u32> {
         .collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
-}
-
-/// Build the posterior-confidence histogram over the truth posteriors.
-fn calibration_buckets(truth: &[f64]) -> Vec<CalibrationBucket> {
-    let n = CALIBRATION_BUCKETS;
-    let mut count = vec![0usize; n];
-    let mut sum = vec![0.0f64; n];
-    for &p in truth {
-        let p = p.clamp(0.0, 1.0);
-        let b = ((p * n as f64) as usize).min(n - 1);
-        count[b] += 1;
-        sum[b] += p;
-    }
-    (0..n)
-        .map(|b| CalibrationBucket {
-            lo: b as f64 / n as f64,
-            hi: (b + 1) as f64 / n as f64,
-            count: count[b],
-            mean_predicted: if count[b] > 0 {
-                sum[b] / count[b] as f64
-            } else {
-                0.0
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -692,12 +611,7 @@ mod tests {
         }
         // The dissenting source 3 ranks last.
         assert_eq!(top.last().unwrap().0, SourceId::new(3));
-        let triples = snap.top_k_triples(5);
-        assert_eq!(triples.len(), 5);
-        for pair in triples.windows(2) {
-            assert!(pair[0].3 >= pair[1].3);
-        }
-        assert!(snap.top_k_triples(0).is_empty());
+        assert!(snap.top_k_sources(0).is_empty());
     }
 
     #[test]
@@ -725,21 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_buckets_partition_the_triples() {
-        let (cube, report) = fitted();
-        let snap = snapshot_of(&cube, &report);
-        let cal = snap.calibration();
-        assert_eq!(cal.len(), CALIBRATION_BUCKETS);
-        let total: usize = cal.iter().map(|b| b.count).sum();
-        assert_eq!(total, snap.num_triples());
-        for b in cal {
-            if b.count > 0 {
-                assert!(b.mean_predicted >= b.lo - 1e-12 && b.mean_predicted <= b.hi + 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn fingerprint_detects_corruption() {
         let (cube, report) = fitted();
         let snap = snapshot_of(&cube, &report);
@@ -754,19 +653,16 @@ mod tests {
         wrong_epoch.parts.epoch = 8;
         assert!(!wrong_epoch.verify_integrity());
         // Every payload surface is covered, not just the trust columns.
-        let mut torn_cal = snap.clone();
-        torn_cal.calibration[9].count += 1;
-        assert!(!torn_cal.verify_integrity(), "calibration is covered");
         let mut torn_prov = snap.clone();
         torn_prov.parts.provenance.coverage += 1e-9;
         assert!(!torn_prov.verify_integrity(), "provenance is covered");
         let mut torn_rank = snap.clone();
         torn_rank.trust_rank.swap(0, 1);
-        assert!(!torn_rank.verify_integrity(), "rank orders are covered");
+        assert!(!torn_rank.verify_integrity(), "the rank order is covered");
     }
 
     /// The persistence contract: `from_parts` of a snapshot's own parts
-    /// reproduces it bit for bit, derived state and fingerprint included.
+    /// reproduces it bit for bit, rank order and fingerprint included.
     #[test]
     fn parts_round_trip_is_bit_identical() {
         let (cube, report) = fitted();

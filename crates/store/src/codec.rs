@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   header("KBTSNAP1", version 3)                         12 bytes
+//!   header("KBTSNAP1", version 4)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
 //!   cube section       dims + every cell as an observation
-//!   snapshot section   the served columns, field by field
+//!   snapshot section   the served columns but the triple keys (the cube's)
 //!   warm section       serving mode u8, then the extractor P / R / Q
 //!                      columns, each with its own count
 //!   fingerprint        u64   (TrustSnapshot::fingerprint) 8
@@ -22,22 +22,21 @@
 //! [`TrustSnapshot::from_parts`]), so a checkpoint can never decode to a
 //! snapshot that differs from the one the writer held in memory.
 //!
-//! The warm section is what version 2 added: with the served trust,
-//! posterior and independence columns it is the `WarmState` the next
-//! refit resumes from, and its mode byte is the `RefitMode` of the server
-//! that wrote the file — so recovery restores the session as it stood
-//! and replays the log past the checkpoint the way it was served.
+//! The warm section (version 2) is, with the served trust, posterior and
+//! independence columns, the `WarmState` the next refit resumes from; its
+//! mode byte is the `RefitMode` of the server that wrote the file, so
+//! recovery replays the log past the checkpoint the way it was served.
 //!
 //! The cube is stored as its cells (each one a full `Observation`) plus
-//! the four dense id-space sizes; cells and snapshot triples are in cube
-//! order, item-major since version 3 (version 2, source-major, is refused).
-//! Rebuilding through [`CubeBuilder`] reproduces the canonical layout
-//! exactly, as `build`, `apply_delta` and `retract` all keep it.
+//! the four dense id-space sizes, item-major since version 3; rebuilding
+//! through [`CubeBuilder`] reproduces the canonical layout exactly. Since
+//! version 4 the snapshot's triple keys are the decoded cube's groups, not
+//! a second copy, so a file cannot pair a snapshot with another cube.
 
 use kbt_core::{ItemPosteriors, ModelKind};
 use kbt_datamodel::wire::{
-    self, put_f64, put_observation, put_seq, put_triple_key, put_u32, put_u64, put_u8, WireError,
-    WireReader, OBSERVATION_WIRE_BYTES, TRIPLE_KEY_WIRE_BYTES,
+    self, put_f64, put_observation, put_seq, put_u32, put_u64, put_u8, WireError, WireReader,
+    OBSERVATION_WIRE_BYTES,
 };
 use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, ValueId};
 use kbt_serve::{RefitMode, SnapshotParts, SnapshotProvenance, TrustSnapshot};
@@ -48,7 +47,7 @@ use crate::durable::StoreError;
 const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-const CHECKPOINT_VERSION: u32 = 3;
+const CHECKPOINT_VERSION: u32 = 4;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.
@@ -105,7 +104,7 @@ pub fn decode_checkpoint(
         });
     }
     let cube = decode_cube(&mut r)?;
-    let parts = decode_snapshot(&mut r)?;
+    let parts = decode_snapshot(&mut r, &cube)?;
     let stored_fingerprint = r.u64()?;
     r.finish()?;
     let snapshot = TrustSnapshot::from_parts(parts).map_err(StoreError::Parts)?;
@@ -185,10 +184,6 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
         None => put_u8(buf, 0),
     }
 
-    put_u64(buf, snap.num_triples() as u64);
-    for key in snap.triple_keys() {
-        put_triple_key(buf, key);
-    }
     for &p in snap.truth_of_group() {
         put_f64(buf, p);
     }
@@ -217,7 +212,10 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
     }
 }
 
-fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> {
+fn decode_snapshot(
+    r: &mut WireReader<'_>,
+    cube: &ObservationCube,
+) -> Result<SnapshotParts, StoreError> {
     let epoch = r.u64()?;
     let model = match r.u8()? {
         1 => ModelKind::MultiLayer,
@@ -240,9 +238,10 @@ fn decode_snapshot(r: &mut WireReader<'_>) -> Result<SnapshotParts, StoreError> 
         true => Some(r.seq_n(num_sources, 8, WireReader::f64)?),
     };
 
-    let num_triples = r.u64()?;
-    let triples = r.seq_n(num_triples, TRIPLE_KEY_WIRE_BYTES, WireReader::triple_key)?;
-    let truth_of_group = r.seq_n(num_triples, 8, WireReader::f64)?;
+    let triples: Vec<_> = (cube.groups().iter())
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
+    let truth_of_group = r.seq_n(triples.len() as u64, 8, WireReader::f64)?;
 
     // Posterior rows: a row costs at least 12 bytes (its length + the
     // unobserved-mass f64) and an entry exactly 12 (value + f64).

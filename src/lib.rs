@@ -6,12 +6,10 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`datamodel`] — triples, ids, interning, the sparse observation cube,
+//! * [`datamodel`] — ids, observations, the sparse observation cube,
 //! * [`core`] — the single-layer (ACCU/POPACCU) baseline and the
 //!   multi-layer KBT model with EM inference,
 //! * [`granularity`] — the split-and-merge granularity selection,
-//! * [`kb`] — the Freebase-like knowledge base, LCWA and type-check gold
-//!   labeling,
 //! * [`extract`] — the Knowledge-Vault-style extraction simulator,
 //! * [`synth`] — synthetic corpora (the paper's §5.2.1 generator and the
 //!   KV-scale web corpus),
@@ -61,7 +59,6 @@ pub use kbt_extract as extract;
 pub use kbt_flume as flume;
 pub use kbt_granularity as granularity;
 pub use kbt_graph as graph;
-pub use kbt_kb as kb;
 pub use kbt_metrics as metrics;
 pub use kbt_net as net;
 pub use kbt_pipeline as pipeline;

@@ -198,11 +198,42 @@ fn wal_bytes_are_golden() {
 /// 4719 bytes, with the version field, the cube section's cells and the
 /// snapshot's triples in `(item, source, value)` order, and the
 /// fingerprint and the CRC moved (`0x5cb8_9ef0_b2c6_a5ae` before).
+/// Re-pinned for format version 4, when the snapshot section stopped
+/// repeating the cube's group keys: 872 bytes shorter (the snapshot's
+/// `u64` triple count and a 12-byte key for each of the 72 groups), the
+/// version field moved, and so did the fingerprint — it no longer covers
+/// the truth rank order or the calibration histogram, both deleted — and
+/// the CRC (4719 bytes, `0x374a_365b_f169_ca52` before).
 #[test]
 fn checkpoint_bytes_are_golden() {
     let bytes = sample_checkpoint();
     assert_eq!(&bytes[..8], b"KBTSNAP1");
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (4719, 0x374a_365b_f169_ca52));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (3847, 0x0a26_58ec_73fc_fffd));
+}
+
+/// A checkpoint writes each group key once, in its cube section: the
+/// decoded snapshot serves exactly the decoded cube's groups, a snapshot
+/// written beside another cube does not decode, and a version-3 file
+/// (which wrote the keys twice) is refused at the header.
+#[test]
+fn a_checkpoint_snapshot_serves_its_cubes_groups() {
+    let bytes = sample_checkpoint();
+    let decoded = decode_checkpoint(&bytes, 7).unwrap();
+    let groups: Vec<_> = (decoded.cube.groups().iter())
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
+    assert_eq!(decoded.snapshot.triple_keys(), groups);
+
+    let other = decoded.cube.retract(&groups[..1]);
+    let mispaired = encode_checkpoint(&decoded.snapshot, &other, 7);
+    let err = decode_checkpoint(&mispaired, 7).unwrap_err().to_string();
+    assert!(err.contains("corrupt"), "{err}");
+
+    let mut v3 = bytes[..bytes.len() - 4].to_vec();
+    v3[8] = 3;
+    v3.extend(crc32(&v3).to_le_bytes());
+    let err = decode_checkpoint(&v3, 7).unwrap_err().to_string();
+    assert!(err.contains("unsupported format version 3"), "{err}");
 }
 
 #[test]
