@@ -162,7 +162,9 @@ pub struct FusionReport {
     pub params: Params,
     /// Posterior `p(V_d | X)` per item.
     pub posteriors: ItemPosteriors,
-    /// `p(V_d = v(g) | X)` per cube group — triple truthfulness.
+    /// `p(V_d = v(g) | X)` per cube group — triple truthfulness. Bit for
+    /// bit `posteriors.prob(item(g), value(g))`, for every fit: both
+    /// models, any residency, zero rounds included.
     pub truth_of_group: Vec<f64>,
     /// Coverage flag per group: supported by at least one active source
     /// (for the single layer, claimed by an active pair).

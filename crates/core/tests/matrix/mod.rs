@@ -8,8 +8,10 @@
 //!   the single layer against [`reference::fit_single_layer`]. Every fit
 //!   goes through `ModelConfig::residency`, so a streamed cell writes its
 //!   own store; a multi-layer cell fitted from an init also refits from
-//!   that store through the cube-less `run_streamed`. The multi-layer row
-//!   also checks the blocked log-likelihood against the per-row sum.
+//!   that store through the cube-less `run_streamed`. Every fit's truth
+//!   column is its posterior table read at each group, bit for bit; the
+//!   multi-layer row also checks the blocked log-likelihood against the
+//!   per-row sum.
 //!
 //! The suites that include this module feed it the other axes: value
 //! model × weighting × absence policy, thresholds, α schedules, warm
@@ -112,8 +114,21 @@ fn assert_ll_is_the_per_row_sum(report: &FusionReport, what: &str) {
     );
 }
 
-/// The columns both models write, bit for bit.
-fn assert_reports_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str) {
+/// The columns both models write, bit for bit, and `got`'s truth column is
+/// its posterior table read at every group of `cube`.
+fn assert_reports_bitwise_eq(
+    cube: &ObservationCube,
+    got: &FusionReport,
+    want: &FusionReport,
+    what: &str,
+) {
+    for (g, grp) in cube.groups().iter().enumerate() {
+        assert_eq!(
+            got.truth_of_group[g].to_bits(),
+            got.posteriors.prob(grp.item, grp.value).to_bits(),
+            "{what}: truth of group {g} is not its item's posterior"
+        );
+    }
     assert_eq!(got.model(), want.model(), "{what}: model");
     assert_eq!(got.params, want.params, "{what}: params");
     assert_eq!(
@@ -132,8 +147,13 @@ fn assert_reports_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str
     assert_traces_bitwise_eq(&got.trace, &want.trace, what);
 }
 
-fn assert_fits_bitwise_eq(got: &FusionReport, want: &FusionReport, what: &str) {
-    assert_reports_bitwise_eq(got, want, what);
+fn assert_fits_bitwise_eq(
+    cube: &ObservationCube,
+    got: &FusionReport,
+    want: &FusionReport,
+    what: &str,
+) {
+    assert_reports_bitwise_eq(cube, got, want, what);
     let (got, want) = (got.extraction.as_ref(), want.extraction.as_ref());
     let (got, want) = (got.expect("extraction layer"), want.expect("oracle's"));
     assert_eq!(
@@ -196,7 +216,7 @@ fn assert_fits_match(
             None => model.run_from(cube, start.clone()),
         };
         let what = format!("{tag} {:?} x{}", cell.0, cell.1);
-        assert_fits_bitwise_eq(&got.expect("engine fit"), &want, &what);
+        assert_fits_bitwise_eq(cube, &got.expect("engine fit"), &want, &what);
         if let (
             Some(init),
             CubeResidency::Streamed {
@@ -209,7 +229,7 @@ fn assert_fits_match(
             let got = model
                 .run_streamed(&store, *cap, init)
                 .expect("run_streamed");
-            assert_fits_bitwise_eq(&got, &want, &format!("{what} run_streamed"));
+            assert_fits_bitwise_eq(cube, &got, &want, &format!("{what} run_streamed"));
             let frames = store.num_chunks() as u64;
             let rounds = got.iterations() as u64;
             assert_eq!(store.frames_read(), rounds * frames, "{what}: frames read");
@@ -241,7 +261,7 @@ pub fn assert_single_layer_matches_reference(
             .expect("single-layer fit");
         let what = format!("{tag} single-layer {:?} x{}", cell.0, cell.1);
         assert_store_written(&cell, &what);
-        assert_reports_bitwise_eq(&got, &want, &what);
+        assert_reports_bitwise_eq(cube, &got, &want, &what);
         let pairs = got.pair_sources.as_ref().expect("pair sources");
         assert_eq!(pairs.pairs, want_pairs.pairs, "{what}: pairs");
         assert_eq!(

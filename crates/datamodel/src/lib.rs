@@ -17,7 +17,8 @@
 //!   sparse "data cube" of Figure 1(b), one cell per (extractor, source,
 //!   item, value) with an extraction confidence.
 //!
-//! The cube is stored columnar and sorted, grouped by `(w, d, v)`, so the
+//! The cube is stored as row-major triple groups, one per `(w, d, v)`,
+//! plus their cells, sorted item-major by `(item, source, value)`, so the
 //! inference layers iterate cache-friendly without hashing in hot loops.
 
 #![warn(missing_docs)]

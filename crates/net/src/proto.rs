@@ -52,8 +52,8 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 ///
 /// The first five are **fatal**: the byte stream can no longer be
 /// trusted (or never was), so the server replies and closes. The rest
-/// describe a degraded or overloaded server — the connection stays up
-/// and queries keep working.
+/// refuse one request, or describe a degraded or overloaded server —
+/// the connection stays up and queries keep working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The connection preamble's magic was wrong.
@@ -75,6 +75,9 @@ pub enum ErrorCode {
     DurabilityLost,
     /// The server is shutting down.
     ShuttingDown,
+    /// An ingest names an id further past its axis's admitted ceiling
+    /// than the batch has observations; the batch was not queued.
+    IdOutOfRange,
 }
 
 impl ErrorCode {
@@ -97,6 +100,7 @@ impl ErrorCode {
             Self::Overloaded => 7,
             Self::DurabilityLost => 8,
             Self::ShuttingDown => 9,
+            Self::IdOutOfRange => 10,
         }
     }
 
@@ -111,6 +115,7 @@ impl ErrorCode {
             7 => Self::Overloaded,
             8 => Self::DurabilityLost,
             9 => Self::ShuttingDown,
+            10 => Self::IdOutOfRange,
             _ => return None,
         })
     }
@@ -141,6 +146,7 @@ impl std::fmt::Display for ErrorCode {
             Self::Overloaded => "overloaded",
             Self::DurabilityLost => "durability lost",
             Self::ShuttingDown => "shutting down",
+            Self::IdOutOfRange => "id out of range",
         };
         f.write_str(name)
     }

@@ -23,7 +23,10 @@
 //!   progress for `WRITE_TIMEOUT`, then is disconnected, not buffered
 //!   forever. Ingest batches queue into a bounded channel to the single
 //!   trust-writer thread (a full queue is a typed `Overloaded` reply,
-//!   not memory growth).
+//!   not memory growth), and an ingest may extend an id axis by at most
+//!   its own size past what the queued ingests reached (a typed
+//!   `IdOutOfRange` otherwise), so no frame sizes the writer's dense
+//!   tables.
 //! * **Failure degrades, never kills.** A durability-hook failure flips
 //!   the server into a degraded mode: ingestion is refused with a typed
 //!   `DurabilityLost` error carrying the hook's message, queries keep
@@ -55,7 +58,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use kbt_datamodel::wire;
+use kbt_datamodel::{wire, Observation};
 use kbt_pipeline::Delta;
 use kbt_serve::{HookError, SnapshotReader, TrustHandle, TrustServer};
 
@@ -181,6 +184,12 @@ struct Shared {
     /// Set (once) when the durability hook fails: the message clients
     /// see in `DurabilityLost` replies.
     degraded: OnceLock<String>,
+    /// Per axis (extractor, source, item, value), the dense size that
+    /// queued ingests have reached: the served cube's at spawn, raised
+    /// after each queued ingest. An ingest of `n` observations may name
+    /// ids below this ceiling + `n` — the writer's dense tables grow by
+    /// O(bytes received), never by whatever id a frame names.
+    admitted: [AtomicU64; 4],
     counters: Counters,
 }
 
@@ -212,7 +221,17 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let handle = server.handle();
-        let shared = Arc::new(Shared::default());
+        let cube = server.session().cube();
+        let dims = [
+            cube.num_extractors(),
+            cube.num_sources(),
+            cube.num_items(),
+            cube.num_values(),
+        ];
+        let shared = Arc::new(Shared {
+            admitted: dims.map(|n| AtomicU64::new(n as u64)),
+            ..Shared::default()
+        });
 
         let (ingest_tx, ingest_rx) = mpsc::sync_channel::<Delta>(INGEST_QUEUE_BATCHES);
         let writer = {
@@ -601,7 +620,7 @@ fn handle_payload(
                 values: snap.trust_batch(&sources),
             }
         }
-        Request::Ingest { id, delta } => queue_write(id, Delta::Add(delta), shared, ingest_tx),
+        Request::Ingest { id, delta } => admit_ingest(id, delta, shared, ingest_tx),
         Request::Retract { id, keys } => queue_write(id, Delta::Remove(keys), shared, ingest_tx),
         Request::Stats { id } => {
             let snap = reader.current();
@@ -613,6 +632,42 @@ fn handle_payload(
             }
         }
     }
+}
+
+/// The door rule for ids: queue an ingest only if no id reaches its
+/// axis's admitted ceiling + the batch's size (a survivable
+/// `IdOutOfRange` otherwise, never queued or logged), then raise the
+/// ceilings to what the queued batch names.
+fn admit_ingest(
+    id: u64,
+    delta: Vec<Observation>,
+    shared: &Shared,
+    ingest_tx: &SyncSender<Delta>,
+) -> Reply {
+    let ends = delta.iter().fold([0u64; 4], |ends, o| {
+        let ids = [o.extractor.0, o.source.0, o.item.0, o.value.0];
+        std::array::from_fn(|a| ends[a].max(u64::from(ids[a]) + 1))
+    });
+    let n = delta.len() as u64;
+    // ordering: Relaxed — the ceilings bound allocation and publish no
+    // memory; a racing connection at worst checks an older, lower one.
+    let past = |(&end, a): (&u64, &AtomicU64)| end > a.load(Ordering::Relaxed) + n;
+    if ends.iter().zip(&shared.admitted).any(past) {
+        Counters::add(&shared.counters.protocol_errors, 1);
+        return Reply::Error {
+            id,
+            code: ErrorCode::IdOutOfRange,
+            detail: format!("an id past the admitted ceiling + {n} on its axis"),
+        };
+    }
+    let reply = queue_write(id, Delta::Add(delta), shared, ingest_tx);
+    if matches!(reply, Reply::IngestAck { .. }) {
+        for (end, a) in ends.into_iter().zip(&shared.admitted) {
+            // ordering: Relaxed — as above; the RMW alone keeps it a max.
+            a.fetch_max(end, Ordering::Relaxed);
+        }
+    }
+    reply
 }
 
 /// Queue a batch for the trust writer, translating a degraded server

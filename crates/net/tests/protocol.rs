@@ -98,7 +98,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 }
 
 fn reply_strategy() -> impl Strategy<Value = Reply> {
-    const CODES: [ErrorCode; 9] = [
+    const CODES: [ErrorCode; 10] = [
         ErrorCode::BadMagic,
         ErrorCode::BadVersion,
         ErrorCode::FrameTooLarge,
@@ -108,6 +108,7 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
         ErrorCode::Overloaded,
         ErrorCode::DurabilityLost,
         ErrorCode::ShuttingDown,
+        ErrorCode::IdOutOfRange,
     ];
     (
         0u8..10,
@@ -660,6 +661,40 @@ fn reserved_ids_are_refused_before_they_are_queued() {
     assert_eq!(down.stats.protocol_errors, 2);
 }
 
+/// An ingest may name ids at most its own size past what the served cube
+/// and the queued ingests reached, axis by axis: source 4·10⁹ — which
+/// would size the writer's per-source tables to 4·10⁹ entries, on every
+/// replay of the log too — draws a survivable `IdOutOfRange`, as does a
+/// batch of two naming item 10 + 2. Neither is queued, the connection
+/// goes on, and the next legal ingest publishes with the same sources.
+#[test]
+fn ids_past_the_admitted_ceiling_are_refused_at_the_door() {
+    let net = spawn_net();
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let (epoch0, _) = client.ping().expect("ping");
+    for hostile in [
+        vec![obs(4_000_000_000, 0, 0)],
+        vec![obs(0, 12, 0), obs(1, 12, 0)],
+    ] {
+        match client.ingest(hostile) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::IdOutOfRange),
+            other => panic!("expected IdOutOfRange, got {other:?}"),
+        }
+        assert_eq!(client.ping().expect("same connection").0, epoch0);
+    }
+    // Item 11 is within 10 + 2.
+    let legal = vec![obs(0, 11, 0), obs(1, 11, 0)];
+    assert_eq!(client.ingest(legal).expect("ingest ack"), 2);
+    wait_until(Duration::from_secs(10), "the legal refit", || {
+        (client.ping().expect("ping").0 > epoch0).then_some(())
+    });
+    let snap = net.handle().snapshot();
+    assert_eq!((snap.num_sources(), snap.num_items()), (4, 12));
+    let down = net.shutdown().expect("clean shutdown");
+    assert_eq!(down.stats.ingested_observations, 2);
+    assert_eq!(down.stats.protocol_errors, 2);
+}
+
 #[test]
 fn slow_loris_byte_trickle_still_gets_an_answer() {
     let net = spawn_net();
@@ -807,7 +842,7 @@ fn concurrent_queriers_writers_and_hostiles_never_see_a_torn_epoch() {
                 meet();
                 // Ingest a new source, wait for the refit that publishes
                 // it, retract it, wait again: two epochs per writer.
-                let source = 20 + w;
+                let source = 4 + w;
                 let mut epoch = client.ping().expect("ping").0;
                 let mut await_refit = |client: &mut NetClient| {
                     epoch = wait_until(Duration::from_secs(20), "a warm refit", || {
@@ -959,7 +994,7 @@ fn hook_failure_degrades_to_typed_errors_while_queries_keep_serving() {
     // the dead log; from that point every write is refused with a typed
     // DurabilityLost error carrying the hook's message.
     let detail = wait_until(Duration::from_secs(10), "degraded mode", || {
-        match client.ingest(vec![obs(9, 0, 0)]) {
+        match client.ingest(vec![obs(4, 0, 0)]) {
             Ok(_) => None,
             Err(ClientError::Server {
                 code: ErrorCode::DurabilityLost,
@@ -1016,13 +1051,13 @@ fn batches_acked_during_shutdown_are_applied() {
                 scope.spawn(move || {
                     let mut client = NetClient::connect(addr).expect("writer connects");
                     let mut acked = 0usize;
-                    // One fresh (source, item) per batch: an acked batch
-                    // is exactly one new group of this writer's source.
-                    for d in 0.. {
+                    // One fresh item per batch: an acked batch is exactly
+                    // one new group of this writer's source.
+                    for d in 10.. {
                         if closing.load(Ordering::SeqCst) {
                             break;
                         }
-                        match client.ingest(vec![obs(100 + w, d, 0)]) {
+                        match client.ingest(vec![obs(w, d, 0)]) {
                             Ok(n) => acked += n as usize,
                             Err(ClientError::Server {
                                 code: ErrorCode::Overloaded,
@@ -1053,8 +1088,8 @@ fn batches_acked_during_shutdown_are_applied() {
     for (w, &n) in acked.iter().enumerate() {
         assert!(n > 0, "writer {w} got batches in");
         assert_eq!(
-            cube.source_size(SourceId::new(100 + w as u32)),
-            n,
+            cube.source_size(SourceId::new(w as u32)),
+            10 + n,
             "every batch acked to writer {w} was applied"
         );
     }
@@ -1108,16 +1143,16 @@ fn a_full_ingest_queue_answers_overloaded_and_drains_into_one_refit() {
     let (epoch0, _) = client.ping().expect("ping");
 
     // Batch 0 reaches the writer, which parks in `log` holding it.
-    assert_eq!(client.ingest(vec![obs(9, 0, 0)]).expect("ack"), 1);
+    assert_eq!(client.ingest(vec![obs(4, 0, 0)]).expect("ack"), 1);
     entered_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("the writer took the first batch");
     // The queue takes exactly its bound…
     for d in 1..=QUEUE {
-        assert_eq!(client.ingest(vec![obs(9, d, 0)]).expect("queued"), 1);
+        assert_eq!(client.ingest(vec![obs(4, d, 0)]).expect("queued"), 1);
     }
     // …and not one batch more; retractions share the queue.
-    match client.ingest(vec![obs(9, QUEUE + 1, 0)]) {
+    match client.ingest(vec![obs(4, QUEUE + 1, 0)]) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
         other => panic!("expected Overloaded, got {other:?}"),
     }
@@ -1141,7 +1176,7 @@ fn a_full_ingest_queue_answers_overloaded_and_drains_into_one_refit() {
     assert_eq!(down.stats.retracted_keys, 0);
     assert_eq!(down.server.epoch(), epoch0 + 2);
     assert_eq!(
-        down.server.session().cube().source_size(SourceId::new(9)),
+        down.server.session().cube().source_size(SourceId::new(4)),
         QUEUE as usize + 1,
         "every acked batch was applied"
     );
@@ -1419,9 +1454,9 @@ fn a_store_that_loses_its_directory_degrades_at_the_commit_stage() {
     let (epoch0, _) = client.ping().expect("ping");
 
     std::fs::remove_dir_all(&dir).expect("pull the directory out");
-    assert_eq!(client.ingest(vec![obs(9, 0, 0)]).expect("acked"), 1);
+    assert_eq!(client.ingest(vec![obs(4, 0, 0)]).expect("acked"), 1);
     let detail = wait_until(Duration::from_secs(10), "degraded mode", || {
-        match client.ingest(vec![obs(9, 1, 0)]) {
+        match client.ingest(vec![obs(4, 1, 0)]) {
             Ok(_) => None,
             Err(ClientError::Server {
                 code: ErrorCode::DurabilityLost,
@@ -1439,7 +1474,7 @@ fn a_store_that_loses_its_directory_degrades_at_the_commit_stage() {
     // The batch was published in memory before its commit failed, and
     // queries go on answering from it.
     assert_eq!(client.ping().expect("ping while degraded").0, epoch0 + 1);
-    assert!(client.trust(SourceId::new(9)).unwrap().value.is_some());
+    assert!(client.trust(SourceId::new(4)).unwrap().value.is_some());
 
     let down = net.shutdown().expect("the process survived");
     let err = down.durability.expect_err("the store failure is surfaced");

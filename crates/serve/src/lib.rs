@@ -11,10 +11,10 @@
 //! pieces:
 //!
 //! * [`TrustSnapshot`] — an immutable, query-optimized export of one
-//!   fusion epoch: trust scores, value posteriors, triple posteriors,
-//!   copy-independence factors, and provenance — what the paper's three
-//!   queries read (a source's KBT, an item's value posterior, a triple's
-//!   truth), and nothing else.
+//!   fusion epoch: trust scores, value posteriors, the served triple
+//!   keys, copy-independence factors, and provenance — what the paper's
+//!   three queries read (a source's KBT, an item's value posterior, a
+//!   triple's truth, which is its item's posterior), and nothing else.
 //!   Queries: [`trust`](TrustSnapshot::trust),
 //!   [`posterior`](TrustSnapshot::posterior),
 //!   [`triple_posterior`](TrustSnapshot::triple_posterior),

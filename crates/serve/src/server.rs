@@ -516,7 +516,10 @@ mod tests {
             let snap = handle.snapshot();
             assert_eq!(snap.epoch(), i as u64 + 1);
             assert_eq!(snap.source_trust(), cold.source_trust(), "delta {i}");
-            assert_eq!(snap.truth_of_group(), cold.truth_of_group(), "delta {i}");
+            let keys = snap.triple_keys().iter();
+            let served = keys.map(|&(w, d, v)| snap.triple_posterior(w, d, v).map(f64::to_bits));
+            let truth = cold.truth_of_group().iter().map(|t| Some(t.to_bits()));
+            assert!(served.eq(truth), "delta {i}");
             assert!(snap.verify_integrity());
         }
     }

@@ -3,10 +3,10 @@
 //!
 //! A snapshot is everything a read path needs, copied out of a
 //! [`FusionReport`] once per refit and then never mutated: per-source
-//! trust, per-item value posteriors, per-triple correctness posteriors,
-//! copy-independence factors, and provenance (epoch, deltas applied, EM
-//! rounds, refit mode). Readers share it behind an `Arc`, so a query
-//! never races a refit and a refit never blocks a query.
+//! trust, per-item value posteriors (a triple's truth is its item's),
+//! the triple keys, copy-independence factors, and provenance (epoch,
+//! deltas applied, EM rounds, refit mode). Readers share it behind an
+//! `Arc`, so a query never races a refit and a refit never blocks a query.
 
 use kbt_core::{FusionReport, ModelKind, Params};
 use kbt_datamodel::{ItemId, SourceId, ValueId};
@@ -69,8 +69,6 @@ pub struct SnapshotParts {
     pub independence: Option<Vec<f64>>,
     /// `(source, item, value)` per triple group, strictly sorted by `(item, source, value)`.
     pub triples: Vec<(SourceId, ItemId, ValueId)>,
-    /// `p(V_d = v(g) | X)` per triple group, aligned with `triples`.
-    pub truth_of_group: Vec<f64>,
     /// Per-item posterior over observed values + uniform unobserved mass.
     pub posteriors: kbt_core::ItemPosteriors,
     /// Delta history and fit diagnostics.
@@ -85,7 +83,7 @@ pub struct SnapshotParts {
 /// Why [`TrustSnapshot::from_parts`] rejected a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPartsError {
-    /// `triples` and `truth_of_group` have different lengths.
+    /// A triple key names an item the posterior table does not cover.
     MisalignedTriples,
     /// `active_source` (or a present `independence`) disagrees with
     /// `source_trust` on the number of sources.
@@ -101,7 +99,7 @@ pub enum SnapshotPartsError {
 impl std::fmt::Display for SnapshotPartsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::MisalignedTriples => write!(f, "triple keys and truth posteriors misaligned"),
+            Self::MisalignedTriples => write!(f, "a triple key's item has no posterior"),
             Self::MisalignedSources => write!(f, "per-source columns disagree on source count"),
             Self::UnsortedTriples => write!(f, "triple key column is not strictly sorted"),
             Self::MisalignedExtractors => {
@@ -118,9 +116,9 @@ impl std::error::Error for SnapshotPartsError {}
 /// Built once per refit by [`TrustSnapshot::from_report`]; all queries
 /// are read-only and lock-free (plain memory reads plus binary search /
 /// the precomputed trust rank order). Equality-critical fields
-/// ([`source_trust`](Self::source_trust),
-/// [`truth_of_group`](Self::truth_of_group)) are exported bit-for-bit
-/// from the [`FusionReport`].
+/// ([`source_trust`](Self::source_trust), [`posteriors`](Self::posteriors))
+/// are exported bit-for-bit from the [`FusionReport`], and a triple's
+/// truth is read off the posteriors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrustSnapshot {
     /// The payload: the served columns, plus the extractor columns and
@@ -165,7 +163,6 @@ impl TrustSnapshot {
             active_source: report.active_source.to_vec(),
             independence: report.source_independence.clone(),
             triples,
-            truth_of_group: report.truth_of_group().to_vec(),
             posteriors: report.posteriors.clone(),
             provenance,
             extractor_quality: [
@@ -193,14 +190,11 @@ impl TrustSnapshot {
     ///
     /// # Errors
     ///
-    /// When the columns are mutually inconsistent: misaligned lengths
-    /// between triples/posterior columns or source columns, or a triple
-    /// column that is not strictly sorted by `(item, source, value)` (the
-    /// binary-searched query index would silently miss triples).
+    /// When the columns are mutually inconsistent: misaligned source or
+    /// extractor columns, a triple column not strictly sorted by `(item,
+    /// source, value)` (binary-searched queries would silently miss
+    /// triples), or a triple whose item the posterior table lacks.
     pub fn from_parts(parts: SnapshotParts) -> Result<Self, SnapshotPartsError> {
-        if parts.triples.len() != parts.truth_of_group.len() {
-            return Err(SnapshotPartsError::MisalignedTriples);
-        }
         let num_sources = parts.source_trust.len();
         if parts.active_source.len() != num_sources
             || parts
@@ -213,6 +207,10 @@ impl TrustSnapshot {
         let key = |&(w, d, v): &(SourceId, ItemId, ValueId)| (d, w, v);
         if parts.triples.windows(2).any(|t| key(&t[0]) >= key(&t[1])) {
             return Err(SnapshotPartsError::UnsortedTriples);
+        }
+        // Item-major: the last key names the largest item.
+        if (parts.triples.last()).is_some_and(|t| t.1.index() >= parts.posteriors.num_items()) {
+            return Err(SnapshotPartsError::MisalignedTriples);
         }
         let [precision, recall, q] = &parts.extractor_quality;
         if recall.len() != precision.len() || q.len() != precision.len() {
@@ -352,15 +350,15 @@ impl TrustSnapshot {
         self.parts.posteriors.map_value(d)
     }
 
-    /// Correctness posterior `p(V_d = v(g) | X)` of one served triple,
-    /// addressed by its `(source, item, value)` key; `None` when the
-    /// triple is not in this epoch's cube.
+    /// Truth posterior `p(V_d = v | X)` of one served triple, addressed by
+    /// its `(source, item, value)` key: [`Self::posterior`]`(d, v)` for a
+    /// key in this epoch's cube, `None` for any other.
     pub fn triple_posterior(&self, w: SourceId, d: ItemId, v: ValueId) -> Option<f64> {
         self.parts
             .triples
             .binary_search_by_key(&(d, w, v), |&(w, d, v)| (d, w, v))
-            .ok()
-            .map(|g| self.parts.truth_of_group[g])
+            .ok()?;
+        self.posterior(d, v)
     }
 
     // ---- batched lookups ----
@@ -389,12 +387,6 @@ impl TrustSnapshot {
     /// `FusionReport::source_trust` column of the fit.
     pub fn source_trust(&self) -> &[f64] {
         &self.parts.source_trust
-    }
-
-    /// All truth posteriors, aligned with [`Self::triple_keys`] —
-    /// bit-for-bit the `FusionReport::truth_of_group` column.
-    pub fn truth_of_group(&self) -> &[f64] {
-        &self.parts.truth_of_group
     }
 
     /// Every served triple group's `(source, item, value)`, sorted by `(item, source, value)`.
@@ -469,14 +461,13 @@ impl TrustSnapshot {
                 eat(i.to_bits());
             }
         }
-        for (i, &(w, d, v)) in self.parts.triples.iter().enumerate() {
+        for &(w, d, v) in &self.parts.triples {
             // FNV is order-sensitive: feed the key components separately
             // rather than packing them (a packed XOR would collide for
             // distinct keys once ids exceed the packing widths).
             eat(w.0 as u64);
             eat(d.0 as u64);
             eat(v.0 as u64);
-            eat(self.parts.truth_of_group[i].to_bits());
         }
         for d in 0..self.parts.posteriors.num_items() {
             let d = ItemId::new(d as u32);
@@ -568,7 +559,6 @@ mod tests {
         assert_eq!(snap.num_sources(), 4);
         assert_eq!(snap.num_triples(), cube.num_groups());
         assert_eq!(snap.source_trust(), report.source_trust());
-        assert_eq!(snap.truth_of_group(), report.truth_of_group());
         for w in 0..4u32 {
             assert_eq!(
                 snap.trust(SourceId::new(w)),
@@ -578,8 +568,9 @@ mod tests {
         assert_eq!(snap.trust(SourceId::new(9)), None);
         for (g, grp) in cube.groups().iter().enumerate() {
             assert_eq!(
-                snap.triple_posterior(grp.source, grp.item, grp.value),
-                Some(report.truth_of_group()[g])
+                snap.triple_posterior(grp.source, grp.item, grp.value)
+                    .map(f64::to_bits),
+                Some(report.truth_of_group()[g].to_bits())
             );
             assert_eq!(
                 snap.posterior(grp.item, grp.value),
@@ -644,7 +635,7 @@ mod tests {
         let snap = snapshot_of(&cube, &report);
         assert!(snap.verify_integrity());
         let mut torn = snap.clone();
-        torn.parts.truth_of_group[0] += 1e-9;
+        torn.parts.triples[0].2 .0 ^= 1;
         assert!(
             !torn.verify_integrity(),
             "a flipped payload bit must be caught"
@@ -652,7 +643,7 @@ mod tests {
         let mut wrong_epoch = snap.clone();
         wrong_epoch.parts.epoch = 8;
         assert!(!wrong_epoch.verify_integrity());
-        // Every payload surface is covered, not just the trust columns.
+        // Every payload surface is covered, not just the keys.
         let mut torn_prov = snap.clone();
         torn_prov.parts.provenance.coverage += 1e-9;
         assert!(!torn_prov.verify_integrity(), "provenance is covered");
@@ -677,8 +668,11 @@ mod tests {
     fn inconsistent_parts_are_rejected() {
         let (cube, report) = fitted();
         let snap = snapshot_of(&cube, &report);
+        // A posterior table that stops before the last key's item.
         let mut short = snap.parts.clone();
-        short.truth_of_group.pop();
+        let items = short.posteriors.num_items() - 1;
+        short.posteriors =
+            kbt_core::ItemPosteriors::from_parts(vec![vec![]; items], vec![0.5; items]);
         assert_eq!(
             TrustSnapshot::from_parts(short),
             Err(SnapshotPartsError::MisalignedTriples)

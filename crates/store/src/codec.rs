@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   header("KBTSNAP1", version 4)                         12 bytes
+//!   header("KBTSNAP1", version 5)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
 //!   cube section       dims + every cell as an observation
-//!   snapshot section   the served columns but the triple keys (the cube's)
+//!   snapshot section   provenance, the per-source columns, the posteriors
 //!   warm section       serving mode u8, then the extractor P / R / Q
 //!                      columns, each with its own count
 //!   fingerprint        u64   (TrustSnapshot::fingerprint) 8
@@ -31,7 +31,9 @@
 //! the four dense id-space sizes, item-major since version 3; rebuilding
 //! through [`CubeBuilder`] reproduces the canonical layout exactly. Since
 //! version 4 the snapshot's triple keys are the decoded cube's groups, not
-//! a second copy, so a file cannot pair a snapshot with another cube.
+//! a second copy; the fingerprint covers them, so a file cannot pair a
+//! snapshot with another cube. Since version 5 the snapshot section has no
+//! per-group truth column: a triple's truth is its item's posterior.
 
 use kbt_core::{ItemPosteriors, ModelKind};
 use kbt_datamodel::wire::{
@@ -47,7 +49,7 @@ use crate::durable::StoreError;
 const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-const CHECKPOINT_VERSION: u32 = 4;
+const CHECKPOINT_VERSION: u32 = 5;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.
@@ -184,10 +186,6 @@ fn encode_snapshot(buf: &mut Vec<u8>, snap: &TrustSnapshot) {
         None => put_u8(buf, 0),
     }
 
-    for &p in snap.truth_of_group() {
-        put_f64(buf, p);
-    }
-
     let posteriors = snap.posteriors();
     let items = posteriors.num_items();
     put_u32(buf, items as u32);
@@ -238,11 +236,6 @@ fn decode_snapshot(
         true => Some(r.seq_n(num_sources, 8, WireReader::f64)?),
     };
 
-    let triples: Vec<_> = (cube.groups().iter())
-        .map(|g| (g.source, g.item, g.value))
-        .collect();
-    let truth_of_group = r.seq_n(triples.len() as u64, 8, WireReader::f64)?;
-
     // Posterior rows: a row costs at least 12 bytes (its length + the
     // unobserved-mass f64) and an entry exactly 12 (value + f64).
     let items = r.u32()? as u64;
@@ -280,8 +273,9 @@ fn decode_snapshot(
         source_trust,
         active_source,
         independence,
-        triples,
-        truth_of_group,
+        triples: (cube.groups().iter())
+            .map(|g| (g.source, g.item, g.value))
+            .collect(),
         posteriors,
         provenance: SnapshotProvenance {
             refit_mode,

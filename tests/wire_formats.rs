@@ -203,18 +203,24 @@ fn wal_bytes_are_golden() {
 /// `u64` triple count and a 12-byte key for each of the 72 groups), the
 /// version field moved, and so did the fingerprint — it no longer covers
 /// the truth rank order or the calibration histogram, both deleted — and
-/// the CRC (4719 bytes, `0x374a_365b_f169_ca52` before).
+/// the CRC (4719 bytes, `0x374a_365b_f169_ca52` before). Re-pinned for
+/// format version 5, when the snapshot section stopped writing a truth
+/// column (a triple's truth is its item's posterior): 576 bytes shorter
+/// (an `f64` for each of the 72 groups), the version field moved, and so
+/// did the fingerprint — it no longer hashes a truth word per group — and
+/// the CRC (3847 bytes, `0x0a26_58ec_73fc_fffd` before).
 #[test]
 fn checkpoint_bytes_are_golden() {
     let bytes = sample_checkpoint();
     assert_eq!(&bytes[..8], b"KBTSNAP1");
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (3847, 0x0a26_58ec_73fc_fffd));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (3271, 0xaa12_abea_f723_b756));
 }
 
 /// A checkpoint writes each group key once, in its cube section: the
 /// decoded snapshot serves exactly the decoded cube's groups, a snapshot
-/// written beside another cube does not decode, and a version-3 file
-/// (which wrote the keys twice) is refused at the header.
+/// written beside another cube does not decode (the stored fingerprint
+/// covers the keys), and a version-3 file (which wrote the keys twice) or
+/// a version-4 file (which wrote a truth column) is refused at the header.
 #[test]
 fn a_checkpoint_snapshot_serves_its_cubes_groups() {
     let bytes = sample_checkpoint();
@@ -227,13 +233,16 @@ fn a_checkpoint_snapshot_serves_its_cubes_groups() {
     let other = decoded.cube.retract(&groups[..1]);
     let mispaired = encode_checkpoint(&decoded.snapshot, &other, 7);
     let err = decode_checkpoint(&mispaired, 7).unwrap_err().to_string();
-    assert!(err.contains("corrupt"), "{err}");
+    assert!(err.contains("stored fingerprint"), "{err}");
 
-    let mut v3 = bytes[..bytes.len() - 4].to_vec();
-    v3[8] = 3;
-    v3.extend(crc32(&v3).to_le_bytes());
-    let err = decode_checkpoint(&v3, 7).unwrap_err().to_string();
-    assert!(err.contains("unsupported format version 3"), "{err}");
+    for version in [3u8, 4] {
+        let mut old = bytes[..bytes.len() - 4].to_vec();
+        old[8] = version;
+        old.extend(crc32(&old).to_le_bytes());
+        let err = decode_checkpoint(&old, 7).unwrap_err().to_string();
+        let message = format!("unsupported format version {version}");
+        assert!(err.contains(&message), "{err}");
+    }
 }
 
 #[test]
