@@ -43,9 +43,17 @@
 //! also hard-asserts that a round reads each item frame once (one scan of
 //! the store) and reports how many bytes the fit read per byte stored.
 //!
+//! The resident drill also takes the co-claim census of copy detection
+//! (`kbt_datamodel::pair_counts` at `CopyDetectConfig::default()`'s
+//! `min_overlap`, and again over every co-claiming pair: the uniform
+//! sources of this corpus leave no pair at that threshold) on 1 worker
+//! and on 2, hard-asserts the two give the same rows, and reports their
+//! count and an FNV-1a checksum over every row's `(a, b, overlap, agree,
+//! agree_exclusive)`: the baseline pins the census exactly.
+//!
 //! Emits `BENCH_em_scale.json` (or `BENCH_em_scale_streamed.json`) with
-//! the exact facts only — corpus and round counts, the two checksums,
-//! the assert outcomes — for `bench_compare`.
+//! the exact facts only — corpus and round counts, the checksums, the
+//! assert outcomes — for `bench_compare`.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -53,9 +61,13 @@ use std::time::{Duration, Instant};
 
 use kbt_bench::BenchReport;
 use kbt_core::{
-    reference, EmState, FusionModel, FusionReport, ModelConfig, MultiLayerModel, QualityInit,
+    reference, CopyDetectConfig, EmState, FusionModel, FusionReport, ModelConfig, MultiLayerModel,
+    QualityInit,
 };
-use kbt_datamodel::{ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, SourceId};
+use kbt_datamodel::{
+    pair_counts, ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, PairCounts,
+    SourceId,
+};
 use kbt_synth::scale::{observations, ScaleConfig};
 
 /// EM rounds every fit runs, with no convergence early-out: the engine,
@@ -143,6 +155,20 @@ fn source_major_checksum(cube: &ObservationCube, truth: &[f64]) -> String {
     let groups = sources.flat_map(|w| cube.source_groups(w).iter());
     let truth: Vec<f64> = groups.map(|&g| truth[g as usize]).collect();
     format!("{:#018x}", bits_checksum(&truth))
+}
+
+/// FNV-1a over every row's `(a, b, overlap, agree, agree_exclusive)`,
+/// each field little-endian.
+fn census_checksum(rows: &[PairCounts]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in rows {
+        let ids = [r.a.0, r.b.0].map(u32::to_le_bytes);
+        let counts = [r.overlap, r.agree, r.agree_exclusive].map(u64::to_le_bytes);
+        for byte in ids.iter().flatten().chain(counts.iter().flatten()) {
+            h = (h ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{h:#018x}")
 }
 
 /// Every round's Δ and log-likelihood, as bits.
@@ -474,6 +500,27 @@ fn run_resident(mode: &str, triples: usize) {
         chunks(&cfg)
     );
 
+    // The co-claim census: the same rows on one worker and on two, at the
+    // detector's threshold and over every co-claiming pair.
+    let census = |min_overlap: usize| {
+        let on =
+            |threads| kbt_flume::with_threads(Some(threads), || pair_counts(&cube, min_overlap));
+        let rows = on(1);
+        assert!(
+            rows == on(2),
+            "the co-claim census at min_overlap {min_overlap} differs between 1 and 2 workers"
+        );
+        let sum = census_checksum(&rows);
+        println!(
+            "  co-claim census at min_overlap {min_overlap}: {} pairs, checksum {sum}, \
+             the same on 1 and 2 workers",
+            rows.len()
+        );
+        (rows.len() as u64, sum)
+    };
+    let (census_pairs, census_sum) = census(CopyDetectConfig::default().min_overlap);
+    let (census_pairs_all, census_sum_all) = census(0);
+
     // Where the rounds go, for the reader; nothing gates on it.
     let sw = &report.trace.stage_wall;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -498,7 +545,11 @@ fn run_resident(mode: &str, triples: usize) {
         .flag("partition_bitwise_equal", true)
         .text("trust_checksum", &format!("{trust:#018x}"))
         .text("truth_checksum", &format!("{truth:#018x}"))
-        .text("truth_checksum_source_major", &key_order);
+        .text("truth_checksum_source_major", &key_order)
+        .count("census_pairs", census_pairs)
+        .text("census_checksum", &census_sum)
+        .count("census_pairs_all", census_pairs_all)
+        .text("census_checksum_all", &census_sum_all);
     let path = bench.write().expect("write bench report");
     println!("report: {}", path.display());
 }

@@ -10,13 +10,13 @@
 //!
 //! This module implements that signal over the cube in three stages:
 //!
-//! 1. **pair counts** — one pass of `kbt_datamodel::pair_counts` (the
-//!    row-wise sparse-accumulator kernel: `Σ_d fan-in(d)²/2` dense slot
-//!    bumps, `O(sources)` memory per worker, no hashing and no merge)
-//!    yields the exact overlap, agreement and exclusive-agreement counts
-//!    of every pair reaching [`CopyDetectConfig::min_overlap`]. The
-//!    counts depend on the cube alone, so the copy-aware refit loop
-//!    gathers them once,
+//! 1. **pair counts** — `kbt_datamodel::pair_counts` scans the item rows in
+//!    storage order and folds each worker's claim pairs, bucketed by source,
+//!    into dense slots (`O(groups + sources)` memory plus a fixed record
+//!    budget per worker; no hash, sort or merge), yielding the exact overlap,
+//!    agreement and exclusive-agreement counts of every pair reaching
+//!    [`CopyDetectConfig::min_overlap`]. The counts depend on the cube alone,
+//!    so the copy-aware refit loop gathers them once,
 //! 2. **scoring** — each pair's counts become a likelihood-ratio score
 //!    under the current accuracy estimates, and the evidence is sorted,
 //! 3. **discount loop** — [`CopyDiscount`] turns the evidence into
@@ -200,10 +200,10 @@ impl CopyDiscount {
 /// accuracy estimates: any engine's trust vector works (this is what
 /// `TrustPipeline` feeds from a `FusionReport`).
 ///
-/// Cost is `Σ_d fan-in(d)²/2` counter bumps — quadratic in per-item
-/// fan-in, which is small in practice — split over the ambient
-/// `kbt_flume` worker threads by source range. Returns bit-for-bit
-/// identical evidence at any thread count.
+/// Cost is two walks over the item rows in storage order (more past a
+/// worker's record budget) plus `O(1)` per claim pair, `Σ_d fan-in(d)²/2`
+/// of them, in `O(groups + sources)` extra memory, split over the ambient
+/// `kbt_flume` workers by source range; identical at any thread count.
 pub fn detect_copies_from_accuracy(
     cube: &ObservationCube,
     source_accuracy: &[f64],
@@ -521,7 +521,7 @@ mod tests {
 
     /// The public census (`CoClaimIndex::candidate_pairs`, what the bench
     /// bin's prefilter statistic uses) and the detector's own pair table
-    /// are two instantiations of one kernel: same pairs, same overlaps.
+    /// are projections of one census: same pairs, same overlaps.
     #[test]
     fn coclaim_census_matches_detector_pair_stats() {
         let cube = corpus_with_copier(17);
