@@ -110,7 +110,7 @@ fn timed_corpus(triples: usize) -> (ObservationCube, Duration) {
 }
 
 /// Hard-assert that two cubes are the same, bit for bit, through the
-/// public accessors: groups, cells, the per-source group ranges and
+/// public accessors: groups, cells, the per-source group counts and
 /// extractor sets, the per-item group lists and observed values.
 fn assert_same_cube(a: &ObservationCube, b: &ObservationCube) {
     let shape = |c: &ObservationCube| {
@@ -126,7 +126,7 @@ fn assert_same_cube(a: &ObservationCube, b: &ObservationCube) {
     };
     assert!(cells(a) == cells(b), "cells differ");
     for w in (0..a.num_sources() as u32).map(SourceId::new) {
-        assert_eq!(a.source_groups(w), b.source_groups(w), "{w:?} groups");
+        assert_eq!(a.source_size(w), b.source_size(w), "{w:?} size");
         let (x, y) = (a.extractors_on_source(w), b.extractors_on_source(w));
         assert_eq!(x, y, "{w:?} extractor set");
     }
@@ -148,12 +148,12 @@ fn bits_checksum(xs: &[f64]) -> u64 {
 }
 
 /// The checksum of `truth` (one entry per group of `cube`) taken in
-/// `(source, item, value)` key order: source by source, each source's
-/// groups ascending.
+/// `(source, item, value)` key order: source by source (a stable sort of
+/// the item-major groups), each source's groups ascending.
 fn source_major_checksum(cube: &ObservationCube, truth: &[f64]) -> String {
-    let sources = (0..cube.num_sources() as u32).map(SourceId::new);
-    let groups = sources.flat_map(|w| cube.source_groups(w).iter());
-    let truth: Vec<f64> = groups.map(|&g| truth[g as usize]).collect();
+    let mut groups: Vec<usize> = (0..cube.num_groups()).collect();
+    groups.sort_by_key(|&g| cube.groups()[g].source);
+    let truth: Vec<f64> = groups.into_iter().map(|g| truth[g]).collect();
     format!("{:#018x}", bits_checksum(&truth))
 }
 

@@ -10,7 +10,6 @@
 //! place of the human rater.
 
 use kbt_bench::harness::{gold_init, kv_multilayer_config, run_multilayer};
-use kbt_datamodel::SourceId;
 use kbt_synth::web::{generate, SiteArchetype, WebCorpusConfig};
 
 fn main() {
@@ -48,29 +47,25 @@ fn main() {
     let mut fail_extraction = 0;
     let mut fail_topic = 0;
     let mut fail_trivial = 0;
-    for (site, _) in &sample {
-        // Gather up to 10 high-correctness triples from the site's pages.
-        let mut checked = 0usize;
-        let mut correct = 0;
-        let mut extracted_ok = 0;
-        for (p, &s) in corpus.site_of_page.iter().enumerate() {
-            if s != *site {
-                continue;
-            }
-            for &g in corpus.cube.source_groups(SourceId::new(p as u32)) {
-                let g = g as usize;
-                if result.correctness().unwrap()[g] < 0.8 || checked >= 10 {
-                    continue;
-                }
-                checked += 1;
-                if corpus.group_value_true[g] {
-                    correct += 1;
-                }
-                if corpus.group_provided[g] {
-                    extracted_ok += 1;
-                }
-            }
+    // Each site's high-correctness triples as `(page, group)`, in one walk
+    // over the groups.
+    let correctness = result.correctness().unwrap();
+    let mut high = vec![Vec::new(); corpus.sites.len()];
+    for (g, grp) in corpus.cube.groups().iter().enumerate() {
+        if correctness[g] >= 0.8 {
+            let site = corpus.site_of_page[grp.source.index()] as usize;
+            high[site].push((grp.source, g));
         }
+    }
+    for (site, _) in &sample {
+        // Check up to 10 of them, page by page.
+        let mut triples = std::mem::take(&mut high[*site as usize]);
+        triples.sort_unstable();
+        triples.truncate(10);
+        let checked = triples.len();
+        let correct = triples.iter().filter(|t| corpus.group_value_true[t.1]);
+        let extracted_ok = triples.iter().filter(|t| corpus.group_provided[t.1]);
+        let (correct, extracted_ok) = (correct.count(), extracted_ok.count());
         if checked == 0 {
             continue;
         }

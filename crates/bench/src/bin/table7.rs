@@ -75,12 +75,12 @@ impl PhaseTimer {
 /// keys extractor quality by extractor, which is why oversized extractors
 /// become stragglers.
 fn extractor_index(cube: &ObservationCube) -> Vec<Vec<(u32, f64)>> {
+    let mut by_source: Vec<u32> = (0..cube.num_groups() as u32).collect();
+    by_source.sort_by_key(|&g| cube.groups()[g as usize].source);
     let mut index = vec![Vec::new(); cube.num_extractors()];
-    for w in 0..cube.num_sources() {
-        for &g in cube.source_groups(SourceId::new(w as u32)) {
-            for cell in cube.cells_of(&cube.groups()[g as usize]) {
-                index[cell.extractor.index()].push((g, cell.confidence));
-            }
+    for g in by_source {
+        for cell in cube.cells_of(&cube.groups()[g as usize]) {
+            index[cell.extractor.index()].push((g, cell.confidence));
         }
     }
     index
@@ -97,13 +97,10 @@ fn update_extractor_quality_indexed(
     index: &[Vec<(u32, f64)>],
 ) {
     // Per-source correctness mass (for the scoped recall denominator).
-    let sum_c_source: Vec<f64> = (0..cube.num_sources())
-        .map(|w| {
-            (cube.source_groups(SourceId::new(w as u32)).iter())
-                .map(|&g| correctness[g as usize])
-                .sum()
-        })
-        .collect();
+    let mut sum_c_source = vec![0.0; cube.num_sources()];
+    for (grp, c) in cube.groups().iter().zip(correctness) {
+        sum_c_source[grp.source.index()] += c;
+    }
     let total_mass: f64 = correctness.iter().sum();
     let gamma = estimate_gamma(cube, correctness, cfg);
     let scoped = cfg.absence_policy == AbsencePolicy::SourceCandidates;

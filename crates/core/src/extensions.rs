@@ -12,7 +12,7 @@
 //!    Eq. 28 average with an arbitrary per-triple weight (IDF, topic
 //!    relevance, or any downstream signal).
 
-use kbt_datamodel::{ObservationCube, SourceId};
+use kbt_datamodel::ObservationCube;
 
 use crate::math::clamp_quality;
 use crate::model::ExtractionLayer;
@@ -57,18 +57,15 @@ pub fn weighted_kbt(
     min_mass: f64,
 ) -> Vec<Option<f64>> {
     assert_eq!(weights.len(), cube.num_groups());
-    (0..cube.num_sources())
-        .map(|w| {
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for &g in cube.source_groups(SourceId::new(w as u32)) {
-                let g = g as usize;
-                let x = weights[g] * layer.correctness[g];
-                num += x * layer.truth_given_provided[g];
-                den += x;
-            }
-            (den >= min_mass).then(|| clamp_quality(num / den))
-        })
+    let mut num = vec![0.0; cube.num_sources()];
+    let mut den = num.clone();
+    for (g, grp) in cube.groups().iter().enumerate() {
+        let x = weights[g] * layer.correctness[g];
+        num[grp.source.index()] += x * layer.truth_given_provided[g];
+        den[grp.source.index()] += x;
+    }
+    (num.iter().zip(den))
+        .map(|(num, den)| (den >= min_mass).then(|| clamp_quality(num / den)))
         .collect()
 }
 
@@ -76,7 +73,7 @@ pub fn weighted_kbt(
 mod tests {
     use super::*;
     use crate::{ModelConfig, MultiLayerModel, QualityInit};
-    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, ValueId};
+    use kbt_datamodel::{CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId};
 
     /// A trivia farm states the same value for every item; a real source
     /// states distinct values. IDF must weight the farm's triples near 0

@@ -195,12 +195,16 @@ pub fn update_source_accuracy(
     params: &mut Params,
     active: &mut [bool],
 ) {
+    let mut num = vec![ExactSum::default(); cube.num_sources()];
+    let mut den = num.clone();
+    for (g, grp) in cube.groups().iter().enumerate() {
+        num[grp.source.index()].add(correctness[g] * truth[g]);
+        den[grp.source.index()].add(correctness[g]);
+    }
     for (w, active) in active.iter_mut().enumerate() {
-        let groups = cube.source_groups(SourceId::new(w as u32));
-        let groups = || groups.iter().map(|&g| g as usize);
-        let num = exact_sum(groups().map(|g| correctness[g] * truth[g]));
-        let den = exact_sum(groups().map(|g| correctness[g]));
-        *active = !(groups().len() < cfg.min_source_support || den <= 1e-12);
+        let (num, den) = (num[w].finish(), den[w].finish());
+        let size = cube.source_size(SourceId::new(w as u32));
+        *active = !(size < cfg.min_source_support || den <= 1e-12);
         if *active {
             params.source_accuracy[w] = clamp_quality(num / den);
         }
@@ -209,23 +213,19 @@ pub fn update_source_accuracy(
 
 /// γ̂ = expected provided mass over the slot universe: each source can
 /// provide one of `n + 1` domain values for each item it talks about.
-/// A source's groups ascend, so its distinct items are the runs of their
-/// items.
+/// Groups are sorted by `(item, source, value)`, so a source's distinct
+/// items are the runs of equal `(item, source)`.
 pub fn estimate_gamma(cube: &ObservationCube, correctness: &[f64], cfg: &ModelConfig) -> f64 {
     if !cfg.estimate_gamma || correctness.is_empty() {
         return cfg.gamma;
     }
-    let mut slots = 0usize;
-    for w in 0..cube.num_sources() {
-        let groups = cube.source_groups(SourceId::new(w as u32));
-        let item = |g: u32| cube.groups()[g as usize].item;
-        let items = groups
-            .windows(2)
-            .filter(|p| item(p[0]) != item(p[1]))
-            .count()
-            + usize::from(!groups.is_empty());
-        slots += items * (cfg.n_false_values + 1);
-    }
+    let groups = cube.groups();
+    let pairs = groups
+        .windows(2)
+        .filter(|p| (p[0].item, p[0].source) != (p[1].item, p[1].source))
+        .count()
+        + usize::from(!groups.is_empty());
+    let slots = pairs * (cfg.n_false_values + 1);
     clamp_quality(exact_sum(correctness.iter().copied()) / (slots.max(1) as f64))
 }
 
@@ -254,12 +254,9 @@ pub fn update_extractor_quality(
         AbsencePolicy::AllExtractors => vec![exact_sum(correctness.iter().copied()); ne],
         AbsencePolicy::SourceCandidates => {
             let mut rden = vec![ExactSum::default(); ne];
-            for w in 0..cube.num_sources() {
-                let w = SourceId::new(w as u32);
-                for &g in cube.source_groups(w) {
-                    for e in cube.extractors_on_source(w) {
-                        rden[e.index()].add(correctness[g as usize]);
-                    }
+            for (g, grp) in cube.groups().iter().enumerate() {
+                for e in cube.extractors_on_source(grp.source) {
+                    rden[e.index()].add(correctness[g]);
                 }
             }
             rden.iter().map(ExactSum::finish).collect()
@@ -397,9 +394,9 @@ pub fn fit_single_layer(
     init: &QualityInit,
 ) -> FusionReport {
     let (pairs, pc) = pair_cube(cube, cfg);
-    let claims_of = |s: usize| pc.source_groups(SourceId::new(s as u32));
+    let size = |s: usize| pc.source_size(SourceId::new(s as u32));
     let active: Vec<bool> = (0..pairs.len())
-        .map(|s| claims_of(s).len() >= cfg.min_source_support)
+        .map(|s| size(s) >= cfg.min_source_support)
         .collect();
     let default = cfg.default_source_accuracy;
     let mut acc: Vec<f64> = (pairs.iter())
@@ -412,10 +409,13 @@ pub fn fit_single_layer(
         posteriors = pair_estep(&pc, &acc, &active, cfg, &mut truth);
         // M-step (Eq. 4): an active pair's accuracy is the mean truth of
         // its claims.
+        let mut num = vec![ExactSum::default(); pairs.len()];
+        for (g, grp) in pc.groups().iter().enumerate() {
+            num[grp.source.index()].add(truth[g]);
+        }
         let mut delta = 0.0f64;
         for s in (0..pairs.len()).filter(|&s| active[s]) {
-            let num = exact_sum(claims_of(s).iter().map(|&g| truth[g as usize]));
-            let new = clamp_quality(num / claims_of(s).len() as f64);
+            let new = clamp_quality(num[s].finish() / size(s) as f64);
             delta = delta.max((new - acc[s]).abs());
             acc[s] = new;
         }
@@ -427,8 +427,8 @@ pub fn fit_single_layer(
     let mut src_num = vec![0.0f64; cube.num_sources()];
     let mut src_den = vec![0.0f64; cube.num_sources()];
     for (s, (w, _)) in pairs.iter().enumerate().filter(|&(s, _)| active[s]) {
-        src_num[w.index()] += claims_of(s).len() as f64 * acc[s];
-        src_den[w.index()] += claims_of(s).len() as f64;
+        src_num[w.index()] += size(s) as f64 * acc[s];
+        src_den[w.index()] += size(s) as f64;
     }
     let source_accuracy = (src_num.iter().zip(&src_den))
         .map(|(n, d)| if *d > 0.0 { n / d } else { default })

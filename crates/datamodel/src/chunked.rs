@@ -1009,14 +1009,14 @@ mod tests {
                 "source {w}"
             );
         }
-        // Sizes and distinct-item counts.
+        // Sizes and distinct-item counts, recounted from the groups (a
+        // source's items ascend with them).
         for w in 0..cube.num_sources() {
-            let groups = cube.source_groups(SourceId::new(w as u32));
-            assert_eq!(meta.source_sizes[w] as usize, groups.len());
-            let mut items: Vec<ItemId> = groups
-                .iter()
-                .map(|&g| cube.groups()[g as usize].item)
+            let mut items: Vec<ItemId> = (cube.groups().iter())
+                .filter(|g| g.source.index() == w)
+                .map(|g| g.item)
                 .collect();
+            assert_eq!(meta.source_sizes[w] as usize, items.len());
             items.dedup();
             assert_eq!(meta.source_item_counts[w] as usize, items.len());
         }

@@ -4,13 +4,15 @@
 //! `(w, d, v)` triple it supports. Groups are sorted item-major, by
 //! `(item, source, value)` — the order in which Algorithm 1 reads them —
 //! so all groups of one data item are contiguous, and the cells follow
-//! their groups in the same order. A source index lists the groups of
-//! each source, ascending. This columnar layout lets every inference stage
-//! stream the data it needs without hashing:
+//! their groups in the same order. This columnar layout lets every
+//! inference stage stream the data it needs without hashing:
 //!
 //! * extraction-correctness (per-triple) — iterate [`ObservationCube::groups`],
 //! * value inference (per-item) — the contiguous [`ObservationCube::groups_of_item`],
-//! * source accuracy (per-source) — the source index, [`ObservationCube::source_groups`],
+//! * source accuracy (per-source) — the same walk in group order, folded
+//!   into one accumulator per source (the fit's chunk scan does this, and
+//!   so does the serial oracle); [`ObservationCube::source_size`] is the
+//!   only per-source count the cube keeps,
 //! * extractor quality — stream all cells once, accumulating per extractor.
 //!
 //! Absence votes (Eq. 13) need to know which extractors *could have*
@@ -26,13 +28,12 @@
 //! work: unsorted input is cut by item into one window of about equal
 //! row count per worker, and each window's task brings its rows into key
 //! order, groups them and records its share of the indexes; then the
-//! windows' groups and cells are laid out in window order, and each
-//! window places its groups in the source index. The cube is the same at
-//! any worker count.
+//! windows' groups and cells are laid out in window order, their item
+//! ranges and value lists end to end, and their per-source counts and
+//! extractor marks summed. The cube is the same at any worker count.
 
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::atomic::{self, AtomicU32};
 
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
@@ -78,10 +79,8 @@ pub struct ObservationCube {
     groups: Vec<TripleGroup>,
     /// Item `d` owns groups `item_offsets[d]..item_offsets[d + 1]`.
     item_offsets: Vec<u32>,
-    /// CSR of each source's group ids, ascending:
-    /// `source_group_ids[source_offsets[w]..source_offsets[w + 1]]`.
-    source_offsets: Vec<u32>,
-    source_group_ids: Vec<u32>,
+    /// Per source: its number of groups.
+    source_sizes: Vec<u32>,
     /// CSR of sorted distinct extractors per source:
     /// `source_extractor_ids[source_extractor_offsets[w]..source_extractor_offsets[w+1]]`.
     /// One flat allocation instead of a `Vec<Vec<_>>` — cheap to build and
@@ -111,7 +110,7 @@ impl ObservationCube {
 
     /// Number of sources (dense id space, including sources with no data).
     pub fn num_sources(&self) -> usize {
-        self.source_offsets.len().saturating_sub(1)
+        self.source_sizes.len()
     }
 
     /// Number of extractors in the dense id space.
@@ -160,14 +159,6 @@ impl ObservationCube {
         (&self.source_extractor_offsets, &self.source_extractor_ids)
     }
 
-    /// The group indices of source `w`, ascending — so sorted by
-    /// `(item, value)`.
-    pub fn source_groups(&self, w: SourceId) -> &[u32] {
-        let lo = self.source_offsets[w.index()] as usize;
-        let hi = self.source_offsets[w.index() + 1] as usize;
-        &self.source_group_ids[lo..hi]
-    }
-
     /// Sorted distinct extractors that extracted anything from source `w` —
     /// the candidate set used for absence votes.
     pub fn extractors_on_source(&self, w: SourceId) -> &[ExtractorId] {
@@ -188,7 +179,7 @@ impl ObservationCube {
 
     /// Number of triples (groups) attributed to source `w`.
     pub fn source_size(&self, w: SourceId) -> usize {
-        self.source_groups(w).len()
+        self.source_sizes[w.index()] as usize
     }
 
     /// Iterate `(group index, group, cells)` for all groups.
@@ -273,7 +264,7 @@ impl ObservationCube {
     ///
     /// The result is canonical: bit-identical to rebuilding a
     /// [`CubeBuilder`] from the surviving observations, so every
-    /// downstream invariant (item ranges ⊇ group values, source index,
+    /// downstream invariant (item ranges ⊇ group values, source sizes,
     /// extractor candidate sets) holds again after a retraction — the
     /// `serve` stress tests and the `FusionSession::retract` regression
     /// tests rely on this. Dense id spaces are **never shrunk**: a
@@ -325,8 +316,7 @@ impl ObservationCube {
         self.cells.len() * std::mem::size_of::<Cell>()
             + self.groups.len() * std::mem::size_of::<TripleGroup>()
             + (self.item_offsets.len()
-                + self.source_offsets.len()
-                + self.source_group_ids.len()
+                + self.source_sizes.len()
                 + self.source_extractor_offsets.len()
                 + self.source_extractor_ids.len()
                 + self.item_value_offsets.len()
@@ -413,9 +403,8 @@ struct WindowIndex {
     /// The open item (window-local) and its values so far.
     open: Option<usize>,
     open_values: Vec<ValueId>,
-    /// Per source: the window's groups of it — then, in [`index_cube`],
-    /// the source-index slot of its next one.
-    source_slots: Vec<u32>,
+    /// Per source: the window's groups of it.
+    source_counts: Vec<u32>,
     /// Per source: bit `e` set when extractor `e` below
     /// [`MASKED_EXTRACTORS`] extracted from it.
     extractor_mask: Vec<u64>,
@@ -433,7 +422,7 @@ impl WindowIndex {
             values: Vec::new(),
             open: None,
             open_values: Vec::new(),
-            source_slots: vec![0; num_sources as usize],
+            source_counts: vec![0; num_sources as usize],
             extractor_mask: vec![0; num_sources as usize],
             extractor_pairs: Vec::new(),
             items,
@@ -450,7 +439,7 @@ impl WindowIndex {
         }
         self.item_groups[local] += 1;
         self.open_values.push(v);
-        self.source_slots[w.index()] += 1;
+        self.source_counts[w.index()] += 1;
         self.groups += 1;
     }
 
@@ -493,11 +482,9 @@ impl WindowIndex {
 /// Lay out the secondary indexes of `(cells, groups)` from the records of
 /// item windows that tile the items in order — the index passes of
 /// [`CubeBuilder::build`] and [`assemble_cube`]. The item ranges and value
-/// lists are the records' counts laid end to end; a source's extractor set
-/// is the union of the windows' marks. Each window places its own groups
-/// in the source index: its per-source counts become cursors that start
-/// where the lower windows' groups of that source end, so every source's
-/// groups ascend.
+/// lists are the records' counts laid end to end; a source's size is the
+/// sum of the windows' counts of it, and its extractor set the union of
+/// their marks.
 fn index_cube(
     cells: Vec<Cell>,
     groups: Vec<TripleGroup>,
@@ -506,7 +493,7 @@ fn index_cube(
     num_values: u32,
 ) -> ObservationCube {
     let ni = records.last().map_or(0, |r| r.items.end);
-    let ns = records[0].source_slots.len();
+    let ns = records[0].source_counts.len();
     let mut item_offsets = Vec::with_capacity(ni + 1);
     let mut item_value_offsets = Vec::with_capacity(ni + 1);
     item_offsets.push(0u32);
@@ -520,14 +507,9 @@ fn index_cube(
         item_values.extend_from_slice(&r.values);
     }
 
-    let mut source_offsets = vec![0u32; ns + 1];
-    for w in 0..ns {
-        let mut at = source_offsets[w];
-        for r in &mut records {
-            at += std::mem::replace(&mut r.source_slots[w], at);
-        }
-        source_offsets[w + 1] = at;
-    }
+    let source_sizes = (0..ns)
+        .map(|w| records.iter().map(|r| r.source_counts[w]).sum())
+        .collect();
     let mut pairs: Vec<u64> = records
         .iter_mut()
         .flat_map(|r| std::mem::take(&mut r.extractor_pairs))
@@ -550,36 +532,11 @@ fn index_cube(
         source_extractor_offsets.push(source_extractor_ids.len() as u32);
     }
 
-    let slots: Vec<AtomicU32> = (0..groups.len()).map(|_| AtomicU32::new(0)).collect();
-    let mut first = 0;
-    let mut windows: Vec<(Range<usize>, &mut [u32])> = records
-        .iter_mut()
-        .map(|r| {
-            first += r.groups;
-            (first - r.groups..first, r.source_slots.as_mut_slice())
-        })
-        .collect();
-    kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
-        for (span, cursor) in ws {
-            for (g, grp) in span.clone().zip(&groups[span.clone()]) {
-                let slot = &mut cursor[grp.source.index()];
-                // ordering: Relaxed — a slot is handed out by one window's
-                // cursor alone, so it has one writer; nothing reads it
-                // before the workers are joined.
-                slots[*slot as usize].store(g as u32, atomic::Ordering::Relaxed);
-                *slot += 1;
-            }
-        }
-    });
-    drop(records);
-    let source_group_ids = slots.into_iter().map(AtomicU32::into_inner).collect();
-
     ObservationCube {
         cells,
         groups,
         item_offsets,
-        source_offsets,
-        source_group_ids,
+        source_sizes,
         source_extractor_offsets,
         source_extractor_ids,
         item_value_offsets,
@@ -689,7 +646,7 @@ impl CubeBuilder {
     /// of the indexes in the walk that groups its rows. The windows' groups
     /// and cells are then laid out in window order — a memory-bound walk,
     /// which one task per window measured no faster on a 2-vCPU machine —
-    /// and a task per window places its groups in the source index.
+    /// and their records are summed into the indexes.
     /// Duplicate keys merge to their maximum confidence, so the cube is
     /// the same at any worker count and in any arrival order.
     pub fn build(self) -> ObservationCube {
@@ -999,27 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn source_index_lists_each_sources_groups_ascending() {
-        let mut b = CubeBuilder::new();
-        for w in 0..3u32 {
-            for d in 0..4u32 {
-                b.push(obs(0, w, d, d, 1.0));
-            }
-        }
-        let cube = b.build();
-        for w in 0..3u32 {
-            let ids = cube.source_groups(SourceId::new(w));
-            assert_eq!(ids.len(), 4);
-            assert!(ids.is_sorted());
-            for &g in ids {
-                assert_eq!(cube.groups()[g as usize].source, SourceId::new(w));
-            }
-        }
-        // Item-major: item 0's groups come first, one per source.
-        assert_eq!(cube.groups_of_item(ItemId::new(0)), 0..3);
-    }
-
-    #[test]
     fn item_index_finds_all_groups_of_item() {
         let mut b = CubeBuilder::new();
         b.push(obs(0, 0, 7, 1, 1.0));
@@ -1119,7 +1055,7 @@ mod tests {
         assert_eq!(a.num_values(), b.num_values());
         for w in 0..a.num_sources() {
             let w = SourceId::new(w as u32);
-            assert_eq!(a.source_groups(w), b.source_groups(w));
+            assert_eq!(a.source_size(w), b.source_size(w));
             assert_eq!(a.extractors_on_source(w), b.extractors_on_source(w));
         }
         for d in 0..a.num_items() {
@@ -1233,6 +1169,39 @@ mod tests {
             assert_cubes_identical(&one, &serial_build(&rows));
             for threads in [2, 3, 8] {
                 assert_cubes_identical(&build_at(threads, &rows), &one);
+            }
+        }
+    }
+
+    /// Each source's size is a recount of its groups, and the sizes sum
+    /// to the cube's groups: above the parallel threshold, after a build,
+    /// a delta and a retraction, at 1, 2 and 8 workers.
+    #[test]
+    fn source_sizes_recount_each_sources_groups() {
+        let assert_recounts = |cube: &ObservationCube| {
+            let mut own = vec![0; cube.num_sources()];
+            cube.groups()
+                .iter()
+                .for_each(|g| own[g.source.index()] += 1);
+            let size = |w: usize| cube.source_size(SourceId::new(w as u32));
+            for (w, &n) in own.iter().enumerate() {
+                assert_eq!(size(w), n, "source {w}");
+            }
+            let sizes: usize = (0..cube.num_sources()).map(size).sum();
+            assert_eq!(sizes, cube.num_groups());
+        };
+        let (base, delta) = (spread(150_000, 1), spread(60_000, 2));
+        let gone: Vec<_> = (base.iter().step_by(3))
+            .map(|o| (o.source, o.item, o.value))
+            .collect();
+        for threads in [1, 2, 8] {
+            let cube = build_at(threads, &base);
+            let (grown, shrunk) = kbt_flume::with_threads(Some(threads), || {
+                (cube.apply_delta(&delta), cube.retract(&gone))
+            });
+            for cube in [&cube, &grown, &shrunk] {
+                assert!(cube.num_groups() >= PARTITION_MIN_ROWS);
+                assert_recounts(cube);
             }
         }
     }

@@ -478,7 +478,7 @@ mod tests {
         assert_eq!(s.deltas_applied(), 3);
         assert_eq!(s.cube().num_sources(), 6);
         // The retraction dropped both extractions; the later add put one back.
-        let g = &s.cube().groups()[s.cube().source_groups(key.0)[0] as usize];
+        let g = (s.cube().groups().iter().find(|g| g.source == key.0)).expect("a group");
         assert_eq!((g.item, g.value), (key.1, key.2));
         assert_eq!(s.cube().cells_of(g).len(), 1);
     }

@@ -52,7 +52,7 @@ fn assert_delta_equals_rebuild(
     prop_assert_eq!(incremental.num_values(), full.num_values());
     for w in 0..full.num_sources() {
         let w = SourceId::new(w as u32);
-        prop_assert_eq!(incremental.source_groups(w), full.source_groups(w));
+        prop_assert_eq!(incremental.source_size(w), full.source_size(w));
         prop_assert_eq!(
             incremental.extractors_on_source(w),
             full.extractors_on_source(w)
