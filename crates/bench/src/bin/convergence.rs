@@ -118,7 +118,7 @@ fn history_gap(cube: &ObservationCube) -> ((f64, f64), Vec<usize>) {
     let mut deltas = vec![Vec::new(); DELTAS];
     for (g, grp, cells) in cube.iter_with_cells() {
         let slice = deltas.get_mut(g % stride).unwrap_or(&mut base);
-        slice.extend(cells.iter().map(|c| Observation {
+        slice.extend(cells.map(|c| Observation {
             extractor: c.extractor,
             source: grp.source,
             item: grp.item,

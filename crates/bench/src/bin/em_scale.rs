@@ -12,17 +12,18 @@
 //! **hard-asserts bitwise equality** of their source-trust scores,
 //! per-group truth posteriors and every round's Δ and log-likelihood,
 //! then prints the cube-build wall and the fit's per-stage wall breakdown
-//! (`StageWall`: chunking, vote rebuild, the round's one scan, the
-//! M-steps' finish) — a profile to read, not a gate: how fast the fit
-//! runs is measured by `benchmark/` alone. Before the fit it builds the
-//! corpus a second time on one worker and hard-asserts that the two
-//! builds are the same cube, field for field: a slip in how the build
-//! cuts its items into windows shows here. After the fit it refits at
-//! `PARTITION_TARGET_CELLS` cells per chunk — some sixteen times the item
-//! chunks, so the rows fold into the workers' sums in another order — and
-//! hard-asserts the same trust, truth and per-round Δ and log-likelihood
-//! bits: the M-step and log-likelihood sums are exact, so no partition
-//! can move a bit.
+//! (`StageWall`: vote rebuild, the round's one scan, the M-steps'
+//! finish; the build lays out the frames the fit scans) — a profile to
+//! read, not a gate: how fast the fit runs is measured by `benchmark/`
+//! alone. Before the fit it builds the corpus a second time on one worker
+//! and hard-asserts that the two builds are the same cube, key column,
+//! meta frame and item frames byte for byte: a slip in how the build cuts
+//! its items into windows, or its chunks, shows here. After the fit it
+//! refits the cube re-cut at `PARTITION_TARGET_CELLS` cells per chunk —
+//! some sixteen times the item chunks, so the rows fold into the workers'
+//! sums in another order — and hard-asserts the same trust, truth and
+//! per-round Δ and log-likelihood bits: the M-step and log-likelihood
+//! sums are exact, so no partition can move a bit.
 //!
 //! It prints two truth digests: the checksum of the per-group truth in
 //! cube order (item-major), and the same posteriors taken in
@@ -32,7 +33,8 @@
 //! pure relabeling, so every posterior must still be there, bit for bit.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
-//! the corpus is chunked to a `KBTCHNK4` store on disk, then two *child
+//! the corpus's own frames are written to a `KBTCHNK4` store on disk,
+//! then two *child
 //! processes* run the same fixed-round fit — one resident (regenerating
 //! the corpus), one streaming from the store with at most
 //! `MAX_RESIDENT_CHUNKS` decoded frames in memory — so each fit's `VmHWM`
@@ -65,8 +67,7 @@ use kbt_core::{
     QualityInit,
 };
 use kbt_datamodel::{
-    pair_counts, ChunkedCube, CubeBuilder, FileChunkStore, ItemId, ObservationCube, PairCounts,
-    SourceId,
+    pair_counts, ChunkBuf, ChunkingConfig, CubeBuilder, FileChunkStore, ObservationCube, PairCounts,
 };
 use kbt_synth::scale::{observations, ScaleConfig};
 
@@ -109,30 +110,21 @@ fn timed_corpus(triples: usize) -> (ObservationCube, Duration) {
     (rows.build(), t0.elapsed())
 }
 
-/// Hard-assert that two cubes are the same, bit for bit, through the
-/// public accessors: groups, cells, the per-source group counts and
-/// extractor sets, the per-item group lists and observed values.
+/// Hard-assert that two cubes are the same, bit for bit: the key column,
+/// the meta frame (shapes, chunk partition, per-source columns) and every
+/// item frame, confidences compared as bits.
 fn assert_same_cube(a: &ObservationCube, b: &ObservationCube) {
-    let shape = |c: &ObservationCube| {
-        let ids = (c.num_sources(), c.num_extractors(), c.num_items());
-        (ids, c.num_values(), c.num_cells())
+    assert!(a.groups() == b.groups(), "groups differ");
+    let (x, y) = (a.chunked(), b.chunked());
+    assert!(x.meta == y.meta, "meta frames differ");
+    let bits = |f: &ChunkBuf| {
+        f.cell_confidence
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(shape(a), shape(b), "cube shapes differ");
-    assert_eq!(a.groups(), b.groups(), "groups differ");
-    let cells = |c: &ObservationCube| -> Vec<(u32, u64)> {
-        let all = c.iter_with_cells().flat_map(|(_, _, cells)| cells);
-        all.map(|x| (x.extractor.0, x.confidence.to_bits()))
-            .collect()
-    };
-    assert!(cells(a) == cells(b), "cells differ");
-    for w in (0..a.num_sources() as u32).map(SourceId::new) {
-        assert_eq!(a.source_size(w), b.source_size(w), "{w:?} size");
-        let (x, y) = (a.extractors_on_source(w), b.extractors_on_source(w));
-        assert_eq!(x, y, "{w:?} extractor set");
-    }
-    for d in (0..a.num_items() as u32).map(ItemId::new) {
-        assert!(a.groups_of_item(d).eq(b.groups_of_item(d)), "{d:?} groups");
-        assert_eq!(a.observed_values(d), b.observed_values(d), "{d:?} values");
+    for (i, (f, g)) in x.frames.iter().zip(&y.frames).enumerate() {
+        assert!(f == g && bits(f) == bits(g), "item frame {i} differs");
     }
 }
 
@@ -316,23 +308,21 @@ fn run_streamed(mode: &str, triples: usize) {
         "em_scale --streamed ({mode}): {triples} triples, at most {MAX_RESIDENT_CHUNKS} decoded frames at once"
     );
 
-    // Chunk the corpus to disk once; both children fit the same data.
+    // Write the corpus's frames to disk once; both children fit the same
+    // data.
     let cube = corpus(triples);
-    let groups = cube.num_groups();
-    let chunked = ChunkedCube::from_cube(&cube, &fixed_round_cfg().chunking());
-    drop(cube);
+    let (groups, chunks) = (cube.num_groups(), cube.chunked().frames.len());
     let store_path = std::env::temp_dir().join(format!(
         "kbt-em-scale-streamed-{}.chunks",
         std::process::id()
     ));
-    FileChunkStore::write(&chunked, &store_path).expect("write chunk store");
+    FileChunkStore::write(cube.chunked(), &store_path).expect("write chunk store");
+    drop(cube);
     let store_bytes = std::fs::metadata(&store_path).map_or(0, |m| m.len()) as f64;
     println!(
-        "  chunk store: {} item chunks, {:.1} MiB on disk",
-        chunked.frames.len(),
+        "  chunk store: {chunks} item chunks, {:.1} MiB on disk",
         store_bytes / (1 << 20) as f64,
     );
-    drop(chunked);
 
     let resident = spawn_child(&["--child-resident", &triples.to_string()]);
     let streamed = spawn_child(&["--child-streamed", &store_path.display().to_string()]);
@@ -472,14 +462,13 @@ fn run_resident(mode: &str, triples: usize) {
     assert_source_major_pin(mode, &key_order);
     println!("  truth checksum in (source, item, value) order: {key_order}");
 
-    // Another partition of the same cube: more, smaller chunks, so the
-    // rows fold into the workers' sums in another order — and the same bits.
-    let chunks = |cfg: &ModelConfig| ChunkedCube::from_cube(&cube, &cfg.chunking()).frames.len();
-    let fine_cfg = ModelConfig {
-        chunk_target_cells: PARTITION_TARGET_CELLS,
-        ..cfg.clone()
-    };
-    let fine = MultiLayerModel::new(fine_cfg.clone()).fit(&cube, &init);
+    // The same cube re-cut: more, smaller chunks, so the rows fold into
+    // the workers' sums in another order — and the same bits.
+    let recut = cube.recut(&ChunkingConfig {
+        target_cells: PARTITION_TARGET_CELLS,
+    });
+    let chunks = |cube: &ObservationCube| cube.chunked().frames.len();
+    let fine = MultiLayerModel::new(cfg.clone()).fit(&recut, &init);
     assert_eq!(
         (
             bits_checksum(fine.source_trust()),
@@ -496,9 +485,10 @@ fn run_resident(mode: &str, triples: usize) {
     println!(
         "  refit at {PARTITION_TARGET_CELLS} cells per chunk ({} item chunks, not {}): \
          the same bits",
-        chunks(&fine_cfg),
-        chunks(&cfg)
+        chunks(&recut),
+        chunks(&cube)
     );
+    drop(recut);
 
     // The co-claim census: the same rows on one worker and on two, at the
     // detector's threshold and over every co-claiming pair.
@@ -525,10 +515,8 @@ fn run_resident(mode: &str, triples: usize) {
     let sw = &report.trace.stage_wall;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!(
-        "cube build {:.1} ms; stages (ms, all rounds): chunking {:.1}, votes {:.1}, scan {:.1}, \
-         M-step {:.1}",
+        "cube build {:.1} ms; stages (ms, all rounds): votes {:.1}, scan {:.1}, M-step {:.1}",
         ms(build_wall),
-        ms(sw.chunking),
         ms(sw.votes),
         ms(sw.scan),
         ms(sw.mstep),

@@ -79,7 +79,7 @@ fn extractor_index(cube: &ObservationCube) -> Vec<Vec<(u32, f64)>> {
     by_source.sort_by_key(|&g| cube.groups()[g as usize].source);
     let mut index = vec![Vec::new(); cube.num_extractors()];
     for g in by_source {
-        for cell in cube.cells_of(&cube.groups()[g as usize]) {
+        for cell in cube.cells_of(g as usize) {
             index[cell.extractor.index()].push((g, cell.confidence));
         }
     }
@@ -244,10 +244,8 @@ fn simulated_makespan(cube: &ObservationCube, workers: f64) -> [f64; 4] {
     use kbt_datamodel::ItemId;
     let makespan = |total: f64, max_task: f64| (total / workers).max(max_task);
     let total_cells = cube.num_cells() as f64;
-    let max_group = cube
-        .groups()
-        .iter()
-        .map(|g| g.cell_range().len())
+    let max_group = (cube.iter_with_cells())
+        .map(|(_, _, cells)| cells.len())
         .max()
         .unwrap_or(0) as f64;
     let max_item = (0..cube.num_items())

@@ -8,7 +8,6 @@
 use std::path::PathBuf;
 
 use crate::copydetect::CopyDetectConfig;
-use kbt_datamodel::ChunkingConfig;
 
 /// How false values are assumed to be distributed over the domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,9 +50,9 @@ pub enum AbsencePolicy {
     SourceCandidates,
 }
 
-/// Where the chunked cube lives during a fit — which
-/// `kbt_datamodel::ChunkSource` the one EM loop reads its item frames
-/// from. It changes where bytes come from, never which kernels run.
+/// Where a fit reads the cube's item frames from — which
+/// `kbt_datamodel::ChunkSource` the one EM loop scans. It changes where
+/// bytes come from, never which kernels run.
 ///
 /// [`CubeResidency::Streamed`] drives the EM rounds from a
 /// `kbt_datamodel::FileChunkStore`, each scan worker reading every frame
@@ -63,7 +62,7 @@ pub enum AbsencePolicy {
 /// any `max_resident_chunks`, warm starts and copy-aware refits included.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CubeResidency {
-    /// Keep the whole chunked cube in memory (the default).
+    /// Scan the cube's own frames in memory (the default).
     #[default]
     Resident,
     /// Stream chunk payloads from a `KBTCHNK4` chunk store on disk.
@@ -142,18 +141,9 @@ pub struct ModelConfig {
     /// `n` workers. Per-run and race-free — installed around inference
     /// via `kbt_flume::with_threads`.
     pub threads: Option<usize>,
-    /// Target number of cells per item-aligned chunk when the engine lays
-    /// the cube out as a `kbt_datamodel::ChunkedCube` (resident, or written
-    /// to a chunk store as the same frames): smaller chunks balance skew
-    /// better, larger ones amortize scheduling. Forwarded to
-    /// `kbt_datamodel::ChunkingConfig::target_cells`, which caps it at a
-    /// sixteenth of the cube's cells but not below 4 Ki; the default (64 Ki
-    /// cells ≈ a few MiB of columns) keeps a chunk's working set
-    /// L2/L3-resident. Has no effect on results — only on scheduling.
-    pub chunk_target_cells: usize,
-    /// Where the chunked cube lives during the fit: resident in memory
-    /// (default) or streamed from a chunk store on disk, a few decoded
-    /// frames at a time (`FusionModel::fit` always fits resident). Streamed
+    /// Where the fit reads the cube's frames: in memory (default), or
+    /// written to a chunk store on disk and streamed a few decoded frames
+    /// at a time (`FusionModel::fit` always fits resident). Streamed
     /// fits are bit-identical to resident ones — the knob trades I/O for
     /// peak RSS, never results.
     pub residency: CubeResidency,
@@ -192,7 +182,6 @@ impl Default for ModelConfig {
             literal_eq26_alpha: false,
             min_source_support: 1,
             threads: None,
-            chunk_target_cells: 64 * 1024,
             residency: CubeResidency::Resident,
             copy_detection: None,
         }
@@ -220,16 +209,6 @@ impl ModelConfig {
                 }
             }
             None => raw,
-        }
-    }
-
-    /// The chunk partitioning this config asks the engine to use — the
-    /// single construction site for
-    /// `kbt_datamodel::ChunkingConfig`.
-    #[inline]
-    pub fn chunking(&self) -> ChunkingConfig {
-        ChunkingConfig {
-            target_cells: self.chunk_target_cells,
         }
     }
 }

@@ -77,8 +77,7 @@ mod tests {
     use crate::multi_layer::tests::scan_rows;
     use crate::reference;
     use kbt_datamodel::{
-        ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, SourceId,
-        ValueId,
+        ChunkingConfig, CubeBuilder, ExtractorId, ItemId, Observation, SourceId, ValueId,
     };
 
     /// Two extractors with known quality; a triple extracted by the good
@@ -204,12 +203,13 @@ mod tests {
             reference::update_alpha(&mut want_alpha, &cube, &truth, &params, &cfg);
             let want = reference::estimate_correctness(&cube, &votes, &want_alpha, &cfg);
             for target_cells in [1usize, 5, 1 << 20] {
-                let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells });
+                let cut = cube.recut(&ChunkingConfig { target_cells });
+                let cc = cut.chunked();
                 for threads in [1, 2, 5] {
                     let mut workers = vec![RoundSums::default(); threads];
                     // α rides back out in the truth column.
                     let (got, alpha) = kbt_flume::with_threads(Some(threads), || {
-                        scan_rows(&cc, &cfg, columns, &mut workers, |sums, buf, rows| {
+                        scan_rows(cc, &cfg, columns, &mut workers, |sums, buf, rows| {
                             sums.reset(cube.num_sources(), cube.num_extractors(), true);
                             update_alpha(rows.alpha, &buf.ig_source, rows.truth, &params, &cfg);
                             estimate_correctness(

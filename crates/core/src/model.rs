@@ -41,17 +41,13 @@ pub struct IterationTrace {
 }
 
 /// Cumulative wall-clock time per EM stage across all rounds — the
-/// per-stage breakdown the `em_scale` bench reports. The single-layer
-/// baseline runs the same loop with the extraction layer off, so its
-/// scan does no correctness work and its vote stage is the value votes
-/// alone.
+/// per-stage breakdown the `em_scale` bench reports. A fit scans the
+/// frames its cube was built with, so it has no layout stage. The
+/// single-layer baseline runs the same loop with the extraction layer
+/// off, so its scan does no correctness work and its vote stage is the
+/// value votes alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWall {
-    /// Splitting the cube into its item frames and meta frame — the
-    /// `ChunkedCube::from_cube` split, once per fit from a cube
-    /// (`run_streamed` reads a pre-chunked store); for the single layer,
-    /// the pair-cube reshape as well.
-    pub chunking: Duration,
     /// Vote-table rebuilds (Eqs. 12–14, and Eq. 19's per-source votes).
     pub votes: Duration,
     /// The round's one scan: α (Eq. 26), correctness (Eqs. 15, 31), the

@@ -288,11 +288,12 @@ mod tests {
                 let (want_full, want_shrunk) = (oracle(&full), oracle(&shrunk));
                 for target_cells in [1usize, 64, 1 << 20] {
                     let chunking = ChunkingConfig { target_cells };
-                    let of = |cube| ChunkedCube::from_cube(cube, &chunking);
-                    for (cc, want) in [(of(&full), &want_full), (of(&shrunk), &want_shrunk)] {
+                    let of = |cube: &ObservationCube| cube.recut(&chunking);
+                    for (cut, want) in [(of(&full), &want_full), (of(&shrunk), &want_shrunk)] {
+                        let cc = cut.chunked();
                         for threads in [1usize, 2, 8] {
                             let (c, got, active) = kbt_flume::with_threads(Some(threads), || {
-                                two_rounds(&cc, &init, &truth[..cc.meta.num_groups as usize], &cfg)
+                                two_rounds(cc, &init, &truth[..cc.meta.num_groups as usize], &cfg)
                             });
                             let tag = format!("{policy:?} γ={estimate_gamma} t={target_cells}");
                             assert_eq!(bits(&c), bits(&want.0), "{tag} x{threads}");

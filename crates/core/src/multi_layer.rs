@@ -31,8 +31,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use kbt_datamodel::{
-    ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, SourceId,
-    StreamedChunks,
+    ChunkSource, ChunkStoreMeta, ChunkedCube, FileChunkStore, ObservationCube, StreamedChunks,
 };
 use kbt_flume::Stopwatch;
 
@@ -79,20 +78,13 @@ impl MultiLayerModel {
     /// Run Algorithm 1 on `cube` from `start`, cold or warm (`FusionSession`
     /// in `kbt-pipeline` resumes here), and report it; a discounted start
     /// makes even the first fit copy-aware. It runs under
-    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`, with the
-    /// chunked cube where [`ModelConfig::residency`] says (same bits); only
-    /// a streamed fit's I/O can fail.
+    /// [`ModelConfig::threads`] via `kbt_flume::with_threads`, over the
+    /// cube's own frames read where [`ModelConfig::residency`] says (same
+    /// bits); only a streamed fit's I/O can fail.
     pub fn run_from(&self, cube: &ObservationCube, start: EmState) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
-            // The chunked cube, built once per run: the
-            // copy-aware loop refits the same cube several times.
-            let mut sw = Stopwatch::start();
-            let chunked = ChunkedCube::from_cube(cube, &cfg.chunking());
-            let split = sw.lap();
-            let mut report = with_em(chunked, cfg, |fit| copy_aware(cfg, cube, start, fit))?;
-            report.trace.stage_wall.chunking += split;
-            Ok(report)
+            with_em(cube.chunked(), cfg, |fit| copy_aware(cfg, cube, start, fit))
         })
     }
 
@@ -164,9 +156,8 @@ impl EmState {
     /// every source with enough support active. A `Resume` init needs no
     /// schedule: α is re-estimated from the first truth on.
     pub fn start(cube: &ObservationCube, cfg: &ModelConfig, init: &QualityInit) -> Self {
-        let size = |w| cube.source_size(SourceId::new(w as u32)) as u32;
-        let sizes: Vec<u32> = (0..cube.num_sources()).map(size).collect();
-        Self::new(cube.num_extractors(), &sizes, cfg, init, true)
+        let meta = &cube.chunked().meta;
+        Self::new(cube.num_extractors(), &meta.source_sizes, cfg, init, true)
     }
 
     /// A warm restart on `cube`: the `last` fit's parameters resumed, and
@@ -327,23 +318,22 @@ fn copy_aware(
     Ok(report)
 }
 
-/// Lay `chunked` out where [`ModelConfig::residency`] says — the one place
-/// a fit's residency is decided — and hand `body` an EM fit over it, to
-/// run from any state as often as it asks. A streamed `chunked` is
-/// written to the store and dropped before the first scan.
+/// Read `chunked` where [`ModelConfig::residency`] says — the one place a
+/// fit's residency is decided — and hand `body` an EM fit over it, to run
+/// from any state as often as it asks. A streamed fit writes the frames
+/// to the store first and scans only the store.
 pub(crate) fn with_em<R>(
-    chunked: ChunkedCube,
+    chunked: &ChunkedCube,
     cfg: &ModelConfig,
     body: impl FnOnce(&dyn Fn(EmState) -> io::Result<FusionReport>) -> io::Result<R>,
 ) -> io::Result<R> {
     match &cfg.residency {
-        CubeResidency::Resident => body(&|start| fit_em(cfg, &chunked, start)),
+        CubeResidency::Resident => body(&|start| fit_em(cfg, chunked, start)),
         CubeResidency::Streamed {
             path,
             max_resident_chunks,
         } => {
-            FileChunkStore::write(&chunked, path)?;
-            drop(chunked);
+            FileChunkStore::write(chunked, path)?;
             let store = Arc::new(FileChunkStore::open(path)?);
             let src = StreamedChunks::new(store, *max_resident_chunks);
             body(&|start| fit_em(cfg, &src, start))
@@ -783,8 +773,8 @@ pub(crate) mod tests {
                 });
             }
         }
-        let cube = b.build();
-        let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 12 });
+        let cube = b.build().recut(&ChunkingConfig { target_cells: 12 });
+        let cc = cube.chunked();
         let cfg = ModelConfig::default();
         let cold = EmState::start(&cube, &cfg, &QualityInit::Default);
         let prior = (0..cube.num_groups()).map(|g| (g % 7) as f64 / 7.0);
@@ -792,12 +782,12 @@ pub(crate) mod tests {
         let warm = EmState::resume(&cube, &cfg, cold.params.clone(), prior.collect());
         let warm = warm.discounted(&scales);
         let path = std::env::temp_dir().join(format!("kbt-split-{}.chunks", std::process::id()));
-        FileChunkStore::write(&cc, &path).expect("write the store");
+        FileChunkStore::write(cc, &path).expect("write the store");
         let store = Arc::new(FileChunkStore::open(&path).expect("open the store"));
         for (start, tag) in [(&cold, "cold"), (&warm, "warm")] {
-            let want = check(&cc, start, 1, tag);
+            let want = check(cc, start, 1, tag);
             for threads in [1, 2, 8] {
-                let got = check(&cc, start, threads, tag);
+                let got = check(cc, start, threads, tag);
                 assert_eq!(got, want, "{tag} x{threads}");
                 for cap in [0, 1, 4] {
                     let src = StreamedChunks::new(Arc::clone(&store), cap);
@@ -805,7 +795,7 @@ pub(crate) mod tests {
                     assert_eq!(got, want, "{tag} cap={cap} x{threads}");
                 }
             }
-            let r = fit_em(&cfg, &cc, start.clone()).expect("fit");
+            let r = fit_em(&cfg, cc, start.clone()).expect("fit");
             for (g, grp) in cube.groups().iter().enumerate() {
                 let voted = r
                     .posteriors

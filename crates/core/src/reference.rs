@@ -1,5 +1,5 @@
 //! The scalar reference: Algorithm 1 written straight off the paper's
-//! equations over the row-major [`ObservationCube`] — one plainly serial
+//! equations over the [`ObservationCube`]'s groups and cells — one plainly serial
 //! function per equation, no chunks, no scratch reuse, no threads; its
 //! sums are [`ExactSum`]s, as the engine's are.
 //!
@@ -27,22 +27,17 @@ use crate::value::{ValueLayerOutput, LL_BLOCK_ROWS};
 use crate::votes::VoteCounter;
 
 /// Presence/absence vote tables (Eqs. 12–13) for `cube`: the cube's
-/// per-source candidate extractors, laid out as the CSR the one table
-/// builder ([`VoteCounter::rebuild`]) takes.
+/// per-source candidate extractors, as the CSR the one table builder
+/// ([`VoteCounter::rebuild`]) takes.
 pub fn vote_counter(cube: &ObservationCube, params: &Params, cfg: &ModelConfig) -> VoteCounter {
-    let mut offsets = vec![0u32];
-    let mut ids = Vec::new();
-    for w in 0..cube.num_sources() {
-        let on_source = cube.extractors_on_source(SourceId::new(w as u32));
-        ids.extend(on_source.iter().map(|e| e.0));
-        offsets.push(ids.len() as u32);
-    }
+    let meta = &cube.chunked().meta;
+    let (offsets, ids) = (&meta.source_ext_offsets, &meta.source_ext_ids);
     let mut votes = VoteCounter::empty();
     votes.rebuild(
         cube.num_extractors(),
         cube.num_sources(),
-        &offsets,
-        &ids,
+        offsets,
+        ids,
         params,
         cfg,
     );
@@ -58,9 +53,9 @@ pub fn estimate_correctness(
     alpha: &[f64],
     cfg: &ModelConfig,
 ) -> Vec<f64> {
-    let groups = cube.groups().iter().enumerate();
+    let groups = cube.iter_with_cells();
     groups
-        .map(|(g, grp)| sigmoid(votes.vote_count(grp.source, cube.cells_of(grp), cfg) + alpha[g]))
+        .map(|(g, grp, cells)| sigmoid(votes.vote_count(grp.source, cells, cfg) + alpha[g]))
         .collect()
 }
 

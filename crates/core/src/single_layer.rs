@@ -33,9 +33,8 @@
 use std::io;
 
 use kbt_datamodel::{
-    ChunkedCube, CubeBuilder, ExtractorId, Observation, ObservationCube, SourceId, TripleGroup,
+    CubeBuilder, ExtractorId, Observation, ObservationCube, SourceId, TripleGroup,
 };
-use kbt_flume::Stopwatch;
 
 use crate::config::ModelConfig;
 use crate::model::{FusionReport, PairSources};
@@ -78,20 +77,21 @@ impl SingleLayerModel {
     ) -> io::Result<FusionReport> {
         let cfg = &self.cfg;
         kbt_flume::with_threads(cfg.threads, || {
-            let mut sw = Stopwatch::start();
             let (pairs, pair_cube) = pair_cube(cube, cfg);
-            let chunked = ChunkedCube::from_cube(&pair_cube, &cfg.chunking());
-            drop(pair_cube);
-            let chunking = sw.lap();
             let init = QualityInit::FromGold {
                 source_accuracy: pairs.iter().map(|&(w, _)| page_init(init, w)).collect(),
                 extractor_precision: Vec::new(),
                 extractor_recall: Vec::new(),
             };
-            let ne = chunked.meta.num_extractors as usize;
-            let start = EmState::new(ne, &chunked.meta.source_sizes, cfg, &init, false);
-            let mut fit = with_em(chunked, cfg, |fit| fit(start))?;
-            fit.trace.stage_wall.chunking += chunking;
+            let meta = &pair_cube.chunked().meta;
+            let start = EmState::new(
+                pair_cube.num_extractors(),
+                &meta.source_sizes,
+                cfg,
+                &init,
+                false,
+            );
+            let fit = with_em(pair_cube.chunked(), cfg, |fit| fit(start))?;
             Ok(fold_back(cube, cfg, pairs, fit))
         })
     }
@@ -103,11 +103,9 @@ impl SingleLayerModel {
 pub(crate) fn claims<'a>(
     cube: &'a ObservationCube,
     cfg: &'a ModelConfig,
-) -> impl Iterator<Item = (usize, &'a TripleGroup, ExtractorId)> + 'a {
+) -> impl Iterator<Item = (usize, TripleGroup, ExtractorId)> + 'a {
     cube.iter_with_cells().flat_map(move |(g, grp, cells)| {
-        let claimed = cells
-            .iter()
-            .filter(|c| cfg.effective_confidence(c.confidence) > 0.0);
+        let claimed = cells.filter(|c| cfg.effective_confidence(c.confidence) > 0.0);
         claimed.map(move |c| (g, grp, c.extractor))
     })
 }

@@ -395,13 +395,14 @@ mod tests {
             votes.rebuild(&params, &cfg, &active, discount);
             for target_cells in [1usize, 16, 1 << 20] {
                 let chunking = ChunkingConfig { target_cells };
-                let cc = ChunkedCube::from_cube(&cube, &chunking);
+                let cut = cube.recut(&chunking);
+                let cc = cut.chunked();
                 for shards in [1usize, 2, 8] {
                     let mut scratch: Vec<ColValueScratch> = Vec::new();
                     scratch.resize_with(shards, Default::default);
                     let mut run = || {
                         kbt_flume::with_threads(Some(shards), || {
-                            scan(&cc, &correctness, &votes, &active, &mut scratch)
+                            scan(cc, &correctness, &votes, &active, &mut scratch)
                         })
                     };
                     // Run twice: the second round exercises buffer reuse.

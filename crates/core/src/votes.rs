@@ -105,7 +105,7 @@ impl VoteCounter {
     pub fn vote_count(
         &self,
         source: SourceId,
-        cells: &[kbt_datamodel::Cell],
+        cells: impl IntoIterator<Item = kbt_datamodel::Cell>,
         cfg: &ModelConfig,
     ) -> f64 {
         let mut vc = self.source_absence_sum[source.index()];
@@ -188,7 +188,7 @@ mod tests {
             })
             .collect();
         let cfg = ModelConfig::default();
-        let v = vc.vote_count(SourceId::new(0), &cells, &cfg);
+        let v = vc.vote_count(SourceId::new(0), cells, &cfg);
         assert!((v - 11.7).abs() < 0.15, "VCC = {v}");
     }
 
@@ -202,7 +202,7 @@ mod tests {
             confidence: 1.0,
         }];
         let cfg = ModelConfig::default();
-        let v = vc.vote_count(SourceId::new(0), &cells, &cfg);
+        let v = vc.vote_count(SourceId::new(0), cells, &cfg);
         assert!((v - (-9.4)).abs() < 0.15, "VCC = {v}");
     }
 
@@ -213,7 +213,7 @@ mod tests {
         let cfg = ModelConfig::default();
         let full = vc.vote_count(
             SourceId::new(0),
-            &[Cell {
+            [Cell {
                 extractor: ExtractorId::new(0),
                 confidence: 1.0,
             }],
@@ -221,13 +221,13 @@ mod tests {
         );
         let half = vc.vote_count(
             SourceId::new(0),
-            &[Cell {
+            [Cell {
                 extractor: ExtractorId::new(0),
                 confidence: 0.5,
             }],
             &cfg,
         );
-        let none = vc.vote_count(SourceId::new(0), &[], &cfg);
+        let none = vc.vote_count(SourceId::new(0), [], &cfg);
         // A half-confidence extraction votes exactly halfway between a
         // full extraction and no extraction.
         assert!(((full + none) / 2.0 - half).abs() < 1e-9);
@@ -243,13 +243,13 @@ mod tests {
         };
         let low = vc.vote_count(
             SourceId::new(0),
-            &[Cell {
+            [Cell {
                 extractor: ExtractorId::new(0),
                 confidence: 0.5,
             }],
             &cfg,
         );
-        let none = vc.vote_count(SourceId::new(0), &[], &cfg);
+        let none = vc.vote_count(SourceId::new(0), [], &cfg);
         assert_eq!(low, none); // 0.5 < φ behaves like no extraction
     }
 }

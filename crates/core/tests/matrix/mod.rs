@@ -170,7 +170,7 @@ fn assert_fits_bitwise_eq(
 
 /// One row of the matrix: fit `cube` under `cfg` from `init` with the
 /// oracle and with the engine's `run_traced` at every (residency,
-/// threads) cell, chunked at `cfg.chunk_target_cells`, and assert every
+/// threads) cell, over the cube's own frames, and assert every
 /// fit equals the oracle's bit for bit. A streamed cell also refits from
 /// the store its fit wrote through the cube-less `run_streamed`, reading
 /// each item frame once a round.

@@ -18,8 +18,8 @@ use kbt_core::{
 };
 use kbt_datamodel::wire::{WireError, WireReader};
 use kbt_datamodel::{
-    ChunkedCube, ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation,
-    ObservationCube, SourceId, ValueId,
+    ChunkingConfig, CubeBuilder, ExtractorId, FileChunkStore, ItemId, Observation, ObservationCube,
+    SourceId, ValueId,
 };
 use proptest::prelude::*;
 
@@ -57,14 +57,17 @@ fn build(observations: Vec<Observation>) -> ObservationCube {
     b.build()
 }
 
-/// The matrix cell for a cold default-config fit of `cube`, chunked at
+/// `cube` with its frames re-cut at `target_cells` cells a chunk.
+fn recut(cube: &ObservationCube, target_cells: usize) -> ObservationCube {
+    cube.recut(&ChunkingConfig { target_cells })
+}
+
+/// The matrix cell for a cold default-config fit of `cube`, re-cut at
 /// `target_cells`.
 fn check_cube(cube: &ObservationCube, target_cells: usize, tag: &str) {
-    let cfg = ModelConfig {
-        chunk_target_cells: target_cells,
-        ..ModelConfig::default()
-    };
-    assert_engine_matches_reference(cube, &cfg, &QualityInit::Default, tag);
+    let cube = recut(cube, target_cells);
+    let cfg = ModelConfig::default();
+    assert_engine_matches_reference(&cube, &cfg, &QualityInit::Default, tag);
 }
 
 #[test]
@@ -75,10 +78,8 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
     }
     // The configuration axes, on tiny chunks so every fit crosses many
     // chunk and frame boundaries.
-    let base = ModelConfig {
-        chunk_target_cells: 24,
-        ..ModelConfig::default()
-    };
+    let cube = recut(&cube, 24);
+    let base = ModelConfig::default();
     let mut cases = Vec::new();
     for value_model in [ValueModel::Accu, ValueModel::PopAccu] {
         for correctness_weighting in [CorrectnessWeighting::Weighted, CorrectnessWeighting::Map] {
@@ -137,9 +138,9 @@ fn streamed_fit_is_bitwise_identical_to_resident() {
 /// The cube's groups are item-major, so a fit's rows *are* its groups:
 /// nothing is permuted between the scan and the report. On a cube whose
 /// items are claimed by sources spread over the whole id range, grown by
-/// a delta and then retracted (emptied sources and items), group `g` is
-/// local row `g − chunk.rows.start` of its chunk's frame, with its cells
-/// at the frame's offset into the cube's cells; a warm fit (resumed parameters, a per-group prior
+/// a delta and then retracted (emptied sources and items) and re-cut,
+/// group `g` is local row `g − chunk.rows.start` of its chunk's frame, of
+/// the frame's item, its value the row's slot; a warm fit (resumed parameters, a per-group prior
 /// truth, a copy discount) equals the oracle bit for bit in every matrix
 /// cell, and streamed at 8 threads under caps 0, 1 and 4 too; and every
 /// per-group vector of the report is its group's: each group's truth is
@@ -166,29 +167,29 @@ fn the_rows_are_the_groups() {
         .filter(|g| g.source.0 == 13 || g.item.0 == 5 || (g.source.0 + g.item.0) % 11 == 0)
         .map(|g| (g.source, g.item, g.value))
         .collect();
-    let cube = grown.retract(&gone);
-    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 16 });
-    let (mut next_row, mut first_cell) = (0, 0);
+    let cube = recut(&grown.retract(&gone), 16);
+    let cc = cube.chunked();
+    let (mut next_row, mut cells) = (0, 0);
     for (chunk, frame) in cc.meta.item_chunks.iter().zip(&cc.frames) {
         assert_eq!(chunk.rows.start as usize, next_row);
-        for r in 0..frame.num_rows() {
-            let g = chunk.rows.start as usize + r;
-            let grp = &cube.groups()[g];
-            assert_eq!(frame.ig_source[r], grp.source.0, "row {g}");
-            let cells = frame.cells(r);
-            let cells = first_cell + cells.start..first_cell + cells.end;
-            assert_eq!(cells, grp.cell_range(), "row {g}");
+        for li in 0..frame.num_items() {
+            for r in frame.rows(li) {
+                let g = chunk.rows.start as usize + r;
+                let grp = &cube.groups()[g];
+                assert_eq!(frame.ig_source[r], grp.source.0, "row {g}");
+                assert_eq!(frame.items.start + li as u32, grp.item.0, "row {g}");
+                let value = frame.values(li)[frame.ig_slot[r] as usize];
+                assert_eq!(value, grp.value.0, "row {g}");
+            }
         }
         next_row += frame.num_rows();
-        first_cell += chunk.cells as usize;
+        cells += chunk.cells as usize;
     }
+    assert!(cc.frames.len() > 4, "{} frames", cc.frames.len());
     assert_eq!(next_row, cube.num_groups());
-    assert_eq!(first_cell, cube.num_cells());
+    assert_eq!(cells, cube.num_cells());
 
-    let cfg = ModelConfig {
-        chunk_target_cells: 16,
-        ..ModelConfig::default()
-    };
+    let cfg = ModelConfig::default();
     let cold = MultiLayerModel::new(cfg.clone())
         .run_traced(&cube, &QualityInit::Default)
         .expect("resident fit");
@@ -270,10 +271,9 @@ fn a_start_is_discounted_by_padded_independence_factors() {
 /// refused at open with a typed error, never read as the current one.
 #[test]
 fn a_kbtchnk3_store_is_refused_at_open() {
-    let cube = build(observations(5, 300));
-    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 32 });
+    let cube = recut(&build(observations(5, 300)), 32);
     let path = fresh_path("v3");
-    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    FileChunkStore::write(cube.chunked(), &path).expect("write chunk store");
     let mut bytes = fs::read(&path).expect("read back");
     assert_eq!(&bytes[..8], b"KBTCHNK4");
     bytes[..8].copy_from_slice(b"KBTCHNK3");
@@ -304,10 +304,9 @@ fn streamed_fit_tracks_delta_and_retract() {
 
 #[test]
 fn corruption_mid_file_is_a_typed_error_not_a_panic() {
-    let cube = build(observations(4, 500));
-    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 32 });
+    let cube = recut(&build(observations(4, 500)), 32);
     let path = fresh_path("corrupt");
-    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    FileChunkStore::write(cube.chunked(), &path).expect("write chunk store");
     let clean = fs::read(&path).expect("read back");
     let model = MultiLayerModel::new(ModelConfig::default());
 
@@ -378,10 +377,10 @@ fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> s
 /// and a cell naming an extractor the cube does not have.
 #[test]
 fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
-    let cube = build(observations(6, 500));
-    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 48 });
+    let cube = recut(&build(observations(6, 500)), 48);
+    let cc = cube.chunked();
     let path = fresh_path("bad-frame");
-    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    FileChunkStore::write(cc, &path).expect("write chunk store");
     let clean = fs::read(&path).expect("read back");
     let item_frames = frame_payloads(&clean);
     assert!(item_frames.len() >= 8, "{} item frames", item_frames.len());
@@ -441,10 +440,9 @@ fn a_bad_frame_mid_fit_is_a_typed_error_at_any_threads_and_cache() {
 /// exactly once, at any thread count and cap.
 #[test]
 fn a_round_scans_the_store_once() {
-    let cube = build(observations(7, 2_000));
-    let cc = ChunkedCube::from_cube(&cube, &ChunkingConfig { target_cells: 64 });
+    let cube = recut(&build(observations(7, 2_000)), 64);
     let path = fresh_path("scans");
-    FileChunkStore::write(&cc, &path).expect("write chunk store");
+    FileChunkStore::write(cube.chunked(), &path).expect("write chunk store");
     let store = Arc::new(FileChunkStore::open(&path).expect("open chunk store"));
     let chunks = store.num_chunks() as u64;
     assert!(chunks > 8, "the cap must be smaller than the store");
@@ -479,11 +477,10 @@ fn a_streamed_run_traced_reads_its_store() {
         let rchar = io.lines().find_map(|l| l.strip_prefix("rchar: "));
         rchar.and_then(|n| n.parse().ok()).expect("an rchar line")
     };
-    let cube = build(observations(7, 2_000));
+    let cube = recut(&build(observations(7, 2_000)), 64);
     let path = fresh_path("traced");
     let model = MultiLayerModel::new(ModelConfig {
         threads: Some(1),
-        chunk_target_cells: 64,
         residency: CubeResidency::Streamed {
             path: path.clone(),
             max_resident_chunks: 1,

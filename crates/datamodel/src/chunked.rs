@@ -1,36 +1,28 @@
 //! Columnar (SoA) chunked form of the observation cube — the layout the
 //! EM hot loops stream at 10M-triple scale.
 //!
-//! [`ObservationCube`] stores groups and cells as arrays of structs; the
-//! inference loops chase `Range` fields and branch per group. At millions
-//! of triples that layout leaves throughput on the table: the E-step wants
-//! to stream *columns* (`source[]`, `value[]`, `confidence[]`, …) with a
-//! fixed reduction order so rustc can keep the loop bodies branch-free and
-//! auto-vectorize the float accumulations.
+//! At millions of triples the E-step wants to stream *columns*
+//! (`source[]`, `value[]`, `confidence[]`, …) with a fixed reduction order,
+//! so rustc can keep the loop bodies branch-free and auto-vectorize the
+//! float accumulations, rather than chase per-group ranges into an array
+//! of structs.
 //!
 //! [`ChunkedCube`] is that layout, and it has one shape in memory and on
 //! disk: the **meta frame** ([`ChunkStoreMeta`]) plus one **item frame**
 //! ([`ChunkBuf`]) per chunk — exactly what a [`FileChunkStore`] written
-//! from it decodes, frame for frame. It is **derived** from an
-//! [`ObservationCube`] (the cube stays the system of record — deltas and
-//! retractions still go through [`ObservationCube::apply_delta`] /
-//! [`ObservationCube::retract`], and the chunked cube is rebuilt from the
-//! result), and it is **row-equivalent by construction**: the cube's
-//! groups are item-major already, so the frames' rows are the groups in
-//! order, with their cells in the cube's cell order, and building the
-//! frames is one sequential split into columns — a kernel that walks a
-//! row's cells, or an item's rows, performs bit-for-bit the same float
-//! operations as one walking the cube, and a fit's per-row outputs are the
-//! report's per-group ones. The `columnar_cube` proptests pin that
-//! equivalence down through build, `apply_delta`, and `retract`.
+//! from it decodes, frame for frame. It is where an [`ObservationCube`]'s
+//! cells live ([`ObservationCube::chunked`]): the cube's build, deltas
+//! and retractions write its frames, whose rows are its groups in order,
+//! so no fit lays the cube out again. [`ChunkedCube::from_cube`] is the
+//! re-cut, the same rows at another chunk size, which moves no result.
 //!
-//! The rows are partitioned into fixed-size, **item-aligned chunks**
-//! ([`CubeChunk`]) of roughly [`ChunkingConfig::target_cells`] cells: a
-//! chunk carries everything an EM round computes for its rows —
-//! correctness from its cells, the value posteriors of its items — so a
-//! round is one scan that hands whole frames to its workers
-//! ([`ChunkSource::scan_items`]). Because chunks never split an item,
-//! per-item reductions stay local to one worker.
+//! The rows are partitioned into **item-aligned chunks** ([`CubeChunk`])
+//! of roughly [`ChunkingConfig::target_cells`] cells: a chunk carries
+//! everything an EM round computes for its rows — correctness from its
+//! cells, the value posteriors of its items — so a round is one scan that
+//! hands whole frames to its workers ([`ChunkSource::scan_items`]).
+//! Because chunks never split an item, per-item reductions stay local to
+//! one worker.
 //!
 //! # Chunk sources
 //!
@@ -65,7 +57,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cube::ObservationCube;
-use crate::ids::{ItemId, SourceId};
 use crate::wire::{self, WireError, WireReader};
 
 /// How the columnar cube is partitioned into chunks.
@@ -77,7 +68,9 @@ pub struct ChunkingConfig {
     /// workers (a very wide item can exceed the cap). Smaller chunks = finer
     /// load balancing and a smaller per-worker working set; larger chunks =
     /// less scheduling overhead. The default (64 Ki cells ≈ 1 MiB of
-    /// confidence + id columns) keeps a chunk's hot data L2-resident.
+    /// confidence + id columns) keeps a chunk's hot data L2-resident; every
+    /// cube is cut at it, and only a re-cut ([`ChunkedCube::from_cube`])
+    /// cuts at another.
     pub target_cells: usize,
 }
 
@@ -86,6 +79,36 @@ impl Default for ChunkingConfig {
         Self {
             target_cells: 64 * 1024,
         }
+    }
+}
+
+impl ChunkingConfig {
+    /// The partition of the items whose `(groups, cells)` `per_item`
+    /// yields in item order, `cells` in all: greedy, each chunk closed at
+    /// the first item boundary at or past its cap.
+    pub(crate) fn cut(
+        &self,
+        per_item: impl Iterator<Item = (u32, u32)>,
+        cells: usize,
+    ) -> Vec<CubeChunk> {
+        // At most a sixteenth of the cube, and no less than 4 Ki cells.
+        let cap = (cells as u64).div_ceil(16).max(4 * 1024);
+        let target = (self.target_cells.max(1) as u64).min(cap);
+        let mut chunks: Vec<CubeChunk> = Vec::new();
+        for (d, (groups, cells)) in (0u32..).zip(per_item) {
+            match chunks.last_mut() {
+                Some(open) if u64::from(open.cells) < target => {
+                    (open.items.end, open.rows.end, open.cells) =
+                        (d + 1, open.rows.end + groups, open.cells + cells);
+                }
+                _ => {
+                    let row = chunks.last().map_or(0, |c| c.rows.end);
+                    let (items, rows) = (d..d + 1, row..row + groups);
+                    chunks.push(CubeChunk { items, rows, cells });
+                }
+            }
+        }
+        chunks
     }
 }
 
@@ -122,108 +145,31 @@ pub struct ChunkedCube {
     pub frames: Vec<ChunkBuf>,
 }
 
-/// Cubes of at least this many groups fill their frames on up to
-/// `kbt_flume::num_threads()` workers; smaller ones (unit tests, serving
-/// deltas) fill them inline.
-const PARALLEL_FILL_GROUPS: usize = 1 << 15;
-
 impl ChunkedCube {
-    /// Split `cube` into item frames, partitioned per `cfg`.
-    ///
-    /// Pure copy: no recomputation — the cube's groups are already the
-    /// rows in order and its cells the cell columns, so one sequential
-    /// walk per chunk fills its frame, which is what makes columnar EM
-    /// kernels bit-for-bit equal to the row-major ones. Every value is
-    /// independent of the worker count, which fills whole frames.
+    /// The re-cut: `cube`'s frames with the chunks closed per `cfg`
+    /// ([`ObservationCube::recut`]'s frames). The rows, their cells and
+    /// every per-source column are the cube's; at the default
+    /// configuration the frames are the cube's own, bit for bit.
     pub fn from_cube(cube: &ObservationCube, cfg: &ChunkingConfig) -> Self {
-        let (ni, ns) = (cube.num_items(), cube.num_sources());
-        let (groups, item_offsets) = (cube.groups(), cube.item_offsets());
-        let (value_offsets, _) = cube.item_values();
-        let cell_at = |r: u32| {
-            (groups.get(r as usize)).map_or(cube.num_cells(), |g| g.cell_range().start) as u32
-        };
+        cube.recut(cfg).chunked
+    }
 
-        // Greedy: close a chunk at the first item boundary at or past its cap.
-        const MIN_CHUNK_CELLS: u64 = 4 * 1024;
-        const MIN_CHUNKS: u64 = 16;
-        let share = (cube.num_cells() as u64).div_ceil(MIN_CHUNKS);
-        let target = (cfg.target_cells.max(1) as u64).min(share.max(MIN_CHUNK_CELLS));
-        let (mut item_chunks, mut start) = (Vec::new(), 0usize);
-        for d in 0..ni {
-            let rows = item_offsets[start]..item_offsets[d + 1];
-            let cells = cell_at(rows.end) - cell_at(rows.start);
-            if u64::from(cells) >= target || d + 1 == ni {
-                let items = start as u32..(d + 1) as u32;
-                item_chunks.push(CubeChunk { items, rows, cells });
-                start = d + 1;
-            }
-        }
-
-        // Every frame's buffers are sized here, on the calling thread, so
-        // the workers below fill them without allocating: memory a worker
-        // allocates lands in its thread's malloc arena and stays resident
-        // after the call.
-        let mut frames: Vec<ChunkBuf> = (item_chunks.iter())
-            .map(|c| {
-                let (items, rows) = (c.items.len(), c.rows.len());
-                let values =
-                    value_offsets[c.items.end as usize] - value_offsets[c.items.start as usize];
-                ChunkBuf {
-                    items: c.items.clone(),
-                    item_offsets: Vec::with_capacity(items + 1),
-                    item_value_offsets: Vec::with_capacity(items + 1),
-                    item_values: Vec::with_capacity(values as usize),
-                    ig_source: Vec::with_capacity(rows),
-                    ig_slot: Vec::with_capacity(rows),
-                    cell_offsets: Vec::with_capacity(rows + 1),
-                    cell_extractor: Vec::with_capacity(c.cells as usize),
-                    cell_confidence: Vec::with_capacity(c.cells as usize),
-                }
-            })
-            .collect();
-        // One per-source distinct-item count per worker, summed after.
-        let workers = if groups.len() >= PARALLEL_FILL_GROUPS {
-            kbt_flume::num_threads()
-        } else {
-            1
-        };
-        let mut item_counts = vec![vec![0u32; ns]; workers];
-        let slots = per_chunk(&mut frames, item_chunks.len());
-        let Ok(_) = kbt_flume::run_tasks(item_chunks.len(), &mut item_counts, |counts, i| {
-            let mut frame = slots[i].lock().expect("a frame is filled once");
-            frame.fill(cube, &item_chunks[i], counts);
-            Ok::<_, std::convert::Infallible>(())
+    /// Approximate payload bytes of the meta frame and the item frames.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let m = &self.meta;
+        let words = |columns: &[&Vec<u32>]| 4 * columns.iter().map(|c| c.len()).sum::<usize>();
+        let per_source = [
+            &m.source_sizes,
+            &m.source_item_counts,
+            &m.source_ext_offsets,
+        ];
+        let frames = self.frames.iter().map(|f| {
+            let rows = [&f.ig_source, &f.ig_slot, &f.cell_offsets, &f.cell_extractor];
+            let items = [&f.item_offsets, &f.item_value_offsets, &f.item_values];
+            words(&rows) + words(&items) + 8 * f.cell_confidence.len()
         });
-        drop(slots);
-        let mut item_counts = item_counts.into_iter();
-        let mut source_item_counts = item_counts.next().expect("one worker at least");
-        for counts in item_counts {
-            (source_item_counts.iter_mut().zip(counts)).for_each(|(n, k)| *n += k);
-        }
-
-        let (source_ext_offsets, source_ext_ids) = cube.source_extractors();
-        let meta = ChunkStoreMeta {
-            num_groups: groups.len() as u32,
-            num_cells: cube.num_cells() as u32,
-            num_items: ni as u32,
-            num_sources: ns as u32,
-            num_extractors: cube.num_extractors() as u32,
-            num_values: cube.num_values() as u32,
-            max_item_values: (value_offsets.windows(2).map(|w| w[1] - w[0]))
-                .max()
-                .unwrap_or(0),
-            max_chunk_rows: (item_chunks.iter().map(|c| c.rows.len() as u32))
-                .max()
-                .unwrap_or(0),
-            item_chunks,
-            source_sizes: (0..ns)
-                .map(|w| cube.source_size(SourceId::new(w as u32)) as u32)
-                .collect(),
-            source_item_counts,
-            source_ext_offsets: source_ext_offsets.to_vec(),
-            source_ext_ids: source_ext_ids.iter().map(|e| e.0).collect(),
-        };
-        Self { meta, frames }
+        let chunks = m.item_chunks.len() * std::mem::size_of::<CubeChunk>();
+        chunks + words(&per_source) + words(&[&m.source_ext_ids]) + frames.sum::<usize>()
     }
 }
 
@@ -285,52 +231,20 @@ impl ChunkBuf {
         self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize
     }
 
-    /// Append `chunk`'s columns of `cube`, rebased to the chunk, and
-    /// count each source's distinct items among its rows into
-    /// `items_per_source`.
-    fn fill(&mut self, cube: &ObservationCube, chunk: &CubeChunk, items_per_source: &mut [u32]) {
-        let items = chunk.items.start as usize..chunk.items.end as usize;
-        let rows = &cube.groups()[chunk.rows.start as usize..chunk.rows.end as usize];
-        let (value_offsets, values) = cube.item_values();
-        let item_offsets = &cube.item_offsets()[items.start..=items.end];
-        let value_offsets = &value_offsets[items.start..=items.end];
-        let (first_row, first_value) = (item_offsets[0], value_offsets[0]);
-        let cells = rows.first().map_or(0, |g| g.cell_range().start);
-        let cells = cells..cells + chunk.cells as usize;
-
-        self.item_offsets
-            .extend(item_offsets.iter().map(|&o| o - first_row));
-        self.item_value_offsets
-            .extend(value_offsets.iter().map(|&o| o - first_value));
-        let values = &values[first_value as usize..value_offsets[items.len()] as usize];
-        self.item_values.extend(values.iter().map(|v| v.0));
-        self.ig_source.extend(rows.iter().map(|g| g.source.0));
-        self.cell_offsets.push(0);
-        (self.cell_offsets).extend(
-            rows.iter()
-                .map(|g| (g.cell_range().end - cells.start) as u32),
-        );
-        let cells = &cube.cells[cells];
-        self.cell_extractor
-            .extend(cells.iter().map(|c| c.extractor.0));
-        self.cell_confidence
-            .extend(cells.iter().map(|c| c.confidence));
-
-        for li in 0..items.len() {
-            let vals = cube.observed_values(ItemId::new(chunk.items.start + li as u32));
-            let at = self.rows(li);
-            self.ig_slot.extend(rows[at.clone()].iter().map(|g| {
-                let slot = vals.binary_search(&g.value);
-                slot.expect("group value is an observed value of its item") as u32
-            }));
-            // An item's rows are sorted by source, so its sources come in
-            // runs, one per (source, item) pair.
-            let sources = &self.ig_source[at];
-            for (k, &w) in sources.iter().enumerate() {
-                if k == 0 || sources[k - 1] != w {
-                    items_per_source[w as usize] += 1;
-                }
-            }
+    /// An empty frame of `chunk`, its columns' capacity sized for the
+    /// chunk's rows and cells (an item's values are at most its rows).
+    pub(crate) fn sized_for(chunk: &CubeChunk) -> Self {
+        let (items, rows, cells) = (chunk.items.len(), chunk.rows.len(), chunk.cells as usize);
+        Self {
+            items: chunk.items.clone(),
+            item_offsets: Vec::with_capacity(items + 1),
+            item_value_offsets: Vec::with_capacity(items + 1),
+            item_values: Vec::with_capacity(rows),
+            ig_source: Vec::with_capacity(rows),
+            ig_slot: Vec::with_capacity(rows),
+            cell_offsets: Vec::with_capacity(rows + 1),
+            cell_extractor: Vec::with_capacity(cells),
+            cell_confidence: Vec::with_capacity(cells),
         }
     }
 
@@ -812,8 +726,8 @@ impl FileChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::CubeBuilder;
-    use crate::ids::{ExtractorId, ValueId};
+    use crate::cube::{CubeBuilder, TripleGroup};
+    use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
     use crate::triple::Observation;
 
     fn obs(e: u32, w: u32, d: u32, v: u32, c: f64) -> Observation {
@@ -838,54 +752,52 @@ mod tests {
         b.build()
     }
 
-    /// Every frame must be a faithful split of the cube: cube row `g` is
-    /// local row `g − chunk.rows.start` of its frame, with its cells in the
-    /// cube's order.
-    fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
-        let meta = &cc.meta;
-        assert_eq!(meta.num_groups as usize, cube.num_groups());
-        assert_eq!(meta.num_cells as usize, cube.num_cells());
-        assert_eq!(meta.num_sources as usize, cube.num_sources());
-        assert_eq!(meta.num_extractors as usize, cube.num_extractors());
-        assert_eq!(meta.num_items as usize, cube.num_items());
-        assert_eq!(meta.num_values as usize, cube.num_values());
-        for w in 0..cube.num_sources() {
-            let size = cube.source_size(SourceId::new(w as u32));
-            assert_eq!(meta.source_sizes[w] as usize, size);
-        }
-        assert_eq!(cc.frames.len(), meta.item_chunks.len());
-        for (chunk, frame) in meta.item_chunks.iter().zip(&cc.frames) {
-            assert_eq!(frame.cell_offsets.len(), frame.num_rows() + 1);
-            let first_row = chunk.rows.start as usize;
-            let first_cell = cube
-                .groups()
-                .get(first_row)
-                .map_or(0, |g| g.cell_range().start);
+    /// Every row of `cc` in order: its key and cells (confidences as
+    /// bits), read off the frames.
+    fn rows(cc: &ChunkedCube) -> Vec<(TripleGroup, Vec<(u32, u64)>)> {
+        let mut rows = Vec::new();
+        for frame in &cc.frames {
             for li in 0..frame.num_items() {
-                let d = ItemId::new(chunk.items.start + li as u32);
-                let vals = cube.observed_values(d);
-                assert_eq!(
-                    frame.values(li),
-                    vals.iter().map(|v| v.0).collect::<Vec<_>>().as_slice()
-                );
-                let rows = cube.groups_of_item(d);
-                let at = frame.rows(li);
-                assert_eq!(at.start + first_row..at.end + first_row, rows);
-                for r in at {
-                    let grp = &cube.groups()[r + first_row];
-                    assert_eq!(frame.ig_source[r], grp.source.0);
-                    assert_eq!(frame.values(li)[frame.ig_slot[r] as usize], grp.value.0);
-                    let cells = cube.cells_of(grp);
-                    let at = frame.cells(r);
-                    assert_eq!(at.start + first_cell, grp.cell_range().start);
-                    assert_eq!(at.len(), cells.len());
-                    for (k, c) in at.zip(cells) {
-                        assert_eq!(frame.cell_extractor[k], c.extractor.0);
-                        assert_eq!(frame.cell_confidence[k].to_bits(), c.confidence.to_bits());
-                    }
-                }
+                rows.extend(frame.rows(li).map(|r| {
+                    let cells = frame.cells(r).map(|k| frame.cell_extractor[k]);
+                    let bits = frame.cells(r).map(|k| frame.cell_confidence[k].to_bits());
+                    let item = ItemId::new(frame.items.start + li as u32);
+                    let value = ValueId::new(frame.values(li)[frame.ig_slot[r] as usize]);
+                    let source = SourceId::new(frame.ig_source[r]);
+                    let key = TripleGroup {
+                        source,
+                        item,
+                        value,
+                    };
+                    (key, cells.zip(bits).collect())
+                }));
             }
         }
+        rows
+    }
+
+    /// A re-cut is a faithful split of the cube: the same rows, with their
+    /// cells, in cube order, and the cube's counts and per-source columns.
+    fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
+        let (m, own) = (&cc.meta, &cube.chunked().meta);
+        let counts = |m: &ChunkStoreMeta| [m.num_groups, m.num_cells, m.num_items, m.num_values];
+        assert_eq!(counts(m), counts(own));
+        let columns = |m: &ChunkStoreMeta| {
+            let ids = [
+                &m.source_ext_ids,
+                &m.source_ext_offsets,
+                &m.source_item_counts,
+            ];
+            (
+                ids.map(Vec::clone),
+                m.source_sizes.clone(),
+                m.num_extractors,
+            )
+        };
+        assert_eq!(columns(m), columns(own));
+        assert_eq!(rows(cc), rows(cube.chunked()));
+        let keys = rows(cc).into_iter().map(|(key, _)| key);
+        assert!(keys.eq(cube.groups().iter().copied()));
     }
 
     /// The chunks tile the items, rows and cells in order, each frame
@@ -961,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn chunking_survives_delta_and_retract() {
+    fn recut_survives_delta_and_retract() {
         let cube = sample_cube();
         let grown = cube.apply_delta(&[obs(7, 9, 12, 5, 0.9), obs(0, 0, 0, 3, 0.2)]);
         let cc = ChunkedCube::from_cube(&grown, &ChunkingConfig { target_cells: 16 });
@@ -1000,7 +912,6 @@ mod tests {
             let hi = meta.source_ext_offsets[w + 1] as usize;
             let expect: Vec<u32> = cube
                 .extractors_on_source(SourceId::new(w as u32))
-                .iter()
                 .map(|e| e.0)
                 .collect();
             assert_eq!(

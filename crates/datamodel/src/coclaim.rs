@@ -109,8 +109,8 @@ fn count(cube: &ObservationCube) -> Rows<'_> {
     let mut exclusive = Vec::with_capacity(groups.len());
     let mut pairs = vec![0u64; cube.num_sources()];
     let mut backers = vec![0u32; cube.num_values()];
-    for w in cube.item_offsets().windows(2) {
-        let row = &groups[w[0] as usize..w[1] as usize];
+    for rows in cube.item_rows() {
+        let row = &groups[rows];
         row.iter().for_each(|g| backers[g.value.index()] += 1);
         exclusive.extend(row.iter().map(|g| backers[g.value.index()] == 2));
         row.iter().for_each(|g| backers[g.value.index()] = 0);
@@ -209,9 +209,9 @@ impl Worker {
         let mut cursor: Vec<u64> = starts.take_while(|&at| at < window.end).collect();
         let (first, end) = (sources.start, sources.start + cursor.len());
         let (groups, exclusive) = (rows.cube.groups(), &rows.exclusive);
-        for w in rows.cube.item_offsets().windows(2) {
-            let start = w[0] as usize;
-            let row = &groups[start..w[1] as usize];
+        for item in rows.cube.item_rows() {
+            let start = item.start;
+            let row = &groups[item];
             let mut i = 0;
             while i < row.len() {
                 let a = row[i].source.index();

@@ -3,17 +3,12 @@
 //! The cube stores one [`Cell`] per nonzero `X_{ewdv}` entry, grouped by the
 //! `(w, d, v)` triple it supports. Groups are sorted item-major, by
 //! `(item, source, value)` — the order in which Algorithm 1 reads them —
-//! so all groups of one data item are contiguous, and the cells follow
-//! their groups in the same order. This columnar layout lets every
-//! inference stage stream the data it needs without hashing:
-//!
-//! * extraction-correctness (per-triple) — iterate [`ObservationCube::groups`],
-//! * value inference (per-item) — the contiguous [`ObservationCube::groups_of_item`],
-//! * source accuracy (per-source) — the same walk in group order, folded
-//!   into one accumulator per source (the fit's chunk scan does this, and
-//!   so does the serial oracle); [`ObservationCube::source_size`] is the
-//!   only per-source count the cube keeps,
-//! * extractor quality — stream all cells once, accumulating per extractor.
+//! so all groups of one data item are contiguous. The cube is the groups'
+//! keys ([`ObservationCube::groups`]) and a [`ChunkedCube`]
+//! ([`ObservationCube::chunked`]) that holds the rest: the meta frame and
+//! one item frame per item-aligned chunk, group `g` being local row
+//! `g − rows.start` of its chunk's frame, with its cells. Every EM fit
+//! scans those frames as they are, resident or from a chunk store.
 //!
 //! Absence votes (Eq. 13) need to know which extractors *could have*
 //! extracted a triple but did not. At web scale not every extractor visits
@@ -27,14 +22,19 @@
 //! does on its dataflow substrate, a shuffle by key then per-partition
 //! work: unsorted input is cut by item into one window of about equal
 //! row count per worker, and each window's task brings its rows into key
-//! order, groups them and records its share of the indexes; then the
-//! windows' groups and cells are laid out in window order, their item
-//! ranges and value lists end to end, and their per-source counts and
-//! extractor marks summed. The cube is the same at any worker count.
+//! order and counts them. The chunk partition is cut from the per-item
+//! counts, then one frame writer writes each chunk's frame, one task per
+//! chunk. [`ObservationCube::apply_delta`], [`ObservationCube::retract`]
+//! and [`ObservationCube::recut`] count and write the edited cube the same
+//! way, reading the groups of items the edit does not touch straight off
+//! the old frames. Every cube is the same bytes at any worker count.
 
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::ops::Range;
+use std::sync::Mutex;
 
+use crate::chunked::{ChunkBuf, ChunkStoreMeta, ChunkedCube, ChunkingConfig};
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
 
@@ -48,8 +48,9 @@ pub struct Cell {
     pub confidence: f64,
 }
 
-/// All extractions of one `(w, d, v)` triple — a row `X_wdv` of the cube.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The key of one `(w, d, v)` triple — a row `X_wdv` of the cube, whose
+/// cells its frame holds ([`ObservationCube::cells_of`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TripleGroup {
     /// The web source.
     pub source: SourceId,
@@ -57,50 +58,22 @@ pub struct TripleGroup {
     pub item: ItemId,
     /// The value.
     pub value: ValueId,
-    cells: Range<u32>,
 }
 
-impl TripleGroup {
-    /// Range of this group's cells in its cube's cell array ([`ObservationCube::cells_of`]).
-    pub fn cell_range(&self) -> Range<usize> {
-        self.cells.start as usize..self.cells.end as usize
-    }
-
-    /// The group's key in cube order: `(item, source, value)`.
-    fn key(&self) -> (ItemId, SourceId, ValueId) {
-        (self.item, self.source, self.value)
-    }
-}
-
-/// Immutable, index-accelerated storage for the observation matrix `X`.
+/// Immutable storage for the observation matrix `X`: the groups' keys and
+/// the item frames that hold their cells and every index.
 #[derive(Debug, Clone)]
 pub struct ObservationCube {
-    pub(crate) cells: Vec<Cell>,
+    /// The `(source, item, value)` key of every group, in cube order.
     groups: Vec<TripleGroup>,
-    /// Item `d` owns groups `item_offsets[d]..item_offsets[d + 1]`.
-    item_offsets: Vec<u32>,
-    /// Per source: its number of groups.
-    source_sizes: Vec<u32>,
-    /// CSR of sorted distinct extractors per source:
-    /// `source_extractor_ids[source_extractor_offsets[w]..source_extractor_offsets[w+1]]`.
-    /// One flat allocation instead of a `Vec<Vec<_>>` — cheap to build and
-    /// to clone.
-    source_extractor_offsets: Vec<u32>,
-    source_extractor_ids: Vec<ExtractorId>,
-    /// CSR of sorted distinct observed values per item:
-    /// `item_values[item_value_offsets[d]..item_value_offsets[d+1]]`.
-    /// Precomputed once at build so the value layer never re-sorts or
-    /// dedups inside an EM round.
-    item_value_offsets: Vec<u32>,
-    item_values: Vec<ValueId>,
-    num_extractors: u32,
-    num_values: u32,
+    /// The meta frame and one item frame per chunk.
+    pub(crate) chunked: ChunkedCube,
 }
 
 impl ObservationCube {
     /// Total number of nonzero cube cells (extractions).
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.chunked.meta.num_cells as usize
     }
 
     /// Number of distinct `(w, d, v)` triples with at least one extraction.
@@ -110,22 +83,22 @@ impl ObservationCube {
 
     /// Number of sources (dense id space, including sources with no data).
     pub fn num_sources(&self) -> usize {
-        self.source_sizes.len()
+        self.chunked.meta.num_sources as usize
     }
 
     /// Number of extractors in the dense id space.
     pub fn num_extractors(&self) -> usize {
-        self.num_extractors as usize
+        self.chunked.meta.num_extractors as usize
     }
 
     /// Number of data items in the dense id space.
     pub fn num_items(&self) -> usize {
-        self.item_offsets.len().saturating_sub(1)
+        self.chunked.meta.num_items as usize
     }
 
     /// Number of values in the dense id space.
     pub fn num_values(&self) -> usize {
-        self.num_values as usize
+        self.chunked.meta.num_values as usize
     }
 
     /// All triple groups, sorted by `(item, source, value)`.
@@ -133,69 +106,150 @@ impl ObservationCube {
         &self.groups
     }
 
-    /// The cells of group `g`.
-    pub fn cells_of(&self, g: &TripleGroup) -> &[Cell] {
-        &self.cells[g.cell_range()]
+    /// The meta frame and the item frames: what a fit scans.
+    pub fn chunked(&self) -> &ChunkedCube {
+        &self.chunked
+    }
+
+    /// The cells of group `g`, in extractor order.
+    pub fn cells_of(&self, g: usize) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        let chunks = &self.chunked.meta.item_chunks;
+        let i = chunks.partition_point(|c| c.rows.end as usize <= g);
+        let frame = &self.chunked.frames[i];
+        let r = frame.cells(g - chunks[i].rows.start as usize);
+        cells(&frame.cell_extractor[r.clone()], &frame.cell_confidence[r])
     }
 
     /// The contiguous range of group indices about data item `d`, sorted
     /// by `(source, value)`.
     pub fn groups_of_item(&self, d: ItemId) -> Range<usize> {
-        self.item_offsets[d.index()] as usize..self.item_offsets[d.index() + 1] as usize
+        let (base, frame, li) = self.frame_of_item(d);
+        let rows = frame.rows(li);
+        base + rows.start..base + rows.end
     }
 
-    /// Item `d`'s groups are `offsets[d]..offsets[d + 1]`.
-    pub(crate) fn item_offsets(&self) -> &[u32] {
-        &self.item_offsets
-    }
-
-    /// The per-item value lists in CSR form, `(offsets, values)`.
-    pub(crate) fn item_values(&self) -> (&[u32], &[ValueId]) {
-        (&self.item_value_offsets, &self.item_values)
-    }
-
-    /// The per-source extractor sets in CSR form, `(offsets, ids)`.
-    pub(crate) fn source_extractors(&self) -> (&[u32], &[ExtractorId]) {
-        (&self.source_extractor_offsets, &self.source_extractor_ids)
+    /// Every item's range of group indices, in item order.
+    pub(crate) fn item_rows(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let chunks = self
+            .chunked
+            .meta
+            .item_chunks
+            .iter()
+            .zip(&self.chunked.frames);
+        chunks.flat_map(|(chunk, frame)| {
+            let at = move |o: u32| chunk.rows.start as usize + o as usize;
+            (frame.item_offsets.windows(2)).map(move |w| at(w[0])..at(w[1]))
+        })
     }
 
     /// Sorted distinct extractors that extracted anything from source `w` —
     /// the candidate set used for absence votes.
-    pub fn extractors_on_source(&self, w: SourceId) -> &[ExtractorId] {
-        let lo = self.source_extractor_offsets[w.index()] as usize;
-        let hi = self.source_extractor_offsets[w.index() + 1] as usize;
-        &self.source_extractor_ids[lo..hi]
+    pub fn extractors_on_source(
+        &self,
+        w: SourceId,
+    ) -> impl ExactSizeIterator<Item = ExtractorId> + '_ {
+        let meta = &self.chunked.meta;
+        let lo = meta.source_ext_offsets[w.index()] as usize;
+        let hi = meta.source_ext_offsets[w.index() + 1] as usize;
+        meta.source_ext_ids[lo..hi].iter().map(|&e| ExtractorId(e))
     }
 
-    /// Sorted distinct values observed (by any source) for item `d`, as a
-    /// borrowed slice of the precomputed item→values CSR index. The slot
-    /// of a value within this slice is the dense per-item "value slot" the
-    /// columnar E-step indexes its accumulators with.
-    pub fn observed_values(&self, d: ItemId) -> &[ValueId] {
-        let lo = self.item_value_offsets[d.index()] as usize;
-        let hi = self.item_value_offsets[d.index() + 1] as usize;
-        &self.item_values[lo..hi]
+    /// Sorted distinct values observed (by any source) for item `d`. The
+    /// place of a value in this list is the dense per-item "value slot"
+    /// the columnar E-step indexes its accumulators with.
+    pub fn observed_values(&self, d: ItemId) -> impl ExactSizeIterator<Item = ValueId> + '_ {
+        let (_, frame, li) = self.frame_of_item(d);
+        frame.values(li).iter().map(|&v| ValueId(v))
     }
 
     /// Number of triples (groups) attributed to source `w`.
     pub fn source_size(&self, w: SourceId) -> usize {
-        self.source_sizes[w.index()] as usize
+        self.chunked.meta.source_sizes[w.index()] as usize
     }
 
     /// Iterate `(group index, group, cells)` for all groups.
-    pub fn iter_with_cells(&self) -> impl Iterator<Item = (usize, &TripleGroup, &[Cell])> + '_ {
-        self.groups
-            .iter()
-            .enumerate()
-            .map(move |(i, g)| (i, g, self.cells_of(g)))
+    pub fn iter_with_cells(
+        &self,
+    ) -> impl Iterator<Item = (usize, TripleGroup, impl ExactSizeIterator<Item = Cell> + '_)> + '_
+    {
+        let groups = self.group_runs(0..self.num_items()).enumerate();
+        groups.map(|(g, (group, e, c))| (g, group, cells(e, c)))
+    }
+
+    /// The chunk holding item `d`: its first row, its frame, and `d`'s local index.
+    fn frame_of_item(&self, d: ItemId) -> (usize, &ChunkBuf, usize) {
+        let chunks = &self.chunked.meta.item_chunks;
+        let i = chunks.partition_point(|c| c.items.end as usize <= d.index());
+        let (rows, items) = (&chunks[i].rows, &chunks[i].items);
+        (
+            rows.start as usize,
+            &self.chunked.frames[i],
+            d.index() - items.start as usize,
+        )
+    }
+
+    /// The dense id-space sizes.
+    fn spaces(&self) -> Spaces {
+        let m = &self.chunked.meta;
+        Spaces([m.num_sources, m.num_extractors, m.num_items, m.num_values])
+    }
+
+    /// The first group of item `d` or of any later item.
+    fn first_group(&self, d: usize) -> usize {
+        self.groups.partition_point(|g| g.item.index() < d)
+    }
+
+    /// The groups of `items` in order, each with its cells' extractor and
+    /// confidence runs.
+    fn group_runs(&self, items: Range<usize>) -> impl Iterator<Item = GroupRun<'_>> + '_ {
+        let (lo, hi) = (self.first_group(items.start), self.first_group(items.end));
+        let (chunks, frames) = (&self.chunked.meta.item_chunks, &self.chunked.frames);
+        let first = chunks.partition_point(|c| c.rows.end as usize <= lo);
+        let chunks = chunks[first..].iter().zip(&frames[first..]);
+        let chunks = chunks.take_while(move |(c, _)| (c.rows.start as usize) < hi);
+        chunks.flat_map(move |(chunk, frame)| {
+            let base = chunk.rows.start as usize;
+            (lo.max(base)..hi.min(chunk.rows.end as usize)).map(move |g| {
+                let cells = frame.cells(g - base);
+                let extractors = &frame.cell_extractor[cells.clone()];
+                (self.groups[g], extractors, &frame.cell_confidence[cells])
+            })
+        })
+    }
+
+    /// This cube's rows merged with `delta`'s, less the `gone` keys
+    /// (sorted), written over `spaces` and cut per `chunking`: from
+    /// [`PARTITION_MIN_ROWS`] groups on, one item window per worker counts
+    /// the edited rows, then [`write_cube`] writes the frames.
+    fn rewrite(
+        &self,
+        spaces: Spaces,
+        chunking: &ChunkingConfig,
+        delta: Option<&Self>,
+        gone: &[Key],
+    ) -> Self {
+        let edit = Edit {
+            cube: self,
+            delta,
+            gone,
+        };
+        let ([_, _, ni, _], groups) = (spaces.0, &self.groups);
+        let windows = cut_items(ni as usize, groups.len(), workers_for(groups.len()), |g| {
+            groups[g].item.index()
+        });
+        let records = kbt_flume::par_map_slice(&windows, |items| {
+            let mut record = WindowIndex::new(items.clone(), spaces);
+            edit.feed(items.clone(), &mut record);
+            record
+        });
+        write_cube(spaces, records, chunking, &edit)
     }
 
     /// Merge `delta` into this cube **without re-sorting the existing
-    /// layout**: the delta alone is sorted (`O(m log m)` for `m` delta
-    /// rows) and merge-walked against the already-sorted group list
-    /// (`O(groups + cells)`), then the secondary indexes are rebuilt in
-    /// linear passes over item windows, one per worker. A delta about new
-    /// items appends at the end. The result is bit-identical to rebuilding a
+    /// layout**: the delta alone is built (`O(m log m)` for `m` delta
+    /// rows), the items it names are merge-walked against the frames'
+    /// groups and every other item's groups are copied. A delta about new items
+    /// appends at the end. The result is bit-identical to rebuilding a
     /// [`CubeBuilder`] from the union of all observations (duplicate
     /// `(e, w, d, v)` entries keep the maximum confidence, exactly as
     /// [`CubeBuilder::build`] does) — the `session_incremental` proptest
@@ -207,60 +261,18 @@ impl ObservationCube {
         if delta.is_empty() {
             return self.clone();
         }
-        // The delta on its own, admitted (clamped, id spaces grown from
-        // this cube's), sorted and grouped exactly as a build would.
         let mut d = CubeBuilder::from(delta.to_vec());
-        d.reserve_ids(
-            self.num_sources() as u32,
-            self.num_extractors,
-            self.num_items() as u32,
-            self.num_values,
-        );
-        d.obs.sort_unstable_by_key(row_key);
-        let (mut new_cells, mut new_groups) = (Vec::new(), Vec::new());
-        lay_out(&d.obs, &mut new_cells, &mut new_groups);
-
-        let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len() + new_cells.len());
-        let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len() + new_groups.len());
-        let (mut old, mut new) = (self.groups.iter().peekable(), new_groups.iter().peekable());
-        loop {
-            // The next key in order, from either side or — equal — both.
-            let order = match (old.peek(), new.peek()) {
-                (Some(a), Some(b)) => a.key().cmp(&b.key()),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => break,
-            };
-            let a = old.next_if(|_| order.is_le());
-            let b = new.next_if(|_| order.is_ge());
-            let start = cells.len() as u32;
-            merge_cells(
-                &mut cells,
-                a.map_or(&[], |g| &self.cells[g.cell_range()]),
-                b.map_or(&[], |g| &new_cells[g.cell_range()]),
-            );
-            let g = a.or(b).expect("one side had a group");
-            groups.push(TripleGroup {
-                cells: start..cells.len() as u32,
-                ..g.clone()
-            });
-        }
-
-        assemble_cube(
-            cells,
-            groups,
-            d.num_sources,
-            d.num_extractors,
-            d.num_items,
-            d.num_values,
-        )
+        d.spaces = d.spaces.max(self.spaces());
+        let d = d.build();
+        self.rewrite(d.spaces(), &ChunkingConfig::default(), Some(&d), &[])
     }
 
     /// Remove every triple group matching one of `retractions` — the
     /// **negative delta** of an incremental-fusion round (a source took a
     /// page down, an extractor's pattern was fixed, a value was renamed
     /// away). All cells of a matching `(source, item, value)` group are
-    /// dropped; unknown triples are ignored.
+    /// dropped; unknown triples are ignored; the groups of items no
+    /// retraction names are copied.
     ///
     /// The result is canonical: bit-identical to rebuilding a
     /// [`CubeBuilder`] from the surviving observations, so every
@@ -274,76 +286,47 @@ impl ObservationCube {
         if retractions.is_empty() {
             return self.clone();
         }
-        let mut keys: Vec<(ItemId, SourceId, ValueId)> =
-            retractions.iter().map(|&(w, d, v)| (d, w, v)).collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let mut gone: Vec<Key> = retractions.iter().map(|&(w, d, v)| (d, w, v)).collect();
+        gone.sort_unstable();
+        gone.dedup();
+        self.rewrite(self.spaces(), &ChunkingConfig::default(), None, &gone)
+    }
 
-        let mut cells: Vec<Cell> = Vec::with_capacity(self.cells.len());
-        let mut groups: Vec<TripleGroup> = Vec::with_capacity(self.groups.len());
-        let mut ki = 0;
-        for grp in &self.groups {
-            let key = grp.key();
-            // Both lists are sorted by (item, source, value): one walk.
-            while ki < keys.len() && keys[ki] < key {
-                ki += 1;
-            }
-            if ki < keys.len() && keys[ki] == key {
-                continue; // retracted
-            }
-            let start = cells.len() as u32;
-            cells.extend_from_slice(&self.cells[grp.cell_range()]);
-            groups.push(TripleGroup {
-                cells: start..cells.len() as u32,
-                ..grp.clone()
-            });
-        }
-
-        assemble_cube(
-            cells,
-            groups,
-            self.num_sources() as u32,
-            self.num_extractors,
-            self.num_items() as u32,
-            self.num_values,
-        )
+    /// This cube with its frames cut per `chunking` instead of the
+    /// default partition: the same groups, cells and indexes, the chunks
+    /// closed at other item boundaries. A fit reads it bit for bit as it
+    /// reads the cube ([`ChunkedCube::from_cube`] is its frames).
+    pub fn recut(&self, chunking: &ChunkingConfig) -> ObservationCube {
+        self.rewrite(self.spaces(), chunking, None, &[])
     }
 
     /// Approximate resident size of the cube in bytes (vector payloads
     /// only, no allocator overhead) — what `benchmark/` reports as
     /// `datamodel.cube_bytes`.
     pub fn approx_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<Cell>()
-            + self.groups.len() * std::mem::size_of::<TripleGroup>()
-            + (self.item_offsets.len()
-                + self.source_sizes.len()
-                + self.source_extractor_offsets.len()
-                + self.source_extractor_ids.len()
-                + self.item_value_offsets.len()
-                + self.item_values.len())
-                * 4
+        self.groups.len() * std::mem::size_of::<TripleGroup>() + self.chunked.approx_bytes()
     }
 }
 
-/// Append the union of two extractor-sorted cell lists of one group, an
-/// extractor on both sides keeping the larger confidence.
-fn merge_cells(out: &mut Vec<Cell>, mut a: &[Cell], mut b: &[Cell]) {
-    while let (Some(x), Some(y)) = (a.first(), b.first()) {
-        let order = x.extractor.cmp(&y.extractor);
-        out.push(match order {
-            Ordering::Less => *x,
-            Ordering::Greater => *y,
-            Ordering::Equal => Cell {
-                confidence: y.confidence.max(x.confidence),
-                ..*x
-            },
-        });
-        a = &a[order.is_le() as usize..];
-        b = &b[order.is_ge() as usize..];
-    }
-    out.extend_from_slice(a);
-    out.extend_from_slice(b);
+/// A group's cells, from their extractor and confidence runs.
+fn cells<'a>(e: &'a [u32], c: &'a [f64]) -> impl ExactSizeIterator<Item = Cell> + 'a {
+    let cell = |(&e, &confidence)| Cell {
+        extractor: ExtractorId(e),
+        confidence,
+    };
+    e.iter().zip(c).map(cell)
 }
+
+/// A group's key in cube order: `(item, source, value)`.
+type Key = (ItemId, SourceId, ValueId);
+
+fn key(g: &TripleGroup) -> Key {
+    (g.item, g.source, g.value)
+}
+
+/// A group and its cells as extractor-sorted, distinct runs of
+/// extractors and confidences.
+type GroupRun<'a> = (TripleGroup, &'a [u32], &'a [f64]);
 
 /// Size of the dense id space that holds `id`. Every axis reserves
 /// `u32::MAX`: `id + 1` would wrap to an empty space in a release build
@@ -353,196 +336,383 @@ fn space_for(id: u32) -> u32 {
         .expect("id u32::MAX is reserved: a dense id space holds id + 1 entries")
 }
 
-/// Index laid-out `(cells, groups)` — what [`ObservationCube::apply_delta`]
-/// (merge-walk) and [`ObservationCube::retract`] (filter) produce. From
-/// [`PARTITION_MIN_ROWS`] groups on, one item window per worker records
-/// its share of the indexes in one walk over its groups and cells; then
-/// [`index_cube`] lays them out.
-fn assemble_cube(
-    cells: Vec<Cell>,
-    groups: Vec<TripleGroup>,
-    num_sources: u32,
-    num_extractors: u32,
-    num_items: u32,
-    num_values: u32,
-) -> ObservationCube {
-    let (ni, parts) = (num_items as usize, workers_for(groups.len()));
-    let first = |d: usize| groups.partition_point(|g| g.item.index() < d);
-    let cuts = cut_items(ni, groups.len(), parts, |g| groups[g].item.index());
-    let records = kbt_flume::par_map_slice(&cuts, |items| {
-        let mut index = WindowIndex::new(items.clone(), num_sources);
-        for grp in &groups[first(items.start)..first(items.end)] {
-            index.group(grp.source, grp.item, grp.value);
-            for c in &cells[grp.cell_range()] {
-                index.cell(grp.source, c.extractor);
+/// The sizes of the dense id spaces: sources, extractors, items, values.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spaces([u32; 4]);
+
+impl Spaces {
+    /// Each space the larger of the two.
+    fn max(self, other: Self) -> Self {
+        Self(std::array::from_fn(|a| self.0[a].max(other.0[a])))
+    }
+}
+
+/// What the key-ordered rows of a cube-to-be are walked into: the frame
+/// writer, or a window's counts.
+trait Sink {
+    /// The next group opens.
+    fn group(&mut self, key: TripleGroup);
+
+    /// A cell of the open group. Extractors ascend; a repeated one (a
+    /// duplicate `(e, w, d, v)`) merges into its cell by maximum.
+    fn cell(&mut self, e: u32, confidence: f64);
+}
+
+/// The key-ordered rows of a cube-to-be, by item.
+trait Rows: Sync {
+    /// Walk the rows of `items` into `sink`, in key order.
+    fn feed(&self, items: Range<usize>, sink: &mut impl Sink);
+}
+
+/// Rows already in key order, a duplicate `(e, w, d, v)` next to its
+/// cell: sorted input read in place, or a build's gathered rows.
+impl<R: Row> Rows for [R] {
+    fn feed(&self, items: Range<usize>, sink: &mut impl Sink) {
+        let first = |d: usize| self.partition_point(|r| r.packed()[0] >> 32 < d as u64);
+        let mut open = None;
+        for r in &self[first(items.start)..first(items.end)] {
+            let [hi, lo, confidence] = r.packed();
+            if open.replace([hi, lo >> 32]) != Some([hi, lo >> 32]) {
+                let (source, item) = (SourceId(hi as u32), ItemId((hi >> 32) as u32));
+                sink.group(TripleGroup {
+                    source,
+                    item,
+                    value: ValueId((lo >> 32) as u32),
+                });
+            }
+            sink.cell(lo as u32, f64::from_bits(confidence));
+        }
+    }
+}
+
+/// A cube's groups edited: merged with a delta cube's (a key on both
+/// sides keeps the larger confidence per extractor), or with the `gone`
+/// keys (sorted) left out, or neither — a re-cut.
+struct Edit<'a> {
+    cube: &'a ObservationCube,
+    delta: Option<&'a ObservationCube>,
+    gone: &'a [Key],
+}
+
+impl Rows for Edit<'_> {
+    /// The groups of items the edit does not touch are copied as they are;
+    /// a touched item's groups are merge-walked.
+    fn feed(&self, items: Range<usize>, sink: &mut impl Sink) {
+        let new = self.delta.map_or(&[][..], |d| d.groups());
+        // The first item from `d` on that the delta or a retraction names.
+        let touched = |d: usize| {
+            let new = new.get(new.partition_point(|g| g.item.index() < d));
+            let gone = self
+                .gone
+                .get(self.gone.partition_point(|k| k.0.index() < d));
+            (new.map(|g| g.item).into_iter())
+                .chain(gone.map(|k| k.0))
+                .min()
+        };
+        let mut d = items.start;
+        while d < items.end {
+            let next = touched(d).map_or(items.end, |t| t.index().min(items.end));
+            for (group, e, c) in self.cube.group_runs(d..next) {
+                sink.group(group);
+                e.iter().zip(c).for_each(|(&e, &c)| sink.cell(e, c));
+            }
+            if next < items.end {
+                self.merge_item(next, sink);
+            }
+            d = next + 1;
+        }
+    }
+}
+
+impl Edit<'_> {
+    /// Item `d`'s groups: the cube's and the delta's merged by key, less
+    /// the retracted ones.
+    fn merge_item(&self, d: usize, sink: &mut impl Sink) {
+        let mut old = self.cube.group_runs(d..d + 1).peekable();
+        let delta = self.delta.map(|delta| delta.group_runs(d..d + 1));
+        let mut new = delta.into_iter().flatten().peekable();
+        let first = |d: usize| self.gone.partition_point(|k| k.0.index() < d);
+        let mut gone = self.gone[first(d)..first(d + 1)].iter().peekable();
+        loop {
+            // The next key in order, from either side or — equal — both.
+            let order = match (old.peek(), new.peek()) {
+                (Some(a), Some(b)) => key(&a.0).cmp(&key(&b.0)),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let (a, b) = (
+                old.next_if(|_| order.is_le()),
+                new.next_if(|_| order.is_ge()),
+            );
+            let (group, _, _) = a.or(b).expect("one side had a group");
+            while gone.next_if(|&&k| k < key(&group)).is_some() {}
+            if gone.next_if(|&&k| k == key(&group)).is_some() {
+                continue;
+            }
+            sink.group(group);
+            // Both sides' cells in extractor order; the sink merges a
+            // repeated extractor.
+            let (xe, xc) = a.map_or((&[][..], &[][..]), |r| (r.1, r.2));
+            let (ye, yc) = b.map_or((&[][..], &[][..]), |r| (r.1, r.2));
+            let (mut i, mut j) = (0, 0);
+            while i < xe.len() || j < ye.len() {
+                if j == ye.len() || (i < xe.len() && xe[i] <= ye[j]) {
+                    sink.cell(xe[i], xc[i]);
+                    i += 1;
+                } else {
+                    sink.cell(ye[j], yc[j]);
+                    j += 1;
+                }
             }
         }
-        index.close();
-        index
-    });
-    index_cube(cells, groups, records, num_extractors, num_values)
+    }
 }
 
 /// Extractors below this id are marked per source in one bit of a word;
 /// the rest are listed as `(source, extractor)` pairs.
 const MASKED_EXTRACTORS: u32 = u64::BITS;
 
-/// One item window's share of the secondary indexes, recorded in one
-/// walk over the window's groups and cells in key order.
+/// What one item window counts in one walk over its rows in key order:
+/// the per-item counts the chunk partition is cut from, and the window's
+/// share of the per-source columns.
 struct WindowIndex {
     /// The window's items.
     items: Range<usize>,
-    groups: usize,
-    cells: usize,
-    /// Per item of the window: its group count.
+    /// Per item of the window: its groups and its cells.
     item_groups: Vec<u32>,
-    /// Per item of the window: the size of its value list.
-    item_values: Vec<u32>,
-    /// The window's value lists in item order, each sorted.
-    values: Vec<ValueId>,
-    /// The open item (window-local) and its values so far.
-    open: Option<usize>,
-    open_values: Vec<ValueId>,
-    /// Per source: the window's groups of it.
-    source_counts: Vec<u32>,
+    item_cells: Vec<u32>,
+    /// Per source: the window's groups of it, and the distinct items
+    /// among them.
+    source_groups: Vec<u32>,
+    source_items: Vec<u32>,
     /// Per source: bit `e` set when extractor `e` below
     /// [`MASKED_EXTRACTORS`] extracted from it.
     extractor_mask: Vec<u64>,
     /// `source·2³² + extractor` for the cells of the other extractors.
     extractor_pairs: Vec<u64>,
+    /// The open group's local item and source, and its last extractor.
+    open: (usize, usize),
+    last: Option<u32>,
 }
 
 impl WindowIndex {
-    fn new(items: Range<usize>, num_sources: u32) -> Self {
+    fn new(items: Range<usize>, spaces: Spaces) -> Self {
+        let [ns, ..] = spaces.0.map(|n| n as usize);
         Self {
-            groups: 0,
-            cells: 0,
             item_groups: vec![0; items.len()],
-            item_values: vec![0; items.len()],
-            values: Vec::new(),
-            open: None,
-            open_values: Vec::new(),
-            source_counts: vec![0; num_sources as usize],
-            extractor_mask: vec![0; num_sources as usize],
+            item_cells: vec![0; items.len()],
+            source_groups: vec![0; ns],
+            source_items: vec![0; ns],
+            extractor_mask: vec![0; ns],
             extractor_pairs: Vec::new(),
+            open: (usize::MAX, usize::MAX),
+            last: None,
             items,
         }
     }
 
-    /// A group of source `w` about item `d` with value `v` opens; items
-    /// ascend.
-    fn group(&mut self, w: SourceId, d: ItemId, v: ValueId) {
-        let local = d.index() - self.items.start;
-        if self.open != Some(local) {
-            self.close();
-            self.open = Some(local);
-        }
-        self.item_groups[local] += 1;
-        self.open_values.push(v);
-        self.source_counts[w.index()] += 1;
-        self.groups += 1;
-    }
-
-    /// A cell of extractor `e` in the open group of source `w`.
-    fn cell(&mut self, w: SourceId, e: ExtractorId) {
-        self.cells += 1;
-        match e.0 < MASKED_EXTRACTORS {
-            true => self.extractor_mask[w.index()] |= 1 << e.0,
-            false => self
-                .extractor_pairs
-                .push(u64::from(w.0) << 32 | u64::from(e.0)),
-        }
-    }
-
-    /// Record the window's key-ordered `rows`.
-    fn record<R: Row>(&mut self, rows: &[R]) {
-        for (step, [hi, lo, _]) in steps(rows) {
-            let w = SourceId(hi as u32);
-            match step {
-                Step::Duplicate => continue,
-                Step::Group => self.group(w, ItemId((hi >> 32) as u32), ValueId((lo >> 32) as u32)),
-                Step::Cell => {}
-            }
-            self.cell(w, ExtractorId(lo as u32));
-        }
-        self.close();
-    }
-
-    /// Seal the open item's value list.
-    fn close(&mut self) {
-        if let Some(local) = self.open.take() {
-            self.open_values.sort_unstable();
-            self.open_values.dedup();
-            self.item_values[local] = self.open_values.len() as u32;
-            self.values.append(&mut self.open_values);
+    /// Extractor `e` extracted from the open group's source.
+    fn mark(&mut self, e: u32) {
+        let w = self.open.1;
+        match e < MASKED_EXTRACTORS {
+            true => self.extractor_mask[w] |= 1 << e,
+            false => self.extractor_pairs.push((w as u64) << 32 | u64::from(e)),
         }
     }
 }
 
-/// Lay out the secondary indexes of `(cells, groups)` from the records of
-/// item windows that tile the items in order — the index passes of
-/// [`CubeBuilder::build`] and [`assemble_cube`]. The item ranges and value
-/// lists are the records' counts laid end to end; a source's size is the
-/// sum of the windows' counts of it, and its extractor set the union of
-/// their marks.
-fn index_cube(
-    cells: Vec<Cell>,
-    groups: Vec<TripleGroup>,
-    mut records: Vec<WindowIndex>,
-    num_extractors: u32,
-    num_values: u32,
-) -> ObservationCube {
-    let ni = records.last().map_or(0, |r| r.items.end);
-    let ns = records[0].source_counts.len();
-    let mut item_offsets = Vec::with_capacity(ni + 1);
-    let mut item_value_offsets = Vec::with_capacity(ni + 1);
-    item_offsets.push(0u32);
-    item_value_offsets.push(0u32);
-    let mut item_values = Vec::with_capacity(records.iter().map(|r| r.values.len()).sum());
-    for r in &records {
-        for (&n, &k) in r.item_groups.iter().zip(&r.item_values) {
-            item_offsets.push(item_offsets.last().expect("starts at 0") + n);
-            item_value_offsets.push(item_value_offsets.last().expect("starts at 0") + k);
+impl Sink for WindowIndex {
+    fn group(&mut self, key: TripleGroup) {
+        let open = (key.item.index() - self.items.start, key.source.index());
+        self.item_groups[open.0] += 1;
+        self.source_groups[open.1] += 1;
+        // A source's items are its runs of equal `(item, source)`.
+        if std::mem::replace(&mut self.open, open) != open {
+            self.source_items[open.1] += 1;
         }
-        item_values.extend_from_slice(&r.values);
+        self.last = None;
     }
 
-    let source_sizes = (0..ns)
-        .map(|w| records.iter().map(|r| r.source_counts[w]).sum())
+    fn cell(&mut self, e: u32, _: f64) {
+        if self.last.replace(e) != Some(e) {
+            self.item_cells[self.open.0] += 1;
+            self.mark(e);
+        }
+    }
+}
+
+/// Lay out a cube from its key-ordered `rows` — the one layout pass of
+/// [`CubeBuilder::build`], [`ObservationCube::apply_delta`],
+/// [`ObservationCube::retract`] and the re-cut. `records` tile the items
+/// in order with what their windows counted. The chunk partition is cut
+/// from their per-item counts; then each chunk's task feeds its items'
+/// rows to the frame writer ([`FrameWriter`]), so the bytes are the same
+/// at any worker count. The per-source columns are the records' counts
+/// summed, and each source's extractor set the union of their marks.
+fn write_cube<R: Rows + ?Sized>(
+    spaces: Spaces,
+    mut records: Vec<WindowIndex>,
+    chunking: &ChunkingConfig,
+    rows: &R,
+) -> ObservationCube {
+    let per_item = |r: &WindowIndex| r.item_groups.clone().into_iter().zip(r.item_cells.clone());
+    let per_item = records.iter().flat_map(per_item);
+    let (ng, nc) =
+        (per_item.clone()).fold((0, 0), |(g, c), (n, k)| (g + n as usize, c + k as usize));
+    let item_chunks = chunking.cut(per_item, nc);
+
+    // Every buffer is sized here, on the calling thread, so the workers
+    // below fill them without allocating: memory a worker allocates lands
+    // in its thread's malloc arena and stays resident after the call.
+    let mut groups = vec![TripleGroup::default(); ng];
+    let mut keys = groups.as_mut_slice();
+    let slots: Vec<Mutex<(ChunkBuf, &mut [TripleGroup])>> = (item_chunks.iter())
+        .map(|c| {
+            let rows = keys
+                .split_off_mut(..c.rows.len())
+                .expect("chunks tile the rows");
+            Mutex::new((ChunkBuf::sized_for(c), rows))
+        })
         .collect();
-    let mut pairs: Vec<u64> = records
-        .iter_mut()
+    let Ok(_) = kbt_flume::run_tasks(item_chunks.len(), &mut vec![(); workers_for(nc)], |_, i| {
+        let (frame, keys) = &mut *slots[i].lock().expect("a frame is written once");
+        let items = frame.items.start as usize..frame.items.end as usize;
+        let mut writer = FrameWriter::new(frame, keys);
+        rows.feed(items, &mut writer);
+        writer.finish();
+        Ok::<_, Infallible>(())
+    });
+    let frames: Vec<ChunkBuf> = (slots.into_iter())
+        .map(|s| s.into_inner().expect("no frame writer panicked").0)
+        .collect();
+
+    let [ns, ..] = spaces.0.map(|n| n as usize);
+    let sum = |count: fn(&WindowIndex) -> &[u32]| -> Vec<u32> {
+        (0..ns)
+            .map(|w| records.iter().map(|r| count(r)[w]).sum())
+            .collect()
+    };
+    let (source_sizes, source_item_counts) = (sum(|r| &r.source_groups), sum(|r| &r.source_items));
+    let mut pairs: Vec<u64> = (records.iter_mut())
         .flat_map(|r| std::mem::take(&mut r.extractor_pairs))
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
     let mut pairs = pairs.into_iter().peekable();
-    let mut source_extractor_offsets = Vec::with_capacity(ns + 1);
-    source_extractor_offsets.push(0u32);
-    let mut source_extractor_ids = Vec::new();
+    let (mut source_ext_offsets, mut source_ext_ids) = (vec![0u32], Vec::new());
     for w in 0..ns {
         let mut mask = records.iter().fold(0, |m, r| m | r.extractor_mask[w]);
         while mask != 0 {
-            source_extractor_ids.push(ExtractorId(mask.trailing_zeros()));
+            source_ext_ids.push(mask.trailing_zeros());
             mask &= mask - 1;
         }
         while let Some(p) = pairs.next_if(|&p| (p >> 32) as usize == w) {
-            source_extractor_ids.push(ExtractorId(p as u32));
+            source_ext_ids.push(p as u32);
         }
-        source_extractor_offsets.push(source_extractor_ids.len() as u32);
+        source_ext_offsets.push(source_ext_ids.len() as u32);
     }
 
-    ObservationCube {
-        cells,
-        groups,
-        item_offsets,
-        source_sizes,
-        source_extractor_offsets,
-        source_extractor_ids,
-        item_value_offsets,
-        item_values,
+    let item_values = |f: &ChunkBuf| f.item_value_offsets.windows(2).map(|w| w[1] - w[0]).max();
+    let [num_sources, num_extractors, num_items, num_values] = spaces.0;
+    let meta = ChunkStoreMeta {
+        num_groups: ng as u32,
+        num_cells: nc as u32,
+        num_items,
+        num_sources,
         num_extractors,
         num_values,
+        max_item_values: frames.iter().filter_map(item_values).max().unwrap_or(0),
+        max_chunk_rows: item_chunks
+            .iter()
+            .map(|c| c.rows.len() as u32)
+            .max()
+            .unwrap_or(0),
+        item_chunks,
+        source_sizes,
+        source_item_counts,
+        source_ext_offsets,
+        source_ext_ids,
+    };
+    ObservationCube {
+        groups,
+        chunked: ChunkedCube { meta, frames },
+    }
+}
+
+/// The frame writer: one chunk's frame, written from the key-ordered rows
+/// of its items, and its rows' keys into the chunk's stretch of the key
+/// column. An item's value list is its groups' values sorted and
+/// deduplicated, and a row's slot is its value's place in it. Until the
+/// frame is finished, `cell_offsets` holds each row's first cell.
+struct FrameWriter<'a> {
+    frame: &'a mut ChunkBuf,
+    keys: &'a mut [TripleGroup],
+}
+
+impl<'a> FrameWriter<'a> {
+    fn new(frame: &'a mut ChunkBuf, keys: &'a mut [TripleGroup]) -> Self {
+        frame.item_offsets.push(0);
+        frame.item_value_offsets.push(0);
+        Self { frame, keys }
+    }
+
+    /// Seal the frame's open item: its rows are those written since the
+    /// last sealed one, and its value list is complete.
+    fn close_item(&mut self) {
+        let f = &mut *self.frame;
+        let first = *f.item_offsets.last().expect("starts at 0") as usize;
+        let rows = &self.keys[first..f.ig_source.len()];
+        let at = *f.item_value_offsets.last().expect("starts at 0") as usize;
+        let values = &f.item_values[at..];
+        f.ig_slot.extend(rows.iter().map(|g| {
+            let slot = values.binary_search(&g.value.0);
+            slot.expect("a row's value is one of its item's") as u32
+        }));
+        f.item_offsets.push(f.ig_source.len() as u32);
+        f.item_value_offsets.push(f.item_values.len() as u32);
+    }
+
+    /// The item whose rows come next.
+    fn open_item(&self) -> u32 {
+        self.frame.items.start + (self.frame.item_offsets.len() - 1) as u32
+    }
+
+    /// Seal every item left, and the last row's cells.
+    fn finish(mut self) {
+        while self.frame.item_offsets.len() <= self.frame.items.len() {
+            self.close_item();
+        }
+        let cells = self.frame.cell_extractor.len() as u32;
+        self.frame.cell_offsets.push(cells);
+    }
+}
+
+impl Sink for FrameWriter<'_> {
+    fn group(&mut self, key: TripleGroup) {
+        while self.open_item() != key.item.0 {
+            self.close_item();
+        }
+        let f = &mut *self.frame;
+        self.keys[f.ig_source.len()] = key;
+        f.ig_source.push(key.source.0);
+        f.cell_offsets.push(f.cell_extractor.len() as u32);
+        let at = *f.item_value_offsets.last().expect("starts at 0") as usize;
+        if let Err(k) = f.item_values[at..].binary_search(&key.value.0) {
+            f.item_values.insert(at + k, key.value.0);
+        }
+    }
+
+    fn cell(&mut self, e: u32, confidence: f64) {
+        let f = &mut *self.frame;
+        let first = *f.cell_offsets.last().expect("a cell follows its group") as usize;
+        if f.cell_extractor.len() > first && f.cell_extractor.last() == Some(&e) {
+            let open = f.cell_confidence.last_mut().expect("a cell per extractor");
+            *open = open.max(confidence);
+            return;
+        }
+        f.cell_extractor.push(e);
+        f.cell_confidence.push(confidence);
     }
 }
 
@@ -554,10 +724,7 @@ fn index_cube(
 #[derive(Debug, Default)]
 pub struct CubeBuilder {
     obs: Vec<Observation>,
-    num_sources: u32,
-    num_extractors: u32,
-    num_items: u32,
-    num_values: u32,
+    spaces: Spaces,
 }
 
 /// Adopt `obs` as the builder's buffer: the same builder as pushing every
@@ -577,16 +744,6 @@ impl CubeBuilder {
     /// Create an empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of buffered observations (before dedup).
-    pub fn len(&self) -> usize {
-        self.obs.len()
-    }
-
-    /// True when no observation has been added.
-    pub fn is_empty(&self) -> bool {
-        self.obs.is_empty()
     }
 
     /// Pre-allocate for `n` observations.
@@ -613,10 +770,10 @@ impl CubeBuilder {
         } else {
             o.confidence.clamp(0.0, 1.0)
         };
-        self.num_sources = self.num_sources.max(space_for(o.source.0));
-        self.num_extractors = self.num_extractors.max(space_for(o.extractor.0));
-        self.num_items = self.num_items.max(space_for(o.item.0));
-        self.num_values = self.num_values.max(space_for(o.value.0));
+        let ids = [o.source.0, o.extractor.0, o.item.0, o.value.0];
+        for (n, id) in self.spaces.0.iter_mut().zip(ids) {
+            *n = (*n).max(space_for(id));
+        }
     }
 
     /// Declare the dense id-space sizes explicitly (useful when some ids
@@ -628,101 +785,69 @@ impl CubeBuilder {
         items: u32,
         values: u32,
     ) -> &mut Self {
-        self.num_sources = self.num_sources.max(sources);
-        self.num_extractors = self.num_extractors.max(extractors);
-        self.num_items = self.num_items.max(items);
-        self.num_values = self.num_values.max(values);
+        self.spaces = self
+            .spaces
+            .max(Spaces([sources, extractors, items, values]));
         self
     }
 
-    /// Sort, dedup, group, and index the observations.
+    /// Sort, dedup, group, and lay the observations out as item frames.
     ///
     /// Input already in key order `(item, source, value, extractor)` (one
-    /// linear check) is read in place by one window on the calling
-    /// thread. Anything else is cut by item into windows of about equal
-    /// row count — one per worker from 2¹⁶ rows on, else one run inline —
-    /// and each window's task gathers its rows from the input by item
-    /// and sorts them item by item. Either way a window records its share
-    /// of the indexes in the walk that groups its rows. The windows' groups
-    /// and cells are then laid out in window order — a memory-bound walk,
-    /// which one task per window measured no faster on a 2-vCPU machine —
-    /// and their records are summed into the indexes.
-    /// Duplicate keys merge to their maximum confidence, so the cube is
-    /// the same at any worker count and in any arrival order.
+    /// linear check) is read in place: one window on the calling thread
+    /// counts it, and each frame is written from its span. Anything else
+    /// is cut by item into windows of about equal row count — one per
+    /// worker from 2¹⁶ rows on, else one run inline — and each window's
+    /// task gathers its rows from the input by item, sorts them item by
+    /// item and counts them; the windows' rows tile one buffer in key
+    /// order, from which each frame is written. Either way the partition is
+    /// cut from the windows' per-item counts, and the frames are written
+    /// one task per chunk (`write_cube`). Duplicate keys merge to their
+    /// maximum confidence, so the cube is the same at any worker count and
+    /// in any arrival order.
     pub fn build(self) -> ObservationCube {
-        let Self {
-            obs,
-            num_sources,
-            num_extractors,
-            num_items,
-            num_values,
-        } = self;
-        let ni = num_items as usize;
+        let (obs, spaces) = (self.obs, self.spaces);
+        let ([_, _, ni, _], chunking) = (spaces.0.map(|n| n as usize), ChunkingConfig::default());
         // The sorted check comes first on purpose: recovery hands the
         // builder a checkpoint's cells in cube order on every `recover`,
         // and one window reads them in place on the calling thread. (Two
         // windows measured slower there on a 2-vCPU machine: ≈ 270k rows,
         // `recover` 37 → 45 ms.) On unsorted input it stops at the first
         // inversion.
-        let sorted = obs.is_sorted_by_key(row_key);
-        let (starts, parts) = match sorted {
-            true => (Vec::new(), 1),
-            false => (item_starts(&obs, ni), workers_for(obs.len())),
-        };
-        let first_row = |d: usize| obs.partition_point(|o| o.item.index() < d);
-        let cuts = cut_items(ni, obs.len(), parts, |p| match sorted {
-            true => obs[p].item.index(),
-            false => starts.partition_point(|&s| s <= p) - 1,
+        if obs.is_sorted_by_key(row_key) {
+            let mut record = WindowIndex::new(0..ni, spaces);
+            obs.feed(0..ni, &mut record);
+            return write_cube(spaces, vec![record], &chunking, &obs[..]);
+        }
+        let starts = item_starts(&obs, ni);
+        let cuts = cut_items(ni, obs.len(), workers_for(obs.len()), |p| {
+            starts.partition_point(|&s| s <= p) - 1
         });
-        // Each window's rows in key order — a span of sorted input, or its
-        // gather into its stretch of one row buffer — and its records, from
-        // one walk over them. The buffer is allocated here, zeroed, on the
+        // Each window gathers its rows into its stretch of one row buffer
+        // and counts them. The buffer is allocated here, zeroed, on the
         // calling thread: the workers fault its pages in, and its memory
-        // goes back where the cube's arrays come from (allocated by
-        // short-lived workers, gather buffers stayed resident in their
-        // arenas: +63 MB peak RSS on the 2M-row fit).
-        let mut buffer = vec![[0; 3]; if sorted { 0 } else { obs.len() }];
+        // goes back where the frames come from (allocated by short-lived
+        // workers, gather buffers stayed resident in their arenas: +63 MB
+        // peak RSS on the 2M-row fit).
+        let mut buffer = vec![[0; 3]; obs.len()];
         let mut rest = buffer.as_mut_slice();
-        let mut windows: Vec<_> = cuts
-            .into_iter()
+        let mut windows: Vec<_> = (cuts.into_iter())
             .map(|items| {
-                let (span, rows) = match sorted {
-                    true => (first_row(items.start)..first_row(items.end), 0),
-                    false => (0..0, starts[items.end] - starts[items.start]),
-                };
+                let rows = starts[items.end] - starts[items.start];
                 let rows = rest.split_off_mut(..rows).expect("windows tile the rows");
-                (rows, span, WindowIndex::new(items, num_sources))
+                (rows, WindowIndex::new(items, spaces))
             })
             .collect();
         kbt_flume::par_ranges_mut(&mut windows, |_, ws| {
-            for (rows, span, index) in ws {
-                match sorted {
-                    true => index.record(&obs[span.clone()]),
-                    false => {
-                        gather(&obs, &starts, index.items.clone(), rows);
-                        index.record(rows);
-                    }
-                }
+            for (rows, record) in ws {
+                gather(&obs, &starts, record.items.clone(), rows);
+                rows.feed(record.items.clone(), record);
             }
         });
-        drop(starts);
-        // Free the input before the cube's arrays exist, unless the windows
-        // read it in place.
-        let obs = if sorted { obs } else { Vec::new() };
-
-        // The windows' groups and cells, laid out in window order.
-        let nc = windows.iter().map(|w| w.2.cells).sum();
-        let ng = windows.iter().map(|w| w.2.groups).sum();
-        let (mut cells, mut groups) = (Vec::with_capacity(nc), Vec::with_capacity(ng));
-        for (rows, span, _) in &windows {
-            match sorted {
-                true => lay_out(&obs[span.clone()], &mut cells, &mut groups),
-                false => lay_out(rows, &mut cells, &mut groups),
-            }
-        }
-        let records = windows.into_iter().map(|w| w.2).collect();
-        drop((buffer, obs));
-        index_cube(cells, groups, records, num_extractors, num_values)
+        let records = windows.into_iter().map(|(_, record)| record).collect();
+        // Free the input before the frames exist.
+        drop((obs, starts));
+        write_cube(spaces, records, &chunking, &buffer[..])
     }
 }
 
@@ -736,8 +861,9 @@ fn row_key(o: &Observation) -> [u64; 2] {
 }
 
 /// Unsorted rows (or groups) from which the build and the index passes
-/// split the items into one window per worker: below it, a spawn costs
-/// more than a second worker saves, and one window runs inline.
+/// split the items into one window per worker, and cells from which the
+/// frames are written on more than one: below it, a spawn costs more
+/// than a second worker saves, and one window runs inline.
 const PARTITION_MIN_ROWS: usize = 1 << 16;
 
 /// Windows for `rows` rows: one per worker [`kbt_flume::num_threads`]
@@ -814,8 +940,8 @@ fn gather(obs: &[Observation], starts: &[usize], items: Range<usize>, rows: &mut
     }
 }
 
-/// A row the build walks in key order: an observation of sorted input,
-/// read in place, or a gathered [`PackedRow`].
+/// A row in key order: an observation of sorted input, read in place,
+/// or a gathered [`PackedRow`].
 trait Row: Sync {
     fn packed(&self) -> PackedRow;
 }
@@ -830,61 +956,6 @@ impl Row for Observation {
 impl Row for PackedRow {
     fn packed(&self) -> PackedRow {
         *self
-    }
-}
-
-/// What a row adds to the walk of key-ordered rows.
-enum Step {
-    /// The first cell of a new `(w, d, v)` group.
-    Group,
-    /// A new cell of the open group.
-    Cell,
-    /// The open cell again (a duplicate `(e, w, d, v)`): its confidence
-    /// merges into the cell's by maximum.
-    Duplicate,
-}
-
-/// Each of the key-ordered `rows` with the [`Step`] it takes.
-fn steps<R: Row>(rows: &[R]) -> impl Iterator<Item = (Step, PackedRow)> + '_ {
-    let mut last: Option<PackedRow> = None;
-    rows.iter().map(move |r| {
-        let r = r.packed();
-        let step = match last {
-            Some(l) if l[0] != r[0] || l[1] >> 32 != r[1] >> 32 => Step::Group,
-            Some(l) if l[1] != r[1] => Step::Cell,
-            Some(_) => Step::Duplicate,
-            None => Step::Group,
-        };
-        last = Some(r);
-        (step, r)
-    })
-}
-
-/// Append key-ordered `rows`' groups and cells to the cube's arrays.
-fn lay_out<R: Row>(rows: &[R], cells: &mut Vec<Cell>, groups: &mut Vec<TripleGroup>) {
-    for (step, [hi, lo, confidence]) in steps(rows) {
-        let confidence = f64::from_bits(confidence);
-        let at = cells.len() as u32;
-        match step {
-            Step::Duplicate => {
-                let open = cells.last_mut().expect("a duplicate follows its cell");
-                open.confidence = open.confidence.max(confidence);
-                continue;
-            }
-            Step::Group => groups.push(TripleGroup {
-                source: SourceId(hi as u32),
-                item: ItemId((hi >> 32) as u32),
-                value: ValueId((lo >> 32) as u32),
-                cells: at..at,
-            }),
-            Step::Cell => {}
-        }
-        let group = groups.last_mut().expect("a cell follows its group");
-        group.cells.end = at + 1;
-        cells.push(Cell {
-            extractor: ExtractorId(lo as u32),
-            confidence,
-        });
     }
 }
 
@@ -914,7 +985,7 @@ mod tests {
         assert_eq!(cube.num_cells(), 4);
         let g0 = &cube.groups()[0];
         assert_eq!((g0.source.0, g0.item.0, g0.value.0), (0, 0, 0));
-        assert_eq!(cube.cells_of(g0).len(), 2);
+        assert_eq!(cube.cells_of(0).len(), 2);
     }
 
     #[test]
@@ -925,7 +996,7 @@ mod tests {
         b.push(obs(0, 0, 0, 0, 0.5));
         let cube = b.build();
         assert_eq!(cube.num_cells(), 1);
-        assert_eq!(cube.cells_of(&cube.groups()[0])[0].confidence, 0.9);
+        assert_eq!(cube.cells_of(0).next().unwrap().confidence, 0.9);
     }
 
     #[test]
@@ -941,8 +1012,7 @@ mod tests {
             pushed.push(*o);
         }
         let (a, b) = (CubeBuilder::from(all).build(), pushed.build());
-        assert_eq!(a.groups(), b.groups());
-        assert_eq!(a.cells, b.cells);
+        assert_cubes_identical(&a, &b);
         assert_eq!(
             (
                 a.num_sources(),
@@ -977,14 +1047,12 @@ mod tests {
         b.push(obs(0, 0, 1, 0, 1.0));
         b.push(obs(1, 1, 0, 0, 1.0));
         let cube = b.build();
-        assert_eq!(
-            cube.extractors_on_source(SourceId::new(0)),
-            &[ExtractorId::new(0), ExtractorId::new(2)]
-        );
-        assert_eq!(
-            cube.extractors_on_source(SourceId::new(1)),
-            &[ExtractorId::new(1)]
-        );
+        let on = |w| {
+            cube.extractors_on_source(SourceId::new(w))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(on(0), [ExtractorId::new(0), ExtractorId::new(2)]);
+        assert_eq!(on(1), [ExtractorId::new(1)]);
     }
 
     /// Extractor ids from [`MASKED_EXTRACTORS`] on are listed from pairs,
@@ -1009,7 +1077,7 @@ mod tests {
             let cube =
                 kbt_flume::with_threads(Some(threads), || CubeBuilder::from(rows.clone()).build());
             for w in 0..5u32 {
-                assert_eq!(cube.extractors_on_source(SourceId::new(w)), want(w));
+                assert!(cube.extractors_on_source(SourceId::new(w)).eq(want(w)));
             }
         }
     }
@@ -1021,10 +1089,8 @@ mod tests {
         b.push(obs(0, 1, 0, 2, 1.0));
         b.push(obs(1, 2, 0, 5, 1.0));
         let cube = b.build();
-        assert_eq!(
-            cube.observed_values(ItemId::new(0)),
-            [ValueId::new(2), ValueId::new(5)]
-        );
+        let values: Vec<ValueId> = cube.observed_values(ItemId::new(0)).collect();
+        assert_eq!(values, [ValueId::new(2), ValueId::new(5)]);
     }
 
     #[test]
@@ -1038,31 +1104,54 @@ mod tests {
         assert_eq!(cube.num_items(), 7);
         assert_eq!(cube.num_values(), 9);
         assert_eq!(cube.source_size(SourceId::new(9)), 0);
-        assert!((1..10).all(|w| cube.extractors_on_source(SourceId::new(w)).is_empty()));
+        assert!((1..10).all(|w| cube.extractors_on_source(SourceId::new(w)).len() == 0));
     }
 
-    /// `apply_delta` must be indistinguishable from a full rebuild over
-    /// the union of the observations.
+    /// A frame with its confidences as bits, so `==` is bitwise.
+    fn bits(frame: &ChunkBuf) -> (ChunkBuf, Vec<u64>) {
+        let mut frame = frame.clone();
+        let conf = std::mem::take(&mut frame.cell_confidence);
+        (frame, conf.iter().map(|c| c.to_bits()).collect())
+    }
+
+    /// The same cube, byte for byte: the key column, the meta frame and
+    /// every item frame (confidences as bits). `apply_delta` and `retract`
+    /// must be indistinguishable from a full rebuild this way.
     fn assert_cubes_identical(a: &ObservationCube, b: &ObservationCube) {
         assert_eq!(a.groups(), b.groups());
-        assert_eq!(a.num_cells(), b.num_cells());
-        for (ga, gb) in a.groups().iter().zip(b.groups()) {
-            assert_eq!(a.cells_of(ga), b.cells_of(gb));
+        assert_eq!(a.chunked.meta, b.chunked.meta);
+        assert_eq!(a.chunked.frames.len(), b.chunked.frames.len());
+        for (i, (fa, fb)) in a.chunked.frames.iter().zip(&b.chunked.frames).enumerate() {
+            assert!(bits(fa) == bits(fb), "frame {i}");
         }
-        assert_eq!(a.num_sources(), b.num_sources());
-        assert_eq!(a.num_extractors(), b.num_extractors());
-        assert_eq!(a.num_items(), b.num_items());
-        assert_eq!(a.num_values(), b.num_values());
-        for w in 0..a.num_sources() {
-            let w = SourceId::new(w as u32);
-            assert_eq!(a.source_size(w), b.source_size(w));
-            assert_eq!(a.extractors_on_source(w), b.extractors_on_source(w));
+    }
+
+    /// The frame writer's contract on `cube`: its frames are the re-cut at
+    /// the default partition on one worker, bit for bit, and its key
+    /// column is the frames' rows — local row `r` of a chunk's frame is
+    /// group `rows.start + r`, of the frame's item, its value the row's
+    /// slot in that item's value list.
+    fn assert_frames_hold_the_cube(cube: &ObservationCube) {
+        let recut = kbt_flume::with_threads(Some(1), || {
+            ChunkedCube::from_cube(cube, &ChunkingConfig::default())
+        });
+        assert_eq!(recut.meta, cube.chunked.meta);
+        assert_eq!(recut.frames.len(), cube.chunked.frames.len());
+        for (i, (want, got)) in recut.frames.iter().zip(&cube.chunked.frames).enumerate() {
+            assert!(bits(want) == bits(got), "frame {i}");
         }
-        for d in 0..a.num_items() {
-            let d = ItemId::new(d as u32);
-            assert_eq!(a.groups_of_item(d), b.groups_of_item(d));
-            assert_eq!(a.observed_values(d), b.observed_values(d));
+        let mut keys = Vec::with_capacity(cube.num_groups());
+        for frame in &cube.chunked.frames {
+            for li in 0..frame.num_items() {
+                let item = ItemId::new(frame.items.start + li as u32);
+                keys.extend(frame.rows(li).map(|r| TripleGroup {
+                    source: SourceId::new(frame.ig_source[r]),
+                    item,
+                    value: ValueId::new(frame.values(li)[frame.ig_slot[r] as usize]),
+                }));
+            }
         }
+        assert_eq!(keys, cube.groups());
     }
 
     /// `n` hashed rows, source drawn by `source_of`: few enough distinct
@@ -1142,7 +1231,9 @@ mod tests {
             assert_eq!(rows.is_sorted_by_key(row_key), in_order);
             let want = serial_build(rows);
             for threads in [1, 2, 8] {
-                assert_cubes_identical(&build_at(threads, rows), &want);
+                let cube = build_at(threads, rows);
+                assert_frames_hold_the_cube(&cube);
+                assert_cubes_identical(&cube, &want);
             }
         }
     }
@@ -1220,6 +1311,8 @@ mod tests {
             .apply_delta(&[obs(0, 0, 0, u32::MAX, 1.0)]);
     }
 
+    /// A delta writes the frames a rebuild from the union would, below and
+    /// above the parallel threshold, at 1, 2 and 8 threads (and 3 above).
     #[test]
     fn apply_delta_matches_full_rebuild() {
         let base = vec![
@@ -1236,24 +1329,22 @@ mod tests {
             obs(3, 4, 5, 6, 1.0), // grows every id space
             obs(3, 4, 5, 6, 0.2), // duplicate keeps max confidence
         ];
-        let mut b = CubeBuilder::new();
-        for o in &base {
-            b.push(*o);
+        let cube = CubeBuilder::from(base.clone()).build();
+        let full = CubeBuilder::from([&base[..], &delta[..]].concat()).build();
+        for threads in [1, 2, 8] {
+            let incremental = kbt_flume::with_threads(Some(threads), || cube.apply_delta(&delta));
+            assert_frames_hold_the_cube(&incremental);
+            assert_cubes_identical(&incremental, &full);
         }
-        let incremental = b.build().apply_delta(&delta);
-        let mut full = CubeBuilder::new();
-        for o in base.iter().chain(&delta) {
-            full.push(*o);
-        }
-        assert_cubes_identical(&incremental, &full.build());
 
-        // Above the parallel threshold the merge is indexed in windows.
+        // Above the parallel threshold the merge is counted in windows.
         let (base, delta) = (spread(150_000, 1), spread(60_000, 2));
         let full = serial_build(&[&base[..], &delta[..]].concat());
         for threads in [1, 2, 3, 8] {
             let cube = build_at(threads, &base);
             assert!(cube.num_groups() >= PARTITION_MIN_ROWS);
             let incremental = kbt_flume::with_threads(Some(threads), || cube.apply_delta(&delta));
+            assert_frames_hold_the_cube(&incremental);
             assert_cubes_identical(&incremental, &full);
         }
     }
@@ -1280,15 +1371,12 @@ mod tests {
         let cube = CubeBuilder::new().build();
         let delta = vec![obs(0, 0, 0, 0, 0.4), obs(1, 0, 0, 0, 1.0)];
         let grown = cube.apply_delta(&delta);
-        let mut full = CubeBuilder::new();
-        for o in &delta {
-            full.push(*o);
-        }
-        assert_cubes_identical(&grown, &full.build());
+        assert_cubes_identical(&grown, &CubeBuilder::from(delta).build());
     }
 
     /// `retract` must be indistinguishable from rebuilding the cube from
-    /// the surviving observations (with the id spaces held fixed).
+    /// the surviving observations (with the id spaces held fixed): the same
+    /// frames, below and above the parallel threshold, at any threads.
     #[test]
     fn retract_matches_rebuild_of_survivors() {
         let base = vec![
@@ -1298,18 +1386,14 @@ mod tests {
             obs(2, 3, 1, 0, 1.0),
             obs(0, 3, 1, 2, 0.8),
         ];
-        let mut b = CubeBuilder::new();
-        for o in &base {
-            b.push(*o);
-        }
-        let cube = b.build();
+        let cube = CubeBuilder::from(base.clone()).build();
         // Retract one multi-cell group, one single-cell group, and one
         // triple that does not exist (ignored).
-        let retracted = cube.retract(&[
+        let keys = [
             (SourceId::new(1), ItemId::new(0), ValueId::new(0)),
             (SourceId::new(3), ItemId::new(1), ValueId::new(2)),
             (SourceId::new(9), ItemId::new(9), ValueId::new(9)),
-        ]);
+        ];
         let mut survivors = CubeBuilder::new();
         for o in &base {
             if (o.source.0, o.item.0, o.value.0) != (1, 0, 0)
@@ -1320,9 +1404,14 @@ mod tests {
         }
         // Id spaces are preserved even when a retraction empties a source.
         survivors.reserve_ids(4, 3, 3, 3);
-        assert_cubes_identical(&retracted, &survivors.build());
-        assert_eq!(retracted.source_size(SourceId::new(1)), 0);
-        assert!(retracted.extractors_on_source(SourceId::new(1)).is_empty());
+        let survivors = survivors.build();
+        for threads in [1, 2, 8] {
+            let retracted = kbt_flume::with_threads(Some(threads), || cube.retract(&keys));
+            assert_frames_hold_the_cube(&retracted);
+            assert_cubes_identical(&retracted, &survivors);
+            assert_eq!(retracted.source_size(SourceId::new(1)), 0);
+            assert_eq!(retracted.extractors_on_source(SourceId::new(1)).len(), 0);
+        }
 
         // Above the parallel threshold: every third group goes, and every
         // group of source 7, which is left empty.
@@ -1343,6 +1432,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let cube = build_at(threads, &base);
             let retracted = kbt_flume::with_threads(Some(threads), || cube.retract(&keys));
+            assert_frames_hold_the_cube(&retracted);
             assert_cubes_identical(&retracted, &rebuilt);
             assert_eq!(retracted.source_size(SourceId::new(7)), 0);
         }
@@ -1383,13 +1473,11 @@ mod tests {
         assert_eq!(back.num_groups(), 2);
         let g0 = &back.groups()[0];
         assert_eq!((g0.source, g0.item, g0.value), key);
-        assert_eq!(
-            back.cells_of(g0),
-            &[Cell {
-                extractor: ExtractorId::new(0),
-                confidence: 0.7
-            }]
-        );
+        let cell = Cell {
+            extractor: ExtractorId::new(0),
+            confidence: 0.7,
+        };
+        assert_eq!(back.cells_of(0).collect::<Vec<_>>(), [cell]);
     }
 
     #[test]
@@ -1401,7 +1489,7 @@ mod tests {
         let cube = b.build();
         let confs: Vec<f64> = cube
             .iter_with_cells()
-            .flat_map(|(_, _, cs)| cs.iter().map(|c| c.confidence))
+            .flat_map(|(_, _, cs)| cs.map(|c| c.confidence))
             .collect();
         assert_eq!(confs, vec![1.0, 0.0, 0.0]);
     }

@@ -17,9 +17,10 @@
 //!   sparse "data cube" of Figure 1(b), one cell per (extractor, source,
 //!   item, value) with an extraction confidence.
 //!
-//! The cube is stored as row-major triple groups, one per `(w, d, v)`,
-//! plus their cells, sorted item-major by `(item, source, value)`, so the
-//! inference layers iterate cache-friendly without hashing in hot loops.
+//! The cube is stored as the keys of its triple groups, one per
+//! `(w, d, v)`, sorted item-major by `(item, source, value)`, and the
+//! item frames that hold the groups' cells in the same order — the
+//! columns the inference layers stream without hashing in hot loops.
 
 #![warn(missing_docs)]
 

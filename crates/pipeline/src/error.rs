@@ -64,8 +64,8 @@ pub enum PipelineError {
     SessionPostHocCopy,
     /// `.residency(CubeResidency::Streamed { .. })` cannot feed a
     /// [`FusionSession`](crate::FusionSession): the session refits after
-    /// every delta, and re-chunking the evolving cube to disk on each
-    /// refit would silently turn the serving hot path into bulk I/O.
+    /// every delta, and writing the evolving cube's frames to disk on
+    /// each refit would silently turn the serving hot path into bulk I/O.
     StreamedSession,
     /// Writing, opening, or streaming the chunk store failed. Carries the
     /// rendered `std::io::Error` (the error itself is not `Clone + Eq`).
@@ -143,8 +143,8 @@ impl std::fmt::Display for PipelineError {
             Self::StreamedSession => write!(
                 f,
                 "TrustPipeline: .residency(CubeResidency::Streamed) cannot \
-                 feed a FusionSession — each warm refit would re-chunk the \
-                 evolving cube to disk on the serving hot path; sessions run \
+                 feed a FusionSession — each warm refit would write the \
+                 cube's frames to disk on the serving hot path; sessions run \
                  resident"
             ),
             Self::StreamedIo { message } => write!(

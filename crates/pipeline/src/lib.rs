@@ -313,12 +313,12 @@ impl TrustPipeline {
         self
     }
 
-    /// Choose where the columnar cube lives during the fit (default: the
+    /// Choose where the fit reads the cube's frames from (default: the
     /// model's [`ModelConfig::residency`], [`CubeResidency::Resident`]
     /// unless set there), before or after [`model`](Self::model).
     ///
-    /// With [`CubeResidency::Streamed`] the model writes its chunked cube
-    /// (the single layer's, its pair cube) to a `KBTCHNK4` store at the
+    /// With [`CubeResidency::Streamed`] the model writes the cube's frames
+    /// (the single layer's, its pair cube's) to a `KBTCHNK4` store at the
     /// given path and fits from it within the memory bound
     /// [`CubeResidency`] states. Trust scores, posteriors, copy evidence
     /// and trace are **bit-for-bit identical** to a resident run,
@@ -444,8 +444,8 @@ impl TrustPipeline {
     ///   the session does not run.
     /// * [`residency`](Self::residency) of
     ///   [`CubeResidency::Streamed`] — [`PipelineError::StreamedSession`];
-    ///   each warm refit would re-chunk the evolving cube to disk on the
-    ///   serving hot path.
+    ///   each warm refit would write the evolving cube's frames to disk on
+    ///   the serving hot path.
     pub fn into_session(self) -> Result<FusionSession, PipelineError> {
         let Self {
             input,

@@ -59,9 +59,12 @@ impl TrustHandle {
 /// wraps it into a [`HookError`] that records *which* hook call failed.
 pub type HookFailure = Box<dyn std::error::Error + Send + Sync>;
 
-/// Which [`DurabilityHook`] call a [`HookError`] came from.
+/// Which [`DurabilityHook`] call (or the server's own refusal) a [`HookError`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookStage {
+    /// The server refused an additive batch naming the reserved id
+    /// `u32::MAX` before logging it: nothing was logged or queued.
+    Admit,
     /// [`DurabilityHook::log`] rejected an additive batch — the batch
     /// was **not** queued; the in-memory state never ran ahead of the
     /// log.
@@ -80,6 +83,7 @@ pub enum HookStage {
 impl std::fmt::Display for HookStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::Admit => write!(f, "admit"),
             Self::LogIngest => write!(f, "log_ingest"),
             Self::LogRetract => write!(f, "log_retract"),
             Self::Commit => write!(f, "commit"),
@@ -88,7 +92,8 @@ impl std::fmt::Display for HookStage {
     }
 }
 
-/// A durability-hook failure, typed by the stage that failed.
+/// A durability-hook failure, typed by the stage that failed, or the
+/// server's refusal of a batch before the hook saw it ([`HookStage::Admit`]).
 ///
 /// This is what every write-side server method surfaces instead of
 /// panicking: a full disk or a dying WAL device degrades to an error
@@ -295,12 +300,19 @@ impl TrustServer {
     ///
     /// # Errors
     ///
+    /// [`HookStage::Admit`] when an additive batch names the reserved id
+    /// `u32::MAX` (a refit would panic on it): neither logged nor queued.
     /// [`HookStage::LogIngest`] / [`HookStage::LogRetract`] when an
     /// attached [`DurabilityHook`] rejects the batch. The batch was
     /// **not** queued: the in-memory state never runs ahead of the log.
     pub fn submit(&mut self, delta: Delta) -> Result<(), HookError> {
         if delta.is_empty() {
             return Ok(());
+        }
+        let ids = |o: &Observation| [o.extractor.0, o.source.0, o.item.0, o.value.0];
+        if matches!(&delta, Delta::Add(obs) if obs.iter().any(|o| ids(o).contains(&u32::MAX))) {
+            let why = "an observation names id u32::MAX, which every id axis reserves";
+            return Err(HookError::new(HookStage::Admit, why.into()));
         }
         if let Some(hook) = &mut self.hook {
             let stage = match delta {
@@ -410,12 +422,8 @@ pub fn apply_and_fit(
         RefitMode::Warm => session.run(),
         RefitMode::Cold => session.run_cold(),
     };
-    let triples = session
-        .cube()
-        .groups()
-        .iter()
-        .map(|g| (g.source, g.item, g.value))
-        .collect();
+    let groups = session.cube().groups().iter();
+    let triples = groups.map(|g| (g.source, g.item, g.value)).collect();
     TrustSnapshot::from_report(
         &report,
         triples,
@@ -577,10 +585,7 @@ mod tests {
     /// the same triple re-adds it; ingest-then-retract removes it.
     #[test]
     fn pending_deltas_apply_in_submission_order() {
-        let key = {
-            let g = obs(0, 0, 0, 0);
-            (g.source, g.item, g.value)
-        };
+        let key = (SourceId::new(0), ItemId::new(0), ValueId::new(0));
         let mut server = server(0..8, RefitMode::Warm);
 
         // retract → ingest: the re-ingested observation survives.
@@ -626,6 +631,13 @@ mod tests {
         fail_log: bool,
     }
 
+    impl ProbeHook {
+        fn note(&self, call: String) -> Result<(), HookFailure> {
+            self.log.lock().unwrap().push(call);
+            Ok(())
+        }
+    }
+
     impl DurabilityHook for ProbeHook {
         fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
             if self.fail_log {
@@ -635,11 +647,7 @@ mod tests {
                 Delta::Add(_) => "ingest",
                 Delta::Remove(_) => "retract",
             };
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("{kind}:{}", delta.len()));
-            Ok(())
+            self.note(format!("{kind}:{}", delta.len()))
         }
         fn commit(
             &mut self,
@@ -654,11 +662,7 @@ mod tests {
                 session.deltas_applied(),
                 "commit sees the snapshot and the session it was fitted on"
             );
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("commit:{}", snapshot.epoch()));
-            Ok(())
+            self.note(format!("commit:{}", snapshot.epoch()))
         }
         fn checkpoint(
             &mut self,
@@ -668,11 +672,7 @@ mod tests {
             if self.fail_commit {
                 return Err("checkpoint rename failed".into());
             }
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("checkpoint:{}", snapshot.epoch()));
-            Ok(())
+            self.note(format!("checkpoint:{}", snapshot.epoch()))
         }
     }
 

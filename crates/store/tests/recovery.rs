@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use kbt_core::ModelConfig;
 use kbt_datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt_pipeline::{Delta, FusionSession, Model};
-use kbt_serve::{RefitMode, TrustServer};
+use kbt_serve::{HookStage, RefitMode, TrustServer};
 use kbt_store::{
     decode_checkpoint, encode_checkpoint, DurableTrustServer, StoreConfig, StoreError,
 };
@@ -388,6 +388,40 @@ fn open_resumes_and_continues_serving() {
     reopened.ingest([obs(0, 1, 2, 3)]).unwrap();
     let snap = reopened.refit().unwrap().expect("pending batch published");
     assert_eq!(snap.epoch(), last_epoch + 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An ingest naming the reserved id `u32::MAX`, on any axis, is refused
+/// before the log sees it: nothing is queued, and a store that crashes
+/// right after reopens with nothing pending and goes on refitting (a
+/// logged batch would be queued again on every reopen, and every refit
+/// would panic on it).
+#[test]
+fn an_ingest_naming_the_reserved_id_is_refused_before_it_is_logged() {
+    let dir = fresh_dir("reserved");
+    {
+        let mut server = create(&dir, RefitMode::Warm, 8);
+        let m = u32::MAX;
+        for bad in [
+            obs(m, 0, 0, 0),
+            obs(0, m, 0, 0),
+            obs(0, 0, m, 0),
+            obs(0, 0, 0, m),
+        ] {
+            let err = (server.ingest([obs(0, 1, 2, 3), bad]))
+                .expect_err("an ingest naming u32::MAX is refused");
+            assert_eq!(err.stage(), HookStage::Admit, "{bad:?}");
+        }
+        assert_eq!(server.pending(), (0, 0));
+        // crash
+    }
+    let mut reopened =
+        DurableTrustServer::open(&dir, model(), RefitMode::Warm, StoreConfig::default())
+            .expect("reopen after the refusal");
+    assert_eq!(reopened.pending(), (0, 0), "nothing was logged");
+    reopened.ingest([obs(0, 1, 2, 3)]).unwrap();
+    let snap = reopened.refit().unwrap().expect("the batch publishes");
+    assert_eq!(snap.epoch(), 1);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -2,9 +2,9 @@
 //! arbitrary observation sets — including ones evolved through
 //! [`ObservationCube::apply_delta`] and [`ObservationCube::retract`] — the
 //! chunk-view engine, resident and streamed, must produce **bit-for-bit**
-//! the scalar reference's results at every thread count and at degenerate
-//! and huge chunk sizes, and the gathered columns must stay faithful to
-//! the row cube.
+//! the scalar reference's results at every thread count and on cubes
+//! re-cut at degenerate and huge chunk sizes, and every re-cut's frames
+//! must stay faithful to the cube.
 
 use kbt::core::ModelConfig;
 use kbt::datamodel::{
@@ -41,24 +41,20 @@ fn build(obs: &[Observation]) -> ObservationCube {
     b.build()
 }
 
-/// The equivalence matrix on `cube` at degenerate, small and huge chunk
-/// sizes.
+/// The equivalence matrix on `cube` re-cut at degenerate, small and huge
+/// chunk sizes.
 fn assert_matrix_at_chunk_sizes(cube: &ObservationCube, ctx: &str) {
-    for chunk_target_cells in [1usize, 16, 1 << 20] {
-        let cfg = ModelConfig {
-            chunk_target_cells,
-            ..ModelConfig::default()
-        };
+    for target_cells in [1usize, 16, 1 << 20] {
         matrix::assert_engine_matches_reference(
-            cube,
-            &cfg,
+            &cube.recut(&ChunkingConfig { target_cells }),
+            &ModelConfig::default(),
             &QualityInit::Default,
-            &format!("{ctx} chunk={chunk_target_cells}"),
+            &format!("{ctx} chunk={target_cells}"),
         );
     }
 }
 
-/// The gathered frames must be a faithful image of the row cube.
+/// A re-cut's frames must be a faithful image of the cube.
 fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     let cc = ChunkedCube::from_cube(cube, &ChunkingConfig { target_cells });
     assert_eq!(cc.meta.num_groups as usize, cube.num_groups());
@@ -68,7 +64,7 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
     // item-major rows span `groups_of_item`, with slots resolving into the
     // item's sorted distinct-value list and each row's cells the group's,
     // in the cube's order.
-    let (mut next_item, mut next_row, mut first_cell) = (0u32, 0u32, 0usize);
+    let (mut next_item, mut next_row, mut cells) = (0u32, 0u32, 0usize);
     for (chunk, frame) in cc.meta.item_chunks.iter().zip(&cc.frames) {
         // Chunks tile items and rows without gaps or overlap.
         assert_eq!(chunk.items.start, next_item);
@@ -84,9 +80,8 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
                 let grp = &cube.groups()[r + first_row];
                 assert_eq!(frame.ig_source[r], grp.source.0);
                 assert_eq!(frame.values(li)[frame.ig_slot[r] as usize], grp.value.0);
-                let cells = cube.cells_of(grp);
+                let cells = cube.cells_of(r + first_row);
                 let at = frame.cells(r);
-                assert_eq!(at.start + first_cell, grp.cell_range().start);
                 assert_eq!(at.len(), cells.len());
                 for (k, c) in at.zip(cells) {
                     assert_eq!(frame.cell_extractor[k], c.extractor.0);
@@ -96,11 +91,11 @@ fn assert_columns_faithful(cube: &ObservationCube, target_cells: usize) {
         }
         next_item = chunk.items.end;
         next_row = chunk.rows.end;
-        first_cell += chunk.cells as usize;
+        cells += chunk.cells as usize;
     }
     assert_eq!(next_item as usize, cube.num_items());
     assert_eq!(next_row as usize, cube.num_groups());
-    assert_eq!(first_cell, cube.num_cells());
+    assert_eq!(cells, cube.num_cells());
 }
 
 /// Every source on every item, one to three cells per group — the chunk
@@ -152,7 +147,7 @@ fn chunks_are_capped_at_a_sixteenth_of_the_cube() {
             let (mut want, mut start, mut cells) = (Vec::new(), 0, 0);
             for d in 0..cube.num_items() as u32 {
                 let groups = cube.groups_of_item(ItemId::new(d));
-                cells += (groups.map(|g| cube.cells_of(&cube.groups()[g]).len())).sum::<usize>();
+                cells += (groups.map(|g| cube.cells_of(g).len())).sum::<usize>();
                 if cells >= target_cells || d as usize + 1 == cube.num_items() {
                     want.push(start..d + 1);
                     (start, cells) = (d + 1, 0);
@@ -170,7 +165,8 @@ fn chunks_are_capped_at_a_sixteenth_of_the_cube() {
 /// The log-likelihood folds an item's rows in blocks of at most 256: a
 /// cube of the proptests' family plus one item of 600 rows (three blocks,
 /// over 150 sources and 4 values) still fits bitwise as the reference
-/// does, both models, at every chunk size, thread count and residency.
+/// does, both models, at every thread count and residency, and the
+/// multi-layer model at every chunk size.
 #[test]
 fn columnar_engine_bitwise_equal_with_a_600_row_item() {
     let mut obs: Vec<Observation> = (0..60u32)
@@ -196,14 +192,9 @@ fn columnar_engine_bitwise_equal_with_a_600_row_item() {
     let cube = build(&obs);
     assert_eq!(cube.groups_of_item(ItemId::new(10)).len(), 600);
     assert_matrix_at_chunk_sizes(&cube, "600-row item");
-    for chunk_target_cells in [1usize, 16, 1 << 20] {
-        let cfg = ModelConfig {
-            chunk_target_cells,
-            ..ModelConfig::default()
-        };
-        let tag = format!("600-row item chunk={chunk_target_cells}");
-        matrix::assert_single_layer_matches_reference(&cube, &cfg, &QualityInit::Default, &tag);
-    }
+    let cfg = ModelConfig::default();
+    let tag = "600-row item";
+    matrix::assert_single_layer_matches_reference(&cube, &cfg, &QualityInit::Default, tag);
 }
 
 proptest! {
@@ -217,8 +208,8 @@ proptest! {
         assert_matrix_at_chunk_sizes(&cube, "built");
     }
 
-    /// The equivalence survives `apply_delta`: the chunked cube is
-    /// rebuilt from the merged cube and the fits still agree bitwise.
+    /// The equivalence survives `apply_delta`: the merged cube's frames
+    /// and their re-cuts still fit bitwise as the reference does.
     #[test]
     fn columnar_engine_bitwise_equal_after_delta(
         base in observations(60),

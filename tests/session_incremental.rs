@@ -42,22 +42,9 @@ fn assert_delta_equals_rebuild(
     let all: Vec<Observation> = base.iter().chain(delta).copied().collect();
     let full = build_cube(&all);
     prop_assert_eq!(incremental.groups(), full.groups());
-    prop_assert_eq!(incremental.num_cells(), full.num_cells());
-    for (gi, gf) in incremental.groups().iter().zip(full.groups()) {
-        prop_assert_eq!(incremental.cells_of(gi), full.cells_of(gf));
-    }
-    prop_assert_eq!(incremental.num_sources(), full.num_sources());
-    prop_assert_eq!(incremental.num_extractors(), full.num_extractors());
-    prop_assert_eq!(incremental.num_items(), full.num_items());
-    prop_assert_eq!(incremental.num_values(), full.num_values());
-    for w in 0..full.num_sources() {
-        let w = SourceId::new(w as u32);
-        prop_assert_eq!(incremental.source_size(w), full.source_size(w));
-        prop_assert_eq!(
-            incremental.extractors_on_source(w),
-            full.extractors_on_source(w)
-        );
-    }
+    // The meta frame (sizes, partition, per-source columns) and every
+    // item frame (values, slots, cells).
+    prop_assert_eq!(incremental.chunked(), full.chunked());
     Ok(())
 }
 

@@ -10,7 +10,7 @@
 //!    default-config warm refit runs all 5 rounds.
 
 use kbt::core::{reference, EmState, ModelConfig, Params, ValueModel};
-use kbt::datamodel::{ExtractorId, ItemId, Observation, SourceId, ValueId};
+use kbt::datamodel::{ChunkingConfig, ExtractorId, ItemId, Observation, SourceId, ValueId};
 use kbt::synth::paper::{generate, SyntheticConfig};
 use kbt::{FusionSession, Model, QualityInit};
 use rand::rngs::StdRng;
@@ -21,8 +21,8 @@ mod matrix;
 
 /// Sharded multi-layer inference is bit-for-bit the flat reference, at 1,
 /// 2, and 8 threads (and streamed at 1, 2, 4 × three `max_resident_chunks`), on a
-/// fixed-seed synthetic corpus — cold, and warm-started with a copy
-/// discount.
+/// fixed-seed synthetic corpus re-cut at 512 cells a chunk — cold, and
+/// warm-started with a copy discount.
 #[test]
 fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     let data = generate(&SyntheticConfig {
@@ -31,24 +31,24 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         seed: 20240915,
         ..SyntheticConfig::default()
     });
+    let cube = data.cube.recut(&ChunkingConfig { target_cells: 512 });
     let cfg = ModelConfig {
         max_iterations: 8,
-        chunk_target_cells: 512,
         ..ModelConfig::default()
     };
     let cold = QualityInit::Default;
-    matrix::assert_engine_matches_reference(&data.cube, &cfg, &cold, "multi");
-    let flat = reference::fit(&data.cube, &cfg, EmState::start(&data.cube, &cfg, &cold));
+    matrix::assert_engine_matches_reference(&cube, &cfg, &cold, "multi");
+    let flat = reference::fit(&cube, &cfg, EmState::start(&cube, &cfg, &cold));
     assert!(
         flat.iterations() >= 2,
         "corpus must exercise several rounds"
     );
-    let scales: Vec<f64> = (0..data.cube.num_sources())
+    let scales: Vec<f64> = (0..cube.num_sources())
         .map(|w| if w % 4 == 0 { 0.4 } else { 1.0 })
         .collect();
-    let warm = EmState::resume(&data.cube, &cfg, flat.params, flat.truth_of_group);
+    let warm = EmState::resume(&cube, &cfg, flat.params, flat.truth_of_group);
     let warm = warm.discounted(&scales);
-    matrix::assert_engine_matches_reference_from(&data.cube, &cfg, &warm, "multi, warm + discount");
+    matrix::assert_engine_matches_reference_from(&cube, &cfg, &warm, "multi, warm + discount");
 }
 
 /// Same bit-for-bit guarantee for the single-layer baseline, resident and
@@ -80,10 +80,7 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         extractor_precision: vec![],
         extractor_recall: vec![],
     };
-    let base = ModelConfig {
-        chunk_target_cells: 256,
-        ..ModelConfig::single_layer_default()
-    };
+    let base = ModelConfig::single_layer_default();
     // A warm restart's parameters, missing the last two pages.
     let last = reference::fit_single_layer(&cube, &base, &QualityInit::Default);
     let resume = QualityInit::Resume(Params {
