@@ -24,10 +24,11 @@
 //! row count per worker, and each window's task brings its rows into key
 //! order and counts them. The chunk partition is cut from the per-item
 //! counts, then one frame writer writes each chunk's frame, one task per
-//! chunk. [`ObservationCube::apply_delta`], [`ObservationCube::retract`]
-//! and [`ObservationCube::recut`] count and write the edited cube the same
-//! way, reading the groups of items the edit does not touch straight off
-//! the old frames. Every cube is the same bytes at any worker count.
+//! chunk. [`ObservationCube::apply_delta`] and [`ObservationCube::retract`]
+//! count and write the edited cube the same way, reading the groups of
+//! items the edit does not touch straight off the old frames; a re-cut
+//! ([`ChunkedCube::from_cube`]) writes the frames alone, cut from their
+//! own per-item counts. Every cube is the same bytes at any worker count.
 
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -218,16 +219,10 @@ impl ObservationCube {
     }
 
     /// This cube's rows merged with `delta`'s, less the `gone` keys
-    /// (sorted), written over `spaces` and cut per `chunking`: from
-    /// [`PARTITION_MIN_ROWS`] groups on, one item window per worker counts
-    /// the edited rows, then [`write_cube`] writes the frames.
-    fn rewrite(
-        &self,
-        spaces: Spaces,
-        chunking: &ChunkingConfig,
-        delta: Option<&Self>,
-        gone: &[Key],
-    ) -> Self {
+    /// (sorted), written over `spaces`: from [`PARTITION_MIN_ROWS`] groups
+    /// on, one item window per worker counts the edited rows, then
+    /// [`write_cube`] writes the frames.
+    fn rewrite(&self, spaces: Spaces, delta: Option<&Self>, gone: &[Key]) -> Self {
         let edit = Edit {
             cube: self,
             delta,
@@ -242,7 +237,7 @@ impl ObservationCube {
             edit.feed(items.clone(), &mut record);
             record
         });
-        write_cube(spaces, records, chunking, &edit)
+        write_cube(spaces, records, &edit)
     }
 
     /// Merge `delta` into this cube **without re-sorting the existing
@@ -264,7 +259,7 @@ impl ObservationCube {
         let mut d = CubeBuilder::from(delta.to_vec());
         d.spaces = d.spaces.max(self.spaces());
         let d = d.build();
-        self.rewrite(d.spaces(), &ChunkingConfig::default(), Some(&d), &[])
+        self.rewrite(d.spaces(), Some(&d), &[])
     }
 
     /// Remove every triple group matching one of `retractions` — the
@@ -289,7 +284,7 @@ impl ObservationCube {
         let mut gone: Vec<Key> = retractions.iter().map(|&(w, d, v)| (d, w, v)).collect();
         gone.sort_unstable();
         gone.dedup();
-        self.rewrite(self.spaces(), &ChunkingConfig::default(), None, &gone)
+        self.rewrite(self.spaces(), None, &gone)
     }
 
     /// This cube with its frames cut per `chunking` instead of the
@@ -297,7 +292,10 @@ impl ObservationCube {
     /// closed at other item boundaries. A fit reads it bit for bit as it
     /// reads the cube ([`ChunkedCube::from_cube`] is its frames).
     pub fn recut(&self, chunking: &ChunkingConfig) -> ObservationCube {
-        self.rewrite(self.spaces(), chunking, None, &[])
+        ObservationCube {
+            groups: self.groups.clone(),
+            chunked: ChunkedCube::from_cube(self, chunking),
+        }
     }
 
     /// Approximate resident size of the cube in bytes (vector payloads
@@ -385,9 +383,19 @@ impl<R: Row> Rows for [R] {
     }
 }
 
+/// A cube's own rows, read off its frames.
+impl Rows for ObservationCube {
+    fn feed(&self, items: Range<usize>, sink: &mut impl Sink) {
+        for (group, e, c) in self.group_runs(items) {
+            sink.group(group);
+            e.iter().zip(c).for_each(|(&e, &c)| sink.cell(e, c));
+        }
+    }
+}
+
 /// A cube's groups edited: merged with a delta cube's (a key on both
 /// sides keeps the larger confidence per extractor), or with the `gone`
-/// keys (sorted) left out, or neither — a re-cut.
+/// keys (sorted) left out.
 struct Edit<'a> {
     cube: &'a ObservationCube,
     delta: Option<&'a ObservationCube>,
@@ -412,10 +420,7 @@ impl Rows for Edit<'_> {
         let mut d = items.start;
         while d < items.end {
             let next = touched(d).map_or(items.end, |t| t.index().min(items.end));
-            for (group, e, c) in self.cube.group_runs(d..next) {
-                sink.group(group);
-                e.iter().zip(c).for_each(|(&e, &c)| sink.cell(e, c));
-            }
+            self.cube.feed(d..next, sink);
             if next < items.end {
                 self.merge_item(next, sink);
             }
@@ -542,51 +547,18 @@ impl Sink for WindowIndex {
     }
 }
 
-/// Lay out a cube from its key-ordered `rows` — the one layout pass of
-/// [`CubeBuilder::build`], [`ObservationCube::apply_delta`],
-/// [`ObservationCube::retract`] and the re-cut. `records` tile the items
-/// in order with what their windows counted. The chunk partition is cut
-/// from their per-item counts; then each chunk's task feeds its items'
-/// rows to the frame writer ([`FrameWriter`]), so the bytes are the same
-/// at any worker count. The per-source columns are the records' counts
-/// summed, and each source's extractor set the union of their marks.
+/// Lay out a cube from its key-ordered `rows` — the layout pass of
+/// [`CubeBuilder::build`], [`ObservationCube::apply_delta`] and
+/// [`ObservationCube::retract`]. `records` tile the items in order with
+/// what their windows counted. The per-source columns are their counts
+/// summed, and each source's extractor set the union of their marks;
+/// [`write_frames`] cuts the default partition from their per-item
+/// counts and writes the frames and the key column.
 fn write_cube<R: Rows + ?Sized>(
     spaces: Spaces,
     mut records: Vec<WindowIndex>,
-    chunking: &ChunkingConfig,
     rows: &R,
 ) -> ObservationCube {
-    let per_item = |r: &WindowIndex| r.item_groups.clone().into_iter().zip(r.item_cells.clone());
-    let per_item = records.iter().flat_map(per_item);
-    let (ng, nc) =
-        (per_item.clone()).fold((0, 0), |(g, c), (n, k)| (g + n as usize, c + k as usize));
-    let item_chunks = chunking.cut(per_item, nc);
-
-    // Every buffer is sized here, on the calling thread, so the workers
-    // below fill them without allocating: memory a worker allocates lands
-    // in its thread's malloc arena and stays resident after the call.
-    let mut groups = vec![TripleGroup::default(); ng];
-    let mut keys = groups.as_mut_slice();
-    let slots: Vec<Mutex<(ChunkBuf, &mut [TripleGroup])>> = (item_chunks.iter())
-        .map(|c| {
-            let rows = keys
-                .split_off_mut(..c.rows.len())
-                .expect("chunks tile the rows");
-            Mutex::new((ChunkBuf::sized_for(c), rows))
-        })
-        .collect();
-    let Ok(_) = kbt_flume::run_tasks(item_chunks.len(), &mut vec![(); workers_for(nc)], |_, i| {
-        let (frame, keys) = &mut *slots[i].lock().expect("a frame is written once");
-        let items = frame.items.start as usize..frame.items.end as usize;
-        let mut writer = FrameWriter::new(frame, keys);
-        rows.feed(items, &mut writer);
-        writer.finish();
-        Ok::<_, Infallible>(())
-    });
-    let frames: Vec<ChunkBuf> = (slots.into_iter())
-        .map(|s| s.into_inner().expect("no frame writer panicked").0)
-        .collect();
-
     let [ns, ..] = spaces.0.map(|n| n as usize);
     let sum = |count: fn(&WindowIndex) -> &[u32]| -> Vec<u32> {
         (0..ns)
@@ -613,62 +585,128 @@ fn write_cube<R: Rows + ?Sized>(
         source_ext_offsets.push(source_ext_ids.len() as u32);
     }
 
-    let item_values = |f: &ChunkBuf| f.item_value_offsets.windows(2).map(|w| w[1] - w[0]).max();
     let [num_sources, num_extractors, num_items, num_values] = spaces.0;
     let meta = ChunkStoreMeta {
-        num_groups: ng as u32,
-        num_cells: nc as u32,
         num_items,
         num_sources,
         num_extractors,
         num_values,
-        max_item_values: frames.iter().filter_map(item_values).max().unwrap_or(0),
-        max_chunk_rows: item_chunks
-            .iter()
-            .map(|c| c.rows.len() as u32)
-            .max()
-            .unwrap_or(0),
-        item_chunks,
         source_sizes,
         source_item_counts,
         source_ext_offsets,
         source_ext_ids,
+        ..ChunkStoreMeta::default()
     };
-    ObservationCube {
-        groups,
-        chunked: ChunkedCube { meta, frames },
+    let per_item = (records.iter()).flat_map(|r| r.item_groups.iter().zip(&r.item_cells));
+    let per_item = per_item.map(|(&groups, &cells)| (groups, cells));
+    let (groups, chunked) = write_frames(per_item, &ChunkingConfig::default(), rows, true, meta);
+    ObservationCube { groups, chunked }
+}
+
+impl ChunkedCube {
+    /// The re-cut: `cube`'s frames with the chunks closed per `cfg`
+    /// ([`ObservationCube::recut`]'s frames), written from the cube's own
+    /// frames. The rows, their cells and every per-source column are the
+    /// cube's; at the default configuration the frames are the cube's
+    /// own, bit for bit.
+    pub fn from_cube(cube: &ObservationCube, cfg: &ChunkingConfig) -> Self {
+        let per_item = cube.chunked.frames.iter().flat_map(|f| {
+            let cells = |r: u32| f.cell_offsets[r as usize];
+            (f.item_offsets.windows(2)).map(move |w| (w[1] - w[0], cells(w[1]) - cells(w[0])))
+        });
+        write_frames(per_item, cfg, cube, false, cube.chunked.meta.clone()).1
     }
+}
+
+/// The frames of the items whose `(groups, cells)` `per_item` yields in
+/// item order, cut per `chunking` ([`ChunkingConfig::cut`]) and written
+/// from their key-ordered `rows` by one frame writer ([`FrameWriter`])
+/// task per chunk, so the bytes are the same at any worker count; and
+/// their key column if `keys`. `meta` brings the id spaces and per-source
+/// columns; the counts and the partition are set here.
+fn write_frames<R: Rows + ?Sized>(
+    per_item: impl Iterator<Item = (u32, u32)> + Clone,
+    chunking: &ChunkingConfig,
+    rows: &R,
+    keys: bool,
+    mut meta: ChunkStoreMeta,
+) -> (Vec<TripleGroup>, ChunkedCube) {
+    let (ng, nc) =
+        (per_item.clone()).fold((0, 0), |(g, c), (n, k)| (g + n as usize, c + k as usize));
+    let item_chunks = chunking.cut(per_item, nc);
+
+    // Every buffer is sized here, on the calling thread, so the workers
+    // below fill them without allocating: memory a worker allocates lands
+    // in its thread's malloc arena and stays resident after the call.
+    let mut groups = vec![TripleGroup::default(); if keys { ng } else { 0 }];
+    let mut rest = groups.as_mut_slice();
+    let slots: Vec<Mutex<(ChunkBuf, &mut [TripleGroup])>> = (item_chunks.iter())
+        .map(|c| {
+            let n = if keys { c.rows.len() } else { 0 };
+            let keys = rest.split_off_mut(..n).expect("chunks tile the rows");
+            Mutex::new((ChunkBuf::sized_for(c), keys))
+        })
+        .collect();
+    let Ok(_) = kbt_flume::run_tasks(item_chunks.len(), &mut vec![(); workers_for(nc)], |_, i| {
+        let (frame, keys) = &mut *slots[i].lock().expect("a frame is written once");
+        let items = frame.items.start as usize..frame.items.end as usize;
+        let mut writer = FrameWriter::new(frame, keys);
+        rows.feed(items, &mut writer);
+        writer.finish();
+        Ok::<_, Infallible>(())
+    });
+    let frames: Vec<ChunkBuf> = (slots.into_iter())
+        .map(|s| s.into_inner().expect("no frame writer panicked").0)
+        .collect();
+
+    let item_values = |f: &ChunkBuf| f.item_value_offsets.windows(2).map(|w| w[1] - w[0]).max();
+    meta.max_item_values = frames.iter().filter_map(item_values).max().unwrap_or(0);
+    let chunk_rows = item_chunks.iter().map(|c| c.rows.len() as u32);
+    meta.max_chunk_rows = chunk_rows.max().unwrap_or(0);
+    (meta.num_groups, meta.num_cells, meta.item_chunks) = (ng as u32, nc as u32, item_chunks);
+    (groups, ChunkedCube { meta, frames })
 }
 
 /// The frame writer: one chunk's frame, written from the key-ordered rows
 /// of its items, and its rows' keys into the chunk's stretch of the key
-/// column. An item's value list is its groups' values sorted and
-/// deduplicated, and a row's slot is its value's place in it. Until the
-/// frame is finished, `cell_offsets` holds each row's first cell.
+/// column (if it has one). An item's value list is its groups' values
+/// sorted and deduplicated, and a row's slot is its value's place in it.
+/// Until the frame is finished, `cell_offsets` holds each row's first
+/// cell; until its item is sealed, `ig_slot` holds each row's value.
 struct FrameWriter<'a> {
     frame: &'a mut ChunkBuf,
     keys: &'a mut [TripleGroup],
+    /// The open item's values (the one buffer a worker grows).
+    values: Vec<u32>,
 }
 
 impl<'a> FrameWriter<'a> {
     fn new(frame: &'a mut ChunkBuf, keys: &'a mut [TripleGroup]) -> Self {
         frame.item_offsets.push(0);
         frame.item_value_offsets.push(0);
-        Self { frame, keys }
+        let values = Vec::new();
+        Self {
+            frame,
+            keys,
+            values,
+        }
     }
 
     /// Seal the frame's open item: its rows are those written since the
-    /// last sealed one, and its value list is complete.
+    /// last sealed one, and their values make its value list.
     fn close_item(&mut self) {
         let f = &mut *self.frame;
         let first = *f.item_offsets.last().expect("starts at 0") as usize;
-        let rows = &self.keys[first..f.ig_source.len()];
-        let at = *f.item_value_offsets.last().expect("starts at 0") as usize;
-        let values = &f.item_values[at..];
-        f.ig_slot.extend(rows.iter().map(|g| {
-            let slot = values.binary_search(&g.value.0);
-            slot.expect("a row's value is one of its item's") as u32
-        }));
+        let values = &mut self.values;
+        values.clear();
+        values.extend_from_slice(&f.ig_slot[first..]);
+        values.sort_unstable();
+        values.dedup();
+        for slot in &mut f.ig_slot[first..] {
+            let at = values.binary_search(slot);
+            *slot = at.expect("a row's value is one of its item's") as u32;
+        }
+        f.item_values.extend_from_slice(values);
         f.item_offsets.push(f.ig_source.len() as u32);
         f.item_value_offsets.push(f.item_values.len() as u32);
     }
@@ -694,13 +732,12 @@ impl Sink for FrameWriter<'_> {
             self.close_item();
         }
         let f = &mut *self.frame;
-        self.keys[f.ig_source.len()] = key;
-        f.ig_source.push(key.source.0);
-        f.cell_offsets.push(f.cell_extractor.len() as u32);
-        let at = *f.item_value_offsets.last().expect("starts at 0") as usize;
-        if let Err(k) = f.item_values[at..].binary_search(&key.value.0) {
-            f.item_values.insert(at + k, key.value.0);
+        if let Some(k) = self.keys.get_mut(f.ig_source.len()) {
+            *k = key;
         }
+        f.ig_source.push(key.source.0);
+        f.ig_slot.push(key.value.0);
+        f.cell_offsets.push(f.cell_extractor.len() as u32);
     }
 
     fn cell(&mut self, e: u32, confidence: f64) {
@@ -807,7 +844,7 @@ impl CubeBuilder {
     /// in any arrival order.
     pub fn build(self) -> ObservationCube {
         let (obs, spaces) = (self.obs, self.spaces);
-        let ([_, _, ni, _], chunking) = (spaces.0.map(|n| n as usize), ChunkingConfig::default());
+        let [_, _, ni, _] = spaces.0.map(|n| n as usize);
         // The sorted check comes first on purpose: recovery hands the
         // builder a checkpoint's cells in cube order on every `recover`,
         // and one window reads them in place on the calling thread. (Two
@@ -817,7 +854,7 @@ impl CubeBuilder {
         if obs.is_sorted_by_key(row_key) {
             let mut record = WindowIndex::new(0..ni, spaces);
             obs.feed(0..ni, &mut record);
-            return write_cube(spaces, vec![record], &chunking, &obs[..]);
+            return write_cube(spaces, vec![record], &obs[..]);
         }
         let starts = item_starts(&obs, ni);
         let cuts = cut_items(ni, obs.len(), workers_for(obs.len()), |p| {
@@ -847,7 +884,7 @@ impl CubeBuilder {
         let records = windows.into_iter().map(|(_, record)| record).collect();
         // Free the input before the frames exist.
         drop((obs, starts));
-        write_cube(spaces, records, &chunking, &buffer[..])
+        write_cube(spaces, records, &buffer[..])
     }
 }
 
@@ -962,6 +999,7 @@ impl Row for PackedRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::tests::{bits, rows};
 
     fn obs(e: u32, w: u32, d: u32, v: u32, c: f64) -> Observation {
         Observation {
@@ -1107,13 +1145,6 @@ mod tests {
         assert!((1..10).all(|w| cube.extractors_on_source(SourceId::new(w)).len() == 0));
     }
 
-    /// A frame with its confidences as bits, so `==` is bitwise.
-    fn bits(frame: &ChunkBuf) -> (ChunkBuf, Vec<u64>) {
-        let mut frame = frame.clone();
-        let conf = std::mem::take(&mut frame.cell_confidence);
-        (frame, conf.iter().map(|c| c.to_bits()).collect())
-    }
-
     /// The same cube, byte for byte: the key column, the meta frame and
     /// every item frame (confidences as bits). `apply_delta` and `retract`
     /// must be indistinguishable from a full rebuild this way.
@@ -1132,26 +1163,10 @@ mod tests {
     /// group `rows.start + r`, of the frame's item, its value the row's
     /// slot in that item's value list.
     fn assert_frames_hold_the_cube(cube: &ObservationCube) {
-        let recut = kbt_flume::with_threads(Some(1), || {
-            ChunkedCube::from_cube(cube, &ChunkingConfig::default())
-        });
-        assert_eq!(recut.meta, cube.chunked.meta);
-        assert_eq!(recut.frames.len(), cube.chunked.frames.len());
-        for (i, (want, got)) in recut.frames.iter().zip(&cube.chunked.frames).enumerate() {
-            assert!(bits(want) == bits(got), "frame {i}");
-        }
-        let mut keys = Vec::with_capacity(cube.num_groups());
-        for frame in &cube.chunked.frames {
-            for li in 0..frame.num_items() {
-                let item = ItemId::new(frame.items.start + li as u32);
-                keys.extend(frame.rows(li).map(|r| TripleGroup {
-                    source: SourceId::new(frame.ig_source[r]),
-                    item,
-                    value: ValueId::new(frame.values(li)[frame.ig_slot[r] as usize]),
-                }));
-            }
-        }
-        assert_eq!(keys, cube.groups());
+        let recut = kbt_flume::with_threads(Some(1), || cube.recut(&ChunkingConfig::default()));
+        assert_cubes_identical(&recut, cube);
+        let keys = rows(&cube.chunked).into_iter().map(|(key, _)| key);
+        assert!(keys.eq(cube.groups().iter().copied()));
     }
 
     /// `n` hashed rows, source drawn by `source_of`: few enough distinct

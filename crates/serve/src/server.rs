@@ -59,7 +59,8 @@ impl TrustHandle {
 /// wraps it into a [`HookError`] that records *which* hook call failed.
 pub type HookFailure = Box<dyn std::error::Error + Send + Sync>;
 
-/// Which [`DurabilityHook`] call (or the server's own refusal) a [`HookError`] came from.
+/// Which [`DurabilityHook`] call a [`HookError`] came from, or the
+/// server's own refusal ([`HookStage::Admit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookStage {
     /// The server refused an additive batch naming the reserved id
@@ -422,8 +423,12 @@ pub fn apply_and_fit(
         RefitMode::Warm => session.run(),
         RefitMode::Cold => session.run_cold(),
     };
-    let groups = session.cube().groups().iter();
-    let triples = groups.map(|g| (g.source, g.item, g.value)).collect();
+    let triples = session
+        .cube()
+        .groups()
+        .iter()
+        .map(|g| (g.source, g.item, g.value))
+        .collect();
     TrustSnapshot::from_report(
         &report,
         triples,
@@ -585,7 +590,10 @@ mod tests {
     /// the same triple re-adds it; ingest-then-retract removes it.
     #[test]
     fn pending_deltas_apply_in_submission_order() {
-        let key = (SourceId::new(0), ItemId::new(0), ValueId::new(0));
+        let key = {
+            let g = obs(0, 0, 0, 0);
+            (g.source, g.item, g.value)
+        };
         let mut server = server(0..8, RefitMode::Warm);
 
         // retract → ingest: the re-ingested observation survives.
@@ -631,13 +639,6 @@ mod tests {
         fail_log: bool,
     }
 
-    impl ProbeHook {
-        fn note(&self, call: String) -> Result<(), HookFailure> {
-            self.log.lock().unwrap().push(call);
-            Ok(())
-        }
-    }
-
     impl DurabilityHook for ProbeHook {
         fn log(&mut self, delta: &Delta) -> Result<(), HookFailure> {
             if self.fail_log {
@@ -647,7 +648,11 @@ mod tests {
                 Delta::Add(_) => "ingest",
                 Delta::Remove(_) => "retract",
             };
-            self.note(format!("{kind}:{}", delta.len()))
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("{kind}:{}", delta.len()));
+            Ok(())
         }
         fn commit(
             &mut self,
@@ -662,7 +667,11 @@ mod tests {
                 session.deltas_applied(),
                 "commit sees the snapshot and the session it was fitted on"
             );
-            self.note(format!("commit:{}", snapshot.epoch()))
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("commit:{}", snapshot.epoch()));
+            Ok(())
         }
         fn checkpoint(
             &mut self,
@@ -672,7 +681,11 @@ mod tests {
             if self.fail_commit {
                 return Err("checkpoint rename failed".into());
             }
-            self.note(format!("checkpoint:{}", snapshot.epoch()))
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("checkpoint:{}", snapshot.epoch()));
+            Ok(())
         }
     }
 

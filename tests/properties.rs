@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use kbt::core::ModelConfig;
 use kbt::datamodel::{
@@ -60,6 +60,27 @@ fn assert_indexes_recount(cube: &ObservationCube) {
     }
 }
 
+/// The cells against a recount of the observations the cube was made
+/// from: one cell per distinct `(e, w, d, v)`, in cube order and by
+/// extractor within a group, each at the largest confidence observed for
+/// its key (compared as bits).
+fn assert_cells_recount(cube: &ObservationCube, input: &[Observation]) {
+    let mut want = BTreeMap::new();
+    for o in input {
+        let key = (o.item.0, o.source.0, o.value.0, o.extractor.0);
+        let c = want.entry(key).or_insert(o.confidence);
+        *c = c.max(o.confidence);
+    }
+    let want: Vec<_> = want.into_iter().map(|(k, c)| (k, c.to_bits())).collect();
+    let got: Vec<_> = (cube.iter_with_cells())
+        .flat_map(|(_, g, cells)| {
+            let key = move |e: ExtractorId| (g.item.0, g.source.0, g.value.0, e.0);
+            cells.map(move |c| (key(c.extractor), c.confidence.to_bits()))
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
 /// A snapshot of a one-round fit over `cube` answers every group's
 /// `(source, item, value)` with that group's posterior, and misses a
 /// value no group claims and a source with no groups.
@@ -103,8 +124,8 @@ fn assert_snapshot_finds_every_triple(cube: &ObservationCube) {
 }
 
 proptest! {
-    /// The item-major group order is a relabeling that every index and
-    /// the serving lookup agree with: random cubes with duplicate
+    /// The item-major group order is a relabeling that every index, every
+    /// cell and the serving lookup agree with: random cubes with duplicate
     /// observations, then grown by a delta (new and existing keys), then
     /// with every seventh group (from an offset) retracted.
     #[test]
@@ -114,8 +135,11 @@ proptest! {
         offset in 0usize..7,
     ) {
         let mut b = CubeBuilder::new();
-        for o in obs.iter().chain(&obs[..obs.len() / 3]) {
-            b.push(Observation { confidence: o.confidence / 2.0, ..*o });
+        let base_in: Vec<Observation> = (obs.iter().chain(&obs[..obs.len() / 3]))
+            .map(|o| Observation { confidence: o.confidence / 2.0, ..*o })
+            .collect();
+        for o in &base_in {
+            b.push(*o);
         }
         let base = b.build();
         let grown = base.apply_delta(&delta);
@@ -123,8 +147,15 @@ proptest! {
             .filter(|(g, _)| g % 7 == offset)
             .map(|(_, g)| (g.source, g.item, g.value))
             .collect();
-        for cube in [&base, &grown, &grown.retract(&gone)] {
+        let grown_in = [&base_in[..], &delta[..]].concat();
+        let kept: Vec<Observation> = (grown_in.iter())
+            .filter(|o| !gone.contains(&(o.source, o.item, o.value)))
+            .copied()
+            .collect();
+        let shrunk = grown.retract(&gone);
+        for (cube, input) in [(&base, &base_in), (&grown, &grown_in), (&shrunk, &kept)] {
             assert_indexes_recount(cube);
+            assert_cells_recount(cube, input);
             assert_snapshot_finds_every_triple(cube);
         }
     }

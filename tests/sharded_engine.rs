@@ -9,8 +9,12 @@
 //!    promise: on `kbt_synth::scale`'s 200k-triple corpus a
 //!    default-config warm refit runs all 5 rounds.
 
-use kbt::core::{reference, EmState, ModelConfig, Params, ValueModel};
-use kbt::datamodel::{ChunkingConfig, ExtractorId, ItemId, Observation, SourceId, ValueId};
+use kbt::core::{
+    reference, CubeResidency, EmState, ModelConfig, Params, SingleLayerModel, ValueModel,
+};
+use kbt::datamodel::{
+    ChunkingConfig, ExtractorId, FileChunkStore, ItemId, Observation, SourceId, ValueId,
+};
 use kbt::synth::paper::{generate, SyntheticConfig};
 use kbt::{FusionSession, Model, QualityInit};
 use rand::rngs::StdRng;
@@ -52,13 +56,14 @@ fn multilayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
 }
 
 /// Same bit-for-bit guarantee for the single-layer baseline, resident and
-/// streamed: cold, gold-seeded, resumed, with zero iterations, and — for
-/// POPACCU's popularity rule, which counts inactive pairs' claims too —
-/// with a thin extractor's pairs held inactive by `min_source_support`.
+/// streamed, on a corpus whose pair cube spans more than one frame: cold,
+/// gold-seeded, resumed, with zero iterations, and — for POPACCU's
+/// popularity rule, which counts inactive pairs' claims too — with a thin
+/// extractor's pairs held inactive by `min_source_support`.
 #[test]
 fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
     let data = generate(&SyntheticConfig {
-        num_sources: 15,
+        num_sources: 80,
         triples_per_source: 50,
         seed: 777,
         ..SyntheticConfig::default()
@@ -81,6 +86,24 @@ fn singlelayer_sharded_matches_flat_bitwise_at_1_2_8_threads() {
         extractor_recall: vec![],
     };
     let base = ModelConfig::single_layer_default();
+    // The pair cube (one cell per claim) passes 4 Ki cells, so the
+    // default partition cuts it into more than one frame: a streamed fit
+    // writes them all to its store.
+    let path = matrix::fresh_path("pairs");
+    let streamed = ModelConfig {
+        residency: CubeResidency::Streamed {
+            path: path.clone(),
+            max_resident_chunks: 1,
+        },
+        ..base.clone()
+    };
+    let fit = SingleLayerModel::new(streamed).run_traced(&cube, &QualityInit::Default);
+    fit.expect("a streamed single-layer fit");
+    let frames = FileChunkStore::open(&path)
+        .expect("the pair store")
+        .num_chunks();
+    std::fs::remove_file(&path).expect("remove the pair store");
+    assert!(frames > 1, "the pair cube must span frames, not {frames}");
     // A warm restart's parameters, missing the last two pages.
     let last = reference::fit_single_layer(&cube, &base, &QualityInit::Default);
     let resume = QualityInit::Resume(Params {
