@@ -33,7 +33,7 @@
 //! pure relabeling, so every posterior must still be there, bit for bit.
 //!
 //! With `--streamed` the drill instead checks the out-of-core residency:
-//! the corpus's own frames are written to a `KBTCHNK4` store on disk,
+//! the corpus's own frames are written to a `KBTCHNK5` store on disk,
 //! then two *child
 //! processes* run the same fixed-round fit — one resident (regenerating
 //! the corpus), one streaming from the store with at most

@@ -65,7 +65,7 @@ pub enum CubeResidency {
     /// Scan the cube's own frames in memory (the default).
     #[default]
     Resident,
-    /// Stream chunk payloads from a `KBTCHNK4` chunk store on disk.
+    /// Stream chunk payloads from a `KBTCHNK5` chunk store on disk.
     Streamed {
         /// Path of the chunk store file
         /// (`kbt_datamodel::FileChunkStore::write`).

@@ -267,19 +267,22 @@ fn a_start_is_discounted_by_padded_independence_factors() {
     assert_ne!(short.params, blind.params);
 }
 
-/// A store of the previous format, `KBTCHNK3` (a group id per row), is
-/// refused at open with a typed error, never read as the current one.
+/// A store of an earlier format — `KBTCHNK3` (a group id per row) or
+/// `KBTCHNK4` (a meta frame with `max_chunk_rows`) — is refused at open
+/// with a typed error, never read as the current one.
 #[test]
 fn a_kbtchnk3_store_is_refused_at_open() {
     let cube = recut(&build(observations(5, 300)), 32);
     let path = fresh_path("v3");
     FileChunkStore::write(cube.chunked(), &path).expect("write chunk store");
     let mut bytes = fs::read(&path).expect("read back");
-    assert_eq!(&bytes[..8], b"KBTCHNK4");
-    bytes[..8].copy_from_slice(b"KBTCHNK3");
-    fs::write(&path, &bytes).expect("write the old magic");
-    let err = FileChunkStore::open(&path).expect_err("a v3 store must not open");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(&bytes[..8], b"KBTCHNK5");
+    for old in [b"KBTCHNK3", b"KBTCHNK4"] {
+        bytes[..8].copy_from_slice(old);
+        fs::write(&path, &bytes).expect("write the old magic");
+        let err = FileChunkStore::open(&path).expect_err("an old store must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
     let _ = fs::remove_file(&path);
 }
 
@@ -371,7 +374,7 @@ fn streamed_fit_error(path: &std::path::Path, threads: usize, cache: usize) -> s
 /// A bad item frame surfaces as the fit's typed error while the other
 /// scan workers carry on with their own frames: the fit neither hangs
 /// nor panics. Each item frame in turn gets one flipped byte (a CRC
-/// failure), and some get a CRC-valid `KBTCHNK4` payload that does not
+/// failure), and some get a CRC-valid `KBTCHNK5` payload that does not
 /// fit the skeleton: an item range not the skeleton's, a row naming a
 /// source the cube does not have, row cell offsets that are not a CSR,
 /// and a cell naming an extractor the cube does not have.

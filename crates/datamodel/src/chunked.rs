@@ -34,8 +34,8 @@
 //! Both residencies hand the kernels a `&ChunkBuf`: a resident
 //! [`ChunkedCube`] its own frames, [`StreamedChunks`] the buffer each scan
 //! worker reads a [`FileChunkStore`]'s frame into, so the resident set is
-//! one buffer per worker instead of the whole corpus. The v4 file format
-//! (`KBTCHNK4`) is the magic followed by three families of [`wire`]
+//! one buffer per worker instead of the whole corpus. The v5 file format
+//! (`KBTCHNK5`) is the magic followed by three families of [`wire`]
 //! frames (the frame, sequence and column contracts are stated once, in
 //! that module's docs):
 //!
@@ -59,6 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::wire::{self, WireError, WireReader};
+use crate::{ItemId, SourceId, TripleGroup, ValueId};
 
 /// How the columnar cube is partitioned into chunks.
 #[derive(Debug, Clone)]
@@ -164,6 +165,28 @@ impl ChunkedCube {
         let chunks = m.item_chunks.len() * std::mem::size_of::<CubeChunk>();
         chunks + words(&per_source) + words(&[&m.source_ext_ids]) + frames.sum::<usize>()
     }
+
+    /// The partition decoded `frames` were cut at, if they tile
+    /// `meta.num_items` in order, their rows and cells count in `u32`, and
+    /// each is a well-formed frame of its chunk under `meta`
+    /// ([`ChunkBuf::fits`]) that a build could have written
+    /// ([`ChunkBuf::is_canonical`]).
+    pub(crate) fn partition_of(
+        frames: &[ChunkBuf],
+        meta: &ChunkStoreMeta,
+    ) -> Option<Vec<CubeChunk>> {
+        let (mut next, mut total) = (0u32, 0u32);
+        let mut chunk = |f: &ChunkBuf| {
+            let (items, cells) = (f.items.clone(), f.cell_extractor.len() as u32);
+            let end = next.checked_add(f.num_rows().try_into().ok()?)?;
+            total = total.checked_add(cells)?;
+            let rows = std::mem::replace(&mut next, end)..end;
+            let chunk = CubeChunk { items, rows, cells };
+            (f.fits(&chunk, meta) && f.is_canonical(meta.num_values)).then_some(chunk)
+        };
+        let tiled = tiles(frames.iter().map(|f| &f.items), meta.num_items);
+        tiled.then(|| frames.iter().map(&mut chunk).collect())?
+    }
 }
 
 /// One chunk's item frame: the unit [`FileChunkStore::load_chunk`] decodes
@@ -241,8 +264,9 @@ impl ChunkBuf {
         }
     }
 
-    /// The item-frame payload [`FileChunkStore::load_chunk`] decodes.
-    fn encode(&self, p: &mut Vec<u8>) {
+    /// The item-frame payload [`FileChunkStore::load_chunk`] decodes (and
+    /// a checkpoint's cube section holds, frame after frame).
+    pub(crate) fn encode(&self, p: &mut Vec<u8>) {
         wire::put_u32(p, self.items.start);
         wire::put_u32(p, self.items.end);
         for column in [
@@ -259,10 +283,10 @@ impl ChunkBuf {
         wire::put_column(p, &self.cell_confidence, f64::to_le_bytes);
     }
 
-    /// Decode an item-frame payload written by [`Self::encode`] into these
-    /// buffers, reusing their capacity.
-    fn decode(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        let mut r = WireReader::new(payload);
+    /// Read an item frame written by [`Self::encode`] into these buffers,
+    /// reusing their capacity. Every column is guarded by the bytes left;
+    /// the shape is [`Self::fits`]'s to check.
+    pub(crate) fn read(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         self.items = r.u32()?..r.u32()?;
         for column in [
             &mut self.item_offsets,
@@ -273,10 +297,69 @@ impl ChunkBuf {
             &mut self.cell_offsets,
             &mut self.cell_extractor,
         ] {
-            read_u32_vec(&mut r, column)?;
+            read_u32_vec(r, column)?;
         }
-        r.column(&mut self.cell_confidence, f64::from_le_bytes)?;
-        r.finish()
+        r.column(&mut self.cell_confidence, f64::from_le_bytes)
+    }
+
+    /// Whether this well-formed frame's rows are as a build writes them,
+    /// over `num_values` values: an item's value list is exactly its rows'
+    /// distinct values, ascending; an item's rows strictly ascend in
+    /// `(source, value)`; a row's extractors strictly ascend; and every
+    /// confidence is in `[0, 1]` (no NaN).
+    pub(crate) fn is_canonical(&self, num_values: u32) -> bool {
+        let ascend = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+        // Every value of a frame is some row's, slot by slot.
+        let mut used = vec![false; self.item_values.len()];
+        let items_ok = (0..self.num_items()).all(|li| {
+            let (values, first) = (self.values(li), self.item_value_offsets[li] as usize);
+            (self.rows(li)).for_each(|r| used[first + self.ig_slot[r] as usize] = true);
+            let keys = self.rows(li).map(|r| (self.ig_source[r], self.ig_slot[r]));
+            ascend(values)
+                && values.last().is_none_or(|&v| v < num_values)
+                && keys.is_sorted_by(|a, b| a < b)
+        });
+        items_ok
+            && !used.contains(&false)
+            && (0..self.num_rows()).all(|r| ascend(&self.cell_extractor[self.cells(r)]))
+            && self.cell_confidence.iter().all(|c| (0.0..=1.0).contains(c))
+    }
+
+    /// The `(source, item, value)` key of every row, in order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = TripleGroup> + '_ {
+        (0..self.num_items()).flat_map(move |li| {
+            let item = ItemId::new(self.items.start + li as u32);
+            self.rows(li).map(move |r| TripleGroup {
+                source: SourceId::new(self.ig_source[r]),
+                item,
+                value: ValueId::new(self.values(li)[self.ig_slot[r] as usize]),
+            })
+        })
+    }
+
+    /// Whether this frame is a well-formed frame of `chunk` under `meta`'s
+    /// id spaces and slot bound: its columns delimit the chunk's items,
+    /// rows and cells, every row has a cell, and no id or slot indexes out
+    /// of bounds — the check every decoded frame passes before a kernel
+    /// reads it.
+    pub(crate) fn fits(&self, chunk: &CubeChunk, meta: &ChunkStoreMeta) -> bool {
+        let (items, rows, cells) = (self.num_items(), self.num_rows(), self.cell_extractor.len());
+        self.items == chunk.items
+            && rows == chunk.rows.len()
+            && cells == chunk.cells as usize
+            && is_csr(&self.item_offsets, items, rows)
+            && is_csr(&self.item_value_offsets, items, self.item_values.len())
+            && is_csr(&self.cell_offsets, rows, cells)
+            && self.cell_offsets.windows(2).all(|w| w[0] < w[1])
+            && self.ig_slot.len() == rows
+            && self.cell_confidence.len() == cells
+            && all_below(&self.ig_source, meta.num_sources)
+            && all_below(&self.cell_extractor, meta.num_extractors)
+            // Every row's slot names one of its own item's values.
+            && (0..items).all(|li| {
+                let values = self.item_value_offsets[li + 1] - self.item_value_offsets[li];
+                values <= meta.max_item_values && all_below(&self.ig_slot[self.rows(li)], values)
+            })
     }
 }
 
@@ -389,7 +472,7 @@ impl ChunkSource for StreamedChunks {
     }
 }
 
-const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK4";
+const CHUNK_MAGIC: &[u8; 8] = b"KBTCHNK5";
 
 fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
     wire::put_column(buf, xs, u32::to_le_bytes);
@@ -445,9 +528,6 @@ pub struct ChunkStoreMeta {
     pub num_values: u32,
     /// Largest per-item distinct-value count (slot-accumulator size).
     pub max_item_values: u32,
-    /// Most rows in any single item chunk — only recorded: the frame
-    /// carries it, and nothing reads it.
-    pub max_chunk_rows: u32,
     /// The item-aligned chunk partition (one item frame per entry).
     pub item_chunks: Vec<CubeChunk>,
     /// Number of groups of each source (length `num_sources`).
@@ -474,7 +554,6 @@ impl ChunkStoreMeta {
             self.num_extractors,
             self.num_values,
             self.max_item_values,
-            self.max_chunk_rows,
         ] {
             wire::put_u32(p, x);
         }
@@ -497,57 +576,45 @@ impl ChunkStoreMeta {
 
     fn decode(payload: &[u8]) -> io::Result<Self> {
         let mut r = WireReader::new(payload);
-        let num_groups = r.u32()?;
-        let num_cells = r.u32()?;
-        let num_items = r.u32()?;
-        let num_sources = r.u32()?;
-        let num_extractors = r.u32()?;
-        let num_values = r.u32()?;
-        let max_item_values = r.u32()?;
-        let max_chunk_rows = r.u32()?;
-        let item_chunks = r.seq::<_, WireError>(20, |r| {
-            Ok(CubeChunk {
-                items: r.u32()?..r.u32()?,
-                rows: r.u32()?..r.u32()?,
-                cells: r.u32()?,
-            })
-        })?;
-        let mut source_sizes = Vec::new();
-        read_u32_vec(&mut r, &mut source_sizes)?;
-        let mut source_item_counts = Vec::new();
-        read_u32_vec(&mut r, &mut source_item_counts)?;
-        let mut source_ext_offsets = Vec::new();
-        read_u32_vec(&mut r, &mut source_ext_offsets)?;
-        let mut source_ext_ids = Vec::new();
-        read_u32_vec(&mut r, &mut source_ext_ids)?;
+        let column = |r: &mut WireReader<'_>| {
+            let mut column = Vec::new();
+            read_u32_vec(r, &mut column).map(|()| column)
+        };
+        // The fields in the order they were written.
+        let meta = Self {
+            num_groups: r.u32()?,
+            num_cells: r.u32()?,
+            num_items: r.u32()?,
+            num_sources: r.u32()?,
+            num_extractors: r.u32()?,
+            num_values: r.u32()?,
+            max_item_values: r.u32()?,
+            item_chunks: r.seq::<_, WireError>(20, |r| {
+                Ok(CubeChunk {
+                    items: r.u32()?..r.u32()?,
+                    rows: r.u32()?..r.u32()?,
+                    cells: r.u32()?,
+                })
+            })?,
+            source_sizes: column(&mut r)?,
+            source_item_counts: column(&mut r)?,
+            source_ext_offsets: column(&mut r)?,
+            source_ext_ids: column(&mut r)?,
+        };
         r.finish()?;
-        let ns = num_sources as usize;
-        let sized: u64 = source_sizes.iter().map(|&n| u64::from(n)).sum();
-        let meta_ok = source_sizes.len() == ns
-            && sized == u64::from(num_groups)
-            && source_item_counts.len() == ns
-            && is_csr(&source_ext_offsets, ns, source_ext_ids.len())
-            && all_below(&source_ext_ids, num_extractors)
-            && tiles(item_chunks.iter().map(|c| &c.items), num_items)
-            && tiles(item_chunks.iter().map(|c| &c.rows), num_groups);
+        let (m, ns) = (&meta, meta.num_sources as usize);
+        let sized: u64 = m.source_sizes.iter().map(|&n| u64::from(n)).sum();
+        let meta_ok = m.source_sizes.len() == ns
+            && sized == u64::from(m.num_groups)
+            && m.source_item_counts.len() == ns
+            && is_csr(&m.source_ext_offsets, ns, m.source_ext_ids.len())
+            && all_below(&m.source_ext_ids, m.num_extractors)
+            && tiles(m.item_chunks.iter().map(|c| &c.items), m.num_items)
+            && tiles(m.item_chunks.iter().map(|c| &c.rows), m.num_groups);
         if !meta_ok {
             return Err(malformed("meta frame: inconsistent CSR shapes"));
         }
-        Ok(Self {
-            num_groups,
-            num_cells,
-            num_items,
-            num_sources,
-            num_extractors,
-            num_values,
-            max_item_values,
-            max_chunk_rows,
-            item_chunks,
-            source_sizes,
-            source_item_counts,
-            source_ext_offsets,
-            source_ext_ids,
-        })
+        Ok(meta)
     }
 }
 
@@ -568,7 +635,7 @@ fn emit_frame(
     Ok(entry)
 }
 
-/// Disk-backed chunk payloads: the `KBTCHNK4` format described in the
+/// Disk-backed chunk payloads: the `KBTCHNK5` format described in the
 /// module docs — magic, meta frame, item frames (one per [`CubeChunk`]),
 /// an index frame, and a trailing 8-byte index offset. Every load
 /// re-verifies its frame's CRC, so a corrupted chunk surfaces as an
@@ -685,31 +752,10 @@ impl FileChunkStore {
         let (off, len) = self.item_frames[idx];
         let payload = wire::read_frame_at(&self.file, off, len, self.limit)
             .map_err(|e| io::Error::new(e.kind(), format!("chunk {idx}: {e}")))?;
-        (buf.decode(&payload)).map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
-        let (meta, chunk) = (&self.meta, &self.meta.item_chunks[idx]);
-        let (items, rows, cells) = (
-            buf.items.len(),
-            buf.ig_source.len(),
-            buf.cell_extractor.len(),
-        );
-        let shape_ok = buf.items == chunk.items
-            && rows == chunk.rows.len()
-            && cells == chunk.cells as usize
-            && is_csr(&buf.item_offsets, items, rows)
-            && is_csr(&buf.item_value_offsets, items, buf.item_values.len())
-            && is_csr(&buf.cell_offsets, rows, cells)
-            && buf.cell_offsets.windows(2).all(|w| w[0] < w[1])
-            && buf.ig_slot.len() == rows
-            && buf.cell_confidence.len() == cells
-            && all_below(&buf.ig_source, meta.num_sources)
-            && all_below(&buf.cell_extractor, meta.num_extractors)
-            // Every row's slot names one of its own item's values.
-            && (0..items).all(|li| {
-                let values = buf.item_value_offsets[li + 1] - buf.item_value_offsets[li];
-                let rows = buf.item_offsets[li] as usize..buf.item_offsets[li + 1] as usize;
-                values <= meta.max_item_values && all_below(&buf.ig_slot[rows], values)
-            });
-        if !shape_ok {
+        let mut r = WireReader::new(&payload);
+        (buf.read(&mut r).and_then(|()| r.finish()))
+            .map_err(|e| malformed(format!("chunk {idx}: {e}")))?;
+        if !buf.fits(&self.meta.item_chunks[idx], &self.meta) {
             return Err(malformed(format!("chunk {idx}: malformed payload")));
         }
         Ok(())
@@ -755,25 +801,15 @@ pub(crate) mod tests {
     /// Every row of `cc` in order: its key and cells (confidences as
     /// bits), read off the frames.
     pub(crate) fn rows(cc: &ChunkedCube) -> Vec<(TripleGroup, Vec<(u32, u64)>)> {
-        let mut rows = Vec::new();
-        for frame in &cc.frames {
-            for li in 0..frame.num_items() {
-                rows.extend(frame.rows(li).map(|r| {
-                    let cells = frame.cells(r).map(|k| frame.cell_extractor[k]);
-                    let bits = frame.cells(r).map(|k| frame.cell_confidence[k].to_bits());
-                    let item = ItemId::new(frame.items.start + li as u32);
-                    let value = ValueId::new(frame.values(li)[frame.ig_slot[r] as usize]);
-                    let source = SourceId::new(frame.ig_source[r]);
-                    let key = TripleGroup {
-                        source,
-                        item,
-                        value,
-                    };
-                    (key, cells.zip(bits).collect())
-                }));
-            }
-        }
-        rows
+        let rows = cc.frames.iter().flat_map(|f| {
+            f.keys().enumerate().map(|(r, key)| {
+                let cells = f
+                    .cells(r)
+                    .map(|k| (f.cell_extractor[k], f.cell_confidence[k].to_bits()));
+                (key, cells.collect())
+            })
+        });
+        rows.collect()
     }
 
     /// A re-cut is a faithful split of the cube: the same rows, with their
@@ -781,7 +817,6 @@ pub(crate) mod tests {
     fn assert_matches_cube(cc: &ChunkedCube, cube: &ObservationCube) {
         let unsplit = |m: &ChunkStoreMeta| ChunkStoreMeta {
             item_chunks: Vec::new(),
-            max_chunk_rows: 0,
             ..m.clone()
         };
         assert_eq!(unsplit(&cc.meta), unsplit(&cube.chunked().meta));
@@ -791,33 +826,18 @@ pub(crate) mod tests {
     }
 
     /// The chunks tile the items, rows and cells in order, each frame
-    /// holding its chunk's items, rows and cells.
+    /// holding its chunk's items, rows and cells, as a build writes them:
+    /// a checkpoint's decode derives this very partition from the frames.
     fn assert_chunks_tile(cc: &ChunkedCube) {
         let meta = &cc.meta;
-        let mut next_item = 0u32;
-        let mut next_row = 0u32;
-        let mut cells = 0u64;
-        assert_eq!(cc.frames.len(), meta.item_chunks.len());
-        for (chunk, frame) in meta.item_chunks.iter().zip(&cc.frames) {
-            assert_eq!(chunk.items.start, next_item);
-            assert_eq!(chunk.rows.start, next_row);
-            assert_eq!(frame.items, chunk.items);
-            assert_eq!(
-                frame.item_offsets[frame.num_items()] as usize,
-                chunk.rows.len()
-            );
-            assert_eq!(frame.num_rows(), chunk.rows.len());
-            assert_eq!(chunk.cells, frame.cell_offsets[frame.num_rows()]);
-            assert_eq!(frame.cell_extractor.len(), chunk.cells as usize);
-            next_item = chunk.items.end;
-            next_row = chunk.rows.end;
-            cells += chunk.cells as u64;
-        }
-        assert_eq!(next_item, meta.num_items);
-        assert_eq!(next_row, meta.num_groups);
+        let partition = ChunkedCube::partition_of(&cc.frames, meta);
+        assert_eq!(partition.as_ref(), Some(&meta.item_chunks));
+        assert_eq!(
+            meta.item_chunks.last().map_or(0, |c| c.rows.end),
+            meta.num_groups
+        );
+        let cells: u64 = meta.item_chunks.iter().map(|c| u64::from(c.cells)).sum();
         assert_eq!(cells, u64::from(meta.num_cells));
-        let most_rows = meta.item_chunks.iter().map(|c| c.rows.len());
-        assert_eq!(meta.max_chunk_rows as usize, most_rows.max().unwrap_or(0));
     }
 
     #[test]
@@ -995,10 +1015,12 @@ pub(crate) mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    /// The `KBTCHNK4` bytes, pinned (length and FNV-1a): any change to
+    /// The `KBTCHNK5` bytes, pinned (length and FNV-1a): any change to
     /// the encoder is a format change. (`KBTCHNK3`, with a group-id column
     /// per row and per-source group offsets, was 3,480 bytes,
-    /// `0x706b5d9f62302f31`.)
+    /// `0x706b5d9f62302f31`. `KBTCHNK4` was 4 bytes longer, 3,224 bytes,
+    /// `0x2d3b_9f78_5ab3_db52`: its meta frame also recorded the most rows
+    /// of any chunk, `max_chunk_rows`, which nothing read.)
     #[test]
     fn file_store_bytes_are_golden() {
         let cc = ChunkedCube::from_cube(&sample_cube(), &ChunkingConfig { target_cells: 8 });
@@ -1009,9 +1031,9 @@ pub(crate) mod tests {
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(bytes.len(), 3224);
-        assert_eq!(fnv, 0x2d3b_9f78_5ab3_db52);
-        assert_eq!(&bytes[..8], b"KBTCHNK4");
+        assert_eq!(bytes.len(), 3220);
+        assert_eq!(fnv, 0x2cbc_b003_19d7_8425);
+        assert_eq!(&bytes[..8], b"KBTCHNK5");
     }
 
     /// A CRC-valid index frame whose first entry points at

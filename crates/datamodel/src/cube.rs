@@ -35,9 +35,10 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use crate::chunked::{ChunkBuf, ChunkStoreMeta, ChunkedCube, ChunkingConfig};
+use crate::chunked::{ChunkBuf, ChunkStoreMeta, ChunkedCube, ChunkingConfig, CubeChunk};
 use crate::ids::{ExtractorId, ItemId, SourceId, ValueId};
 use crate::triple::Observation;
+use crate::wire::{self, WireError, WireReader};
 
 /// One extraction supporting a triple group: which extractor, with what
 /// confidence `p(X_ewdv = 1)`.
@@ -298,6 +299,65 @@ impl ObservationCube {
         }
     }
 
+    /// Append the cube's wire image (a checkpoint's cube section): the four
+    /// id-space sizes, then its item frames behind their count, each in the
+    /// chunk store's item-frame encoding. The meta frame is not written;
+    /// [`Self::decode`] recounts it.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        self.spaces().0.iter().for_each(|&n| wire::put_u32(buf, n));
+        wire::put_u32(buf, self.chunked.frames.len() as u32);
+        self.chunked.frames.iter().for_each(|f| f.encode(buf));
+    }
+
+    /// Open the cube [`Self::encode`] wrote, as its frames: no cube is
+    /// built. Each frame must pass the chunk store's shape check, the
+    /// frames must tile the items, and their rows must hold every
+    /// invariant a build establishes: keys strictly ascending, each item's
+    /// value list its rows' distinct values, each row's extractors
+    /// strictly ascending, every confidence in `[0, 1]`. The key column is
+    /// read off the rows, and the meta frame is recounted from them by a
+    /// build's own window count, so no stored count can disagree with the
+    /// cells.
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of bytes that do not parse, or
+    /// [`WireError::Malformed`] for frames no build writes.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let spaces = Spaces([r.u32()?, r.u32()?, r.u32()?, r.u32()?]);
+        // A frame is at least its item range and eight column counts.
+        let frames = r.seq(40, |r| {
+            let mut frame = ChunkBuf::default();
+            frame.read(r).map(|()| frame)
+        })?;
+        let [num_sources, num_extractors, num_items, num_values] = spaces.0;
+        let bounds = ChunkStoreMeta {
+            num_sources,
+            num_extractors,
+            num_items,
+            num_values,
+            // No slot bound is read: `framed` recounts it from the frames.
+            max_item_values: u32::MAX,
+            ..ChunkStoreMeta::default()
+        };
+        let item_chunks = ChunkedCube::partition_of(&frames, &bounds)
+            .ok_or(WireError::Malformed("the item frames are not a cube's"))?;
+        let rows = item_chunks.last().map_or(0, |c| c.rows.end as usize);
+        let mut record = WindowIndex::new(0..num_items as usize, spaces);
+        let mut groups = Vec::with_capacity(rows);
+        for f in &frames {
+            for (r, key) in f.keys().enumerate() {
+                record.group(key);
+                f.cells(r)
+                    .for_each(|k| record.cell(f.cell_extractor[k], f.cell_confidence[k]));
+                groups.push(key);
+            }
+        }
+        let meta = source_columns(spaces, std::slice::from_mut(&mut record));
+        let chunked = framed(meta, item_chunks, frames);
+        Ok(Self { groups, chunked })
+    }
+
     /// Approximate resident size of the cube in bytes (vector payloads
     /// only, no allocator overhead) — what `benchmark/` reports as
     /// `datamodel.cube_bytes`.
@@ -550,15 +610,25 @@ impl Sink for WindowIndex {
 /// Lay out a cube from its key-ordered `rows` — the layout pass of
 /// [`CubeBuilder::build`], [`ObservationCube::apply_delta`] and
 /// [`ObservationCube::retract`]. `records` tile the items in order with
-/// what their windows counted. The per-source columns are their counts
-/// summed, and each source's extractor set the union of their marks;
-/// [`write_frames`] cuts the default partition from their per-item
-/// counts and writes the frames and the key column.
+/// what their windows counted ([`source_columns`]); [`write_frames`]
+/// cuts the default partition from their per-item counts and writes the
+/// frames and the key column.
 fn write_cube<R: Rows + ?Sized>(
     spaces: Spaces,
     mut records: Vec<WindowIndex>,
     rows: &R,
 ) -> ObservationCube {
+    let meta = source_columns(spaces, &mut records);
+    let per_item = (records.iter()).flat_map(|r| r.item_groups.iter().zip(&r.item_cells));
+    let per_item = per_item.map(|(&groups, &cells)| (groups, cells));
+    let (groups, chunked) = write_frames(per_item, &ChunkingConfig::default(), rows, true, meta);
+    ObservationCube { groups, chunked }
+}
+
+/// The meta frame's id spaces and per-source columns from what the item
+/// windows `records` counted: the columns are their counts summed, and
+/// each source's extractor set the union of their marks.
+fn source_columns(spaces: Spaces, records: &mut [WindowIndex]) -> ChunkStoreMeta {
     let [ns, ..] = spaces.0.map(|n| n as usize);
     let sum = |count: fn(&WindowIndex) -> &[u32]| -> Vec<u32> {
         (0..ns)
@@ -586,7 +656,7 @@ fn write_cube<R: Rows + ?Sized>(
     }
 
     let [num_sources, num_extractors, num_items, num_values] = spaces.0;
-    let meta = ChunkStoreMeta {
+    ChunkStoreMeta {
         num_items,
         num_sources,
         num_extractors,
@@ -596,11 +666,7 @@ fn write_cube<R: Rows + ?Sized>(
         source_ext_offsets,
         source_ext_ids,
         ..ChunkStoreMeta::default()
-    };
-    let per_item = (records.iter()).flat_map(|r| r.item_groups.iter().zip(&r.item_cells));
-    let per_item = per_item.map(|(&groups, &cells)| (groups, cells));
-    let (groups, chunked) = write_frames(per_item, &ChunkingConfig::default(), rows, true, meta);
-    ObservationCube { groups, chunked }
+    }
 }
 
 impl ChunkedCube {
@@ -629,7 +695,7 @@ fn write_frames<R: Rows + ?Sized>(
     chunking: &ChunkingConfig,
     rows: &R,
     keys: bool,
-    mut meta: ChunkStoreMeta,
+    meta: ChunkStoreMeta,
 ) -> (Vec<TripleGroup>, ChunkedCube) {
     let (ng, nc) =
         (per_item.clone()).fold((0, 0), |(g, c), (n, k)| (g + n as usize, c + k as usize));
@@ -659,12 +725,22 @@ fn write_frames<R: Rows + ?Sized>(
         .map(|s| s.into_inner().expect("no frame writer panicked").0)
         .collect();
 
+    (groups, framed(meta, item_chunks, frames))
+}
+
+/// `frames`, cut as `item_chunks`, under `meta`'s id spaces and
+/// per-source columns; the counts and the slot bound are the frames'.
+fn framed(
+    mut meta: ChunkStoreMeta,
+    item_chunks: Vec<CubeChunk>,
+    frames: Vec<ChunkBuf>,
+) -> ChunkedCube {
     let item_values = |f: &ChunkBuf| f.item_value_offsets.windows(2).map(|w| w[1] - w[0]).max();
     meta.max_item_values = frames.iter().filter_map(item_values).max().unwrap_or(0);
-    let chunk_rows = item_chunks.iter().map(|c| c.rows.len() as u32);
-    meta.max_chunk_rows = chunk_rows.max().unwrap_or(0);
-    (meta.num_groups, meta.num_cells, meta.item_chunks) = (ng as u32, nc as u32, item_chunks);
-    (groups, ChunkedCube { meta, frames })
+    meta.num_groups = item_chunks.last().map_or(0, |c| c.rows.end);
+    meta.num_cells = item_chunks.iter().map(|c| c.cells).sum();
+    meta.item_chunks = item_chunks;
+    ChunkedCube { meta, frames }
 }
 
 /// The frame writer: one chunk's frame, written from the key-ordered rows
@@ -845,12 +921,10 @@ impl CubeBuilder {
     pub fn build(self) -> ObservationCube {
         let (obs, spaces) = (self.obs, self.spaces);
         let [_, _, ni, _] = spaces.0.map(|n| n as usize);
-        // The sorted check comes first on purpose: recovery hands the
-        // builder a checkpoint's cells in cube order on every `recover`,
-        // and one window reads them in place on the calling thread. (Two
-        // windows measured slower there on a 2-vCPU machine: ≈ 270k rows,
-        // `recover` 37 → 45 ms.) On unsorted input it stops at the first
-        // inversion.
+        // The sorted check comes first on purpose: `single_layer::pair_cube`
+        // hands the builder its claims in cube order, and one window reads
+        // them in place on the calling thread. On unsorted input it stops
+        // at the first inversion.
         if obs.is_sorted_by_key(row_key) {
             let mut record = WindowIndex::new(0..ni, spaces);
             obs.feed(0..ni, &mut record);
@@ -1161,12 +1235,17 @@ mod tests {
     /// the default partition on one worker, bit for bit, and its key
     /// column is the frames' rows — local row `r` of a chunk's frame is
     /// group `rows.start + r`, of the frame's item, its value the row's
-    /// slot in that item's value list.
+    /// slot in that item's value list. Its wire image decodes to it.
     fn assert_frames_hold_the_cube(cube: &ObservationCube) {
         let recut = kbt_flume::with_threads(Some(1), || cube.recut(&ChunkingConfig::default()));
         assert_cubes_identical(&recut, cube);
         let keys = rows(&cube.chunked).into_iter().map(|(key, _)| key);
         assert!(keys.eq(cube.groups().iter().copied()));
+        let mut bytes = Vec::new();
+        cube.encode(&mut bytes);
+        let mut r = WireReader::new(&bytes);
+        assert_cubes_identical(&ObservationCube::decode(&mut r).unwrap(), cube);
+        assert!(r.is_empty());
     }
 
     /// `n` hashed rows, source drawn by `source_of`: few enough distinct

@@ -1,4 +1,4 @@
-//! The one wire codec under `KBTNET01`, `KBTWAL01`, `KBTCHNK4` and
+//! The one wire codec under `KBTNET01`, `KBTWAL01`, `KBTCHNK5` and
 //! `KBTSNAP1`: how a value looks in bytes, and how a record is
 //! delimited, checksummed, version-tagged and length-guarded.
 //!
@@ -106,6 +106,8 @@ pub enum WireError {
     BadMagic,
     /// The header's version is not the one this build reads.
     BadVersion(u32),
+    /// The bytes parse, but break the structure's own invariant.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -131,6 +133,7 @@ impl std::fmt::Display for WireError {
             Self::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             Self::BadMagic => write!(f, "magic mismatch"),
             Self::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            Self::Malformed(what) => write!(f, "malformed payload: {what}"),
         }
     }
 }

@@ -318,7 +318,7 @@ impl TrustPipeline {
     /// unless set there), before or after [`model`](Self::model).
     ///
     /// With [`CubeResidency::Streamed`] the model writes the cube's frames
-    /// (the single layer's, its pair cube's) to a `KBTCHNK4` store at the
+    /// (the single layer's, its pair cube's) to a `KBTCHNK5` store at the
     /// given path and fits from it within the memory bound
     /// [`CubeResidency`] states. Trust scores, posteriors, copy evidence
     /// and trace are **bit-for-bit identical** to a resident run,

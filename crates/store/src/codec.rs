@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! checkpoint-<epoch> :=
-//!   header("KBTSNAP1", version 5)                         12 bytes
+//!   header("KBTSNAP1", version 6)                         12 bytes
 //!   config digest      u64   (FNV-1a of the model config) 8
-//!   cube section       dims + every cell as an observation
+//!   cube section       the four id-space sizes, then the item frames
 //!   snapshot section   provenance, the per-source columns, the posteriors
 //!   warm section       serving mode u8, then the extractor P / R / Q
 //!                      columns, each with its own count
@@ -27,20 +27,21 @@
 //! mode byte is the `RefitMode` of the server that wrote the file, so
 //! recovery replays the log past the checkpoint the way it was served.
 //!
-//! The cube is stored as its cells (each one a full `Observation`) plus
-//! the four dense id-space sizes, item-major since version 3; rebuilding
-//! through [`CubeBuilder`] reproduces the canonical layout exactly. Since
-//! version 4 the snapshot's triple keys are the decoded cube's groups, not
-//! a second copy; the fingerprint covers them, so a file cannot pair a
-//! snapshot with another cube. Since version 5 the snapshot section has no
-//! per-group truth column: a triple's truth is its item's posterior.
+//! Since version 6 the cube section is the cube's own form, its item
+//! frames, whose bytes [`ObservationCube::encode`] and
+//! [`ObservationCube::decode`] decide: recovery opens the frames it reads
+//! as the cube, once they hold every invariant a build establishes. No
+//! meta frame is stored; decode recounts it from the rows. Since
+//! version 4 the snapshot's triple keys are the decoded cube's groups,
+//! not a second copy; the fingerprint covers them, so a file cannot pair
+//! a snapshot with another cube. Since version 5 the snapshot section has
+//! no per-group truth column: a triple's truth is its item's posterior.
 
 use kbt_core::{ItemPosteriors, ModelKind};
 use kbt_datamodel::wire::{
-    self, put_f64, put_observation, put_seq, put_u32, put_u64, put_u8, WireError, WireReader,
-    OBSERVATION_WIRE_BYTES,
+    self, put_f64, put_seq, put_u32, put_u64, put_u8, WireError, WireReader,
 };
-use kbt_datamodel::{CubeBuilder, ItemId, Observation, ObservationCube, ValueId};
+use kbt_datamodel::{ItemId, ObservationCube, ValueId};
 use kbt_serve::{RefitMode, SnapshotParts, SnapshotProvenance, TrustSnapshot};
 
 use crate::durable::StoreError;
@@ -49,7 +50,7 @@ use crate::durable::StoreError;
 const CHECKPOINT_MAGIC: [u8; 8] = *b"KBTSNAP1";
 
 /// Current checkpoint format version.
-const CHECKPOINT_VERSION: u32 = 5;
+const CHECKPOINT_VERSION: u32 = 6;
 
 /// A decoded checkpoint: the published snapshot and the cube it was
 /// fitted on — everything recovery needs to resume a server.
@@ -75,7 +76,7 @@ pub fn encode_checkpoint(
     let mut buf = Vec::new();
     wire::put_header(&mut buf, &CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
     put_u64(&mut buf, config_digest);
-    encode_cube(&mut buf, cube);
+    cube.encode(&mut buf);
     encode_snapshot(&mut buf, snapshot);
     put_u64(&mut buf, snapshot.fingerprint());
     wire::put_crc(&mut buf, 0);
@@ -105,7 +106,7 @@ pub fn decode_checkpoint(
             expected: expected_digest,
         });
     }
-    let cube = decode_cube(&mut r)?;
+    let cube = ObservationCube::decode(&mut r)?;
     let parts = decode_snapshot(&mut r, &cube)?;
     let stored_fingerprint = r.u64()?;
     r.finish()?;
@@ -119,42 +120,6 @@ pub fn decode_checkpoint(
         ));
     }
     Ok(CheckpointContents { snapshot, cube })
-}
-
-// ---- cube section ----
-
-fn encode_cube(buf: &mut Vec<u8>, cube: &ObservationCube) {
-    put_u32(buf, cube.num_sources() as u32);
-    put_u32(buf, cube.num_extractors() as u32);
-    put_u32(buf, cube.num_items() as u32);
-    put_u32(buf, cube.num_values() as u32);
-    put_u64(buf, cube.num_cells() as u64);
-    for (_, group, cells) in cube.iter_with_cells() {
-        for cell in cells {
-            put_observation(
-                buf,
-                &Observation {
-                    extractor: cell.extractor,
-                    source: group.source,
-                    item: group.item,
-                    value: group.value,
-                    confidence: cell.confidence,
-                },
-            );
-        }
-    }
-}
-
-fn decode_cube(r: &mut WireReader<'_>) -> Result<ObservationCube, StoreError> {
-    let (sources, extractors, items, values) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-    let count = r.u64()?;
-    let cells: Vec<Observation> =
-        r.seq_n(count, OBSERVATION_WIRE_BYTES, WireReader::observation)?;
-    // The builder adopts the decoded vector: recovery holds one copy of
-    // the cells, not two.
-    let mut b = CubeBuilder::from(cells);
-    b.reserve_ids(sources, extractors, items, values);
-    Ok(b.build())
 }
 
 // ---- snapshot section ----
@@ -315,7 +280,7 @@ fn mode_from_tag(tag: u8) -> Result<RefitMode, WireError> {
 mod tests {
     use super::*;
     use kbt_core::ModelConfig;
-    use kbt_datamodel::{ExtractorId, SourceId};
+    use kbt_datamodel::{ExtractorId, Observation, SourceId};
     use kbt_pipeline::{Model, TrustPipeline};
     use kbt_serve::TrustServer;
 

@@ -11,8 +11,8 @@
 //! A store is one directory holding two kinds of files:
 //!
 //! * `checkpoint-<epoch>` — the full durable state at one published
-//!   epoch: the observation cube (every cell, so the EM engine can be
-//!   restarted on it) and the published snapshot payload (with the warm
+//!   epoch: the observation cube (its item frames, which recovery opens
+//!   as they are) and the published snapshot payload (with the warm
 //!   state the next refit resumes from and the server's refit mode),
 //!   framed with a magic, a format version, a model-config digest, the
 //!   snapshot's own payload fingerprint, and a trailing CRC-32. Written
@@ -67,8 +67,8 @@
 //! bit, warm or cold; the uncommitted tail is re-queued as pending. A
 //! replay costs one refit per commit logged since the checkpoint, at
 //! most [`StoreConfig::checkpoint_every`] − 1 of them; if the crash
-//! landed exactly on a checkpoint, recovery is a pure decode: no EM at
-//! all.
+//! landed exactly on a checkpoint, recovery is a pure decode: no EM and
+//! no cube build at all.
 
 #![warn(missing_docs)]
 

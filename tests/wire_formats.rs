@@ -1,7 +1,7 @@
 //! The four wire formats, bytes first: `KBTWAL01`, `KBTSNAP1` and
 //! `KBTNET01` goldens (length + FNV-1a of what the encoders produced
 //! before they were rebuilt on `kbt_datamodel::wire`'s one frame codec;
-//! `KBTCHNK4`'s golden lives with its encoder, `file_store_bytes_are_golden`),
+//! `KBTCHNK5`'s golden lives with its encoder, `file_store_bytes_are_golden`),
 //! then one hostile corpus through all four decoders.
 
 use kbt::core::ModelConfig;
@@ -208,19 +208,26 @@ fn wal_bytes_are_golden() {
 /// column (a triple's truth is its item's posterior): 576 bytes shorter
 /// (an `f64` for each of the 72 groups), the version field moved, and so
 /// did the fingerprint — it no longer hashes a truth word per group — and
-/// the CRC (3847 bytes, `0x0a26_58ec_73fc_fffd` before).
+/// the CRC (3847 bytes, `0x0a26_58ec_73fc_fffd` before). Re-pinned for
+/// format version 6, when the cube section became the cube's item frames
+/// (the four id-space sizes, the frame count, then this one-frame cube's
+/// frame in the chunk store's encoding) instead of a `u64` cell count and
+/// a 24-byte observation for each of the 108 cells: 184 bytes shorter
+/// (2,616 section bytes became 2,432), and the version field and the CRC
+/// moved (3271 bytes, `0xaa12_abea_f723_b756` before).
 #[test]
 fn checkpoint_bytes_are_golden() {
     let bytes = sample_checkpoint();
     assert_eq!(&bytes[..8], b"KBTSNAP1");
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (3271, 0xaa12_abea_f723_b756));
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (3087, 0xe471_f68b_d4c5_8b0d));
 }
 
 /// A checkpoint writes each group key once, in its cube section: the
 /// decoded snapshot serves exactly the decoded cube's groups, a snapshot
 /// written beside another cube does not decode (the stored fingerprint
-/// covers the keys), and a version-3 file (which wrote the keys twice) or
-/// a version-4 file (which wrote a truth column) is refused at the header.
+/// covers the keys), and a version-3 file (which wrote the keys twice), a
+/// version-4 file (which wrote a truth column) or a version-5 file (which
+/// wrote the cube as its cells) is refused at the header.
 #[test]
 fn a_checkpoint_snapshot_serves_its_cubes_groups() {
     let bytes = sample_checkpoint();
@@ -235,7 +242,7 @@ fn a_checkpoint_snapshot_serves_its_cubes_groups() {
     let err = decode_checkpoint(&mispaired, 7).unwrap_err().to_string();
     assert!(err.contains("stored fingerprint"), "{err}");
 
-    for version in [3u8, 4] {
+    for version in [3u8, 4, 5] {
         let mut old = bytes[..bytes.len() - 4].to_vec();
         old[8] = version;
         old.extend(crc32(&old).to_le_bytes());
@@ -302,7 +309,7 @@ use std::ops::Range;
 use kbt::datamodel::wire::{crc32, WireError, WireReader};
 use kbt::datamodel::{ChunkBuf, ChunkedCube, ChunkingConfig, CubeBuilder, FileChunkStore};
 use kbt::net::{FrameBuffer, ProtoError, DEFAULT_MAX_FRAME_BYTES};
-use kbt::store::{decode_checkpoint, wal::read_wal};
+use kbt::store::{decode_checkpoint, wal::read_wal, StoreError};
 
 /// One format under attack: a valid sample, where its checked regions
 /// and decoded length / count fields sit, and its production decoder.
@@ -456,6 +463,24 @@ fn warm_section(end: usize) -> [usize; 4] {
     [q - 2 * column - 1, q - 2 * column, q - column, q]
 }
 
+/// Offsets in the sample checkpoint's cube section of frame 0's eight
+/// column counts (seven `u32` columns, then the `f64` confidences), each
+/// followed by its elements. The section is the four id-space sizes from
+/// byte 20 on, the frame count at [`FRAME_COUNT_AT`], then frame 0: its
+/// item range, then the columns.
+fn frame_columns(sample: &[u8]) -> [usize; 8] {
+    let mut at = FRAME_COUNT_AT + 12;
+    std::array::from_fn(|k| {
+        let count = u32::from_le_bytes(sample[at..at + 4].try_into().unwrap()) as usize;
+        let width = if k < 7 { 4 } else { 8 };
+        at += 4 + width * count;
+        at - 4 - width * count
+    })
+}
+
+/// Header 12, config digest 8, four `u32` id-space sizes.
+const FRAME_COUNT_AT: usize = 36;
+
 fn checkpoint() -> Format {
     let sample = sample_checkpoint();
     let end = sample.len() - 4;
@@ -463,10 +488,12 @@ fn checkpoint() -> Format {
         name: "KBTSNAP1",
         sealed: vec![(0..end, end)],
         len_fields: vec![],
-        // Header 12, digest 8, four u32 dims, then the u64 cell count;
-        // and the warm section's three extractor-column counts.
-        count_fields: std::iter::once((36, 8))
-            .chain(warm_section(end)[1..].iter().map(|&at| (at, 4)))
+        // The cube section's frame count and frame 0's column counts; and
+        // the warm section's three extractor-column counts.
+        count_fields: std::iter::once(FRAME_COUNT_AT)
+            .chain(frame_columns(&sample))
+            .chain(warm_section(end)[1..].iter().copied())
+            .map(|at| (at, 4))
             .collect(),
         version_at: Some(8),
         unread: vec![],
@@ -520,12 +547,12 @@ fn chunk_store() -> Format {
     let extractors = cell_offsets + 4 + 4 * u32_at(cell_offsets);
     let confidences = extractors + 4 + 4 * u32_at(extractors);
     Format {
-        name: "KBTCHNK4",
-        // The meta frame's item-chunk count (after eight u32 dims), the
+        name: "KBTCHNK5",
+        // The meta frame's item-chunk count (after seven u32 dims), the
         // first column of item frame 0 (after its range), its row cell
         // offsets, and its f64 column.
         count_fields: vec![
-            (meta.start + 32, 4),
+            (meta.start + 28, 4),
             (first, 4),
             (cell_offsets, 4),
             (confidences, 4),
@@ -655,6 +682,143 @@ fn a_hostile_warm_section_is_a_typed_error() {
             None,
         );
     }
+}
+
+/// The cube section's frames under attack, each behind a valid
+/// whole-file CRC so it reaches the frame checks: every shape parses, none
+/// is a cube a build writes, and each is `StoreError::Corrupt`. Together
+/// they break each invariant a build establishes (keys strictly
+/// ascending, an item's value list exactly its rows' values in ascending
+/// order, a row's extractors strictly ascending, confidences in
+/// `[0, 1]`), the source and value id bounds, and the tiling of the
+/// items.
+#[test]
+fn a_hostile_cube_section_is_corrupt() {
+    let f = checkpoint();
+    let u32_at = |at: usize| u32::from_le_bytes(f.sample[at..at + 4].try_into().unwrap());
+    let [item_offsets, value_offsets, values, ig_source, ig_slot, cell_offsets, extractors, confidences] =
+        frame_columns(&f.sample);
+    // Element `i` of the `u32` column whose count sits at `column`.
+    let at = |column: usize, i: u32| column + 4 + 4 * i as usize;
+    let get = |column: usize, i: u32| u32_at(at(column, i));
+    let le = |words: &[u32]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+    let (num_sources, num_items, num_values) = (u32_at(20), u32_at(28), u32_at(32));
+    // The first item with two values: swapping them leaves every row's
+    // slot in order but the value list descending.
+    let pair = (0..num_items)
+        .find(|&d| get(value_offsets, d + 1) - get(value_offsets, d) >= 2)
+        .map(|d| get(value_offsets, d))
+        .unwrap();
+
+    let two_cells = (0..)
+        .find(|&r| get(cell_offsets, r + 1) - get(cell_offsets, r) >= 2)
+        .unwrap();
+    let repeated = get(cell_offsets, two_cells);
+    // Item 0's last row: its source is the item's largest, so only the
+    // bound is broken, not the order.
+    let last_row = get(item_offsets, 1) - 1;
+    // A row whose value no other row of its item claims, moved to another
+    // of the item's values: the rows stay in order, a value goes unclaimed.
+    let (lone, other) = (0..num_items)
+        .find_map(|d| {
+            let values = get(value_offsets, d + 1) - get(value_offsets, d);
+            let slots: Vec<(u32, u32)> = (get(item_offsets, d)..get(item_offsets, d + 1))
+                .map(|r| (r, get(ig_slot, r)))
+                .collect();
+            let once = |&&(_, s): &&(u32, u32)| slots.iter().filter(|t| t.1 == s).count() == 1;
+            let lone = slots.iter().find(once).filter(|_| values >= 2)?;
+            Some((lone.0, (lone.1 + 1) % values))
+        })
+        .unwrap();
+    for (case, offset, with) in [
+        (
+            "a NaN confidence",
+            confidences + 4,
+            f64::NAN.to_le_bytes().to_vec(),
+        ),
+        (
+            "a repeated extractor in one row",
+            at(extractors, repeated + 1),
+            le(&[get(extractors, repeated)]),
+        ),
+        (
+            "rows out of key order",
+            at(ig_source, 0),
+            le(&[get(ig_source, 1), get(ig_source, 0)]),
+        ),
+        ("a value no row claims", at(ig_slot, lone), le(&[other])),
+        (
+            "an item's values out of order",
+            at(values, pair),
+            le(&[get(values, pair + 1), get(values, pair)]),
+        ),
+        ("a value >= num_values", 32, le(&[num_values - 1])),
+        (
+            "a row source >= num_sources",
+            at(ig_source, last_row),
+            le(&[num_sources]),
+        ),
+        ("frames short of num_items", 28, le(&[num_items + 1])),
+        ("frame 0 from item 1", FRAME_COUNT_AT + 4, le(&[1])),
+    ] {
+        let mut bytes = f.sample.clone();
+        bytes[offset..offset + with.len()].copy_from_slice(&with);
+        f.reseal(&mut bytes);
+        f.rejects(case, &bytes, Some("malformed payload"));
+        let decoded = decode_checkpoint(&bytes, 7);
+        assert!(matches!(decoded, Err(StoreError::Corrupt(_))), "{case}");
+    }
+}
+
+/// One bit flipped in every byte of the cube section's frames (past the
+/// four id-space sizes), behind a valid whole-file CRC: the decode never
+/// panics, and a flip it admits (a confidence halved, say) decodes to
+/// exactly the cube `CubeBuilder` builds from that cube's own cells, an
+/// oracle that shares no code with the frame checks.
+#[test]
+fn a_resealed_flip_in_the_frames_is_corrupt_or_a_built_cube() {
+    let f = checkpoint();
+    let confidences = frame_columns(&f.sample)[7];
+    let count = u32::from_le_bytes(f.sample[confidences..confidences + 4].try_into().unwrap());
+    let mut admitted = 0;
+    for at in FRAME_COUNT_AT..confidences + 4 + 8 * count as usize {
+        let mut bytes = f.sample.clone();
+        bytes[at] ^= 1 << (at % 8);
+        f.reseal(&mut bytes);
+        let decoded = std::panic::catch_unwind(|| decode_checkpoint(&bytes, 7))
+            .unwrap_or_else(|_| panic!("byte {at}: the decoder panicked"));
+        let cube = match decoded {
+            Ok(contents) => contents.cube,
+            Err(StoreError::Corrupt(_)) => continue,
+            Err(e) => panic!("byte {at}: {e}"),
+        };
+        let mut b = CubeBuilder::new();
+        for (_, g, cells) in cube.iter_with_cells() {
+            for c in cells {
+                b.push(obs(
+                    c.extractor.0,
+                    g.source.0,
+                    g.item.0,
+                    g.value.0,
+                    c.confidence,
+                ));
+            }
+        }
+        let spaces = [
+            cube.num_sources(),
+            cube.num_extractors(),
+            cube.num_items(),
+            cube.num_values(),
+        ];
+        let [w, e, d, v] = spaces.map(|n| n as u32);
+        b.reserve_ids(w, e, d, v);
+        let (mut got, mut built) = (Vec::new(), Vec::new());
+        cube.encode(&mut got);
+        b.build().encode(&mut built);
+        assert!(got == built, "byte {at}: admitted a cube no build writes");
+        admitted += 1;
+    }
+    assert!(admitted > 0, "no flip reached the oracle");
 }
 
 /// The same hostile length at the socket: four bytes in, a typed
